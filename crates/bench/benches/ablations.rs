@@ -7,7 +7,7 @@ use dcd_bench::workloads::cust8;
 use dcd_cfd::pattern::tuple_matches;
 use dcd_core::sigma::{sigma_partition, sort_for_sigma};
 use dcd_core::{run_batch, CoordinatorStrategy, RunConfig};
-use dcd_relation::{FxHashMap, Value};
+use dcd_relation::{FxHashMap, Tuple, Value};
 use std::collections::HashMap;
 
 /// σ-partition (one pass, first match) vs. scanning every pattern for
@@ -20,6 +20,8 @@ fn bench_sigma_vs_naive(c: &mut Criterion) {
     let applicable: Vec<usize> = (0..sorted.cfd.tableau.len()).collect();
     let frag = w.partition(4);
     let data = &frag.fragments()[0].data;
+    // The naive arm matches values: decode outside the timed loop.
+    let rows: Vec<Tuple> = data.iter().collect();
 
     let mut group = c.benchmark_group("ablation_partitioning");
     group.sample_size(10);
@@ -29,7 +31,7 @@ fn bench_sigma_vs_naive(c: &mut Criterion) {
     group.bench_function("naive_all_patterns", |b| {
         b.iter(|| {
             let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); sorted.cfd.tableau.len()];
-            for (ti, t) in data.iter().enumerate() {
+            for (ti, t) in rows.iter().enumerate() {
                 for (pi, p) in sorted.cfd.tableau.iter().enumerate() {
                     if tuple_matches(t, &sorted.cfd.lhs, &p.lhs) {
                         blocks[pi].push(ti);
@@ -48,13 +50,14 @@ fn bench_hashers(c: &mut Criterion) {
     let rel = &w.relation;
     let cc = rel.schema().require("CC").unwrap();
     let zip = rel.schema().require("zip").unwrap();
+    let rows: Vec<Tuple> = rel.iter().collect();
 
     let mut group = c.benchmark_group("ablation_hashing");
     group.sample_size(10);
     group.bench_function("fx_hash_group_by", |b| {
         b.iter(|| {
             let mut m: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
-            for t in rel.iter() {
+            for t in &rows {
                 *m.entry(t.project(&[cc, zip])).or_insert(0) += 1;
             }
             m.len()
@@ -63,7 +66,7 @@ fn bench_hashers(c: &mut Criterion) {
     group.bench_function("sip_hash_group_by", |b| {
         b.iter(|| {
             let mut m: HashMap<Vec<Value>, u32> = HashMap::new();
-            for t in rel.iter() {
+            for t in &rows {
                 *m.entry(t.project(&[cc, zip])).or_insert(0) += 1;
             }
             m.len()

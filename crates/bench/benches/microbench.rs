@@ -1,10 +1,6 @@
 //! Microbenchmarks for the hot loops over the Fig. 3 scaling workload
 //! (`cust16`, the Exp-2/3 data):
 //!
-//! * `group_by` and `sigma_partition` — the dictionary-encoded columnar
-//!   paths against the seed's row-oriented reference implementations
-//!   (value hashing / symbolic pattern matching), reproduced here
-//!   verbatim as the baseline (PR 2);
 //! * `coordinator_validation` — the Phase-5 batch-validation kernel:
 //!   everything 8 fragments hold gathered at one coordinator, validated
 //!   value-wise (`detect_among` over `&Tuple`s — the pre-code-native
@@ -29,11 +25,7 @@
 //!   violation index under a CDC-style update stream, against full
 //!   re-detection on the materialized partition after each batch (the
 //!   one-off index build is reported alongside);
-//! * `mining_on_codes` / `kernel_dispatch` / `mining_incremental` — the
-//!   detection-kernel refactor: per-mask support counting on packed
-//!   `CodeKey`s against the pre-port `Vec<Value>`-keyed loop, the
-//!   `dcd_cfd::kernel` group-validation path against the deleted
-//!   hand-rolled loop, and `DeltaEffect`-driven mined-tableau
+//! * `mining_incremental` — `DeltaEffect`-driven mined-tableau
 //!   maintenance against a full re-mine per batch (recorded via
 //!   `DCD_BENCH_MINING_JSON`).
 //!
@@ -44,152 +36,12 @@
 use criterion::black_box;
 use dcd_cfd::codes::{detect_among_codes, CodeLayout, CodeRow};
 use dcd_cfd::detect_among;
-use dcd_cfd::pattern::{tuple_matches, CompiledPattern};
-use dcd_cfd::SimpleCfd;
-use dcd_core::sigma::{sigma_partition, sort_for_sigma, SigmaPartition, SortedCfd};
 use dcd_core::{run_batch, CoordinatorStrategy, MinedTableau, MiningConfig, RunConfig};
 use dcd_datagen::{update_stream, UpdateStreamConfig};
 use dcd_dist::{Fragment, HorizontalPartition, SiteId};
 use dcd_incr::{DeltaBatch, IncrementalRun};
-use dcd_relation::ops::{group_by, CodeKey};
-use dcd_relation::{set_chunk_rows, AttrId, FxHashMap, FxHashSet, Relation, Value};
+use dcd_relation::{set_chunk_rows, Tuple};
 use std::time::{Duration, Instant};
-
-/// The seed's `group_by`: hash owned value projections, one `Vec<Value>`
-/// allocation per tuple.
-fn row_group_by(rel: &Relation, attrs: &[AttrId]) -> FxHashMap<Vec<Value>, Vec<usize>> {
-    let mut groups: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-    for (i, t) in rel.iter().enumerate() {
-        groups.entry(t.project(attrs)).or_default().push(i);
-    }
-    groups
-}
-
-/// The seed's `sigma_partition`: symbolic `tuple_matches` per tuple per
-/// pattern, re-walking enum cells every time.
-fn row_sigma_partition(
-    fragment: &Relation,
-    sorted: &SortedCfd,
-    applicable: &[usize],
-) -> SigmaPartition {
-    let k = sorted.cfd.tableau.len();
-    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut comparisons = 0usize;
-    for (ti, t) in fragment.iter().enumerate() {
-        for &pi in applicable {
-            comparisons += 1;
-            if tuple_matches(t, &sorted.cfd.lhs, &sorted.cfd.tableau[pi].lhs) {
-                blocks[pi].push(ti);
-                break;
-            }
-        }
-    }
-    SigmaPartition { blocks, comparisons }
-}
-
-/// The pre-port mining support counter: per mask, owned `Vec<Value>`
-/// projections hashed as keys, thresholded inline — reproduced verbatim
-/// from `mine_patterns` before the `CodeKey` port.
-fn value_mine_supports(
-    partition: &HorizontalPartition,
-    cfd: &SimpleCfd,
-    config: &MiningConfig,
-) -> usize {
-    let m = cfd.lhs.len();
-    let masks: Vec<u32> = (1u32..(1 << m))
-        .filter(|mk| (mk.count_ones() as usize) <= config.max_width.min(m))
-        .collect();
-    let mut total = 0usize;
-    for frag in partition.fragments() {
-        let n = frag.data.len();
-        if n == 0 {
-            continue;
-        }
-        let threshold = ((config.theta * n as f64).ceil() as usize).max(1);
-        for &mask in &masks {
-            let attrs: Vec<usize> = (0..m).filter(|&i| mask & (1 << i) != 0).collect();
-            let mut map: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-            for t in frag.data.iter() {
-                let key: Vec<Value> = attrs.iter().map(|&i| t.get(cfd.lhs[i]).clone()).collect();
-                *map.entry(key).or_insert(0) += 1;
-            }
-            map.retain(|_, c| *c >= threshold);
-            total += map.len();
-        }
-    }
-    total
-}
-
-/// The pre-refactor coordinator validation loop — the hand-rolled
-/// group-validation shape `ResolvedCfd::detect_among` carried before it
-/// was folded into `dcd_cfd::kernel` — reproduced here as the
-/// `kernel_dispatch` baseline. Vio only (the kernel path additionally
-/// decodes Vioπ keys for violating groups, so the comparison is
-/// conservative in the baseline's favor).
-fn prerefactor_detect_among(
-    rows: &[CodeRow],
-    cfd: &SimpleCfd,
-    rel: &Relation,
-    attrs: &[AttrId],
-) -> usize {
-    let lhs_pos: Vec<usize> = cfd
-        .lhs
-        .iter()
-        .map(|a| attrs.iter().position(|b| b == a).expect("shipped attrs cover the LHS"))
-        .collect();
-    let rhs_pos = attrs.iter().position(|b| *b == cfd.rhs).expect("shipped attrs cover the RHS");
-    let compiled: Vec<CompiledPattern> =
-        cfd.tableau.iter().map(|p| CompiledPattern::compile(p, rel, &cfd.lhs, cfd.rhs)).collect();
-
-    let mut groups: FxHashMap<CodeKey, Vec<usize>> = FxHashMap::default();
-    let mut lhs_buf: Vec<u32> = vec![0; lhs_pos.len()];
-    for (i, (_, codes)) in rows.iter().enumerate() {
-        for (b, &p) in lhs_buf.iter_mut().zip(&lhs_pos) {
-            *b = codes[p];
-        }
-        if compiled.iter().any(|p| p.feasible && p.matches_codes(&lhs_buf)) {
-            groups.entry(CodeKey::of_codes(&lhs_buf)).or_default().push(i);
-        }
-    }
-
-    let width = lhs_pos.len();
-    let mut flagged = 0usize;
-    for (key, members) in &groups {
-        let key_codes = key.codes(width);
-        let mut group_flagged = false;
-        let mut member_flags: Option<Vec<bool>> = None;
-        let mut fd_conflict: Option<bool> = None;
-        for pat in &compiled {
-            if !pat.matches_codes(&key_codes) {
-                continue;
-            }
-            let conflict = *fd_conflict.get_or_insert_with(|| {
-                let distinct: FxHashSet<u32> =
-                    members.iter().map(|&i| rows[i].1[rhs_pos]).collect();
-                distinct.len() > 1
-            });
-            if pat.rhs_is_wild() {
-                group_flagged |= conflict;
-            } else {
-                let flags = member_flags.get_or_insert_with(|| vec![false; members.len()]);
-                for (fi, &i) in members.iter().enumerate() {
-                    if rows[i].1[rhs_pos] != pat.rhs {
-                        flags[fi] = true;
-                    }
-                }
-            }
-            if group_flagged {
-                break;
-            }
-        }
-        if group_flagged {
-            flagged += members.len();
-        } else if let Some(flags) = member_flags {
-            flagged += flags.iter().filter(|f| **f).count();
-        }
-    }
-    flagged
-}
 
 /// Median wall time of `samples` runs (one untimed warm-up).
 fn median_time<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
@@ -225,8 +77,6 @@ fn main() {
     let w = dcd_bench::workloads::cust16();
     let rel = &w.relation;
     let cfd = w.main_cfd();
-    let sorted = sort_for_sigma(&cfd);
-    let applicable: Vec<usize> = (0..sorted.cfd.tableau.len()).collect();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
@@ -248,8 +98,8 @@ fn main() {
     // group keys). Live: the code-native wire (`(tid, codes)` rows,
     // packed `CodeKey`s, u32 RHS compares).
     let attrs = cfd.shipped_attrs();
-    let gathered_tuples: Vec<&dcd_relation::Tuple> =
-        partition.fragments().iter().flat_map(|f| f.data.iter()).collect();
+    let decoded: Vec<Tuple> = partition.fragments().iter().flat_map(|f| f.data.iter()).collect();
+    let gathered_tuples: Vec<&Tuple> = decoded.iter().collect();
     let gathered_rows: Vec<CodeRow> = partition
         .fragments()
         .iter()
@@ -267,20 +117,6 @@ fn main() {
             live_label: "code-native",
             baseline: median_time(samples, || detect_among(&gathered_tuples, &cfd)),
             live: median_time(samples, || detect_among_codes(&gathered_rows, &cfd, &layout)),
-        },
-        Comparison {
-            name: "group_by",
-            baseline_label: "row",
-            live_label: "columnar",
-            baseline: median_time(samples, || row_group_by(rel, &cfd.lhs)),
-            live: median_time(samples, || group_by(rel, &cfd.lhs)),
-        },
-        Comparison {
-            name: "sigma_partition",
-            baseline_label: "row",
-            live_label: "columnar",
-            baseline: median_time(samples, || row_sigma_partition(rel, &sorted, &applicable)),
-            live: median_time(samples, || sigma_partition(rel, &sorted, &applicable)),
         },
         Comparison {
             name: "parallel_sites",
@@ -328,21 +164,20 @@ fn main() {
         threads: usize,
         ms: f64,
     }
-    let schema = rel.schema().clone();
     let build_partitions = || {
         // Uniform 8-site round robin, plus a 90/10 skewed 2-site split:
         // the workload where site-granular scheduling strands one
         // worker with 9x the data.
         let uniform = w.partition(8);
         let cut = rel.len() * 9 / 10;
-        let frag = |site: usize, tuples: Vec<dcd_relation::Tuple>| Fragment {
+        let frag = |site: usize, rows: std::ops::Range<usize>| Fragment {
             site: SiteId(site as u32),
             predicate: None,
-            data: Relation::from_tuples(schema.clone(), tuples).expect("slice shares the schema"),
+            data: rel.copy_rows(&rows.collect::<Vec<_>>()),
         };
         let skewed = HorizontalPartition::from_fragments(
-            schema.clone(),
-            vec![frag(0, rel.tuples()[..cut].to_vec()), frag(1, rel.tuples()[cut..].to_vec())],
+            rel.schema().clone(),
+            vec![frag(0, 0..cut), frag(1, cut..rel.len())],
         )
         .expect("sequential hand-built fragments");
         (skewed, uniform)
@@ -566,41 +401,10 @@ fn main() {
         println!("  wrote {path}");
     }
 
-    // ---- mining_on_codes + kernel_dispatch: the PR 8 detection-kernel
-    // refactor. Baselines are the deleted pre-refactor loops, reproduced
-    // above verbatim (value-keyed support counting; the hand-rolled
-    // group-validation loop). The incremental row maintains one
-    // MinedTableau's support counts through ±1 DeltaEffect updates
-    // against a full re-mine of the mutated partition per batch. ----
+    // ---- mining_incremental: one MinedTableau's support counts
+    // maintained through ±1 DeltaEffect updates against a full re-mine
+    // of the mutated partition per batch. ----
     let mining_cfg = MiningConfig { theta: 0.1, max_width: 2 };
-    let mining = Comparison {
-        name: "mining_on_codes",
-        baseline_label: "Vec<Value>",
-        live_label: "CodeKey",
-        baseline: median_time(samples, || value_mine_supports(&partition, &cfd, &mining_cfg)),
-        live: median_time(samples, || MinedTableau::build(&partition, &cfd, &mining_cfg)),
-    };
-    let kernel = Comparison {
-        name: "kernel_dispatch",
-        baseline_label: "hand-rolled",
-        live_label: "kernel",
-        baseline: median_time(samples, || {
-            prerefactor_detect_among(&gathered_rows, &cfd, rel, &attrs)
-        }),
-        live: median_time(samples, || detect_among_codes(&gathered_rows, &cfd, &layout)),
-    };
-    for c in [&mining, &kernel] {
-        println!(
-            "  {:<22} {} {:>10.3?}   {} {:>10.3?}   speedup {:>5.2}x",
-            c.name,
-            c.baseline_label,
-            c.baseline,
-            c.live_label,
-            c.live,
-            c.speedup(),
-        );
-    }
-
     let mut mpart = partition.clone();
     let mut miner = MinedTableau::build(&mpart, &cfd, &mining_cfg);
     let mine_stream = update_stream(
@@ -664,7 +468,7 @@ fn main() {
                 c.speedup()
             )
         };
-        let entries: Vec<String> = [&mining, &kernel, &incr_mine].map(entry).to_vec();
+        let entries = [entry(&incr_mine)];
         let json = format!(
             concat!(
                 "{{\n",
@@ -678,12 +482,8 @@ fn main() {
                 "  \"ops_per_batch\": {},\n",
                 "  \"samples\": {},\n",
                 "  \"cores\": {},\n",
-                "  \"note\": \"mining_on_codes counts per-mask LHS supports: Vec<Value> \
-                 keys (the pre-port loop, reproduced in the bench) vs packed CodeKeys \
-                 over chunked code columns. kernel_dispatch validates one full 8-site \
-                 gather: the deleted hand-rolled group loop vs dcd_cfd::kernel (kernel \
-                 side also decodes Vioπ). mining_incremental maintains one tableau's \
-                 supports via DeltaEffect ±1 updates vs a full re-mine per batch.\",\n",
+                "  \"note\": \"mining_incremental maintains one tableau's supports via \
+                 DeltaEffect ±1 updates vs a full re-mine per batch.\",\n",
                 "  \"results\": [\n{}\n  ]\n",
                 "}}\n"
             ),

@@ -72,11 +72,7 @@ impl CustWorkload {
     /// A prefix of the relation (Exp-2/6 vary |D| as a percentage).
     pub fn prefix(&self, fraction: f64) -> Relation {
         let keep = ((self.relation.len() as f64) * fraction) as usize;
-        Relation::from_tuples(
-            self.relation.schema().clone(),
-            self.relation.tuples()[..keep].to_vec(),
-        )
-        .expect("prefix shares the schema")
+        self.relation.copy_rows(&(0..keep).collect::<Vec<_>>())
     }
 }
 

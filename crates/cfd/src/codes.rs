@@ -312,7 +312,8 @@ mod tests {
             let cfd = parse_cfd(rel.schema(), "phi", txt).unwrap().simplify().pop().unwrap();
             let attrs = cfd.shipped_attrs();
             let (rows, layout) = wire(&rel, &attrs);
-            let tuples: Vec<&Tuple> = rel.iter().collect();
+            let decoded: Vec<Tuple> = rel.iter().collect();
+            let tuples: Vec<&Tuple> = decoded.iter().collect();
             let value_wise = detect_among(&tuples, &cfd);
             let code_native = detect_among_codes(&rows, &cfd, &layout);
             assert_eq!(code_native.tids, value_wise.tids, "{txt} Vio");
@@ -331,8 +332,9 @@ mod tests {
         let cfd = crate::Cfd::merge("phi", &[&a, &b]).unwrap().simplify().pop().unwrap();
         let attrs = cfd.shipped_attrs();
         let (rows, layout) = wire(&rel, &attrs);
+        let decoded: Vec<Tuple> = rel.iter().collect();
         for l in 0..cfd.tableau.len() {
-            let value_wise = detect_pattern_among(rel.iter(), &cfd, l);
+            let value_wise = detect_pattern_among(decoded.iter(), &cfd, l);
             let code_native = detect_pattern_among_codes(rows.iter(), &cfd, l, &layout);
             assert_eq!(code_native.tids, value_wise.tids, "pattern {l} Vio");
             assert_eq!(code_native.patterns, value_wise.patterns, "pattern {l} Vioπ");
@@ -362,7 +364,8 @@ mod tests {
         let attrs = cfd.shipped_attrs();
         assert_eq!(attrs.len(), 2);
         let (rows, layout) = wire(&rel, &attrs);
-        let tuples: Vec<&Tuple> = rel.iter().collect();
+        let decoded: Vec<Tuple> = rel.iter().collect();
+        let tuples: Vec<&Tuple> = decoded.iter().collect();
         assert_eq!(detect_among_codes(&rows, &cfd, &layout).tids, detect_among(&tuples, &cfd).tids);
         // A layout carrying *more* attributes than the CFD needs (the
         // cluster wire ships the union of member attributes).
@@ -389,9 +392,9 @@ mod tests {
         let mut b = rel.with_capacity_like(3);
         for (i, t) in rel.iter().enumerate() {
             if i % 2 == 0 {
-                a.push_tuple(t.clone()).unwrap();
+                a.push_tuple(t).unwrap();
             } else {
-                b.push_tuple(t.clone()).unwrap();
+                b.push_tuple(t).unwrap();
             }
         }
         let rows_a: Vec<usize> = (0..a.len()).collect();

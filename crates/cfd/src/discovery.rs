@@ -95,22 +95,25 @@ fn discover_one(
     config: &DiscoveryConfig,
 ) -> Option<SimpleCfd> {
     let groups = group_by(rel, lhs);
+    let rhs_codes = rel.column(rhs).codes();
+    // The one RHS code a group's members share, if they do.
+    let clean_rhs = |members: &[usize]| {
+        let first = rhs_codes.at(members[0]);
+        members.iter().all(|&i| rhs_codes.at(i) == first).then_some(first)
+    };
     // Classify each group: clean (single RHS value) or dirty; track the
-    // RHS value and support of clean groups.
+    // RHS code and support of clean groups.
     struct CleanGroup<'a> {
         key: &'a [Value],
         support: usize,
-        rhs_value: &'a Value,
+        rhs_code: u32,
     }
     let mut clean: Vec<CleanGroup<'_>> = Vec::new();
     let mut any_dirty = false;
     for (key, members) in &groups {
-        let first = rel.tuples()[members[0]].get(rhs);
-        let is_clean = members.iter().all(|&i| rel.tuples()[i].get(rhs) == first);
-        if is_clean {
-            clean.push(CleanGroup { key, support: members.len(), rhs_value: first });
-        } else {
-            any_dirty = true;
+        match clean_rhs(members) {
+            Some(rhs_code) => clean.push(CleanGroup { key, support: members.len(), rhs_code }),
+            None => any_dirty = true,
         }
     }
 
@@ -145,8 +148,7 @@ fn discover_one(
     let mut support: FxHashMap<(usize, Value), usize> = FxHashMap::default();
     let mut invalid: FxHashSet<(usize, Value)> = FxHashSet::default();
     for (key, members) in &groups {
-        let first = rel.tuples()[members[0]].get(rhs);
-        let is_clean = members.iter().all(|&i| rel.tuples()[i].get(rhs) == first);
+        let is_clean = clean_rhs(members).is_some();
         for (i, v) in key.iter().enumerate() {
             if is_clean {
                 *support.entry((i, v.clone())).or_insert(0) += members.len();
@@ -183,7 +185,7 @@ fn discover_one(
             }
             tableau.push(NormalPattern::new(
                 g.key.iter().map(|v| PatternValue::Const(v.clone())).collect(),
-                PatternValue::Const(g.rhs_value.clone()),
+                PatternValue::Const(rel.dictionary(rhs).value(g.rhs_code)),
             ));
         }
     }
@@ -351,19 +353,12 @@ mod tests {
         let dirty = clean.clone();
         // Corrupt one UK street: breaks zip→street under cc=44.
         let street = dirty.schema().require("street").unwrap();
-        let mut values = dirty.tuples()[0].values().to_vec();
+        let mut values = dirty.row(0).values().to_vec();
         values[street.index()] = Value::str("corrupted");
-        let tid = dirty.tuples()[0].tid;
+        let tid = dirty.tids()[0];
         let fixed: Vec<_> = dirty
-            .tuples()
             .iter()
-            .map(|t| {
-                if t.tid == tid {
-                    dcd_relation::Tuple::new(tid, values.clone())
-                } else {
-                    t.clone()
-                }
-            })
+            .map(|t| if t.tid == tid { dcd_relation::Tuple::new(tid, values.clone()) } else { t })
             .collect();
         let dirty = Relation::from_tuples(dirty.schema().clone(), fixed).unwrap();
         let hits: usize = rules.iter().map(|c| detect_simple(&dirty, c).tids.len()).sum();

@@ -377,7 +377,11 @@ mod tests {
         let cols_data: Vec<Vec<u32>> = rel.code_views(&lhs).iter().map(|v| v.to_vec()).collect();
         let cols: Vec<&[u32]> = cols_data.iter().map(Vec::as_slice).collect();
         for (i, t) in rel.iter().enumerate() {
-            assert_eq!(compiled.matches_row(&cols, i), tuple_matches(t, &lhs, &pat.lhs), "row {i}");
+            assert_eq!(
+                compiled.matches_row(&cols, i),
+                tuple_matches(&t, &lhs, &pat.lhs),
+                "row {i}"
+            );
         }
         // A constant the relation never saw → infeasible.
         let missing = NormalPattern::new(

@@ -182,7 +182,7 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
 
     let index = kernel::LhsIndex::of_compiled(&compiled);
     let width = cfd.lhs.len();
-    let tuples = rel.tuples();
+    let tids = rel.tids();
     let mut key_buf: Vec<u32> = Vec::new();
     let mut probe_buf: Vec<u32> = Vec::new();
     kernel::detect_grouped(
@@ -202,7 +202,7 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         },
         Vec::len,
         |members, fi| rhs_col[members[fi]],
-        |members, fi| tuples[members[fi]].tid,
+        |members, fi| tids[members[fi]],
         |key| rel.decode_projection(&cfd.lhs, &key.codes(width)),
         strict,
         &kernel::KernelCounters::default(),
@@ -250,7 +250,7 @@ pub fn detect_constants_rows_with(
     }
     let lhs_cols = rel.code_views(&cfd.lhs);
     let rhs_col = rel.column(cfd.rhs).codes();
-    let tuples = rel.tuples();
+    let tids = rel.tids();
     let mut scan_row = |i: usize, slices: &[&[u32]], r: usize| {
         let flagged = compiled
             .iter()
@@ -258,7 +258,7 @@ pub fn detect_constants_rows_with(
         if flagged {
             let key: Vec<u32> = slices.iter().map(|col| col[r]).collect();
             out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
-            out.tids.insert(tuples[i].tid);
+            out.tids.insert(tids[i]);
         }
     };
     if lhs_cols.is_empty() {
@@ -548,7 +548,7 @@ mod tests {
         let v = detect_simple(&rel, &simple);
         let pi = v.viopi_relation(&simple);
         assert_eq!(pi.len(), 1);
-        let t = &pi.tuples()[0];
+        let t = pi.row(0);
         let cc = s.require("CC").unwrap();
         let name = s.require("name").unwrap();
         assert_eq!(t.get(cc), &Value::Int(44));
@@ -562,7 +562,8 @@ mod tests {
         let cfd1 = parse_cfd(&s, "cfd1", "([CC=44, zip] -> [street])").unwrap();
         let simple = cfd1.simplify().pop().unwrap();
         let via_full = detect_simple(&rel, &simple);
-        let via_among = detect_pattern_among(rel.iter(), &simple, 0);
+        let decoded: Vec<Tuple> = rel.iter().collect();
+        let via_among = detect_pattern_among(decoded.iter(), &simple, 0);
         assert_eq!(tids(&via_full), tids(&via_among));
     }
 

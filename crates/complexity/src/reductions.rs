@@ -167,7 +167,7 @@ impl MhdInstance {
         let mut covered: Vec<[bool; 3]> = vec![[false; 3]; self.m];
         for &i in cover {
             let frag = &self.partition.fragments()[i];
-            let t = frag.data.tuples()[0].clone();
+            let t = frag.data.row(0);
             for (pos, name) in ["A1", "A2", "A3"].iter().enumerate() {
                 let a = self.schema.require(name).unwrap();
                 if let Some(sx) = t.get(a).as_str() {
@@ -201,7 +201,7 @@ impl MhdInstance {
                 .iter()
                 .find(|t| t.get(bu_id) == &bu_val && t.get(a_ids[pos]) == &want)
                 .expect("U contains every (form, element, Bu) combination");
-            shipped.push(tuple.clone());
+            shipped.push(tuple);
         }
         shipped
     }
@@ -210,15 +210,17 @@ impl MhdInstance {
     /// the `V` site (the §III-A condition on `Vioπ`).
     pub fn checked_locally_after(&self, extra_at_v: &[Tuple]) -> bool {
         let simples: Vec<SimpleCfd> = self.sigma.iter().flat_map(Cfd::simplify).collect();
+        // The value-wise reference detector runs on rows: decode once.
+        let fragments: Vec<Vec<Tuple>> =
+            self.partition.fragments().iter().map(|f| f.data.iter().collect()).collect();
         for cfd in &simples {
             // Global Vioπ.
-            let all: Vec<&Tuple> =
-                self.partition.fragments().iter().flat_map(|f| f.data.iter()).collect();
+            let all: Vec<&Tuple> = fragments.iter().flatten().collect();
             let global = detect_among(&all, cfd).patterns;
             // Union of local Vioπ after shipment.
             let mut local = ViolationSet::default();
-            for (i, frag) in self.partition.fragments().iter().enumerate() {
-                let mut tuples: Vec<&Tuple> = frag.data.iter().collect();
+            for (i, frag) in fragments.iter().enumerate() {
+                let mut tuples: Vec<&Tuple> = frag.iter().collect();
                 if i == self.n {
                     tuples.extend(extra_at_v.iter());
                 }
@@ -378,7 +380,7 @@ mod tests {
         let inst = mhd_reduction(&msc);
         let cover = msc.exact_cover().unwrap();
         let only_subsets: Vec<Tuple> =
-            cover.iter().map(|&i| inst.partition.fragments()[i].data.tuples()[0].clone()).collect();
+            cover.iter().map(|&i| inst.partition.fragments()[i].data.row(0)).collect();
         assert!(!inst.checked_locally_after(&only_subsets));
     }
 

@@ -39,16 +39,20 @@ pub fn min_shipment_exhaustive(
         return Some(0);
     }
 
+    // The value-wise reference detector runs on rows: decode each
+    // fragment once.
+    let fragments: Vec<Vec<Tuple>> =
+        partition.fragments().iter().map(|f| f.data.iter().collect()).collect();
+
     // Ground truth Vioπ per CFD over the whole relation.
-    let all_tuples: Vec<&Tuple> =
-        partition.fragments().iter().flat_map(|f| f.data.iter()).collect();
+    let all_tuples: Vec<&Tuple> = fragments.iter().flatten().collect();
     let global: Vec<FxHashSet<Vec<Value>>> =
         variable.iter().map(|c| detect_among(&all_tuples, c).patterns).collect();
 
     // Relevant tuples: those matching some variable pattern.
     let mut relevant: Vec<(usize, &Tuple)> = Vec::new(); // (home site, tuple)
-    for (i, frag) in partition.fragments().iter().enumerate() {
-        for t in frag.data.iter() {
+    for (i, frag) in fragments.iter().enumerate() {
+        for t in frag {
             let matches = variable.iter().any(|c| {
                 c.tableau.iter().any(|p| dcd_cfd::pattern::tuple_matches(t, &c.lhs, &p.lhs))
             });
@@ -98,8 +102,8 @@ pub fn min_shipment_exhaustive(
             let mut ok = true;
             'cfds: for (ci, cfd) in variable.iter().enumerate() {
                 let mut union: FxHashSet<Vec<Value>> = FxHashSet::default();
-                for (i, frag) in partition.fragments().iter().enumerate() {
-                    let mut local: Vec<&Tuple> = frag.data.iter().collect();
+                for (i, frag) in fragments.iter().enumerate() {
+                    let mut local: Vec<&Tuple> = frag.iter().collect();
                     local.extend(shipments.iter().filter(|(d, _)| *d == i).map(|(_, t)| *t));
                     union.extend(detect_among(&local, cfd).patterns);
                 }
@@ -167,10 +171,10 @@ mod tests {
         // site 1: the conflict IS split. Use a custom assignment instead.
         let schema = rel.schema().clone();
         let mut f0 = Relation::new(schema.clone());
-        f0.push_tuple(rel.tuples()[0].clone()).unwrap();
-        f0.push_tuple(rel.tuples()[1].clone()).unwrap();
+        f0.push_tuple(rel.row(0)).unwrap();
+        f0.push_tuple(rel.row(1)).unwrap();
         let mut f1 = Relation::new(schema.clone());
-        f1.push_tuple(rel.tuples()[2].clone()).unwrap();
+        f1.push_tuple(rel.row(2)).unwrap();
         let partition = HorizontalPartition::from_fragments(
             schema.clone(),
             vec![

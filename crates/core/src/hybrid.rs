@@ -69,7 +69,7 @@ pub fn run_hybrid(
             owner.data.dictionary(local).clone()
         })
         .collect();
-    let null_codes: Vec<u32> = full_dicts.iter().map(|d| d.intern(&Value::Null).0).collect();
+    let null_codes: Vec<u32> = full_dicts.iter().map(|d| d.intern(&Value::Null)).collect();
     // The join-free gather rests on cross-cell dictionary sharing:
     // every cell's fragment must code attribute `a` against the same
     // dictionary cell 0 does (guaranteed by the dcd-dist constructors,
@@ -155,14 +155,7 @@ fn gather_cell(
     // verify the tid sequences match before codes are paired
     // positionally.
     debug_assert!(
-        vertical.fragments().iter().all(|f| {
-            f.data.len() == n_rows
-                && f.data
-                    .tuples()
-                    .iter()
-                    .zip(vertical.fragments()[0].data.tuples())
-                    .all(|(a, b)| a.tid == b.tid)
-        }),
+        vertical.fragments().iter().all(|f| f.data.tids() == vertical.fragments()[0].data.tids()),
         "vertical fragments of a hybrid cell must be row-aligned"
     );
 
@@ -221,13 +214,13 @@ fn gather_cell(
         })
         .collect();
     let mut out = Relation::with_dictionaries(schema.clone(), full_dicts.to_vec(), n_rows)?;
-    let tuples = vertical.fragments()[coord].data.tuples();
+    let tids = vertical.fragments()[coord].data.tids();
     let mut row: Vec<u32> = vec![0; schema.arity()];
-    for (r, tuple) in tuples.iter().enumerate().take(n_rows) {
+    for (r, &tid) in tids.iter().enumerate().take(n_rows) {
         for (i, col) in columns.iter().enumerate() {
             row[i] = col.map_or(null_codes[i], |c| c.at(r));
         }
-        out.push_code_row(tuple.tid, &row)?;
+        out.push_code_row(tid, &row)?;
     }
     Ok((coord, out))
 }

@@ -545,7 +545,7 @@ mod tests {
             ],
             vec![],
         );
-        let victim = partition.fragments()[1].data.tuples()[0].tid;
+        let victim = partition.fragments()[1].data.tids()[0];
         let d1 = RelationDelta::new(vec![], vec![victim]);
         let eff0 = partition.fragments_mut()[0].data.apply_delta(&d0).unwrap();
         let eff1 = partition.fragments_mut()[1].data.apply_delta(&d1).unwrap();

@@ -42,7 +42,7 @@ pub fn sort_for_sigma(cfd: &SimpleCfd) -> SortedCfd {
 }
 
 /// The σ-partition of one fragment: `blocks[j]` holds the indices (into
-/// `fragment.tuples()`) of the tuples with `σ(t) = j`; `comparisons` is
+/// the fragment's rows) of the tuples with `σ(t) = j`; `comparisons` is
 /// the number of pattern-match operations performed (it feeds the
 /// response-time model — scanning a longer tableau costs more).
 #[derive(Debug, Clone)]
@@ -330,9 +330,8 @@ mod tests {
         let part = sigma_partition(&rel, &sorted, &[0, 1, 2]);
         let mut merged = dcd_cfd::violation::ViolationSet::default();
         for (pi, block) in part.blocks.iter().enumerate() {
-            let tuples: Vec<&dcd_relation::Tuple> =
-                block.iter().map(|&i| &rel.tuples()[i]).collect();
-            merged.merge(dcd_cfd::detect_pattern_among(tuples.into_iter(), &sorted.cfd, pi));
+            let tuples: Vec<dcd_relation::Tuple> = block.iter().map(|&i| rel.row(i)).collect();
+            merged.merge(dcd_cfd::detect_pattern_among(tuples.iter(), &sorted.cfd, pi));
         }
         let global = dcd_cfd::detect_simple(&rel, &simple);
         assert_eq!(merged.tids, global.tids);

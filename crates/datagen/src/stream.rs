@@ -76,14 +76,13 @@ pub fn update_stream(
 
     // Template pool: the initial rows, Zipf-ranked in tuple order —
     // template 0 is the hottest key.
-    let templates: Vec<Tuple> =
-        partition.fragments().iter().flat_map(|f| f.data.iter().cloned()).collect();
+    let templates: Vec<Tuple> = partition.fragments().iter().flat_map(|f| f.data.iter()).collect();
     // Live set, each with its owning site (deletes must be routed).
     let mut live: Vec<(TupleId, usize)> = partition
         .fragments()
         .iter()
         .enumerate()
-        .flat_map(|(s, f)| f.data.iter().map(move |t| (t.tid, s)))
+        .flat_map(|(s, f)| f.data.tids().iter().map(move |&tid| (tid, s)))
         .collect();
     let mut next_tid = live.iter().map(|&(t, _)| t.0 + 1).max().unwrap_or(0);
     let template_zipf =

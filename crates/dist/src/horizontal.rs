@@ -2,7 +2,7 @@
 
 use crate::site::SiteId;
 use dcd_relation::fxhash::FxBuildHasher;
-use dcd_relation::{Predicate, Relation, RelationError, Schema, TupleId};
+use dcd_relation::{AttrId, Predicate, Relation, RelationError, Schema, TupleId};
 use std::collections::HashSet;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -80,11 +80,32 @@ impl HorizontalPartition {
                 .all(|(a, b)| Arc::ptr_eq(a.dict(), b.dict()));
             if !shared {
                 let mut rebuilt = head[0].data.with_capacity_like(frag.data.len());
-                rebuilt.extend_tuples(frag.data.tuples().to_vec())?;
+                rebuilt.extend_tuples(frag.data.iter().collect())?;
                 frag.data = rebuilt;
             }
         }
         Ok(HorizontalPartition { schema, fragments })
+    }
+
+    /// Fragment `i` holds rows `buckets[i]` of `rel` under `predicates[i]`.
+    /// Fragments share the parent's dictionaries, so rows move as codes:
+    /// comparable across sites, nothing re-encoded.
+    fn from_buckets(
+        rel: &Relation,
+        buckets: Vec<Vec<usize>>,
+        predicates: Vec<Option<Predicate>>,
+    ) -> Result<Self, RelationError> {
+        let fragments = buckets
+            .iter()
+            .zip(predicates)
+            .enumerate()
+            .map(|(i, (rows, predicate))| Fragment {
+                site: SiteId(i as u32),
+                predicate,
+                data: rel.copy_rows(rows),
+            })
+            .collect();
+        Self::from_fragments(rel.schema().clone(), fragments)
     }
 
     /// Distributes tuples over `n` sites round-robin (tuple `i` goes to
@@ -95,27 +116,8 @@ impl HorizontalPartition {
                 detail: "cannot partition over zero sites".into(),
             });
         }
-        let schema = rel.schema().clone();
-        // Fragments share the parent's dictionaries: codes stay
-        // comparable across sites and nothing is re-encoded. Tuples are
-        // bucketed first so each fragment ingests one bulk batch.
-        let mut buckets: Vec<Vec<_>> =
-            (0..n).map(|_| Vec::with_capacity(rel.len() / n + 1)).collect();
-        for (i, t) in rel.iter().enumerate() {
-            buckets[i % n].push(t.clone());
-        }
-        let mut data: Vec<Relation> =
-            (0..n).map(|_| rel.with_capacity_like(rel.len() / n + 1)).collect();
-        for (d, bucket) in data.iter_mut().zip(buckets) {
-            d.extend_tuples(bucket)?;
-        }
-        Self::from_fragments(
-            schema,
-            data.into_iter()
-                .enumerate()
-                .map(|(i, d)| Fragment { site: SiteId(i as u32), predicate: None, data: d })
-                .collect(),
-        )
+        let buckets = (0..n).map(|site| (site..rel.len()).step_by(n).collect()).collect();
+        Self::from_buckets(rel, buckets, vec![None; n])
     }
 
     /// Distributes tuples over `n` sites by hashing the value of one
@@ -128,23 +130,19 @@ impl HorizontalPartition {
             });
         }
         let a = rel.schema().require(attr)?;
-        let schema = rel.schema().clone();
         let hasher = FxBuildHasher::default();
-        let mut buckets: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
-        for t in rel.iter() {
-            buckets[(hasher.hash_one(t.get(a)) % n as u64) as usize].push(t.clone());
+        // One hash per distinct value, not per row.
+        let site_of_code: Vec<usize> = rel
+            .dictionary(a)
+            .snapshot()
+            .iter()
+            .map(|v| (hasher.hash_one(v) % n as u64) as usize)
+            .collect();
+        let mut buckets: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
+        for (i, code) in rel.column(a).codes().iter().enumerate() {
+            buckets[site_of_code[code as usize]].push(i);
         }
-        let mut data: Vec<Relation> = (0..n).map(|_| rel.empty_like()).collect();
-        for (d, bucket) in data.iter_mut().zip(buckets) {
-            d.extend_tuples(bucket)?;
-        }
-        Self::from_fragments(
-            schema,
-            data.into_iter()
-                .enumerate()
-                .map(|(i, d)| Fragment { site: SiteId(i as u32), predicate: None, data: d })
-                .collect(),
-        )
+        Self::from_buckets(rel, buckets, vec![None; n])
     }
 
     /// Distributes tuples by selection predicates: tuple → first
@@ -160,11 +158,10 @@ impl HorizontalPartition {
                 detail: "cannot partition over zero predicates".into(),
             });
         }
-        let schema = rel.schema().clone();
-        let mut buckets: Vec<Vec<_>> = (0..predicates.len()).map(|_| Vec::new()).collect();
-        for t in rel.iter() {
-            match predicates.iter().position(|p| p.eval(t)) {
-                Some(i) => buckets[i].push(t.clone()),
+        let mut buckets: Vec<Vec<usize>> = (0..predicates.len()).map(|_| Vec::new()).collect();
+        for (row, t) in rel.iter().enumerate() {
+            match predicates.iter().position(|p| p.eval(&t)) {
+                Some(i) => buckets[i].push(row),
                 None => {
                     return Err(RelationError::InvalidPartition {
                         detail: format!("tuple {} satisfies no fragmentation predicate", t.tid),
@@ -172,18 +169,7 @@ impl HorizontalPartition {
                 }
             }
         }
-        let mut data: Vec<Relation> = (0..predicates.len()).map(|_| rel.empty_like()).collect();
-        for (d, bucket) in data.iter_mut().zip(buckets) {
-            d.extend_tuples(bucket)?;
-        }
-        Self::from_fragments(
-            schema,
-            data.into_iter()
-                .zip(predicates)
-                .enumerate()
-                .map(|(i, (d, p))| Fragment { site: SiteId(i as u32), predicate: Some(p), data: d })
-                .collect(),
-        )
+        Self::from_buckets(rel, buckets, predicates.into_iter().map(Some).collect())
     }
 
     /// The shared schema `R`.
@@ -233,21 +219,21 @@ impl HorizontalPartition {
                     detail: format!("fragment {i} sited at {}", frag.site),
                 });
             }
-            for t in frag.data.iter() {
-                if !seen.insert(t.tid) {
+            for &tid in frag.data.tids() {
+                if !seen.insert(tid) {
                     return Err(RelationError::InvalidPartition {
-                        detail: format!("tuple {} appears in two fragments", t.tid),
+                        detail: format!("tuple {tid} appears in two fragments"),
                     });
                 }
-                if let Some(p) = &frag.predicate {
-                    if !p.eval(t) {
-                        return Err(RelationError::InvalidPartition {
-                            detail: format!(
-                                "tuple {} violates its fragment predicate at {}",
-                                t.tid, frag.site
-                            ),
-                        });
-                    }
+            }
+            if let Some(p) = &frag.predicate {
+                if let Some(t) = frag.data.iter().find(|t| !p.eval(t)) {
+                    return Err(RelationError::InvalidPartition {
+                        detail: format!(
+                            "tuple {} violates its fragment predicate at {}",
+                            t.tid, frag.site
+                        ),
+                    });
                 }
             }
         }
@@ -258,11 +244,12 @@ impl HorizontalPartition {
     /// preserved, so detection results on the reassembly are comparable
     /// with distributed ones).
     pub fn reassemble(&self) -> Result<Relation, RelationError> {
-        // Fragments built by this module share one dictionary set; the
-        // reassembly extends it rather than re-interning every value.
+        // The fragments share one dictionary set, so the reassembly
+        // copies codes.
+        let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
         let mut out = self.fragments[0].data.with_capacity_like(self.total_tuples());
         for frag in &self.fragments {
-            out.extend_tuples(frag.data.tuples().to_vec())?;
+            out.extend_from(&frag.data, &attrs, &(0..frag.data.len()).collect::<Vec<_>>())?;
         }
         Ok(out)
     }
@@ -297,7 +284,7 @@ mod tests {
         assert_eq!(p.fragment(SiteId(0)).data.len(), 3); // tuples 0, 3, 6
         assert_eq!(p.fragment(SiteId(1)).data.len(), 2);
         assert_eq!(p.fragment(SiteId(2)).data.len(), 2);
-        assert_eq!(p.fragment(SiteId(0)).data.tuples()[1].tid.0, 3);
+        assert_eq!(p.fragment(SiteId(0)).data.tids()[1].0, 3);
         p.validate().unwrap();
     }
 
@@ -375,8 +362,8 @@ mod tests {
         let p = HorizontalPartition::round_robin(&r, 4).unwrap();
         let back = p.reassemble().unwrap();
         assert_eq!(back.len(), r.len());
-        let mut orig: Vec<_> = r.tuples().to_vec();
-        let mut got: Vec<_> = back.tuples().to_vec();
+        let mut orig: Vec<_> = r.iter().collect();
+        let mut got: Vec<_> = back.iter().collect();
         orig.sort_by_key(|t| t.tid);
         got.sort_by_key(|t| t.tid);
         assert_eq!(orig, got);
@@ -386,9 +373,9 @@ mod tests {
     fn validate_catches_duplicated_tuples() {
         let r = rel(2);
         let mut d0 = Relation::new(r.schema().clone());
-        d0.push_tuple(r.tuples()[0].clone()).unwrap();
+        d0.push_tuple(r.row(0)).unwrap();
         let mut d1 = Relation::new(r.schema().clone());
-        d1.push_tuple(r.tuples()[0].clone()).unwrap(); // same tid again
+        d1.push_tuple(r.row(0)).unwrap(); // same tid again
         let p = HorizontalPartition::from_fragments(
             r.schema().clone(),
             vec![

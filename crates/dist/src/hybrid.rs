@@ -90,7 +90,7 @@ impl HybridPartition {
         for cell in &self.cells {
             let part = cell.vertical.reassemble()?;
             for t in part.iter() {
-                out.push_tuple(t.clone())?;
+                out.push_tuple(t)?;
             }
         }
         Ok(out)
@@ -150,7 +150,7 @@ mod tests {
         let back = p.reassemble().unwrap();
         assert_eq!(back.len(), r.len());
         for t in back.iter() {
-            let orig = r.find(t.tid).unwrap();
+            let orig = r.iter().find(|o| o.tid == t.tid).unwrap();
             assert_eq!(orig.values(), t.values());
         }
     }

@@ -1,7 +1,7 @@
 //! Vertical fragmentation: `Di = π_{key ∪ Xi}(D)` (§II-B, §V).
 
 use crate::site::SiteId;
-use dcd_relation::{AttrId, Relation, RelationError, Schema, Tuple};
+use dcd_relation::{ops, AttrId, FxHashMap, Relation, RelationError, Schema, TupleId};
 use std::sync::Arc;
 
 /// One vertical fragment: a projection of the relation onto the key plus
@@ -91,15 +91,10 @@ impl VerticalPartition {
                     attrs.push(a);
                 }
             }
-            let frag_schema = schema.project(format!("{}_v{}", schema.name(), i + 1), &attrs)?;
-            // Share the parent's dictionaries for the projected columns,
-            // so codes stay comparable across vertical fragments (the
+            // The projection shares the parent's dictionaries, so codes
+            // stay comparable across vertical fragments (the
             // reconstruction join compares key codes directly).
-            let mut data =
-                Relation::with_dictionaries(frag_schema, rel.dictionaries_of(&attrs), rel.len())?;
-            for t in rel.iter() {
-                data.push_tuple(Tuple::new(t.tid, t.project(&attrs)))?;
-            }
+            let data = ops::project(rel, &format!("{}_v{}", schema.name(), i + 1), &attrs)?;
             fragments.push(VFragment { site: SiteId(i as u32), attrs, data });
         }
         Ok(VerticalPartition { schema, fragments })
@@ -137,44 +132,56 @@ impl VerticalPartition {
 
     /// Reassembles the original relation by tuple id (every fragment
     /// holds every tuple's projection, so fragment 0 fixes the order).
+    /// Fragments normally preserve row order; one whose tid column
+    /// differs from fragment 0's is looked up through a tid → row map
+    /// built once, and a tuple it lacks is a `SchemaMismatch`.
     pub fn reassemble(&self) -> Result<Relation, RelationError> {
-        use dcd_relation::Value;
-        let arity = self.schema.arity();
-        let first = &self.fragments[0];
+        let tids = self.fragments[0].data.tids();
+        let row_maps: Vec<Option<Vec<usize>>> = self
+            .fragments
+            .iter()
+            .map(|frag| {
+                if frag.data.tids() == tids {
+                    return Ok(None);
+                }
+                let row_of: FxHashMap<TupleId, usize> =
+                    frag.data.tids().iter().enumerate().map(|(row, &tid)| (tid, row)).collect();
+                tids.iter()
+                    .map(|tid| {
+                        row_of.get(tid).copied().ok_or_else(|| RelationError::SchemaMismatch {
+                            detail: format!("tuple {tid} missing from {}", frag.site),
+                        })
+                    })
+                    .collect::<Result<Vec<usize>, _>>()
+                    .map(Some)
+            })
+            .collect::<Result<_, _>>()?;
         // Every original attribute lives in some fragment (coverage is
-        // validated at construction); reuse that fragment's dictionary so
-        // the reassembly re-interns nothing.
-        let dicts = self
+        // validated at construction); that fragment supplies both the
+        // column's dictionary and its codes, so nothing is re-interned.
+        let sources: Vec<(usize, AttrId)> = self
             .schema
             .attr_ids()
             .map(|a| {
-                let frag = self
-                    .fragments
+                self.fragments
                     .iter()
-                    .find(|f| f.attrs.contains(&a))
-                    .expect("coverage validated at construction");
-                let local = frag.local_attr(a).expect("attr is in the fragment");
-                frag.data.dictionary(local).clone()
+                    .enumerate()
+                    .find_map(|(fi, frag)| frag.local_attr(a).map(|local| (fi, local)))
+                    .expect("coverage validated at construction")
             })
             .collect();
-        let mut out = Relation::with_dictionaries(self.schema.clone(), dicts, first.data.len())?;
-        for (row_idx, t0) in first.data.iter().enumerate() {
-            let mut row = vec![Value::Null; arity];
-            for frag in &self.fragments {
-                // Fragments preserve row order, but look up by tid to be
-                // robust against reordered fragment data.
-                let t = if frag.data.tuples().get(row_idx).map(|t| t.tid) == Some(t0.tid) {
-                    &frag.data.tuples()[row_idx]
-                } else {
-                    frag.data.find(t0.tid).ok_or_else(|| RelationError::SchemaMismatch {
-                        detail: format!("tuple {} missing from {}", t0.tid, frag.site),
-                    })?
-                };
-                for (local, &orig) in frag.attrs.iter().enumerate() {
-                    row[orig.index()] = t.get(AttrId(local as u16)).clone();
-                }
+        let dicts = sources
+            .iter()
+            .map(|&(fi, local)| self.fragments[fi].data.dictionary(local).clone())
+            .collect();
+        let mut out = Relation::with_dictionaries(self.schema.clone(), dicts, tids.len())?;
+        let mut codes = vec![0u32; sources.len()];
+        for (i, &tid) in tids.iter().enumerate() {
+            for (code, &(fi, local)) in codes.iter_mut().zip(&sources) {
+                let row = row_maps[fi].as_ref().map_or(i, |map| map[i]);
+                *code = self.fragments[fi].data.column(local).codes().at(row);
             }
-            out.push_tuple(Tuple::new(t0.tid, row))?;
+            out.push_code_row(tid, &codes)?;
         }
         Ok(out)
     }
@@ -216,7 +223,7 @@ mod tests {
         assert_eq!(f0.local_attr(b), Some(AttrId(2)));
         assert_eq!(f0.local_attr(r.schema().require("c").unwrap()), None);
         // Tuple ids are preserved.
-        assert_eq!(f0.data.tuples()[3].tid.0, 3);
+        assert_eq!(f0.data.tids()[3].0, 3);
     }
 
     #[test]
@@ -261,6 +268,34 @@ mod tests {
         let p = VerticalPartition::by_attribute_groups(&r, &[&["a", "b"], &["b", "c"]]).unwrap();
         assert_eq!(p.fragments()[1].data.schema().arity(), 3);
         let back = p.reassemble().unwrap();
-        assert_eq!(back.tuples(), r.tuples());
+        assert!(back.iter().eq(r.iter()));
+    }
+
+    #[test]
+    fn reassemble_follows_tids_when_a_fragment_is_reordered() {
+        let r = rel();
+        let mut p = VerticalPartition::by_attribute_groups(&r, &[&["a", "b"], &["c"]]).unwrap();
+        let reversed: Vec<usize> = (0..r.len()).rev().collect();
+        let frag = &mut p.fragments_mut()[1];
+        frag.data = frag.data.copy_rows(&reversed);
+        assert_ne!(p.fragments()[1].data.tids(), p.fragments()[0].data.tids());
+        assert!(p.reassemble().unwrap().iter().eq(r.iter()));
+        // Reordering fragment 0 reorders the result, not its content.
+        let frag = &mut p.fragments_mut()[0];
+        frag.data = frag.data.copy_rows(&reversed);
+        assert!(p.reassemble().unwrap().iter().eq(r.copy_rows(&reversed).iter()));
+    }
+
+    #[test]
+    fn reassemble_reports_a_tuple_missing_from_a_fragment() {
+        let r = rel();
+        let mut p = VerticalPartition::by_attribute_groups(&r, &[&["a", "b"], &["c"]]).unwrap();
+        let frag = &mut p.fragments_mut()[1];
+        frag.data = frag.data.copy_rows(&[0, 1, 2, 4, 5]);
+        let err = p.reassemble().unwrap_err();
+        assert!(
+            matches!(&err, RelationError::SchemaMismatch { detail } if detail.contains("t3")),
+            "{err}"
+        );
     }
 }

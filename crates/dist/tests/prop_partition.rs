@@ -27,7 +27,7 @@ fn build(rows: &[(i64, u8)]) -> Relation {
 }
 
 fn sorted_tuples(rel: &Relation) -> Vec<Tuple> {
-    let mut ts = rel.tuples().to_vec();
+    let mut ts: Vec<_> = rel.iter().collect();
     ts.sort_by_key(|t| t.tid);
     ts
 }
@@ -93,6 +93,6 @@ proptest! {
         }
         let p = VerticalPartition::by_attribute_groups(&rel, &[&left, &right]).unwrap();
         let back = p.reassemble().unwrap();
-        prop_assert_eq!(back.tuples(), rel.tuples());
+        prop_assert!(back.iter().eq(rel.iter()));
     }
 }

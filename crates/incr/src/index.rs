@@ -295,7 +295,7 @@ mod tests {
         (0..rel.len())
             .map(|i| {
                 let codes: Box<[u32]> = rel.columns().iter().map(|c| c.codes()[i]).collect();
-                (rel.tuples()[i].tid, codes)
+                (rel.tids()[i], codes)
             })
             .collect()
     }

@@ -293,9 +293,9 @@ impl IncrementalRun {
             let deleted: FxHashSet<TupleId> =
                 batch.per_site.iter().flat_map(|d| d.deletes.iter().copied()).collect();
             for frag in self.partition.fragments() {
-                for t in frag.data.iter() {
-                    if insert_ids.contains(&t.tid) && !deleted.contains(&t.tid) {
-                        return Err(RelationError::DuplicateTuple { tid: t.tid.0 });
+                for tid in frag.data.tids() {
+                    if insert_ids.contains(tid) && !deleted.contains(tid) {
+                        return Err(RelationError::DuplicateTuple { tid: tid.0 });
                     }
                 }
             }
@@ -517,7 +517,7 @@ fn fragment_code_rows(rel: &Relation) -> CodeRows {
     (0..rel.len())
         .map(|i| {
             let codes: Box<[u32]> = rel.columns().iter().map(|c| c.codes()[i]).collect();
-            (rel.tuples()[i].tid, codes)
+            (rel.tids()[i], codes)
         })
         .collect()
 }
@@ -680,7 +680,7 @@ impl VerticalIncrementalRun {
         // from its owner's encoded payload) and build indices.
         let rows: Vec<(TupleId, Box<[u32]>)> = (0..n_rows)
             .map(|r| {
-                let tid = partition.fragments()[0].data.tuples()[r].tid;
+                let tid = partition.fragments()[0].data.tids()[r];
                 let codes: Box<[u32]> =
                     placement.iter().map(|&(f, local)| site_rows[f][r][local.index()]).collect();
                 (tid, codes)

@@ -245,7 +245,7 @@ fn mis_sized_batches_are_rejected() {
 fn cross_site_duplicate_insert_ids_are_rejected_before_mutation() {
     use dcd_relation::{RelationDelta, RelationError, Tuple, TupleId};
     let (rel, sigma) = workload(300);
-    let template = rel.tuples()[0].values().to_vec();
+    let template = rel.row(0).values().to_vec();
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
     let before = run.detection();
@@ -261,7 +261,7 @@ fn cross_site_duplicate_insert_ids_are_rejected_before_mutation() {
     assert!(matches!(err, RelationError::DuplicateTuple { tid: 9_000 }));
 
     // An id that is live at *another* site than the inserting one.
-    let live_elsewhere = run.partition().fragments()[1].data.tuples()[0].tid;
+    let live_elsewhere = run.partition().fragments()[1].data.tids()[0];
     let batch = DeltaBatch::new(vec![
         RelationDelta::new(vec![Tuple::new(live_elsewhere, template.clone())], vec![]),
         RelationDelta::default(),

@@ -63,6 +63,14 @@ pub enum RelationError {
         /// The offending tuple id.
         tid: u64,
     },
+    /// A code row carried a code its attribute's dictionary never
+    /// assigned (the sender did not share this relation's dictionaries).
+    UnassignedCode {
+        /// Attribute whose dictionary lacks the code.
+        attr: String,
+        /// The offending code.
+        code: u32,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -90,6 +98,9 @@ impl fmt::Display for RelationError {
             }
             RelationError::DuplicateTuple { tid } => {
                 write!(f, "delta inserts tuple t{tid}, which is already live")
+            }
+            RelationError::UnassignedCode { attr, code } => {
+                write!(f, "code {code} was never assigned by the dictionary of `{attr}`")
             }
         }
     }

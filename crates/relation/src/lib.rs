@@ -9,8 +9,9 @@
 //!
 //! * [`Value`] — a dynamically typed cell value (`Null` / `Int` / `Str`),
 //! * [`Schema`] / [`Attribute`] — named, typed attributes with key metadata,
-//! * [`Tuple`] / [`Relation`] — dictionary-encoded columnar storage with
-//!   stable tuple identifiers and a row-view API on top,
+//! * [`Relation`] / [`Tuple`] — dictionary-encoded columnar storage with
+//!   stable tuple identifiers; owned value rows go in and are decoded on
+//!   demand,
 //! * [`Dictionary`] / [`Column`] — the per-attribute interning store that
 //!   turns value hashing/comparison into dense `u32` code arithmetic
 //!   (see [`store`]),

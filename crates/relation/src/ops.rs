@@ -107,14 +107,9 @@ impl CodeKey {
 /// `σ_P(D)`: tuples of `rel` satisfying `pred`, ids preserved. The output
 /// shares `rel`'s dictionaries.
 pub fn select(rel: &Relation, pred: &Predicate) -> Relation {
-    let mut out = rel.empty_like();
-    for t in rel.iter() {
-        if pred.eval(t) {
-            // Tuples validated on the way in; re-push preserves the id.
-            out.push_tuple(t.clone()).expect("selected tuple matches schema");
-        }
-    }
-    out
+    let rows: Vec<usize> =
+        rel.iter().enumerate().filter(|(_, t)| pred.eval(t)).map(|(i, _)| i).collect();
+    rel.copy_rows(&rows)
 }
 
 /// `π_X(D)` as a new relation named `name`, preserving tuple ids and
@@ -123,9 +118,7 @@ pub fn select(rel: &Relation, pred: &Predicate) -> Relation {
 pub fn project(rel: &Relation, name: &str, attrs: &[AttrId]) -> Result<Relation, RelationError> {
     let schema = rel.schema().project(name, attrs)?;
     let mut out = Relation::with_dictionaries(schema, rel.dictionaries_of(attrs), rel.len())?;
-    for t in rel.iter() {
-        out.push_tuple(Tuple::new(t.tid, t.project(attrs)))?;
-    }
+    out.extend_from(rel, attrs, &(0..rel.len()).collect::<Vec<_>>())?;
     Ok(out)
 }
 
@@ -148,19 +141,10 @@ pub fn project_distinct(rel: &Relation, attrs: &[AttrId]) -> Vec<Vec<Value>> {
 /// Groups tuple indices of `rel` by their projection on `attrs`
 /// (the GROUP BY at the heart of CFD violation detection).
 ///
-/// Returns a map from group key `t[X]` to the positions (indices into
-/// `rel.tuples()`) of the tuples in that group.
+/// Returns a map from group key `t[X]` to the positions (row indices
+/// into `rel`) of the tuples in that group.
 pub fn group_by(rel: &Relation, attrs: &[AttrId]) -> FxHashMap<Vec<Value>, Vec<usize>> {
-    group_by_filtered(rel, attrs, |_| true)
-}
-
-/// [`group_by`] restricted to tuples accepted by `filter`.
-pub fn group_by_filtered(
-    rel: &Relation,
-    attrs: &[AttrId],
-    filter: impl Fn(&Tuple) -> bool,
-) -> FxHashMap<Vec<Value>, Vec<usize>> {
-    group_codes_filtered(rel, attrs, filter)
+    group_codes(rel, attrs)
         .into_iter()
         .map(|(key, rows)| (rel.decode_projection(attrs, &key.codes(attrs.len())), rows))
         .collect()
@@ -171,35 +155,20 @@ pub fn group_by_filtered(
 /// compare or count groups never pay for decoding; [`group_by`] decodes
 /// each key exactly once.
 pub fn group_codes(rel: &Relation, attrs: &[AttrId]) -> FxHashMap<CodeKey, Vec<usize>> {
-    group_codes_filtered(rel, attrs, |_| true)
-}
-
-/// [`group_codes`] restricted to tuples accepted by `filter`.
-pub fn group_codes_filtered(
-    rel: &Relation,
-    attrs: &[AttrId],
-    filter: impl Fn(&Tuple) -> bool,
-) -> FxHashMap<CodeKey, Vec<usize>> {
     let cols = rel.code_views(attrs);
-    let tuples = rel.tuples();
     let mut groups: FxHashMap<CodeKey, Vec<usize>> = FxHashMap::default();
     if cols.is_empty() {
-        // Zero grouping attributes: every accepted row lands in the one
+        // Zero grouping attributes: every row lands in the one
         // empty-key group.
-        for (i, t) in tuples.iter().enumerate() {
-            if filter(t) {
-                groups.entry(CodeKey::of_codes(&[])).or_default().push(i);
-            }
+        if !rel.is_empty() {
+            groups.insert(CodeKey::of_codes(&[]), (0..rel.len()).collect());
         }
         return groups;
     }
     // Chunk-at-a-time: the inner loop indexes dense per-chunk slices.
     zip_chunks(&cols, |base, chunk_cols| {
         for r in 0..chunk_cols[0].len() {
-            let i = base + r;
-            if filter(&tuples[i]) {
-                groups.entry(CodeKey::of_row(chunk_cols, r)).or_default().push(i);
-            }
+            groups.entry(CodeKey::of_row(chunk_cols, r)).or_default().push(base + r);
         }
     });
     groups
@@ -217,11 +186,7 @@ pub fn sort_by(rel: &Relation, attrs: &[AttrId]) -> Relation {
     idx.sort_by_cached_key(|&i| {
         cols.iter().zip(&ranks).map(|(c, r)| r[c.at(i) as usize]).collect::<Vec<u32>>()
     });
-    let mut out = rel.with_capacity_like(rel.len());
-    for i in idx {
-        out.push_tuple(rel.tuples()[i].clone()).expect("sorted tuples match schema");
-    }
-    out
+    rel.copy_rows(&idx)
 }
 
 /// Per-attribute code translation from `left`'s dictionary into
@@ -324,11 +289,10 @@ pub fn hash_join(
         let Some(key) = translated_key(&lcols, &trans, li) else { continue };
         if let Some(matches) = index.get(&key) {
             for &ri in matches {
-                let rt = &right.tuples()[ri];
                 let mut vals = Vec::with_capacity(lt.arity() + right_keep.len());
                 vals.extend_from_slice(lt.values());
                 for &a in &right_keep {
-                    vals.push(rt.get(a).clone());
+                    vals.push(right.column(a).decode(ri));
                 }
                 out.push_tuple(Tuple::new(lt.tid, vals))?;
             }
@@ -361,14 +325,10 @@ pub fn semijoin(
     let trans: Vec<Option<Vec<u32>>> =
         left_on.iter().zip(right_on).map(|(&l, &r)| code_translation(left, l, right, r)).collect();
     let lcols = left.code_views(left_on);
-    let mut out = left.empty_like();
-    for (li, t) in left.iter().enumerate() {
-        let contained = translated_key(&lcols, &trans, li).is_some_and(|key| keys.contains(&key));
-        if contained {
-            out.push_tuple(t.clone())?;
-        }
-    }
-    Ok(out)
+    let rows: Vec<usize> = (0..left.len())
+        .filter(|&li| translated_key(&lcols, &trans, li).is_some_and(|key| keys.contains(&key)))
+        .collect();
+    Ok(left.copy_rows(&rows))
 }
 
 /// Unions relations sharing one schema into a single relation
@@ -396,7 +356,7 @@ pub fn union_all(schema: Arc<Schema>, parts: &[&Relation]) -> Result<Relation, R
             });
         }
         for t in part.iter() {
-            out.push_tuple(t.clone())?;
+            out.push_tuple(t)?;
         }
     }
     Ok(out)
@@ -405,7 +365,7 @@ pub fn union_all(schema: Arc<Schema>, parts: &[&Relation]) -> Result<Relation, R
 /// Returns the tuple ids of `rel` as a set (test helper used throughout
 /// the workspace to compare violation sets).
 pub fn tid_set(rel: &Relation) -> FxHashSet<TupleId> {
-    rel.iter().map(|t| t.tid).collect()
+    rel.tids().iter().copied().collect()
 }
 
 #[cfg(test)]
@@ -504,16 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_filtered_excludes() {
-        let r = emp();
-        let title = r.schema().require("title").unwrap();
-        let cc = r.schema().require("cc").unwrap();
-        let groups = group_by_filtered(&r, &[title], |t| t.get(cc) == &Value::Int(44));
-        let total: usize = groups.values().map(Vec::len).sum();
-        assert_eq!(total, 3);
-    }
-
-    #[test]
     fn sort_by_orders_rows() {
         let r = emp();
         let title = r.schema().require("title").unwrap();
@@ -554,7 +504,7 @@ mod tests {
         let jtitle = joined.schema().require("title").unwrap();
         let jcc = joined.schema().require("cc").unwrap();
         for t in joined.iter() {
-            let orig = r.find(t.tid).unwrap();
+            let orig = r.iter().find(|o| o.tid == t.tid).unwrap();
             assert_eq!(t.get(jid), orig.get(id));
             assert_eq!(t.get(jtitle), orig.get(title));
             assert_eq!(t.get(jcc), orig.get(cc));

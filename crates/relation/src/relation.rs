@@ -1,8 +1,9 @@
-//! In-memory relations: a schema plus a bag of tuples.
+//! In-memory relations: a schema, a tuple-id column and one code column
+//! per attribute.
 
 use crate::delta::{DeltaEffect, RelationDelta};
 use crate::error::RelationError;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::{AttrId, Schema, ValueType};
 use crate::store::{CodesView, Column, Dictionary};
 use crate::tuple::{Tuple, TupleId};
@@ -10,20 +11,28 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
+/// Rows [`Relation::iter`] decodes per dictionary lock acquisition.
+const DECODE_BATCH: usize = 1024;
+
 /// An instance `D` of a relation schema `R`.
 ///
-/// Storage is dictionary-encoded and columnar: one [`Column`] of `u32`
-/// codes per attribute, each backed by a shareable [`Dictionary`] (see
-/// [`crate::store`]). The row vector of [`Tuple`]s is the *row view* kept
-/// in sync with the columns, so the row API (`tuples`, `iter`, `get`,
-/// `project`) keeps working unchanged while the hot operators
-/// ([`crate::ops`], σ-partitioning, compiled pattern matching) read the
-/// code columns directly. Rows appended with [`Relation::push`] store the
-/// dictionaries' canonical `Arc<str>` payloads, so duplicate strings are
-/// stored once; [`Relation::push_tuple`] keeps the given tuple's own
-/// (cheaply `Arc`-cloned) values, which already share the canonical
-/// payloads whenever the tuple came from a relation over the same
-/// dictionaries — the fragment and shipment paths.
+/// Storage is dictionary-encoded and columnar, and it is the *only* copy
+/// of the data: one `Vec<TupleId>` plus one [`Column`] of `u32` codes per
+/// attribute, each backed by a shareable [`Dictionary`] (see
+/// [`crate::store`]). Row `i` of the relation is `tids()[i]` together with
+/// the `i`-th code of every column; the tid column and all code columns
+/// always have the same length.
+///
+/// Values enter as rows ([`Relation::push`], [`Relation::from_rows`],
+/// [`Relation::push_tuple`], [`Relation::apply_delta`]) and are interned on
+/// the way in; nothing value-typed is kept. They leave by *decode on
+/// demand*: [`Relation::iter`] and [`Relation::row`] build owned
+/// [`Tuple`]s from the dictionaries, [`Relation::decode_projection`]
+/// decodes one key. The detection engines never decode rows — they read
+/// [`Relation::tids`] and the code columns — so decode happens at the
+/// edges: reporting, predicates over values, tests. Rows move between
+/// relations that share dictionaries (fragments, selections, reassembly)
+/// as codes, through [`Relation::extend_from`].
 ///
 /// Tuples keep their [`TupleId`]s across fragmentation, projection and
 /// shipment; pushing fresh rows assigns ids from an internal counter.
@@ -32,7 +41,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Arc<Schema>,
-    tuples: Vec<Tuple>,
+    tids: Vec<TupleId>,
     columns: Vec<Column>,
     next_tid: u64,
 }
@@ -40,16 +49,13 @@ pub struct Relation {
 impl Relation {
     /// Creates an empty relation over `schema`, with fresh dictionaries.
     pub fn new(schema: Arc<Schema>) -> Self {
-        let columns = (0..schema.arity()).map(|_| Column::new()).collect();
-        Relation { schema, tuples: Vec::new(), columns, next_tid: 0 }
+        Relation::with_capacity(schema, 0)
     }
 
     /// Creates an empty relation with room for `cap` tuples.
     pub fn with_capacity(schema: Arc<Schema>, cap: usize) -> Self {
-        let columns = (0..schema.arity())
-            .map(|_| Column::sharing_with_capacity(Arc::new(Dictionary::new()), cap))
-            .collect();
-        Relation { schema, tuples: Vec::with_capacity(cap), columns, next_tid: 0 }
+        let dicts = (0..schema.arity()).map(|_| Arc::new(Dictionary::new())).collect();
+        Relation::with_dictionaries(schema, dicts, cap).expect("one dictionary per attribute")
     }
 
     /// Creates an empty relation whose columns share the given
@@ -72,8 +78,9 @@ impl Relation {
                 ),
             });
         }
-        let columns = dicts.into_iter().map(|d| Column::sharing_with_capacity(d, cap)).collect();
-        Ok(Relation { schema, tuples: Vec::with_capacity(cap), columns, next_tid: 0 })
+        let chunk_rows = crate::store::chunk_rows();
+        let columns = dicts.into_iter().map(|d| Column::with_layout(d, cap, chunk_rows)).collect();
+        Ok(Relation { schema, tids: Vec::with_capacity(cap), columns, next_tid: 0 })
     }
 
     /// Creates an empty relation with this relation's schema *and*
@@ -85,17 +92,9 @@ impl Relation {
 
     /// [`Self::empty_like`] with room for `cap` tuples.
     pub fn with_capacity_like(&self, cap: usize) -> Self {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Column::sharing_with_capacity(c.dict().clone(), cap))
-            .collect();
-        Relation {
-            schema: self.schema.clone(),
-            tuples: Vec::with_capacity(cap),
-            columns,
-            next_tid: 0,
-        }
+        let dicts = self.columns.iter().map(|c| c.dict().clone()).collect();
+        Relation::with_dictionaries(self.schema.clone(), dicts, cap)
+            .expect("one dictionary per attribute")
     }
 
     /// The schema of this relation.
@@ -105,44 +104,39 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tids.len()
     }
 
     /// Whether the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tids.is_empty()
     }
 
     /// Appends a fresh row, assigning it the next tuple id. Values are
     /// validated against the schema (arity and types; `Null` is allowed
     /// for any type).
     pub fn push(&mut self, values: Vec<Value>) -> Result<TupleId, RelationError> {
-        self.validate(&values)?;
         let tid = TupleId(self.next_tid);
-        self.next_tid += 1;
-        // Encode every cell; the row view stores the dictionaries'
-        // canonical values so duplicate payloads share one allocation.
-        let canonical: Vec<Value> =
-            values.iter().zip(&mut self.columns).map(|(v, col)| col.push(v)).collect();
-        self.tuples.push(Tuple::new(tid, canonical));
+        self.push_tuple(Tuple::new(tid, values))?;
         Ok(tid)
     }
 
     /// Appends an existing tuple *preserving its id* (used when building
-    /// fragments of an already-identified relation, and when receiving
-    /// shipped tuples). The internal id counter is advanced past it.
-    /// The tuple's values are encoded but kept as-is in the row view
-    /// (they are already canonical when the tuple came from a relation
-    /// sharing these dictionaries; rebuilding them here would cost an
-    /// allocation per tuple on the fragment hot path for nothing).
+    /// fragments of an already-identified relation over foreign
+    /// dictionaries, and by tests). The internal id counter is advanced
+    /// past it.
     pub fn push_tuple(&mut self, tuple: Tuple) -> Result<(), RelationError> {
         self.validate(tuple.values())?;
-        self.next_tid = self.next_tid.max(tuple.tid.0 + 1);
         for (v, col) in tuple.values().iter().zip(&mut self.columns) {
             col.push(v);
         }
-        self.tuples.push(tuple);
+        self.push_tid(tuple.tid);
         Ok(())
+    }
+
+    fn push_tid(&mut self, tid: TupleId) {
+        self.next_tid = self.next_tid.max(tid.0 + 1);
+        self.tids.push(tid);
     }
 
     /// Bulk [`Relation::push`]: appends `rows` in order, assigning
@@ -152,55 +146,46 @@ impl Relation {
     /// each distinct value per column pays for one dictionary access
     /// per batch instead of one per row.
     pub fn extend_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<(), RelationError> {
-        for row in &rows {
-            self.validate(row)?;
-        }
-        self.tuples.reserve(rows.len());
-        for col in &mut self.columns {
-            col.reserve(rows.len());
-        }
-        let mut memos: Vec<FxHashMap<Value, (u32, Value)>> =
-            (0..self.columns.len()).map(|_| FxHashMap::default()).collect();
-        for row in rows {
-            let tid = TupleId(self.next_tid);
-            self.next_tid += 1;
-            let canonical: Vec<Value> = row
-                .iter()
-                .zip(&mut self.columns)
-                .zip(&mut memos)
-                .map(|((v, col), memo)| col.push_cached(v, memo))
-                .collect();
-            self.tuples.push(Tuple::new(tid, canonical));
-        }
-        Ok(())
+        let first = self.next_tid;
+        self.extend_encoding(
+            rows.iter().enumerate().map(move |(i, row)| (TupleId(first + i as u64), &row[..])),
+        )
     }
 
     /// Bulk [`Relation::push_tuple`]: appends pre-identified tuples in
     /// order through the same per-column memos as
     /// [`Relation::extend_rows`]. All tuples are validated before
     /// anything is appended; ids are preserved and the internal counter
-    /// advances past the largest one seen. The fragment-construction
-    /// and reassembly hot path.
+    /// advances past the largest one seen.
     pub fn extend_tuples(&mut self, tuples: Vec<Tuple>) -> Result<(), RelationError> {
-        for t in &tuples {
-            self.validate(t.values())?;
+        self.extend_encoding(tuples.iter().map(|t| (t.tid, t.values())))
+    }
+
+    /// The one bulk value-ingest loop: validate everything, then intern
+    /// row by row through per-column memos.
+    fn extend_encoding<'a>(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = (TupleId, &'a [Value])> + Clone,
+    ) -> Result<(), RelationError> {
+        for (_, values) in rows.clone() {
+            self.validate(values)?;
         }
-        self.tuples.reserve(tuples.len());
+        self.tids.reserve(rows.len());
         for col in &mut self.columns {
-            col.reserve(tuples.len());
+            col.reserve(rows.len());
         }
-        let mut memos: Vec<FxHashMap<Value, (u32, Value)>> =
-            (0..self.columns.len()).map(|_| FxHashMap::default()).collect();
-        for t in tuples {
-            self.next_tid = self.next_tid.max(t.tid.0 + 1);
-            for ((v, col), memo) in t.values().iter().zip(&mut self.columns).zip(&mut memos) {
-                // Keep the tuple's own (Arc-shared) values in the row
-                // view, exactly like push_tuple; only the code matters.
+        let mut memos = self.memos();
+        for (tid, values) in rows {
+            for ((v, col), memo) in values.iter().zip(&mut self.columns).zip(&mut memos) {
                 col.push_cached(v, memo);
             }
-            self.tuples.push(t);
+            self.push_tid(tid);
         }
         Ok(())
+    }
+
+    fn memos(&self) -> Vec<FxHashMap<Value, u32>> {
+        self.columns.iter().map(|_| FxHashMap::default()).collect()
     }
 
     /// Applies one delta batch in place — deletes first (order
@@ -219,14 +204,14 @@ impl Relation {
     /// The id checks matter beyond hygiene: a violation index keyed by
     /// tuple id silently corrupts if two live rows ever share one.
     pub fn apply_delta(&mut self, delta: &RelationDelta) -> Result<DeltaEffect, RelationError> {
-        let mut insert_ids: crate::fxhash::FxHashSet<TupleId> = crate::fxhash::FxHashSet::default();
+        let mut insert_ids: FxHashSet<TupleId> = FxHashSet::default();
         for t in &delta.inserts {
             self.validate(t.values())?;
             if !insert_ids.insert(t.tid) {
                 return Err(RelationError::DuplicateTuple { tid: t.tid.0 });
             }
         }
-        let wanted: crate::fxhash::FxHashSet<TupleId> = delta.deletes.iter().copied().collect();
+        let wanted: FxHashSet<TupleId> = delta.deletes.iter().copied().collect();
         if wanted.len() != delta.deletes.len() {
             let dup = delta
                 .deletes
@@ -235,66 +220,60 @@ impl Relation {
                 .expect("a duplicate exists");
             return Err(RelationError::UnknownTuple { tid: dup.0 });
         }
-        // One scan locates every delete and rejects inserts whose id is
-        // already live (unless this very delta deletes it first).
+        // One scan of the tid column locates every delete and rejects
+        // inserts whose id is already live (unless this very delta
+        // deletes it first).
         let mut pos: FxHashMap<TupleId, usize> =
             FxHashMap::with_capacity_and_hasher(delta.deletes.len(), Default::default());
-        for (i, t) in self.tuples.iter().enumerate() {
-            if wanted.contains(&t.tid) {
-                pos.insert(t.tid, i);
-            } else if insert_ids.contains(&t.tid) {
-                return Err(RelationError::DuplicateTuple { tid: t.tid.0 });
+        for (i, tid) in self.tids.iter().enumerate() {
+            if wanted.contains(tid) {
+                pos.insert(*tid, i);
+            } else if insert_ids.contains(tid) {
+                return Err(RelationError::DuplicateTuple { tid: tid.0 });
             }
         }
         let mut effect = DeltaEffect::default();
 
         if !delta.deletes.is_empty() {
+            let mut keep = vec![true; self.tids.len()];
             for tid in &delta.deletes {
                 let Some(&i) = pos.get(tid) else {
                     return Err(RelationError::UnknownTuple { tid: tid.0 });
                 };
                 let codes: Box<[u32]> = self.columns.iter().map(|c| c.codes().at(i)).collect();
                 effect.deleted.push((*tid, codes));
-            }
-            let mut keep = vec![true; self.tuples.len()];
-            // dcd-lint: allow(hash-iteration-order) — order cannot escape:
-            // each iteration writes an independent `keep[i] = false`.
-            for &i in pos.values() {
                 keep[i] = false;
             }
-            let mut i = 0;
-            self.tuples.retain(|_| {
-                let k = keep[i];
-                i += 1;
-                k
-            });
+            let mut flags = keep.iter();
+            self.tids.retain(|_| *flags.next().expect("one flag per row"));
             for col in &mut self.columns {
                 col.retain_rows(&keep);
             }
         }
 
         if !delta.inserts.is_empty() {
-            self.tuples.reserve(delta.inserts.len());
-            let mut memos: Vec<FxHashMap<Value, (u32, Value)>> =
-                (0..self.columns.len()).map(|_| FxHashMap::default()).collect();
+            self.tids.reserve(delta.inserts.len());
+            let mut memos = self.memos();
             for t in &delta.inserts {
-                self.next_tid = self.next_tid.max(t.tid.0 + 1);
-                let mut codes = Vec::with_capacity(self.columns.len());
-                for ((v, col), memo) in t.values().iter().zip(&mut self.columns).zip(&mut memos) {
-                    col.push_cached(v, memo);
-                    codes.push(col.last_code().expect("push appended a code"));
-                }
-                effect.inserted.push((t.tid, codes.into_boxed_slice()));
-                self.tuples.push(t.clone());
+                let codes: Box<[u32]> = t
+                    .values()
+                    .iter()
+                    .zip(&mut self.columns)
+                    .zip(&mut memos)
+                    .map(|((v, col), memo)| col.push_cached(v, memo))
+                    .collect();
+                self.push_tid(t.tid);
+                effect.inserted.push((t.tid, codes));
             }
         }
         Ok(effect)
     }
 
-    /// All tuples, in insertion order (the row view of the columnar
-    /// store).
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// The tuple ids, in row order — row `i` is `tids()[i]` plus the
+    /// `i`-th code of every column. This is what engine code that only
+    /// needs ids reads; it never decodes a row.
+    pub fn tids(&self) -> &[TupleId] {
+        &self.tids
     }
 
     /// All dictionary-encoded columns, in schema order.
@@ -338,7 +317,7 @@ impl Relation {
     /// Number of storage chunks per column (0 when empty) — the morsel
     /// count of this relation for chunk-granular scheduling.
     pub fn n_chunks(&self) -> usize {
-        self.tuples.len().div_ceil(self.chunk_rows())
+        self.tids.len().div_ceil(self.chunk_rows())
     }
 
     /// Decodes a code vector produced over `attrs` back into values
@@ -359,7 +338,7 @@ impl Relation {
     /// the receiver, and only for violating group keys.
     pub fn code_rows(&self, attrs: &[AttrId], rows: &[usize]) -> Vec<(TupleId, Box<[u32]>)> {
         let cols: Vec<CodesView<'_>> = self.code_views(attrs);
-        rows.iter().map(|&i| (self.tuples[i].tid, cols.iter().map(|c| c.at(i)).collect())).collect()
+        rows.iter().map(|&i| (self.tids[i], cols.iter().map(|c| c.at(i)).collect())).collect()
     }
 
     /// Appends a row given as dictionary codes (one per attribute, in
@@ -367,11 +346,9 @@ impl Relation {
     /// code-shipped wire. The codes must come from this relation's own
     /// dictionaries (fragments built through the `dcd-dist`
     /// constructors share them, which is what makes codes
-    /// site-portable); the row view is rebuilt by dictionary decode —
-    /// `Arc`-cloned canonical values, no re-interning.
-    ///
-    /// Panics if any code was never assigned by the corresponding
-    /// dictionary.
+    /// site-portable). A code its dictionary never assigned is rejected
+    /// with [`RelationError::UnassignedCode`] before any column is
+    /// touched, so a rejected row leaves the relation unchanged.
     pub fn push_code_row(&mut self, tid: TupleId, codes: &[u32]) -> Result<(), RelationError> {
         if codes.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -379,26 +356,97 @@ impl Relation {
                 got: codes.len(),
             });
         }
-        self.next_tid = self.next_tid.max(tid.0 + 1);
-        let values: Vec<Value> =
-            codes.iter().zip(&mut self.columns).map(|(&c, col)| col.push_code(c)).collect();
-        self.tuples.push(Tuple::new(tid, values));
+        for (i, (&code, col)) in codes.iter().zip(&self.columns).enumerate() {
+            if code as usize >= col.dict().len() {
+                return Err(RelationError::UnassignedCode {
+                    attr: self.schema.attr_name(AttrId(i as u16)).to_string(),
+                    code,
+                });
+            }
+        }
+        for (&code, col) in codes.iter().zip(&mut self.columns) {
+            col.push_raw(code);
+        }
+        self.push_tid(tid);
         Ok(())
     }
 
-    /// Iterates over the tuples.
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.tuples.iter()
+    /// Appends rows `rows` of `src` by copying their ids and codes — no
+    /// value is decoded, hashed or interned. Column `j` of this relation
+    /// is fed from `src`'s column `attrs[j]`, and each such pair must
+    /// share one dictionary (`Arc` identity — that is what makes a code
+    /// mean the same value on both sides); anything else is a
+    /// [`RelationError::SchemaMismatch`] and appends nothing. This is how
+    /// rows move between a relation and its fragments, selections,
+    /// projections and reassemblies. Panics if a row index is out of
+    /// bounds for `src`.
+    pub fn extend_from(
+        &mut self,
+        src: &Relation,
+        attrs: &[AttrId],
+        rows: &[usize],
+    ) -> Result<(), RelationError> {
+        let shared = attrs.len() == self.columns.len()
+            && attrs
+                .iter()
+                .zip(&self.columns)
+                .all(|(&a, col)| Arc::ptr_eq(col.dict(), src.dictionary(a)));
+        if !shared {
+            return Err(RelationError::SchemaMismatch {
+                detail: format!(
+                    "`{}` does not share the dictionaries of the {} column(s) copied from `{}`",
+                    self.schema.name(),
+                    attrs.len(),
+                    src.schema.name()
+                ),
+            });
+        }
+        self.tids.reserve(rows.len());
+        for &r in rows {
+            self.push_tid(src.tids[r]);
+        }
+        for (&a, col) in attrs.iter().zip(&mut self.columns) {
+            col.extend_from_rows(src.column(a), rows);
+        }
+        Ok(())
     }
 
-    /// Looks up a tuple by id with a linear scan (test/debug helper; the
-    /// hot paths never need id lookup).
-    pub fn find(&self, tid: TupleId) -> Option<&Tuple> {
-        self.tuples.iter().find(|t| t.tid == tid)
+    /// The given rows of this relation as a new relation over the same
+    /// schema and dictionaries, in the given order
+    /// ([`Relation::extend_from`] onto [`Relation::empty_like`]).
+    pub fn copy_rows(&self, rows: &[usize]) -> Relation {
+        let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
+        let mut out = self.with_capacity_like(rows.len());
+        out.extend_from(self, &attrs, rows).expect("a relation shares its own dictionaries");
+        out
     }
 
-    /// Builds a relation from pre-identified tuples (fragment
-    /// construction / reassembly), via the bulk
+    /// Decodes row `i` into an owned tuple. Panics if `i` is out of
+    /// bounds.
+    pub fn row(&self, i: usize) -> Tuple {
+        self.decode_range(i, i + 1).pop().expect("one row decoded")
+    }
+
+    /// Iterates over the tuples in row order, decoding each into an owned
+    /// [`Tuple`]. Decoding runs a batch of rows at a time, column by
+    /// column, so a scan takes each dictionary's read lock once per
+    /// batch rather than once per cell, and holds none between items.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows { rel: self, next: 0, batch: Vec::new().into_iter() }
+    }
+
+    fn decode_range(&self, start: usize, end: usize) -> Vec<Tuple> {
+        let arity = self.columns.len();
+        let mut cells: Vec<Vec<Value>> =
+            self.tids[start..end].iter().map(|_| Vec::with_capacity(arity)).collect();
+        for col in &self.columns {
+            let mut rows = cells.iter_mut();
+            col.decode_range(start, end, |v| rows.next().expect("one cell per row").push(v));
+        }
+        self.tids[start..end].iter().zip(cells).map(|(&tid, vs)| Tuple::new(tid, vs)).collect()
+    }
+
+    /// Builds a relation from pre-identified tuples, via the bulk
     /// [`Relation::extend_tuples`] path.
     pub fn from_tuples(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Result<Self, RelationError> {
         let mut rel = Relation::with_capacity(schema, tuples.len());
@@ -412,11 +460,6 @@ impl Relation {
         let mut rel = Relation::with_capacity(schema, rows.len());
         rel.extend_rows(rows)?;
         Ok(rel)
-    }
-
-    /// Total approximate wire size of all tuples (network accounting).
-    pub fn wire_size(&self) -> usize {
-        self.tuples.iter().map(Tuple::wire_size).sum()
     }
 
     fn validate(&self, values: &[Value]) -> Result<(), RelationError> {
@@ -446,14 +489,43 @@ impl Relation {
     }
 }
 
+/// The decoding row iterator of a [`Relation`] (see [`Relation::iter`]).
+#[derive(Debug)]
+pub struct Rows<'a> {
+    rel: &'a Relation,
+    /// First row not yet decoded into `batch`.
+    next: usize,
+    batch: std::vec::IntoIter<Tuple>,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Tuple;
+
+    fn next(&mut self) -> Option<Tuple> {
+        if self.batch.as_slice().is_empty() && self.next < self.rel.len() {
+            let end = (self.next + DECODE_BATCH).min(self.rel.len());
+            self.batch = self.rel.decode_range(self.next, end).into_iter();
+            self.next = end;
+        }
+        self.batch.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.batch.len() + self.rel.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} [{} tuples]", self.schema, self.tuples.len())?;
-        for t in self.tuples.iter().take(20) {
+        writeln!(f, "{} [{} tuples]", self.schema, self.len())?;
+        for t in self.decode_range(0, self.len().min(20)) {
             writeln!(f, "  {t}")?;
         }
-        if self.tuples.len() > 20 {
-            writeln!(f, "  … {} more", self.tuples.len() - 20)?;
+        if self.len() > 20 {
+            writeln!(f, "  … {} more", self.len() - 20)?;
         }
         Ok(())
     }
@@ -498,17 +570,17 @@ mod tests {
         r.push_tuple(Tuple::new(TupleId(10), vals![1, "x"])).unwrap();
         // Fresh pushes continue after the max seen id.
         assert_eq!(r.push(vals![2, "y"]).unwrap(), TupleId(11));
-        assert!(r.find(TupleId(10)).is_some());
-        assert!(r.find(TupleId(99)).is_none());
+        assert_eq!(r.tids(), &[TupleId(10), TupleId(11)]);
     }
 
     #[test]
     fn from_rows_and_from_tuples() {
         let r = Relation::from_rows(schema(), vec![vals![1, "a"], vals![2, "b"]]).unwrap();
         assert_eq!(r.len(), 2);
-        let r2 = Relation::from_tuples(schema(), r.tuples().to_vec()).unwrap();
+        let r2 = Relation::from_tuples(schema(), r.iter().collect()).unwrap();
         assert_eq!(r2.len(), 2);
-        assert_eq!(r2.tuples()[0].tid, TupleId(0));
+        assert_eq!(r2.tids()[0], TupleId(0));
+        assert!(r2.iter().eq(r.iter()));
     }
 
     #[test]
@@ -520,7 +592,7 @@ mod tests {
         }
         let mut bulk = Relation::new(schema());
         bulk.extend_rows(rows).unwrap();
-        assert_eq!(bulk.tuples(), pushed.tuples());
+        assert!(bulk.iter().eq(pushed.iter()));
         for (a, b) in bulk.columns().iter().zip(pushed.columns()) {
             assert_eq!(a.codes(), b.codes());
             assert_eq!(a.dict().snapshot(), b.dict().snapshot());
@@ -548,7 +620,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(r.push(vals![2, "z"]).unwrap(), TupleId(6));
-        assert!(r.find(TupleId(5)).is_some());
+        assert_eq!(r.tids(), &[TupleId(5), TupleId(2), TupleId(6)]);
         assert_eq!(r.columns()[0].codes(), &[0, 0, 1]);
     }
 
@@ -570,15 +642,14 @@ mod tests {
         assert_eq!(r.columns()[0].codes(), &[0, 2, 1]);
         assert_eq!(r.columns()[1].codes(), &[0, 0, 2]);
         // Survivor order is preserved; the id counter advanced.
-        assert_eq!(r.tuples()[0].tid, TupleId(0));
-        assert_eq!(r.tuples()[1].tid, TupleId(2));
+        assert_eq!(r.tids(), &[TupleId(0), TupleId(2), TupleId(10)]);
         assert_eq!(r.push(vals![9, "w"]).unwrap(), TupleId(11));
     }
 
     #[test]
     fn apply_delta_is_all_or_nothing() {
         let mut r = Relation::from_rows(schema(), vec![vals![1, "x"], vals![2, "y"]]).unwrap();
-        let snapshot = r.tuples().to_vec();
+        let snapshot: Vec<Tuple> = r.iter().collect();
         // Unknown delete id.
         let err = r.apply_delta(&crate::RelationDelta::new(vec![], vec![TupleId(99)])).unwrap_err();
         assert!(matches!(err, RelationError::UnknownTuple { tid: 99 }));
@@ -595,14 +666,14 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, RelationError::TypeMismatch { .. }));
-        assert_eq!(r.tuples(), &snapshot[..], "failed deltas must not mutate");
+        assert!(r.iter().eq(snapshot.iter().cloned()), "failed deltas must not mutate");
         assert_eq!(r.columns()[0].len(), 2);
     }
 
     #[test]
     fn apply_delta_rejects_duplicate_insert_ids() {
         let mut r = Relation::from_rows(schema(), vec![vals![1, "x"], vals![2, "y"]]).unwrap();
-        let snapshot = r.tuples().to_vec();
+        let snapshot: Vec<Tuple> = r.iter().collect();
         // Inserting an id that is already live fails.
         let err = r
             .apply_delta(&crate::RelationDelta::new(
@@ -619,7 +690,7 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, RelationError::DuplicateTuple { tid: 5 }));
-        assert_eq!(r.tuples(), &snapshot[..], "failed deltas must not mutate");
+        assert!(r.iter().eq(snapshot.iter().cloned()), "failed deltas must not mutate");
         // Delete-then-reinsert of one id within a single delta is fine
         // (deletes apply first).
         r.apply_delta(&crate::RelationDelta::new(
@@ -628,7 +699,8 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.find(TupleId(0)).unwrap().get(AttrId(0)), &Value::Int(7));
+        let reinserted = r.iter().find(|t| t.tid == TupleId(0)).unwrap();
+        assert_eq!(reinserted.get(AttrId(0)), &Value::Int(7));
     }
 
     #[test]
@@ -645,9 +717,9 @@ mod tests {
         live.apply_delta(&delta).unwrap();
         // A from-scratch rebuild of the same final row multiset agrees
         // tuple for tuple (ids and values).
-        let survivors: Vec<Tuple> = live.tuples().to_vec();
+        let survivors: Vec<Tuple> = live.iter().collect();
         let rebuilt = Relation::from_tuples(schema(), survivors.clone()).unwrap();
-        assert_eq!(rebuilt.tuples(), &survivors[..]);
+        assert!(rebuilt.iter().eq(survivors));
         assert_eq!(live.len(), 21);
     }
 
@@ -666,13 +738,82 @@ mod tests {
         for (tid, codes) in &rows {
             recv.push_code_row(*tid, codes).unwrap();
         }
-        assert_eq!(recv.tuples()[0], parent.tuples()[0]);
-        assert_eq!(recv.tuples()[1], parent.tuples()[2]);
+        assert_eq!(recv.row(0), parent.row(0));
+        assert_eq!(recv.row(1), parent.row(2));
         assert_eq!(recv.columns()[0].codes(), &[0, 0]);
         // The id counter advanced past the received ids.
         assert_eq!(recv.push(vals![5, "q"]).unwrap(), TupleId(3));
         // Arity is validated.
         assert!(recv.push_code_row(TupleId(9), &[0]).is_err());
+    }
+
+    #[test]
+    fn push_code_row_rejects_unassigned_codes_and_stays_unchanged() {
+        let mut r = Relation::from_rows(schema(), vec![vals![1, "x"], vals![2, "y"]]).unwrap();
+        let before: Vec<Tuple> = r.iter().collect();
+        // Column `b` has codes 0 and 1 only; the valid code for `a`
+        // comes first, so a partial append would be visible.
+        let err = r.push_code_row(TupleId(9), &[1, 2]).unwrap_err();
+        assert_eq!(err, RelationError::UnassignedCode { attr: "b".into(), code: 2 });
+        assert!(err.to_string().contains("`b`"));
+        assert!(r.iter().eq(before.iter().cloned()));
+        assert_eq!(r.tids().len(), 2);
+        assert!(r.columns().iter().all(|c| c.len() == 2));
+        // The id counter did not move either.
+        assert_eq!(r.push(vals![3, "z"]).unwrap(), TupleId(2));
+        // Sentinel codes are unassigned by construction.
+        assert!(r.push_code_row(TupleId(9), &[crate::NO_CODE, 0]).is_err());
+    }
+
+    #[test]
+    fn extend_from_copies_codes_onto_a_column_subset() {
+        let parent =
+            Relation::from_rows(schema(), vec![vals![1, "x"], vals![2, "y"], vals![1, "y"]])
+                .unwrap();
+        let copy = parent.copy_rows(&[2, 0]);
+        assert_eq!(copy.tids(), &[TupleId(2), TupleId(0)]);
+        assert_eq!(copy.row(0), parent.row(2));
+        assert_eq!(copy.row(1), parent.row(0));
+        assert!(Arc::ptr_eq(copy.dictionary(AttrId(1)), parent.dictionary(AttrId(1))));
+        assert_eq!(copy.clone().push(vals![5, "q"]).unwrap(), TupleId(3));
+        // Onto the single column `b`.
+        let b = AttrId(1);
+        let only_b = parent.schema().project("r_b", &[b]).unwrap();
+        let mut proj =
+            Relation::with_dictionaries(only_b, parent.dictionaries_of(&[b]), 0).unwrap();
+        proj.extend_from(&parent, &[b], &[1, 2]).unwrap();
+        assert_eq!(proj.columns()[0].codes(), &[1, 1]);
+        assert_eq!(proj.row(0), Tuple::new(TupleId(1), vals!["y"]));
+        // Foreign dictionaries (or a wrong column count) are refused
+        // and append nothing.
+        let mut foreign = Relation::new(schema());
+        let all = [AttrId(0), AttrId(1)];
+        assert!(matches!(
+            foreign.extend_from(&parent, &all, &[0]),
+            Err(RelationError::SchemaMismatch { .. })
+        ));
+        assert!(proj.extend_from(&parent, &all, &[0]).is_err());
+        assert!(foreign.is_empty());
+        assert_eq!(proj.len(), 2);
+    }
+
+    #[test]
+    fn iter_decodes_across_batches() {
+        let n = DECODE_BATCH * 2 + 7;
+        let rows: Vec<Vec<Value>> =
+            (0..n).map(|i| vals![i as i64 % 11, format!("s{}", i % 5)]).collect();
+        let r = Relation::from_rows(schema(), rows.clone()).unwrap();
+        let mut it = r.iter();
+        assert_eq!(it.len(), n);
+        it.next();
+        assert_eq!(it.len(), n - 1);
+        assert_eq!(r.iter().count(), n);
+        for (i, t) in r.iter().enumerate() {
+            assert_eq!(t.tid, TupleId(i as u64));
+            assert_eq!(t.values(), &rows[i][..]);
+        }
+        assert_eq!(r.row(n - 1).values(), &rows[n - 1][..]);
+        assert_eq!(Relation::new(schema()).iter().count(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Dictionary-encoded columnar storage, chunked for morsel-driven scans.
 //!
-//! Every [`Relation`](crate::Relation) keeps, alongside its row vector, one
-//! [`Column`] per attribute: a dense array of `u32` *codes*, each code
-//! naming a distinct [`Value`] in the column's [`Dictionary`]. The hot
-//! detection loops (GROUP BY on `t[X]`, σ-partitioning, pattern matching,
+//! Every [`Relation`](crate::Relation) stores its cells as one [`Column`]
+//! per attribute: a dense array of `u32` *codes*, each code naming a
+//! distinct [`Value`] in the column's [`Dictionary`]. The hot detection
+//! loops (GROUP BY on `t[X]`, σ-partitioning, pattern matching,
 //! join keys) then run on integer codes instead of hashing and comparing
 //! owned values:
 //!
@@ -95,8 +95,9 @@ pub fn chunk_rows() -> usize {
 
 /// Overrides (or with `None` restores) the process-wide chunk size used
 /// by columns constructed *after* the call. Existing columns keep the
-/// layout they were built with — chunk size is captured per column, so
-/// relations built under different settings coexist safely.
+/// layout they were built with — chunk size is captured per column (once
+/// per relation, for all of its columns), so relations built under
+/// different settings coexist safely.
 pub fn set_chunk_rows(rows: Option<usize>) {
     let v = match rows {
         Some(n) => {
@@ -143,28 +144,21 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Interns `v`, returning its code and the canonical stored value
-    /// (so callers can share the canonical `Arc<str>` payload instead of
-    /// keeping their own copy).
-    pub fn intern(&self, v: &Value) -> (u32, Value) {
-        if let Some(hit) = self.lookup(v) {
-            return hit;
+    /// Interns `v`, returning its code.
+    pub fn intern(&self, v: &Value) -> u32 {
+        if let Some(code) = self.code_of(v) {
+            return code;
         }
         let mut inner = self.inner.write().expect("dictionary lock poisoned");
         // Re-check: another writer may have interned between the locks.
         if let Some(&code) = inner.codes.get(v) {
-            return (code, inner.values[code as usize].clone());
+            return code;
         }
         let code = inner.values.len() as u32;
         assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
         inner.values.push(v.clone());
         inner.codes.insert(v.clone(), code);
-        (code, v.clone())
-    }
-
-    fn lookup(&self, v: &Value) -> Option<(u32, Value)> {
-        let inner = self.inner.read().expect("dictionary lock poisoned");
-        inner.codes.get(v).map(|&code| (code, inner.values[code as usize].clone()))
+        code
     }
 
     /// The code of `v`, if it has been interned ([`NO_CODE`]-free lookup
@@ -240,12 +234,19 @@ impl Column {
     /// Creates an empty column sharing `dict` (fragment construction:
     /// codes stay comparable with every other column over `dict`).
     pub fn sharing(dict: Arc<Dictionary>) -> Self {
-        Column { dict, chunks: Vec::new(), len: 0, chunk_rows: chunk_rows() }
+        Column::with_layout(dict, 0, chunk_rows())
     }
 
     /// Creates an empty column sharing `dict`, with room for `cap` rows.
     pub fn sharing_with_capacity(dict: Arc<Dictionary>, cap: usize) -> Self {
-        let mut c = Column::sharing(dict);
+        Column::with_layout(dict, cap, chunk_rows())
+    }
+
+    /// [`Column::sharing_with_capacity`] at a given chunk size. A relation
+    /// reads [`chunk_rows`] once and builds all its columns with it, so
+    /// they share one layout even while [`set_chunk_rows`] is changing.
+    pub(crate) fn with_layout(dict: Arc<Dictionary>, cap: usize, chunk_rows: usize) -> Self {
+        let mut c = Column { dict, chunks: Vec::new(), len: 0, chunk_rows };
         c.reserve(cap);
         c
     }
@@ -277,8 +278,10 @@ impl Column {
         self.len == 0
     }
 
+    /// Appends an already interned code. The caller guarantees the
+    /// dictionary assigned it ([`Dictionary::len`] bounds the valid ones).
     #[inline]
-    fn push_raw(&mut self, code: u32) {
+    pub(crate) fn push_raw(&mut self, code: u32) {
         if self.len == self.chunks.len() * self.chunk_rows {
             self.chunks.push(Vec::with_capacity(self.chunk_rows.min(4096)));
         }
@@ -286,12 +289,11 @@ impl Column {
         self.len += 1;
     }
 
-    /// Appends a value, interning it; returns the canonical value so the
-    /// caller's row store can share the dictionary's allocation.
-    pub fn push(&mut self, v: &Value) -> Value {
-        let (code, canonical) = self.dict.intern(v);
+    /// Appends a value, interning it; returns its code.
+    pub fn push(&mut self, v: &Value) -> u32 {
+        let code = self.dict.intern(v);
         self.push_raw(code);
-        canonical
+        code
     }
 
     /// [`Column::push`] through a run-local memo: a value already in
@@ -299,35 +301,28 @@ impl Column {
     /// ingest keeps one memo per column per batch, so each *distinct*
     /// value costs one dictionary access per batch instead of one per
     /// row — on low-cardinality columns the lock all but disappears.
-    pub fn push_cached(&mut self, v: &Value, memo: &mut FxHashMap<Value, (u32, Value)>) -> Value {
-        if let Some((code, canonical)) = memo.get(v) {
-            let code = *code;
-            let canonical = canonical.clone();
-            self.push_raw(code);
-            return canonical;
+    pub fn push_cached(&mut self, v: &Value, memo: &mut FxHashMap<Value, u32>) -> u32 {
+        let code = match memo.get(v) {
+            Some(&code) => code,
+            None => {
+                let code = self.dict.intern(v);
+                memo.insert(v.clone(), code);
+                code
+            }
+        };
+        self.push_raw(code);
+        code
+    }
+
+    /// Appends the codes `src` holds at `rows`, in the given order. The
+    /// caller guarantees both columns share one dictionary, so the codes
+    /// mean the same here as there.
+    pub(crate) fn extend_from_rows(&mut self, src: &Column, rows: &[usize]) {
+        self.reserve(rows.len());
+        let codes = src.codes();
+        for &r in rows {
+            self.push_raw(codes.at(r));
         }
-        let (code, canonical) = self.dict.intern(v);
-        self.push_raw(code);
-        memo.insert(canonical.clone(), (code, canonical.clone()));
-        canonical
-    }
-
-    /// Appends an *already interned* code (the receiving end of the
-    /// code-shipped wire: the sender's codes are valid here because the
-    /// two columns share one dictionary). Returns the decoded canonical
-    /// value for the caller's row view — a dictionary array read, no
-    /// hashing or re-interning.
-    ///
-    /// Panics if `code` was never assigned by this column's dictionary.
-    pub fn push_code(&mut self, code: u32) -> Value {
-        let canonical = self.dict.value(code);
-        self.push_raw(code);
-        canonical
-    }
-
-    /// The code of the most recently appended row, if any.
-    pub fn last_code(&self) -> Option<u32> {
-        self.chunks.last().and_then(|c| c.last().copied())
     }
 
     /// Reserves room for `extra` more rows (bounded by the chunk size:
@@ -371,6 +366,17 @@ impl Column {
     /// Decodes the value at `row`.
     pub fn decode(&self, row: usize) -> Value {
         self.dict.value(self.codes().at(row))
+    }
+
+    /// Decodes rows `start..end` in order under one dictionary read
+    /// lock, handing each value to `f` (which must not intern).
+    pub(crate) fn decode_range(&self, start: usize, end: usize, mut f: impl FnMut(Value)) {
+        let inner = self.dict.inner.read().expect("dictionary lock poisoned");
+        zip_chunks_range(&[self.codes()], start, end, |_, lo, hi, chunk| {
+            for &code in &chunk[0][lo..hi] {
+                f(inner.values[code as usize].clone());
+            }
+        });
     }
 }
 
@@ -584,9 +590,9 @@ mod tests {
     #[test]
     fn intern_is_idempotent_and_dense() {
         let d = Dictionary::new();
-        let (a, _) = d.intern(&Value::str("x"));
-        let (b, _) = d.intern(&Value::Int(7));
-        let (a2, _) = d.intern(&Value::str("x"));
+        let a = d.intern(&Value::str("x"));
+        let b = d.intern(&Value::Int(7));
+        let a2 = d.intern(&Value::str("x"));
         assert_eq!(a, 0);
         assert_eq!(b, 1);
         assert_eq!(a, a2);
@@ -599,10 +605,10 @@ mod tests {
     #[test]
     fn canonical_value_shares_allocation() {
         let d = Dictionary::new();
-        let (_, first) = d.intern(&Value::str("hello"));
-        let (_, second) = d.intern(&Value::str(String::from("hello")));
+        let first = d.value(d.intern(&Value::str("hello")));
+        let second = d.value(d.intern(&Value::str(String::from("hello"))));
         if let (Value::Str(a), Value::Str(b)) = (&first, &second) {
-            assert!(Arc::ptr_eq(a, b), "intern should return the canonical payload");
+            assert!(Arc::ptr_eq(a, b), "decode should return the canonical payload");
         } else {
             panic!("expected strings");
         }
@@ -644,7 +650,7 @@ mod tests {
         }
         assert_eq!(plain.codes(), cached.codes());
         assert_eq!(cached.dict().snapshot(), plain.dict().snapshot());
-        // The memo holds one entry per distinct value, keyed canonically.
+        // The memo holds one entry per distinct value.
         assert_eq!(memo.len(), 3);
     }
 
@@ -675,7 +681,7 @@ mod tests {
     fn sentinels_are_disjoint_from_codes() {
         assert_ne!(WILDCARD_CODE, NO_CODE);
         let d = Dictionary::new();
-        let (code, _) = d.intern(&Value::Int(0));
+        let code = d.intern(&Value::Int(0));
         // NO_CODE < WILDCARD_CODE, so this bounds the code below both.
         assert!(code < NO_CODE);
     }
@@ -713,7 +719,6 @@ mod tests {
             }
             assert_eq!(c.codes().get(codes.len()), None);
             assert_eq!(c.codes().last(), codes.last().copied());
-            assert_eq!(c.last_code(), codes.last().copied());
             // Every chunk except the last is exactly full.
             let sizes: Vec<usize> = c.codes().chunks().map(<[u32]>::len).collect();
             for (ci, &s) in sizes.iter().enumerate() {

@@ -23,9 +23,11 @@ impl fmt::Display for TupleId {
 
 /// A tuple: an id plus one [`Value`] per schema attribute.
 ///
-/// Values are stored in a boxed slice (two words, no spare capacity); with
-/// `Value` clones being O(1), cloning a tuple for shipment costs one small
-/// allocation plus reference-count bumps.
+/// This is the owned value row that enters a [`Relation`](crate::Relation)
+/// from outside (`push_tuple`, `from_tuples`, delta inserts) and that
+/// decoding one returns (`iter`, `row`); relations do not store tuples.
+/// Values are held in a boxed slice (two words, no spare capacity), and
+/// `Value` clones are O(1).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tuple {
     /// Stable id of the tuple in the original relation.
@@ -67,16 +69,6 @@ impl Tuple {
     /// the projections.
     pub fn eq_on(&self, other: &Tuple, attrs: &[AttrId]) -> bool {
         attrs.iter().all(|&a| self.values[a.index()] == other.values[a.index()])
-    }
-
-    /// Approximate wire size in bytes when shipping this tuple whole.
-    pub fn wire_size(&self) -> usize {
-        8 + self.values.iter().map(Value::wire_size).sum::<usize>()
-    }
-
-    /// Approximate wire size in bytes when shipping only `attrs`.
-    pub fn wire_size_of(&self, attrs: &[AttrId]) -> usize {
-        8 + attrs.iter().map(|&a| self.values[a.index()].wire_size()).sum::<usize>()
     }
 }
 
@@ -124,13 +116,6 @@ mod tests {
         let b = t(2, vals![1]);
         assert_ne!(a, b); // same content, different tid
         assert!(a.eq_on(&b, &[AttrId(0)]));
-    }
-
-    #[test]
-    fn wire_sizes() {
-        let tup = t(1, vals![44, "abc"]);
-        assert_eq!(tup.wire_size(), 8 + 8 + 5);
-        assert_eq!(tup.wire_size_of(&[AttrId(0)]), 16);
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl Value {
             Value::Str(_) => "Str",
         }
     }
-
-    /// Approximate wire size of the value in bytes, used by the network
-    /// simulator to account for shipped data volume.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) => 8,
-            Value::Str(s) => 2 + s.len(),
-        }
-    }
 }
 
 impl From<i64> for Value {
@@ -207,12 +197,5 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::str("EDI").to_string(), "EDI");
-    }
-
-    #[test]
-    fn wire_size_accounts_for_payload() {
-        assert_eq!(Value::Null.wire_size(), 1);
-        assert_eq!(Value::Int(1).wire_size(), 8);
-        assert_eq!(Value::str("abcd").wire_size(), 6);
     }
 }

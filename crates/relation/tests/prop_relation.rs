@@ -1,10 +1,11 @@
 //! Property-based tests for the relational substrate: predicate
-//! evaluation vs. satisfiability soundness, and the algebraic laws of
-//! the physical operators.
+//! evaluation vs. satisfiability soundness, the algebraic laws of the
+//! physical operators, and the storage layer against a plain row model.
 
 use dcd_relation::ops;
 use dcd_relation::{
-    vals, Atom, CmpOp, Conjunction, Predicate, Relation, Schema, Tuple, TupleId, Value, ValueType,
+    set_chunk_rows, vals, Atom, CmpOp, Conjunction, Predicate, Relation, RelationDelta,
+    RelationError, Schema, Tuple, TupleId, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -86,7 +87,7 @@ proptest! {
         if !c.is_satisfiable() {
             let rel = build(&rows);
             for t in rel.iter() {
-                prop_assert!(!c.eval(t), "unsat formula satisfied by {t}");
+                prop_assert!(!c.eval(&t), "unsat formula satisfied by {t}");
             }
         }
     }
@@ -144,7 +145,7 @@ proptest! {
         prop_assert_eq!(total, rel.len());
         for (key, members) in &groups {
             for &i in members {
-                prop_assert_eq!(&rel.tuples()[i].project(&attrs), key);
+                prop_assert_eq!(&rel.row(i).project(&attrs), key);
             }
         }
     }
@@ -200,7 +201,7 @@ proptest! {
         }
         // `build` goes through from_rows → extend_rows.
         let bulk = build(&rows);
-        prop_assert_eq!(bulk.tuples(), pushed.tuples());
+        prop_assert!(bulk.iter().eq(pushed.iter()));
         for (ca, cb) in bulk.columns().iter().zip(pushed.columns()) {
             prop_assert_eq!(ca.codes(), cb.codes());
             prop_assert_eq!(ca.dict().snapshot(), cb.dict().snapshot());
@@ -208,7 +209,7 @@ proptest! {
     }
 
     /// Columnar encode → decode is the identity: every cell's code
-    /// decodes back to the value stored in the row view, per-column code
+    /// decodes back to the value that was ingested, per-column code
     /// equality coincides with value equality, and a relation rebuilt
     /// from the decoded cells is cell-for-cell identical. (Both the
     /// original and the rebuilt relation ingest through the bulk
@@ -216,18 +217,21 @@ proptest! {
     #[test]
     fn columnar_round_trip_is_identity(rows in arb_rows()) {
         let rel = build(&rows);
+        let ingested: Vec<Vec<Value>> =
+            rows.iter().map(|&(a, b, c)| vals![a, b, format!("s{c}")]).collect();
         for (ai, col) in rel.columns().iter().enumerate() {
             prop_assert_eq!(col.len(), rel.len());
             let attr = dcd_relation::AttrId(ai as u16);
             for (i, t) in rel.iter().enumerate() {
                 prop_assert_eq!(&col.decode(i), t.get(attr));
+                prop_assert_eq!(t.get(attr), &ingested[i][ai]);
             }
             // Bijection: equal codes ⟺ equal values.
             for i in 0..rel.len() {
                 for j in (i + 1)..rel.len() {
                     prop_assert_eq!(
                         col.codes()[i] == col.codes()[j],
-                        rel.tuples()[i].get(attr) == rel.tuples()[j].get(attr),
+                        ingested[i][ai] == ingested[j][ai],
                         "code/value equality must coincide"
                     );
                 }
@@ -287,9 +291,9 @@ proptest! {
         let rel = build(&rows);
         let attrs = [dcd_relation::AttrId(2), dcd_relation::AttrId(0)];
         let sorted = ops::sort_by(&rel, &attrs);
-        let mut expect: Vec<Tuple> = rel.tuples().to_vec();
+        let mut expect: Vec<Tuple> = rel.iter().collect();
         expect.sort_by_key(|t| t.project(&attrs));
-        prop_assert_eq!(sorted.tuples(), expect.as_slice());
+        prop_assert!(sorted.iter().eq(expect));
     }
 
     /// Semijoin ⊆ left input and equals the join-partnered subset.
@@ -308,5 +312,259 @@ proptest! {
             .collect();
         let got: Vec<TupleId> = semi.iter().map(|t| t.tid).collect();
         prop_assert_eq!(got, expect);
+    }
+}
+
+type Row = (i64, i64, u8);
+
+fn row_values((a, b, c): Row) -> Vec<Value> {
+    vals![a, b, format!("s{c}")]
+}
+
+/// One step of the storage-model property. Row picks are reduced modulo
+/// the current length when the step runs.
+#[derive(Debug, Clone)]
+enum StorageOp {
+    /// Replace the relation by `from_rows` over fresh dictionaries.
+    FromRows(Vec<Row>),
+    Push(Row),
+    /// A row of the wrong arity: rejected.
+    PushShort,
+    /// `push_tuple` with id `next + gap`.
+    PushTuple(u64, Row),
+    /// `push_code_row` with the codes of an existing row under id
+    /// `next + gap`; with `corrupt`, one code is the first its dictionary
+    /// has not assigned, and the row is rejected.
+    PushCodeRow {
+        from: usize,
+        gap: u64,
+        corrupt: bool,
+    },
+    /// `apply_delta`: an insert either takes a fresh id or re-uses the id
+    /// of one of this delta's deletes. `poison` 0 is a valid delta, 1–5
+    /// each add one reason to reject it.
+    Delta {
+        inserts: Vec<(Option<usize>, Row)>,
+        deletes: Vec<usize>,
+        poison: u8,
+    },
+    /// Replace the relation by `copy_rows` of the picked rows.
+    CopyRows(Vec<usize>),
+}
+
+fn arb_row() -> impl Strategy<Value = Row> {
+    (-3..4i64, -3..4i64, 0..4u8)
+}
+
+fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
+    let picks = || prop::collection::vec(0..64usize, 0..12);
+    prop_oneof![
+        prop::collection::vec(arb_row(), 0..20).prop_map(StorageOp::FromRows),
+        arb_row().prop_map(StorageOp::Push),
+        Just(StorageOp::PushShort),
+        (0..3u64, arb_row()).prop_map(|(gap, row)| StorageOp::PushTuple(gap, row)),
+        (0..64usize, 0..3u64, any::<bool>())
+            .prop_map(|(from, gap, corrupt)| StorageOp::PushCodeRow { from, gap, corrupt }),
+        (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks(), 0..6u8)
+            .prop_map(|(inserts, deletes, poison)| StorageOp::Delta { inserts, deletes, poison }),
+        (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks())
+            .prop_map(|(inserts, deletes)| StorageOp::Delta { inserts, deletes, poison: 0 }),
+        picks().prop_map(StorageOp::CopyRows),
+    ]
+}
+
+/// The plain row model the store is checked against.
+#[derive(Debug, Default)]
+struct Model {
+    rows: Vec<(TupleId, Vec<Value>)>,
+    next: u64,
+}
+
+impl Model {
+    fn insert(&mut self, tid: TupleId, values: Vec<Value>) {
+        self.next = self.next.max(tid.0 + 1);
+        self.rows.push((tid, values));
+    }
+
+    /// The distinct in-range picks, first occurrence first.
+    fn pick(&self, picks: &[usize]) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        if !self.rows.is_empty() {
+            for p in picks {
+                let i = p % self.rows.len();
+                if !out.contains(&i) {
+                    out.push(i);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Every stored bit of a relation: ids and codes. Two equal images
+/// decode to equal rows.
+fn image(rel: &Relation) -> (Vec<TupleId>, Vec<Vec<u32>>) {
+    (rel.tids().to_vec(), rel.columns().iter().map(|c| c.codes().to_vec()).collect())
+}
+
+fn check_against(rel: &Relation, model: &Model) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rel.tids().len(), model.rows.len());
+    for col in rel.columns() {
+        prop_assert_eq!(col.len(), rel.tids().len());
+    }
+    prop_assert_eq!(rel.iter().len(), model.rows.len());
+    let decoded: Vec<(TupleId, Vec<Value>)> =
+        rel.iter().map(|t| (t.tid, t.values().to_vec())).collect();
+    prop_assert_eq!(&decoded, &model.rows);
+    if let Some(last) = model.rows.len().checked_sub(1) {
+        let row = rel.row(last);
+        prop_assert_eq!((row.tid, row.values()), (model.rows[last].0, &model.rows[last].1[..]));
+    }
+    Ok(())
+}
+
+/// Runs `op` against both the relation and the model; a step the store
+/// must reject is checked to leave every stored bit as it was.
+fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), TestCaseError> {
+    let before = image(rel);
+    let mut rejected = false;
+    match op {
+        StorageOp::FromRows(rows) => {
+            *rel = Relation::from_rows(schema(), rows.iter().map(|&r| row_values(r)).collect())
+                .unwrap();
+            *model = Model::default();
+            for (i, &r) in rows.iter().enumerate() {
+                model.insert(TupleId(i as u64), row_values(r));
+            }
+        }
+        StorageOp::Push(row) => {
+            let tid = rel.push(row_values(*row)).unwrap();
+            prop_assert_eq!(tid, TupleId(model.next), "push assigns the next id");
+            model.insert(tid, row_values(*row));
+        }
+        StorageOp::PushShort => {
+            let err = rel.push(vals![1, 2]).unwrap_err();
+            prop_assert!(matches!(err, RelationError::ArityMismatch { .. }));
+            rejected = true;
+        }
+        StorageOp::PushTuple(gap, row) => {
+            let tid = TupleId(model.next + gap);
+            rel.push_tuple(Tuple::new(tid, row_values(*row))).unwrap();
+            model.insert(tid, row_values(*row));
+        }
+        StorageOp::PushCodeRow { from, gap, corrupt } => {
+            if !model.rows.is_empty() {
+                let from = from % model.rows.len();
+                let tid = TupleId(model.next + gap);
+                let mut codes: Vec<u32> =
+                    rel.columns().iter().map(|c| c.codes().at(from)).collect();
+                if *corrupt {
+                    let j = from % codes.len();
+                    codes[j] = rel.columns()[j].dict().len() as u32;
+                    let err = rel.push_code_row(tid, &codes).unwrap_err();
+                    prop_assert!(matches!(err, RelationError::UnassignedCode { .. }));
+                    rejected = true;
+                } else {
+                    rel.push_code_row(tid, &codes).unwrap();
+                    let values = model.rows[from].1.clone();
+                    model.insert(tid, values);
+                }
+            }
+        }
+        StorageOp::Delta { inserts, deletes, poison } => {
+            let doomed = model.pick(deletes);
+            let mut delta =
+                RelationDelta::new(Vec::new(), doomed.iter().map(|&i| model.rows[i].0).collect());
+            let mut fresh = model.next;
+            for (reuse, row) in inserts {
+                let reused = reuse
+                    .and_then(|k| delta.deletes.get(k % delta.deletes.len().max(1)).copied())
+                    .filter(|tid| delta.inserts.iter().all(|t| t.tid != *tid));
+                let tid = reused.unwrap_or_else(|| {
+                    fresh += 1;
+                    TupleId(fresh - 1)
+                });
+                delta.inserts.push(Tuple::new(tid, row_values(*row)));
+            }
+            let survivor = (0..model.rows.len()).find(|i| !doomed.contains(i));
+            match (*poison, survivor) {
+                (0, _) => {}
+                // A delete id named twice.
+                (2, _) if !delta.deletes.is_empty() => delta.deletes.push(delta.deletes[0]),
+                // An insert whose id is live and not deleted.
+                (3, Some(i)) => {
+                    delta.inserts.push(Tuple::new(model.rows[i].0, row_values((0, 0, 0))));
+                }
+                // One insert id twice.
+                (4, _) if !delta.inserts.is_empty() => {
+                    let again = delta.inserts[0].clone();
+                    delta.inserts.push(again);
+                }
+                // An ill-typed insert after valid ones.
+                (5, _) => delta.inserts.push(Tuple::new(TupleId(fresh), vals!["x", 0, "s0"])),
+                // A delete id that is not there.
+                _ => delta.deletes.push(TupleId(fresh + 1000)),
+            }
+            if *poison == 0 {
+                let effect = rel.apply_delta(&delta).unwrap();
+                prop_assert_eq!(effect.deleted.len(), delta.deletes.len());
+                prop_assert_eq!(effect.inserted.len(), delta.inserts.len());
+                let mut i = 0;
+                model.rows.retain(|_| {
+                    i += 1;
+                    !doomed.contains(&(i - 1))
+                });
+                for t in delta.inserts {
+                    model.insert(t.tid, t.values().to_vec());
+                }
+            } else {
+                prop_assert!(rel.apply_delta(&delta).is_err(), "poison {} accepted", poison);
+                rejected = true;
+            }
+        }
+        StorageOp::CopyRows(picks) => {
+            let rows = model.pick(picks);
+            *rel = rel.copy_rows(&rows);
+            let kept: Vec<(TupleId, Vec<Value>)> =
+                rows.iter().map(|&i| model.rows[i].clone()).collect();
+            *model = Model::default();
+            for (tid, values) in kept {
+                model.insert(tid, values);
+            }
+        }
+    }
+    if rejected {
+        prop_assert_eq!(image(rel), before, "a rejected step must not mutate");
+    }
+    check_against(rel, model)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The store against a plain `Vec<(TupleId, Vec<Value>)>`: random
+    /// interleavings of every way rows enter, leave and move, at a chunk
+    /// size below, beside and above the data. After every step `iter()`
+    /// decodes exactly the model's rows in order, the tid column and all
+    /// code columns have one length, and a rejected step changed nothing.
+    /// (No other test in this binary sets the process-wide chunk size; a
+    /// relation they build meanwhile gets whichever size is current, and
+    /// one layout, because a relation reads the size once.)
+    #[test]
+    fn storage_matches_a_plain_row_model(
+        first in prop::collection::vec(arb_row(), 0..20),
+        ops in prop::collection::vec(arb_storage_op(), 1..40),
+    ) {
+        for chunk in [3, 257, 64 * 1024] {
+            set_chunk_rows(Some(chunk));
+            let mut rel = Relation::new(schema());
+            let mut model = Model::default();
+            let outcome = std::iter::once(&StorageOp::FromRows(first.clone()))
+                .chain(&ops)
+                .try_for_each(|op| step(&mut rel, &mut model, op));
+            set_chunk_rows(None);
+            outcome?;
+            prop_assert_eq!(rel.chunk_rows(), chunk);
+        }
     }
 }

@@ -24,11 +24,13 @@
 //! ships only rows that could match some pattern — the semijoin-style
 //! reduction, often cutting traffic dramatically.
 
-use dcd_cfd::{Cfd, CodeLayout, CodeRow, PatternValue, ViolationReport, ViolationSet};
+use dcd_cfd::{Cfd, CodeLayout, CodeRow, ViolationReport, ViolationSet};
 use dcd_core::{Detection, RunConfig};
 use dcd_dist::{CostModel, ShipmentLedger, SiteClocks, SiteId, VerticalPartition, TID_CELLS};
 use dcd_obs::RunObserver;
-use dcd_relation::{AttrId, Dictionary, FxHashMap, Relation, RelationError, TupleId};
+use dcd_relation::{
+    AttrId, CodesView, Dictionary, FxHashMap, Relation, RelationError, TupleId, NO_CODE,
+};
 use std::sync::Arc;
 
 /// Shipment strategy for cross-fragment CFDs.
@@ -213,23 +215,32 @@ fn code_shipment(
             .filter_map(|(pi, &a)| frag.local_attr(a).map(|local| (pi, local)))
             .collect(),
     };
-    let keeps = |t: &dcd_relation::Tuple| {
+    // Per pattern, its locally visible constants as (column, code) pairs
+    // a row must carry; a constant the dictionary never saw compiles to
+    // `NO_CODE`, which no row does.
+    let wanted: Vec<Vec<(CodesView<'_>, u32)>> = cfd
+        .tableau()
+        .iter()
+        .map(|tp| {
+            let consts = visible.iter().filter_map(|&(pi, local)| {
+                let code = frag.data.dictionary(local).code_of(tp.lhs[pi].as_const()?);
+                Some((frag.data.column(local).codes(), code.unwrap_or(NO_CODE)))
+            });
+            consts.collect()
+        })
+        .collect();
+    let keeps = |r: usize| {
         visible.is_empty()
-            || cfd.tableau().iter().any(|tp| {
-                visible.iter().all(|&(pi, local)| match &tp.lhs[pi] {
-                    PatternValue::Wild => true,
-                    PatternValue::Const(c) => t.get(local) == c,
-                })
-            })
+            || wanted.iter().any(|consts| consts.iter().all(|(col, code)| col.at(r) == *code))
     };
     let cols: Vec<_> = locals.iter().map(|&l| frag.data.column(l).codes()).collect();
     let rows = frag
         .data
-        .tuples()
+        .tids()
         .iter()
         .enumerate()
-        .filter(|(_, t)| keeps(t))
-        .map(|(r, t)| (t.tid, cols.iter().map(|c| c.at(r)).collect()))
+        .filter(|&(r, _)| keeps(r))
+        .map(|(r, &tid)| (tid, cols.iter().map(|c| c.at(r)).collect()))
         .collect();
     (dicts, rows)
 }

@@ -102,7 +102,7 @@ fn exhaustive_min_shipment_on_a_micro_mhd_like_instance() {
     for (i, idxs) in [vec![0usize], vec![1], vec![2, 3]].iter().enumerate() {
         let mut data = Relation::new(schema.clone());
         for &ti in idxs {
-            data.push_tuple(rel.tuples()[ti].clone()).unwrap();
+            data.push_tuple(rel.row(ti)).unwrap();
         }
         frags.push(Fragment { site: SiteId(i as u32), predicate: None, data });
     }

@@ -94,7 +94,7 @@ proptest! {
         let mut mk = |chunk_rows: usize| {
             set_chunk_rows(Some(chunk_rows));
             let rel = build(&rows);
-            tids = rel.tuples().iter().map(|t| t.tid).collect();
+            tids = rel.tids().to_vec();
             rel
         };
         let mut chunked = mk(chunk);

@@ -262,9 +262,10 @@ proptest! {
     ) {
         let rel = build_relation(&rows);
         let cfd = build_cfd(&patterns, rhs_const);
+        let decoded: Vec<Tuple> = rel.iter().collect();
+        let refs: Vec<&Tuple> = decoded.iter().collect();
         for simple in cfd.simplify() {
             let columnar = detect_simple(&rel, &simple);
-            let refs: Vec<&Tuple> = rel.iter().collect();
             let rowwise = dcd_cfd::detect_among(&refs, &simple);
             prop_assert_eq!(&columnar.tids, &rowwise.tids);
             prop_assert_eq!(&columnar.patterns, &rowwise.patterns);

@@ -160,9 +160,10 @@ proptest! {
         rhs_const in prop::option::of(0..3u8),
     ) {
         let rel = build_relation(&rows);
+        let decoded: Vec<Tuple> = rel.iter().collect();
+        let tuples: Vec<&Tuple> = decoded.iter().collect();
         for simple in build_cfd("phi", &patterns, rhs_const).simplify() {
             let columnar = detect_simple(&rel, &simple);
-            let tuples: Vec<&Tuple> = rel.iter().collect();
             let row_wise = detect_among(&tuples, &simple);
             let attrs: Vec<AttrId> = simple.shipped_attrs();
             let indices: Vec<usize> = (0..rel.len()).collect();
