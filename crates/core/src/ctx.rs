@@ -1,0 +1,439 @@
+//! The run context: one owner for a run's two §III-B meters and its
+//! trace.
+//!
+//! The paper's cost model has exactly two meters — data shipped
+//! ([`ShipmentLedger`]) and per-site response time ([`SiteClocks`]) —
+//! and every engine must keep them, and the phase trace, in step.
+//! [`RunCtx`] owns all three privately and exposes only operations that
+//! cannot let them drift apart:
+//!
+//! * a clock moves only inside [`RunCtx::phase`], whose span is
+//!   recorded when the closure returns — there is no way to move a
+//!   clock that the trace does not cover;
+//! * shipment bytes are charged only by [`Transfer::send`], which bumps
+//!   the transfer matrix alongside the ledger, and
+//!   [`Transfer::commit`] makes the clocks pay for exactly that matrix;
+//! * a [`Detection`] is assembled only by [`RunCtx::finish`] /
+//!   [`RunCtx::snapshot`], from those same meters.
+//!
+//! These are type and privacy facts, checked by rustc on every build;
+//! they replace the `unobserved-phase`, `unledgered-shipment` and
+//! `raw-ledger-mutation` rules `dcd_lint` used to approximate them
+//! with.
+
+use crate::config::{ComputeModel, RunConfig};
+use crate::report::Detection;
+use dcd_cfd::{ViolationReport, ViolationSet};
+use dcd_dist::{ShipmentLedger, SiteClocks, SiteId};
+use dcd_obs::{MetricsRegistry, RunObserver};
+use std::sync::Mutex;
+use std::time::Instant;
+
+/// What the current detection round feeds the literal §III-B formula,
+/// per site: local compute charged to it and rows it shipped.
+#[derive(Debug)]
+struct Round {
+    local_secs: Vec<f64>,
+    sent: Vec<usize>,
+}
+
+/// Everything a detection run accumulates besides its data: the
+/// observed ledger, the site clocks, the observer (registry + trace),
+/// the current round's §III-B inputs, and the run's report and paper
+/// cost. Built in exactly one place, [`RunCtx::new`]; every engine
+/// entry point and both incremental session types hold one.
+///
+/// Clocks move only inside a phase:
+///
+/// ```
+/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_dist::SiteId;
+/// let mut ctx = RunCtx::new(2, RunConfig::default());
+/// ctx.phase("scan", |p| p.advance(SiteId(0), 1.0));
+/// let d = ctx.finish("DEMO");
+/// assert_eq!(d.site_clocks, [1.0, 0.0]);
+/// assert_eq!((d.trace.spans[0].name.as_str(), d.trace.spans[0].end), ("scan", 1.0));
+/// ```
+///
+/// The same advance outside [`RunCtx::phase`] does not compile — the
+/// clocks are private and only [`Phase`] carries the operation:
+///
+/// ```compile_fail
+/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_dist::SiteId;
+/// let mut ctx = RunCtx::new(2, RunConfig::default());
+/// ctx.advance(SiteId(0), 1.0);
+/// ```
+///
+/// Shipment is charged through a [`Transfer`]:
+///
+/// ```
+/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_dist::SiteId;
+/// let mut ctx = RunCtx::new(2, RunConfig::default());
+/// ctx.phase("ship", |p| {
+///     let mut t = p.transfer();
+///     t.send(SiteId(1), SiteId(0), 3, 12);
+///     t.commit();
+/// });
+/// let d = ctx.finish("DEMO");
+/// assert_eq!((d.shipped_tuples, d.shipped_bytes), (3, 48));
+/// assert!(d.site_clocks[1] > 0.0, "the receiver waited for the sender");
+/// ```
+///
+/// Charging the ledger any other way does not compile — the ledger is
+/// private, a [`Phase`] has no ledger-charging method but
+/// [`Phase::control`], and `ShipmentLedger::ship` is private to
+/// `dcd_dist`:
+///
+/// ```compile_fail
+/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_dist::SiteId;
+/// let mut ctx = RunCtx::new(2, RunConfig::default());
+/// ctx.phase("ship", |p| p.charge_codes(SiteId(1), SiteId(0), 3, 12));
+/// ```
+#[derive(Debug)]
+pub struct RunCtx {
+    cfg: RunConfig,
+    obs: RunObserver,
+    ledger: ShipmentLedger,
+    clocks: SiteClocks,
+    /// `Some` between [`Self::begin_round`] and [`Self::end_round`].
+    round: Mutex<Option<Round>>,
+    report: ViolationReport,
+    paper_cost: f64,
+}
+
+impl RunCtx {
+    /// A fresh context over `n_sites` sites: empty registry and trace,
+    /// a ledger mirrored into that registry, all clocks at zero.
+    pub fn new(n_sites: usize, cfg: RunConfig) -> Self {
+        let obs = RunObserver::new();
+        let ledger = ShipmentLedger::observed(n_sites, &obs.registry);
+        RunCtx {
+            cfg,
+            ledger,
+            obs,
+            clocks: SiteClocks::new(n_sites),
+            round: Mutex::new(None),
+            report: ViolationReport::default(),
+            paper_cost: 0.0,
+        }
+    }
+
+    /// The run's configuration.
+    pub fn cfg(&self) -> &RunConfig {
+        &self.cfg
+    }
+
+    /// The run's metrics registry (engines register their own counter
+    /// families here; the ledger mirror already lives in it).
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.obs.registry
+    }
+
+    /// The simulated response time so far: the maximum per-site clock.
+    pub fn response_time(&self) -> f64 {
+        self.clocks.response_time()
+    }
+
+    /// Runs one phase. `body` receives the [`Phase`] handle — the only
+    /// way to reach a clock-advancing operation — and when it returns,
+    /// one span named `name` is recorded per site whose clock moved.
+    /// Taking `&mut self` makes a phase inside a phase a borrow error,
+    /// so no interval is ever recorded twice.
+    pub fn phase<R>(&mut self, name: &str, body: impl FnOnce(&Phase<'_>) -> R) -> R {
+        let before = self.clocks.snapshot();
+        let out = body(&Phase { ctx: self });
+        self.obs.span_sites(name, &before, &self.clocks.snapshot());
+        out
+    }
+
+    /// Merges `vs` into the run's report under the CFD's name.
+    pub fn absorb(&mut self, cfd: &str, vs: ViolationSet) {
+        self.report.absorb(cfd, vs);
+    }
+
+    /// Opens a detection round: the §III-B formula is evaluated per
+    /// round, over what is computed and shipped between here and
+    /// [`Self::end_round`]. Work outside a round (hybrid's vertical
+    /// gather, a session's mining build) moves clocks and ledger but
+    /// enters no round's formula.
+    pub fn begin_round(&mut self) {
+        let n = self.clocks.n_sites();
+        *self.round.get_mut().expect("round poisoned") =
+            Some(Round { local_secs: vec![0.0; n], sent: vec![0; n] });
+    }
+
+    /// Closes the round: evaluates the literal §III-B two-phase formula
+    /// over it, adds that to the run's paper cost, and returns it.
+    pub fn end_round(&mut self) -> f64 {
+        let round = self.round.get_mut().expect("round poisoned").take();
+        let round = round.expect("end_round without begin_round");
+        // The formula reads the matrix by sender only, so the round keeps
+        // its column sums: one row stands for the whole matrix.
+        let cost = self.cfg.cost.paper_cost(&[round.sent], &round.local_secs);
+        self.paper_cost += cost;
+        cost
+    }
+
+    /// Finishes a batch run: the [`Detection`] over the report
+    /// accumulated through [`Self::absorb`].
+    pub fn finish(mut self, algorithm: &str) -> Detection {
+        let violations = std::mem::take(&mut self.report);
+        self.snapshot(algorithm, violations)
+    }
+
+    /// A [`Detection`] of the run so far over an externally maintained
+    /// report (incremental sessions keep theirs in violation indices).
+    /// Sets the run-summary gauges (`dcd_run_violating_tuples`,
+    /// `dcd_run_violating_patterns`, `dcd_run_response_seconds`) before
+    /// the registry is frozen — every engine finishes through here, so
+    /// the families are uniform across detectors.
+    pub fn snapshot(&self, algorithm: &str, violations: ViolationReport) -> Detection {
+        let tuples = violations.all_tids().len();
+        let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
+        let response_time = self.clocks.response_time();
+        let registry = &self.obs.registry;
+        registry
+            .gauge("dcd_run_violating_tuples", "Distinct violating tuples across all CFDs", &[])
+            .set(tuples as f64);
+        registry
+            .gauge("dcd_run_violating_patterns", "Total Vioπ patterns across all CFDs", &[])
+            .set(patterns as f64);
+        registry
+            .gauge("dcd_run_response_seconds", "Simulated response time of the run", &[])
+            .set(response_time);
+        Detection {
+            algorithm: algorithm.to_string(),
+            violations,
+            shipped_tuples: self.ledger.total_tuples(),
+            shipped_cells: self.ledger.total_cells(),
+            shipped_bytes: self.ledger.total_bytes(),
+            control_messages: self.ledger.control_messages(),
+            control_bytes: self.ledger.control_bytes(),
+            response_time,
+            site_clocks: self.clocks.snapshot(),
+            paper_cost: self.paper_cost,
+            metrics: registry.snapshot(),
+            trace: self.obs.trace(),
+        }
+    }
+}
+
+/// The handle a [`RunCtx::phase`] body works through: every operation
+/// that moves a site clock lives here and nowhere else. `Sync`, so pool
+/// tasks charge their sites through a shared `&Phase` — under the usual
+/// contract that within one phase each site is charged by exactly one
+/// task (see [`SiteClocks`]), which keeps every clock and every
+/// `local_secs` sum bit-identical across pool widths.
+#[derive(Debug)]
+pub struct Phase<'a> {
+    ctx: &'a RunCtx,
+}
+
+impl Phase<'_> {
+    /// Advances one site's clock by `secs` that are *not* local compute
+    /// in the §III-B sense (control-packet send time, pre-round scans).
+    pub fn advance(&self, site: SiteId, secs: f64) {
+        self.ctx.clocks.advance(site, secs);
+    }
+
+    /// Charges `secs` of local compute to one site: its clock advances
+    /// and the open round's `local_secs` grows by the same amount.
+    pub fn compute(&self, site: SiteId, secs: f64) {
+        self.ctx.clocks.advance(site, secs);
+        if let Some(round) = self.ctx.round.lock().expect("round poisoned").as_mut() {
+            round.local_secs[site.index()] += secs;
+        }
+    }
+
+    /// A barrier among `sites` only: each waits for the latest of them.
+    /// Sites outside the set keep their own clocks.
+    pub fn barrier(&self, sites: &[SiteId]) {
+        let clocks = &self.ctx.clocks;
+        let latest = sites.iter().map(|&s| clocks.now(s)).fold(0.0, f64::max);
+        for &s in sites {
+            clocks.wait_until(s, latest);
+        }
+    }
+
+    /// Runs `work` against the host clock and returns its result with
+    /// the wall seconds it took. Only [`ComputeModel::Measured`] ever
+    /// reads the measurement ([`Self::model`]); morselized phases sum it
+    /// per site before the site's single [`Self::compute`].
+    pub fn stopwatch<R>(&self, work: impl FnOnce() -> R) -> (R, f64) {
+        // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
+        // elapsed time by design; `Analytic` (the deterministic default)
+        // ignores the value. This is the engine's one host-clock read.
+        let start = Instant::now();
+        let r = work();
+        (r, start.elapsed().as_secs_f64())
+    }
+
+    /// The seconds a unit of work costs under the run's compute model:
+    /// the analytic estimate, or the measured wall time scaled.
+    pub fn model(&self, analytic: f64, measured: f64) -> f64 {
+        match self.ctx.cfg.compute {
+            ComputeModel::Analytic => analytic,
+            ComputeModel::Measured { scale } => measured * scale,
+        }
+    }
+
+    /// Runs `work` and returns its result with the seconds it should
+    /// cost, *without* touching any clock. For work several pool tasks
+    /// produce for the same site (a coordinator's per-CFD index
+    /// updates): the caller then [`Self::compute`]s sequentially, in a
+    /// fixed order, keeping the f64 sums bit-identical across widths.
+    pub fn timed<R>(
+        &self,
+        work: impl FnOnce() -> R,
+        analytic_of: impl FnOnce(&R) -> f64,
+    ) -> (R, f64) {
+        let (r, measured) = self.stopwatch(work);
+        let secs = self.model(analytic_of(&r), measured);
+        (r, secs)
+    }
+
+    /// Runs `work` at `site` and charges it as local compute: either
+    /// the analytic estimate (computed from the result) or the measured
+    /// wall time. Callable from pool tasks.
+    pub fn charge<R>(
+        &self,
+        site: SiteId,
+        work: impl FnOnce() -> R,
+        analytic_of: impl FnOnce(&R) -> f64,
+    ) -> R {
+        let (r, secs) = self.timed(work, analytic_of);
+        self.compute(site, secs);
+        r
+    }
+
+    /// Sends one control message of `bytes` bytes from `from` to each
+    /// site of `to`, and charges the sender
+    /// [`control_time`](dcd_dist::CostModel::control_time) for them —
+    /// control traffic shows up in the ledger and in response time
+    /// together.
+    pub fn control(&self, from: SiteId, to: impl IntoIterator<Item = SiteId>, bytes: usize) {
+        let mut msgs = 0;
+        for to in to {
+            self.ctx.ledger.control(to, from, bytes);
+            msgs += 1;
+        }
+        self.advance(from, self.ctx.cfg.cost.control_time(msgs));
+    }
+
+    /// Opens a bulk transfer round; see [`Transfer`].
+    pub fn transfer(&self) -> Transfer<'_> {
+        let n = self.ctx.clocks.n_sites();
+        Transfer { ctx: self.ctx, matrix: vec![vec![0; n]; n] }
+    }
+}
+
+/// A bulk code-shipped transfer round, built inside a phase:
+/// [`Self::send`] charges the ledger and records the rows in the
+/// transfer matrix together; [`Self::commit`] then makes each sender
+/// serialize its outgoing rows and each receiver wait for its senders
+/// ([`SiteClocks::transfer`]) over exactly that matrix, and adds it to
+/// the open round's §III-B shipment term.
+#[derive(Debug)]
+#[must_use = "a transfer the clocks never pay for: call `commit`"]
+pub struct Transfer<'a> {
+    ctx: &'a RunCtx,
+    matrix: Vec<Vec<usize>>,
+}
+
+impl Transfer<'_> {
+    /// Ships `rows` `(tid, codes)` rows totalling `cells` `u32` cells
+    /// from `from` to `to`, byte-accurate at 4 bytes per cell.
+    pub fn send(&mut self, to: SiteId, from: SiteId, rows: usize, cells: usize) {
+        self.ctx.ledger.charge_codes(to, from, rows, cells);
+        self.matrix[to.index()][from.index()] += rows;
+    }
+
+    /// Executes the transfer on the clocks. A whole-vector step: call
+    /// it from the coordinating thread, never from a pool task.
+    pub fn commit(self) {
+        self.ctx.clocks.transfer(&self.matrix, &self.ctx.cfg.cost);
+        if let Some(round) = self.ctx.round.lock().expect("round poisoned").as_mut() {
+            for row in &self.matrix {
+                for (sent, &rows) in round.sent.iter_mut().zip(row) {
+                    *sent += rows;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcd_dist::CostModel;
+
+    fn unit_cfg() -> RunConfig {
+        RunConfig {
+            cost: CostModel {
+                transfer_rate: 1.0,
+                packet_tuples: 1.0,
+                scan_coeff: 0.0,
+                check_coeff: 0.0,
+                match_coeff: 0.0,
+            },
+            compute: ComputeModel::Analytic,
+            threads: 1,
+        }
+    }
+
+    #[test]
+    fn finish_freezes_gauges_and_ledger_totals() {
+        let mut ctx = RunCtx::new(2, RunConfig::default());
+        ctx.phase("work", |p| {
+            p.compute(SiteId(0), 0.25);
+            p.control(SiteId(1), [SiteId(0)], 16);
+            let mut t = p.transfer();
+            t.send(SiteId(0), SiteId(1), 3, 9);
+            t.commit();
+        });
+        let d = ctx.finish("test");
+        assert_eq!(d.shipped_tuples, 3);
+        assert_eq!(d.shipped_bytes, 36);
+        assert_eq!(d.control_messages, 1);
+        assert_eq!(d.control_bytes, 16);
+        let v = d.metrics.value("dcd_run_response_seconds", "").expect("gauge present");
+        assert_eq!(*v, dcd_obs::SampleValue::GaugeBits(d.response_time.to_bits()));
+    }
+
+    #[test]
+    fn a_round_costs_its_own_compute_and_shipment_only() {
+        let mut ctx = RunCtx::new(2, unit_cfg());
+        // Pre-round work moves the clocks but enters no formula.
+        ctx.phase("gather", |p| p.compute(SiteId(0), 5.0));
+        ctx.begin_round();
+        ctx.phase("scan", |p| {
+            p.compute(SiteId(0), 1.0);
+            p.advance(SiteId(1), 7.0); // not local compute
+        });
+        ctx.phase("ship", |p| {
+            let mut t = p.transfer();
+            t.send(SiteId(0), SiteId(1), 2, 8);
+            t.commit();
+        });
+        assert_eq!(ctx.end_round(), 2.0 + 1.0, "max ship (2 rows at 1/s) + max local");
+        ctx.begin_round();
+        assert_eq!(ctx.end_round(), 0.0, "a new round starts from zero");
+        let d = ctx.finish("test");
+        assert_eq!(d.paper_cost, 3.0);
+        assert_eq!(d.site_clocks, [9.0, 9.0]);
+    }
+
+    #[test]
+    fn spans_cover_exactly_the_sites_a_phase_moved() {
+        let mut ctx = RunCtx::new(3, unit_cfg());
+        ctx.phase("a", |p| p.advance(SiteId(1), 2.0));
+        ctx.phase("idle", |_| ());
+        ctx.phase("b", |p| p.barrier(&[SiteId(0), SiteId(1)]));
+        let spans = ctx.finish("test").trace.spans;
+        let got: Vec<_> = spans.iter().map(|s| (s.name.as_str(), s.site, s.start, s.end)).collect();
+        assert_eq!(got, [("a", 1, 0.0, 2.0), ("b", 0, 0.0, 2.0)]);
+    }
+}

@@ -140,8 +140,7 @@ pub fn min_shipment_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{Detector, PatDetectS};
-    use crate::runner::run_batch;
+    use crate::runner::{run_batch, CoordinatorStrategy};
     use dcd_cfd::parse_cfd;
     use dcd_relation::{vals, Relation, Schema, ValueType};
     use std::sync::Arc;
@@ -229,7 +228,7 @@ mod tests {
         let heur = run_batch(
             &partition,
             std::slice::from_ref(&simple),
-            PatDetectS.strategy(),
+            CoordinatorStrategy::MinShipment,
             &crate::RunConfig::default(),
         );
         assert!(heur.shipped_tuples >= opt, "heuristic {} < optimum {opt}", heur.shipped_tuples);

@@ -23,16 +23,18 @@
 //! payload crosses the simulated wire in either phase.
 
 use crate::config::RunConfig;
+use crate::ctx::{Phase, RunCtx};
 use crate::report::Detection;
 use crate::runner::{run_single_cfd, CoordinatorStrategy};
-use dcd_cfd::{Cfd, SimpleCfd, ViolationReport};
+use dcd_cfd::{Cfd, SimpleCfd};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{
-    Fragment, HorizontalPartition, HybridPartition, ShipmentLedger, SiteClocks, TID_CELLS,
-};
-use dcd_obs::RunObserver;
+use dcd_dist::{Fragment, HorizontalPartition, HybridPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, Dictionary, Relation, RelationError, Value};
 use std::sync::Arc;
+
+/// One cell's gather: the chosen sub-site index, the gathered
+/// projection, and the `(from, rows, cells)` column shipments to it.
+type GatheredCell = (usize, Relation, Vec<(SiteId, usize, usize)>);
 
 /// Runs `HYBRIDDETECT` over a hybrid partition — the engine behind the
 /// `DetectRequest` façade of the `distributed-cfd` root crate.
@@ -43,11 +45,7 @@ pub fn run_hybrid(
     cfg: &RunConfig,
 ) -> Result<Detection, RelationError> {
     let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
+    let mut ctx = RunCtx::new(n, *cfg);
 
     // The full-width dictionary set, one per original attribute: every
     // cell's vertical fragments share the parent relation's
@@ -85,65 +83,67 @@ pub fn run_hybrid(
          (build the partition through dcd-dist)"
     );
 
-    let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
-    for cfd in &simples {
+    for cfd in sigma.iter().flat_map(Cfd::simplify) {
         // ---- Phase 1: vertical gather inside each cell, cells in
         // parallel (each cell touches only its own sites' clocks —
         // `site_of` is injective across cells — so the merge in cell
-        // order is deterministic). ----
+        // order is deterministic); then one transfer round carries
+        // every cell's column shipments, each coordinator waiting for
+        // its own senders. The gather precedes the detection round, so
+        // it enters response time but not the round's §III-B cost. ----
         let mut fragments: Vec<Fragment> = (0..n)
-            .map(|_| Fragment {
-                site: dcd_dist::SiteId(0),
+            .map(|i| Fragment {
+                site: SiteId(i as u32),
                 predicate: None,
                 data: Relation::with_dictionaries(schema.clone(), full_dicts.clone(), 0)
                     .expect("one dictionary per attribute"),
             })
             .collect();
-        let before = clocks.snapshot();
-        let gathered = scoped_map(cfg.threads, partition.cells().len(), |ci| {
-            gather_cell(partition, ci, cfd, cfg, &ledger, &clocks, &full_dicts, &null_codes)
-        });
-        obs.span_sites(&format!("gather:{}", cfd.name), &before, &clocks.snapshot());
-        for (ci, outcome) in gathered.into_iter().enumerate() {
-            let (coord_vfrag, projection) = outcome?;
+        let gathered = ctx.phase(&format!("gather:{}", cfd.name), |p| {
+            let cells = scoped_map(cfg.threads, partition.cells().len(), |ci| {
+                gather_cell(p, partition, ci, &cfd, cfg, &full_dicts, &null_codes)
+            });
+            let cells = cells.into_iter().collect::<Result<Vec<GatheredCell>, _>>()?;
+            let mut wire = p.transfer();
+            for (ci, (coord, _, shipments)) in cells.iter().enumerate() {
+                for &(from, rows, cells) in shipments {
+                    wire.send(partition.site_of(ci, *coord), from, rows, cells);
+                }
+            }
+            wire.commit();
+            Ok::<_, RelationError>(cells)
+        })?;
+        for (ci, (coord_vfrag, projection, _)) in gathered.into_iter().enumerate() {
             let site = partition.site_of(ci, coord_vfrag);
             let cell = &partition.cells()[ci];
             fragments[site.index()] =
                 Fragment { site, predicate: cell.predicate.clone(), data: projection };
         }
-        for (i, f) in fragments.iter_mut().enumerate() {
-            f.site = dcd_dist::SiteId(i as u32);
-        }
         let synthesized = HorizontalPartition::from_fragments(schema.clone(), fragments)?;
 
         // ---- Phase 2: standard horizontal detection across cells. ----
-        let out = run_single_cfd(&synthesized, cfd, strategy, cfg, &ledger, &clocks, &obs);
-        for (name, vs) in out.report.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.paper_cost;
+        run_single_cfd(&synthesized, &cfd, strategy, &mut ctx);
     }
 
-    Ok(Detection::collect("HYBRIDDETECT", report, paper_cost, &ledger, &clocks, &obs))
+    Ok(ctx.finish("HYBRIDDETECT"))
 }
 
 /// Gathers one cell's projection of the CFD's attributes at the cell's
-/// best-covering sub-site, entirely on the code-native wire. Returns
-/// the chosen sub-site index and the gathered rows as a *full-width*
-/// relation over the shared dictionaries (attributes outside the
-/// projection carry the null code), so phase 2 can treat it as a
-/// horizontal fragment.
-#[allow(clippy::too_many_arguments)] // internal per-cell task of run_hybrid
+/// best-covering sub-site, entirely on the code-native wire. Charges
+/// each contributing sub-site its column scan and returns the chosen
+/// sub-site index, the gathered rows as a *full-width* relation over
+/// the shared dictionaries (attributes outside the projection carry the
+/// null code) so phase 2 can treat it as a horizontal fragment, and the
+/// column shipments the caller's transfer round carries.
 fn gather_cell(
+    p: &Phase<'_>,
     partition: &HybridPartition,
     cell_idx: usize,
     cfd: &SimpleCfd,
     cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
     full_dicts: &[Arc<Dictionary>],
     null_codes: &[u32],
-) -> Result<(usize, Relation), RelationError> {
+) -> Result<GatheredCell, RelationError> {
     let cell = &partition.cells()[cell_idx];
     let vertical = &cell.vertical;
     let schema = partition.schema();
@@ -166,7 +166,6 @@ fn gather_cell(
             (needed.iter().filter(|a| f.attrs.contains(a)).count(), vertical.n_sites() - i)
         })
         .expect("cells have at least one vertical fragment");
-    let coord_site = partition.site_of(cell_idx, coord);
 
     // Attribute placement: which vertical fragment supplies each needed
     // attribute — the coordinator's own columns first, then the other
@@ -178,6 +177,7 @@ fn gather_cell(
             owner_of[a.index()] = Some((coord, local));
         }
     }
+    let mut shipments = Vec::new();
     for (vi, frag) in vertical.fragments().iter().enumerate() {
         if vi == coord {
             continue;
@@ -195,12 +195,10 @@ fn gather_cell(
             owner_of[a.index()] = Some((vi, frag.local_attr(a).expect("attr in fragment")));
         }
         // The fragment scans its rows once and ships the useful columns
-        // as `(tid, codes)` rows; the coordinator waits for the sender.
+        // as `(tid, codes)` rows.
         let from = partition.site_of(cell_idx, vi);
-        clocks.advance(from, cfg.cost.scan_time(frag.data.len()));
-        ledger.charge_codes(coord_site, from, n_rows, n_rows * (useful.len() + TID_CELLS));
-        clocks.advance(from, cfg.cost.send_time(n_rows));
-        clocks.wait_until(coord_site, clocks.now(from));
+        p.advance(from, cfg.cost.scan_time(frag.data.len()));
+        shipments.push((from, n_rows, n_rows * (useful.len() + TID_CELLS)));
     }
 
     // Assemble the full-width code rows by row alignment (vertical
@@ -222,7 +220,7 @@ fn gather_cell(
         }
         out.push_code_row(tid, &row)?;
     }
-    Ok((coord, out))
+    Ok((coord, out, shipments))
 }
 
 #[cfg(test)]

@@ -489,8 +489,7 @@ mod tests {
     /// refined tableau (Fig. 3(e)'s effect).
     #[test]
     fn mining_reduces_shipment_for_fds() {
-        use crate::detector::{Detector, PatDetectS};
-        use crate::runner::run_batch;
+        use crate::runner::{run_batch, CoordinatorStrategy};
         let rel = skewed(400);
         let partition = HorizontalPartition::round_robin(&rel, 4).unwrap();
         let fd = parse_cfd(rel.schema(), "fd", "([cc, zip] -> [street])").unwrap();
@@ -498,7 +497,7 @@ mod tests {
         let plain = run_batch(
             &partition,
             std::slice::from_ref(&simple),
-            PatDetectS.strategy(),
+            CoordinatorStrategy::MinShipment,
             &crate::RunConfig::default(),
         );
         let out = mine_patterns(
@@ -510,7 +509,7 @@ mod tests {
         let refined = run_batch(
             &partition,
             std::slice::from_ref(&out.cfd),
-            PatDetectS.strategy(),
+            CoordinatorStrategy::MinShipment,
             &crate::RunConfig::default(),
         );
         assert_eq!(

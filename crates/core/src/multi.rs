@@ -16,130 +16,58 @@
 //! lifted to clusters.
 
 use crate::config::RunConfig;
+use crate::ctx::RunCtx;
 use crate::local::applicable_patterns;
 use crate::report::Detection;
 use crate::runner::{
-    assign_coordinators, charge, constants_phase, exchange_statistics, run_single_cfd,
-    shared_layout, sigma_phase, CoordinatorStrategy,
+    assign_coordinators, constants_phase, exchange_statistics, run_single_cfd, shared_layout,
+    sigma_phase, CoordinatorStrategy,
 };
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::{CodeRow, ResolvedCfd};
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{Cfd, NormalPattern, PatternValue, SimpleCfd, ViolationReport};
+use dcd_cfd::{Cfd, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{HorizontalPartition, ShipmentLedger, SiteClocks, SiteId, TID_CELLS};
-use dcd_obs::RunObserver;
+use dcd_dist::{HorizontalPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, FxHashSet};
 
-/// A detection algorithm for a *set* Σ of CFDs.
-///
-/// The trait carries *identity only* (the paper name); execution goes
-/// through the `DetectRequest` façade of the `distributed-cfd` root
-/// crate, which dispatches to the engines [`run_seq`] and [`run_clust`].
-/// The pre-façade `run` shim has been retired.
-pub trait MultiDetector {
-    /// The paper's name for the algorithm.
-    fn name(&self) -> &'static str;
-}
-
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
-/// time over one shared ledger and clock set — the engine behind
-/// [`SeqDetect`] and the `DetectRequest` façade.
+/// time over one shared [`RunCtx`], each round run with the `inner`
+/// single-CFD strategy (the paper runs either `PATDETECTS` or
+/// `PATDETECTRT`).
 pub fn run_seq(
     partition: &HorizontalPartition,
     sigma: &[Cfd],
     inner: CoordinatorStrategy,
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
-    for cfd in sigma {
-        for simple in cfd.simplify() {
-            let out = run_single_cfd(partition, &simple, inner, cfg, &ledger, &clocks, &obs);
-            for (name, vs) in out.report.per_cfd {
-                report.absorb(&name, vs);
-            }
-            paper_cost += out.paper_cost;
-        }
+    let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
+    for simple in sigma.iter().flat_map(Cfd::simplify) {
+        run_single_cfd(partition, &simple, inner, &mut ctx);
     }
-    Detection::collect("SEQDETECT", report, paper_cost, &ledger, &clocks, &obs)
+    ctx.finish("SEQDETECT")
 }
 
 /// Runs `CLUSTDETECT`: clusters CFDs by LHS containment and ships each
-/// tuple at most once per cluster — the engine behind [`ClustDetect`]
-/// and the `DetectRequest` façade.
+/// tuple at most once per cluster, with `inner` as the coordinator
+/// strategy for the projected-pattern assignment.
 pub fn run_clust(
     partition: &HorizontalPartition,
     sigma: &[Cfd],
     inner: CoordinatorStrategy,
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
-
+    let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
     let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
-    let clusters = cluster_by_lhs(&simples);
-    for cluster in clusters {
+    for cluster in cluster_by_lhs(&simples) {
         let members: Vec<&SimpleCfd> = cluster.iter().map(|&i| &simples[i]).collect();
-        let out = if members.len() == 1 {
-            run_single_cfd(partition, members[0], inner, cfg, &ledger, &clocks, &obs)
+        if members.len() == 1 {
+            run_single_cfd(partition, members[0], inner, &mut ctx);
         } else {
-            run_cluster(partition, &members, inner, cfg, &ledger, &clocks, &obs)
-        };
-        for (name, vs) in out.report.per_cfd {
-            report.absorb(&name, vs);
+            run_cluster(partition, &members, inner, &mut ctx);
         }
-        paper_cost += out.paper_cost;
     }
-    Detection::collect("CLUSTDETECT", report, paper_cost, &ledger, &clocks, &obs)
-}
-
-/// `SEQDETECT`: pipelined sequential processing, one CFD at a time.
-#[derive(Debug, Clone, Copy)]
-pub struct SeqDetect {
-    /// The single-CFD strategy used per round (the paper runs either
-    /// `PATDETECTS` or `PATDETECTRT`).
-    pub inner: CoordinatorStrategy,
-}
-
-impl Default for SeqDetect {
-    fn default() -> Self {
-        SeqDetect { inner: CoordinatorStrategy::MinResponseTime }
-    }
-}
-
-impl MultiDetector for SeqDetect {
-    fn name(&self) -> &'static str {
-        "SEQDETECT"
-    }
-}
-
-/// `CLUSTDETECT`: clusters CFDs by LHS containment and ships each tuple
-/// at most once per cluster.
-#[derive(Debug, Clone, Copy)]
-pub struct ClustDetect {
-    /// Coordinator strategy for the projected-pattern assignment.
-    pub inner: CoordinatorStrategy,
-}
-
-impl Default for ClustDetect {
-    fn default() -> Self {
-        ClustDetect { inner: CoordinatorStrategy::MinResponseTime }
-    }
-}
-
-impl MultiDetector for ClustDetect {
-    fn name(&self) -> &'static str {
-        "CLUSTDETECT"
-    }
+    ctx.finish("CLUSTDETECT")
 }
 
 /// Greedy clustering on the LHS containment condition: a CFD joins the
@@ -177,17 +105,14 @@ fn run_cluster(
     partition: &HorizontalPartition,
     members: &[&SimpleCfd],
     strategy: CoordinatorStrategy,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    obs: &RunObserver,
-) -> crate::runner::RoundOutput {
+    ctx: &mut RunCtx,
+) {
+    let cfg = *ctx.cfg();
     let n = partition.n_sites();
-    let mut report = ViolationReport::default();
+    ctx.begin_round();
     for m in members {
-        report.absorb(&m.name, ViolationSet::default());
+        ctx.absorb(&m.name, ViolationSet::default());
     }
-    let mut local_secs = vec![0.0_f64; n];
 
     // Constants per member: local checks (Proposition 5), as always.
     // The member loop stays sequential (a site recurs across members,
@@ -197,21 +122,13 @@ fn run_cluster(
     for m in members {
         let (var, constants) = m.split_constant();
         if !constants.is_empty() {
-            let before = clocks.snapshot();
-            let checked = constants_phase(partition.fragments(), &constants, cfg, clocks);
-            obs.span_sites(&format!("constants:{}", m.name), &before, &clocks.snapshot());
-            for (i, (vs, secs)) in checked.into_iter().enumerate() {
-                local_secs[i] += secs;
-                report.absorb(&m.name, vs);
-            }
+            constants_phase(ctx, &m.name, partition.fragments(), &constants);
         }
-        if let Some(v) = var {
-            variable_members.push(v);
-        }
+        variable_members.extend(var);
     }
     if variable_members.is_empty() {
-        let paper_cost = cfg.cost.paper_cost(&vec![vec![0; n]; n], &local_secs);
-        return crate::runner::RoundOutput { report, paper_cost };
+        ctx.end_round();
+        return;
     }
 
     // Common attributes Z = ∩ LHS; by the containment invariant this is
@@ -228,15 +145,10 @@ fn run_cluster(
     };
     if z.is_empty() {
         // Degenerate cluster; fall back to sequential rounds.
-        let mut paper_cost = 0.0;
         for m in &variable_members {
-            let out = run_single_cfd(partition, m, strategy, cfg, ledger, clocks, obs);
-            for (name, vs) in out.report.per_cfd {
-                report.absorb(&name, vs);
-            }
-            paper_cost += out.paper_cost;
+            run_single_cfd(partition, m, strategy, ctx);
         }
-        return crate::runner::RoundOutput { report, paper_cost };
+        return;
     }
 
     // Projected tableau over Z (deduplicated), as a pseudo-CFD for σ.
@@ -260,26 +172,16 @@ fn run_cluster(
         tableau: projected,
     };
     let sorted = sort_for_sigma(&zcfd);
-    let k = sorted.cfd.tableau.len();
 
     // σ-partition per site (one scan for the whole cluster), one morsel
     // per (site, chunk); the partitioning condition doubles as the
     // Phase-2 participation rule, exactly as in `run_single_cfd`.
     let applicable: Vec<Vec<usize>> =
         partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-    let mut parts: Vec<SigmaPartition> = Vec::with_capacity(n);
-    let before = clocks.snapshot();
-    let scanned = sigma_phase(partition.fragments(), &sorted, &applicable, cfg, clocks);
-    obs.span_sites("sigma:cluster", &before, &clocks.snapshot());
-    for (i, (part, secs)) in scanned.into_iter().enumerate() {
-        local_secs[i] += secs;
-        parts.push(part);
-    }
+    let parts = sigma_phase(ctx, "cluster", partition.fragments(), &sorted, &applicable);
 
     // Statistics exchange, among participating sites only.
-    let before = clocks.snapshot();
-    exchange_statistics(&applicable, k, n, cfg, ledger, clocks);
-    obs.span_sites("exchange:cluster", &before, &clocks.snapshot());
+    exchange_statistics(ctx, "cluster", &applicable, sorted.cfd.tableau.len());
 
     // Coordinators per projected pattern.
     let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
@@ -288,7 +190,7 @@ fn run_cluster(
 
     // Shipment, on the code-native wire: the union of the members'
     // (X ∪ A) attributes, once per tuple for the whole cluster, shipped
-    // as `(tid, codes)` rows and charged at 4 bytes/cell.
+    // as `(tid, codes)` rows at 4 bytes/cell.
     let mut attrs: Vec<AttrId> = Vec::new();
     for m in &variable_members {
         for a in m.shipped_attrs() {
@@ -302,7 +204,7 @@ fn run_cluster(
     // Resolve every member against the union layout once; each
     // coordinator validates all members from the same compilation,
     // feeding the run's kernel counters.
-    let counters = dcd_cfd::KernelCounters::register(&obs.registry);
+    let counters = dcd_cfd::KernelCounters::register(ctx.registry());
     let resolved: Vec<ResolvedCfd> = variable_members
         .iter()
         .map(|m| {
@@ -311,64 +213,48 @@ fn run_cluster(
             r
         })
         .collect();
-    let mut matrix = vec![vec![0usize; n]; n];
     let mut gathered: Vec<Vec<CodeRow>> = vec![Vec::new(); n];
-    for (l, coord) in assignment.iter().enumerate() {
-        let Some(c) = *coord else { continue };
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            let block = &parts[i].blocks[l];
-            if block.is_empty() {
-                continue;
+    ctx.phase("ship:cluster", |p| {
+        let mut wire = p.transfer();
+        for (l, coord) in assignment.iter().enumerate() {
+            let Some(c) = *coord else { continue };
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                let block = &parts[i].blocks[l];
+                if block.is_empty() {
+                    continue;
+                }
+                if i != c.index() {
+                    wire.send(c, frag.site, block.len(), block.len() * (attrs.len() + TID_CELLS));
+                }
+                gathered[c.index()].extend(frag.data.code_rows(&attrs, block));
             }
-            if i != c.index() {
-                let cells = block.len() * (attrs.len() + TID_CELLS);
-                ledger.charge_codes(c, frag.site, block.len(), cells);
-                matrix[c.index()][i] += block.len();
-            }
-            gathered[c.index()].extend(frag.data.code_rows(&attrs, block));
         }
-    }
-    let before = clocks.snapshot();
-    clocks.transfer(&matrix, &cfg.cost);
-    obs.span_sites("ship:cluster", &before, &clocks.snapshot());
+        wire.commit();
+    });
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to cell positions of the
     // cluster's union layout).
-    let before = clocks.snapshot();
-    let validated = scoped_map(cfg.threads, n, |c| {
-        let rows = &gathered[c];
-        if rows.is_empty() {
-            return None;
-        }
-        let site = SiteId(c as u32);
-        let analytic = cfg.cost.check_time(rows.len()) * variable_members.len() as f64;
-        Some(charge(
-            clocks,
-            site,
-            cfg,
-            || {
-                variable_members
-                    .iter()
-                    .zip(&resolved)
-                    .map(|(m, r)| (m.name.clone(), r.detect_among(rows)))
-                    .collect::<Vec<(String, ViolationSet)>>()
-            },
-            |_| analytic,
-        ))
-    });
-    obs.span_sites("validate:cluster", &before, &clocks.snapshot());
-    for (c, outcome) in validated.into_iter().enumerate() {
-        if let Some((results, secs)) = outcome {
-            local_secs[c] += secs;
-            for (name, vs) in results {
-                report.absorb(&name, vs);
+    let validated = ctx.phase("validate:cluster", |p| {
+        scoped_map(cfg.threads, n, |c| {
+            let rows = &gathered[c];
+            if rows.is_empty() {
+                return Vec::new();
             }
+            let analytic = cfg.cost.check_time(rows.len()) * variable_members.len() as f64;
+            p.charge(
+                SiteId(c as u32),
+                || resolved.iter().map(|r| r.detect_among(rows)).collect::<Vec<ViolationSet>>(),
+                |_| analytic,
+            )
+        })
+    });
+    for results in validated {
+        for (m, vs) in variable_members.iter().zip(results) {
+            ctx.absorb(&m.name, vs);
         }
     }
-
-    let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
-    crate::runner::RoundOutput { report, paper_cost }
+    ctx.end_round();
 }
 
 #[cfg(test)]

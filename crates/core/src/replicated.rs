@@ -14,16 +14,14 @@
 //! exactly (tested); with factor `n` it ships nothing.
 
 use crate::config::RunConfig;
+use crate::ctx::RunCtx;
 use crate::local::applicable_patterns;
 use crate::report::Detection;
-use crate::runner::{charge, constants_phase, exchange_statistics, shared_layout, sigma_phase};
+use crate::runner::{constants_phase, exchange_statistics, ship_and_validate, sigma_phase};
 use crate::sigma::{sort_for_sigma, SigmaPartition};
-use dcd_cfd::codes::CodeRow;
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{Cfd, SimpleCfd, ViolationReport};
-use dcd_dist::pool::scoped_map;
-use dcd_dist::{ReplicatedPartition, ShipmentLedger, SiteClocks, SiteId, TID_CELLS};
-use dcd_obs::RunObserver;
+use dcd_cfd::{Cfd, SimpleCfd};
+use dcd_dist::{ReplicatedPartition, SiteId};
 
 /// Runs `REPDETECT` over a replicated partition — the engine behind
 /// the `DetectRequest` façade of the `distributed-cfd` root crate.
@@ -32,160 +30,67 @@ pub fn run_replicated(
     sigma: &[Cfd],
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
-
-    let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
-    for cfd in &simples {
-        let out = run_one(partition, cfd, cfg, &ledger, &clocks, &obs);
-        for (name, vs) in out.0.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.1;
+    let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
+    for cfd in sigma.iter().flat_map(Cfd::simplify) {
+        run_one(partition, &cfd, &mut ctx);
     }
-
-    Detection::collect("REPDETECT", report, paper_cost, &ledger, &clocks, &obs)
+    ctx.finish("REPDETECT")
 }
 
-fn run_one(
-    partition: &ReplicatedPartition,
-    cfd: &SimpleCfd,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    obs: &RunObserver,
-) -> (ViolationReport, f64) {
+fn run_one(partition: &ReplicatedPartition, cfd: &SimpleCfd, ctx: &mut RunCtx) {
     let base = partition.base();
     let n = base.n_sites();
-    let mut report = ViolationReport::default();
-    report.absorb(&cfd.name, ViolationSet::default());
-    let mut local_secs = vec![0.0_f64; n];
+    ctx.begin_round();
+    ctx.absorb(&cfd.name, ViolationSet::default());
 
     // Constants: local at primaries (replicas would find the same),
     // one morsel per (site, chunk).
     let (variable, constants) = cfd.split_constant();
     if !constants.is_empty() {
-        let before = clocks.snapshot();
-        let checked = constants_phase(base.fragments(), &constants, cfg, clocks);
-        obs.span_sites(&format!("constants:{}", cfd.name), &before, &clocks.snapshot());
-        for (i, (vs, secs)) in checked.into_iter().enumerate() {
-            local_secs[i] += secs;
-            report.absorb(&cfd.name, vs);
-        }
+        constants_phase(ctx, &cfd.name, base.fragments(), &constants);
     }
-    let Some(variable) = variable else {
-        let paper = cfg.cost.paper_cost(&vec![vec![0; n]; n], &local_secs);
-        return (report, paper);
-    };
+    if let Some(variable) = variable {
+        // σ-partition primaries (statistics are placement-independent), one
+        // morsel per (site, chunk); applicability doubles as exchange
+        // participation.
+        let sorted = sort_for_sigma(&variable);
+        let k = sorted.cfd.tableau.len();
+        let applicable: Vec<Vec<usize>> =
+            base.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+        let parts = sigma_phase(ctx, &cfd.name, base.fragments(), &sorted, &applicable);
+        exchange_statistics(ctx, &cfd.name, &applicable, k);
 
-    // σ-partition primaries (statistics are placement-independent), one
-    // morsel per (site, chunk); applicability doubles as exchange
-    // participation.
-    let sorted = sort_for_sigma(&variable);
-    let k = sorted.cfd.tableau.len();
-    let applicable: Vec<Vec<usize>> =
-        base.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-    let mut parts: Vec<SigmaPartition> = Vec::with_capacity(n);
-    let before = clocks.snapshot();
-    let scanned = sigma_phase(base.fragments(), &sorted, &applicable, cfg, clocks);
-    obs.span_sites(&format!("sigma:{}", cfd.name), &before, &clocks.snapshot());
-    for (i, (part, secs)) in scanned.into_iter().enumerate() {
-        local_secs[i] += secs;
-        parts.push(part);
-    }
-    let before = clocks.snapshot();
-    exchange_statistics(&applicable, k, n, cfg, ledger, clocks);
-    obs.span_sites(&format!("exchange:{}", cfd.name), &before, &clocks.snapshot());
-
-    // Replica-aware coordinator per pattern: maximize locally available
-    // tuples. Fragments the coordinator holds no replica of ship their
-    // blocks as `(tid, codes)` rows over the code-native wire.
-    let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-    let mut matrix = vec![vec![0usize; n]; n];
-    let mut gathered: Vec<Vec<(usize, Vec<CodeRow>)>> = vec![Vec::new(); n];
-    let attrs = sorted.cfd.shipped_attrs();
-    // Resolve the tableau once per round; every coordinator job reuses
-    // the compiled patterns and feeds the run's kernel counters.
-    let mut resolved = shared_layout(base.fragments(), &attrs).resolve(&sorted.cfd);
-    resolved.set_counters(dcd_cfd::KernelCounters::register(&obs.registry));
-    #[allow(clippy::needless_range_loop)] // l indexes a column of lstat
-    for l in 0..k {
-        let total: usize = (0..n).map(|f| lstat[f][l]).sum();
-        if total == 0 {
-            continue;
-        }
-        let coord = (0..n)
-            .max_by_key(|&s| {
-                let available: usize = (0..n)
-                    .filter(|&f| partition.holds(SiteId(s as u32), f))
-                    .map(|f| lstat[f][l])
-                    .sum();
-                (available, n - s)
-            })
-            .expect("n > 0");
-        let coord_site = SiteId(coord as u32);
-        let mut rows: Vec<CodeRow> = Vec::new();
-        for (f, frag) in base.fragments().iter().enumerate() {
-            let block = &parts[f].blocks[l];
-            if block.is_empty() {
-                continue;
-            }
-            if !partition.holds(coord_site, f) {
-                let cells = block.len() * (attrs.len() + TID_CELLS);
-                ledger.charge_codes(coord_site, frag.site, block.len(), cells);
-                matrix[coord][f] += block.len();
-            }
-            rows.extend(frag.data.code_rows(&attrs, block));
-        }
-        gathered[coord].push((l, rows));
-    }
-    let before = clocks.snapshot();
-    clocks.transfer(&matrix, &cfg.cost);
-    obs.span_sites(&format!("ship:{}", cfd.name), &before, &clocks.snapshot());
-
-    let before = clocks.snapshot();
-    let validated = scoped_map(cfg.threads, n, |c| {
-        let jobs = &gathered[c];
-        if jobs.is_empty() {
-            return None;
-        }
-        let site = SiteId(c as u32);
-        let analytic: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
-        Some(charge(
-            clocks,
-            site,
-            cfg,
-            || {
-                let mut vs = ViolationSet::default();
-                for (l, rs) in jobs {
-                    vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
+        // Replica-aware coordinator per pattern: maximize locally available
+        // tuples. Fragments the coordinator holds no replica of ship their
+        // blocks as `(tid, codes)` rows over the code-native wire.
+        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
+        let assignment: Vec<Option<SiteId>> = (0..k)
+            .map(|l| {
+                let total: usize = (0..n).map(|f| lstat[f][l]).sum();
+                if total == 0 {
+                    return None;
                 }
-                vs
-            },
-            |_| analytic,
-        ))
-    });
-    obs.span_sites(&format!("validate:{}", cfd.name), &before, &clocks.snapshot());
-    for (c, outcome) in validated.into_iter().enumerate() {
-        if let Some((vs, secs)) = outcome {
-            local_secs[c] += secs;
-            report.absorb(&cfd.name, vs);
-        }
+                let coord = (0..n).max_by_key(|&s| {
+                    let available: usize = (0..n)
+                        .filter(|&f| partition.holds(SiteId(s as u32), f))
+                        .map(|f| lstat[f][l])
+                        .sum();
+                    (available, n - s)
+                });
+                Some(SiteId(coord.expect("n > 0") as u32))
+            })
+            .collect();
+        ship_and_validate(ctx, base.fragments(), &sorted, &parts, &assignment, false, |c, f| {
+            partition.holds(c, f)
+        });
     }
-
-    let paper = cfg.cost.paper_cost(&matrix, &local_secs);
-    (report, paper)
+    ctx.end_round();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{Detector, PatDetectS};
-    use crate::runner::run_batch;
+    use crate::runner::{run_batch, CoordinatorStrategy};
     use dcd_cfd::parse_cfd;
     use dcd_dist::HorizontalPartition;
     use dcd_relation::{vals, Relation, Schema, ValueType};
@@ -223,7 +128,7 @@ mod tests {
         let replicated = ReplicatedPartition::chained(base.clone(), 1).unwrap();
         let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
         let cfg = RunConfig::default();
-        let plain = run_batch(&base, &cfd.simplify(), PatDetectS.strategy(), &cfg);
+        let plain = run_batch(&base, &cfd.simplify(), CoordinatorStrategy::MinShipment, &cfg);
         let rep = run_replicated(&replicated, std::slice::from_ref(&cfd), &cfg);
         assert_eq!(rep.violations.all_tids(), plain.violations.all_tids());
         assert_eq!(rep.shipped_tuples, plain.shipped_tuples);

@@ -1,13 +1,13 @@
 //! The output of a distributed detection run.
 
 use dcd_cfd::ViolationReport;
-use dcd_dist::{ShipmentLedger, SiteClocks};
-use dcd_obs::{MetricsSnapshot, RunObserver, RunTrace};
+use dcd_obs::{MetricsSnapshot, RunTrace};
 use serde::Serialize;
 use std::fmt;
 
 /// Everything a detection run produces: the violations plus the traffic
-/// and timing the paper's evaluation plots.
+/// and timing the paper's evaluation plots. Assembled by
+/// [`RunCtx::finish`](crate::RunCtx::finish) from the run's meters.
 #[derive(Debug, Clone)]
 pub struct Detection {
     /// Which algorithm produced this result.
@@ -43,48 +43,6 @@ pub struct Detection {
 }
 
 impl Detection {
-    /// Assembles a [`Detection`] from a finished run: ledger totals,
-    /// clock state, and the observer's registry and trace. Sets the
-    /// run-summary gauges (`dcd_run_violating_tuples`,
-    /// `dcd_run_violating_patterns`, `dcd_run_response_seconds`)
-    /// before the snapshot is frozen — every engine finishes through
-    /// here so the families are uniform across detectors.
-    pub fn collect(
-        algorithm: &str,
-        violations: ViolationReport,
-        paper_cost: f64,
-        ledger: &ShipmentLedger,
-        clocks: &SiteClocks,
-        obs: &RunObserver,
-    ) -> Detection {
-        let tuples = violations.all_tids().len();
-        let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
-        let response_time = clocks.response_time();
-        obs.registry
-            .gauge("dcd_run_violating_tuples", "Distinct violating tuples across all CFDs", &[])
-            .set(tuples as f64);
-        obs.registry
-            .gauge("dcd_run_violating_patterns", "Total Vioπ patterns across all CFDs", &[])
-            .set(patterns as f64);
-        obs.registry
-            .gauge("dcd_run_response_seconds", "Simulated response time of the run", &[])
-            .set(response_time);
-        Detection {
-            algorithm: algorithm.to_string(),
-            violations,
-            shipped_tuples: ledger.total_tuples(),
-            shipped_cells: ledger.total_cells(),
-            shipped_bytes: ledger.total_bytes(),
-            control_messages: ledger.control_messages(),
-            control_bytes: ledger.control_bytes(),
-            response_time,
-            site_clocks: clocks.snapshot(),
-            paper_cost,
-            metrics: obs.registry.snapshot(),
-            trace: obs.trace(),
-        }
-    }
-
     /// A compact, serializable summary — one row of a results table,
     /// and (via [`fmt::Display`]) a one-line human-readable report.
     pub fn summary(&self) -> DetectionSummary {
@@ -187,22 +145,5 @@ mod tests {
         assert_eq!(s.control_bytes, 64);
         let line = s.to_string();
         assert!(line.contains("4 control msgs (64 B)"), "{line}");
-    }
-
-    #[test]
-    fn collect_freezes_gauges_and_ledger_totals() {
-        use dcd_dist::SiteId;
-        let ledger = ShipmentLedger::new(2);
-        ledger.ship(SiteId(0), SiteId(1), 3, 9, 36);
-        ledger.control(SiteId(0), SiteId(1), 16);
-        let clocks = SiteClocks::new(2);
-        clocks.advance(SiteId(0), 0.25);
-        let obs = RunObserver::new();
-        let d = Detection::collect("test", ViolationReport::default(), 0.5, &ledger, &clocks, &obs);
-        assert_eq!(d.shipped_tuples, 3);
-        assert_eq!(d.control_messages, 1);
-        assert_eq!(d.control_bytes, 16);
-        let v = d.metrics.value("dcd_run_response_seconds", "").expect("gauge present");
-        assert_eq!(*v, dcd_obs::SampleValue::GaugeBits(0.25_f64.to_bits()));
     }
 }

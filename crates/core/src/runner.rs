@@ -8,7 +8,8 @@
 //! exchange, shipment execution, coordinator-side validation and cost
 //! accounting — is identical and lives here.
 
-use crate::config::{ComputeModel, RunConfig};
+use crate::config::RunConfig;
+use crate::ctx::RunCtx;
 use crate::local::{applicable_patterns, check_constants_range_with, compile_constants};
 use crate::report::Detection;
 use crate::sigma::{
@@ -16,14 +17,10 @@ use crate::sigma::{
 };
 use dcd_cfd::codes::{CodeLayout, CodeRow};
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{NormalCfd, SimpleCfd, ViolationReport};
+use dcd_cfd::{NormalCfd, SimpleCfd};
 use dcd_dist::pool::{morsel_map, scoped_map};
-use dcd_dist::{
-    CostModel, Fragment, HorizontalPartition, ShipmentLedger, SiteClocks, SiteId, TID_CELLS,
-};
-use dcd_obs::RunObserver;
+use dcd_dist::{CostModel, Fragment, HorizontalPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, Relation};
-use std::time::Instant;
 
 /// How coordinators are assigned to the pattern tuples of one CFD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,59 +64,6 @@ pub(crate) fn shared_layout(fragments: &[Fragment], attrs: &[AttrId]) -> CodeLay
     CodeLayout::of_relation(&fragments[0].data, attrs)
 }
 
-/// Result of one single-CFD detection round.
-#[derive(Debug)]
-pub struct RoundOutput {
-    /// Violations found this round (constant + variable parts merged
-    /// under the CFD's name).
-    pub report: ViolationReport,
-    /// The literal §III-B formula evaluated for this round alone.
-    pub paper_cost: f64,
-}
-
-/// Runs `work` at `site`, advancing its clock by either the analytic
-/// estimate (computed from the result) or the measured wall time.
-/// Returns the result and the seconds charged. Callable from pool
-/// threads — `SiteClocks` advances atomically; the per-site phases
-/// charge each site from exactly one task, so clock values stay
-/// bit-identical across pool sizes (in Measured mode the *structure*
-/// is identical, but oversubscribed cores inflate the measured secs).
-///
-/// Public so that other execution modes (the incremental delta
-/// protocol of `dcd-incr`) charge sites exactly like the batch
-/// detectors do.
-pub fn charge<R>(
-    clocks: &SiteClocks,
-    site: SiteId,
-    cfg: &RunConfig,
-    work: impl FnOnce() -> R,
-    analytic_of: impl FnOnce(&R) -> f64,
-) -> (R, f64) {
-    // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-    // elapsed time by design; `Analytic` (the deterministic default)
-    // never reads `start`.
-    let start = Instant::now();
-    let r = work();
-    let secs = match cfg.compute {
-        ComputeModel::Analytic => analytic_of(&r),
-        ComputeModel::Measured { scale } => start.elapsed().as_secs_f64() * scale,
-    };
-    clocks.advance(site, secs);
-    (r, secs)
-}
-
-/// Times one unit of work against the host clock. Measured-mode seconds
-/// are summed per site across its morsels before the site's single clock
-/// advance; `Analytic` mode never reads the measurement.
-pub(crate) fn run_timed<R>(work: impl FnOnce() -> R) -> (R, f64) {
-    // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-    // elapsed time by design; `Analytic` (the deterministic default)
-    // ignores the value.
-    let start = Instant::now();
-    let r = work();
-    (r, start.elapsed().as_secs_f64())
-}
-
 /// Global row range of chunk `c` of `rel` — the span one (site, chunk)
 /// morsel scans.
 fn chunk_span(rel: &Relation, c: usize) -> (usize, usize) {
@@ -129,48 +73,45 @@ fn chunk_span(rel: &Relation, c: usize) -> (usize, usize) {
 
 /// The morselized Proposition-5 phase shared by every engine: constant
 /// CFDs checked locally, one morsel per (site, chunk), partial violation
-/// sets merged per site in chunk order. Each site's clock is advanced
-/// exactly once — in `Analytic` mode by the same formula the
-/// site-granular phase used (so clocks are bit-identical across pool
-/// widths *and* chunk sizes), in `Measured` mode by the sum of its
-/// morsels' wall times. Returns per-site `(violations, secs_charged)`.
+/// sets merged per site in chunk order and absorbed under `cfd`. Each
+/// site's clock is advanced exactly once — in `Analytic` mode by the
+/// same formula the site-granular phase used (so clocks are
+/// bit-identical across pool widths *and* chunk sizes), in `Measured`
+/// mode by the sum of its morsels' wall times.
 pub(crate) fn constants_phase(
+    ctx: &mut RunCtx,
+    cfd: &str,
     fragments: &[Fragment],
     constants: &[NormalCfd],
-    cfg: &RunConfig,
-    clocks: &SiteClocks,
-) -> Vec<(ViolationSet, f64)> {
+) {
+    let cfg = *ctx.cfg();
     let counts: Vec<usize> = fragments.iter().map(|f| f.data.n_chunks()).collect();
     // Per-fragment resolution (partitioning condition + tableau
     // compilation) happens once, not once per morsel.
     let compiled: Vec<_> = fragments.iter().map(|f| compile_constants(f, constants)).collect();
-    let partials = morsel_map(cfg.threads, &counts, |i, c| {
-        let frag = &fragments[i];
-        let (start, end) = chunk_span(&frag.data, c);
-        run_timed(|| check_constants_range_with(frag, &compiled[i], start, end))
-    });
-    partials
-        .into_iter()
-        .enumerate()
-        .map(|(i, per_site)| {
+    let checked = ctx.phase(&format!("constants:{cfd}"), |p| {
+        let partials = morsel_map(cfg.threads, &counts, |i, c| {
             let frag = &fragments[i];
+            let (start, end) = chunk_span(&frag.data, c);
+            p.stopwatch(|| check_constants_range_with(frag, &compiled[i], start, end))
+        });
+        let per_site = partials.into_iter().zip(fragments).map(|(morsels, frag)| {
             let mut vs = ViolationSet::default();
             let mut measured = 0.0;
-            for (partial, secs) in per_site {
+            for (partial, secs) in morsels {
                 vs.merge(partial);
                 measured += secs;
             }
-            let secs = match cfg.compute {
-                ComputeModel::Analytic => {
-                    cfg.cost.scan_time(frag.data.len())
-                        + cfg.cost.match_coeff * frag.data.len() as f64 * constants.len() as f64
-                }
-                ComputeModel::Measured { scale } => measured * scale,
-            };
-            clocks.advance(frag.site, secs);
-            (vs, secs)
-        })
-        .collect()
+            let analytic = cfg.cost.scan_time(frag.data.len())
+                + cfg.cost.match_coeff * frag.data.len() as f64 * constants.len() as f64;
+            p.compute(frag.site, p.model(analytic, measured));
+            vs
+        });
+        per_site.collect::<Vec<_>>()
+    });
+    for vs in checked {
+        ctx.absorb(cfd, vs);
+    }
 }
 
 /// The morselized σ-partition phase shared by every engine: one morsel
@@ -180,14 +121,15 @@ pub(crate) fn constants_phase(
 /// LHS key), so clocks stay bit-identical across pool widths and chunk
 /// sizes. Sites the partitioning condition excludes (`applicable[i]`
 /// empty) contribute no morsels, get an empty partition, and are not
-/// charged. Returns per-site `(partition, secs_charged)`.
+/// charged. Returns the per-site partitions.
 pub(crate) fn sigma_phase(
+    ctx: &mut RunCtx,
+    cfd: &str,
     fragments: &[Fragment],
     sorted: &SortedCfd,
     applicable: &[Vec<usize>],
-    cfg: &RunConfig,
-    clocks: &SiteClocks,
-) -> Vec<(SigmaPartition, f64)> {
+) -> Vec<SigmaPartition> {
+    let cfg = *ctx.cfg();
     let k = sorted.cfd.tableau.len();
     let counts: Vec<usize> = fragments
         .iter()
@@ -212,41 +154,35 @@ pub(crate) fn sigma_phase(
             SigmaIndex::build(&compiled, app)
         })
         .collect();
-    let partials = morsel_map(cfg.threads, &counts, |i, c| {
-        let frag = &fragments[i];
-        let (start, end) = chunk_span(&frag.data, c);
-        run_timed(|| sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end))
-    });
-    partials
-        .into_iter()
-        .enumerate()
-        .map(|(i, per_site)| {
+    ctx.phase(&format!("sigma:{cfd}"), |p| {
+        let partials = morsel_map(cfg.threads, &counts, |i, c| {
+            let frag = &fragments[i];
+            let (start, end) = chunk_span(&frag.data, c);
+            p.stopwatch(|| sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end))
+        });
+        let per_site = partials.into_iter().enumerate().map(|(i, morsels)| {
+            let mut merged = SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
             if applicable[i].is_empty() {
                 // Partitioning condition: the site is irrelevant to every
                 // pattern — it does not even scan (and is not charged).
-                return (SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 }, 0.0);
+                return merged;
             }
             let frag = &fragments[i];
-            let mut merged = SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
             let mut measured = 0.0;
-            for (partial, secs) in per_site {
+            for (partial, secs) in morsels {
                 for (block, partial_block) in merged.blocks.iter_mut().zip(partial.blocks) {
                     block.extend(partial_block);
                 }
                 merged.comparisons += partial.comparisons;
                 measured += secs;
             }
-            let secs = match cfg.compute {
-                ComputeModel::Analytic => {
-                    cfg.cost.scan_time(frag.data.len())
-                        + cfg.cost.match_coeff * merged.comparisons as f64
-                }
-                ComputeModel::Measured { scale } => measured * scale,
-            };
-            clocks.advance(frag.site, secs);
-            (merged, secs)
-        })
-        .collect()
+            let analytic = cfg.cost.scan_time(frag.data.len())
+                + cfg.cost.match_coeff * merged.comparisons as f64;
+            p.compute(frag.site, p.model(analytic, measured));
+            merged
+        });
+        per_site.collect()
+    })
 }
 
 /// The §IV-B statistics exchange, with the participation rules shared
@@ -254,178 +190,101 @@ pub(crate) fn sigma_phase(
 /// refutes every pattern (`applicable[i]` empty) are excluded from the
 /// exchange, and with fewer than two participants the exchange — its
 /// `8·k`-byte messages, their send time, and the barrier — is skipped
-/// entirely. Each participant is charged [`CostModel::control_time`]
-/// for its outgoing control packets before the barrier, and the barrier
-/// spans *participants only*: an excluded site keeps its own clock and
-/// pipelines straight into the next round instead of idling through an
-/// exchange it takes no part in.
+/// entirely. Each participant pays for its outgoing control packets
+/// before the barrier, and the barrier spans *participants only*: an
+/// excluded site keeps its own clock and pipelines straight into the
+/// next round instead of idling through an exchange it takes no part
+/// in.
 pub(crate) fn exchange_statistics(
+    ctx: &mut RunCtx,
+    cfd: &str,
     applicable: &[Vec<usize>],
     k: usize,
-    n: usize,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
 ) {
-    let participants: Vec<usize> = (0..n).filter(|&i| !applicable[i].is_empty()).collect();
+    let participants: Vec<SiteId> = (0..applicable.len())
+        .filter(|&i| !applicable[i].is_empty())
+        .map(|i| SiteId(i as u32))
+        .collect();
     if participants.len() < 2 {
         return;
     }
-    for &i in &participants {
-        for &j in &participants {
-            if i != j {
-                ledger.control(SiteId(j as u32), SiteId(i as u32), 8 * k);
-            }
+    ctx.phase(&format!("exchange:{cfd}"), |p| {
+        for &i in &participants {
+            p.control(i, participants.iter().copied().filter(|&j| j != i), 8 * k);
         }
-        clocks.advance(SiteId(i as u32), cfg.cost.control_time(participants.len() - 1));
-    }
-    let latest = participants.iter().map(|&i| clocks.now(SiteId(i as u32))).fold(0.0, f64::max);
-    for &i in &participants {
-        clocks.wait_until(SiteId(i as u32), latest);
-    }
+        p.barrier(&participants);
+    });
 }
 
-/// Runs one single-CFD detection round over a horizontal partition,
-/// recording traffic in `ledger` and time in `clocks` (both may carry
-/// state from earlier rounds — that is how `SEQDETECT` pipelines). The
-/// per-fragment phases run on `cfg.threads` scoped OS threads; results
-/// are merged in site order, so every output is bit-identical to a
-/// sequential run.
-pub fn run_single_cfd(
-    partition: &HorizontalPartition,
-    cfd: &SimpleCfd,
-    strategy: CoordinatorStrategy,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    obs: &RunObserver,
-) -> RoundOutput {
-    let n = partition.n_sites();
-    let mut report = ViolationReport::default();
-    // Consumers always get an entry for this CFD, even when clean.
-    report.absorb(&cfd.name, dcd_cfd::violation::ViolationSet::default());
-    // Local compute charged per site this round (feeds the paper formula).
-    let mut local_secs = vec![0.0_f64; n];
-
-    // ---- Phase 0: constant CFDs, checked locally (Proposition 5),
-    // one morsel per (site, chunk). ----
-    let (variable, constants) = cfd.split_constant();
-    if !constants.is_empty() {
-        let before = clocks.snapshot();
-        let checked = constants_phase(partition.fragments(), &constants, cfg, clocks);
-        obs.span_sites(&format!("constants:{}", cfd.name), &before, &clocks.snapshot());
-        for (i, (vs, secs)) in checked.into_iter().enumerate() {
-            local_secs[i] += secs;
-            report.absorb(&cfd.name, vs);
-        }
-    }
-
-    let Some(variable) = variable else {
-        // Purely constant CFD: no shipment at all.
-        let paper_cost = cfg.cost.paper_cost(&vec![vec![0; n]; n], &local_secs);
-        return RoundOutput { report, paper_cost };
-    };
-
-    // ---- Phase 1: σ-partition + statistics, one morsel per (site,
-    // chunk), merged in chunk order per site. ----
-    let sorted = sort_for_sigma(&variable);
-    let k = sorted.cfd.tableau.len();
-    // The partitioning condition, per site, up front: it decides both
-    // who scans here and who participates in the Phase-2 exchange.
-    let applicable: Vec<Vec<usize>> =
-        partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-    let mut parts: Vec<SigmaPartition> = Vec::with_capacity(n);
-    let before = clocks.snapshot();
-    let scanned = sigma_phase(partition.fragments(), &sorted, &applicable, cfg, clocks);
-    obs.span_sites(&format!("sigma:{}", cfd.name), &before, &clocks.snapshot());
-    for (i, (part, secs)) in scanned.into_iter().enumerate() {
-        local_secs[i] += secs;
-        parts.push(part);
-    }
-
-    // ---- Phase 2: statistics exchange (control traffic + barrier),
-    // among participating sites only. Sites the partitioning condition
-    // excluded never scanned and owe nobody their (empty) counts; when
-    // fewer than two sites hold an applicable pattern there is nothing
-    // to exchange and the whole phase — messages and barrier — is
-    // skipped, preserving `SEQDETECT`'s pipelining across such rounds.
-    let before = clocks.snapshot();
-    exchange_statistics(&applicable, k, n, cfg, ledger, clocks);
-    obs.span_sites(&format!("exchange:{}", cfd.name), &before, &clocks.snapshot());
-
-    // ---- Phase 3: coordinator assignment. ----
-    let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-    let frag_sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
-    let assignment = assign_coordinators(strategy, &lstat, &frag_sizes, &cfg.cost);
-
-    // ---- Phase 4: shipment, on the code-native wire. Sites ship
-    // `(tid, codes)` rows over the CFD's shipped attributes —
-    // dictionaries are shared across fragments, so codes are
-    // site-portable — charged byte-accurately at 4 bytes/cell via
-    // `charge_codes` (attribute cells plus `TID_CELLS` id cells per
-    // row). No tuple payload crosses the simulated wire. ----
+/// Ships every pattern's σ-blocks to its coordinator on the code-native
+/// wire and validates them there — the second half of a single-CFD
+/// round, shared by the plain and the replica-aware engines. Sites ship
+/// `(tid, codes)` rows over the CFD's shipped attributes — dictionaries
+/// are shared across fragments, so codes are site-portable — at
+/// attribute cells plus `TID_CELLS` id cells per row; a fragment the
+/// coordinator already `holds` (itself, or a replica) ships nothing.
+/// No tuple payload crosses the simulated wire. Validation runs at the
+/// coordinators in parallel, on codes: grouping keys are packed
+/// `CodeKey`s and the distinct-RHS test compares `u32` codes; only
+/// violating group keys are decoded.
+pub(crate) fn ship_and_validate(
+    ctx: &mut RunCtx,
+    fragments: &[Fragment],
+    sorted: &SortedCfd,
+    parts: &[SigmaPartition],
+    assignment: &[Option<SiteId>],
+    central: bool,
+    holds: impl Fn(SiteId, usize) -> bool,
+) {
+    let cfg = *ctx.cfg();
+    let n = fragments.len();
+    let name = &sorted.cfd.name;
     let attrs = sorted.cfd.shipped_attrs();
-    let layout = shared_layout(partition.fragments(), &attrs);
     // Resolve the tableau once per round; every coordinator job reuses
     // the compiled patterns — and feeds the run's kernel counters
     // (register-or-get: rounds of one run accumulate into one family).
-    let mut resolved = layout.resolve(&sorted.cfd);
-    resolved.set_counters(dcd_cfd::KernelCounters::register(&obs.registry));
-    let mut matrix = vec![vec![0usize; n]; n];
+    let mut resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
+    resolved.set_counters(dcd_cfd::KernelCounters::register(ctx.registry()));
     // gathered[c] = (pattern, wire rows) pairs to validate at site c.
     let mut gathered: Vec<Vec<(usize, Vec<CodeRow>)>> = vec![Vec::new(); n];
-    for (l, coord) in assignment.iter().enumerate() {
-        let Some(c) = *coord else { continue };
-        let mut rows: Vec<CodeRow> = Vec::new();
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            let block = &parts[i].blocks[l];
-            if block.is_empty() {
-                continue;
+    ctx.phase(&format!("ship:{name}"), |p| {
+        let mut wire = p.transfer();
+        for (l, coord) in assignment.iter().enumerate() {
+            let Some(c) = *coord else { continue };
+            let mut rows: Vec<CodeRow> = Vec::new();
+            for (i, frag) in fragments.iter().enumerate() {
+                let block = &parts[i].blocks[l];
+                if block.is_empty() {
+                    continue;
+                }
+                if !holds(c, i) {
+                    wire.send(c, frag.site, block.len(), block.len() * (attrs.len() + TID_CELLS));
+                }
+                rows.extend(frag.data.code_rows(&attrs, block));
             }
-            if i != c.index() {
-                let cells = block.len() * (attrs.len() + TID_CELLS);
-                ledger.charge_codes(c, frag.site, block.len(), cells);
-                matrix[c.index()][i] += block.len();
-            }
-            rows.extend(frag.data.code_rows(&attrs, block));
+            gathered[c.index()].push((l, rows));
         }
-        gathered[c.index()].push((l, rows));
-    }
-    let before = clocks.snapshot();
-    clocks.transfer(&matrix, &cfg.cost);
-    obs.span_sites(&format!("ship:{}", cfd.name), &before, &clocks.snapshot());
+        wire.commit();
+    });
 
-    // ---- Phase 5: validation at coordinators, in parallel, on codes:
-    // grouping keys are packed `CodeKey`s and the distinct-RHS test
-    // compares `u32` codes; only violating group keys are decoded. ----
-    let before = clocks.snapshot();
-    let validated = scoped_map(cfg.threads, n, |c| {
-        let jobs = &gathered[c];
-        if jobs.is_empty() {
-            return None;
-        }
-        let site = SiteId(c as u32);
-        Some(match strategy {
-            CoordinatorStrategy::Central => {
+    let validated = ctx.phase(&format!("validate:{name}"), |p| {
+        scoped_map(cfg.threads, n, |c| {
+            let jobs = &gathered[c];
+            if jobs.is_empty() {
+                return None;
+            }
+            let site = SiteId(c as u32);
+            Some(if central {
                 // One detection query over everything gathered
                 // (flattened by reference — no row buffer is cloned).
                 let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
                 let total = all.len();
-                charge(
-                    clocks,
-                    site,
-                    cfg,
-                    || resolved.detect_among(&all),
-                    |_| cfg.cost.check_time(total),
-                )
-            }
-            _ => {
+                p.charge(site, || resolved.detect_among(&all), |_| cfg.cost.check_time(total))
+            } else {
                 // One detection query per pattern block.
                 let analytic: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
-                charge(
-                    clocks,
+                p.charge(
                     site,
-                    cfg,
                     || {
                         let mut vs = ViolationSet::default();
                         for (l, rs) in jobs {
@@ -435,48 +294,92 @@ pub fn run_single_cfd(
                     },
                     |_| analytic,
                 )
-            }
+            })
         })
     });
-    obs.span_sites(&format!("validate:{}", cfd.name), &before, &clocks.snapshot());
-    for (c, outcome) in validated.into_iter().enumerate() {
-        if let Some((vs, secs)) = outcome {
-            local_secs[c] += secs;
-            report.absorb(&cfd.name, vs);
-        }
+    for vs in validated.into_iter().flatten() {
+        ctx.absorb(name, vs);
     }
+}
 
-    let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
-    RoundOutput { report, paper_cost }
+/// Runs one single-CFD detection round over a horizontal partition,
+/// recording violations, traffic and time in `ctx` (which may carry
+/// state from earlier rounds — that is how `SEQDETECT` pipelines). The
+/// per-fragment phases run as morsels on the `cfg.threads`-wide pool;
+/// results are merged in site order, so every output is bit-identical
+/// to a sequential run.
+pub fn run_single_cfd(
+    partition: &HorizontalPartition,
+    cfd: &SimpleCfd,
+    strategy: CoordinatorStrategy,
+    ctx: &mut RunCtx,
+) {
+    ctx.begin_round();
+    // Consumers always get an entry for this CFD, even when clean.
+    ctx.absorb(&cfd.name, ViolationSet::default());
+
+    // ---- Phase 0: constant CFDs, checked locally (Proposition 5),
+    // one morsel per (site, chunk). ----
+    let (variable, constants) = cfd.split_constant();
+    if !constants.is_empty() {
+        constants_phase(ctx, &cfd.name, partition.fragments(), &constants);
+    }
+    // A purely constant CFD ships nothing at all.
+    if let Some(variable) = variable {
+        // ---- Phase 1: σ-partition + statistics, one morsel per (site,
+        // chunk), merged in chunk order per site. ----
+        let sorted = sort_for_sigma(&variable);
+        // The partitioning condition, per site, up front: it decides both
+        // who scans here and who participates in the Phase-2 exchange.
+        let applicable: Vec<Vec<usize>> =
+            partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+        let parts = sigma_phase(ctx, &cfd.name, partition.fragments(), &sorted, &applicable);
+
+        // ---- Phase 2: statistics exchange (control traffic + barrier),
+        // among participating sites only. Sites the partitioning condition
+        // excluded never scanned and owe nobody their (empty) counts; when
+        // fewer than two sites hold an applicable pattern there is nothing
+        // to exchange and the whole phase — messages and barrier — is
+        // skipped, preserving `SEQDETECT`'s pipelining across such rounds.
+        exchange_statistics(ctx, &cfd.name, &applicable, sorted.cfd.tableau.len());
+
+        // ---- Phase 3: coordinator assignment. ----
+        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
+        let frag_sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
+        let assignment = assign_coordinators(strategy, &lstat, &frag_sizes, &ctx.cfg().cost);
+
+        // ---- Phases 4 + 5: shipment and coordinator validation. ----
+        ship_and_validate(
+            ctx,
+            partition.fragments(),
+            &sorted,
+            &parts,
+            &assignment,
+            strategy == CoordinatorStrategy::Central,
+            |c, i| c.index() == i,
+        );
+    }
+    ctx.end_round();
 }
 
 /// Runs a full batch detection session of single-RHS CFDs over a
-/// horizontal partition — the engine behind the [`crate::Detector`]
-/// trait shims and the `DetectRequest` façade of the `distributed-cfd`
-/// root crate. CFDs are processed as sequential rounds over one shared
-/// ledger and clock set (the pipelining `SEQDETECT` also builds on);
-/// the returned [`Detection`] is labelled with the strategy's paper
-/// name ([`CoordinatorStrategy::algorithm_name`]).
+/// horizontal partition — the engine behind the `DetectRequest` façade
+/// of the `distributed-cfd` root crate. CFDs are processed as
+/// sequential rounds over one shared [`RunCtx`] (the pipelining
+/// `SEQDETECT` also builds on); the returned [`Detection`] is labelled
+/// with the strategy's paper name
+/// ([`CoordinatorStrategy::algorithm_name`]).
 pub fn run_batch(
     partition: &HorizontalPartition,
     cfds: &[SimpleCfd],
     strategy: CoordinatorStrategy,
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
+    let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
     for cfd in cfds {
-        let out = run_single_cfd(partition, cfd, strategy, cfg, &ledger, &clocks, &obs);
-        for (name, vs) in out.report.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.paper_cost;
+        run_single_cfd(partition, cfd, strategy, &mut ctx);
     }
-    Detection::collect(strategy.algorithm_name(), report, paper_cost, &ledger, &clocks, &obs)
+    ctx.finish(strategy.algorithm_name())
 }
 
 /// Assigns a coordinator to every pattern (None if no site holds any
@@ -630,6 +533,24 @@ mod tests {
         assert_eq!(a[2], Some(SiteId(2)));
     }
 
+    /// One round through a fresh context, finished into a [`Detection`].
+    fn one_round(
+        partition: &HorizontalPartition,
+        cfd: &SimpleCfd,
+        strategy: CoordinatorStrategy,
+        cfg: RunConfig,
+    ) -> Detection {
+        let mut ctx = RunCtx::new(partition.n_sites(), cfg);
+        run_single_cfd(partition, cfd, strategy, &mut ctx);
+        ctx.finish("round")
+    }
+
+    const STRATEGIES: [CoordinatorStrategy; 3] = [
+        CoordinatorStrategy::Central,
+        CoordinatorStrategy::MinShipment,
+        CoordinatorStrategy::MinResponseTime,
+    ];
+
     #[test]
     fn round_finds_all_violations_single_site_baseline() {
         let s = schema();
@@ -651,28 +572,13 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let cfd = parse_cfd(&s, "phi", "([cc, zip] -> [street])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        for strategy in [
-            CoordinatorStrategy::Central,
-            CoordinatorStrategy::MinShipment,
-            CoordinatorStrategy::MinResponseTime,
-        ] {
-            let ledger = ShipmentLedger::new(3);
-            let clocks = SiteClocks::new(3);
-            let obs = RunObserver::new();
-            let out = run_single_cfd(
-                &partition,
-                &simple,
-                strategy,
-                &RunConfig::default(),
-                &ledger,
-                &clocks,
-                &obs,
-            );
-            let (_, vs) = &out.report.per_cfd[0];
+        for strategy in STRATEGIES {
+            let d = one_round(&partition, &simple, strategy, RunConfig::default());
+            let (_, vs) = &d.violations.per_cfd[0];
             assert_eq!(vs.tids, global.tids, "{strategy:?}");
             assert_eq!(vs.patterns, global.patterns, "{strategy:?}");
-            assert!(out.paper_cost >= 0.0);
-            assert!(clocks.response_time() > 0.0);
+            assert!(d.paper_cost >= 0.0);
+            assert!(d.response_time > 0.0);
         }
     }
 
@@ -689,27 +595,12 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
         let cfd = parse_cfd(&s, "phi", "([cc=44, zip] -> [street])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        for strategy in [
-            CoordinatorStrategy::Central,
-            CoordinatorStrategy::MinShipment,
-            CoordinatorStrategy::MinResponseTime,
-        ] {
-            let ledger = ShipmentLedger::new(2);
-            let clocks = SiteClocks::new(2);
-            let obs = RunObserver::new();
-            run_single_cfd(
-                &partition,
-                &simple,
-                strategy,
-                &RunConfig::default(),
-                &ledger,
-                &clocks,
-                &obs,
-            );
+        for strategy in STRATEGIES {
+            let d = one_round(&partition, &simple, strategy, RunConfig::default());
             assert!(
-                ledger.total_tuples() <= rel.len(),
+                d.shipped_tuples <= rel.len(),
                 "{strategy:?} shipped {} > {}",
-                ledger.total_tuples(),
+                d.shipped_tuples,
                 rel.len()
             );
         }
@@ -726,21 +617,11 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let cfd = parse_cfd(&s, "c", "([cc=44, zip] -> [street=a])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        let ledger = ShipmentLedger::new(3);
-        let clocks = SiteClocks::new(3);
-        let obs = RunObserver::new();
-        let out = run_single_cfd(
-            &partition,
-            &simple,
-            CoordinatorStrategy::MinShipment,
-            &RunConfig::default(),
-            &ledger,
-            &clocks,
-            &obs,
-        );
-        assert_eq!(ledger.total_tuples(), 0);
+        let d =
+            one_round(&partition, &simple, CoordinatorStrategy::MinShipment, RunConfig::default());
+        assert_eq!(d.shipped_tuples, 0);
         // Tuple 1 (44, z2, b) violates street=a.
-        let (_, vs) = &out.report.per_cfd[0];
+        let (_, vs) = &d.violations.per_cfd[0];
         assert_eq!(vs.tids.len(), 1);
     }
 
@@ -755,18 +636,123 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
         let cfd = parse_cfd(&s, "phi", "([cc, zip] -> [street])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        let ledger = ShipmentLedger::new(2);
-        let clocks = SiteClocks::new(2);
-        let obs = RunObserver::new();
-        run_single_cfd(
+        let d = one_round(
             &partition,
             &simple,
             CoordinatorStrategy::MinShipment,
-            &RunConfig::measured(1.0),
-            &ledger,
-            &clocks,
-            &obs,
+            RunConfig::measured(1.0),
         );
-        assert!(clocks.response_time() > 0.0);
+        assert!(d.response_time > 0.0);
+    }
+
+    // ---- The three §IV-B algorithms end to end, through `run_batch`. ----
+
+    fn wide_schema() -> Arc<Schema> {
+        Schema::builder("r")
+            .attr("cc", ValueType::Int)
+            .attr("zip", ValueType::Str)
+            .attr("street", ValueType::Str)
+            .attr("city", ValueType::Str)
+            .build()
+            .unwrap()
+    }
+
+    fn sample(n: usize) -> Relation {
+        Relation::from_rows(
+            wide_schema(),
+            (0..n)
+                .map(|i| {
+                    vals![
+                        if i % 3 == 0 { 44 } else { 31 },
+                        format!("z{}", i % 7),
+                        format!("s{}", i % 5),
+                        "c"
+                    ]
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn all_algorithms_agree_with_centralized() {
+        let rel = sample(60);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let global = dcd_cfd::detect(&rel, &cfd);
+        assert!(!global.tids.is_empty(), "fixture should contain violations");
+        let partition = HorizontalPartition::round_robin(&rel, 4).unwrap();
+        let cfg = RunConfig::default();
+        for strategy in STRATEGIES {
+            let d = run_batch(&partition, &cfd.simplify(), strategy, &cfg);
+            let name = strategy.algorithm_name();
+            assert_eq!(d.violations.all_tids(), global.tids, "{name}");
+            assert_eq!(d.violations.per_cfd[0].1.patterns, global.patterns, "{name}");
+        }
+    }
+
+    #[test]
+    fn pattern_algorithms_never_ship_more_than_central() {
+        // CTRDETECT ships everything not at the single coordinator;
+        // per-pattern max-shipper coordinators can only reduce that.
+        let rel = sample(90);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc=44, zip] -> [street])").unwrap();
+        let cfd2 = parse_cfd(rel.schema(), "phi", "([cc=31, zip] -> [street])").unwrap();
+        let merged = dcd_cfd::Cfd::merge("phi", &[&cfd, &cfd2]).unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let cfg = RunConfig::default();
+        let ctr = run_batch(&partition, &merged.simplify(), CoordinatorStrategy::Central, &cfg);
+        let pats =
+            run_batch(&partition, &merged.simplify(), CoordinatorStrategy::MinShipment, &cfg);
+        assert!(pats.shipped_tuples <= ctr.shipped_tuples);
+        assert_eq!(pats.violations.all_tids(), ctr.violations.all_tids());
+    }
+
+    #[test]
+    fn detection_reports_traffic_and_time() {
+        let rel = sample(30);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let d = run_batch(
+            &partition,
+            &cfd.simplify(),
+            CoordinatorStrategy::MinResponseTime,
+            &RunConfig::default(),
+        );
+        assert_eq!(d.algorithm, "PATDETECTRT");
+        assert!(d.shipped_tuples > 0);
+        assert!(d.shipped_cells >= d.shipped_tuples * 3);
+        assert!(d.control_messages > 0);
+        assert!(d.response_time > 0.0);
+        assert!(d.paper_cost >= 0.0);
+        let s = d.summary();
+        assert_eq!(s.shipped_tuples, d.shipped_tuples);
+    }
+
+    #[test]
+    fn multi_rhs_cfd_processes_all_components() {
+        let rel = sample(30);
+        let schema = rel.schema().clone();
+        let cfd = dcd_cfd::Cfd::fd("both", schema, &["cc", "zip"], &["street", "city"]).unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
+        let d = run_batch(
+            &partition,
+            &cfd.simplify(),
+            CoordinatorStrategy::MinShipment,
+            &RunConfig::default(),
+        );
+        assert_eq!(d.violations.per_cfd.len(), 2); // one entry per RHS attr
+    }
+
+    #[test]
+    fn single_site_partition_ships_nothing() {
+        let rel = sample(40);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 1).unwrap();
+        let global = dcd_cfd::detect(&rel, &cfd);
+        for strategy in STRATEGIES {
+            let d = run_batch(&partition, &cfd.simplify(), strategy, &RunConfig::default());
+            assert_eq!(d.shipped_tuples, 0, "{}", strategy.algorithm_name());
+            assert_eq!(d.violations.all_tids(), global.tids);
+        }
     }
 }

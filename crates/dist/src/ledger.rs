@@ -117,9 +117,9 @@ impl ShipmentLedger {
     /// transfer into per-site-pair counters of `registry`
     /// (`dcd_shipped_{tuples,cells,bytes}_total{from,to}` and
     /// `dcd_control_{messages,bytes}_total{from,to}`). The mirror rides
-    /// inside the existing mutation authorities (`ship`/`control`), so
-    /// registry totals always equal the ledger totals — the cross-layer
-    /// consistency `tests/fuzz_smoke.rs` asserts.
+    /// inside the two mutation authorities (`charge_codes`/`control`),
+    /// so registry totals always equal the ledger totals — the
+    /// cross-layer consistency `tests/fuzz_smoke.rs` asserts.
     pub fn observed(n: usize, registry: &dcd_obs::MetricsRegistry) -> Self {
         let mut ledger = ShipmentLedger::new(n);
         ledger.mirror = Some(LedgerMirror::register(n, registry));
@@ -133,7 +133,9 @@ impl ShipmentLedger {
 
     /// Records a data shipment of `tuples` tuples (`cells` projected
     /// attribute cells, `bytes` on the wire) from `from` to `to`.
-    pub fn ship(&self, to: SiteId, from: SiteId, tuples: usize, cells: usize, bytes: usize) {
+    /// Private: the only wire is the code wire, so the only way in is
+    /// [`Self::charge_codes`], which owns the byte math.
+    fn ship(&self, to: SiteId, from: SiteId, tuples: usize, cells: usize, bytes: usize) {
         debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
         debug_assert_ne!(to, from, "shipping to self is not a transfer");
         self.tuples.fetch_add(tuples, Ordering::Relaxed);
@@ -151,10 +153,11 @@ impl ShipmentLedger {
 
     /// Records a *code-shipped* transfer of `tuples` rows totalling
     /// `cells` `u32` cells from `from` to `to`, charged byte-accurately
-    /// at [`CODE_BYTES`] per cell. This is the single place the
-    /// code-shipping protocols (the incremental delta protocol, and any
-    /// future code-native coordinator validation) compute wire bytes —
-    /// call sites pass cell counts, never ad-hoc byte math.
+    /// at [`CODE_BYTES`] per cell. This is the single place wire bytes
+    /// are computed — callers pass cell counts, never byte math — and,
+    /// `ship` being private, the only way to record a data shipment.
+    /// Engines reach it through `dcd_core::ctx::Transfer::send`, which
+    /// pairs the charge with the clocks' transfer matrix.
     pub fn charge_codes(&self, to: SiteId, from: SiteId, tuples: usize, cells: usize) {
         self.ship(to, from, tuples, cells, cells * CODE_BYTES);
     }

@@ -22,11 +22,11 @@
 //!   once, then only the keys a delta touches are re-validated;
 //! * the **delta protocol** ([`IncrementalRun`],
 //!   [`VerticalIncrementalRun`]): sites ship only `(tid, codes)` delta
-//!   rows (4 bytes per cell, via
-//!   [`ShipmentLedger::charge_codes`](dcd_dist::ShipmentLedger::charge_codes))
-//!   and per-round manifests to a fixed coordinator, which maintains
-//!   the cross-site index — for horizontal, chained-declustering
-//!   replicated, and vertical partitions.
+//!   rows (4 bytes per cell, through the run's
+//!   [`Transfer`](dcd_core::ctx::Transfer)) and per-round manifests to
+//!   a fixed coordinator, which maintains the cross-site index — for
+//!   horizontal, chained-declustering replicated, and vertical
+//!   partitions.
 //!
 //! The maintained report is pinned (by the workspace property tests) to
 //! be identical to full re-detection on the materialized state after

@@ -1,9 +1,9 @@
 //! The distributed delta protocol: stateful incremental detection runs.
 //!
 //! A run owns the (mutating) partition, one [`ViolationIndex`] per
-//! compiled CFD at a fixed *coordinator* site, and the same two meters
-//! every batch detector carries — a [`ShipmentLedger`] and
-//! [`SiteClocks`]. Each delta batch is one protocol round:
+//! compiled CFD at a fixed *coordinator* site, and the same [`RunCtx`]
+//! every batch detector carries — shipment ledger, site clocks and
+//! phase trace, kept in step. Each delta batch is one protocol round:
 //!
 //! 1. **Apply** — every site applies its local delta
 //!    ([`Relation::apply_delta`](dcd_relation::Relation::apply_delta)),
@@ -14,9 +14,8 @@
 //!    [`CostModel::control_time`](dcd_dist::CostModel::control_time);
 //! 3. **Ship** — sites ship only `(tid, codes)` delta rows:
 //!    `arity + 2` cells per insert (the id rides as [`TID_CELLS`] code
-//!    cells) and `2` cells per delete, byte-accurate at 4 bytes/cell
-//!    via [`ShipmentLedger::charge_codes`]; receivers wait for senders
-//!    through [`SiteClocks::transfer`];
+//!    cells) and `2` cells per delete, byte-accurate at 4 bytes/cell;
+//!    receivers wait for senders ([`Transfer`](dcd_core::ctx::Transfer));
 //! 4. **Maintain** — the coordinator updates every index (in parallel
 //!    per CFD on the pool) and re-validates only the touched keys,
 //!    charged `check_time` of the members re-examined, in CFD order.
@@ -45,20 +44,17 @@ use crate::delta::DeltaBatch;
 use crate::index::ViolationIndex;
 use dcd_cfd::{Cfd, ViolationReport};
 use dcd_core::report::Detection;
-use dcd_core::runner::{charge, RoundOutput};
-use dcd_core::{ComputeModel, MinedTableau, MiningConfig, RunConfig};
+use dcd_core::{MinedTableau, MiningConfig, RunConfig, RunCtx};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{
-    chained_holds as holds, Fragment, HorizontalPartition, ReplicatedPartition, ShipmentLedger,
-    SiteClocks, SiteId, VerticalPartition,
+    chained_holds as holds, Fragment, HorizontalPartition, ReplicatedPartition, SiteId,
+    VerticalPartition,
 };
-use dcd_obs::RunObserver;
 use dcd_relation::{
     AttrId, DeltaEffect, Dictionary, FxHashSet, Relation, RelationDelta, RelationError, Tuple,
     TupleId,
 };
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Wire cells occupied by one 8-byte tuple id in the code-shipped
 /// protocol (two `u32` cells) — re-exported from the ledger, which all
@@ -71,27 +67,13 @@ pub const ALGORITHM: &str = "INCRDETECT";
 /// A site's encoded wire payload: `(tid, full-width code row)` pairs.
 type CodeRows = Vec<(TupleId, Box<[u32]>)>;
 
-/// Like [`charge`], but *deferred*: runs `work`, returns the result and
-/// the seconds it should cost, without touching any clock. Used where
-/// several pool tasks produce work for the *same* site (the
-/// coordinator's per-CFD index updates): the clock is then advanced
-/// sequentially in CFD order, keeping f64 sums bit-identical across
-/// pool widths.
-fn timed<R>(
-    cfg: &RunConfig,
-    work: impl FnOnce() -> R,
-    analytic_of: impl FnOnce(&R) -> f64,
-) -> (R, f64) {
-    // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-    // elapsed time by design; `Analytic` (the deterministic default)
-    // never reads `start`.
-    let start = Instant::now();
-    let r = work();
-    let secs = match cfg.compute {
-        ComputeModel::Analytic => analytic_of(&r),
-        ComputeModel::Measured { scale } => start.elapsed().as_secs_f64() * scale,
-    };
-    (r, secs)
+/// Result of one delta round.
+#[derive(Debug)]
+pub struct RoundOutput {
+    /// The full current report revision after the round.
+    pub report: ViolationReport,
+    /// The literal §III-B formula evaluated for this round alone.
+    pub paper_cost: f64,
 }
 
 fn shared_dictionaries(fragments: &[Fragment]) -> Result<Vec<Arc<Dictionary>>, RelationError> {
@@ -134,12 +116,8 @@ pub struct IncrementalRun {
     /// [`Self::track_mining`]); empty unless mining is tracked.
     miners: Vec<MinedTableau>,
     coordinator: SiteId,
-    ledger: ShipmentLedger,
-    clocks: SiteClocks,
-    cfg: RunConfig,
-    paper_cost: f64,
+    ctx: RunCtx,
     rounds: usize,
-    obs: RunObserver,
 }
 
 impl IncrementalRun {
@@ -179,82 +157,56 @@ impl IncrementalRun {
         let arity = partition.schema().arity();
         let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
         let coordinator = SiteId((0..n).max_by_key(|&i| (sizes[i], n - i)).expect("n ≥ 1") as u32);
-        let obs = RunObserver::new();
-        let ledger = ShipmentLedger::observed(n, &obs.registry);
-        let clocks = SiteClocks::new(n);
-        let mut local_secs = vec![0.0_f64; n];
+        let mut ctx = RunCtx::new(n, cfg);
+        ctx.begin_round();
 
         // Phase 1: every site scans its fragment once, encoding the
         // (tid, codes) rows it will ship (parallel; the charge wraps
         // the actual encode so Measured mode sees the real work).
-        let before = clocks.snapshot();
-        let encoded: Vec<(CodeRows, f64)> = scoped_map(cfg.threads, n, |i| {
-            let frag = &partition.fragments()[i];
-            if sizes[i] == 0 {
-                return (Vec::new(), 0.0);
-            }
-            charge(
-                &clocks,
-                frag.site,
-                &cfg,
-                || fragment_code_rows(&frag.data),
-                |_| cfg.cost.scan_time(sizes[i]),
-            )
+        let encoded: Vec<CodeRows> = ctx.phase("incr:build-scan", |p| {
+            scoped_map(cfg.threads, n, |i| {
+                let frag = &partition.fragments()[i];
+                if sizes[i] == 0 {
+                    return Vec::new();
+                }
+                p.charge(
+                    frag.site,
+                    || fragment_code_rows(&frag.data),
+                    |_| cfg.cost.scan_time(sizes[i]),
+                )
+            })
         });
-        obs.span_sites("incr:build-scan", &before, &clocks.snapshot());
         let mut rows: CodeRows = Vec::with_capacity(sizes.iter().sum());
-        for (i, (site_rows, secs)) in encoded.into_iter().enumerate() {
-            local_secs[i] += secs;
+        for site_rows in encoded {
             rows.extend(site_rows);
         }
 
         // Phase 2: code rows travel to the coordinator — except from
         // fragments it already holds a replica of.
-        let mut matrix = vec![vec![0usize; n]; n];
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            if sizes[i] == 0 || holds(n, factor, coordinator.index(), i) {
-                continue;
+        ctx.phase("incr:build-ship", |p| {
+            let mut wire = p.transfer();
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                if sizes[i] > 0 && !holds(n, factor, coordinator.index(), i) {
+                    wire.send(coordinator, frag.site, sizes[i], sizes[i] * (arity + TID_CELLS));
+                }
             }
-            ledger.charge_codes(coordinator, frag.site, sizes[i], sizes[i] * (arity + TID_CELLS));
-            matrix[coordinator.index()][i] = sizes[i];
-        }
-        let before = clocks.snapshot();
-        clocks.transfer(&matrix, &cfg.cost);
-        obs.span_sites("incr:build-ship", &before, &clocks.snapshot());
+            wire.commit();
+        });
 
-        // Phase 3: index build at the coordinator, in parallel per CFD,
-        // charged in CFD order.
+        // Phase 3: index build at the coordinator.
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
         let mut indices: Vec<ViolationIndex> =
             cfds.into_iter().map(|cfd| ViolationIndex::new(cfd, &dicts)).collect();
-        let built: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
-        let before = clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, built.len(), |c| {
-            let mut idx = built[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&[], &rows), |&touched| cfg.cost.check_time(touched))
-        });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        obs.span_sites("incr:build-index", &before, &clocks.snapshot());
-        revalidated_counter(&obs).inc(revalidated);
-
-        let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
+        maintain_indices(&mut ctx, "incr:build-index", &mut indices, coordinator, &[], &rows);
+        ctx.end_round();
         Ok(IncrementalRun {
             partition,
             factor,
             indices,
             miners: Vec::new(),
             coordinator,
-            ledger,
-            clocks,
-            cfg,
-            paper_cost,
+            ctx,
             rounds: 0,
-            obs,
         })
     }
 
@@ -301,97 +253,54 @@ impl IncrementalRun {
             }
         }
         self.rounds += 1;
-        let cfg = self.cfg;
+        let ctx = &mut self.ctx;
+        let cost = ctx.cfg().cost;
         let arity = self.partition.schema().arity();
         let coordinator = self.coordinator;
         let factor = self.factor;
-        let mut local_secs = vec![0.0_f64; n];
-        let round_start = self.clocks.response_time();
+        let round_start = ctx.response_time();
         let ops: usize = batch.per_site.iter().map(|d| d.n_ops()).sum();
-        self.obs
-            .registry
-            .counter("dcd_incr_deltas_applied_total", "Delta operations applied across sites", &[])
-            .inc(ops as u64);
+        ctx.begin_round();
+        deltas_counter(ctx).inc(ops as u64);
 
-        // Phase 1: apply at every site, in parallel (one task per
-        // site; each task owns its fragment through the mutex).
-        let before = self.clocks.snapshot();
-        let outcomes: Vec<Result<(DeltaEffect, f64), RelationError>> = {
-            let clocks = &self.clocks;
-            let tasks: Vec<Mutex<(&mut Fragment, &RelationDelta)>> = self
-                .partition
-                .fragments_mut()
-                .iter_mut()
-                .zip(&batch.per_site)
-                .map(Mutex::new)
-                .collect();
-            scoped_map(cfg.threads, n, |i| {
-                let mut slot = tasks[i].lock().expect("apply slot poisoned");
-                let (frag, delta) = &mut *slot;
-                if delta.is_empty() {
-                    return Ok((DeltaEffect::default(), 0.0));
-                }
-                // apply_delta scans the fragment once (delete lookup
-                // and insert-id uniqueness) plus per-op interning.
-                let scan_rows = frag.data.len() + delta.n_ops();
-                let site = frag.site;
-                let (result, secs) = charge(
-                    clocks,
-                    site,
-                    &cfg,
-                    || frag.data.apply_delta(delta),
-                    |_| cfg.cost.scan_time(scan_rows),
-                );
-                result.map(|e| (e, secs))
-            })
-        };
-        self.obs.span_sites("incr:apply", &before, &self.clocks.snapshot());
-        let mut effects: Vec<DeltaEffect> = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (effect, secs) = outcome?;
-            local_secs[i] += secs;
-            effects.push(effect);
-        }
+        // Phase 1: apply at every site, in parallel.
+        let sites =
+            self.partition.fragments_mut().iter_mut().map(|f| (f.site, &mut f.data)).collect();
+        let effects = apply_deltas(ctx, sites, &batch.per_site)?;
 
         // Phase 2: delta manifests (one control message per
         // participating non-coordinator site).
         let k = self.indices.len();
-        let before = self.clocks.snapshot();
-        for (i, effect) in effects.iter().enumerate() {
-            if effect.is_empty() || i == coordinator.index() {
-                continue;
+        ctx.phase("incr:manifest", |p| {
+            for (i, effect) in effects.iter().enumerate() {
+                if !effect.is_empty() && i != coordinator.index() {
+                    p.control(SiteId(i as u32), [coordinator], 8 * k);
+                }
             }
-            self.ledger.control(coordinator, SiteId(i as u32), 8 * k);
-            self.clocks.advance(SiteId(i as u32), cfg.cost.control_time(1));
-        }
-        self.obs.span_sites("incr:manifest", &before, &self.clocks.snapshot());
+        });
 
         // Phase 3: ship (tid, codes) delta rows — to the other replica
         // holders (synchronization) and to the coordinator unless it
         // holds a replica of the origin fragment.
-        let mut matrix = vec![vec![0usize; n]; n];
-        for (i, effect) in effects.iter().enumerate() {
-            if effect.is_empty() {
-                continue;
-            }
-            let rows = effect.n_rows();
-            let cells =
-                effect.inserted.len() * (arity + TID_CELLS) + effect.deleted.len() * TID_CELLS;
-            let from = SiteId(i as u32);
-            for (h, row) in matrix.iter_mut().enumerate() {
-                if h != i && holds(n, factor, h, i) {
-                    self.ledger.charge_codes(SiteId(h as u32), from, rows, cells);
-                    row[i] += rows;
+        ctx.phase("incr:ship", |p| {
+            let mut wire = p.transfer();
+            for (i, effect) in effects.iter().enumerate() {
+                if effect.is_empty() {
+                    continue;
+                }
+                let rows = effect.n_rows();
+                let cells =
+                    effect.inserted.len() * (arity + TID_CELLS) + effect.deleted.len() * TID_CELLS;
+                let from = SiteId(i as u32);
+                for h in (0..n).filter(|&h| h != i && holds(n, factor, h, i)) {
+                    wire.send(SiteId(h as u32), from, rows, cells);
+                }
+                if !holds(n, factor, coordinator.index(), i) {
+                    wire.send(coordinator, from, rows, cells);
                 }
             }
-            if !holds(n, factor, coordinator.index(), i) {
-                self.ledger.charge_codes(coordinator, from, rows, cells);
-                matrix[coordinator.index()][i] += rows;
-            }
-        }
-        let before = self.clocks.snapshot();
-        self.clocks.transfer(&matrix, &cfg.cost);
-        self.obs.span_sites("incr:ship", &before, &self.clocks.snapshot());
+            wire.commit();
+        });
 
         // Mined-tableau maintenance: each site adjusts its tracked
         // support counts from its own effect — `rows × masks` key
@@ -399,45 +308,30 @@ impl IncrementalRun {
         // costs. Site order, then miner order, keeps the f64 sums
         // deterministic.
         if !self.miners.is_empty() {
-            for (i, effect) in effects.iter().enumerate() {
-                if effect.is_empty() {
-                    continue;
+            let miners = &mut self.miners;
+            ctx.phase("incr:mine", |p| {
+                for (i, effect) in effects.iter().enumerate() {
+                    if effect.is_empty() {
+                        continue;
+                    }
+                    for miner in miners.iter_mut() {
+                        let secs = cost.scan_time(effect.n_rows()) * miner.n_masks() as f64;
+                        miner.apply_site_effect(i, effect);
+                        p.compute(SiteId(i as u32), secs);
+                    }
                 }
-                for miner in &mut self.miners {
-                    let secs = cfg.cost.scan_time(effect.n_rows()) * miner.n_masks() as f64;
-                    miner.apply_site_effect(i, effect);
-                    self.clocks.advance(SiteId(i as u32), secs);
-                    local_secs[i] += secs;
-                }
-            }
+            });
         }
 
-        // Phase 4: index maintenance at the coordinator (parallel per
-        // CFD, charged in CFD order).
+        // Phase 4: index maintenance at the coordinator.
         let deletes: Vec<TupleId> =
             effects.iter().flat_map(|e| e.deleted.iter().map(|&(t, _)| t)).collect();
-        let inserts: Vec<(TupleId, Box<[u32]>)> =
-            effects.into_iter().flat_map(|e| e.inserted).collect();
-        let updated: Vec<Mutex<&mut ViolationIndex>> =
-            self.indices.iter_mut().map(Mutex::new).collect();
-        let before = self.clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, updated.len(), |c| {
-            let mut idx = updated[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&deletes, &inserts), |&touched| cfg.cost.check_time(touched))
-        });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            self.clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        self.obs.span_sites("incr:maintain", &before, &self.clocks.snapshot());
-        revalidated_counter(&self.obs).inc(revalidated);
-        observe_lag(&self.obs, round_start, self.clocks.response_time());
+        let inserts: CodeRows = effects.into_iter().flat_map(|e| e.inserted).collect();
+        maintain_indices(ctx, "incr:maintain", &mut self.indices, coordinator, &deletes, &inserts);
+        observe_lag(ctx, round_start);
 
-        let round_cost = cfg.cost.paper_cost(&matrix, &local_secs);
-        self.paper_cost += round_cost;
-        Ok(RoundOutput { report: self.report(), paper_cost: round_cost })
+        let paper_cost = ctx.end_round();
+        Ok(RoundOutput { report: self.report(), paper_cost })
     }
 
     /// The current report revision: one entry per compiled CFD, in CFD
@@ -449,7 +343,7 @@ impl IncrementalRun {
     /// A [`Detection`] snapshot of the whole run so far: the live
     /// report plus the accumulated traffic, clocks and paper cost.
     pub fn detection(&self) -> Detection {
-        snapshot_detection(&self.indices, &self.ledger, &self.clocks, self.paper_cost, &self.obs)
+        self.ctx.snapshot(ALGORITHM, self.report())
     }
 
     /// The materialized partition (fragments mutate as batches apply).
@@ -487,18 +381,20 @@ impl IncrementalRun {
     /// handle for [`Self::mined_cfd`].
     pub fn track_mining(&mut self, cfd: &dcd_cfd::SimpleCfd, config: &MiningConfig) -> usize {
         let mut miner = MinedTableau::build(&self.partition, cfd, config);
-        miner.set_counter(self.obs.registry.counter(
+        miner.set_counter(self.ctx.registry().counter(
             "dcd_mining_mask_updates_total",
             "Per-mask support-count updates applied by incremental mining maintenance",
             &[],
         ));
-        for (i, frag) in self.partition.fragments().iter().enumerate() {
-            let n = frag.data.len();
-            if n > 0 {
-                let secs = self.cfg.cost.scan_time(n) * miner.n_masks() as f64;
-                self.clocks.advance(SiteId(i as u32), secs);
+        // The build precedes any delta round: it moves the clocks but
+        // enters no round's §III-B cost.
+        let cost = self.ctx.cfg().cost;
+        let fragments = self.partition.fragments();
+        self.ctx.phase("incr:mine-build", |p| {
+            for frag in fragments.iter().filter(|f| !f.data.is_empty()) {
+                p.advance(frag.site, cost.scan_time(frag.data.len()) * miner.n_masks() as f64);
             }
-        }
+        });
         self.miners.push(miner);
         self.miners.len() - 1
     }
@@ -532,39 +428,93 @@ fn current_report(indices: &[ViolationIndex]) -> ViolationReport {
     report
 }
 
-/// A [`Detection`] snapshot of a whole incremental run so far (shared
-/// by both run types).
-fn snapshot_detection(
-    indices: &[ViolationIndex],
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    paper_cost: f64,
-    obs: &RunObserver,
-) -> Detection {
-    Detection::collect(ALGORITHM, current_report(indices), paper_cost, ledger, clocks, obs)
-}
-
-/// The run's index-maintenance counter (register-or-get).
-fn revalidated_counter(obs: &RunObserver) -> dcd_obs::Counter {
-    obs.registry.counter(
-        "dcd_incr_keys_revalidated_total",
-        "Index members re-examined during incremental maintenance",
+/// The run's delta-operation counter (register-or-get).
+fn deltas_counter(ctx: &RunCtx) -> dcd_obs::Counter {
+    ctx.registry().counter(
+        "dcd_incr_deltas_applied_total",
+        "Delta operations applied across sites",
         &[],
     )
 }
 
-/// Records one batch's delta lag — simulated seconds from round start
-/// to completion — into the run's lag histogram (integer microseconds,
-/// so merges stay order-free).
-fn observe_lag(obs: &RunObserver, start: f64, end: f64) {
-    obs.registry
+/// Records one batch's delta lag — simulated seconds from `round_start`
+/// to now — into the run's lag histogram (integer microseconds, so
+/// merges stay order-free).
+fn observe_lag(ctx: &RunCtx, round_start: f64) {
+    ctx.registry()
         .histogram(
             "dcd_incr_delta_lag_micros",
             "Simulated delta lag per batch, in microseconds",
             &[],
             &[10, 100, 1_000, 10_000, 100_000, 1_000_000],
         )
-        .observe(((end - start) * 1e6) as u64);
+        .observe(((ctx.response_time() - round_start) * 1e6) as u64);
+}
+
+/// The apply phase of a delta round, shared by both run types: every
+/// site applies its delta to its own relation, in parallel (one task
+/// per site; each task owns its relation through the mutex), charged
+/// per site like the batch detectors' scan phases. Sites with an empty
+/// delta do nothing and are not charged. Returns the per-site effects.
+fn apply_deltas(
+    ctx: &mut RunCtx,
+    sites: Vec<(SiteId, &mut Relation)>,
+    deltas: &[RelationDelta],
+) -> Result<Vec<DeltaEffect>, RelationError> {
+    let cfg = *ctx.cfg();
+    let tasks: Vec<Mutex<(SiteId, &mut Relation)>> = sites.into_iter().map(Mutex::new).collect();
+    let outcomes = ctx.phase("incr:apply", |p| {
+        scoped_map(cfg.threads, tasks.len(), |i| {
+            let mut slot = tasks[i].lock().expect("apply slot poisoned");
+            let (site, data) = &mut *slot;
+            let delta = &deltas[i];
+            if delta.is_empty() {
+                return Ok(DeltaEffect::default());
+            }
+            // apply_delta scans the fragment once (delete lookup
+            // and insert-id uniqueness) plus per-op interning.
+            let scan_rows = data.len() + delta.n_ops();
+            p.charge(*site, || data.apply_delta(delta), |_| cfg.cost.scan_time(scan_rows))
+        })
+    });
+    outcomes.into_iter().collect()
+}
+
+/// Index build / maintenance at the coordinator, shared by both run
+/// types and both of their rounds: every index applies the delta in
+/// parallel (one task per CFD) and re-validates only the touched keys;
+/// the coordinator is then charged `check_time` of the members
+/// re-examined, sequentially in CFD order, so the f64 sums stay
+/// bit-identical across pool widths.
+fn maintain_indices(
+    ctx: &mut RunCtx,
+    phase: &str,
+    indices: &mut [ViolationIndex],
+    coordinator: SiteId,
+    deletes: &[TupleId],
+    inserts: &[(TupleId, Box<[u32]>)],
+) {
+    let cfg = *ctx.cfg();
+    let slots: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
+    let revalidated = ctx.phase(phase, |p| {
+        let per_cfd = scoped_map(cfg.threads, slots.len(), |c| {
+            let mut idx = slots[c].lock().expect("index slot poisoned");
+            p.timed(|| idx.apply(deletes, inserts), |&touched| cfg.cost.check_time(touched))
+        });
+        let mut revalidated = 0u64;
+        for (touched, secs) in per_cfd {
+            revalidated += touched as u64;
+            p.compute(coordinator, secs);
+        }
+        revalidated
+    });
+    ctx.registry()
+        .counter(
+            "dcd_incr_keys_revalidated_total",
+            "Index members re-examined during incremental maintenance",
+            &[],
+        )
+        .inc(revalidated);
 }
 
 /// A stateful incremental run over a *vertical* partition.
@@ -587,12 +537,8 @@ pub struct VerticalIncrementalRun {
     owned_count: Vec<usize>,
     indices: Vec<ViolationIndex>,
     coordinator: SiteId,
-    ledger: ShipmentLedger,
-    clocks: SiteClocks,
-    cfg: RunConfig,
-    paper_cost: f64,
+    ctx: RunCtx,
     rounds: usize,
-    obs: RunObserver,
 }
 
 impl VerticalIncrementalRun {
@@ -624,61 +570,45 @@ impl VerticalIncrementalRun {
             .iter()
             .map(|&(f, local)| partition.fragments()[f].data.dictionary(local).clone())
             .collect();
-        let obs = RunObserver::new();
-        let ledger = ShipmentLedger::observed(n, &obs.registry);
-        let clocks = SiteClocks::new(n);
-        let mut local_secs = vec![0.0_f64; n];
+        let mut ctx = RunCtx::new(n, cfg);
+        ctx.begin_round();
         let n_rows = partition.fragments()[0].data.len();
 
         // Per-site encode scan: each fragment materializes its local
         // code rows — its wire payload — inside the charge, so
         // Measured mode sees the real work.
-        let before = clocks.snapshot();
-        let encoded: Vec<(Vec<Box<[u32]>>, f64)> = scoped_map(cfg.threads, n, |f| {
-            let data = &partition.fragments()[f].data;
-            if data.is_empty() {
-                return (Vec::new(), 0.0);
-            }
-            charge(
-                &clocks,
-                SiteId(f as u32),
-                &cfg,
-                || {
-                    (0..data.len())
-                        .map(|r| data.columns().iter().map(|c| c.codes()[r]).collect())
-                        .collect()
-                },
-                |_| cfg.cost.scan_time(data.len()),
-            )
+        let site_rows: Vec<Vec<Box<[u32]>>> = ctx.phase("incr:build-scan", |p| {
+            scoped_map(cfg.threads, n, |f| {
+                let data = &partition.fragments()[f].data;
+                if data.is_empty() {
+                    return Vec::new();
+                }
+                p.charge(
+                    SiteId(f as u32),
+                    || {
+                        (0..data.len())
+                            .map(|r| data.columns().iter().map(|c| c.codes()[r]).collect())
+                            .collect()
+                    },
+                    |_| cfg.cost.scan_time(data.len()),
+                )
+            })
         });
-        obs.span_sites("incr:build-scan", &before, &clocks.snapshot());
-        let mut site_rows: Vec<Vec<Box<[u32]>>> = Vec::with_capacity(n);
-        for (f, (rows, secs)) in encoded.into_iter().enumerate() {
-            local_secs[f] += secs;
-            site_rows.push(rows);
-        }
 
         // Owned columns travel to the coordinator.
-        let mut matrix = vec![vec![0usize; n]; n];
-        for f in 0..n {
-            if f == coordinator.index() || n_rows == 0 || owned_count[f] == 0 {
-                continue;
+        ctx.phase("incr:build-ship", |p| {
+            let mut wire = p.transfer();
+            for (f, &owned) in owned_count.iter().enumerate() {
+                if f != coordinator.index() && n_rows > 0 && owned > 0 {
+                    wire.send(coordinator, SiteId(f as u32), n_rows, n_rows * (owned + TID_CELLS));
+                }
             }
-            ledger.charge_codes(
-                coordinator,
-                SiteId(f as u32),
-                n_rows,
-                n_rows * (owned_count[f] + TID_CELLS),
-            );
-            matrix[coordinator.index()][f] = n_rows;
-        }
-        let before = clocks.snapshot();
-        clocks.transfer(&matrix, &cfg.cost);
-        obs.span_sites("incr:build-ship", &before, &clocks.snapshot());
+            wire.commit();
+        });
 
         // Assemble full code rows by row alignment (each attribute read
         // from its owner's encoded payload) and build indices.
-        let rows: Vec<(TupleId, Box<[u32]>)> = (0..n_rows)
+        let rows: CodeRows = (0..n_rows)
             .map(|r| {
                 let tid = partition.fragments()[0].data.tids()[r];
                 let codes: Box<[u32]> =
@@ -689,34 +619,16 @@ impl VerticalIncrementalRun {
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
         let mut indices: Vec<ViolationIndex> =
             cfds.into_iter().map(|cfd| ViolationIndex::new(cfd, &dicts)).collect();
-        let built: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
-        let before = clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, built.len(), |c| {
-            let mut idx = built[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&[], &rows), |&touched| cfg.cost.check_time(touched))
-        });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        obs.span_sites("incr:build-index", &before, &clocks.snapshot());
-        revalidated_counter(&obs).inc(revalidated);
-
-        let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
+        maintain_indices(&mut ctx, "incr:build-index", &mut indices, coordinator, &[], &rows);
+        ctx.end_round();
         Ok(VerticalIncrementalRun {
             partition,
             placement,
             owned_count,
             indices,
             coordinator,
-            ledger,
-            clocks,
-            cfg,
-            paper_cost,
+            ctx,
             rounds: 0,
-            obs,
         })
     }
 
@@ -725,86 +637,60 @@ impl VerticalIncrementalRun {
     /// revision. Error handling matches
     /// [`IncrementalRun::apply_batch`]: a failed round is fatal.
     pub fn apply_batch(&mut self, delta: &RelationDelta) -> Result<RoundOutput, RelationError> {
-        let n = self.partition.n_sites();
         self.rounds += 1;
-        let cfg = self.cfg;
-        let coordinator = self.coordinator;
-        let mut local_secs = vec![0.0_f64; n];
         if delta.is_empty() {
             return Ok(RoundOutput { report: self.report(), paper_cost: 0.0 });
         }
-        let round_start = self.clocks.response_time();
-        self.obs
-            .registry
-            .counter("dcd_incr_deltas_applied_total", "Delta operations applied across sites", &[])
-            .inc(delta.n_ops() as u64);
+        let ctx = &mut self.ctx;
+        let threads = ctx.cfg().threads;
+        let coordinator = self.coordinator;
+        let round_start = ctx.response_time();
+        ctx.begin_round();
+        deltas_counter(ctx).inc(delta.n_ops() as u64);
 
         // Phase 1: every site applies its projection of the delta.
-        let before = self.clocks.snapshot();
-        let outcomes: Vec<Result<(DeltaEffect, f64), RelationError>> = {
-            let clocks = &self.clocks;
-            let tasks: Vec<Mutex<&mut dcd_dist::VFragment>> =
-                self.partition.fragments_mut().iter_mut().map(Mutex::new).collect();
-            scoped_map(cfg.threads, n, |f| {
-                let mut slot = tasks[f].lock().expect("apply slot poisoned");
-                let frag = &mut *slot;
-                let projected = RelationDelta::new(
-                    delta
-                        .inserts
-                        .iter()
-                        .map(|t| Tuple::new(t.tid, t.project(&frag.attrs)))
-                        .collect(),
-                    delta.deletes.clone(),
-                );
-                // apply_delta scans the fragment once (delete lookup
-                // and insert-id uniqueness) plus per-op interning.
-                let scan_rows = frag.data.len() + projected.n_ops();
-                let site = frag.site;
-                let (result, secs) = charge(
-                    clocks,
-                    site,
-                    &cfg,
-                    || frag.data.apply_delta(&projected),
-                    |_| cfg.cost.scan_time(scan_rows),
-                );
-                result.map(|e| (e, secs))
-            })
-        };
-        self.obs.span_sites("incr:apply", &before, &self.clocks.snapshot());
-        let mut effects: Vec<DeltaEffect> = Vec::with_capacity(n);
-        for (f, outcome) in outcomes.into_iter().enumerate() {
-            let (effect, secs) = outcome?;
-            local_secs[f] += secs;
-            effects.push(effect);
-        }
+        let (attrs, sites): (Vec<&[AttrId]>, Vec<_>) = self
+            .partition
+            .fragments_mut()
+            .iter_mut()
+            .map(|f| (f.attrs.as_slice(), (f.site, &mut f.data)))
+            .unzip();
+        let projected = scoped_map(threads, attrs.len(), |f| {
+            RelationDelta::new(
+                delta.inserts.iter().map(|t| Tuple::new(t.tid, t.project(attrs[f]))).collect(),
+                delta.deletes.clone(),
+            )
+        });
+        let effects = apply_deltas(ctx, sites, &projected)?;
 
-        // Phase 2 + 3: manifests and owned-column shipment for the
+        // Phases 2 + 3: manifests, then owned-column shipment for the
         // inserted rows (delete ids are already part of the feed).
         let k = self.indices.len();
         let n_inserts = delta.inserts.len();
-        let mut matrix = vec![vec![0usize; n]; n];
-        for (f, &owned) in self.owned_count.iter().enumerate() {
-            if f == coordinator.index() || n_inserts == 0 || owned == 0 {
-                continue;
+        let shippers: Vec<(SiteId, usize)> = self
+            .owned_count
+            .iter()
+            .enumerate()
+            .filter(|&(f, &owned)| f != coordinator.index() && n_inserts > 0 && owned > 0)
+            .map(|(f, &owned)| (SiteId(f as u32), owned))
+            .collect();
+        ctx.phase("incr:manifest", |p| {
+            for &(site, _) in &shippers {
+                p.control(site, [coordinator], 8 * k);
             }
-            self.ledger.control(coordinator, SiteId(f as u32), 8 * k);
-            self.clocks.advance(SiteId(f as u32), cfg.cost.control_time(1));
-            self.ledger.charge_codes(
-                coordinator,
-                SiteId(f as u32),
-                n_inserts,
-                n_inserts * (owned + TID_CELLS),
-            );
-            matrix[coordinator.index()][f] = n_inserts;
-        }
-        let before = self.clocks.snapshot();
-        self.clocks.transfer(&matrix, &cfg.cost);
-        self.obs.span_sites("incr:ship", &before, &self.clocks.snapshot());
+        });
+        ctx.phase("incr:ship", |p| {
+            let mut wire = p.transfer();
+            for &(site, owned) in &shippers {
+                wire.send(coordinator, site, n_inserts, n_inserts * (owned + TID_CELLS));
+            }
+            wire.commit();
+        });
 
         // Phase 4: assemble full insert rows from the per-site effects
         // (rows align across fragments — same deletes, same insert
         // order) and maintain the indices.
-        let inserts: Vec<(TupleId, Box<[u32]>)> = (0..n_inserts)
+        let inserts: CodeRows = (0..n_inserts)
             .map(|r| {
                 let (tid, _) = effects[0].inserted[r];
                 let codes: Box<[u32]> = self
@@ -818,27 +704,18 @@ impl VerticalIncrementalRun {
                 (tid, codes)
             })
             .collect();
-        let deletes = delta.deletes.clone();
-        let updated: Vec<Mutex<&mut ViolationIndex>> =
-            self.indices.iter_mut().map(Mutex::new).collect();
-        let before = self.clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, updated.len(), |c| {
-            let mut idx = updated[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&deletes, &inserts), |&touched| cfg.cost.check_time(touched))
-        });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            self.clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        self.obs.span_sites("incr:maintain", &before, &self.clocks.snapshot());
-        revalidated_counter(&self.obs).inc(revalidated);
-        observe_lag(&self.obs, round_start, self.clocks.response_time());
+        maintain_indices(
+            ctx,
+            "incr:maintain",
+            &mut self.indices,
+            coordinator,
+            &delta.deletes,
+            &inserts,
+        );
+        observe_lag(ctx, round_start);
 
-        let round_cost = cfg.cost.paper_cost(&matrix, &local_secs);
-        self.paper_cost += round_cost;
-        Ok(RoundOutput { report: self.report(), paper_cost: round_cost })
+        let paper_cost = ctx.end_round();
+        Ok(RoundOutput { report: self.report(), paper_cost })
     }
 
     /// The current report revision.
@@ -848,7 +725,7 @@ impl VerticalIncrementalRun {
 
     /// A [`Detection`] snapshot of the whole run so far.
     pub fn detection(&self) -> Detection {
-        snapshot_detection(&self.indices, &self.ledger, &self.clocks, self.paper_cost, &self.obs)
+        self.ctx.snapshot(ALGORITHM, self.report())
     }
 
     /// The materialized vertical partition.

@@ -1,11 +1,9 @@
-//! The workspace driver: discover files, classify them, build the
-//! workspace facts (hash types + symbol graph), run the token-window
-//! and flow rules, then filter suppressed findings and audit the
-//! suppressions themselves.
+//! The workspace driver: discover files, classify them, collect the
+//! workspace facts (which fns return hash containers), run the rules,
+//! then filter suppressed findings and audit the suppressions
+//! themselves.
 
 use crate::diag::Diagnostic;
-use crate::flows::check_flows;
-use crate::graph::WorkspaceFacts;
 use crate::rules::{check_file, collect_facts, HashFacts, RULE_IDS};
 use crate::source::{FileClass, SourceFile};
 use std::collections::BTreeSet;
@@ -19,9 +17,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of files analyzed.
     pub checked_files: usize,
-    /// The workspace symbol graph, rendered as Graphviz DOT
-    /// (`check --format dot` prints this verbatim).
-    pub symbol_graph_dot: String,
 }
 
 /// Lints every Rust source of the workspace rooted at `root`.
@@ -52,39 +47,32 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
         sources.push(SourceFile::parse(rel, class, &src));
     }
 
-    let (diagnostics, facts) = run_rules(&sources);
-    Ok(Report { diagnostics, checked_files: sources.len(), symbol_graph_dot: facts.to_dot() })
+    Ok(Report { diagnostics: run_rules(&sources), checked_files: sources.len() })
 }
 
-/// Lints a single source string (the fixture tests' entry point). The
-/// flow rules run over a one-file workspace, so fixtures exercise them
-/// the same way `check_workspace` does.
+/// Lints a single source string (the fixture tests' entry point): the
+/// same pipeline as [`check_workspace`], over a one-file workspace.
 pub fn check_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let class = classify(path);
-    let sources = vec![SourceFile::parse(path.to_string(), class, src)];
-    run_rules(&sources).0
+    run_rules(&[SourceFile::parse(path.to_string(), class, src)])
 }
 
-/// The shared rule pipeline: pass 1 collects workspace facts (hash
-/// types, symbol graph), pass 2 runs every rule, pass 3 applies the
-/// suppressions and flags the stale ones.
-fn run_rules(sources: &[SourceFile]) -> (Vec<Diagnostic>, WorkspaceFacts) {
+/// The shared rule pipeline: pass 1 collects workspace facts, pass 2
+/// runs every rule, pass 3 applies the suppressions and flags the
+/// stale ones.
+fn run_rules(sources: &[SourceFile]) -> Vec<Diagnostic> {
     let mut hash_facts = HashFacts::default();
     for file in sources {
         collect_facts(file, &mut hash_facts);
     }
-    let facts = WorkspaceFacts::build(sources);
-
     let mut raw = Vec::new();
     for file in sources {
         raw.extend(check_file(file, &hash_facts));
     }
-    check_flows(sources, &facts, &mut raw);
-
     let mut diagnostics = apply_suppressions(sources, raw);
     diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    (diagnostics, facts)
+    diagnostics
 }
 
 /// Filters findings covered by a reasoned `allow(..)` on the same or

@@ -9,71 +9,35 @@
 //! Finkelstein et al.'s *Principles for Inconsistency* observation —
 //! consistency erodes through routine shortcuts, not grand design
 //! errors — applies to this codebase as much as to the data it checks.
-//! This crate is the CI-time ratchet: a dependency-free tokenizer
-//! ([`tokenizer`]) plus a rule engine ([`rules`], [`flows`],
-//! [`engine`]) that walks the workspace's own sources and flags the
-//! shortcuts.
+//! This crate is the CI-time gate: a dependency-free tokenizer
+//! ([`tokenizer`]) plus a rule engine ([`rules`], [`engine`]) that
+//! walks the workspace's own sources and flags the shortcuts.
+//!
+//! It polices only what a type cannot: conventions about *which*
+//! std facilities engine code may touch (hash iteration, threads, the
+//! host clock, relaxed atomics) and two shape rules. Invariants a type
+//! can carry live in the types — see `dcd_core::ctx::RunCtx` for the
+//! ledger/clock/trace coupling this crate used to approximate.
 //!
 //! Run it as `cargo run -p dcd_lint -- check` (add `--format json` for
-//! machine-readable output, `--format dot` for the symbol graph,
-//! `--baseline lint_baseline.json` for the ratchet comparison; see
-//! `dcd_lint explain <rule>` for per-rule rationale). Suppress a
-//! finding inline with `// dcd-lint: allow(<rule>) — <reason>`; the
-//! reason is mandatory, reasonless allows are themselves findings, and
-//! an allow whose rule no longer fires is flagged as
-//! `unused-suppression`. The rule list and the invariant each rule
-//! guards are documented in [`rules`] and in the README's "Determinism
-//! invariants" section.
-//!
-//! # How the symbol graph is built
-//!
-//! The flow rules ([`flows`]) do not work on token windows; they query
-//! [`graph::WorkspaceFacts`], a workspace-level index built in one
-//! pass over every file's token stream ([`items`]):
-//!
-//! * **Items.** A linear scan with an `impl`/`mod` context stack
-//!   extracts every `fn` (name, visibility, return-type tokens,
-//!   brace-matched body range), `struct`/`enum`/`trait` declaration,
-//!   inline module, and crate-shaped reference (`dcd_*`/compat name
-//!   followed by `::`). Module paths derive from the file layout
-//!   (`crates/core/src/runner.rs` → `dcd_core::runner`).
-//! * **Call graph.** A call site is an identifier directly followed by
-//!   `(` inside a body — free calls, method calls and associated
-//!   calls all record the final identifier; macros (`name!(..)`) are
-//!   excluded by the `!`. Edges resolve *by bare name*: a call to
-//!   `snapshot` edges to every function named `snapshot` in the
-//!   workspace. That over-approximation is deliberate: the flow rules
-//!   only consume reachability ("is there any uncharged path?") and
-//!   membership ("does any `Detection`-returning fn have this name?"),
-//!   where merging same-named functions errs toward *fewer* findings,
-//!   never toward false alarms about code that cannot run.
-//! * **What it does not resolve.** Trait-object dispatch, closures
-//!   passed as values, function pointers, macro-generated items, and
-//!   re-exports are invisible — a call through any of them simply has
-//!   no outgoing edge. Rules are written so that an unresolved edge
-//!   degrades to silence, not noise, and the dynamic suites keep
-//!   covering what the graph cannot see.
-//!
-//! The graph is also an artifact: `check --format dot` renders it as
-//! Graphviz (one cluster per crate, double borders on ledger-charging
-//! functions, boxes on `Detection`-returning entry points), which CI
-//! uploads alongside the test results.
+//! machine-readable output; see `dcd_lint explain <rule>` for per-rule
+//! rationale). The exit code is the gate: 0 clean, 1 findings.
+//! Suppress a finding inline with
+//! `// dcd-lint: allow(<rule>) — <reason>`; the reason is mandatory,
+//! reasonless allows are themselves findings, and an allow whose rule
+//! no longer fires is flagged as `unused-suppression`. The rule list
+//! and the invariant each rule guards are documented in [`rules`] and
+//! in the README's "Determinism invariants" section.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod diag;
 pub mod engine;
-pub mod flows;
-pub mod graph;
-pub mod items;
 pub mod rules;
 pub mod source;
 pub mod tokenizer;
 
-pub use baseline::{compare, rule_counts, Baseline, Comparison};
 pub use diag::{render, Diagnostic, Format};
 pub use engine::{check_source, check_workspace, Report};
-pub use graph::WorkspaceFacts;
 pub use rules::{describe, explain, RULE_IDS};

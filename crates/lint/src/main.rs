@@ -1,39 +1,24 @@
 //! The `dcd_lint` command-line front end.
 //!
 //! ```text
-//! cargo run -p dcd_lint -- check [--format text|json|dot] [--root <path>]
-//!                               [--baseline <file>] [--write-baseline <file>]
+//! cargo run -p dcd_lint -- check [--format text|json] [--root <path>]
 //! cargo run -p dcd_lint -- rules
 //! cargo run -p dcd_lint -- explain <rule>
 //! ```
 //!
-//! Exit codes: `0` clean (or ratchet holds in `--baseline` mode), `1`
-//! findings (or a per-rule count increased past the baseline), `2`
-//! usage or I/O error. The CI gate is the default invocation plus a
-//! `--baseline lint_baseline.json` leg; `--format dot` prints the
-//! workspace symbol graph (exit 0 regardless of findings — it is an
-//! artifact emitter, not a gate).
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error. The CI
+//! gate is the default invocation.
 
-use dcd_lint::{
-    check_workspace, compare, describe, explain, render, rule_counts, Baseline, Format, RULE_IDS,
-};
+use dcd_lint::{check_workspace, describe, explain, render, Format, RULE_IDS};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-enum OutFormat {
-    Text,
-    Json,
-    Dot,
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut explain_rule: Option<String> = None;
-    let mut format = OutFormat::Text;
+    let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -49,11 +34,10 @@ fn main() -> ExitCode {
                 }
             }
             "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = OutFormat::Text,
-                Some("json") => format = OutFormat::Json,
-                Some("dot") => format = OutFormat::Dot,
+                Some("text") => format = Format::Text,
+                Some("json") => format = Format::Json,
                 other => {
-                    eprintln!("dcd_lint: --format expects `text`, `json` or `dot`, got {other:?}");
+                    eprintln!("dcd_lint: --format expects `text` or `json`, got {other:?}");
                     return ExitCode::from(2);
                 }
             },
@@ -61,20 +45,6 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("dcd_lint: --root expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("dcd_lint: --baseline expects a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => match it.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("dcd_lint: --write-baseline expects a path");
                     return ExitCode::from(2);
                 }
             },
@@ -123,61 +93,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            // The symbol-graph artifact mode: print DOT, gate nothing.
-            if matches!(format, OutFormat::Dot) {
-                print!("{}", report.symbol_graph_dot);
-                return ExitCode::SUCCESS;
-            }
-            let diag_format = match format {
-                OutFormat::Json => Format::Json,
-                _ => Format::Text,
-            };
-            print!("{}", render(&report.diagnostics, report.checked_files, diag_format));
-
-            let counts = rule_counts(&report.diagnostics);
-            if let Some(path) = write_baseline {
-                let rendered = Baseline::from_counts(&counts).render();
-                if let Err(e) = std::fs::write(&path, rendered) {
-                    eprintln!("dcd_lint: writing {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("dcd_lint: wrote baseline to {}", path.display());
-            }
-            if let Some(path) = baseline_path {
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("dcd_lint: reading {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                };
-                let baseline = match Baseline::parse(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("dcd_lint: {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                };
-                let cmp = compare(&baseline, &counts);
-                for (rule, base, cur) in &cmp.improvements {
-                    eprintln!(
-                        "dcd_lint: baseline: `{rule}` improved {base} -> {cur} \
-                         (tighten with --write-baseline)"
-                    );
-                }
-                return if cmp.is_ok() {
-                    eprintln!("dcd_lint: baseline: ok (no per-rule count increased)");
-                    ExitCode::SUCCESS
-                } else {
-                    for (rule, base, cur) in &cmp.regressions {
-                        eprintln!(
-                            "dcd_lint: baseline: REGRESSION `{rule}` {base} -> {cur} \
-                             (counts may only decrease; fix the findings above)"
-                        );
-                    }
-                    ExitCode::from(1)
-                };
-            }
+            print!("{}", render(&report.diagnostics, report.checked_files, format));
             if report.diagnostics.is_empty() {
                 ExitCode::SUCCESS
             } else {
@@ -193,8 +109,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: dcd_lint check [--format text|json|dot] [--root <path>] \
-         [--baseline <file>] [--write-baseline <file>] | rules | explain <rule>"
+        "usage: dcd_lint check [--format text|json] [--root <path>] | rules | explain <rule>"
     );
 }
 

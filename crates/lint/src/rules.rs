@@ -5,23 +5,24 @@
 //! | rule id | invariant guarded |
 //! |---|---|
 //! | `hash-iteration-order` | bit-identical outputs across pool widths |
-//! | `raw-ledger-mutation` | byte-accurate shipment accounting |
 //! | `stray-thread` | all parallelism goes through `dcd_dist::pool` |
 //! | `wall-clock` | simulated `SiteClocks` time only |
 //! | `relaxed-atomic` | audited atomic orderings, justified `unsafe` |
-//! | `deprecated-shim` | the `DetectRequest` façade is the only door |
 //! | `duplicate-detect-loop` | group validation lives in `dcd_cfd::kernel` only |
-//! | `unledgered-shipment` | every wire payload is charged to the ledger |
-//! | `unobserved-phase` | every entry point and phase lands in the run trace |
 //! | `exhaustive-dispatch` | `Topology`/`Algorithm` matches stay total |
-//! | `crate-layering` | the engine dependency DAG holds at reference level |
 //! | `unused-suppression` | allows excuse a live finding, or get deleted |
+//! | `bad-suppression` | every allow parses and says why it is sound |
 //!
-//! The per-file rules here are token-window analyses, not AST passes:
-//! sound about strings and comments (the tokenizer guarantees that),
-//! heuristic about types. The flow families live in [`crate::flows`]
-//! and consume the workspace symbol graph instead of a token window.
-//! Where a heuristic over-approximates, the inline
+//! Invariants a type can carry are not here: that every clock advance
+//! lands in the trace, that every shipment is charged, and that the
+//! ledger has one mutation authority are privacy facts of
+//! `dcd_core::ctx::RunCtx` and `dcd_dist::ShipmentLedger`, enforced by
+//! rustc; the crate DAG is enforced by the manifests (a `dcd_x::` path
+//! does not resolve without a `[dependencies]` edge).
+//!
+//! The rules are token-window analyses, not AST passes: sound about
+//! strings and comments (the tokenizer guarantees that), heuristic
+//! about types. Where a heuristic over-approximates, the inline
 //! `// dcd-lint: allow(<rule>) — <reason>` escape hatch documents the
 //! reasoning right at the site it excuses.
 
@@ -29,22 +30,16 @@ use crate::diag::Diagnostic;
 use crate::source::{FileClass, SourceFile};
 use std::collections::BTreeSet;
 
-/// All rule ids, in reporting order. The first seven are token-window
-/// rules (this module); the next four are the flow-aware families over
-/// the workspace symbol graph ([`crate::flows`]); the last two police
-/// the suppression mechanism itself ([`crate::engine`]).
-pub const RULE_IDS: [&str; 13] = [
+/// All rule ids, in reporting order: six token-window rules (this
+/// module), then the two that police the suppression mechanism itself
+/// ([`crate::engine`]).
+pub const RULE_IDS: [&str; 8] = [
     "hash-iteration-order",
-    "raw-ledger-mutation",
     "stray-thread",
     "wall-clock",
     "relaxed-atomic",
-    "deprecated-shim",
     "duplicate-detect-loop",
-    "unledgered-shipment",
-    "unobserved-phase",
     "exhaustive-dispatch",
-    "crate-layering",
     "unused-suppression",
     "bad-suppression",
 ];
@@ -56,11 +51,6 @@ pub fn describe(rule: &str) -> &'static str {
             "iterating a HashMap/HashSet/FxHashMap in engine code without an \
              order-restoring sink (sort, BTree collection, commutative reduction) \
              — the classic way pool-width determinism breaks"
-        }
-        "raw-ledger-mutation" => {
-            "ShipmentLedger counter mutation outside `ship`/`control`, or ad-hoc \
-             `CODE_BYTES` wire-byte math outside `charge_codes` — accounting must \
-             have exactly one authority"
         }
         "stray-thread" => {
             "`thread::spawn`/`thread::scope` outside `dcd_dist::pool` — parallelism \
@@ -77,38 +67,16 @@ pub fn describe(rule: &str) -> &'static str {
              order-free `dcd_obs` metrics registry, or an `unsafe` block without \
              a `// SAFETY:` comment"
         }
-        "deprecated-shim" => {
-            "use of the retired pre-façade surface (`detect_*` free functions, \
-             `Detector::run*`/`MultiDetector::run` method calls) — the shims are \
-             gone; new code goes through the `DetectRequest` façade or the engine \
-             fns, and this rule keeps the old names from creeping back"
-        }
         "duplicate-detect-loop" => {
             "a hand-rolled per-group tableau-validation loop outside \
              `dcd_cfd::kernel` — the group-validation semantics (distinct-RHS \
              conflict, wildcard/constant flagging) have exactly one home; \
              instantiate `kernel::detect_grouped`/`validate_group` instead"
         }
-        "unledgered-shipment" => {
-            "a function reachable from a public engine entry point that builds \
-             code-wire payloads (`code_rows`/`code_shipment`) with no \
-             `ShipmentLedger` charge anywhere on the call path — every simulated \
-             transfer must be accounted"
-        }
-        "unobserved-phase" => {
-            "a public engine entry point returning a `Detection` without threading \
-             a `RunObserver`, or a `clocks.snapshot()` phase open that never \
-             reaches `span`/`span_sites` — phases must land in the run trace"
-        }
         "exhaustive-dispatch" => {
             "a `_` wildcard or lowercase catch-all arm in an engine `match` on \
              `Topology`/`Algorithm` — adding a variant must be a compile error at \
              every dispatch site, never a silent no-op"
-        }
-        "crate-layering" => {
-            "a reference that violates the engine dependency DAG \
-             (relation/obs → cfd/dist → core → incr/vertical), or a compat \
-             stand-in reaching back into `dcd_*`"
         }
         "unused-suppression" => {
             "a well-formed `dcd-lint: allow(..)` whose rule no longer fires on \
@@ -137,15 +105,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              commutative reduction (sum/count/min/max). Fix by sorting before \
              the order escapes; allow only with a proof it cannot."
         }
-        "raw-ledger-mutation" => {
-            "The ShipmentLedger is the single accounting authority for simulated \
-             wire traffic; the paper's cost claims are only checkable because \
-             every byte goes through `ship`/`control`, with `charge_codes` \
-             composing the code-wire byte math. Inside `ledger.rs` the atomic \
-             counters may be touched only by those authorities; everywhere else, \
-             multiplying by CODE_BYTES is ad-hoc wire math that will drift from \
-             the ledger. Fix by passing cell counts to `charge_codes`."
-        }
         "stray-thread" => {
             "All parallelism goes through `dcd_dist::pool`: the persistent \
              worker pool merges per-site outputs in (site, chunk) order, which \
@@ -158,7 +117,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `Instant::now`/`SystemTime` in a detection path makes reports and \
              traces irreproducible. Only `crates/bench` and the compat stand-ins \
              may read host time; the one engine exception (Measured compute \
-             mode) carries its own reasoned allow."
+             mode, read in `dcd_core::ctx::Phase::stopwatch`) carries its own \
+             reasoned allow."
         }
         "relaxed-atomic" => {
             "`Ordering::Relaxed` is correct only where commutativity, not \
@@ -166,12 +126,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              and the obs metrics registry. Anywhere else, pick the ordering the \
              happens-before argument needs and document it. The rule also \
              requires a `// SAFETY:` comment above every `unsafe` block."
-        }
-        "deprecated-shim" => {
-            "The pre-façade entry points (`detect_*` free fns, \
-             `Detector::run*`) are retired. The façade (`DetectRequest`) and the \
-             engine fns (`run_batch`/`run_seq`/…) are the only doors; this rule \
-             keeps the old names from creeping back through habit or copy-paste."
         }
         "duplicate-detect-loop" => {
             "Group validation (distinct-RHS conflict, wildcard/constant \
@@ -181,29 +135,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              + flag decision + distinctness test) without delegating to \
              `validate_group`/`detect_grouped`."
         }
-        "unledgered-shipment" => {
-            "Flow rule over the symbol graph. Wire payloads are built by the \
-             sending-side constructors (`code_rows`, `fragment_code_rows`, \
-             `code_shipment`); a path from a public engine entry point to one \
-             of them that never passes `charge_codes`/`ship`/`control` is a \
-             shipment the ledger never saw — exactly the accounting drift the \
-             response-time claims cannot survive. The BFS does not descend into \
-             charging functions (their paths are covered), so the charge may \
-             live in the builder's caller at any depth. Fix by charging in the \
-             flagged function or every caller; the constructors themselves are \
-             exempt by name."
-        }
-        "unobserved-phase" => {
-            "Flow rule over the symbol graph, extending the PR 9 observability \
-             contract from golden tests to static checking. (a) Every public \
-             engine fn returning a `Detection` must thread a `RunObserver` — \
-             construct one, accept one, or delegate to an engine fn that does — \
-             so no entry point produces an untraced run. (b) Every \
-             `let x = clocks.snapshot()` opens a phase; if `x` never reaches a \
-             `span`/`span_sites` call before shadowing or body end, the phase \
-             was opened and silently dropped. Fix by recording the span (or \
-             deleting a snapshot that measures nothing)."
-        }
         "exhaustive-dispatch" => {
             "Topology and Algorithm are the engine's dispatch enums: every \
              variant must reach a real implementation. A `_` or catch-all \
@@ -212,15 +143,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              compile. Name every variant; when several share a body, bind with \
              `v @ (A | B | C)` — that stays exhaustive. `_` inside a variant's \
              own pattern (`Topology::Hybrid(_)`) is fine."
-        }
-        "crate-layering" => {
-            "The engine DAG — relation/obs at the bottom, cfd/dist above them, \
-             core above those, incr/vertical/complexity/datagen at the top — is \
-             what keeps the kernel reusable and the compat stand-ins swappable. \
-             The rule checks every `dcd_*`/compat crate reference in engine \
-             code against a hardcoded copy of that DAG, and forbids compat \
-             crates from referencing `dcd_*` at all. Tests and benches are \
-             exempt (dev-dependencies cut across layers by design)."
         }
         "unused-suppression" => {
             "An `allow(..)` comment whose rule no longer fires on the covered \
@@ -279,19 +201,6 @@ const ORDER_SINKS: [&str; 19] = [
     "len",
     "is_empty",
     "contains",
-];
-
-/// Atomic mutation verbs (for the ledger rule).
-const ATOMIC_MUTATORS: [&str; 9] = [
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_update",
-    "store",
-    "swap",
-    "get_mut",
 ];
 
 /// Facts collected across the whole workspace before per-file rules
@@ -375,12 +284,11 @@ fn file_hash_names(file: &SourceFile) -> BTreeSet<String> {
 pub fn check_file(file: &SourceFile, facts: &HashFacts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     hash_iteration_order(file, facts, &mut out);
-    raw_ledger_mutation(file, &mut out);
     stray_thread(file, &mut out);
     wall_clock(file, &mut out);
     relaxed_atomic(file, &mut out);
-    deprecated_shim(file, &mut out);
     duplicate_detect_loop(file, &mut out);
+    exhaustive_dispatch(file, &mut out);
     bad_suppression(file, &mut out);
     out
 }
@@ -576,76 +484,6 @@ fn hash_iteration_order(file: &SourceFile, facts: &HashFacts, out: &mut Vec<Diag
 
 // ---------------------------------------------------------------- rule 2
 
-/// `raw-ledger-mutation`: inside `ledger.rs`, the atomic counters may be
-/// mutated only by `new`/`ship`/`control` (with `charge_codes` composing
-/// `ship`); everywhere else in engine code, multiplying by `CODE_BYTES`
-/// is ad-hoc wire-byte math that must go through
-/// `ShipmentLedger::charge_codes` instead.
-fn raw_ledger_mutation(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let n = file.code.len();
-    if file.path.ends_with("crates/dist/src/ledger.rs") || file.path == "crates/dist/src/ledger.rs"
-    {
-        // Collect sanctioned fn body ranges.
-        let mut allowed: Vec<(usize, usize)> = Vec::new();
-        for ci in 0..n {
-            if file.text(ci) == "fn"
-                && matches!(file.text(ci + 1), "new" | "ship" | "control" | "charge_codes")
-            {
-                let mut j = ci + 2;
-                while j < n && file.text(j) != "{" {
-                    j += 1;
-                }
-                if j < n {
-                    allowed.push((j, file.matching_brace(j)));
-                }
-            }
-        }
-        for ci in 0..n {
-            let t = file.text(ci);
-            let is_mutator = ATOMIC_MUTATORS.contains(&t) && file.text(ci + 1) == "(";
-            let is_byte_math = t == "CODE_BYTES"
-                && (file.text(ci.wrapping_sub(1)) == "*" || file.text(ci + 1) == "*");
-            if (is_mutator || is_byte_math)
-                && !allowed.iter().any(|&(a, b)| a <= ci && ci <= b)
-                && !file.in_test_code(file.ct(ci).line)
-            {
-                out.push(diag(
-                    file,
-                    ci,
-                    "raw-ledger-mutation",
-                    format!(
-                        "`{t}` touches ledger accounting outside `ship`/`control`/`charge_codes`; \
-                         shipment counters have exactly one mutation authority"
-                    ),
-                ));
-            }
-        }
-        return;
-    }
-    if file.class != FileClass::Engine {
-        return;
-    }
-    for ci in 0..n {
-        if file.text(ci) == "CODE_BYTES"
-            && (file.text(ci.wrapping_sub(1)) == "*" || file.text(ci + 1) == "*")
-            && !file.in_use_statement(ci)
-            && !file.in_test_code(file.ct(ci).line)
-        {
-            out.push(diag(
-                file,
-                ci,
-                "raw-ledger-mutation",
-                "ad-hoc `CODE_BYTES` byte math in engine code; pass cell counts to \
-                 `ShipmentLedger::charge_codes` — it is the single place wire bytes \
-                 are computed"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 3
-
 /// `stray-thread`: `thread::spawn` / `thread::scope` anywhere but
 /// `dcd_dist::pool`. The pool is the one place allowed to create
 /// threads, because it is the one place that guarantees index-ordered
@@ -676,7 +514,7 @@ fn stray_thread(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 4
+// ---------------------------------------------------------------- rule 3
 
 /// `wall-clock`: `Instant::now` / `SystemTime` outside bench and compat.
 /// Engine and test time is the simulated `SiteClocks` cost model; host
@@ -713,7 +551,7 @@ fn wall_clock(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 5
+// ---------------------------------------------------------------- rule 4
 
 /// `relaxed-atomic`: `Relaxed` atomic orderings outside the audited
 /// modules (`dcd_dist`'s `ledger.rs` — monotonic counters read after
@@ -765,60 +603,7 @@ fn relaxed_atomic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 6
-
-/// `deprecated-shim`: the pre-façade entry points are *retired*, not
-/// merely deprecated — this rule is the reintroduction ratchet. The
-/// `Detector`/`MultiDetector` traits survive as identity (name +
-/// strategy), so mentioning them is fine; what must not come back are
-/// the free `detect_*` functions and the `run`/`run_simple`/
-/// `run_simples` execution methods the traits used to carry. No file
-/// is exempt: `tests/prop_facade.rs` now pins the façade against the
-/// engine fns and has no business naming the shims either.
-fn deprecated_shim(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let n = file.code.len();
-    for ci in 0..n {
-        if file.in_use_statement(ci) {
-            continue;
-        }
-        let t = file.text(ci);
-        let prev = if ci == 0 { "" } else { file.text(ci - 1) };
-        if prev == "fn" {
-            continue; // a definition, not a call
-        }
-        let flagged = match t {
-            // The retired free-function shims.
-            "detect_hybrid" | "detect_replicated" | "detect_vertical" => true,
-            // The retired trait execution methods.
-            "run_simple" | "run_simples" => file.text(ci + 1) == "(",
-            // `<DetectorType>.run(..)` method-call form.
-            "run" => {
-                file.text(ci + 1) == "("
-                    && prev == "."
-                    && matches!(
-                        file.text(ci.wrapping_sub(2)),
-                        "CtrDetect" | "PatDetectS" | "PatDetectRT" | "SeqDetect" | "ClustDetect"
-                    )
-            }
-            _ => false,
-        };
-        if flagged {
-            out.push(diag(
-                file,
-                ci,
-                "deprecated-shim",
-                format!(
-                    "`{t}` belongs to the retired pre-façade surface; build a \
-                     `DetectRequest` (or call the engine fns `run_batch`/`run_seq`/\
-                     `run_clust`/`run_hybrid`/`run_replicated`/`run_vertical`) \
-                     instead of resurrecting the shim"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 7
+// ---------------------------------------------------------------- rule 5
 
 /// `duplicate-detect-loop`: a hand-rolled group-validation loop outside
 /// `dcd_cfd::kernel`. The workspace once carried five per-group
@@ -908,7 +693,124 @@ fn duplicate_detect_loop(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 8
+// ---------------------------------------------------------------- rule 6
+
+/// `exhaustive-dispatch`: in engine files, a `match` whose arms name
+/// `Topology::` or `Algorithm::` variants may not have a wildcard
+/// (`_ =>`) or a lowercase catch-all binding (`single =>`) arm — a new
+/// enum variant must be a compile error at every dispatch site, never a
+/// silent no-op. `_` *inside* a variant pattern (`Topology::Hybrid(_)`)
+/// stays legal: the variant is still named. Tuple-pattern catch-alls
+/// (`(t, n) =>`) are beyond a token scan and are left to code review.
+fn exhaustive_dispatch(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    if file.class != FileClass::Engine {
+        return;
+    }
+    let n = file.code.len();
+    for ci in 0..n {
+        if file.text(ci) != "match" || file.text(ci.wrapping_sub(1)) == "." {
+            continue;
+        }
+        if file.in_test_code(file.ct(ci).line) {
+            continue;
+        }
+        // The match body: first `{` after the head (match heads cannot
+        // contain braces without parentheses).
+        let mut open = ci + 1;
+        while open < n && !matches!(file.text(open), "{" | ";") {
+            open += 1;
+        }
+        if file.text(open) != "{" {
+            continue;
+        }
+        let close = file.matching_brace(open);
+        // In scope only if the arms dispatch on the engine enums.
+        let dispatches = (open..=close)
+            .any(|w| matches!(file.text(w), "Topology" | "Algorithm") && file.text(w + 1) == "::");
+        if !dispatches {
+            continue;
+        }
+        scan_arms(file, open, close, out);
+    }
+}
+
+/// Walks the arms of one match body, flagging catch-all patterns. A
+/// small state machine over the code tokens at the arm nesting level:
+/// `InPattern` from an arm's first token to its `=>`, `InBody` after.
+fn scan_arms(file: &SourceFile, open: usize, close: usize, out: &mut Vec<Diagnostic>) {
+    let base = file.depth[open] + 1;
+    let mut in_pattern = true;
+    let mut at_start = true;
+    let mut paren = 0i32;
+    let mut w = open + 1;
+    while w < close {
+        // Nested braces (arm blocks, struct patterns, nested matches)
+        // are skipped wholesale.
+        if file.text(w) == "{" && file.depth[w] == base {
+            let end = file.matching_brace(w);
+            w = end + 1;
+            if in_pattern {
+                continue; // struct pattern — still before `=>`
+            }
+            // A braced arm body ends the arm; a trailing method call
+            // (`match .. {..}.foo()`) keeps us in the body.
+            if matches!(file.text(w), ",") {
+                w += 1;
+            } else if matches!(file.text(w), "." | "?" | ";") {
+                continue;
+            }
+            in_pattern = true;
+            at_start = true;
+            continue;
+        }
+        match file.text(w) {
+            "(" | "[" => paren += 1,
+            ")" | "]" => paren -= 1,
+            "," if paren == 0 && !in_pattern => {
+                in_pattern = true;
+                at_start = true;
+                w += 1;
+                continue;
+            }
+            "=" if in_pattern && paren == 0 && file.text(w + 1) == ">" => {
+                in_pattern = false;
+                w += 2;
+                continue;
+            }
+            t if in_pattern && at_start && paren == 0 => {
+                let next = file.text(w + 1);
+                let arrow_next = next == "if" || (next == "=" && file.text(w + 2) == ">");
+                let is_wild = t == "_";
+                let is_binding = t.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
+                    && t != "_"
+                    && t.chars().all(|c| c.is_alphanumeric() || c == '_');
+                if arrow_next && (is_wild || is_binding) {
+                    let what = if is_wild {
+                        "a `_` wildcard arm".to_string()
+                    } else {
+                        format!("a catch-all binding arm (`{t} =>`)")
+                    };
+                    out.push(diag(
+                        file,
+                        w,
+                        "exhaustive-dispatch",
+                        format!(
+                            "{what} in a `Topology`/`Algorithm` dispatch; name every \
+                             variant (bind with `v @ (A | B)` if the body is shared) so \
+                             adding a variant is a compile error at this site, not a \
+                             silent no-op"
+                        ),
+                    ));
+                }
+                at_start = false;
+            }
+            _ => {}
+        }
+        w += 1;
+    }
+}
+
+// ---------------------------------------------------------------- rule 7
 
 /// `bad-suppression`: malformed `dcd-lint:` markers. Not suppressible —
 /// a suppression that cannot parse cannot excuse anything, least of all

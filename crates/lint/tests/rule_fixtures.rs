@@ -41,23 +41,6 @@ fn hash_iteration_ignores_test_code() {
     assert!(findings.is_empty(), "test files may iterate freely: {findings:?}");
 }
 
-// -------------------------------------------------- raw-ledger-mutation
-
-#[test]
-fn ledger_mutation_positive_flags_adhoc_byte_math() {
-    let src = include_str!("fixtures/ledger_mutation_pos.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["raw-ledger-mutation"], "{findings:?}");
-    assert_eq!(findings[0].1, 4, "`cells * CODE_BYTES` is the ad-hoc math");
-}
-
-#[test]
-fn ledger_mutation_negative_sanctions_the_authorities() {
-    let src = include_str!("fixtures/ledger_mutation_neg.rs");
-    let findings = lint("crates/dist/src/ledger.rs", src);
-    assert!(findings.is_empty(), "`ship`/`charge_codes` own the counters: {findings:?}");
-}
-
 // --------------------------------------------------------- stray-thread
 
 #[test]
@@ -155,33 +138,6 @@ fn relaxed_atomic_negative_allows_audited_module_and_safety_comment() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ------------------------------------------------------ deprecated-shim
-
-#[test]
-fn deprecated_shim_positive_flags_legacy_calls() {
-    let src = include_str!("fixtures/deprecated_shim_pos.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["deprecated-shim", "deprecated-shim"], "{findings:?}");
-    assert_eq!(findings[0].1, 2, "the `detect_hybrid` call");
-    assert_eq!(findings[1].1, 3, "the `PatDetectS.run(..)` call");
-}
-
-#[test]
-fn deprecated_shim_negative_sanctions_engines_and_facade() {
-    let src = include_str!("fixtures/deprecated_shim_neg.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert!(findings.is_empty(), "engine fns + identity trait stay silent: {findings:?}");
-}
-
-#[test]
-fn deprecated_shim_ratchet_covers_the_facade_suite_too() {
-    // The shims are retired; even `tests/prop_facade.rs` (their old
-    // sanctioned pinning ground) may not name them anymore.
-    let src = include_str!("fixtures/deprecated_shim_pos.rs");
-    let findings = lint("tests/prop_facade.rs", src);
-    assert_eq!(rules(&findings), ["deprecated-shim", "deprecated-shim"], "{findings:?}");
-}
-
 // ------------------------------------------------ duplicate-detect-loop
 
 #[test]
@@ -236,49 +192,6 @@ fn suppression_naming_an_unknown_rule_is_flagged() {
     assert_eq!(rules(&findings), ["bad-suppression"], "{findings:?}");
 }
 
-// -------------------------------------------------- unledgered-shipment
-
-#[test]
-fn unledgered_shipment_positive_flags_direct_and_transitive_leaks() {
-    let src = include_str!("fixtures/unledgered_shipment_pos.rs");
-    let findings = lint("crates/dist/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["unledgered-shipment", "unledgered-shipment"], "{findings:?}");
-    assert_eq!(findings[0].1, 7, "`broadcast` builds rows with no charge");
-    assert_eq!(findings[1].1, 18, "`stage` is reached uncharged through `resync`");
-}
-
-#[test]
-fn unledgered_shipment_negative_accepts_charges_anywhere_on_the_path() {
-    let src = include_str!("fixtures/unledgered_shipment_neg.rs");
-    let findings = lint("crates/dist/src/fixture.rs", src);
-    assert!(findings.is_empty(), "in-body and in-caller charges both cover: {findings:?}");
-}
-
-#[test]
-fn unledgered_shipment_ignores_test_code() {
-    let src = include_str!("fixtures/unledgered_shipment_pos.rs");
-    let findings = lint("crates/dist/tests/fixture.rs", src);
-    assert!(findings.is_empty(), "test topologies ship freely: {findings:?}");
-}
-
-// ------------------------------------------------------ unobserved-phase
-
-#[test]
-fn unobserved_phase_positive_flags_silent_entry_and_dangling_snapshot() {
-    let src = include_str!("fixtures/unobserved_phase_pos.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["unobserved-phase", "unobserved-phase"], "{findings:?}");
-    assert_eq!(findings[0].1, 6, "`run_silent` never threads an observer");
-    assert_eq!(findings[1].1, 14, "`before` is opened and never spanned");
-}
-
-#[test]
-fn unobserved_phase_negative_accepts_full_idiom_and_delegation() {
-    let src = include_str!("fixtures/unobserved_phase_neg.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
 // --------------------------------------------------- exhaustive-dispatch
 
 #[test]
@@ -302,35 +215,6 @@ fn exhaustive_dispatch_ignores_test_code() {
     let src = include_str!("fixtures/exhaustive_dispatch_pos.rs");
     let findings = lint("tests/fixture.rs", src);
     assert!(findings.is_empty(), "test dispatches may catch-all: {findings:?}");
-}
-
-// ------------------------------------------------------- crate-layering
-
-#[test]
-fn crate_layering_positive_flags_upward_references() {
-    let src = include_str!("fixtures/crate_layering_pos.rs");
-    let findings = lint("crates/relation/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["crate-layering", "crate-layering"], "{findings:?}");
-    assert_eq!(findings[0].1, 5, "the `use dcd_core::..`");
-    assert_eq!(findings[1].1, 7, "the `dcd_cfd::Cfd` parameter type");
-}
-
-#[test]
-fn crate_layering_negative_accepts_owned_edges() {
-    let src = include_str!("fixtures/crate_layering_neg.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert!(findings.is_empty(), "core may name relation/obs/cfd/dist: {findings:?}");
-}
-
-#[test]
-fn crate_layering_exempts_tests_and_constrains_compat() {
-    let src = include_str!("fixtures/crate_layering_pos.rs");
-    assert!(lint("crates/relation/tests/fixture.rs", src).is_empty(), "tests cut across layers");
-    let findings = lint("crates/compat/serde/src/fixture.rs", src);
-    assert!(
-        findings.iter().all(|(r, _)| r == "crate-layering") && findings.len() == 2,
-        "compat may not reference dcd_* at all: {findings:?}"
-    );
 }
 
 // --------------------------------------------------- unused-suppression

@@ -28,37 +28,64 @@ fn workspace_is_lint_clean() {
 #[test]
 fn the_rule_set_is_pinned() {
     // Adding a rule must be a conscious act: it needs a describe()/
-    // explain() entry, a baseline key, fixtures, and a README row.
-    // This pin makes a drive-by rule (or a silently dropped one) a
-    // test failure pointing at the full checklist.
+    // explain() entry, fixtures, and a README row. This pin makes a
+    // drive-by rule (or a silently dropped one) a test failure pointing
+    // at the full checklist.
     assert_eq!(
         RULE_IDS,
         [
             "hash-iteration-order",
-            "raw-ledger-mutation",
             "stray-thread",
             "wall-clock",
             "relaxed-atomic",
-            "deprecated-shim",
             "duplicate-detect-loop",
-            "unledgered-shipment",
-            "unobserved-phase",
             "exhaustive-dispatch",
-            "crate-layering",
             "unused-suppression",
             "bad-suppression",
         ]
     );
 }
 
+/// The engine dependency DAG, as `(crate dir, allowed [dependencies])`.
+/// rustc cannot resolve a `dcd_x::` path without a manifest edge, so
+/// pinning the manifests pins the layering at every reference.
+const LAYERS: [(&str, &[&str]); 9] = [
+    ("relation", &["serde"]),
+    ("obs", &[]),
+    ("cfd", &["dcd-relation", "dcd-obs", "serde"]),
+    ("dist", &["dcd-relation", "dcd-obs"]),
+    ("core", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "serde"]),
+    ("incr", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
+    ("vertical", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
+    ("complexity", &["dcd-relation", "dcd-cfd", "dcd-dist"]),
+    ("datagen", &["dcd-relation", "dcd-cfd", "dcd-dist", "rand"]),
+];
+
+/// The keys of a manifest's `[dependencies]` table (dev-dependencies
+/// legitimately cut across layers and are not read).
+fn dependencies(manifest: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(manifest).expect("manifest is readable");
+    let table = text.lines().skip_while(|l| l.trim() != "[dependencies]").skip(1);
+    table
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once('=').map(|(key, _)| key.trim().to_string()))
+        .collect()
+}
+
 #[test]
-fn the_symbol_graph_artifact_covers_the_engine() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = check_workspace(&root).expect("workspace sources should be readable");
-    let dot = &report.symbol_graph_dot;
-    assert!(dot.starts_with("digraph dcd_symbols {"), "DOT header");
-    for cluster in ["dcd_core", "dcd_dist", "dcd_cfd", "dcd_relation"] {
-        assert!(dot.contains(&format!("cluster_{cluster}")), "missing {cluster} cluster");
+fn the_manifests_implement_the_layering() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    for (dir, allowed) in LAYERS {
+        let deps = dependencies(&crates.join(dir).join("Cargo.toml"));
+        assert_eq!(deps.is_empty(), allowed.is_empty(), "dcd_{dir}: table not read: {deps:?}");
+        for dep in deps {
+            assert!(allowed.contains(&dep.as_str()), "dcd_{dir} may not depend on `{dep}`");
+        }
     }
-    assert!(dot.contains("->"), "the call graph should have at least one resolved edge");
+    // The compat stand-ins sit outside the engine DAG entirely.
+    for dir in ["serde", "serde_derive", "rand", "proptest", "criterion"] {
+        for dep in dependencies(&crates.join("compat").join(dir).join("Cargo.toml")) {
+            assert!(!dep.starts_with("dcd-"), "compat/{dir} reaches back into `{dep}`");
+        }
+    }
 }

@@ -10,8 +10,8 @@
 //! 2. every other fragment owning needed attributes ships row-aligned
 //!    `(tid, codes)` rows of those attributes — the same code wire the
 //!    horizontal engines and the incremental delta protocol use,
-//!    charged at 4 bytes/cell via
-//!    [`ShipmentLedger::charge_codes`] (the tuple id rides as
+//!    charged at 4 bytes/cell through the run's
+//!    [`Transfer`](dcd_core::ctx::Transfer) (the tuple id rides as
 //!    [`TID_CELLS`] cells; key *columns* never travel, the id aligns
 //!    rows),
 //! 3. the coordinator intersects the shipments by tuple id and
@@ -24,10 +24,9 @@
 //! ships only rows that could match some pattern — the semijoin-style
 //! reduction, often cutting traffic dramatically.
 
-use dcd_cfd::{Cfd, CodeLayout, CodeRow, ViolationReport, ViolationSet};
-use dcd_core::{Detection, RunConfig};
-use dcd_dist::{CostModel, ShipmentLedger, SiteClocks, SiteId, VerticalPartition, TID_CELLS};
-use dcd_obs::RunObserver;
+use dcd_cfd::{Cfd, CodeLayout, CodeRow, ViolationSet};
+use dcd_core::{Detection, RunConfig, RunCtx};
+use dcd_dist::{SiteId, VerticalPartition, TID_CELLS};
 use dcd_relation::{
     AttrId, CodesView, Dictionary, FxHashMap, Relation, RelationError, TupleId, NO_CODE,
 };
@@ -63,36 +62,30 @@ fn run_impl(
     mode: ShipMode,
     cfg: &RunConfig,
 ) -> Result<(Detection, usize), RelationError> {
-    let cost: &CostModel = &cfg.cost;
+    let cost = cfg.cost;
     let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
+    let mut ctx = RunCtx::new(n, *cfg);
     let mut locally_checked = 0usize;
-    let mut paper_cost = 0.0;
 
     for cfd in sigma {
-        let mut local_secs = vec![0.0_f64; n];
+        ctx.begin_round();
         let needed: Vec<AttrId> = {
             let set = cfd.attrs();
             set.iter().collect()
         };
-        // Locally checkable: all attributes in one fragment.
+        // Locally checkable: all attributes in one fragment. §III-B
+        // with zero shipment and one active site reduces to the host's
+        // check time.
         if let Some(host) = partition.fragments().iter().position(|f| f.covers(&needed)) {
             let frag = &partition.fragments()[host];
             let local_cfd = rebase_cfd(cfd, &frag.data, &frag.attrs)?;
             let vs = dcd_cfd::detect(&frag.data, &local_cfd);
-            let secs = cost.check_time(frag.data.len());
-            let before = clocks.snapshot();
-            clocks.advance(SiteId(host as u32), secs);
-            obs.span_sites(&format!("local:{}", cfd.name()), &before, &clocks.snapshot());
-            report.absorb(cfd.name(), vs);
+            ctx.phase(&format!("local:{}", cfd.name()), |p| {
+                p.compute(frag.site, cost.check_time(frag.data.len()));
+            });
+            ctx.absorb(cfd.name(), vs);
             locally_checked += 1;
-            // §III-B with zero shipment and one active site reduces to
-            // the host's check time (`local_secs` is not involved —
-            // this branch never reaches the shipment accounting below).
-            paper_cost += secs;
+            ctx.end_round();
             continue;
         }
 
@@ -116,71 +109,65 @@ fn run_impl(
             .collect();
         let (mut dicts, mut acc) = code_shipment(partition, coord, &coord_attrs, cfd, mode);
         let mut acc_attrs = coord_attrs;
-        let mut matrix = vec![vec![0usize; n]; n];
-        let before = clocks.snapshot();
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            if i == coord {
-                continue;
-            }
-            let useful: Vec<AttrId> = needed
-                .iter()
-                .copied()
-                .filter(|a| frag.attrs.contains(a) && !acc_attrs.contains(a))
-                .collect();
-            if useful.is_empty() {
-                continue;
-            }
-            let (frag_dicts, shipped) = code_shipment(partition, i, &useful, cfd, mode);
-            let secs = cost.scan_time(frag.data.len());
-            clocks.advance(frag.site, secs);
-            local_secs[i] += secs;
-            ledger.charge_codes(
-                coord_site,
-                frag.site,
-                shipped.len(),
-                shipped.len() * (useful.len() + TID_CELLS),
-            );
-            matrix[coord][i] += shipped.len();
-            // Intersect by tuple id: a row survives only if every
-            // contributing fragment kept it (in filtered mode each
-            // drops rows its visible constants rule out). Coordinator
-            // row order is preserved — the merge is deterministic.
-            let mut by_tid: FxHashMap<TupleId, Vec<u32>> = shipped.into_iter().collect();
-            acc.retain_mut(|(tid, codes)| match by_tid.remove(tid) {
-                Some(extra) => {
-                    codes.extend(extra);
-                    true
+        ctx.phase(&format!("gather:{}", cfd.name()), |p| {
+            let mut wire = p.transfer();
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                if i == coord {
+                    continue;
                 }
-                None => false,
-            });
-            acc_attrs.extend(useful);
-            dicts.extend(frag_dicts);
-        }
-        clocks.transfer(&matrix, cost);
-        obs.span_sites(&format!("gather:{}", cfd.name()), &before, &clocks.snapshot());
+                let useful: Vec<AttrId> = needed
+                    .iter()
+                    .copied()
+                    .filter(|a| frag.attrs.contains(a) && !acc_attrs.contains(a))
+                    .collect();
+                if useful.is_empty() {
+                    continue;
+                }
+                let (frag_dicts, shipped) = code_shipment(partition, i, &useful, cfd, mode);
+                p.compute(frag.site, cost.scan_time(frag.data.len()));
+                wire.send(
+                    coord_site,
+                    frag.site,
+                    shipped.len(),
+                    shipped.len() * (useful.len() + TID_CELLS),
+                );
+                // Intersect by tuple id: a row survives only if every
+                // contributing fragment kept it (in filtered mode each
+                // drops rows its visible constants rule out). Coordinator
+                // row order is preserved — the merge is deterministic.
+                let mut by_tid: FxHashMap<TupleId, Vec<u32>> = shipped.into_iter().collect();
+                acc.retain_mut(|(tid, codes)| match by_tid.remove(tid) {
+                    Some(extra) => {
+                        codes.extend(extra);
+                        true
+                    }
+                    None => false,
+                });
+                acc_attrs.extend(useful);
+                dicts.extend(frag_dicts);
+            }
+            wire.commit();
+        });
         // Coordinator validates on the gathered code rows, feeding the
         // run's kernel counters.
         let rows: Vec<CodeRow> =
             acc.into_iter().map(|(tid, codes)| (tid, codes.into_boxed_slice())).collect();
         let layout = CodeLayout::new(acc_attrs, dicts);
-        let counters = dcd_cfd::KernelCounters::register(&obs.registry);
+        let counters = dcd_cfd::KernelCounters::register(ctx.registry());
         let mut vs = ViolationSet::default();
         for simple in cfd.simplify() {
             let mut resolved = layout.resolve(&simple);
             resolved.set_counters(counters.clone());
             vs.merge(resolved.detect_among(&rows));
         }
-        let secs = cost.check_time(rows.len());
-        let before = clocks.snapshot();
-        clocks.advance(coord_site, secs);
-        obs.span_sites(&format!("validate:{}", cfd.name()), &before, &clocks.snapshot());
-        local_secs[coord] += secs;
-        report.absorb(cfd.name(), vs);
-        paper_cost += cost.paper_cost(&matrix, &local_secs);
+        ctx.phase(&format!("validate:{}", cfd.name()), |p| {
+            p.compute(coord_site, cost.check_time(rows.len()));
+        });
+        ctx.absorb(cfd.name(), vs);
+        ctx.end_round();
     }
 
-    let d = Detection::collect("VERTDETECT", report, paper_cost, &ledger, &clocks, &obs);
-    Ok((d, locally_checked))
+    Ok((ctx.finish("VERTDETECT"), locally_checked))
 }
 
 /// A fragment's wire payload: the shipped attributes' dictionaries
@@ -275,7 +262,7 @@ mod tests {
     /// Test-local result shape: the engine's [`Detection`] fields plus
     /// how many CFDs were checked without shipment.
     struct VerticalDetection {
-        violations: ViolationReport,
+        violations: dcd_cfd::ViolationReport,
         shipped_tuples: usize,
         response_time: f64,
         locally_checked: usize,

@@ -26,11 +26,9 @@
 //! Every engine beneath the façade ships dictionary codes, never value
 //! payloads: batch coordinators gather `(tid, codes)` rows charged at
 //! 4 bytes/cell ([`dcd_dist::CODE_BYTES`]), and incremental sessions
-//! ship delta code rows the same way. The pre-façade deprecated shims
-//! (`Detector::run*`, `MultiDetector::run`, the free `detect_*`
-//! functions) have been retired; the engines remain public for direct
-//! use, and `tests/prop_facade.rs` pins the façade bit-identical to
-//! them.
+//! ship delta code rows the same way. The engines remain public for
+//! direct use, and `tests/prop_facade.rs` pins the façade bit-identical
+//! to them.
 //!
 //! ```
 //! use distributed_cfd::prelude::*;

@@ -5,8 +5,8 @@
 //! other topologies — at pool widths 1 and 8, on random relations, CFDs
 //! and partitions. Every field of the [`Detection`] must match, f64s
 //! compared by bits (the determinism contract, not an epsilon match).
-//! The pre-façade `detect_*`/`Detector::run*` shims are gone; this
-//! suite is what keeps the façade honest against the engines directly.
+//! This suite is what keeps the façade honest against the engines
+//! directly.
 
 use distributed_cfd::core::{run_batch, run_clust, run_hybrid, run_replicated, run_seq};
 use distributed_cfd::prelude::*;
@@ -137,12 +137,12 @@ proptest! {
         for threads in [1usize, 8] {
             let cfg = RunConfig::default().with_threads(threads);
             // The three single-CFD detectors (one CFD, like the engine).
-            for (alg, det) in [
-                (Algorithm::CtrDetect, &CtrDetect as &dyn Detector),
-                (Algorithm::PatDetectS, &PatDetectS),
-                (Algorithm::PatDetectRT, &PatDetectRT),
+            for (alg, strategy) in [
+                (Algorithm::CtrDetect, CoordinatorStrategy::Central),
+                (Algorithm::PatDetectS, CoordinatorStrategy::MinShipment),
+                (Algorithm::PatDetectRT, CoordinatorStrategy::MinResponseTime),
             ] {
-                let engine = run_batch(&partition, &cfd.simplify(), det.strategy(), &cfg);
+                let engine = run_batch(&partition, &cfd.simplify(), strategy, &cfg);
                 let new = facade(
                     partition.clone(),
                     std::slice::from_ref(&cfd),
@@ -150,7 +150,8 @@ proptest! {
                     cfg,
                     ShipMode::Full,
                 );
-                assert_identical(&engine, &new, &format!("{} @{threads}", det.name()))?;
+                let label = format!("{} @{threads}", strategy.algorithm_name());
+                assert_identical(&engine, &new, &label)?;
             }
             // The two multi-CFD detectors (two CFDs).
             let inner = CoordinatorStrategy::MinResponseTime;

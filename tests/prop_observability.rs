@@ -8,7 +8,13 @@
 //! either artifact. Host-scoped pool metrics (`dcd_pool_*`) live in
 //! `host_registry()` precisely because they *do* vary with scheduling;
 //! this suite pins everything that does not.
+//!
+//! It also pins that the trace is *complete*: per site, the spans'
+//! durations add up to the site's final clock, for every batch run of
+//! the matrix and for both session kinds — the runtime witness of what
+//! `RunCtx::phase` guarantees by construction.
 
+use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::set_chunk_rows;
 use std::sync::Arc;
@@ -63,32 +69,47 @@ fn algorithms() -> [Algorithm; 5] {
     ]
 }
 
-/// One full sweep under a chunk size and pool width: every detector
-/// over every topology, labelled, in a fixed order.
-fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
-    set_chunk_rows(chunk);
-    let rel = sample();
-    let s = rel.schema().clone();
-    let sigma = sigma(&s);
-    let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
-    let vertical =
-        VerticalPartition::by_attribute_groups(&rel, &[&["id", "a", "b"], &["c"], &["d"]]).unwrap();
-    let hybrid = HybridPartition::new(&horizontal, &[&["id", "a", "b"], &["c", "d"]]).unwrap();
-    let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
-    set_chunk_rows(None);
+/// The four topologies over the sample relation, built under whatever
+/// chunk size is current.
+struct Fixtures {
+    sigma: Vec<Cfd>,
+    horizontal: HorizontalPartition,
+    vertical: VerticalPartition,
+    hybrid: HybridPartition,
+    replicated: ReplicatedPartition,
+}
 
+fn fixtures() -> Fixtures {
+    let rel = sample();
+    let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
+    Fixtures {
+        sigma: sigma(rel.schema()),
+        vertical: VerticalPartition::by_attribute_groups(
+            &rel,
+            &[&["id", "a", "b"], &["c"], &["d"]],
+        )
+        .unwrap(),
+        hybrid: HybridPartition::new(&horizontal, &[&["id", "a", "b"], &["c", "d"]]).unwrap(),
+        replicated: ReplicatedPartition::chained(horizontal.clone(), 2).unwrap(),
+        horizontal,
+    }
+}
+
+/// Every detector over every topology at one pool width, labelled, in
+/// a fixed order.
+fn run_matrix(f: &Fixtures, threads: usize) -> Vec<(String, Detection)> {
     let cfg = RunConfig::default().with_threads(threads);
     let mut out = Vec::new();
     for alg in algorithms() {
         let topologies: [(&str, Topology); 4] = [
-            ("horizontal", horizontal.clone().into()),
-            ("vertical", vertical.clone().into()),
-            ("hybrid", hybrid.clone().into()),
-            ("replicated", replicated.clone().into()),
+            ("horizontal", f.horizontal.clone().into()),
+            ("vertical", f.vertical.clone().into()),
+            ("hybrid", f.hybrid.clone().into()),
+            ("replicated", f.replicated.clone().into()),
         ];
         for (name, topo) in topologies {
             let d = DetectRequest::over(topo)
-                .cfds(sigma.iter().cloned())
+                .cfds(f.sigma.iter().cloned())
                 .algorithm(alg)
                 .config(cfg)
                 .run()
@@ -97,6 +118,14 @@ fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
         }
     }
     out
+}
+
+/// One full sweep under a chunk size and pool width.
+fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
+    set_chunk_rows(chunk);
+    let f = fixtures();
+    set_chunk_rows(None);
+    run_matrix(&f, threads)
 }
 
 /// Every run must carry the uniform observability surface: the ledger
@@ -169,4 +198,57 @@ fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
             }
         }
     }
+}
+
+/// Per site, the spans' durations must add up to the site's final
+/// clock: every interval in which a clock moved is in the trace.
+fn assert_spans_tile_the_clock(label: &str, d: &Detection) {
+    for (site, &clock) in d.site_clocks.iter().enumerate() {
+        let covered: f64 =
+            d.trace.spans.iter().filter(|s| s.site == site).map(|s| s.end - s.start).sum();
+        assert!(
+            (covered - clock).abs() <= 1e-12 * clock,
+            "{label}: site {site} clock is {clock} but its spans cover {covered}"
+        );
+    }
+}
+
+#[test]
+fn spans_tile_the_clock() {
+    let f = fixtures();
+    for (label, d) in run_matrix(&f, 1) {
+        assert_spans_tile_the_clock(&label, &d);
+    }
+
+    let cfg = RunConfig::default().with_threads(1);
+    let stream = UpdateStreamConfig { n_batches: 3, ops_per_batch: 20, ..Default::default() };
+    let batches = update_stream(&f.horizontal, &stream);
+    assert!(batches.len() >= 3);
+
+    // A horizontal session that also maintains a mined tableau: the
+    // mine build and the per-batch maintenance are phases too.
+    let mut run = IncrementalRun::new(f.horizontal.clone(), &f.sigma, cfg).unwrap();
+    run.track_mining(&f.sigma[0].simplify()[0], &MiningConfig::default());
+    assert_spans_tile_the_clock("session/build+mine", &run.detection());
+    for (i, batch) in batches.iter().enumerate() {
+        run.apply_batch(&DeltaBatch::new(batch.clone())).unwrap();
+        assert_spans_tile_the_clock(&format!("session/batch {i}"), &run.detection());
+    }
+    let trace = run.detection().trace;
+    for phase in ["incr:mine-build", "incr:mine", "incr:manifest"] {
+        assert!(
+            trace.spans.iter().any(|s| s.name == phase),
+            "horizontal session trace lacks `{phase}`"
+        );
+    }
+
+    // A vertical session: the manifest's control-packet time is a phase
+    // of its own, like the horizontal one's.
+    let mut run = VerticalIncrementalRun::new(f.vertical.clone(), &f.sigma, cfg).unwrap();
+    for (i, batch) in batches.iter().enumerate() {
+        run.apply_batch(&DeltaBatch::new(batch.clone()).flatten()).unwrap();
+        assert_spans_tile_the_clock(&format!("vertical session/batch {i}"), &run.detection());
+    }
+    let d = run.detection();
+    assert!(d.trace.spans.iter().any(|s| s.name == "incr:manifest"));
 }
