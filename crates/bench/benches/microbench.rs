@@ -21,17 +21,15 @@
 //!   the skewed row wherever cores exist; at threads=1 the chunked
 //!   runs measure the seam overhead of the chunk iterator (recorded
 //!   via `DCD_BENCH_MORSEL_JSON`);
-//! * `incremental_delta` — per-batch maintenance of the `dcd_incr`
-//!   violation index under a CDC-style update stream, against full
-//!   re-detection on the materialized partition after each batch (the
-//!   one-off index build is reported alongside);
 //! * `mining_incremental` — `DeltaEffect`-driven mined-tableau
 //!   maintenance against a full re-mine per batch (recorded via
 //!   `DCD_BENCH_MINING_JSON`).
 //!
 //! Set `DCD_BENCH_JSON=<path>` to additionally record the hot-loop
-//! results as a `BENCH_*.json` perf-trajectory entry, and
-//! `DCD_BENCH_INCR_JSON=<path>` for the incremental group.
+//! results as a `BENCH_*.json` perf-trajectory entry. The incremental
+//! session's per-batch cost against full re-detection is the
+//! `cust_incr` workload of `benchmark/` (`op_p50_ms`,
+//! `incr.runner.redetect_x`).
 
 use criterion::black_box;
 use dcd_cfd::codes::{detect_among_codes, CodeLayout, CodeRow};
@@ -39,7 +37,6 @@ use dcd_cfd::detect_among;
 use dcd_core::{run_batch, CoordinatorStrategy, MinedTableau, MiningConfig, RunConfig};
 use dcd_datagen::{update_stream, UpdateStreamConfig};
 use dcd_dist::{Fragment, HorizontalPartition, SiteId};
-use dcd_incr::{DeltaBatch, IncrementalRun};
 use dcd_relation::{set_chunk_rows, Tuple};
 use std::time::{Duration, Instant};
 
@@ -315,95 +312,10 @@ fn main() {
         println!("  wrote {path}");
     }
 
-    // ---- incremental_delta: per-batch index maintenance vs full
-    // re-detection on the materialized state. ----
-    let ops_per_batch = 1_000usize;
-    let sigma = vec![cfd.clone().to_cfd()];
-    let stream = update_stream(
-        &partition,
-        &UpdateStreamConfig { n_batches: samples, ops_per_batch, ..Default::default() },
-    );
-    let build_start = Instant::now();
-    let mut run = IncrementalRun::new(partition.clone(), &sigma, RunConfig::default())
-        .expect("round-robin fragments share dictionaries");
-    let index_build = build_start.elapsed();
-    let mut batch_times: Vec<Duration> = Vec::with_capacity(samples);
-    let mut full_times: Vec<Duration> = Vec::with_capacity(samples);
-    for per_site in stream {
-        let batch = DeltaBatch::from(per_site);
-        let start = Instant::now();
-        black_box(run.apply_batch(&batch).expect("generated batches apply cleanly"));
-        batch_times.push(start.elapsed());
-        let start = Instant::now();
-        black_box(run_batch(
-            run.partition(),
-            std::slice::from_ref(&cfd),
-            CoordinatorStrategy::MinShipment,
-            &RunConfig::default(),
-        ));
-        full_times.push(start.elapsed());
-    }
-    batch_times.sort();
-    full_times.sort();
-    let incr = Comparison {
-        name: "incremental_delta",
-        baseline_label: "full_redetect",
-        live_label: "per_batch",
-        baseline: full_times[full_times.len() / 2],
-        live: batch_times[batch_times.len() / 2],
-    };
-    println!(
-        "  {:<22} {} {:>10.3?}   {} {:>10.3?}   speedup {:>5.2}x   (index build {:.3?}, {} ops/batch)",
-        incr.name,
-        incr.baseline_label,
-        incr.baseline,
-        incr.live_label,
-        incr.live,
-        incr.speedup(),
-        index_build,
-        ops_per_batch,
-    );
-
-    if let Ok(path) = std::env::var("DCD_BENCH_INCR_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"dcd_incremental_delta\",\n",
-                "  \"workload\": \"cust16 (fig3 scaling), DCD_SCALE={}\",\n",
-                "  \"tuples\": {},\n",
-                "  \"sites\": 8,\n",
-                "  \"patterns\": {},\n",
-                "  \"batches\": {},\n",
-                "  \"ops_per_batch\": {},\n",
-                "  \"cores\": {},\n",
-                "  \"index_build_ms\": {:.3},\n",
-                "  \"per_batch_ms\": {:.3},\n",
-                "  \"full_redetect_ms\": {:.3},\n",
-                "  \"speedup\": {:.2},\n",
-                "  \"note\": \"per_batch maintains the dcd_incr violation index under a \
-                 CDC-style stream (70% inserts, Zipf key reuse); full_redetect runs \
-                 PATDETECTS from scratch on the materialized partition after the same \
-                 batch; index build is one-off and ships codes at 4 bytes/cell\"\n",
-                "}}\n"
-            ),
-            dcd_bench::workloads::scale(),
-            rel.len(),
-            cfd.tableau.len(),
-            samples,
-            ops_per_batch,
-            cores,
-            index_build.as_secs_f64() * 1e3,
-            incr.live.as_secs_f64() * 1e3,
-            incr.baseline.as_secs_f64() * 1e3,
-            incr.speedup(),
-        );
-        std::fs::write(&path, json).expect("write DCD_BENCH_INCR_JSON");
-        println!("  wrote {path}");
-    }
-
     // ---- mining_incremental: one MinedTableau's support counts
     // maintained through ±1 DeltaEffect updates against a full re-mine
     // of the mutated partition per batch. ----
+    let ops_per_batch = 1_000usize;
     let mining_cfg = MiningConfig { theta: 0.1, max_width: 2 };
     let mut mpart = partition.clone();
     let mut miner = MinedTableau::build(&mpart, &cfd, &mining_cfg);

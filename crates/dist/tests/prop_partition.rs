@@ -1,12 +1,14 @@
 //! Property tests for the distribution layer's invariants: every way of
 //! building a `HorizontalPartition` reassembles to the original relation
 //! (tuple multiset round-trip), and the §II-B validation invariants hold
-//! by construction.
+//! by construction — and fragments that share dictionaries can be mutated
+//! from the pool's threads at once.
 
+use dcd_dist::pool::scoped_map;
 use dcd_dist::{HorizontalPartition, VerticalPartition};
-use dcd_relation::{vals, Relation, Schema, Tuple, ValueType};
+use dcd_relation::{vals, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn schema() -> Arc<Schema> {
     Schema::builder("r")
@@ -94,5 +96,58 @@ proptest! {
         let p = VerticalPartition::by_attribute_groups(&rel, &[&left, &right]).unwrap();
         let back = p.reassemble().unwrap();
         prop_assert!(back.iter().eq(rel.iter()));
+    }
+}
+
+/// Eight fragments over one set of dictionaries each apply a delta full
+/// of values no dictionary has seen, all at once on the pool. A thread
+/// holds one dictionary lock at a time, so this terminates; which thread
+/// interned a value first decides its code, never what a row decodes to,
+/// so the fragments end up holding the rows that applying the same deltas
+/// one after another leaves.
+#[test]
+fn fragments_sharing_dictionaries_apply_deltas_in_parallel() {
+    let rows: Vec<(i64, u8)> = (0..400).map(|i| (i % 7, (i % 5) as u8)).collect();
+    let rel = build(&rows);
+    let n = 8;
+    let deltas: Vec<RelationDelta> = (0..n as u64)
+        .map(|site| {
+            let inserts = (0..150u64)
+                .map(|k| {
+                    let tid = TupleId(1_000 + site * 1_000 + k);
+                    // `a` collides across sites, `id` and `b` are new everywhere.
+                    Tuple::new(
+                        tid,
+                        vals![tid.0 as i64, (100 + k % 40) as i64, format!("new-{site}-{k}")],
+                    )
+                })
+                .collect();
+            // Round-robin: site `s` holds ids `s, s + 8, …`.
+            RelationDelta::new(inserts, (0..20).map(|k| TupleId(site + 8 * k)).collect())
+        })
+        .collect();
+
+    let mut serial = HorizontalPartition::round_robin(&rel, n).unwrap();
+    for (frag, delta) in serial.fragments_mut().iter_mut().zip(&deltas) {
+        frag.data.apply_delta(delta).unwrap();
+    }
+    let mut parallel = HorizontalPartition::round_robin(&build(&rows), n).unwrap();
+    let slots: Vec<Mutex<&mut Relation>> =
+        parallel.fragments_mut().iter_mut().map(|f| Mutex::new(&mut f.data)).collect();
+    let effects = scoped_map(n, n, |i| {
+        slots[i].lock().expect("one task per slot").apply_delta(&deltas[i]).unwrap()
+    });
+    drop(slots);
+    for ((a, b), effect) in serial.fragments().iter().zip(parallel.fragments()).zip(&effects) {
+        assert!(a.data.iter().eq(b.data.iter()), "fragment at {}", a.site);
+        assert_eq!((effect.inserted.len(), effect.deleted.len()), (150, 20));
+        // The effect's code rows are the inserted rows' stored codes.
+        let first_new = b.data.len() - 150;
+        for (k, (tid, codes)) in effect.inserted.iter().enumerate() {
+            assert_eq!(b.data.tids()[first_new + k], *tid);
+            for (col, &code) in b.data.columns().iter().zip(codes.iter()) {
+                assert_eq!(col.codes().at(first_new + k), code);
+            }
+        }
     }
 }

@@ -155,6 +155,7 @@ impl IncrementalRun {
         let n = partition.n_sites();
         let dicts = shared_dictionaries(partition.fragments())?;
         let arity = partition.schema().arity();
+        let attrs: Vec<AttrId> = partition.schema().attr_ids().collect();
         let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
         let coordinator = SiteId((0..n).max_by_key(|&i| (sizes[i], n - i)).expect("n ≥ 1") as u32);
         let mut ctx = RunCtx::new(n, cfg);
@@ -171,7 +172,7 @@ impl IncrementalRun {
                 }
                 p.charge(
                     frag.site,
-                    || fragment_code_rows(&frag.data),
+                    || frag.data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>()),
                     |_| cfg.cost.scan_time(sizes[i]),
                 )
             })
@@ -244,11 +245,15 @@ impl IncrementalRun {
         if !insert_ids.is_empty() {
             let deleted: FxHashSet<TupleId> =
                 batch.per_site.iter().flat_map(|d| d.deletes.iter().copied()).collect();
+            let kept: Vec<TupleId> = batch
+                .per_site
+                .iter()
+                .flat_map(|d| d.inserts.iter().map(|t| t.tid))
+                .filter(|tid| !deleted.contains(tid))
+                .collect();
             for frag in self.partition.fragments() {
-                for tid in frag.data.tids() {
-                    if insert_ids.contains(tid) && !deleted.contains(tid) {
-                        return Err(RelationError::DuplicateTuple { tid: tid.0 });
-                    }
+                if let Some(i) = frag.data.positions_of(&kept).into_iter().flatten().min() {
+                    return Err(RelationError::DuplicateTuple { tid: frag.data.tids()[i].0 });
                 }
             }
         }
@@ -407,17 +412,6 @@ impl IncrementalRun {
     }
 }
 
-/// The (tid, full-width code row) wire payload of one relation — what
-/// a site serializes when shipping its rows to the coordinator.
-fn fragment_code_rows(rel: &Relation) -> CodeRows {
-    (0..rel.len())
-        .map(|i| {
-            let codes: Box<[u32]> = rel.columns().iter().map(|c| c.codes()[i]).collect();
-            (rel.tids()[i], codes)
-        })
-        .collect()
-}
-
 /// Assembles the current report revision: one entry per compiled CFD,
 /// in CFD order (shared by both run types).
 fn current_report(indices: &[ViolationIndex]) -> ViolationReport {
@@ -471,8 +465,10 @@ fn apply_deltas(
             if delta.is_empty() {
                 return Ok(DeltaEffect::default());
             }
-            // apply_delta scans the fragment once (delete lookup
-            // and insert-id uniqueness) plus per-op interning.
+            // The simulated site keeps no order on its tuple ids: it is
+            // charged one pass over the fragment (locating the deletes,
+            // insert-id uniqueness) plus per-op interning, whatever
+            // lookup `apply_delta` ran on this host.
             let scan_rows = data.len() + delta.n_ops();
             p.charge(*site, || data.apply_delta(delta), |_| cfg.cost.scan_time(scan_rows))
         })

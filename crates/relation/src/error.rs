@@ -63,6 +63,13 @@ pub enum RelationError {
         /// The offending tuple id.
         tid: u64,
     },
+    /// A row carried the largest representable tuple id. A relation's id
+    /// counter stays one past the largest id it holds, so that id can
+    /// never be stored.
+    TupleIdOutOfRange {
+        /// The offending tuple id.
+        tid: u64,
+    },
     /// A code row carried a code its attribute's dictionary never
     /// assigned (the sender did not share this relation's dictionaries).
     UnassignedCode {
@@ -99,6 +106,9 @@ impl fmt::Display for RelationError {
             RelationError::DuplicateTuple { tid } => {
                 write!(f, "delta inserts tuple t{tid}, which is already live")
             }
+            RelationError::TupleIdOutOfRange { tid } => {
+                write!(f, "tuple id t{tid} is the largest representable id and cannot be stored")
+            }
             RelationError::UnassignedCode { attr, code } => {
                 write!(f, "code {code} was never assigned by the dictionary of `{attr}`")
             }
@@ -128,6 +138,9 @@ mod tests {
             got: "Str(\"x\")".into(),
         };
         assert!(e.to_string().contains("cc"));
+
+        let e = RelationError::TupleIdOutOfRange { tid: u64::MAX };
+        assert!(e.to_string().contains(&u64::MAX.to_string()));
     }
 
     #[test]

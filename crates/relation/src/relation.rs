@@ -5,7 +5,7 @@ use crate::delta::{DeltaEffect, RelationDelta};
 use crate::error::RelationError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::{AttrId, Schema, ValueType};
-use crate::store::{CodesView, Column, Dictionary};
+use crate::store::{survivor_runs, CodesView, Column, Dictionary};
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use std::fmt;
@@ -42,8 +42,13 @@ const DECODE_BATCH: usize = 1024;
 pub struct Relation {
     schema: Arc<Schema>,
     tids: Vec<TupleId>,
-    columns: Vec<Column>,
+    /// One per schema attribute; the count never changes.
+    columns: Box<[Column]>,
     next_tid: u64,
+    /// Whether `tids` is strictly ascending, so that an id is found by
+    /// binary search. Kept current by [`Relation::push_tid`]; removing
+    /// rows cannot falsify it.
+    ascending: bool,
 }
 
 impl Relation {
@@ -80,7 +85,13 @@ impl Relation {
         }
         let chunk_rows = crate::store::chunk_rows();
         let columns = dicts.into_iter().map(|d| Column::with_layout(d, cap, chunk_rows)).collect();
-        Ok(Relation { schema, tids: Vec::with_capacity(cap), columns, next_tid: 0 })
+        Ok(Relation {
+            schema,
+            tids: Vec::with_capacity(cap),
+            columns,
+            next_tid: 0,
+            ascending: true,
+        })
     }
 
     /// Creates an empty relation with this relation's schema *and*
@@ -124,8 +135,10 @@ impl Relation {
     /// Appends an existing tuple *preserving its id* (used when building
     /// fragments of an already-identified relation over foreign
     /// dictionaries, and by tests). The internal id counter is advanced
-    /// past it.
+    /// past it, which is why `TupleId(u64::MAX)` is refused
+    /// ([`RelationError::TupleIdOutOfRange`]).
     pub fn push_tuple(&mut self, tuple: Tuple) -> Result<(), RelationError> {
+        check_tid(tuple.tid)?;
         self.validate(tuple.values())?;
         for (v, col) in tuple.values().iter().zip(&mut self.columns) {
             col.push(v);
@@ -134,7 +147,10 @@ impl Relation {
         Ok(())
     }
 
+    /// The one place a tuple id is appended; the caller has run
+    /// [`check_tid`] on it.
     fn push_tid(&mut self, tid: TupleId) {
+        self.ascending = self.tids.last().is_none_or(|&last| self.ascending && last < tid);
         self.next_tid = self.next_tid.max(tid.0 + 1);
         self.tids.push(tid);
     }
@@ -142,18 +158,22 @@ impl Relation {
     /// Bulk [`Relation::push`]: appends `rows` in order, assigning
     /// sequential ids. All rows are validated before anything is
     /// appended, so an error leaves the relation unchanged. Interning
-    /// runs through one memo per column ([`Column::push_cached`]), so
-    /// each distinct value per column pays for one dictionary access
-    /// per batch instead of one per row.
+    /// runs column by column ([`Column::extend_values`]): one pass per
+    /// dictionary under its read lock, given up only around a value
+    /// that dictionary has not seen.
     pub fn extend_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<(), RelationError> {
         let first = self.next_tid;
+        // Ids past the last assignable one saturate onto it and are
+        // refused by the validation pass.
         self.extend_encoding(
-            rows.iter().enumerate().map(move |(i, row)| (TupleId(first + i as u64), &row[..])),
+            rows.iter()
+                .enumerate()
+                .map(move |(i, row)| (TupleId(first.saturating_add(i as u64)), &row[..])),
         )
     }
 
     /// Bulk [`Relation::push_tuple`]: appends pre-identified tuples in
-    /// order through the same per-column memos as
+    /// order through the same column-major interning as
     /// [`Relation::extend_rows`]. All tuples are validated before
     /// anything is appended; ids are preserved and the internal counter
     /// advances past the largest one seen.
@@ -161,51 +181,88 @@ impl Relation {
         self.extend_encoding(tuples.iter().map(|t| (t.tid, t.values())))
     }
 
-    /// The one bulk value-ingest loop: validate everything, then intern
-    /// row by row through per-column memos.
+    /// The one bulk value-ingest path: validate everything, then intern.
     fn extend_encoding<'a>(
         &mut self,
         rows: impl ExactSizeIterator<Item = (TupleId, &'a [Value])> + Clone,
     ) -> Result<(), RelationError> {
-        for (_, values) in rows.clone() {
+        for (tid, values) in rows.clone() {
+            check_tid(tid)?;
             self.validate(values)?;
         }
-        self.tids.reserve(rows.len());
-        for col in &mut self.columns {
-            col.reserve(rows.len());
-        }
-        let mut memos = self.memos();
-        for (tid, values) in rows {
-            for ((v, col), memo) in values.iter().zip(&mut self.columns).zip(&mut memos) {
-                col.push_cached(v, memo);
-            }
-            self.push_tid(tid);
-        }
+        self.append_validated(rows);
         Ok(())
     }
 
-    fn memos(&self) -> Vec<FxHashMap<Value, u32>> {
-        self.columns.iter().map(|_| FxHashMap::default()).collect()
+    /// Appends rows that passed [`check_tid`] and [`Relation::validate`],
+    /// interning column by column. With one dictionary per column (every
+    /// relation the constructors here and in `dcd-dist` build) each
+    /// dictionary sees its values in row order, so the codes are those
+    /// of row-by-row [`Relation::push_tuple`].
+    fn append_validated<'a>(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = (TupleId, &'a [Value])> + Clone,
+    ) {
+        for (j, col) in self.columns.iter_mut().enumerate() {
+            col.reserve(rows.len());
+            col.extend_values(rows.clone().map(|(_, values)| &values[j]));
+        }
+        self.tids.reserve(rows.len());
+        for (tid, _) in rows {
+            self.push_tid(tid);
+        }
+    }
+
+    /// The row position of each of `ids`, `None` for an id no row
+    /// carries. While the tid column is strictly ascending — every
+    /// fragment the `dcd-dist` constructors build, and every relation
+    /// fed fresh ids — this is a binary search per id,
+    /// `O(|ids| log |D|)`; otherwise (re-used ids, rows copied in
+    /// arbitrary order, reassembled partitions) one scan of the tid
+    /// column probing a map of `ids`, which reports the first row when
+    /// several carry one id. Which one runs is read off the tid column;
+    /// no caller chooses.
+    pub fn positions_of(&self, ids: &[TupleId]) -> Vec<Option<usize>> {
+        if self.ascending {
+            return ids.iter().map(|tid| self.tids.binary_search(tid).ok()).collect();
+        }
+        let mut first: FxHashMap<TupleId, Option<usize>> =
+            ids.iter().map(|&tid| (tid, None)).collect();
+        for (i, tid) in self.tids.iter().enumerate() {
+            if let Some(slot) = first.get_mut(tid) {
+                slot.get_or_insert(i);
+            }
+        }
+        ids.iter().map(|tid| first[tid]).collect()
     }
 
     /// Applies one delta batch in place — deletes first (order
-    /// preserved among survivors), then inserts, interning through one
-    /// [`Column::push_cached`] memo per column exactly like
-    /// [`Relation::extend_tuples`]. Returns the [`DeltaEffect`]: the
-    /// full-width dictionary code rows of every affected tuple, which
-    /// is both what the distributed delta protocol ships (4 bytes per
-    /// cell) and what a violation index needs to stay current.
+    /// preserved among survivors), then inserts, interned column by
+    /// column exactly like [`Relation::extend_tuples`]. Returns the
+    /// [`DeltaEffect`]: the full-width dictionary code rows of every
+    /// affected tuple, which is both what the distributed delta protocol
+    /// ships (4 bytes per cell) and what a violation index needs to stay
+    /// current.
+    ///
+    /// The cost follows the delta, not the relation: ids are located
+    /// through [`Relation::positions_of`] (`O(|Δ| log |D|)` while the
+    /// tid column is ascending, one scan of it otherwise), the deleted
+    /// positions are sorted once and every column closes its gaps in
+    /// place ([`Column::remove_rows`]: one `memmove` of the codes behind
+    /// the first deleted row, no allocation), and the inserts append.
     ///
     /// Everything is validated before anything mutates: a delete id
     /// that is absent (or repeated within the delta), an insert that
-    /// fails schema validation, or an insert whose id is already live
-    /// (present and not deleted by this same delta) or repeated within
-    /// the delta, returns an error and leaves the relation unchanged.
-    /// The id checks matter beyond hygiene: a violation index keyed by
-    /// tuple id silently corrupts if two live rows ever share one.
+    /// fails schema validation or carries `TupleId(u64::MAX)`, or an
+    /// insert whose id is already live (present and not deleted by this
+    /// same delta) or repeated within the delta, returns an error and
+    /// leaves the relation unchanged. The id checks matter beyond
+    /// hygiene: a violation index keyed by tuple id silently corrupts if
+    /// two live rows ever share one.
     pub fn apply_delta(&mut self, delta: &RelationDelta) -> Result<DeltaEffect, RelationError> {
         let mut insert_ids: FxHashSet<TupleId> = FxHashSet::default();
         for t in &delta.inserts {
+            check_tid(t.tid)?;
             self.validate(t.values())?;
             if !insert_ids.insert(t.tid) {
                 return Err(RelationError::DuplicateTuple { tid: t.tid.0 });
@@ -220,53 +277,38 @@ impl Relation {
                 .expect("a duplicate exists");
             return Err(RelationError::UnknownTuple { tid: dup.0 });
         }
-        // One scan of the tid column locates every delete and rejects
-        // inserts whose id is already live (unless this very delta
-        // deletes it first).
-        let mut pos: FxHashMap<TupleId, usize> =
-            FxHashMap::with_capacity_and_hasher(delta.deletes.len(), Default::default());
-        for (i, tid) in self.tids.iter().enumerate() {
-            if wanted.contains(tid) {
-                pos.insert(*tid, i);
-            } else if insert_ids.contains(tid) {
-                return Err(RelationError::DuplicateTuple { tid: tid.0 });
-            }
+        // One lookup locates every delete and every inserted id that is
+        // live and not deleted by this very delta; of those, the first
+        // in row order is reported.
+        let inserted = delta.inserts.iter().map(|t| t.tid).filter(|tid| !wanted.contains(tid));
+        let probe: Vec<TupleId> = delta.deletes.iter().copied().chain(inserted).collect();
+        let found = self.positions_of(&probe);
+        let (located, live) = found.split_at(delta.deletes.len());
+        if let Some(&i) = live.iter().flatten().min() {
+            return Err(RelationError::DuplicateTuple { tid: self.tids[i].0 });
         }
-        let mut effect = DeltaEffect::default();
+        let mut doomed: Vec<usize> = delta
+            .deletes
+            .iter()
+            .zip(located)
+            .map(|(tid, pos)| pos.ok_or(RelationError::UnknownTuple { tid: tid.0 }))
+            .collect::<Result<_, _>>()?;
 
-        if !delta.deletes.is_empty() {
-            let mut keep = vec![true; self.tids.len()];
-            for tid in &delta.deletes {
-                let Some(&i) = pos.get(tid) else {
-                    return Err(RelationError::UnknownTuple { tid: tid.0 });
-                };
-                let codes: Box<[u32]> = self.columns.iter().map(|c| c.codes().at(i)).collect();
-                effect.deleted.push((*tid, codes));
-                keep[i] = false;
-            }
-            let mut flags = keep.iter();
-            self.tids.retain(|_| *flags.next().expect("one flag per row"));
-            for col in &mut self.columns {
-                col.retain_rows(&keep);
-            }
+        let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
+        let deleted = self.code_rows(&attrs, &doomed);
+        doomed.sort_unstable();
+        for (run, to) in survivor_runs(&doomed, self.tids.len()) {
+            self.tids.copy_within(run, to);
+        }
+        self.tids.truncate(self.tids.len() - doomed.len());
+        for col in &mut self.columns {
+            col.remove_rows(&doomed);
         }
 
-        if !delta.inserts.is_empty() {
-            self.tids.reserve(delta.inserts.len());
-            let mut memos = self.memos();
-            for t in &delta.inserts {
-                let codes: Box<[u32]> = t
-                    .values()
-                    .iter()
-                    .zip(&mut self.columns)
-                    .zip(&mut memos)
-                    .map(|((v, col), memo)| col.push_cached(v, memo))
-                    .collect();
-                self.push_tid(t.tid);
-                effect.inserted.push((t.tid, codes));
-            }
-        }
-        Ok(effect)
+        let first_new = self.tids.len();
+        self.append_validated(delta.inserts.iter().map(|t| (t.tid, t.values())));
+        let new_rows: Vec<usize> = (first_new..self.tids.len()).collect();
+        Ok(DeltaEffect { inserted: self.code_rows(&attrs, &new_rows), deleted })
     }
 
     /// The tuple ids, in row order — row `i` is `tids()[i]` plus the
@@ -347,9 +389,11 @@ impl Relation {
     /// dictionaries (fragments built through the `dcd-dist`
     /// constructors share them, which is what makes codes
     /// site-portable). A code its dictionary never assigned is rejected
-    /// with [`RelationError::UnassignedCode`] before any column is
+    /// with [`RelationError::UnassignedCode`] (and `TupleId(u64::MAX)`
+    /// with [`RelationError::TupleIdOutOfRange`]) before any column is
     /// touched, so a rejected row leaves the relation unchanged.
     pub fn push_code_row(&mut self, tid: TupleId, codes: &[u32]) -> Result<(), RelationError> {
+        check_tid(tid)?;
         if codes.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
                 expected: self.schema.arity(),
@@ -486,6 +530,15 @@ impl Relation {
             }
         }
         Ok(())
+    }
+}
+
+/// Refuses the one id the counter cannot advance past: `next_tid` is
+/// always one more than the largest id seen.
+fn check_tid(tid: TupleId) -> Result<(), RelationError> {
+    match tid.0 {
+        u64::MAX => Err(RelationError::TupleIdOutOfRange { tid: tid.0 }),
+        _ => Ok(()),
     }
 }
 
@@ -701,6 +754,44 @@ mod tests {
         assert_eq!(r.len(), 2);
         let reinserted = r.iter().find(|t| t.tid == TupleId(0)).unwrap();
         assert_eq!(reinserted.get(AttrId(0)), &Value::Int(7));
+    }
+
+    #[test]
+    fn positions_of_agrees_on_ascending_and_unordered_ids() {
+        let asc = Relation::from_rows(schema(), (0..9).map(|i| vals![i, "x"]).collect()).unwrap();
+        let mixed = asc.copy_rows(&[4, 0, 8, 2, 6]);
+        let ids = [TupleId(8), TupleId(3), TupleId(0), TupleId(8), TupleId(77)];
+        assert_eq!(asc.positions_of(&ids), vec![Some(8), Some(3), Some(0), Some(8), None]);
+        assert_eq!(mixed.positions_of(&ids), vec![Some(2), None, Some(1), Some(2), None]);
+        assert!(asc.positions_of(&[]).is_empty());
+        // Deleting keeps an ascending column ascending; emptying any
+        // column makes it ascending again.
+        let mut r = mixed;
+        r.apply_delta(&crate::RelationDelta::new(vec![], r.tids().to_vec())).unwrap();
+        r.push_tuple(Tuple::new(TupleId(5), vals![1, "y"])).unwrap();
+        r.push_tuple(Tuple::new(TupleId(9), vals![1, "y"])).unwrap();
+        assert_eq!(r.positions_of(&[TupleId(9), TupleId(5)]), vec![Some(1), Some(0)]);
+    }
+
+    #[test]
+    fn the_largest_tuple_id_is_refused_before_anything_is_stored() {
+        let mut r = Relation::from_rows(schema(), vec![vals![1, "x"]]).unwrap();
+        let top = || Tuple::new(TupleId(u64::MAX), vals![2, "y"]);
+        let refused = RelationError::TupleIdOutOfRange { tid: u64::MAX };
+        assert_eq!(r.push_tuple(top()).unwrap_err(), refused);
+        let batch = vec![Tuple::new(TupleId(7), vals![2, "y"]), top()];
+        assert_eq!(r.extend_tuples(batch).unwrap_err(), refused);
+        assert_eq!(r.push_code_row(TupleId(u64::MAX), &[0, 0]).unwrap_err(), refused);
+        let delta = crate::RelationDelta::new(vec![top()], vec![TupleId(0)]);
+        assert_eq!(r.apply_delta(&delta).unwrap_err(), refused);
+        // Fresh ids run out one short of the top, without wrapping.
+        r.push_tuple(Tuple::new(TupleId(u64::MAX - 2), vals![2, "y"])).unwrap();
+        assert_eq!(r.extend_rows(vec![vals![3, "z"]; 3]).unwrap_err(), refused);
+        assert_eq!(r.tids(), &[TupleId(0), TupleId(u64::MAX - 2)]);
+        assert!(r.columns().iter().all(|c| c.len() == 2));
+        assert_eq!(r.dictionary(AttrId(1)).len(), 2, "nothing was interned on the way");
+        assert_eq!(r.push(vals![3, "z"]).unwrap(), TupleId(u64::MAX - 1));
+        assert_eq!(r.push(vals![3, "z"]).unwrap_err(), refused);
     }
 
     #[test]

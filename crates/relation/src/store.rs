@@ -146,19 +146,51 @@ impl Dictionary {
 
     /// Interns `v`, returning its code.
     pub fn intern(&self, v: &Value) -> u32 {
-        if let Some(code) = self.code_of(v) {
-            return code;
-        }
-        let mut inner = self.inner.write().expect("dictionary lock poisoned");
-        // Re-check: another writer may have interned between the locks.
-        if let Some(&code) = inner.codes.get(v) {
-            return code;
-        }
-        let code = inner.values.len() as u32;
-        assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
-        inner.values.push(v.clone());
-        inner.codes.insert(v.clone(), code);
+        let mut code = NO_CODE;
+        self.intern_each(std::iter::once(v), |c| code = c);
         code
+    }
+
+    /// Interns `values` in order, handing each code to `sink` — the one
+    /// interning loop. The read lock is held across the run and given
+    /// up only around a miss, which takes the write lock for that one
+    /// value, so a batch of known values costs one lock acquisition.
+    /// No other lock is taken meanwhile: neither `values` nor `sink` may
+    /// touch this dictionary.
+    pub(crate) fn intern_each<'a>(
+        &self,
+        values: impl IntoIterator<Item = &'a Value>,
+        mut sink: impl FnMut(u32),
+    ) {
+        let mut values = values.into_iter();
+        loop {
+            let (missed, seen) = {
+                let inner = self.inner.read().expect("dictionary lock poisoned");
+                loop {
+                    let Some(v) = values.next() else { return };
+                    match inner.codes.get(v) {
+                        Some(&code) => sink(code),
+                        None => break (v, inner.values.len()),
+                    }
+                }
+            };
+            let mut inner = self.inner.write().expect("dictionary lock poisoned");
+            // The dictionary is append-only: if it has not grown since
+            // the read lock was given up, nobody interned `missed`.
+            let raced = if inner.values.len() == seen { None } else { inner.codes.get(missed) };
+            let code = match raced {
+                Some(&code) => code,
+                None => {
+                    let code = inner.values.len() as u32;
+                    assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
+                    inner.values.push(missed.clone());
+                    inner.codes.insert(missed.clone(), code);
+                    code
+                }
+            };
+            drop(inner);
+            sink(code);
+        }
     }
 
     /// The code of `v`, if it has been interned ([`NO_CODE`]-free lookup
@@ -217,6 +249,15 @@ impl Clone for Dictionary {
 ///
 /// Invariant: every chunk holds exactly `chunk_rows` codes except the
 /// last, which holds `1..=chunk_rows`.
+///
+/// A column is written two ways, and both cost what is written rather
+/// than what is stored. Values append through [`Column::extend_values`]
+/// (one pass under the dictionary's read lock, given up only around a
+/// value not seen before; [`Column::push`] is the one-value case);
+/// codes copied from a column over the same dictionary append as they
+/// are. Rows leave through [`Column::remove_rows`], which closes the
+/// gaps in place — one `memmove` of the codes behind the first removed
+/// row — and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Column {
     dict: Arc<Dictionary>,
@@ -296,22 +337,17 @@ impl Column {
         code
     }
 
-    /// [`Column::push`] through a run-local memo: a value already in
-    /// `memo` never touches the dictionary (and its lock) again. Bulk
-    /// ingest keeps one memo per column per batch, so each *distinct*
-    /// value costs one dictionary access per batch instead of one per
-    /// row — on low-cardinality columns the lock all but disappears.
-    pub fn push_cached(&mut self, v: &Value, memo: &mut FxHashMap<Value, u32>) -> u32 {
-        let code = match memo.get(v) {
-            Some(&code) => code,
-            None => {
-                let code = self.dict.intern(v);
-                memo.insert(v.clone(), code);
-                code
-            }
-        };
-        self.push_raw(code);
-        code
+    /// Appends `values` in order, interning them in one pass under the
+    /// dictionary's read lock, which is given up only around a value the
+    /// dictionary has not seen (that one takes the write lock). Codes
+    /// and dictionary contents are those of [`Column::push`] per value.
+    /// Bulk ingest and delta inserts run column by column through this,
+    /// so a thread holds one dictionary lock at a time and parallel
+    /// sites over shared dictionaries cannot deadlock. `values` must not
+    /// touch this column's dictionary.
+    pub fn extend_values<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
+        let dict = Arc::clone(&self.dict);
+        dict.intern_each(values, |code| self.push_raw(code));
     }
 
     /// Appends the codes `src` holds at `rows`, in the given order. The
@@ -342,24 +378,38 @@ impl Column {
         }
     }
 
-    /// Drops every row whose `keep` flag is false, preserving the order
-    /// of the kept rows (`keep.len()` must equal the column length).
-    /// The delta-maintenance hook: dictionaries are append-only, so a
-    /// removed row's code simply stops being referenced — codes are
-    /// never recycled and stay decodable. The survivors are re-packed
-    /// into dense chunks, so the chunk invariant holds afterwards.
-    pub fn retain_rows(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.len);
-        let old = std::mem::take(&mut self.chunks);
-        self.len = 0;
-        let mut row = 0;
-        for chunk in old {
-            for code in chunk {
-                if keep[row] {
-                    self.push_raw(code);
+    /// Removes the rows at `rows` (strictly increasing positions),
+    /// preserving the order of the others. The delta-maintenance hook:
+    /// dictionaries are append-only, so a removed row's code simply
+    /// stops being referenced — codes are never recycled and stay
+    /// decodable. Each run of survivors between two removed rows moves
+    /// left in place, across chunk seams where it has to; emptied tail
+    /// chunks are dropped and nothing is reallocated, so the cost is
+    /// `O(rows.len())` plus one `memmove` of the codes behind the first
+    /// removed row, and the chunk invariant holds afterwards.
+    pub fn remove_rows(&mut self, rows: &[usize]) {
+        let cr = self.chunk_rows;
+        for (run, to) in survivor_runs(rows, self.len) {
+            let (mut src, mut dst) = (run.start, to);
+            // Piecewise: each piece ends at the next seam on either side.
+            while src < run.end {
+                let (sc, so) = (src / cr, src % cr);
+                let (dc, d_off) = (dst / cr, dst % cr);
+                let n = (run.end - src).min(cr - so).min(cr - d_off);
+                if sc == dc {
+                    self.chunks[sc].copy_within(so..so + n, d_off);
+                } else {
+                    let (head, tail) = self.chunks.split_at_mut(sc);
+                    head[dc][d_off..d_off + n].copy_from_slice(&tail[0][so..so + n]);
                 }
-                row += 1;
+                src += n;
+                dst += n;
             }
+        }
+        self.len -= rows.len();
+        self.chunks.truncate(self.len.div_ceil(cr));
+        if let Some(last) = self.chunks.last_mut() {
+            last.truncate(self.len - (self.len - 1) / cr * cr);
         }
     }
 
@@ -378,6 +428,24 @@ impl Column {
             }
         });
     }
+}
+
+/// The runs of rows that survive removing the strictly increasing
+/// positions `removed` from `0..len`, each with the position its first
+/// row moves to: `(source range, destination start)`, in row order. Rows
+/// before the first removed position stay put and are not listed.
+pub(crate) fn survivor_runs(
+    removed: &[usize],
+    len: usize,
+) -> impl Iterator<Item = (std::ops::Range<usize>, usize)> + '_ {
+    // Stored rows depend on these: out-of-order positions would overwrite
+    // survivors.
+    assert!(removed.windows(2).all(|w| w[0] < w[1]), "removed positions must strictly increase");
+    assert!(removed.last().is_none_or(|&r| r < len), "removed positions must be in bounds");
+    removed.iter().enumerate().map(move |(k, &r)| {
+        let end = removed.get(k + 1).copied().unwrap_or(len);
+        (r + 1..end, r - k)
+    })
 }
 
 impl Default for Column {
@@ -640,27 +708,37 @@ mod tests {
     }
 
     #[test]
-    fn push_cached_agrees_with_push_and_skips_the_dictionary() {
-        let mut plain = Column::new();
-        let mut cached = Column::new();
-        let mut memo = FxHashMap::default();
+    fn extend_values_agrees_with_push() {
         let values = [Value::str("x"), Value::Int(3), Value::str("x"), Value::str("y")];
+        let mut plain = Column::new();
         for v in &values {
-            assert_eq!(plain.push(v), cached.push_cached(v, &mut memo));
+            plain.push(v);
         }
-        assert_eq!(plain.codes(), cached.codes());
-        assert_eq!(cached.dict().snapshot(), plain.dict().snapshot());
-        // The memo holds one entry per distinct value.
-        assert_eq!(memo.len(), 3);
+        let mut bulk = Column::new();
+        bulk.extend_values(&values);
+        assert_eq!(plain.codes(), bulk.codes());
+        assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
+        // Two columns over one dictionary: the second run starts from
+        // what the first interned, bulk or not.
+        let more = [Value::str("y"), Value::str("z"), Value::Int(3)];
+        let mut plain_b = Column::sharing(plain.dict().clone());
+        for v in &more {
+            plain_b.push(v);
+        }
+        let mut bulk_b = Column::sharing(bulk.dict().clone());
+        bulk_b.extend_values(&more);
+        assert_eq!(plain_b.codes(), bulk_b.codes());
+        assert_eq!(bulk_b.codes(), &[2, 3, 1]);
+        assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
     }
 
     #[test]
-    fn retain_rows_keeps_order_and_dictionary() {
+    fn remove_rows_keeps_order_and_dictionary() {
         let mut c = Column::new();
         for v in ["a", "b", "a", "c", "b"] {
             c.push(&Value::str(v));
         }
-        c.retain_rows(&[true, false, true, false, true]);
+        c.remove_rows(&[1, 3]);
         assert_eq!(c.codes(), &[0, 0, 1]);
         // The dictionary keeps every value it ever interned.
         assert_eq!(c.dict().len(), 3);
@@ -731,22 +809,80 @@ mod tests {
         }
     }
 
+    /// A column of `codes` at chunk size `rows`, bypassing interning.
+    fn column_of(codes: &[u32], rows: usize) -> Column {
+        let mut c = Column::with_layout(Arc::new(Dictionary::new()), 0, rows);
+        for &code in codes {
+            c.push_raw(code);
+        }
+        c
+    }
+
+    fn chunk_sizes(c: &Column) -> Vec<usize> {
+        c.codes().chunks().map(<[u32]>::len).collect()
+    }
+
     #[test]
-    fn retain_rows_repacks_across_chunk_seams() {
-        let c = with_chunk_rows(4, || {
-            let mut c = Column::new();
-            for i in 0..11 {
-                c.push(&Value::Int(i));
-            }
-            let keep: Vec<bool> = (0..11).map(|i| i % 3 != 1).collect();
-            c.retain_rows(&keep);
-            c
-        });
-        let want: Vec<u32> = (0..11).filter(|i| i % 3 != 1).map(|i| i as u32).collect();
-        assert_eq!(c.codes().to_vec(), want);
+    fn remove_rows_repacks_across_chunk_seams() {
+        let codes: Vec<u32> = (0..11).collect();
+        let mut c = column_of(&codes, 4);
+        c.remove_rows(&[1, 4, 7, 10]);
+        assert_eq!(c.codes().to_vec(), vec![0, 2, 3, 5, 6, 8, 9]);
         // Re-packed dense: all chunks full except the last.
-        let sizes: Vec<usize> = c.codes().chunks().map(<[u32]>::len).collect();
-        assert_eq!(sizes, vec![4, 3]);
+        assert_eq!(chunk_sizes(&c), vec![4, 3]);
+        // A whole chunk, then everything: the emptied chunks are gone.
+        c.remove_rows(&[0, 1, 2, 3]);
+        assert_eq!(c.codes().to_vec(), vec![6, 8, 9]);
+        assert_eq!(chunk_sizes(&c), vec![3]);
+        c.remove_rows(&[0, 1, 2]);
+        assert!(c.is_empty());
+        assert_eq!(c.codes().n_chunks(), 0);
+        c.push_raw(7);
+        assert_eq!(c.codes(), &[7]);
+    }
+
+    proptest::proptest! {
+        /// `remove_rows` against a plain `Vec<u32>`, at chunk sizes below,
+        /// beside and above the data: the survivors keep their order, the
+        /// chunk invariant holds and the column still appends. `picks`
+        /// are reduced to positions; `edge` adds the first row, the last
+        /// row, the whole second chunk or every row.
+        #[test]
+        fn remove_rows_matches_a_vec_model(
+            n in 0..40usize,
+            picks in proptest::collection::vec(0..40usize, 0..12),
+            edge in 0..5u8,
+        ) {
+            for rows in [1, 3, 4, 257] {
+                let model: Vec<u32> = (0..n as u32).map(|i| i * 7 + 1).collect();
+                let mut removed: Vec<usize> = picks.iter().filter(|_| n > 0).map(|p| p % n).collect();
+                match edge {
+                    1 if n > 0 => removed.push(0),
+                    2 if n > 0 => removed.push(n - 1),
+                    3 => removed.extend((rows..2 * rows).filter(|&r| r < n)),
+                    4 => removed.extend(0..n),
+                    _ => {}
+                }
+                removed.sort_unstable();
+                removed.dedup();
+                let mut c = column_of(&model, rows);
+                c.remove_rows(&removed);
+                let mut want: Vec<u32> = model
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| removed.binary_search(i).is_err())
+                    .map(|(_, &code)| code)
+                    .collect();
+                proptest::prop_assert_eq!(c.len(), want.len());
+                proptest::prop_assert_eq!(c.codes().to_vec(), want.clone(), "chunk rows {}", rows);
+                c.push_raw(5);
+                want.push(5);
+                proptest::prop_assert_eq!(c.codes().to_vec(), want.clone());
+                let sizes = chunk_sizes(&c);
+                proptest::prop_assert_eq!(sizes.len(), want.len().div_ceil(rows));
+                proptest::prop_assert!(sizes.iter().rev().skip(1).all(|&s| s == rows));
+            }
+        }
     }
 
     #[test]

@@ -332,6 +332,8 @@ enum StorageOp {
     PushShort,
     /// `push_tuple` with id `next + gap`.
     PushTuple(u64, Row),
+    /// `push_tuple` with the one id the counter cannot pass: rejected.
+    PushTupleMaxId(Row),
     /// `push_code_row` with the codes of an existing row under id
     /// `next + gap`; with `corrupt`, one code is the first its dictionary
     /// has not assigned, and the row is rejected.
@@ -341,7 +343,7 @@ enum StorageOp {
         corrupt: bool,
     },
     /// `apply_delta`: an insert either takes a fresh id or re-uses the id
-    /// of one of this delta's deletes. `poison` 0 is a valid delta, 1–5
+    /// of one of this delta's deletes. `poison` 0 is a valid delta, 1–6
     /// each add one reason to reject it.
     Delta {
         inserts: Vec<(Option<usize>, Row)>,
@@ -363,9 +365,10 @@ fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
         arb_row().prop_map(StorageOp::Push),
         Just(StorageOp::PushShort),
         (0..3u64, arb_row()).prop_map(|(gap, row)| StorageOp::PushTuple(gap, row)),
+        arb_row().prop_map(StorageOp::PushTupleMaxId),
         (0..64usize, 0..3u64, any::<bool>())
             .prop_map(|(from, gap, corrupt)| StorageOp::PushCodeRow { from, gap, corrupt }),
-        (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks(), 0..6u8)
+        (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks(), 0..7u8)
             .prop_map(|(inserts, deletes, poison)| StorageOp::Delta { inserts, deletes, poison }),
         (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks())
             .prop_map(|(inserts, deletes)| StorageOp::Delta { inserts, deletes, poison: 0 }),
@@ -423,6 +426,52 @@ fn check_against(rel: &Relation, model: &Model) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The delta of a [`StorageOp::Delta`] against `model`, and the model
+/// positions it deletes.
+fn build_delta(
+    model: &Model,
+    inserts: &[(Option<usize>, Row)],
+    deletes: &[usize],
+    poison: u8,
+) -> (RelationDelta, Vec<usize>) {
+    let doomed = model.pick(deletes);
+    let mut delta =
+        RelationDelta::new(Vec::new(), doomed.iter().map(|&i| model.rows[i].0).collect());
+    let mut fresh = model.next;
+    for (reuse, row) in inserts {
+        let reused = reuse
+            .and_then(|k| delta.deletes.get(k % delta.deletes.len().max(1)).copied())
+            .filter(|tid| delta.inserts.iter().all(|t| t.tid != *tid));
+        let tid = reused.unwrap_or_else(|| {
+            fresh += 1;
+            TupleId(fresh - 1)
+        });
+        delta.inserts.push(Tuple::new(tid, row_values(*row)));
+    }
+    let survivor = (0..model.rows.len()).find(|i| !doomed.contains(i));
+    match (poison, survivor) {
+        (0, _) => {}
+        // A delete id named twice.
+        (2, _) if !delta.deletes.is_empty() => delta.deletes.push(delta.deletes[0]),
+        // An insert whose id is live and not deleted.
+        (3, Some(i)) => {
+            delta.inserts.push(Tuple::new(model.rows[i].0, row_values((0, 0, 0))));
+        }
+        // One insert id twice.
+        (4, _) if !delta.inserts.is_empty() => {
+            let again = delta.inserts[0].clone();
+            delta.inserts.push(again);
+        }
+        // An ill-typed insert after valid ones.
+        (5, _) => delta.inserts.push(Tuple::new(TupleId(fresh), vals!["x", 0, "s0"])),
+        // An insert with the id the counter cannot pass.
+        (6, _) => delta.inserts.push(Tuple::new(TupleId(u64::MAX), row_values((0, 0, 0)))),
+        // A delete id that is not there.
+        _ => delta.deletes.push(TupleId(fresh + 1000)),
+    }
+    (delta, doomed)
+}
+
 /// Runs `op` against both the relation and the model; a step the store
 /// must reject is checked to leave every stored bit as it was.
 fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), TestCaseError> {
@@ -452,6 +501,11 @@ fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), Tes
             rel.push_tuple(Tuple::new(tid, row_values(*row))).unwrap();
             model.insert(tid, row_values(*row));
         }
+        StorageOp::PushTupleMaxId(row) => {
+            let err = rel.push_tuple(Tuple::new(TupleId(u64::MAX), row_values(*row))).unwrap_err();
+            prop_assert_eq!(err, RelationError::TupleIdOutOfRange { tid: u64::MAX });
+            rejected = true;
+        }
         StorageOp::PushCodeRow { from, gap, corrupt } => {
             if !model.rows.is_empty() {
                 let from = from % model.rows.len();
@@ -472,39 +526,7 @@ fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), Tes
             }
         }
         StorageOp::Delta { inserts, deletes, poison } => {
-            let doomed = model.pick(deletes);
-            let mut delta =
-                RelationDelta::new(Vec::new(), doomed.iter().map(|&i| model.rows[i].0).collect());
-            let mut fresh = model.next;
-            for (reuse, row) in inserts {
-                let reused = reuse
-                    .and_then(|k| delta.deletes.get(k % delta.deletes.len().max(1)).copied())
-                    .filter(|tid| delta.inserts.iter().all(|t| t.tid != *tid));
-                let tid = reused.unwrap_or_else(|| {
-                    fresh += 1;
-                    TupleId(fresh - 1)
-                });
-                delta.inserts.push(Tuple::new(tid, row_values(*row)));
-            }
-            let survivor = (0..model.rows.len()).find(|i| !doomed.contains(i));
-            match (*poison, survivor) {
-                (0, _) => {}
-                // A delete id named twice.
-                (2, _) if !delta.deletes.is_empty() => delta.deletes.push(delta.deletes[0]),
-                // An insert whose id is live and not deleted.
-                (3, Some(i)) => {
-                    delta.inserts.push(Tuple::new(model.rows[i].0, row_values((0, 0, 0))));
-                }
-                // One insert id twice.
-                (4, _) if !delta.inserts.is_empty() => {
-                    let again = delta.inserts[0].clone();
-                    delta.inserts.push(again);
-                }
-                // An ill-typed insert after valid ones.
-                (5, _) => delta.inserts.push(Tuple::new(TupleId(fresh), vals!["x", 0, "s0"])),
-                // A delete id that is not there.
-                _ => delta.deletes.push(TupleId(fresh + 1000)),
-            }
+            let (delta, doomed) = build_delta(model, inserts, deletes, *poison);
             if *poison == 0 {
                 let effect = rel.apply_delta(&delta).unwrap();
                 prop_assert_eq!(effect.deleted.len(), delta.deletes.len());
@@ -565,6 +587,59 @@ proptest! {
             set_chunk_rows(None);
             outcome?;
             prop_assert_eq!(rel.chunk_rows(), chunk);
+        }
+    }
+
+    /// The two id lookups behind `apply_delta`: the same rows held once
+    /// with ascending ids (binary search) and once pushed in another
+    /// order (the scan) take every delta alike — equal effects, equal
+    /// surviving rows, and for each way of spoiling a delta the same
+    /// error, with every stored bit left as it was.
+    #[test]
+    fn ascending_and_shuffled_ids_take_deltas_alike(
+        rows in prop::collection::vec(arb_row(), 0..40),
+        keys in prop::collection::vec(any::<u32>(), 40),
+        inserts in prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8),
+        deletes in prop::collection::vec(0..64usize, 0..12),
+        poison in 0..7u8,
+    ) {
+        let mut ascending = build(&rows);
+        let mut model = Model::default();
+        for (i, &r) in rows.iter().enumerate() {
+            model.insert(TupleId(i as u64), row_values(r));
+        }
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        if order.len() > 1 && order.is_sorted() {
+            order.swap(0, 1);
+        }
+        // Over the same dictionaries, so that equal rows have equal codes.
+        let mut shuffled = ascending.empty_like();
+        for &i in &order {
+            shuffled.push_tuple(ascending.row(i)).unwrap();
+        }
+
+        let (delta, doomed) = build_delta(&model, &inserts, &deletes, poison);
+        let before = (image(&ascending), image(&shuffled));
+        let outcomes = (ascending.apply_delta(&delta), shuffled.apply_delta(&delta));
+        if poison == 0 {
+            prop_assert_eq!(outcomes.0.unwrap(), outcomes.1.unwrap());
+            let gone: Vec<TupleId> = doomed.iter().map(|&i| model.rows[i].0).collect();
+            for (rel, was) in [(&ascending, &before.0), (&shuffled, &before.1)] {
+                let want: Vec<TupleId> = was.0.iter().copied().filter(|t| !gone.contains(t))
+                    .chain(delta.inserts.iter().map(|t| t.tid))
+                    .collect();
+                prop_assert_eq!(rel.tids(), &want[..], "survivors keep their order");
+            }
+            let by_id = |rel: &Relation| {
+                let mut ts: Vec<Tuple> = rel.iter().collect();
+                ts.sort_by_key(|t| t.tid);
+                ts
+            };
+            prop_assert_eq!(by_id(&ascending), by_id(&shuffled));
+        } else {
+            prop_assert_eq!(outcomes.0.unwrap_err(), outcomes.1.unwrap_err());
+            prop_assert_eq!((image(&ascending), image(&shuffled)), before);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! column were one flat array. These proptests rebuild the same data
 //! under a tiny chunk size (so every operation crosses seams) and under
 //! a chunk size larger than the data (one flat chunk), then drive
-//! `code_rows`, delta application (`retain_rows` + chunk-tail appends
+//! `code_rows`, delta application (`remove_rows` + chunk-tail appends
 //! under the hood) and point reads across both layouts, demanding
 //! identical results — including on ranges that straddle chunk
 //! boundaries.
@@ -80,7 +80,7 @@ proptest! {
     }
 
     /// Deltas whose deletes and inserts straddle chunk seams leave the
-    /// chunked and flat relations in identical states (`retain_rows`
+    /// chunked and flat relations in identical states (`remove_rows`
     /// compaction + tail appends across chunk boundaries).
     #[test]
     fn apply_delta_ignores_chunk_layout(
