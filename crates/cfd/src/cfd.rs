@@ -92,6 +92,26 @@ impl Cfd {
         &self.schema
     }
 
+    /// Rejects detection of this CFD over data of another schema. The
+    /// attribute lists are positions into [`Self::schema`]; read against
+    /// a different schema they name other columns (a silently wrong
+    /// report) or none at all, so every front door that couples CFDs
+    /// with a partition checks this first. Structural equality: a
+    /// separately built but identical schema passes.
+    pub fn check_schema(&self, data: &Schema) -> Result<(), RelationError> {
+        if *self.schema == *data {
+            return Ok(());
+        }
+        Err(RelationError::SchemaMismatch {
+            detail: format!(
+                "CFD `{}` is defined over schema `{}`, not over the `{}` schema of the data",
+                self.name,
+                self.schema.name(),
+                data.name()
+            ),
+        })
+    }
+
     /// The LHS attribute list `X`.
     pub fn lhs(&self) -> &[AttrId] {
         &self.lhs

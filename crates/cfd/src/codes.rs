@@ -1,23 +1,23 @@
-//! Code-native coordinator validation: the `(tid, codes)` twin of
-//! [`detect_among`](crate::detect_among) / [`detect_pattern_among`](crate::detect_pattern_among).
+//! Code-native coordinator validation over gathered `(tid, codes)` wire
+//! rows.
 //!
 //! The batch detectors' coordinators receive σ-blocks gathered from many
-//! fragments. On the value-wise wire those are `&Tuple`s (string
-//! payloads, `Vec<Value>` group keys); on the *code-native* wire — the
-//! one the incremental delta protocol of `dcd-incr` already uses — each
-//! shipped row is just `(tid, codes)`: one `u32` dictionary code per
-//! projected attribute, 4 bytes per cell. Because fragments built
-//! through the `dcd-dist` constructors share their parent's
-//! dictionaries, codes are site-portable: the coordinator compares them
-//! directly, compiles the tableau once against the shared dictionaries
+//! fragments. On the *code-native* wire — the one the incremental delta
+//! protocol of `dcd-incr` uses too — each shipped row is just
+//! `(tid, codes)`: one `u32` dictionary code per projected attribute,
+//! 4 bytes per cell. Because fragments built through the `dcd-dist`
+//! constructors share their parent's dictionaries, codes are
+//! site-portable: the coordinator compares them directly, compiles the
+//! tableau once against the shared dictionaries
 //! ([`CompiledPattern::compile_with`]), and decodes only the *violating*
 //! group keys back to values for `Vioπ`.
 //!
 //! A [`CodeLayout`] names what the wire rows carry: which original
 //! attributes, in which order, over which dictionaries. The detection
-//! functions here reproduce the grouping semantics of their value-wise
-//! twins exactly (pinned by the equivalence tests below and by the
-//! workspace property suites).
+//! methods here run the same [`kernel`] as the columnar
+//! [`detect_simple`](crate::detect_simple) and are pinned, like it,
+//! against the pairwise [`oracle`](crate::oracle) (the tests below and
+//! `tests/prop_oracle.rs`).
 
 use crate::cfd::SimpleCfd;
 use crate::kernel::{self, KernelCounters, LhsIndex};
@@ -121,7 +121,7 @@ pub struct ResolvedCfd {
     compiled: Vec<CompiledPattern>,
     /// The kernel's LHS bucketing, built once at resolution and shared
     /// by every validation call (and by σ, which wraps the same type).
-    index: LhsIndex<CodeKey>,
+    index: LhsIndex,
     /// Kernel instrument handles; detached by default, bound to a run's
     /// registry via [`Self::set_counters`].
     counters: KernelCounters,
@@ -140,12 +140,10 @@ impl ResolvedCfd {
     }
 
     /// Detects violations of the resolved CFD among gathered code
-    /// rows, under the algorithmic reading — the code-native twin of
-    /// [`detect_among`](crate::detect_among), used by coordinators
-    /// whose wire carries `(tid, codes)` rows instead of tuples.
-    /// Semantically identical to running `detect_among` over the
-    /// decoded tuples (pinned by tests and the workspace equivalence
-    /// suites).
+    /// rows, under the algorithmic reading — what a coordinator holding
+    /// the whole CFD's σ-blocks runs. Equal to the oracle's `Vio`/`Vioπ`
+    /// over the decoded tuples (pinned by tests and the workspace
+    /// equivalence suites).
     ///
     /// `rows` may be owned (`&[CodeRow]`) or borrowed
     /// (`&[&CodeRow]`) — coordinators flattening several gathered
@@ -168,37 +166,23 @@ impl ResolvedCfd {
             groups.entry(CodeKey::of_codes(&lhs_buf)).or_default().push(i);
         }
 
-        let width = self.lhs_pos.len();
-        let mut key_buf: Vec<u32> = Vec::new();
-        let mut probe_buf: Vec<u32> = Vec::new();
         kernel::detect_grouped(
             &groups,
-            |key: &CodeKey, ranks: &mut Vec<u32>| {
-                key_buf.clear();
-                key_buf.extend(key.codes(width));
-                self.index.matched_codes_into(&key_buf, &mut probe_buf, ranks);
+            Some(&self.index),
+            &self.compiled,
+            |&i| {
+                let (tid, codes) = rows[i].borrow();
+                (*tid, codes[self.rhs_pos])
             },
-            |rank| {
-                let pat = &self.compiled[rank as usize];
-                if pat.rhs_is_wild() {
-                    kernel::RhsSpec::Wild
-                } else {
-                    kernel::RhsSpec::Const(pat.rhs)
-                }
-            },
-            Vec::len,
-            |members, fi| rows[members[fi]].borrow().1[self.rhs_pos],
-            |members, fi| rows[members[fi]].borrow().0,
-            |key| self.decode_key(&key.codes(width)),
+            |key| self.decode_key(key),
             false,
             &self.counters,
         )
     }
 
     /// Detects violations of a single pattern `(X → A, {tp})` among
-    /// gathered code rows — the code-native twin of
-    /// [`detect_pattern_among`](crate::detect_pattern_among), used by
-    /// per-pattern coordinators (Lemma 6 blocks). Algorithmic reading.
+    /// gathered code rows — what a per-pattern coordinator runs on its
+    /// Lemma 6 block. Algorithmic reading.
     pub fn detect_pattern_among<'a>(
         &self,
         rows: impl Iterator<Item = &'a CodeRow>,
@@ -206,69 +190,35 @@ impl ResolvedCfd {
     ) -> ViolationSet {
         let pat = &self.compiled[pattern_idx];
         // Pre-filtering by the single pattern makes every group match
-        // it, so the kernel sees a one-entry tableau.
-        let mut groups: FxHashMap<CodeKey, (Vec<TupleId>, Vec<u32>)> = FxHashMap::default();
+        // it, so the kernel validates against it without probing.
+        let mut groups: FxHashMap<CodeKey, Vec<&CodeRow>> = FxHashMap::default();
         let mut lhs_buf: Vec<u32> = vec![0; self.lhs_pos.len()];
-        for (tid, codes) in rows {
+        for row in rows {
             for (b, &p) in lhs_buf.iter_mut().zip(&self.lhs_pos) {
-                *b = codes[p];
+                *b = row.1[p];
             }
             if pat.feasible && pat.matches_codes(&lhs_buf) {
-                let entry = groups.entry(CodeKey::of_codes(&lhs_buf)).or_default();
-                entry.0.push(*tid);
-                entry.1.push(codes[self.rhs_pos]);
+                groups.entry(CodeKey::of_codes(&lhs_buf)).or_default().push(row);
             }
         }
-        let width = self.lhs_pos.len();
         kernel::detect_grouped(
             &groups,
-            |_key, ranks: &mut Vec<u32>| {
-                ranks.clear();
-                ranks.push(0);
-            },
-            |_rank| {
-                if pat.rhs_is_wild() {
-                    kernel::RhsSpec::Wild
-                } else {
-                    kernel::RhsSpec::Const(pat.rhs)
-                }
-            },
-            |members| members.0.len(),
-            |members, fi| members.1[fi],
-            |members, fi| members.0[fi],
-            |key| self.decode_key(&key.codes(width)),
+            None,
+            std::slice::from_ref(pat),
+            |(tid, codes)| (*tid, codes[self.rhs_pos]),
+            |key| self.decode_key(key),
             false,
             &self.counters,
         )
     }
 }
 
-/// One-shot [`ResolvedCfd::detect_among`] — resolves and validates in
-/// one call. Hot paths that validate many blocks per round should
-/// [`CodeLayout::resolve`] once instead.
-pub fn detect_among_codes(rows: &[CodeRow], cfd: &SimpleCfd, layout: &CodeLayout) -> ViolationSet {
-    if cfd.tableau.is_empty() || rows.is_empty() {
-        return ViolationSet::default();
-    }
-    layout.resolve(cfd).detect_among(rows)
-}
-
-/// One-shot [`ResolvedCfd::detect_pattern_among`] — resolves and
-/// validates one pattern block in one call.
-pub fn detect_pattern_among_codes<'a>(
-    rows: impl Iterator<Item = &'a CodeRow>,
-    cfd: &SimpleCfd,
-    pattern_idx: usize,
-    layout: &CodeLayout,
-) -> ViolationSet {
-    layout.resolve(cfd).detect_pattern_among(rows, pattern_idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::parse::parse_cfd;
-    use crate::violation::{detect_among, detect_pattern_among, detect_simple};
+    use crate::violation::detect_simple;
     use dcd_relation::{vals, Schema, Tuple, ValueType};
 
     fn schema() -> Arc<Schema> {
@@ -301,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_value_wise_detect_among() {
+    fn detect_among_matches_oracle() {
         let rel = sample();
         for txt in [
             "([cc, zip] -> [street])",
@@ -314,10 +264,10 @@ mod tests {
             let (rows, layout) = wire(&rel, &attrs);
             let decoded: Vec<Tuple> = rel.iter().collect();
             let tuples: Vec<&Tuple> = decoded.iter().collect();
-            let value_wise = detect_among(&tuples, &cfd);
-            let code_native = detect_among_codes(&rows, &cfd, &layout);
-            assert_eq!(code_native.tids, value_wise.tids, "{txt} Vio");
-            assert_eq!(code_native.patterns, value_wise.patterns, "{txt} Vioπ");
+            let want = oracle::vio(&tuples, &cfd);
+            let code_native = layout.resolve(&cfd).detect_among(&rows);
+            assert_eq!(code_native.tids, want.tids, "{txt} Vio");
+            assert_eq!(code_native.patterns, want.patterns, "{txt} Vioπ");
             // And both agree with the columnar whole-relation path.
             let full = detect_simple(&rel, &cfd);
             assert_eq!(code_native.tids, full.tids, "{txt} vs detect_simple");
@@ -325,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn per_pattern_matches_value_wise() {
+    fn per_pattern_matches_oracle() {
         let rel = sample();
         let a = parse_cfd(rel.schema(), "a", "([cc=44, zip] -> [street])").unwrap();
         let b = parse_cfd(rel.schema(), "b", "([cc, zip] -> [street])").unwrap();
@@ -333,11 +283,14 @@ mod tests {
         let attrs = cfd.shipped_attrs();
         let (rows, layout) = wire(&rel, &attrs);
         let decoded: Vec<Tuple> = rel.iter().collect();
+        let tuples: Vec<&Tuple> = decoded.iter().collect();
+        let resolved = layout.resolve(&cfd);
         for l in 0..cfd.tableau.len() {
-            let value_wise = detect_pattern_among(decoded.iter(), &cfd, l);
-            let code_native = detect_pattern_among_codes(rows.iter(), &cfd, l, &layout);
-            assert_eq!(code_native.tids, value_wise.tids, "pattern {l} Vio");
-            assert_eq!(code_native.patterns, value_wise.patterns, "pattern {l} Vioπ");
+            let one = SimpleCfd { tableau: vec![cfd.tableau[l].clone()], ..cfd.clone() };
+            let want = oracle::vio(&tuples, &one);
+            let code_native = resolved.detect_pattern_among(rows.iter(), l);
+            assert_eq!(code_native.tids, want.tids, "pattern {l} Vio");
+            assert_eq!(code_native.patterns, want.patterns, "pattern {l} Vioπ");
         }
     }
 
@@ -366,15 +319,13 @@ mod tests {
         let (rows, layout) = wire(&rel, &attrs);
         let decoded: Vec<Tuple> = rel.iter().collect();
         let tuples: Vec<&Tuple> = decoded.iter().collect();
-        assert_eq!(detect_among_codes(&rows, &cfd, &layout).tids, detect_among(&tuples, &cfd).tids);
+        let want = oracle::vio(&tuples, &cfd);
+        assert_eq!(layout.resolve(&cfd).detect_among(&rows).tids, want.tids);
         // A layout carrying *more* attributes than the CFD needs (the
         // cluster wire ships the union of member attributes).
         let all: Vec<AttrId> = rel.schema().attr_ids().collect();
         let (wide_rows, wide_layout) = wire(&rel, &all);
-        assert_eq!(
-            detect_among_codes(&wide_rows, &cfd, &wide_layout).tids,
-            detect_among(&tuples, &cfd).tids
-        );
+        assert_eq!(wide_layout.resolve(&cfd).detect_among(&wide_rows).tids, want.tids);
     }
 
     #[test]
@@ -402,7 +353,7 @@ mod tests {
         let mut gathered = a.code_rows(&attrs, &rows_a);
         gathered.extend(b.code_rows(&attrs, &rows_b));
         let layout = CodeLayout::of_relation(&a, &attrs);
-        let got = detect_among_codes(&gathered, &cfd, &layout);
+        let got = layout.resolve(&cfd).detect_among(&gathered);
         let full = detect_simple(&rel, &cfd);
         assert_eq!(got.tids, full.tids);
         assert_eq!(got.patterns, full.patterns);

@@ -1,23 +1,24 @@
-//! The one group-validation kernel every detector instantiates.
+//! The one group-validation kernel every detector runs.
 //!
 //! All of the paper's detectors — CTRDETECT's coordinator validation,
 //! PATDETECT's per-pattern blocks, SEQDETECT/CLUSTDETECT's gathered
 //! σ-blocks, the centralized "SQL technique", and the incremental
 //! violation index — reduce to one primitive: *group tuples by their LHS
 //! key, then validate each group against the tableau patterns its key
-//! matches*. This module is that primitive, written once and
-//! parameterized over the four things that genuinely differ per call
-//! site:
+//! matches*. This module is that primitive, written once over one
+//! representation: a group key is a packed [`CodeKey`] of dictionary
+//! codes, a right-hand side is a `u32` code, a pattern is a
+//! [`CompiledPattern`]. What a call site still supplies is only what
+//! genuinely differs between them:
 //!
-//! * the **key accessor** — how a group key projects onto pattern cells
-//!   (packed [`CodeKey`]s for columnar and wire rows, `Vec<Value>` for
-//!   the value-wise fallback),
-//! * the **RHS accessor** — how a group member's right-hand side is read
-//!   (`u32` code column, wire-row cell, or `&Value`),
+//! * the **member accessor** — how a group member yields its tuple id
+//!   and RHS code (a row of code columns, or a gathered wire row held by
+//!   index or by reference),
 //! * the **decoder** — how a violating group key becomes the `Vioπ`
 //!   value projection,
 //! * the **violation sink** — where flagged members land (a
-//!   [`ViolationSet`], or the incremental index's stateful key entries).
+//!   [`ViolationSet`] through [`detect_grouped`], or the incremental
+//!   index's stateful key entries through [`validate_group`]).
 //!
 //! Which patterns match a key is answered by [`LhsIndex`], the
 //! σ-style bucketing by LHS wildcard mask (one hash probe per distinct
@@ -27,20 +28,21 @@
 //! call site.
 //!
 //! The validation semantics live in [`validate_group`] and nowhere else
-//! (enforced by the `duplicate-detect-loop` lint rule): variable
-//! patterns flag the whole group iff it holds ≥ 2 distinct RHS values;
-//! constant patterns flag individual mismatching members
+//! in the engine (enforced by the `duplicate-detect-loop` lint rule):
+//! variable patterns flag the whole group iff it holds ≥ 2 distinct RHS
+//! values; constant patterns flag individual mismatching members
 //! (`t[A] ≭ c`), plus — under the strict §II-C reading — the whole
-//! group on an FD conflict. The queued `dcd_measure` crate hooks here:
-//! a graded inconsistency measure is one more sink over the same
-//! verdicts.
+//! group on an FD conflict. They are pinned not against a second
+//! instantiation of this module but against [`oracle`](crate::oracle),
+//! an independent pairwise transcription of the paper's definition. The
+//! queued `dcd_measure` crate hooks here: a graded inconsistency measure
+//! is one more sink over the same verdicts.
 
-use crate::pattern::{CompiledPattern, NormalPattern, PatternValue};
+use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
 use dcd_obs::{Counter, MetricsRegistry};
 use dcd_relation::ops::CodeKey;
 use dcd_relation::{FxHashMap, FxHashSet, TupleId, Value, WILDCARD_CODE};
-use std::hash::Hash;
 
 /// Instrument handles for the kernel: how many groups were validated,
 /// the [`GroupVerdict`] mix, and how many [`LhsIndex`] probes ran.
@@ -122,15 +124,15 @@ impl KernelTally {
 }
 
 /// The right-hand side of one tableau pattern, as seen by the kernel:
-/// either the wildcard (variable CFD) or a constant in the caller's RHS
-/// representation (`u32` code or `&Value`).
+/// either the wildcard (variable CFD) or a constant's dictionary code
+/// ([`CompiledPattern::rhs_spec`] is the one place that maps to it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RhsSpec<R> {
+pub enum RhsSpec {
     /// `tp[A] = _`: the group violates iff it holds ≥ 2 distinct RHS
     /// values.
     Wild,
     /// `tp[A] = c`: each member with `t[A] ≭ c` violates individually.
-    Const(R),
+    Const(u32),
 }
 
 /// What [`validate_group`] concluded about one LHS group.
@@ -168,14 +170,14 @@ impl GroupVerdict {
 /// semantics; every detector's per-group step is this function.
 ///
 /// `specs` yields the matching patterns' RHS cells in tableau order;
-/// `rhs_of(fi)` reads member `fi`'s RHS value. The FD-conflict test
+/// `rhs_of(fi)` reads member `fi`'s RHS code. The FD-conflict test
 /// (≥ 2 distinct RHS values) is computed lazily at the first matching
 /// pattern and shared across them; the scan stops as soon as the whole
 /// group is flagged, because further patterns cannot add members.
-pub fn validate_group<R: Eq + Hash + Copy>(
-    specs: impl IntoIterator<Item = RhsSpec<R>>,
+pub fn validate_group(
+    specs: impl IntoIterator<Item = RhsSpec>,
     n_members: usize,
-    mut rhs_of: impl FnMut(usize) -> R,
+    mut rhs_of: impl FnMut(usize) -> u32,
     strict: bool,
 ) -> GroupVerdict {
     let mut group_flagged = false;
@@ -184,13 +186,13 @@ pub fn validate_group<R: Eq + Hash + Copy>(
     let mut fd_conflict: Option<bool> = None;
     for spec in specs {
         let conflict = *fd_conflict.get_or_insert_with(|| {
-            let distinct: FxHashSet<R> = (0..n_members).map(&mut rhs_of).collect();
+            let distinct: FxHashSet<u32> = (0..n_members).map(&mut rhs_of).collect();
             distinct.len() > 1
         });
         match spec {
             // Variable pattern: all members violate iff ≥2 distinct RHS
-            // values in the group (on codes, the dictionary is a
-            // bijection, so code equality *is* value equality).
+            // values in the group (the dictionary is a bijection, so
+            // code equality *is* value equality).
             RhsSpec::Wild => group_flagged |= conflict,
             RhsSpec::Const(c) => {
                 if strict && conflict {
@@ -220,163 +222,83 @@ pub fn validate_group<R: Eq + Hash + Copy>(
     }
 }
 
-/// Emits one group's verdict into a [`ViolationSet`]: flagged members'
-/// tids join `Vio`, and the decoded group key joins `Vioπ` iff any
-/// member is flagged. `decode` runs only for violating groups — decoding
-/// is the expensive step on the code paths.
-pub fn emit_group(
-    verdict: &GroupVerdict,
-    n_members: usize,
-    mut tid_of: impl FnMut(usize) -> TupleId,
-    decode: impl FnOnce() -> Vec<Value>,
-    out: &mut ViolationSet,
-) {
-    match verdict {
-        GroupVerdict::Clean => {}
-        GroupVerdict::AllFlagged => {
-            out.patterns.insert(decode());
-            out.tids.extend((0..n_members).map(tid_of));
-        }
-        GroupVerdict::Mixed(flags) => {
-            for (fi, &flagged) in flags.iter().enumerate() {
-                if flagged {
-                    out.tids.insert(tid_of(fi));
-                }
-            }
-            out.patterns.insert(decode());
-        }
-    }
-}
-
 /// The full kernel: validates every group of an LHS-keyed grouping and
 /// collects the violations. Groups whose key matches no pattern
 /// contribute nothing, so callers group *all* rows and let the
 /// [`LhsIndex`] probe — once per distinct key, not once per row —
 /// decide relevance.
 ///
-/// Parameters mirror the per-call-site differences (module docs):
-/// `matched_of` fills the tableau ranks the key matches (ascending);
-/// `spec_of` reads a rank's RHS cell; `len_of`/`rhs_of`/`tid_of` access
-/// a group's member list; `decode` projects a violating key for `Vioπ`.
-#[allow(clippy::too_many_arguments)] // the advertised parameterization
-pub fn detect_grouped<'g, K: 'g, M: 'g, R: Eq + Hash + Copy>(
-    groups: impl IntoIterator<Item = (&'g K, &'g M)>,
-    mut matched_of: impl FnMut(&'g K, &mut Vec<u32>),
-    mut spec_of: impl FnMut(u32) -> RhsSpec<R>,
-    mut len_of: impl FnMut(&'g M) -> usize,
-    mut rhs_of: impl FnMut(&'g M, usize) -> R,
-    mut tid_of: impl FnMut(&'g M, usize) -> TupleId,
-    mut decode: impl FnMut(&'g K) -> Vec<Value>,
+/// `index` is the bucketing of `patterns`, probed per key. `None` means
+/// the caller already kept only rows matching `patterns` (a Lemma 6
+/// block holds the tuples of one pattern), so every key is validated
+/// against all of them. `member` reads one group member's tuple id and
+/// RHS code; `decode` projects a violating key's codes for `Vioπ`.
+pub fn detect_grouped<'g, I: 'g>(
+    groups: impl IntoIterator<Item = (&'g CodeKey, &'g Vec<I>)>,
+    index: Option<&LhsIndex>,
+    patterns: &[CompiledPattern],
+    member: impl Fn(&I) -> (TupleId, u32),
+    mut decode: impl FnMut(&[u32]) -> Vec<Value>,
     strict: bool,
     counters: &KernelCounters,
 ) -> ViolationSet {
+    let width = patterns.first().map_or(0, |p| p.lhs.len());
     let mut out = ViolationSet::default();
-    let mut ranks: Vec<u32> = Vec::new();
+    let mut ranks: Vec<u32> = (0..patterns.len() as u32).collect();
+    let mut probe_buf: Vec<u32> = Vec::new();
     let mut tally = KernelTally::default();
     for (key, members) in groups {
-        matched_of(key, &mut ranks);
+        if let Some(index) = index {
+            index.matched_into(&key.codes(width), &mut probe_buf, &mut ranks);
+        }
         tally.probes += 1;
         if ranks.is_empty() {
             continue;
         }
-        let n = len_of(members);
-        let verdict =
-            validate_group(ranks.iter().map(|&r| spec_of(r)), n, |fi| rhs_of(members, fi), strict);
+        let verdict = validate_group(
+            ranks.iter().map(|&r| patterns[r as usize].rhs_spec()),
+            members.len(),
+            |fi| member(&members[fi]).1,
+            strict,
+        );
         tally.record(&verdict);
-        emit_group(&verdict, n, |fi| tid_of(members, fi), || decode(key), &mut out);
+        // The sink: flagged members' tids join `Vio`; the group key joins
+        // `Vioπ`, decoded only now — decoding is the expensive step.
+        match &verdict {
+            GroupVerdict::Clean => continue,
+            GroupVerdict::AllFlagged => out.tids.extend(members.iter().map(|m| member(m).0)),
+            GroupVerdict::Mixed(flags) => out.tids.extend(
+                members.iter().zip(flags).filter(|(_, &flagged)| flagged).map(|(m, _)| member(m).0),
+            ),
+        }
+        out.patterns.insert(decode(&key.codes(width)));
     }
     counters.absorb(&tally);
     out
 }
 
-/// σ-style LHS bucketing of a tableau: patterns grouped by their
-/// wildcard mask (the set of non-wild LHS positions), each bucket a
-/// hash map from the constant cells at those positions to the tableau
+/// One wildcard mask: the non-wild LHS positions, and the rank lists
+/// keyed by the constant codes at those positions.
+type MaskBucket = (Vec<usize>, FxHashMap<CodeKey, Vec<u32>>);
+
+/// σ-style LHS bucketing of a compiled tableau: patterns grouped by
+/// their wildcard mask (the set of non-wild LHS positions), each bucket
+/// a hash map from the constant codes at those positions to the tableau
 /// ranks carrying them, ascending. Answering "which patterns match this
 /// key, in tableau order" is then one probe per distinct mask —
 /// `O(masks)` instead of `O(|Tp|)` — and "which pattern matches
 /// *first*" (the σ function of Lemma 6) reads the same buckets.
 ///
-/// One wildcard-mask bucket: the non-wild LHS positions and the rank
-/// lists keyed by the constants at those positions.
-type MaskBucket<K> = (Vec<usize>, FxHashMap<K, Vec<u32>>);
-
-/// `K` is the probe-key representation: [`CodeKey`] when pattern cells
-/// are dictionary codes, `Vec<Value>` on the value-wise fallback.
 /// Infeasible compiled patterns sit in the maps harmlessly — their
 /// `NO_CODE` cells can never equal a probe key built from real codes.
-#[derive(Debug, Clone)]
-pub struct LhsIndex<K> {
-    /// Distinct wildcard masks: non-wild LHS positions plus the rank
-    /// lists keyed by the constants at those positions.
-    buckets: Vec<MaskBucket<K>>,
+#[derive(Debug, Clone, Default)]
+pub struct LhsIndex {
+    buckets: Vec<MaskBucket>,
     /// Total ranks indexed (the tableau scan length the ranks replace).
     n_ranks: usize,
 }
 
-impl<K> Default for LhsIndex<K> {
-    fn default() -> Self {
-        LhsIndex { buckets: Vec::new(), n_ranks: 0 }
-    }
-}
-
-impl<K: Eq + Hash> LhsIndex<K> {
-    /// Number of patterns indexed.
-    pub fn n_ranks(&self) -> usize {
-        self.n_ranks
-    }
-
-    /// Inserts the next pattern (rank `n_ranks`) under its mask and
-    /// constants. Ranks within a bucket entry stay ascending because
-    /// insertion follows rank order.
-    fn push(&mut self, positions: Vec<usize>, key: K) {
-        let rank = self.n_ranks as u32;
-        self.n_ranks += 1;
-        let bucket = match self.buckets.iter_mut().find(|(p, _)| *p == positions) {
-            Some((_, map)) => map,
-            None => {
-                self.buckets.push((positions, FxHashMap::default()));
-                &mut self.buckets.last_mut().expect("just pushed").1
-            }
-        };
-        bucket.entry(key).or_default().push(rank);
-    }
-
-    /// Fills `out` with every rank whose pattern matches the key
-    /// `project` describes, ascending (tableau order). `project` is
-    /// called once per mask with the non-wild positions to read.
-    pub fn matched_into(&self, mut project: impl FnMut(&[usize]) -> K, out: &mut Vec<u32>) {
-        out.clear();
-        for (positions, map) in &self.buckets {
-            if let Some(ranks) = map.get(&project(positions)) {
-                out.extend_from_slice(ranks);
-            }
-        }
-        out.sort_unstable();
-    }
-
-    /// The first rank whose pattern matches, plus the number of
-    /// patterns a linear tableau scan would have tried to find it
-    /// (`rank + 1`, or the full scan length on a miss) — exactly the σ
-    /// assignment and comparison count of Lemma 6.
-    pub fn first_matched(&self, mut project: impl FnMut(&[usize]) -> K) -> (Option<usize>, usize) {
-        let mut best: Option<u32> = None;
-        for (positions, map) in &self.buckets {
-            if let Some(ranks) = map.get(&project(positions)) {
-                let rank = ranks[0]; // ascending: the earliest rank under this mask
-                if best.is_none_or(|b| rank < b) {
-                    best = Some(rank);
-                }
-            }
-        }
-        match best {
-            Some(rank) => (Some(rank as usize), rank as usize + 1),
-            None => (None, self.n_ranks),
-        }
-    }
-}
-
-impl LhsIndex<CodeKey> {
+impl LhsIndex {
     /// Buckets a compiled tableau, ranks `0..compiled.len()` in tableau
     /// order.
     pub fn of_compiled(compiled: &[CompiledPattern]) -> Self {
@@ -387,55 +309,62 @@ impl LhsIndex<CodeKey> {
     /// Buckets a subset of a compiled tableau: rank `k` is pattern
     /// `applicable[k]` (the σ-partition restricts to the patterns a
     /// fragment's predicate admits; `applicable` must be ascending).
+    /// Ranks within a bucket entry stay ascending because insertion
+    /// follows rank order.
     pub fn of_applicable(compiled: &[CompiledPattern], applicable: &[usize]) -> Self {
         let mut index = LhsIndex::default();
-        for &pi in applicable {
+        for (rank, &pi) in applicable.iter().enumerate() {
             let pat = &compiled[pi];
             let positions: Vec<usize> =
                 (0..pat.lhs.len()).filter(|&j| pat.lhs[j] != WILDCARD_CODE).collect();
             let consts: Vec<u32> = positions.iter().map(|&j| pat.lhs[j]).collect();
-            index.push(positions, CodeKey::of_codes(&consts));
+            let bucket = match index.buckets.iter_mut().find(|(p, _)| *p == positions) {
+                Some((_, map)) => map,
+                None => {
+                    index.buckets.push((positions, FxHashMap::default()));
+                    &mut index.buckets.last_mut().expect("just pushed").1
+                }
+            };
+            bucket.entry(CodeKey::of_codes(&consts)).or_default().push(rank as u32);
         }
+        index.n_ranks = applicable.len();
         index
     }
 
-    /// Probes with a materialized key of codes, reusing `buf` as
-    /// projection scratch.
-    pub fn matched_codes_into(&self, key: &[u32], buf: &mut Vec<u32>, out: &mut Vec<u32>) {
-        self.matched_into(
-            |positions| {
-                buf.clear();
-                buf.extend(positions.iter().map(|&j| key[j]));
-                CodeKey::of_codes(buf)
-            },
-            out,
-        );
+    /// The rank lists `key` (one code per LHS attribute) hits, one probe
+    /// per mask; `buf` is projection scratch reused across calls.
+    fn probe<'a>(
+        &'a self,
+        key: &'a [u32],
+        buf: &'a mut Vec<u32>,
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        self.buckets.iter().filter_map(move |(positions, map)| {
+            buf.clear();
+            buf.extend(positions.iter().map(|&j| key[j]));
+            map.get(&CodeKey::of_codes(buf)).map(Vec::as_slice)
+        })
     }
-}
 
-impl LhsIndex<Vec<Value>> {
-    /// Buckets an uncompiled tableau by its constant cells — the
-    /// value-wise fallback, where keys are `Vec<Value>` projections.
-    pub fn of_tableau(tableau: &[NormalPattern]) -> Self {
-        let mut index = LhsIndex::default();
-        for pat in tableau {
-            let positions: Vec<usize> =
-                (0..pat.lhs.len()).filter(|&j| !pat.lhs[j].is_wild()).collect();
-            let consts: Vec<Value> = positions
-                .iter()
-                .map(|&j| match &pat.lhs[j] {
-                    PatternValue::Const(c) => c.clone(),
-                    PatternValue::Wild => unreachable!("positions hold constants"),
-                })
-                .collect();
-            index.push(positions, consts);
+    /// Fills `out` with every rank whose pattern matches `key`,
+    /// ascending (tableau order).
+    pub fn matched_into(&self, key: &[u32], buf: &mut Vec<u32>, out: &mut Vec<u32>) {
+        out.clear();
+        for ranks in self.probe(key, buf) {
+            out.extend_from_slice(ranks);
         }
-        index
+        out.sort_unstable();
     }
 
-    /// Probes with a materialized key of values.
-    pub fn matched_values_into(&self, key: &[Value], out: &mut Vec<u32>) {
-        self.matched_into(|positions| positions.iter().map(|&j| key[j].clone()).collect(), out);
+    /// The first rank whose pattern matches `key`, plus the number of
+    /// patterns a linear tableau scan would have tried to find it
+    /// (`rank + 1`, or the full scan length on a miss) — exactly the σ
+    /// assignment and comparison count of Lemma 6.
+    pub fn first_matched(&self, key: &[u32], buf: &mut Vec<u32>) -> (Option<usize>, usize) {
+        // Rank lists are ascending: `ranks[0]` is the earliest per mask.
+        match self.probe(key, buf).map(|ranks| ranks[0]).min() {
+            Some(rank) => (Some(rank as usize), rank as usize + 1),
+            None => (None, self.n_ranks),
+        }
     }
 }
 
@@ -443,37 +372,33 @@ impl LhsIndex<Vec<Value>> {
 mod tests {
     use super::*;
 
-    fn specs(s: &[RhsSpec<u32>]) -> Vec<RhsSpec<u32>> {
-        s.to_vec()
-    }
-
     #[test]
     fn variable_pattern_flags_whole_group_on_conflict() {
         let rhs = [1u32, 2, 1];
-        let v = validate_group(specs(&[RhsSpec::Wild]), 3, |i| rhs[i], false);
+        let v = validate_group([RhsSpec::Wild], 3, |i| rhs[i], false);
         assert_eq!(v, GroupVerdict::AllFlagged);
         let uniform = [5u32, 5];
-        let v = validate_group(specs(&[RhsSpec::Wild]), 2, |i| uniform[i], false);
+        let v = validate_group([RhsSpec::Wild], 2, |i| uniform[i], false);
         assert_eq!(v, GroupVerdict::Clean);
     }
 
     #[test]
     fn constant_pattern_flags_mismatching_members_only() {
         let rhs = [7u32, 9, 7];
-        let v = validate_group(specs(&[RhsSpec::Const(7)]), 3, |i| rhs[i], false);
+        let v = validate_group([RhsSpec::Const(7)], 3, |i| rhs[i], false);
         assert_eq!(v, GroupVerdict::Mixed(vec![false, true, false]));
-        let v = validate_group(specs(&[RhsSpec::Const(9)]), 3, |i| rhs[i], false);
+        let v = validate_group([RhsSpec::Const(9)], 3, |i| rhs[i], false);
         assert_eq!(v, GroupVerdict::Mixed(vec![true, false, true]));
     }
 
     #[test]
     fn strict_reading_promotes_constant_conflicts() {
         let rhs = [7u32, 9];
-        let v = validate_group(specs(&[RhsSpec::Const(7)]), 2, |i| rhs[i], true);
+        let v = validate_group([RhsSpec::Const(7)], 2, |i| rhs[i], true);
         assert_eq!(v, GroupVerdict::AllFlagged);
         // No conflict: strict changes nothing.
         let uniform = [9u32, 9];
-        let v = validate_group(specs(&[RhsSpec::Const(7)]), 2, |i| uniform[i], true);
+        let v = validate_group([RhsSpec::Const(7)], 2, |i| uniform[i], true);
         assert_eq!(v, GroupVerdict::Mixed(vec![true, true]));
     }
 
@@ -483,7 +408,7 @@ mod tests {
         // not run (it would otherwise flag nothing new anyway, but the
         // early break is part of the pinned scan semantics).
         let rhs = [1u32, 2];
-        let v = validate_group(specs(&[RhsSpec::Wild, RhsSpec::Const(0)]), 2, |i| rhs[i], false);
+        let v = validate_group([RhsSpec::Wild, RhsSpec::Const(0)], 2, |i| rhs[i], false);
         assert_eq!(v, GroupVerdict::AllFlagged);
     }
 
@@ -491,35 +416,42 @@ mod tests {
     fn kernel_counters_tally_probes_and_verdict_mix() {
         let reg = MetricsRegistry::new();
         let counters = KernelCounters::register(&reg);
-        // Three groups: one conflicted (AllFlagged), one clean, one
-        // constant-mismatch (Mixed).
-        let groups: Vec<(u32, Vec<u32>)> = vec![(0, vec![1, 2]), (1, vec![5, 5]), (2, vec![7, 9])];
-        let refs: Vec<(&u32, &Vec<u32>)> = groups.iter().map(|(k, m)| (k, m)).collect();
-        let _ = detect_grouped(
-            refs,
-            |&k, ranks| {
-                ranks.clear();
-                ranks.push(if k == 2 { 1 } else { 0 });
-            },
-            |rank| if rank == 0 { RhsSpec::Wild } else { RhsSpec::Const(7u32) },
-            |m| m.len(),
-            |m, fi| m[fi],
-            |_, fi| TupleId(fi as u64),
-            |_| vec![],
+        // Four groups: one conflicted (AllFlagged), one clean, one
+        // constant-mismatch (Mixed), one matching no pattern (probed,
+        // not validated).
+        let w = WILDCARD_CODE;
+        let patterns = [
+            CompiledPattern { lhs: vec![0], rhs: w, feasible: true },
+            CompiledPattern { lhs: vec![1], rhs: w, feasible: true },
+            CompiledPattern { lhs: vec![2], rhs: 7, feasible: true },
+        ];
+        let index = LhsIndex::of_compiled(&patterns);
+        let groups: Vec<(CodeKey, Vec<u32>)> = [vec![1, 2], vec![5, 5], vec![7, 9], vec![1, 2]]
+            .into_iter()
+            .enumerate()
+            .map(|(k, rhs)| (CodeKey::of_codes(&[k as u32]), rhs))
+            .collect();
+        let out = detect_grouped(
+            groups.iter().map(|(k, m)| (k, m)),
+            Some(&index),
+            &patterns,
+            |&rhs| (TupleId(u64::from(rhs)), rhs),
+            |codes| vec![Value::Int(i64::from(codes[0]))],
             false,
             &counters,
         );
-        assert_eq!(counters.probes.get(), 3);
+        assert_eq!(out.tids, [1, 2, 9].into_iter().map(TupleId).collect());
+        assert_eq!(out.patterns, [0, 2].into_iter().map(|k| vec![Value::Int(k)]).collect());
+        assert_eq!(counters.probes.get(), 4);
         assert_eq!(counters.groups.get(), 3);
         assert_eq!(counters.all_flagged.get(), 1);
         assert_eq!(counters.clean.get(), 1);
         assert_eq!(counters.mixed.get(), 1);
-        assert_eq!(reg.counter_total("dcd_kernel_probes_total"), 3);
+        assert_eq!(reg.counter_total("dcd_kernel_probes_total"), 4);
     }
 
     #[test]
     fn lhs_index_matches_in_tableau_order() {
-        use crate::pattern::CompiledPattern;
         let w = WILDCARD_CODE;
         let pats = vec![
             CompiledPattern { lhs: vec![4, w], rhs: w, feasible: true },
@@ -530,17 +462,14 @@ mod tests {
         let index = LhsIndex::of_compiled(&pats);
         let mut buf = Vec::new();
         let mut out = Vec::new();
-        index.matched_codes_into(&[4, 2], &mut buf, &mut out);
+        index.matched_into(&[4, 2], &mut buf, &mut out);
         assert_eq!(out, vec![0, 1, 2, 3]);
-        index.matched_codes_into(&[4, 9], &mut buf, &mut out);
+        index.matched_into(&[4, 9], &mut buf, &mut out);
         assert_eq!(out, vec![0, 2]);
-        index.matched_codes_into(&[9, 9], &mut buf, &mut out);
+        index.matched_into(&[9, 9], &mut buf, &mut out);
         assert_eq!(out, vec![2]);
-        assert_eq!(
-            index.first_matched(|p| {
-                CodeKey::of_codes(&p.iter().map(|&j| [9u32, 2][j]).collect::<Vec<_>>())
-            }),
-            (Some(1), 2)
-        );
+        assert_eq!(index.first_matched(&[9, 2], &mut buf), (Some(1), 2));
+        assert_eq!(index.first_matched(&[9, 9], &mut buf), (Some(2), 3));
+        assert_eq!(LhsIndex::of_compiled(&pats[..2]).first_matched(&[9, 9], &mut buf), (None, 2));
     }
 }

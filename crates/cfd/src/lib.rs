@@ -20,14 +20,17 @@
 //! * [`violation`] — centralized violation detection (the fixed
 //!   "SQL technique" of TODS 2008, implemented as hash aggregation):
 //!   `Vio(φ, D)` and its projected form `Vioπ`,
-//! * [`codes`] — the code-native coordinator validation twin: the same
+//! * [`codes`] — code-native coordinator validation: the same
 //!   detection semantics over `(tid, codes)` wire rows gathered from
 //!   dictionary-sharing fragments (what the distributed batch
-//!   detectors ship since the code-native wire port),
-//! * [`kernel`] — the single group-validation kernel all of the above
-//!   instantiate: per-group tableau validation ([`validate_group`]) and
-//!   σ-style LHS pattern bucketing ([`LhsIndex`]) written once,
-//!   parameterized over key/RHS accessors, decoder, and sink,
+//!   detectors ship),
+//! * [`kernel`] — the single group-validation kernel both of the above
+//!   run: per-group tableau validation ([`validate_group`]) and σ-style
+//!   LHS pattern bucketing ([`LhsIndex`]) written once over packed code
+//!   keys and `u32` RHS codes,
+//! * [`oracle`] — `Vio`/`Vioπ` transcribed pair by pair from §II-C over
+//!   plain values, sharing nothing with the kernel: the reference every
+//!   detector is pinned against,
 //! * [`implication`] — FD closures and the two-tuple chase deciding
 //!   `Σ |= φ` (complete for infinite-domain attributes),
 //! * [`discovery`] — proposing CFDs from data (the complementary
@@ -43,19 +46,20 @@ pub mod codes;
 pub mod discovery;
 pub mod implication;
 pub mod kernel;
+pub mod oracle;
 pub mod parse;
 pub mod pattern;
 pub mod violation;
 
 pub use attrset::AttrSet;
 pub use cfd::{Cfd, Fd, NormalCfd, SimpleCfd};
-pub use codes::{detect_among_codes, detect_pattern_among_codes, CodeLayout, CodeRow, ResolvedCfd};
+pub use codes::{CodeLayout, CodeRow, ResolvedCfd};
 pub use discovery::{discover, discover_cfds, DiscoveryConfig};
 pub use implication::{chase_implies, fd_closure, fd_implies, minimal_cover, sigma_implies};
 pub use kernel::{validate_group, GroupVerdict, KernelCounters, KernelTally, LhsIndex, RhsSpec};
 pub use parse::{parse_cfd, ParseError};
 pub use pattern::{NormalPattern, PatternTuple, PatternValue};
 pub use violation::{
-    detect, detect_among, detect_constants_rows, detect_constants_rows_with, detect_pattern_among,
-    detect_set, detect_simple, detect_simple_strict, satisfies, ViolationReport, ViolationSet,
+    detect, detect_constants_rows, detect_constants_rows_with, detect_set, detect_simple,
+    detect_simple_strict, satisfies, ViolationReport, ViolationSet,
 };

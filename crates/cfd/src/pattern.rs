@@ -8,6 +8,7 @@
 //! `≍` is a per-attribute integer compare over the relation's code
 //! columns.
 
+use crate::kernel::RhsSpec;
 use dcd_relation::{
     Atom, AttrId, Conjunction, Dictionary, Relation, Tuple, Value, NO_CODE, WILDCARD_CODE,
 };
@@ -69,13 +70,6 @@ impl fmt::Display for PatternValue {
 pub fn tuple_matches(t: &Tuple, attrs: &[AttrId], pats: &[PatternValue]) -> bool {
     debug_assert_eq!(attrs.len(), pats.len());
     attrs.iter().zip(pats).all(|(&a, p)| p.matches(t.get(a)))
-}
-
-/// Tests `key ≍ tp[X]` for a materialized group key.
-#[inline]
-pub fn values_match(key: &[Value], pats: &[PatternValue]) -> bool {
-    debug_assert_eq!(key.len(), pats.len());
-    key.iter().zip(pats).all(|(v, p)| p.matches(v))
 }
 
 /// A pattern tuple of a general CFD `(X → Y, Tp)`: LHS and RHS pattern
@@ -254,6 +248,16 @@ impl CompiledPattern {
     pub fn rhs_is_wild(&self) -> bool {
         self.rhs == WILDCARD_CODE
     }
+
+    /// The RHS cell as the detection kernel reads it.
+    #[inline]
+    pub fn rhs_spec(&self) -> RhsSpec {
+        if self.rhs_is_wild() {
+            RhsSpec::Wild
+        } else {
+            RhsSpec::Const(self.rhs)
+        }
+    }
 }
 
 /// Compiles a whole tableau against one relation (order preserved).
@@ -304,15 +308,6 @@ mod tests {
         let p2 = vec![PatternValue::Wild, PatternValue::constant("NYC")];
         assert!(tuple_matches(&tup, &attrs, &p1));
         assert!(!tuple_matches(&tup, &attrs, &p2));
-    }
-
-    #[test]
-    fn values_match_mirrors_tuple_match() {
-        let key = vals![44, "EDI"];
-        let p = vec![PatternValue::constant(44), PatternValue::Wild];
-        assert!(values_match(&key, &p));
-        let p2 = vec![PatternValue::constant(31), PatternValue::Wild];
-        assert!(!values_match(&key, &p2));
     }
 
     #[test]

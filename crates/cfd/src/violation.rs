@@ -31,7 +31,7 @@ use crate::cfd::{Cfd, SimpleCfd};
 use crate::kernel;
 use crate::pattern::compile_tableau;
 use dcd_relation::ops::CodeKey;
-use dcd_relation::{zip_chunks, FxHashMap, FxHashSet, Relation, Tuple, TupleId, Value};
+use dcd_relation::{zip_chunks, FxHashMap, FxHashSet, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// The violations of one CFD in one relation: the tuple ids `Vio(φ, D)`
@@ -134,23 +134,14 @@ pub fn detect_simple_strict(rel: &Relation, cfd: &SimpleCfd) -> ViolationSet {
     detect_simple_with(rel, cfd, true)
 }
 
-/// Detects violations of `cfd` among an explicit collection of tuple
-/// references, under the algorithmic reading. This is the entry point
-/// used by coordinator sites, which operate on tuples gathered from many
-/// fragments rather than on a stored relation.
-pub fn detect_among(tuples: &[&Tuple], cfd: &SimpleCfd) -> ViolationSet {
-    detect_among_with(tuples, cfd, false)
-}
-
 /// The columnar detection path: the whole algorithm runs on dictionary
 /// codes. Patterns compile once against `rel`'s dictionaries; the group
 /// keys are packed code keys; only violating group keys are ever
 /// decoded back to values. The validation semantics live in
 /// [`kernel::validate_group`](crate::kernel) — this function only
-/// supplies the chunk-sliced key accessor, the code-column RHS
-/// accessor, and the dictionary decoder. Semantically identical to
-/// [`detect_among_with`] over all of `rel`'s tuples — pinned by the
-/// workspace equivalence property tests.
+/// supplies the chunk-sliced grouping, the code-column member accessor
+/// and the dictionary decoder. Pinned against the pairwise
+/// [`oracle`](crate::oracle) by `tests/prop_oracle.rs`.
 fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> ViolationSet {
     if cfd.tableau.is_empty() {
         return ViolationSet::default();
@@ -180,30 +171,13 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         });
     }
 
-    let index = kernel::LhsIndex::of_compiled(&compiled);
-    let width = cfd.lhs.len();
     let tids = rel.tids();
-    let mut key_buf: Vec<u32> = Vec::new();
-    let mut probe_buf: Vec<u32> = Vec::new();
     kernel::detect_grouped(
         &groups,
-        |key: &CodeKey, ranks: &mut Vec<u32>| {
-            key_buf.clear();
-            key_buf.extend(key.codes(width));
-            index.matched_codes_into(&key_buf, &mut probe_buf, ranks);
-        },
-        |rank| {
-            let pat = &compiled[rank as usize];
-            if pat.rhs_is_wild() {
-                kernel::RhsSpec::Wild
-            } else {
-                kernel::RhsSpec::Const(pat.rhs)
-            }
-        },
-        Vec::len,
-        |members, fi| rhs_col[members[fi]],
-        |members, fi| tids[members[fi]],
-        |key| rel.decode_projection(&cfd.lhs, &key.codes(width)),
+        Some(&kernel::LhsIndex::of_compiled(&compiled)),
+        &compiled,
+        |&i| (tids[i], rhs_col[i]),
+        |key| rel.decode_projection(&cfd.lhs, key),
         strict,
         &kernel::KernelCounters::default(),
     )
@@ -275,40 +249,6 @@ pub fn detect_constants_rows_with(
     out
 }
 
-/// The value-wise fallback: groups by `Vec<Value>` projections and
-/// reads RHS cells as `&Value`. The validation semantics live in
-/// [`kernel::validate_group`](crate::kernel) — this function only
-/// supplies the projection key accessor and the tuple-field RHS
-/// accessor.
-fn detect_among_with(tuples: &[&Tuple], cfd: &SimpleCfd, strict: bool) -> ViolationSet {
-    if cfd.tableau.is_empty() {
-        return ViolationSet::default();
-    }
-    // Group *all* tuples by projection; the kernel's LHS index decides
-    // per distinct key which patterns apply.
-    let mut groups: dcd_relation::FxHashMap<Vec<Value>, Vec<usize>> =
-        dcd_relation::FxHashMap::default();
-    for (i, t) in tuples.iter().enumerate() {
-        groups.entry(t.project(&cfd.lhs)).or_default().push(i);
-    }
-
-    let index = kernel::LhsIndex::of_tableau(&cfd.tableau);
-    kernel::detect_grouped(
-        &groups,
-        |key: &Vec<Value>, ranks: &mut Vec<u32>| index.matched_values_into(key, ranks),
-        |rank| match cfd.tableau[rank as usize].rhs.as_const() {
-            None => kernel::RhsSpec::Wild,
-            Some(c) => kernel::RhsSpec::Const(c),
-        },
-        Vec::len,
-        |members, fi| tuples[members[fi]].get(cfd.rhs),
-        |members, fi| tuples[members[fi]].tid,
-        |key| key.clone(),
-        strict,
-        &kernel::KernelCounters::default(),
-    )
-}
-
 /// Detects violations of a general CFD (any number of RHS attributes),
 /// unioning over its [`SimpleCfd`] decomposition.
 pub fn detect(rel: &Relation, cfd: &Cfd) -> ViolationSet {
@@ -335,51 +275,12 @@ pub fn satisfies(rel: &Relation, cfd: &Cfd) -> bool {
     detect(rel, cfd).is_empty()
 }
 
-/// Detects violations of a single pattern `(X → A, {tp})` among an
-/// explicit set of tuples (used by coordinator sites, which receive the
-/// tuples of one σ-partition from all fragments — Lemma 6). Algorithmic
-/// reading.
-pub fn detect_pattern_among<'a>(
-    tuples: impl Iterator<Item = &'a Tuple>,
-    cfd: &SimpleCfd,
-    pattern_idx: usize,
-) -> ViolationSet {
-    let pat = &cfd.tableau[pattern_idx];
-    // Pre-filtering by the single pattern makes every group match it,
-    // so the kernel sees a one-entry tableau.
-    let mut groups: dcd_relation::FxHashMap<Vec<Value>, (Vec<TupleId>, Vec<Value>)> =
-        dcd_relation::FxHashMap::default();
-    for t in tuples {
-        if crate::pattern::tuple_matches(t, &cfd.lhs, &pat.lhs) {
-            let entry = groups.entry(t.project(&cfd.lhs)).or_default();
-            entry.0.push(t.tid);
-            entry.1.push(t.get(cfd.rhs).clone());
-        }
-    }
-    kernel::detect_grouped(
-        &groups,
-        |_key, ranks: &mut Vec<u32>| {
-            ranks.clear();
-            ranks.push(0);
-        },
-        |_rank| match pat.rhs.as_const() {
-            None => kernel::RhsSpec::Wild,
-            Some(c) => kernel::RhsSpec::Const(c),
-        },
-        |members| members.0.len(),
-        |members, fi| &members.1[fi],
-        |members, fi| members.0[fi],
-        |key| key.clone(),
-        false,
-        &kernel::KernelCounters::default(),
-    )
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::codes::CodeLayout;
     use crate::parse::parse_cfd;
-    use dcd_relation::{vals, Schema, ValueType};
+    use dcd_relation::{vals, Schema, Tuple, ValueType};
     use std::sync::Arc;
 
     /// The EMP schema of Fig. 1(a).
@@ -563,8 +464,14 @@ mod tests {
         let simple = cfd1.simplify().pop().unwrap();
         let via_full = detect_simple(&rel, &simple);
         let decoded: Vec<Tuple> = rel.iter().collect();
-        let via_among = detect_pattern_among(decoded.iter(), &simple, 0);
-        assert_eq!(tids(&via_full), tids(&via_among));
+        let via_oracle = crate::oracle::vio(&decoded.iter().collect::<Vec<_>>(), &simple);
+        assert_eq!(tids(&via_full), tids(&via_oracle));
+        let attrs = simple.shipped_attrs();
+        let rows = rel.code_rows(&attrs, &(0..rel.len()).collect::<Vec<_>>());
+        let via_among = CodeLayout::of_relation(&rel, &attrs)
+            .resolve(&simple)
+            .detect_pattern_among(rows.iter(), 0);
+        assert_eq!(tids(&via_oracle), tids(&via_among));
     }
 
     /// A tuple group matched by several patterns is flagged once with all

@@ -24,7 +24,7 @@
 use crate::hitting::HittingSetInstance;
 use crate::setcover::SetCoverInstance;
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{detect_among, Cfd, SimpleCfd};
+use dcd_cfd::{oracle, Cfd, SimpleCfd};
 use dcd_dist::{Fragment, HorizontalPartition, SiteId};
 use dcd_relation::{AttrId, Relation, Schema, Tuple, Value, ValueType};
 use std::sync::Arc;
@@ -210,13 +210,13 @@ impl MhdInstance {
     /// the `V` site (the §III-A condition on `Vioπ`).
     pub fn checked_locally_after(&self, extra_at_v: &[Tuple]) -> bool {
         let simples: Vec<SimpleCfd> = self.sigma.iter().flat_map(Cfd::simplify).collect();
-        // The value-wise reference detector runs on rows: decode once.
+        // The paper-definition oracle runs on rows: decode once.
         let fragments: Vec<Vec<Tuple>> =
             self.partition.fragments().iter().map(|f| f.data.iter().collect()).collect();
         for cfd in &simples {
             // Global Vioπ.
             let all: Vec<&Tuple> = fragments.iter().flatten().collect();
-            let global = detect_among(&all, cfd).patterns;
+            let global = oracle::vio(&all, cfd).patterns;
             // Union of local Vioπ after shipment.
             let mut local = ViolationSet::default();
             for (i, frag) in fragments.iter().enumerate() {
@@ -224,7 +224,7 @@ impl MhdInstance {
                 if i == self.n {
                     tuples.extend(extra_at_v.iter());
                 }
-                local.merge(detect_among(&tuples, cfd));
+                local.merge(oracle::vio(&tuples, cfd));
             }
             if local.patterns != global {
                 return false;

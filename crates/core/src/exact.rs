@@ -12,7 +12,7 @@
 //! `D'_i = Di ∪ M(i)`. Since shipped tuples are genuine tuples of `D`,
 //! `⊆` always holds; the search tests `⊇`.
 
-use dcd_cfd::{detect_among, SimpleCfd};
+use dcd_cfd::{oracle, SimpleCfd};
 use dcd_dist::HorizontalPartition;
 use dcd_relation::{FxHashSet, Tuple, Value};
 
@@ -39,15 +39,15 @@ pub fn min_shipment_exhaustive(
         return Some(0);
     }
 
-    // The value-wise reference detector runs on rows: decode each
-    // fragment once.
+    // The paper-definition oracle runs on rows: decode each fragment
+    // once.
     let fragments: Vec<Vec<Tuple>> =
         partition.fragments().iter().map(|f| f.data.iter().collect()).collect();
 
     // Ground truth Vioπ per CFD over the whole relation.
     let all_tuples: Vec<&Tuple> = fragments.iter().flatten().collect();
     let global: Vec<FxHashSet<Vec<Value>>> =
-        variable.iter().map(|c| detect_among(&all_tuples, c).patterns).collect();
+        variable.iter().map(|c| oracle::vio(&all_tuples, c).patterns).collect();
 
     // Relevant tuples: those matching some variable pattern.
     let mut relevant: Vec<(usize, &Tuple)> = Vec::new(); // (home site, tuple)
@@ -105,7 +105,7 @@ pub fn min_shipment_exhaustive(
                 for (i, frag) in fragments.iter().enumerate() {
                     let mut local: Vec<&Tuple> = frag.iter().collect();
                     local.extend(shipments.iter().filter(|(d, _)| *d == i).map(|(_, t)| *t));
-                    union.extend(detect_among(&local, cfd).patterns);
+                    union.extend(oracle::vio(&local, cfd).patterns);
                 }
                 if union != global[ci] {
                     ok = false;

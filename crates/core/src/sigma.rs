@@ -121,7 +121,7 @@ pub struct SigmaIndex {
     /// scan order. Patterns carrying a `NO_CODE` constant sit in the
     /// buckets harmlessly — probe keys hold real codes only, so
     /// infeasible patterns can never win a probe.
-    index: LhsIndex<CodeKey>,
+    index: LhsIndex,
     /// The scan order the ranks index into: `applicable[rank]` is the
     /// pattern a winning probe resolves to.
     applicable: Vec<usize>,
@@ -141,11 +141,7 @@ impl SigmaIndex {
     /// in scan order, plus the tries the scan would have counted.
     /// `buf` is scratch space reused across calls.
     fn assign(&self, key: &[u32], buf: &mut Vec<u32>) -> (Option<usize>, usize) {
-        let (rank, tries) = self.index.first_matched(|positions| {
-            buf.clear();
-            buf.extend(positions.iter().map(|&j| key[j]));
-            CodeKey::of_codes(buf)
-        });
+        let (rank, tries) = self.index.first_matched(key, buf);
         (rank.map(|r| self.applicable[r]), tries)
     }
 }
@@ -328,14 +324,19 @@ mod tests {
         let simple = phi1(&s);
         let sorted = sort_for_sigma(&simple);
         let part = sigma_partition(&rel, &sorted, &[0, 1, 2]);
+        let attrs = simple.shipped_attrs();
+        let resolved = dcd_cfd::CodeLayout::of_relation(&rel, &attrs).resolve(&sorted.cfd);
         let mut merged = dcd_cfd::violation::ViolationSet::default();
         for (pi, block) in part.blocks.iter().enumerate() {
-            let tuples: Vec<dcd_relation::Tuple> = block.iter().map(|&i| rel.row(i)).collect();
-            merged.merge(dcd_cfd::detect_pattern_among(tuples.iter(), &sorted.cfd, pi));
+            merged.merge(resolved.detect_pattern_among(rel.code_rows(&attrs, block).iter(), pi));
         }
-        let global = dcd_cfd::detect_simple(&rel, &simple);
+        let decoded: Vec<dcd_relation::Tuple> = rel.iter().collect();
+        let global = dcd_cfd::oracle::vio(&decoded.iter().collect::<Vec<_>>(), &simple);
         assert_eq!(merged.tids, global.tids);
         assert_eq!(merged.patterns, global.patterns);
+        let columnar = dcd_cfd::detect_simple(&rel, &simple);
+        assert_eq!(columnar.tids, global.tids);
+        assert_eq!(columnar.patterns, global.patterns);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   differ from) the fresh code, so "mismatch" stays true either way.
 
 use dcd_cfd::pattern::CompiledPattern;
-use dcd_cfd::{validate_group, GroupVerdict, RhsSpec, SimpleCfd, ViolationSet};
+use dcd_cfd::{validate_group, GroupVerdict, SimpleCfd, ViolationSet};
 use dcd_relation::ops::CodeKey;
 use dcd_relation::{Dictionary, FxHashMap, FxHashSet, TupleId, Value};
 use std::sync::Arc;
@@ -237,11 +237,7 @@ impl ViolationIndex {
             state.matched.iter().map(|&pi| {
                 let pat = &self.compiled[pi];
                 debug_assert!(pat.matches_codes(&key_codes), "matched lists never go stale");
-                if pat.rhs_is_wild() {
-                    RhsSpec::Wild
-                } else {
-                    RhsSpec::Const(pat.rhs)
-                }
+                pat.rhs_spec()
             }),
             members.len(),
             |fi| members[fi].1,

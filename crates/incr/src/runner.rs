@@ -152,6 +152,7 @@ impl IncrementalRun {
         sigma: &[Cfd],
         cfg: RunConfig,
     ) -> Result<Self, RelationError> {
+        sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
         let n = partition.n_sites();
         let dicts = shared_dictionaries(partition.fragments())?;
         let arity = partition.schema().arity();
@@ -546,6 +547,7 @@ impl VerticalIncrementalRun {
         sigma: &[Cfd],
         cfg: RunConfig,
     ) -> Result<Self, RelationError> {
+        sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
         let n = partition.n_sites();
         let arity = partition.schema().arity();
         let mut placement = Vec::with_capacity(arity);

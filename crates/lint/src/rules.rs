@@ -70,8 +70,10 @@ pub fn describe(rule: &str) -> &'static str {
         "duplicate-detect-loop" => {
             "a hand-rolled per-group tableau-validation loop outside \
              `dcd_cfd::kernel` — the group-validation semantics (distinct-RHS \
-             conflict, wildcard/constant flagging) have exactly one home; \
-             instantiate `kernel::detect_grouped`/`validate_group` instead"
+             conflict, wildcard/constant flagging) have exactly one home in \
+             the engine (and one deliberately independent reference, \
+             `dcd_cfd::oracle`); call `kernel::detect_grouped`/`validate_group` \
+             instead"
         }
         "exhaustive-dispatch" => {
             "a `_` wildcard or lowercase catch-all arm in an engine `match` on \
@@ -129,11 +131,16 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "duplicate-detect-loop" => {
             "Group validation (distinct-RHS conflict, wildcard/constant \
-             flagging) lives in `dcd_cfd::kernel` and nowhere else — the \
-             workspace once carried five divergent copies. The rule flags `for` \
-             bodies that re-implement the shape (hash accumulation + RHS reads \
-             + flag decision + distinctness test) without delegating to \
-             `validate_group`/`detect_grouped`."
+             flagging) lives in `dcd_cfd::kernel` and nowhere else in the \
+             engine — the workspace once carried five divergent copies. The \
+             rule flags `for` bodies that re-implement the shape (hash \
+             accumulation + RHS reads + flag decision + distinctness test) \
+             without delegating to `validate_group`/`detect_grouped`. One \
+             second spelling is sanctioned by design and exempted by file \
+             name next to `kernel.rs`: `crates/cfd/src/oracle.rs`, the \
+             pairwise transcription of the paper's definition that the kernel \
+             is tested against — a reference that delegated to the kernel \
+             would check nothing."
         }
         "exhaustive-dispatch" => {
             "Topology and Algorithm are the engine's dispatch enums: every \
@@ -606,7 +613,9 @@ fn relaxed_atomic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------- rule 5
 
 /// `duplicate-detect-loop`: a hand-rolled group-validation loop outside
-/// `dcd_cfd::kernel`. The workspace once carried five per-group
+/// `dcd_cfd::kernel` (and outside `dcd_cfd::oracle`, the independent
+/// reference the kernel is pinned against — the one second spelling
+/// that exists on purpose). The workspace once carried five per-group
 /// tableau-validation loops (columnar, code-row, value-wise, per-pattern
 /// ×2); they were folded into the one kernel, and this rule is the
 /// reintroduction ratchet. The shape flagged is a `for` body that does
@@ -619,15 +628,15 @@ fn relaxed_atomic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// 4. compares for distinctness (`!=`, or a `> 1` distinct count).
 ///
 /// A body that delegates to the kernel (`validate_group`,
-/// `detect_grouped`, `emit_group`, or matching on `GroupVerdict`/
-/// building `RhsSpec`s) is sanctioned — that is the *intended* way to
+/// `detect_grouped`, or matching on `GroupVerdict`/building `RhsSpec`s)
+/// is sanctioned — that is the *intended* way to
 /// run group validation, not a duplicate of it.
 fn duplicate_detect_loop(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if file.class != FileClass::Engine || file.path.ends_with("crates/cfd/src/kernel.rs") {
+    const HOMES: [&str; 2] = ["crates/cfd/src/kernel.rs", "crates/cfd/src/oracle.rs"];
+    if file.class != FileClass::Engine || HOMES.iter().any(|home| file.path.ends_with(home)) {
         return;
     }
-    const KERNEL_CALLS: [&str; 5] =
-        ["validate_group", "detect_grouped", "emit_group", "GroupVerdict", "RhsSpec"];
+    const KERNEL_CALLS: [&str; 4] = ["validate_group", "detect_grouped", "GroupVerdict", "RhsSpec"];
     const ACCUMULATORS: [&str; 4] = ["insert", "or_insert", "or_insert_with", "get_or_insert_with"];
     let n = file.code.len();
     for ci in 0..n {

@@ -5,8 +5,7 @@ use dcd_relation::{FxHashMap, TupleId};
 pub fn validate_via_kernel(groups: &FxHashMap<u64, Vec<(TupleId, u32)>>) -> Vec<TupleId> {
     let mut out: Vec<TupleId> = Vec::new();
     for (_key, members) in groups {
-        let verdict =
-            validate_group([RhsSpec::<u32>::Wild], members.len(), |fi| members[fi].1, false);
+        let verdict = validate_group([RhsSpec::Wild], members.len(), |fi| members[fi].1, false);
         if let GroupVerdict::AllFlagged = verdict {
             out.extend(members.iter().map(|&(t, _)| t));
         }

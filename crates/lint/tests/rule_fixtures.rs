@@ -156,12 +156,14 @@ fn duplicate_detect_loop_negative_sanctions_kernel_and_maintenance() {
 }
 
 #[test]
-fn duplicate_detect_loop_is_exempt_inside_the_kernel() {
-    // The kernel itself is the one place the shape is *supposed* to
-    // live.
+fn duplicate_detect_loop_is_exempt_inside_the_kernel_and_the_oracle() {
+    // The kernel is the one place the shape is *supposed* to live, and
+    // the oracle the one independent second spelling it is pinned to.
     let src = include_str!("fixtures/duplicate_detect_loop_pos.rs");
-    let findings = lint("crates/cfd/src/kernel.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
+    for home in ["crates/cfd/src/kernel.rs", "crates/cfd/src/oracle.rs"] {
+        let findings = lint(home, src);
+        assert!(findings.is_empty(), "{home}: {findings:?}");
+    }
 }
 
 // ------------------------------------------------------ bad-suppression

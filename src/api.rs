@@ -65,7 +65,7 @@ use dcd_dist::{
     HorizontalPartition, HybridPartition, ReplicatedPartition, SiteId, VerticalPartition,
 };
 use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun};
-use dcd_relation::{Relation, RelationError};
+use dcd_relation::{Relation, RelationError, Schema};
 use dcd_vertical::{run_vertical, ShipMode};
 
 /// Where the data lives: one of the four fragmentation schemes the
@@ -91,6 +91,16 @@ impl Topology {
             Topology::Vertical(p) => p.n_sites(),
             Topology::Hybrid(p) => p.n_sites(),
             Topology::Replicated(p) => p.n_sites(),
+        }
+    }
+
+    /// The schema of the (unfragmented) relation the topology holds.
+    fn schema(&self) -> &Schema {
+        match self {
+            Topology::Horizontal(p) => p.schema(),
+            Topology::Vertical(p) => p.schema(),
+            Topology::Hybrid(p) => p.schema(),
+            Topology::Replicated(p) => p.base().schema(),
         }
     }
 }
@@ -235,6 +245,13 @@ impl DetectRequest {
         &self.topology
     }
 
+    /// The front-door check of [`Self::run`] and [`Self::session`]:
+    /// every CFD must be defined over the topology's schema
+    /// ([`Cfd::check_schema`]).
+    fn check_schemas(&self) -> Result<(), RelationError> {
+        self.cfds.iter().try_for_each(|cfd| cfd.check_schema(self.topology.schema()))
+    }
+
     /// Runs the batch detection and returns the [`Detection`] — same
     /// violations, traffic and timing every engine reports, whatever
     /// the topology.
@@ -251,7 +268,11 @@ impl DetectRequest {
     /// * **Vertical** — placement is fixed by column coverage; the
     ///   algorithm is ignored and [`ShipMode`] is the knob that
     ///   matters.
+    ///
+    /// A CFD defined over a schema other than the topology's is
+    /// rejected with [`RelationError::SchemaMismatch`].
     pub fn run(self) -> Result<Detection, RelationError> {
+        self.check_schemas()?;
         let cfg = self.config;
         match &self.topology {
             Topology::Horizontal(p) => match self.algorithm {
@@ -280,6 +301,7 @@ impl DetectRequest {
     /// The session consumes the request: it owns the partition, which
     /// mutates as batches apply.
     pub fn session(self) -> Result<IncrementalSession, RelationError> {
+        self.check_schemas()?;
         let cfg = self.config;
         match self.topology {
             Topology::Horizontal(p) => {
@@ -428,22 +450,26 @@ mod tests {
         .unwrap()
     }
 
+    /// `rel` under each of the four topologies, in `Topology` order.
+    fn every_topology(rel: &Relation) -> Vec<Topology> {
+        let horizontal = HorizontalPartition::round_robin(rel, 4).unwrap();
+        vec![
+            horizontal.clone().into(),
+            VerticalPartition::by_attribute_groups(rel, &[&["cc", "zip"], &["street"]])
+                .unwrap()
+                .into(),
+            HybridPartition::new(&horizontal, &[&["cc", "zip"], &["street"]]).unwrap().into(),
+            ReplicatedPartition::chained(horizontal, 2).unwrap().into(),
+        ]
+    }
+
     #[test]
     fn one_request_shape_over_every_topology() {
         let rel = sample(60);
         let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
-        let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
-        let topologies: Vec<Topology> = vec![
-            horizontal.clone().into(),
-            VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]])
-                .unwrap()
-                .into(),
-            HybridPartition::new(&horizontal, &[&["cc", "zip"], &["street"]]).unwrap().into(),
-            ReplicatedPartition::chained(horizontal.clone(), 2).unwrap().into(),
-        ];
-        for topology in topologies {
+        for topology in every_topology(&rel) {
             let label = format!("{topology:?}");
             let d = DetectRequest::over(topology).cfd(cfd.clone()).run().unwrap();
             assert_eq!(d.violations.all_tids(), global.tids, "{}", &label[..30.min(label.len())]);
@@ -489,6 +515,53 @@ mod tests {
         let global = dcd_cfd::detect(&rel_now, &cfd);
         assert_eq!(session.report().all_tids(), global.tids);
         assert_eq!(session.detection().algorithm, dcd_incr::ALGORITHM);
+    }
+
+    /// A CFD's attribute lists are positions into *its* schema. Over a
+    /// same-arity schema with the columns permuted they used to name
+    /// the wrong columns (`Ok`, 0 violations where the right CFD finds
+    /// some); over a wider one they used to index out of bounds. Every
+    /// front door now answers `SchemaMismatch`, naming the CFD.
+    #[test]
+    fn foreign_schema_cfds_are_rejected_at_every_front_door() {
+        let rel = sample(24);
+        let rejected = |r: Result<(), RelationError>| matches!(r, Err(RelationError::SchemaMismatch { detail }) if detail.contains("`phi`"));
+        let permuted = Schema::builder("r")
+            .attr("id", ValueType::Int)
+            .attr("street", ValueType::Str)
+            .attr("zip", ValueType::Str)
+            .attr("cc", ValueType::Int)
+            .key(&["id"]);
+        let wider = Schema::builder("r")
+            .attr("pad0", ValueType::Int)
+            .attr("pad1", ValueType::Int)
+            .attr("pad2", ValueType::Int)
+            .attr("id", ValueType::Int)
+            .attr("cc", ValueType::Int)
+            .attr("zip", ValueType::Str)
+            .attr("street", ValueType::Str)
+            .key(&["id"]);
+        for other in [permuted.build().unwrap(), wider.build().unwrap()] {
+            let cfd = parse_cfd(&other, "phi", "([cc, zip] -> [street])").unwrap();
+            for topology in every_topology(&rel) {
+                let label = format!("{topology:?}");
+                let label = &label[..30.min(label.len())];
+                let request = DetectRequest::over(topology).cfd(cfd.clone());
+                assert!(rejected(request.clone().run().map(drop)), "run over {label}");
+                assert!(rejected(request.session().map(drop)), "session over {label}");
+            }
+            // The session constructors are public front doors too.
+            let sigma = [cfd];
+            let cfg = RunConfig::default();
+            let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+            let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
+            let vertical =
+                VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]])
+                    .unwrap();
+            assert!(rejected(IncrementalRun::new(horizontal, &sigma, cfg).map(drop)));
+            assert!(rejected(IncrementalRun::new_replicated(&replicated, &sigma, cfg).map(drop)));
+            assert!(rejected(VerticalIncrementalRun::new(vertical, &sigma, cfg).map(drop)));
+        }
     }
 
     #[test]

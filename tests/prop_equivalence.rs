@@ -251,8 +251,8 @@ proptest! {
     }
 
     /// The columnar detector (`detect_simple`, running on dictionary
-    /// codes) computes exactly what the row-reference detector
-    /// (`detect_among` over all tuples) computes — the refactor's core
+    /// codes) computes exactly what the row reference (the pairwise
+    /// `dcd_cfd::oracle` over all tuples) computes — the core
     /// equivalence, on arbitrary relations and tableaux.
     #[test]
     fn columnar_detector_equals_row_reference(
@@ -266,7 +266,7 @@ proptest! {
         let refs: Vec<&Tuple> = decoded.iter().collect();
         for simple in cfd.simplify() {
             let columnar = detect_simple(&rel, &simple);
-            let rowwise = dcd_cfd::detect_among(&refs, &simple);
+            let rowwise = dcd_cfd::oracle::vio(&refs, &simple);
             prop_assert_eq!(&columnar.tids, &rowwise.tids);
             prop_assert_eq!(&columnar.patterns, &rowwise.patterns);
         }

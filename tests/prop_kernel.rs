@@ -1,18 +1,16 @@
 //! Kernel and mined-tableau equivalence properties, the PR 8 pinning
 //! suite: (1) `validate_group` — the one group-validation kernel every
-//! detector now instantiates — matches a naive spelling of the paper's
-//! per-group semantics on arbitrary spec lists; (2) the kernel's three
-//! instantiations (columnar `detect_simple`, row-wise `detect_among`,
-//! code-native `detect_among_codes`) agree tuple-for-tuple and
-//! pattern-for-pattern on random relations; (3) an incrementally
+//! detector runs — matches a naive spelling of the paper's per-group
+//! semantics on arbitrary spec lists; (2) the kernel's two call shapes
+//! (columnar `detect_simple`, code-native `ResolvedCfd::detect_among`)
+//! agree tuple-for-tuple and pattern-for-pattern with the pairwise
+//! `dcd_cfd::oracle` on random relations; (3) an incrementally
 //! maintained [`MinedTableau`] equals a full re-mine of the
 //! materialized partition after *every prefix* of a generated delta
 //! stream — both on the raw [`IncrementalRun`] and through the
 //! [`IncrementalSession`] facade.
 
-use distributed_cfd::cfd::{
-    detect_among, detect_among_codes, validate_group, CodeLayout, GroupVerdict, RhsSpec,
-};
+use distributed_cfd::cfd::{oracle, validate_group, GroupVerdict, RhsSpec};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::AttrId;
@@ -89,7 +87,7 @@ fn build_cfd(
 /// constant (plus the whole group under strict mode when the FD also
 /// conflicts). No laziness, no early exit — the oracle the kernel must
 /// match.
-fn naive_group_flags(specs: &[RhsSpec<u32>], rhs: &[u32], strict: bool) -> Vec<bool> {
+fn naive_group_flags(specs: &[RhsSpec], rhs: &[u32], strict: bool) -> Vec<bool> {
     let distinct: std::collections::HashSet<u32> = rhs.iter().copied().collect();
     let conflict = distinct.len() > 1;
     let mut all = false;
@@ -125,7 +123,7 @@ proptest! {
         rhs in prop::collection::vec(0..4u32, 1..8),
         strict in any::<bool>(),
     ) {
-        let specs: Vec<RhsSpec<u32>> = specs
+        let specs: Vec<RhsSpec> = specs
             .iter()
             .map(|o| match o {
                 Some(c) => RhsSpec::Const(*c),
@@ -150,9 +148,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The kernel's three accessor instantiations — columnar over the
-    /// whole relation, row-wise over `&Tuple`s, code-native over
-    /// shipped `(tid, codes)` rows — compute identical `Vio` and `Vioπ`.
+    /// The kernel's two call shapes — columnar over the whole relation,
+    /// code-native over shipped `(tid, codes)` rows — and the pairwise
+    /// oracle over `&Tuple`s compute identical `Vio` and `Vioπ`.
     #[test]
     fn kernel_instantiations_agree_on_random_relations(
         rows in arb_rows(),
@@ -164,12 +162,12 @@ proptest! {
         let tuples: Vec<&Tuple> = decoded.iter().collect();
         for simple in build_cfd("phi", &patterns, rhs_const).simplify() {
             let columnar = detect_simple(&rel, &simple);
-            let row_wise = detect_among(&tuples, &simple);
+            let row_wise = oracle::vio(&tuples, &simple);
             let attrs: Vec<AttrId> = simple.shipped_attrs();
             let indices: Vec<usize> = (0..rel.len()).collect();
             let code_rows = rel.code_rows(&attrs, &indices);
             let layout = CodeLayout::of_relation(&rel, &attrs);
-            let code_native = detect_among_codes(&code_rows, &simple, &layout);
+            let code_native = layout.resolve(&simple).detect_among(&code_rows);
             prop_assert_eq!(&columnar.tids, &row_wise.tids, "columnar vs row-wise Vio");
             prop_assert_eq!(&columnar.patterns, &row_wise.patterns, "columnar vs row-wise Vioπ");
             prop_assert_eq!(&columnar.tids, &code_native.tids, "columnar vs codes Vio");

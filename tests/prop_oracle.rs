@@ -1,0 +1,187 @@
+//! The oracle pin: every way the engine computes `Vio`/`Vioπ` of one CFD
+//! — columnar `detect_simple` under both readings, code-native
+//! `ResolvedCfd::detect_among` over gathered wire rows, and the Lemma 6
+//! union of per-pattern `detect_pattern_among` blocks — equals
+//! `dcd_cfd::oracle`, the pairwise transcription of §II-C that shares no
+//! code with them. The generator reaches what the fixed-width suites do
+//! not: LHS widths 0..=6 (the empty-LHS single group, the one-word,
+//! two-word and boxed `CodeKey` layouts), `Null` cells, RHS ∈ LHS,
+//! pattern constants the relation never saw, empty tableaux and empty
+//! relations.
+
+use distributed_cfd::cfd::{detect_simple_strict, oracle, CodeRow};
+use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma};
+use distributed_cfd::prelude::*;
+use distributed_cfd::relation::AttrId;
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const ARITY: usize = 7;
+/// A constant no generated row carries.
+const UNSEEN: i64 = 99;
+
+fn schema() -> Arc<Schema> {
+    let mut b = Schema::builder("r");
+    for j in 0..ARITY {
+        b = b.attr(format!("a{j}"), ValueType::Int);
+    }
+    b.build().unwrap()
+}
+
+/// A data cell: `Null` one time in eight, else one of three integers.
+fn cell(c: u8) -> Value {
+    match c % 8 {
+        0 => Value::Null,
+        c => Value::Int(i64::from(c % 3)),
+    }
+}
+
+/// One generated case. Rows are a few *base* rows repeated with the RHS
+/// cell redrawn, so LHS groups collide at every width; patterns take
+/// their constants from a base row under a wildcard mask, so they match.
+#[derive(Debug, Clone)]
+struct Case {
+    bases: Vec<Vec<u8>>,
+    rows: Vec<(usize, u8)>,
+    width: usize,
+    rhs: usize,
+    /// `(base row, wildcard mask, unseen-constant position, RHS cell)`.
+    patterns: Vec<(usize, u8, usize, u8)>,
+}
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    (
+        prop::collection::vec(prop::collection::vec(0..8u8, ARITY), 1..6),
+        prop::collection::vec((0..6usize, 0..8u8), 0..40),
+        0..ARITY,
+        0..ARITY,
+        prop::collection::vec((0..6usize, 0..64u8, 0..24usize, 0..6u8), 0..4),
+    )
+        .prop_map(|(bases, rows, width, rhs, patterns)| Case {
+            bases,
+            rows,
+            width,
+            rhs,
+            patterns,
+        })
+}
+
+impl Case {
+    fn relation(&self) -> Relation {
+        let rows = self.rows.iter().map(|&(b, redraw)| {
+            let mut row: Vec<Value> =
+                self.bases[b % self.bases.len()].iter().map(|&c| cell(c)).collect();
+            row[self.rhs] = cell(redraw);
+            row
+        });
+        Relation::from_rows(schema(), rows.collect()).unwrap()
+    }
+
+    fn cfd(&self) -> SimpleCfd {
+        let tableau = self
+            .patterns
+            .iter()
+            .map(|&(b, mask, unseen_at, rhs)| {
+                let base = &self.bases[b % self.bases.len()];
+                let lhs = (0..self.width)
+                    .map(|j| match cell(base[j]) {
+                        _ if unseen_at == j => PatternValue::constant(UNSEEN),
+                        Value::Int(v) if mask & (1 << j) != 0 => PatternValue::constant(v),
+                        _ => PatternValue::Wild,
+                    })
+                    .collect();
+                let rhs = match rhs {
+                    0..=2 => PatternValue::Wild,
+                    3 | 4 => PatternValue::constant(i64::from(rhs % 3)),
+                    _ => PatternValue::constant(UNSEEN),
+                };
+                NormalPattern::new(lhs, rhs)
+            })
+            .collect();
+        SimpleCfd {
+            name: "phi".into(),
+            schema: schema(),
+            lhs: (0..self.width).map(|j| AttrId(j as u16)).collect(),
+            rhs: AttrId(self.rhs as u16),
+            tableau,
+        }
+    }
+}
+
+fn assert_same(got: &ViolationSet, want: &ViolationSet, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&got.tids, &want.tids, "{} Vio", what);
+    prop_assert_eq!(&got.patterns, &want.patterns, "{} Vioπ", what);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Columnar detection, both readings, equals the definition.
+    #[test]
+    fn centralized_detection_equals_the_definition(case in arb_case()) {
+        let (rel, cfd) = (case.relation(), case.cfd());
+        let decoded: Vec<Tuple> = rel.iter().collect();
+        let tuples: Vec<&Tuple> = decoded.iter().collect();
+        assert_same(&detect_simple(&rel, &cfd), &oracle::vio(&tuples, &cfd), "algorithmic")?;
+        assert_same(
+            &detect_simple_strict(&rel, &cfd),
+            &oracle::vio_strict(&tuples, &cfd),
+            "strict",
+        )?;
+    }
+
+    /// Coordinator validation over gathered `(tid, codes)` rows equals
+    /// the definition: the whole CFD at one coordinator, each σ-block at
+    /// its own against the one-pattern CFD over that block's tuples, and
+    /// (Lemma 6) the union of the variable patterns' blocks against the
+    /// variable CFD over everything.
+    #[test]
+    fn coordinator_validation_equals_the_definition(case in arb_case(), n_sites in 1usize..4) {
+        let (rel, cfd) = (case.relation(), case.cfd());
+        let decoded: Vec<Tuple> = rel.iter().collect();
+        let tuples: Vec<&Tuple> = decoded.iter().collect();
+        let attrs = cfd.shipped_attrs();
+        let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
+        let fragments = partition.fragments();
+        let layout = CodeLayout::of_relation(&fragments[0].data, &attrs);
+
+        let gathered: Vec<CodeRow> = fragments
+            .iter()
+            .flat_map(|f| f.data.code_rows(&attrs, &(0..f.data.len()).collect::<Vec<_>>()))
+            .collect();
+        assert_same(
+            &layout.resolve(&cfd).detect_among(&gathered),
+            &oracle::vio(&tuples, &cfd),
+            "gathered",
+        )?;
+
+        let Some(variable) = cfd.split_constant().0 else { return Ok(()) };
+        let sorted = sort_for_sigma(&variable);
+        let resolved = layout.resolve(&sorted.cfd);
+        let applicable: Vec<usize> = (0..sorted.cfd.tableau.len()).collect();
+        let blocks: Vec<_> = fragments
+            .iter()
+            .map(|f| sigma_partition(&f.data, &sorted, &applicable).blocks)
+            .collect();
+        let mut union = ViolationSet::default();
+        for (l, pattern) in sorted.cfd.tableau.iter().enumerate() {
+            let block_rows: Vec<CodeRow> = fragments
+                .iter()
+                .zip(&blocks)
+                .flat_map(|(f, b)| f.data.code_rows(&attrs, &b[l]))
+                .collect();
+            let block_tuples: Vec<Tuple> = fragments
+                .iter()
+                .zip(&blocks)
+                .flat_map(|(f, b)| b[l].iter().map(|&i| f.data.row(i)))
+                .collect();
+            let block_refs: Vec<&Tuple> = block_tuples.iter().collect();
+            let one = SimpleCfd { tableau: vec![pattern.clone()], ..sorted.cfd.clone() };
+            let got = resolved.detect_pattern_among(block_rows.iter(), l);
+            assert_same(&got, &oracle::vio(&block_refs, &one), "block")?;
+            union.merge(got);
+        }
+        assert_same(&union, &oracle::vio(&tuples, &variable), "Lemma 6 union")?;
+    }
+}
