@@ -331,6 +331,17 @@ impl LhsIndex {
         index
     }
 
+    /// The LHS positions some indexed pattern pins to a constant — the
+    /// union of the bucket masks, ascending. These are the only key
+    /// cells a probe reads, so which patterns match a key (and which
+    /// matches first) is a function of the key's projection on them.
+    pub fn pinned_positions(&self) -> Vec<usize> {
+        let mut pinned: Vec<usize> = self.buckets.iter().flat_map(|(p, _)| p).copied().collect();
+        pinned.sort_unstable();
+        pinned.dedup();
+        pinned
+    }
+
     /// The rank lists `key` (one code per LHS attribute) hits, one probe
     /// per mask; `buf` is projection scratch reused across calls.
     fn probe<'a>(
@@ -471,5 +482,8 @@ mod tests {
         assert_eq!(index.first_matched(&[9, 2], &mut buf), (Some(1), 2));
         assert_eq!(index.first_matched(&[9, 9], &mut buf), (Some(2), 3));
         assert_eq!(LhsIndex::of_compiled(&pats[..2]).first_matched(&[9, 9], &mut buf), (None, 2));
+        assert_eq!(index.pinned_positions(), vec![0, 1]);
+        assert_eq!(LhsIndex::of_compiled(&pats[1..3]).pinned_positions(), vec![1]);
+        assert!(LhsIndex::of_compiled(&pats[2..3]).pinned_positions().is_empty());
     }
 }

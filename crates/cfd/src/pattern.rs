@@ -270,6 +270,56 @@ pub fn compile_tableau(
     tableau.iter().map(|p| CompiledPattern::compile(p, rel, lhs, rhs)).collect()
 }
 
+/// The dictionary filter of a compiled tableau: for every LHS position
+/// that *no* feasible pattern leaves wild, the set of constant codes the
+/// patterns carry there. A row whose code at such a position is outside
+/// the set matches no pattern, so a scan can drop it on one bit test per
+/// position — before any pattern is compared, any key packed or hashed.
+///
+/// Built from the feasible patterns only, so [`NO_CODE`] is never
+/// admitted, and sized by the largest constant code, so no dictionary
+/// length is consulted. A tableau without a feasible pattern admits
+/// nothing at any position; a position some feasible pattern leaves wild
+/// carries no test.
+#[derive(Debug, Clone, Default)]
+pub struct Admission {
+    /// `(LHS position, bitmap over codes)`, ascending by position.
+    filters: Vec<(usize, Vec<u64>)>,
+}
+
+impl Admission {
+    /// The filter of `patterns` (all compiled against one relation, so
+    /// all of one LHS width).
+    pub fn of_patterns<'a>(patterns: impl IntoIterator<Item = &'a CompiledPattern>) -> Self {
+        let all: Vec<&CompiledPattern> = patterns.into_iter().collect();
+        let width = all.first().map_or(0, |p| p.lhs.len());
+        let feasible: Vec<&[u32]> = all.iter().filter(|p| p.feasible).map(|p| &p.lhs[..]).collect();
+        let filters = (0..width)
+            .filter(|&j| feasible.iter().all(|lhs| lhs[j] != WILDCARD_CODE))
+            .map(|j| {
+                let words = feasible.iter().map(|lhs| lhs[j] as usize / 64 + 1).max().unwrap_or(0);
+                let mut bits = vec![0u64; words];
+                for lhs in &feasible {
+                    bits[lhs[j] as usize / 64] |= 1 << (lhs[j] % 64);
+                }
+                (j, bits)
+            })
+            .collect();
+        Admission { filters }
+    }
+
+    /// Whether row `i` of the chunk slices `cols` (`cols[j]` = codes of
+    /// LHS attribute `j`) passes every position's test. `false` means
+    /// the row matches no pattern; `true` promises nothing.
+    #[inline]
+    pub fn admits_row(&self, cols: &[&[u32]], i: usize) -> bool {
+        self.filters.iter().all(|(j, bits)| {
+            let code = cols[*j][i];
+            bits.get(code as usize / 64).is_some_and(|word| word >> (code % 64) & 1 == 1)
+        })
+    }
+}
+
 /// Sorts pattern indices most-specific-first: ascending by number of LHS
 /// wildcards (the order required by Lemma 6's σ function). Ties keep the
 /// original tableau order, making the sort deterministic.
@@ -344,6 +394,38 @@ mod tests {
             NormalPattern::new(vec![w.clone(), c.clone()], w.clone()), // 1 (tie → original order)
         ];
         assert_eq!(generality_order(&pats), vec![1, 2, 3, 0]);
+    }
+
+    /// The filter never rejects a row some feasible pattern matches,
+    /// tests only positions no feasible pattern leaves wild, and admits
+    /// neither `NO_CODE` nor a code past its largest constant.
+    #[test]
+    fn admission_is_sound_and_tests_only_always_pinned_positions() {
+        let w = WILDCARD_CODE;
+        let pat = |lhs: &[u32]| CompiledPattern {
+            lhs: lhs.to_vec(),
+            rhs: w,
+            feasible: !lhs.contains(&NO_CODE),
+        };
+        let pats = [pat(&[3, w, 70]), pat(&[5, 1, 2]), pat(&[NO_CODE, w, w])];
+        let admission = Admission::of_patterns(&pats);
+        let cols: [&[u32]; 3] =
+            [&[3, 5, 4, 3, 5, NO_CODE, 900], &[9, 1, 1, 9, 9, 1, 1], &[70, 2, 2, 2, 71, 2, 2]];
+        let admitted: Vec<bool> = (0..7).map(|i| admission.admits_row(&cols, i)).collect();
+        // Row 3 (3, 9, 2) matches nothing yet passes: each cell is some
+        // pattern's constant. Position 1 is wild in a feasible pattern.
+        assert_eq!(admitted, [true, true, false, true, false, false, false]);
+        for (i, &admitted) in admitted.iter().enumerate() {
+            let matched = pats.iter().any(|p| p.feasible && p.matches_row(&cols, i));
+            assert!(admitted || !matched, "row {i} rejected but matched");
+        }
+        // No feasible pattern: nothing is admitted at any position.
+        let none = Admission::of_patterns(&pats[2..]);
+        assert!((0..7).all(|i| !none.admits_row(&cols, i)));
+        // An all-wild pattern (or an empty LHS) leaves nothing to test.
+        let fd = Admission::of_patterns(&[pat(&[w, w, w]), pat(&[3, 1, 2])]);
+        assert!((0..7).all(|i| fd.admits_row(&cols, i)));
+        assert!(Admission::of_patterns(&[pat(&[])]).admits_row(&[], 0));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::cfd::{Cfd, SimpleCfd};
 use crate::kernel;
-use crate::pattern::compile_tableau;
+use crate::pattern::{compile_tableau, Admission, CompiledPattern};
 use dcd_relation::ops::CodeKey;
 use dcd_relation::{zip_chunks, FxHashMap, FxHashSet, Relation, TupleId, Value};
 use std::sync::Arc;
@@ -204,32 +204,37 @@ pub fn detect_constants_rows(
 /// `rel`'s dictionaries. The distributed engines' morsel loops compile
 /// once per fragment and reuse the patterns across every (site, chunk)
 /// range.
+///
+/// One pass: a row is first put to the tableau's [`Admission`] filter —
+/// a constant pattern can flag only tuples carrying its LHS constants —
+/// and only a survivor is compared against the feasible patterns, and
+/// only a flagged one has its key decoded.
 pub fn detect_constants_rows_with(
     rel: &Relation,
     cfd: &SimpleCfd,
-    compiled: &[crate::pattern::CompiledPattern],
+    compiled: &[CompiledPattern],
     start: usize,
     end: usize,
 ) -> ViolationSet {
     let mut out = ViolationSet::default();
-    if compiled.is_empty() {
-        return out;
-    }
     debug_assert!(
         compiled.iter().all(|p| !p.rhs_is_wild()),
         "detect_constants_rows requires constant-RHS patterns (single-tuple semantics)"
     );
-    if compiled.iter().all(|p| !p.feasible) {
+    let feasible: Vec<&CompiledPattern> = compiled.iter().filter(|p| p.feasible).collect();
+    if feasible.is_empty() {
         return out;
     }
+    let admission = Admission::of_patterns(compiled);
     let lhs_cols = rel.code_views(&cfd.lhs);
     let rhs_col = rel.column(cfd.rhs).codes();
     let tids = rel.tids();
     let mut scan_row = |i: usize, slices: &[&[u32]], r: usize| {
-        let flagged = compiled
-            .iter()
-            .any(|p| p.feasible && p.matches_row(slices, r) && rhs_col.at(i) != p.rhs);
-        if flagged {
+        if !admission.admits_row(slices, r) {
+            return;
+        }
+        let rhs = rhs_col.at(i);
+        if feasible.iter().any(|p| p.matches_row(slices, r) && rhs != p.rhs) {
             let key: Vec<u32> = slices.iter().map(|col| col[r]).collect();
             out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
             out.tids.insert(tids[i]);

@@ -11,7 +11,7 @@
 
 use dcd_cfd::pattern::{compile_tableau, CompiledPattern};
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{detect_simple, NormalCfd, NormalPattern, SimpleCfd};
+use dcd_cfd::{NormalCfd, NormalPattern, SimpleCfd};
 use dcd_dist::Fragment;
 use dcd_relation::{AttrId, Predicate};
 
@@ -37,27 +37,14 @@ pub fn applicable_patterns(frag: &Fragment, cfd: &SimpleCfd) -> Vec<usize> {
         .collect()
 }
 
-/// Checks a batch of constant CFDs locally on one fragment
-/// (Proposition 5). Returns the merged violation set. Patterns whose
-/// constants contradict the fragment predicate are skipped entirely;
-/// the rest run on the fragment's code columns (the columnar
-/// [`detect_simple`] path — fragments share the parent relation's
+/// Checks a batch of constant CFDs locally on rows `start..end` of one
+/// fragment (Proposition 5) — the morsel unit of the distributed
+/// engines' constant phase; `0..frag.data.len()` checks the whole
+/// fragment. Returns the merged violation set. Patterns whose constants
+/// contradict the fragment predicate are skipped entirely; the rest run
+/// on the fragment's code columns (fragments share the parent relation's
 /// dictionaries, so the pattern constants compile to the same codes at
-/// every site).
-pub fn check_constants_locally(frag: &Fragment, constants: &[NormalCfd]) -> ViolationSet {
-    let mut out = ViolationSet::default();
-    for nc in constants {
-        if !pattern_applicable(frag, &nc.lhs, &nc.pattern) {
-            continue;
-        }
-        out.merge(detect_simple(&frag.data, &constant_as_simple(nc)));
-    }
-    out
-}
-
-/// [`check_constants_locally`] restricted to rows `start..end` of the
-/// fragment — the morsel unit of the distributed engines' Proposition-5
-/// phase. Constant CFDs flag tuples one at a time, so merging the
+/// every site). Constant CFDs flag tuples one at a time, so merging the
 /// per-range sets over any partition of a fragment's rows equals the
 /// whole-fragment check exactly (pinned by tests).
 pub fn check_constants_range(
@@ -70,24 +57,40 @@ pub fn check_constants_range(
 }
 
 /// Constant CFDs pre-resolved for one fragment's morsel loop: the
-/// partitioning condition decided and each surviving pattern compiled
-/// against the fragment's dictionaries, both exactly once — per-morsel
-/// recompilation (satisfiability checks plus dictionary lookups per
-/// chunk) would otherwise dominate small chunk sizes.
+/// partitioning condition decided, the surviving patterns fused into one
+/// tableau per distinct `(X, A)` and compiled against the fragment's
+/// dictionaries, all exactly once — per-morsel recompilation
+/// (satisfiability checks plus dictionary lookups per chunk) would
+/// otherwise dominate small chunk sizes.
 pub struct CompiledConstants {
     cfds: Vec<(SimpleCfd, Vec<CompiledPattern>)>,
 }
 
 /// Resolves `constants` against `frag` once, for reuse across every
-/// (site, chunk) range of the fragment.
+/// (site, chunk) range of the fragment. Applicable constant CFDs sharing
+/// `(lhs, rhs)` become one CFD with one tableau, so a range is walked
+/// once per distinct `(X, A)`, not once per pattern; a tuple is flagged
+/// by the fused tableau iff some pattern of it flags it, which is the
+/// union the per-pattern checks would have merged.
 pub fn compile_constants(frag: &Fragment, constants: &[NormalCfd]) -> CompiledConstants {
-    let cfds = constants
-        .iter()
-        .filter(|nc| pattern_applicable(frag, &nc.lhs, &nc.pattern))
-        .map(|nc| {
-            let simple = constant_as_simple(nc);
-            let compiled = compile_tableau(&simple.tableau, &frag.data, &simple.lhs, simple.rhs);
-            (simple, compiled)
+    let mut fused: Vec<SimpleCfd> = Vec::new();
+    for nc in constants.iter().filter(|nc| pattern_applicable(frag, &nc.lhs, &nc.pattern)) {
+        match fused.iter_mut().find(|cfd| cfd.lhs == nc.lhs && cfd.rhs == nc.rhs) {
+            Some(cfd) => cfd.tableau.push(nc.pattern.clone()),
+            None => fused.push(SimpleCfd {
+                name: nc.origin.clone(),
+                schema: nc.schema.clone(),
+                lhs: nc.lhs.clone(),
+                rhs: nc.rhs,
+                tableau: vec![nc.pattern.clone()],
+            }),
+        }
+    }
+    let cfds = fused
+        .into_iter()
+        .map(|cfd| {
+            let compiled = compile_tableau(&cfd.tableau, &frag.data, &cfd.lhs, cfd.rhs);
+            (cfd, compiled)
         })
         .collect();
     CompiledConstants { cfds }
@@ -106,16 +109,6 @@ pub fn check_constants_range_with(
         out.merge(dcd_cfd::detect_constants_rows_with(&frag.data, simple, patterns, start, end));
     }
     out
-}
-
-fn constant_as_simple(nc: &NormalCfd) -> SimpleCfd {
-    SimpleCfd {
-        name: nc.origin.clone(),
-        schema: nc.schema.clone(),
-        lhs: nc.lhs.clone(),
-        rhs: nc.rhs,
-        tableau: vec![nc.pattern.clone()],
-    }
 }
 
 #[cfg(test)]
@@ -197,27 +190,92 @@ mod tests {
 
         let mut merged = ViolationSet::default();
         for f in p.fragments() {
-            merged.merge(check_constants_locally(f, &constants));
+            merged.merge(check_constants_range(f, &constants, 0, f.data.len()));
         }
         let global = dcd_cfd::detect_simple(&r, &simple);
         assert_eq!(merged.tids, global.tids);
         assert_eq!(merged.patterns, global.patterns);
     }
 
+    /// Constant CFDs that partly share `(X, A)` and partly do not: two
+    /// on `([CC, AC] → city)` beside one with an LHS constant and one
+    /// with an RHS constant the relation never saw (`NO_CODE` either
+    /// way), one on the same `X` with another `A`, one on another `X`.
+    fn mixed_constants() -> Vec<NormalCfd> {
+        let s = schema();
+        [
+            ("c4", "([CC=44, AC=131] -> [city=EDI])"),
+            ("t1", "([title=MTS] -> [city=EDI])"),
+            ("c5", "([CC=1, AC=908] -> [city=MH])"),
+            ("a1", "([CC=44, AC=131] -> [title=MTS])"),
+            ("unseen_lhs", "([CC=7, AC=131] -> [city=EDI])"),
+            ("unseen_rhs", "([CC=1, AC=908] -> [city=ZZZ])"),
+        ]
+        .iter()
+        .flat_map(|(name, text)| {
+            parse_cfd(&s, name, text).unwrap().simplify().pop().unwrap().split_constant().1
+        })
+        .collect()
+    }
+
+    fn single_constant() -> Vec<NormalCfd> {
+        let cfd = parse_cfd(&schema(), "c4", "([CC=44, AC=131] -> [city=EDI])").unwrap();
+        cfd.simplify().pop().unwrap().split_constant().1
+    }
+
+    /// `oracle::vio` of one constant CFD over a fragment's tuples.
+    fn definition(frag: &Fragment, nc: &NormalCfd) -> ViolationSet {
+        let decoded: Vec<dcd_relation::Tuple> = frag.data.iter().collect();
+        let simple = SimpleCfd {
+            name: nc.origin.clone(),
+            schema: nc.schema.clone(),
+            lhs: nc.lhs.clone(),
+            rhs: nc.rhs,
+            tableau: vec![nc.pattern.clone()],
+        };
+        dcd_cfd::oracle::vio(&decoded.iter().collect::<Vec<_>>(), &simple)
+    }
+
+    #[test]
+    fn fused_constants_equal_the_definition_per_cfd() {
+        let r = rel();
+        let constants = mixed_constants();
+        let round_robin = HorizontalPartition::round_robin(&r, 2).unwrap();
+        // No predicate refutes anything: six CFDs, three distinct (X, A).
+        assert_eq!(compile_constants(round_robin.fragment(SiteId(0)), &constants).cfds.len(), 3);
+        let mut flagged = 0;
+        for part in [&round_robin, &title_partition()] {
+            for f in part.fragments() {
+                let mut want = ViolationSet::default();
+                for nc in &constants {
+                    let alone = check_constants_range(f, std::slice::from_ref(nc), 0, f.data.len());
+                    let def = definition(f, nc);
+                    assert_eq!(alone.tids, def.tids, "{} Vio", nc.origin);
+                    assert_eq!(alone.patterns, def.patterns, "{} Vioπ", nc.origin);
+                    want.merge(def);
+                }
+                let compiled = compile_constants(f, &constants);
+                let fused = check_constants_range_with(f, &compiled, 0, f.data.len());
+                assert_eq!(fused.tids, want.tids);
+                assert_eq!(fused.patterns, want.patterns);
+                flagged += fused.tids.len();
+            }
+        }
+        assert!(flagged > 0, "fixture should contain violations");
+    }
+
     #[test]
     fn range_union_equals_whole_fragment_check() {
-        let r = rel();
         let p = title_partition();
-        let cfd = parse_cfd(r.schema(), "c4", "([CC=44, AC=131] -> [city=EDI])").unwrap();
-        let simple = cfd.simplify().pop().unwrap();
-        let (_, constants) = simple.split_constant();
-        for f in p.fragments() {
-            let whole = check_constants_locally(f, &constants);
-            for split in 0..=f.data.len() {
-                let mut merged = check_constants_range(f, &constants, 0, split);
-                merged.merge(check_constants_range(f, &constants, split, f.data.len()));
-                assert_eq!(merged.tids, whole.tids, "split at {split}");
-                assert_eq!(merged.patterns, whole.patterns, "split at {split}");
+        for constants in [single_constant(), mixed_constants()] {
+            for f in p.fragments() {
+                let whole = check_constants_range(f, &constants, 0, f.data.len());
+                for split in 0..=f.data.len() {
+                    let mut merged = check_constants_range(f, &constants, 0, split);
+                    merged.merge(check_constants_range(f, &constants, split, f.data.len()));
+                    assert_eq!(merged.tids, whole.tids, "split at {split}");
+                    assert_eq!(merged.patterns, whole.patterns, "split at {split}");
+                }
             }
         }
     }
@@ -241,7 +299,7 @@ mod tests {
         for part in [&p, &pcc] {
             let mut merged = ViolationSet::default();
             for f in part.fragments() {
-                merged.merge(check_constants_locally(f, &constants));
+                merged.merge(check_constants_range(f, &constants, 0, f.data.len()));
             }
             let global = dcd_cfd::detect_simple(&r, &simple);
             assert_eq!(merged.tids, global.tids, "partition changed the result");

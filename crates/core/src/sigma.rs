@@ -7,9 +7,15 @@
 //! `Vioπ(φ, D) = ⋃_j Vioπ((X→A, {t_p^j}), ⋃_i H_i^j)` — each block can be
 //! validated at its own coordinator (Lemma 6). This module computes the
 //! per-fragment blocks `H_i^j` and the `lstat[i, j]` statistics.
+//!
+//! σ(t) in fact depends on less than `t[X]`: only on the positions of
+//! `X` some pattern pins to a constant. The scan asks the dictionary
+//! first — a tuple whose code at an always-pinned position is no
+//! pattern's constant matches nothing — and keys what survives on the
+//! pinned positions alone, in one pass ([`sigma_partition_range_with`]).
 
 use dcd_cfd::kernel::LhsIndex;
-use dcd_cfd::pattern::{compile_tableau, CompiledPattern};
+use dcd_cfd::pattern::{compile_tableau, Admission, CompiledPattern};
 use dcd_cfd::{NormalPattern, SimpleCfd};
 use dcd_relation::ops::CodeKey;
 use dcd_relation::{zip_chunks_range, FxHashMap, Relation};
@@ -71,14 +77,12 @@ impl SigmaPartition {
 /// ascending; pass `0..k` when no fragment predicate is available.
 ///
 /// The tableau is compiled against the fragment's dictionaries once
-/// (one lookup per pattern constant), after which everything runs on the
-/// fragment's `u32` code columns. Because `σ(t)` depends only on `t[X]`,
-/// the tableau scan runs once per *distinct* LHS code key (grouped via a
-/// packed-key hash — see `dcd_relation::ops::CodeKey`), and every row is
-/// then assigned by a single group-id lookup. Tuples agreeing on `X`
-/// scan exactly the same patterns, so `comparisons` (one unit per
-/// pattern tried per tuple, feeding the response-time model) and the
-/// per-block index order are bit-identical to the naive per-tuple scan.
+/// (one lookup per pattern constant), after which the scan is a single
+/// pass over the fragment's `u32` code columns — see
+/// [`sigma_partition_range_with`] for what that pass reads. `comparisons`
+/// (one unit per pattern tried per tuple, feeding the response-time
+/// model) and the per-block index order are bit-identical to the naive
+/// per-tuple tableau scan (pinned by `tests/prop_sigma.rs`).
 pub fn sigma_partition(
     fragment: &Relation,
     sorted: &SortedCfd,
@@ -106,16 +110,22 @@ pub fn sigma_partition_range(
     sigma_partition_range_with(fragment, sorted, &index, start, end)
 }
 
-/// The σ decision structure of one (fragment, CFD): a thin wrapper
-/// over the detection kernel's [`LhsIndex`] — the same
-/// bucketing-by-wildcard-mask every detector probes, so σ shares the
-/// structure instead of re-deriving it. σ of a key is one probe per
-/// distinct mask — `O(masks)` instead of `O(|Tp|)` — and the answer
-/// (first matching applicable pattern plus the number of patterns the
-/// scan would have tried) is bit-identical to the scan it replaces.
-/// Built once per fragment; the morsel loops hand every (site, chunk)
-/// range the same index, so neither the dictionary lookups of tableau
-/// compilation nor the scan structure are re-done per morsel.
+/// The σ decision structure of one (fragment, CFD), built once per
+/// fragment and shared by every (site, chunk) range, so neither the
+/// dictionary lookups of tableau compilation nor the structure are
+/// re-done per morsel. Three parts, all over the applicable patterns:
+///
+/// * the detection kernel's [`LhsIndex`] — the same
+///   bucketing-by-wildcard-mask every detector probes. σ of a key is one
+///   probe per distinct mask, `O(masks)` instead of `O(|Tp|)`, and the
+///   answer (first matching pattern plus the number of patterns the scan
+///   would have tried) is bit-identical to the scan it replaces;
+/// * the *pinned* LHS positions — those some pattern fixes to a
+///   constant. A probe reads no other key cell, so σ(t) is a function of
+///   `t`'s projection on them;
+/// * the [`Admission`] filter — the constant codes the patterns carry at
+///   each position none of them leaves wild. A tuple outside it matches
+///   nothing.
 pub struct SigmaIndex {
     /// The kernel's bucketing over the applicable patterns, ranks in
     /// scan order. Patterns carrying a `NO_CODE` constant sit in the
@@ -125,21 +135,28 @@ pub struct SigmaIndex {
     /// The scan order the ranks index into: `applicable[rank]` is the
     /// pattern a winning probe resolves to.
     applicable: Vec<usize>,
+    /// [`LhsIndex::pinned_positions`] of `index`.
+    pinned: Vec<usize>,
+    admission: Admission,
 }
 
 impl SigmaIndex {
     /// Builds the index from a fragment-compiled tableau and the
     /// (ascending) applicable pattern indices of that fragment.
     pub fn build(compiled: &[CompiledPattern], applicable: &[usize]) -> Self {
+        let index = LhsIndex::of_applicable(compiled, applicable);
         SigmaIndex {
-            index: LhsIndex::of_applicable(compiled, applicable),
+            pinned: index.pinned_positions(),
+            admission: Admission::of_patterns(applicable.iter().map(|&pi| &compiled[pi])),
+            index,
             applicable: applicable.to_vec(),
         }
     }
 
-    /// σ of one LHS code key: the first applicable pattern it matches
-    /// in scan order, plus the tries the scan would have counted.
-    /// `buf` is scratch space reused across calls.
+    /// σ of one LHS code key (only its pinned cells are read): the
+    /// first applicable pattern it matches in scan order, plus the tries
+    /// the scan would have counted. `buf` is scratch space reused across
+    /// calls.
     fn assign(&self, key: &[u32], buf: &mut Vec<u32>) -> (Option<usize>, usize) {
         let (rank, tries) = self.index.first_matched(key, buf);
         (rank.map(|r| self.applicable[r]), tries)
@@ -147,10 +164,17 @@ impl SigmaIndex {
 }
 
 /// [`sigma_partition_range`] against a [`SigmaIndex`] already built for
-/// this fragment. This is the morsel-loop entry point: the index is
-/// built once per fragment and shared by every (site, chunk) range —
-/// per-morsel tableau compilation and re-scanning would otherwise
-/// dominate small chunk sizes.
+/// this fragment — the morsel-loop entry point.
+///
+/// One pass, reading the pinned columns only. A row the admission filter
+/// rejects is a miss: it joins no block and is charged the full scan
+/// length, exactly what the tableau scan would have tried before giving
+/// up. A surviving row looks its `(pattern, tries)` up in a memo keyed by
+/// its pinned projection — filled by one index probe per distinct
+/// projection, lookup-only otherwise — and is pushed straight into its
+/// block, so per-block row order is scan order. A tableau that pins
+/// nothing (an FD, or an empty LHS) has a constant σ: one probe answers
+/// for the whole range and nothing is hashed.
 pub fn sigma_partition_range_with(
     fragment: &Relation,
     sorted: &SortedCfd,
@@ -158,66 +182,42 @@ pub fn sigma_partition_range_with(
     start: usize,
     end: usize,
 ) -> SigmaPartition {
-    let k = sorted.cfd.tableau.len();
-    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
-
-    // Pass 1: dense group ids per distinct LHS key, one representative
-    // row per group, scanning chunk-at-a-time over the range.
-    let mut group_of: FxHashMap<CodeKey, u32> = FxHashMap::default();
-    let mut row_group: Vec<u32> = Vec::with_capacity(end.saturating_sub(start));
-    let mut reps: Vec<usize> = Vec::new();
-    if lhs_cols.is_empty() {
-        // Degenerate empty-LHS key: every row shares one group.
-        for ti in start..end {
-            let next = reps.len() as u32;
-            let gid = *group_of.entry(CodeKey::of_codes(&[])).or_insert_with(|| {
-                reps.push(ti);
-                next
-            });
-            row_group.push(gid);
-        }
-    } else {
-        zip_chunks_range(&lhs_cols, start, end, |base, lo, hi, slices| {
-            for r in lo..hi {
-                let next = reps.len() as u32;
-                let gid = *group_of.entry(CodeKey::of_row(slices, r)).or_insert_with(|| {
-                    reps.push(base + r);
-                    next
-                });
-                row_group.push(gid);
-            }
-        });
-    }
-
-    // Pass 2: σ per distinct key — the representative's key codes are
-    // gathered once, then the index answers in `O(masks)` probes what
-    // the linear tableau scan would have found (same pattern, same try
-    // count).
-    let width = sorted.cfd.lhs.len();
-    let mut key_codes: Vec<u32> = vec![0; width];
-    let mut probe_buf: Vec<u32> = Vec::with_capacity(width);
-    let assigned: Vec<(Option<usize>, usize)> = reps
-        .iter()
-        .map(|&ri| {
-            for (slot, col) in key_codes.iter_mut().zip(&lhs_cols) {
-                *slot = col.at(ri);
-            }
-            index.assign(&key_codes, &mut probe_buf)
-        })
-        .collect();
-
-    // Pass 3: assign rows in order (preserving per-block index order)
-    // and accumulate the per-tuple comparison count.
-    let mut comparisons = 0usize;
-    for (off, &gid) in row_group.iter().enumerate() {
-        let (pat, tries) = assigned[gid as usize];
-        comparisons += tries;
+    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); sorted.cfd.tableau.len()];
+    // The probe key: unpinned cells stay 0, no probe reads them.
+    let mut key_codes: Vec<u32> = vec![0; sorted.cfd.lhs.len()];
+    let mut probe_buf: Vec<u32> = Vec::with_capacity(key_codes.len());
+    if index.pinned.is_empty() {
+        let (pat, tries) = index.assign(&key_codes, &mut probe_buf);
         if let Some(pi) = pat {
-            blocks[pi].push(start + off);
+            blocks[pi].extend(start..end);
         }
+        return SigmaPartition { blocks, comparisons: tries * end.saturating_sub(start) };
     }
-    SigmaPartition { blocks, comparisons }
+
+    let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
+    let mut memo: FxHashMap<CodeKey, (Option<usize>, usize)> = FxHashMap::default();
+    let mut comparisons = 0usize;
+    let mut misses = 0usize;
+    zip_chunks_range(&lhs_cols, start, end, |base, lo, hi, slices| {
+        let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| slices[j]).collect();
+        for r in lo..hi {
+            if !index.admission.admits_row(slices, r) {
+                misses += 1;
+                continue;
+            }
+            let (pat, tries) = *memo.entry(CodeKey::of_row(&pinned_cols, r)).or_insert_with(|| {
+                for &j in &index.pinned {
+                    key_codes[j] = slices[j][r];
+                }
+                index.assign(&key_codes, &mut probe_buf)
+            });
+            comparisons += tries;
+            if let Some(pi) = pat {
+                blocks[pi].push(base + r);
+            }
+        }
+    });
+    SigmaPartition { blocks, comparisons: comparisons + misses * index.applicable.len() }
 }
 
 #[cfg(test)]

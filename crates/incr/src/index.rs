@@ -30,7 +30,7 @@
 //!   differ from) the fresh code, so "mismatch" stays true either way.
 
 use dcd_cfd::pattern::CompiledPattern;
-use dcd_cfd::{validate_group, GroupVerdict, SimpleCfd, ViolationSet};
+use dcd_cfd::{validate_group, GroupVerdict, LhsIndex, SimpleCfd, ViolationSet};
 use dcd_relation::ops::CodeKey;
 use dcd_relation::{Dictionary, FxHashMap, FxHashSet, TupleId, Value};
 use std::sync::Arc;
@@ -68,6 +68,9 @@ pub struct ViolationIndex {
     lhs_dicts: Vec<Arc<Dictionary>>,
     rhs_dict: Arc<Dictionary>,
     compiled: Vec<CompiledPattern>,
+    /// The kernel's bucketing of `compiled`: answers a new key's matched
+    /// list in one probe per wildcard mask.
+    lhs_index: LhsIndex,
     keys: FxHashMap<CodeKey, KeyState>,
     tid_key: FxHashMap<TupleId, CodeKey>,
     live: ViolationSet,
@@ -88,6 +91,7 @@ impl ViolationIndex {
             lhs_dicts,
             rhs_dict,
             compiled: Vec::new(),
+            lhs_index: LhsIndex::default(),
             keys: FxHashMap::default(),
             tid_key: FxHashMap::default(),
             live: ViolationSet::default(),
@@ -123,14 +127,19 @@ impl ViolationIndex {
     }
 
     /// Recompiles the tableau against the (append-only, possibly
-    /// grown) dictionaries. One dictionary lookup per constant.
+    /// grown) dictionaries — one dictionary lookup per constant — and
+    /// re-buckets it when a constant gained a code.
     fn recompile(&mut self) {
-        self.compiled = self
+        let compiled: Vec<CompiledPattern> = self
             .cfd
             .tableau
             .iter()
             .map(|p| CompiledPattern::compile_with(p, &self.lhs_dicts, &self.rhs_dict))
             .collect();
+        if compiled != self.compiled {
+            self.lhs_index = LhsIndex::of_compiled(&compiled);
+            self.compiled = compiled;
+        }
     }
 
     /// Applies one batch — deletes (by tuple id) then inserts
@@ -145,6 +154,8 @@ impl ViolationIndex {
         self.recompile();
         let mut dirty: Vec<CodeKey> = Vec::new();
         let mut dirty_seen: FxHashSet<CodeKey> = FxHashSet::default();
+        let mut probe_buf: Vec<u32> = Vec::new();
+        let mut ranks: Vec<u32> = Vec::new();
 
         for tid in deletes {
             let Some(key) = self.tid_key.remove(tid) else { continue };
@@ -167,15 +178,8 @@ impl ViolationIndex {
             if let Some(state) = self.keys.get_mut(&key) {
                 state.members.push((*tid, rhs));
             } else {
-                let key_codes = &lhs[..];
-                let matched: Vec<usize> = self
-                    .compiled
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.matches_codes(key_codes))
-                    .map(|(i, _)| i)
-                    .collect();
-                if matched.is_empty() {
+                self.lhs_index.matched_into(&lhs, &mut probe_buf, &mut ranks);
+                if ranks.is_empty() {
                     // The row matches no feasible pattern: it is in no
                     // detection group and never will be (see module
                     // docs), so it is not indexed at all.
@@ -184,7 +188,7 @@ impl ViolationIndex {
                 self.keys.insert(
                     key.clone(),
                     KeyState {
-                        matched,
+                        matched: ranks.iter().map(|&r| r as usize).collect(),
                         members: vec![(*tid, rhs)],
                         flagged: Vec::new(),
                         in_patterns: false,

@@ -143,3 +143,69 @@ fn detections_are_bit_identical_across_widths_and_chunk_sizes() {
         }
     }
 }
+
+/// A Σ that exercises the Proposition-5 phase the way `run_batch` feeds
+/// it: one CFD whose tableau carries four constant patterns on one
+/// `(X, A)` — two ordinary, one with an LHS and one with an RHS constant
+/// the relation never saw — beside a variable pattern, plus an FD and a
+/// constant CFD on another `X`.
+fn constants_sigma(s: &Arc<Schema>) -> Vec<Cfd> {
+    let k1: Vec<Cfd> = [
+        "([b=2, c=c1] -> [d=d1])",
+        "([b=3, c=c0] -> [d=d0])",
+        "([b=4, c=zzz] -> [d=d1])",
+        "([b=1, c=c2] -> [d=nope])",
+        "([b=0, c] -> [d])",
+    ]
+    .iter()
+    .map(|text| parse_cfd(s, "k1", text).unwrap())
+    .collect();
+    vec![
+        Cfd::merge("k1", &k1.iter().collect::<Vec<_>>()).unwrap(),
+        parse_cfd(s, "phi1", "([a, b] -> [d])").unwrap(),
+        parse_cfd(s, "k2", "([a=1, c=c3] -> [d=d1])").unwrap(),
+    ]
+}
+
+/// Everything the cost model and the observer recorded about one run,
+/// floats by bit pattern.
+fn recorded(label: &str, d: &Detection) -> String {
+    let mut out = format!("== {label}\n");
+    for (name, vs) in &d.violations.per_cfd {
+        out += &format!("vio {name} {} {}\n", vs.tids.len(), vs.patterns.len());
+    }
+    out += &format!(
+        "shipped {} {} {} control {}\n",
+        d.shipped_tuples, d.shipped_cells, d.shipped_bytes, d.control_messages
+    );
+    out += &format!("response_time {:#018x}\n", d.response_time.to_bits());
+    out += &format!("paper_cost {:#018x}\n", d.paper_cost.to_bits());
+    for (site, clock) in d.site_clocks.iter().enumerate() {
+        out += &format!("site_clock {site} {:#018x}\n", clock.to_bits());
+    }
+    out + &d.metrics.expose()
+}
+
+/// The constant check is charged analytically per constant *pattern*
+/// and its scan is an implementation detail: however the patterns are
+/// fused or filtered, clocks, ledger and `Detection.metrics` must read
+/// what they read before the scans were rewritten
+/// (`tests/golden/constants_detection.txt`, recorded at the parent
+/// commit of that change).
+#[test]
+fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
+    let rel = sample();
+    let sigma = constants_sigma(rel.schema());
+    let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
+    let mut got = String::new();
+    for alg in [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::clust_detect()] {
+        let d = DetectRequest::over(horizontal.clone())
+            .cfds(sigma.iter().cloned())
+            .algorithm(alg)
+            .run()
+            .expect("run succeeds");
+        assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
+        got += &recorded(&format!("{alg:?}"), &d);
+    }
+    assert_eq!(got, include_str!("golden/constants_detection.txt"));
+}
