@@ -1,5 +1,5 @@
 //! Code-native coordinator validation over gathered `(tid, codes)` wire
-//! rows.
+//! rows, row-wise or as a column batch.
 //!
 //! The batch detectors' coordinators receive σ-blocks gathered from many
 //! fragments. On the *code-native* wire — the one the incremental delta
@@ -13,18 +13,22 @@
 //! group keys back to values for `Vioπ`.
 //!
 //! A [`CodeLayout`] names what the wire rows carry: which original
-//! attributes, in which order, over which dictionaries. The detection
-//! methods here run the same [`kernel`] as the columnar
+//! attributes, in which order, over which dictionaries. The rows
+//! themselves come in two shapes with one meaning: [`CodeRow`]s, one
+//! heap buffer per row, and a [`CodeBatch`], one dense vector per
+//! attribute — what a cluster round gathers, since it pays per buffer
+//! and not per row. The detection methods here hand either to the same
+//! [`kernel`] scan as the columnar
 //! [`detect_simple`](crate::detect_simple) and are pinned, like it,
-//! against the pairwise [`oracle`](crate::oracle) (the tests below and
-//! `tests/prop_oracle.rs`).
+//! against the pairwise [`oracle`](crate::oracle) (the tests below,
+//! `tests/prop_oracle.rs` and `tests/prop_cluster.rs`).
 
 use crate::cfd::SimpleCfd;
-use crate::kernel::{self, KernelCounters, LhsIndex};
+use crate::kernel::{self, ColumnChunk, Flagged, KernelCounters, LhsIndex, Tableau};
 use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
 use dcd_relation::ops::CodeKey;
-use dcd_relation::{AttrId, Dictionary, FxHashMap, Relation, TupleId, Value};
+use dcd_relation::{AttrId, CodeBatch, Dictionary, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// One row on the code-native wire: a tuple id plus the dictionary
@@ -139,6 +143,23 @@ impl ResolvedCfd {
         self.lhs_dicts.iter().zip(key_codes).map(|(d, &c)| d.value(c)).collect()
     }
 
+    /// The kernel's view of this CFD under the algorithmic reading;
+    /// `index: None` for rows pre-filtered to one pattern.
+    fn tableau<'a>(
+        &'a self,
+        patterns: &'a [CompiledPattern],
+        index: Option<&'a LhsIndex>,
+    ) -> Tableau<'a> {
+        Tableau { patterns, index, strict: false, counters: &self.counters }
+    }
+
+    /// Copies a wire row's LHS cells into `buf`, in LHS order.
+    fn project_lhs(&self, codes: &[u32], buf: &mut [u32]) {
+        for (b, &p) in buf.iter_mut().zip(&self.lhs_pos) {
+            *b = codes[p];
+        }
+    }
+
     /// Detects violations of the resolved CFD among gathered code
     /// rows, under the algorithmic reading — what a coordinator holding
     /// the whole CFD's σ-blocks runs. Equal to the oracle's `Vio`/`Vioπ`
@@ -149,67 +170,67 @@ impl ResolvedCfd {
     /// (`&[&CodeRow]`) — coordinators flattening several gathered
     /// blocks pass references instead of cloning code buffers.
     pub fn detect_among<R: std::borrow::Borrow<CodeRow>>(&self, rows: &[R]) -> ViolationSet {
-        if self.compiled.is_empty() || rows.is_empty() {
+        if self.compiled.is_empty() {
             return ViolationSet::default();
         }
-        // Group *all* rows by projected LHS key — `detect_simple`'s
-        // grouping, over wire rows instead of code columns; the
-        // kernel's LHS index (built once at resolution) decides per
-        // distinct key which patterns apply.
-        let mut groups: FxHashMap<CodeKey, Vec<usize>> = FxHashMap::default();
+        // Every row goes to the kernel; its LHS index (built once at
+        // resolution) decides per distinct key which patterns apply.
         let mut lhs_buf: Vec<u32> = vec![0; self.lhs_pos.len()];
-        for (i, row) in rows.iter().enumerate() {
-            let (_, codes) = row.borrow();
-            for (b, &p) in lhs_buf.iter_mut().zip(&self.lhs_pos) {
-                *b = codes[p];
-            }
-            groups.entry(CodeKey::of_codes(&lhs_buf)).or_default().push(i);
-        }
-
         kernel::detect_grouped(
-            &groups,
-            Some(&self.index),
-            &self.compiled,
-            |&i| {
-                let (tid, codes) = rows[i].borrow();
-                (*tid, codes[self.rhs_pos])
+            rows.iter().map(|row| row.borrow()),
+            |(_, codes)| {
+                self.project_lhs(codes, &mut lhs_buf);
+                Some(CodeKey::of_codes(&lhs_buf))
             },
+            |(tid, codes)| (*tid, codes[self.rhs_pos]),
+            &self.tableau(&self.compiled, Some(&self.index)),
             |key| self.decode_key(key),
-            false,
-            &self.counters,
         )
+        .into()
     }
 
     /// Detects violations of a single pattern `(X → A, {tp})` among
     /// gathered code rows — what a per-pattern coordinator runs on its
-    /// Lemma 6 block. Algorithmic reading.
+    /// Lemma 6 block. Algorithmic reading. The rows are walked twice.
     pub fn detect_pattern_among<'a>(
         &self,
-        rows: impl Iterator<Item = &'a CodeRow>,
+        rows: impl Iterator<Item = &'a CodeRow> + Clone,
         pattern_idx: usize,
     ) -> ViolationSet {
         let pat = &self.compiled[pattern_idx];
-        // Pre-filtering by the single pattern makes every group match
-        // it, so the kernel validates against it without probing.
-        let mut groups: FxHashMap<CodeKey, Vec<&CodeRow>> = FxHashMap::default();
+        // Rows the pattern does not match stay outside every group, so
+        // the kernel validates each key against it without probing.
         let mut lhs_buf: Vec<u32> = vec![0; self.lhs_pos.len()];
-        for row in rows {
-            for (b, &p) in lhs_buf.iter_mut().zip(&self.lhs_pos) {
-                *b = row.1[p];
-            }
-            if pat.feasible && pat.matches_codes(&lhs_buf) {
-                groups.entry(CodeKey::of_codes(&lhs_buf)).or_default().push(row);
-            }
-        }
         kernel::detect_grouped(
-            &groups,
-            None,
-            std::slice::from_ref(pat),
+            rows,
+            |(_, codes)| {
+                self.project_lhs(codes, &mut lhs_buf);
+                (pat.feasible && pat.matches_codes(&lhs_buf)).then(|| CodeKey::of_codes(&lhs_buf))
+            },
             |(tid, codes)| (*tid, codes[self.rhs_pos]),
+            &self.tableau(std::slice::from_ref(pat), None),
             |key| self.decode_key(key),
-            false,
-            &self.counters,
         )
+        .into()
+    }
+
+    /// [`Self::detect_among`] over a column batch in this layout — what a
+    /// cluster coordinator runs per member CFD on the one batch the
+    /// cluster shipped it. The findings come back as plain vectors: the
+    /// coordinators of a round hold disjoint rows, so the caller builds
+    /// each member's set once ([`ViolationSet::from_disjoint`]).
+    pub fn detect_batch(&self, batch: &CodeBatch) -> Flagged {
+        if self.compiled.is_empty() {
+            return Flagged::default();
+        }
+        let chunk = ColumnChunk {
+            lhs: self.lhs_pos.iter().map(|&p| &batch.cols[p][..]).collect(),
+            rhs: &batch.cols[self.rhs_pos],
+            tids: &batch.tids,
+        };
+        kernel::detect_columns(&[chunk], &self.tableau(&self.compiled, Some(&self.index)), |key| {
+            self.decode_key(key)
+        })
     }
 }
 
@@ -271,6 +292,16 @@ mod tests {
             // And both agree with the columnar whole-relation path.
             let full = detect_simple(&rel, &cfd);
             assert_eq!(code_native.tids, full.tids, "{txt} vs detect_simple");
+            // The same rows as one column batch: the same findings, ids
+            // in row order, each violating key once.
+            let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
+            rel.gather_into(&attrs, &(0..rel.len()).collect::<Vec<_>>(), &mut batch);
+            let found = layout.resolve(&cfd).detect_batch(&batch);
+            assert!(found.tids.is_sorted(), "{txt}: sample ids ascend with the rows");
+            assert_eq!(found.patterns.len(), want.patterns.len(), "{txt}: distinct keys");
+            let batched = ViolationSet::from(found);
+            assert_eq!(batched.tids, want.tids, "{txt} batch Vio");
+            assert_eq!(batched.patterns, want.patterns, "{txt} batch Vioπ");
         }
     }
 

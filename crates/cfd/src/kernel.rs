@@ -8,17 +8,34 @@
 //! matches*. This module is that primitive, written once over one
 //! representation: a group key is a packed [`CodeKey`] of dictionary
 //! codes, a right-hand side is a `u32` code, a pattern is a
-//! [`CompiledPattern`]. What a call site still supplies is only what
-//! genuinely differs between them:
+//! [`CompiledPattern`].
 //!
-//! * the **member accessor** — how a group member yields its tuple id
-//!   and RHS code (a row of code columns, or a gathered wire row held by
-//!   index or by reference),
-//! * the **decoder** — how a violating group key becomes the `Vioπ`
-//!   value projection,
-//! * the **violation sink** — where flagged members land (a
-//!   [`ViolationSet`] through [`detect_grouped`], or the incremental
-//!   index's stateful key entries through [`validate_group`]).
+//! [`detect_grouped`] keeps **group summaries, not member lists**. It
+//! walks the caller's rows twice, in the same order:
+//!
+//! 1. *Scan.* One hash probe per row turns its key into a dense group
+//!    id, handed out in first-seen order; the group's summary — the
+//!    first RHS code seen and whether a later one differed — is updated
+//!    and the id is remembered for the row. That is all a verdict needs:
+//!    the semantics below ask of a group only "≥ 2 distinct RHS values?"
+//!    and, for a constant pattern, "which members differ from `c`?".
+//!    (Rows are read a block ahead of their probes, so rows held behind
+//!    a pointer each miss the cache in parallel.)
+//! 2. *Judge.* Per group, in first-seen order (so nothing downstream
+//!    ever sees hash-iteration order): one [`LhsIndex`] probe for the
+//!    patterns its key matches, one `judge` call on the summary, one
+//!    tally, and — only for a violating key — one decode into `Vioπ`.
+//! 3. *Emit.* The rows again: a row is flagged if its group is, or if
+//!    its own RHS differs from the one constant its group is held to.
+//!
+//! What a call site supplies is only what genuinely differs between
+//! them: the **rows** (an iterator cheap to clone — code columns walked
+//! chunk by chunk, a [`CodeBatch`](dcd_relation::CodeBatch), or gathered
+//! wire rows), how a row yields its **key** and its **tuple id and RHS
+//! code**, and the **decoder** from a violating key's codes to the
+//! `Vioπ` value projection. The incremental index, whose groups outlive
+//! a call, keeps its own member lists and asks [`validate_group`] per
+//! touched key.
 //!
 //! Which patterns match a key is answered by [`LhsIndex`], the
 //! σ-style bucketing by LHS wildcard mask (one hash probe per distinct
@@ -27,22 +44,24 @@
 //! built once per (fragment, CFD) and shared rather than re-derived per
 //! call site.
 //!
-//! The validation semantics live in [`validate_group`] and nowhere else
-//! in the engine (enforced by the `duplicate-detect-loop` lint rule):
-//! variable patterns flag the whole group iff it holds ≥ 2 distinct RHS
-//! values; constant patterns flag individual mismatching members
-//! (`t[A] ≭ c`), plus — under the strict §II-C reading — the whole
-//! group on an FD conflict. They are pinned not against a second
-//! instantiation of this module but against [`oracle`](crate::oracle),
-//! an independent pairwise transcription of the paper's definition. The
-//! queued `dcd_measure` crate hooks here: a graded inconsistency measure
-//! is one more sink over the same verdicts.
+//! The validation semantics live in `judge` (private to this module: it
+//! is the semantics, not an entry point) and nowhere else in the
+//! engine (enforced by the `duplicate-detect-loop` lint rule): variable
+//! patterns flag the whole group iff it holds ≥ 2 distinct RHS values;
+//! constant patterns flag individual mismatching members (`t[A] ≭ c`),
+//! plus — under the strict §II-C reading — the whole group on an FD
+//! conflict. Both [`validate_group`] and [`detect_grouped`] are that
+//! function plus a way of learning the conflict bit. They are pinned not
+//! against a second instantiation of this module but against
+//! [`oracle`](crate::oracle), an independent pairwise transcription of
+//! the paper's definition. The queued `dcd_measure` crate hooks here: a
+//! graded inconsistency measure is one more sink over the same verdicts.
 
 use crate::pattern::CompiledPattern;
-use crate::violation::ViolationSet;
 use dcd_obs::{Counter, MetricsRegistry};
 use dcd_relation::ops::CodeKey;
-use dcd_relation::{FxHashMap, FxHashSet, TupleId, Value, WILDCARD_CODE};
+use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
+use std::collections::hash_map::Entry;
 
 /// Instrument handles for the kernel: how many groups were validated,
 /// the [`GroupVerdict`] mix, and how many [`LhsIndex`] probes ran.
@@ -112,17 +131,6 @@ pub struct KernelTally {
     pub mixed: u64,
 }
 
-impl KernelTally {
-    /// Records one verdict.
-    pub fn record(&mut self, verdict: &GroupVerdict) {
-        match verdict {
-            GroupVerdict::Clean => self.clean += 1,
-            GroupVerdict::AllFlagged => self.all_flagged += 1,
-            GroupVerdict::Mixed(_) => self.mixed += 1,
-        }
-    }
-}
-
 /// The right-hand side of one tableau pattern, as seen by the kernel:
 /// either the wildcard (variable CFD) or a constant's dictionary code
 /// ([`CompiledPattern::rhs_spec`] is the one place that maps to it).
@@ -165,116 +173,311 @@ impl GroupVerdict {
     }
 }
 
-/// Validates one LHS group against the RHS specs of the patterns its
-/// key matches, in tableau order. This is the whole detection
-/// semantics; every detector's per-group step is this function.
+/// What the patterns matching a group's key conclude about it, knowing
+/// of its members only whether they hold ≥ 2 distinct RHS values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Judgement {
+    /// No pattern flags anything.
+    Clean,
+    /// Every member violates: the FD conflict convicts the whole group.
+    All,
+    /// The constant patterns agree on one constant: exactly the members
+    /// whose RHS differs from it violate.
+    Differing(u32),
+    /// The constant patterns name ≥ 2 distinct constants: every member
+    /// differs from one of them, so each violates on its own account.
+    EachMismatches,
+}
+
+/// The whole detection semantics, over a group summary. `specs` yields
+/// the RHS cells of the patterns the group's key matches; `conflict`
+/// says whether the group holds ≥ 2 distinct RHS values. A variable
+/// pattern convicts the whole group iff `conflict` (the dictionary is a
+/// bijection, so code equality *is* value equality); so does a constant
+/// one under the `strict` §II-C reading. Otherwise a constant pattern
+/// flags the members with `t[A] ≭ c` one at a time (a `NO_CODE`
+/// constant differs from every member by construction). The scan stops
+/// at the first pattern that convicts the group — later ones cannot add
+/// members.
+fn judge(specs: impl IntoIterator<Item = RhsSpec>, conflict: bool, strict: bool) -> Judgement {
+    let mut consts = Judgement::Clean;
+    for spec in specs {
+        match spec {
+            RhsSpec::Wild if conflict => return Judgement::All,
+            RhsSpec::Wild => {}
+            RhsSpec::Const(_) if strict && conflict => return Judgement::All,
+            RhsSpec::Const(c) => {
+                consts = match consts {
+                    Judgement::Clean => Judgement::Differing(c),
+                    Judgement::Differing(seen) if seen == c => consts,
+                    _ => Judgement::EachMismatches,
+                }
+            }
+        }
+    }
+    consts
+}
+
+/// Validates one materialized LHS group against the RHS specs of the
+/// patterns its key matches, in tableau order: `judge` over the
+/// group's conflict bit, which a scan for the first member differing
+/// from member 0 supplies, and — for a constant pattern — one pass
+/// marking the mismatching members.
 ///
-/// `specs` yields the matching patterns' RHS cells in tableau order;
-/// `rhs_of(fi)` reads member `fi`'s RHS code. The FD-conflict test
-/// (≥ 2 distinct RHS values) is computed lazily at the first matching
-/// pattern and shared across them; the scan stops as soon as the whole
-/// group is flagged, because further patterns cannot add members.
+/// `specs` yields the matching patterns' RHS cells; `rhs_of(fi)` reads
+/// member `fi`'s RHS code. With no matching pattern no member is read.
 pub fn validate_group(
     specs: impl IntoIterator<Item = RhsSpec>,
     n_members: usize,
     mut rhs_of: impl FnMut(usize) -> u32,
     strict: bool,
 ) -> GroupVerdict {
-    let mut group_flagged = false;
-    let mut member_flags: Option<Vec<bool>> = None;
-    // Distinct-RHS count computed lazily at the first matching pattern.
-    let mut fd_conflict: Option<bool> = None;
-    for spec in specs {
-        let conflict = *fd_conflict.get_or_insert_with(|| {
-            let distinct: FxHashSet<u32> = (0..n_members).map(&mut rhs_of).collect();
-            distinct.len() > 1
-        });
-        match spec {
-            // Variable pattern: all members violate iff ≥2 distinct RHS
-            // values in the group (the dictionary is a bijection, so
-            // code equality *is* value equality).
-            RhsSpec::Wild => group_flagged |= conflict,
-            RhsSpec::Const(c) => {
-                if strict && conflict {
-                    group_flagged = true;
-                }
-                // Single-tuple rule: t[A] ≭ c (a NO_CODE RHS constant
-                // differs from every member by construction).
-                let flags = member_flags.get_or_insert_with(|| vec![false; n_members]);
-                for (fi, flag) in flags.iter_mut().enumerate() {
-                    if rhs_of(fi) != c {
-                        *flag = true;
-                    }
-                }
-            }
-        }
-        if group_flagged {
-            break; // every member is flagged; further patterns add nothing
-        }
+    let mut specs = specs.into_iter().peekable();
+    if specs.peek().is_none() {
+        return GroupVerdict::Clean;
     }
-    if group_flagged {
-        GroupVerdict::AllFlagged
-    } else {
-        match member_flags {
-            Some(flags) if flags.contains(&true) => GroupVerdict::Mixed(flags),
-            _ => GroupVerdict::Clean,
+    let conflict = n_members > 1 && {
+        let first = rhs_of(0);
+        (1..n_members).any(|fi| rhs_of(fi) != first)
+    };
+    match judge(specs, conflict, strict) {
+        Judgement::Clean => GroupVerdict::Clean,
+        Judgement::All => GroupVerdict::AllFlagged,
+        Judgement::EachMismatches => GroupVerdict::Mixed(vec![true; n_members]),
+        Judgement::Differing(c) => {
+            let flags: Vec<bool> = (0..n_members).map(|fi| rhs_of(fi) != c).collect();
+            if flags.contains(&true) {
+                GroupVerdict::Mixed(flags)
+            } else {
+                GroupVerdict::Clean
+            }
         }
     }
 }
 
-/// The full kernel: validates every group of an LHS-keyed grouping and
-/// collects the violations. Groups whose key matches no pattern
-/// contribute nothing, so callers group *all* rows and let the
-/// [`LhsIndex`] probe — once per distinct key, not once per row —
-/// decide relevance.
+/// The tableau side of a [`detect_grouped`] run: the compiled patterns,
+/// how to find the ones a key matches, the reading, and where the
+/// tallies go.
+#[derive(Debug, Clone, Copy)]
+pub struct Tableau<'a> {
+    /// The compiled patterns, in tableau order.
+    pub patterns: &'a [CompiledPattern],
+    /// The bucketing of `patterns`, probed once per distinct key. `None`
+    /// means the caller already kept only rows matching `patterns` (a
+    /// Lemma 6 block holds the tuples of one pattern), so every key is
+    /// validated against all of them.
+    pub index: Option<&'a LhsIndex>,
+    /// The strict §II-C reading of constant patterns.
+    pub strict: bool,
+    /// Instrument handles the run's tallies are folded into.
+    pub counters: &'a KernelCounters,
+}
+
+/// What a [`detect_grouped`] run found, as plain vectors: the violating
+/// tuple ids in row order and the decoded violating keys in first-seen
+/// order. Keys are distinct by construction; ids are as distinct as the
+/// rows' were. Coordinators of one round see disjoint rows, so their
+/// findings concatenate into a `ViolationSet` built once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Flagged {
+    /// `Vio`: ids of the flagged rows.
+    pub tids: Vec<TupleId>,
+    /// `Vioπ`: the `t[X]` projection of every group with a flagged row.
+    pub patterns: Vec<Vec<Value>>,
+}
+
+/// What the scan keeps of one group.
+struct Summary {
+    key: CodeKey,
+    first_rhs: u32,
+    /// Some member's RHS code differed from `first_rhs`.
+    conflict: bool,
+}
+
+/// A row outside every group (its `key_of` was `None`).
+const NO_GROUP: u32 = u32::MAX;
+
+/// Rows whose RHS codes the scan reads ahead of probing them.
+const SCAN_BLOCK: usize = 64;
+
+/// The full kernel: groups `rows` by LHS key, validates every group
+/// against the patterns its key matches and collects the violations —
+/// scan, judge, emit, as the module docs lay out. Groups whose key
+/// matches no pattern contribute nothing, so callers hand over *all*
+/// rows and let the [`LhsIndex`] probe — once per distinct key, not
+/// once per row — decide relevance.
 ///
-/// `index` is the bucketing of `patterns`, probed per key. `None` means
-/// the caller already kept only rows matching `patterns` (a Lemma 6
-/// block holds the tuples of one pattern), so every key is validated
-/// against all of them. `member` reads one group member's tuple id and
-/// RHS code; `decode` projects a violating key's codes for `Vioπ`.
-pub fn detect_grouped<'g, I: 'g>(
-    groups: impl IntoIterator<Item = (&'g CodeKey, &'g Vec<I>)>,
-    index: Option<&LhsIndex>,
-    patterns: &[CompiledPattern],
-    member: impl Fn(&I) -> (TupleId, u32),
+/// `rows` is walked twice and must yield the same rows in the same order
+/// both times. `key_of` packs a row's LHS key, or returns `None` for a
+/// row to leave out (a pre-filter on one pattern); `member` reads a
+/// row's tuple id and RHS code; `decode` projects a violating key's
+/// codes for `Vioπ` — decoding is the expensive step, done only then.
+pub fn detect_grouped<R>(
+    rows: impl Iterator<Item = R> + Clone,
+    mut key_of: impl FnMut(&R) -> Option<CodeKey>,
+    member: impl Fn(&R) -> (TupleId, u32),
+    tableau: &Tableau<'_>,
     mut decode: impl FnMut(&[u32]) -> Vec<Value>,
-    strict: bool,
-    counters: &KernelCounters,
-) -> ViolationSet {
+) -> Flagged {
+    let patterns = tableau.patterns;
     let width = patterns.first().map_or(0, |p| p.lhs.len());
-    let mut out = ViolationSet::default();
+
+    // Scan: dense group ids in first-seen order, one summary per group,
+    // one id per row.
+    let mut ids: FxHashMap<CodeKey, u32> = FxHashMap::default();
+    let mut groups: Vec<Summary> = Vec::new();
+    let mut group_of: Vec<u32> = Vec::with_capacity(rows.size_hint().0);
+    let mut walk = rows.clone();
+    let mut rhs_ahead = [0u32; SCAN_BLOCK];
+    loop {
+        // A block's RHS codes are read before any of its rows is probed.
+        // The reads do not depend on one another — the probes chain
+        // through the map — so for rows held behind a pointer each
+        // (boxed wire rows) the cache misses overlap instead of queueing
+        // one behind every probe; the key's cells sit next to the RHS.
+        let block = walk.clone().take(SCAN_BLOCK);
+        let n = block.zip(&mut rhs_ahead).map(|(row, rhs)| *rhs = member(&row).1).count();
+        if n == 0 {
+            break;
+        }
+        for (row, &rhs) in walk.by_ref().take(n).zip(&rhs_ahead) {
+            let Some(key) = key_of(&row) else {
+                group_of.push(NO_GROUP);
+                continue;
+            };
+            let gid = match ids.entry(key) {
+                Entry::Occupied(seen) => {
+                    let gid = *seen.get();
+                    let group = &mut groups[gid as usize];
+                    group.conflict |= rhs != group.first_rhs;
+                    gid
+                }
+                Entry::Vacant(new) => {
+                    let gid = u32::try_from(groups.len()).expect("fewer groups than u32::MAX");
+                    groups.push(Summary {
+                        key: new.key().clone(),
+                        first_rhs: rhs,
+                        conflict: false,
+                    });
+                    *new.insert(gid)
+                }
+            };
+            group_of.push(gid);
+        }
+    }
+    drop(ids);
+
+    // Judge: one index probe and one verdict per group.
+    let mut out = Flagged::default();
+    let mut tally = KernelTally::default();
     let mut ranks: Vec<u32> = (0..patterns.len() as u32).collect();
     let mut probe_buf: Vec<u32> = Vec::new();
-    let mut tally = KernelTally::default();
-    for (key, members) in groups {
-        if let Some(index) = index {
-            index.matched_into(&key.codes(width), &mut probe_buf, &mut ranks);
+    let mut judged: Vec<Judgement> = Vec::with_capacity(groups.len());
+    for group in &groups {
+        let key = group.key.codes(width);
+        if let Some(index) = tableau.index {
+            index.matched_into(&key, &mut probe_buf, &mut ranks);
         }
         tally.probes += 1;
         if ranks.is_empty() {
+            judged.push(Judgement::Clean);
             continue;
         }
-        let verdict = validate_group(
-            ranks.iter().map(|&r| patterns[r as usize].rhs_spec()),
-            members.len(),
-            |fi| member(&members[fi]).1,
-            strict,
-        );
-        tally.record(&verdict);
-        // The sink: flagged members' tids join `Vio`; the group key joins
-        // `Vioπ`, decoded only now — decoding is the expensive step.
-        match &verdict {
-            GroupVerdict::Clean => continue,
-            GroupVerdict::AllFlagged => out.tids.extend(members.iter().map(|m| member(m).0)),
-            GroupVerdict::Mixed(flags) => out.tids.extend(
-                members.iter().zip(flags).filter(|(_, &flagged)| flagged).map(|(m, _)| member(m).0),
-            ),
+        let specs = ranks.iter().map(|&r| patterns[r as usize].rhs_spec());
+        let judgement = match judge(specs, group.conflict, tableau.strict) {
+            // A group without conflict is its first member, repeated: it
+            // differs from the constant as a whole or not at all.
+            Judgement::Differing(c) if !group.conflict && group.first_rhs == c => Judgement::Clean,
+            Judgement::Differing(_) if !group.conflict => Judgement::EachMismatches,
+            judgement => judgement,
+        };
+        match judgement {
+            Judgement::Clean => tally.clean += 1,
+            Judgement::All => tally.all_flagged += 1,
+            // With a conflict, some member differs from any constant.
+            Judgement::Differing(_) | Judgement::EachMismatches => tally.mixed += 1,
         }
-        out.patterns.insert(decode(&key.codes(width)));
+        if judgement != Judgement::Clean {
+            out.patterns.push(decode(&key));
+        }
+        judged.push(judgement);
     }
-    counters.absorb(&tally);
+    tableau.counters.absorb(&tally);
+
+    // Emit: the rows again, each against its group's judgement.
+    if !out.patterns.is_empty() {
+        for (row, &gid) in rows.zip(&group_of) {
+            let flagged = gid != NO_GROUP
+                && match judged[gid as usize] {
+                    Judgement::Clean => false,
+                    Judgement::All | Judgement::EachMismatches => true,
+                    Judgement::Differing(c) => member(&row).1 != c,
+                };
+            if flagged {
+                out.tids.push(member(&row).0);
+            }
+        }
+    }
     out
+}
+
+/// One run of rows held column-major: dense code slices for the LHS
+/// attributes and the RHS attribute, and the rows' tuple ids, all of one
+/// length — a storage chunk of a relation's columns, or the whole of a
+/// [`CodeBatch`](dcd_relation::CodeBatch).
+#[derive(Debug, Clone)]
+pub struct ColumnChunk<'a> {
+    /// One slice per LHS attribute, in LHS order.
+    pub lhs: Vec<&'a [u32]>,
+    /// The RHS codes.
+    pub rhs: &'a [u32],
+    /// The tuple ids.
+    pub tids: &'a [TupleId],
+}
+
+/// The rows of a chunk list in order, as `(chunk, row in chunk)`, with
+/// an exact length — the scan sizes its per-row ids from it.
+#[derive(Clone)]
+struct ColumnRows<'a> {
+    chunks: &'a [ColumnChunk<'a>],
+    row: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for ColumnRows<'a> {
+    type Item = (&'a ColumnChunk<'a>, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (chunk, rest) = self.chunks.split_first()?;
+        if self.row == chunk.tids.len() {
+            (self.chunks, self.row) = (rest, 0);
+            return self.next();
+        }
+        self.row += 1;
+        self.left -= 1;
+        Some((chunk, self.row - 1))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// [`detect_grouped`] over column-major rows: the keys are packed
+/// straight from the LHS slices ([`CodeKey::of_row`]).
+pub fn detect_columns(
+    chunks: &[ColumnChunk<'_>],
+    tableau: &Tableau<'_>,
+    decode: impl FnMut(&[u32]) -> Vec<Value>,
+) -> Flagged {
+    let left = chunks.iter().map(|c| c.tids.len()).sum();
+    detect_grouped(
+        ColumnRows { chunks, row: 0, left },
+        |&(chunk, r)| Some(CodeKey::of_row(&chunk.lhs, r)),
+        |&(chunk, r)| (chunk.tids[r], chunk.rhs[r]),
+        tableau,
+        decode,
+    )
 }
 
 /// One wildcard mask: the non-wild LHS positions, and the rank lists
@@ -424,12 +627,48 @@ mod tests {
     }
 
     #[test]
+    fn a_group_without_specs_reads_no_member() {
+        let v = validate_group([], 3, |_| panic!("no pattern matched: nothing to read"), true);
+        assert_eq!(v, GroupVerdict::Clean);
+    }
+
+    #[test]
+    fn two_distinct_constants_flag_every_member_individually() {
+        // No member can equal both constants — and without a variable
+        // pattern (or the strict reading) that is a mixed verdict, not a
+        // group conviction, conflict or not.
+        let v = validate_group([RhsSpec::Const(7), RhsSpec::Const(8)], 2, |_| 7, false);
+        assert_eq!(v, GroupVerdict::Mixed(vec![true, true]));
+        let rhs = [7u32, 8];
+        let specs = [RhsSpec::Const(7), RhsSpec::Const(8), RhsSpec::Const(7)];
+        assert_eq!(validate_group(specs, 2, |i| rhs[i], false), GroupVerdict::Mixed(vec![true; 2]));
+        assert_eq!(validate_group(specs, 2, |i| rhs[i], true), GroupVerdict::AllFlagged);
+    }
+
+    /// Runs the scan kernel over `(key code, tid = RHS code)` rows.
+    fn scan(
+        rows: &[(u32, u32)],
+        patterns: &[CompiledPattern],
+        index: Option<&LhsIndex>,
+        strict: bool,
+        counters: &KernelCounters,
+    ) -> Flagged {
+        detect_grouped(
+            rows.iter(),
+            |&&(key, _)| (key != NO_GROUP).then(|| CodeKey::of_codes(&[key])),
+            |&&(_, rhs)| (TupleId(u64::from(rhs)), rhs),
+            &Tableau { patterns, index, strict, counters },
+            |codes| vec![Value::Int(i64::from(codes[0]))],
+        )
+    }
+
+    #[test]
     fn kernel_counters_tally_probes_and_verdict_mix() {
         let reg = MetricsRegistry::new();
         let counters = KernelCounters::register(&reg);
-        // Four groups: one conflicted (AllFlagged), one clean, one
-        // constant-mismatch (Mixed), one matching no pattern (probed,
-        // not validated).
+        // Four groups, interleaved: one conflicted (AllFlagged), one
+        // clean, one constant-mismatch (Mixed), one matching no pattern
+        // (probed, not validated).
         let w = WILDCARD_CODE;
         let patterns = [
             CompiledPattern { lhs: vec![0], rhs: w, feasible: true },
@@ -437,28 +676,109 @@ mod tests {
             CompiledPattern { lhs: vec![2], rhs: 7, feasible: true },
         ];
         let index = LhsIndex::of_compiled(&patterns);
-        let groups: Vec<(CodeKey, Vec<u32>)> = [vec![1, 2], vec![5, 5], vec![7, 9], vec![1, 2]]
-            .into_iter()
-            .enumerate()
-            .map(|(k, rhs)| (CodeKey::of_codes(&[k as u32]), rhs))
-            .collect();
-        let out = detect_grouped(
-            groups.iter().map(|(k, m)| (k, m)),
-            Some(&index),
-            &patterns,
-            |&rhs| (TupleId(u64::from(rhs)), rhs),
-            |codes| vec![Value::Int(i64::from(codes[0]))],
-            false,
-            &counters,
-        );
-        assert_eq!(out.tids, [1, 2, 9].into_iter().map(TupleId).collect());
-        assert_eq!(out.patterns, [0, 2].into_iter().map(|k| vec![Value::Int(k)]).collect());
+        let rows = [(2, 7), (0, 1), (1, 5), (3, 3), (0, 2), (1, 5), (3, 4), (2, 9)];
+        let out = scan(&rows, &patterns, Some(&index), false, &counters);
+        // Flagged ids in row order, violating keys in first-seen order.
+        assert_eq!(out.tids, [1, 2, 9].map(TupleId));
+        assert_eq!(out.patterns, [2, 0].map(|k| vec![Value::Int(k)]));
         assert_eq!(counters.probes.get(), 4);
         assert_eq!(counters.groups.get(), 3);
         assert_eq!(counters.all_flagged.get(), 1);
         assert_eq!(counters.clean.get(), 1);
         assert_eq!(counters.mixed.get(), 1);
         assert_eq!(reg.counter_total("dcd_kernel_probes_total"), 4);
+    }
+
+    #[test]
+    fn scan_verdicts_equal_validate_group_on_the_materialized_groups() {
+        // Every spec mix over groups with and without conflict, both
+        // readings: the summary-driven scan must flag the members and
+        // tally the verdict `validate_group` reaches on the member list.
+        let w = WILDCARD_CODE;
+        let tableaux: [&[u32]; 7] = [&[w], &[7], &[7, 7], &[7, 8], &[8, w], &[w, 7], &[9]];
+        let groups: [&[u32]; 5] = [&[7], &[7, 7], &[8, 8], &[7, 8], &[8, 7, 9]];
+        for rhs_cells in tableaux {
+            let patterns: Vec<CompiledPattern> = rhs_cells
+                .iter()
+                .map(|&rhs| CompiledPattern { lhs: vec![w], rhs, feasible: true })
+                .collect();
+            for members in groups {
+                for strict in [false, true] {
+                    let specs = patterns.iter().map(CompiledPattern::rhs_spec);
+                    let want = validate_group(specs, members.len(), |fi| members[fi], strict);
+                    let rows: Vec<(u32, u32)> = members.iter().map(|&rhs| (0, rhs)).collect();
+                    let counters = KernelCounters::default();
+                    let got = scan(&rows, &patterns, None, strict, &counters);
+                    let label = format!("{rhs_cells:?} over {members:?}, strict={strict}");
+                    let flagged: Vec<TupleId> = (0..members.len())
+                        .filter(|&fi| want.member_flagged(fi))
+                        .map(|fi| TupleId(u64::from(members[fi])))
+                        .collect();
+                    assert_eq!(got.tids, flagged, "{label}");
+                    assert_eq!(got.patterns.len(), usize::from(want.any_flagged()), "{label}");
+                    let mix = (
+                        counters.clean.get() == 1,
+                        counters.all_flagged.get() == 1,
+                        counters.mixed.get() == 1,
+                    );
+                    let want_mix = (
+                        want == GroupVerdict::Clean,
+                        want == GroupVerdict::AllFlagged,
+                        matches!(want, GroupVerdict::Mixed(_)),
+                    );
+                    assert_eq!(mix, want_mix, "{label}");
+                    assert_eq!(counters.groups.get(), 1, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_without_a_key_stay_outside_every_group() {
+        let patterns =
+            [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
+        let counters = KernelCounters::default();
+        // The middle row is filtered out; without it the group is clean.
+        let rows = [(0, 1), (NO_GROUP, 2), (0, 1)];
+        assert_eq!(scan(&rows, &patterns, None, false, &counters), Flagged::default());
+        assert_eq!((counters.probes.get(), counters.clean.get()), (1, 1));
+    }
+
+    #[test]
+    fn a_conflict_in_the_last_partial_block_convicts_rows_of_every_block() {
+        // 150 rows: two full read-ahead blocks and a partial one. Only the
+        // very last row differs, so group 4's conflict is learnt in the
+        // third block and must reach its rows in the first two; rows 64
+        // and 128 — the first of a block — are filtered out.
+        let rows: Vec<(u32, u64, u32)> =
+            (0..150).map(|i| (i % 5, u64::from(i), u32::from(i == 149))).collect();
+        let patterns =
+            [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
+        let counters = KernelCounters::default();
+        let found = detect_grouped(
+            rows.iter(),
+            |&&(key, tid, _)| (tid % 64 != 0 || tid == 0).then(|| CodeKey::of_codes(&[key])),
+            |&&(_, tid, rhs)| (TupleId(tid), rhs),
+            &Tableau { patterns: &patterns, index: None, strict: false, counters: &counters },
+            |codes| vec![Value::Int(i64::from(codes[0]))],
+        );
+        let want: Vec<TupleId> =
+            (0..150).filter(|i| i % 5 == 4 && i % 64 != 0).map(TupleId).collect();
+        assert_eq!(found.tids, want);
+        assert_eq!(found.patterns, [vec![Value::Int(4)]]);
+        assert_eq!((counters.probes.get(), counters.clean.get()), (5, 4));
+    }
+
+    #[test]
+    fn column_rows_walk_every_chunk_and_skip_empty_ones() {
+        let tids: Vec<TupleId> = (0..5).map(TupleId).collect();
+        let (a, b): (&[u32], &[u32]) = (&[1, 1, 2], &[2, 1]);
+        let chunk = |codes, tids| ColumnChunk { lhs: vec![codes], rhs: codes, tids };
+        let chunks = [chunk(a, &tids[..3]), chunk(&[], &[]), chunk(b, &tids[3..])];
+        let rows = ColumnRows { chunks: &chunks, row: 0, left: 5 };
+        assert_eq!(rows.size_hint(), (5, Some(5)));
+        let seen: Vec<(u64, u32)> = rows.map(|(c, r)| (c.tids[r].0, c.rhs[r])).collect();
+        assert_eq!(seen, [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1)]);
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub use cfd::{Cfd, Fd, NormalCfd, SimpleCfd};
 pub use codes::{CodeLayout, CodeRow, ResolvedCfd};
 pub use discovery::{discover, discover_cfds, DiscoveryConfig};
 pub use implication::{chase_implies, fd_closure, fd_implies, minimal_cover, sigma_implies};
-pub use kernel::{validate_group, GroupVerdict, KernelCounters, KernelTally, LhsIndex, RhsSpec};
+pub use kernel::{
+    validate_group, Flagged, GroupVerdict, KernelCounters, KernelTally, LhsIndex, RhsSpec,
+};
 pub use parse::{parse_cfd, ParseError};
 pub use pattern::{NormalPattern, PatternTuple, PatternValue};
 pub use violation::{

@@ -28,10 +28,9 @@
 //! identical under both.
 
 use crate::cfd::{Cfd, SimpleCfd};
-use crate::kernel;
+use crate::kernel::{self, ColumnChunk, Flagged, KernelCounters, LhsIndex, Tableau};
 use crate::pattern::{compile_tableau, Admission, CompiledPattern};
-use dcd_relation::ops::CodeKey;
-use dcd_relation::{zip_chunks, FxHashMap, FxHashSet, Relation, TupleId, Value};
+use dcd_relation::{FxHashSet, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// The violations of one CFD in one relation: the tuple ids `Vio(φ, D)`
@@ -53,10 +52,32 @@ impl ViolationSet {
     }
 
     /// Merges another violation set into this one (same CFD, different
-    /// fragments/coordinators).
-    pub fn merge(&mut self, other: ViolationSet) {
+    /// fragments/coordinators). Ids and patterns each keep the larger
+    /// table and re-insert the smaller side, so merging into an empty
+    /// set is a move.
+    pub fn merge(&mut self, mut other: ViolationSet) {
+        if other.tids.len() > self.tids.len() {
+            std::mem::swap(&mut self.tids, &mut other.tids);
+        }
+        if other.patterns.len() > self.patterns.len() {
+            std::mem::swap(&mut self.patterns, &mut other.patterns);
+        }
         self.tids.extend(other.tids);
         self.patterns.extend(other.patterns);
+    }
+
+    /// The union of what several kernel runs over disjoint rows found
+    /// (one round's coordinators): both tables are sized for the total
+    /// once and filled once.
+    pub fn from_disjoint(parts: Vec<Flagged>) -> Self {
+        let mut out = ViolationSet::default();
+        out.tids.reserve(parts.iter().map(|p| p.tids.len()).sum());
+        out.patterns.reserve(parts.iter().map(|p| p.patterns.len()).sum());
+        for part in parts {
+            out.tids.extend(part.tids);
+            out.patterns.extend(part.patterns);
+        }
+        out
     }
 
     /// Materializes `Vioπ` in the paper's relational form: an instance of
@@ -74,6 +95,15 @@ impl ViolationSet {
             rel.push(row).expect("null-padded row matches schema");
         }
         rel
+    }
+}
+
+impl From<Flagged> for ViolationSet {
+    fn from(found: Flagged) -> Self {
+        ViolationSet {
+            tids: found.tids.into_iter().collect(),
+            patterns: found.patterns.into_iter().collect(),
+        }
     }
 }
 
@@ -97,6 +127,23 @@ impl ViolationReport {
             out.extend(v.tids.iter().copied());
         }
         out
+    }
+
+    /// `|Vio(Σ, D)|`, the number of distinct violating tuples, without
+    /// building [`Self::all_tids`]: the largest set counts whole, and a
+    /// further set adds the ids no set counted before it holds. One CFD
+    /// is one `len()`; disjoint sets cost one probe per id outside the
+    /// largest.
+    pub fn distinct_tids(&self) -> usize {
+        let mut sets: Vec<&FxHashSet<TupleId>> =
+            self.per_cfd.iter().map(|(_, v)| &v.tids).collect();
+        sets.sort_by_key(|set| std::cmp::Reverse(set.len()));
+        let Some((largest, further)) = sets.split_first() else { return 0 };
+        let uncounted = |k: usize| {
+            let counted = |id| largest.contains(id) || further[..k].iter().any(|s| s.contains(id));
+            further[k].iter().filter(|&id| !counted(id)).count()
+        };
+        largest.len() + (0..further.len()).map(uncounted).sum::<usize>()
     }
 
     /// Adds (merging by name) a per-CFD violation set. The name is
@@ -151,36 +198,30 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         // Every pattern names a constant the relation never saw.
         return ViolationSet::default();
     }
+    // Hand the kernel *all* rows, a storage chunk at a time so its key
+    // loop runs on plain slices; the LHS index then decides per distinct
+    // key — not per row — which patterns apply (keys matching none emit
+    // nothing). An empty LHS packs every row to the one empty key.
     let lhs_cols = rel.code_views(&cfd.lhs);
     let rhs_col = rel.column(cfd.rhs).codes();
-    // Group *all* rows by LHS key, walking the columns chunk-at-a-time
-    // so the hot key loop runs on plain slices; the kernel's LHS index
-    // then decides per distinct key — not per row — which patterns
-    // apply (keys matching none emit nothing).
-    let mut groups: FxHashMap<CodeKey, Vec<usize>> = FxHashMap::default();
-    if cfd.lhs.is_empty() {
-        // Degenerate empty-LHS key: every row shares one group.
-        for i in 0..rel.len() {
-            groups.entry(CodeKey::of_codes(&[])).or_default().push(i);
-        }
-    } else {
-        zip_chunks(&lhs_cols, |base, chunk_cols| {
-            for r in 0..chunk_cols[0].len() {
-                groups.entry(CodeKey::of_row(chunk_cols, r)).or_default().push(base + r);
+    let cr = rel.chunk_rows();
+    let chunks: Vec<ColumnChunk<'_>> = (0..rel.n_chunks())
+        .map(|ci| {
+            let rhs = rhs_col.chunk(ci);
+            ColumnChunk {
+                lhs: lhs_cols.iter().map(|col| col.chunk(ci)).collect(),
+                rhs,
+                tids: &rel.tids()[ci * cr..ci * cr + rhs.len()],
             }
-        });
-    }
-
-    let tids = rel.tids();
-    kernel::detect_grouped(
-        &groups,
-        Some(&kernel::LhsIndex::of_compiled(&compiled)),
-        &compiled,
-        |&i| (tids[i], rhs_col[i]),
-        |key| rel.decode_projection(&cfd.lhs, key),
+        })
+        .collect();
+    let tableau = Tableau {
+        patterns: &compiled,
+        index: Some(&LhsIndex::of_compiled(&compiled)),
         strict,
-        &kernel::KernelCounters::default(),
-    )
+        counters: &KernelCounters::default(),
+    };
+    kernel::detect_columns(&chunks, &tableau, |key| rel.decode_projection(&cfd.lhs, key)).into()
 }
 
 /// Single-tuple detection of an all-constant-pattern CFD, restricted to
@@ -491,6 +532,70 @@ pub(crate) mod tests {
         let narrow = detect(&rel, &cfdw);
         let merged = detect(&rel, &both);
         assert_eq!(tids(&narrow), tids(&merged));
+    }
+
+    fn set_of(tids: impl IntoIterator<Item = u64>, keys: &[i64]) -> ViolationSet {
+        ViolationSet {
+            tids: tids.into_iter().map(TupleId).collect(),
+            patterns: keys.iter().map(|&k| vals![k]).collect(),
+        }
+    }
+
+    #[test]
+    fn merge_holds_the_union_whichever_side_is_larger() {
+        let small = set_of(0..3, &[1, 2, 3, 4]);
+        let large = set_of(2..40, &[4]);
+        let union = set_of(0..40, &[1, 2, 3, 4]);
+        for (mut into, from) in [(small.clone(), large.clone()), (large, small)] {
+            into.merge(from);
+            assert_eq!(into.tids, union.tids);
+            assert_eq!(into.patterns, union.patterns);
+        }
+        // Into the empty entry every round starts from: the set itself.
+        let mut entry = ViolationSet::default();
+        entry.merge(union.clone());
+        assert_eq!((entry.tids, entry.patterns), (union.tids, union.patterns));
+    }
+
+    #[test]
+    fn from_disjoint_is_the_union_of_the_parts() {
+        let part = |tids: std::ops::Range<u64>, keys: &[i64]| Flagged {
+            tids: tids.map(TupleId).collect(),
+            patterns: keys.iter().map(|&k| vals![k]).collect(),
+        };
+        let built = ViolationSet::from_disjoint(vec![
+            part(0..5, &[1]),
+            Flagged::default(),
+            part(5..9, &[2, 3]),
+        ]);
+        let want = set_of(0..9, &[1, 2, 3]);
+        assert_eq!((built.tids, built.patterns), (want.tids, want.patterns));
+        assert!(ViolationSet::from_disjoint(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn distinct_tids_counts_the_union_without_building_it() {
+        let report = |sets: Vec<ViolationSet>| ViolationReport {
+            per_cfd: sets
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| (format!("c{i}").into(), v))
+                .collect(),
+        };
+        let cases = [
+            vec![],
+            vec![set_of(0..7, &[])],
+            // Disjoint; the largest set is not the first.
+            vec![set_of(0..3, &[]), set_of(10..30, &[]), set_of(40..45, &[])],
+            // Overlapping pairwise and all three at once, one set empty,
+            // one contained in another.
+            vec![set_of(0..10, &[]), set_of(5..15, &[]), set_of(8..12, &[]), set_of(0..0, &[])],
+            vec![set_of(0..4, &[]), set_of(0..4, &[])],
+        ];
+        for sets in cases {
+            let r = report(sets);
+            assert_eq!(r.distinct_tids(), r.all_tids().len(), "{r:?}");
+        }
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl RunCtx {
     /// the registry is frozen — every engine finishes through here, so
     /// the families are uniform across detectors.
     pub fn snapshot(&self, algorithm: &str, violations: ViolationReport) -> Detection {
-        let tuples = violations.all_tids().len();
+        let tuples = violations.distinct_tids();
         let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
         let response_time = self.clocks.response_time();
         let registry = &self.obs.registry;

@@ -16,7 +16,7 @@
 //! lifted to clusters.
 
 use crate::config::RunConfig;
-use crate::ctx::RunCtx;
+use crate::ctx::{Phase, RunCtx};
 use crate::local::applicable_patterns;
 use crate::report::Detection;
 use crate::runner::{
@@ -24,12 +24,12 @@ use crate::runner::{
     sigma_phase, CoordinatorStrategy,
 };
 use crate::sigma::{sort_for_sigma, SigmaPartition};
-use dcd_cfd::codes::{CodeRow, ResolvedCfd};
+use dcd_cfd::codes::ResolvedCfd;
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{Cfd, NormalPattern, PatternValue, SimpleCfd};
+use dcd_cfd::{Cfd, Flagged, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{HorizontalPartition, SiteId, TID_CELLS};
-use dcd_relation::{AttrId, FxHashSet};
+use dcd_relation::{AttrId, CodeBatch, FxHashSet};
 
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
 /// time over one shared [`RunCtx`], each round run with the `inner`
@@ -213,48 +213,73 @@ fn run_cluster(
             r
         })
         .collect();
-    let mut gathered: Vec<Vec<CodeRow>> = vec![Vec::new(); n];
-    ctx.phase("ship:cluster", |p| {
-        let mut wire = p.transfer();
-        for (l, coord) in assignment.iter().enumerate() {
-            let Some(c) = *coord else { continue };
-            for (i, frag) in partition.fragments().iter().enumerate() {
-                let block = &parts[i].blocks[l];
-                if block.is_empty() {
-                    continue;
-                }
-                if i != c.index() {
-                    wire.send(c, frag.site, block.len(), block.len() * (attrs.len() + TID_CELLS));
-                }
-                gathered[c.index()].extend(frag.data.code_rows(&attrs, block));
-            }
-        }
-        wire.commit();
-    });
+    let gathered =
+        ctx.phase("ship:cluster", |p| gather_cluster(p, partition, &parts, &assignment, &attrs));
 
     // Validate every member CFD at each coordinator, in parallel, on
-    // codes (each member's attributes resolve to cell positions of the
+    // codes (each member's attributes resolve to columns of the
     // cluster's union layout).
-    let validated = ctx.phase("validate:cluster", |p| {
+    let mut validated = ctx.phase("validate:cluster", |p| {
         scoped_map(cfg.threads, n, |c| {
-            let rows = &gathered[c];
-            if rows.is_empty() {
-                return Vec::new();
+            let batch = &gathered[c];
+            if batch.is_empty() {
+                return vec![Flagged::default(); resolved.len()];
             }
-            let analytic = cfg.cost.check_time(rows.len()) * variable_members.len() as f64;
+            let analytic = cfg.cost.check_time(batch.len()) * variable_members.len() as f64;
             p.charge(
                 SiteId(c as u32),
-                || resolved.iter().map(|r| r.detect_among(rows)).collect::<Vec<ViolationSet>>(),
+                || resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>(),
                 |_| analytic,
             )
         })
     });
-    for results in validated {
-        for (m, vs) in variable_members.iter().zip(results) {
-            ctx.absorb(&m.name, vs);
-        }
+    // A tuple reaches one coordinator per cluster, so what the
+    // coordinators found for a member is disjoint: its set is built once.
+    for (mi, m) in variable_members.iter().enumerate() {
+        let found = validated.iter_mut().map(|at_site| std::mem::take(&mut at_site[mi])).collect();
+        ctx.absorb(&m.name, ViolationSet::from_disjoint(found));
     }
     ctx.end_round();
+}
+
+/// The cluster's one shipment: every σ-block goes to its pattern's
+/// coordinator on the code-native wire — `(tid, codes)` rows over
+/// `attrs`, charged at 4 bytes/cell plus the id cells — and lands in
+/// that coordinator's [`CodeBatch`], copied a column at a time from the
+/// fragment's chunk slices. The batches are sized from the blocks they
+/// will receive, so a round allocates `sites × (attrs + 1)` buffers
+/// however many rows ship.
+fn gather_cluster(
+    p: &Phase<'_>,
+    partition: &HorizontalPartition,
+    parts: &[SigmaPartition],
+    assignment: &[Option<SiteId>],
+    attrs: &[AttrId],
+) -> Vec<CodeBatch> {
+    let mut rows_at = vec![0; partition.n_sites()];
+    for (l, coord) in assignment.iter().enumerate() {
+        if let Some(c) = coord {
+            rows_at[c.index()] += parts.iter().map(|part| part.blocks[l].len()).sum::<usize>();
+        }
+    }
+    let mut gathered: Vec<CodeBatch> =
+        rows_at.iter().map(|&rows| CodeBatch::with_capacity(attrs.len(), rows)).collect();
+    let mut wire = p.transfer();
+    for (l, coord) in assignment.iter().enumerate() {
+        let Some(c) = *coord else { continue };
+        for (i, frag) in partition.fragments().iter().enumerate() {
+            let block = &parts[i].blocks[l];
+            if block.is_empty() {
+                continue;
+            }
+            if i != c.index() {
+                wire.send(c, frag.site, block.len(), block.len() * (attrs.len() + TID_CELLS));
+            }
+            frag.data.gather_into(attrs, block, &mut gathered[c.index()]);
+        }
+    }
+    wire.commit();
+    gathered
 }
 
 #[cfg(test)]
@@ -299,6 +324,50 @@ mod tests {
             parse_cfd(s, "phi1", "([cc, zip] -> [street])").unwrap(),
             parse_cfd(s, "phi2", "([cc] -> [city])").unwrap(),
         ]
+    }
+
+    /// The gather allocates per coordinator, never per row: every buffer
+    /// of every batch is created at the size of what the blocks assigned
+    /// to that coordinator hold, and filled without growing.
+    #[test]
+    fn a_cluster_round_gathers_into_exactly_sized_batches() {
+        let rel = sample(90);
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let attrs: Vec<AttrId> =
+            ["cc", "zip", "city"].map(|a| rel.schema().require(a).unwrap()).into();
+        // Two projected patterns; site 1 holds nothing of the second.
+        let parts: Vec<SigmaPartition> =
+            [[vec![0, 2, 5, 6], vec![1, 3]], [vec![4, 9, 29], vec![]], [vec![], (3..25).collect()]]
+                .into_iter()
+                .map(|blocks| SigmaPartition { blocks: blocks.into(), comparisons: 0 })
+                .collect();
+        let assignment = [Some(SiteId(2)), Some(SiteId(0))];
+
+        let mut ctx = RunCtx::new(3, RunConfig::default());
+        let gathered =
+            ctx.phase("ship", |p| gather_cluster(p, &partition, &parts, &assignment, &attrs));
+        let rows_at: Vec<usize> = gathered.iter().map(CodeBatch::len).collect();
+        assert_eq!(rows_at, [2 + 22, 0, 4 + 3]);
+        for batch in &gathered {
+            assert_eq!(batch.cols.len(), attrs.len());
+            assert_eq!(batch.tids.capacity(), batch.len(), "sized once, from the blocks");
+            for col in &batch.cols {
+                assert_eq!((col.len(), col.capacity()), (batch.len(), batch.len()));
+            }
+        }
+        // Pattern-major, then by site: the rows `code_rows` would ship.
+        let frags = partition.fragments();
+        let mut want = frags[0].data.code_rows(&attrs, &parts[0].blocks[1]);
+        want.extend(frags[2].data.code_rows(&attrs, &parts[2].blocks[1]));
+        assert_eq!(gathered[0].tids, want.iter().map(|(tid, _)| *tid).collect::<Vec<_>>());
+        for (j, col) in gathered[0].cols.iter().enumerate() {
+            assert_eq!(*col, want.iter().map(|(_, cells)| cells[j]).collect::<Vec<_>>());
+        }
+        // Only rows that change site are charged: pattern 1 sends site
+        // 2's 22 rows to site 0, pattern 0 sends 4 + 3 rows to site 2.
+        let d = ctx.finish("gather");
+        assert_eq!(d.shipped_tuples, 22 + 4 + 3);
+        assert_eq!(d.shipped_cells, (22 + 4 + 3) * (attrs.len() + TID_CELLS));
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub fn describe(rule: &str) -> &'static str {
              `dcd_cfd::kernel` — the group-validation semantics (distinct-RHS \
              conflict, wildcard/constant flagging) have exactly one home in \
              the engine (and one deliberately independent reference, \
-             `dcd_cfd::oracle`); call `kernel::detect_grouped`/`validate_group` \
-             instead"
+             `dcd_cfd::oracle`); call `kernel::detect_grouped`/`detect_columns`/\
+             `validate_group` instead"
         }
         "exhaustive-dispatch" => {
             "a `_` wildcard or lowercase catch-all arm in an engine `match` on \
@@ -135,7 +135,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              engine — the workspace once carried five divergent copies. The \
              rule flags `for` bodies that re-implement the shape (hash \
              accumulation + RHS reads + flag decision + distinctness test) \
-             without delegating to `validate_group`/`detect_grouped`. One \
+             without delegating to `validate_group`/`detect_grouped`/\
+             `detect_columns`. One \
              second spelling is sanctioned by design and exempted by file \
              name next to `kernel.rs`: `crates/cfd/src/oracle.rs`, the \
              pairwise transcription of the paper's definition that the kernel \
@@ -627,16 +628,17 @@ fn relaxed_atomic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 ///    `conflict`),
 /// 4. compares for distinctness (`!=`, or a `> 1` distinct count).
 ///
-/// A body that delegates to the kernel (`validate_group`,
-/// `detect_grouped`, or matching on `GroupVerdict`/building `RhsSpec`s)
-/// is sanctioned — that is the *intended* way to
+/// A body that delegates to the kernel (`validate_group`, the scan
+/// entry `detect_grouped` or its column front-end `detect_columns`, or
+/// matching on `GroupVerdict`/building `RhsSpec`s) is sanctioned — that is the *intended* way to
 /// run group validation, not a duplicate of it.
 fn duplicate_detect_loop(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     const HOMES: [&str; 2] = ["crates/cfd/src/kernel.rs", "crates/cfd/src/oracle.rs"];
     if file.class != FileClass::Engine || HOMES.iter().any(|home| file.path.ends_with(home)) {
         return;
     }
-    const KERNEL_CALLS: [&str; 4] = ["validate_group", "detect_grouped", "GroupVerdict", "RhsSpec"];
+    const KERNEL_CALLS: [&str; 5] =
+        ["validate_group", "detect_grouped", "detect_columns", "GroupVerdict", "RhsSpec"];
     const ACCUMULATORS: [&str; 4] = ["insert", "or_insert", "or_insert_with", "get_or_insert_with"];
     let n = file.code.len();
     for ci in 0..n {
@@ -694,8 +696,9 @@ fn duplicate_detect_loop(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 "this loop re-implements per-group tableau validation (RHS \
                  accumulation + distinctness test + flag decision); the one \
                  group-validation kernel is `dcd_cfd::kernel` — instantiate \
-                 `kernel::detect_grouped` (or `validate_group` for a \
-                 pre-grouped member list) instead of duplicating its semantics"
+                 `kernel::detect_grouped` over the rows (`detect_columns` for \
+                 column slices, `validate_group` for a member list you keep) \
+                 instead of duplicating its semantics"
                     .to_string(),
             ));
         }

@@ -61,7 +61,7 @@ pub use delta::{DeltaEffect, RelationDelta};
 pub use error::RelationError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use predicate::{Atom, CmpOp, Conjunction, Predicate};
-pub use relation::Relation;
+pub use relation::{CodeBatch, Relation};
 pub use schema::{AttrId, Attribute, Schema, SchemaBuilder, ValueType};
 pub use store::{
     chunk_rows, set_chunk_rows, zip_chunks, zip_chunks_range, CodesView, Column, Dictionary,

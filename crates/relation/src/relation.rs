@@ -5,7 +5,7 @@ use crate::delta::{DeltaEffect, RelationDelta};
 use crate::error::RelationError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::{AttrId, Schema, ValueType};
-use crate::store::{survivor_runs, CodesView, Column, Dictionary};
+use crate::store::{chunk_runs, survivor_runs, CodesView, Column, Dictionary};
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use std::fmt;
@@ -49,6 +49,41 @@ pub struct Relation {
     /// binary search. Kept current by [`Relation::push_tid`]; removing
     /// rows cannot falsify it.
     ascending: bool,
+}
+
+/// A batch of rows on the code-native wire, column-major: the tuple ids
+/// and one dense code vector per shipped attribute, all of one length.
+/// It carries what the same rows carry as `(tid, codes)` pairs
+/// ([`Relation::code_rows`]) in `1 + width` buffers however many rows
+/// there are, and a receiver scans each column as one plain slice.
+/// Filled by [`Relation::gather_into`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CodeBatch {
+    /// Tuple ids, one per row.
+    pub tids: Vec<TupleId>,
+    /// `cols[j][r]`: the code of row `r` under the `j`-th shipped
+    /// attribute.
+    pub cols: Vec<Vec<u32>>,
+}
+
+impl CodeBatch {
+    /// An empty batch of `width` attributes with room for `rows` rows.
+    pub fn with_capacity(width: usize, rows: usize) -> Self {
+        CodeBatch {
+            tids: Vec::with_capacity(rows),
+            cols: (0..width).map(|_| Vec::with_capacity(rows)).collect(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.tids.len()
+    }
+
+    /// Whether the batch holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.tids.is_empty()
+    }
 }
 
 impl Relation {
@@ -379,8 +414,36 @@ impl Relation {
     /// code-native wire. One `u32` per cell; decoding happens only at
     /// the receiver, and only for violating group keys.
     pub fn code_rows(&self, attrs: &[AttrId], rows: &[usize]) -> Vec<(TupleId, Box<[u32]>)> {
-        let cols: Vec<CodesView<'_>> = self.code_views(attrs);
-        rows.iter().map(|&i| (self.tids[i], cols.iter().map(|c| c.at(i)).collect())).collect()
+        let cr = self.chunk_rows();
+        let mut out = Vec::with_capacity(rows.len());
+        let mut slices: Vec<&[u32]> = Vec::with_capacity(attrs.len());
+        for (ci, run) in chunk_runs(rows, cr) {
+            slices.clear();
+            slices.extend(attrs.iter().map(|&a| self.column(a).codes().chunk(ci)));
+            out.extend(run.iter().map(|&i| {
+                let r = i - ci * cr;
+                (self.tids[i], slices.iter().map(|chunk| chunk[r]).collect())
+            }));
+        }
+        out
+    }
+
+    /// Appends the given tuple indices, projected onto `attrs`, to a
+    /// [`CodeBatch`] of that width: the same ids and cells as
+    /// [`Relation::code_rows`] in the same order, copied a column at a
+    /// time from the chunk slices into the batch's dense vectors. Nothing
+    /// is allocated per row — or at all, when the batch was built with
+    /// room for what it will receive.
+    pub fn gather_into(&self, attrs: &[AttrId], rows: &[usize], batch: &mut CodeBatch) {
+        assert_eq!(attrs.len(), batch.cols.len(), "batch width differs from the projection");
+        let cr = self.chunk_rows();
+        batch.tids.extend(rows.iter().map(|&i| self.tids[i]));
+        for (ci, run) in chunk_runs(rows, cr) {
+            for (&a, out) in attrs.iter().zip(&mut batch.cols) {
+                let chunk = self.column(a).codes().chunk(ci);
+                out.extend(run.iter().map(|&i| chunk[i - ci * cr]));
+            }
+        }
     }
 
     /// Appends a row given as dictionary codes (one per attribute, in

@@ -651,9 +651,42 @@ pub fn zip_chunks_range<'a>(
     }
 }
 
+/// Cuts a row list into maximal runs that stay inside one chunk:
+/// `(chunk index, the run's rows)`, in list order. A gather then pays its
+/// division once per run and indexes the chunk's plain slice in between
+/// ([`CodesView::at`] divides per cell). An ascending list — a σ block —
+/// yields one run per chunk it touches; any other order still works, run
+/// by run.
+pub(crate) fn chunk_runs(
+    rows: &[usize],
+    chunk_rows: usize,
+) -> impl Iterator<Item = (usize, &[usize])> {
+    let mut rest = rows;
+    std::iter::from_fn(move || {
+        let ci = rest.first()? / chunk_rows;
+        let inside = ci * chunk_rows..(ci + 1) * chunk_rows;
+        let n = rest.iter().take_while(|&i| inside.contains(i)).count();
+        let (run, tail) = rest.split_at(n);
+        rest = tail;
+        Some((ci, run))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chunk_runs_cut_at_seams_and_at_every_step_back() {
+        let runs = |rows: &[usize]| {
+            chunk_runs(rows, 4).map(|(ci, run)| (ci, run.to_vec())).collect::<Vec<_>>()
+        };
+        assert!(runs(&[]).is_empty());
+        // Ascending: one run per chunk touched.
+        assert_eq!(runs(&[1, 3, 4, 5, 11]), [(0, vec![1, 3]), (1, vec![4, 5]), (2, vec![11])]);
+        // Any order: a run ends wherever the next row leaves the chunk.
+        assert_eq!(runs(&[5, 4, 0, 7, 7]), [(1, vec![5, 4]), (0, vec![0]), (1, vec![7, 7])]);
+    }
 
     #[test]
     fn intern_is_idempotent_and_dense() {

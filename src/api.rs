@@ -1,17 +1,17 @@
 //! The code-native detection façade: one request object over every
 //! topology.
 //!
-//! The workspace grew five public detection entry points with five
-//! different signatures — the per-topology engine functions
-//! (`run_batch`, `run_seq`/`run_clust`, `run_hybrid`,
-//! `run_replicated`, `run_vertical`) and the incremental runs. This
-//! module folds them into a single front door, the shape a production
-//! service exposes
-//! (measure-style front doors hiding the placement behind one request
-//! object are standard in the inconsistency-measurement literature —
-//! Livshits et al., *Properties of Inconsistency Measures for
-//! Databases*; Parisi & Grant, *Inconsistency Measures for Relational
-//! Databases*):
+//! Beneath it the engines keep their own signatures — `run_batch`,
+//! `run_seq` / `run_clust`, `run_hybrid`, `run_replicated`,
+//! `run_vertical`, and the two incremental runs — because what they need
+//! differs: a strategy, a ship mode, a mining configuration. A caller
+//! should not have to know which of them its data calls for, so this
+//! module is the single front door, the shape a production service
+//! exposes (measure-style front doors hiding the placement behind one
+//! request object are standard in the inconsistency-measurement
+//! literature — Livshits et al., *Properties of Inconsistency Measures
+//! for Databases*; Parisi & Grant, *Inconsistency Measures for
+//! Relational Databases*):
 //!
 //! * [`Topology`] names where the data lives: horizontal, vertical,
 //!   hybrid or replicated partitions;
@@ -24,9 +24,10 @@
 //!   maintains the result under delta batches instead of re-running.
 //!
 //! Every engine beneath the façade ships dictionary codes, never value
-//! payloads: batch coordinators gather `(tid, codes)` rows charged at
-//! 4 bytes/cell ([`dcd_dist::CODE_BYTES`]), and incremental sessions
-//! ship delta code rows the same way. The engines remain public for
+//! payloads: batch coordinators gather `(tid, codes)` rows — a cluster
+//! round as one column batch per coordinator — charged at 4 bytes/cell
+//! ([`dcd_dist::CODE_BYTES`]), and incremental sessions ship delta code
+//! rows the same way. The engines remain public for
 //! direct use, and `tests/prop_facade.rs` pins the façade bit-identical
 //! to them.
 //!

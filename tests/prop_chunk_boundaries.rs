@@ -5,13 +5,13 @@
 //! column were one flat array. These proptests rebuild the same data
 //! under a tiny chunk size (so every operation crosses seams) and under
 //! a chunk size larger than the data (one flat chunk), then drive
-//! `code_rows`, delta application (`remove_rows` + chunk-tail appends
-//! under the hood) and point reads across both layouts, demanding
-//! identical results — including on ranges that straddle chunk
-//! boundaries.
+//! `code_rows`, the column-batch gather, delta application
+//! (`remove_rows` + chunk-tail appends under the hood) and point reads
+//! across both layouts, demanding identical results — including on
+//! ranges that straddle chunk boundaries.
 
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::set_chunk_rows;
+use distributed_cfd::relation::{set_chunk_rows, CodeBatch};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -77,6 +77,50 @@ proptest! {
         let attrs = all_attrs(&chunked);
         prop_assert_eq!(chunked.code_rows(&attrs, &subset), flat.code_rows(&attrs, &subset));
         prop_assert_eq!(snapshot(&chunked), snapshot(&flat));
+    }
+
+    /// A σ-block — ascending rows, here a run that crosses every seam
+    /// between its ends, thinned by a stride — reads the same chunked
+    /// and flat, and [`Relation::gather_into`] lays the same ids and
+    /// cells out column-major, in the same order, for any attribute
+    /// subset in any order, appending to what the batch already holds.
+    #[test]
+    fn gather_into_equals_code_rows_across_seams(
+        rows in prop::collection::vec((0..5i64, 0..4u8), 1..60),
+        chunk in 1..9usize,
+        start in 0..60usize,
+        len in 0..60usize,
+        stride in 1..4usize,
+        attr_picks in prop::collection::vec(0..3u16, 0..4),
+        picks in prop::collection::vec(0..60usize, 0..30),
+    ) {
+        let _guard = chunk_lock();
+        set_chunk_rows(Some(chunk));
+        let chunked = build(&rows);
+        set_chunk_rows(Some(1 << 20)); // one flat chunk
+        let flat = build(&rows);
+        set_chunk_rows(None);
+
+        let attrs: Vec<_> = attr_picks.into_iter().map(distributed_cfd::relation::AttrId).collect();
+        let block: Vec<usize> =
+            (start..start + len).step_by(stride).filter(|&i| i < rows.len()).collect();
+        let unordered: Vec<usize> = picks.into_iter().filter(|&i| i < rows.len()).collect();
+        prop_assert_eq!(chunked.code_rows(&attrs, &block), flat.code_rows(&attrs, &block));
+
+        let mut batch = CodeBatch::with_capacity(attrs.len(), block.len());
+        let buffers: Vec<*const u32> = batch.cols.iter().map(|col| col.as_ptr()).collect();
+        chunked.gather_into(&attrs, &block, &mut batch);
+        let filled: Vec<*const u32> = batch.cols.iter().map(|col| col.as_ptr()).collect();
+        prop_assert_eq!(buffers, filled, "a batch with room for the block is filled in place");
+        chunked.gather_into(&attrs, &unordered, &mut batch);
+
+        let mut want = flat.code_rows(&attrs, &block);
+        want.extend(flat.code_rows(&attrs, &unordered));
+        prop_assert_eq!(batch.len(), want.len());
+        prop_assert_eq!(&batch.tids, &want.iter().map(|(tid, _)| *tid).collect::<Vec<_>>());
+        for (j, col) in batch.cols.iter().enumerate() {
+            prop_assert_eq!(col, &want.iter().map(|(_, cells)| cells[j]).collect::<Vec<_>>());
+        }
     }
 
     /// Deltas whose deletes and inserts straddle chunk seams leave the

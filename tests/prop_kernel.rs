@@ -10,10 +10,12 @@
 //! stream — both on the raw [`IncrementalRun`] and through the
 //! [`IncrementalSession`] facade.
 
-use distributed_cfd::cfd::{oracle, validate_group, GroupVerdict, RhsSpec};
+use distributed_cfd::cfd::{
+    detect_simple_strict, oracle, validate_group, GroupVerdict, KernelCounters, RhsSpec,
+};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
+use distributed_cfd::relation::{AttrId, FxHashSet};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -173,6 +175,138 @@ proptest! {
             prop_assert_eq!(&columnar.tids, &code_native.tids, "columnar vs codes Vio");
             prop_assert_eq!(&columnar.patterns, &code_native.patterns, "columnar vs codes Vioπ");
         }
+    }
+}
+
+/// One tableau row of a mixed CFD: LHS constants or wildcards over
+/// `(a, b, c)`, and an RHS that is `_` or a constant `d`.
+type MixedPattern = (Option<i64>, Option<i64>, Option<u8>, Option<u8>);
+
+/// What the naive per-group semantics expects of a whole relation: the
+/// flagged row indices, the violating `(a, b, c)` keys, and the tallies
+/// a kernel run over these rows should report.
+#[derive(Debug, Default, PartialEq)]
+struct NaiveRun {
+    rows: Vec<usize>,
+    keys: Vec<(i64, i64, u8)>,
+    probes: u64,
+    clean: u64,
+    all_flagged: u64,
+    mixed: u64,
+}
+
+/// Groups rows by `(a, b, c)` values, lists each group's matching
+/// patterns in tableau order and applies [`naive_group_flags`]. A group
+/// is *all flagged* when the FD conflict alone convicts it, *mixed* when
+/// only single-tuple mismatches do.
+fn naive_run(rows: &[(i64, i64, u8, u8)], tableau: &[MixedPattern], strict: bool) -> NaiveRun {
+    let mut groups: std::collections::BTreeMap<(i64, i64, u8), Vec<usize>> = Default::default();
+    for (i, &(a, b, c, _)) in rows.iter().enumerate() {
+        groups.entry((a, b, c)).or_default().push(i);
+    }
+    let mut run = NaiveRun::default();
+    for (&(a, b, c), members) in &groups {
+        run.probes += 1;
+        let specs: Vec<RhsSpec> = tableau
+            .iter()
+            .filter(|(pa, pb, pc, _)| {
+                pa.is_none_or(|v| v == a) && pb.is_none_or(|v| v == b) && pc.is_none_or(|v| v == c)
+            })
+            .map(|&(_, _, _, rhs)| rhs.map_or(RhsSpec::Wild, |d| RhsSpec::Const(u32::from(d))))
+            .collect();
+        if specs.is_empty() {
+            continue;
+        }
+        let rhs: Vec<u32> = members.iter().map(|&i| u32::from(rows[i].3)).collect();
+        let flags = naive_group_flags(&specs, &rhs, strict);
+        let conflict = rhs.iter().any(|&r| r != rhs[0]);
+        let convicted = conflict && specs.iter().any(|s| strict || matches!(s, RhsSpec::Wild));
+        if convicted {
+            run.all_flagged += 1;
+        } else if flags.contains(&true) {
+            run.mixed += 1;
+        } else {
+            run.clean += 1;
+        }
+        if flags.contains(&true) {
+            run.keys.push((a, b, c));
+        }
+        run.rows.extend(members.iter().zip(&flags).filter(|(_, &f)| f).map(|(&i, _)| i));
+    }
+    run.rows.sort_unstable();
+    run
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The grouping kernel behind `detect_simple`, `detect_simple_strict`
+    /// and `ResolvedCfd::detect_among` against the naive semantics, on
+    /// tableaux that mix variable and constant patterns over the same
+    /// groups and under both readings: the flagged tuples, the violating
+    /// keys, and — where a caller can bind counters — the probe count and
+    /// the verdict mix.
+    #[test]
+    fn grouping_kernel_matches_naive_semantics_tallies_included(
+        rows in arb_rows(),
+        tableau in prop::collection::vec(
+            (
+                prop::option::of(0..4i64),
+                prop::option::of(0..4i64),
+                prop::option::of(0..3u8),
+                prop::option::of(0..3u8),
+            ),
+            1..5,
+        ),
+    ) {
+        let rel = build_relation(&rows);
+        let patterns = tableau
+            .iter()
+            .map(|&(a, b, c, d)| {
+                let int = |o: Option<i64>| o.map_or(PatternValue::Wild, PatternValue::constant);
+                let text = |prefix: &str, o: Option<u8>| {
+                    o.map_or(PatternValue::Wild, |v| PatternValue::constant(format!("{prefix}{v}")))
+                };
+                PatternTuple::new(vec![int(a), int(b), text("c", c)], vec![text("d", d)])
+            })
+            .collect();
+        let cfd = Cfd::with_names("mixed", schema(), &["a", "b", "c"], &["d"], patterns).unwrap();
+        let simple = cfd.simplify().pop().unwrap();
+        let sets_of = |run: &NaiveRun| {
+            let tids: FxHashSet<TupleId> = run.rows.iter().map(|&i| rel.tids()[i]).collect();
+            let keys: FxHashSet<Vec<Value>> =
+                run.keys.iter().map(|&(a, b, c)| vals![a, b, format!("c{c}")]).collect();
+            (tids, keys)
+        };
+
+        for strict in [false, true] {
+            let (tids, keys) = sets_of(&naive_run(&rows, &tableau, strict));
+            let got = if strict {
+                detect_simple_strict(&rel, &simple)
+            } else {
+                detect_simple(&rel, &simple)
+            };
+            prop_assert_eq!(&got.tids, &tids, "Vio, strict={}", strict);
+            prop_assert_eq!(&got.patterns, &keys, "Vioπ, strict={}", strict);
+        }
+
+        let want = naive_run(&rows, &tableau, false);
+        let (tids, keys) = sets_of(&want);
+        let counters = KernelCounters::default();
+        let attrs: Vec<AttrId> = simple.shipped_attrs();
+        let wire = rel.code_rows(&attrs, &(0..rel.len()).collect::<Vec<_>>());
+        let mut resolved = CodeLayout::of_relation(&rel, &attrs).resolve(&simple);
+        resolved.set_counters(counters.clone());
+        let got = resolved.detect_among(&wire);
+        prop_assert_eq!(&got.tids, &tids, "Vio over wire rows");
+        prop_assert_eq!(&got.patterns, &keys, "Vioπ over wire rows");
+        prop_assert_eq!(counters.probes.get(), want.probes, "one probe per distinct key");
+        prop_assert_eq!(
+            (counters.clean.get(), counters.all_flagged.get(), counters.mixed.get()),
+            (want.clean, want.all_flagged, want.mixed),
+            "verdict mix (clean, all flagged, mixed)"
+        );
+        prop_assert_eq!(counters.groups.get(), want.clean + want.all_flagged + want.mixed);
     }
 }
 
