@@ -18,16 +18,18 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
 
-    println!(
-        "distributed-cfd experiments (scale = {}; set DCD_SCALE=1.0 for paper scale)\n",
-        dcd_bench::workloads::scale()
-    );
+    let scale = dcd_bench::workloads::scale();
+    println!("distributed-cfd experiments (scale = {scale}; set DCD_SCALE=1.0 for paper scale)\n");
     let mut unknown = Vec::new();
     for want in wanted {
         match figures.iter().find(|(id, _)| *id == want) {
             Some((_, gen)) => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a progress note for the person at the terminal; no figure reads it"
+                )]
                 let started = Instant::now();
-                let fig = gen();
+                let fig = gen(scale);
                 println!("{}", fig.to_table());
                 println!("  [generated in {:.1?}]\n", started.elapsed());
             }

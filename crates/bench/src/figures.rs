@@ -1,8 +1,9 @@
 //! Regeneration of every subfigure of the paper's evaluation (Fig. 3).
 //!
-//! Each function returns a [`FigureResult`] holding the same series the
-//! paper plots; the `experiments` binary renders them as tables, and
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
+//! Each function takes the dataset scale and returns a [`FigureResult`]
+//! holding the same series the paper plots; the `experiments` binary
+//! renders them as tables, and `tests/fig3_claims.rs` asserts the
+//! paper's qualitative claim about each subfigure on the exact series.
 
 use crate::workloads::{cust16, cust8, xref8, xref_h};
 use dcd_core::{
@@ -73,15 +74,15 @@ fn run_single(
 
 /// Exp-1 on CUST (Fig. 3(a)): response time vs number of sites, three
 /// single-CFD algorithms, cust8, |Tp| = 255.
-pub fn fig3a() -> FigureResult {
-    let w = cust8();
+pub fn fig3a(scale: f64) -> FigureResult {
+    let w = cust8(scale);
     let cfd = w.main_cfd();
     single_cfd_site_sweep("fig3a", "Scalability with |S| (cust8)", &cfd, |n| w.partition(n))
 }
 
 /// Exp-1 on XREF (Fig. 3(b)): xref8, |Tp| = 11.
-pub fn fig3b() -> FigureResult {
-    let w = xref8();
+pub fn fig3b(scale: f64) -> FigureResult {
+    let w = xref8(scale);
     let cfd = w.main_cfd();
     single_cfd_site_sweep("fig3b", "Scalability with |S| (xref8)", &cfd, |n| w.partition(n))
 }
@@ -120,8 +121,8 @@ fn single_cfd_site_sweep(
 
 /// Exp-2 (Fig. 3(c)): response time vs |D| — 10%..100% of cust16 over 8
 /// sites; CTRDETECT vs PATDETECTRT.
-pub fn fig3c() -> FigureResult {
-    let w = cust16();
+pub fn fig3c(scale: f64) -> FigureResult {
+    let w = cust16(scale);
     let cfd = w.main_cfd();
     let mut ctr = Vec::new();
     let mut patrt = Vec::new();
@@ -150,8 +151,8 @@ pub fn fig3c() -> FigureResult {
 
 /// Exp-3 (Fig. 3(d)): response time vs tableau size — cust8, 8 sites,
 /// |Tp| = 55..255.
-pub fn fig3d() -> FigureResult {
-    let w = cust8();
+pub fn fig3d(scale: f64) -> FigureResult {
+    let w = cust8(scale);
     let partition = w.partition(8);
     let mut ctr = Vec::new();
     let mut patrt = Vec::new();
@@ -178,8 +179,8 @@ pub fn fig3d() -> FigureResult {
 
 /// Exp-4 (Fig. 3(e)): total shipment vs mining threshold θ — xrefH over
 /// 7 type-based fragments, FD input; PATDETECTS with and without mining.
-pub fn fig3e() -> FigureResult {
-    let w = xref_h();
+pub fn fig3e(scale: f64) -> FigureResult {
+    let w = xref_h(scale);
     let partition = w.partition_by_info_type();
     let fd = w.mining_fd();
     let baseline =
@@ -208,8 +209,8 @@ pub fn fig3e() -> FigureResult {
 
 /// Exp-5 (Fig. 3(f)): shipment vs number of sites, two overlapping CFDs
 /// on xref8 — SEQDETECT vs CLUSTDETECT.
-pub fn fig3f() -> FigureResult {
-    let w = xref8();
+pub fn fig3f(scale: f64) -> FigureResult {
+    let w = xref8(scale);
     let sigma = w.overlapping_pair();
     multi_cfd_site_sweep(
         "fig3f",
@@ -222,8 +223,8 @@ pub fn fig3f() -> FigureResult {
 }
 
 /// Exp-5 (Fig. 3(g)): response time vs sites on xref8.
-pub fn fig3g() -> FigureResult {
-    let w = xref8();
+pub fn fig3g(scale: f64) -> FigureResult {
+    let w = xref8(scale);
     let sigma = w.overlapping_pair();
     multi_cfd_site_sweep(
         "fig3g",
@@ -236,8 +237,8 @@ pub fn fig3g() -> FigureResult {
 }
 
 /// Exp-5 (Fig. 3(h)): response time vs sites on cust8.
-pub fn fig3h() -> FigureResult {
-    let w = cust8();
+pub fn fig3h(scale: f64) -> FigureResult {
+    let w = cust8(scale);
     let sigma = w.overlapping_pair();
     multi_cfd_site_sweep(
         "fig3h",
@@ -285,8 +286,8 @@ fn multi_cfd_site_sweep(
 
 /// Exp-6 (Fig. 3(i)): response time vs |D| for two CFDs — cust16, 8
 /// sites, SEQDETECT vs CLUSTDETECT.
-pub fn fig3i() -> FigureResult {
-    let w = cust16();
+pub fn fig3i(scale: f64) -> FigureResult {
+    let w = cust16(scale);
     let sigma = w.overlapping_pair();
     let mut seq = Vec::new();
     let mut clust = Vec::new();
@@ -317,8 +318,8 @@ pub fn fig3i() -> FigureResult {
     }
 }
 
-/// A figure generator function.
-pub type FigureFn = fn() -> FigureResult;
+/// A figure generator function, from the dataset scale.
+pub type FigureFn = fn(f64) -> FigureResult;
 
 /// All figure generators, in paper order.
 pub fn all_figures() -> Vec<(&'static str, FigureFn)> {

@@ -7,15 +7,17 @@ use dcd_datagen::xref::{xref_main_cfd, xref_mining_fd, xref_second_cfd, XrefConf
 use dcd_dist::HorizontalPartition;
 use dcd_relation::Relation;
 
-/// Scale factor applied to the paper's dataset sizes. Default `0.1`
-/// (80K instead of 800K tuples); override with `DCD_SCALE=1.0` for full
-/// paper scale.
+/// The scale factor the `experiments` binary applies to the paper's
+/// dataset sizes: `DCD_SCALE`, default `0.1` (80K instead of 800K
+/// tuples; `1.0` is paper scale). The builders below take the factor as
+/// an argument — only the binary reads the environment.
 pub fn scale() -> f64 {
     std::env::var("DCD_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.1)
 }
 
-fn scaled(n: usize) -> usize {
-    ((n as f64 * scale()) as usize).max(1000)
+/// `n` scaled, floored at 1 000 tuples.
+fn scaled(n: usize, scale: f64) -> usize {
+    ((n as f64 * scale) as usize).max(1000)
 }
 
 /// Error rate injected into otherwise-clean generated data.
@@ -30,13 +32,13 @@ pub struct CustWorkload {
 }
 
 /// `cust8`: 800K tuples (scaled), errors on `street` and `city`.
-pub fn cust8() -> CustWorkload {
-    cust_sized(scaled(800_000))
+pub fn cust8(scale: f64) -> CustWorkload {
+    cust_sized(scaled(800_000, scale))
 }
 
 /// `cust16`: 1.6M tuples (scaled).
-pub fn cust16() -> CustWorkload {
-    cust_sized(scaled(1_600_000))
+pub fn cust16(scale: f64) -> CustWorkload {
+    cust_sized(scaled(1_600_000, scale))
 }
 
 fn cust_sized(n: usize) -> CustWorkload {
@@ -85,14 +87,14 @@ pub struct XrefWorkload {
 }
 
 /// `xref8`: 800K tuples (scaled), cow/dog/zebrafish.
-pub fn xref8() -> XrefWorkload {
-    let config = XrefConfig { n_tuples: scaled(800_000), ..XrefConfig::default() };
+pub fn xref8(scale: f64) -> XrefWorkload {
+    let config = XrefConfig { n_tuples: scaled(800_000, scale), ..XrefConfig::default() };
     build_xref(config)
 }
 
 /// `xrefH`: 2.7M tuples (scaled), human only.
-pub fn xref_h() -> XrefWorkload {
-    build_xref(XrefConfig::human(scaled(2_700_000)))
+pub fn xref_h(scale: f64) -> XrefWorkload {
+    build_xref(XrefConfig::human(scaled(2_700_000, scale)))
 }
 
 fn build_xref(config: XrefConfig) -> XrefWorkload {

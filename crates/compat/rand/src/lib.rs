@@ -67,6 +67,10 @@ pub trait SeedableRng: Sized {
 
     /// Builds the generator from OS entropy — the stub derives it from
     /// the current time, which is enough for non-cryptographic use.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "entropy is the one thing that must differ run to run; seeded generators never come here"
+    )]
     fn from_entropy() -> Self {
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

@@ -19,7 +19,7 @@
 //! literal implication-based Γ of Proposition 7 the MRP instance admits
 //! a preserving augmentation *smaller* than the minimum hitting set
 //! (the pairwise `A_x ↔ A_y` FDs make one shared attribute bridge
-//! everything). See DESIGN.md, "Deviations observed while reproducing".
+//! everything).
 
 use crate::hitting::HittingSetInstance;
 use crate::setcover::SetCoverInstance;
@@ -389,8 +389,8 @@ mod tests {
     /// (position, element) patterns, so two subsets work even when they
     /// do not form a cover. Theorem 1's counting argument relies on the
     /// *sized* shipment budget K' (huge paddings make V unshippable and
-    /// meter the U tuples); see DESIGN.md. This test pins the observed
-    /// behaviour so the note stays honest.
+    /// meter the U tuples). This test pins the observed behaviour so
+    /// the note stays honest.
     #[test]
     fn mhd_tuple_granularity_is_looser_than_byte_granularity() {
         let msc = small_msc();
@@ -462,7 +462,7 @@ mod tests {
     /// admits a smaller preserving augmentation than the hitting-set
     /// optimum — the pairwise FDs make all A-attributes equivalent, so a
     /// single A in R0 bridges every `Ei → Ax` through Γ. The reduction
-    /// is tight for coverage, not for full implication; see DESIGN.md.
+    /// is tight for coverage, not for full implication.
     #[test]
     fn mrp_implication_can_beat_hitting_set() {
         let hs = small_hs();

@@ -3,28 +3,24 @@
 use dcd_dist::CostModel;
 
 /// How local compute time (statistics scans, coordinator checks) enters
-/// the simulated response time.
+/// the simulated response time: there is one way. The type and
+/// [`RunConfig::compute`] stay only because `benchmark/src/workloads.rs`
+/// spells both in a struct literal; they go with the next benchmark
+/// refresh (ROADMAP item 2(e)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ComputeModel {
-    /// Use the paper's analytic approximations (`scan ≈ c·n`,
-    /// `check ≈ c·n·log n`). Deterministic; the default.
+    /// The paper's analytic approximations (`scan ≈ c·n`,
+    /// `check ≈ c·n·log n`): deterministic.
     Analytic,
-    /// Measure the actual wall-clock time of this library's local
-    /// detection work and scale it by the factor (e.g. `50.0` to map
-    /// native Rust hash-aggregation speed onto 2009-era MySQL+JDBC).
-    Measured {
-        /// Multiplier applied to measured wall time.
-        scale: f64,
-    },
 }
 
 /// Configuration of a detection run: environment cost model plus the
-/// compute-time mode.
+/// pool width.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Network and local-query cost parameters (§III-B).
     pub cost: CostModel,
-    /// Analytic (default) or measured local compute.
+    /// Always [`ComputeModel::Analytic`]; see there for why it is kept.
     pub compute: ComputeModel,
     /// OS threads for the "per site in parallel" phases (constant-CFD
     /// local checks, σ-partitioning, coordinator validation). `1` runs
@@ -47,17 +43,6 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A configuration with measured compute at the given scale.
-    ///
-    /// Measured mode stays deterministic in *accounting structure* on a
-    /// pool, but the measured seconds themselves reflect real
-    /// contention: with more pool threads than cores, concurrent tasks
-    /// time-share and each measures longer. Compare measured runs at
-    /// `threads = 1` (or pin the pool below the core count).
-    pub fn measured(scale: f64) -> Self {
-        RunConfig { compute: ComputeModel::Measured { scale }, ..RunConfig::default() }
-    }
-
     /// This configuration with an explicit pool width (floored at 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -70,16 +55,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_analytic() {
-        let cfg = RunConfig::default();
-        assert_eq!(cfg.compute, ComputeModel::Analytic);
-        assert!(cfg.threads >= 1);
-    }
-
-    #[test]
-    fn measured_constructor() {
-        let cfg = RunConfig::measured(50.0);
-        assert_eq!(cfg.compute, ComputeModel::Measured { scale: 50.0 });
+    fn default_has_a_pool_width() {
+        assert!(RunConfig::default().threads >= 1);
     }
 
     #[test]

@@ -21,13 +21,12 @@
 //! `raw-ledger-mutation` rules `dcd_lint` used to approximate them
 //! with.
 
-use crate::config::{ComputeModel, RunConfig};
+use crate::config::RunConfig;
 use crate::report::Detection;
 use dcd_cfd::{ViolationReport, ViolationSet};
 use dcd_dist::{ShipmentLedger, SiteClocks, SiteId};
 use dcd_obs::{MetricsRegistry, RunObserver};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// What the current detection round feeds the literal §III-B formula,
 /// per site: local compute charged to it and rows it shipped.
@@ -159,10 +158,15 @@ impl RunCtx {
     /// [`Self::end_round`]. Work outside a round (hybrid's vertical
     /// gather, a session's mining build) moves clocks and ledger but
     /// enters no round's formula.
+    ///
+    /// # Panics
+    /// When a round is already open (an internal invariant: replacing it
+    /// would drop what it accumulated from the run's paper cost).
     pub fn begin_round(&mut self) {
         let n = self.clocks.n_sites();
-        *self.round.get_mut().expect("round poisoned") =
-            Some(Round { local_secs: vec![0.0; n], sent: vec![0; n] });
+        let round = self.round.get_mut().expect("round poisoned");
+        assert!(round.is_none(), "begin_round inside an open round");
+        *round = Some(Round { local_secs: vec![0.0; n], sent: vec![0; n] });
     }
 
     /// Closes the round: evaluates the literal §III-B two-phase formula
@@ -258,28 +262,6 @@ impl Phase<'_> {
         }
     }
 
-    /// Runs `work` against the host clock and returns its result with
-    /// the wall seconds it took. Only [`ComputeModel::Measured`] ever
-    /// reads the measurement ([`Self::model`]); morselized phases sum it
-    /// per site before the site's single [`Self::compute`].
-    pub fn stopwatch<R>(&self, work: impl FnOnce() -> R) -> (R, f64) {
-        // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-        // elapsed time by design; `Analytic` (the deterministic default)
-        // ignores the value. This is the engine's one host-clock read.
-        let start = Instant::now();
-        let r = work();
-        (r, start.elapsed().as_secs_f64())
-    }
-
-    /// The seconds a unit of work costs under the run's compute model:
-    /// the analytic estimate, or the measured wall time scaled.
-    pub fn model(&self, analytic: f64, measured: f64) -> f64 {
-        match self.ctx.cfg.compute {
-            ComputeModel::Analytic => analytic,
-            ComputeModel::Measured { scale } => measured * scale,
-        }
-    }
-
     /// Runs `work` and returns its result with the seconds it should
     /// cost, *without* touching any clock. For work several pool tasks
     /// produce for the same site (a coordinator's per-CFD index
@@ -290,14 +272,14 @@ impl Phase<'_> {
         work: impl FnOnce() -> R,
         analytic_of: impl FnOnce(&R) -> f64,
     ) -> (R, f64) {
-        let (r, measured) = self.stopwatch(work);
-        let secs = self.model(analytic_of(&r), measured);
+        let r = work();
+        let secs = analytic_of(&r);
         (r, secs)
     }
 
-    /// Runs `work` at `site` and charges it as local compute: either
-    /// the analytic estimate (computed from the result) or the measured
-    /// wall time. Callable from pool tasks.
+    /// Runs `work` at `site` and charges it as local compute: the
+    /// analytic estimate, computed from the result. Callable from pool
+    /// tasks.
     pub fn charge<R>(
         &self,
         site: SiteId,
@@ -379,8 +361,8 @@ mod tests {
                 check_coeff: 0.0,
                 match_coeff: 0.0,
             },
-            compute: ComputeModel::Analytic,
             threads: 1,
+            ..RunConfig::default()
         }
     }
 
@@ -424,6 +406,14 @@ mod tests {
         let d = ctx.finish("test");
         assert_eq!(d.paper_cost, 3.0);
         assert_eq!(d.site_clocks, [9.0, 9.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "begin_round inside an open round")]
+    fn a_round_cannot_be_opened_over_an_open_one() {
+        let mut ctx = RunCtx::new(2, unit_cfg());
+        ctx.begin_round();
+        ctx.begin_round();
     }
 
     #[test]

@@ -144,7 +144,10 @@ fn run_cluster(
             .collect()
     };
     if z.is_empty() {
-        // Degenerate cluster; fall back to sequential rounds.
+        // Degenerate cluster; fall back to sequential rounds. The
+        // constants above were this round's whole work: close it, or the
+        // fallback's own `begin_round` would drop them from `paper_cost`.
+        ctx.end_round();
         for m in &variable_members {
             run_single_cfd(partition, m, strategy, ctx);
         }
@@ -460,6 +463,60 @@ mod tests {
             &RunConfig::default(),
         );
         assert_eq!(d.violations.all_tids(), global.all_tids());
+    }
+
+    /// `Z = ∅` (an empty-LHS member joins any cluster and shrinks `Z` to
+    /// itself): the constants were checked inside the cluster's round,
+    /// and that round must reach `paper_cost` before the fallback opens
+    /// one round per member.
+    #[test]
+    fn a_degenerate_cluster_keeps_its_constants_round_in_paper_cost() {
+        use dcd_cfd::{PatternTuple, PatternValue};
+        let rel = sample(60);
+        let s = rel.schema().clone();
+        let by_cc = Cfd::with_names(
+            "by_cc",
+            s.clone(),
+            &["cc"],
+            &["city"],
+            vec![
+                PatternTuple::new(
+                    vec![PatternValue::constant(44i64)],
+                    vec![PatternValue::constant("c0")],
+                ),
+                PatternTuple::new(vec![PatternValue::Wild], vec![PatternValue::Wild]),
+            ],
+        )
+        .unwrap();
+        let no_lhs = Cfd::with_names(
+            "no_lhs",
+            s,
+            &[],
+            &["street"],
+            vec![PatternTuple::new(vec![], vec![PatternValue::Wild])],
+        )
+        .unwrap();
+        let simples: Vec<SimpleCfd> =
+            [&by_cc, &no_lhs].into_iter().flat_map(Cfd::simplify).collect();
+        assert_eq!(cluster_by_lhs(&simples), [[0, 1]], "one cluster, Z = ∅");
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let (cfg, inner) = (RunConfig::default(), CoordinatorStrategy::MinShipment);
+
+        let mut by_hand = RunCtx::new(partition.n_sites(), cfg);
+        let (variable, constants) = simples[0].split_constant();
+        by_hand.begin_round();
+        constants_phase(&mut by_hand, &simples[0].name, partition.fragments(), &constants);
+        let constants_round = by_hand.end_round();
+        assert!(constants_round > 0.0, "the constants round costs its scans");
+        for m in variable.iter().chain([&simples[1]]) {
+            run_single_cfd(&partition, m, inner, &mut by_hand);
+        }
+        let want = by_hand.finish("by hand");
+
+        let got = run_clust(&partition, &[by_cc, no_lhs], inner, &cfg);
+        assert_eq!(got.paper_cost, want.paper_cost);
+        assert_eq!(got.site_clocks, want.site_clocks);
+        assert_eq!(got.violations.all_tids(), want.violations.all_tids());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use dcd_cfd::ViolationReport;
 use dcd_obs::{MetricsSnapshot, RunTrace};
-use serde::Serialize;
 use std::fmt;
 
 /// Everything a detection run produces: the violations plus the traffic
@@ -61,8 +60,8 @@ impl Detection {
     }
 }
 
-/// Serializable summary of a [`Detection`] (one row of a results table).
-#[derive(Debug, Clone, Serialize)]
+/// Flat summary of a [`Detection`] (one row of a results table).
+#[derive(Debug, Clone)]
 pub struct DetectionSummary {
     /// Algorithm name.
     pub algorithm: String,

@@ -74,10 +74,9 @@ fn chunk_span(rel: &Relation, c: usize) -> (usize, usize) {
 /// The morselized Proposition-5 phase shared by every engine: constant
 /// CFDs checked locally, one morsel per (site, chunk), partial violation
 /// sets merged per site in chunk order and absorbed under `cfd`. Each
-/// site's clock is advanced exactly once — in `Analytic` mode by the
-/// same formula the site-granular phase used (so clocks are
-/// bit-identical across pool widths *and* chunk sizes), in `Measured`
-/// mode by the sum of its morsels' wall times.
+/// site's clock is advanced exactly once, by the same formula the
+/// site-granular phase used (so clocks are bit-identical across pool
+/// widths *and* chunk sizes).
 pub(crate) fn constants_phase(
     ctx: &mut RunCtx,
     cfd: &str,
@@ -93,18 +92,16 @@ pub(crate) fn constants_phase(
         let partials = morsel_map(cfg.threads, &counts, |i, c| {
             let frag = &fragments[i];
             let (start, end) = chunk_span(&frag.data, c);
-            p.stopwatch(|| check_constants_range_with(frag, &compiled[i], start, end))
+            check_constants_range_with(frag, &compiled[i], start, end)
         });
         let per_site = partials.into_iter().zip(fragments).map(|(morsels, frag)| {
             let mut vs = ViolationSet::default();
-            let mut measured = 0.0;
-            for (partial, secs) in morsels {
+            for partial in morsels {
                 vs.merge(partial);
-                measured += secs;
             }
-            let analytic = cfg.cost.scan_time(frag.data.len())
+            let secs = cfg.cost.scan_time(frag.data.len())
                 + cfg.cost.match_coeff * frag.data.len() as f64 * constants.len() as f64;
-            p.compute(frag.site, p.model(analytic, measured));
+            p.compute(frag.site, secs);
             vs
         });
         per_site.collect::<Vec<_>>()
@@ -158,7 +155,7 @@ pub(crate) fn sigma_phase(
         let partials = morsel_map(cfg.threads, &counts, |i, c| {
             let frag = &fragments[i];
             let (start, end) = chunk_span(&frag.data, c);
-            p.stopwatch(|| sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end))
+            sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end)
         });
         let per_site = partials.into_iter().enumerate().map(|(i, morsels)| {
             let mut merged = SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
@@ -168,17 +165,15 @@ pub(crate) fn sigma_phase(
                 return merged;
             }
             let frag = &fragments[i];
-            let mut measured = 0.0;
-            for (partial, secs) in morsels {
+            for partial in morsels {
                 for (block, partial_block) in merged.blocks.iter_mut().zip(partial.blocks) {
                     block.extend(partial_block);
                 }
                 merged.comparisons += partial.comparisons;
-                measured += secs;
             }
-            let analytic = cfg.cost.scan_time(frag.data.len())
+            let secs = cfg.cost.scan_time(frag.data.len())
                 + cfg.cost.match_coeff * merged.comparisons as f64;
-            p.compute(frag.site, p.model(analytic, measured));
+            p.compute(frag.site, secs);
             merged
         });
         per_site.collect()
@@ -623,26 +618,6 @@ mod tests {
         // Tuple 1 (44, z2, b) violates street=a.
         let (_, vs) = &d.violations.per_cfd[0];
         assert_eq!(vs.tids.len(), 1);
-    }
-
-    #[test]
-    fn measured_mode_produces_positive_time() {
-        let s = schema();
-        let rel = Relation::from_rows(
-            s.clone(),
-            (0..100).map(|i| vals![44, format!("z{}", i % 10), format!("s{i}")]).collect(),
-        )
-        .unwrap();
-        let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
-        let cfd = parse_cfd(&s, "phi", "([cc, zip] -> [street])").unwrap();
-        let simple = cfd.simplify().pop().unwrap();
-        let d = one_round(
-            &partition,
-            &simple,
-            CoordinatorStrategy::MinShipment,
-            RunConfig::measured(1.0),
-        );
-        assert!(d.response_time > 0.0);
     }
 
     // ---- The three §IV-B algorithms end to end, through `run_batch`. ----

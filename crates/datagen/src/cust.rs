@@ -9,7 +9,7 @@
 //! CFDs hold by construction until [`crate::inject_errors`] breaks them.
 //!
 //! `cust8` and `cust16` of §VI are `CustConfig` with 800K / 1.6M tuples
-//! (scaled down by default in benches; see `DCD_SCALE`).
+//! (scaled down by default in `dcd-bench`; see `DCD_SCALE`).
 
 use crate::zipf::Zipf;
 use dcd_cfd::{Cfd, NormalPattern, PatternTuple, PatternValue, SimpleCfd};

@@ -1,7 +1,6 @@
 //! # dcd-datagen
 //!
-//! Workload generators standing in for the paper's datasets (see the
-//! substitution notes in DESIGN.md):
+//! Workload generators standing in for the paper's datasets:
 //!
 //! * [`cust`] — the CUST sales-records relation of Fan et al. (TODS'08),
 //!   regenerated synthetically with realistic (CC, AC, city) pools and

@@ -49,7 +49,8 @@
 //! read; the `remaining == 0` wakeup orders job completion before result
 //! collection). This audit is what whitelists this file for the
 //! `relaxed-atomic` rule of `dcd_lint`; thread spawning anywhere else in
-//! the workspace is rejected by its `stray-thread` rule. The only
+//! the workspace is rejected by clippy (`disallowed-methods` in the root
+//! `clippy.toml`; the two spawns here carry an `#[expect]`). The only
 //! atomics in sight are the opaque `dcd_obs` counter handles feeding the
 //! **host-scope** observability registry (morsels executed, steals,
 //! initial queue depths — values that legitimately vary with pool width
@@ -320,11 +321,13 @@ where
             inner.jobs.push_back(QueuedJob { job: job.clone(), next_participant: 1 });
             let deficit = (participants - 1).saturating_sub(inner.idle);
             for _ in 0..deficit.min(MAX_WORKERS.saturating_sub(inner.spawned)) {
-                if std::thread::Builder::new()
-                    .name("dcd-pool-worker".into())
-                    .spawn(worker_loop)
-                    .is_ok()
-                {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the pool is where the workspace's threads come from"
+                )]
+                let worker =
+                    std::thread::Builder::new().name("dcd-pool-worker".into()).spawn(worker_loop);
+                if worker.is_ok() {
                     inner.spawned += 1;
                 }
             }
@@ -465,10 +468,13 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent submitters are what this test is about; they cannot come from the pool under test"
+    )]
     fn concurrent_jobs_do_not_interfere() {
         // Submit jobs from several caller threads at once (as concurrent
-        // detector runs do); spawning the submitters is confined to this
-        // pool-owned test.
+        // detector runs do).
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|j| {

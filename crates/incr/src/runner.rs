@@ -163,8 +163,7 @@ impl IncrementalRun {
         ctx.begin_round();
 
         // Phase 1: every site scans its fragment once, encoding the
-        // (tid, codes) rows it will ship (parallel; the charge wraps
-        // the actual encode so Measured mode sees the real work).
+        // (tid, codes) rows it will ship (parallel).
         let encoded: Vec<CodeRows> = ctx.phase("incr:build-scan", |p| {
             scoped_map(cfg.threads, n, |i| {
                 let frag = &partition.fragments()[i];
@@ -573,8 +572,7 @@ impl VerticalIncrementalRun {
         let n_rows = partition.fragments()[0].data.len();
 
         // Per-site encode scan: each fragment materializes its local
-        // code rows — its wire payload — inside the charge, so
-        // Measured mode sees the real work.
+        // code rows — its wire payload — inside the charge.
         let site_rows: Vec<Vec<Box<[u32]>>> = ctx.phase("incr:build-scan", |p| {
             scoped_map(cfg.threads, n, |f| {
                 let data = &partition.fragments()[f].data;

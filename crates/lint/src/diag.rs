@@ -34,7 +34,7 @@ pub enum Format {
 }
 
 /// Escapes a string for embedding in a JSON document. Hand-rolled: the
-/// lint pass is deliberately dependency-free, `serde` included.
+/// lint pass is deliberately dependency-free.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -101,7 +101,7 @@ mod tests {
 
     fn sample() -> Diagnostic {
         Diagnostic {
-            rule: "wall-clock",
+            rule: "relaxed-atomic",
             file: "crates/core/src/runner.rs".into(),
             line: 95,
             col: 17,
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn text_format_is_file_line_col_rule() {
         let out = render(&[sample()], 3, Format::Text);
-        assert!(out.starts_with("crates/core/src/runner.rs:95:17: [wall-clock]"));
+        assert!(out.starts_with("crates/core/src/runner.rs:95:17: [relaxed-atomic]"));
         assert!(out.contains("1 finding(s) across 3 checked file(s)"));
     }
 

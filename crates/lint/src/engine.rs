@@ -24,20 +24,11 @@ pub struct Report {
 /// Skipped subtrees: `target/` (build output), `crates/lint/` (the
 /// analyzer's own sources and fixtures quote the very patterns it
 /// hunts), and anything named `fixtures` (deliberately violating test
-/// inputs). Everything else under `src/`, `tests/`, `examples/`,
-/// `benches/` and `crates/` is fair game.
+/// inputs). Everything else under `src/`, `tests/`, `examples/` and
+/// `crates/` is fair game.
 pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
-    let mut files = Vec::new();
-    for top in ["src", "tests", "examples", "crates"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
-    }
-    files.sort();
-
     let mut sources = Vec::new();
-    for path in files {
+    for path in workspace_files(root)? {
         let rel = relative(&path, root);
         if rel.starts_with("crates/lint/") || rel.contains("/fixtures/") {
             continue;
@@ -48,6 +39,20 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
     }
 
     Ok(Report { diagnostics: run_rules(&sources), checked_files: sources.len() })
+}
+
+/// Every `.rs` file under the workspace's `src/`, `tests/`, `examples/`
+/// and `crates/` (build output aside), sorted.
+pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    for top in ["src", "tests", "examples", "crates"] {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            walk(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// Lints a single source string (the fixture tests' entry point): the
@@ -155,16 +160,14 @@ fn relative(path: &Path, root: &Path) -> String {
 
 /// Path-based file classification; see [`FileClass`].
 pub fn classify(rel: &str) -> FileClass {
-    if rel.starts_with("crates/compat/") {
-        FileClass::Compat
-    } else if rel.starts_with("crates/bench/") || rel.contains("/benches/") {
-        FileClass::Bench
-    } else if rel.starts_with("tests/")
+    let support = rel.starts_with("crates/compat/")
+        || rel.starts_with("crates/bench/")
+        || rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
-        || rel.contains("/examples/")
-    {
-        FileClass::Test
+        || rel.contains("/examples/");
+    if support {
+        FileClass::Support
     } else {
         FileClass::Engine
     }
@@ -178,29 +181,28 @@ mod tests {
     fn classification_by_path() {
         assert_eq!(classify("src/api.rs"), FileClass::Engine);
         assert_eq!(classify("crates/core/src/runner.rs"), FileClass::Engine);
-        assert_eq!(classify("crates/core/tests/prop.rs"), FileClass::Test);
-        assert_eq!(classify("tests/prop_facade.rs"), FileClass::Test);
-        assert_eq!(classify("examples/quickstart.rs"), FileClass::Test);
-        assert_eq!(classify("crates/bench/src/lib.rs"), FileClass::Bench);
-        assert_eq!(classify("crates/core/benches/b.rs"), FileClass::Bench);
-        assert_eq!(classify("crates/compat/rand/src/lib.rs"), FileClass::Compat);
+        assert_eq!(classify("crates/core/tests/prop.rs"), FileClass::Support);
+        assert_eq!(classify("tests/prop_facade.rs"), FileClass::Support);
+        assert_eq!(classify("examples/quickstart.rs"), FileClass::Support);
+        assert_eq!(classify("crates/bench/src/lib.rs"), FileClass::Support);
+        assert_eq!(classify("crates/compat/rand/src/lib.rs"), FileClass::Support);
     }
 
     #[test]
     fn suppression_on_same_or_previous_line_filters_the_finding() {
-        let src = "fn f() {\n    let t = std::time::SystemTime::now(); // dcd-lint: allow(wall-clock) — test of same-line allow\n}\n";
+        let src = "fn f(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed); // dcd-lint: allow(relaxed-atomic) — test of same-line allow\n}\n";
         assert!(check_source("crates/core/src/x.rs", src).is_empty());
-        let src = "fn f() {\n    // dcd-lint: allow(wall-clock) — test of line-above allow\n    let t = std::time::SystemTime::now();\n}\n";
+        let src = "fn f(c: &AtomicU64) {\n    // dcd-lint: allow(relaxed-atomic) — test of line-above allow\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
         assert!(check_source("crates/core/src/x.rs", src).is_empty());
-        let src = "fn f() {\n    let t = std::time::SystemTime::now();\n}\n";
+        let src = "fn f(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
         assert_eq!(check_source("crates/core/src/x.rs", src).len(), 1);
     }
 
     #[test]
     fn reasonless_suppression_does_not_filter_and_is_reported() {
-        let src = "fn f() {\n    // dcd-lint: allow(wall-clock)\n    let t = std::time::SystemTime::now();\n}\n";
+        let src = "fn f(c: &AtomicU64) {\n    // dcd-lint: allow(relaxed-atomic)\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
         let diags = check_source("crates/core/src/x.rs", src);
-        assert!(diags.iter().any(|d| d.rule == "wall-clock"), "finding survives");
+        assert!(diags.iter().any(|d| d.rule == "relaxed-atomic"), "finding survives");
         assert!(
             diags.iter().any(|d| d.rule == "bad-suppression"),
             "and the bad allow is called out"
@@ -209,7 +211,7 @@ mod tests {
 
     #[test]
     fn suppression_that_excuses_nothing_is_flagged_as_unused() {
-        let src = "fn f() {\n    // dcd-lint: allow(wall-clock) — defensive, nothing here reads time\n    let t = 1;\n}\n";
+        let src = "fn f() {\n    // dcd-lint: allow(relaxed-atomic) — defensive, nothing here is atomic\n    let t = 1;\n}\n";
         let diags = check_source("crates/core/src/x.rs", src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, "unused-suppression");

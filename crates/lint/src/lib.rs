@@ -13,11 +13,13 @@
 //! ([`tokenizer`]) plus a rule engine ([`rules`], [`engine`]) that
 //! walks the workspace's own sources and flags the shortcuts.
 //!
-//! It polices only what a type cannot: conventions about *which*
-//! std facilities engine code may touch (hash iteration, threads, the
-//! host clock, relaxed atomics) and two shape rules. Invariants a type
-//! can carry live in the types — see `dcd_core::ctx::RunCtx` for the
-//! ledger/clock/trace coupling this crate used to approximate.
+//! It polices only what neither a type nor a compiler lint can: hash
+//! iteration whose order escapes, relaxed atomics outside the audited
+//! modules, and a second copy of the group-validation loop. Invariants
+//! a type can carry live in the types — see `dcd_core::ctx::RunCtx` for
+//! the ledger/clock/trace coupling; the host clock, stray threads and
+//! total `Topology`/`Algorithm` dispatch are clippy's (`clippy.toml`,
+//! `src/lib.rs`).
 //!
 //! Run it as `cargo run -p dcd_lint -- check` (add `--format json` for
 //! machine-readable output; see `dcd_lint explain <rule>` for per-rule

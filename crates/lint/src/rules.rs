@@ -5,11 +5,8 @@
 //! | rule id | invariant guarded |
 //! |---|---|
 //! | `hash-iteration-order` | bit-identical outputs across pool widths |
-//! | `stray-thread` | all parallelism goes through `dcd_dist::pool` |
-//! | `wall-clock` | simulated `SiteClocks` time only |
 //! | `relaxed-atomic` | audited atomic orderings, justified `unsafe` |
 //! | `duplicate-detect-loop` | group validation lives in `dcd_cfd::kernel` only |
-//! | `exhaustive-dispatch` | `Topology`/`Algorithm` matches stay total |
 //! | `unused-suppression` | allows excuse a live finding, or get deleted |
 //! | `bad-suppression` | every allow parses and says why it is sound |
 //!
@@ -18,7 +15,12 @@
 //! ledger has one mutation authority are privacy facts of
 //! `dcd_core::ctx::RunCtx` and `dcd_dist::ShipmentLedger`, enforced by
 //! rustc; the crate DAG is enforced by the manifests (a `dcd_x::` path
-//! does not resolve without a `[dependencies]` edge).
+//! does not resolve without a `[dependencies]` edge). Invariants a
+//! compiler lint states exactly are not here either: no host clock and
+//! no thread outside `dcd_dist::pool` are `disallowed-methods` in the
+//! root `clippy.toml` (sanctioned sites carry a reasoned `#[expect]`),
+//! and total `Topology`/`Algorithm` dispatch is
+//! `clippy::wildcard_enum_match_arm`, denied on the root crate.
 //!
 //! The rules are token-window analyses, not AST passes: sound about
 //! strings and comments (the tokenizer guarantees that), heuristic
@@ -30,16 +32,13 @@ use crate::diag::Diagnostic;
 use crate::source::{FileClass, SourceFile};
 use std::collections::BTreeSet;
 
-/// All rule ids, in reporting order: six token-window rules (this
+/// All rule ids, in reporting order: three token-window rules (this
 /// module), then the two that police the suppression mechanism itself
 /// ([`crate::engine`]).
-pub const RULE_IDS: [&str; 8] = [
+pub const RULE_IDS: [&str; 5] = [
     "hash-iteration-order",
-    "stray-thread",
-    "wall-clock",
     "relaxed-atomic",
     "duplicate-detect-loop",
-    "exhaustive-dispatch",
     "unused-suppression",
     "bad-suppression",
 ];
@@ -51,16 +50,6 @@ pub fn describe(rule: &str) -> &'static str {
             "iterating a HashMap/HashSet/FxHashMap in engine code without an \
              order-restoring sink (sort, BTree collection, commutative reduction) \
              — the classic way pool-width determinism breaks"
-        }
-        "stray-thread" => {
-            "`thread::spawn`/`thread::scope` outside `dcd_dist::pool` — parallelism \
-             that bypasses the pool bypasses the bit-identical-across-widths contract"
-        }
-        "wall-clock" => {
-            "`Instant::now`/`SystemTime` outside bench/compat — engine time is the \
-             simulated `SiteClocks` cost model, never the host clock; `crates/obs` \
-             gets its own message because span timestamps there must come from \
-             `SiteClocks` snapshots"
         }
         "relaxed-atomic" => {
             "`Ordering::Relaxed` outside the audited dist modules and the \
@@ -74,11 +63,6 @@ pub fn describe(rule: &str) -> &'static str {
              the engine (and one deliberately independent reference, \
              `dcd_cfd::oracle`); call `kernel::detect_grouped`/`detect_columns`/\
              `validate_group` instead"
-        }
-        "exhaustive-dispatch" => {
-            "a `_` wildcard or lowercase catch-all arm in an engine `match` on \
-             `Topology`/`Algorithm` — adding a variant must be a compile error at \
-             every dispatch site, never a silent no-op"
         }
         "unused-suppression" => {
             "a well-formed `dcd-lint: allow(..)` whose rule no longer fires on \
@@ -107,21 +91,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              commutative reduction (sum/count/min/max). Fix by sorting before \
              the order escapes; allow only with a proof it cannot."
         }
-        "stray-thread" => {
-            "All parallelism goes through `dcd_dist::pool`: the persistent \
-             worker pool merges per-site outputs in (site, chunk) order, which \
-             is what makes results independent of DCD_THREADS. A bare \
-             `thread::spawn`/`scope`/`Builder` bypasses that merge discipline. \
-             Fix by expressing the work as `pool::morsel_map`/`scoped_map`."
-        }
-        "wall-clock" => {
-            "Engine time is simulated: `SiteClocks` advanced by the `CostModel`. \
-             `Instant::now`/`SystemTime` in a detection path makes reports and \
-             traces irreproducible. Only `crates/bench` and the compat stand-ins \
-             may read host time; the one engine exception (Measured compute \
-             mode, read in `dcd_core::ctx::Phase::stopwatch`) carries its own \
-             reasoned allow."
-        }
         "relaxed-atomic" => {
             "`Ordering::Relaxed` is correct only where commutativity, not \
              ordering, carries the contract — the audited ledger/pool counters \
@@ -142,15 +111,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              pairwise transcription of the paper's definition that the kernel \
              is tested against — a reference that delegated to the kernel \
              would check nothing."
-        }
-        "exhaustive-dispatch" => {
-            "Topology and Algorithm are the engine's dispatch enums: every \
-             variant must reach a real implementation. A `_` or catch-all \
-             binding arm in an engine match on them means a future variant \
-             silently inherits someone else's behavior instead of failing to \
-             compile. Name every variant; when several share a body, bind with \
-             `v @ (A | B | C)` — that stays exhaustive. `_` inside a variant's \
-             own pattern (`Topology::Hybrid(_)`) is fine."
         }
         "unused-suppression" => {
             "An `allow(..)` comment whose rule no longer fires on the covered \
@@ -292,11 +252,8 @@ fn file_hash_names(file: &SourceFile) -> BTreeSet<String> {
 pub fn check_file(file: &SourceFile, facts: &HashFacts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     hash_iteration_order(file, facts, &mut out);
-    stray_thread(file, &mut out);
-    wall_clock(file, &mut out);
     relaxed_atomic(file, &mut out);
     duplicate_detect_loop(file, &mut out);
-    exhaustive_dispatch(file, &mut out);
     bad_suppression(file, &mut out);
     out
 }
@@ -492,75 +449,6 @@ fn hash_iteration_order(file: &SourceFile, facts: &HashFacts, out: &mut Vec<Diag
 
 // ---------------------------------------------------------------- rule 2
 
-/// `stray-thread`: `thread::spawn` / `thread::scope` anywhere but
-/// `dcd_dist::pool`. The pool is the one place allowed to create
-/// threads, because it is the one place that guarantees index-ordered
-/// merges (and therefore pool-width-independent outputs).
-fn stray_thread(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if file.path.ends_with("crates/dist/src/pool.rs") || file.class == FileClass::Compat {
-        return;
-    }
-    for ci in 0..file.code.len() {
-        if file.text(ci) == "thread"
-            && file.text(ci + 1) == "::"
-            && matches!(file.text(ci + 2), "spawn" | "scope" | "Builder")
-            && !file.in_use_statement(ci)
-        {
-            out.push(diag(
-                file,
-                ci,
-                "stray-thread",
-                format!(
-                    "`thread::{}` outside `dcd_dist::pool`; go through \
-                     `pool::morsel_map`/`pool::scoped_map` so work runs on the \
-                     persistent workers and per-site outputs merge in (site, chunk) \
-                     order, bit-identical across pool widths",
-                    file.text(ci + 2)
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 3
-
-/// `wall-clock`: `Instant::now` / `SystemTime` outside bench and compat.
-/// Engine and test time is the simulated `SiteClocks` cost model; host
-/// time in a detection path makes reports irreproducible.
-fn wall_clock(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if matches!(file.class, FileClass::Bench | FileClass::Compat) {
-        return;
-    }
-    for ci in 0..file.code.len() {
-        if file.in_use_statement(ci) {
-            continue;
-        }
-        let hit =
-            (file.text(ci) == "Instant" && file.text(ci + 1) == "::" && file.text(ci + 2) == "now")
-                || file.text(ci) == "SystemTime";
-        if hit {
-            let what = if file.text(ci) == "SystemTime" { "SystemTime" } else { "Instant::now" };
-            let message = if file.path.contains("crates/obs/") {
-                format!(
-                    "`{what}` in `dcd_obs`; observability timestamps must come from \
-                     `SiteClocks` snapshots so traces and metrics stay bit-identical \
-                     across pool widths — record spans from simulated seconds, never \
-                     the host clock"
-                )
-            } else {
-                format!(
-                    "`{what}` reads the host clock; detection time is simulated via \
-                     `SiteClocks`/`CostModel` (only `crates/bench` and `crates/compat` \
-                     may touch real time)"
-                )
-            };
-            out.push(diag(file, ci, "wall-clock", message));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 4
-
 /// `relaxed-atomic`: `Relaxed` atomic orderings outside the audited
 /// modules (`dcd_dist`'s `ledger.rs` — monotonic counters read after
 /// the pool join; `pool.rs` — a work-claiming counter whose atomicity,
@@ -611,7 +499,7 @@ fn relaxed_atomic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 5
+// ---------------------------------------------------------------- rule 3
 
 /// `duplicate-detect-loop`: a hand-rolled group-validation loop outside
 /// `dcd_cfd::kernel` (and outside `dcd_cfd::oracle`, the independent
@@ -705,124 +593,7 @@ fn duplicate_detect_loop(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 6
-
-/// `exhaustive-dispatch`: in engine files, a `match` whose arms name
-/// `Topology::` or `Algorithm::` variants may not have a wildcard
-/// (`_ =>`) or a lowercase catch-all binding (`single =>`) arm — a new
-/// enum variant must be a compile error at every dispatch site, never a
-/// silent no-op. `_` *inside* a variant pattern (`Topology::Hybrid(_)`)
-/// stays legal: the variant is still named. Tuple-pattern catch-alls
-/// (`(t, n) =>`) are beyond a token scan and are left to code review.
-fn exhaustive_dispatch(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if file.class != FileClass::Engine {
-        return;
-    }
-    let n = file.code.len();
-    for ci in 0..n {
-        if file.text(ci) != "match" || file.text(ci.wrapping_sub(1)) == "." {
-            continue;
-        }
-        if file.in_test_code(file.ct(ci).line) {
-            continue;
-        }
-        // The match body: first `{` after the head (match heads cannot
-        // contain braces without parentheses).
-        let mut open = ci + 1;
-        while open < n && !matches!(file.text(open), "{" | ";") {
-            open += 1;
-        }
-        if file.text(open) != "{" {
-            continue;
-        }
-        let close = file.matching_brace(open);
-        // In scope only if the arms dispatch on the engine enums.
-        let dispatches = (open..=close)
-            .any(|w| matches!(file.text(w), "Topology" | "Algorithm") && file.text(w + 1) == "::");
-        if !dispatches {
-            continue;
-        }
-        scan_arms(file, open, close, out);
-    }
-}
-
-/// Walks the arms of one match body, flagging catch-all patterns. A
-/// small state machine over the code tokens at the arm nesting level:
-/// `InPattern` from an arm's first token to its `=>`, `InBody` after.
-fn scan_arms(file: &SourceFile, open: usize, close: usize, out: &mut Vec<Diagnostic>) {
-    let base = file.depth[open] + 1;
-    let mut in_pattern = true;
-    let mut at_start = true;
-    let mut paren = 0i32;
-    let mut w = open + 1;
-    while w < close {
-        // Nested braces (arm blocks, struct patterns, nested matches)
-        // are skipped wholesale.
-        if file.text(w) == "{" && file.depth[w] == base {
-            let end = file.matching_brace(w);
-            w = end + 1;
-            if in_pattern {
-                continue; // struct pattern — still before `=>`
-            }
-            // A braced arm body ends the arm; a trailing method call
-            // (`match .. {..}.foo()`) keeps us in the body.
-            if matches!(file.text(w), ",") {
-                w += 1;
-            } else if matches!(file.text(w), "." | "?" | ";") {
-                continue;
-            }
-            in_pattern = true;
-            at_start = true;
-            continue;
-        }
-        match file.text(w) {
-            "(" | "[" => paren += 1,
-            ")" | "]" => paren -= 1,
-            "," if paren == 0 && !in_pattern => {
-                in_pattern = true;
-                at_start = true;
-                w += 1;
-                continue;
-            }
-            "=" if in_pattern && paren == 0 && file.text(w + 1) == ">" => {
-                in_pattern = false;
-                w += 2;
-                continue;
-            }
-            t if in_pattern && at_start && paren == 0 => {
-                let next = file.text(w + 1);
-                let arrow_next = next == "if" || (next == "=" && file.text(w + 2) == ">");
-                let is_wild = t == "_";
-                let is_binding = t.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
-                    && t != "_"
-                    && t.chars().all(|c| c.is_alphanumeric() || c == '_');
-                if arrow_next && (is_wild || is_binding) {
-                    let what = if is_wild {
-                        "a `_` wildcard arm".to_string()
-                    } else {
-                        format!("a catch-all binding arm (`{t} =>`)")
-                    };
-                    out.push(diag(
-                        file,
-                        w,
-                        "exhaustive-dispatch",
-                        format!(
-                            "{what} in a `Topology`/`Algorithm` dispatch; name every \
-                             variant (bind with `v @ (A | B)` if the body is shared) so \
-                             adding a variant is a compile error at this site, not a \
-                             silent no-op"
-                        ),
-                    ));
-                }
-                at_start = false;
-            }
-            _ => {}
-        }
-        w += 1;
-    }
-}
-
-// ---------------------------------------------------------------- rule 7
+// ---------------------------------------------------------------- rule 4
 
 /// `bad-suppression`: malformed `dcd-lint:` markers. Not suppressible —
 /// a suppression that cannot parse cannot excuse anything, least of all

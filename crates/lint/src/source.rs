@@ -1,6 +1,6 @@
 //! The per-file analysis model: classified, tokenized source with the
-//! structural bookkeeping rules need — `#[cfg(test)]` regions, `use`
-//! statements, brace depth, statement windows and inline suppressions.
+//! structural bookkeeping rules need — `#[cfg(test)]` regions, brace
+//! depth, statement windows and inline suppressions.
 
 use crate::tokenizer::{tokenize, Token, TokenKind};
 
@@ -10,15 +10,11 @@ pub enum FileClass {
     /// Production engine code: `src/` of the root crate and of the
     /// engine crates. Every rule applies here.
     Engine,
-    /// Test and example code: `tests/`, `examples/`. Determinism rules
-    /// still apply (tests must be reproducible), perf-shape rules do not.
-    Test,
-    /// Benchmarks: `crates/bench`, `benches/`. Wall-clock timing is the
-    /// whole point here, so timing rules are off.
-    Bench,
-    /// The offline stand-ins under `crates/compat`: API-compatible
-    /// stubs for external crates, exempt from engine invariants.
-    Compat,
+    /// Everything that only drives or stands in for the engine: tests,
+    /// examples, `crates/bench`, the `crates/compat` stand-ins. The two
+    /// shape rules (`hash-iteration-order`, `duplicate-detect-loop`) are
+    /// off; `relaxed-atomic` and the suppression pair still apply.
+    Support,
 }
 
 /// One parsed `// dcd-lint: allow(<rule>) — <reason>` marker.
@@ -52,8 +48,6 @@ pub struct SourceFile {
     pub depth: Vec<u32>,
     /// Line ranges (inclusive) covered by `#[cfg(test)]` items.
     pub test_ranges: Vec<(u32, u32)>,
-    /// `code`-index ranges (inclusive) inside `use …;` statements.
-    pub use_spans: Vec<(usize, usize)>,
     /// Parsed inline suppressions.
     pub suppressions: Vec<Suppression>,
     /// Suppression-shaped comments that were rejected (missing reason,
@@ -88,12 +82,10 @@ impl SourceFile {
             code,
             depth,
             test_ranges: Vec::new(),
-            use_spans: Vec::new(),
             suppressions,
             bad_suppressions,
         };
         file.test_ranges = file.find_cfg_test_ranges();
-        file.use_spans = file.find_use_spans();
         file
     }
 
@@ -114,13 +106,7 @@ impl SourceFile {
 
     /// Is this line inside a `#[cfg(test)]` item?
     pub fn in_test_code(&self, line: u32) -> bool {
-        self.class == FileClass::Test
-            || self.test_ranges.iter().any(|&(a, b)| a <= line && line <= b)
-    }
-
-    /// Is this code index inside a `use …;` statement?
-    pub fn in_use_statement(&self, ci: usize) -> bool {
-        self.use_spans.iter().any(|&(a, b)| a <= ci && ci <= b)
+        self.test_ranges.iter().any(|&(a, b)| a <= line && line <= b)
     }
 
     /// Code-index of the `}` matching the `{` at code-index `open`.
@@ -230,29 +216,6 @@ impl SourceFile {
         }
         out
     }
-
-    /// Code-index spans of `use …;` statements (item position only: the
-    /// `use` must follow `;`, `{`, `}`, an attribute `]`, `pub`, or
-    /// start-of-file, so expression identifiers named `use` — impossible
-    /// anyway, it is a keyword — and `pub use` re-exports both work).
-    fn find_use_spans(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for ci in 0..self.code.len() {
-            if self.text(ci) != "use" {
-                continue;
-            }
-            let prev = if ci == 0 { "" } else { self.text(ci - 1) };
-            if !matches!(prev, "" | ";" | "{" | "}" | "]" | "pub" | ")") {
-                continue;
-            }
-            let mut end = ci;
-            while end < self.code.len() && self.text(end) != ";" {
-                end += 1;
-            }
-            out.push((ci, end));
-        }
-        out
-    }
 }
 
 /// Joins adjacent `:` `:` punct tokens into one `::` token so rules can
@@ -358,17 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn use_spans_cover_grouped_and_pub_use() {
-        let f = parse("use std::collections::{HashMap, HashSet};\npub use detect::detect_vertical;\nfn f() { let x = 1; }\n");
-        assert_eq!(f.use_spans.len(), 2);
-        // `detect_vertical` inside the pub use is covered.
-        let ci = (0..f.code.len()).find(|&i| f.text(i) == "detect_vertical").unwrap();
-        assert!(f.in_use_statement(ci));
-        let xi = (0..f.code.len()).find(|&i| f.text(i) == "x").unwrap();
-        assert!(!f.in_use_statement(xi));
-    }
-
-    #[test]
     fn path_separator_merges_only_when_adjacent() {
         let f = parse("a::b ; x : y");
         assert!((0..f.code.len()).any(|i| f.text(i) == "::"));
@@ -377,22 +329,23 @@ mod tests {
 
     #[test]
     fn suppression_requires_a_reason() {
-        let f = parse("// dcd-lint: allow(wall-clock)\nfn f() {}\n");
+        let f = parse("// dcd-lint: allow(relaxed-atomic)\nfn f() {}\n");
         assert!(f.suppressions.is_empty());
         assert_eq!(f.bad_suppressions.len(), 1);
-        let f =
-            parse("// dcd-lint: allow(wall-clock) — Measured mode needs real time\nfn f() {}\n");
+        let f = parse(
+            "// dcd-lint: allow(relaxed-atomic) — a statistic, read after the join\nfn f() {}\n",
+        );
         assert_eq!(f.suppressions.len(), 1);
-        assert_eq!(f.suppressions[0].rule, "wall-clock");
-        assert!(f.suppressions[0].reason.contains("Measured"));
+        assert_eq!(f.suppressions[0].rule, "relaxed-atomic");
+        assert!(f.suppressions[0].reason.contains("statistic"));
         assert!(f.bad_suppressions.is_empty());
     }
 
     #[test]
     fn suppression_accepts_rule_lists_and_plain_dash() {
-        let f = parse("// dcd-lint: allow(wall-clock, stray-thread) - bench harness\n");
+        let f = parse("// dcd-lint: allow(relaxed-atomic, hash-iteration-order) - a tally\n");
         assert_eq!(f.suppressions.len(), 2);
-        assert!(f.suppressions.iter().any(|s| s.rule == "stray-thread"));
+        assert!(f.suppressions.iter().any(|s| s.rule == "hash-iteration-order"));
     }
 
     #[test]

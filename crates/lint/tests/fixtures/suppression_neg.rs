@@ -1,9 +1,7 @@
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn measure(work: impl FnOnce()) -> f64 {
-    // dcd-lint: allow(wall-clock) — Measured compute mode scales real
-    // elapsed time by design; the deterministic default never reads it.
-    let start = Instant::now();
-    work();
-    start.elapsed().as_secs_f64()
+pub fn tally(rows: &AtomicU64, n: u64) {
+    // dcd-lint: allow(relaxed-atomic) — a statistic that publishes no
+    // other data; it is read once, after the pool has joined.
+    rows.fetch_add(n, Ordering::Relaxed);
 }

@@ -1,11 +1,13 @@
 //! The lint gate's own gate: the workspace must be clean under
-//! `dcd_lint`. Every pre-existing violation was either fixed or given
-//! an inline `// dcd-lint: allow(<rule>) — <reason>` with a real
-//! justification, so any regression shows up here (and in CI) with a
-//! rendered `file:line` diagnostic.
+//! `dcd_lint`, so any regression shows up here (and in CI) with a
+//! rendered `file:line` diagnostic. A finding is fixed, or excused
+//! inline with `// dcd-lint: allow(<rule>) — <reason>`; none is in the
+//! tree today. Also pinned here: the rule set, the crate layering, and
+//! the allow-list of the invariants clippy carries.
 
 use std::path::Path;
 
+use dcd_lint::engine::workspace_files;
 use dcd_lint::{check_workspace, render, Format, RULE_IDS};
 
 #[test]
@@ -35,11 +37,8 @@ fn the_rule_set_is_pinned() {
         RULE_IDS,
         [
             "hash-iteration-order",
-            "stray-thread",
-            "wall-clock",
             "relaxed-atomic",
             "duplicate-detect-loop",
-            "exhaustive-dispatch",
             "unused-suppression",
             "bad-suppression",
         ]
@@ -50,11 +49,11 @@ fn the_rule_set_is_pinned() {
 /// rustc cannot resolve a `dcd_x::` path without a manifest edge, so
 /// pinning the manifests pins the layering at every reference.
 const LAYERS: [(&str, &[&str]); 9] = [
-    ("relation", &["serde"]),
+    ("relation", &[]),
     ("obs", &[]),
-    ("cfd", &["dcd-relation", "dcd-obs", "serde"]),
+    ("cfd", &["dcd-relation", "dcd-obs"]),
     ("dist", &["dcd-relation", "dcd-obs"]),
-    ("core", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "serde"]),
+    ("core", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist"]),
     ("incr", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
     ("vertical", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
     ("complexity", &["dcd-relation", "dcd-cfd", "dcd-dist"]),
@@ -83,9 +82,54 @@ fn the_manifests_implement_the_layering() {
         }
     }
     // The compat stand-ins sit outside the engine DAG entirely.
-    for dir in ["serde", "serde_derive", "rand", "proptest", "criterion"] {
+    for dir in ["rand", "proptest"] {
         for dep in dependencies(&crates.join("compat").join(dir).join("Cargo.toml")) {
             assert!(!dep.starts_with("dcd-"), "compat/{dir} reaches back into `{dep}`");
         }
     }
+}
+
+/// "No host clock, no thread outside the pool" is `clippy.toml`'s
+/// `disallowed-methods`; what this pins is the allow-list: the five
+/// paths are listed, and the only way past them is a reasoned
+/// `#[expect]` (never an `#[allow]`, which would outlive its finding) at
+/// one of the four sanctioned sites.
+#[test]
+fn the_sanctioned_clock_and_thread_sites_stay_four() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml exists");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::thread::Builder::spawn",
+    ] {
+        assert!(toml.contains(&format!("path = \"{path}\"")), "clippy.toml lost `{path}`");
+    }
+
+    let mut sites = Vec::new();
+    for file in workspace_files(&root).expect("workspace sources should be readable") {
+        let rel = file.strip_prefix(&root).expect("walked from root").to_string_lossy().to_string();
+        if rel.starts_with("crates/lint/") {
+            continue; // this test and the rule docs name the lint
+        }
+        let text = std::fs::read_to_string(&file).expect("source is readable");
+        for (at, _) in text.match_indices("clippy::disallowed_methods") {
+            let open = text[..at].rfind("#[").expect("the lint is named inside an attribute");
+            let close = at + text[at..].find(")]").expect("the attribute closes");
+            assert_eq!(text[open..at].trim_end(), "#[expect(", "{rel}: only `#[expect]` may");
+            assert!(text[at..close].contains("reason = \""), "{rel}: an expectation says why");
+            sites.push(rel.clone());
+        }
+    }
+    assert_eq!(
+        sites,
+        [
+            "crates/bench/src/bin/experiments.rs",
+            "crates/compat/rand/src/lib.rs",
+            "crates/dist/src/pool.rs",
+            "crates/dist/src/pool.rs",
+        ]
+    );
 }

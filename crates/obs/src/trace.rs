@@ -1,12 +1,11 @@
 //! Phase-level run traces on the **simulated clock**.
 //!
 //! Spans are timestamped by `SiteClocks` seconds, never by the wall
-//! clock (the `wall-clock` rule of `dcd_lint` rejects `Instant`/
-//! `SystemTime` here, with an obs-specific message): engines record a
-//! span *after* a phase joins, as `(end = clock now, start = end −
-//! seconds charged)`, on the coordinating thread in site order — so a
-//! trace, like a registry snapshot, is bit-identical across pool widths
-//! and chunk sizes.
+//! clock (`Instant::now`/`SystemTime::now` are `disallowed-methods` in
+//! the root `clippy.toml`): engines record a span *after* a phase
+//! joins, as `(end = clock now, start = end − seconds charged)`, on the
+//! coordinating thread in site order — so a trace, like a registry
+//! snapshot, is bit-identical across pool widths and chunk sizes.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;

@@ -14,12 +14,11 @@
 use crate::schema::AttrId;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Comparison operator of an atomic condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -73,7 +72,7 @@ impl CmpOp {
 }
 
 /// An atomic condition `A op c` over one attribute and one constant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Atom {
     /// Attribute being constrained.
     pub attr: AttrId,
@@ -107,7 +106,7 @@ impl fmt::Display for Atom {
 }
 
 /// A conjunction (AND) of atoms. The empty conjunction is `true`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Conjunction {
     atoms: Vec<Atom>,
 }
@@ -240,7 +239,7 @@ impl fmt::Display for Conjunction {
 }
 
 /// A predicate in disjunctive normal form: an OR of conjunctions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predicate {
     disjuncts: Vec<Conjunction>,
 }

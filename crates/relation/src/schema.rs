@@ -2,7 +2,6 @@
 
 use crate::error::RelationError;
 use crate::fxhash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -10,7 +9,7 @@ use std::sync::Arc;
 ///
 /// A `u16` is plenty: the paper's widest schema (the Theorem 4 reduction)
 /// has `m² + m + 1` attributes for small `m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrId(pub u16);
 
 impl AttrId {
@@ -28,7 +27,7 @@ impl fmt::Display for AttrId {
 }
 
 /// Declared type of an attribute's domain `dom(A)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit integers.
     Int,
@@ -47,7 +46,7 @@ impl ValueType {
 }
 
 /// A single attribute: a name and the type of its domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name, unique within a schema.
     pub name: String,
@@ -61,12 +60,11 @@ pub struct Attribute {
 /// Schemas are immutable once built and shared via `Arc`, so fragments of
 /// the same relation (which all carry the same schema in the horizontal
 /// case, §II-B) share one allocation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Schema {
     name: String,
     attrs: Vec<Attribute>,
     key: Vec<AttrId>,
-    #[serde(skip)]
     by_name: FxHashMap<String, AttrId>,
 }
 

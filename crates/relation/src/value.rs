@@ -1,6 +1,5 @@
 //! Dynamically typed cell values.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use std::sync::Arc;
 /// `Null` is used by `Vioπ` (the X-projected violation view of §II-C of
 /// the paper) for the attributes outside `X`, and compares equal only to
 /// itself — adequate for detection, which never joins on nulls.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Value {
     /// SQL NULL / "no value".
     #[default]

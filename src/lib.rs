@@ -67,6 +67,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// `Topology` and `Algorithm` are dispatched in this crate and nowhere
+// else outside tests: a `_ =>` arm over them would let a new variant
+// inherit another's behaviour instead of failing to compile. (The
+// second lint is the first one's case of a `_` that stands for exactly
+// one variant today.)
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 pub mod api;
 

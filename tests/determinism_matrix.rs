@@ -3,8 +3,8 @@
 //! pool widths {1, 2, 8} × chunk sizes {7 rows, default}. The baseline
 //! is the width-1 default-chunk run; every other cell of the matrix
 //! must match it field for field, f64s compared by bits. This is the
-//! property `dcd_lint`'s `hash-iteration-order` and `stray-thread`
-//! rules guard statically and the morsel pipeline must uphold
+//! property `dcd_lint`'s `hash-iteration-order` rule and clippy's
+//! thread allow-list guard statically and the morsel pipeline must uphold
 //! dynamically: scheduling (who runs which (site, chunk) morsel, in
 //! what order, stolen or not) must never reach the output.
 
