@@ -14,6 +14,14 @@ use std::sync::Arc;
 /// Rows [`Relation::iter`] decodes per dictionary lock acquisition.
 const DECODE_BATCH: usize = 1024;
 
+/// Rows a bulk load interns per pass over the columns. Each column pass
+/// re-reads the block's rows, so the block has to stay cache-resident
+/// across all of them: 256 rows of a 16-attribute relation are ≈ 100 KB
+/// of `Value`s plus their row buffers — inside a private L2, where the
+/// whole input (read once per column) is not — while still amortizing
+/// the per-pass lock acquisitions over hundreds of rows.
+const INGEST_BLOCK_ROWS: usize = 256;
+
 /// An instance `D` of a relation schema `R`.
 ///
 /// Storage is dictionary-encoded and columnar, and it is the *only* copy
@@ -192,59 +200,82 @@ impl Relation {
 
     /// Bulk [`Relation::push`]: appends `rows` in order, assigning
     /// sequential ids. All rows are validated before anything is
-    /// appended, so an error leaves the relation unchanged. Interning
-    /// runs column by column ([`Column::extend_values`]): one pass per
-    /// dictionary under its read lock, given up only around a value
-    /// that dictionary has not seen.
+    /// appended or interned, so an error leaves the relation and its
+    /// dictionaries unchanged. The rows are then consumed a fixed block
+    /// at a time — each block interned column by column
+    /// ([`Column::extend_values`]), so a thread holds one dictionary lock
+    /// at a time and every dictionary sees its values in row order — and
+    /// released block by block, so the peak memory of a bulk load is the
+    /// relation plus one block, not the relation plus the input.
     pub fn extend_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<(), RelationError> {
         let first = self.next_tid;
         // Ids past the last assignable one saturate onto it and are
         // refused by the validation pass.
-        self.extend_encoding(
-            rows.iter()
-                .enumerate()
-                .map(move |(i, row)| (TupleId(first.saturating_add(i as u64)), &row[..])),
-        )
+        self.extend_encoding(rows, |i, row| (TupleId(first.saturating_add(i as u64)), &row[..]))
     }
 
     /// Bulk [`Relation::push_tuple`]: appends pre-identified tuples in
-    /// order through the same column-major interning as
-    /// [`Relation::extend_rows`]. All tuples are validated before
+    /// order through the same block loop as [`Relation::extend_rows`],
+    /// releasing them block by block. All tuples are validated before
     /// anything is appended; ids are preserved and the internal counter
     /// advances past the largest one seen.
     pub fn extend_tuples(&mut self, tuples: Vec<Tuple>) -> Result<(), RelationError> {
-        self.extend_encoding(tuples.iter().map(|t| (t.tid, t.values())))
+        self.extend_encoding(tuples, |_, t| (t.tid, t.values()))
     }
 
-    /// The one bulk value-ingest path: validate everything, then intern.
-    fn extend_encoding<'a>(
+    /// The one bulk value-ingest path: validate everything, then take
+    /// the owned input [`INGEST_BLOCK_ROWS`] rows at a time — each block
+    /// appended column by column ([`Relation::append_validated`]) and
+    /// dropped before the next one is read. `row_of(i, item)` is the id
+    /// and values of the `i`-th item.
+    fn extend_encoding<T>(
         &mut self,
-        rows: impl ExactSizeIterator<Item = (TupleId, &'a [Value])> + Clone,
+        items: Vec<T>,
+        row_of: impl Fn(usize, &T) -> (TupleId, &[Value]),
     ) -> Result<(), RelationError> {
-        for (tid, values) in rows.clone() {
+        for (i, item) in items.iter().enumerate() {
+            let (tid, values) = row_of(i, item);
             check_tid(tid)?;
             self.validate(values)?;
         }
-        self.append_validated(rows);
+        let total = items.len();
+        self.reserve(total);
+        let mut rest = items.into_iter();
+        while rest.len() > 0 {
+            let (done, n) = (total - rest.len(), rest.len().min(INGEST_BLOCK_ROWS));
+            let block = &rest.as_slice()[..n];
+            self.append_validated(block.iter().enumerate().map(|(k, item)| row_of(done + k, item)));
+            rest.by_ref().take(n).for_each(drop);
+        }
         Ok(())
     }
 
     /// Appends rows that passed [`check_tid`] and [`Relation::validate`],
-    /// interning column by column. With one dictionary per column (every
-    /// relation the constructors here and in `dcd-dist` build) each
-    /// dictionary sees its values in row order, so the codes are those
-    /// of row-by-row [`Relation::push_tuple`].
+    /// interning column by column — one pass per dictionary
+    /// ([`Column::extend_values`]), one dictionary lock held at a time.
+    /// With one dictionary per column (every relation the constructors
+    /// here and in `dcd-dist` build) each dictionary sees its values in
+    /// row order, call after call, so the codes are those of row-by-row
+    /// [`Relation::push_tuple`] however the rows are cut into calls.
     fn append_validated<'a>(
         &mut self,
         rows: impl ExactSizeIterator<Item = (TupleId, &'a [Value])> + Clone,
     ) {
         for (j, col) in self.columns.iter_mut().enumerate() {
-            col.reserve(rows.len());
             col.extend_values(rows.clone().map(|(_, values)| &values[j]));
         }
-        self.tids.reserve(rows.len());
         for (tid, _) in rows {
             self.push_tid(tid);
+        }
+    }
+
+    /// Reserves room for `extra` more rows, once per batch: a block loop
+    /// that reserved per block would start each chunk it opens at one
+    /// block's capacity and grow it from there.
+    fn reserve(&mut self, extra: usize) {
+        self.tids.reserve(extra);
+        for col in &mut self.columns {
+            col.reserve(extra);
         }
     }
 
@@ -341,6 +372,7 @@ impl Relation {
         }
 
         let first_new = self.tids.len();
+        self.reserve(delta.inserts.len());
         self.append_validated(delta.inserts.iter().map(|t| (t.tid, t.values())));
         let new_rows: Vec<usize> = (first_new..self.tids.len()).collect();
         Ok(DeltaEffect { inserted: self.code_rows(&attrs, &new_rows), deleted })

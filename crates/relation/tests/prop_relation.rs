@@ -190,9 +190,11 @@ proptest! {
         }
     }
 
-    /// The bulk ingest path (`extend_rows`, with per-column interning
-    /// memos) is observationally identical to cell-by-cell `push`:
-    /// same tuples, same codes, same dictionary contents.
+    /// The bulk ingest path (`extend_rows`: validate all, then block by
+    /// block, column by column) is observationally identical to
+    /// cell-by-cell `push`: same tuples, same codes, same dictionary
+    /// contents. These cases stay inside one block and one slot table;
+    /// `bulk_ingest_matches_push_across_blocks_and_growths` crosses both.
     #[test]
     fn bulk_extend_rows_matches_push(rows in arb_rows()) {
         let mut pushed = Relation::new(schema());
@@ -642,4 +644,109 @@ proptest! {
             prop_assert_eq!((image(&ascending), image(&shuffled)), before);
         }
     }
+}
+
+/// `n` rows the 40-row cases cannot reach: `a` all distinct, `b` five
+/// values and `Null`, `c` mostly distinct with repeats and `Null`s — four
+/// ingest blocks at 1 000 rows, and a slot table that doubles eight
+/// times under `a` and `c`.
+fn wide_rows(n: usize) -> Vec<Vec<Value>> {
+    (0..n)
+        .map(|i| {
+            let b = if i % 11 == 0 { Value::Null } else { Value::Int(i as i64 % 5) };
+            let c = match i % 13 {
+                0 => Value::Null,
+                7 => Value::str(format!("s{}", i / 2)),
+                _ => Value::str(format!("s{i}")),
+            };
+            vec![Value::Int(i as i64 * 7 - 300), b, c]
+        })
+        .collect()
+}
+
+/// Ids and codes as [`image`], plus every dictionary in code order.
+fn image_and_dicts(rel: &Relation) -> (Vec<TupleId>, Vec<Vec<u32>>, Vec<Vec<Value>>) {
+    let (tids, codes) = image(rel);
+    (tids, codes, rel.columns().iter().map(|c| c.dict().snapshot()).collect())
+}
+
+/// `bulk_extend_rows_matches_push` where the block loop and the
+/// dictionary's index have seams: both relations start from three pushed
+/// rows (so no block starts at row 0 of an empty dictionary), then take
+/// 1 000 rows in bulk and one by one. Runs at whatever chunk size the
+/// process has — CI's 3-row leg puts ≈ 330 chunk seams under it.
+#[test]
+fn bulk_ingest_matches_push_across_blocks_and_growths() {
+    let head = [vals![5, 1, "s9"], vals![Value::Null, 2, "head"], vals![-300, 1, Value::Null]];
+    let rows = wide_rows(1_000);
+
+    let mut pushed = Relation::new(schema());
+    let mut bulk = Relation::new(schema());
+    for row in &head {
+        pushed.push(row.clone()).unwrap();
+        bulk.push(row.clone()).unwrap();
+    }
+    for row in rows.clone() {
+        pushed.push(row).unwrap();
+    }
+    bulk.extend_rows(rows.clone()).unwrap();
+    assert!(bulk.iter().eq(pushed.iter()));
+    assert_eq!(image_and_dicts(&bulk), image_and_dicts(&pushed));
+    assert_eq!(bulk.push(head[0].clone()).unwrap(), pushed.push(head[0].clone()).unwrap());
+
+    // Pre-identified tuples in an order that is not ascending: 389 is a
+    // unit modulo the prime 1 009, so the ids are distinct.
+    let tuples: Vec<Tuple> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, row)| Tuple::new(TupleId(2_000 + (i as u64 + 1) * 389 % 1_009), row))
+        .collect();
+    for t in tuples.clone() {
+        pushed.push_tuple(t).unwrap();
+    }
+    bulk.extend_tuples(tuples.clone()).unwrap();
+    assert!(bulk.iter().eq(pushed.iter()));
+    assert_eq!(image_and_dicts(&bulk), image_and_dicts(&pushed));
+    // The counter sits past the largest id seen, and lookups take the
+    // unordered path on both.
+    let probe = [tuples[999].tid, TupleId(1), tuples[0].tid, TupleId(1_999)];
+    assert_eq!(bulk.positions_of(&probe), pushed.positions_of(&probe));
+    assert_eq!(bulk.positions_of(&probe)[0], Some(3 + 1_000 + 1 + 999));
+    assert_eq!(bulk.push(head[1].clone()).unwrap(), TupleId(2_000 + 1_009));
+    assert_eq!(pushed.push(head[1].clone()).unwrap(), TupleId(2_000 + 1_009));
+}
+
+/// All or nothing, where the block loop could break it: the offending
+/// row is the *last* of four blocks, so a loop that validated as it went
+/// would have appended and interned three blocks before refusing.
+#[test]
+fn a_batch_refused_at_its_last_row_appends_and_interns_nothing() {
+    let mut rel = Relation::new(schema());
+    rel.push_tuple(Tuple::new(TupleId(7), vals![1, 2, "kept"])).unwrap();
+    let before = image_and_dicts(&rel);
+
+    let mut ill_typed = wide_rows(1_000);
+    ill_typed[999][1] = Value::str("oops");
+    let err = rel.extend_rows(ill_typed.clone()).unwrap_err();
+    assert!(matches!(err, RelationError::TypeMismatch { .. }), "{err}");
+    assert_eq!(image_and_dicts(&rel), before);
+
+    let tuples: Vec<Tuple> = ill_typed
+        .into_iter()
+        .enumerate()
+        .map(|(i, row)| Tuple::new(TupleId(i as u64), row))
+        .collect();
+    let err = rel.extend_tuples(tuples).unwrap_err();
+    assert!(matches!(err, RelationError::TypeMismatch { .. }), "{err}");
+    assert_eq!(image_and_dicts(&rel), before);
+
+    // Well-typed rows whose fresh ids run out: the 600th saturates onto
+    // the one id that is refused.
+    rel.push_tuple(Tuple::new(TupleId(u64::MAX - 600), vals![1, 2, "kept"])).unwrap();
+    let before = image_and_dicts(&rel);
+    let err = rel.extend_rows(wide_rows(1_000)).unwrap_err();
+    assert_eq!(err, RelationError::TupleIdOutOfRange { tid: u64::MAX });
+    assert_eq!(image_and_dicts(&rel), before);
+    assert_eq!(rel.len(), 2);
+    assert_eq!(rel.push(vals![1, 2, "kept"]).unwrap(), TupleId(u64::MAX - 599));
 }
