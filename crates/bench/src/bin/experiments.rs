@@ -7,6 +7,7 @@
 //! ```
 
 use dcd_bench::figures::all_figures;
+use dcd_bench::workloads::parse_scale;
 use std::time::Instant;
 
 fn main() {
@@ -18,7 +19,10 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
 
-    let scale = dcd_bench::workloads::scale();
+    let scale = parse_scale(std::env::var("DCD_SCALE").ok().as_deref()).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
     println!("distributed-cfd experiments (scale = {scale}; set DCD_SCALE=1.0 for paper scale)\n");
     let mut unknown = Vec::new();
     for want in wanted {

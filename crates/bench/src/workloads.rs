@@ -8,11 +8,19 @@ use dcd_dist::HorizontalPartition;
 use dcd_relation::Relation;
 
 /// The scale factor the `experiments` binary applies to the paper's
-/// dataset sizes: `DCD_SCALE`, default `0.1` (80K instead of 800K
-/// tuples; `1.0` is paper scale). The builders below take the factor as
-/// an argument — only the binary reads the environment.
-pub fn scale() -> f64 {
-    std::env::var("DCD_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.1)
+/// dataset sizes, from the value of `DCD_SCALE`: unset → `0.1` (80K
+/// instead of 800K tuples; `1.0` is paper scale); set → a finite number
+/// above zero. Anything else is refused with the message to print, not
+/// defaulted: a typo must not start an 80K-tuple run, and `nan` / `inf` /
+/// `0` must not reach the builders' size cast and 1 000-tuple floor. The
+/// builders below take the factor as an argument — only the binary reads
+/// the environment.
+pub fn parse_scale(var: Option<&str>) -> Result<f64, String> {
+    let Some(text) = var else { return Ok(0.1) };
+    match text.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!("DCD_SCALE must be a positive number, got {text:?}")),
+    }
 }
 
 /// `n` scaled, floored at 1 000 tuples.
@@ -133,5 +141,23 @@ impl XrefWorkload {
     /// The xrefH fragmentation: 7 fragments by reference type.
     pub fn partition_by_info_type(&self) -> HorizontalPartition {
         HorizontalPartition::by_attribute(&self.relation, "info_type", 7).expect("info_type exists")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn dcd_scale_is_answered_or_rejected() {
+        assert_eq!(parse_scale(None), Ok(0.1));
+        assert_eq!(parse_scale(Some("0.0125")), Ok(0.0125));
+        assert_eq!(parse_scale(Some("1")), Ok(1.0));
+        for bad in ["", "abc", "-1", "0", "nan", "inf"] {
+            assert_eq!(
+                parse_scale(Some(bad)),
+                Err(format!("DCD_SCALE must be a positive number, got \"{bad}\"")),
+            );
+        }
     }
 }

@@ -133,17 +133,6 @@ impl Cfd {
         AttrSet::from_ids(self.schema.arity(), self.lhs.iter().chain(&self.rhs).copied())
     }
 
-    /// Appends a pattern tuple (builder style).
-    pub fn push_pattern(&mut self, tp: PatternTuple) -> Result<(), RelationError> {
-        if tp.lhs.len() != self.lhs.len() || tp.rhs.len() != self.rhs.len() {
-            return Err(RelationError::SchemaMismatch {
-                detail: "pattern tuple arity does not match FD".into(),
-            });
-        }
-        self.tableau.push(tp);
-        Ok(())
-    }
-
     /// Merges CFDs sharing the same embedded FD into one CFD whose tableau
     /// is the union (the paper's Example 2 merges `cfd1`/`cfd2` into `φ1`).
     pub fn merge(name: impl Into<String>, cfds: &[&Cfd]) -> Result<Cfd, RelationError> {

@@ -6,8 +6,7 @@
 //! dependency preserving iff `Γ ⊨ Σ` (Proposition 7). This module
 //! provides:
 //!
-//! * [`fd_closure`] / [`fd_implies`] / [`minimal_cover`] — the classical
-//!   attribute-closure machinery for plain FDs,
+//! * [`fd_closure`] — the classical attribute closure for plain FDs,
 //! * [`ChaseState`] / [`chase_implies`] / [`sigma_implies`] — a two-tuple
 //!   chase deciding `Σ ⊨ φ` for CFDs.
 //!
@@ -26,7 +25,7 @@ use crate::pattern::PatternValue;
 use dcd_relation::{AttrId, FxHashMap, Value};
 
 // ---------------------------------------------------------------------
-// Plain FDs: closures and covers.
+// Plain FDs: closures.
 // ---------------------------------------------------------------------
 
 /// The attribute closure `X⁺` of `attrs` under `fds`.
@@ -44,58 +43,6 @@ pub fn fd_closure(attrs: &AttrSet, fds: &[Fd]) -> AttrSet {
         }
     }
     closure
-}
-
-/// `fds ⊨ fd` via attribute closure.
-pub fn fd_implies(fds: &[Fd], fd: &Fd, arity: usize) -> bool {
-    let lhs = AttrSet::from_ids(arity, fd.lhs.iter().copied());
-    let closure = fd_closure(&lhs, fds);
-    fd.rhs.iter().all(|a| closure.contains(*a))
-}
-
-/// A minimal cover of `fds`: single-attribute RHSs, no extraneous LHS
-/// attributes, no redundant FDs. Classical algorithm (Abiteboul–Hull–
-/// Vianu, ch. 8); output order is deterministic.
-pub fn minimal_cover(fds: &[Fd], arity: usize) -> Vec<Fd> {
-    // 1. Split RHSs.
-    let mut cover: Vec<Fd> = Vec::new();
-    for fd in fds {
-        for &a in &fd.rhs {
-            cover.push(Fd::new(fd.lhs.clone(), vec![a]));
-        }
-    }
-    // 2. Remove extraneous LHS attributes.
-    for i in 0..cover.len() {
-        let mut lhs = cover[i].lhs.clone();
-        let rhs = cover[i].rhs[0];
-        let mut j = 0;
-        while j < lhs.len() && lhs.len() > 1 {
-            let mut reduced = lhs.clone();
-            let removed = reduced.remove(j);
-            let red_set = AttrSet::from_ids(arity, reduced.iter().copied());
-            if fd_closure(&red_set, &cover).contains(rhs) {
-                lhs.remove(j);
-                let _ = removed;
-            } else {
-                j += 1;
-            }
-        }
-        cover[i].lhs = lhs;
-    }
-    // 3. Remove redundant FDs.
-    let mut i = 0;
-    while i < cover.len() {
-        let fd = cover.remove(i);
-        if fd_implies(&cover, &fd, arity) {
-            // redundant: stay at i (element shifted into place)
-        } else {
-            cover.insert(i, fd);
-            i += 1;
-        }
-    }
-    // 4. Deduplicate identical FDs.
-    cover.dedup_by(|a, b| a.lhs == b.lhs && a.rhs == b.rhs);
-    cover
 }
 
 // ---------------------------------------------------------------------
@@ -351,44 +298,6 @@ mod tests {
         assert!(cl.contains(AttrId(1)));
         assert!(cl.contains(AttrId(2)));
         assert!(!cl.contains(AttrId(3)));
-    }
-
-    #[test]
-    fn fd_implication() {
-        let s = schema();
-        let fds = vec![fd(&s, &["a"], &["b"]), fd(&s, &["b"], &["c"])];
-        assert!(fd_implies(&fds, &fd(&s, &["a"], &["c"]), 5));
-        assert!(fd_implies(&fds, &fd(&s, &["a", "d"], &["c"]), 5)); // augmentation
-        assert!(!fd_implies(&fds, &fd(&s, &["c"], &["a"]), 5));
-        // Reflexivity.
-        assert!(fd_implies(&[], &fd(&s, &["a", "b"], &["a"]), 5));
-    }
-
-    #[test]
-    fn minimal_cover_removes_redundancy() {
-        let s = schema();
-        // a→b, b→c, a→c (redundant), ab→c (extraneous b … then redundant).
-        let fds = vec![
-            fd(&s, &["a"], &["b"]),
-            fd(&s, &["b"], &["c"]),
-            fd(&s, &["a"], &["c"]),
-            fd(&s, &["a", "b"], &["c"]),
-        ];
-        let cover = minimal_cover(&fds, 5);
-        assert_eq!(cover.len(), 2);
-        // Cover still implies everything.
-        for f in &fds {
-            assert!(fd_implies(&cover, f, 5));
-        }
-    }
-
-    #[test]
-    fn minimal_cover_splits_rhs() {
-        let s = schema();
-        let fds = vec![fd(&s, &["a"], &["b", "c"])];
-        let cover = minimal_cover(&fds, 5);
-        assert_eq!(cover.len(), 2);
-        assert!(cover.iter().all(|f| f.rhs.len() == 1));
     }
 
     #[test]

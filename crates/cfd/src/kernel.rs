@@ -46,8 +46,8 @@
 //!
 //! The validation semantics live in `judge` (private to this module: it
 //! is the semantics, not an entry point) and nowhere else in the
-//! engine (enforced by the `duplicate-detect-loop` lint rule): variable
-//! patterns flag the whole group iff it holds ≥ 2 distinct RHS values;
+//! engine (a second spelling that disagreed would fail `prop_oracle`):
+//! variable patterns flag the whole group iff it holds ≥ 2 distinct RHS values;
 //! constant patterns flag individual mismatching members (`t[A] ≭ c`),
 //! plus — under the strict §II-C reading — the whole group on an FD
 //! conflict. Both [`validate_group`] and [`detect_grouped`] are that

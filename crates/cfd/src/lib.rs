@@ -33,8 +33,6 @@
 //!   detector is pinned against,
 //! * [`implication`] — FD closures and the two-tuple chase deciding
 //!   `Σ |= φ` (complete for infinite-domain attributes),
-//! * [`discovery`] — proposing CFDs from data (the complementary
-//!   problem the paper cites as related work \[18, 19\]),
 //! * [`attrset`] — a compact attribute bitset used throughout.
 
 #![forbid(unsafe_code)]
@@ -43,7 +41,6 @@
 pub mod attrset;
 pub mod cfd;
 pub mod codes;
-pub mod discovery;
 pub mod implication;
 pub mod kernel;
 pub mod oracle;
@@ -54,14 +51,13 @@ pub mod violation;
 pub use attrset::AttrSet;
 pub use cfd::{Cfd, Fd, NormalCfd, SimpleCfd};
 pub use codes::{CodeLayout, CodeRow, ResolvedCfd};
-pub use discovery::{discover, discover_cfds, DiscoveryConfig};
-pub use implication::{chase_implies, fd_closure, fd_implies, minimal_cover, sigma_implies};
+pub use implication::{chase_implies, fd_closure, sigma_implies};
 pub use kernel::{
     validate_group, Flagged, GroupVerdict, KernelCounters, KernelTally, LhsIndex, RhsSpec,
 };
 pub use parse::{parse_cfd, ParseError};
 pub use pattern::{NormalPattern, PatternTuple, PatternValue};
 pub use violation::{
-    detect, detect_constants_rows, detect_constants_rows_with, detect_set, detect_simple,
-    detect_simple_strict, satisfies, ViolationReport, ViolationSet,
+    detect, detect_constants_rows_with, detect_set, detect_simple, detect_simple_strict, satisfies,
+    ViolationReport, ViolationSet,
 };

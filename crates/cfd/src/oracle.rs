@@ -15,8 +15,7 @@
 //! is pinned against it (`tests/prop_oracle.rs`), and the tiny-instance
 //! companions to the NP-hardness results (`dcd_core::exact`,
 //! `dcd_complexity::reductions`) call it directly. It is the one
-//! sanctioned second spelling of the detection semantics; the
-//! `duplicate-detect-loop` lint exempts this file by name.
+//! sanctioned second spelling of the detection semantics.
 //!
 //! Both readings of constant patterns are provided (see
 //! [`violation`](crate::violation) for why there are two): [`vio`] is the

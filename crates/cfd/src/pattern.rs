@@ -227,14 +227,6 @@ impl CompiledPattern {
         self.lhs.iter().zip(cols).all(|(&pc, col)| pc == WILDCARD_CODE || pc == col[i])
     }
 
-    /// [`matches_row`](Self::matches_row) over chunked column views
-    /// (random access across chunk seams; the chunk-slice variant is the
-    /// hot path for dense scans).
-    #[inline]
-    pub fn matches_view_row(&self, cols: &[dcd_relation::CodesView<'_>], i: usize) -> bool {
-        self.lhs.iter().zip(cols).all(|(&pc, col)| pc == WILDCARD_CODE || pc == col.at(i))
-    }
-
     /// `key ≍ tp[X]` for a materialized group key of codes.
     #[inline]
     pub fn matches_codes(&self, key: &[u32]) -> bool {

@@ -226,25 +226,14 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
 
 /// Single-tuple detection of an all-constant-pattern CFD, restricted to
 /// rows `start..end` — the morsel unit of the distributed engines'
-/// Proposition-5 phase. Precondition (debug-asserted): every tableau
-/// pattern has a constant RHS. Under the algorithmic reading such
-/// patterns flag tuples one at a time (`t[X] ≍ tp[X] ∧ t[A] ≭ tp[A]`),
-/// so unioning the per-range results over any partition of the rows is
-/// exactly the whole-relation [`detect_simple`] — pinned by tests.
-pub fn detect_constants_rows(
-    rel: &Relation,
-    cfd: &SimpleCfd,
-    start: usize,
-    end: usize,
-) -> ViolationSet {
-    let compiled = compile_tableau(&cfd.tableau, rel, &cfd.lhs, cfd.rhs);
-    detect_constants_rows_with(rel, cfd, &compiled, start, end)
-}
-
-/// [`detect_constants_rows`] against a tableau already compiled for
-/// `rel`'s dictionaries. The distributed engines' morsel loops compile
-/// once per fragment and reuse the patterns across every (site, chunk)
-/// range.
+/// Proposition-5 phase — against a tableau already compiled for `rel`'s
+/// dictionaries (the morsel loops compile once per fragment and reuse the
+/// patterns across every (site, chunk) range). Precondition
+/// (debug-asserted): every tableau pattern has a constant RHS. Under the
+/// algorithmic reading such patterns flag tuples one at a time
+/// (`t[X] ≍ tp[X] ∧ t[A] ≭ tp[A]`), so unioning the per-range results
+/// over any partition of the rows is exactly the whole-relation
+/// [`detect_simple`] — pinned by tests.
 ///
 /// One pass: a row is first put to the tableau's [`Admission`] filter —
 /// a constant pattern can flag only tuples carrying its LHS constants —
@@ -260,7 +249,7 @@ pub fn detect_constants_rows_with(
     let mut out = ViolationSet::default();
     debug_assert!(
         compiled.iter().all(|p| !p.rhs_is_wild()),
-        "detect_constants_rows requires constant-RHS patterns (single-tuple semantics)"
+        "detect_constants_rows_with requires constant-RHS patterns (single-tuple semantics)"
     );
     let feasible: Vec<&CompiledPattern> = compiled.iter().filter(|p| p.feasible).collect();
     if feasible.is_empty() {

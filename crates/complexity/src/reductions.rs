@@ -152,11 +152,6 @@ pub fn mhd_reduction(msc: &SetCoverInstance) -> MhdInstance {
 }
 
 impl MhdInstance {
-    /// Site of the `V` fragment (the proof's shipping destination `Sv`).
-    pub fn v_site(&self) -> SiteId {
-        SiteId(self.n as u32)
-    }
-
     /// The shipment the proof prescribes for a candidate cover: the
     /// subset tuples of `cover` plus `2m` witness tuples from `U` — one
     /// per `Bu` value, each paired with a still-uncovered `(position,

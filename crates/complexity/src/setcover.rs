@@ -107,11 +107,6 @@ impl SetCoverInstance {
         dfs(0, 0, full, &masks, &mut stack, &mut best);
         best.filter(|b| self.is_cover(b))
     }
-
-    /// Size of the minimum cover, if coverable.
-    pub fn min_cover_size(&self) -> Option<usize> {
-        self.exact_cover().map(|c| c.len())
-    }
 }
 
 #[cfg(test)]

@@ -16,10 +16,7 @@
 //! * a [`Detection`] is assembled only by [`RunCtx::finish`] /
 //!   [`RunCtx::snapshot`], from those same meters.
 //!
-//! These are type and privacy facts, checked by rustc on every build;
-//! they replace the `unobserved-phase`, `unledgered-shipment` and
-//! `raw-ledger-mutation` rules `dcd_lint` used to approximate them
-//! with.
+//! These are type and privacy facts, checked by rustc on every build.
 
 use crate::config::RunConfig;
 use crate::report::Detection;

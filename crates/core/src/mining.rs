@@ -235,6 +235,10 @@ impl MinedTableau {
                 if attrs.len() < 2 {
                     continue;
                 }
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "each key only inserts into the `not_closed` set; a set's contents do not depend on insertion order"
+                )]
                 for (key, cnt) in &freq[&mask] {
                     let codes = key.codes(attrs.len());
                     // Project onto each immediate subset.
@@ -258,6 +262,10 @@ impl MinedTableau {
             // pattern — the only point codes are decoded to values.
             for &mask in &self.masks {
                 let attrs = mask_attrs(mask, m);
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "each key only inserts into the `mined` set, which is sorted below before any pattern is emitted"
+                )]
                 for key in freq[&mask].keys() {
                     if not_closed.contains(&(mask, key.clone())) {
                         continue;

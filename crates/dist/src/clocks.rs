@@ -44,9 +44,13 @@
 //! belt-and-braces — the pool's scope join would order the accesses
 //! anyway — but they make the type safe to read concurrently without
 //! leaning on that contract, at no measurable cost on the coarse
-//! per-site phases. `dcd_lint`'s `relaxed-atomic` rule keeps
-//! `Ordering::Relaxed` from creeping in here: this file is *not* on
-//! its whitelist.
+//! per-site phases. `tests/workspace_invariants.rs` keeps
+//! `Ordering::Relaxed` from creeping in here: this file is *not* one of
+//! the two that may spell it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "atomics audit: Acquire/Release clocks, one writer per site per phase, see the module doc"
+)]
 
 use crate::cost::CostModel;
 use crate::site::SiteId;

@@ -47,10 +47,10 @@
 //! pairs and wait/notify edges carry every needed happens-before (each
 //! result slot's `Mutex` orders the worker's write before the caller's
 //! read; the `remaining == 0` wakeup orders job completion before result
-//! collection). This audit is what whitelists this file for the
-//! `relaxed-atomic` rule of `dcd_lint`; thread spawning anywhere else in
-//! the workspace is rejected by clippy (`disallowed-methods` in the root
-//! `clippy.toml`; the two spawns here carry an `#[expect]`). The only
+//! collection). Clippy rejects a raw atomic here as anywhere outside the
+//! four audited modules (`disallowed-types` in the root `clippy.toml`),
+//! and thread spawning anywhere else in the workspace
+//! (`disallowed-methods`; the two spawns here carry an `#[expect]`). The only
 //! atomics in sight are the opaque `dcd_obs` counter handles feeding the
 //! **host-scope** observability registry (morsels executed, steals,
 //! initial queue depths — values that legitimately vary with pool width

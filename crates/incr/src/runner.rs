@@ -738,10 +738,4 @@ impl VerticalIncrementalRun {
     pub fn coordinator(&self) -> SiteId {
         self.coordinator
     }
-
-    /// Owning fragment per original attribute (derived from the
-    /// placement table, the single source of ownership truth).
-    pub fn owners(&self) -> Vec<usize> {
-        self.placement.iter().map(|&(f, _)| f).collect()
-    }
 }

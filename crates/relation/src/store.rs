@@ -42,6 +42,10 @@
 //! from `DCD_CHUNK_ROWS` (default [`DEFAULT_CHUNK_ROWS`]) and is captured
 //! per column at construction, so every column of one relation shares one
 //! chunk layout and multi-column scans zip aligned chunks.
+#![expect(
+    clippy::disallowed_types,
+    reason = "atomics audit: one cold SeqCst configuration knob, see `chunk_rows`"
+)]
 
 use crate::fxhash::FxBuildHasher;
 use crate::value::Value;
@@ -311,21 +315,6 @@ impl Dictionary {
         self.read().values[code as usize].clone()
     }
 
-    /// Maps every current code to its rank under the [`Value`] total
-    /// order: `rank[code_of(v)] < rank[code_of(w)]` iff `v < w`. Sorting
-    /// rows by rank keys is therefore identical to sorting by values,
-    /// while comparing only integers.
-    pub fn rank_map(&self) -> Vec<u32> {
-        let inner = self.read();
-        let mut order: Vec<u32> = (0..inner.values.len() as u32).collect();
-        order.sort_by(|&a, &b| inner.values[a as usize].cmp(&inner.values[b as usize]));
-        let mut rank = vec![0u32; order.len()];
-        for (r, &code) in order.iter().enumerate() {
-            rank[code as usize] = r as u32;
-        }
-        rank
-    }
-
     /// A point-in-time copy of the code → value table (test/debug helper).
     pub fn snapshot(&self) -> Vec<Value> {
         self.read().values.clone()
@@ -377,14 +366,10 @@ impl Column {
         Column::with_layout(dict, 0, chunk_rows())
     }
 
-    /// Creates an empty column sharing `dict`, with room for `cap` rows.
-    pub fn sharing_with_capacity(dict: Arc<Dictionary>, cap: usize) -> Self {
-        Column::with_layout(dict, cap, chunk_rows())
-    }
-
-    /// [`Column::sharing_with_capacity`] at a given chunk size. A relation
-    /// reads [`chunk_rows`] once and builds all its columns with it, so
-    /// they share one layout even while [`set_chunk_rows`] is changing.
+    /// An empty column sharing `dict` with room for `cap` rows, at a given
+    /// chunk size. A relation reads [`chunk_rows`] once and builds all its
+    /// columns with it, so they share one layout even while
+    /// [`set_chunk_rows`] is changing.
     pub(crate) fn with_layout(dict: Arc<Dictionary>, cap: usize, chunk_rows: usize) -> Self {
         let mut c = Column { dict, chunks: Vec::new(), len: 0, chunk_rows };
         c.reserve(cap);
@@ -870,19 +855,6 @@ mod tests {
         assert_eq!(copy.intern(&Value::Null) as usize, n);
         assert_eq!(copy.code_of(&value(n - 1)), Some(n as u32 - 1));
         assert_eq!((d.len(), d.code_of(&Value::Null)), (n, None));
-    }
-
-    #[test]
-    fn rank_map_orders_like_values() {
-        let d = Dictionary::new();
-        // Insert out of Value order on purpose.
-        d.intern(&Value::str("b"));
-        d.intern(&Value::Int(10));
-        d.intern(&Value::Null);
-        d.intern(&Value::str("a"));
-        let rank = d.rank_map();
-        // Null < Int(10) < "a" < "b".
-        assert_eq!(rank, vec![3, 1, 0, 2]);
     }
 
     #[test]

@@ -55,15 +55,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// A short name of the runtime type, for error messages.
-    pub const fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "Null",
-            Value::Int(_) => "Int",
-            Value::Str(_) => "Str",
-        }
-    }
 }
 
 impl From<i64> for Value {

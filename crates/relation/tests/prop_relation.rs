@@ -1,8 +1,7 @@
 //! Property-based tests for the relational substrate: predicate
-//! evaluation vs. satisfiability soundness, the algebraic laws of the
-//! physical operators, and the storage layer against a plain row model.
+//! evaluation vs. satisfiability soundness, and the storage layer against
+//! a plain row model.
 
-use dcd_relation::ops;
 use dcd_relation::{
     set_chunk_rows, vals, Atom, CmpOp, Conjunction, Predicate, Relation, RelationDelta,
     RelationError, Schema, Tuple, TupleId, Value, ValueType,
@@ -119,77 +118,6 @@ proptest! {
         prop_assert_eq!(p.and(&q).eval(&t), p.eval(&t) && q.eval(&t));
     }
 
-    /// Selection returns exactly the satisfying tuples, ids preserved.
-    #[test]
-    fn select_is_a_filter(
-        specs in prop::collection::vec(arb_atom(), 0..4),
-        rows in arb_rows(),
-    ) {
-        let rel = build(&rows);
-        let p = Predicate::from_conjunction(build_conj(&specs));
-        let sel = ops::select(&rel, &p);
-        let expect: Vec<TupleId> =
-            rel.iter().filter(|t| p.eval(t)).map(|t| t.tid).collect();
-        let got: Vec<TupleId> = sel.iter().map(|t| t.tid).collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    /// Grouping partitions the relation: blocks are disjoint and cover
-    /// every tuple, and members agree on the grouped attributes.
-    #[test]
-    fn group_by_partitions(rows in arb_rows()) {
-        let rel = build(&rows);
-        let attrs = [dcd_relation::AttrId(0), dcd_relation::AttrId(2)];
-        let groups = ops::group_by(&rel, &attrs);
-        let total: usize = groups.values().map(Vec::len).sum();
-        prop_assert_eq!(total, rel.len());
-        for (key, members) in &groups {
-            for &i in members {
-                prop_assert_eq!(&rel.row(i).project(&attrs), key);
-            }
-        }
-    }
-
-    /// Vertical split + key join restores the original relation.
-    #[test]
-    fn project_join_round_trip(rows in arb_rows()) {
-        // Need a key: re-build with an id column.
-        let s = Schema::builder("k")
-            .attr("id", ValueType::Int)
-            .attr("a", ValueType::Int)
-            .attr("c", ValueType::Str)
-            .key(&["id"])
-            .build()
-            .unwrap();
-        let rel = Relation::from_rows(
-            s.clone(),
-            rows.iter()
-                .enumerate()
-                .map(|(i, &(a, _, c))| vals![i, a, format!("s{c}")])
-                .collect(),
-        )
-        .unwrap();
-        let id = s.require("id").unwrap();
-        let a = s.require("a").unwrap();
-        let c = s.require("c").unwrap();
-        let left = ops::project(&rel, "l", &[id, a]).unwrap();
-        let right = ops::project(&rel, "r", &[id, c]).unwrap();
-        let joined = ops::hash_join(
-            &left,
-            &right,
-            &[left.schema().require("id").unwrap()],
-            &[right.schema().require("id").unwrap()],
-            "j",
-        )
-        .unwrap();
-        prop_assert_eq!(joined.len(), rel.len());
-        for t in joined.iter() {
-            let orig = rel.iter().find(|o| o.get(id) == t.get(dcd_relation::AttrId(0))).unwrap();
-            prop_assert_eq!(t.get(dcd_relation::AttrId(1)), orig.get(a));
-            prop_assert_eq!(t.get(dcd_relation::AttrId(2)), orig.get(c));
-        }
-    }
-
     /// The bulk ingest path (`extend_rows`: validate all, then block by
     /// block, column by column) is observationally identical to
     /// cell-by-cell `push`: same tuples, same codes, same dictionary
@@ -253,68 +181,6 @@ proptest! {
         }
     }
 
-    /// The code-keyed group-by agrees with a naive value-keyed grouping,
-    /// and so does the code-keyed distinct projection.
-    #[test]
-    fn code_grouping_equals_value_grouping(rows in arb_rows()) {
-        let rel = build(&rows);
-        for attrs in [
-            vec![],
-            vec![dcd_relation::AttrId(0)],
-            vec![dcd_relation::AttrId(2), dcd_relation::AttrId(0)],
-            vec![dcd_relation::AttrId(0), dcd_relation::AttrId(1), dcd_relation::AttrId(2)],
-        ] {
-            let groups = ops::group_by(&rel, &attrs);
-            let mut naive: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-                std::collections::HashMap::new();
-            for (i, t) in rel.iter().enumerate() {
-                naive.entry(t.project(&attrs)).or_default().push(i);
-            }
-            prop_assert_eq!(groups.len(), naive.len());
-            for (key, members) in &naive {
-                prop_assert_eq!(&groups[key], members, "attrs {:?}", attrs);
-            }
-            // Distinct projection: same set, first-seen order.
-            let distinct = ops::project_distinct(&rel, &attrs);
-            let mut seen = std::collections::HashSet::new();
-            let naive_distinct: Vec<Vec<Value>> = rel
-                .iter()
-                .map(|t| t.project(&attrs))
-                .filter(|k| seen.insert(k.clone()))
-                .collect();
-            prop_assert_eq!(distinct, naive_distinct);
-        }
-    }
-
-    /// Rank-key sorting equals sorting by projected values (and is
-    /// stable).
-    #[test]
-    fn sort_by_matches_value_sort(rows in arb_rows()) {
-        let rel = build(&rows);
-        let attrs = [dcd_relation::AttrId(2), dcd_relation::AttrId(0)];
-        let sorted = ops::sort_by(&rel, &attrs);
-        let mut expect: Vec<Tuple> = rel.iter().collect();
-        expect.sort_by_key(|t| t.project(&attrs));
-        prop_assert!(sorted.iter().eq(expect));
-    }
-
-    /// Semijoin ⊆ left input and equals the join-partnered subset.
-    #[test]
-    fn semijoin_is_join_support(rows in arb_rows(), rows2 in arb_rows()) {
-        let left = build(&rows);
-        let right = build(&rows2);
-        let on = [dcd_relation::AttrId(0)];
-        let semi = ops::semijoin(&left, &right, &on, &on).unwrap();
-        let right_keys: std::collections::HashSet<Vec<Value>> =
-            right.iter().map(|t| t.project(&on)).collect();
-        let expect: Vec<TupleId> = left
-            .iter()
-            .filter(|t| right_keys.contains(&t.project(&on)))
-            .map(|t| t.tid)
-            .collect();
-        let got: Vec<TupleId> = semi.iter().map(|t| t.tid).collect();
-        prop_assert_eq!(got, expect);
-    }
 }
 
 type Row = (i64, i64, u8);

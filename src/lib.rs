@@ -91,9 +91,8 @@ pub use dcd_vertical as vertical;
 pub mod prelude {
     pub use crate::api::{Algorithm, DetectRequest, IncrementalSession, Topology};
     pub use dcd_cfd::{
-        detect, detect_set, detect_simple, discover, discover_cfds, parse_cfd, satisfies, Cfd,
-        CodeLayout, DiscoveryConfig, NormalPattern, PatternTuple, PatternValue, SimpleCfd,
-        ViolationReport, ViolationSet,
+        detect, detect_set, detect_simple, parse_cfd, satisfies, Cfd, CodeLayout, NormalPattern,
+        PatternTuple, PatternValue, SimpleCfd, ViolationReport, ViolationSet,
     };
     pub use dcd_core::{
         mine_patterns, CoordinatorStrategy, Detection, DetectionSummary, MinedTableau,

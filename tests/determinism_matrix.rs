@@ -3,10 +3,10 @@
 //! pool widths {1, 2, 8} × chunk sizes {7 rows, default}. The baseline
 //! is the width-1 default-chunk run; every other cell of the matrix
 //! must match it field for field, f64s compared by bits. This is the
-//! property `dcd_lint`'s `hash-iteration-order` rule and clippy's
-//! thread allow-list guard statically and the morsel pipeline must uphold
-//! dynamically: scheduling (who runs which (site, chunk) morsel, in
-//! what order, stolen or not) must never reach the output.
+//! property clippy's `iter_over_hash_type` and its thread allow-list
+//! guard statically and the morsel pipeline must uphold dynamically:
+//! scheduling (who runs which (site, chunk) morsel, in what order, stolen
+//! or not) must never reach the output.
 
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::set_chunk_rows;

@@ -1,0 +1,169 @@
+//! The allow-lists of the invariants the toolchain carries. Clippy (CI:
+//! `-D warnings`) rejects a host-clock read, a thread outside the pool, an
+//! atomic outside the audited modules, an undocumented `unsafe` block and
+//! a `for` over a hash container; rustc rejects a `dcd_x::` path with no
+//! manifest edge. What neither can say is *which* files may hold a
+//! sanctioned exception and *which* edges the layering allows — pinned
+//! here, over the manifests and a walk of the sources.
+
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `.rs` file under `crates/`, `src/`, `tests/` and `examples/`,
+/// as sorted root-relative paths (`benchmark/` is a workspace of its own
+/// and times the host on purpose).
+fn sources() -> Vec<String> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("source directories are readable") {
+            let path = entry.expect("directory entries are readable").path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    walk(&path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        walk(&root().join(dir), &mut files);
+    }
+    let mut rel: Vec<String> = files
+        .iter()
+        .map(|f| f.strip_prefix(root()).expect("walked from root").to_string_lossy().into_owned())
+        .collect();
+    rel.sort();
+    rel
+}
+
+/// The engine dependency DAG, as `(crate dir, allowed [dependencies])`.
+/// rustc cannot resolve a `dcd_x::` path without a manifest edge, so
+/// pinning the manifests pins the layering at every reference.
+const LAYERS: [(&str, &[&str]); 10] = [
+    ("relation", &[]),
+    ("obs", &[]),
+    ("cfd", &["dcd-relation", "dcd-obs"]),
+    ("dist", &["dcd-relation", "dcd-obs"]),
+    ("core", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist"]),
+    ("incr", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
+    ("vertical", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
+    ("complexity", &["dcd-relation", "dcd-cfd", "dcd-dist"]),
+    ("datagen", &["dcd-relation", "dcd-cfd", "dcd-dist", "rand"]),
+    ("bench", &["dcd-relation", "dcd-cfd", "dcd-dist", "dcd-core", "dcd-datagen"]),
+];
+
+/// The keys of a manifest's `[dependencies]` table (dev-dependencies
+/// legitimately cut across layers and are not read).
+fn dependencies(manifest: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(manifest).expect("manifest is readable");
+    let table = text.lines().skip_while(|l| l.trim() != "[dependencies]").skip(1);
+    table
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once('=').map(|(key, _)| key.trim().to_string()))
+        .collect()
+}
+
+#[test]
+fn the_manifests_implement_the_layering() {
+    let crates = root().join("crates");
+    for (dir, allowed) in LAYERS {
+        let deps = dependencies(&crates.join(dir).join("Cargo.toml"));
+        assert_eq!(deps.is_empty(), allowed.is_empty(), "dcd_{dir}: table not read: {deps:?}");
+        for dep in deps {
+            assert!(allowed.contains(&dep.as_str()), "dcd_{dir} may not depend on `{dep}`");
+        }
+    }
+    // The compat stand-ins sit outside the engine DAG entirely.
+    for dir in ["rand", "proptest"] {
+        for dep in dependencies(&crates.join("compat").join(dir).join("Cargo.toml")) {
+            assert!(!dep.starts_with("dcd-"), "compat/{dir} reaches back into `{dep}`");
+        }
+    }
+}
+
+/// The files whose non-comment lines hold an attribute naming `lint`,
+/// once per attribute; each must be a reasoned `#[expect]` / `#![expect]`
+/// (never an `#[allow]`, which would outlive its finding).
+fn expectations_of(lint: &str, code: &[(String, String)]) -> Vec<String> {
+    let mut sites = Vec::new();
+    for (rel, text) in code {
+        for (at, _) in text.match_indices(lint) {
+            let open = text[..at].rfind('#').expect("the lint is named inside an attribute");
+            let close = at + text[at..].find(")]").expect("the attribute closes");
+            let head: String = text[open..at].split_whitespace().collect();
+            assert!(head == "#[expect(" || head == "#![expect(", "{rel}: only `expect` may");
+            assert!(text[at..close].contains("reason = \""), "{rel}: an expectation says why");
+            sites.push(rel.clone());
+        }
+    }
+    sites
+}
+
+/// "No host clock, no thread outside the pool, no atomic outside the
+/// audited modules" is `clippy.toml`'s `disallowed-methods` and
+/// `disallowed-types`; what this pins is the allow-list: every path is
+/// still listed, and the only way past one is a reasoned `expect` at one
+/// of the four sanctioned call sites or in one of the four audited
+/// modules — of which only the two meter modules may spell `Relaxed`, so
+/// `clocks.rs` keeps the Acquire/Release contract its module doc states.
+#[test]
+fn the_sanctioned_clock_and_thread_sites_stay_four() {
+    let toml = std::fs::read_to_string(root().join("clippy.toml")).expect("clippy.toml exists");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::thread::Builder::spawn",
+        "std::sync::atomic::AtomicU64",
+        "std::sync::atomic::AtomicUsize",
+        "std::sync::atomic::AtomicBool",
+        "std::sync::atomic::AtomicI64",
+        "std::sync::atomic::AtomicU32",
+    ] {
+        assert!(toml.contains(&format!("path = \"{path}\"")), "clippy.toml lost `{path}`");
+    }
+
+    // Comment lines may name a lint or an ordering; only code can use one.
+    let code: Vec<(String, String)> = sources()
+        .into_iter()
+        .filter(|rel| rel != "tests/workspace_invariants.rs")
+        .map(|rel| {
+            let text = std::fs::read_to_string(root().join(&rel)).expect("source is readable");
+            let code: Vec<&str> =
+                text.lines().filter(|l| !l.trim_start().starts_with("//")).collect();
+            (rel, code.join("\n"))
+        })
+        .collect();
+    assert!(code.len() > 50, "source walk looks truncated: only {} files", code.len());
+
+    assert_eq!(
+        expectations_of("clippy::disallowed_methods", &code),
+        [
+            "crates/bench/src/bin/experiments.rs",
+            "crates/compat/rand/src/lib.rs",
+            "crates/dist/src/pool.rs",
+            "crates/dist/src/pool.rs",
+        ]
+    );
+    assert_eq!(
+        expectations_of("clippy::disallowed_types", &code),
+        [
+            "crates/dist/src/clocks.rs",
+            "crates/dist/src/ledger.rs",
+            "crates/obs/src/registry.rs",
+            "crates/relation/src/store.rs",
+        ]
+    );
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let relaxed: Vec<&str> = code
+        .iter()
+        .filter(|(_, text)| text.split(|c| !is_ident(c)).any(|word| word == "Relaxed"))
+        .map(|(rel, _)| rel.as_str())
+        .collect();
+    assert_eq!(relaxed, ["crates/dist/src/ledger.rs", "crates/obs/src/registry.rs"]);
+}
