@@ -223,11 +223,15 @@ impl RunCtx {
 }
 
 /// The handle a [`RunCtx::phase`] body works through: every operation
-/// that moves a site clock lives here and nowhere else. `Sync`, so pool
-/// tasks charge their sites through a shared `&Phase` — under the usual
-/// contract that within one phase each site is charged by exactly one
-/// task (see [`SiteClocks`]), which keeps every clock and every
-/// `local_secs` sum bit-identical across pool widths.
+/// that moves a site clock lives here and nowhere else, and each takes
+/// seconds the caller worked out from the cost model — a phase runs no
+/// work of its own. `Sync`, so pool tasks charge their sites through a
+/// shared `&Phase` — under the usual contract that within one phase
+/// each site is charged by exactly one task (see [`SiteClocks`]), which
+/// keeps every clock and every `local_secs` sum bit-identical across
+/// pool widths; charges several tasks produce for one site (a
+/// coordinator's per-CFD index updates) are returned from the tasks and
+/// applied sequentially, in a fixed order.
 #[derive(Debug)]
 pub struct Phase<'a> {
     ctx: &'a RunCtx,
@@ -257,35 +261,6 @@ impl Phase<'_> {
         for &s in sites {
             clocks.wait_until(s, latest);
         }
-    }
-
-    /// Runs `work` and returns its result with the seconds it should
-    /// cost, *without* touching any clock. For work several pool tasks
-    /// produce for the same site (a coordinator's per-CFD index
-    /// updates): the caller then [`Self::compute`]s sequentially, in a
-    /// fixed order, keeping the f64 sums bit-identical across widths.
-    pub fn timed<R>(
-        &self,
-        work: impl FnOnce() -> R,
-        analytic_of: impl FnOnce(&R) -> f64,
-    ) -> (R, f64) {
-        let r = work();
-        let secs = analytic_of(&r);
-        (r, secs)
-    }
-
-    /// Runs `work` at `site` and charges it as local compute: the
-    /// analytic estimate, computed from the result. Callable from pool
-    /// tasks.
-    pub fn charge<R>(
-        &self,
-        site: SiteId,
-        work: impl FnOnce() -> R,
-        analytic_of: impl FnOnce(&R) -> f64,
-    ) -> R {
-        let (r, secs) = self.timed(work, analytic_of);
-        self.compute(site, secs);
-        r
     }
 
     /// Sends one control message of `bytes` bytes from `from` to each
@@ -403,6 +378,35 @@ mod tests {
         let d = ctx.finish("test");
         assert_eq!(d.paper_cost, 3.0);
         assert_eq!(d.site_clocks, [9.0, 9.0]);
+    }
+
+    /// The statistics exchange is not free: each participant pays
+    /// [`control_time`](dcd_dist::CostModel::control_time) for its
+    /// outgoing control packets *before* the barrier, so control traffic
+    /// shows up in response time.
+    #[test]
+    fn control_packets_cost_time_before_the_barrier() {
+        let mut cfg = unit_cfg();
+        cfg.cost.transfer_rate = 10.0;
+        let sites = [SiteId(0), SiteId(1), SiteId(2)];
+        let mut ctx = RunCtx::new(3, cfg);
+        ctx.phase("scan", |p| {
+            p.advance(SiteId(0), 1.0);
+            p.advance(SiteId(1), 4.0);
+            p.advance(SiteId(2), 2.5);
+        });
+        ctx.phase("exchange", |p| {
+            // Each sends 2 control packets (0.1 s each), then all meet.
+            for &i in &sites {
+                p.control(i, sites.iter().copied().filter(|&j| j != i), 8);
+            }
+            p.barrier(&sites);
+        });
+        let d = ctx.finish("test");
+        // The slowest participant (site 1, at 4.0) also paid for its own
+        // packets, so the barrier lands at 4.2 — not 4.0.
+        assert_eq!(d.site_clocks, [4.2; 3]);
+        assert_eq!(d.control_messages, 6);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! Two phases per CFD:
 //!
-//! 1. **Vertical gather within each cell**: the cell's sub-site covering
-//!    the most of the CFD's attributes becomes the *cell coordinator*;
-//!    the other sub-sites ship the dictionary codes of their needed
-//!    columns — `(tid, codes)` rows at 4 bytes per cell — which the
-//!    coordinator aligns row-by-row into the cell's projection of the
-//!    relation (vertical fragments of one cell hold the same rows in
-//!    the same order, so no join is needed; the codes are portable
-//!    because every fragment shares the parent relation's
-//!    dictionaries).
+//! 1. **Vertical gather within each cell**, by the one §V placement rule
+//!    ([`VerticalPartition::gather_plan`](dcd_dist::VerticalPartition::gather_plan)):
+//!    the cell's sub-site covering the most of the CFD's attributes
+//!    becomes the *cell coordinator*; the other sub-sites ship the
+//!    dictionary codes of their needed columns — `(tid, codes)` rows at
+//!    4 bytes per cell — which the coordinator pairs through the cell's
+//!    row alignment into the cell's projection of the relation (the
+//!    codes are portable because every fragment shares the parent
+//!    relation's dictionaries).
 //! 2. **Horizontal detection across cells**: the cell projections form a
 //!    synthesized horizontal partition (located at the cell
 //!    coordinators; all other sites empty), over which the standard
@@ -26,15 +26,11 @@ use crate::config::RunConfig;
 use crate::ctx::{Phase, RunCtx};
 use crate::report::Detection;
 use crate::runner::{run_single_cfd, CoordinatorStrategy};
-use dcd_cfd::{Cfd, SimpleCfd};
+use dcd_cfd::Cfd;
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{Fragment, HorizontalPartition, HybridPartition, SiteId, TID_CELLS};
+use dcd_dist::{Fragment, GatherPlan, HorizontalPartition, HybridPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, Dictionary, Relation, RelationError, Value};
 use std::sync::Arc;
-
-/// One cell's gather: the chosen sub-site index, the gathered
-/// projection, and the `(from, rows, cells)` column shipments to it.
-type GatheredCell = (usize, Relation, Vec<(SiteId, usize, usize)>);
 
 /// Runs `HYBRIDDETECT` over a hybrid partition — the engine behind the
 /// `DetectRequest` façade of the `distributed-cfd` root crate.
@@ -49,7 +45,7 @@ pub fn run_hybrid(
 
     // The full-width dictionary set, one per original attribute: every
     // cell's vertical fragments share the parent relation's
-    // dictionaries, so cell 0's first-covering fragment names the
+    // dictionaries, so cell 0's owner of an attribute names the
     // dictionary all sites code that attribute against. Null is
     // interned up front (before any pool phase) — it is the padding
     // code for attributes outside a gathered projection.
@@ -58,21 +54,16 @@ pub fn run_hybrid(
     let full_dicts: Vec<Arc<Dictionary>> = schema
         .attr_ids()
         .map(|a| {
-            let owner = cell0
-                .fragments()
-                .iter()
-                .find(|f| f.covers(std::slice::from_ref(&a)))
-                .expect("vertical coverage is validated at construction");
-            let local = owner.local_attr(a).expect("covered");
-            owner.data.dictionary(local).clone()
+            let (owner, local) = cell0.owner_of(a);
+            cell0.fragments()[owner].data.dictionary(local).clone()
         })
         .collect();
     let null_codes: Vec<u32> = full_dicts.iter().map(|d| d.intern(&Value::Null)).collect();
-    // The join-free gather rests on cross-cell dictionary sharing:
-    // every cell's fragment must code attribute `a` against the same
-    // dictionary cell 0 does (guaranteed by the dcd-dist constructors,
-    // which project all cells from one parent relation). Debug builds
-    // verify it, like `shared_layout` does for horizontal partitions.
+    // The gather rests on cross-cell dictionary sharing: every cell's
+    // fragment must code attribute `a` against the same dictionary cell
+    // 0 does (guaranteed by the dcd-dist constructors, which project
+    // all cells from one parent relation). Debug builds verify it, like
+    // `shared_layout` does for horizontal partitions.
     debug_assert!(
         partition.cells().iter().all(|cell| cell.vertical.fragments().iter().all(|f| {
             f.attrs.iter().enumerate().all(|(local, &a)| {
@@ -91,6 +82,7 @@ pub fn run_hybrid(
         // every cell's column shipments, each coordinator waiting for
         // its own senders. The gather precedes the detection round, so
         // it enters response time but not the round's §III-B cost. ----
+        let needed = cfd.shipped_attrs();
         let mut fragments: Vec<Fragment> = (0..n)
             .map(|i| Fragment {
                 site: SiteId(i as u32),
@@ -101,20 +93,22 @@ pub fn run_hybrid(
             .collect();
         let gathered = ctx.phase(&format!("gather:{}", cfd.name), |p| {
             let cells = scoped_map(cfg.threads, partition.cells().len(), |ci| {
-                gather_cell(p, partition, ci, &cfd, cfg, &full_dicts, &null_codes)
+                gather_cell(p, partition, ci, &needed, cfg, &full_dicts, &null_codes)
             });
-            let cells = cells.into_iter().collect::<Result<Vec<GatheredCell>, _>>()?;
+            let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
             let mut wire = p.transfer();
-            for (ci, (coord, _, shipments)) in cells.iter().enumerate() {
-                for &(from, rows, cells) in shipments {
-                    wire.send(partition.site_of(ci, *coord), from, rows, cells);
+            for (ci, (plan, projection)) in cells.iter().enumerate() {
+                let (coord, rows) = (partition.site_of(ci, plan.coordinator()), projection.len());
+                for (vi, attrs) in &plan.supplies[1..] {
+                    let from = partition.site_of(ci, *vi);
+                    wire.send(coord, from, rows, rows * (attrs.len() + TID_CELLS));
                 }
             }
             wire.commit();
             Ok::<_, RelationError>(cells)
         })?;
-        for (ci, (coord_vfrag, projection, _)) in gathered.into_iter().enumerate() {
-            let site = partition.site_of(ci, coord_vfrag);
+        for (ci, (plan, projection)) in gathered.into_iter().enumerate() {
+            let site = partition.site_of(ci, plan.coordinator());
             let cell = &partition.cells()[ci];
             fragments[site.index()] =
                 Fragment { site, predicate: cell.predicate.clone(), data: projection };
@@ -128,99 +122,47 @@ pub fn run_hybrid(
     Ok(ctx.finish("HYBRIDDETECT"))
 }
 
-/// Gathers one cell's projection of the CFD's attributes at the cell's
-/// best-covering sub-site, entirely on the code-native wire. Charges
-/// each contributing sub-site its column scan and returns the chosen
-/// sub-site index, the gathered rows as a *full-width* relation over
-/// the shared dictionaries (attributes outside the projection carry the
-/// null code) so phase 2 can treat it as a horizontal fragment, and the
-/// column shipments the caller's transfer round carries.
+/// Gathers one cell's projection onto `needed` at the cell's
+/// coordinator, entirely on the code-native wire. Charges each shipping
+/// sub-site its column scan and returns the cell's plan — whose
+/// shipments the caller's transfer round carries — with the gathered
+/// rows as a *full-width* relation over the shared dictionaries
+/// (attributes outside the projection carry the null code), so phase 2
+/// can treat it as a horizontal fragment.
 fn gather_cell(
     p: &Phase<'_>,
     partition: &HybridPartition,
     cell_idx: usize,
-    cfd: &SimpleCfd,
+    needed: &[AttrId],
     cfg: &RunConfig,
     full_dicts: &[Arc<Dictionary>],
     null_codes: &[u32],
-) -> Result<GatheredCell, RelationError> {
-    let cell = &partition.cells()[cell_idx];
-    let vertical = &cell.vertical;
-    let schema = partition.schema();
-    let needed: Vec<AttrId> = cfd.shipped_attrs();
-    let n_rows = vertical.fragments()[0].data.len();
-    // Row alignment is what replaces the key join: every vertical
-    // fragment of a cell holds the same tuples in the same order (the
-    // dcd-dist constructor projects them in one pass). Debug builds
-    // verify the tid sequences match before codes are paired
-    // positionally.
-    debug_assert!(
-        vertical.fragments().iter().all(|f| f.data.tids() == vertical.fragments()[0].data.tids()),
-        "vertical fragments of a hybrid cell must be row-aligned"
-    );
-
-    // Cell coordinator: vertical fragment covering most needed attrs.
-    let coord = (0..vertical.n_sites())
-        .max_by_key(|&i| {
-            let f = &vertical.fragments()[i];
-            (needed.iter().filter(|a| f.attrs.contains(a)).count(), vertical.n_sites() - i)
-        })
-        .expect("cells have at least one vertical fragment");
-
-    // Attribute placement: which vertical fragment supplies each needed
-    // attribute — the coordinator's own columns first, then the other
-    // fragments in site order (each ships only attributes nobody
-    // earlier supplied, so every column moves at most once).
-    let mut owner_of: Vec<Option<(usize, AttrId)>> = vec![None; schema.arity()];
-    for &a in &needed {
-        if let Some(local) = vertical.fragments()[coord].local_attr(a) {
-            owner_of[a.index()] = Some((coord, local));
-        }
+) -> Result<(GatherPlan, Relation), RelationError> {
+    let vertical = &partition.cells()[cell_idx].vertical;
+    let plan = vertical.gather_plan(needed);
+    for (vi, _) in &plan.supplies[1..] {
+        let rows = vertical.fragments()[*vi].data.len();
+        p.advance(partition.site_of(cell_idx, *vi), cfg.cost.scan_time(rows));
     }
-    let mut shipments = Vec::new();
-    for (vi, frag) in vertical.fragments().iter().enumerate() {
-        if vi == coord {
-            continue;
-        }
-        let useful: Vec<AttrId> = frag
-            .attrs
-            .iter()
-            .copied()
-            .filter(|a| needed.contains(a) && owner_of[a.index()].is_none())
-            .collect();
-        if useful.is_empty() {
-            continue;
-        }
-        for &a in &useful {
-            owner_of[a.index()] = Some((vi, frag.local_attr(a).expect("attr in fragment")));
-        }
-        // The fragment scans its rows once and ships the useful columns
-        // as `(tid, codes)` rows.
-        let from = partition.site_of(cell_idx, vi);
-        p.advance(from, cfg.cost.scan_time(frag.data.len()));
-        shipments.push((from, n_rows, n_rows * (useful.len() + TID_CELLS)));
-    }
+    let rows: Vec<usize> = (0..vertical.fragments()[0].data.len()).collect();
+    let batch = vertical.gather(&plan, &vertical.row_alignment()?, &rows);
 
-    // Assemble the full-width code rows by row alignment (vertical
-    // fragments of one cell hold the same tuples in the same order);
-    // unneeded attributes pad with the null code.
-    let columns: Vec<Option<dcd_relation::CodesView<'_>>> = schema
-        .attr_ids()
-        .map(|a| {
-            owner_of[a.index()]
-                .map(|(vi, local)| vertical.fragments()[vi].data.column(local).codes())
-        })
-        .collect();
-    let mut out = Relation::with_dictionaries(schema.clone(), full_dicts.to_vec(), n_rows)?;
-    let tids = vertical.fragments()[coord].data.tids();
-    let mut row: Vec<u32> = vec![0; schema.arity()];
-    for (r, &tid) in tids.iter().enumerate().take(n_rows) {
-        for (i, col) in columns.iter().enumerate() {
-            row[i] = col.map_or(null_codes[i], |c| c.at(r));
+    let mut column_of: Vec<Option<&[u32]>> = vec![None; null_codes.len()];
+    for (a, col) in plan.attrs().into_iter().zip(&batch.cols) {
+        column_of[a.index()] = Some(col);
+    }
+    let schema = partition.schema().clone();
+    let mut out = Relation::with_dictionaries(schema, full_dicts.to_vec(), rows.len())?;
+    let mut row = null_codes.to_vec();
+    for (r, &tid) in batch.tids.iter().enumerate() {
+        for (cell, col) in row.iter_mut().zip(&column_of) {
+            if let Some(col) = col {
+                *cell = col[r];
+            }
         }
         out.push_code_row(tid, &row)?;
     }
-    Ok((coord, out, shipments))
+    Ok((plan, out))
 }
 
 #[cfg(test)]

@@ -228,12 +228,9 @@ fn run_cluster(
             if batch.is_empty() {
                 return vec![Flagged::default(); resolved.len()];
             }
-            let analytic = cfg.cost.check_time(batch.len()) * variable_members.len() as f64;
-            p.charge(
-                SiteId(c as u32),
-                || resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>(),
-                |_| analytic,
-            )
+            let secs = cfg.cost.check_time(batch.len()) * variable_members.len() as f64;
+            p.compute(SiteId(c as u32), secs);
+            resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>()
         })
     });
     // A tuple reaches one coordinator per cluster, so what the

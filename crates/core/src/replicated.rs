@@ -2,26 +2,24 @@
 //!
 //! When fragments are replicated, a pattern's coordinator can be chosen
 //! so that many of the pattern's tuples are *already* at the coordinator
-//! via replicas — those fragments ship nothing. `REPDETECT` is
-//! `PATDETECTS` with a replica-aware coordinator rule:
+//! via replicas — those fragments ship nothing. `REPDETECT` is the
+//! `PATDETECTS` round with `MinShipment` taken over held fragments:
 //!
 //! > for pattern `l`, pick the site `s` maximizing
 //! > `Σ { lstat[f][l] : s holds a replica of fragment f }`
 //! > (ties: smallest site id);
 //!
-//! primaries of the remaining fragments then ship their σ-blocks as
-//! usual. With replication factor 1 this degenerates to `PATDETECTS`
-//! exactly (tested); with factor `n` it ships nothing.
+//! constants and σ run at the primaries (replicas would find the same),
+//! and primaries of the fragments the coordinator does not hold ship
+//! their σ-blocks as usual. With replication factor 1 this is
+//! `PATDETECTS` exactly (tested); with factor `n` it ships nothing.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
-use crate::local::applicable_patterns;
 use crate::report::Detection;
-use crate::runner::{constants_phase, exchange_statistics, ship_and_validate, sigma_phase};
-use crate::sigma::{sort_for_sigma, SigmaPartition};
-use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{Cfd, SimpleCfd};
-use dcd_dist::{ReplicatedPartition, SiteId};
+use crate::runner::{run_round, CoordinatorStrategy};
+use dcd_cfd::Cfd;
+use dcd_dist::ReplicatedPartition;
 
 /// Runs `REPDETECT` over a replicated partition — the engine behind
 /// the `DetectRequest` façade of the `distributed-cfd` root crate.
@@ -31,66 +29,19 @@ pub fn run_replicated(
     cfg: &RunConfig,
 ) -> Detection {
     let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
+    let fragments = partition.base().fragments();
     for cfd in sigma.iter().flat_map(Cfd::simplify) {
-        run_one(partition, &cfd, &mut ctx);
-    }
-    ctx.finish("REPDETECT")
-}
-
-fn run_one(partition: &ReplicatedPartition, cfd: &SimpleCfd, ctx: &mut RunCtx) {
-    let base = partition.base();
-    let n = base.n_sites();
-    ctx.begin_round();
-    ctx.absorb(&cfd.name, ViolationSet::default());
-
-    // Constants: local at primaries (replicas would find the same),
-    // one morsel per (site, chunk).
-    let (variable, constants) = cfd.split_constant();
-    if !constants.is_empty() {
-        constants_phase(ctx, &cfd.name, base.fragments(), &constants);
-    }
-    if let Some(variable) = variable {
-        // σ-partition primaries (statistics are placement-independent), one
-        // morsel per (site, chunk); applicability doubles as exchange
-        // participation.
-        let sorted = sort_for_sigma(&variable);
-        let k = sorted.cfd.tableau.len();
-        let applicable: Vec<Vec<usize>> =
-            base.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-        let parts = sigma_phase(ctx, &cfd.name, base.fragments(), &sorted, &applicable);
-        exchange_statistics(ctx, &cfd.name, &applicable, k);
-
-        // Replica-aware coordinator per pattern: maximize locally available
-        // tuples. Fragments the coordinator holds no replica of ship their
-        // blocks as `(tid, codes)` rows over the code-native wire.
-        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-        let assignment: Vec<Option<SiteId>> = (0..k)
-            .map(|l| {
-                let total: usize = (0..n).map(|f| lstat[f][l]).sum();
-                if total == 0 {
-                    return None;
-                }
-                let coord = (0..n).max_by_key(|&s| {
-                    let available: usize = (0..n)
-                        .filter(|&f| partition.holds(SiteId(s as u32), f))
-                        .map(|f| lstat[f][l])
-                        .sum();
-                    (available, n - s)
-                });
-                Some(SiteId(coord.expect("n > 0") as u32))
-            })
-            .collect();
-        ship_and_validate(ctx, base.fragments(), &sorted, &parts, &assignment, false, |c, f| {
-            partition.holds(c, f)
+        run_round(&mut ctx, fragments, &cfd, CoordinatorStrategy::MinShipment, |site, f| {
+            partition.holds(site, f)
         });
     }
-    ctx.end_round();
+    ctx.finish("REPDETECT")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_batch, CoordinatorStrategy};
+    use crate::runner::run_batch;
     use dcd_cfd::parse_cfd;
     use dcd_dist::HorizontalPartition;
     use dcd_relation::{vals, Relation, Schema, ValueType};

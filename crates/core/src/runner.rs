@@ -212,17 +212,17 @@ pub(crate) fn exchange_statistics(
 }
 
 /// Ships every pattern's σ-blocks to its coordinator on the code-native
-/// wire and validates them there — the second half of a single-CFD
-/// round, shared by the plain and the replica-aware engines. Sites ship
-/// `(tid, codes)` rows over the CFD's shipped attributes — dictionaries
-/// are shared across fragments, so codes are site-portable — at
-/// attribute cells plus `TID_CELLS` id cells per row; a fragment the
-/// coordinator already `holds` (itself, or a replica) ships nothing.
+/// wire and validates them there — the second half of [`run_round`].
+/// Sites ship `(tid, codes)` rows over the CFD's shipped attributes —
+/// dictionaries are shared across fragments, so codes are
+/// site-portable — at attribute cells plus `TID_CELLS` id cells per
+/// row; a fragment the coordinator already `holds` (itself, or a
+/// replica) ships nothing.
 /// No tuple payload crosses the simulated wire. Validation runs at the
 /// coordinators in parallel, on codes: grouping keys are packed
 /// `CodeKey`s and the distinct-RHS test compares `u32` codes; only
 /// violating group keys are decoded.
-pub(crate) fn ship_and_validate(
+fn ship_and_validate(
     ctx: &mut RunCtx,
     fragments: &[Fragment],
     sorted: &SortedCfd,
@@ -273,22 +273,16 @@ pub(crate) fn ship_and_validate(
                 // One detection query over everything gathered
                 // (flattened by reference — no row buffer is cloned).
                 let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
-                let total = all.len();
-                p.charge(site, || resolved.detect_among(&all), |_| cfg.cost.check_time(total))
+                p.compute(site, cfg.cost.check_time(all.len()));
+                resolved.detect_among(&all)
             } else {
                 // One detection query per pattern block.
-                let analytic: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
-                p.charge(
-                    site,
-                    || {
-                        let mut vs = ViolationSet::default();
-                        for (l, rs) in jobs {
-                            vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
-                        }
-                        vs
-                    },
-                    |_| analytic,
-                )
+                p.compute(site, jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum());
+                let mut vs = ViolationSet::default();
+                for (l, rs) in jobs {
+                    vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
+                }
+                vs
             })
         })
     });
@@ -309,6 +303,20 @@ pub fn run_single_cfd(
     strategy: CoordinatorStrategy,
     ctx: &mut RunCtx,
 ) {
+    run_round(ctx, partition.fragments(), cfd, strategy, |site, f| site.index() == f);
+}
+
+/// The §IV-B round: constants → σ → exchange → assign → ship →
+/// validate. `holds(site, f)` says whether `site` already has fragment
+/// `f`'s rows — its own, or a replica: the strategy ranks sites by the
+/// σ-block rows they hold, and a held fragment ships nothing.
+pub(crate) fn run_round(
+    ctx: &mut RunCtx,
+    fragments: &[Fragment],
+    cfd: &SimpleCfd,
+    strategy: CoordinatorStrategy,
+    holds: impl Fn(SiteId, usize) -> bool,
+) {
     ctx.begin_round();
     // Consumers always get an entry for this CFD, even when clean.
     ctx.absorb(&cfd.name, ViolationSet::default());
@@ -317,7 +325,7 @@ pub fn run_single_cfd(
     // one morsel per (site, chunk). ----
     let (variable, constants) = cfd.split_constant();
     if !constants.is_empty() {
-        constants_phase(ctx, &cfd.name, partition.fragments(), &constants);
+        constants_phase(ctx, &cfd.name, fragments, &constants);
     }
     // A purely constant CFD ships nothing at all.
     if let Some(variable) = variable {
@@ -327,8 +335,8 @@ pub fn run_single_cfd(
         // The partitioning condition, per site, up front: it decides both
         // who scans here and who participates in the Phase-2 exchange.
         let applicable: Vec<Vec<usize>> =
-            partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-        let parts = sigma_phase(ctx, &cfd.name, partition.fragments(), &sorted, &applicable);
+            fragments.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+        let parts = sigma_phase(ctx, &cfd.name, fragments, &sorted, &applicable);
 
         // ---- Phase 2: statistics exchange (control traffic + barrier),
         // among participating sites only. Sites the partitioning condition
@@ -336,23 +344,28 @@ pub fn run_single_cfd(
         // fewer than two sites hold an applicable pattern there is nothing
         // to exchange and the whole phase — messages and barrier — is
         // skipped, preserving `SEQDETECT`'s pipelining across such rounds.
-        exchange_statistics(ctx, &cfd.name, &applicable, sorted.cfd.tableau.len());
+        let k = sorted.cfd.tableau.len();
+        exchange_statistics(ctx, &cfd.name, &applicable, k);
 
-        // ---- Phase 3: coordinator assignment. ----
-        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-        let frag_sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
-        let assignment = assign_coordinators(strategy, &lstat, &frag_sizes, &ctx.cfg().cost);
+        // ---- Phase 3: coordinator assignment, over the rows of each
+        // pattern every site already holds (the statistics are dropped
+        // before anything is gathered). ----
+        let assignment = {
+            let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
+            let n = fragments.len();
+            let held: Vec<Vec<usize>> = (0..n)
+                .map(|s| {
+                    let mine: Vec<usize> = (0..n).filter(|&f| holds(SiteId(s as u32), f)).collect();
+                    (0..k).map(|l| mine.iter().map(|&f| lstat[f][l]).sum()).collect()
+                })
+                .collect();
+            let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
+            assign_coordinators(strategy, &held, &frag_sizes, &ctx.cfg().cost)
+        };
 
         // ---- Phases 4 + 5: shipment and coordinator validation. ----
-        ship_and_validate(
-            ctx,
-            partition.fragments(),
-            &sorted,
-            &parts,
-            &assignment,
-            strategy == CoordinatorStrategy::Central,
-            |c, i| c.index() == i,
-        );
+        let central = strategy == CoordinatorStrategy::Central;
+        ship_and_validate(ctx, fragments, &sorted, &parts, &assignment, central, holds);
     }
     ctx.end_round();
 }
@@ -378,7 +391,8 @@ pub fn run_batch(
 }
 
 /// Assigns a coordinator to every pattern (None if no site holds any
-/// matching tuple). Implements all three strategies.
+/// matching tuple), from `lstat[s][l]`: the rows of pattern `l` already
+/// at site `s`. Implements all three strategies.
 pub(crate) fn assign_coordinators(
     strategy: CoordinatorStrategy,
     lstat: &[Vec<usize>],

@@ -2,9 +2,9 @@
 //!
 //! Every site owns a clock. Local work ([`SiteClocks::advance`]) moves
 //! one clock; a transfer makes each receiver wait for its senders
-//! ([`SiteClocks::transfer`], [`SiteClocks::wait_until`]); the
-//! statistics exchange synchronizes everyone ([`SiteClocks::barrier`]).
-//! The run's *response time* is then the maximum over per-site clocks
+//! ([`SiteClocks::transfer`], [`SiteClocks::wait_until`]) — a barrier
+//! among the statistics exchange's participants is `wait_until` the
+//! latest of them. The run's *response time* is then the maximum over per-site clocks
 //! ([`SiteClocks::response_time`]): sites work in parallel, so the
 //! slowest chain of dependent work determines the elapsed time.
 //!
@@ -15,10 +15,9 @@
 //! advanced only by the task that owns that site, and phases are
 //! separated by the pool's join — so every clock sees the same sequence
 //! of f64 additions regardless of pool size, and the final values are
-//! bit-identical to a sequential run. [`SiteClocks::barrier`] and
-//! [`SiteClocks::transfer`] are whole-vector synchronization steps and
-//! must be called from the coordinating thread between phases, never
-//! from inside one.
+//! bit-identical to a sequential run. [`SiteClocks::transfer`] is a
+//! whole-vector synchronization step and must be called from the
+//! coordinating thread between phases, never from inside one.
 //!
 //! # Atomics audit
 //!
@@ -35,10 +34,10 @@
 //!   `compare_exchange_weak(.., AcqRel, Acquire)`: the success
 //!   ordering publishes the new time, the failure ordering re-reads
 //!   an up-to-date value for the retry.
-//! * **Stores** (`barrier`, `transfer`) use `Release`; both are
-//!   between-phases steps on the coordinating thread, where the pool
-//!   join already ordered prior phase work, so `Release` is aimed at
-//!   the next phase's `Acquire` readers.
+//! * **Stores** (`transfer`) use `Release`; it is a between-phases
+//!   step on the coordinating thread, where the pool join already
+//!   ordered prior phase work, so `Release` is aimed at the next
+//!   phase's `Acquire` readers.
 //!
 //! Under the single-writer-per-phase contract these edges are
 //! belt-and-braces — the pool's scope join would order the accesses
@@ -122,17 +121,6 @@ impl SiteClocks {
         }
     }
 
-    /// Synchronizes all sites to the latest clock (the statistics
-    /// exchange of §IV-B is a barrier: nobody proceeds to coordinator
-    /// assignment before every participant's counts arrived). A
-    /// between-phases step — not for pool threads.
-    pub fn barrier(&self) {
-        let max = self.response_time().to_bits();
-        for clock in &self.clocks {
-            clock.store(max, Ordering::Release);
-        }
-    }
-
     /// Executes a bulk transfer round. `matrix[to][from]` is the number
     /// of tuples shipped from `from` to `to`. Each sender serializes its
     /// outgoing tuples ([`CostModel::send_time`] of its total); each
@@ -199,21 +187,16 @@ mod tests {
     }
 
     #[test]
-    fn response_time_is_max_per_site_clock_after_barrier() {
+    fn response_time_is_max_per_site_clock() {
         let clocks = SiteClocks::new(3);
         clocks.advance(SiteId(0), 1.0);
         clocks.advance(SiteId(1), 4.0);
         clocks.advance(SiteId(2), 2.5);
         assert_eq!(clocks.response_time(), 4.0);
-        clocks.barrier();
-        for s in 0..3 {
-            assert_eq!(clocks.now(SiteId(s)), 4.0, "barrier lifts every clock to the max");
-        }
-        assert_eq!(clocks.response_time(), 4.0);
-        // Work after the barrier extends only its own site.
+        // Work at a site behind the maximum extends only its own clock.
         clocks.advance(SiteId(0), 1.0);
-        assert_eq!(clocks.response_time(), 5.0);
-        assert_eq!(clocks.now(SiteId(1)), 4.0);
+        assert_eq!(clocks.response_time(), 4.0);
+        assert_eq!(clocks.now(SiteId(0)), 2.0);
     }
 
     #[test]
@@ -255,31 +238,6 @@ mod tests {
         assert_eq!(clocks.now(SiteId(0)), 7.0);
         assert_eq!(clocks.now(SiteId(1)), 7.0);
         assert_eq!(clocks.now(SiteId(2)), 7.0);
-    }
-
-    /// The statistics exchange is not free: each participant pays
-    /// [`CostModel::control_time`] for its outgoing control packets
-    /// *before* the barrier, so control traffic shows up in response
-    /// time. Pins the charging pattern the detection runners use.
-    #[test]
-    fn statistics_exchange_control_packets_cost_time() {
-        let cost = CostModel { transfer_rate: 10.0, ..unit_cost() };
-        let clocks = SiteClocks::new(3);
-        clocks.advance(SiteId(0), 1.0);
-        clocks.advance(SiteId(1), 4.0);
-        clocks.advance(SiteId(2), 2.5);
-        // All three participate: each sends 2 control packets (0.1 s
-        // each) before the barrier.
-        for s in 0..3 {
-            clocks.advance(SiteId(s), cost.control_time(2));
-        }
-        clocks.barrier();
-        // The slowest participant (site 1, at 4.0) also paid for its
-        // own packets, so the barrier lands at 4.2 — not 4.0.
-        for s in 0..3 {
-            assert_eq!(clocks.now(SiteId(s)), 4.2, "control send time precedes the barrier");
-        }
-        assert_eq!(clocks.response_time(), 4.2);
     }
 
     /// Clocks accept concurrent charging from scoped pool threads (one

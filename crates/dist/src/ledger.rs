@@ -35,8 +35,8 @@ pub const TID_CELLS: usize = 2;
 ///   RMW alone guarantees no increment is lost, whatever the ordering;
 ///   the counters are pure meters and never publish *other* memory, so
 ///   no acquire/release edge is needed on the write side.
-/// * **Reads** (the `shipped_*`/`control_*`/`sent_by`/`received_by`
-///   accessors) happen either on the single coordinating thread, or
+/// * **Reads** (the `total_*`/`control_*` accessors) happen either on
+///   the single coordinating thread, or
 ///   after the phase's [`pool::scoped_map`](crate::pool::scoped_map)
 ///   scope has joined its workers — and `thread::scope` join is a
 ///   happens-before edge covering everything the workers did, so the
@@ -55,12 +55,8 @@ pub struct ShipmentLedger {
     bytes: AtomicUsize,
     control_msgs: AtomicUsize,
     control_bytes: AtomicUsize,
-    /// Tuples sent, per source site.
-    sent_by: Vec<AtomicUsize>,
-    /// Tuples received, per destination site.
-    received_by: Vec<AtomicUsize>,
-    /// Optional per-site-pair metric mirror (see [`Self::observed`]).
-    mirror: Option<LedgerMirror>,
+    /// The per-site-pair metric mirror (see [`Self::observed`]).
+    mirror: LedgerMirror,
 }
 
 /// Pre-registered per-site-pair counter handles mirroring the ledger
@@ -103,8 +99,14 @@ impl LedgerMirror {
 }
 
 impl ShipmentLedger {
-    /// An empty ledger over `n` sites.
-    pub fn new(n: usize) -> Self {
+    /// An empty ledger over `n` sites that mirrors every transfer into
+    /// per-site-pair counters of `registry`
+    /// (`dcd_shipped_{tuples,cells,bytes}_total{from,to}` and
+    /// `dcd_control_{messages,bytes}_total{from,to}`). The mirror rides
+    /// inside the two mutation authorities (`charge_codes`/`control`),
+    /// so registry totals always equal the ledger totals — the
+    /// cross-layer consistency `tests/fuzz_smoke.rs` asserts.
+    pub fn observed(n: usize, registry: &dcd_obs::MetricsRegistry) -> Self {
         ShipmentLedger {
             n_sites: n,
             tuples: AtomicUsize::new(0),
@@ -112,23 +114,8 @@ impl ShipmentLedger {
             bytes: AtomicUsize::new(0),
             control_msgs: AtomicUsize::new(0),
             control_bytes: AtomicUsize::new(0),
-            sent_by: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            received_by: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            mirror: None,
+            mirror: LedgerMirror::register(n, registry),
         }
-    }
-
-    /// An empty ledger over `n` sites that additionally mirrors every
-    /// transfer into per-site-pair counters of `registry`
-    /// (`dcd_shipped_{tuples,cells,bytes}_total{from,to}` and
-    /// `dcd_control_{messages,bytes}_total{from,to}`). The mirror rides
-    /// inside the two mutation authorities (`charge_codes`/`control`),
-    /// so registry totals always equal the ledger totals — the
-    /// cross-layer consistency `tests/fuzz_smoke.rs` asserts.
-    pub fn observed(n: usize, registry: &dcd_obs::MetricsRegistry) -> Self {
-        let mut ledger = ShipmentLedger::new(n);
-        ledger.mirror = Some(LedgerMirror::register(n, registry));
-        ledger
     }
 
     /// Number of sites this ledger covers.
@@ -146,14 +133,10 @@ impl ShipmentLedger {
         self.tuples.fetch_add(tuples, Ordering::Relaxed);
         self.cells.fetch_add(cells, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.sent_by[from.index()].fetch_add(tuples, Ordering::Relaxed);
-        self.received_by[to.index()].fetch_add(tuples, Ordering::Relaxed);
-        if let Some(m) = &self.mirror {
-            let pair = from.index() * self.n_sites + to.index();
-            m.tuples[pair].inc(tuples as u64);
-            m.cells[pair].inc(cells as u64);
-            m.bytes[pair].inc(bytes as u64);
-        }
+        let pair = from.index() * self.n_sites + to.index();
+        self.mirror.tuples[pair].inc(tuples as u64);
+        self.mirror.cells[pair].inc(cells as u64);
+        self.mirror.bytes[pair].inc(bytes as u64);
     }
 
     /// Records a *code-shipped* transfer of `tuples` rows totalling
@@ -173,11 +156,9 @@ impl ShipmentLedger {
         debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
         self.control_msgs.fetch_add(1, Ordering::Relaxed);
         self.control_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(m) = &self.mirror {
-            let pair = from.index() * self.n_sites + to.index();
-            m.control_msgs[pair].inc(1);
-            m.control_bytes[pair].inc(bytes as u64);
-        }
+        let pair = from.index() * self.n_sites + to.index();
+        self.mirror.control_msgs[pair].inc(1);
+        self.mirror.control_bytes[pair].inc(bytes as u64);
     }
 
     /// Total tuples shipped — the paper's `|M|`.
@@ -204,25 +185,25 @@ impl ShipmentLedger {
     pub fn control_bytes(&self) -> usize {
         self.control_bytes.load(Ordering::Relaxed)
     }
-
-    /// Tuples sent by one site.
-    pub fn sent_by(&self, site: SiteId) -> usize {
-        self.sent_by[site.index()].load(Ordering::Relaxed)
-    }
-
-    /// Tuples received by one site.
-    pub fn received_by(&self, site: SiteId) -> usize {
-        self.received_by[site.index()].load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_obs::{MetricsRegistry, SampleValue};
+
+    /// The `{from, to}` series of `name`, 0 when it never moved.
+    fn pair(registry: &MetricsRegistry, name: &str, from: usize, to: usize) -> u64 {
+        match registry.snapshot().value(name, &format!("{{from=\"{from}\",to=\"{to}\"}}")) {
+            Some(&SampleValue::Counter(v)) => v,
+            other => panic!("{name} {from}->{to}: {other:?}"),
+        }
+    }
 
     #[test]
     fn totals_are_additive_over_ship_calls() {
-        let ledger = ShipmentLedger::new(3);
+        let registry = MetricsRegistry::new();
+        let ledger = ShipmentLedger::observed(3, &registry);
         let shipments = [
             (1usize, 0usize, 4usize, 12usize, 100usize),
             (2, 0, 3, 9, 75),
@@ -239,29 +220,29 @@ mod tests {
             assert_eq!(ledger.total_cells(), c);
             assert_eq!(ledger.total_bytes(), b);
         }
-        // Per-site views decompose the same totals.
-        let sent: usize = (0..3).map(|s| ledger.sent_by(SiteId(s))).sum();
-        let recv: usize = (0..3).map(|s| ledger.received_by(SiteId(s))).sum();
-        assert_eq!(sent, ledger.total_tuples());
-        assert_eq!(recv, ledger.total_tuples());
-        assert_eq!(ledger.sent_by(SiteId(0)), 7);
-        assert_eq!(ledger.received_by(SiteId(2)), 4);
+        // The per-pair series decompose the same totals, by sender and
+        // by receiver.
+        let tuples = |from, to| pair(&registry, "dcd_shipped_tuples_total", from, to);
+        assert_eq!(registry.counter_total("dcd_shipped_tuples_total"), t as u64);
+        assert_eq!((0..3).map(|to| tuples(0, to)).sum::<u64>(), 7, "sent by site 0");
+        assert_eq!((0..3).map(|from| tuples(from, 2)).sum::<u64>(), 4, "received by site 2");
     }
 
     #[test]
     fn charge_codes_is_byte_accurate_at_four_bytes_per_cell() {
-        let ledger = ShipmentLedger::new(2);
+        let registry = MetricsRegistry::new();
+        let ledger = ShipmentLedger::observed(2, &registry);
         ledger.charge_codes(SiteId(1), SiteId(0), 3, 36);
         assert_eq!(ledger.total_tuples(), 3);
         assert_eq!(ledger.total_cells(), 36);
         assert_eq!(ledger.total_bytes(), 36 * CODE_BYTES);
-        assert_eq!(ledger.sent_by(SiteId(0)), 3);
-        assert_eq!(ledger.received_by(SiteId(1)), 3);
+        assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 3);
+        assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 0), 0);
     }
 
     #[test]
     fn control_messages_count_messages_not_bytes() {
-        let ledger = ShipmentLedger::new(2);
+        let ledger = ShipmentLedger::observed(2, &MetricsRegistry::new());
         ledger.control(SiteId(0), SiteId(1), 16);
         ledger.control(SiteId(1), SiteId(0), 24);
         assert_eq!(ledger.control_messages(), 2);
@@ -270,8 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn observed_ledger_mirrors_every_transfer_into_the_registry() {
-        let registry = dcd_obs::MetricsRegistry::new();
+    fn the_ledger_mirrors_every_transfer_into_the_registry() {
+        let registry = MetricsRegistry::new();
         let ledger = ShipmentLedger::observed(3, &registry);
         ledger.ship(SiteId(1), SiteId(0), 4, 12, 100);
         ledger.charge_codes(SiteId(2), SiteId(1), 3, 9);
@@ -281,23 +262,14 @@ mod tests {
         assert_eq!(registry.counter_total("dcd_shipped_bytes_total"), ledger.total_bytes() as u64);
         assert_eq!(registry.counter_total("dcd_control_messages_total"), 1);
         assert_eq!(registry.counter_total("dcd_control_bytes_total"), 16);
-        // Per-pair series decompose the totals.
-        let snap = registry.snapshot();
-        use dcd_obs::SampleValue;
-        assert_eq!(
-            snap.value("dcd_shipped_tuples_total", "{from=\"0\",to=\"1\"}"),
-            Some(&SampleValue::Counter(4))
-        );
-        assert_eq!(
-            snap.value("dcd_shipped_tuples_total", "{from=\"1\",to=\"2\"}"),
-            Some(&SampleValue::Counter(3))
-        );
+        assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 4);
+        assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 2), 3);
     }
 
     #[test]
     fn ledger_is_shareable_by_reference() {
         fn takes_sync<T: Sync>(_: &T) {}
-        let ledger = ShipmentLedger::new(2);
+        let ledger = ShipmentLedger::observed(2, &MetricsRegistry::new());
         takes_sync(&ledger);
         // Recording through a shared reference is the whole point.
         let r = &ledger;

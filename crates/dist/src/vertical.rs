@@ -1,7 +1,8 @@
 //! Vertical fragmentation: `Di = π_{key ∪ Xi}(D)` (§II-B, §V).
 
 use crate::site::SiteId;
-use dcd_relation::{ops, AttrId, FxHashMap, Relation, RelationError, Schema, TupleId};
+use dcd_relation::{ops, AttrId, CodeBatch, FxHashMap, Relation, RelationError, Schema, TupleId};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One vertical fragment: a projection of the relation onto the key plus
@@ -130,14 +131,54 @@ impl VerticalPartition {
         self.fragments.iter().map(|f| f.attrs.clone()).collect()
     }
 
-    /// Reassembles the original relation by tuple id (every fragment
-    /// holds every tuple's projection, so fragment 0 fixes the order).
-    /// Fragments normally preserve row order; one whose tid column
-    /// differs from fragment 0's is looked up through a tid → row map
-    /// built once, and a tuple it lacks is a `SchemaMismatch`.
-    pub fn reassemble(&self) -> Result<Relation, RelationError> {
+    /// The first fragment covering `attr` and the attribute's position
+    /// in that fragment's own schema — the one answer to "which site
+    /// owns this column" (reassembly, the incremental session's wire,
+    /// the dictionary every site codes the attribute against).
+    pub fn owner_of(&self, attr: AttrId) -> (usize, AttrId) {
+        self.fragments
+            .iter()
+            .enumerate()
+            .find_map(|(fi, frag)| frag.local_attr(attr).map(|local| (fi, local)))
+            .expect("coverage validated at construction")
+    }
+
+    /// Where a gather of `needed` gets its columns (§V): the
+    /// coordinator is the fragment holding the most of them (ties to
+    /// the smallest site), so the fewest columns move; it supplies what
+    /// it holds, and the other fragments follow in site order, each
+    /// supplying only what nobody before it did — every column moves at
+    /// most once.
+    pub fn gather_plan(&self, needed: &[AttrId]) -> GatherPlan {
+        let n = self.fragments.len();
+        let held = |i: usize| needed.iter().filter(|a| self.fragments[i].attrs.contains(a)).count();
+        let coordinator = (0..n).max_by_key(|&i| (held(i), n - i)).expect("non-empty partition");
+        let mut supplied: Vec<AttrId> = Vec::with_capacity(needed.len());
+        let mut supplies = Vec::new();
+        for i in std::iter::once(coordinator).chain((0..n).filter(|&i| i != coordinator)) {
+            let frag = &self.fragments[i];
+            let attrs: Vec<AttrId> = needed
+                .iter()
+                .copied()
+                .filter(|a| frag.attrs.contains(a) && !supplied.contains(a))
+                .collect();
+            if i == coordinator || !attrs.is_empty() {
+                supplied.extend(&attrs);
+                supplies.push((i, attrs));
+            }
+        }
+        GatherPlan { supplies }
+    }
+
+    /// How every fragment's rows line up with fragment 0's. Fragments
+    /// normally hold the same tuples in the same order; one whose tid
+    /// column differs is read through a tid → row map built once, and a
+    /// tuple it lacks is a `SchemaMismatch`. Everything that pairs the
+    /// columns of two fragments goes through this — positions are never
+    /// trusted.
+    pub fn row_alignment(&self) -> Result<RowAlignment, RelationError> {
         let tids = self.fragments[0].data.tids();
-        let row_maps: Vec<Option<Vec<usize>>> = self
+        let maps = self
             .fragments
             .iter()
             .map(|frag| {
@@ -156,34 +197,94 @@ impl VerticalPartition {
                     .map(Some)
             })
             .collect::<Result<_, _>>()?;
+        Ok(RowAlignment { maps })
+    }
+
+    /// Executes `plan` for the given rows of fragment 0: their tuple ids
+    /// plus one column per planned attribute ([`GatherPlan::attrs`]
+    /// order), each copied from its supplier's chunks at the aligned
+    /// rows.
+    pub fn gather(&self, plan: &GatherPlan, alignment: &RowAlignment, rows: &[usize]) -> CodeBatch {
+        let tids = self.fragments[0].data.tids();
+        let mut batch =
+            CodeBatch { tids: rows.iter().map(|&r| tids[r]).collect(), cols: Vec::new() };
+        for (fi, attrs) in &plan.supplies {
+            let frag = &self.fragments[*fi];
+            let frag_rows: Cow<'_, [usize]> = match &alignment.maps[*fi] {
+                None => Cow::Borrowed(rows),
+                Some(map) => rows.iter().map(|&r| map[r]).collect(),
+            };
+            for &a in attrs {
+                let mut col = Vec::with_capacity(rows.len());
+                let local = frag.local_attr(a).expect("planned from this fragment");
+                frag.data.gather_column(local, &frag_rows, &mut col);
+                batch.cols.push(col);
+            }
+        }
+        batch
+    }
+
+    /// Reassembles the original relation by tuple id (every fragment
+    /// holds every tuple's projection, so fragment 0 fixes the order;
+    /// see [`Self::row_alignment`]).
+    pub fn reassemble(&self) -> Result<Relation, RelationError> {
+        let alignment = self.row_alignment()?;
         // Every original attribute lives in some fragment (coverage is
         // validated at construction); that fragment supplies both the
         // column's dictionary and its codes, so nothing is re-interned.
-        let sources: Vec<(usize, AttrId)> = self
-            .schema
-            .attr_ids()
-            .map(|a| {
-                self.fragments
-                    .iter()
-                    .enumerate()
-                    .find_map(|(fi, frag)| frag.local_attr(a).map(|local| (fi, local)))
-                    .expect("coverage validated at construction")
-            })
-            .collect();
+        let sources: Vec<(usize, AttrId)> =
+            self.schema.attr_ids().map(|a| self.owner_of(a)).collect();
         let dicts = sources
             .iter()
             .map(|&(fi, local)| self.fragments[fi].data.dictionary(local).clone())
             .collect();
+        let tids = self.fragments[0].data.tids();
         let mut out = Relation::with_dictionaries(self.schema.clone(), dicts, tids.len())?;
         let mut codes = vec![0u32; sources.len()];
         for (i, &tid) in tids.iter().enumerate() {
             for (code, &(fi, local)) in codes.iter_mut().zip(&sources) {
-                let row = row_maps[fi].as_ref().map_or(i, |map| map[i]);
-                *code = self.fragments[fi].data.column(local).codes().at(row);
+                *code = self.fragments[fi].data.column(local).codes().at(alignment.row(fi, i));
             }
             out.push_code_row(tid, &codes)?;
         }
         Ok(out)
+    }
+}
+
+/// A [`VerticalPartition::gather_plan`]: which fragment supplies which
+/// of the needed attributes.
+#[derive(Debug, Clone)]
+pub struct GatherPlan {
+    /// `(fragment, the needed attributes it supplies)` — the
+    /// coordinator first (its columns stay put), then every other
+    /// contributing fragment in site order (its columns ship).
+    pub supplies: Vec<(usize, Vec<AttrId>)>,
+}
+
+impl GatherPlan {
+    /// The fragment the columns gather at.
+    pub fn coordinator(&self) -> usize {
+        self.supplies[0].0
+    }
+
+    /// The gathered attributes in column order: supplier by supplier.
+    pub fn attrs(&self) -> Vec<AttrId> {
+        self.supplies.iter().flat_map(|(_, attrs)| attrs.iter().copied()).collect()
+    }
+}
+
+/// A [`VerticalPartition::row_alignment`]: per fragment, `None` when its
+/// tuple-id column equals fragment 0's, else its row for every row of
+/// fragment 0.
+#[derive(Debug, Clone)]
+pub struct RowAlignment {
+    maps: Vec<Option<Vec<usize>>>,
+}
+
+impl RowAlignment {
+    /// The row of `fragment` holding the tuple at row `r` of fragment 0.
+    pub fn row(&self, fragment: usize, r: usize) -> usize {
+        self.maps[fragment].as_ref().map_or(r, |map| map[r])
     }
 }
 
@@ -284,6 +385,40 @@ mod tests {
         let frag = &mut p.fragments_mut()[0];
         frag.data = frag.data.copy_rows(&reversed);
         assert!(p.reassemble().unwrap().iter().eq(r.copy_rows(&reversed).iter()));
+    }
+
+    #[test]
+    fn a_gather_plans_each_column_once_and_reads_through_the_alignment() {
+        let r = rel();
+        let ids = |names: &[&str]| r.schema().require_all(names).unwrap();
+        let mut p = VerticalPartition::by_attribute_groups(&r, &[&["c"], &["a", "b"], &["b", "c"]])
+            .unwrap();
+        // Owners are first-covering: the key and `c` at fragment 0.
+        assert_eq!(p.owner_of(ids(&["id"])[0]), (0, AttrId(0)));
+        assert_eq!(p.owner_of(ids(&["b"])[0]), (1, AttrId(2)));
+        // Fragments 1 and 2 both hold two of {a, b, c}: the tie goes to
+        // the smaller site, which supplies a and b; c then comes from
+        // fragment 0, the first other holder, and fragment 2 — whose b
+        // and c are both taken — does not contribute.
+        let plan = p.gather_plan(&ids(&["a", "b", "c"]));
+        assert_eq!(plan.coordinator(), 1);
+        assert_eq!(plan.supplies, [(1, ids(&["a", "b"])), (0, ids(&["c"]))]);
+        assert_eq!(plan.attrs(), ids(&["a", "b", "c"]));
+
+        // Reordering the coordinator's rows changes no gathered cell:
+        // rows are fragment 0's, found in fragment 1 by tuple id.
+        let rows = [4, 1, 5];
+        let aligned = p.gather(&plan, &p.row_alignment().unwrap(), &rows);
+        let reversed: Vec<usize> = (0..r.len()).rev().collect();
+        let frag = &mut p.fragments_mut()[1];
+        frag.data = frag.data.copy_rows(&reversed);
+        assert_eq!(p.gather(&plan, &p.row_alignment().unwrap(), &rows), aligned);
+        assert_eq!(aligned.tids, [TupleId(4), TupleId(1), TupleId(5)]);
+        let want = r.code_rows(&ids(&["a", "b", "c"]), &rows);
+        for (i, (_, codes)) in want.iter().enumerate() {
+            let got: Vec<u32> = aligned.cols.iter().map(|col| col[i]).collect();
+            assert_eq!(got[..], codes[..], "row {i}");
+        }
     }
 
     #[test]

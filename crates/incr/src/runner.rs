@@ -30,8 +30,9 @@
 //! fragment the coordinator holds a replica of ships nothing — but
 //! adds replica-synchronization traffic from each origin site to the
 //! other holders of its fragment. Vertical partitions ship only each
-//! site's *owned* columns (first-covering-fragment rule), plus the
-//! tuple id to align rows at the coordinator.
+//! site's *owned* columns
+//! ([`VerticalPartition::owner_of`]), plus the tuple id to align rows
+//! at the coordinator.
 //!
 //! Determinism contract (same as the batch detectors): within the
 //! parallel phases each site's clock is advanced by exactly one task,
@@ -170,11 +171,8 @@ impl IncrementalRun {
                 if sizes[i] == 0 {
                     return Vec::new();
                 }
-                p.charge(
-                    frag.site,
-                    || frag.data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>()),
-                    |_| cfg.cost.scan_time(sizes[i]),
-                )
+                p.compute(frag.site, cfg.cost.scan_time(sizes[i]));
+                frag.data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>())
             })
         });
         let mut rows: CodeRows = Vec::with_capacity(sizes.iter().sum());
@@ -469,8 +467,8 @@ fn apply_deltas(
             // charged one pass over the fragment (locating the deletes,
             // insert-id uniqueness) plus per-op interning, whatever
             // lookup `apply_delta` ran on this host.
-            let scan_rows = data.len() + delta.n_ops();
-            p.charge(*site, || data.apply_delta(delta), |_| cfg.cost.scan_time(scan_rows))
+            p.compute(*site, cfg.cost.scan_time(data.len() + delta.n_ops()));
+            data.apply_delta(delta)
         })
     });
     outcomes.into_iter().collect()
@@ -494,13 +492,12 @@ fn maintain_indices(
     let slots: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
     let revalidated = ctx.phase(phase, |p| {
         let per_cfd = scoped_map(cfg.threads, slots.len(), |c| {
-            let mut idx = slots[c].lock().expect("index slot poisoned");
-            p.timed(|| idx.apply(deletes, inserts), |&touched| cfg.cost.check_time(touched))
+            slots[c].lock().expect("index slot poisoned").apply(deletes, inserts)
         });
         let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
+        for touched in per_cfd {
             revalidated += touched as u64;
-            p.compute(coordinator, secs);
+            p.compute(coordinator, cfg.cost.check_time(touched));
         }
         revalidated
     });
@@ -518,7 +515,7 @@ fn maintain_indices(
 /// The delta feed carries whole tuples and reaches every site (each
 /// applies its projection locally, CDC fan-out style — ingress is not
 /// inter-site traffic). Sites then ship the codes of the attributes
-/// they *own* (first-covering-fragment rule) plus the row-aligning
+/// they *own* ([`VerticalPartition::owner_of`]) plus the row-aligning
 /// tuple id to the coordinator — the fragment owning the most
 /// attributes, so the heaviest column group never travels. Delete
 /// notifications are part of the feed itself, so only insert codes move
@@ -547,18 +544,12 @@ impl VerticalIncrementalRun {
         cfg: RunConfig,
     ) -> Result<Self, RelationError> {
         sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
+        let alignment = partition.row_alignment()?;
         let n = partition.n_sites();
-        let arity = partition.schema().arity();
-        let mut placement = Vec::with_capacity(arity);
+        let placement: Vec<(usize, AttrId)> =
+            partition.schema().attr_ids().map(|a| partition.owner_of(a)).collect();
         let mut owned_count = vec![0usize; n];
-        for a in partition.schema().attr_ids() {
-            let f = partition
-                .fragments()
-                .iter()
-                .position(|fr| fr.covers(&[a]))
-                .expect("coverage is validated at construction");
-            let local = partition.fragments()[f].local_attr(a).expect("covered");
-            placement.push((f, local));
+        for &(f, _) in &placement {
             owned_count[f] += 1;
         }
         let coordinator =
@@ -571,24 +562,11 @@ impl VerticalIncrementalRun {
         ctx.begin_round();
         let n_rows = partition.fragments()[0].data.len();
 
-        // Per-site encode scan: each fragment materializes its local
-        // code rows — its wire payload — inside the charge.
-        let site_rows: Vec<Vec<Box<[u32]>>> = ctx.phase("incr:build-scan", |p| {
-            scoped_map(cfg.threads, n, |f| {
-                let data = &partition.fragments()[f].data;
-                if data.is_empty() {
-                    return Vec::new();
-                }
-                p.charge(
-                    SiteId(f as u32),
-                    || {
-                        (0..data.len())
-                            .map(|r| data.columns().iter().map(|c| c.codes()[r]).collect())
-                            .collect()
-                    },
-                    |_| cfg.cost.scan_time(data.len()),
-                )
-            })
+        // Per-site encode scan: each fragment passes its rows once.
+        ctx.phase("incr:build-scan", |p| {
+            for frag in partition.fragments().iter().filter(|f| !f.data.is_empty()) {
+                p.compute(frag.site, cfg.cost.scan_time(frag.data.len()));
+            }
         });
 
         // Owned columns travel to the coordinator.
@@ -602,14 +580,20 @@ impl VerticalIncrementalRun {
             wire.commit();
         });
 
-        // Assemble full code rows by row alignment (each attribute read
-        // from its owner's encoded payload) and build indices.
-        let rows: CodeRows = (0..n_rows)
-            .map(|r| {
-                let tid = partition.fragments()[0].data.tids()[r];
-                let codes: Box<[u32]> =
-                    placement.iter().map(|&(f, local)| site_rows[f][r][local.index()]).collect();
-                (tid, codes)
+        // Assemble full code rows at the coordinator: each attribute is
+        // read from its owner's column, at the row the partition's
+        // alignment pairs with fragment 0's.
+        let columns: Vec<_> = placement
+            .iter()
+            .map(|&(f, local)| (f, partition.fragments()[f].data.column(local).codes()))
+            .collect();
+        let rows: CodeRows = partition.fragments()[0]
+            .data
+            .tids()
+            .iter()
+            .enumerate()
+            .map(|(r, &tid)| {
+                (tid, columns.iter().map(|(f, col)| col.at(alignment.row(*f, r))).collect())
             })
             .collect();
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
@@ -693,7 +677,7 @@ impl VerticalIncrementalRun {
                     .placement
                     .iter()
                     .map(|&(f, local)| {
-                        debug_assert_eq!(effects[f].inserted[r].0, tid, "fragments aligned");
+                        assert_eq!(effects[f].inserted[r].0, tid, "one feed, one insert order");
                         effects[f].inserted[r].1[local.index()]
                     })
                     .collect();

@@ -468,13 +468,22 @@ impl Relation {
     /// room for what it will receive.
     pub fn gather_into(&self, attrs: &[AttrId], rows: &[usize], batch: &mut CodeBatch) {
         assert_eq!(attrs.len(), batch.cols.len(), "batch width differs from the projection");
-        let cr = self.chunk_rows();
         batch.tids.extend(rows.iter().map(|&i| self.tids[i]));
+        for (&a, out) in attrs.iter().zip(&mut batch.cols) {
+            self.gather_column(a, rows, out);
+        }
+    }
+
+    /// Appends the codes of one attribute at the given tuple indices to
+    /// `out`, run by run from the chunk slices — one column of a
+    /// [`CodeBatch`], for a gather whose columns come from several
+    /// relations (vertical fragments).
+    pub fn gather_column(&self, attr: AttrId, rows: &[usize], out: &mut Vec<u32>) {
+        let cr = self.chunk_rows();
+        let codes = self.column(attr).codes();
         for (ci, run) in chunk_runs(rows, cr) {
-            for (&a, out) in attrs.iter().zip(&mut batch.cols) {
-                let chunk = self.column(a).codes().chunk(ci);
-                out.extend(run.iter().map(|&i| chunk[i - ci * cr]));
-            }
+            let chunk = codes.chunk(ci);
+            out.extend(run.iter().map(|&i| chunk[i - ci * cr]));
         }
     }
 

@@ -6,30 +6,31 @@
 //! \[25\] — §VII). We implement the natural coordinator strategy:
 //!
 //! 1. pick as coordinator the fragment holding the most of the CFD's
-//!    attributes (fewest columns move),
+//!    attributes (fewest columns move) — the placement rule lives in
+//!    [`VerticalPartition::gather_plan`], shared with `HYBRIDDETECT`;
 //! 2. every other fragment owning needed attributes ships row-aligned
 //!    `(tid, codes)` rows of those attributes — the same code wire the
 //!    horizontal engines and the incremental delta protocol use,
 //!    charged at 4 bytes/cell through the run's
 //!    [`Transfer`](dcd_core::ctx::Transfer) (the tuple id rides as
 //!    [`TID_CELLS`] cells; key *columns* never travel, the id aligns
-//!    rows),
-//! 3. the coordinator intersects the shipments by tuple id and
-//!    validates on the gathered code rows through
-//!    [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) — decoding
-//!    only violating group keys.
+//!    rows);
+//! 3. the coordinator pairs the fragments' rows through the partition's
+//!    [row alignment](VerticalPartition::row_alignment), keeps the rows
+//!    every contributing fragment kept, gathers them column by column
+//!    into one [`CodeBatch`](dcd_relation::CodeBatch) and validates it
+//!    through [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) —
+//!    decoding only violating group keys.
 //!
 //! With [`ShipMode::Filtered`], step 2 first applies the CFD's constant
 //! patterns *locally*: a fragment owning pattern-constant attributes
-//! ships only rows that could match some pattern — the semijoin-style
-//! reduction, often cutting traffic dramatically.
+//! keeps — and ships — only rows that could match some pattern, the
+//! semijoin-style reduction, often cutting traffic dramatically.
 
-use dcd_cfd::{Cfd, CodeLayout, CodeRow, ViolationSet};
+use dcd_cfd::{Cfd, CodeLayout, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
-use dcd_dist::{SiteId, VerticalPartition, TID_CELLS};
-use dcd_relation::{
-    AttrId, CodesView, Dictionary, FxHashMap, Relation, RelationError, TupleId, NO_CODE,
-};
+use dcd_dist::{VFragment, VerticalPartition, TID_CELLS};
+use dcd_relation::{AttrId, CodesView, Dictionary, Relation, RelationError, NO_CODE};
 use std::sync::Arc;
 
 /// Shipment strategy for cross-fragment CFDs.
@@ -46,153 +47,96 @@ pub enum ShipMode {
 /// Runs `VERTDETECT` over a vertical partition — the engine behind the
 /// `DetectRequest` façade of the `distributed-cfd` root crate, with the
 /// full [`Detection`] accounting (bytes, per-site clocks, the §III-B
-/// paper cost) every other topology reports.
+/// paper cost) every other topology reports. A CFD checked without
+/// shipment leaves a `local:<cfd>` span, a gathered one `gather:<cfd>`
+/// and `validate:<cfd>`.
 pub fn run_vertical(
     partition: &VerticalPartition,
     sigma: &[Cfd],
     mode: ShipMode,
     cfg: &RunConfig,
 ) -> Result<Detection, RelationError> {
-    run_impl(partition, sigma, mode, cfg).map(|(d, _)| d)
-}
-
-fn run_impl(
-    partition: &VerticalPartition,
-    sigma: &[Cfd],
-    mode: ShipMode,
-    cfg: &RunConfig,
-) -> Result<(Detection, usize), RelationError> {
     let cost = cfg.cost;
-    let n = partition.n_sites();
-    let mut ctx = RunCtx::new(n, *cfg);
-    let mut locally_checked = 0usize;
+    let fragments = partition.fragments();
+    let alignment = partition.row_alignment()?;
+    let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
 
     for cfd in sigma {
         ctx.begin_round();
-        let needed: Vec<AttrId> = {
-            let set = cfd.attrs();
-            set.iter().collect()
-        };
+        let needed: Vec<AttrId> = cfd.attrs().iter().collect();
+        let plan = partition.gather_plan(&needed);
+        let coord = &fragments[plan.coordinator()];
         // Locally checkable: all attributes in one fragment. §III-B
         // with zero shipment and one active site reduces to the host's
         // check time.
-        if let Some(host) = partition.fragments().iter().position(|f| f.covers(&needed)) {
-            let frag = &partition.fragments()[host];
-            let local_cfd = rebase_cfd(cfd, &frag.data, &frag.attrs)?;
-            let vs = dcd_cfd::detect(&frag.data, &local_cfd);
+        if plan.supplies.len() == 1 {
+            let vs = dcd_cfd::detect(&coord.data, &rebase_cfd_by_names(cfd, &coord.data)?);
             ctx.phase(&format!("local:{}", cfd.name()), |p| {
-                p.compute(frag.site, cost.check_time(frag.data.len()));
+                p.compute(coord.site, cost.check_time(coord.data.len()));
             });
             ctx.absorb(cfd.name(), vs);
-            locally_checked += 1;
             ctx.end_round();
             continue;
         }
 
-        // Coordinator: fragment covering the most needed attributes.
-        let coord = (0..n)
-            .max_by_key(|&i| {
-                let f = &partition.fragments()[i];
-                (needed.iter().filter(|a| f.attrs.contains(a)).count(), n - i)
-            })
-            .expect("non-empty partition");
-        let coord_site = SiteId(coord as u32);
-
         // Gather on the code wire: the coordinator's own columns stay
-        // put; every other fragment ships row-aligned `(tid, codes)`
-        // rows of the needed attributes it contributes. The tuple id
-        // aligns rows across fragments, so key columns never travel.
-        let coord_attrs: Vec<AttrId> = needed
-            .iter()
-            .copied()
-            .filter(|a| partition.fragments()[coord].attrs.contains(a))
-            .collect();
-        let (mut dicts, mut acc) = code_shipment(partition, coord, &coord_attrs, cfd, mode);
-        let mut acc_attrs = coord_attrs;
+        // put; every other contributing fragment scans its rows and
+        // ships the ones it keeps. A row survives only if every
+        // contributing fragment kept it.
+        let keeps: Vec<Vec<bool>> =
+            plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd, mode)).collect();
         ctx.phase(&format!("gather:{}", cfd.name()), |p| {
             let mut wire = p.transfer();
-            for (i, frag) in partition.fragments().iter().enumerate() {
-                if i == coord {
-                    continue;
-                }
-                let useful: Vec<AttrId> = needed
-                    .iter()
-                    .copied()
-                    .filter(|a| frag.attrs.contains(a) && !acc_attrs.contains(a))
-                    .collect();
-                if useful.is_empty() {
-                    continue;
-                }
-                let (frag_dicts, shipped) = code_shipment(partition, i, &useful, cfd, mode);
+            for ((f, attrs), keep) in plan.supplies.iter().zip(&keeps).skip(1) {
+                let frag = &fragments[*f];
+                let shipped = keep.iter().filter(|&&k| k).count();
                 p.compute(frag.site, cost.scan_time(frag.data.len()));
-                wire.send(
-                    coord_site,
-                    frag.site,
-                    shipped.len(),
-                    shipped.len() * (useful.len() + TID_CELLS),
-                );
-                // Intersect by tuple id: a row survives only if every
-                // contributing fragment kept it (in filtered mode each
-                // drops rows its visible constants rule out). Coordinator
-                // row order is preserved — the merge is deterministic.
-                let mut by_tid: FxHashMap<TupleId, Vec<u32>> = shipped.into_iter().collect();
-                acc.retain_mut(|(tid, codes)| match by_tid.remove(tid) {
-                    Some(extra) => {
-                        codes.extend(extra);
-                        true
-                    }
-                    None => false,
-                });
-                acc_attrs.extend(useful);
-                dicts.extend(frag_dicts);
+                wire.send(coord.site, frag.site, shipped, shipped * (attrs.len() + TID_CELLS));
             }
             wire.commit();
         });
-        // Coordinator validates on the gathered code rows, feeding the
-        // run's kernel counters.
-        let rows: Vec<CodeRow> =
-            acc.into_iter().map(|(tid, codes)| (tid, codes.into_boxed_slice())).collect();
-        let layout = CodeLayout::new(acc_attrs, dicts);
+        let survivors: Vec<usize> = (0..fragments[0].data.len())
+            .filter(|&r| {
+                plan.supplies.iter().zip(&keeps).all(|((f, _), keep)| keep[alignment.row(*f, r)])
+            })
+            .collect();
+        let batch = partition.gather(&plan, &alignment, &survivors);
+
+        // The coordinator validates the batch, feeding the run's kernel
+        // counters.
+        let dicts = plan
+            .supplies
+            .iter()
+            .flat_map(|(f, attrs)| attrs.iter().map(|&a| dictionary_of(&fragments[*f], a)))
+            .collect();
+        let layout = CodeLayout::new(plan.attrs(), dicts);
         let counters = dcd_cfd::KernelCounters::register(ctx.registry());
         let mut vs = ViolationSet::default();
         for simple in cfd.simplify() {
             let mut resolved = layout.resolve(&simple);
             resolved.set_counters(counters.clone());
-            vs.merge(resolved.detect_among(&rows));
+            vs.merge(resolved.detect_batch(&batch).into());
         }
         ctx.phase(&format!("validate:{}", cfd.name()), |p| {
-            p.compute(coord_site, cost.check_time(rows.len()));
+            p.compute(coord.site, cost.check_time(batch.len()));
         });
         ctx.absorb(cfd.name(), vs);
         ctx.end_round();
     }
 
-    Ok((ctx.finish("VERTDETECT"), locally_checked))
+    Ok(ctx.finish("VERTDETECT"))
 }
 
-/// A fragment's wire payload: the shipped attributes' dictionaries
-/// plus the `(tid, codes)` rows.
-type WirePayload = (Vec<Arc<Dictionary>>, Vec<(TupleId, Vec<u32>)>);
+/// The dictionary `frag` codes original-schema attribute `a` against.
+fn dictionary_of(frag: &VFragment, a: AttrId) -> Arc<Dictionary> {
+    frag.data.dictionary(frag.local_attr(a).expect("planned from this fragment")).clone()
+}
 
-/// Fragment `idx`'s wire payload for `ship_attrs` (original-schema
-/// ids): the attributes' dictionaries plus the `(tid, codes)` rows.
-/// In filtered mode, rows that cannot match any pattern of `cfd`
-/// judging by the locally visible constants are dropped before
-/// shipping.
-fn code_shipment(
-    partition: &VerticalPartition,
-    idx: usize,
-    ship_attrs: &[AttrId],
-    cfd: &Cfd,
-    mode: ShipMode,
-) -> WirePayload {
-    let frag = &partition.fragments()[idx];
-    let locals: Vec<AttrId> =
-        ship_attrs.iter().map(|&a| frag.local_attr(a).expect("attr is in fragment")).collect();
-    let dicts: Vec<Arc<Dictionary>> =
-        locals.iter().map(|&l| frag.data.dictionary(l).clone()).collect();
-    // Keep rows that could match ≥1 pattern on locally visible
-    // constant positions (every row in Full mode).
+/// Which of `frag`'s rows take part in the gather for `cfd`: all of
+/// them in [`ShipMode::Full`]; in [`ShipMode::Filtered`] those that
+/// could match at least one pattern judging by the pattern constants on
+/// the LHS attributes the fragment holds.
+fn keep_mask(frag: &VFragment, cfd: &Cfd, mode: ShipMode) -> Vec<bool> {
     let visible: Vec<(usize, AttrId)> = match mode {
         ShipMode::Full => Vec::new(),
         ShipMode::Filtered => cfd
@@ -202,6 +146,9 @@ fn code_shipment(
             .filter_map(|(pi, &a)| frag.local_attr(a).map(|local| (pi, local)))
             .collect(),
     };
+    if visible.is_empty() {
+        return vec![true; frag.data.len()];
+    }
     // Per pattern, its locally visible constants as (column, code) pairs
     // a row must carry; a constant the dictionary never saw compiles to
     // `NO_CODE`, which no row does.
@@ -216,29 +163,13 @@ fn code_shipment(
             consts.collect()
         })
         .collect();
-    let keeps = |r: usize| {
-        visible.is_empty()
-            || wanted.iter().any(|consts| consts.iter().all(|(col, code)| col.at(r) == *code))
-    };
-    let cols: Vec<_> = locals.iter().map(|&l| frag.data.column(l).codes()).collect();
-    let rows = frag
-        .data
-        .tids()
-        .iter()
-        .enumerate()
-        .filter(|&(r, _)| keeps(r))
-        .map(|(r, &tid)| (tid, cols.iter().map(|c| c.at(r)).collect()))
-        .collect();
-    (dicts, rows)
+    (0..frag.data.len())
+        .map(|r| wanted.iter().any(|consts| consts.iter().all(|(col, code)| col.at(r) == *code)))
+        .collect()
 }
 
-/// Re-expresses a CFD over a fragment/gathered schema by matching
-/// attribute names (ids differ between the original schema and
-/// projections).
-fn rebase_cfd(cfd: &Cfd, local: &Relation, _frag_attrs: &[AttrId]) -> Result<Cfd, RelationError> {
-    rebase_cfd_by_names(cfd, local)
-}
-
+/// Re-expresses a CFD over a fragment's schema by matching attribute
+/// names (ids differ between the original schema and projections).
 fn rebase_cfd_by_names(cfd: &Cfd, local: &Relation) -> Result<Cfd, RelationError> {
     let orig = cfd.schema();
     let names = |ids: &[AttrId]| -> Result<Vec<&str>, RelationError> {
@@ -259,29 +190,16 @@ fn rebase_cfd_by_names(cfd: &Cfd, local: &Relation) -> Result<Cfd, RelationError
 mod tests {
     use super::*;
 
-    /// Test-local result shape: the engine's [`Detection`] fields plus
-    /// how many CFDs were checked without shipment.
-    struct VerticalDetection {
-        violations: dcd_cfd::ViolationReport,
-        shipped_tuples: usize,
-        response_time: f64,
-        locally_checked: usize,
-    }
-
-    /// The tests drive the engine (`run_impl`) directly, which also
-    /// reports how many CFDs were checked locally.
+    /// Runs the engine and reads how many CFDs were checked without
+    /// shipment off the trace: each leaves one `local:<cfd>` span.
     fn vdetect(
         p: &VerticalPartition,
         sigma: &[Cfd],
         mode: ShipMode,
-    ) -> Result<VerticalDetection, RelationError> {
-        let (d, locally_checked) = run_impl(p, sigma, mode, &RunConfig::default())?;
-        Ok(VerticalDetection {
-            violations: d.violations,
-            shipped_tuples: d.shipped_tuples,
-            response_time: d.response_time,
-            locally_checked,
-        })
+    ) -> Result<(Detection, usize), RelationError> {
+        let d = run_vertical(p, sigma, mode, &RunConfig::default())?;
+        let locally_checked = d.trace.spans.iter().filter(|s| s.name.starts_with("local:")).count();
+        Ok((d, locally_checked))
     }
 
     use dcd_cfd::parse_cfd;
@@ -327,11 +245,11 @@ mod tests {
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
         for mode in [ShipMode::Full, ShipMode::Filtered] {
-            let out = vdetect(&p, std::slice::from_ref(&cfd), mode).unwrap();
+            let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd), mode).unwrap();
             let (_, vs) = &out.violations.per_cfd[0];
             assert_eq!(vs.tids, global.tids, "{mode:?}");
             assert!(out.shipped_tuples > 0, "{mode:?} must ship");
-            assert_eq!(out.locally_checked, 0);
+            assert_eq!(locally_checked, 0);
         }
     }
 
@@ -342,9 +260,10 @@ mod tests {
         // zip → street lives entirely in fragment 0.
         let cfd = parse_cfd(rel.schema(), "local", "([zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        let out = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
+        let (out, locally_checked) =
+            vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
         assert_eq!(out.shipped_tuples, 0);
-        assert_eq!(out.locally_checked, 1);
+        assert_eq!(locally_checked, 1);
         let (_, vs) = &out.violations.per_cfd[0];
         assert_eq!(vs.tids, global.tids);
     }
@@ -355,8 +274,8 @@ mod tests {
         let p = partition(&rel);
         // CC=31 matches one tuple only; the CC fragment can pre-filter.
         let cfd = parse_cfd(rel.schema(), "phi", "([CC=31, zip] -> [street])").unwrap();
-        let full = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
-        let filt = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Filtered).unwrap();
+        let (full, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
+        let (filt, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Filtered).unwrap();
         assert_eq!(
             full.violations.all_tids(),
             filt.violations.all_tids(),
@@ -384,15 +303,11 @@ mod tests {
         let rel = emp();
         let p = partition(&rel);
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();
-        let (full, _) =
-            run_impl(&p, std::slice::from_ref(&cfd), ShipMode::Full, &RunConfig::default())
-                .unwrap();
+        let (full, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
         assert_eq!(full.shipped_tuples, 5);
         assert_eq!(full.shipped_cells, 5 * (1 + TID_CELLS));
         assert_eq!(full.shipped_bytes, full.shipped_cells * CODE_BYTES);
-        let (filt, _) =
-            run_impl(&p, std::slice::from_ref(&cfd), ShipMode::Filtered, &RunConfig::default())
-                .unwrap();
+        let (filt, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Filtered).unwrap();
         assert_eq!(filt.shipped_tuples, 4, "CC≠44 row filtered before shipping");
         assert_eq!(filt.shipped_cells, 4 * (1 + TID_CELLS));
         assert_eq!(filt.shipped_bytes, filt.shipped_cells * CODE_BYTES);
@@ -406,7 +321,7 @@ mod tests {
         let cfd = parse_cfd(rel.schema(), "phi2", "([CC, title] -> [salary])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
-        let out = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
         let (_, vs) = &out.violations.per_cfd[0];
         assert_eq!(vs.tids, global.tids);
         assert!(out.response_time > 0.0);
@@ -421,8 +336,8 @@ mod tests {
             parse_cfd(rel.schema(), "remote", "([CC, title] -> [salary])").unwrap(),
         ];
         let global = dcd_cfd::detect_set(&rel, &sigma);
-        let out = vdetect(&p, &sigma, ShipMode::Filtered).unwrap();
-        assert_eq!(out.locally_checked, 1);
+        let (out, locally_checked) = vdetect(&p, &sigma, ShipMode::Filtered).unwrap();
+        assert_eq!(locally_checked, 1);
         assert_eq!(out.violations.all_tids(), global.all_tids());
     }
 }

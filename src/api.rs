@@ -25,7 +25,8 @@
 //!
 //! Every engine beneath the façade ships dictionary codes, never value
 //! payloads: batch coordinators gather `(tid, codes)` rows — a cluster
-//! round as one column batch per coordinator — charged at 4 bytes/cell
+//! round and the vertical and hybrid column gathers as one column batch
+//! per coordinator — charged at 4 bytes/cell
 //! ([`dcd_dist::CODE_BYTES`]), and incremental sessions ship delta code
 //! rows the same way. The engines remain public for
 //! direct use, and `tests/prop_facade.rs` pins the façade bit-identical
