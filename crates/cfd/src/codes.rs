@@ -16,9 +16,13 @@
 //! attributes, in which order, over which dictionaries. The rows
 //! themselves come in two shapes with one meaning: [`CodeRow`]s, one
 //! heap buffer per row, and a [`CodeBatch`], one dense vector per
-//! attribute — what a cluster round gathers, since it pays per buffer
-//! and not per row. The detection methods here hand either to the same
-//! [`kernel`] scan as the columnar
+//! attribute — what every `CLUSTDETECT` round gathers, a cluster of one
+//! included, and the vertical and hybrid gathers too, since a batch pays
+//! per buffer and not per row. `CodeRow`s are still what the single-CFD
+//! round ships — `run_batch`, `run_seq`, and `REPDETECT` and
+//! `HYBRIDDETECT`'s second phase through the same round — and what the
+//! incremental wire carries. The detection methods here hand either to
+//! the same [`kernel`] scan as the columnar
 //! [`detect_simple`](crate::detect_simple) and are pinned, like it,
 //! against the pairwise [`oracle`](crate::oracle) (the tests below,
 //! `tests/prop_oracle.rs` and `tests/prop_cluster.rs`).

@@ -13,7 +13,12 @@
 //! member CFD is then validated at the coordinators. Because `Z ⊆ X` for
 //! every member, tuples agreeing on any member's LHS also agree on `Z`
 //! and therefore land at the same coordinator — the Lemma 6 argument
-//! lifted to clusters.
+//! lifted to clusters. A CFD whose LHS is related to no other is a
+//! cluster of one, with no algorithm of its own: the same round runs it,
+//! on the same column-batch wire, under the CFD's name and at the
+//! single-CFD round's charges (`run_cluster`). Only a cluster with
+//! nothing to partition on (`Z = ∅`) leaves the round, for one
+//! single-CFD round per member.
 
 use crate::config::RunConfig;
 use crate::ctx::{Phase, RunCtx};
@@ -50,7 +55,8 @@ pub fn run_seq(
 
 /// Runs `CLUSTDETECT`: clusters CFDs by LHS containment and ships each
 /// tuple at most once per cluster, with `inner` as the coordinator
-/// strategy for the projected-pattern assignment.
+/// strategy for the projected-pattern assignment. Every cluster, of
+/// several CFDs or of one, runs the same round.
 pub fn run_clust(
     partition: &HorizontalPartition,
     sigma: &[Cfd],
@@ -61,11 +67,7 @@ pub fn run_clust(
     let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
     for cluster in cluster_by_lhs(&simples) {
         let members: Vec<&SimpleCfd> = cluster.iter().map(|&i| &simples[i]).collect();
-        if members.len() == 1 {
-            run_single_cfd(partition, members[0], inner, &mut ctx);
-        } else {
-            run_cluster(partition, &members, inner, &mut ctx);
-        }
+        run_cluster(partition, &members, inner, &mut ctx);
     }
     ctx.finish("CLUSTDETECT")
 }
@@ -98,9 +100,16 @@ pub fn cluster_by_lhs(cfds: &[SimpleCfd]) -> Vec<Vec<usize>> {
     clusters.into_iter().map(|(_, members)| members).collect()
 }
 
-/// Runs one cluster of ≥2 CFDs whose LHSs form a containment family:
-/// σ-partition on the `Z`-projected tableau, one shipment per tuple, all
-/// member CFDs validated at the coordinators.
+/// Runs one cluster — CFDs whose LHSs form a containment family, or one
+/// CFD related to no other: σ-partition on the `Z`-projected tableau, one
+/// shipment per tuple, all member CFDs validated at the coordinators.
+///
+/// A cluster of one is the single-CFD round of §IV-B on this wire, and
+/// charges and names what [`run_single_cfd`] does: its phases carry the
+/// CFD's name instead of `cluster`, its projected tableau is its own
+/// tableau row for row (`Z` is its LHS; a repeated row still counts in
+/// `k`), and a per-pattern coordinator pays one detection query per
+/// σ-block it was assigned instead of one per member over all it holds.
 fn run_cluster(
     partition: &HorizontalPartition,
     members: &[&SimpleCfd],
@@ -109,6 +118,10 @@ fn run_cluster(
 ) {
     let cfg = *ctx.cfg();
     let n = partition.n_sites();
+    let (alone, label) = match members {
+        [only] => (true, only.name.as_str()),
+        _ => (false, "cluster"),
+    };
     ctx.begin_round();
     for m in members {
         ctx.absorb(&m.name, ViolationSet::default());
@@ -154,7 +167,8 @@ fn run_cluster(
         return;
     }
 
-    // Projected tableau over Z (deduplicated), as a pseudo-CFD for σ.
+    // Projected tableau over Z (deduplicated across members), as a
+    // pseudo-CFD for σ.
     let mut seen: FxHashSet<Vec<PatternValue>> = FxHashSet::default();
     let mut projected: Vec<NormalPattern> = Vec::new();
     for m in &variable_members {
@@ -162,7 +176,7 @@ fn run_cluster(
             z.iter().map(|a| m.lhs.iter().position(|b| b == a).expect("Z ⊆ member LHS")).collect();
         for p in &m.tableau {
             let proj: Vec<PatternValue> = pos.iter().map(|&i| p.lhs[i].clone()).collect();
-            if seen.insert(proj.clone()) {
+            if seen.insert(proj.clone()) || alone {
                 projected.push(NormalPattern::new(proj, PatternValue::Wild));
             }
         }
@@ -181,10 +195,10 @@ fn run_cluster(
     // Phase-2 participation rule, exactly as in `run_single_cfd`.
     let applicable: Vec<Vec<usize>> =
         partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-    let parts = sigma_phase(ctx, "cluster", partition.fragments(), &sorted, &applicable);
+    let parts = sigma_phase(ctx, label, partition.fragments(), &sorted, &applicable);
 
     // Statistics exchange, among participating sites only.
-    exchange_statistics(ctx, "cluster", &applicable, sorted.cfd.tableau.len());
+    exchange_statistics(ctx, label, &applicable, sorted.cfd.tableau.len());
 
     // Coordinators per projected pattern.
     let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
@@ -216,20 +230,28 @@ fn run_cluster(
             r
         })
         .collect();
-    let gathered =
-        ctx.phase("ship:cluster", |p| gather_cluster(p, partition, &parts, &assignment, &attrs));
+    let gathered = ctx.phase(&format!("ship:{label}"), |p| {
+        gather_cluster(p, partition, &parts, &assignment, &attrs)
+    });
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to columns of the
     // cluster's union layout).
-    let mut validated = ctx.phase("validate:cluster", |p| {
+    let per_block = alone && strategy != CoordinatorStrategy::Central;
+    let mut validated = ctx.phase(&format!("validate:{label}"), |p| {
         scoped_map(cfg.threads, n, |c| {
             let batch = &gathered[c];
             if batch.is_empty() {
                 return vec![Flagged::default(); resolved.len()];
             }
-            let secs = cfg.cost.check_time(batch.len()) * variable_members.len() as f64;
-            p.compute(SiteId(c as u32), secs);
+            let site = SiteId(c as u32);
+            let secs = if per_block {
+                let blocks = (0..assignment.len()).filter(|&l| assignment[l] == Some(site));
+                blocks.map(|l| cfg.cost.check_time(lstat.iter().map(|at| at[l]).sum())).sum()
+            } else {
+                cfg.cost.check_time(batch.len()) * variable_members.len() as f64
+            };
+            p.compute(site, secs);
             resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>()
         })
     });
@@ -326,6 +348,18 @@ mod tests {
         ]
     }
 
+    /// Every buffer of every batch holds exactly the rows it was created
+    /// for: `width + 1` allocations per coordinator, none per row.
+    fn assert_sized_once(gathered: &[CodeBatch], width: usize) {
+        for batch in gathered {
+            assert_eq!(batch.cols.len(), width);
+            assert_eq!(batch.tids.capacity(), batch.len(), "sized once, from the blocks");
+            for col in &batch.cols {
+                assert_eq!((col.len(), col.capacity()), (batch.len(), batch.len()));
+            }
+        }
+    }
+
     /// The gather allocates per coordinator, never per row: every buffer
     /// of every batch is created at the size of what the blocks assigned
     /// to that coordinator hold, and filled without growing.
@@ -348,13 +382,7 @@ mod tests {
             ctx.phase("ship", |p| gather_cluster(p, &partition, &parts, &assignment, &attrs));
         let rows_at: Vec<usize> = gathered.iter().map(CodeBatch::len).collect();
         assert_eq!(rows_at, [2 + 22, 0, 4 + 3]);
-        for batch in &gathered {
-            assert_eq!(batch.cols.len(), attrs.len());
-            assert_eq!(batch.tids.capacity(), batch.len(), "sized once, from the blocks");
-            for col in &batch.cols {
-                assert_eq!((col.len(), col.capacity()), (batch.len(), batch.len()));
-            }
-        }
+        assert_sized_once(&gathered, attrs.len());
         // Pattern-major, then by site: the rows `code_rows` would ship.
         let frags = partition.fragments();
         let mut want = frags[0].data.code_rows(&attrs, &parts[0].blocks[1]);
@@ -423,8 +451,12 @@ mod tests {
         );
     }
 
+    /// CFDs related to no other are clusters of one: each runs the
+    /// cluster round under its own name — a trace still says which rule
+    /// shipped the bytes — and on the cluster's wire, its σ-blocks
+    /// gathered into per-coordinator batches with no buffer per row.
     #[test]
-    fn disjoint_lhs_cfds_fall_back_to_singleton_clusters() {
+    fn a_cfd_related_to_no_other_runs_the_cluster_round_under_its_own_name() {
         let rel = sample(60);
         let s = rel.schema().clone();
         let sigma = vec![
@@ -433,13 +465,34 @@ mod tests {
         ];
         let global = dcd_cfd::detect_set(&rel, &sigma);
         let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
-        let d = run_clust(
-            &partition,
-            &sigma,
-            CoordinatorStrategy::MinResponseTime,
-            &RunConfig::default(),
+        let (cfg, inner) = (RunConfig::default(), CoordinatorStrategy::MinResponseTime);
+        let d = run_clust(&partition, &sigma, inner, &cfg);
+        for ((name, got), (_, want)) in d.violations.per_cfd.iter().zip(&global.per_cfd) {
+            assert_eq!((&got.tids, &got.patterns), (&want.tids, &want.patterns), "{name}");
+        }
+        let mut phases: Vec<&str> = d.trace.spans.iter().map(|s| s.name.as_str()).collect();
+        phases.dedup();
+        let want = ["sigma:a", "exchange:a", "ship:a", "validate:a"];
+        assert_eq!(phases, [want, ["sigma:b", "exchange:b", "ship:b", "validate:b"]].concat());
+
+        // The one-member round's shipment, step by step.
+        let b = sigma[1].simplify().pop().unwrap();
+        let sorted = sort_for_sigma(&b);
+        let applicable = vec![vec![0]; partition.n_sites()];
+        let mut ctx = RunCtx::new(partition.n_sites(), cfg);
+        let parts = sigma_phase(&mut ctx, "b", partition.fragments(), &sorted, &applicable);
+        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
+        let assignment = assign_coordinators(inner, &lstat, &[20; 3], &cfg.cost);
+        let attrs = b.shipped_attrs();
+        let gathered =
+            ctx.phase("ship:b", |p| gather_cluster(p, &partition, &parts, &assignment, &attrs));
+        assert_eq!(gathered.iter().map(CodeBatch::len).sum::<usize>(), rel.len());
+        assert_sized_once(&gathered, attrs.len());
+        let shipped = ctx.finish("gather").shipped_tuples;
+        assert!(
+            0 < shipped && shipped < rel.len(),
+            "every row gathered, a coordinator's own not shipped"
         );
-        assert_eq!(d.violations.all_tids(), global.all_tids());
     }
 
     #[test]
@@ -513,6 +566,30 @@ mod tests {
         let got = run_clust(&partition, &[by_cc, no_lhs], inner, &cfg);
         assert_eq!(got.paper_cost, want.paper_cost);
         assert_eq!(got.site_clocks, want.site_clocks);
+        assert_eq!(got.violations.all_tids(), want.violations.all_tids());
+    }
+
+    /// A cluster of one keeps its tableau row for row: a repeated LHS
+    /// pattern is a row of `k`, so each of the `n·(n−1)` statistics
+    /// messages carries `8·k` bytes as in the single-CFD round — the
+    /// cross-member dedupe of the projection must not reach it.
+    #[test]
+    fn a_repeated_row_counts_in_a_cluster_of_ones_statistics_exchange() {
+        use dcd_cfd::{PatternTuple, PatternValue};
+        let rel = sample(60);
+        let row =
+            || PatternTuple::new(vec![PatternValue::constant(44i64)], vec![PatternValue::Wild]);
+        let twice =
+            Cfd::with_names("twice", rel.schema().clone(), &["cc"], &["city"], vec![row(), row()])
+                .unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let (cfg, inner) = (RunConfig::default(), CoordinatorStrategy::MinShipment);
+        let got = run_clust(&partition, std::slice::from_ref(&twice), inner, &cfg);
+        let want = crate::run_batch(&partition, &twice.simplify(), inner, &cfg);
+        assert_eq!((got.control_messages, got.control_bytes), (3 * 2, 3 * 2 * 8 * 2));
+        assert_eq!(got.control_bytes, want.control_bytes);
+        assert_eq!(got.site_clocks, want.site_clocks);
+        assert_eq!(got.paper_cost, want.paper_cost);
         assert_eq!(got.violations.all_tids(), want.violations.all_tids());
     }
 

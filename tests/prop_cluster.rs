@@ -9,6 +9,14 @@
 //! the change that moved the cluster round onto column batches. How a
 //! coordinator gathers and groups its rows is an implementation detail;
 //! what it ships, when it finishes and what it counts is not.
+//!
+//! A second seed list generates Σs whose clustering leaves CFDs alone —
+//! LHSs related to no other — and pins the same two sides plus the span
+//! list against `tests/golden/singleton_rounds.txt`, recorded at the
+//! parent commit of the change that sent singletons through the cluster
+//! round: a cluster of one charges and names what the single-CFD round
+//! does, and a third test says so without a golden, Σ = {φ} against
+//! `run_batch`.
 
 use distributed_cfd::cfd::oracle;
 use distributed_cfd::prelude::*;
@@ -73,11 +81,29 @@ fn lhs_cell(rng: &mut Rng, attr: &str, unmatched: bool) -> PatternValue {
     match attr {
         "a" if unmatched => PatternValue::constant(9i64),
         _ if rng.chance(60) => PatternValue::Wild,
-        "c" if unseen => PatternValue::constant("c9"),
-        "c" => PatternValue::constant(format!("c{}", rng.below(3))),
+        "c" | "d" | "e" if unseen => PatternValue::constant(format!("{attr}9")),
+        "c" | "d" | "e" => PatternValue::constant(format!("{attr}{}", rng.below(3))),
         _ if unseen => PatternValue::constant(9i64),
         _ => PatternValue::constant(rng.below(3) as i64),
     }
+}
+
+/// One tableau row: a cell per LHS attribute and an RHS cell that is a
+/// constant of `rhs`'s domain `constant_percent` times in a hundred.
+fn pattern_row(
+    rng: &mut Rng,
+    lhs: &[&str],
+    rhs: &str,
+    unmatched: bool,
+    constant_percent: u64,
+) -> PatternTuple {
+    let cells = lhs.iter().map(|attr| lhs_cell(rng, attr, unmatched)).collect();
+    let rhs_cell = if rng.chance(constant_percent) {
+        PatternValue::constant(format!("{rhs}{}", rng.below(3)))
+    } else {
+        PatternValue::Wild
+    };
+    PatternTuple::new(cells, vec![rhs_cell])
 }
 
 /// 2–4 CFDs whose LHSs all contain `a` (so the greedy clustering finds
@@ -95,17 +121,51 @@ fn sigma(rng: &mut Rng) -> Vec<Cfd> {
             let lhs: &[&str] = if rng.chance(6) { &[] } else { LHS[rng.below(6) as usize] };
             let rhs = if rng.chance(50) { "d" } else { "e" };
             let unmatched = rng.chance(15);
-            let tableau = (0..1 + rng.below(3))
-                .map(|_| {
-                    let cells = lhs.iter().map(|attr| lhs_cell(rng, attr, unmatched)).collect();
-                    let rhs_cell = if rng.chance(30) {
-                        PatternValue::constant(format!("{rhs}{}", rng.below(3)))
-                    } else {
-                        PatternValue::Wild
-                    };
-                    PatternTuple::new(cells, vec![rhs_cell])
-                })
+            let tableau =
+                (0..1 + rng.below(3)).map(|_| pattern_row(rng, lhs, rhs, unmatched, 30)).collect();
+            Cfd::with_names(format!("m{k}"), s.clone(), lhs, &[rhs], tableau).unwrap()
+        })
+        .collect()
+}
+
+/// An `a`-family of 0–2 CFDs beside one or two CFDs whose LHS is related
+/// to no other — over `b` (alone or with `e`) and over `d` — so the
+/// greedy clustering leaves them as clusters of one. 1–3 patterns each,
+/// so a coordinator holds several σ-blocks and `Σ check_time(|block|)`
+/// is not `check_time(Σ |block|)`; now and then a row of the tableau is
+/// repeated verbatim (`k` counts it), and now and then a lone CFD is
+/// purely constant (it ships nothing). The list is rotated, so a
+/// singleton runs before, between or after the family's round.
+fn singleton_sigma(rng: &mut Rng) -> Vec<Cfd> {
+    const FAMILY: [&[&str]; 3] = [&["a"], &["a", "c"], &["c", "a"]];
+    const OVER_B: [&[&str]; 3] = [&["b"], &["b", "e"], &["e", "b"]];
+    let mut shapes: Vec<(&[&str], &str)> = (0..rng.below(3))
+        .map(|_| (FAMILY[rng.below(3) as usize], if rng.chance(50) { "d" } else { "e" }))
+        .collect();
+    let over_b = rng.chance(75);
+    if over_b {
+        shapes.push((OVER_B[rng.below(3) as usize], if rng.chance(50) { "c" } else { "d" }));
+    }
+    if !over_b || rng.chance(60) {
+        shapes.push((&["d"], if rng.chance(50) { "c" } else { "e" }));
+    }
+    let by = rng.below(shapes.len() as u64) as usize;
+    shapes.rotate_left(by);
+    let s = schema();
+    shapes
+        .into_iter()
+        .enumerate()
+        .map(|(k, (lhs, rhs))| {
+            let alone = !lhs.contains(&"a");
+            let constant_percent = if alone && rng.chance(15) { 100 } else { 25 };
+            let unmatched = rng.chance(10);
+            let mut tableau: Vec<PatternTuple> = (0..1 + rng.below(3))
+                .map(|_| pattern_row(rng, lhs, rhs, unmatched, constant_percent))
                 .collect();
+            if rng.chance(25) {
+                let again = tableau[rng.below(tableau.len() as u64) as usize].clone();
+                tableau.push(again);
+            }
             Cfd::with_names(format!("m{k}"), s.clone(), lhs, &[rhs], tableau).unwrap()
         })
         .collect()
@@ -145,29 +205,50 @@ fn recorded(label: &str, d: &Detection) -> String {
     out
 }
 
+/// [`recorded`] plus the span list: which phase moved which site's
+/// clock from when to when, under which CFD's name.
+fn recorded_with_spans(label: &str, d: &Detection) -> String {
+    let mut out = recorded(label, d);
+    for s in &d.trace.spans {
+        out += &format!(
+            "span {} {} {:#018x} {:#018x}\n",
+            s.name,
+            s.site,
+            s.start.to_bits(),
+            s.end.to_bits()
+        );
+    }
+    out
+}
+
 const STRATEGIES: [CoordinatorStrategy; 3] = [
     CoordinatorStrategy::Central,
     CoordinatorStrategy::MinShipment,
     CoordinatorStrategy::MinResponseTime,
 ];
 
-const SEEDS: std::ops::Range<u64> = 0..40;
+/// A Σ generator: [`sigma`] or [`singleton_sigma`].
+type SigmaOf = fn(&mut Rng) -> Vec<Cfd>;
 
-#[test]
-fn cluster_rounds_equal_the_oracle_and_the_recorded_meters() {
-    let mut got = String::new();
-    let mut clustered = 0;
-    for seed in SEEDS {
+const SEEDS: std::ops::Range<u64> = 0..40;
+const SINGLETON_SEEDS: std::ops::Range<u64> = 100..130;
+
+/// Runs every seed's case — relation, Σ from `sigma_of`, partition —
+/// through `CLUSTDETECT` under all three strategies at pool widths 1
+/// and 4, checks every CFD's `Vio`/`Vioπ` against the oracle and that
+/// both widths record the same, and returns the labelled detections.
+fn detections(seeds: std::ops::Range<u64>, sigma_of: SigmaOf) -> Vec<(String, Detection)> {
+    let mut out = Vec::new();
+    for seed in seeds {
         let mut rng = Rng(seed);
         let rel = relation(&mut rng);
-        let sigma = sigma(&mut rng);
+        let sigma = sigma_of(&mut rng);
         let partition = partition(&mut rng, &rel);
         let decoded: Vec<Tuple> = rel.iter().collect();
         let tuples: Vec<&Tuple> = decoded.iter().collect();
         for strategy in STRATEGIES {
             let label = format!("seed {seed} {strategy:?}");
-            let mut per_width = Vec::new();
-            for threads in [1, 4] {
+            let [at_one, at_four] = [1, 4].map(|threads| {
                 let d = DetectRequest::over(partition.clone())
                     .cfds(sigma.iter().cloned())
                     .algorithm(Algorithm::ClustDetect(strategy))
@@ -186,14 +267,100 @@ fn cluster_rounds_equal_the_oracle_and_the_recorded_meters() {
                     assert_eq!(vs.tids, want.tids, "{label} @{threads}: Vio({})", simple.name);
                     assert_eq!(vs.patterns, want.patterns, "{label} @{threads}: Vioπ");
                 }
-                clustered +=
-                    usize::from(d.trace.spans.iter().any(|s| s.name == "validate:cluster"));
-                per_width.push(recorded(&label, &d));
-            }
-            assert_eq!(per_width[0], per_width[1], "{label}: pool width reached the meters");
-            got += &per_width[0];
+                d
+            });
+            assert_eq!(
+                recorded_with_spans(&label, &at_one),
+                recorded_with_spans(&label, &at_four),
+                "{label}: pool width reached the meters"
+            );
+            out.push((label, at_one));
         }
     }
-    assert!(clustered > 3 * SEEDS.count(), "most cases should validate a real cluster");
+    out
+}
+
+/// How many rounds of `d` validated under a label other than `cluster`
+/// — clusters of one — and how many under `cluster`.
+fn rounds(d: &Detection) -> (usize, usize) {
+    let mut names: Vec<&str> =
+        d.trace.spans.iter().filter_map(|s| s.name.strip_prefix("validate:")).collect();
+    names.dedup();
+    let families = names.iter().filter(|n| **n == "cluster").count();
+    (names.len() - families, families)
+}
+
+#[test]
+fn cluster_rounds_equal_the_oracle_and_the_recorded_meters() {
+    let runs = detections(SEEDS, sigma);
+    let clustered = runs.iter().filter(|(_, d)| rounds(d).1 > 0).count();
+    assert!(2 * clustered > 3 * SEEDS.count(), "most cases should validate a real cluster");
+    let got: String = runs.iter().map(|(label, d)| recorded(label, d)).collect();
     assert_eq!(got, include_str!("golden/cluster_rounds.txt"));
+}
+
+#[test]
+fn singleton_rounds_equal_the_oracle_and_the_recorded_meters() {
+    let runs = detections(SINGLETON_SEEDS, singleton_sigma);
+    let (mut alone, mut beside_a_family) = (0, 0);
+    for (_, d) in &runs {
+        let (singletons, families) = rounds(d);
+        alone += singletons;
+        beside_a_family += usize::from(singletons > 0 && families > 0);
+    }
+    assert!(alone > 3 * SINGLETON_SEEDS.count(), "most cases should validate a cluster of one");
+    assert!(beside_a_family > SINGLETON_SEEDS.count(), "and a third of them beside a family");
+    let got: String = runs.iter().map(|(label, d)| recorded_with_spans(label, d)).collect();
+    assert_eq!(got, include_str!("golden/singleton_rounds.txt"));
+}
+
+/// Σ = {φ} is a cluster of one, and a cluster of one is the single-CFD
+/// round: `CLUSTDETECT` over it reads what `run_batch` reads — report,
+/// ledger, every clock and the paper cost by bit pattern, the spans by
+/// name, site and instant. Only the label and the kernel's query counts
+/// may differ. (An empty-LHS φ has nothing to partition on: its
+/// constants close a round of their own before the single round runs,
+/// so with both kinds of pattern its paper cost is a sum of two maxima
+/// where `run_batch` takes one.)
+#[test]
+fn a_cluster_of_one_is_the_single_cfd_round() {
+    use distributed_cfd::core::{run_batch, run_clust};
+    let cases: [(_, SigmaOf); 2] = [(SEEDS, sigma), (SINGLETON_SEEDS, singleton_sigma)];
+    for (seeds, sigma_of) in cases {
+        for seed in seeds {
+            let mut rng = Rng(seed);
+            let rel = relation(&mut rng);
+            let sigma = sigma_of(&mut rng);
+            let partition = partition(&mut rng, &rel);
+            let cfg = RunConfig::default();
+            for (phi, strategy) in sigma.iter().flat_map(|phi| STRATEGIES.map(|s| (phi, s))) {
+                let label = format!("seed {seed} {} {strategy:?}", phi.name());
+                let one = run_clust(&partition, std::slice::from_ref(phi), strategy, &cfg);
+                let single = run_batch(&partition, &phi.simplify(), strategy, &cfg);
+                assert_eq!(one.violations.per_cfd.len(), single.violations.per_cfd.len());
+                for ((name, got), (_, want)) in
+                    one.violations.per_cfd.iter().zip(&single.violations.per_cfd)
+                {
+                    assert_eq!(got.tids, want.tids, "{label}: Vio({name})");
+                    assert_eq!(got.patterns, want.patterns, "{label}: Vioπ({name})");
+                }
+                let ledger = |d: &Detection| {
+                    let shipped = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);
+                    (shipped, d.control_messages, d.control_bytes)
+                };
+                assert_eq!(ledger(&one), ledger(&single), "{label}: ledger");
+                let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&one.site_clocks), bits(&single.site_clocks), "{label}: clocks");
+                assert_eq!(one.response_time.to_bits(), single.response_time.to_bits(), "{label}");
+                assert_eq!(one.trace.spans, single.trace.spans, "{label}: spans");
+                let tableau = phi.tableau();
+                let two_rounds = phi.lhs().is_empty()
+                    && tableau.iter().any(|p| p.rhs[0].is_wild())
+                    && !tableau.iter().all(|p| p.rhs[0].is_wild());
+                if !two_rounds {
+                    assert_eq!(one.paper_cost.to_bits(), single.paper_cost.to_bits(), "{label}");
+                }
+            }
+        }
+    }
 }

@@ -220,6 +220,25 @@ fn spans_tile_the_clock() {
         assert_spans_tile_the_clock(&label, &d);
     }
 
+    // CLUSTDETECT over a containment family and a CFD related to no
+    // other: two rounds of the one cluster round, one shipment each, the
+    // family's under `cluster` and the loner's under its own name.
+    let s = schema();
+    let d = DetectRequest::over(f.horizontal.clone())
+        .cfds([
+            parse_cfd(&s, "wide", "([a, b] -> [d])").unwrap(),
+            parse_cfd(&s, "narrow", "([a] -> [d])").unwrap(),
+            parse_cfd(&s, "alone", "([c] -> [d])").unwrap(),
+        ])
+        .algorithm(Algorithm::clust_detect())
+        .run()
+        .expect("a valid request");
+    assert_spans_tile_the_clock("family + singleton", &d);
+    let mut shipments: Vec<&str> =
+        d.trace.spans.iter().map(|s| s.name.as_str()).filter(|n| n.starts_with("ship:")).collect();
+    shipments.dedup();
+    assert_eq!(shipments, ["ship:cluster", "ship:alone"]);
+
     let cfg = RunConfig::default().with_threads(1);
     let stream = UpdateStreamConfig { n_batches: 3, ops_per_batch: 20, ..Default::default() };
     let batches = update_stream(&f.horizontal, &stream);
