@@ -14,7 +14,10 @@
 //!   the transfer matrix alongside the ledger, and
 //!   [`Transfer::commit`] makes the clocks pay for exactly that matrix;
 //! * a [`Detection`] is assembled only by [`RunCtx::finish`] /
-//!   [`RunCtx::snapshot`], from those same meters.
+//!   [`RunCtx::snapshot`], from those same meters;
+//! * the meters have one owner: [`Phase`] hands them out by `&mut`, so
+//!   a pool task cannot charge them — it returns its charge, and the
+//!   phase body applies it after the join.
 //!
 //! These are type and privacy facts, checked by rustc on every build.
 
@@ -22,8 +25,7 @@ use crate::config::RunConfig;
 use crate::report::Detection;
 use dcd_cfd::{ViolationReport, ViolationSet};
 use dcd_dist::{ShipmentLedger, SiteClocks, SiteId};
-use dcd_obs::{MetricsRegistry, RunObserver};
-use std::sync::Mutex;
+use dcd_obs::{MetricsRegistry, RunTrace};
 
 /// What the current detection round feeds the literal §III-B formula,
 /// per site: local compute charged to it and rows it shipped.
@@ -34,18 +36,18 @@ struct Round {
 }
 
 /// Everything a detection run accumulates besides its data: the
-/// observed ledger, the site clocks, the observer (registry + trace),
-/// the current round's §III-B inputs, and the run's report and paper
+/// observed ledger, the site clocks, the registry and the trace, the
+/// current round's §III-B inputs, and the run's report and paper
 /// cost. Built in exactly one place, [`RunCtx::new`]; every engine
 /// entry point and both incremental session types hold one.
 ///
 /// Clocks move only inside a phase:
 ///
 /// ```
-/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_core::{ctx::Phase, RunConfig, RunCtx};
 /// use dcd_dist::SiteId;
 /// let mut ctx = RunCtx::new(2, RunConfig::default());
-/// ctx.phase("scan", |p| p.advance(SiteId(0), 1.0));
+/// ctx.phase("scan", |p: &mut Phase| p.advance(SiteId(0), 1.0));
 /// let d = ctx.finish("DEMO");
 /// assert_eq!(d.site_clocks, [1.0, 0.0]);
 /// assert_eq!((d.trace.spans[0].name.as_str(), d.trace.spans[0].end), ("scan", 1.0));
@@ -64,10 +66,10 @@ struct Round {
 /// Shipment is charged through a [`Transfer`]:
 ///
 /// ```
-/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_core::{ctx::Phase, RunConfig, RunCtx};
 /// use dcd_dist::SiteId;
 /// let mut ctx = RunCtx::new(2, RunConfig::default());
-/// ctx.phase("ship", |p| {
+/// ctx.phase("ship", |p: &mut Phase| {
 ///     let mut t = p.transfer();
 ///     t.send(SiteId(1), SiteId(0), 3, 12);
 ///     t.commit();
@@ -83,19 +85,33 @@ struct Round {
 /// `dcd_dist`:
 ///
 /// ```compile_fail
-/// use dcd_core::{RunConfig, RunCtx};
+/// use dcd_core::{ctx::Phase, RunConfig, RunCtx};
 /// use dcd_dist::SiteId;
 /// let mut ctx = RunCtx::new(2, RunConfig::default());
-/// ctx.phase("ship", |p| p.charge_codes(SiteId(1), SiteId(0), 3, 12));
+/// ctx.phase("ship", |p: &mut Phase| p.charge_codes(SiteId(1), SiteId(0), 3, 12));
+/// ```
+///
+/// And a pool task cannot charge a clock — the pool takes `Fn + Sync`
+/// tasks, and every [`Phase`] method takes `&mut self` — so a task
+/// returns its charge and the body applies it after the join:
+///
+/// ```compile_fail
+/// use dcd_core::{ctx::Phase, RunConfig, RunCtx};
+/// use dcd_dist::{pool::scoped_map, SiteId};
+/// let mut ctx = RunCtx::new(2, RunConfig::default());
+/// ctx.phase("scan", |p: &mut Phase| {
+///     scoped_map(2, 2, |i| p.compute(SiteId(i as u32), 1.0));
+/// });
 /// ```
 #[derive(Debug)]
 pub struct RunCtx {
     cfg: RunConfig,
-    obs: RunObserver,
+    registry: MetricsRegistry,
+    trace: RunTrace,
     ledger: ShipmentLedger,
     clocks: SiteClocks,
     /// `Some` between [`Self::begin_round`] and [`Self::end_round`].
-    round: Mutex<Option<Round>>,
+    round: Option<Round>,
     report: ViolationReport,
     paper_cost: f64,
 }
@@ -104,14 +120,15 @@ impl RunCtx {
     /// A fresh context over `n_sites` sites: empty registry and trace,
     /// a ledger mirrored into that registry, all clocks at zero.
     pub fn new(n_sites: usize, cfg: RunConfig) -> Self {
-        let obs = RunObserver::new();
-        let ledger = ShipmentLedger::observed(n_sites, &obs.registry);
+        let registry = MetricsRegistry::new();
+        let ledger = ShipmentLedger::observed(n_sites, &registry);
         RunCtx {
             cfg,
+            registry,
+            trace: RunTrace::default(),
             ledger,
-            obs,
             clocks: SiteClocks::new(n_sites),
-            round: Mutex::new(None),
+            round: None,
             report: ViolationReport::default(),
             paper_cost: 0.0,
         }
@@ -125,7 +142,7 @@ impl RunCtx {
     /// The run's metrics registry (engines register their own counter
     /// families here; the ledger mirror already lives in it).
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.obs.registry
+        &self.registry
     }
 
     /// The simulated response time so far: the maximum per-site clock.
@@ -135,13 +152,18 @@ impl RunCtx {
 
     /// Runs one phase. `body` receives the [`Phase`] handle — the only
     /// way to reach a clock-advancing operation — and when it returns,
-    /// one span named `name` is recorded per site whose clock moved.
-    /// Taking `&mut self` makes a phase inside a phase a borrow error,
-    /// so no interval is ever recorded twice.
-    pub fn phase<R>(&mut self, name: &str, body: impl FnOnce(&Phase<'_>) -> R) -> R {
+    /// one span named `name` is recorded per site whose clock moved
+    /// (an idle site leaves no zero-length span). Taking `&mut self`
+    /// makes a phase inside a phase a borrow error, so no interval is
+    /// ever recorded twice.
+    pub fn phase<R>(&mut self, name: &str, body: impl FnOnce(&mut Phase<'_>) -> R) -> R {
         let before = self.clocks.snapshot();
-        let out = body(&Phase { ctx: self });
-        self.obs.span_sites(name, &before, &self.clocks.snapshot());
+        let out = body(&mut Phase { ctx: self });
+        for (site, (b, a)) in before.into_iter().zip(self.clocks.snapshot()).enumerate() {
+            if a > b {
+                self.trace.record(name, site, b, a);
+            }
+        }
         out
     }
 
@@ -161,16 +183,14 @@ impl RunCtx {
     /// would drop what it accumulated from the run's paper cost).
     pub fn begin_round(&mut self) {
         let n = self.clocks.n_sites();
-        let round = self.round.get_mut().expect("round poisoned");
-        assert!(round.is_none(), "begin_round inside an open round");
-        *round = Some(Round { local_secs: vec![0.0; n], sent: vec![0; n] });
+        assert!(self.round.is_none(), "begin_round inside an open round");
+        self.round = Some(Round { local_secs: vec![0.0; n], sent: vec![0; n] });
     }
 
     /// Closes the round: evaluates the literal §III-B two-phase formula
     /// over it, adds that to the run's paper cost, and returns it.
     pub fn end_round(&mut self) -> f64 {
-        let round = self.round.get_mut().expect("round poisoned").take();
-        let round = round.expect("end_round without begin_round");
+        let round = self.round.take().expect("end_round without begin_round");
         // The formula reads the matrix by sender only, so the round keeps
         // its column sums: one row stands for the whole matrix.
         let cost = self.cfg.cost.paper_cost(&[round.sent], &round.local_secs);
@@ -195,7 +215,7 @@ impl RunCtx {
         let tuples = violations.distinct_tids();
         let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
         let response_time = self.clocks.response_time();
-        let registry = &self.obs.registry;
+        let registry = &self.registry;
         registry
             .gauge("dcd_run_violating_tuples", "Distinct violating tuples across all CFDs", &[])
             .set(tuples as f64);
@@ -217,7 +237,7 @@ impl RunCtx {
             site_clocks: self.clocks.snapshot(),
             paper_cost: self.paper_cost,
             metrics: registry.snapshot(),
-            trace: self.obs.trace(),
+            trace: self.trace.clone(),
         }
     }
 }
@@ -225,38 +245,35 @@ impl RunCtx {
 /// The handle a [`RunCtx::phase`] body works through: every operation
 /// that moves a site clock lives here and nowhere else, and each takes
 /// seconds the caller worked out from the cost model — a phase runs no
-/// work of its own. `Sync`, so pool tasks charge their sites through a
-/// shared `&Phase` — under the usual contract that within one phase
-/// each site is charged by exactly one task (see [`SiteClocks`]), which
-/// keeps every clock and every `local_secs` sum bit-identical across
-/// pool widths; charges several tasks produce for one site (a
-/// coordinator's per-CFD index updates) are returned from the tasks and
-/// applied sequentially, in a fixed order.
+/// work of its own. Every method takes `&mut self`, so no pool task can
+/// charge through it: tasks return their charges and the body applies
+/// them after the join, in task order, which keeps every clock and
+/// every `local_secs` sum bit-identical across pool widths.
 #[derive(Debug)]
 pub struct Phase<'a> {
-    ctx: &'a RunCtx,
+    ctx: &'a mut RunCtx,
 }
 
 impl Phase<'_> {
     /// Advances one site's clock by `secs` that are *not* local compute
     /// in the §III-B sense (control-packet send time, pre-round scans).
-    pub fn advance(&self, site: SiteId, secs: f64) {
+    pub fn advance(&mut self, site: SiteId, secs: f64) {
         self.ctx.clocks.advance(site, secs);
     }
 
     /// Charges `secs` of local compute to one site: its clock advances
     /// and the open round's `local_secs` grows by the same amount.
-    pub fn compute(&self, site: SiteId, secs: f64) {
+    pub fn compute(&mut self, site: SiteId, secs: f64) {
         self.ctx.clocks.advance(site, secs);
-        if let Some(round) = self.ctx.round.lock().expect("round poisoned").as_mut() {
+        if let Some(round) = &mut self.ctx.round {
             round.local_secs[site.index()] += secs;
         }
     }
 
     /// A barrier among `sites` only: each waits for the latest of them.
     /// Sites outside the set keep their own clocks.
-    pub fn barrier(&self, sites: &[SiteId]) {
-        let clocks = &self.ctx.clocks;
+    pub fn barrier(&mut self, sites: &[SiteId]) {
+        let clocks = &mut self.ctx.clocks;
         let latest = sites.iter().map(|&s| clocks.now(s)).fold(0.0, f64::max);
         for &s in sites {
             clocks.wait_until(s, latest);
@@ -268,7 +285,7 @@ impl Phase<'_> {
     /// [`control_time`](dcd_dist::CostModel::control_time) for them —
     /// control traffic shows up in the ledger and in response time
     /// together.
-    pub fn control(&self, from: SiteId, to: impl IntoIterator<Item = SiteId>, bytes: usize) {
+    pub fn control(&mut self, from: SiteId, to: impl IntoIterator<Item = SiteId>, bytes: usize) {
         let mut msgs = 0;
         for to in to {
             self.ctx.ledger.control(to, from, bytes);
@@ -278,7 +295,7 @@ impl Phase<'_> {
     }
 
     /// Opens a bulk transfer round; see [`Transfer`].
-    pub fn transfer(&self) -> Transfer<'_> {
+    pub fn transfer(&mut self) -> Transfer<'_> {
         let n = self.ctx.clocks.n_sites();
         Transfer { ctx: self.ctx, matrix: vec![vec![0; n]; n] }
     }
@@ -293,7 +310,7 @@ impl Phase<'_> {
 #[derive(Debug)]
 #[must_use = "a transfer the clocks never pay for: call `commit`"]
 pub struct Transfer<'a> {
-    ctx: &'a RunCtx,
+    ctx: &'a mut RunCtx,
     matrix: Vec<Vec<usize>>,
 }
 
@@ -305,11 +322,10 @@ impl Transfer<'_> {
         self.matrix[to.index()][from.index()] += rows;
     }
 
-    /// Executes the transfer on the clocks. A whole-vector step: call
-    /// it from the coordinating thread, never from a pool task.
+    /// Executes the transfer on the clocks.
     pub fn commit(self) {
         self.ctx.clocks.transfer(&self.matrix, &self.ctx.cfg.cost);
-        if let Some(round) = self.ctx.round.lock().expect("round poisoned").as_mut() {
+        if let Some(round) = &mut self.ctx.round {
             for row in &self.matrix {
                 for (sent, &rows) in round.sent.iter_mut().zip(row) {
                     *sent += rows;

@@ -23,7 +23,7 @@
 //! payload crosses the simulated wire in either phase.
 
 use crate::config::RunConfig;
-use crate::ctx::{Phase, RunCtx};
+use crate::ctx::RunCtx;
 use crate::report::Detection;
 use crate::runner::{run_single_cfd, CoordinatorStrategy};
 use dcd_cfd::Cfd;
@@ -76,12 +76,11 @@ pub fn run_hybrid(
 
     for cfd in sigma.iter().flat_map(Cfd::simplify) {
         // ---- Phase 1: vertical gather inside each cell, cells in
-        // parallel (each cell touches only its own sites' clocks —
-        // `site_of` is injective across cells — so the merge in cell
-        // order is deterministic); then one transfer round carries
-        // every cell's column shipments, each coordinator waiting for
-        // its own senders. The gather precedes the detection round, so
-        // it enters response time but not the round's §III-B cost. ----
+        // parallel; after the join the scans are charged in cell order,
+        // then one transfer round carries every cell's column
+        // shipments, each coordinator waiting for its own senders. The
+        // gather precedes the detection round, so it enters response
+        // time but not the round's §III-B cost. ----
         let needed = cfd.shipped_attrs();
         let mut fragments: Vec<Fragment> = (0..n)
             .map(|i| Fragment {
@@ -93,9 +92,17 @@ pub fn run_hybrid(
             .collect();
         let gathered = ctx.phase(&format!("gather:{}", cfd.name), |p| {
             let cells = scoped_map(cfg.threads, partition.cells().len(), |ci| {
-                gather_cell(p, partition, ci, &needed, cfg, &full_dicts, &null_codes)
+                gather_cell(partition, ci, &needed, &full_dicts, &null_codes)
             });
             let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
+            // Each shipping sub-site pays its column scan, cell by cell.
+            for (ci, (plan, _)) in cells.iter().enumerate() {
+                let vertical = &partition.cells()[ci].vertical;
+                for (vi, _) in &plan.supplies[1..] {
+                    let rows = vertical.fragments()[*vi].data.len();
+                    p.advance(partition.site_of(ci, *vi), cfg.cost.scan_time(rows));
+                }
+            }
             let mut wire = p.transfer();
             for (ci, (plan, projection)) in cells.iter().enumerate() {
                 let (coord, rows) = (partition.site_of(ci, plan.coordinator()), projection.len());
@@ -123,27 +130,20 @@ pub fn run_hybrid(
 }
 
 /// Gathers one cell's projection onto `needed` at the cell's
-/// coordinator, entirely on the code-native wire. Charges each shipping
-/// sub-site its column scan and returns the cell's plan — whose
-/// shipments the caller's transfer round carries — with the gathered
+/// coordinator, entirely on the code-native wire. Returns the cell's
+/// plan — whose scans and shipments the caller charges — with the gathered
 /// rows as a *full-width* relation over the shared dictionaries
 /// (attributes outside the projection carry the null code), so phase 2
 /// can treat it as a horizontal fragment.
 fn gather_cell(
-    p: &Phase<'_>,
     partition: &HybridPartition,
     cell_idx: usize,
     needed: &[AttrId],
-    cfg: &RunConfig,
     full_dicts: &[Arc<Dictionary>],
     null_codes: &[u32],
 ) -> Result<(GatherPlan, Relation), RelationError> {
     let vertical = &partition.cells()[cell_idx].vertical;
     let plan = vertical.gather_plan(needed);
-    for (vi, _) in &plan.supplies[1..] {
-        let rows = vertical.fragments()[*vi].data.len();
-        p.advance(partition.site_of(cell_idx, *vi), cfg.cost.scan_time(rows));
-    }
     let rows: Vec<usize> = (0..vertical.fragments()[0].data.len()).collect();
     let batch = vertical.gather(&plan, &vertical.row_alignment()?, &rows);
 

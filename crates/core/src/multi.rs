@@ -239,10 +239,10 @@ fn run_cluster(
     // cluster's union layout).
     let per_block = alone && strategy != CoordinatorStrategy::Central;
     let mut validated = ctx.phase(&format!("validate:{label}"), |p| {
-        scoped_map(cfg.threads, n, |c| {
+        let per_site = scoped_map(cfg.threads, n, |c| {
             let batch = &gathered[c];
             if batch.is_empty() {
-                return vec![Flagged::default(); resolved.len()];
+                return (None, vec![Flagged::default(); resolved.len()]);
             }
             let site = SiteId(c as u32);
             let secs = if per_block {
@@ -251,9 +251,15 @@ fn run_cluster(
             } else {
                 cfg.cost.check_time(batch.len()) * variable_members.len() as f64
             };
-            p.compute(site, secs);
-            resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>()
-        })
+            (Some(secs), resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>())
+        });
+        let charged = per_site.into_iter().enumerate().map(|(c, (secs, found))| {
+            if let Some(secs) = secs {
+                p.compute(SiteId(c as u32), secs);
+            }
+            found
+        });
+        charged.collect::<Vec<_>>()
     });
     // A tuple reaches one coordinator per cluster, so what the
     // coordinators found for a member is disjoint: its set is built once.
@@ -272,7 +278,7 @@ fn run_cluster(
 /// will receive, so a round allocates `sites × (attrs + 1)` buffers
 /// however many rows ship.
 fn gather_cluster(
-    p: &Phase<'_>,
+    p: &mut Phase<'_>,
     partition: &HorizontalPartition,
     parts: &[SigmaPartition],
     assignment: &[Option<SiteId>],

@@ -263,30 +263,34 @@ fn ship_and_validate(
     });
 
     let validated = ctx.phase(&format!("validate:{name}"), |p| {
-        scoped_map(cfg.threads, n, |c| {
+        let per_site = scoped_map(cfg.threads, n, |c| {
             let jobs = &gathered[c];
             if jobs.is_empty() {
                 return None;
             }
-            let site = SiteId(c as u32);
             Some(if central {
                 // One detection query over everything gathered
                 // (flattened by reference — no row buffer is cloned).
                 let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
-                p.compute(site, cfg.cost.check_time(all.len()));
-                resolved.detect_among(&all)
+                (cfg.cost.check_time(all.len()), resolved.detect_among(&all))
             } else {
                 // One detection query per pattern block.
-                p.compute(site, jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum());
+                let secs = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
                 let mut vs = ViolationSet::default();
                 for (l, rs) in jobs {
                     vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
                 }
-                vs
+                (secs, vs)
             })
-        })
+        });
+        let charged = per_site.into_iter().enumerate().filter_map(|(c, out)| {
+            let (secs, vs) = out?;
+            p.compute(SiteId(c as u32), secs);
+            Some(vs)
+        });
+        charged.collect::<Vec<_>>()
     });
-    for vs in validated.into_iter().flatten() {
+    for vs in validated {
         ctx.absorb(name, vs);
     }
 }

@@ -8,6 +8,8 @@
 //! (hash aggregation with sort-order tie-breaking), pattern matching is
 //! linear in the number of comparisons. Transfers are packetized.
 
+use dcd_relation::RelationError;
+
 /// Cost parameters of the simulated environment.
 ///
 /// The defaults approximate the paper's 2009 testbed — commodity LAN,
@@ -40,6 +42,29 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Checks that the model can drive the simulated clocks: every field
+    /// finite, every coefficient `≥ 0`, and the two rates a send time
+    /// divides by (`transfer_rate`, `packet_tuples`) `> 0`. The public
+    /// front doors call it before any clock moves.
+    pub fn check(&self) -> Result<(), RelationError> {
+        let fields = [
+            ("transfer_rate", self.transfer_rate, true),
+            ("packet_tuples", self.packet_tuples, true),
+            ("scan_coeff", self.scan_coeff, false),
+            ("check_coeff", self.check_coeff, false),
+            ("match_coeff", self.match_coeff, false),
+        ];
+        for (name, value, divides) in fields {
+            let (ok, bound) = if divides { (value > 0.0, "> 0") } else { (value >= 0.0, ">= 0") };
+            if !(ok && value.is_finite()) {
+                return Err(RelationError::InvalidCostModel {
+                    detail: format!("`{name}` is {value}; it must be finite and {bound}"),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Time to scan `n` tuples at one site.
     pub fn scan_time(&self, n: usize) -> f64 {
         self.scan_coeff * n as f64
@@ -141,6 +166,26 @@ mod tests {
         let matrix = vec![vec![0, 4, 0], vec![3, 0, 0], vec![2, 0, 0]];
         let local = [1.0, 7.0, 2.0];
         assert_eq!(c.paper_cost(&matrix, &local), 5.0 + 7.0);
+    }
+
+    #[test]
+    fn check_names_the_first_field_a_simulation_cannot_run_on() {
+        assert_eq!(CostModel::default().check(), Ok(()));
+        assert_eq!(CostModel { scan_coeff: 0.0, ..unit() }.check(), Ok(()));
+        for (bad, field) in [
+            (CostModel { scan_coeff: -1.0, ..unit() }, "`scan_coeff` is -1"),
+            (CostModel { check_coeff: f64::NAN, ..unit() }, "`check_coeff` is NaN"),
+            (CostModel { match_coeff: f64::INFINITY, ..unit() }, "`match_coeff` is inf"),
+            (CostModel { transfer_rate: 0.0, ..unit() }, "`transfer_rate` is 0"),
+            (CostModel { packet_tuples: -5.0, ..unit() }, "`packet_tuples` is -5"),
+        ] {
+            match bad.check() {
+                Err(RelationError::InvalidCostModel { detail }) => {
+                    assert!(detail.starts_with(field), "{detail}")
+                }
+                other => panic!("{field}: {other:?}"),
+            }
+        }
     }
 
     #[test]

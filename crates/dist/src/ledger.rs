@@ -1,11 +1,6 @@
 //! Data-shipment accounting (the §III-A minimality objective's meter).
-#![expect(
-    clippy::disallowed_types,
-    reason = "atomics audit: Relaxed meters read after the pool's join, see `ShipmentLedger`"
-)]
 
 use crate::site::SiteId;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bytes per dictionary code on the wire. Code-shipped protocols move
 /// dense `u32` codes instead of string payloads, so their traffic is
@@ -22,48 +17,25 @@ pub const TID_CELLS: usize = 2;
 /// shipments (tuples / cells / bytes) and control messages (the
 /// statistics exchange of §IV-B).
 ///
-/// The ledger is shared by reference across the per-site phases of a
-/// round, so all counters use interior mutability; methods take `&self`
-/// and the type is `Sync`.
-///
-/// # Atomics audit (`Ordering::Relaxed` throughout)
-///
-/// Every operation on these counters is `Relaxed`, which is exact —
-/// not approximate — for how they are used:
-///
-/// * **Writes** are `fetch_add` read-modify-writes. Atomicity of the
-///   RMW alone guarantees no increment is lost, whatever the ordering;
-///   the counters are pure meters and never publish *other* memory, so
-///   no acquire/release edge is needed on the write side.
-/// * **Reads** (the `total_*`/`control_*` accessors) happen either on
-///   the single coordinating thread, or
-///   after the phase's [`pool::scoped_map`](crate::pool::scoped_map)
-///   scope has joined its workers — and `thread::scope` join is a
-///   happens-before edge covering everything the workers did, so the
-///   totals read are complete without any ordering on the loads.
-/// * Nothing branches on an in-flight counter value: no
-///   synchronization decision ever hangs off these atomics.
-///
-/// This audit is what the module's `#![expect(clippy::disallowed_types)]`
-/// stands on; `tests/workspace_invariants.rs` pins the files that may
-/// hold one, and the two that may spell `Relaxed`.
+/// Plain totals behind `&mut self`: the run's coordinating thread is
+/// the only one that charges the ledger.
 #[derive(Debug)]
 pub struct ShipmentLedger {
     n_sites: usize,
-    tuples: AtomicUsize,
-    cells: AtomicUsize,
-    bytes: AtomicUsize,
-    control_msgs: AtomicUsize,
-    control_bytes: AtomicUsize,
+    tuples: usize,
+    cells: usize,
+    bytes: usize,
+    control_msgs: usize,
+    control_bytes: usize,
     /// The per-site-pair metric mirror (see [`Self::observed`]).
     mirror: LedgerMirror,
 }
 
 /// Pre-registered per-site-pair counter handles mirroring the ledger
 /// into a [`MetricsRegistry`](dcd_obs::MetricsRegistry). Handles are
-/// built once at [`ShipmentLedger::observed`] time (registration takes
-/// the registry `Mutex`; the hot `ship`/`control` paths touch only the
-/// counters' atomic cells), indexed `from · n + to`.
+/// built once at [`ShipmentLedger::observed`] time (registration locks
+/// the registry; the hot `ship`/`control` paths only bump the handles),
+/// indexed `from · n + to`.
 #[derive(Debug)]
 struct LedgerMirror {
     tuples: Vec<dcd_obs::Counter>,
@@ -109,11 +81,11 @@ impl ShipmentLedger {
     pub fn observed(n: usize, registry: &dcd_obs::MetricsRegistry) -> Self {
         ShipmentLedger {
             n_sites: n,
-            tuples: AtomicUsize::new(0),
-            cells: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
-            control_msgs: AtomicUsize::new(0),
-            control_bytes: AtomicUsize::new(0),
+            tuples: 0,
+            cells: 0,
+            bytes: 0,
+            control_msgs: 0,
+            control_bytes: 0,
             mirror: LedgerMirror::register(n, registry),
         }
     }
@@ -127,12 +99,12 @@ impl ShipmentLedger {
     /// attribute cells, `bytes` on the wire) from `from` to `to`.
     /// Private: the only wire is the code wire, so the only way in is
     /// [`Self::charge_codes`], which owns the byte math.
-    fn ship(&self, to: SiteId, from: SiteId, tuples: usize, cells: usize, bytes: usize) {
+    fn ship(&mut self, to: SiteId, from: SiteId, tuples: usize, cells: usize, bytes: usize) {
         debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
         debug_assert_ne!(to, from, "shipping to self is not a transfer");
-        self.tuples.fetch_add(tuples, Ordering::Relaxed);
-        self.cells.fetch_add(cells, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.tuples += tuples;
+        self.cells += cells;
+        self.bytes += bytes;
         let pair = from.index() * self.n_sites + to.index();
         self.mirror.tuples[pair].inc(tuples as u64);
         self.mirror.cells[pair].inc(cells as u64);
@@ -146,16 +118,16 @@ impl ShipmentLedger {
     /// `ship` being private, the only way to record a data shipment.
     /// Engines reach it through `dcd_core::ctx::Transfer::send`, which
     /// pairs the charge with the clocks' transfer matrix.
-    pub fn charge_codes(&self, to: SiteId, from: SiteId, tuples: usize, cells: usize) {
+    pub fn charge_codes(&mut self, to: SiteId, from: SiteId, tuples: usize, cells: usize) {
         self.ship(to, from, tuples, cells, cells * CODE_BYTES);
     }
 
     /// Records one control message of `bytes` bytes from `from` to `to`
     /// (statistics exchange, coordination).
-    pub fn control(&self, to: SiteId, from: SiteId, bytes: usize) {
+    pub fn control(&mut self, to: SiteId, from: SiteId, bytes: usize) {
         debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
-        self.control_msgs.fetch_add(1, Ordering::Relaxed);
-        self.control_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.control_msgs += 1;
+        self.control_bytes += bytes;
         let pair = from.index() * self.n_sites + to.index();
         self.mirror.control_msgs[pair].inc(1);
         self.mirror.control_bytes[pair].inc(bytes as u64);
@@ -163,27 +135,27 @@ impl ShipmentLedger {
 
     /// Total tuples shipped — the paper's `|M|`.
     pub fn total_tuples(&self) -> usize {
-        self.tuples.load(Ordering::Relaxed)
+        self.tuples
     }
 
     /// Total attribute cells shipped (tuples × projected width).
     pub fn total_cells(&self) -> usize {
-        self.cells.load(Ordering::Relaxed)
+        self.cells
     }
 
     /// Approximate data bytes on the wire.
     pub fn total_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes
     }
 
     /// Number of control messages exchanged.
     pub fn control_messages(&self) -> usize {
-        self.control_msgs.load(Ordering::Relaxed)
+        self.control_msgs
     }
 
     /// Control bytes exchanged.
     pub fn control_bytes(&self) -> usize {
-        self.control_bytes.load(Ordering::Relaxed)
+        self.control_bytes
     }
 }
 
@@ -203,7 +175,7 @@ mod tests {
     #[test]
     fn totals_are_additive_over_ship_calls() {
         let registry = MetricsRegistry::new();
-        let ledger = ShipmentLedger::observed(3, &registry);
+        let mut ledger = ShipmentLedger::observed(3, &registry);
         let shipments = [
             (1usize, 0usize, 4usize, 12usize, 100usize),
             (2, 0, 3, 9, 75),
@@ -231,7 +203,7 @@ mod tests {
     #[test]
     fn charge_codes_is_byte_accurate_at_four_bytes_per_cell() {
         let registry = MetricsRegistry::new();
-        let ledger = ShipmentLedger::observed(2, &registry);
+        let mut ledger = ShipmentLedger::observed(2, &registry);
         ledger.charge_codes(SiteId(1), SiteId(0), 3, 36);
         assert_eq!(ledger.total_tuples(), 3);
         assert_eq!(ledger.total_cells(), 36);
@@ -242,7 +214,7 @@ mod tests {
 
     #[test]
     fn control_messages_count_messages_not_bytes() {
-        let ledger = ShipmentLedger::observed(2, &MetricsRegistry::new());
+        let mut ledger = ShipmentLedger::observed(2, &MetricsRegistry::new());
         ledger.control(SiteId(0), SiteId(1), 16);
         ledger.control(SiteId(1), SiteId(0), 24);
         assert_eq!(ledger.control_messages(), 2);
@@ -253,7 +225,7 @@ mod tests {
     #[test]
     fn the_ledger_mirrors_every_transfer_into_the_registry() {
         let registry = MetricsRegistry::new();
-        let ledger = ShipmentLedger::observed(3, &registry);
+        let mut ledger = ShipmentLedger::observed(3, &registry);
         ledger.ship(SiteId(1), SiteId(0), 4, 12, 100);
         ledger.charge_codes(SiteId(2), SiteId(1), 3, 9);
         ledger.control(SiteId(0), SiteId(2), 16);
@@ -264,16 +236,5 @@ mod tests {
         assert_eq!(registry.counter_total("dcd_control_bytes_total"), 16);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 4);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 2), 3);
-    }
-
-    #[test]
-    fn ledger_is_shareable_by_reference() {
-        fn takes_sync<T: Sync>(_: &T) {}
-        let ledger = ShipmentLedger::observed(2, &MetricsRegistry::new());
-        takes_sync(&ledger);
-        // Recording through a shared reference is the whole point.
-        let r = &ledger;
-        r.ship(SiteId(1), SiteId(0), 2, 4, 16);
-        assert_eq!(ledger.total_tuples(), 2);
     }
 }

@@ -17,7 +17,10 @@
 //! per-site wall clocks — local scans and checks advance one site's
 //! clock, transfers make receivers wait for senders, statistics
 //! exchanges are barriers — so that *response time* is the maximum over
-//! per-site clocks, matching the parallel-cost model of §III-B.
+//! per-site clocks, matching the parallel-cost model of §III-B. Both
+//! meters are plain data charged through `&mut self`: a run's
+//! coordinating thread owns them, and pool tasks return their charges
+//! instead of applying them.
 //! [`CostModel`] supplies the analytic constants (`scan ≈ c·n`,
 //! `check ≈ c·n·log n`, packetized transfer) and the literal §III-B
 //! two-phase formula ([`CostModel::paper_cost`]): the maximum shipping

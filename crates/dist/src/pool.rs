@@ -48,7 +48,7 @@
 //! result slot's `Mutex` orders the worker's write before the caller's
 //! read; the `remaining == 0` wakeup orders job completion before result
 //! collection). Clippy rejects a raw atomic here as anywhere outside the
-//! four audited modules (`disallowed-types` in the root `clippy.toml`),
+//! two audited modules (`disallowed-types` in the root `clippy.toml`),
 //! and thread spawning anywhere else in the workspace
 //! (`disallowed-methods`; the two spawns here carry an `#[expect]`). The only
 //! atomics in sight are the opaque `dcd_obs` counter handles feeding the

@@ -34,12 +34,11 @@
 //! ([`VerticalPartition::owner_of`]), plus the tuple id to align rows
 //! at the coordinator.
 //!
-//! Determinism contract (same as the batch detectors): within the
-//! parallel phases each site's clock is advanced by exactly one task,
-//! coordinator charges are applied in CFD order after the pool joins,
-//! and all merges run in site order — every output (reports, ledger
-//! totals, paper cost, per-site clocks) is bit-identical for every
-//! pool width.
+//! Determinism contract (same as the batch detectors): pool tasks
+//! charge nothing — site charges are applied in site order and
+//! coordinator charges in CFD order, after the pool joins — and all
+//! merges run in site order, so every output (reports, ledger totals,
+//! paper cost, per-site clocks) is bit-identical for every pool width.
 
 use crate::delta::DeltaBatch;
 use crate::index::ViolationIndex;
@@ -153,6 +152,7 @@ impl IncrementalRun {
         sigma: &[Cfd],
         cfg: RunConfig,
     ) -> Result<Self, RelationError> {
+        cfg.cost.check()?;
         sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
         let n = partition.n_sites();
         let dicts = shared_dictionaries(partition.fragments())?;
@@ -166,14 +166,16 @@ impl IncrementalRun {
         // Phase 1: every site scans its fragment once, encoding the
         // (tid, codes) rows it will ship (parallel).
         let encoded: Vec<CodeRows> = ctx.phase("incr:build-scan", |p| {
-            scoped_map(cfg.threads, n, |i| {
+            let encoded = scoped_map(cfg.threads, n, |i| {
                 let frag = &partition.fragments()[i];
-                if sizes[i] == 0 {
-                    return Vec::new();
-                }
-                p.compute(frag.site, cfg.cost.scan_time(sizes[i]));
                 frag.data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>())
-            })
+            });
+            for (frag, &size) in partition.fragments().iter().zip(&sizes) {
+                if size > 0 {
+                    p.compute(frag.site, cfg.cost.scan_time(size));
+                }
+            }
+            encoded
         });
         let mut rows: CodeRows = Vec::with_capacity(sizes.iter().sum());
         for site_rows in encoded {
@@ -446,30 +448,39 @@ fn observe_lag(ctx: &RunCtx, round_start: f64) {
 /// The apply phase of a delta round, shared by both run types: every
 /// site applies its delta to its own relation, in parallel (one task
 /// per site; each task owns its relation through the mutex), charged
-/// per site like the batch detectors' scan phases. Sites with an empty
-/// delta do nothing and are not charged. Returns the per-site effects.
+/// per site like the batch detectors' scan phases — from the fragment
+/// as it was before the delta, and whether or not the apply succeeds.
+/// Sites with an empty delta do nothing and are not charged. Returns
+/// the per-site effects.
 fn apply_deltas(
     ctx: &mut RunCtx,
     sites: Vec<(SiteId, &mut Relation)>,
     deltas: &[RelationDelta],
 ) -> Result<Vec<DeltaEffect>, RelationError> {
     let cfg = *ctx.cfg();
-    let tasks: Vec<Mutex<(SiteId, &mut Relation)>> = sites.into_iter().map(Mutex::new).collect();
+    // The simulated site keeps no order on its tuple ids: it is charged
+    // one pass over the fragment (locating the deletes, insert-id
+    // uniqueness) plus per-op interning, whatever lookup `apply_delta`
+    // ran on this host.
+    let charges: Vec<(SiteId, f64)> = sites
+        .iter()
+        .zip(deltas)
+        .filter(|(_, delta)| !delta.is_empty())
+        .map(|((site, data), delta)| (*site, cfg.cost.scan_time(data.len() + delta.n_ops())))
+        .collect();
+    let tasks: Vec<Mutex<&mut Relation>> = sites.into_iter().map(|(_, d)| Mutex::new(d)).collect();
     let outcomes = ctx.phase("incr:apply", |p| {
-        scoped_map(cfg.threads, tasks.len(), |i| {
-            let mut slot = tasks[i].lock().expect("apply slot poisoned");
-            let (site, data) = &mut *slot;
+        let outcomes = scoped_map(cfg.threads, tasks.len(), |i| {
             let delta = &deltas[i];
             if delta.is_empty() {
                 return Ok(DeltaEffect::default());
             }
-            // The simulated site keeps no order on its tuple ids: it is
-            // charged one pass over the fragment (locating the deletes,
-            // insert-id uniqueness) plus per-op interning, whatever
-            // lookup `apply_delta` ran on this host.
-            p.compute(*site, cfg.cost.scan_time(data.len() + delta.n_ops()));
-            data.apply_delta(delta)
-        })
+            tasks[i].lock().expect("apply slot poisoned").apply_delta(delta)
+        });
+        for (site, secs) in charges {
+            p.compute(site, secs);
+        }
+        outcomes
     });
     outcomes.into_iter().collect()
 }
@@ -543,6 +554,7 @@ impl VerticalIncrementalRun {
         sigma: &[Cfd],
         cfg: RunConfig,
     ) -> Result<Self, RelationError> {
+        cfg.cost.check()?;
         sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
         let alignment = partition.row_alignment()?;
         let n = partition.n_sites();

@@ -8,8 +8,8 @@
 //!
 //! Two scopes, one contract:
 //!
-//! * **Sim scope** — each run owns a registry (inside a
-//!   [`RunObserver`], created next to its `ShipmentLedger` and
+//! * **Sim scope** — each run owns a registry and a [`RunTrace`]
+//!   (fields of its `RunCtx`, next to its `ShipmentLedger` and
 //!   `SiteClocks`). Everything recorded there is an order-free integer
 //!   merge or a single-writer gauge, so the final snapshot is pinned
 //!   bit-identical across `DCD_THREADS` and `DCD_CHUNK_ROWS`, exactly
@@ -33,4 +33,4 @@ pub use registry::{
     host_registry, Counter, FamilySnapshot, Gauge, Histogram, MetricKind, MetricsRegistry,
     MetricsSnapshot, SampleValue,
 };
-pub use trace::{RunObserver, RunTrace, Span};
+pub use trace::{RunTrace, Span};

@@ -32,7 +32,7 @@
 //!
 //! This audit is what the module's `#![expect(clippy::disallowed_types)]`
 //! stands on; `tests/workspace_invariants.rs` pins the files that may
-//! hold one, and the two that may spell `Relaxed`.
+//! hold one, and this one as the only file that may spell `Relaxed`.
 #![expect(
     clippy::disallowed_types,
     reason = "atomics audit: Relaxed meters read after the pool's join, see the module doc"

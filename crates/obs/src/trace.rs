@@ -2,13 +2,13 @@
 //!
 //! Spans are timestamped by `SiteClocks` seconds, never by the wall
 //! clock (`Instant::now`/`SystemTime::now` are `disallowed-methods` in
-//! the root `clippy.toml`): engines record a span *after* a phase
-//! joins, as `(end = clock now, start = end − seconds charged)`, on the
-//! coordinating thread in site order — so a trace, like a registry
-//! snapshot, is bit-identical across pool widths and chunk sizes.
+//! the root `clippy.toml`). A trace is plain data owned by its run's
+//! `RunCtx`, which records one span per site a phase moved, from the
+//! clocks before and after the phase, on the coordinating thread in
+//! site order — so a trace, like a registry snapshot, is bit-identical
+//! across pool widths and chunk sizes.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// One phase execution on one simulated site.
 #[derive(Debug, Clone)]
@@ -72,48 +72,6 @@ impl RunTrace {
     }
 }
 
-/// The per-run observer bundle engines thread through their phases: a
-/// [`MetricsRegistry`](crate::MetricsRegistry) plus a mutexed
-/// [`RunTrace`]. Created next to the ledger and the clocks; `Default`
-/// yields a functional observer whose registry simply goes unread.
-#[derive(Debug, Default)]
-pub struct RunObserver {
-    /// The run's metrics registry.
-    pub registry: crate::MetricsRegistry,
-    trace: Mutex<RunTrace>,
-}
-
-impl RunObserver {
-    /// A fresh observer with an empty registry and trace.
-    pub fn new() -> Self {
-        RunObserver::default()
-    }
-
-    /// Records one phase span (simulated seconds; see module docs).
-    pub fn span(&self, name: &str, site: usize, start: f64, end: f64) {
-        self.trace.lock().expect("trace poisoned").record(name, site, start, end);
-    }
-
-    /// Records one span per site whose clock moved across a phase:
-    /// `before`/`after` are per-site clock snapshots taken around the
-    /// phase (site order = index order). Sites the phase never charged
-    /// (`after == before`) contribute no span, so traces stay free of
-    /// zero-length noise and identical across pool widths.
-    pub fn span_sites(&self, name: &str, before: &[f64], after: &[f64]) {
-        let mut trace = self.trace.lock().expect("trace poisoned");
-        for (site, (&b, &a)) in before.iter().zip(after).enumerate() {
-            if a > b {
-                trace.record(name, site, b, a);
-            }
-        }
-    }
-
-    /// A copy of the trace so far.
-    pub fn trace(&self) -> RunTrace {
-        self.trace.lock().expect("trace poisoned").clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,15 +97,5 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"validate\",\"ph\":\"X\",\"pid\":0,\"tid\":2,\
              \"ts\":500000,\"dur\":250000}]}"
         );
-    }
-
-    #[test]
-    fn observer_accumulates_spans() {
-        let obs = RunObserver::new();
-        obs.span("scan", 0, 0.0, 1.0);
-        obs.span("scan", 1, 0.0, 2.0);
-        assert_eq!(obs.trace().spans.len(), 2);
-        obs.registry.counter("dcd_x_total", "x", &[]).inc(1);
-        assert_eq!(obs.registry.counter_total("dcd_x_total"), 1);
     }
 }

@@ -78,6 +78,12 @@ pub enum RelationError {
         /// The offending code.
         code: u32,
     },
+    /// A simulation cost model had a field that is not finite, a
+    /// negative coefficient, or a zero rate it divides by.
+    InvalidCostModel {
+        /// The offending field and its value.
+        detail: String,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -112,6 +118,7 @@ impl fmt::Display for RelationError {
             RelationError::UnassignedCode { attr, code } => {
                 write!(f, "code {code} was never assigned by the dictionary of `{attr}`")
             }
+            RelationError::InvalidCostModel { detail } => write!(f, "invalid cost model: {detail}"),
         }
     }
 }

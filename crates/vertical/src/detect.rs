@@ -86,11 +86,14 @@ pub fn run_vertical(
         let keeps: Vec<Vec<bool>> =
             plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd, mode)).collect();
         ctx.phase(&format!("gather:{}", cfd.name()), |p| {
+            // A send moves no clock until `commit`, so the scans may be
+            // charged first.
+            for (f, _) in &plan.supplies[1..] {
+                p.compute(fragments[*f].site, cost.scan_time(fragments[*f].data.len()));
+            }
             let mut wire = p.transfer();
             for ((f, attrs), keep) in plan.supplies.iter().zip(&keeps).skip(1) {
-                let frag = &fragments[*f];
-                let shipped = keep.iter().filter(|&&k| k).count();
-                p.compute(frag.site, cost.scan_time(frag.data.len()));
+                let (frag, shipped) = (&fragments[*f], keep.iter().filter(|&&k| k).count());
                 wire.send(coord.site, frag.site, shipped, shipped * (attrs.len() + TID_CELLS));
             }
             wire.commit();

@@ -248,9 +248,11 @@ impl DetectRequest {
     }
 
     /// The front-door check of [`Self::run`] and [`Self::session`]:
-    /// every CFD must be defined over the topology's schema
-    /// ([`Cfd::check_schema`]).
-    fn check_schemas(&self) -> Result<(), RelationError> {
+    /// the cost model must be able to drive the clocks
+    /// ([`CostModel::check`](dcd_dist::CostModel::check)) and every CFD
+    /// must be defined over the topology's schema ([`Cfd::check_schema`]).
+    fn check(&self) -> Result<(), RelationError> {
+        self.config.cost.check()?;
         self.cfds.iter().try_for_each(|cfd| cfd.check_schema(self.topology.schema()))
     }
 
@@ -272,9 +274,11 @@ impl DetectRequest {
     ///   matters.
     ///
     /// A CFD defined over a schema other than the topology's is
-    /// rejected with [`RelationError::SchemaMismatch`].
+    /// rejected with [`RelationError::SchemaMismatch`], a cost model
+    /// with a non-finite, negative or zero-rate field with
+    /// [`RelationError::InvalidCostModel`].
     pub fn run(self) -> Result<Detection, RelationError> {
-        self.check_schemas()?;
+        self.check()?;
         let cfg = self.config;
         match &self.topology {
             Topology::Horizontal(p) => match self.algorithm {
@@ -303,7 +307,7 @@ impl DetectRequest {
     /// The session consumes the request: it owns the partition, which
     /// mutates as batches apply.
     pub fn session(self) -> Result<IncrementalSession, RelationError> {
-        self.check_schemas()?;
+        self.check()?;
         let cfg = self.config;
         match self.topology {
             Topology::Horizontal(p) => {

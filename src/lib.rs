@@ -104,7 +104,7 @@ pub mod prelude {
     };
     pub use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun, ViolationIndex};
     pub use dcd_obs::{
-        host_registry, MetricsRegistry, MetricsSnapshot, RunObserver, RunTrace, SampleValue, Span,
+        host_registry, MetricsRegistry, MetricsSnapshot, RunTrace, SampleValue, Span,
     };
     pub use dcd_relation::{
         vals, Atom, CmpOp, Conjunction, DeltaEffect, Predicate, Relation, RelationDelta, Schema,

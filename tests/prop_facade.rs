@@ -291,3 +291,48 @@ proptest! {
         }
     }
 }
+
+/// A cost model the clocks cannot run on — a negative or NaN
+/// coefficient, a negative or zero rate a send time divides by — is
+/// refused with a typed error at every public front door, over every
+/// topology, before any clock moves: no debug-build panic, no `Ok`
+/// carrying a NaN clock or an infinite response time.
+#[test]
+fn invalid_cost_models_are_rejected_at_every_front_door() {
+    let rows: Vec<_> = (0..12).map(|i| (i % 2, i % 3, (i % 3) as u8, (i % 2) as u8)).collect();
+    let rel = build_relation(&rows);
+    let sigma = [build_cfd("p", &[(None, None, None)], None)];
+    let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+    let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
+    let vertical =
+        VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
+    let hybrid = HybridPartition::new(&horizontal, &[&["a", "b"], &["c", "d"]]).unwrap();
+    let topologies: [(&str, Topology); 4] = [
+        ("horizontal", horizontal.clone().into()),
+        ("vertical", vertical.clone().into()),
+        ("hybrid", hybrid.into()),
+        ("replicated", replicated.clone().into()),
+    ];
+    let base = CostModel::default();
+    for (cost, field) in [
+        (CostModel { scan_coeff: -1.0, ..base }, "`scan_coeff`"),
+        (CostModel { check_coeff: f64::NAN, ..base }, "`check_coeff`"),
+        (CostModel { transfer_rate: -5.0, ..base }, "`transfer_rate`"),
+        (CostModel { transfer_rate: 0.0, ..base }, "`transfer_rate`"),
+        (CostModel { packet_tuples: 0.0, ..base }, "`packet_tuples`"),
+    ] {
+        use distributed_cfd::relation::RelationError;
+        let rejected = |r: Result<(), RelationError>| matches!(r, Err(RelationError::InvalidCostModel { detail }) if detail.contains(field));
+        let cfg = RunConfig { cost, ..RunConfig::default() };
+        for (name, topology) in &topologies {
+            let request = DetectRequest::over(topology.clone()).cfds(sigma.clone()).config(cfg);
+            assert!(rejected(request.clone().run().map(drop)), "run over {name}: {field}");
+            assert!(rejected(request.session().map(drop)), "session over {name}: {field}");
+        }
+        // The session constructors are public front doors too.
+        let h = horizontal.clone();
+        assert!(rejected(IncrementalRun::new(h, &sigma, cfg).map(drop)), "{field}");
+        assert!(rejected(IncrementalRun::new_replicated(&replicated, &sigma, cfg).map(drop)));
+        assert!(rejected(VerticalIncrementalRun::new(vertical.clone(), &sigma, cfg).map(drop)));
+    }
+}
