@@ -22,16 +22,18 @@
 //! round ships — `run_batch`, `run_seq`, and `REPDETECT` and
 //! `HYBRIDDETECT`'s second phase through the same round — and what the
 //! incremental wire carries. The detection methods here hand either to
-//! the same [`kernel`] scan as the columnar
-//! [`detect_simple`](crate::detect_simple) and are pinned, like it,
-//! against the pairwise [`oracle`](crate::oracle) (the tests below,
-//! `tests/prop_oracle.rs` and `tests/prop_cluster.rs`).
+//! the [`kernel`] — a batch to the same slice loop as the columnar
+//! [`detect_simple`](crate::detect_simple), together with the LHS
+//! dictionaries' sizes as of the call, which decide whether it groups in
+//! slots or by hashing; wire rows to the boxed-row loop, which hashes.
+//! They are pinned, like it, against the pairwise
+//! [`oracle`](crate::oracle) (the tests below, `tests/prop_oracle.rs`
+//! and `tests/prop_cluster.rs`).
 
 use crate::cfd::SimpleCfd;
 use crate::kernel::{self, ColumnChunk, Flagged, KernelCounters, LhsIndex, Tableau};
 use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
-use dcd_relation::ops::CodeKey;
 use dcd_relation::{AttrId, CodeBatch, Dictionary, Relation, TupleId, Value};
 use std::sync::Arc;
 
@@ -179,12 +181,11 @@ impl ResolvedCfd {
         }
         // Every row goes to the kernel; its LHS index (built once at
         // resolution) decides per distinct key which patterns apply.
-        let mut lhs_buf: Vec<u32> = vec![0; self.lhs_pos.len()];
         kernel::detect_grouped(
             rows.iter().map(|row| row.borrow()),
-            |(_, codes)| {
-                self.project_lhs(codes, &mut lhs_buf);
-                Some(CodeKey::of_codes(&lhs_buf))
+            |(_, codes), key| {
+                self.project_lhs(codes, key);
+                true
             },
             |(tid, codes)| (*tid, codes[self.rhs_pos]),
             &self.tableau(&self.compiled, Some(&self.index)),
@@ -204,12 +205,11 @@ impl ResolvedCfd {
         let pat = &self.compiled[pattern_idx];
         // Rows the pattern does not match stay outside every group, so
         // the kernel validates each key against it without probing.
-        let mut lhs_buf: Vec<u32> = vec![0; self.lhs_pos.len()];
         kernel::detect_grouped(
             rows,
-            |(_, codes)| {
-                self.project_lhs(codes, &mut lhs_buf);
-                (pat.feasible && pat.matches_codes(&lhs_buf)).then(|| CodeKey::of_codes(&lhs_buf))
+            |(_, codes), key| {
+                self.project_lhs(codes, key);
+                pat.feasible && pat.matches_codes(key)
             },
             |(tid, codes)| (*tid, codes[self.rhs_pos]),
             &self.tableau(std::slice::from_ref(pat), None),
@@ -232,9 +232,10 @@ impl ResolvedCfd {
             rhs: &batch.cols[self.rhs_pos],
             tids: &batch.tids,
         };
-        kernel::detect_columns(&[chunk], &self.tableau(&self.compiled, Some(&self.index)), |key| {
-            self.decode_key(key)
-        })
+        // The LHS dictionaries' sizes as of now choose the group-id table.
+        let key_sizes = self.lhs_dicts.iter().map(|d| d.len());
+        let tableau = self.tableau(&self.compiled, Some(&self.index));
+        kernel::detect_columns(&[chunk], key_sizes, &tableau, |key| self.decode_key(key))
     }
 }
 

@@ -6,21 +6,18 @@
 //! violation index — reduce to one primitive: *group tuples by their LHS
 //! key, then validate each group against the tableau patterns its key
 //! matches*. This module is that primitive, written once over one
-//! representation: a group key is a packed [`CodeKey`] of dictionary
-//! codes, a right-hand side is a `u32` code, a pattern is a
-//! [`CompiledPattern`].
+//! representation: a group key is its dictionary codes, a right-hand
+//! side is a `u32` code, a pattern is a [`CompiledPattern`].
 //!
-//! [`detect_grouped`] keeps **group summaries, not member lists**. It
-//! walks the caller's rows twice, in the same order:
+//! The kernel keeps **group summaries, not member lists**. It walks the
+//! caller's rows twice, in the same order:
 //!
-//! 1. *Scan.* One hash probe per row turns its key into a dense group
-//!    id, handed out in first-seen order; the group's summary — the
-//!    first RHS code seen and whether a later one differed — is updated
-//!    and the id is remembered for the row. That is all a verdict needs:
-//!    the semantics below ask of a group only "≥ 2 distinct RHS values?"
+//! 1. *Scan.* One lookup per row turns its key into a dense group id,
+//!    handed out in first-seen order; the group's summary — the first
+//!    RHS code seen and whether a later one differed — is updated and
+//!    the id is remembered for the row. That is all a verdict needs: the
+//!    semantics below ask of a group only "≥ 2 distinct RHS values?"
 //!    and, for a constant pattern, "which members differ from `c`?".
-//!    (Rows are read a block ahead of their probes, so rows held behind
-//!    a pointer each miss the cache in parallel.)
 //! 2. *Judge.* Per group, in first-seen order (so nothing downstream
 //!    ever sees hash-iteration order): one [`LhsIndex`] probe for the
 //!    patterns its key matches, one `judge` call on the summary, one
@@ -28,14 +25,21 @@
 //! 3. *Emit.* The rows again: a row is flagged if its group is, or if
 //!    its own RHS differs from the one constant its group is held to.
 //!
-//! What a call site supplies is only what genuinely differs between
-//! them: the **rows** (an iterator cheap to clone — code columns walked
-//! chunk by chunk, a [`CodeBatch`](dcd_relation::CodeBatch), or gathered
-//! wire rows), how a row yields its **key** and its **tuple id and RHS
-//! code**, and the **decoder** from a violating key's codes to the
-//! `Vioπ` value projection. The incremental index, whose groups outlive
-//! a call, keeps its own member lists and asks [`validate_group`] per
-//! touched key.
+//! There are two loops, one per shape of rows. [`detect_columns`] reads
+//! column-major rows straight from chunk slices — a relation's storage
+//! chunks, or a [`CodeBatch`](dcd_relation::CodeBatch) — and keeps its
+//! ids in a [`CodeMemo`]: a flat slot table indexed by the key's
+//! mixed-radix code when the LHS dictionaries' code space is no larger
+//! than the rows, else a hash map of packed [`CodeKey`]s, chosen once
+//! per call. [`detect_grouped`] takes rows from an iterator cheap to
+//! clone — gathered boxed wire rows — with how a row yields its **key**
+//! and its **tuple id and RHS code**, and hashes every key; it reads a
+//! block of RHS codes ahead of their probes, so rows held behind a
+//! pointer each miss the cache in parallel. Either is handed the
+//! **decoder** from a violating key's codes to the `Vioπ` value
+//! projection. The incremental index, whose groups outlive a call,
+//! keeps its own member lists and asks [`validate_group`] per touched
+//! key.
 //!
 //! Which patterns match a key is answered by [`LhsIndex`], the
 //! σ-style bucketing by LHS wildcard mask (one hash probe per distinct
@@ -50,7 +54,7 @@
 //! variable patterns flag the whole group iff it holds ≥ 2 distinct RHS values;
 //! constant patterns flag individual mismatching members (`t[A] ≭ c`),
 //! plus — under the strict §II-C reading — the whole group on an FD
-//! conflict. Both [`validate_group`] and [`detect_grouped`] are that
+//! conflict. [`validate_group`] and both scan loops are that
 //! function plus a way of learning the conflict bit. They are pinned not
 //! against a second instantiation of this module but against
 //! [`oracle`](crate::oracle), an independent pairwise transcription of
@@ -59,9 +63,8 @@
 
 use crate::pattern::CompiledPattern;
 use dcd_obs::{Counter, MetricsRegistry};
-use dcd_relation::ops::CodeKey;
+use dcd_relation::ops::{CodeKey, CodeMemo};
 use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
-use std::collections::hash_map::Entry;
 
 /// Instrument handles for the kernel: how many groups were validated,
 /// the [`GroupVerdict`] mix, and how many [`LhsIndex`] probes ran.
@@ -286,97 +289,89 @@ pub struct Flagged {
     pub patterns: Vec<Vec<Value>>,
 }
 
-/// What the scan keeps of one group.
+/// What the scan keeps of one group besides its key.
 struct Summary {
-    key: CodeKey,
     first_rhs: u32,
     /// Some member's RHS code differed from `first_rhs`.
     conflict: bool,
 }
 
-/// A row outside every group (its `key_of` was `None`).
-const NO_GROUP: u32 = u32::MAX;
+/// The groups a scan has seen, by dense id in first-seen order: each
+/// group's key codes (`width` cells per group, in one flat vector) and
+/// its summary.
+struct Groups {
+    width: usize,
+    keys: Vec<u32>,
+    summaries: Vec<Summary>,
+}
 
-/// Rows whose RHS codes the scan reads ahead of probing them.
-const SCAN_BLOCK: usize = 64;
+impl Groups {
+    fn new(width: usize) -> Self {
+        Groups { width, keys: Vec::new(), summaries: Vec::new() }
+    }
 
-/// The full kernel: groups `rows` by LHS key, validates every group
-/// against the patterns its key matches and collects the violations —
-/// scan, judge, emit, as the module docs lay out. Groups whose key
-/// matches no pattern contribute nothing, so callers hand over *all*
-/// rows and let the [`LhsIndex`] probe — once per distinct key, not
-/// once per row — decide relevance.
-///
-/// `rows` is walked twice and must yield the same rows in the same order
-/// both times. `key_of` packs a row's LHS key, or returns `None` for a
-/// row to leave out (a pre-filter on one pattern); `member` reads a
-/// row's tuple id and RHS code; `decode` projects a violating key's
-/// codes for `Vioπ` — decoding is the expensive step, done only then.
-pub fn detect_grouped<R>(
-    rows: impl Iterator<Item = R> + Clone,
-    mut key_of: impl FnMut(&R) -> Option<CodeKey>,
-    member: impl Fn(&R) -> (TupleId, u32),
-    tableau: &Tableau<'_>,
-    mut decode: impl FnMut(&[u32]) -> Vec<Value>,
-) -> Flagged {
-    let patterns = tableau.patterns;
-    let width = patterns.first().map_or(0, |p| p.lhs.len());
+    /// The id the next unseen key gets.
+    #[inline]
+    fn next_id(&self) -> u32 {
+        u32::try_from(self.summaries.len()).expect("fewer groups than u32::MAX")
+    }
 
-    // Scan: dense group ids in first-seen order, one summary per group,
-    // one id per row.
-    let mut ids: FxHashMap<CodeKey, u32> = FxHashMap::default();
-    let mut groups: Vec<Summary> = Vec::new();
-    let mut group_of: Vec<u32> = Vec::with_capacity(rows.size_hint().0);
-    let mut walk = rows.clone();
-    let mut rhs_ahead = [0u32; SCAN_BLOCK];
-    loop {
-        // A block's RHS codes are read before any of its rows is probed.
-        // The reads do not depend on one another — the probes chain
-        // through the map — so for rows held behind a pointer each
-        // (boxed wire rows) the cache misses overlap instead of queueing
-        // one behind every probe; the key's cells sit next to the RHS.
-        let block = walk.clone().take(SCAN_BLOCK);
-        let n = block.zip(&mut rhs_ahead).map(|(row, rhs)| *rhs = member(&row).1).count();
-        if n == 0 {
-            break;
-        }
-        for (row, &rhs) in walk.by_ref().take(n).zip(&rhs_ahead) {
-            let Some(key) = key_of(&row) else {
-                group_of.push(NO_GROUP);
-                continue;
-            };
-            let gid = match ids.entry(key) {
-                Entry::Occupied(seen) => {
-                    let gid = *seen.get();
-                    let group = &mut groups[gid as usize];
-                    group.conflict |= rhs != group.first_rhs;
-                    gid
-                }
-                Entry::Vacant(new) => {
-                    let gid = u32::try_from(groups.len()).expect("fewer groups than u32::MAX");
-                    groups.push(Summary {
-                        key: new.key().clone(),
-                        first_rhs: rhs,
-                        conflict: false,
-                    });
-                    *new.insert(gid)
-                }
-            };
-            group_of.push(gid);
+    /// Folds a row with RHS code `rhs` into group `gid`. A new group
+    /// (`gid` is [`Self::next_id`]) takes the row's `key` cells; a seen
+    /// one notes whether `rhs` differs from its first.
+    #[inline]
+    fn record(&mut self, gid: u32, rhs: u32, key: impl Iterator<Item = u32>) {
+        match self.summaries.get_mut(gid as usize) {
+            Some(group) => group.conflict |= rhs != group.first_rhs,
+            None => {
+                debug_assert_eq!(gid, self.next_id());
+                self.keys.extend(key);
+                self.summaries.push(Summary { first_rhs: rhs, conflict: false });
+            }
         }
     }
-    drop(ids);
 
-    // Judge: one index probe and one verdict per group.
-    let mut out = Flagged::default();
+    fn key(&self, gid: usize) -> &[u32] {
+        &self.keys[gid * self.width..][..self.width]
+    }
+}
+
+/// A row outside every group (its key was left out).
+const NO_GROUP: u32 = u32::MAX;
+
+/// Rows whose RHS codes the boxed-row scan reads ahead of probing them.
+const SCAN_BLOCK: usize = 64;
+
+impl Judgement {
+    /// Whether a member with RHS code `rhs` is flagged.
+    #[inline]
+    fn flags(self, rhs: u32) -> bool {
+        match self {
+            Judgement::Clean => false,
+            Judgement::All | Judgement::EachMismatches => true,
+            Judgement::Differing(c) => rhs != c,
+        }
+    }
+}
+
+/// Judge: one index probe and one verdict per group, in id order. The
+/// violating keys are decoded into `out.patterns`, the tallies folded
+/// into the tableau's counters.
+fn judge_groups(
+    groups: &Groups,
+    tableau: &Tableau<'_>,
+    mut decode: impl FnMut(&[u32]) -> Vec<Value>,
+    out: &mut Flagged,
+) -> Vec<Judgement> {
+    let patterns = tableau.patterns;
     let mut tally = KernelTally::default();
     let mut ranks: Vec<u32> = (0..patterns.len() as u32).collect();
     let mut probe_buf: Vec<u32> = Vec::new();
-    let mut judged: Vec<Judgement> = Vec::with_capacity(groups.len());
-    for group in &groups {
-        let key = group.key.codes(width);
+    let mut judged: Vec<Judgement> = Vec::with_capacity(groups.summaries.len());
+    for (gid, group) in groups.summaries.iter().enumerate() {
+        let key = groups.key(gid);
         if let Some(index) = tableau.index {
-            index.matched_into(&key, &mut probe_buf, &mut ranks);
+            index.matched_into(key, &mut probe_buf, &mut ranks);
         }
         tally.probes += 1;
         if ranks.is_empty() {
@@ -398,22 +393,70 @@ pub fn detect_grouped<R>(
             Judgement::Differing(_) | Judgement::EachMismatches => tally.mixed += 1,
         }
         if judgement != Judgement::Clean {
-            out.patterns.push(decode(&key));
+            out.patterns.push(decode(key));
         }
         judged.push(judgement);
     }
     tableau.counters.absorb(&tally);
+    judged
+}
 
-    // Emit: the rows again, each against its group's judgement.
+/// The full kernel over rows an iterator yields (gathered wire rows):
+/// groups them by LHS key, validates every group against the patterns
+/// its key matches and collects the violations — scan, judge, emit, as
+/// the module docs lay out. Groups whose key matches no pattern
+/// contribute nothing, so callers hand over *all* rows and let the
+/// [`LhsIndex`] probe — once per distinct key, not once per row — decide
+/// relevance.
+///
+/// `rows` is walked twice and must yield the same rows in the same order
+/// both times. `key_of` writes a row's LHS codes into its buffer, or
+/// returns `false` for a row to leave out (a pre-filter on one pattern);
+/// `member` reads a row's tuple id and RHS code; `decode` projects a
+/// violating key's codes for `Vioπ` — decoding is the expensive step,
+/// done only then. Keys are grouped by hashing their packed [`CodeKey`].
+pub fn detect_grouped<R>(
+    rows: impl Iterator<Item = R> + Clone,
+    mut key_of: impl FnMut(&R, &mut [u32]) -> bool,
+    member: impl Fn(&R) -> (TupleId, u32),
+    tableau: &Tableau<'_>,
+    decode: impl FnMut(&[u32]) -> Vec<Value>,
+) -> Flagged {
+    let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
+    let mut ids: FxHashMap<CodeKey, u32> = FxHashMap::default();
+    let mut groups = Groups::new(width);
+    let mut key = vec![0u32; width];
+    let mut group_of: Vec<u32> = Vec::with_capacity(rows.size_hint().0);
+    let mut walk = rows.clone();
+    let mut rhs_ahead = [0u32; SCAN_BLOCK];
+    loop {
+        // A block's RHS codes are read before any of its rows is probed.
+        // The reads do not depend on one another — the probes chain
+        // through the map — so for rows held behind a pointer each
+        // (boxed wire rows) the cache misses overlap instead of queueing
+        // one behind every probe; the key's cells sit next to the RHS.
+        let block = walk.clone().take(SCAN_BLOCK);
+        let n = block.zip(&mut rhs_ahead).map(|(row, rhs)| *rhs = member(&row).1).count();
+        if n == 0 {
+            break;
+        }
+        for (row, &rhs) in walk.by_ref().take(n).zip(&rhs_ahead) {
+            if !key_of(&row, &mut key) {
+                group_of.push(NO_GROUP);
+                continue;
+            }
+            let gid = *ids.entry(CodeKey::of_codes(&key)).or_insert(groups.next_id());
+            groups.record(gid, rhs, key.iter().copied());
+            group_of.push(gid);
+        }
+    }
+    drop(ids);
+
+    let mut out = Flagged::default();
+    let judged = judge_groups(&groups, tableau, decode, &mut out);
     if !out.patterns.is_empty() {
         for (row, &gid) in rows.zip(&group_of) {
-            let flagged = gid != NO_GROUP
-                && match judged[gid as usize] {
-                    Judgement::Clean => false,
-                    Judgement::All | Judgement::EachMismatches => true,
-                    Judgement::Differing(c) => member(&row).1 != c,
-                };
-            if flagged {
+            if gid != NO_GROUP && judged[gid as usize].flags(member(&row).1) {
                 out.tids.push(member(&row).0);
             }
         }
@@ -435,49 +478,45 @@ pub struct ColumnChunk<'a> {
     pub tids: &'a [TupleId],
 }
 
-/// The rows of a chunk list in order, as `(chunk, row in chunk)`, with
-/// an exact length — the scan sizes its per-row ids from it.
-#[derive(Clone)]
-struct ColumnRows<'a> {
-    chunks: &'a [ColumnChunk<'a>],
-    row: usize,
-    left: usize,
-}
-
-impl<'a> Iterator for ColumnRows<'a> {
-    type Item = (&'a ColumnChunk<'a>, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (chunk, rest) = self.chunks.split_first()?;
-        if self.row == chunk.tids.len() {
-            (self.chunks, self.row) = (rest, 0);
-            return self.next();
-        }
-        self.row += 1;
-        self.left -= 1;
-        Some((chunk, self.row - 1))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-/// [`detect_grouped`] over column-major rows: the keys are packed
-/// straight from the LHS slices ([`CodeKey::of_row`]).
+/// The full kernel over column-major rows, chunk by chunk: the same
+/// scan, judge and emit as [`detect_grouped`], with every key read
+/// straight from the LHS slices. Group ids live in a [`CodeMemo`] over
+/// the LHS dictionaries' sizes `key_sizes`, read at this call, and the
+/// chunks' total row count: a slot table when the code space fits the
+/// rows, else a hash map. Either hands out ids in first-seen order, so
+/// groups, verdicts, tallies and output order do not depend on which.
 pub fn detect_columns(
     chunks: &[ColumnChunk<'_>],
+    key_sizes: impl IntoIterator<Item = usize>,
     tableau: &Tableau<'_>,
     decode: impl FnMut(&[u32]) -> Vec<Value>,
 ) -> Flagged {
-    let left = chunks.iter().map(|c| c.tids.len()).sum();
-    detect_grouped(
-        ColumnRows { chunks, row: 0, left },
-        |&(chunk, r)| Some(CodeKey::of_row(&chunk.lhs, r)),
-        |&(chunk, r)| (chunk.tids[r], chunk.rhs[r]),
-        tableau,
-        decode,
-    )
+    let rows = chunks.iter().map(|c| c.tids.len()).sum();
+    let mut ids = CodeMemo::new(key_sizes, rows);
+    let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
+    let mut groups = Groups::new(width);
+    let mut group_of: Vec<u32> = Vec::with_capacity(rows);
+    for chunk in chunks {
+        for (r, &rhs) in chunk.rhs.iter().enumerate() {
+            let fresh = groups.next_id();
+            let gid = ids.get_or_insert_with(&chunk.lhs, r, || fresh);
+            groups.record(gid, rhs, chunk.lhs.iter().map(|col| col[r]));
+            group_of.push(gid);
+        }
+    }
+    drop(ids);
+
+    let mut out = Flagged::default();
+    let judged = judge_groups(&groups, tableau, decode, &mut out);
+    if !out.patterns.is_empty() {
+        let members = chunks.iter().flat_map(|c| c.tids.iter().zip(c.rhs));
+        for ((&tid, &rhs), &gid) in members.zip(&group_of) {
+            if judged[gid as usize].flags(rhs) {
+                out.tids.push(tid);
+            }
+        }
+    }
+    out
 }
 
 /// One wildcard mask: the non-wild LHS positions, and the rank lists
@@ -645,7 +684,15 @@ mod tests {
         assert_eq!(validate_group(specs, 2, |i| rhs[i], true), GroupVerdict::AllFlagged);
     }
 
-    /// Runs the scan kernel over `(key code, tid = RHS code)` rows.
+    /// The tallies a run folded into `counters`.
+    fn tallies(c: &KernelCounters) -> [u64; 4] {
+        [c.probes.get(), c.clean.get(), c.all_flagged.get(), c.mixed.get()]
+    }
+
+    /// Runs the boxed-row loop over `(key code, tid = RHS code)` rows
+    /// and, when no row is left out, the slice loop over the same rows
+    /// once per group-id table — slots over the keys' span, then a code
+    /// space too large for slots. All must find and tally the same.
     fn scan(
         rows: &[(u32, u32)],
         patterns: &[CompiledPattern],
@@ -653,13 +700,33 @@ mod tests {
         strict: bool,
         counters: &KernelCounters,
     ) -> Flagged {
-        detect_grouped(
+        let decode = |codes: &[u32]| vec![Value::Int(i64::from(codes[0]))];
+        let found = detect_grouped(
             rows.iter(),
-            |&&(key, _)| (key != NO_GROUP).then(|| CodeKey::of_codes(&[key])),
+            |&&(key, _), cells| {
+                cells[0] = key;
+                key != NO_GROUP
+            },
             |&&(_, rhs)| (TupleId(u64::from(rhs)), rhs),
             &Tableau { patterns, index, strict, counters },
-            |codes| vec![Value::Int(i64::from(codes[0]))],
-        )
+            decode,
+        );
+        if rows.iter().all(|r| r.0 != NO_GROUP) {
+            let (keys, rhs): (Vec<u32>, Vec<u32>) = rows.iter().copied().unzip();
+            let tids: Vec<TupleId> = rhs.iter().map(|&c| TupleId(u64::from(c))).collect();
+            let chunks = [ColumnChunk { lhs: vec![&keys], rhs: &rhs, tids: &tids }];
+            let span = keys.iter().map(|&k| k as usize + 1).max().unwrap_or(0);
+            let slotted = matches!(CodeMemo::<u32>::new([span], rows.len()), CodeMemo::Slots(..));
+            assert!(slotted, "the fixture must fit slots");
+            for key_space in [span, usize::MAX] {
+                let columns_counters = KernelCounters::default();
+                let tableau = Tableau { patterns, index, strict, counters: &columns_counters };
+                let columns = detect_columns(&chunks, [key_space], &tableau, decode);
+                assert_eq!(columns, found, "slice loop over {key_space} keys");
+                assert_eq!(tallies(&columns_counters), tallies(counters));
+            }
+        }
+        found
     }
 
     #[test]
@@ -757,7 +824,10 @@ mod tests {
         let counters = KernelCounters::default();
         let found = detect_grouped(
             rows.iter(),
-            |&&(key, tid, _)| (tid % 64 != 0 || tid == 0).then(|| CodeKey::of_codes(&[key])),
+            |&&(key, tid, _), cells| {
+                cells[0] = key;
+                tid % 64 != 0 || tid == 0
+            },
             |&&(_, tid, rhs)| (TupleId(tid), rhs),
             &Tableau { patterns: &patterns, index: None, strict: false, counters: &counters },
             |codes| vec![Value::Int(i64::from(codes[0]))],
@@ -770,15 +840,30 @@ mod tests {
     }
 
     #[test]
-    fn column_rows_walk_every_chunk_and_skip_empty_ones() {
+    fn columns_walk_every_chunk_and_skip_empty_ones() {
+        // Key 0 holds rows 0, 1, 4 (RHS 5 each: clean); key 1 holds rows
+        // 2 and 3 across the empty chunk's seam (RHS 6, 7: a conflict).
         let tids: Vec<TupleId> = (0..5).map(TupleId).collect();
-        let (a, b): (&[u32], &[u32]) = (&[1, 1, 2], &[2, 1]);
-        let chunk = |codes, tids| ColumnChunk { lhs: vec![codes], rhs: codes, tids };
-        let chunks = [chunk(a, &tids[..3]), chunk(&[], &[]), chunk(b, &tids[3..])];
-        let rows = ColumnRows { chunks: &chunks, row: 0, left: 5 };
-        assert_eq!(rows.size_hint(), (5, Some(5)));
-        let seen: Vec<(u64, u32)> = rows.map(|(c, r)| (c.tids[r].0, c.rhs[r])).collect();
-        assert_eq!(seen, [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1)]);
+        let chunk = |keys, rhs, tids| ColumnChunk { lhs: vec![keys], rhs, tids };
+        let chunks = [
+            chunk(&[0, 0, 1], &[5, 5, 6], &tids[..3]),
+            chunk(&[], &[], &[]),
+            chunk(&[1, 0], &[7, 5], &tids[3..]),
+        ];
+        let patterns =
+            [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
+        // Two keys fit five rows in slots; a huge dictionary does not.
+        for key_space in [2, usize::MAX] {
+            let counters = KernelCounters::default();
+            let tableau =
+                Tableau { patterns: &patterns, index: None, strict: false, counters: &counters };
+            let found = detect_columns(&chunks, [key_space], &tableau, |codes| {
+                vec![Value::Int(i64::from(codes[0]))]
+            });
+            assert_eq!(found.tids, [2, 3].map(TupleId));
+            assert_eq!(found.patterns, [vec![Value::Int(1)]]);
+            assert_eq!(tallies(&counters), [2, 1, 1, 0]);
+        }
     }
 
     #[test]

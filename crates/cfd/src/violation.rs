@@ -29,8 +29,9 @@
 
 use crate::cfd::{Cfd, SimpleCfd};
 use crate::kernel::{self, ColumnChunk, Flagged, KernelCounters, LhsIndex, Tableau};
-use crate::pattern::{compile_tableau, Admission, CompiledPattern};
-use dcd_relation::{FxHashSet, Relation, TupleId, Value};
+use crate::pattern::{compile_tableau, CompiledPattern};
+use dcd_relation::ops::CodeMemo;
+use dcd_relation::{zip_chunks_range, FxHashSet, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// The violations of one CFD in one relation: the tuple ids `Vio(φ, D)`
@@ -221,7 +222,9 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         strict,
         counters: &KernelCounters::default(),
     };
-    kernel::detect_columns(&chunks, &tableau, |key| rel.decode_projection(&cfd.lhs, key)).into()
+    let key_sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
+    kernel::detect_columns(&chunks, key_sizes, &tableau, |key| rel.decode_projection(&cfd.lhs, key))
+        .into()
 }
 
 /// Single-tuple detection of an all-constant-pattern CFD, restricted to
@@ -235,10 +238,12 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
 /// over any partition of the rows is exactly the whole-relation
 /// [`detect_simple`] — pinned by tests.
 ///
-/// One pass: a row is first put to the tableau's [`Admission`] filter —
-/// a constant pattern can flag only tuples carrying its LHS constants —
-/// and only a survivor is compared against the feasible patterns, and
-/// only a flagged one has its key decoded.
+/// One pass. Each key's verdict — no feasible pattern matches it, one
+/// constant, or two or more (every row flagged) — is decided on the
+/// key's first sight and kept in a [`CodeMemo`]: a slot table when the
+/// LHS code space is no larger than the range, a hash map otherwise.
+/// Every other row of the key reads it. Only a flagged row has its key
+/// decoded.
 pub fn detect_constants_rows_with(
     rel: &Relation,
     cfd: &SimpleCfd,
@@ -252,36 +257,63 @@ pub fn detect_constants_rows_with(
         "detect_constants_rows_with requires constant-RHS patterns (single-tuple semantics)"
     );
     let feasible: Vec<&CompiledPattern> = compiled.iter().filter(|p| p.feasible).collect();
-    if feasible.is_empty() {
+    let end = end.min(rel.len());
+    if feasible.is_empty() || start >= end {
         return out;
     }
-    let admission = Admission::of_patterns(compiled);
-    let lhs_cols = rel.code_views(&cfd.lhs);
-    let rhs_col = rel.column(cfd.rhs).codes();
+    // The LHS columns, then the RHS column, chunk-aligned.
+    let width = cfd.lhs.len();
+    let mut views = rel.code_views(&cfd.lhs);
+    views.push(rel.column(cfd.rhs).codes());
     let tids = rel.tids();
-    let mut scan_row = |i: usize, slices: &[&[u32]], r: usize| {
-        if !admission.admits_row(slices, r) {
-            return;
-        }
-        let rhs = rhs_col.at(i);
-        if feasible.iter().any(|p| p.matches_row(slices, r) && rhs != p.rhs) {
-            let key: Vec<u32> = slices.iter().map(|col| col[r]).collect();
-            out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
-            out.tids.insert(tids[i]);
-        }
+    let mut flag = |i: usize, lhs: &[&[u32]], r: usize| {
+        let key: Vec<u32> = lhs.iter().map(|col| col[r]).collect();
+        out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
+        out.tids.insert(tids[i]);
     };
-    if lhs_cols.is_empty() {
-        for i in start..end.min(rel.len()) {
-            scan_row(i, &[], 0);
-        }
-    } else {
-        dcd_relation::zip_chunks_range(&lhs_cols, start, end, |base, lo, hi, slices| {
-            for r in lo..hi {
-                scan_row(base + r, slices, r);
+    let sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
+    let mut verdicts = CodeMemo::new(sizes, end - start);
+    zip_chunks_range(&views, start, end, |base, lo, hi, slices| {
+        let (lhs, rhs) = (&slices[..width], slices[width]);
+        for (r, &rhs) in (lo..hi).zip(&rhs[lo..hi]) {
+            let verdict = verdicts.get_or_insert_with(lhs, r, || {
+                KeyVerdict::of(feasible.iter().copied().filter(|p| p.matches_row(lhs, r)))
+            });
+            let flagged = match verdict {
+                KeyVerdict::NoMatch => false,
+                KeyVerdict::One(c) => rhs != c,
+                KeyVerdict::Every => true,
+            };
+            if flagged {
+                flag(base + r, lhs, r);
             }
-        });
-    }
+        }
+    });
     out
+}
+
+/// What the constant patterns matching one LHS key say about its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyVerdict {
+    /// No feasible pattern matches the key: its rows are clean.
+    NoMatch,
+    /// The matching patterns name one constant RHS code (possibly
+    /// `NO_CODE`): a row is flagged iff its RHS differs from it.
+    One(u32),
+    /// They name two or more: no RHS equals all of them, so every row
+    /// is flagged.
+    Every,
+}
+
+impl KeyVerdict {
+    /// The verdict of a key, from the patterns matching it.
+    fn of<'a>(matching: impl Iterator<Item = &'a CompiledPattern>) -> Self {
+        matching.fold(KeyVerdict::NoMatch, |verdict, p| match verdict {
+            KeyVerdict::NoMatch => KeyVerdict::One(p.rhs),
+            KeyVerdict::One(c) if c == p.rhs => verdict,
+            _ => KeyVerdict::Every,
+        })
+    }
 }
 
 /// Detects violations of a general CFD (any number of RHS attributes),

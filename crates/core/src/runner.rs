@@ -219,9 +219,9 @@ pub(crate) fn exchange_statistics(
 /// row; a fragment the coordinator already `holds` (itself, or a
 /// replica) ships nothing.
 /// No tuple payload crosses the simulated wire. Validation runs at the
-/// coordinators in parallel, on codes: grouping keys are packed
-/// `CodeKey`s and the distinct-RHS test compares `u32` codes; only
-/// violating group keys are decoded.
+/// coordinators in parallel, on codes: grouping keys are slot indices
+/// or packed `CodeKey`s and the distinct-RHS test compares `u32` codes;
+/// only violating group keys are decoded.
 fn ship_and_validate(
     ctx: &mut RunCtx,
     fragments: &[Fragment],

@@ -9,16 +9,18 @@
 //! per-fragment blocks `H_i^j` and the `lstat[i, j]` statistics.
 //!
 //! σ(t) in fact depends on less than `t[X]`: only on the positions of
-//! `X` some pattern pins to a constant. The scan asks the dictionary
-//! first — a tuple whose code at an always-pinned position is no
-//! pattern's constant matches nothing — and keys what survives on the
-//! pinned positions alone, in one pass ([`sigma_partition_range_with`]).
+//! `X` some pattern pins to a constant. The scan memoizes σ per pinned
+//! projection, in one pass ([`sigma_partition_range_with`]): a flat slot
+//! array when the projection's code space fits the range, else a hash
+//! map. Each key is decided once, and the dictionary is asked first: a
+//! key whose code at an always-pinned position is no pattern's constant
+//! matches nothing, without an index probe.
 
 use dcd_cfd::kernel::LhsIndex;
 use dcd_cfd::pattern::{compile_tableau, Admission, CompiledPattern};
 use dcd_cfd::{NormalPattern, SimpleCfd};
-use dcd_relation::ops::CodeKey;
-use dcd_relation::{zip_chunks_range, FxHashMap, Relation};
+use dcd_relation::ops::CodeMemo;
+use dcd_relation::{zip_chunks_range, Relation};
 
 /// A [`SimpleCfd`] with its tableau re-sorted most-specific-first, as
 /// required by σ. Construct via [`sort_for_sigma`].
@@ -166,15 +168,17 @@ impl SigmaIndex {
 /// [`sigma_partition_range`] against a [`SigmaIndex`] already built for
 /// this fragment — the morsel-loop entry point.
 ///
-/// One pass, reading the pinned columns only. A row the admission filter
-/// rejects is a miss: it joins no block and is charged the full scan
-/// length, exactly what the tableau scan would have tried before giving
-/// up. A surviving row looks its `(pattern, tries)` up in a memo keyed by
-/// its pinned projection — filled by one index probe per distinct
-/// projection, lookup-only otherwise — and is pushed straight into its
-/// block, so per-block row order is scan order. A tableau that pins
-/// nothing (an FD, or an empty LHS) has a constant σ: one probe answers
-/// for the whole range and nothing is hashed.
+/// One pass, reading the pinned columns only. Each row looks its
+/// `(pattern, tries)` up in a [`CodeMemo`] keyed by its pinned projection
+/// — a slot array when the pinned columns' code space fits the range, a
+/// hash map otherwise — and is pushed straight into its block, so
+/// per-block row order is scan order. The memo is filled on a key's
+/// first sight. A key the admission filter rejects is a miss: it joins
+/// no block and is charged the full scan length, exactly what the
+/// tableau scan would have tried before giving up; any other key costs
+/// one index probe. A tableau that pins nothing (an FD, or an empty LHS)
+/// has a constant σ: one probe answers for the whole range and nothing
+/// is looked up.
 pub fn sigma_partition_range_with(
     fragment: &Relation,
     sorted: &SortedCfd,
@@ -194,30 +198,30 @@ pub fn sigma_partition_range_with(
         return SigmaPartition { blocks, comparisons: tries * end.saturating_sub(start) };
     }
 
+    let mut sigma_of = |slices: &[&[u32]], r: usize| {
+        if !index.admission.admits_row(slices, r) {
+            return (None, index.applicable.len());
+        }
+        for &j in &index.pinned {
+            key_codes[j] = slices[j][r];
+        }
+        index.assign(&key_codes, &mut probe_buf)
+    };
     let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
-    let mut memo: FxHashMap<CodeKey, (Option<usize>, usize)> = FxHashMap::default();
+    let pinned_sizes = index.pinned.iter().map(|&j| fragment.dictionary(sorted.cfd.lhs[j]).len());
+    let mut memo = CodeMemo::new(pinned_sizes, end.saturating_sub(start));
     let mut comparisons = 0usize;
-    let mut misses = 0usize;
     zip_chunks_range(&lhs_cols, start, end, |base, lo, hi, slices| {
         let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| slices[j]).collect();
         for r in lo..hi {
-            if !index.admission.admits_row(slices, r) {
-                misses += 1;
-                continue;
-            }
-            let (pat, tries) = *memo.entry(CodeKey::of_row(&pinned_cols, r)).or_insert_with(|| {
-                for &j in &index.pinned {
-                    key_codes[j] = slices[j][r];
-                }
-                index.assign(&key_codes, &mut probe_buf)
-            });
+            let (pat, tries) = memo.get_or_insert_with(&pinned_cols, r, || sigma_of(slices, r));
             comparisons += tries;
             if let Some(pi) = pat {
                 blocks[pi].push(base + r);
             }
         }
     });
-    SigmaPartition { blocks, comparisons: comparisons + misses * index.applicable.len() }
+    SigmaPartition { blocks, comparisons }
 }
 
 #[cfg(test)]

@@ -42,10 +42,35 @@ impl HorizontalPartition {
     /// identity, which is free); fragments assembled by hand over
     /// their own dictionaries are re-encoded onto the first fragment's
     /// dictionaries here.
+    ///
+    /// Tuple ids must be distinct across the partition: the detectors
+    /// report `Vio` as ids, so an id two fragments share would name
+    /// tuples of both. A repeated id is rejected, naming it.
     pub fn from_fragments(
         schema: Arc<Schema>,
-        mut fragments: Vec<Fragment>,
+        fragments: Vec<Fragment>,
     ) -> Result<Self, RelationError> {
+        let partition = Self::assemble(schema, fragments)?;
+        partition.tids_distinct()?;
+        Ok(partition)
+    }
+
+    /// [`Self::from_fragments`] for fragments whose tuple ids are
+    /// distinct by construction — HYBRIDDETECT's cells re-cut one
+    /// partition's rows — so the id check is left to debug builds.
+    #[doc(hidden)]
+    pub fn from_disjoint_fragments(
+        schema: Arc<Schema>,
+        fragments: Vec<Fragment>,
+    ) -> Result<Self, RelationError> {
+        let partition = Self::assemble(schema, fragments)?;
+        debug_assert!(partition.tids_distinct().is_ok(), "repeated tuple id");
+        Ok(partition)
+    }
+
+    /// [`Self::from_fragments`] without the tuple-id check: sites,
+    /// schema and dictionary sharing only.
+    fn assemble(schema: Arc<Schema>, mut fragments: Vec<Fragment>) -> Result<Self, RelationError> {
         if fragments.is_empty() {
             return Err(RelationError::InvalidPartition {
                 detail: "a horizontal partition needs at least one fragment".into(),
@@ -89,7 +114,9 @@ impl HorizontalPartition {
 
     /// Fragment `i` holds rows `buckets[i]` of `rel` under `predicates[i]`.
     /// Fragments share the parent's dictionaries, so rows move as codes:
-    /// comparable across sites, nothing re-encoded.
+    /// comparable across sites, nothing re-encoded. The buckets are
+    /// disjoint rows of one relation, so their ids are distinct without
+    /// a check.
     fn from_buckets(
         rel: &Relation,
         buckets: Vec<Vec<usize>>,
@@ -105,7 +132,7 @@ impl HorizontalPartition {
                 data: rel.copy_rows(rows),
             })
             .collect();
-        Self::from_fragments(rel.schema().clone(), fragments)
+        Self::assemble(rel.schema().clone(), fragments)
     }
 
     /// Distributes tuples over `n` sites round-robin (tuple `i` goes to
@@ -212,19 +239,12 @@ impl HorizontalPartition {
     /// pairwise-disjoint tuple ids, and (when predicates are present)
     /// every tuple satisfying its own fragment's predicate.
     pub fn validate(&self) -> Result<(), RelationError> {
-        let mut seen: HashSet<TupleId> = HashSet::with_capacity(self.total_tuples());
+        self.tids_distinct()?;
         for (i, frag) in self.fragments.iter().enumerate() {
             if frag.site.index() != i {
                 return Err(RelationError::InvalidPartition {
                     detail: format!("fragment {i} sited at {}", frag.site),
                 });
-            }
-            for &tid in frag.data.tids() {
-                if !seen.insert(tid) {
-                    return Err(RelationError::InvalidPartition {
-                        detail: format!("tuple {tid} appears in two fragments"),
-                    });
-                }
             }
             if let Some(p) = &frag.predicate {
                 if let Some(t) = frag.data.iter().find(|t| !p.eval(t)) {
@@ -238,6 +258,17 @@ impl HorizontalPartition {
             }
         }
         Ok(())
+    }
+
+    /// Rejects the first tuple id that appears twice in the partition.
+    fn tids_distinct(&self) -> Result<(), RelationError> {
+        let mut seen: HashSet<TupleId> = HashSet::with_capacity(self.total_tuples());
+        match self.fragments.iter().flat_map(|f| f.data.tids()).find(|&&tid| !seen.insert(tid)) {
+            Some(tid) => Err(RelationError::InvalidPartition {
+                detail: format!("tuple {tid} appears twice in the partition"),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Reassembles the original relation (fragment order; tuple ids are
@@ -376,14 +407,21 @@ mod tests {
         d0.push_tuple(r.row(0)).unwrap();
         let mut d1 = Relation::new(r.schema().clone());
         d1.push_tuple(r.row(0)).unwrap(); // same tid again
-        let p = HorizontalPartition::from_fragments(
-            r.schema().clone(),
-            vec![
-                Fragment { site: SiteId(0), predicate: None, data: d0 },
-                Fragment { site: SiteId(1), predicate: None, data: d1 },
-            ],
-        )
-        .unwrap();
+        let fragments = vec![
+            Fragment { site: SiteId(0), predicate: None, data: d0 },
+            Fragment { site: SiteId(1), predicate: None, data: d1 },
+        ];
+        let err = HorizontalPartition::from_fragments(r.schema().clone(), fragments.clone());
+        let Err(RelationError::InvalidPartition { detail }) = err else {
+            panic!("a repeated id must be an InvalidPartition, got {err:?}");
+        };
+        assert!(detail.contains("t0"), "{detail}");
+        // Fragments mutated into the same state after construction are
+        // caught by `validate`.
+        let mut p =
+            HorizontalPartition::from_fragments(r.schema().clone(), fragments[..1].to_vec())
+                .unwrap();
+        p.fragments.push(fragments[1].clone());
         assert!(p.validate().is_err());
     }
 

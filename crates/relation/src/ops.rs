@@ -1,13 +1,17 @@
-//! The code-level group key and bag projection.
+//! The code-level group key, its flat code space, and bag projection.
 //!
-//! Every hash-based scan (the detection kernel's GROUP BY on `t[X]`,
-//! σ-partitioning, the incremental index) uses the Fx hasher from
-//! [`crate::fxhash`] and keys on dictionary *codes* rather than owned
-//! values: a group key over `k` attributes is `k` dense `u32`s (packed
-//! into one `u64` when `k ≤ 2`), so the hot loops never hash or clone
-//! string payloads — see [`crate::store`].
+//! Every scan that groups on codes (the detection kernel's GROUP BY on
+//! `t[X]`, σ-partitioning, the local constant check, the incremental
+//! index) keys on dictionary *codes* rather than owned values: a group
+//! key over `k` attributes is `k` dense `u32`s, so the hot loops never
+//! hash or clone string payloads — see [`crate::store`]. A key is either
+//! packed into a [`CodeKey`] and hashed with the Fx hasher from
+//! [`crate::fxhash`], or — when its columns' dictionaries are small next
+//! to the rows a call scans — turned into one index of a flat slot table
+//! by its [`CodeSpace`]. A [`CodeMemo`] makes that choice for a scan.
 
 use crate::error::RelationError;
+use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::schema::AttrId;
 
@@ -81,6 +85,100 @@ impl CodeKey {
     }
 }
 
+/// The code space of a key: every combination of its columns' codes,
+/// numbered densely in mixed radix (the last column varies fastest). A
+/// [`CodeMemo`] that has one indexes a flat slot table by it instead of
+/// hashing a [`CodeKey`] per row.
+///
+/// It exists only when the table it sizes is no larger than the rows the
+/// scan reads (`CodeSpace::fit`), so a slot table never outgrows its
+/// input. The sizes must be the dictionaries' lengths read at the call
+/// that scans: dictionaries are append-only, so every code of an existing
+/// row is below them, while a size cached from an earlier call could be
+/// exceeded and alias two keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodeSpace {
+    /// `(dictionary size, stride)` per key column, in key order.
+    radix: Vec<(usize, usize)>,
+    slots: usize,
+}
+
+impl CodeSpace {
+    /// The code space of a key whose columns' dictionaries hold `sizes`
+    /// codes, for a scan over `rows` rows: `Some` iff the product of the
+    /// sizes is at most `rows` (a product past `usize` is not). This is
+    /// the one rule that chooses a slot table over a hash table; a key
+    /// over no column is one slot.
+    fn fit(sizes: impl IntoIterator<Item = usize>, rows: usize) -> Option<CodeSpace> {
+        let mut radix: Vec<(usize, usize)> = sizes.into_iter().map(|size| (size, 0)).collect();
+        let mut slots = 1usize;
+        for (size, stride) in radix.iter_mut().rev() {
+            *stride = slots;
+            slots = slots.checked_mul(*size)?;
+        }
+        (slots <= rows).then_some(CodeSpace { radix, slots })
+    }
+
+    /// The slot of row `i` over the key's code slices (one per column,
+    /// in key order — as for [`CodeKey::of_row`]).
+    #[inline]
+    fn slot_of_row(&self, cols: &[&[u32]], i: usize) -> usize {
+        debug_assert_eq!(cols.len(), self.radix.len());
+        cols.iter()
+            .zip(&self.radix)
+            .map(|(col, &(size, stride))| {
+                let code = col[i] as usize;
+                debug_assert!(code < size, "code {code} outside a dictionary of {size}");
+                code * stride
+            })
+            .sum()
+    }
+}
+
+/// A memo from a row's key to a value, filled on the key's first sight:
+/// a scan's group ids, σ's first match, the constant check's verdicts.
+/// The table is chosen once, at [`CodeMemo::new`], by `CodeSpace::fit`:
+/// a flat slot table when the key's code space is no larger than the
+/// rows the scan reads, else a hash map of packed [`CodeKey`]s. Both
+/// answer every lookup alike, so what a scan computes does not depend on
+/// which one it got.
+#[derive(Debug, Clone)]
+pub enum CodeMemo<V> {
+    /// One cell per slot of the key's code space, `None` until the
+    /// slot's key is first seen.
+    Slots(CodeSpace, Vec<Option<V>>),
+    /// One entry per key seen.
+    Hashed(FxHashMap<CodeKey, V>),
+}
+
+impl<V: Copy> CodeMemo<V> {
+    /// An empty memo for a key whose columns' dictionaries hold `sizes`
+    /// codes — read with `Dictionary::len()` at this call — over a scan
+    /// of `rows` rows.
+    pub fn new(sizes: impl IntoIterator<Item = usize>, rows: usize) -> Self {
+        match CodeSpace::fit(sizes, rows) {
+            Some(space) => {
+                let cells = vec![None; space.slots];
+                CodeMemo::Slots(space, cells)
+            }
+            None => CodeMemo::Hashed(FxHashMap::default()),
+        }
+    }
+
+    /// The value of row `i`'s key over the key's code slices (one per
+    /// column, in key order — as for [`CodeKey::of_row`]), made by `make`
+    /// and kept if the key is new.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, cols: &[&[u32]], i: usize, make: impl FnOnce() -> V) -> V {
+        match self {
+            CodeMemo::Slots(space, cells) => {
+                *cells[space.slot_of_row(cols, i)].get_or_insert_with(make)
+            }
+            CodeMemo::Hashed(map) => *map.entry(CodeKey::of_row(cols, i)).or_insert_with(make),
+        }
+    }
+}
+
 /// `π_X(D)` as a new relation named `name`, preserving tuple ids and
 /// duplicates (bag projection). The output's columns share `rel`'s
 /// dictionaries for the kept attributes.
@@ -134,6 +232,54 @@ mod tests {
             let key = CodeKey::of_row(&cols, 0);
             let expect: Vec<u32> = cols.iter().map(|c| c[0]).collect();
             assert_eq!(key.codes(width), expect, "width {width}");
+        }
+    }
+
+    #[test]
+    fn code_space_numbers_its_box_one_to_one() {
+        let sizes = [3usize, 1, 4, 2];
+        let space = CodeSpace::fit(sizes, 24).unwrap();
+        assert_eq!(space.slots, 24);
+        let mut seen = vec![false; space.slots];
+        for a in 0..3 {
+            for c in 0..4 {
+                for d in 0..2 {
+                    let codes = [a, 0, c, d];
+                    let cols: Vec<&[u32]> = codes.iter().map(std::slice::from_ref).collect();
+                    let slot = space.slot_of_row(&cols, 0);
+                    assert!(!std::mem::replace(&mut seen[slot], true), "{codes:?} aliases");
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn code_space_exists_only_up_to_the_rows_scanned() {
+        // 5 × 60: exactly as many slots as rows is a slot table, one row
+        // fewer is a hash table.
+        assert_eq!(CodeSpace::fit([5, 60], 300).map(|s| s.slots), Some(300));
+        assert_eq!(CodeSpace::fit([5, 60], 299), None);
+        // A product past usize is hashed, however many rows.
+        assert_eq!(CodeSpace::fit([usize::MAX, 2], usize::MAX), None);
+        // A key over no column is one slot.
+        let unit = CodeSpace::fit([], 1).unwrap();
+        assert_eq!((unit.slots, unit.slot_of_row(&[], 0)), (1, 0));
+        assert_eq!(CodeSpace::fit([], 0), None);
+    }
+
+    #[test]
+    fn both_memo_tables_keep_the_first_value_per_key() {
+        // Keys (0, 1), (2, 0), (0, 1), (1, 1), (2, 0), (0, 0) over
+        // dictionaries of 3 × 2: six slots fit six rows, not five.
+        let (a, b) = ([0, 2, 0, 1, 2, 0], [1, 0, 1, 1, 0, 0]);
+        let cols: [&[u32]; 2] = [&a, &b];
+        for (rows, slotted) in [(6, true), (5, false)] {
+            let mut memo = CodeMemo::new([3, 2], rows);
+            assert_eq!(matches!(memo, CodeMemo::Slots(..)), slotted);
+            let got: Vec<usize> =
+                (0..a.len()).map(|i| memo.get_or_insert_with(&cols, i, || i)).collect();
+            assert_eq!(got, [0, 1, 0, 3, 1, 5], "slotted: {slotted}");
         }
     }
 }

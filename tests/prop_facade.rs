@@ -336,3 +336,28 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
         assert!(rejected(VerticalIncrementalRun::new(vertical.clone(), &sigma, cfg).map(drop)));
     }
 }
+
+/// Two fragments built on their own with `Relation::from_rows` both
+/// number their tuples from `t0`. `Vio` is a set of ids, so a run over
+/// both would name a violating tuple of one site and a clean tuple of the
+/// other with one id, and a session would index two tuples under it. The
+/// partition is refused where it is built, naming the id.
+#[test]
+fn repeated_tuple_ids_are_rejected_at_the_front_door() {
+    use distributed_cfd::relation::RelationError;
+    let clean = build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0)]);
+    let conflicting = build_relation(&[(0, 0, 0, 0), (0, 0, 0, 1)]);
+    let fragments: Vec<Fragment> = [clean, conflicting]
+        .into_iter()
+        .enumerate()
+        .map(|(i, data)| Fragment { site: SiteId(i as u32), predicate: None, data })
+        .collect();
+    let err = HorizontalPartition::from_fragments(schema(), fragments.clone()).unwrap_err();
+    let named = matches!(&err, RelationError::InvalidPartition { detail } if detail.contains("t0"));
+    assert!(named, "{err:?}");
+    // Either fragment alone is a partition.
+    for one in fragments {
+        let alone = Fragment { site: SiteId(0), ..one };
+        HorizontalPartition::from_fragments(schema(), vec![alone]).unwrap().validate().unwrap();
+    }
+}

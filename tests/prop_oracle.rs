@@ -8,11 +8,22 @@
 //! two-word and boxed `CodeKey` layouts), `Null` cells, RHS ∈ LHS,
 //! pattern constants the relation never saw, empty tableaux and empty
 //! relations.
+//!
+//! Every case runs twice over the same rows: as generated, where most
+//! narrow keys' code spaces fit the rows a scan reads and the slice
+//! kernel, σ and the constant check index slot tables, then after
+//! [`grow_dictionaries`], where none fits and every scan hashes. Both
+//! passes must equal the definition, and the kernel's plain-vector
+//! findings must be identical between them.
 
-use distributed_cfd::cfd::{detect_simple_strict, oracle, CodeRow};
+mod common;
+
+use common::grow_dictionaries;
+use distributed_cfd::cfd::{detect_simple_strict, oracle, CodeRow, Flagged};
+use distributed_cfd::core::local::{check_constants_range_with, compile_constants};
 use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
+use distributed_cfd::relation::{AttrId, CodeBatch};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -123,65 +134,108 @@ proptest! {
         let (rel, cfd) = (case.relation(), case.cfd());
         let decoded: Vec<Tuple> = rel.iter().collect();
         let tuples: Vec<&Tuple> = decoded.iter().collect();
-        assert_same(&detect_simple(&rel, &cfd), &oracle::vio(&tuples, &cfd), "algorithmic")?;
-        assert_same(
-            &detect_simple_strict(&rel, &cfd),
-            &oracle::vio_strict(&tuples, &cfd),
-            "strict",
-        )?;
+        for pass in ["as built", "grown"] {
+            if pass == "grown" {
+                grow_dictionaries(&rel);
+            }
+            let want = oracle::vio(&tuples, &cfd);
+            assert_same(&detect_simple(&rel, &cfd), &want, &format!("algorithmic, {pass}"))?;
+            assert_same(
+                &detect_simple_strict(&rel, &cfd),
+                &oracle::vio_strict(&tuples, &cfd),
+                &format!("strict, {pass}"),
+            )?;
+        }
     }
 
     /// Coordinator validation over gathered `(tid, codes)` rows equals
-    /// the definition: the whole CFD at one coordinator, each σ-block at
-    /// its own against the one-pattern CFD over that block's tuples, and
-    /// (Lemma 6) the union of the variable patterns' blocks against the
-    /// variable CFD over everything.
+    /// the definition: the whole CFD at one coordinator, as wire rows and
+    /// as one column batch, each σ-block at its own against the
+    /// one-pattern CFD over that block's tuples, and (Lemma 6) the union
+    /// of the variable patterns' blocks against the variable CFD over
+    /// everything. The constant patterns, checked locally per fragment
+    /// (Proposition 5), union to the definition too.
     #[test]
     fn coordinator_validation_equals_the_definition(case in arb_case(), n_sites in 1usize..4) {
         let (rel, cfd) = (case.relation(), case.cfd());
-        let decoded: Vec<Tuple> = rel.iter().collect();
-        let tuples: Vec<&Tuple> = decoded.iter().collect();
-        let attrs = cfd.shipped_attrs();
         let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
-        let fragments = partition.fragments();
-        let layout = CodeLayout::of_relation(&fragments[0].data, &attrs);
-
-        let gathered: Vec<CodeRow> = fragments
-            .iter()
-            .flat_map(|f| f.data.code_rows(&attrs, &(0..f.data.len()).collect::<Vec<_>>()))
-            .collect();
-        assert_same(
-            &layout.resolve(&cfd).detect_among(&gathered),
-            &oracle::vio(&tuples, &cfd),
-            "gathered",
-        )?;
-
-        let Some(variable) = cfd.split_constant().0 else { return Ok(()) };
-        let sorted = sort_for_sigma(&variable);
-        let resolved = layout.resolve(&sorted.cfd);
-        let applicable: Vec<usize> = (0..sorted.cfd.tableau.len()).collect();
-        let blocks: Vec<_> = fragments
-            .iter()
-            .map(|f| sigma_partition(&f.data, &sorted, &applicable).blocks)
-            .collect();
-        let mut union = ViolationSet::default();
-        for (l, pattern) in sorted.cfd.tableau.iter().enumerate() {
-            let block_rows: Vec<CodeRow> = fragments
-                .iter()
-                .zip(&blocks)
-                .flat_map(|(f, b)| f.data.code_rows(&attrs, &b[l]))
-                .collect();
-            let block_tuples: Vec<Tuple> = fragments
-                .iter()
-                .zip(&blocks)
-                .flat_map(|(f, b)| b[l].iter().map(|&i| f.data.row(i)))
-                .collect();
-            let block_refs: Vec<&Tuple> = block_tuples.iter().collect();
-            let one = SimpleCfd { tableau: vec![pattern.clone()], ..sorted.cfd.clone() };
-            let got = resolved.detect_pattern_among(block_rows.iter(), l);
-            assert_same(&got, &oracle::vio(&block_refs, &one), "block")?;
-            union.merge(got);
-        }
-        assert_same(&union, &oracle::vio(&tuples, &variable), "Lemma 6 union")?;
+        let as_built = validate_at_coordinators(&rel, &cfd, &partition, "as built")?;
+        grow_dictionaries(&rel);
+        let grown = validate_at_coordinators(&rel, &cfd, &partition, "grown")?;
+        prop_assert_eq!(as_built, grown, "the batch findings depend on the group-id table");
     }
+}
+
+/// One pass of [`coordinator_validation_equals_the_definition`]; returns
+/// the column batch's findings, ids in row order and keys in first-seen
+/// order.
+fn validate_at_coordinators(
+    rel: &Relation,
+    cfd: &SimpleCfd,
+    partition: &HorizontalPartition,
+    pass: &str,
+) -> Result<Flagged, TestCaseError> {
+    let decoded: Vec<Tuple> = rel.iter().collect();
+    let tuples: Vec<&Tuple> = decoded.iter().collect();
+    let attrs = cfd.shipped_attrs();
+    let fragments = partition.fragments();
+    let layout = CodeLayout::of_relation(&fragments[0].data, &attrs);
+
+    let gathered: Vec<CodeRow> = fragments
+        .iter()
+        .flat_map(|f| f.data.code_rows(&attrs, &(0..f.data.len()).collect::<Vec<_>>()))
+        .collect();
+    let want = oracle::vio(&tuples, cfd);
+    let resolved = layout.resolve(cfd);
+    assert_same(&resolved.detect_among(&gathered), &want, &format!("gathered, {pass}"))?;
+    let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
+    for f in fragments {
+        f.data.gather_into(&attrs, &(0..f.data.len()).collect::<Vec<_>>(), &mut batch);
+    }
+    let found = resolved.detect_batch(&batch);
+    assert_same(&ViolationSet::from(found.clone()), &want, &format!("batch, {pass}"))?;
+
+    let (variable, constants) = cfd.split_constant();
+    let mut checked = ViolationSet::default();
+    for f in fragments {
+        checked.merge(check_constants_range_with(
+            f,
+            &compile_constants(f, &constants),
+            0,
+            f.data.len(),
+        ));
+    }
+    let mut by_definition = ViolationSet::default();
+    for nc in &constants {
+        let one = SimpleCfd { tableau: vec![nc.pattern.clone()], ..cfd.clone() };
+        by_definition.merge(oracle::vio(&tuples, &one));
+    }
+    assert_same(&checked, &by_definition, &format!("constants, {pass}"))?;
+
+    let Some(variable) = variable else { return Ok(found) };
+    let sorted = sort_for_sigma(&variable);
+    let resolved = layout.resolve(&sorted.cfd);
+    let applicable: Vec<usize> = (0..sorted.cfd.tableau.len()).collect();
+    let blocks: Vec<_> =
+        fragments.iter().map(|f| sigma_partition(&f.data, &sorted, &applicable).blocks).collect();
+    let mut union = ViolationSet::default();
+    for (l, pattern) in sorted.cfd.tableau.iter().enumerate() {
+        let block_rows: Vec<CodeRow> = fragments
+            .iter()
+            .zip(&blocks)
+            .flat_map(|(f, b)| f.data.code_rows(&attrs, &b[l]))
+            .collect();
+        let block_tuples: Vec<Tuple> = fragments
+            .iter()
+            .zip(&blocks)
+            .flat_map(|(f, b)| b[l].iter().map(|&i| f.data.row(i)))
+            .collect();
+        let block_refs: Vec<&Tuple> = block_tuples.iter().collect();
+        let one = SimpleCfd { tableau: vec![pattern.clone()], ..sorted.cfd.clone() };
+        let got = resolved.detect_pattern_among(block_rows.iter(), l);
+        assert_same(&got, &oracle::vio(&block_refs, &one), &format!("block, {pass}"))?;
+        union.merge(got);
+    }
+    assert_same(&union, &oracle::vio(&tuples, &variable), &format!("Lemma 6 union, {pass}"))?;
+    Ok(found)
 }

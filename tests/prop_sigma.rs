@@ -13,7 +13,16 @@
 //! tableaux mixing wildcard masks, all-wild (FD) patterns, pattern
 //! constants the relation never saw (`NO_CODE`), `Null` cells, and
 //! `applicable` as the whole tableau, a strict subset, or empty.
+//!
+//! Every check runs twice over the same rows: as built, where a range
+//! whose pinned code space fits its rows memoizes σ in a slot array, and
+//! after [`grow_dictionaries`] has pushed the dictionaries past every
+//! range, where the memo is a hash map. Both must equal the definition,
+//! so they equal each other.
 
+mod common;
+
+use common::grow_dictionaries;
 use distributed_cfd::core::sigma::{
     sigma_partition, sigma_partition_range, sort_for_sigma, SigmaPartition, SortedCfd,
 };
@@ -78,22 +87,30 @@ fn same(got: &SigmaPartition, want: &(Vec<Vec<usize>>, usize), what: &str) -> Re
 }
 
 /// The whole fragment and both halves of every split against the
-/// definition.
-fn check(rel: &Relation, cfd: &SimpleCfd, applicable: &[usize]) -> Result<(), String> {
+/// definition, over `rel` as built and again after its dictionaries are
+/// grown (the same rows and codes). Takes `rel` by value: it leaves
+/// grown.
+fn check(rel: Relation, cfd: &SimpleCfd, applicable: &[usize]) -> Result<(), String> {
     let sorted = sort_for_sigma(cfd);
     let n = rel.len();
-    same(
-        &sigma_partition(rel, &sorted, applicable),
-        &naive(rel, &sorted, applicable, 0, n),
-        "all",
-    )?;
-    for mid in 0..=n {
-        for (start, end) in [(0, mid), (mid, n)] {
-            same(
-                &sigma_partition_range(rel, &sorted, applicable, start, end),
-                &naive(rel, &sorted, applicable, start, end),
-                &format!("{start}..{end}"),
-            )?;
+    for pass in ["as built", "grown"] {
+        if pass == "grown" {
+            grow_dictionaries(&rel);
+        }
+        let rel = &rel;
+        same(
+            &sigma_partition(rel, &sorted, applicable),
+            &naive(rel, &sorted, applicable, 0, n),
+            &format!("all, {pass}"),
+        )?;
+        for mid in 0..=n {
+            for (start, end) in [(0, mid), (mid, n)] {
+                same(
+                    &sigma_partition_range(rel, &sorted, applicable, start, end),
+                    &naive(rel, &sorted, applicable, start, end),
+                    &format!("{start}..{end}, {pass}"),
+                )?;
+            }
         }
     }
     Ok(())
@@ -138,11 +155,11 @@ fn mixed_wildcard_masks_and_an_unseen_constant() {
             pat(&[Some(0), Some(1), None]),
         ],
     );
-    check(&grid(), &cfd, &[0, 1, 2, 3]).unwrap();
+    check(grid(), &cfd, &[0, 1, 2, 3]).unwrap();
     // With a catch-all no position carries a bitmap.
     let mut with_fd = cfd.clone();
     with_fd.tableau.push(pat(&[None, None, None]));
-    check(&grid(), &with_fd, &[0, 1, 2, 3, 4]).unwrap();
+    check(grid(), &with_fd, &[0, 1, 2, 3, 4]).unwrap();
 }
 
 #[test]
@@ -152,7 +169,7 @@ fn every_pattern_infeasible_matches_nothing_at_full_price() {
     let part = sigma_partition(&rel, &sort_for_sigma(&cfd), &[0, 1]);
     assert_eq!(part.total_matching(), 0);
     assert_eq!(part.comparisons, 2 * rel.len());
-    check(&rel, &cfd, &[0, 1]).unwrap();
+    check(rel, &cfd, &[0, 1]).unwrap();
 }
 
 #[test]
@@ -168,7 +185,7 @@ fn applicable_as_a_strict_subset_and_empty() {
     );
     let rel = grid();
     for applicable in [&[0, 1, 2, 3][..], &[1, 3], &[0, 2], &[3], &[2], &[]] {
-        check(&rel, &cfd, applicable).unwrap();
+        check(grid(), &cfd, applicable).unwrap();
     }
     let none = sigma_partition(&rel, &sort_for_sigma(&cfd), &[]);
     assert_eq!((none.total_matching(), none.comparisons), (0, 0));
@@ -179,19 +196,18 @@ fn an_fd_and_an_empty_lhs_pin_nothing() {
     let rel = grid();
     for width in [0, 1, 3, 5] {
         let fd = cfd_of(width, vec![pat(&vec![None; width])]);
-        check(&rel, &fd, &[0]).unwrap();
+        check(grid(), &fd, &[0]).unwrap();
         let part = sigma_partition(&rel, &sort_for_sigma(&fd), &[0]);
         assert_eq!(part.blocks[0], (0..rel.len()).collect::<Vec<_>>());
         assert_eq!(part.comparisons, rel.len());
     }
-    check(&rel, &cfd_of(0, vec![]), &[]).unwrap();
+    check(grid(), &cfd_of(0, vec![]), &[]).unwrap();
 }
 
 #[test]
 fn pinned_projections_of_every_key_layout() {
     // All `width` positions pinned: the memo key is one word (1–2), a
     // wide word (3–4), boxed (5).
-    let rel = grid();
     for width in 1..=5 {
         let full: Vec<Option<i64>> = (0..width as i64).map(|j| Some(j % 3)).collect();
         let mut shifted = full.clone();
@@ -199,8 +215,8 @@ fn pinned_projections_of_every_key_layout() {
         let mut half = full.clone();
         half[0] = None;
         let cfd = cfd_of(width, vec![pat(&half), pat(&shifted), pat(&full)]);
-        check(&rel, &cfd, &[0, 1, 2]).unwrap();
-        check(&rel, &cfd, &[0, 1]).unwrap();
+        check(grid(), &cfd, &[0, 1, 2]).unwrap();
+        check(grid(), &cfd, &[0, 1]).unwrap();
     }
 }
 
@@ -277,7 +293,7 @@ proptest! {
     fn sigma_equals_the_first_match_definition(case in arb_case()) {
         let (rel, cfd) = (case.relation(), case.cfd());
         let applicable = case.applicable(cfd.tableau.len());
-        if let Err(msg) = check(&rel, &cfd, &applicable) {
+        if let Err(msg) = check(rel, &cfd, &applicable) {
             return Err(TestCaseError::fail(format!("{msg}\n{case:?}")));
         }
     }
