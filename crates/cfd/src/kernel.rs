@@ -74,7 +74,7 @@ use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 /// run's registry. Counts accumulate at coordinators over gathered
 /// rows — work whose extent is independent of pool width and chunk
 /// size — and counter merges commute exactly, so registered counts are
-/// pinned bit-identical across `DCD_THREADS`/`DCD_CHUNK_ROWS`.
+/// pinned bit-identical across pool widths and chunk sizes.
 #[derive(Debug, Clone, Default)]
 pub struct KernelCounters {
     /// Groups validated (key matched ≥ 1 pattern).

@@ -27,7 +27,7 @@ pub struct RunConfig {
     /// them sequentially on the caller's thread. Every output —
     /// violation reports, ledger totals, paper cost, per-site clocks —
     /// is bit-identical for every value; only wall-clock changes.
-    /// Defaults to `DCD_THREADS` or the machine's parallelism
+    /// Defaults to the machine's parallelism
     /// ([`dcd_dist::pool::default_threads`]).
     pub threads: usize,
 }

@@ -59,6 +59,9 @@ pub fn run_hybrid(
         })
         .collect();
     let null_codes: Vec<u32> = full_dicts.iter().map(|d| d.intern(&Value::Null)).collect();
+    // What a site that gathers nothing holds: no rows, in cell 0's layout.
+    let layout = cell0.fragments()[0].data.chunk_rows();
+    let stand_in = Relation::with_dictionaries(schema.clone(), full_dicts.clone(), 0, layout)?;
     // The gather rests on cross-cell dictionary sharing: every cell's
     // fragment must code attribute `a` against the same dictionary cell
     // 0 does (guaranteed by the dcd-dist constructors, which project
@@ -83,12 +86,7 @@ pub fn run_hybrid(
         // time but not the round's §III-B cost. ----
         let needed = cfd.shipped_attrs();
         let mut fragments: Vec<Fragment> = (0..n)
-            .map(|i| Fragment {
-                site: SiteId(i as u32),
-                predicate: None,
-                data: Relation::with_dictionaries(schema.clone(), full_dicts.clone(), 0)
-                    .expect("one dictionary per attribute"),
-            })
+            .map(|i| Fragment { site: SiteId(i as u32), predicate: None, data: stand_in.clone() })
             .collect();
         let gathered = ctx.phase(&format!("gather:{}", cfd.name), |p| {
             let cells = scoped_map(cfg.threads, partition.cells().len(), |ci| {
@@ -152,7 +150,8 @@ fn gather_cell(
         column_of[a.index()] = Some(col);
     }
     let schema = partition.schema().clone();
-    let mut out = Relation::with_dictionaries(schema, full_dicts.to_vec(), rows.len())?;
+    let chunk_rows = vertical.fragments()[0].data.chunk_rows();
+    let mut out = Relation::with_dictionaries(schema, full_dicts.to_vec(), rows.len(), chunk_rows)?;
     let mut row = null_codes.to_vec();
     for (r, &tid) in batch.tids.iter().enumerate() {
         for (cell, col) in row.iter_mut().zip(&column_of) {

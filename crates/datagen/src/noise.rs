@@ -7,18 +7,23 @@
 //! group) and constant CFDs (the value no longer matches the pinned
 //! constant).
 
-use dcd_relation::{Relation, Tuple, Value};
+use dcd_relation::{Dictionary, Relation, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Corrupts `attr` in roughly `rate · |rel|` tuples (seeded, in place on
-/// a copy): string values get an `ERR-k` marker, integers get an offset.
-/// Returns the corrupted relation and the number of corrupted tuples.
+/// a copy over fresh dictionaries, at `rel`'s chunk size): string values
+/// get an `ERR-k` marker, integers get an offset. Returns the corrupted
+/// relation and the number of corrupted tuples.
 pub fn inject_errors(rel: &Relation, attr: &str, rate: f64, seed: u64) -> (Relation, usize) {
     assert!((0.0..=1.0).contains(&rate), "rate must be within [0, 1]");
     let a = rel.schema().require(attr).expect("attribute exists");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Relation::with_capacity(rel.schema().clone(), rel.len());
+    let fresh = (0..rel.schema().arity()).map(|_| Arc::new(Dictionary::new())).collect();
+    let mut out =
+        Relation::with_dictionaries(rel.schema().clone(), fresh, rel.len(), rel.chunk_rows())
+            .expect("one dictionary per attribute");
     let mut corrupted = 0usize;
     for t in rel.iter() {
         if rng.gen::<f64>() < rate {

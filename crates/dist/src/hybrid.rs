@@ -5,7 +5,7 @@
 use crate::horizontal::HorizontalPartition;
 use crate::site::SiteId;
 use crate::vertical::VerticalPartition;
-use dcd_relation::{Predicate, Relation, RelationError, Schema};
+use dcd_relation::{AttrId, Predicate, Relation, RelationError, Schema};
 use std::sync::Arc;
 
 /// One cell of a hybrid partition: a horizontal fragment's rows, split
@@ -84,14 +84,17 @@ impl HybridPartition {
     }
 
     /// Reassembles the original relation: vertical reassembly inside
-    /// each cell, then concatenation across cells.
+    /// each cell, then concatenation across cells. Every cell was cut
+    /// from one horizontal partition, so the cells share one dictionary
+    /// set and the concatenation copies codes onto the first cell's
+    /// reassembly, keeping its chunk size.
     pub fn reassemble(&self) -> Result<Relation, RelationError> {
-        let mut out = Relation::new(self.schema.clone());
-        for cell in &self.cells {
-            let part = cell.vertical.reassemble()?;
-            for t in part.iter() {
-                out.push_tuple(t)?;
-            }
+        let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
+        let mut parts = self.cells.iter().map(|cell| cell.vertical.reassemble());
+        let mut out = parts.next().expect("a partition has a cell")?;
+        for part in parts {
+            let part = part?;
+            out.extend_from(&part, &attrs, &(0..part.len()).collect::<Vec<_>>())?;
         }
         Ok(out)
     }

@@ -48,7 +48,7 @@
 //! result slot's `Mutex` orders the worker's write before the caller's
 //! read; the `remaining == 0` wakeup orders job completion before result
 //! collection). Clippy rejects a raw atomic here as anywhere outside the
-//! two audited modules (`disallowed-types` in the root `clippy.toml`),
+//! one audited module (`disallowed-types` in the root `clippy.toml`),
 //! and thread spawning anywhere else in the workspace
 //! (`disallowed-methods`; the two spawns here carry an `#[expect]`). The only
 //! atomics in sight are the opaque `dcd_obs` counter handles feeding the
@@ -63,15 +63,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// The pool width used when the caller has no explicit configuration:
-/// `DCD_THREADS` when set to a positive integer, otherwise the
-/// machine's available parallelism (1 when that cannot be determined).
+/// the machine's available parallelism (1 when that cannot be
+/// determined). A caller that wants another width says so in its
+/// `RunConfig`.
 pub fn default_threads() -> usize {
-    if let Some(n) = std::env::var("DCD_THREADS").ok().and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -269,9 +264,9 @@ where
     let total = morsels.len();
 
     // Host-scope observability: what the hardware did, not what the
-    // simulation decided. Morsel/steal counts vary with `DCD_THREADS`
-    // and `DCD_CHUNK_ROWS`, so they live in the process-wide registry,
-    // outside the per-run determinism pinning.
+    // simulation decided. Morsel/steal counts vary with the pool width
+    // and the relations' chunk size, so they live in the process-wide
+    // registry, outside the per-run determinism pinning.
     let host = dcd_obs::host_registry();
     host.counter("dcd_pool_morsels_total", "Morsels executed by the worker pool", &[])
         .inc(total as u64);

@@ -238,10 +238,11 @@ impl VerticalPartition {
             .iter()
             .map(|&(fi, local)| self.fragments[fi].data.dictionary(local).clone())
             .collect();
-        let tids = self.fragments[0].data.tids();
-        let mut out = Relation::with_dictionaries(self.schema.clone(), dicts, tids.len())?;
+        let first = &self.fragments[0].data;
+        let schema = self.schema.clone();
+        let mut out = Relation::with_dictionaries(schema, dicts, first.len(), first.chunk_rows())?;
         let mut codes = vec![0u32; sources.len()];
-        for (i, &tid) in tids.iter().enumerate() {
+        for (i, &tid) in first.tids().iter().enumerate() {
             for (code, &(fi, local)) in codes.iter_mut().zip(&sources) {
                 *code = self.fragments[fi].data.column(local).codes().at(alignment.row(fi, i));
             }

@@ -8,6 +8,7 @@ use dcd_dist::pool::scoped_map;
 use dcd_dist::{HorizontalPartition, VerticalPartition};
 use dcd_relation::{vals, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType};
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 fn schema() -> Arc<Schema> {
@@ -28,6 +29,12 @@ fn build(rows: &[(i64, u8)]) -> Relation {
     .unwrap()
 }
 
+/// The chunk size a case lays its relation out in: 1 to 64 rows, so a
+/// fragment constructor copies runs into seams that fall elsewhere.
+fn arb_chunk_rows() -> impl Strategy<Value = NonZeroUsize> {
+    (1..65usize).prop_map(|n| NonZeroUsize::new(n).expect("drawn from 1..65"))
+}
+
 fn sorted_tuples(rel: &Relation) -> Vec<Tuple> {
     let mut ts: Vec<_> = rel.iter().collect();
     ts.sort_by_key(|t| t.tid);
@@ -43,8 +50,9 @@ proptest! {
     fn round_robin_round_trips(
         rows in prop::collection::vec((0..5i64, 0..4u8), 0..60),
         n_sites in 1usize..9,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows);
+        let rel = build(&rows).with_chunk_rows(chunk);
         let p = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         p.validate().unwrap();
         prop_assert_eq!(p.n_sites(), n_sites);
@@ -59,8 +67,9 @@ proptest! {
     fn by_attribute_round_trips_and_colocates(
         rows in prop::collection::vec((0..5i64, 0..4u8), 0..50),
         n_sites in 1usize..6,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows);
+        let rel = build(&rows).with_chunk_rows(chunk);
         let p = HorizontalPartition::by_attribute(&rel, "a", n_sites).unwrap();
         p.validate().unwrap();
         let back = p.reassemble().unwrap();
@@ -84,8 +93,9 @@ proptest! {
         rows in prop::collection::vec((0..5i64, 0..4u8), 1..40),
         a_left in any::<bool>(),
         b_left in any::<bool>(),
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows);
+        let rel = build(&rows).with_chunk_rows(chunk);
         let mut left: Vec<&str> = Vec::new();
         let mut right: Vec<&str> = Vec::new();
         if a_left { left.push("a") } else { right.push("a") }

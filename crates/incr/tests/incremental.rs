@@ -1,20 +1,41 @@
 //! End-to-end tests of the incremental subsystem: the maintained
 //! report must equal full re-detection on the materialized state after
 //! every batch, on every topology, and the run's accounting must be
-//! bit-identical across pool widths.
+//! bit-identical across pool widths. Each test lays its relation out in
+//! a chunk size of its own, so the deltas land on different seams.
 
 use dcd_cfd::{detect_set, Cfd};
-use dcd_core::RunConfig;
+use dcd_core::{Detection, RunConfig};
 use dcd_datagen::cust::{cust_cfds, CustConfig};
 use dcd_datagen::{update_stream, UpdateStreamConfig};
 use dcd_dist::{HorizontalPartition, ReplicatedPartition, VerticalPartition};
 use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun};
+use proptest::test_runner::TestRng;
+use std::num::NonZeroUsize;
 
-fn workload(n: usize) -> (dcd_relation::Relation, Vec<Cfd>) {
-    let rel = CustConfig { n_tuples: n, ..CustConfig::default() }.generate();
+/// `n` cust tuples with 5 % of the streets corrupted, in a chunk size of
+/// 1 to 64 rows drawn for the test named `case`, and the cust CFDs.
+fn workload(n: usize, case: &str) -> (dcd_relation::Relation, Vec<Cfd>) {
+    let chunk = 1 + TestRng::deterministic(case).next_u64() % 64;
+    let chunk = NonZeroUsize::new(chunk as usize).expect("at least one row");
+    let rel = CustConfig { n_tuples: n, ..CustConfig::default() }.generate().with_chunk_rows(chunk);
     let (rel, _) = dcd_datagen::inject_errors(&rel, "street", 0.05, 11);
     let cfds = cust_cfds(rel.schema());
     (rel, cfds)
+}
+
+/// The accounting of two runs over one stream, bit for bit.
+fn assert_same_accounting(a: &Detection, b: &Detection) {
+    assert_eq!(a.violations.all_tids(), b.violations.all_tids());
+    assert_eq!(a.shipped_tuples, b.shipped_tuples);
+    assert_eq!(a.shipped_cells, b.shipped_cells);
+    assert_eq!(a.shipped_bytes, b.shipped_bytes);
+    assert_eq!(a.control_messages, b.control_messages);
+    assert_eq!(a.paper_cost.to_bits(), b.paper_cost.to_bits());
+    assert_eq!(a.response_time.to_bits(), b.response_time.to_bits());
+    for (ca, cb) in a.site_clocks.iter().zip(&b.site_clocks) {
+        assert_eq!(ca.to_bits(), cb.to_bits(), "per-site clocks");
+    }
 }
 
 fn assert_report_matches_full(
@@ -39,7 +60,7 @@ fn assert_report_matches_full(
 
 #[test]
 fn horizontal_stream_tracks_full_redetection() {
-    let (rel, sigma) = workload(1_500);
+    let (rel, sigma) = workload(1_500, "horizontal_stream_tracks_full_redetection");
     let partition = HorizontalPartition::round_robin(&rel, 4).unwrap();
     let stream = update_stream(
         &partition,
@@ -61,7 +82,7 @@ fn horizontal_stream_tracks_full_redetection() {
 
 #[test]
 fn pool_width_never_changes_incremental_outputs() {
-    let (rel, sigma) = workload(800);
+    let (rel, sigma) = workload(800, "pool_width_never_changes_incremental_outputs");
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let stream = update_stream(
         &partition,
@@ -79,21 +100,12 @@ fn pool_width_never_changes_incremental_outputs() {
         assert_eq!(a.paper_cost.to_bits(), b.paper_cost.to_bits(), "paper cost");
         assert_eq!(a.report.all_tids(), b.report.all_tids());
     }
-    let (a, b) = (run1.detection(), run8.detection());
-    assert_eq!(a.shipped_tuples, b.shipped_tuples);
-    assert_eq!(a.shipped_cells, b.shipped_cells);
-    assert_eq!(a.shipped_bytes, b.shipped_bytes);
-    assert_eq!(a.control_messages, b.control_messages);
-    assert_eq!(a.paper_cost.to_bits(), b.paper_cost.to_bits());
-    assert_eq!(a.response_time.to_bits(), b.response_time.to_bits());
-    for (ca, cb) in a.site_clocks.iter().zip(&b.site_clocks) {
-        assert_eq!(ca.to_bits(), cb.to_bits(), "per-site clocks");
-    }
+    assert_same_accounting(&run1.detection(), &run8.detection());
 }
 
 #[test]
 fn delta_wire_accounting_is_code_sized() {
-    let (rel, sigma) = workload(600);
+    let (rel, sigma) = workload(600, "delta_wire_accounting_is_code_sized");
     let arity = rel.schema().arity();
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition.clone(), &sigma, RunConfig::default()).unwrap();
@@ -120,7 +132,7 @@ fn delta_wire_accounting_is_code_sized() {
 
 #[test]
 fn replication_cuts_coordinator_traffic_and_keeps_reports() {
-    let (rel, sigma) = workload(900);
+    let (rel, sigma) = workload(900, "replication_cuts_coordinator_traffic_and_keeps_reports");
     let base = HorizontalPartition::round_robin(&rel, 4).unwrap();
     let stream = update_stream(
         &base,
@@ -153,7 +165,7 @@ fn replication_cuts_coordinator_traffic_and_keeps_reports() {
 
 #[test]
 fn factor_two_replication_matches_plain_reports() {
-    let (rel, sigma) = workload(700);
+    let (rel, sigma) = workload(700, "factor_two_replication_matches_plain_reports");
     let base = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let stream = update_stream(
         &base,
@@ -169,7 +181,7 @@ fn factor_two_replication_matches_plain_reports() {
 
 #[test]
 fn vertical_stream_tracks_full_redetection() {
-    let (rel, sigma) = workload(800);
+    let (rel, sigma) = workload(800, "vertical_stream_tracks_full_redetection");
     // Split the address block from the order block; the zip→street and
     // (CC,AC)→city CFDs span both fragments.
     let partition = VerticalPartition::by_attribute_groups(
@@ -185,21 +197,25 @@ fn vertical_stream_tracks_full_redetection() {
         &base,
         &UpdateStreamConfig { n_batches: 4, ops_per_batch: 60, ..Default::default() },
     );
-    let mut run = VerticalIncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
+    let at = |threads| RunConfig::default().with_threads(threads);
+    let mut run = VerticalIncrementalRun::new(partition.clone(), &sigma, at(1)).unwrap();
+    let mut run8 = VerticalIncrementalRun::new(partition, &sigma, at(8)).unwrap();
     assert_report_matches_full(&run.report(), &run.materialize().unwrap(), &sigma);
     for batch in stream {
         let delta = DeltaBatch::from(batch).flatten();
         let out = run.apply_batch(&delta).unwrap();
         assert_report_matches_full(&out.report, &run.materialize().unwrap(), &sigma);
+        run8.apply_batch(&delta).unwrap();
     }
     let d = run.detection();
     assert!(d.shipped_tuples > 0);
     assert_eq!(d.shipped_bytes, d.shipped_cells * dcd_dist::CODE_BYTES);
+    assert_same_accounting(&d, &run8.detection());
 }
 
 #[test]
 fn fresh_rebuild_agrees_with_maintained_state() {
-    let (rel, sigma) = workload(600);
+    let (rel, sigma) = workload(600, "fresh_rebuild_agrees_with_maintained_state");
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let stream = update_stream(
         &partition,
@@ -219,7 +235,7 @@ fn fresh_rebuild_agrees_with_maintained_state() {
 
 #[test]
 fn empty_batches_change_nothing() {
-    let (rel, sigma) = workload(300);
+    let (rel, sigma) = workload(300, "empty_batches_change_nothing");
     let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
     let before = run.detection();
@@ -234,7 +250,7 @@ fn empty_batches_change_nothing() {
 
 #[test]
 fn mis_sized_batches_are_rejected() {
-    let (rel, sigma) = workload(200);
+    let (rel, sigma) = workload(200, "mis_sized_batches_are_rejected");
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
     let err = run.apply_batch(&DeltaBatch::new(vec![Default::default()])).unwrap_err();
@@ -244,7 +260,8 @@ fn mis_sized_batches_are_rejected() {
 #[test]
 fn cross_site_duplicate_insert_ids_are_rejected_before_mutation() {
     use dcd_relation::{RelationDelta, RelationError, Tuple, TupleId};
-    let (rel, sigma) = workload(300);
+    let (rel, sigma) =
+        workload(300, "cross_site_duplicate_insert_ids_are_rejected_before_mutation");
     let template = rel.row(0).values().to_vec();
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();

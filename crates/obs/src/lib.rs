@@ -12,8 +12,8 @@
 //!   (fields of its `RunCtx`, next to its `ShipmentLedger` and
 //!   `SiteClocks`). Everything recorded there is an order-free integer
 //!   merge or a single-writer gauge, so the final snapshot is pinned
-//!   bit-identical across `DCD_THREADS` and `DCD_CHUNK_ROWS`, exactly
-//!   like the violation reports.
+//!   bit-identical across pool widths and chunk sizes, exactly like the
+//!   violation reports.
 //! * **Host scope** — [`host_registry`] is process-wide and records
 //!   what the *hardware* did (morsels executed, steals, queue depths);
 //!   those values legitimately vary with pool width and chunk size and

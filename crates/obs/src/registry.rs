@@ -5,9 +5,9 @@
 //! **order-free merge** (counters and histograms are `u64` additions,
 //! which commute exactly) or **single-writer** (gauges are set once by
 //! the coordinating thread), so a registry snapshot taken after a run's
-//! pool has joined is bit-identical across `DCD_THREADS` and
-//! `DCD_CHUNK_ROWS` — the same pinning contract the violation reports
-//! and the [`ShipmentLedger`](../../dist/src/ledger.rs) obey. Metrics
+//! pool has joined is bit-identical across pool widths and chunk sizes —
+//! the same pinning contract the violation reports and the
+//! [`ShipmentLedger`](../../dist/src/ledger.rs) obey. Metrics
 //! whose value genuinely depends on the pool width or the chunk size
 //! (morsel counts, steal counts) must go to the process-wide
 //! [`host_registry`], which is explicitly outside the pinning contract.
@@ -31,8 +31,8 @@
 //!   decision ever hangs off these atomics.
 //!
 //! This audit is what the module's `#![expect(clippy::disallowed_types)]`
-//! stands on; `tests/workspace_invariants.rs` pins the files that may
-//! hold one, and this one as the only file that may spell `Relaxed`.
+//! stands on; `tests/workspace_invariants.rs` pins this file as the only
+//! one that may hold one, and the only one that may spell `Relaxed`.
 #![expect(
     clippy::disallowed_types,
     reason = "atomics audit: Relaxed meters read after the pool's join, see the module doc"

@@ -64,8 +64,8 @@ pub use predicate::{Atom, CmpOp, Conjunction, Predicate};
 pub use relation::{CodeBatch, Relation};
 pub use schema::{AttrId, Attribute, Schema, SchemaBuilder, ValueType};
 pub use store::{
-    chunk_rows, set_chunk_rows, zip_chunks, zip_chunks_range, CodesView, Column, Dictionary,
-    DEFAULT_CHUNK_ROWS, NO_CODE, WILDCARD_CODE,
+    zip_chunks, zip_chunks_range, CodesView, Column, Dictionary, DEFAULT_CHUNK_ROWS, NO_CODE,
+    WILDCARD_CODE,
 };
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;

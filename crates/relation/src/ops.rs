@@ -181,10 +181,11 @@ impl<V: Copy> CodeMemo<V> {
 
 /// `π_X(D)` as a new relation named `name`, preserving tuple ids and
 /// duplicates (bag projection). The output's columns share `rel`'s
-/// dictionaries for the kept attributes.
+/// dictionaries for the kept attributes, and its chunk size.
 pub fn project(rel: &Relation, name: &str, attrs: &[AttrId]) -> Result<Relation, RelationError> {
     let schema = rel.schema().project(name, attrs)?;
-    let mut out = Relation::with_dictionaries(schema, rel.dictionaries_of(attrs), rel.len())?;
+    let dicts = rel.dictionaries_of(attrs);
+    let mut out = Relation::with_dictionaries(schema, dicts, rel.len(), rel.chunk_rows())?;
     out.extend_from(rel, attrs, &(0..rel.len()).collect::<Vec<_>>())?;
     Ok(out)
 }

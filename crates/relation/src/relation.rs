@@ -9,6 +9,7 @@ use crate::store::{chunk_runs, survivor_runs, CodesView, Column, Dictionary};
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Rows [`Relation::iter`] decodes per dictionary lock acquisition.
@@ -57,6 +58,8 @@ pub struct Relation {
     /// binary search. Kept current by [`Relation::push_tid`]; removing
     /// rows cannot falsify it.
     ascending: bool,
+    /// Rows per chunk of every column (see [`Relation::chunk_rows`]).
+    chunk_rows: usize,
 }
 
 /// A batch of rows on the code-native wire, column-major: the tuple ids
@@ -95,7 +98,8 @@ impl CodeBatch {
 }
 
 impl Relation {
-    /// Creates an empty relation over `schema`, with fresh dictionaries.
+    /// Creates an empty relation over `schema`, with fresh dictionaries,
+    /// in chunks of [`DEFAULT_CHUNK_ROWS`](crate::DEFAULT_CHUNK_ROWS).
     pub fn new(schema: Arc<Schema>) -> Self {
         Relation::with_capacity(schema, 0)
     }
@@ -103,19 +107,24 @@ impl Relation {
     /// Creates an empty relation with room for `cap` tuples.
     pub fn with_capacity(schema: Arc<Schema>, cap: usize) -> Self {
         let dicts = (0..schema.arity()).map(|_| Arc::new(Dictionary::new())).collect();
-        Relation::with_dictionaries(schema, dicts, cap).expect("one dictionary per attribute")
+        Relation::with_dictionaries(schema, dicts, cap, crate::store::DEFAULT_CHUNK_ROWS)
+            .expect("one dictionary per attribute")
     }
 
     /// Creates an empty relation whose columns share the given
-    /// dictionaries (one per attribute, in schema order). This is the
-    /// fragment constructor: fragments built over a parent relation's
-    /// dictionaries keep their codes comparable with the parent and with
-    /// each other, so nothing is re-encoded when tuples move between them.
+    /// dictionaries (one per attribute, in schema order), in chunks of
+    /// `chunk_rows` rows (panics on 0). This is the fragment constructor:
+    /// fragments built over a parent relation's dictionaries keep their
+    /// codes comparable with the parent and with each other, so nothing
+    /// is re-encoded when tuples move between them, and they pass the
+    /// parent's [`Relation::chunk_rows`] on.
     pub fn with_dictionaries(
         schema: Arc<Schema>,
         dicts: Vec<Arc<Dictionary>>,
         cap: usize,
+        chunk_rows: usize,
     ) -> Result<Self, RelationError> {
+        assert!(chunk_rows >= 1, "a chunk holds at least one row");
         if dicts.len() != schema.arity() {
             return Err(RelationError::SchemaMismatch {
                 detail: format!(
@@ -126,7 +135,6 @@ impl Relation {
                 ),
             });
         }
-        let chunk_rows = crate::store::chunk_rows();
         let columns = dicts.into_iter().map(|d| Column::with_layout(d, cap, chunk_rows)).collect();
         Ok(Relation {
             schema,
@@ -134,12 +142,13 @@ impl Relation {
             columns,
             next_tid: 0,
             ascending: true,
+            chunk_rows,
         })
     }
 
-    /// Creates an empty relation with this relation's schema *and*
-    /// dictionaries — the natural start of a same-schema fragment,
-    /// selection result, or reassembly target.
+    /// Creates an empty relation with this relation's schema,
+    /// dictionaries *and* chunk size — the natural start of a same-schema
+    /// fragment, selection result, or reassembly target.
     pub fn empty_like(&self) -> Self {
         self.with_capacity_like(0)
     }
@@ -147,8 +156,26 @@ impl Relation {
     /// [`Self::empty_like`] with room for `cap` tuples.
     pub fn with_capacity_like(&self, cap: usize) -> Self {
         let dicts = self.columns.iter().map(|c| c.dict().clone()).collect();
-        Relation::with_dictionaries(self.schema.clone(), dicts, cap)
+        Relation::with_dictionaries(self.schema.clone(), dicts, cap, self.chunk_rows)
             .expect("one dictionary per attribute")
+    }
+
+    /// This relation re-laid in chunks of `rows` rows: the same ids,
+    /// codes and dictionaries, copied a chunk run at a time. Everything
+    /// derived from the result keeps the size. This is the one way to
+    /// choose a layout; tests use it to put seams anywhere.
+    pub fn with_chunk_rows(self, rows: NonZeroUsize) -> Relation {
+        let all: Vec<usize> = (0..self.len()).collect();
+        let columns = self
+            .columns
+            .iter()
+            .map(|src| {
+                let mut col = Column::with_layout(src.dict().clone(), all.len(), rows.get());
+                col.extend_from_rows(src, &all);
+                col
+            })
+            .collect();
+        Relation { columns, chunk_rows: rows.get(), ..self }
     }
 
     /// The schema of this relation.
@@ -420,7 +447,7 @@ impl Relation {
 
     /// The chunk size this relation's columns were built with.
     pub fn chunk_rows(&self) -> usize {
-        self.columns.first().map_or_else(crate::store::chunk_rows, Column::chunk_rows)
+        self.chunk_rows
     }
 
     /// Number of storage chunks per column (0 when empty) — the morsel
@@ -974,8 +1001,13 @@ mod tests {
         // Onto the single column `b`.
         let b = AttrId(1);
         let only_b = parent.schema().project("r_b", &[b]).unwrap();
-        let mut proj =
-            Relation::with_dictionaries(only_b, parent.dictionaries_of(&[b]), 0).unwrap();
+        let mut proj = Relation::with_dictionaries(
+            only_b,
+            parent.dictionaries_of(&[b]),
+            0,
+            parent.chunk_rows(),
+        )
+        .unwrap();
         proj.extend_from(&parent, &[b], &[1, 2]).unwrap();
         assert_eq!(proj.columns()[0].codes(), &[1, 1]);
         assert_eq!(proj.row(0), Tuple::new(TupleId(1), vals!["y"]));
@@ -997,18 +1029,44 @@ mod tests {
         let n = DECODE_BATCH * 2 + 7;
         let rows: Vec<Vec<Value>> =
             (0..n).map(|i| vals![i as i64 % 11, format!("s{}", i % 5)]).collect();
-        let r = Relation::from_rows(schema(), rows.clone()).unwrap();
-        let mut it = r.iter();
-        assert_eq!(it.len(), n);
-        it.next();
-        assert_eq!(it.len(), n - 1);
-        assert_eq!(r.iter().count(), n);
-        for (i, t) in r.iter().enumerate() {
-            assert_eq!(t.tid, TupleId(i as u64));
-            assert_eq!(t.values(), &rows[i][..]);
+        // Batches that start on a seam, mid-chunk, and inside one chunk.
+        for chunk in [3, 257, crate::DEFAULT_CHUNK_ROWS] {
+            let chunk = NonZeroUsize::new(chunk).unwrap();
+            let r = Relation::from_rows(schema(), rows.clone()).unwrap().with_chunk_rows(chunk);
+            let mut it = r.iter();
+            assert_eq!(it.len(), n);
+            it.next();
+            assert_eq!(it.len(), n - 1);
+            assert_eq!(r.iter().count(), n);
+            for (i, t) in r.iter().enumerate() {
+                assert_eq!(t.tid, TupleId(i as u64), "{chunk} rows per chunk");
+                assert_eq!(t.values(), &rows[i][..], "{chunk} rows per chunk");
+            }
+            assert_eq!(r.row(n - 1).values(), &rows[n - 1][..]);
         }
-        assert_eq!(r.row(n - 1).values(), &rows[n - 1][..]);
         assert_eq!(Relation::new(schema()).iter().count(), 0);
+    }
+
+    #[test]
+    fn with_chunk_rows_re_lays_the_same_rows() {
+        let rows: Vec<Vec<Value>> = (0..23).map(|i| vals![i % 4, format!("s{}", i % 3)]).collect();
+        let flat = Relation::from_rows(schema(), rows).unwrap();
+        assert_eq!(flat.chunk_rows(), crate::DEFAULT_CHUNK_ROWS);
+        for chunk in [1, 2, 5, 23, 64] {
+            let r = flat.clone().with_chunk_rows(NonZeroUsize::new(chunk).unwrap());
+            assert_eq!((r.chunk_rows(), r.n_chunks()), (chunk, 23usize.div_ceil(chunk)));
+            assert!(r.columns().iter().all(|c| c.chunk_rows() == chunk));
+            assert_eq!(r.tids(), flat.tids());
+            for (a, b) in r.columns().iter().zip(flat.columns()) {
+                assert_eq!(a.codes(), b.codes());
+                assert!(Arc::ptr_eq(a.dict(), b.dict()));
+            }
+            // It keeps taking rows, at its own size.
+            let mut r = r;
+            r.push(vals![9, "new"]).unwrap();
+            assert_eq!(r.row(23).values(), &vals![9, "new"][..]);
+            assert_eq!(r.n_chunks(), 24usize.div_ceil(chunk));
+        }
     }
 
     #[test]

@@ -33,27 +33,24 @@
 //! # Chunked layout
 //!
 //! A column's codes are stored as a sequence of fixed-size dense chunks
-//! ([`chunk_rows`] codes each; only the last chunk may be shorter). The
-//! chunk is the execution layer's *morsel*: `dcd_dist::pool` schedules
-//! `(site, chunk)` units onto its persistent workers, so a skewed
-//! partition still parallelizes inside its one big fragment. Scans use
-//! [`CodesView::chunks`] (plain `&[u32]` slices, no per-row division);
-//! random access goes through [`CodesView::at`]. The chunk size comes
-//! from `DCD_CHUNK_ROWS` (default [`DEFAULT_CHUNK_ROWS`]) and is captured
-//! per column at construction, so every column of one relation shares one
-//! chunk layout and multi-column scans zip aligned chunks.
-#![expect(
-    clippy::disallowed_types,
-    reason = "atomics audit: one cold SeqCst configuration knob, see `chunk_rows`"
-)]
+//! ([`Column::chunk_rows`] codes each; only the last chunk may be
+//! shorter). The chunk is the execution layer's *morsel*: `dcd_dist::pool`
+//! schedules `(site, chunk)` units onto its persistent workers, so a
+//! skewed partition still parallelizes inside its one big fragment. Scans
+//! use [`CodesView::chunks`] (plain `&[u32]` slices, no per-row division);
+//! random access goes through [`CodesView::at`]. The chunk size is a
+//! property of the relation: one built from scratch gets
+//! [`DEFAULT_CHUNK_ROWS`], one built from another takes its source's size,
+//! and `Relation::with_chunk_rows` re-lays one explicitly. Every column of
+//! one relation shares its layout, so multi-column scans zip aligned
+//! chunks.
 
 use crate::fxhash::FxBuildHasher;
 use crate::value::Value;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::ops::Index;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// Sentinel code meaning "matches any value" in compiled pattern cells.
 /// Never assigned to a real value.
@@ -67,59 +64,23 @@ pub const NO_CODE: u32 = u32::MAX - 1;
 /// Codes at or above this bound are reserved for the sentinels above.
 const CODE_LIMIT: u32 = u32::MAX - 2;
 
-/// Rows per column chunk when neither the `DCD_CHUNK_ROWS` environment
-/// variable nor [`set_chunk_rows`] overrides it: 64Ki codes (256 KiB per
-/// chunk) — large enough that per-chunk bookkeeping is noise, small
-/// enough that one fragment yields many morsels.
+/// Rows per column chunk of every relation built from scratch: 64Ki codes
+/// (256 KiB per chunk) — large enough that per-chunk bookkeeping is
+/// noise, small enough that one fragment yields many morsels.
 pub const DEFAULT_CHUNK_ROWS: usize = 64 * 1024;
 
-/// Process-wide programmatic override; 0 means "not set". Tests and
-/// benches that compare chunk layouts within one process use
-/// [`set_chunk_rows`] instead of re-exec'ing with a different
-/// environment.
-static CHUNK_ROWS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_chunk_rows() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("DCD_CHUNK_ROWS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
-}
-
-/// The chunk size (rows per chunk) new columns are built with:
-/// [`set_chunk_rows`] override if present, else `DCD_CHUNK_ROWS` from the
-/// environment (read once), else [`DEFAULT_CHUNK_ROWS`]. Any size ≥ 1 is
-/// valid, including non-powers-of-two; CI runs the whole suite at 257 to
-/// exercise misaligned chunk seams.
-pub fn chunk_rows() -> usize {
-    // Atomics audit: SeqCst load/store on a cold configuration knob —
-    // ordering strength is irrelevant here (the value is read once per
-    // column construction, never on a per-row path) so the strongest
-    // ordering documents that no performance case was being made.
-    match CHUNK_ROWS_OVERRIDE.load(Ordering::SeqCst) {
-        0 => env_chunk_rows(),
-        n => n,
-    }
-}
-
-/// Overrides (or with `None` restores) the process-wide chunk size used
-/// by columns constructed *after* the call. Existing columns keep the
-/// layout they were built with — chunk size is captured per column (once
-/// per relation, for all of its columns), so relations built under
-/// different settings coexist safely.
+/// Does nothing. [`DEFAULT_CHUNK_ROWS`] is now the only process layout:
+/// a relation built from scratch gets it, one built from another takes
+/// its source's size, and `Relation::with_chunk_rows` is the one way to
+/// choose another. The stub stays only because `benchmark/src/main.rs`
+/// pins the default through it; ROADMAP item 2 deletes that call and
+/// this stub.
+#[doc(hidden)]
 pub fn set_chunk_rows(rows: Option<usize>) {
-    let v = match rows {
-        Some(n) => {
-            assert!(n >= 1, "chunk size must be at least one row");
-            n
-        }
-        None => 0,
-    };
-    CHUNK_ROWS_OVERRIDE.store(v, Ordering::SeqCst);
+    debug_assert!(
+        rows.is_none_or(|n| n == DEFAULT_CHUNK_ROWS),
+        "chunk size is a property of the relation: see `Relation::with_chunk_rows`"
+    );
 }
 
 /// One slot of a dictionary's index: the 32-bit hash of an interned
@@ -355,21 +316,22 @@ pub struct Column {
 }
 
 impl Column {
-    /// Creates an empty column over a fresh dictionary.
+    /// Creates an empty column over a fresh dictionary, in chunks of
+    /// [`DEFAULT_CHUNK_ROWS`].
     pub fn new() -> Self {
         Column::sharing(Arc::new(Dictionary::new()))
     }
 
-    /// Creates an empty column sharing `dict` (fragment construction:
-    /// codes stay comparable with every other column over `dict`).
+    /// Creates an empty column sharing `dict` (codes stay comparable with
+    /// every other column over `dict`), in chunks of
+    /// [`DEFAULT_CHUNK_ROWS`].
     pub fn sharing(dict: Arc<Dictionary>) -> Self {
-        Column::with_layout(dict, 0, chunk_rows())
+        Column::with_layout(dict, 0, DEFAULT_CHUNK_ROWS)
     }
 
-    /// An empty column sharing `dict` with room for `cap` rows, at a given
-    /// chunk size. A relation reads [`chunk_rows`] once and builds all its
-    /// columns with it, so they share one layout even while
-    /// [`set_chunk_rows`] is changing.
+    /// An empty column sharing `dict` with room for `cap` rows, in chunks
+    /// of `chunk_rows` (at least one). A relation builds all its columns
+    /// with its one size.
     pub(crate) fn with_layout(dict: Arc<Dictionary>, cap: usize, chunk_rows: usize) -> Self {
         let mut c = Column { dict, chunks: Vec::new(), len: 0, chunk_rows };
         c.reserve(cap);
@@ -926,30 +888,14 @@ mod tests {
         assert!(code < NO_CODE);
     }
 
-    /// Builds a column with chunk size `rows`, restoring the previous
-    /// setting afterwards. The override is process-global and the test
-    /// harness runs tests concurrently, so chunk-size tests serialize
-    /// through one lock.
-    fn with_chunk_rows<T>(rows: usize, f: impl FnOnce() -> T) -> T {
-        static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = GUARD.lock().expect("chunk-size test lock poisoned");
-        set_chunk_rows(Some(rows));
-        let out = f();
-        set_chunk_rows(None);
-        out
-    }
-
     #[test]
     fn chunked_column_matches_flat_semantics() {
         let codes: Vec<u32> = (0..23).map(|i| i % 5).collect();
         for rows in [1, 3, 7, 23, 64] {
-            let c = with_chunk_rows(rows, || {
-                let mut c = Column::new();
-                for &k in &codes {
-                    c.push(&Value::Int(k as i64));
-                }
-                c
-            });
+            let mut c = Column::with_layout(Arc::new(Dictionary::new()), 0, rows);
+            for &k in &codes {
+                c.push(&Value::Int(k as i64));
+            }
             assert_eq!(c.chunk_rows(), rows);
             assert_eq!(c.codes().to_vec(), codes, "rows = {rows}");
             assert_eq!(c.codes().n_chunks(), codes.len().div_ceil(rows));
@@ -1086,15 +1032,12 @@ mod tests {
 
     #[test]
     fn zip_chunks_walks_aligned_layouts() {
-        let (a, b) = with_chunk_rows(5, || {
-            let mut a = Column::new();
-            let mut b = Column::new();
-            for i in 0..12 {
-                a.push(&Value::Int(i));
-                b.push(&Value::Int(i * 10));
-            }
-            (a, b)
-        });
+        let mut a = Column::with_layout(Arc::new(Dictionary::new()), 0, 5);
+        let mut b = Column::with_layout(Arc::new(Dictionary::new()), 0, 5);
+        for i in 0..12 {
+            a.push(&Value::Int(i));
+            b.push(&Value::Int(i * 10));
+        }
         let mut seen: Vec<(usize, u32, u32)> = Vec::new();
         zip_chunks(&[a.codes(), b.codes()], |base, cols| {
             assert_eq!(cols.len(), 2);
@@ -1107,14 +1050,5 @@ mod tests {
             assert_eq!(a.codes().at(row), ca);
             assert_eq!(b.codes().at(row), cb);
         }
-    }
-
-    #[test]
-    fn chunk_rows_env_and_default() {
-        // Whatever the environment says, the resolved size is positive
-        // and the override wins.
-        assert!(chunk_rows() >= 1);
-        with_chunk_rows(123, || assert_eq!(chunk_rows(), 123));
-        assert!(chunk_rows() >= 1);
     }
 }

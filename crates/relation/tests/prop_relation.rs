@@ -3,10 +3,11 @@
 //! a plain row model.
 
 use dcd_relation::{
-    set_chunk_rows, vals, Atom, CmpOp, Conjunction, Predicate, Relation, RelationDelta,
-    RelationError, Schema, Tuple, TupleId, Value, ValueType,
+    vals, Atom, CmpOp, Conjunction, Predicate, Relation, RelationDelta, RelationError, Schema,
+    Tuple, TupleId, Value, ValueType, DEFAULT_CHUNK_ROWS,
 };
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -21,6 +22,11 @@ fn schema() -> Arc<Schema> {
 
 fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8)>> {
     prop::collection::vec((-3..4i64, -3..4i64, 0..4u8), 0..40)
+}
+
+/// The chunk size a case lays its relations out in: 1 to 64 rows.
+fn arb_chunk_rows() -> impl Strategy<Value = NonZeroUsize> {
+    (1..65usize).prop_map(|n| NonZeroUsize::new(n).expect("drawn from 1..65"))
 }
 
 fn build(rows: &[(i64, i64, u8)]) -> Relation {
@@ -120,17 +126,19 @@ proptest! {
 
     /// The bulk ingest path (`extend_rows`: validate all, then block by
     /// block, column by column) is observationally identical to
-    /// cell-by-cell `push`: same tuples, same codes, same dictionary
-    /// contents. These cases stay inside one block and one slot table;
+    /// cell-by-cell `push` into the same drawn layout: same tuples, same
+    /// codes, same dictionary contents. These cases stay inside one block
+    /// and one slot table;
     /// `bulk_ingest_matches_push_across_blocks_and_growths` crosses both.
     #[test]
-    fn bulk_extend_rows_matches_push(rows in arb_rows()) {
-        let mut pushed = Relation::new(schema());
-        for &(a, b, c) in &rows {
-            pushed.push(vals![a, b, format!("s{c}")]).unwrap();
+    fn bulk_extend_rows_matches_push(rows in arb_rows(), chunk in arb_chunk_rows()) {
+        let mut pushed = Relation::new(schema()).with_chunk_rows(chunk);
+        let mut bulk = Relation::new(schema()).with_chunk_rows(chunk);
+        let values = rows.iter().map(|&(a, b, c)| vals![a, b, format!("s{c}")]);
+        for row in values.clone() {
+            pushed.push(row).unwrap();
         }
-        // `build` goes through from_rows → extend_rows.
-        let bulk = build(&rows);
+        bulk.extend_rows(values.collect()).unwrap();
         prop_assert!(bulk.iter().eq(pushed.iter()));
         for (ca, cb) in bulk.columns().iter().zip(pushed.columns()) {
             prop_assert_eq!(ca.codes(), cb.codes());
@@ -145,8 +153,8 @@ proptest! {
     /// original and the rebuilt relation ingest through the bulk
     /// `extend_rows` path, so this round-trip also pins its encoding.)
     #[test]
-    fn columnar_round_trip_is_identity(rows in arb_rows()) {
-        let rel = build(&rows);
+    fn columnar_round_trip_is_identity(rows in arb_rows(), chunk in arb_chunk_rows()) {
+        let rel = build(&rows).with_chunk_rows(chunk);
         let ingested: Vec<Vec<Value>> =
             rows.iter().map(|&(a, b, c)| vals![a, b, format!("s{c}")]).collect();
         for (ai, col) in rel.columns().iter().enumerate() {
@@ -341,14 +349,22 @@ fn build_delta(
 }
 
 /// Runs `op` against both the relation and the model; a step the store
-/// must reject is checked to leave every stored bit as it was.
-fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), TestCaseError> {
+/// must reject is checked to leave every stored bit as it was. A relation
+/// built from scratch is laid out in `chunk`-row chunks, as the first
+/// one was.
+fn step(
+    rel: &mut Relation,
+    model: &mut Model,
+    op: &StorageOp,
+    chunk: NonZeroUsize,
+) -> Result<(), TestCaseError> {
     let before = image(rel);
     let mut rejected = false;
     match op {
         StorageOp::FromRows(rows) => {
             *rel = Relation::from_rows(schema(), rows.iter().map(|&r| row_values(r)).collect())
-                .unwrap();
+                .unwrap()
+                .with_chunk_rows(chunk);
             *model = Model::default();
             for (i, &r) in rows.iter().enumerate() {
                 model.insert(TupleId(i as u64), row_values(r));
@@ -433,28 +449,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The store against a plain `Vec<(TupleId, Vec<Value>)>`: random
-    /// interleavings of every way rows enter, leave and move, at a chunk
-    /// size below, beside and above the data. After every step `iter()`
-    /// decodes exactly the model's rows in order, the tid column and all
-    /// code columns have one length, and a rejected step changed nothing.
-    /// (No other test in this binary sets the process-wide chunk size; a
-    /// relation they build meanwhile gets whichever size is current, and
-    /// one layout, because a relation reads the size once.)
+    /// interleavings of every way rows enter, leave and move, at a drawn
+    /// chunk size (below, beside or above the data) and at the default.
+    /// After every step `iter()` decodes exactly the model's rows in
+    /// order, the tid column and all code columns have one length, and a
+    /// rejected step changed nothing; the relation keeps its size
+    /// throughout.
     #[test]
     fn storage_matches_a_plain_row_model(
         first in prop::collection::vec(arb_row(), 0..20),
         ops in prop::collection::vec(arb_storage_op(), 1..40),
+        drawn in arb_chunk_rows(),
     ) {
-        for chunk in [3, 257, 64 * 1024] {
-            set_chunk_rows(Some(chunk));
-            let mut rel = Relation::new(schema());
+        let default = NonZeroUsize::new(DEFAULT_CHUNK_ROWS).unwrap();
+        for chunk in [drawn, default] {
+            let mut rel = Relation::new(schema()).with_chunk_rows(chunk);
             let mut model = Model::default();
-            let outcome = std::iter::once(&StorageOp::FromRows(first.clone()))
+            std::iter::once(&StorageOp::FromRows(first.clone()))
                 .chain(&ops)
-                .try_for_each(|op| step(&mut rel, &mut model, op));
-            set_chunk_rows(None);
-            outcome?;
-            prop_assert_eq!(rel.chunk_rows(), chunk);
+                .try_for_each(|op| step(&mut rel, &mut model, op, chunk))?;
+            prop_assert_eq!(rel.chunk_rows(), chunk.get());
         }
     }
 
@@ -470,8 +484,9 @@ proptest! {
         inserts in prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8),
         deletes in prop::collection::vec(0..64usize, 0..12),
         poison in 0..7u8,
+        chunk in arb_chunk_rows(),
     ) {
-        let mut ascending = build(&rows);
+        let mut ascending = build(&rows).with_chunk_rows(chunk);
         let mut model = Model::default();
         for (i, &r) in rows.iter().enumerate() {
             model.insert(TupleId(i as u64), row_values(r));
@@ -539,15 +554,21 @@ fn image_and_dicts(rel: &Relation) -> (Vec<TupleId>, Vec<Vec<u32>>, Vec<Vec<Valu
 /// `bulk_extend_rows_matches_push` where the block loop and the
 /// dictionary's index have seams: both relations start from three pushed
 /// rows (so no block starts at row 0 of an empty dictionary), then take
-/// 1 000 rows in bulk and one by one. Runs at whatever chunk size the
-/// process has — CI's 3-row leg puts ≈ 330 chunk seams under it.
+/// 1 000 rows in bulk and one by one — in 3-row chunks (≈ 330 chunk seams
+/// under it) and in the default layout.
 #[test]
 fn bulk_ingest_matches_push_across_blocks_and_growths() {
+    for chunk in [3, DEFAULT_CHUNK_ROWS] {
+        bulk_ingest_matches_push_in(NonZeroUsize::new(chunk).unwrap());
+    }
+}
+
+fn bulk_ingest_matches_push_in(chunk: NonZeroUsize) {
     let head = [vals![5, 1, "s9"], vals![Value::Null, 2, "head"], vals![-300, 1, Value::Null]];
     let rows = wide_rows(1_000);
 
-    let mut pushed = Relation::new(schema());
-    let mut bulk = Relation::new(schema());
+    let mut pushed = Relation::new(schema()).with_chunk_rows(chunk);
+    let mut bulk = Relation::new(schema()).with_chunk_rows(chunk);
     for row in &head {
         pushed.push(row.clone()).unwrap();
         bulk.push(row.clone()).unwrap();

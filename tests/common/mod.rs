@@ -1,6 +1,22 @@
-//! Helpers shared by the property suites.
+//! Helpers shared by the property suites. Each suite compiles this module
+//! and uses part of it.
+#![allow(dead_code)]
 
 use distributed_cfd::prelude::*;
+use proptest::prelude::*;
+use std::num::NonZeroUsize;
+
+/// The chunk size a case lays its relations out in
+/// ([`Relation::with_chunk_rows`]): 1 to 64 rows, so most generated
+/// relations cross seams somewhere new and some fit one chunk.
+pub fn arb_chunk_rows() -> impl Strategy<Value = NonZeroUsize> {
+    (1..65usize).prop_map(|n| NonZeroUsize::new(n).expect("drawn from 1..65"))
+}
+
+/// `n` rows per chunk, for the fixed layouts the suites also read.
+pub fn chunk_rows(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).expect("a chunk holds at least one row")
+}
 
 /// Interns `rel.len() + 1` integers no row holds into every dictionary
 /// `rel` shares, through a relation holding the same `Arc`s (every

@@ -1,15 +1,18 @@
 //! The morsel determinism contract, pinned as a matrix: every detector
 //! × every topology must produce a bit-identical [`Detection`] across
-//! pool widths {1, 2, 8} × chunk sizes {7 rows, default}. The baseline
-//! is the width-1 default-chunk run; every other cell of the matrix
-//! must match it field for field, f64s compared by bits. This is the
+//! pool widths {1, 2, 8} × chunk sizes {1 row, 7 rows, default}. The
+//! baseline is the width-1 default-chunk run; every other cell of the
+//! matrix must match it field for field, f64s compared by bits. This is the
 //! property clippy's `iter_over_hash_type` and its thread allow-list
 //! guard statically and the morsel pipeline must uphold dynamically:
 //! scheduling (who runs which (site, chunk) morsel, in what order, stolen
 //! or not) must never reach the output.
 
+mod common;
+
+use common::chunk_rows;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::set_chunk_rows;
+use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -24,10 +27,11 @@ fn schema() -> Arc<Schema> {
         .unwrap()
 }
 
-/// ~120 rows over tiny domains: plenty of FD collisions, several
-/// chunks at chunk size 7, and skew (site 0 of the round-robin gets no
-/// more than the others, but the `a = i % 3` domain skews groups).
-fn sample() -> Relation {
+/// ~120 rows over tiny domains, laid out in `chunk`-row chunks: plenty
+/// of FD collisions, several chunks at chunk size 7, and skew (site 0 of
+/// the round-robin gets no more than the others, but the `a = i % 3`
+/// domain skews groups).
+fn sample(chunk: usize) -> Relation {
     Relation::from_rows(
         schema(),
         (0..120)
@@ -43,6 +47,7 @@ fn sample() -> Relation {
             .collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk_rows(chunk))
 }
 
 fn sigma(s: &Arc<Schema>) -> Vec<Cfd> {
@@ -77,12 +82,11 @@ fn assert_identical(base: &Detection, got: &Detection, label: &str) {
 const ALGORITHMS: [Algorithm; 3] =
     [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::PatDetectRT];
 
-/// One full sweep: rebuild the relation and all four topologies under
-/// the given chunk size, run every detector at the given width, return
-/// the labelled detections in a fixed order.
-fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
-    set_chunk_rows(chunk);
-    let rel = sample();
+/// One full sweep: rebuild the relation and all four topologies in the
+/// given chunk size, run every detector at the given width, return the
+/// labelled detections in a fixed order.
+fn sweep(chunk: usize, threads: usize) -> Vec<(String, Detection)> {
+    let rel = sample(chunk);
     let s = rel.schema().clone();
     let sigma = sigma(&s);
     let cfg = RunConfig::default().with_threads(threads);
@@ -91,7 +95,6 @@ fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
         VerticalPartition::by_attribute_groups(&rel, &[&["id", "a", "b"], &["c"], &["d"]]).unwrap();
     let hybrid = HybridPartition::new(&horizontal, &[&["id", "a", "b"], &["c", "d"]]).unwrap();
     let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
-    set_chunk_rows(None);
 
     let run = |topo: Topology, alg: Algorithm| {
         DetectRequest::over(topo)
@@ -123,21 +126,21 @@ fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
 #[test]
 fn detections_are_bit_identical_across_widths_and_chunk_sizes() {
     // Baseline: one worker, default chunk size.
-    let baseline = sweep(None, 1);
+    let baseline = sweep(DEFAULT_CHUNK_ROWS, 1);
     assert!(
         baseline.iter().any(|(_, d)| !d.violations.all_tids().is_empty()),
         "fixture should contain violations"
     );
-    for chunk in [None, Some(7)] {
+    for chunk in [1, 7, DEFAULT_CHUNK_ROWS] {
         for threads in [1usize, 2, 8] {
-            if chunk.is_none() && threads == 1 {
+            if chunk == DEFAULT_CHUNK_ROWS && threads == 1 {
                 continue; // the baseline itself
             }
             let got = sweep(chunk, threads);
             assert_eq!(baseline.len(), got.len());
             for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
                 assert_eq!(label, label2);
-                let cell = format!("{label} @threads={threads}, chunk={chunk:?}");
+                let cell = format!("{label} @threads={threads}, chunk={chunk}");
                 assert_identical(base, d, &cell);
             }
         }
@@ -191,21 +194,25 @@ fn recorded(label: &str, d: &Detection) -> String {
 /// fused or filtered, clocks, ledger and `Detection.metrics` must read
 /// what they read before the scans were rewritten
 /// (`tests/golden/constants_detection.txt`, recorded at the parent
-/// commit of that change).
+/// commit of that change) — over the default layout and over 3-row
+/// chunks, where a morsel scans fewer rows than most keys' code spaces
+/// and the scans hash where the default indexes slots.
 #[test]
 fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
-    let rel = sample();
-    let sigma = constants_sigma(rel.schema());
-    let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
-    let mut got = String::new();
-    for alg in [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::clust_detect()] {
-        let d = DetectRequest::over(horizontal.clone())
-            .cfds(sigma.iter().cloned())
-            .algorithm(alg)
-            .run()
-            .expect("run succeeds");
-        assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
-        got += &recorded(&format!("{alg:?}"), &d);
+    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
+        let rel = sample(chunk);
+        let sigma = constants_sigma(rel.schema());
+        let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
+        let mut got = String::new();
+        for alg in [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::clust_detect()] {
+            let d = DetectRequest::over(horizontal.clone())
+                .cfds(sigma.iter().cloned())
+                .algorithm(alg)
+                .run()
+                .expect("run succeeds");
+            assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
+            got += &recorded(&format!("{alg:?}"), &d);
+        }
+        assert_eq!(got, include_str!("golden/constants_detection.txt"), "{chunk} rows per chunk");
     }
-    assert_eq!(got, include_str!("golden/constants_detection.txt"));
 }

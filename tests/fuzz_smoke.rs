@@ -268,9 +268,10 @@ proptest! {
 
     /// Random delta streams through `DetectRequest::session` over
     /// horizontal, replicated and vertical topologies: after every
-    /// batch, the two horizontal pool widths agree bit for bit, and
-    /// after the stream drains every session's maintained report
-    /// equals the oracle on its materialized state.
+    /// batch, the horizontal and the vertical session at pool widths 1
+    /// and 8 agree bit for bit, and after the stream drains every
+    /// session's maintained report equals the oracle on its
+    /// materialized state.
     #[test]
     fn random_delta_streams_round_trip_through_sessions(
         rows in arb_rows(),
@@ -311,12 +312,10 @@ proptest! {
                 .into(),
             1,
         );
-        let mut vert = open(
-            VerticalPartition::by_attribute_groups(&rel, &[&["a", "c"], &["b", "d"]])
-                .unwrap()
-                .into(),
-            1,
-        );
+        let vertical =
+            VerticalPartition::by_attribute_groups(&rel, &[&["a", "c"], &["b", "d"]]).unwrap();
+        let mut vert = open(vertical.clone().into(), 1);
+        let mut vert8 = open(vertical.into(), 8);
 
         for batch in stream {
             let batch = DeltaBatch::from(batch);
@@ -324,9 +323,11 @@ proptest! {
             let r8 = h8.apply_batch(&batch).unwrap();
             prop_assert_eq!(r1.all_tids(), r8.all_tids(), "widths diverged mid-stream");
             rep.apply_batch(&batch).unwrap();
-            vert.apply_batch(&batch).unwrap();
+            let (v1, v8) = (vert.apply_batch(&batch).unwrap(), vert8.apply_batch(&batch).unwrap());
+            prop_assert_eq!(v1.all_tids(), v8.all_tids(), "vertical widths diverged mid-stream");
         }
         assert_bit_identical(&h1.detection(), &h8.detection(), "horizontal session")?;
+        assert_bit_identical(&vert.detection(), &vert8.detection(), "vertical session")?;
         for (label, session) in
             [("horizontal", &h1), ("replicated", &rep), ("vertical", &vert)]
         {

@@ -9,9 +9,16 @@
 //! first-covering-owner rule one home each. `Vio` itself is pinned to
 //! `detect_set` here and in the property suites; which function gathers
 //! the rows is an implementation detail, what a run ships, when every
-//! site finishes and which phases it names is not.
+//! site finishes and which phases it names is not — and neither is the
+//! chunk layout: the recording is read over relations laid out in the
+//! default size and in 3-row chunks.
 
+mod common;
+
+use common::chunk_rows;
 use distributed_cfd::prelude::*;
+use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -217,11 +224,19 @@ const SEEDS: std::ops::Range<u64> = 0..6;
 
 #[test]
 fn unpinned_engines_read_the_recorded_meters() {
+    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
+        let got = recordings(chunk_rows(chunk));
+        assert_eq!(got, include_str!("golden/unpinned_engines.txt"), "{chunk} rows per chunk");
+    }
+}
+
+/// Every seed's recordings, its relation laid out in `chunk`-row chunks.
+fn recordings(chunk: NonZeroUsize) -> String {
     let mut got = String::new();
     let (mut local, mut three_way) = (0, 0);
     for seed in SEEDS {
         let mut rng = Rng(seed);
-        let rel = relation(&mut rng);
+        let rel = relation(&mut rng).with_chunk_rows(chunk);
         let sigma = sigma(&mut rng);
         let groups = LAYOUTS[seed as usize % LAYOUTS.len()];
 
@@ -275,5 +290,5 @@ fn unpinned_engines_read_the_recorded_meters() {
     }
     assert!(local > 6, "most layouts should check `local` without shipment, got {local}");
     assert!(three_way > 2, "some gathers should span three fragments, got {three_way}");
-    assert_eq!(got, include_str!("golden/unpinned_engines.txt"));
+    got
 }

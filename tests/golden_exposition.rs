@@ -1,17 +1,24 @@
 //! Golden-file pin of the Prometheus text exposition: one small
 //! deterministic run (the `observability` example's exact setup) must
 //! reproduce `tests/golden/observability_exposition.txt` byte for
-//! byte, and every line of it must parse under the exposition-format
-//! line grammar — `# HELP`/`# TYPE` headers followed by
+//! byte, over the example's relation as built and laid out in 3-row
+//! chunks. Every line of the golden must parse under the
+//! exposition-format line grammar: `# HELP`/`# TYPE` headers followed by
 //! `name{labels} value` samples whose family a header declared first.
 
+mod common;
+
+use common::chunk_rows;
 use distributed_cfd::prelude::*;
+use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 const GOLDEN: &str = include_str!("golden/observability_exposition.txt");
 
-/// The `observability` example's run, reproduced exactly.
-fn example_detection() -> Detection {
+/// The `observability` example's run, reproduced exactly, its relation
+/// laid out in `chunk`-row chunks.
+fn example_detection(chunk: NonZeroUsize) -> Detection {
     let schema = Schema::builder("r")
         .attr("id", ValueType::Int)
         .attr("a", ValueType::Int)
@@ -26,7 +33,8 @@ fn example_detection() -> Detection {
             .map(|i| vals![i, i % 3, i % 5, format!("c{}", if i % 7 == 0 { 9 } else { i % 2 })])
             .collect(),
     )
-    .unwrap();
+    .unwrap()
+    .with_chunk_rows(chunk);
     let sigma = vec![
         parse_cfd(&schema, "phi1", "([a, b] -> [c])").unwrap(),
         parse_cfd(&schema, "phi2", "([a=1, b] -> [c=c1])").unwrap(),
@@ -37,8 +45,11 @@ fn example_detection() -> Detection {
 
 #[test]
 fn exposition_matches_the_golden_byte_for_byte() {
-    let exposed = example_detection().metrics.expose();
-    assert_eq!(exposed, GOLDEN, "regenerate with `cargo run --example observability`");
+    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
+        let exposed = example_detection(chunk_rows(chunk)).metrics.expose();
+        let hint = "regenerate with `cargo run --example observability`";
+        assert_eq!(exposed, GOLDEN, "{chunk} rows per chunk; {hint}");
+    }
 }
 
 /// A metric name: `[a-zA-Z_:][a-zA-Z0-9_:]*`.

@@ -8,7 +8,9 @@
 //! `tests/golden/cluster_rounds.txt`, recorded at the parent commit of
 //! the change that moved the cluster round onto column batches. How a
 //! coordinator gathers and groups its rows is an implementation detail;
-//! what it ships, when it finishes and what it counts is not.
+//! what it ships, when it finishes and what it counts is not — so both
+//! goldens are read over relations in the default layout and in 3-row
+//! chunks, where every gathered σ-block crosses seams.
 //!
 //! A second seed list generates Σs whose clustering leaves CFDs alone —
 //! LHSs related to no other — and pins the same two sides plus the span
@@ -16,10 +18,15 @@
 //! parent commit of the change that sent singletons through the cluster
 //! round: a cluster of one charges and names what the single-CFD round
 //! does, and a third test says so without a golden, Σ = {φ} against
-//! `run_batch`.
+//! `run_batch`, each case in a chunk size of its own.
 
+mod common;
+
+use common::chunk_rows;
 use distributed_cfd::cfd::oracle;
 use distributed_cfd::prelude::*;
+use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -233,15 +240,20 @@ type SigmaOf = fn(&mut Rng) -> Vec<Cfd>;
 const SEEDS: std::ops::Range<u64> = 0..40;
 const SINGLETON_SEEDS: std::ops::Range<u64> = 100..130;
 
-/// Runs every seed's case — relation, Σ from `sigma_of`, partition —
-/// through `CLUSTDETECT` under all three strategies at pool widths 1
-/// and 4, checks every CFD's `Vio`/`Vioπ` against the oracle and that
-/// both widths record the same, and returns the labelled detections.
-fn detections(seeds: std::ops::Range<u64>, sigma_of: SigmaOf) -> Vec<(String, Detection)> {
+/// Runs every seed's case — relation in `chunk`-row chunks, Σ from
+/// `sigma_of`, partition — through `CLUSTDETECT` under all three
+/// strategies at pool widths 1 and 4, checks every CFD's `Vio`/`Vioπ`
+/// against the oracle and that both widths record the same, and returns
+/// the labelled detections.
+fn detections(
+    seeds: std::ops::Range<u64>,
+    sigma_of: SigmaOf,
+    chunk: NonZeroUsize,
+) -> Vec<(String, Detection)> {
     let mut out = Vec::new();
     for seed in seeds {
         let mut rng = Rng(seed);
-        let rel = relation(&mut rng);
+        let rel = relation(&mut rng).with_chunk_rows(chunk);
         let sigma = sigma_of(&mut rng);
         let partition = partition(&mut rng, &rel);
         let decoded: Vec<Tuple> = rel.iter().collect();
@@ -292,26 +304,31 @@ fn rounds(d: &Detection) -> (usize, usize) {
 
 #[test]
 fn cluster_rounds_equal_the_oracle_and_the_recorded_meters() {
-    let runs = detections(SEEDS, sigma);
-    let clustered = runs.iter().filter(|(_, d)| rounds(d).1 > 0).count();
-    assert!(2 * clustered > 3 * SEEDS.count(), "most cases should validate a real cluster");
-    let got: String = runs.iter().map(|(label, d)| recorded(label, d)).collect();
-    assert_eq!(got, include_str!("golden/cluster_rounds.txt"));
+    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
+        let runs = detections(SEEDS, sigma, chunk_rows(chunk));
+        let clustered = runs.iter().filter(|(_, d)| rounds(d).1 > 0).count();
+        assert!(2 * clustered > 3 * SEEDS.count(), "most cases should validate a real cluster");
+        let got: String = runs.iter().map(|(label, d)| recorded(label, d)).collect();
+        assert_eq!(got, include_str!("golden/cluster_rounds.txt"), "{chunk} rows per chunk");
+    }
 }
 
 #[test]
 fn singleton_rounds_equal_the_oracle_and_the_recorded_meters() {
-    let runs = detections(SINGLETON_SEEDS, singleton_sigma);
-    let (mut alone, mut beside_a_family) = (0, 0);
-    for (_, d) in &runs {
-        let (singletons, families) = rounds(d);
-        alone += singletons;
-        beside_a_family += usize::from(singletons > 0 && families > 0);
+    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
+        let runs = detections(SINGLETON_SEEDS, singleton_sigma, chunk_rows(chunk));
+        let (mut alone, mut beside_a_family) = (0, 0);
+        for (_, d) in &runs {
+            let (singletons, families) = rounds(d);
+            alone += singletons;
+            beside_a_family += usize::from(singletons > 0 && families > 0);
+        }
+        let seeds = SINGLETON_SEEDS.count();
+        assert!(alone > 3 * seeds, "most cases should validate a cluster of one");
+        assert!(beside_a_family > seeds, "and a third of them beside a family");
+        let got: String = runs.iter().map(|(label, d)| recorded_with_spans(label, d)).collect();
+        assert_eq!(got, include_str!("golden/singleton_rounds.txt"), "{chunk} rows per chunk");
     }
-    assert!(alone > 3 * SINGLETON_SEEDS.count(), "most cases should validate a cluster of one");
-    assert!(beside_a_family > SINGLETON_SEEDS.count(), "and a third of them beside a family");
-    let got: String = runs.iter().map(|(label, d)| recorded_with_spans(label, d)).collect();
-    assert_eq!(got, include_str!("golden/singleton_rounds.txt"));
 }
 
 /// Σ = {φ} is a cluster of one, and a cluster of one is the single-CFD
@@ -329,7 +346,10 @@ fn a_cluster_of_one_is_the_single_cfd_round() {
     for (seeds, sigma_of) in cases {
         for seed in seeds {
             let mut rng = Rng(seed);
-            let rel = relation(&mut rng);
+            // The layout comes from a stream of its own, so the case is
+            // the one the goldens read.
+            let chunk = chunk_rows(1 + Rng(!seed).below(64) as usize);
+            let rel = relation(&mut rng).with_chunk_rows(chunk);
             let sigma = sigma_of(&mut rng);
             let partition = partition(&mut rng, &rel);
             let cfg = RunConfig::default();

@@ -1,10 +1,15 @@
 //! Property-based tests: on randomly generated relations, CFDs and
 //! partitions, every distributed algorithm computes exactly the
 //! violations of centralized detection, ships within its bounds, and
-//! mining never changes results.
+//! mining never changes results. Each case lays its relation out in a
+//! drawn chunk size.
 
+mod common;
+
+use common::arb_chunk_rows;
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -22,12 +27,13 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
     prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..60)
 }
 
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
+fn build_relation(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation {
     Relation::from_rows(
         schema(),
         rows.iter().map(|&(a, b, c, d)| vals![a, b, format!("c{c}"), format!("d{d}")]).collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk)
 }
 
 /// Runs one facade request over a horizontal partition.
@@ -144,8 +150,9 @@ proptest! {
         patterns in arb_cfd(),
         rhs_const in prop::option::of(0..3u8),
         n_sites in 1usize..6,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd(&patterns, rhs_const);
         let global = detect(&rel, &cfd);
         let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
@@ -170,8 +177,9 @@ proptest! {
         patterns1 in arb_cfd(),
         patterns2 in arb_cfd(),
         n_sites in 1usize..5,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let s = schema();
         let cfd1 = build_cfd(&patterns1, None);
         // Second CFD with contained LHS {a, b} → city-free projection.
@@ -208,8 +216,9 @@ proptest! {
         rows in arb_rows(),
         patterns in arb_cfd(),
         n_sites in 1usize..6,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd(&patterns, Some(1)); // constant RHS
         let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         let cfg = RunConfig::default();
@@ -230,8 +239,9 @@ proptest! {
         rows in arb_rows(),
         theta in 0.05f64..1.0,
         n_sites in 1usize..4,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let fd = Cfd::fd("fd", schema(), &["a", "b"], &["d"]).unwrap();
         let simple = fd.simplify().pop().unwrap();
         let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
@@ -259,8 +269,9 @@ proptest! {
         rows in arb_rows(),
         patterns in arb_cfd(),
         rhs_const in prop::option::of(0..3u8),
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd(&patterns, rhs_const);
         let decoded: Vec<Tuple> = rel.iter().collect();
         let refs: Vec<&Tuple> = decoded.iter().collect();
@@ -276,14 +287,16 @@ proptest! {
     /// five detectors (CTRDETECT, PATDETECTS, PATDETECTRT, SEQDETECT,
     /// CLUSTDETECT) report identical violation sets *and* shipment
     /// counts on the original relation and on one rebuilt from its
-    /// decoded cells (fresh dictionaries, codes re-assigned).
+    /// decoded cells (fresh dictionaries, codes re-assigned, the default
+    /// chunk size).
     #[test]
     fn detectors_identical_after_columnar_round_trip(
         rows in arb_rows(),
         patterns in arb_cfd(),
         n_sites in 1usize..5,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let decoded: Vec<Vec<Value>> = (0..rel.len())
             .map(|i| rel.columns().iter().map(|c| c.decode(i)).collect())
             .collect();
@@ -327,8 +340,9 @@ proptest! {
         rows in arb_rows(),
         patterns in arb_cfd(),
         n_sites in 2usize..5,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd(&patterns, None);
         let sigma = vec![cfd.clone()];
         let a = rel.schema().require("a").unwrap();
@@ -369,8 +383,9 @@ proptest! {
         rows in arb_rows(),
         patterns in arb_cfd(),
         n_sites in 2usize..6,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd(&patterns, None);
         let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         let d = run_on(&partition, std::slice::from_ref(&cfd), Algorithm::PatDetectRT, &RunConfig::default());

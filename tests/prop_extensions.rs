@@ -1,10 +1,15 @@
 //! Property-based tests for the §VIII extensions: hybrid-fragmentation
 //! detection and replication-aware detection are equivalent to
 //! centralized detection on random inputs, and replication never
-//! increases traffic.
+//! increases traffic. Each case lays its relation out in a drawn chunk
+//! size.
 
+mod common;
+
+use common::arb_chunk_rows;
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -34,7 +39,7 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
     prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..50)
 }
 
-fn build(rows: &[(i64, i64, u8, u8)]) -> Relation {
+fn build(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation {
     Relation::from_rows(
         schema(),
         rows.iter()
@@ -43,6 +48,7 @@ fn build(rows: &[(i64, i64, u8, u8)]) -> Relation {
             .collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk)
 }
 
 fn arb_cfd_pick() -> impl Strategy<Value = usize> {
@@ -94,8 +100,9 @@ proptest! {
         which in arb_cfd_pick(),
         n_cells in 1usize..4,
         split_point in 1usize..4,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows);
+        let rel = build(&rows, chunk);
         let s = schema();
         let cfd = pick_cfd(&s, which);
         let global = detect(&rel, &cfd);
@@ -115,8 +122,9 @@ proptest! {
         rows in arb_rows(),
         which in arb_cfd_pick(),
         n_sites in 2usize..5,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows);
+        let rel = build(&rows, chunk);
         let s = schema();
         let cfd = pick_cfd(&s, which);
         let global = detect(&rel, &cfd);
@@ -143,8 +151,9 @@ proptest! {
         rows in arb_rows(),
         which in arb_cfd_pick(),
         n_cells in 2usize..4,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows);
+        let rel = build(&rows, chunk);
         let s = schema();
         let cfd = pick_cfd(&s, which);
         let sigma = std::slice::from_ref(&cfd);
@@ -169,8 +178,8 @@ proptest! {
     /// Hybrid reassembly invariant: the partition always restores the
     /// original relation.
     #[test]
-    fn hybrid_reassembles(rows in arb_rows(), n_cells in 1usize..4) {
-        let rel = build(&rows);
+    fn hybrid_reassembles(rows in arb_rows(), n_cells in 1usize..4, chunk in arb_chunk_rows()) {
+        let rel = build(&rows, chunk);
         let horizontal = HorizontalPartition::round_robin(&rel, n_cells).unwrap();
         let hybrid =
             HybridPartition::new(&horizontal, &[&["a", "b"], &["c", "d"]]).unwrap();

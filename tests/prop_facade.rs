@@ -6,12 +6,17 @@
 //! and partitions. Every field of the [`Detection`] must match, f64s
 //! compared by bits (the determinism contract, not an epsilon match).
 //! This suite is what keeps the façade honest against the engines
-//! directly.
+//! directly. Each case lays its relation out in a drawn chunk size.
 
+mod common;
+
+use common::{arb_chunk_rows, chunk_rows};
 use distributed_cfd::core::{run_batch, run_clust, run_hybrid, run_replicated, run_seq};
 use distributed_cfd::prelude::*;
+use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use distributed_cfd::vertical::run_vertical;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -31,7 +36,7 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
     prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
 }
 
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
+fn build_relation(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation {
     Relation::from_rows(
         schema(),
         rows.iter()
@@ -40,6 +45,7 @@ fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
             .collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk)
 }
 
 /// A random CFD over the schema: LHS ⊆ {a, b, c}, RHS = d, patterns
@@ -128,8 +134,9 @@ proptest! {
         rhs_const in prop::option::of(0..3u8),
         pats2 in arb_patterns(),
         n_sites in 1..5usize,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd("p1", &pats, rhs_const);
         let cfd2 = build_cfd("p2", &pats2, None);
         let sigma = vec![cfd.clone(), cfd2];
@@ -171,8 +178,9 @@ proptest! {
         rows in arb_rows(),
         pats in arb_patterns(),
         factor in 1..4usize,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd("p", &pats, None);
         let base = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let replicated = ReplicatedPartition::chained(base, factor.min(3)).unwrap();
@@ -196,8 +204,9 @@ proptest! {
         rows in arb_rows(),
         pats in arb_patterns(),
         n_cells in 1..4usize,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd("p", &pats, None);
         let horizontal = HorizontalPartition::round_robin(&rel, n_cells).unwrap();
         let hybrid = HybridPartition::new(&horizontal, &[&["a", "b"], &["c", "d"]]).unwrap();
@@ -229,8 +238,9 @@ proptest! {
         rows in arb_rows(),
         pats in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let cfd = build_cfd("p", &pats, rhs_const);
         let partition =
             VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
@@ -261,8 +271,9 @@ proptest! {
         which in 0..3usize,
         rotate in 1..7usize,
         drop_one in any::<bool>(),
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let sigma = [build_cfd("p", &pats, None)];
         let mut partition =
             VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
@@ -300,7 +311,7 @@ proptest! {
 #[test]
 fn invalid_cost_models_are_rejected_at_every_front_door() {
     let rows: Vec<_> = (0..12).map(|i| (i % 2, i % 3, (i % 3) as u8, (i % 2) as u8)).collect();
-    let rel = build_relation(&rows);
+    let rel = build_relation(&rows, chunk_rows(DEFAULT_CHUNK_ROWS));
     let sigma = [build_cfd("p", &[(None, None, None)], None)];
     let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
@@ -345,8 +356,9 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
 #[test]
 fn repeated_tuple_ids_are_rejected_at_the_front_door() {
     use distributed_cfd::relation::RelationError;
-    let clean = build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0)]);
-    let conflicting = build_relation(&[(0, 0, 0, 0), (0, 0, 0, 1)]);
+    let default = chunk_rows(DEFAULT_CHUNK_ROWS);
+    let clean = build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0)], default);
+    let conflicting = build_relation(&[(0, 0, 0, 0), (0, 0, 0, 1)], default);
     let fragments: Vec<Fragment> = [clean, conflicting]
         .into_iter()
         .enumerate()

@@ -3,11 +3,17 @@
 //! re-detection on the materialized state — checked against the
 //! centralized detector and all five distributed detectors — and the
 //! incremental run itself must be bit-identical (reports, ledger
-//! totals, paper cost, per-site clocks) at pool widths 1 and 8.
+//! totals, paper cost, per-site clocks) at pool widths 1 and 8. Each
+//! case lays its relation out in a drawn chunk size, so the deltas land
+//! on seams of their own.
 
+mod common;
+
+use common::arb_chunk_rows;
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -27,7 +33,7 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
     prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
 }
 
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
+fn build_relation(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation {
     Relation::from_rows(
         schema(),
         rows.iter()
@@ -36,6 +42,7 @@ fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
             .collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk)
 }
 
 /// A random CFD over LHS ⊆ {a, b, c}, RHS = d, with wildcard/constant
@@ -168,8 +175,9 @@ proptest! {
         ops in 4usize..16,
         seed in 0u64..1000,
         insert_ratio in 0.3f64..1.0,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let sigma = vec![
             build_cfd("phi1", &patterns1, None),
             build_cfd("phi2", &patterns2, rhs_const),
@@ -212,8 +220,9 @@ proptest! {
         n_sites in 2usize..5,
         factor_seed in 0usize..100,
         seed in 0u64..1000,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let sigma = vec![build_cfd("phi", &patterns, None)];
         let base = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         let factor = 1 + factor_seed % n_sites;
@@ -241,8 +250,9 @@ proptest! {
         patterns in arb_cfd(),
         rhs_const in prop::option::of(0..3u8),
         seed in 0u64..1000,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let sigma = vec![build_cfd("phi", &patterns, rhs_const)];
         // The CFD spans both vertical fragments: {a, c} vs {b, d}.
         let partition =

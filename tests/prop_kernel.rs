@@ -317,7 +317,8 @@ proptest! {
     /// maintained mined tableau — ±1 support updates from each batch's
     /// `DeltaEffect`s — refines to exactly the CFD a full re-mine of
     /// the materialized partition produces, and the
-    /// `IncrementalSession` facade reports the same thing.
+    /// `IncrementalSession` facade reports the same thing — the raw run
+    /// on one worker, the session on eight.
     #[test]
     fn maintained_mined_tableau_equals_full_remine_after_every_prefix(
         rows in arb_rows(),
@@ -344,11 +345,12 @@ proptest! {
             seed,
             ..Default::default()
         });
-        let mut run =
-            IncrementalRun::new(partition.clone(), &sigma, RunConfig::default()).unwrap();
+        let at = |threads| RunConfig::default().with_threads(threads);
+        let mut run = IncrementalRun::new(partition.clone(), &sigma, at(1)).unwrap();
         let id = run.track_mining(&simple, &config);
         let mut session = DetectRequest::over(partition)
             .cfd(cfd)
+            .config(at(8))
             .session()
             .expect("horizontal partitions support sessions");
         let sid = session.track_mining(&simple, &config).expect("horizontal sessions mine");
@@ -364,6 +366,9 @@ proptest! {
             let (via_session, session_added) = session.mined_cfd(sid);
             prop_assert_eq!(&via_session.tableau, &got.tableau, "facade vs raw run");
             prop_assert_eq!(session_added, added);
+            let (a, b) = (run.detection(), session.detection());
+            prop_assert_eq!(a.response_time.to_bits(), b.response_time.to_bits(), "width 1 vs 8");
+            prop_assert_eq!(&a.trace, &b.trace, "width 1 vs 8");
             Ok(())
         };
         check(&run, &session)?;

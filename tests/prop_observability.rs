@@ -14,9 +14,12 @@
 //! the matrix and for both session kinds — the runtime witness of what
 //! `RunCtx::phase` guarantees by construction.
 
+mod common;
+
+use common::chunk_rows;
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::set_chunk_rows;
+use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -31,9 +34,10 @@ fn schema() -> Arc<Schema> {
         .unwrap()
 }
 
-/// ~300 rows over tiny domains: plenty of FD collisions and, at chunk
-/// size 257, at least two chunks per site fragment.
-fn sample() -> Relation {
+/// ~300 rows over tiny domains, laid out in `chunk`-row chunks: plenty
+/// of FD collisions and, at chunk size 257, two chunks in the relation
+/// the fragments are cut from.
+fn sample(chunk: usize) -> Relation {
     Relation::from_rows(
         schema(),
         (0..300)
@@ -49,6 +53,7 @@ fn sample() -> Relation {
             .collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk_rows(chunk))
 }
 
 fn sigma(s: &Arc<Schema>) -> Vec<Cfd> {
@@ -69,8 +74,8 @@ fn algorithms() -> [Algorithm; 5] {
     ]
 }
 
-/// The four topologies over the sample relation, built under whatever
-/// chunk size is current.
+/// The four topologies over the sample relation, each fragment in the
+/// sample's chunk size.
 struct Fixtures {
     sigma: Vec<Cfd>,
     horizontal: HorizontalPartition,
@@ -79,8 +84,8 @@ struct Fixtures {
     replicated: ReplicatedPartition,
 }
 
-fn fixtures() -> Fixtures {
-    let rel = sample();
+fn fixtures(chunk: usize) -> Fixtures {
+    let rel = sample(chunk);
     let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
     Fixtures {
         sigma: sigma(rel.schema()),
@@ -120,12 +125,9 @@ fn run_matrix(f: &Fixtures, threads: usize) -> Vec<(String, Detection)> {
     out
 }
 
-/// One full sweep under a chunk size and pool width.
-fn sweep(chunk: Option<usize>, threads: usize) -> Vec<(String, Detection)> {
-    set_chunk_rows(chunk);
-    let f = fixtures();
-    set_chunk_rows(None);
-    run_matrix(&f, threads)
+/// One full sweep in a chunk size, at a pool width.
+fn sweep(chunk: usize, threads: usize) -> Vec<(String, Detection)> {
+    run_matrix(&fixtures(chunk), threads)
 }
 
 /// Every run must carry the uniform observability surface: the ledger
@@ -169,7 +171,7 @@ fn assert_surface(label: &str, d: &Detection) {
 #[test]
 fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
     // Baseline: one worker, 257-row chunks.
-    let baseline = sweep(Some(257), 1);
+    let baseline = sweep(257, 1);
     assert!(
         baseline.iter().any(|(_, d)| !d.violations.all_tids().is_empty()),
         "fixture should contain violations"
@@ -177,16 +179,16 @@ fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
     for (label, d) in &baseline {
         assert_surface(label, d);
     }
-    for chunk in [Some(257), Some(64 * 1024)] {
+    for chunk in [257, DEFAULT_CHUNK_ROWS] {
         for threads in [1usize, 8] {
-            if chunk == Some(257) && threads == 1 {
+            if chunk == 257 && threads == 1 {
                 continue; // the baseline itself
             }
             let got = sweep(chunk, threads);
             assert_eq!(baseline.len(), got.len());
             for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
                 assert_eq!(label, label2);
-                let cell = format!("{label} @threads={threads}, chunk={chunk:?}");
+                let cell = format!("{label} @threads={threads}, chunk={chunk}");
                 // Snapshot and trace types compare f64s through bits.
                 assert_eq!(base.metrics, d.metrics, "{cell}: metrics snapshot diverged");
                 assert_eq!(base.trace, d.trace, "{cell}: trace diverged");
@@ -215,7 +217,7 @@ fn assert_spans_tile_the_clock(label: &str, d: &Detection) {
 
 #[test]
 fn spans_tile_the_clock() {
-    let f = fixtures();
+    let f = fixtures(DEFAULT_CHUNK_ROWS);
     for (label, d) in run_matrix(&f, 1) {
         assert_spans_tile_the_clock(&label, &d);
     }

@@ -14,21 +14,24 @@
 //! constants the relation never saw (`NO_CODE`), `Null` cells, and
 //! `applicable` as the whole tableau, a strict subset, or empty.
 //!
-//! Every check runs twice over the same rows: as built, where a range
-//! whose pinned code space fits its rows memoizes σ in a slot array, and
-//! after [`grow_dictionaries`] has pushed the dictionaries past every
-//! range, where the memo is a hash map. Both must equal the definition,
-//! so they equal each other.
+//! Every relation is laid out in small chunks — 7 rows for the fixed
+//! grid, a drawn size for each generated case — so the ranges start and
+//! end on both sides of seams. Every check runs twice over the same
+//! rows: as built, where a range whose pinned code space fits its rows
+//! memoizes σ in a slot array, and after [`grow_dictionaries`] has pushed
+//! the dictionaries past every range, where the memo is a hash map. Both
+//! must equal the definition, so they equal each other.
 
 mod common;
 
-use common::grow_dictionaries;
+use common::{arb_chunk_rows, chunk_rows, grow_dictionaries};
 use distributed_cfd::core::sigma::{
     sigma_partition, sigma_partition_range, sort_for_sigma, SigmaPartition, SortedCfd,
 };
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 const ARITY: usize = 6;
@@ -131,14 +134,15 @@ fn pat(cells: &[Option<i64>]) -> NormalPattern {
     NormalPattern::new(lhs, PatternValue::Wild)
 }
 
-/// Every combination of three values on the first five attributes.
+/// Every combination of three values on the first five attributes, in
+/// 7-row chunks.
 fn grid() -> Relation {
     let rows = (0..3i64.pow(5)).map(|k| {
         let mut row: Vec<Value> = (0..5).map(|j| Value::Int(k / 3i64.pow(j) % 3)).collect();
         row.push(Value::Int(k));
         row
     });
-    Relation::from_rows(schema(), rows.collect()).unwrap()
+    Relation::from_rows(schema(), rows.collect()).unwrap().with_chunk_rows(chunk_rows(7))
 }
 
 #[test]
@@ -254,14 +258,14 @@ fn arb_case() -> impl Strategy<Value = Case> {
 }
 
 impl Case {
-    fn relation(&self) -> Relation {
+    fn relation(&self, chunk: NonZeroUsize) -> Relation {
         let rows = self.rows.iter().map(|&(b, at, redraw)| {
             let mut row: Vec<Value> =
                 self.bases[b % self.bases.len()].iter().map(|&c| cell(c)).collect();
             row[at] = cell(redraw);
             row
         });
-        Relation::from_rows(schema(), rows.collect()).unwrap()
+        Relation::from_rows(schema(), rows.collect()).unwrap().with_chunk_rows(chunk)
     }
 
     fn cfd(&self) -> SimpleCfd {
@@ -290,8 +294,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn sigma_equals_the_first_match_definition(case in arb_case()) {
-        let (rel, cfd) = (case.relation(), case.cfd());
+    fn sigma_equals_the_first_match_definition(case in arb_case(), chunk in arb_chunk_rows()) {
+        let (rel, cfd) = (case.relation(chunk), case.cfd());
         let applicable = case.applicable(cfd.tableau.len());
         if let Err(msg) = check(rel, &cfd, &applicable) {
             return Err(TestCaseError::fail(format!("{msg}\n{case:?}")));

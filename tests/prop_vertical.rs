@@ -1,11 +1,16 @@
 //! Property-based tests for the vertical-partition results (§V):
 //! Proposition 7 (dependency preservation ⇔ local checkability),
 //! refinement optimality relations, and shipment-based vertical
-//! detection equivalence.
+//! detection equivalence. Each case lays its relation out in a drawn
+//! chunk size.
 
+mod common;
+
+use common::arb_chunk_rows;
 use distributed_cfd::prelude::*;
 use distributed_cfd::vertical::locally_checkable_at;
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -33,7 +38,7 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
     prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
 }
 
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
+fn build_relation(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation {
     Relation::from_rows(
         schema(),
         rows.iter()
@@ -42,6 +47,7 @@ fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
             .collect(),
     )
     .unwrap()
+    .with_chunk_rows(chunk)
 }
 
 /// Random two-fragment vertical split of {a, b, c, d} (id implicit).
@@ -72,8 +78,9 @@ proptest! {
         rows in arb_rows(),
         split in arb_split(),
         lhs_pick in 0usize..3,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let Some(partition) = groups_from_split(&rel, &split) else {
             return Ok(()); // degenerate split
         };
@@ -102,8 +109,9 @@ proptest! {
     fn vertical_detection_equals_centralized(
         rows in arb_rows(),
         split in arb_split(),
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let Some(partition) = groups_from_split(&rel, &split) else {
             return Ok(());
         };
@@ -126,8 +134,9 @@ proptest! {
         rows in arb_rows(),
         split in arb_split(),
         pin in 0..4i64,
+        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows);
+        let rel = build_relation(&rows, chunk);
         let Some(partition) = groups_from_split(&rel, &split) else {
             return Ok(());
         };
