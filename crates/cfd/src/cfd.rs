@@ -99,17 +99,7 @@ impl Cfd {
     /// with a partition checks this first. Structural equality: a
     /// separately built but identical schema passes.
     pub fn check_schema(&self, data: &Schema) -> Result<(), RelationError> {
-        if *self.schema == *data {
-            return Ok(());
-        }
-        Err(RelationError::SchemaMismatch {
-            detail: format!(
-                "CFD `{}` is defined over schema `{}`, not over the `{}` schema of the data",
-                self.name,
-                self.schema.name(),
-                data.name()
-            ),
-        })
+        check_schema(&self.name, &self.schema, data)
     }
 
     /// The LHS attribute list `X`.
@@ -287,7 +277,28 @@ pub struct SimpleCfd {
     pub tableau: Vec<NormalPattern>,
 }
 
+/// The check behind [`Cfd::check_schema`] and [`SimpleCfd::check_schema`]
+/// for the CFD `name` defined over `own`.
+fn check_schema(name: &str, own: &Schema, data: &Schema) -> Result<(), RelationError> {
+    if *own == *data {
+        return Ok(());
+    }
+    Err(RelationError::SchemaMismatch {
+        detail: format!(
+            "CFD `{name}` is defined over schema `{}`, not over the `{}` schema of the data",
+            own.name(),
+            data.name()
+        ),
+    })
+}
+
 impl SimpleCfd {
+    /// Rejects this CFD over data of another schema, as
+    /// [`Cfd::check_schema`] does.
+    pub fn check_schema(&self, data: &Schema) -> Result<(), RelationError> {
+        check_schema(&self.name, &self.schema, data)
+    }
+
     /// The attributes a detection algorithm must ship for this CFD:
     /// `X ∪ {A}` in schema order, deduplicated.
     pub fn shipped_attrs(&self) -> Vec<AttrId> {

@@ -100,7 +100,7 @@ struct Round {
 /// use dcd_dist::{pool::scoped_map, SiteId};
 /// let mut ctx = RunCtx::new(2, RunConfig::default());
 /// ctx.phase("scan", |p: &mut Phase| {
-///     scoped_map(2, 2, |i| p.compute(SiteId(i as u32), 1.0));
+///     scoped_map(2, 0..2, |i| p.compute(SiteId(i as u32), 1.0));
 /// });
 /// ```
 #[derive(Debug)]

@@ -128,7 +128,7 @@ pub fn min_shipment_exhaustive(
         return eval_range(0, total);
     }
     let chunk = total.div_ceil(threads as u64);
-    dcd_dist::pool::scoped_map(threads, threads, |i| {
+    dcd_dist::pool::scoped_map(threads, 0..threads, |i| {
         let start = i as u64 * chunk;
         eval_range(start, (start + chunk).min(total))
     })

@@ -89,7 +89,7 @@ pub fn run_hybrid(
             .map(|i| Fragment { site: SiteId(i as u32), predicate: None, data: stand_in.clone() })
             .collect();
         let gathered = ctx.phase(&format!("gather:{}", cfd.name), |p| {
-            let cells = scoped_map(cfg.threads, partition.cells().len(), |ci| {
+            let cells = scoped_map(cfg.threads, 0..partition.cells().len(), |ci| {
                 gather_cell(partition, ci, &needed, &full_dicts, &null_codes)
             });
             let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;

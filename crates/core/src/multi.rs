@@ -239,7 +239,7 @@ fn run_cluster(
     // cluster's union layout).
     let per_block = alone && strategy != CoordinatorStrategy::Central;
     let mut validated = ctx.phase(&format!("validate:{label}"), |p| {
-        let per_site = scoped_map(cfg.threads, n, |c| {
+        let per_site = scoped_map(cfg.threads, 0..n, |c| {
             let batch = &gathered[c];
             if batch.is_empty() {
                 return (None, vec![Flagged::default(); resolved.len()]);

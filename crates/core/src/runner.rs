@@ -263,7 +263,7 @@ fn ship_and_validate(
     });
 
     let validated = ctx.phase(&format!("validate:{name}"), |p| {
-        let per_site = scoped_map(cfg.threads, n, |c| {
+        let per_site = scoped_map(cfg.threads, 0..n, |c| {
             let jobs = &gathered[c];
             if jobs.is_empty() {
                 return None;

@@ -19,17 +19,15 @@
 //! exchanges are barriers — so that *response time* is the maximum over
 //! per-site clocks, matching the parallel-cost model of §III-B. Both
 //! meters are plain data charged through `&mut self`: a run's
-//! coordinating thread owns them, and pool tasks return their charges
-//! instead of applying them.
+//! coordinating thread owns them, and [`pool`] tasks — one
+//! `std::thread::scope` per call — return their charges instead of
+//! applying them.
 //! [`CostModel`] supplies the analytic constants (`scan ≈ c·n`,
 //! `check ≈ c·n·log n`, packetized transfer) and the literal §III-B
 //! two-phase formula ([`CostModel::paper_cost`]): the maximum shipping
 //! time plus the maximum local-work time over all sites.
 
-// `deny`, not `forbid`: `pool` opts back in for one audited lifetime
-// erasure (scoped-borrow tasks on persistent workers); everything else
-// stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clocks;

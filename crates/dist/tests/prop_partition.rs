@@ -9,7 +9,7 @@ use dcd_dist::{HorizontalPartition, VerticalPartition};
 use dcd_relation::{vals, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
     Schema::builder("r")
@@ -142,12 +142,8 @@ fn fragments_sharing_dictionaries_apply_deltas_in_parallel() {
         frag.data.apply_delta(delta).unwrap();
     }
     let mut parallel = HorizontalPartition::round_robin(&build(&rows), n).unwrap();
-    let slots: Vec<Mutex<&mut Relation>> =
-        parallel.fragments_mut().iter_mut().map(|f| Mutex::new(&mut f.data)).collect();
-    let effects = scoped_map(n, n, |i| {
-        slots[i].lock().expect("one task per slot").apply_delta(&deltas[i]).unwrap()
-    });
-    drop(slots);
+    let sites = parallel.fragments_mut().iter_mut().zip(&deltas);
+    let effects = scoped_map(n, sites, |(f, delta)| f.data.apply_delta(delta).unwrap());
     for ((a, b), effect) in serial.fragments().iter().zip(parallel.fragments()).zip(&effects) {
         assert!(a.data.iter().eq(b.data.iter()), "fragment at {}", a.site);
         assert_eq!((effect.inserted.len(), effect.deleted.len()), (150, 20));

@@ -54,7 +54,7 @@ use dcd_relation::{
     AttrId, DeltaEffect, Dictionary, FxHashSet, Relation, RelationDelta, RelationError, Tuple,
     TupleId,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Wire cells occupied by one 8-byte tuple id in the code-shipped
 /// protocol (two `u32` cells) — re-exported from the ledger, which all
@@ -166,7 +166,7 @@ impl IncrementalRun {
         // Phase 1: every site scans its fragment once, encoding the
         // (tid, codes) rows it will ship (parallel).
         let encoded: Vec<CodeRows> = ctx.phase("incr:build-scan", |p| {
-            let encoded = scoped_map(cfg.threads, n, |i| {
+            let encoded = scoped_map(cfg.threads, 0..n, |i| {
                 let frag = &partition.fragments()[i];
                 frag.data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>())
             });
@@ -383,8 +383,14 @@ impl IncrementalRun {
     /// fragments (charged like a full mine, `scan × masks` per site),
     /// then kept current by every subsequent [`Self::apply_batch`] at
     /// `rows × masks` key updates instead of a re-mine. Returns a
-    /// handle for [`Self::mined_cfd`].
-    pub fn track_mining(&mut self, cfd: &dcd_cfd::SimpleCfd, config: &MiningConfig) -> usize {
+    /// handle for [`Self::mined_cfd`], or `SchemaMismatch` for a CFD
+    /// defined over another schema than the partition's.
+    pub fn track_mining(
+        &mut self,
+        cfd: &dcd_cfd::SimpleCfd,
+        config: &MiningConfig,
+    ) -> Result<usize, RelationError> {
+        cfd.check_schema(self.partition.schema())?;
         let mut miner = MinedTableau::build(&self.partition, cfd, config);
         miner.set_counter(self.ctx.registry().counter(
             "dcd_mining_mask_updates_total",
@@ -401,14 +407,15 @@ impl IncrementalRun {
             }
         });
         self.miners.push(miner);
-        self.miners.len() - 1
+        Ok(self.miners.len() - 1)
     }
 
     /// The refined CFD derived from miner `id`'s *maintained* counts —
     /// bit-identical to re-mining the materialized fragments — plus the
-    /// number of mined patterns.
-    pub fn mined_cfd(&self, id: usize) -> (dcd_cfd::SimpleCfd, usize) {
-        self.miners[id].refine()
+    /// number of mined patterns; `None` for an id no
+    /// [`Self::track_mining`] call returned.
+    pub fn mined_cfd(&self, id: usize) -> Option<(dcd_cfd::SimpleCfd, usize)> {
+        self.miners.get(id).map(MinedTableau::refine)
     }
 }
 
@@ -447,7 +454,7 @@ fn observe_lag(ctx: &RunCtx, round_start: f64) {
 
 /// The apply phase of a delta round, shared by both run types: every
 /// site applies its delta to its own relation, in parallel (one task
-/// per site; each task owns its relation through the mutex), charged
+/// per site, handed its relation by `&mut`), charged
 /// per site like the batch detectors' scan phases — from the fragment
 /// as it was before the delta, and whether or not the apply succeeds.
 /// Sites with an empty delta do nothing and are not charged. Returns
@@ -468,14 +475,13 @@ fn apply_deltas(
         .filter(|(_, delta)| !delta.is_empty())
         .map(|((site, data), delta)| (*site, cfg.cost.scan_time(data.len() + delta.n_ops())))
         .collect();
-    let tasks: Vec<Mutex<&mut Relation>> = sites.into_iter().map(|(_, d)| Mutex::new(d)).collect();
+    let tasks = sites.into_iter().map(|(_, data)| data).zip(deltas);
     let outcomes = ctx.phase("incr:apply", |p| {
-        let outcomes = scoped_map(cfg.threads, tasks.len(), |i| {
-            let delta = &deltas[i];
+        let outcomes = scoped_map(cfg.threads, tasks, |(data, delta)| {
             if delta.is_empty() {
                 return Ok(DeltaEffect::default());
             }
-            tasks[i].lock().expect("apply slot poisoned").apply_delta(delta)
+            data.apply_delta(delta)
         });
         for (site, secs) in charges {
             p.compute(site, secs);
@@ -500,11 +506,8 @@ fn maintain_indices(
     inserts: &[(TupleId, Box<[u32]>)],
 ) {
     let cfg = *ctx.cfg();
-    let slots: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
     let revalidated = ctx.phase(phase, |p| {
-        let per_cfd = scoped_map(cfg.threads, slots.len(), |c| {
-            slots[c].lock().expect("index slot poisoned").apply(deletes, inserts)
-        });
+        let per_cfd = scoped_map(cfg.threads, indices, |index| index.apply(deletes, inserts));
         let mut revalidated = 0u64;
         for touched in per_cfd {
             revalidated += touched as u64;
@@ -647,9 +650,9 @@ impl VerticalIncrementalRun {
             .iter_mut()
             .map(|f| (f.attrs.as_slice(), (f.site, &mut f.data)))
             .unzip();
-        let projected = scoped_map(threads, attrs.len(), |f| {
+        let projected = scoped_map(threads, &attrs, |attrs| {
             RelationDelta::new(
-                delta.inserts.iter().map(|t| Tuple::new(t.tid, t.project(attrs[f]))).collect(),
+                delta.inserts.iter().map(|t| Tuple::new(t.tid, t.project(attrs))).collect(),
                 delta.deletes.clone(),
             )
         });

@@ -15,9 +15,9 @@
 //!   bit-identical across pool widths and chunk sizes, exactly like the
 //!   violation reports.
 //! * **Host scope** — [`host_registry`] is process-wide and records
-//!   what the *hardware* did (morsels executed, steals, queue depths);
-//!   those values legitimately vary with pool width and chunk size and
-//!   are excluded from pinning.
+//!   what the *hardware* did (morsels executed); those values
+//!   legitimately vary with pool width and chunk size and are excluded
+//!   from pinning.
 //!
 //! This crate is the scrape surface the queued `dcd_serve` service
 //! reads verbatim; it depends on nothing, so every layer of the engine

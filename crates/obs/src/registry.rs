@@ -9,7 +9,7 @@
 //! the same pinning contract the violation reports and the
 //! [`ShipmentLedger`](../../dist/src/ledger.rs) obey. Metrics
 //! whose value genuinely depends on the pool width or the chunk size
-//! (morsel counts, steal counts) must go to the process-wide
+//! (morsel counts) must go to the process-wide
 //! [`host_registry`], which is explicitly outside the pinning contract.
 //!
 //! # Atomics audit (`Ordering::Relaxed` throughout)
@@ -493,7 +493,7 @@ impl MetricsSnapshot {
 
 /// The process-wide **host-scope** registry: metrics whose values
 /// legitimately depend on the pool width, the chunk size or scheduling
-/// races (morsels executed, steals, queue depths). Explicitly outside
+/// races (morsels executed). Explicitly outside
 /// the per-run determinism pinning; a scrape surface for the process,
 /// not for a run.
 pub fn host_registry() -> &'static MetricsRegistry {

@@ -35,8 +35,8 @@
 //! A column's codes are stored as a sequence of fixed-size dense chunks
 //! ([`Column::chunk_rows`] codes each; only the last chunk may be
 //! shorter). The chunk is the execution layer's *morsel*: `dcd_dist::pool`
-//! schedules `(site, chunk)` units onto its persistent workers, so a
-//! skewed partition still parallelizes inside its one big fragment. Scans
+//! hands out `(site, chunk)` units one at a time to its scoped workers, so
+//! a skewed partition still parallelizes inside its one big fragment. Scans
 //! use [`CodesView::chunks`] (plain `&[u32]` slices, no per-row division);
 //! random access goes through [`CodesView::at`]. The chunk size is a
 //! property of the relation: one built from scratch gets

@@ -392,14 +392,15 @@ impl IncrementalSession {
     /// instead of a full re-mine. Returns a handle for
     /// [`Self::mined_cfd`]. Horizontal (and replicated) sessions only;
     /// vertical sessions return an error (mining walks LHS item sets
-    /// over horizontal fragments).
+    /// over horizontal fragments), and so does a CFD defined over another
+    /// schema than the session's (`SchemaMismatch`).
     pub fn track_mining(
         &mut self,
         cfd: &SimpleCfd,
         config: &MiningConfig,
     ) -> Result<usize, RelationError> {
         match self {
-            IncrementalSession::Horizontal(run) => Ok(run.track_mining(cfd, config)),
+            IncrementalSession::Horizontal(run) => run.track_mining(cfd, config),
             IncrementalSession::Vertical(_) => Err(RelationError::InvalidPartition {
                 detail: "mined-tableau maintenance needs horizontal fragments; \
                          vertical sessions do not support track_mining"
@@ -410,13 +411,13 @@ impl IncrementalSession {
 
     /// The refined CFD derived from a tracked miner's maintained
     /// counts — bit-identical to re-mining the materialized fragments —
-    /// plus the number of mined patterns.
-    pub fn mined_cfd(&self, id: usize) -> (SimpleCfd, usize) {
+    /// plus the number of mined patterns. `None` for an id no
+    /// [`Self::track_mining`] call returned, so always on a vertical
+    /// session.
+    pub fn mined_cfd(&self, id: usize) -> Option<(SimpleCfd, usize)> {
         match self {
             IncrementalSession::Horizontal(run) => run.mined_cfd(id),
-            IncrementalSession::Vertical(_) => {
-                unreachable!("track_mining rejects vertical sessions, so no id can exist")
-            }
+            IncrementalSession::Vertical(_) => None,
         }
     }
 }
@@ -556,10 +557,15 @@ mod tests {
                 assert!(rejected(request.clone().run().map(drop)), "run over {label}");
                 assert!(rejected(request.session().map(drop)), "session over {label}");
             }
+            // So is mined-tableau tracking on an open session.
+            let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+            let own = parse_cfd(rel.schema(), "own", "([cc, zip] -> [street])").unwrap();
+            let mut session = DetectRequest::over(horizontal.clone()).cfd(own).session().unwrap();
+            let foreign = &cfd.simplify()[0];
+            assert!(rejected(session.track_mining(foreign, &MiningConfig::default()).map(drop)));
             // The session constructors are public front doors too.
             let sigma = [cfd];
             let cfg = RunConfig::default();
-            let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
             let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
             let vertical =
                 VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]])
@@ -568,6 +574,25 @@ mod tests {
             assert!(rejected(IncrementalRun::new_replicated(&replicated, &sigma, cfg).map(drop)));
             assert!(rejected(VerticalIncrementalRun::new(vertical, &sigma, cfg).map(drop)));
         }
+    }
+
+    /// A miner id no `track_mining` call returned names no tableau: it
+    /// used to index out of bounds (horizontal) or hit `unreachable!`
+    /// (vertical).
+    #[test]
+    fn an_unknown_miner_id_is_none_on_both_session_kinds() {
+        let rel = sample(24);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let vertical =
+            VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]]).unwrap();
+        let mut session = DetectRequest::over(horizontal).cfd(cfd.clone()).session().unwrap();
+        assert!(session.mined_cfd(0).is_none());
+        let id = session.track_mining(&cfd.simplify()[0], &MiningConfig::default()).unwrap();
+        assert!(session.mined_cfd(id).is_some());
+        assert!(session.mined_cfd(id + 1).is_none());
+        let vertical = DetectRequest::over(vertical).cfd(cfd).session().unwrap();
+        assert!(vertical.mined_cfd(0).is_none());
     }
 
     #[test]

@@ -347,7 +347,7 @@ proptest! {
         });
         let at = |threads| RunConfig::default().with_threads(threads);
         let mut run = IncrementalRun::new(partition.clone(), &sigma, at(1)).unwrap();
-        let id = run.track_mining(&simple, &config);
+        let id = run.track_mining(&simple, &config).unwrap();
         let mut session = DetectRequest::over(partition)
             .cfd(cfd)
             .config(at(8))
@@ -357,13 +357,13 @@ proptest! {
 
         let check = |run: &IncrementalRun, session: &IncrementalSession|
             -> Result<(), TestCaseError> {
-            let (got, added) = run.mined_cfd(id);
+            let (got, added) = run.mined_cfd(id).expect("a tracked id");
             let (want, want_added) =
                 MinedTableau::build(run.partition(), &simple, &config).refine();
             prop_assert_eq!(&got.tableau, &want.tableau, "maintained vs re-mined tableau");
             prop_assert_eq!(&got.name, &want.name);
             prop_assert_eq!(added, want_added, "mined-pattern count");
-            let (via_session, session_added) = session.mined_cfd(sid);
+            let (via_session, session_added) = session.mined_cfd(sid).expect("a tracked id");
             prop_assert_eq!(&via_session.tableau, &got.tableau, "facade vs raw run");
             prop_assert_eq!(session_added, added);
             let (a, b) = (run.detection(), session.detection());

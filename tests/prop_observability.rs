@@ -4,10 +4,10 @@
 //! across pool widths {1, 8} × chunk sizes {257 rows, 64Ki rows}.
 //! Metrics are accumulated by order-free atomics and spans are
 //! timestamped from `SiteClocks` snapshots, so nothing the scheduler
-//! does (who runs which morsel, stolen or not, chunked how) may reach
-//! either artifact. Host-scoped pool metrics (`dcd_pool_*`) live in
-//! `host_registry()` precisely because they *do* vary with scheduling;
-//! this suite pins everything that does not.
+//! does (who runs which morsel, in what order, chunked how) may reach
+//! either artifact. The host-scoped pool counter (`dcd_pool_morsels_total`)
+//! lives in `host_registry()` precisely because it *does* vary with
+//! width and chunking; this suite pins everything that does not.
 //!
 //! It also pins that the trace is *complete*: per site, the spans'
 //! durations add up to the site's final clock, for every batch run of
@@ -249,7 +249,7 @@ fn spans_tile_the_clock() {
     // A horizontal session that also maintains a mined tableau: the
     // mine build and the per-batch maintenance are phases too.
     let mut run = IncrementalRun::new(f.horizontal.clone(), &f.sigma, cfg).unwrap();
-    run.track_mining(&f.sigma[0].simplify()[0], &MiningConfig::default());
+    run.track_mining(&f.sigma[0].simplify()[0], &MiningConfig::default()).unwrap();
     assert_spans_tile_the_clock("session/build+mine", &run.detection());
     for (i, batch) in batches.iter().enumerate() {
         run.apply_batch(&DeltaBatch::new(batch.clone())).unwrap();

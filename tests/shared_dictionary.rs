@@ -43,11 +43,11 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
     let distinct: HashSet<&Value> = feeds.iter().flatten().collect();
     for threads in [1, 4] {
         let dict = Arc::new(Dictionary::new());
-        let columns: Vec<Column> = scoped_map(threads, TASKS, |k| {
+        let columns: Vec<Column> = scoped_map(threads, &feeds, |fed| {
             let mut col = Column::sharing(dict.clone());
             // Slice by slice, so that writers meet between calls as well
             // as inside them.
-            for slice in feeds[k].chunks(64) {
+            for slice in fed.chunks(64) {
                 col.extend_values(slice);
             }
             col

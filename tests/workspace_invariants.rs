@@ -1,10 +1,11 @@
 //! The allow-lists of the invariants the toolchain carries. Clippy (CI:
 //! `-D warnings`) rejects a host-clock read, a thread outside the pool, an
-//! atomic outside the audited module, an undocumented `unsafe` block and
-//! a `for` over a hash container; rustc rejects a `dcd_x::` path with no
-//! manifest edge. What neither can say is *which* files may hold a
-//! sanctioned exception and *which* edges the layering allows — pinned
-//! here, over the manifests and a walk of the sources.
+//! atomic outside the audited module and a `for` over a hash container;
+//! rustc rejects a `dcd_x::` path with no manifest edge and `unsafe` code
+//! under a `#![forbid(unsafe_code)]` root. What neither can say is
+//! *which* files may hold a sanctioned exception, *which* edges the
+//! layering allows and *that* every root forbids `unsafe` — pinned here,
+//! over the manifests and a walk of the sources.
 
 use std::path::{Path, PathBuf};
 
@@ -38,6 +39,28 @@ fn sources() -> Vec<String> {
         .collect();
     rel.sort();
     rel
+}
+
+/// Every source but this file, as `(path, its non-comment lines)`:
+/// comment lines may name a lint, an ordering or a keyword; only code can
+/// use one.
+fn code() -> Vec<(String, String)> {
+    let code: Vec<(String, String)> = sources()
+        .into_iter()
+        .filter(|rel| rel != "tests/workspace_invariants.rs")
+        .map(|rel| {
+            let text = std::fs::read_to_string(root().join(&rel)).expect("source is readable");
+            let code: Vec<&str> =
+                text.lines().filter(|l| !l.trim_start().starts_with("//")).collect();
+            (rel, code.join("\n"))
+        })
+        .collect();
+    assert!(code.len() > 50, "source walk looks truncated: only {} files", code.len());
+    code
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
 }
 
 /// The engine dependency DAG, as `(crate dir, allowed [dependencies])`.
@@ -130,19 +153,7 @@ fn the_sanctioned_clock_and_thread_sites_stay_four() {
         assert!(toml.contains(&format!("path = \"{path}\"")), "clippy.toml lost `{path}`");
     }
 
-    // Comment lines may name a lint or an ordering; only code can use one.
-    let code: Vec<(String, String)> = sources()
-        .into_iter()
-        .filter(|rel| rel != "tests/workspace_invariants.rs")
-        .map(|rel| {
-            let text = std::fs::read_to_string(root().join(&rel)).expect("source is readable");
-            let code: Vec<&str> =
-                text.lines().filter(|l| !l.trim_start().starts_with("//")).collect();
-            (rel, code.join("\n"))
-        })
-        .collect();
-    assert!(code.len() > 50, "source walk looks truncated: only {} files", code.len());
-
+    let code = code();
     assert_eq!(
         expectations_of("clippy::disallowed_methods", &code),
         [
@@ -153,11 +164,37 @@ fn the_sanctioned_clock_and_thread_sites_stay_four() {
         ]
     );
     assert_eq!(expectations_of("clippy::disallowed_types", &code), ["crates/obs/src/registry.rs"]);
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let relaxed: Vec<&str> = code
         .iter()
         .filter(|(_, text)| text.split(|c| !is_ident(c)).any(|word| word == "Relaxed"))
         .map(|(rel, _)| rel.as_str())
         .collect();
     assert_eq!(relaxed, ["crates/obs/src/registry.rs"]);
+}
+
+/// No crate holds `unsafe` code, and none can start to: every library
+/// crate root forbids `unsafe_code` (which no inner `allow` can lift),
+/// and no code line spells the keyword or an `allow` of the lint.
+/// `benchmark/` is a workspace of its own and keeps its counting
+/// allocator.
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    let code = code();
+    let roots: Vec<&(String, String)> = code
+        .iter()
+        .filter(|(rel, _)| {
+            rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
+        })
+        .collect();
+    assert_eq!(roots.len(), 13, "the facade, the ten `LAYERS` crates, two compat stand-ins");
+    for (rel, text) in roots {
+        assert!(
+            text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+            "{rel} does not forbid `unsafe_code`"
+        );
+    }
+    for (rel, text) in &code {
+        assert!(!text.split(|c| !is_ident(c)).any(|w| w == "unsafe"), "{rel} spells `unsafe`");
+        assert!(!text.contains("allow(unsafe_code)"), "{rel} allows `unsafe_code`");
+    }
 }
