@@ -31,7 +31,7 @@
 //! and `tests/prop_cluster.rs`).
 
 use crate::cfd::SimpleCfd;
-use crate::kernel::{self, ColumnChunk, Flagged, KernelCounters, LhsIndex, Tableau};
+use crate::kernel::{self, ColumnRows, Flagged, KernelCounters, LhsIndex, Tableau};
 use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
 use dcd_relation::{AttrId, CodeBatch, Dictionary, Relation, TupleId, Value};
@@ -227,7 +227,7 @@ impl ResolvedCfd {
         if self.compiled.is_empty() {
             return Flagged::default();
         }
-        let chunk = ColumnChunk {
+        let rows = ColumnRows {
             lhs: self.lhs_pos.iter().map(|&p| &batch.cols[p][..]).collect(),
             rhs: &batch.cols[self.rhs_pos],
             tids: &batch.tids,
@@ -235,7 +235,7 @@ impl ResolvedCfd {
         // The LHS dictionaries' sizes as of now choose the group-id table.
         let key_sizes = self.lhs_dicts.iter().map(|d| d.len());
         let tableau = self.tableau(&self.compiled, Some(&self.index));
-        kernel::detect_columns(&[chunk], key_sizes, &tableau, |key| self.decode_key(key))
+        kernel::detect_columns(&rows, key_sizes, &tableau, |key| self.decode_key(key))
     }
 }
 

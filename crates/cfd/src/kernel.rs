@@ -26,8 +26,8 @@
 //!    its own RHS differs from the one constant its group is held to.
 //!
 //! There are two loops, one per shape of rows. [`detect_columns`] reads
-//! column-major rows straight from chunk slices — a relation's storage
-//! chunks, or a [`CodeBatch`](dcd_relation::CodeBatch) — and keeps its
+//! column-major rows straight from code slices — a relation's columns, or
+//! a [`CodeBatch`](dcd_relation::CodeBatch) — and keeps its
 //! ids in a [`CodeMemo`]: a flat slot table indexed by the key's
 //! mixed-radix code when the LHS dictionaries' code space is no larger
 //! than the rows, else a hash map of packed [`CodeKey`]s, chosen once
@@ -72,9 +72,9 @@ use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 /// paths without an observer pay one relaxed add per group and nothing
 /// more; [`KernelCounters::register`] binds the same handles into a
 /// run's registry. Counts accumulate at coordinators over gathered
-/// rows — work whose extent is independent of pool width and chunk
-/// size — and counter merges commute exactly, so registered counts are
-/// pinned bit-identical across pool widths and chunk sizes.
+/// rows — work whose extent is independent of pool width — and counter
+/// merges commute exactly, so registered counts are pinned bit-identical
+/// across pool widths.
 #[derive(Debug, Clone, Default)]
 pub struct KernelCounters {
     /// Groups validated (key matched ≥ 1 pattern).
@@ -466,10 +466,10 @@ pub fn detect_grouped<R>(
 
 /// One run of rows held column-major: dense code slices for the LHS
 /// attributes and the RHS attribute, and the rows' tuple ids, all of one
-/// length — a storage chunk of a relation's columns, or the whole of a
+/// length — a relation's columns, or a
 /// [`CodeBatch`](dcd_relation::CodeBatch).
 #[derive(Debug, Clone)]
-pub struct ColumnChunk<'a> {
+pub struct ColumnRows<'a> {
     /// One slice per LHS attribute, in LHS order.
     pub lhs: Vec<&'a [u32]>,
     /// The RHS codes.
@@ -478,38 +478,35 @@ pub struct ColumnChunk<'a> {
     pub tids: &'a [TupleId],
 }
 
-/// The full kernel over column-major rows, chunk by chunk: the same
-/// scan, judge and emit as [`detect_grouped`], with every key read
-/// straight from the LHS slices. Group ids live in a [`CodeMemo`] over
-/// the LHS dictionaries' sizes `key_sizes`, read at this call, and the
-/// chunks' total row count: a slot table when the code space fits the
-/// rows, else a hash map. Either hands out ids in first-seen order, so
-/// groups, verdicts, tallies and output order do not depend on which.
+/// The full kernel over column-major rows: the same scan, judge and emit
+/// as [`detect_grouped`], with every key read straight from the LHS
+/// slices. Group ids live in a [`CodeMemo`] over the LHS dictionaries'
+/// sizes `key_sizes`, read at this call, and the row count: a slot table
+/// when the code space fits the rows, else a hash map. Either hands out
+/// ids in first-seen order, so groups, verdicts, tallies and output order
+/// do not depend on which.
 pub fn detect_columns(
-    chunks: &[ColumnChunk<'_>],
+    rows: &ColumnRows<'_>,
     key_sizes: impl IntoIterator<Item = usize>,
     tableau: &Tableau<'_>,
     decode: impl FnMut(&[u32]) -> Vec<Value>,
 ) -> Flagged {
-    let rows = chunks.iter().map(|c| c.tids.len()).sum();
-    let mut ids = CodeMemo::new(key_sizes, rows);
+    let mut ids = CodeMemo::new(key_sizes, rows.tids.len());
     let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
     let mut groups = Groups::new(width);
-    let mut group_of: Vec<u32> = Vec::with_capacity(rows);
-    for chunk in chunks {
-        for (r, &rhs) in chunk.rhs.iter().enumerate() {
-            let fresh = groups.next_id();
-            let gid = ids.get_or_insert_with(&chunk.lhs, r, || fresh);
-            groups.record(gid, rhs, chunk.lhs.iter().map(|col| col[r]));
-            group_of.push(gid);
-        }
+    let mut group_of: Vec<u32> = Vec::with_capacity(rows.tids.len());
+    for (r, &rhs) in rows.rhs.iter().enumerate() {
+        let fresh = groups.next_id();
+        let gid = ids.get_or_insert_with(&rows.lhs, r, || fresh);
+        groups.record(gid, rhs, rows.lhs.iter().map(|col| col[r]));
+        group_of.push(gid);
     }
     drop(ids);
 
     let mut out = Flagged::default();
     let judged = judge_groups(&groups, tableau, decode, &mut out);
     if !out.patterns.is_empty() {
-        let members = chunks.iter().flat_map(|c| c.tids.iter().zip(c.rhs));
+        let members = rows.tids.iter().zip(rows.rhs);
         for ((&tid, &rhs), &gid) in members.zip(&group_of) {
             if judged[gid as usize].flags(rhs) {
                 out.tids.push(tid);
@@ -714,15 +711,15 @@ mod tests {
         if rows.iter().all(|r| r.0 != NO_GROUP) {
             let (keys, rhs): (Vec<u32>, Vec<u32>) = rows.iter().copied().unzip();
             let tids: Vec<TupleId> = rhs.iter().map(|&c| TupleId(u64::from(c))).collect();
-            let chunks = [ColumnChunk { lhs: vec![&keys], rhs: &rhs, tids: &tids }];
+            let columns = ColumnRows { lhs: vec![&keys], rhs: &rhs, tids: &tids };
             let span = keys.iter().map(|&k| k as usize + 1).max().unwrap_or(0);
             let slotted = matches!(CodeMemo::<u32>::new([span], rows.len()), CodeMemo::Slots(..));
             assert!(slotted, "the fixture must fit slots");
             for key_space in [span, usize::MAX] {
                 let columns_counters = KernelCounters::default();
                 let tableau = Tableau { patterns, index, strict, counters: &columns_counters };
-                let columns = detect_columns(&chunks, [key_space], &tableau, decode);
-                assert_eq!(columns, found, "slice loop over {key_space} keys");
+                let read = detect_columns(&columns, [key_space], &tableau, decode);
+                assert_eq!(read, found, "slice loop over {key_space} keys");
                 assert_eq!(tallies(&columns_counters), tallies(counters));
             }
         }
@@ -840,16 +837,12 @@ mod tests {
     }
 
     #[test]
-    fn columns_walk_every_chunk_and_skip_empty_ones() {
+    fn columns_read_every_row_in_both_tables() {
         // Key 0 holds rows 0, 1, 4 (RHS 5 each: clean); key 1 holds rows
-        // 2 and 3 across the empty chunk's seam (RHS 6, 7: a conflict).
+        // 2 and 3 (RHS 6, 7: a conflict).
         let tids: Vec<TupleId> = (0..5).map(TupleId).collect();
-        let chunk = |keys, rhs, tids| ColumnChunk { lhs: vec![keys], rhs, tids };
-        let chunks = [
-            chunk(&[0, 0, 1], &[5, 5, 6], &tids[..3]),
-            chunk(&[], &[], &[]),
-            chunk(&[1, 0], &[7, 5], &tids[3..]),
-        ];
+        let rows =
+            ColumnRows { lhs: vec![&[0, 0, 1, 1, 0][..]], rhs: &[5, 5, 6, 7, 5], tids: &tids };
         let patterns =
             [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
         // Two keys fit five rows in slots; a huge dictionary does not.
@@ -857,7 +850,7 @@ mod tests {
             let counters = KernelCounters::default();
             let tableau =
                 Tableau { patterns: &patterns, index: None, strict: false, counters: &counters };
-            let found = detect_columns(&chunks, [key_space], &tableau, |codes| {
+            let found = detect_columns(&rows, [key_space], &tableau, |codes| {
                 vec![Value::Int(i64::from(codes[0]))]
             });
             assert_eq!(found.tids, [2, 3].map(TupleId));

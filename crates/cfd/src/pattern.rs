@@ -299,7 +299,7 @@ impl Admission {
         Admission { filters }
     }
 
-    /// Whether row `i` of the chunk slices `cols` (`cols[j]` = codes of
+    /// Whether row `i` of the code slices `cols` (`cols[j]` = codes of
     /// LHS attribute `j`) passes every position's test. `false` means
     /// the row matches no pattern; `true` promises nothing.
     #[inline]
@@ -442,8 +442,7 @@ mod tests {
         let compiled = CompiledPattern::compile(&pat, &rel, &lhs, rhs);
         assert!(compiled.feasible);
         assert!(compiled.rhs_is_wild());
-        let cols_data: Vec<Vec<u32>> = rel.code_views(&lhs).iter().map(|v| v.to_vec()).collect();
-        let cols: Vec<&[u32]> = cols_data.iter().map(Vec::as_slice).collect();
+        let cols = rel.code_views(&lhs);
         for (i, t) in rel.iter().enumerate() {
             assert_eq!(
                 compiled.matches_row(&cols, i),
@@ -467,7 +466,7 @@ mod tests {
         let compiled = CompiledPattern::compile(&rhs_missing, &rel, &lhs, rhs);
         assert!(compiled.feasible);
         assert_eq!(compiled.rhs, dcd_relation::NO_CODE);
-        assert!(rel.column(rhs).codes().iter().all(|c| c != compiled.rhs));
+        assert!(rel.column(rhs).codes().iter().all(|&c| c != compiled.rhs));
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! identical under both.
 
 use crate::cfd::{Cfd, SimpleCfd};
-use crate::kernel::{self, ColumnChunk, Flagged, KernelCounters, LhsIndex, Tableau};
+use crate::kernel::{self, ColumnRows, Flagged, KernelCounters, LhsIndex, Tableau};
 use crate::pattern::{compile_tableau, CompiledPattern};
 use dcd_relation::ops::CodeMemo;
-use dcd_relation::{zip_chunks_range, FxHashSet, Relation, TupleId, Value};
+use dcd_relation::{FxHashSet, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// The violations of one CFD in one relation: the tuple ids `Vio(φ, D)`
@@ -187,7 +187,7 @@ pub fn detect_simple_strict(rel: &Relation, cfd: &SimpleCfd) -> ViolationSet {
 /// keys are packed code keys; only violating group keys are ever
 /// decoded back to values. The validation semantics live in
 /// [`kernel::validate_group`](crate::kernel) — this function only
-/// supplies the chunk-sliced grouping, the code-column member accessor
+/// supplies the column-sliced grouping, the code-column member accessor
 /// and the dictionary decoder. Pinned against the pairwise
 /// [`oracle`](crate::oracle) by `tests/prop_oracle.rs`.
 fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> ViolationSet {
@@ -199,23 +199,15 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         // Every pattern names a constant the relation never saw.
         return ViolationSet::default();
     }
-    // Hand the kernel *all* rows, a storage chunk at a time so its key
-    // loop runs on plain slices; the LHS index then decides per distinct
-    // key — not per row — which patterns apply (keys matching none emit
-    // nothing). An empty LHS packs every row to the one empty key.
-    let lhs_cols = rel.code_views(&cfd.lhs);
-    let rhs_col = rel.column(cfd.rhs).codes();
-    let cr = rel.chunk_rows();
-    let chunks: Vec<ColumnChunk<'_>> = (0..rel.n_chunks())
-        .map(|ci| {
-            let rhs = rhs_col.chunk(ci);
-            ColumnChunk {
-                lhs: lhs_cols.iter().map(|col| col.chunk(ci)).collect(),
-                rhs,
-                tids: &rel.tids()[ci * cr..ci * cr + rhs.len()],
-            }
-        })
-        .collect();
+    // Hand the kernel *all* rows, straight from the relation's columns;
+    // the LHS index then decides per distinct key — not per row — which
+    // patterns apply (keys matching none emit nothing). An empty LHS packs
+    // every row to the one empty key.
+    let rows = ColumnRows {
+        lhs: rel.code_views(&cfd.lhs),
+        rhs: rel.column(cfd.rhs).codes(),
+        tids: rel.tids(),
+    };
     let tableau = Tableau {
         patterns: &compiled,
         index: Some(&LhsIndex::of_compiled(&compiled)),
@@ -223,15 +215,14 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         counters: &KernelCounters::default(),
     };
     let key_sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
-    kernel::detect_columns(&chunks, key_sizes, &tableau, |key| rel.decode_projection(&cfd.lhs, key))
+    kernel::detect_columns(&rows, key_sizes, &tableau, |key| rel.decode_projection(&cfd.lhs, key))
         .into()
 }
 
 /// Single-tuple detection of an all-constant-pattern CFD, restricted to
-/// rows `start..end` — the morsel unit of the distributed engines'
-/// Proposition-5 phase — against a tableau already compiled for `rel`'s
-/// dictionaries (the morsel loops compile once per fragment and reuse the
-/// patterns across every (site, chunk) range). Precondition
+/// rows `start..end` — the distributed engines' Proposition-5 phase runs
+/// it over each whole fragment — against a tableau already compiled for
+/// `rel`'s dictionaries. Precondition
 /// (debug-asserted): every tableau pattern has a constant RHS. Under the
 /// algorithmic reading such patterns flag tuples one at a time
 /// (`t[X] ≍ tp[X] ∧ t[A] ≭ tp[A]`), so unioning the per-range results
@@ -261,34 +252,25 @@ pub fn detect_constants_rows_with(
     if feasible.is_empty() || start >= end {
         return out;
     }
-    // The LHS columns, then the RHS column, chunk-aligned.
-    let width = cfd.lhs.len();
-    let mut views = rel.code_views(&cfd.lhs);
-    views.push(rel.column(cfd.rhs).codes());
-    let tids = rel.tids();
-    let mut flag = |i: usize, lhs: &[&[u32]], r: usize| {
-        let key: Vec<u32> = lhs.iter().map(|col| col[r]).collect();
-        out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
-        out.tids.insert(tids[i]);
-    };
+    let lhs = rel.code_views(&cfd.lhs);
+    let rhs = rel.column(cfd.rhs).codes();
     let sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
     let mut verdicts = CodeMemo::new(sizes, end - start);
-    zip_chunks_range(&views, start, end, |base, lo, hi, slices| {
-        let (lhs, rhs) = (&slices[..width], slices[width]);
-        for (r, &rhs) in (lo..hi).zip(&rhs[lo..hi]) {
-            let verdict = verdicts.get_or_insert_with(lhs, r, || {
-                KeyVerdict::of(feasible.iter().copied().filter(|p| p.matches_row(lhs, r)))
-            });
-            let flagged = match verdict {
-                KeyVerdict::NoMatch => false,
-                KeyVerdict::One(c) => rhs != c,
-                KeyVerdict::Every => true,
-            };
-            if flagged {
-                flag(base + r, lhs, r);
-            }
+    for (r, &rhs) in (start..end).zip(&rhs[start..end]) {
+        let verdict = verdicts.get_or_insert_with(&lhs, r, || {
+            KeyVerdict::of(feasible.iter().copied().filter(|p| p.matches_row(&lhs, r)))
+        });
+        let flagged = match verdict {
+            KeyVerdict::NoMatch => false,
+            KeyVerdict::One(c) => rhs != c,
+            KeyVerdict::Every => true,
+        };
+        if flagged {
+            let key: Vec<u32> = lhs.iter().map(|col| col[r]).collect();
+            out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
+            out.tids.insert(rel.tids()[r]);
         }
-    });
+    }
     out
 }
 

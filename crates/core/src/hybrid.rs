@@ -59,9 +59,8 @@ pub fn run_hybrid(
         })
         .collect();
     let null_codes: Vec<u32> = full_dicts.iter().map(|d| d.intern(&Value::Null)).collect();
-    // What a site that gathers nothing holds: no rows, in cell 0's layout.
-    let layout = cell0.fragments()[0].data.chunk_rows();
-    let stand_in = Relation::with_dictionaries(schema.clone(), full_dicts.clone(), 0, layout)?;
+    // What a site that gathers nothing holds: no rows.
+    let stand_in = Relation::with_dictionaries(schema.clone(), full_dicts.clone(), 0)?;
     // The gather rests on cross-cell dictionary sharing: every cell's
     // fragment must code attribute `a` against the same dictionary cell
     // 0 does (guaranteed by the dcd-dist constructors, which project
@@ -150,8 +149,7 @@ fn gather_cell(
         column_of[a.index()] = Some(col);
     }
     let schema = partition.schema().clone();
-    let chunk_rows = vertical.fragments()[0].data.chunk_rows();
-    let mut out = Relation::with_dictionaries(schema, full_dicts.to_vec(), rows.len(), chunk_rows)?;
+    let mut out = Relation::with_dictionaries(schema, full_dicts.to_vec(), rows.len())?;
     let mut row = null_codes.to_vec();
     for (r, &tid) in batch.tids.iter().enumerate() {
         for (cell, col) in row.iter_mut().zip(&column_of) {

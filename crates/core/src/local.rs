@@ -38,9 +38,9 @@ pub fn applicable_patterns(frag: &Fragment, cfd: &SimpleCfd) -> Vec<usize> {
 }
 
 /// Checks a batch of constant CFDs locally on rows `start..end` of one
-/// fragment (Proposition 5) — the morsel unit of the distributed
-/// engines' constant phase; `0..frag.data.len()` checks the whole
-/// fragment. Returns the merged violation set. Patterns whose constants
+/// fragment (Proposition 5); `0..frag.data.len()` checks the whole
+/// fragment, which is what the engines' constant phase does per site.
+/// Returns the merged violation set. Patterns whose constants
 /// contradict the fragment predicate are skipped entirely; the rest run
 /// on the fragment's code columns (fragments share the parent relation's
 /// dictionaries, so the pattern constants compile to the same codes at
@@ -56,18 +56,15 @@ pub fn check_constants_range(
     check_constants_range_with(frag, &compile_constants(frag, constants), start, end)
 }
 
-/// Constant CFDs pre-resolved for one fragment's morsel loop: the
-/// partitioning condition decided, the surviving patterns fused into one
-/// tableau per distinct `(X, A)` and compiled against the fragment's
-/// dictionaries, all exactly once — per-morsel recompilation
-/// (satisfiability checks plus dictionary lookups per chunk) would
-/// otherwise dominate small chunk sizes.
+/// Constant CFDs pre-resolved for one fragment: the partitioning
+/// condition decided, the surviving patterns fused into one tableau per
+/// distinct `(X, A)` and compiled against the fragment's dictionaries.
 pub struct CompiledConstants {
     cfds: Vec<(SimpleCfd, Vec<CompiledPattern>)>,
 }
 
-/// Resolves `constants` against `frag` once, for reuse across every
-/// (site, chunk) range of the fragment. Applicable constant CFDs sharing
+/// Resolves `constants` against `frag` once, for reuse across any row
+/// ranges of the fragment. Applicable constant CFDs sharing
 /// `(lhs, rhs)` become one CFD with one tableau, so a range is walked
 /// once per distinct `(X, A)`, not once per pattern; a tuple is flagged
 /// by the fused tableau iff some pattern of it flags it, which is the

@@ -10,9 +10,9 @@
 //! coordinators. The refined CFD is equivalent to the original because
 //! every mined pattern is subsumed by an original variable pattern.
 //!
-//! Support counting runs on packed [`CodeKey`]s over the fragments'
-//! chunked code columns — the same representation every other hot path
-//! uses — and decodes only the patterns that are actually emitted. The
+//! Support counting runs on packed [`CodeKey`]s over the fragments' code
+//! columns — the same representation every other hot path uses — and
+//! decodes only the patterns that are actually emitted. The
 //! counts are kept per site in a [`MinedTableau`], which doubles as the
 //! *incremental* miner: a delta batch adjusts the affected keys' support
 //! (±1 per mask per changed row) instead of re-scanning the fragment,
@@ -23,7 +23,7 @@
 use dcd_cfd::{NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::{CostModel, HorizontalPartition};
 use dcd_relation::ops::CodeKey;
-use dcd_relation::{zip_chunks, DeltaEffect, Dictionary, FxHashMap, FxHashSet};
+use dcd_relation::{DeltaEffect, Dictionary, FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Mining parameters.
@@ -93,8 +93,8 @@ pub struct MinedTableau {
 }
 
 impl MinedTableau {
-    /// Builds the support counts by scanning every fragment's chunked
-    /// code columns once per mask.
+    /// Builds the support counts by scanning every fragment's code
+    /// columns once per mask.
     pub fn build(partition: &HorizontalPartition, cfd: &SimpleCfd, config: &MiningConfig) -> Self {
         let m = cfd.lhs.len();
         let mut masks: Vec<u32> = (1u32..(1 << m))
@@ -106,24 +106,17 @@ impl MinedTableau {
             .fragments()
             .iter()
             .map(|frag| {
-                let views = frag.data.code_views(&cfd.lhs);
+                let cols = frag.data.code_views(&cfd.lhs);
                 let mut counts: FxHashMap<u32, FxHashMap<CodeKey, usize>> = FxHashMap::default();
-                let mut buf: Vec<u32> = Vec::with_capacity(m);
                 for &mask in &masks {
-                    let attrs = mask_attrs(mask, m);
+                    let mask_cols: Vec<&[u32]> =
+                        mask_attrs(mask, m).iter().map(|&i| cols[i]).collect();
                     let mut map: FxHashMap<CodeKey, usize> = FxHashMap::default();
-                    // The hot loop: project the mask's columns from the
-                    // aligned chunk slices and count packed keys.
-                    zip_chunks(&views, |_base, cols| {
-                        // `r` drives several parallel column slices, so an
-                        // iterator over any single column cannot replace it.
-                        #[allow(clippy::needless_range_loop)]
-                        for r in 0..cols[0].len() {
-                            buf.clear();
-                            buf.extend(attrs.iter().map(|&i| cols[i][r]));
-                            *map.entry(CodeKey::of_codes(&buf)).or_insert(0) += 1;
-                        }
-                    });
+                    // The hot loop: count the packed keys of the mask's
+                    // columns.
+                    for r in 0..frag.data.len() {
+                        *map.entry(CodeKey::of_row(&mask_cols, r)).or_insert(0) += 1;
+                    }
                     counts.insert(mask, map);
                 }
                 SiteSupport {

@@ -130,7 +130,7 @@ fn run_cluster(
     // Constants per member: local checks (Proposition 5), as always.
     // The member loop stays sequential (a site recurs across members,
     // and each clock must see one fixed addition order); within a
-    // member, (site, chunk) morsels fan out across the pool.
+    // member, sites fan out across the pool.
     let mut variable_members: Vec<SimpleCfd> = Vec::new();
     for m in members {
         let (var, constants) = m.split_constant();
@@ -190,9 +190,9 @@ fn run_cluster(
     };
     let sorted = sort_for_sigma(&zcfd);
 
-    // σ-partition per site (one scan for the whole cluster), one morsel
-    // per (site, chunk); the partitioning condition doubles as the
-    // Phase-2 participation rule, exactly as in `run_single_cfd`.
+    // σ-partition per site (one scan for the whole cluster); the
+    // partitioning condition doubles as the Phase-2 participation rule,
+    // exactly as in `run_single_cfd`.
     let applicable: Vec<Vec<usize>> =
         partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
     let parts = sigma_phase(ctx, label, partition.fragments(), &sorted, &applicable);
@@ -274,7 +274,7 @@ fn run_cluster(
 /// coordinator on the code-native wire — `(tid, codes)` rows over
 /// `attrs`, charged at 4 bytes/cell plus the id cells — and lands in
 /// that coordinator's [`CodeBatch`], copied a column at a time from the
-/// fragment's chunk slices. The batches are sized from the blocks they
+/// fragment's columns. The batches are sized from the blocks they
 /// will receive, so a round allocates `sites × (attrs + 1)` buffers
 /// however many rows ship.
 fn gather_cluster(

@@ -34,7 +34,7 @@ pub struct Detection {
     pub paper_cost: f64,
     /// The run's metrics registry, frozen at completion. Shipment
     /// counters mirror the ledger exactly; everything in here is
-    /// bit-identical across pool widths and chunk sizes.
+    /// bit-identical across pool widths.
     pub metrics: MetricsSnapshot,
     /// Phase-level spans on the simulated clock, exportable as
     /// chrome-trace JSON ([`RunTrace::chrome_trace_json`]).

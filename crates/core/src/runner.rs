@@ -7,20 +7,22 @@
 //! partitioning-condition filtering, σ-partitioning, the statistics
 //! exchange, shipment execution, coordinator-side validation and cost
 //! accounting — is identical and lives here.
+//!
+//! The per-site phases (constants, σ) run one pool task per site over the
+//! site's whole fragment, and the coordinators validate one task per site;
+//! every charge is applied after the join, in site order.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
-use crate::local::{applicable_patterns, check_constants_range_with, compile_constants};
+use crate::local::{applicable_patterns, check_constants_range};
 use crate::report::Detection;
-use crate::sigma::{
-    sigma_partition_range_with, sort_for_sigma, SigmaIndex, SigmaPartition, SortedCfd,
-};
+use crate::sigma::{sigma_partition, sort_for_sigma, SigmaPartition, SortedCfd};
 use dcd_cfd::codes::{CodeLayout, CodeRow};
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{NormalCfd, SimpleCfd};
-use dcd_dist::pool::{morsel_map, scoped_map};
+use dcd_dist::pool::scoped_map;
 use dcd_dist::{CostModel, Fragment, HorizontalPartition, SiteId, TID_CELLS};
-use dcd_relation::{AttrId, Relation};
+use dcd_relation::AttrId;
 
 /// How coordinators are assigned to the pattern tuples of one CFD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,19 +66,10 @@ pub(crate) fn shared_layout(fragments: &[Fragment], attrs: &[AttrId]) -> CodeLay
     CodeLayout::of_relation(&fragments[0].data, attrs)
 }
 
-/// Global row range of chunk `c` of `rel` — the span one (site, chunk)
-/// morsel scans.
-fn chunk_span(rel: &Relation, c: usize) -> (usize, usize) {
-    let cr = rel.chunk_rows();
-    (c * cr, ((c + 1) * cr).min(rel.len()))
-}
-
-/// The morselized Proposition-5 phase shared by every engine: constant
-/// CFDs checked locally, one morsel per (site, chunk), partial violation
-/// sets merged per site in chunk order and absorbed under `cfd`. Each
-/// site's clock is advanced exactly once, by the same formula the
-/// site-granular phase used (so clocks are bit-identical across pool
-/// widths *and* chunk sizes).
+/// The Proposition-5 phase shared by every engine: constant CFDs checked
+/// locally, one pool task per site over its whole fragment, each site's
+/// violations absorbed under `cfd` in site order. Each site's clock is
+/// advanced once, after the join.
 pub(crate) fn constants_phase(
     ctx: &mut RunCtx,
     cfd: &str,
@@ -84,41 +77,27 @@ pub(crate) fn constants_phase(
     constants: &[NormalCfd],
 ) {
     let cfg = *ctx.cfg();
-    let counts: Vec<usize> = fragments.iter().map(|f| f.data.n_chunks()).collect();
-    // Per-fragment resolution (partitioning condition + tableau
-    // compilation) happens once, not once per morsel.
-    let compiled: Vec<_> = fragments.iter().map(|f| compile_constants(f, constants)).collect();
     let checked = ctx.phase(&format!("constants:{cfd}"), |p| {
-        let partials = morsel_map(cfg.threads, &counts, |i, c| {
-            let frag = &fragments[i];
-            let (start, end) = chunk_span(&frag.data, c);
-            check_constants_range_with(frag, &compiled[i], start, end)
+        let per_site = scoped_map(cfg.threads, fragments, |frag| {
+            check_constants_range(frag, constants, 0, frag.data.len())
         });
-        let per_site = partials.into_iter().zip(fragments).map(|(morsels, frag)| {
-            let mut vs = ViolationSet::default();
-            for partial in morsels {
-                vs.merge(partial);
-            }
+        for frag in fragments {
             let secs = cfg.cost.scan_time(frag.data.len())
                 + cfg.cost.match_coeff * frag.data.len() as f64 * constants.len() as f64;
             p.compute(frag.site, secs);
-            vs
-        });
-        per_site.collect::<Vec<_>>()
+        }
+        per_site
     });
     for vs in checked {
         ctx.absorb(cfd, vs);
     }
 }
 
-/// The morselized σ-partition phase shared by every engine: one morsel
-/// per (site, chunk), per-range partitions merged per site in chunk
-/// order — block concatenation reproduces the whole-fragment partition
-/// and `comparisons` sums exactly (each row's tries depend only on its
-/// LHS key), so clocks stay bit-identical across pool widths and chunk
-/// sizes. Sites the partitioning condition excludes (`applicable[i]`
-/// empty) contribute no morsels, get an empty partition, and are not
-/// charged. Returns the per-site partitions.
+/// The σ-partition phase shared by every engine: one pool task per site
+/// over its whole fragment, each charged after the join from the
+/// comparisons it counted. Sites the partitioning condition excludes
+/// (`applicable[i]` empty) do not scan, get an empty partition, and are
+/// not charged. Returns the per-site partitions.
 pub(crate) fn sigma_phase(
     ctx: &mut RunCtx,
     cfd: &str,
@@ -128,55 +107,23 @@ pub(crate) fn sigma_phase(
 ) -> Vec<SigmaPartition> {
     let cfg = *ctx.cfg();
     let k = sorted.cfd.tableau.len();
-    let counts: Vec<usize> = fragments
-        .iter()
-        .zip(applicable)
-        .map(|(f, app)| if app.is_empty() { 0 } else { f.data.n_chunks() })
-        .collect();
-    // The tableau compiles — and the σ decision index builds — once per
-    // fragment; every morsel of the fragment shares the same index.
-    let indexes: Vec<SigmaIndex> = fragments
-        .iter()
-        .zip(applicable)
-        .map(|(f, app)| {
-            if app.is_empty() {
-                return SigmaIndex::build(&[], &[]);
-            }
-            let compiled = dcd_cfd::pattern::compile_tableau(
-                &sorted.cfd.tableau,
-                &f.data,
-                &sorted.cfd.lhs,
-                sorted.cfd.rhs,
-            );
-            SigmaIndex::build(&compiled, app)
-        })
-        .collect();
     ctx.phase(&format!("sigma:{cfd}"), |p| {
-        let partials = morsel_map(cfg.threads, &counts, |i, c| {
-            let frag = &fragments[i];
-            let (start, end) = chunk_span(&frag.data, c);
-            sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end)
-        });
-        let per_site = partials.into_iter().enumerate().map(|(i, morsels)| {
-            let mut merged = SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
-            if applicable[i].is_empty() {
+        let parts = scoped_map(cfg.threads, fragments.iter().zip(applicable), |(frag, app)| {
+            if app.is_empty() {
                 // Partitioning condition: the site is irrelevant to every
-                // pattern — it does not even scan (and is not charged).
-                return merged;
+                // pattern — it does not even scan.
+                return SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
             }
-            let frag = &fragments[i];
-            for partial in morsels {
-                for (block, partial_block) in merged.blocks.iter_mut().zip(partial.blocks) {
-                    block.extend(partial_block);
-                }
-                merged.comparisons += partial.comparisons;
-            }
-            let secs = cfg.cost.scan_time(frag.data.len())
-                + cfg.cost.match_coeff * merged.comparisons as f64;
-            p.compute(frag.site, secs);
-            merged
+            sigma_partition(&frag.data, sorted, app)
         });
-        per_site.collect()
+        for ((frag, app), part) in fragments.iter().zip(applicable).zip(&parts) {
+            if !app.is_empty() {
+                let secs = cfg.cost.scan_time(frag.data.len())
+                    + cfg.cost.match_coeff * part.comparisons as f64;
+                p.compute(frag.site, secs);
+            }
+        }
+        parts
     })
 }
 
@@ -298,9 +245,9 @@ fn ship_and_validate(
 /// Runs one single-CFD detection round over a horizontal partition,
 /// recording violations, traffic and time in `ctx` (which may carry
 /// state from earlier rounds — that is how `SEQDETECT` pipelines). The
-/// per-fragment phases run as morsels on the `cfg.threads`-wide pool;
-/// results are merged in site order, so every output is bit-identical
-/// to a sequential run.
+/// per-fragment phases run one task per site on the `cfg.threads`-wide
+/// pool; results are merged in site order, so every output is
+/// bit-identical to a sequential run.
 pub fn run_single_cfd(
     partition: &HorizontalPartition,
     cfd: &SimpleCfd,
@@ -325,16 +272,14 @@ pub(crate) fn run_round(
     // Consumers always get an entry for this CFD, even when clean.
     ctx.absorb(&cfd.name, ViolationSet::default());
 
-    // ---- Phase 0: constant CFDs, checked locally (Proposition 5),
-    // one morsel per (site, chunk). ----
+    // ---- Phase 0: constant CFDs, checked locally (Proposition 5). ----
     let (variable, constants) = cfd.split_constant();
     if !constants.is_empty() {
         constants_phase(ctx, &cfd.name, fragments, &constants);
     }
     // A purely constant CFD ships nothing at all.
     if let Some(variable) = variable {
-        // ---- Phase 1: σ-partition + statistics, one morsel per (site,
-        // chunk), merged in chunk order per site. ----
+        // ---- Phase 1: σ-partition + statistics. ----
         let sorted = sort_for_sigma(&variable);
         // The partitioning condition, per site, up front: it decides both
         // who scans here and who participates in the Phase-2 exchange.

@@ -10,17 +10,18 @@
 //!
 //! σ(t) in fact depends on less than `t[X]`: only on the positions of
 //! `X` some pattern pins to a constant. The scan memoizes σ per pinned
-//! projection, in one pass ([`sigma_partition_range_with`]): a flat slot
-//! array when the projection's code space fits the range, else a hash
-//! map. Each key is decided once, and the dictionary is asked first: a
-//! key whose code at an always-pinned position is no pattern's constant
-//! matches nothing, without an index probe.
+//! projection, in one pass over the fragment ([`sigma_partition`]):
+//! a flat slot array when the projection's code space fits the fragment,
+//! else a hash map. Each key is decided once, and the dictionary is asked
+//! first: a key whose code at an always-pinned position is no pattern's
+//! constant matches nothing, without an index probe. The engines' σ phase
+//! runs this scan as one pool task per site.
 
 use dcd_cfd::kernel::LhsIndex;
 use dcd_cfd::pattern::{compile_tableau, Admission, CompiledPattern};
 use dcd_cfd::{NormalPattern, SimpleCfd};
 use dcd_relation::ops::CodeMemo;
-use dcd_relation::{zip_chunks_range, Relation};
+use dcd_relation::Relation;
 
 /// A [`SimpleCfd`] with its tableau re-sorted most-specific-first, as
 /// required by σ. Construct via [`sort_for_sigma`].
@@ -79,43 +80,72 @@ impl SigmaPartition {
 /// ascending; pass `0..k` when no fragment predicate is available.
 ///
 /// The tableau is compiled against the fragment's dictionaries once
-/// (one lookup per pattern constant), after which the scan is a single
-/// pass over the fragment's `u32` code columns — see
-/// [`sigma_partition_range_with`] for what that pass reads. `comparisons`
-/// (one unit per pattern tried per tuple, feeding the response-time
-/// model) and the per-block index order are bit-identical to the naive
-/// per-tuple tableau scan (pinned by `tests/prop_sigma.rs`).
+/// (one lookup per pattern constant) into a `SigmaIndex`, after which
+/// the scan is a single pass reading the pinned columns only. Each row
+/// looks its `(pattern, tries)` up in a [`CodeMemo`] keyed by its pinned
+/// projection — a slot array when the pinned columns' code space fits the
+/// fragment, a hash map otherwise — and is pushed straight into its
+/// block, so per-block row order is scan order. The memo is filled on a
+/// key's first sight. A key the admission filter rejects is a miss: it
+/// joins no block and is charged the full scan length, exactly what the
+/// tableau scan would have tried before giving up; any other key costs
+/// one index probe. A tableau that pins nothing (an FD, or an empty LHS)
+/// has a constant σ: one probe answers for the whole fragment and nothing
+/// is looked up.
+///
+/// `comparisons` (one unit per pattern tried per tuple, feeding the
+/// response-time model) and the per-block index order are bit-identical
+/// to the naive per-tuple tableau scan (pinned by `tests/prop_sigma.rs`).
 pub fn sigma_partition(
     fragment: &Relation,
     sorted: &SortedCfd,
     applicable: &[usize],
 ) -> SigmaPartition {
-    sigma_partition_range(fragment, sorted, applicable, 0, fragment.len())
-}
-
-/// [`sigma_partition`] restricted to the row range `start..end` of the
-/// fragment. Block entries are *global* row indices, so concatenating the
-/// partitions of consecutive ranges block-by-block reproduces the
-/// whole-fragment partition exactly, and summing `comparisons` reproduces
-/// its comparison count (each row's tries depend only on its LHS key, not
-/// on which range recomputed them). This is the morsel unit of work: one
-/// (site, chunk) morsel calls this with its chunk's row range.
-pub fn sigma_partition_range(
-    fragment: &Relation,
-    sorted: &SortedCfd,
-    applicable: &[usize],
-    start: usize,
-    end: usize,
-) -> SigmaPartition {
     let compiled = compile_tableau(&sorted.cfd.tableau, fragment, &sorted.cfd.lhs, sorted.cfd.rhs);
     let index = SigmaIndex::build(&compiled, applicable);
-    sigma_partition_range_with(fragment, sorted, &index, start, end)
+    let rows = fragment.len();
+    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); sorted.cfd.tableau.len()];
+    // The probe key: unpinned cells stay 0, no probe reads them.
+    let mut key_codes: Vec<u32> = vec![0; sorted.cfd.lhs.len()];
+    let mut probe_buf: Vec<u32> = Vec::with_capacity(key_codes.len());
+    if index.pinned.is_empty() {
+        let (pat, tries) = index.assign(&key_codes, &mut probe_buf);
+        if let Some(pi) = pat {
+            blocks[pi].extend(0..rows);
+        }
+        return SigmaPartition { blocks, comparisons: tries * rows };
+    }
+
+    let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
+    let mut sigma_of = |r: usize| {
+        if !index.admission.admits_row(&lhs_cols, r) {
+            return (None, index.applicable.len());
+        }
+        for &j in &index.pinned {
+            key_codes[j] = lhs_cols[j][r];
+        }
+        index.assign(&key_codes, &mut probe_buf)
+    };
+    let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| lhs_cols[j]).collect();
+    let pinned_sizes = index.pinned.iter().map(|&j| fragment.dictionary(sorted.cfd.lhs[j]).len());
+    let mut memo = CodeMemo::new(pinned_sizes, rows);
+    let mut comparisons = 0usize;
+    for r in 0..rows {
+        let (pat, tries) = memo.get_or_insert_with(&pinned_cols, r, || sigma_of(r));
+        comparisons += tries;
+        if let Some(pi) = pat {
+            blocks[pi].push(r);
+        }
+    }
+    // The blocks outlive the scan — a round ships from them — so they
+    // keep no spare room.
+    blocks.iter_mut().for_each(Vec::shrink_to_fit);
+    SigmaPartition { blocks, comparisons }
 }
 
-/// The σ decision structure of one (fragment, CFD), built once per
-/// fragment and shared by every (site, chunk) range, so neither the
-/// dictionary lookups of tableau compilation nor the structure are
-/// re-done per morsel. Three parts, all over the applicable patterns:
+/// The σ decision structure of one (fragment, CFD): what tableau
+/// compilation and the dictionary lookups leave for the scan to probe.
+/// Three parts, all over the applicable patterns:
 ///
 /// * the detection kernel's [`LhsIndex`] — the same
 ///   bucketing-by-wildcard-mask every detector probes. σ of a key is one
@@ -128,7 +158,7 @@ pub fn sigma_partition_range(
 /// * the [`Admission`] filter — the constant codes the patterns carry at
 ///   each position none of them leaves wild. A tuple outside it matches
 ///   nothing.
-pub struct SigmaIndex {
+struct SigmaIndex {
     /// The kernel's bucketing over the applicable patterns, ranks in
     /// scan order. Patterns carrying a `NO_CODE` constant sit in the
     /// buckets harmlessly — probe keys hold real codes only, so
@@ -145,7 +175,7 @@ pub struct SigmaIndex {
 impl SigmaIndex {
     /// Builds the index from a fragment-compiled tableau and the
     /// (ascending) applicable pattern indices of that fragment.
-    pub fn build(compiled: &[CompiledPattern], applicable: &[usize]) -> Self {
+    fn build(compiled: &[CompiledPattern], applicable: &[usize]) -> Self {
         let index = LhsIndex::of_applicable(compiled, applicable);
         SigmaIndex {
             pinned: index.pinned_positions(),
@@ -163,65 +193,6 @@ impl SigmaIndex {
         let (rank, tries) = self.index.first_matched(key, buf);
         (rank.map(|r| self.applicable[r]), tries)
     }
-}
-
-/// [`sigma_partition_range`] against a [`SigmaIndex`] already built for
-/// this fragment — the morsel-loop entry point.
-///
-/// One pass, reading the pinned columns only. Each row looks its
-/// `(pattern, tries)` up in a [`CodeMemo`] keyed by its pinned projection
-/// — a slot array when the pinned columns' code space fits the range, a
-/// hash map otherwise — and is pushed straight into its block, so
-/// per-block row order is scan order. The memo is filled on a key's
-/// first sight. A key the admission filter rejects is a miss: it joins
-/// no block and is charged the full scan length, exactly what the
-/// tableau scan would have tried before giving up; any other key costs
-/// one index probe. A tableau that pins nothing (an FD, or an empty LHS)
-/// has a constant σ: one probe answers for the whole range and nothing
-/// is looked up.
-pub fn sigma_partition_range_with(
-    fragment: &Relation,
-    sorted: &SortedCfd,
-    index: &SigmaIndex,
-    start: usize,
-    end: usize,
-) -> SigmaPartition {
-    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); sorted.cfd.tableau.len()];
-    // The probe key: unpinned cells stay 0, no probe reads them.
-    let mut key_codes: Vec<u32> = vec![0; sorted.cfd.lhs.len()];
-    let mut probe_buf: Vec<u32> = Vec::with_capacity(key_codes.len());
-    if index.pinned.is_empty() {
-        let (pat, tries) = index.assign(&key_codes, &mut probe_buf);
-        if let Some(pi) = pat {
-            blocks[pi].extend(start..end);
-        }
-        return SigmaPartition { blocks, comparisons: tries * end.saturating_sub(start) };
-    }
-
-    let mut sigma_of = |slices: &[&[u32]], r: usize| {
-        if !index.admission.admits_row(slices, r) {
-            return (None, index.applicable.len());
-        }
-        for &j in &index.pinned {
-            key_codes[j] = slices[j][r];
-        }
-        index.assign(&key_codes, &mut probe_buf)
-    };
-    let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
-    let pinned_sizes = index.pinned.iter().map(|&j| fragment.dictionary(sorted.cfd.lhs[j]).len());
-    let mut memo = CodeMemo::new(pinned_sizes, end.saturating_sub(start));
-    let mut comparisons = 0usize;
-    zip_chunks_range(&lhs_cols, start, end, |base, lo, hi, slices| {
-        let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| slices[j]).collect();
-        for r in lo..hi {
-            let (pat, tries) = memo.get_or_insert_with(&pinned_cols, r, || sigma_of(slices, r));
-            comparisons += tries;
-            if let Some(pi) = pat {
-                blocks[pi].push(base + r);
-            }
-        }
-    });
-    SigmaPartition { blocks, comparisons }
 }
 
 #[cfg(test)]

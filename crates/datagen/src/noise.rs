@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Corrupts `attr` in roughly `rate · |rel|` tuples (seeded, in place on
-/// a copy over fresh dictionaries, at `rel`'s chunk size): string values
+/// a copy over fresh dictionaries): string values
 /// get an `ERR-k` marker, integers get an offset. Returns the corrupted
 /// relation and the number of corrupted tuples.
 pub fn inject_errors(rel: &Relation, attr: &str, rate: f64, seed: u64) -> (Relation, usize) {
@@ -21,9 +21,8 @@ pub fn inject_errors(rel: &Relation, attr: &str, rate: f64, seed: u64) -> (Relat
     let a = rel.schema().require(attr).expect("attribute exists");
     let mut rng = StdRng::seed_from_u64(seed);
     let fresh = (0..rel.schema().arity()).map(|_| Arc::new(Dictionary::new())).collect();
-    let mut out =
-        Relation::with_dictionaries(rel.schema().clone(), fresh, rel.len(), rel.chunk_rows())
-            .expect("one dictionary per attribute");
+    let mut out = Relation::with_dictionaries(rel.schema().clone(), fresh, rel.len())
+        .expect("one dictionary per attribute");
     let mut corrupted = 0usize;
     for t in rel.iter() {
         if rng.gen::<f64>() < rate {

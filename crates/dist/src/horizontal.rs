@@ -166,7 +166,7 @@ impl HorizontalPartition {
             .map(|v| (hasher.hash_one(v) % n as u64) as usize)
             .collect();
         let mut buckets: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, code) in rel.column(a).codes().iter().enumerate() {
+        for (i, &code) in rel.column(a).codes().iter().enumerate() {
             buckets[site_of_code[code as usize]].push(i);
         }
         Self::from_buckets(rel, buckets, vec![None; n])

@@ -86,15 +86,14 @@ impl HybridPartition {
     /// Reassembles the original relation: vertical reassembly inside
     /// each cell, then concatenation across cells. Every cell was cut
     /// from one horizontal partition, so the cells share one dictionary
-    /// set and the concatenation copies codes onto the first cell's
-    /// reassembly, keeping its chunk size.
+    /// set and the concatenation copies codes.
     pub fn reassemble(&self) -> Result<Relation, RelationError> {
         let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
-        let mut parts = self.cells.iter().map(|cell| cell.vertical.reassemble());
-        let mut out = parts.next().expect("a partition has a cell")?;
-        for part in parts {
-            let part = part?;
-            out.extend_from(&part, &attrs, &(0..part.len()).collect::<Vec<_>>())?;
+        let parts: Vec<Relation> =
+            self.cells.iter().map(|cell| cell.vertical.reassemble()).collect::<Result<_, _>>()?;
+        let mut out = parts[0].with_capacity_like(parts.iter().map(Relation::len).sum());
+        for part in &parts {
+            out.extend_from(part, &attrs, &(0..part.len()).collect::<Vec<_>>())?;
         }
         Ok(out)
     }

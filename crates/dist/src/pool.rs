@@ -5,24 +5,22 @@
 //! threads buy wall time only. One call is one [`std::thread::scope`]:
 //! the caller and up to `threads − 1` scoped workers claim tasks from one
 //! shared cursor, and the scope joins every worker before the call
-//! returns, so tasks borrow freely from the caller's stack. The unit of
-//! work is a **morsel** — one *(site, chunk)* pair, where chunks are the
-//! fixed-size code chunks of `dcd_relation`'s columnar store — so a
-//! skewed site is balanced at chunk granularity.
+//! returns, so tasks borrow freely from the caller's stack. A task is
+//! one site's whole fragment (or one coordinator, one index, one cell),
+//! never a slice of one.
 //!
-//! [`morsel_map`] and [`scoped_map`] return results in task order,
-//! whoever ran what, so reports, ledgers and clocks come out
-//! bit-identical for every pool width and chunk size. Width 1 (or a
-//! single task) runs inline on the caller. A panicking task is re-raised
-//! on the caller with its own payload.
+//! [`scoped_map`] returns results in task order, whoever ran what, so
+//! reports, ledgers and clocks come out bit-identical for every pool
+//! width. Width 1 (or a single task) runs inline on the caller. A
+//! panicking task is re-raised on the caller with its own payload.
 //!
 //! Clippy rejects a thread started anywhere else (`disallowed-methods` in
 //! the root `clippy.toml`); the one `std::thread::scope` here carries the
 //! `#[expect]`. The pool holds no atomic: the cursor is a `Mutex`, and the
-//! scope's join orders every result before the caller reads it. The
-//! morsel count varies with pool width and chunk size, so it goes to the
-//! process-wide host registry (`dcd_pool_morsels_total`), outside the
-//! per-run determinism pinning.
+//! scope's join orders every result before the caller reads it. The task
+//! count is host-side bookkeeping, so it goes to the process-wide host
+//! registry (`dcd_pool_tasks_total`), outside the per-run determinism
+//! pinning.
 
 use std::panic::resume_unwind;
 use std::sync::{Mutex, PoisonError};
@@ -33,20 +31,6 @@ use std::sync::{Mutex, PoisonError};
 /// `RunConfig`.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs `task(site, chunk)` for every morsel — site `s` contributes
-/// `counts[s]` chunks — on up to `threads` participants and returns the
-/// results grouped by site, in (site, chunk) order.
-pub fn morsel_map<T, F>(threads: usize, counts: &[usize], task: F) -> Vec<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let morsels =
-        counts.iter().enumerate().flat_map(|(site, &n)| (0..n).map(move |chunk| (site, chunk)));
-    let mut results = scoped_map(threads, morsels, |(site, chunk)| task(site, chunk)).into_iter();
-    counts.iter().map(|&n| results.by_ref().take(n).collect()).collect()
 }
 
 /// Runs `task` on every item on up to `threads` participants — the
@@ -62,7 +46,7 @@ where
     let items: Vec<I> = items.into_iter().collect();
     let n = items.len();
     dcd_obs::host_registry()
-        .counter("dcd_pool_morsels_total", "Morsels executed by the worker pool", &[])
+        .counter("dcd_pool_tasks_total", "Tasks executed by the worker pool", &[])
         .inc(n as u64);
     if threads <= 1 || n <= 1 {
         return items.into_iter().map(task).collect();
@@ -132,6 +116,13 @@ mod tests {
     }
 
     #[test]
+    fn width_one_runs_every_task_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = scoped_map(1, 0..5, |_| std::thread::current().id() == caller);
+        assert_eq!(on_caller, [true; 5]);
+    }
+
+    #[test]
     fn more_threads_than_tasks_is_fine() {
         let out = scoped_map(64, 0..3, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
@@ -150,51 +141,27 @@ mod tests {
     }
 
     #[test]
-    fn morsel_results_group_by_site_in_chunk_order() {
-        let counts = [3usize, 0, 1, 5];
-        for threads in [1, 2, 8] {
-            let out = morsel_map(threads, &counts, |s, c| (s, c, s * 100 + c));
-            assert_eq!(out.len(), counts.len(), "threads = {threads}");
-            for (s, per_site) in out.iter().enumerate() {
-                let want: Vec<_> = (0..counts[s]).map(|c| (s, c, s * 100 + c)).collect();
-                assert_eq!(per_site, &want, "threads = {threads}, site {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_sites_still_produce_ordered_results() {
-        // One giant site plus tiny ones: claiming chunk by chunk must not
-        // perturb the (site, chunk) result order.
-        let counts = [1usize, 200, 1, 1];
-        let out = morsel_map(8, &counts, |s, c| s * 1000 + c);
-        for (s, per_site) in out.iter().enumerate() {
-            assert_eq!(per_site, &(0..counts[s]).map(|c| s * 1000 + c).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn panicking_morsel_propagates_to_the_caller() {
+    fn a_panicking_task_propagates_to_the_caller() {
         let caught = std::panic::catch_unwind(|| {
-            morsel_map(4, &[8usize, 8], |s, c| {
-                if s == 1 && c == 3 {
-                    panic!("morsel failed");
+            scoped_map(4, 0..16, |i| {
+                if i == 11 {
+                    panic!("task failed");
                 }
-                s + c
+                i
             })
         });
         let payload = caught.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "morsel failed");
+        assert_eq!(msg, "task failed");
     }
 
-    /// Morsel 0 waits for a message only morsel 1 sends, so the call
+    /// Task 0 waits for a message only task 1 sends, so the call
     /// returns `[true, true]` only if two participants run at once.
-    fn rendezvous(on_each: impl Fn() + Sync) -> Vec<Vec<bool>> {
+    fn rendezvous(on_each: impl Fn() + Sync) -> Vec<bool> {
         let (tx, rx) = mpsc::channel();
         let rx = Mutex::new(rx);
-        morsel_map(2, &[2usize], |_, c| {
-            let met = if c == 0 {
+        scoped_map(2, 0..2, |i| {
+            let met = if i == 0 {
                 rx.lock().unwrap().recv_timeout(Duration::from_secs(10)).is_ok()
             } else {
                 tx.send(()).is_ok()
@@ -206,12 +173,12 @@ mod tests {
 
     #[test]
     fn participants_really_run_at_once() {
-        assert_eq!(rendezvous(|| {}), [[true, true]]);
+        assert_eq!(rendezvous(|| {}), [true, true]);
     }
 
     #[test]
     fn a_workers_panic_keeps_its_payload() {
-        // The two morsels meet, so they run on two threads: the caller's
+        // The two tasks meet, so they run on two threads: the caller's
         // returns, the worker's panics.
         let caller = std::thread::current().id();
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -227,13 +194,9 @@ mod tests {
 
     #[test]
     fn the_pool_stays_usable_after_a_panic() {
-        let caught = catch_unwind(|| morsel_map(4, &[8usize], |_, c| assert_ne!(c, 5)));
+        let caught = catch_unwind(|| scoped_map(4, 0..8, |i| assert_ne!(i, 5)));
         assert!(caught.is_err());
-        let counts = [3usize, 0, 6, 2];
-        let out = morsel_map(4, &counts, |s, c| (s, c));
-        let want: Vec<Vec<_>> =
-            counts.iter().enumerate().map(|(s, &n)| (0..n).map(|c| (s, c)).collect()).collect();
-        assert_eq!(out, want);
+        assert_eq!(scoped_map(4, 0..11, |i| i * 3), (0..11).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -246,16 +209,11 @@ mod tests {
         // detector runs do).
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|j| {
-                    s.spawn(move || {
-                        let counts = [5usize, 5];
-                        morsel_map(3, &counts, move |site, chunk| j * 100 + site * 10 + chunk)
-                    })
-                })
+                .map(|j| s.spawn(move || scoped_map(3, 0..10, move |i| j * 100 + i)))
                 .collect();
             for (j, h) in handles.into_iter().enumerate() {
                 let out = h.join().expect("submitter panicked");
-                assert_eq!(out[1][4], j * 100 + 14);
+                assert_eq!(out, (0..10).map(|i| j * 100 + i).collect::<Vec<_>>());
             }
         });
     }

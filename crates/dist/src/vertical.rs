@@ -202,7 +202,7 @@ impl VerticalPartition {
 
     /// Executes `plan` for the given rows of fragment 0: their tuple ids
     /// plus one column per planned attribute ([`GatherPlan::attrs`]
-    /// order), each copied from its supplier's chunks at the aligned
+    /// order), each copied from its supplier's column at the aligned
     /// rows.
     pub fn gather(&self, plan: &GatherPlan, alignment: &RowAlignment, rows: &[usize]) -> CodeBatch {
         let tids = self.fragments[0].data.tids();
@@ -240,11 +240,11 @@ impl VerticalPartition {
             .collect();
         let first = &self.fragments[0].data;
         let schema = self.schema.clone();
-        let mut out = Relation::with_dictionaries(schema, dicts, first.len(), first.chunk_rows())?;
+        let mut out = Relation::with_dictionaries(schema, dicts, first.len())?;
         let mut codes = vec![0u32; sources.len()];
         for (i, &tid) in first.tids().iter().enumerate() {
             for (code, &(fi, local)) in codes.iter_mut().zip(&sources) {
-                *code = self.fragments[fi].data.column(local).codes().at(alignment.row(fi, i));
+                *code = self.fragments[fi].data.column(local).codes()[alignment.row(fi, i)];
             }
             out.push_code_row(tid, &codes)?;
         }

@@ -1,14 +1,16 @@
 //! Property tests for the distribution layer's invariants: every way of
 //! building a `HorizontalPartition` reassembles to the original relation
 //! (tuple multiset round-trip), and the §II-B validation invariants hold
-//! by construction — and fragments that share dictionaries can be mutated
-//! from the pool's threads at once.
+//! by construction — fragments that share dictionaries can be mutated
+//! from the pool's threads at once, and every constructor reserves
+//! exactly the rows it stores.
 
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{HorizontalPartition, VerticalPartition};
-use dcd_relation::{vals, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType};
+use dcd_dist::{Fragment, HorizontalPartition, HybridPartition, SiteId, VerticalPartition};
+use dcd_relation::{
+    ops, vals, Atom, Predicate, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType,
+};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -29,12 +31,6 @@ fn build(rows: &[(i64, u8)]) -> Relation {
     .unwrap()
 }
 
-/// The chunk size a case lays its relation out in: 1 to 64 rows, so a
-/// fragment constructor copies runs into seams that fall elsewhere.
-fn arb_chunk_rows() -> impl Strategy<Value = NonZeroUsize> {
-    (1..65usize).prop_map(|n| NonZeroUsize::new(n).expect("drawn from 1..65"))
-}
-
 fn sorted_tuples(rel: &Relation) -> Vec<Tuple> {
     let mut ts: Vec<_> = rel.iter().collect();
     ts.sort_by_key(|t| t.tid);
@@ -50,9 +46,8 @@ proptest! {
     fn round_robin_round_trips(
         rows in prop::collection::vec((0..5i64, 0..4u8), 0..60),
         n_sites in 1usize..9,
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows).with_chunk_rows(chunk);
+        let rel = build(&rows);
         let p = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         p.validate().unwrap();
         prop_assert_eq!(p.n_sites(), n_sites);
@@ -67,9 +62,8 @@ proptest! {
     fn by_attribute_round_trips_and_colocates(
         rows in prop::collection::vec((0..5i64, 0..4u8), 0..50),
         n_sites in 1usize..6,
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows).with_chunk_rows(chunk);
+        let rel = build(&rows);
         let p = HorizontalPartition::by_attribute(&rel, "a", n_sites).unwrap();
         p.validate().unwrap();
         let back = p.reassemble().unwrap();
@@ -93,9 +87,8 @@ proptest! {
         rows in prop::collection::vec((0..5i64, 0..4u8), 1..40),
         a_left in any::<bool>(),
         b_left in any::<bool>(),
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build(&rows).with_chunk_rows(chunk);
+        let rel = build(&rows);
         let mut left: Vec<&str> = Vec::new();
         let mut right: Vec<&str> = Vec::new();
         if a_left { left.push("a") } else { right.push("a") }
@@ -152,8 +145,60 @@ fn fragments_sharing_dictionaries_apply_deltas_in_parallel() {
         for (k, (tid, codes)) in effect.inserted.iter().enumerate() {
             assert_eq!(b.data.tids()[first_new + k], *tid);
             for (col, &code) in b.data.columns().iter().zip(codes.iter()) {
-                assert_eq!(col.codes().at(first_new + k), code);
+                assert_eq!(col.codes()[first_new + k], code);
             }
+        }
+    }
+}
+
+/// A built relation carries no spare room: the tid column and every code
+/// column of each relation a constructor returns hold room for exactly
+/// their rows — from scratch, as a copy or projection, as a fragment of
+/// every kind, and as a reassembly. (A clone's room is its length whatever
+/// its source's was, so every relation is read where it was built.)
+#[test]
+fn every_constructor_reserves_exactly_what_it_stores() {
+    let rows: Vec<(i64, u8)> = (0..23).map(|i| (i % 5, (i % 4) as u8)).collect();
+    let src = build(&rows);
+    let a = src.schema().require("a").unwrap();
+    let predicates = (0..5).map(|v| Predicate::atom(Atom::eq(a, v))).collect();
+    let horizontals = [
+        ("round_robin", HorizontalPartition::round_robin(&src, 3).unwrap()),
+        ("by_attribute", HorizontalPartition::by_attribute(&src, "a", 3).unwrap()),
+        ("by_predicates", HorizontalPartition::by_predicates(&src, predicates).unwrap()),
+    ];
+    // A fragment over dictionaries of its own is re-encoded onto the
+    // first fragment's.
+    let mut own = Relation::new(schema());
+    own.push_tuple(Tuple::new(TupleId(100), vals![100, 1, "b9"])).unwrap();
+    let first = horizontals[0].1.fragments()[0].clone();
+    let own = Fragment { site: SiteId(1), predicate: None, data: own };
+    let assembled = HorizontalPartition::from_fragments(schema(), vec![first, own]).unwrap();
+    let vertical = VerticalPartition::by_attribute_groups(&src, &[&["a"], &["b"]]).unwrap();
+    let hybrid = HybridPartition::new(&horizontals[0].1, &[&["a"], &["b"]]).unwrap();
+    let copy = src.copy_rows(&[4, 1, 9, 9]);
+    let projection = ops::project(&src, "r_a", &[a]).unwrap();
+    let reassembled = [
+        horizontals[0].1.reassemble().unwrap(),
+        vertical.reassemble().unwrap(),
+        hybrid.reassemble().unwrap(),
+    ];
+
+    let mut built: Vec<(&str, &Relation)> =
+        vec![("from_rows", &src), ("copy_rows", &copy), ("project", &projection)];
+    for (name, h) in &horizontals {
+        built.extend(h.fragments().iter().map(|f| (*name, &f.data)));
+    }
+    built.push(("from_fragments", &assembled.fragments()[1].data));
+    built.extend(vertical.fragments().iter().map(|f| ("by_attribute_groups", &f.data)));
+    for cell in hybrid.cells() {
+        built.extend(cell.vertical.fragments().iter().map(|f| ("hybrid", &f.data)));
+    }
+    built.extend(reassembled.iter().map(|r| ("reassemble", r)));
+    for (name, rel) in built {
+        assert_eq!(rel.capacity(), rel.len(), "{name}: tid column");
+        for (j, col) in rel.columns().iter().enumerate() {
+            assert_eq!(col.capacity(), col.len(), "{name}: column {j}");
         }
     }
 }

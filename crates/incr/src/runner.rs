@@ -5,10 +5,11 @@
 //! every batch detector carries — shipment ledger, site clocks and
 //! phase trace, kept in step. Each delta batch is one protocol round:
 //!
-//! 1. **Apply** — every site applies its local delta
-//!    ([`Relation::apply_delta`](dcd_relation::Relation::apply_delta)),
-//!    in parallel on the [`dcd_dist::pool`], charged per site like the
-//!    batch detectors' scan phases;
+//! 1. **Apply** — every site checks and locates its local delta
+//!    ([`Relation::locate_delta`](dcd_relation::Relation::locate_delta))
+//!    before any site mutates, then applies it, in parallel on the
+//!    [`dcd_dist::pool`], charged per site like the batch detectors' scan
+//!    phases;
 //! 2. **Manifest** — each participating site sends the coordinator one
 //!    control message (`8·k` bytes, its per-CFD touch counts), charged
 //!    [`CostModel::control_time`](dcd_dist::CostModel::control_time);
@@ -34,6 +35,9 @@
 //! ([`VerticalPartition::owner_of`]), plus the tuple id to align rows
 //! at the coordinator.
 //!
+//! A batch that any check rejects is refused before its round opens: no
+//! site mutates, no clock moves and no round is counted.
+//!
 //! Determinism contract (same as the batch detectors): pool tasks
 //! charge nothing — site charges are applied in site order and
 //! coordinator charges in CFD order, after the pool joins — and all
@@ -51,8 +55,8 @@ use dcd_dist::{
     VerticalPartition,
 };
 use dcd_relation::{
-    AttrId, DeltaEffect, Dictionary, FxHashSet, Relation, RelationDelta, RelationError, Tuple,
-    TupleId,
+    AttrId, DeltaEffect, Dictionary, FxHashSet, PendingDelta, Relation, RelationDelta,
+    RelationError, Tuple, TupleId,
 };
 use std::sync::Arc;
 
@@ -215,10 +219,10 @@ impl IncrementalRun {
     /// returns the resulting report revision plus that round's §III-B
     /// cost.
     ///
-    /// An error (unknown delete id, ill-typed insert) aborts the round;
-    /// because sites apply in parallel, other sites may already have
-    /// applied their deltas, so a failed round leaves the run unusable
-    /// — treat errors as fatal, as a production ingest pipeline would.
+    /// Every site's delta is checked before any site applies its own, so
+    /// an error (unknown delete id, ill-typed insert, an id live at
+    /// another site) rejects the whole batch and leaves the run as it
+    /// was: fragments, indices, clocks, ledger and round count.
     pub fn apply_batch(&mut self, batch: &DeltaBatch) -> Result<RoundOutput, RelationError> {
         let n = self.partition.n_sites();
         if batch.per_site.len() != n {
@@ -257,10 +261,14 @@ impl IncrementalRun {
                 }
             }
         }
+        let arity = self.partition.schema().arity();
+        let sites =
+            self.partition.fragments_mut().iter_mut().map(|f| (f.site, &mut f.data)).collect();
+        let located = Located::check(self.ctx.cfg(), sites, &batch.per_site)?;
+
         self.rounds += 1;
         let ctx = &mut self.ctx;
         let cost = ctx.cfg().cost;
-        let arity = self.partition.schema().arity();
         let coordinator = self.coordinator;
         let factor = self.factor;
         let round_start = ctx.response_time();
@@ -269,9 +277,7 @@ impl IncrementalRun {
         deltas_counter(ctx).inc(ops as u64);
 
         // Phase 1: apply at every site, in parallel.
-        let sites =
-            self.partition.fragments_mut().iter_mut().map(|f| (f.site, &mut f.data)).collect();
-        let effects = apply_deltas(ctx, sites, &batch.per_site)?;
+        let effects = located.apply(ctx);
 
         // Phase 2: delta manifests (one control message per
         // participating non-coordinator site).
@@ -452,43 +458,58 @@ fn observe_lag(ctx: &RunCtx, round_start: f64) {
         .observe(((ctx.response_time() - round_start) * 1e6) as u64);
 }
 
-/// The apply phase of a delta round, shared by both run types: every
-/// site applies its delta to its own relation, in parallel (one task
-/// per site, handed its relation by `&mut`), charged
-/// per site like the batch detectors' scan phases — from the fragment
-/// as it was before the delta, and whether or not the apply succeeds.
-/// Sites with an empty delta do nothing and are not charged. Returns
-/// the per-site effects.
-fn apply_deltas(
-    ctx: &mut RunCtx,
-    sites: Vec<(SiteId, &mut Relation)>,
-    deltas: &[RelationDelta],
-) -> Result<Vec<DeltaEffect>, RelationError> {
-    let cfg = *ctx.cfg();
-    // The simulated site keeps no order on its tuple ids: it is charged
-    // one pass over the fragment (locating the deletes, insert-id
-    // uniqueness) plus per-op interning, whatever lookup `apply_delta`
-    // ran on this host.
-    let charges: Vec<(SiteId, f64)> = sites
-        .iter()
-        .zip(deltas)
-        .filter(|(_, delta)| !delta.is_empty())
-        .map(|((site, data), delta)| (*site, cfg.cost.scan_time(data.len() + delta.n_ops())))
-        .collect();
-    let tasks = sites.into_iter().map(|(_, data)| data).zip(deltas);
-    let outcomes = ctx.phase("incr:apply", |p| {
-        let outcomes = scoped_map(cfg.threads, tasks, |(data, delta)| {
-            if delta.is_empty() {
-                return Ok(DeltaEffect::default());
-            }
-            data.apply_delta(delta)
+/// Every site's delta of one round, checked against the site's relation
+/// and located in it before any site mutates, with what applying it will
+/// charge each site. Shared by both run types.
+struct Located<'r, 'd> {
+    /// Per site, in site order; `None` for an empty delta.
+    pending: Vec<Option<PendingDelta<'r, 'd>>>,
+    /// `(site, seconds)` for every site with a delta, in site order.
+    charges: Vec<(SiteId, f64)>,
+}
+
+impl<'r, 'd> Located<'r, 'd> {
+    /// Checks and locates every site's delta, in parallel (one task per
+    /// site, handed its relation by `&mut`). The first error, in site
+    /// order, rejects the batch with every relation as it was. The
+    /// simulated site keeps no order on its tuple ids: it is charged one
+    /// pass over the fragment as it was before the delta (locating the
+    /// deletes, insert-id uniqueness) plus per-op interning, whatever
+    /// lookup `locate_delta` ran on this host.
+    fn check(
+        cfg: &RunConfig,
+        sites: Vec<(SiteId, &'r mut Relation)>,
+        deltas: &'d [RelationDelta],
+    ) -> Result<Self, RelationError> {
+        let charges = sites
+            .iter()
+            .zip(deltas)
+            .filter(|(_, delta)| !delta.is_empty())
+            .map(|((site, data), delta)| (*site, cfg.cost.scan_time(data.len() + delta.n_ops())))
+            .collect();
+        let tasks = sites.into_iter().map(|(_, data)| data).zip(deltas);
+        let pending = scoped_map(cfg.threads, tasks, |(data, delta)| {
+            (!delta.is_empty()).then(|| data.locate_delta(delta)).transpose()
         });
-        for (site, secs) in charges {
-            p.compute(site, secs);
-        }
-        outcomes
-    });
-    outcomes.into_iter().collect()
+        Ok(Located { pending: pending.into_iter().collect::<Result<_, _>>()?, charges })
+    }
+
+    /// The apply phase of a delta round: every site applies its located
+    /// delta, in parallel, and is charged after the join. Sites with an
+    /// empty delta do nothing and are not charged. Returns the per-site
+    /// effects.
+    fn apply(self, ctx: &mut RunCtx) -> Vec<DeltaEffect> {
+        let threads = ctx.cfg().threads;
+        ctx.phase("incr:apply", |p| {
+            let effects = scoped_map(threads, self.pending, |pending| {
+                pending.map_or_else(DeltaEffect::default, PendingDelta::apply)
+            });
+            for (site, secs) in self.charges {
+                p.compute(site, secs);
+            }
+            effects
+        })
+    }
 }
 
 /// Index build / maintenance at the coordinator, shared by both run
@@ -608,7 +629,7 @@ impl VerticalIncrementalRun {
             .iter()
             .enumerate()
             .map(|(r, &tid)| {
-                (tid, columns.iter().map(|(f, col)| col.at(alignment.row(*f, r))).collect())
+                (tid, columns.iter().map(|(f, col)| col[alignment.row(*f, r)]).collect())
             })
             .collect();
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
@@ -629,21 +650,16 @@ impl VerticalIncrementalRun {
 
     /// Applies one whole-tuple delta (the same feed reaches every
     /// site; each applies its projection) and returns the report
-    /// revision. Error handling matches
-    /// [`IncrementalRun::apply_batch`]: a failed round is fatal.
+    /// revision. Error handling matches [`IncrementalRun::apply_batch`]:
+    /// a delta any site's projection rejects (an unknown delete id, an
+    /// insert ill-typed in that site's attributes) leaves the run as it
+    /// was.
     pub fn apply_batch(&mut self, delta: &RelationDelta) -> Result<RoundOutput, RelationError> {
-        self.rounds += 1;
         if delta.is_empty() {
+            self.rounds += 1;
             return Ok(RoundOutput { report: self.report(), paper_cost: 0.0 });
         }
-        let ctx = &mut self.ctx;
-        let threads = ctx.cfg().threads;
-        let coordinator = self.coordinator;
-        let round_start = ctx.response_time();
-        ctx.begin_round();
-        deltas_counter(ctx).inc(delta.n_ops() as u64);
-
-        // Phase 1: every site applies its projection of the delta.
+        let threads = self.ctx.cfg().threads;
         let (attrs, sites): (Vec<&[AttrId]>, Vec<_>) = self
             .partition
             .fragments_mut()
@@ -656,7 +672,17 @@ impl VerticalIncrementalRun {
                 delta.deletes.clone(),
             )
         });
-        let effects = apply_deltas(ctx, sites, &projected)?;
+        let located = Located::check(self.ctx.cfg(), sites, &projected)?;
+
+        self.rounds += 1;
+        let ctx = &mut self.ctx;
+        let coordinator = self.coordinator;
+        let round_start = ctx.response_time();
+        ctx.begin_round();
+        deltas_counter(ctx).inc(delta.n_ops() as u64);
+
+        // Phase 1: every site applies its projection of the delta.
+        let effects = located.apply(ctx);
 
         // Phases 2 + 3: manifests, then owned-column shipment for the
         // inserted rows (delete ids are already part of the feed).

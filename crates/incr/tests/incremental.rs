@@ -1,8 +1,7 @@
 //! End-to-end tests of the incremental subsystem: the maintained
 //! report must equal full re-detection on the materialized state after
 //! every batch, on every topology, and the run's accounting must be
-//! bit-identical across pool widths. Each test lays its relation out in
-//! a chunk size of its own, so the deltas land on different seams.
+//! bit-identical across pool widths.
 
 use dcd_cfd::{detect_set, Cfd};
 use dcd_core::{Detection, RunConfig};
@@ -10,15 +9,10 @@ use dcd_datagen::cust::{cust_cfds, CustConfig};
 use dcd_datagen::{update_stream, UpdateStreamConfig};
 use dcd_dist::{HorizontalPartition, ReplicatedPartition, VerticalPartition};
 use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun};
-use proptest::test_runner::TestRng;
-use std::num::NonZeroUsize;
 
-/// `n` cust tuples with 5 % of the streets corrupted, in a chunk size of
-/// 1 to 64 rows drawn for the test named `case`, and the cust CFDs.
-fn workload(n: usize, case: &str) -> (dcd_relation::Relation, Vec<Cfd>) {
-    let chunk = 1 + TestRng::deterministic(case).next_u64() % 64;
-    let chunk = NonZeroUsize::new(chunk as usize).expect("at least one row");
-    let rel = CustConfig { n_tuples: n, ..CustConfig::default() }.generate().with_chunk_rows(chunk);
+/// `n` cust tuples with 5 % of the streets corrupted, and the cust CFDs.
+fn workload(n: usize) -> (dcd_relation::Relation, Vec<Cfd>) {
+    let rel = CustConfig { n_tuples: n, ..CustConfig::default() }.generate();
     let (rel, _) = dcd_datagen::inject_errors(&rel, "street", 0.05, 11);
     let cfds = cust_cfds(rel.schema());
     (rel, cfds)
@@ -60,7 +54,7 @@ fn assert_report_matches_full(
 
 #[test]
 fn horizontal_stream_tracks_full_redetection() {
-    let (rel, sigma) = workload(1_500, "horizontal_stream_tracks_full_redetection");
+    let (rel, sigma) = workload(1_500);
     let partition = HorizontalPartition::round_robin(&rel, 4).unwrap();
     let stream = update_stream(
         &partition,
@@ -82,7 +76,7 @@ fn horizontal_stream_tracks_full_redetection() {
 
 #[test]
 fn pool_width_never_changes_incremental_outputs() {
-    let (rel, sigma) = workload(800, "pool_width_never_changes_incremental_outputs");
+    let (rel, sigma) = workload(800);
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let stream = update_stream(
         &partition,
@@ -105,7 +99,7 @@ fn pool_width_never_changes_incremental_outputs() {
 
 #[test]
 fn delta_wire_accounting_is_code_sized() {
-    let (rel, sigma) = workload(600, "delta_wire_accounting_is_code_sized");
+    let (rel, sigma) = workload(600);
     let arity = rel.schema().arity();
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition.clone(), &sigma, RunConfig::default()).unwrap();
@@ -132,7 +126,7 @@ fn delta_wire_accounting_is_code_sized() {
 
 #[test]
 fn replication_cuts_coordinator_traffic_and_keeps_reports() {
-    let (rel, sigma) = workload(900, "replication_cuts_coordinator_traffic_and_keeps_reports");
+    let (rel, sigma) = workload(900);
     let base = HorizontalPartition::round_robin(&rel, 4).unwrap();
     let stream = update_stream(
         &base,
@@ -165,7 +159,7 @@ fn replication_cuts_coordinator_traffic_and_keeps_reports() {
 
 #[test]
 fn factor_two_replication_matches_plain_reports() {
-    let (rel, sigma) = workload(700, "factor_two_replication_matches_plain_reports");
+    let (rel, sigma) = workload(700);
     let base = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let stream = update_stream(
         &base,
@@ -181,7 +175,7 @@ fn factor_two_replication_matches_plain_reports() {
 
 #[test]
 fn vertical_stream_tracks_full_redetection() {
-    let (rel, sigma) = workload(800, "vertical_stream_tracks_full_redetection");
+    let (rel, sigma) = workload(800);
     // Split the address block from the order block; the zip→street and
     // (CC,AC)→city CFDs span both fragments.
     let partition = VerticalPartition::by_attribute_groups(
@@ -215,7 +209,7 @@ fn vertical_stream_tracks_full_redetection() {
 
 #[test]
 fn fresh_rebuild_agrees_with_maintained_state() {
-    let (rel, sigma) = workload(600, "fresh_rebuild_agrees_with_maintained_state");
+    let (rel, sigma) = workload(600);
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let stream = update_stream(
         &partition,
@@ -235,7 +229,7 @@ fn fresh_rebuild_agrees_with_maintained_state() {
 
 #[test]
 fn empty_batches_change_nothing() {
-    let (rel, sigma) = workload(300, "empty_batches_change_nothing");
+    let (rel, sigma) = workload(300);
     let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
     let before = run.detection();
@@ -250,7 +244,7 @@ fn empty_batches_change_nothing() {
 
 #[test]
 fn mis_sized_batches_are_rejected() {
-    let (rel, sigma) = workload(200, "mis_sized_batches_are_rejected");
+    let (rel, sigma) = workload(200);
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
     let err = run.apply_batch(&DeltaBatch::new(vec![Default::default()])).unwrap_err();
@@ -260,8 +254,7 @@ fn mis_sized_batches_are_rejected() {
 #[test]
 fn cross_site_duplicate_insert_ids_are_rejected_before_mutation() {
     use dcd_relation::{RelationDelta, RelationError, Tuple, TupleId};
-    let (rel, sigma) =
-        workload(300, "cross_site_duplicate_insert_ids_are_rejected_before_mutation");
+    let (rel, sigma) = workload(300);
     let template = rel.row(0).values().to_vec();
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();

@@ -12,12 +12,11 @@
 //!   (fields of its `RunCtx`, next to its `ShipmentLedger` and
 //!   `SiteClocks`). Everything recorded there is an order-free integer
 //!   merge or a single-writer gauge, so the final snapshot is pinned
-//!   bit-identical across pool widths and chunk sizes, exactly like the
-//!   violation reports.
+//!   bit-identical across pool widths, exactly like the violation
+//!   reports.
 //! * **Host scope** — [`host_registry`] is process-wide and records
-//!   what the *hardware* did (morsels executed); those values
-//!   legitimately vary with pool width and chunk size and are excluded
-//!   from pinning.
+//!   what the *hardware* did (pool tasks executed); those values count
+//!   every run the process makes and are excluded from pinning.
 //!
 //! This crate is the scrape surface the queued `dcd_serve` service
 //! reads verbatim; it depends on nothing, so every layer of the engine

@@ -5,11 +5,11 @@
 //! **order-free merge** (counters and histograms are `u64` additions,
 //! which commute exactly) or **single-writer** (gauges are set once by
 //! the coordinating thread), so a registry snapshot taken after a run's
-//! pool has joined is bit-identical across pool widths and chunk sizes —
+//! pool has joined is bit-identical across pool widths —
 //! the same pinning contract the violation reports and the
 //! [`ShipmentLedger`](../../dist/src/ledger.rs) obey. Metrics
-//! whose value genuinely depends on the pool width or the chunk size
-//! (morsel counts) must go to the process-wide
+//! whose value genuinely depends on the host (pool task counts) must go
+//! to the process-wide
 //! [`host_registry`], which is explicitly outside the pinning contract.
 //!
 //! # Atomics audit (`Ordering::Relaxed` throughout)
@@ -274,7 +274,7 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every family and series. Taken after a
     /// run's pool has joined, the snapshot is bit-identical across pool
-    /// widths and chunk sizes (module docs).
+    /// widths (module docs).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let families = self.families.lock().expect("registry poisoned");
         let families = families
@@ -492,8 +492,8 @@ impl MetricsSnapshot {
 }
 
 /// The process-wide **host-scope** registry: metrics whose values
-/// legitimately depend on the pool width, the chunk size or scheduling
-/// races (morsels executed). Explicitly outside
+/// legitimately depend on the host or on scheduling races (pool tasks
+/// executed). Explicitly outside
 /// the per-run determinism pinning; a scrape surface for the process,
 /// not for a run.
 pub fn host_registry() -> &'static MetricsRegistry {

@@ -6,7 +6,7 @@
 //! `RunCtx`, which records one span per site a phase moved, from the
 //! clocks before and after the phase, on the coordinating thread in
 //! site order — so a trace, like a registry snapshot, is bit-identical
-//! across pool widths and chunk sizes.
+//! across pool widths.
 
 use std::fmt::Write as _;
 

@@ -61,12 +61,9 @@ pub use delta::{DeltaEffect, RelationDelta};
 pub use error::RelationError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use predicate::{Atom, CmpOp, Conjunction, Predicate};
-pub use relation::{CodeBatch, Relation};
+pub use relation::{CodeBatch, PendingDelta, Relation};
 pub use schema::{AttrId, Attribute, Schema, SchemaBuilder, ValueType};
-pub use store::{
-    zip_chunks, zip_chunks_range, CodesView, Column, Dictionary, DEFAULT_CHUNK_ROWS, NO_CODE,
-    WILDCARD_CODE,
-};
+pub use store::{Column, Dictionary, DEFAULT_CHUNK_ROWS, NO_CODE, WILDCARD_CODE};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;
 

@@ -30,10 +30,9 @@ pub enum CodeKey {
 }
 
 impl CodeKey {
-    /// The key of row `i` over the given dense code slices (delegates
-    /// to [`CodeKey::of_codes`], which owns the packing layout). The
-    /// slices are typically one aligned chunk of several columns — see
-    /// [`zip_chunks`](crate::store::zip_chunks) — with `i` relative to the chunk.
+    /// The key of row `i` over the given code slices, one per key column
+    /// (delegates to [`CodeKey::of_codes`], which owns the packing
+    /// layout).
     #[inline]
     pub fn of_row(cols: &[&[u32]], i: usize) -> CodeKey {
         if cols.len() <= 4 {
@@ -181,11 +180,11 @@ impl<V: Copy> CodeMemo<V> {
 
 /// `π_X(D)` as a new relation named `name`, preserving tuple ids and
 /// duplicates (bag projection). The output's columns share `rel`'s
-/// dictionaries for the kept attributes, and its chunk size.
+/// dictionaries for the kept attributes.
 pub fn project(rel: &Relation, name: &str, attrs: &[AttrId]) -> Result<Relation, RelationError> {
     let schema = rel.schema().project(name, attrs)?;
     let dicts = rel.dictionaries_of(attrs);
-    let mut out = Relation::with_dictionaries(schema, dicts, rel.len(), rel.chunk_rows())?;
+    let mut out = Relation::with_dictionaries(schema, dicts, rel.len())?;
     out.extend_from(rel, attrs, &(0..rel.len()).collect::<Vec<_>>())?;
     Ok(out)
 }

@@ -5,11 +5,10 @@ use crate::delta::{DeltaEffect, RelationDelta};
 use crate::error::RelationError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::{AttrId, Schema, ValueType};
-use crate::store::{chunk_runs, survivor_runs, CodesView, Column, Dictionary};
+use crate::store::{remove_positions, Column, Dictionary};
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Rows [`Relation::iter`] decodes per dictionary lock acquisition.
@@ -58,8 +57,6 @@ pub struct Relation {
     /// binary search. Kept current by [`Relation::push_tid`]; removing
     /// rows cannot falsify it.
     ascending: bool,
-    /// Rows per chunk of every column (see [`Relation::chunk_rows`]).
-    chunk_rows: usize,
 }
 
 /// A batch of rows on the code-native wire, column-major: the tuple ids
@@ -98,8 +95,7 @@ impl CodeBatch {
 }
 
 impl Relation {
-    /// Creates an empty relation over `schema`, with fresh dictionaries,
-    /// in chunks of [`DEFAULT_CHUNK_ROWS`](crate::DEFAULT_CHUNK_ROWS).
+    /// Creates an empty relation over `schema`, with fresh dictionaries.
     pub fn new(schema: Arc<Schema>) -> Self {
         Relation::with_capacity(schema, 0)
     }
@@ -107,24 +103,20 @@ impl Relation {
     /// Creates an empty relation with room for `cap` tuples.
     pub fn with_capacity(schema: Arc<Schema>, cap: usize) -> Self {
         let dicts = (0..schema.arity()).map(|_| Arc::new(Dictionary::new())).collect();
-        Relation::with_dictionaries(schema, dicts, cap, crate::store::DEFAULT_CHUNK_ROWS)
-            .expect("one dictionary per attribute")
+        Relation::with_dictionaries(schema, dicts, cap).expect("one dictionary per attribute")
     }
 
-    /// Creates an empty relation whose columns share the given
-    /// dictionaries (one per attribute, in schema order), in chunks of
-    /// `chunk_rows` rows (panics on 0). This is the fragment constructor:
-    /// fragments built over a parent relation's dictionaries keep their
-    /// codes comparable with the parent and with each other, so nothing
-    /// is re-encoded when tuples move between them, and they pass the
-    /// parent's [`Relation::chunk_rows`] on.
+    /// Creates an empty relation with room for exactly `cap` tuples,
+    /// whose columns share the given dictionaries (one per attribute, in
+    /// schema order). This is the fragment constructor: fragments built
+    /// over a parent relation's dictionaries keep their codes comparable
+    /// with the parent and with each other, so nothing is re-encoded when
+    /// tuples move between them.
     pub fn with_dictionaries(
         schema: Arc<Schema>,
         dicts: Vec<Arc<Dictionary>>,
         cap: usize,
-        chunk_rows: usize,
     ) -> Result<Self, RelationError> {
-        assert!(chunk_rows >= 1, "a chunk holds at least one row");
         if dicts.len() != schema.arity() {
             return Err(RelationError::SchemaMismatch {
                 detail: format!(
@@ -135,20 +127,19 @@ impl Relation {
                 ),
             });
         }
-        let columns = dicts.into_iter().map(|d| Column::with_layout(d, cap, chunk_rows)).collect();
+        let columns = dicts.into_iter().map(|d| Column::with_capacity(d, cap)).collect();
         Ok(Relation {
             schema,
             tids: Vec::with_capacity(cap),
             columns,
             next_tid: 0,
             ascending: true,
-            chunk_rows,
         })
     }
 
-    /// Creates an empty relation with this relation's schema,
-    /// dictionaries *and* chunk size — the natural start of a same-schema
-    /// fragment, selection result, or reassembly target.
+    /// Creates an empty relation with this relation's schema and
+    /// dictionaries — the natural start of a same-schema fragment,
+    /// selection result, or reassembly target.
     pub fn empty_like(&self) -> Self {
         self.with_capacity_like(0)
     }
@@ -156,26 +147,8 @@ impl Relation {
     /// [`Self::empty_like`] with room for `cap` tuples.
     pub fn with_capacity_like(&self, cap: usize) -> Self {
         let dicts = self.columns.iter().map(|c| c.dict().clone()).collect();
-        Relation::with_dictionaries(self.schema.clone(), dicts, cap, self.chunk_rows)
+        Relation::with_dictionaries(self.schema.clone(), dicts, cap)
             .expect("one dictionary per attribute")
-    }
-
-    /// This relation re-laid in chunks of `rows` rows: the same ids,
-    /// codes and dictionaries, copied a chunk run at a time. Everything
-    /// derived from the result keeps the size. This is the one way to
-    /// choose a layout; tests use it to put seams anywhere.
-    pub fn with_chunk_rows(self, rows: NonZeroUsize) -> Relation {
-        let all: Vec<usize> = (0..self.len()).collect();
-        let columns = self
-            .columns
-            .iter()
-            .map(|src| {
-                let mut col = Column::with_layout(src.dict().clone(), all.len(), rows.get());
-                col.extend_from_rows(src, &all);
-                col
-            })
-            .collect();
-        Relation { columns, chunk_rows: rows.get(), ..self }
     }
 
     /// The schema of this relation.
@@ -191,6 +164,13 @@ impl Relation {
     /// Whether the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
         self.tids.is_empty()
+    }
+
+    /// Tuples the tid column holds room for without reallocating (each
+    /// code column reports its own, [`Column::capacity`]). Every
+    /// constructor reserves exactly what it stores.
+    pub fn capacity(&self) -> usize {
+        self.tids.capacity()
     }
 
     /// Appends a fresh row, assigning it the next tuple id. Values are
@@ -296,9 +276,8 @@ impl Relation {
         }
     }
 
-    /// Reserves room for `extra` more rows, once per batch: a block loop
-    /// that reserved per block would start each chunk it opens at one
-    /// block's capacity and grow it from there.
+    /// Reserves room for `extra` more rows, once per batch rather than
+    /// once per block of the ingest loop.
     fn reserve(&mut self, extra: usize) {
         self.tids.reserve(extra);
         for col in &mut self.columns {
@@ -337,22 +316,35 @@ impl Relation {
     /// ships (4 bytes per cell) and what a violation index needs to stay
     /// current.
     ///
-    /// The cost follows the delta, not the relation: ids are located
-    /// through [`Relation::positions_of`] (`O(|Δ| log |D|)` while the
-    /// tid column is ascending, one scan of it otherwise), the deleted
-    /// positions are sorted once and every column closes its gaps in
-    /// place ([`Column::remove_rows`]: one `memmove` of the codes behind
-    /// the first deleted row, no allocation), and the inserts append.
-    ///
-    /// Everything is validated before anything mutates: a delete id
-    /// that is absent (or repeated within the delta), an insert that
-    /// fails schema validation or carries `TupleId(u64::MAX)`, or an
-    /// insert whose id is already live (present and not deleted by this
-    /// same delta) or repeated within the delta, returns an error and
-    /// leaves the relation unchanged. The id checks matter beyond
-    /// hygiene: a violation index keyed by tuple id silently corrupts if
-    /// two live rows ever share one.
+    /// This is [`Relation::locate_delta`] followed by
+    /// [`PendingDelta::apply`]: everything is checked before anything
+    /// mutates, so an error leaves the relation unchanged.
     pub fn apply_delta(&mut self, delta: &RelationDelta) -> Result<DeltaEffect, RelationError> {
+        Ok(self.locate_delta(delta)?.apply())
+    }
+
+    /// The check half of [`Relation::apply_delta`]: validates `delta`
+    /// against this relation and locates its deletes, mutating nothing.
+    /// A delete id that is absent (or repeated within the delta), an
+    /// insert that fails schema validation or carries `TupleId(u64::MAX)`,
+    /// or an insert whose id is already live (present and not deleted by
+    /// this same delta) or repeated within the delta, is an error. The id
+    /// checks matter beyond hygiene: a violation index keyed by tuple id
+    /// silently corrupts if two live rows ever share one.
+    ///
+    /// The result holds the relation until it is applied or dropped, so
+    /// nothing moves the located rows in between, and dropping it leaves
+    /// the relation as it was. A caller applying one batch across several
+    /// relations locates every part before applying any, and a rejected
+    /// batch then mutates none of them.
+    ///
+    /// Ids are located through [`Relation::positions_of`], once each:
+    /// `O(|Δ| log |D|)` while the tid column is ascending, one scan of it
+    /// otherwise.
+    pub fn locate_delta<'r, 'd>(
+        &'r mut self,
+        delta: &'d RelationDelta,
+    ) -> Result<PendingDelta<'r, 'd>, RelationError> {
         let mut insert_ids: FxHashSet<TupleId> = FxHashSet::default();
         for t in &delta.inserts {
             check_tid(t.tid)?;
@@ -380,29 +372,13 @@ impl Relation {
         if let Some(&i) = live.iter().flatten().min() {
             return Err(RelationError::DuplicateTuple { tid: self.tids[i].0 });
         }
-        let mut doomed: Vec<usize> = delta
+        let doomed = delta
             .deletes
             .iter()
             .zip(located)
             .map(|(tid, pos)| pos.ok_or(RelationError::UnknownTuple { tid: tid.0 }))
             .collect::<Result<_, _>>()?;
-
-        let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
-        let deleted = self.code_rows(&attrs, &doomed);
-        doomed.sort_unstable();
-        for (run, to) in survivor_runs(&doomed, self.tids.len()) {
-            self.tids.copy_within(run, to);
-        }
-        self.tids.truncate(self.tids.len() - doomed.len());
-        for col in &mut self.columns {
-            col.remove_rows(&doomed);
-        }
-
-        let first_new = self.tids.len();
-        self.reserve(delta.inserts.len());
-        self.append_validated(delta.inserts.iter().map(|t| (t.tid, t.values())));
-        let new_rows: Vec<usize> = (first_new..self.tids.len()).collect();
-        Ok(DeltaEffect { inserted: self.code_rows(&attrs, &new_rows), deleted })
+        Ok(PendingDelta { rel: self, delta, doomed })
     }
 
     /// The tuple ids, in row order — row `i` is `tids()[i]` plus the
@@ -436,24 +412,10 @@ impl Relation {
         attrs.iter().map(|&a| self.columns[a.index()].dict().clone()).collect()
     }
 
-    /// The code views of the given attributes, in order — the inputs of
+    /// The code slices of the given attributes, in order — the inputs of
     /// every code-keyed hot loop (group-by, σ-partitioning, join keys).
-    /// The views share one chunk layout (all columns of a relation are
-    /// built with the same chunk size), so scans zip their chunks with
-    /// [`crate::store::zip_chunks`] and read dense `&[u32]` slices.
-    pub fn code_views(&self, attrs: &[AttrId]) -> Vec<CodesView<'_>> {
+    pub fn code_views(&self, attrs: &[AttrId]) -> Vec<&[u32]> {
         attrs.iter().map(|&a| self.columns[a.index()].codes()).collect()
-    }
-
-    /// The chunk size this relation's columns were built with.
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
-    /// Number of storage chunks per column (0 when empty) — the morsel
-    /// count of this relation for chunk-granular scheduling.
-    pub fn n_chunks(&self) -> usize {
-        self.tids.len().div_ceil(self.chunk_rows())
     }
 
     /// Decodes a code vector produced over `attrs` back into values
@@ -473,24 +435,14 @@ impl Relation {
     /// code-native wire. One `u32` per cell; decoding happens only at
     /// the receiver, and only for violating group keys.
     pub fn code_rows(&self, attrs: &[AttrId], rows: &[usize]) -> Vec<(TupleId, Box<[u32]>)> {
-        let cr = self.chunk_rows();
-        let mut out = Vec::with_capacity(rows.len());
-        let mut slices: Vec<&[u32]> = Vec::with_capacity(attrs.len());
-        for (ci, run) in chunk_runs(rows, cr) {
-            slices.clear();
-            slices.extend(attrs.iter().map(|&a| self.column(a).codes().chunk(ci)));
-            out.extend(run.iter().map(|&i| {
-                let r = i - ci * cr;
-                (self.tids[i], slices.iter().map(|chunk| chunk[r]).collect())
-            }));
-        }
-        out
+        let cols = self.code_views(attrs);
+        rows.iter().map(|&i| (self.tids[i], cols.iter().map(|col| col[i]).collect())).collect()
     }
 
     /// Appends the given tuple indices, projected onto `attrs`, to a
     /// [`CodeBatch`] of that width: the same ids and cells as
     /// [`Relation::code_rows`] in the same order, copied a column at a
-    /// time from the chunk slices into the batch's dense vectors. Nothing
+    /// time into the batch's dense vectors. Nothing
     /// is allocated per row — or at all, when the batch was built with
     /// room for what it will receive.
     pub fn gather_into(&self, attrs: &[AttrId], rows: &[usize], batch: &mut CodeBatch) {
@@ -502,16 +454,11 @@ impl Relation {
     }
 
     /// Appends the codes of one attribute at the given tuple indices to
-    /// `out`, run by run from the chunk slices — one column of a
-    /// [`CodeBatch`], for a gather whose columns come from several
-    /// relations (vertical fragments).
+    /// `out` — one column of a [`CodeBatch`], for a gather whose columns
+    /// come from several relations (vertical fragments).
     pub fn gather_column(&self, attr: AttrId, rows: &[usize], out: &mut Vec<u32>) {
-        let cr = self.chunk_rows();
         let codes = self.column(attr).codes();
-        for (ci, run) in chunk_runs(rows, cr) {
-            let chunk = codes.chunk(ci);
-            out.extend(run.iter().map(|&i| chunk[i - ci * cr]));
-        }
+        out.extend(rows.iter().map(|&i| codes[i]));
     }
 
     /// Appends a row given as dictionary codes (one per attribute, in
@@ -661,6 +608,40 @@ impl Relation {
             }
         }
         Ok(())
+    }
+}
+
+/// A delta that [`Relation::locate_delta`] checked against one relation
+/// and located in it. It holds that relation until [`PendingDelta::apply`]
+/// mutates it; dropped instead, it leaves the relation as it was.
+#[derive(Debug)]
+pub struct PendingDelta<'r, 'd> {
+    rel: &'r mut Relation,
+    delta: &'d RelationDelta,
+    /// The row of each delete, in delete order.
+    doomed: Vec<usize>,
+}
+
+impl PendingDelta<'_, '_> {
+    /// Applies the delta: the deletes' rows leave every column in place
+    /// (one `copy_within` per run of survivors, no allocation), then the
+    /// inserts append, interned column by column. Returns the code rows
+    /// of every deleted and inserted tuple.
+    pub fn apply(self) -> DeltaEffect {
+        let PendingDelta { rel, delta, mut doomed } = self;
+        let attrs: Vec<AttrId> = rel.schema.attr_ids().collect();
+        let deleted = rel.code_rows(&attrs, &doomed);
+        doomed.sort_unstable();
+        remove_positions(&mut rel.tids, &doomed);
+        for col in &mut rel.columns {
+            col.remove_rows(&doomed);
+        }
+
+        let first_new = rel.tids.len();
+        rel.reserve(delta.inserts.len());
+        rel.append_validated(delta.inserts.iter().map(|t| (t.tid, t.values())));
+        let new_rows: Vec<usize> = (first_new..rel.tids.len()).collect();
+        DeltaEffect { inserted: rel.code_rows(&attrs, &new_rows), deleted }
     }
 }
 
@@ -1001,13 +982,8 @@ mod tests {
         // Onto the single column `b`.
         let b = AttrId(1);
         let only_b = parent.schema().project("r_b", &[b]).unwrap();
-        let mut proj = Relation::with_dictionaries(
-            only_b,
-            parent.dictionaries_of(&[b]),
-            0,
-            parent.chunk_rows(),
-        )
-        .unwrap();
+        let mut proj =
+            Relation::with_dictionaries(only_b, parent.dictionaries_of(&[b]), 0).unwrap();
         proj.extend_from(&parent, &[b], &[1, 2]).unwrap();
         assert_eq!(proj.columns()[0].codes(), &[1, 1]);
         assert_eq!(proj.row(0), Tuple::new(TupleId(1), vals!["y"]));
@@ -1029,44 +1005,18 @@ mod tests {
         let n = DECODE_BATCH * 2 + 7;
         let rows: Vec<Vec<Value>> =
             (0..n).map(|i| vals![i as i64 % 11, format!("s{}", i % 5)]).collect();
-        // Batches that start on a seam, mid-chunk, and inside one chunk.
-        for chunk in [3, 257, crate::DEFAULT_CHUNK_ROWS] {
-            let chunk = NonZeroUsize::new(chunk).unwrap();
-            let r = Relation::from_rows(schema(), rows.clone()).unwrap().with_chunk_rows(chunk);
-            let mut it = r.iter();
-            assert_eq!(it.len(), n);
-            it.next();
-            assert_eq!(it.len(), n - 1);
-            assert_eq!(r.iter().count(), n);
-            for (i, t) in r.iter().enumerate() {
-                assert_eq!(t.tid, TupleId(i as u64), "{chunk} rows per chunk");
-                assert_eq!(t.values(), &rows[i][..], "{chunk} rows per chunk");
-            }
-            assert_eq!(r.row(n - 1).values(), &rows[n - 1][..]);
+        let r = Relation::from_rows(schema(), rows.clone()).unwrap();
+        let mut it = r.iter();
+        assert_eq!(it.len(), n);
+        it.next();
+        assert_eq!(it.len(), n - 1);
+        assert_eq!(r.iter().count(), n);
+        for (i, t) in r.iter().enumerate() {
+            assert_eq!(t.tid, TupleId(i as u64));
+            assert_eq!(t.values(), &rows[i][..]);
         }
+        assert_eq!(r.row(n - 1).values(), &rows[n - 1][..]);
         assert_eq!(Relation::new(schema()).iter().count(), 0);
-    }
-
-    #[test]
-    fn with_chunk_rows_re_lays_the_same_rows() {
-        let rows: Vec<Vec<Value>> = (0..23).map(|i| vals![i % 4, format!("s{}", i % 3)]).collect();
-        let flat = Relation::from_rows(schema(), rows).unwrap();
-        assert_eq!(flat.chunk_rows(), crate::DEFAULT_CHUNK_ROWS);
-        for chunk in [1, 2, 5, 23, 64] {
-            let r = flat.clone().with_chunk_rows(NonZeroUsize::new(chunk).unwrap());
-            assert_eq!((r.chunk_rows(), r.n_chunks()), (chunk, 23usize.div_ceil(chunk)));
-            assert!(r.columns().iter().all(|c| c.chunk_rows() == chunk));
-            assert_eq!(r.tids(), flat.tids());
-            for (a, b) in r.columns().iter().zip(flat.columns()) {
-                assert_eq!(a.codes(), b.codes());
-                assert!(Arc::ptr_eq(a.dict(), b.dict()));
-            }
-            // It keeps taking rows, at its own size.
-            let mut r = r;
-            r.push(vals![9, "new"]).unwrap();
-            assert_eq!(r.row(23).values(), &vals![9, "new"][..]);
-            assert_eq!(r.n_chunks(), 24usize.div_ceil(chunk));
-        }
     }
 
     #[test]

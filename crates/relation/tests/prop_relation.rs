@@ -1,13 +1,12 @@
 //! Property-based tests for the relational substrate: predicate
-//! evaluation vs. satisfiability soundness, and the storage layer against
-//! a plain row model.
+//! evaluation vs. satisfiability soundness, the storage layer against a
+//! plain row model, and the column-batch gather against the row wire.
 
 use dcd_relation::{
-    vals, Atom, CmpOp, Conjunction, Predicate, Relation, RelationDelta, RelationError, Schema,
-    Tuple, TupleId, Value, ValueType, DEFAULT_CHUNK_ROWS,
+    vals, Atom, AttrId, CmpOp, CodeBatch, Conjunction, Predicate, Relation, RelationDelta,
+    RelationError, Schema, Tuple, TupleId, Value, ValueType,
 };
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -22,11 +21,6 @@ fn schema() -> Arc<Schema> {
 
 fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8)>> {
     prop::collection::vec((-3..4i64, -3..4i64, 0..4u8), 0..40)
-}
-
-/// The chunk size a case lays its relations out in: 1 to 64 rows.
-fn arb_chunk_rows() -> impl Strategy<Value = NonZeroUsize> {
-    (1..65usize).prop_map(|n| NonZeroUsize::new(n).expect("drawn from 1..65"))
 }
 
 fn build(rows: &[(i64, i64, u8)]) -> Relation {
@@ -126,14 +120,14 @@ proptest! {
 
     /// The bulk ingest path (`extend_rows`: validate all, then block by
     /// block, column by column) is observationally identical to
-    /// cell-by-cell `push` into the same drawn layout: same tuples, same
-    /// codes, same dictionary contents. These cases stay inside one block
+    /// cell-by-cell `push`: same tuples, same codes, same dictionary
+    /// contents. These cases stay inside one block
     /// and one slot table;
     /// `bulk_ingest_matches_push_across_blocks_and_growths` crosses both.
     #[test]
-    fn bulk_extend_rows_matches_push(rows in arb_rows(), chunk in arb_chunk_rows()) {
-        let mut pushed = Relation::new(schema()).with_chunk_rows(chunk);
-        let mut bulk = Relation::new(schema()).with_chunk_rows(chunk);
+    fn bulk_extend_rows_matches_push(rows in arb_rows()) {
+        let mut pushed = Relation::new(schema());
+        let mut bulk = Relation::new(schema());
         let values = rows.iter().map(|&(a, b, c)| vals![a, b, format!("s{c}")]);
         for row in values.clone() {
             pushed.push(row).unwrap();
@@ -153,8 +147,8 @@ proptest! {
     /// original and the rebuilt relation ingest through the bulk
     /// `extend_rows` path, so this round-trip also pins its encoding.)
     #[test]
-    fn columnar_round_trip_is_identity(rows in arb_rows(), chunk in arb_chunk_rows()) {
-        let rel = build(&rows).with_chunk_rows(chunk);
+    fn columnar_round_trip_is_identity(rows in arb_rows()) {
+        let rel = build(&rows);
         let ingested: Vec<Vec<Value>> =
             rows.iter().map(|&(a, b, c)| vals![a, b, format!("s{c}")]).collect();
         for (ai, col) in rel.columns().iter().enumerate() {
@@ -189,6 +183,45 @@ proptest! {
         }
     }
 
+    /// [`Relation::gather_into`] lays out what [`Relation::code_rows`]
+    /// ships — the same ids and cells, column-major, in the same order —
+    /// for a σ-block (ascending rows, thinned by a stride) and for rows in
+    /// any order and repeated, over any attribute list, appending to what
+    /// the batch already holds; a batch with room for the block is filled
+    /// in place.
+    #[test]
+    fn gather_into_equals_code_rows_in_any_row_order(
+        rows in prop::collection::vec(arb_row(), 1..60),
+        start in 0..60usize,
+        len in 0..60usize,
+        stride in 1..4usize,
+        attr_picks in prop::collection::vec(0..3u16, 0..4),
+        picks in prop::collection::vec(0..60usize, 0..30),
+    ) {
+        let rel = build(&rows);
+        let attrs: Vec<AttrId> = attr_picks.into_iter().map(AttrId).collect();
+        let block: Vec<usize> =
+            (start..start + len).step_by(stride).filter(|&i| i < rows.len()).collect();
+        let unordered: Vec<usize> = picks.into_iter().filter(|&i| i < rows.len()).collect();
+
+        let mut batch = CodeBatch::with_capacity(attrs.len(), block.len());
+        let buffers: Vec<*const u32> = batch.cols.iter().map(|col| col.as_ptr()).collect();
+        rel.gather_into(&attrs, &block, &mut batch);
+        let filled: Vec<*const u32> = batch.cols.iter().map(|col| col.as_ptr()).collect();
+        prop_assert_eq!(buffers, filled, "a batch with room for the block is filled in place");
+        rel.gather_into(&attrs, &unordered, &mut batch);
+
+        let mut want = rel.code_rows(&attrs, &block);
+        want.extend(rel.code_rows(&attrs, &unordered));
+        prop_assert_eq!(batch.len(), want.len());
+        prop_assert_eq!(&batch.tids, &want.iter().map(|(tid, _)| *tid).collect::<Vec<_>>());
+        for (j, col) in batch.cols.iter().enumerate() {
+            let codes = rel.column(attrs[j]).codes();
+            prop_assert_eq!(col, &want.iter().map(|(_, cells)| cells[j]).collect::<Vec<_>>());
+            let rows_read = block.iter().chain(&unordered).map(|&i| codes[i]);
+            prop_assert_eq!(col, &rows_read.collect::<Vec<_>>());
+        }
+    }
 }
 
 type Row = (i64, i64, u8);
@@ -349,22 +382,14 @@ fn build_delta(
 }
 
 /// Runs `op` against both the relation and the model; a step the store
-/// must reject is checked to leave every stored bit as it was. A relation
-/// built from scratch is laid out in `chunk`-row chunks, as the first
-/// one was.
-fn step(
-    rel: &mut Relation,
-    model: &mut Model,
-    op: &StorageOp,
-    chunk: NonZeroUsize,
-) -> Result<(), TestCaseError> {
+/// must reject is checked to leave every stored bit as it was.
+fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), TestCaseError> {
     let before = image(rel);
     let mut rejected = false;
     match op {
         StorageOp::FromRows(rows) => {
             *rel = Relation::from_rows(schema(), rows.iter().map(|&r| row_values(r)).collect())
-                .unwrap()
-                .with_chunk_rows(chunk);
+                .unwrap();
             *model = Model::default();
             for (i, &r) in rows.iter().enumerate() {
                 model.insert(TupleId(i as u64), row_values(r));
@@ -394,8 +419,7 @@ fn step(
             if !model.rows.is_empty() {
                 let from = from % model.rows.len();
                 let tid = TupleId(model.next + gap);
-                let mut codes: Vec<u32> =
-                    rel.columns().iter().map(|c| c.codes().at(from)).collect();
+                let mut codes: Vec<u32> = rel.columns().iter().map(|c| c.codes()[from]).collect();
                 if *corrupt {
                     let j = from % codes.len();
                     codes[j] = rel.columns()[j].dict().len() as u32;
@@ -449,27 +473,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The store against a plain `Vec<(TupleId, Vec<Value>)>`: random
-    /// interleavings of every way rows enter, leave and move, at a drawn
-    /// chunk size (below, beside or above the data) and at the default.
-    /// After every step `iter()` decodes exactly the model's rows in
-    /// order, the tid column and all code columns have one length, and a
-    /// rejected step changed nothing; the relation keeps its size
-    /// throughout.
+    /// interleavings of every way rows enter, leave and move. After every
+    /// step `iter()` decodes exactly the model's rows in order, the tid
+    /// column and all code columns have one length, and a rejected step
+    /// changed nothing.
     #[test]
     fn storage_matches_a_plain_row_model(
         first in prop::collection::vec(arb_row(), 0..20),
         ops in prop::collection::vec(arb_storage_op(), 1..40),
-        drawn in arb_chunk_rows(),
     ) {
-        let default = NonZeroUsize::new(DEFAULT_CHUNK_ROWS).unwrap();
-        for chunk in [drawn, default] {
-            let mut rel = Relation::new(schema()).with_chunk_rows(chunk);
-            let mut model = Model::default();
-            std::iter::once(&StorageOp::FromRows(first.clone()))
-                .chain(&ops)
-                .try_for_each(|op| step(&mut rel, &mut model, op, chunk))?;
-            prop_assert_eq!(rel.chunk_rows(), chunk.get());
-        }
+        let mut rel = Relation::new(schema());
+        let mut model = Model::default();
+        std::iter::once(&StorageOp::FromRows(first))
+            .chain(&ops)
+            .try_for_each(|op| step(&mut rel, &mut model, op))?;
     }
 
     /// The two id lookups behind `apply_delta`: the same rows held once
@@ -484,9 +501,8 @@ proptest! {
         inserts in prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8),
         deletes in prop::collection::vec(0..64usize, 0..12),
         poison in 0..7u8,
-        chunk in arb_chunk_rows(),
     ) {
-        let mut ascending = build(&rows).with_chunk_rows(chunk);
+        let mut ascending = build(&rows);
         let mut model = Model::default();
         for (i, &r) in rows.iter().enumerate() {
             model.insert(TupleId(i as u64), row_values(r));
@@ -554,21 +570,14 @@ fn image_and_dicts(rel: &Relation) -> (Vec<TupleId>, Vec<Vec<u32>>, Vec<Vec<Valu
 /// `bulk_extend_rows_matches_push` where the block loop and the
 /// dictionary's index have seams: both relations start from three pushed
 /// rows (so no block starts at row 0 of an empty dictionary), then take
-/// 1 000 rows in bulk and one by one — in 3-row chunks (≈ 330 chunk seams
-/// under it) and in the default layout.
+/// 1 000 rows in bulk and one by one.
 #[test]
 fn bulk_ingest_matches_push_across_blocks_and_growths() {
-    for chunk in [3, DEFAULT_CHUNK_ROWS] {
-        bulk_ingest_matches_push_in(NonZeroUsize::new(chunk).unwrap());
-    }
-}
-
-fn bulk_ingest_matches_push_in(chunk: NonZeroUsize) {
     let head = [vals![5, 1, "s9"], vals![Value::Null, 2, "head"], vals![-300, 1, Value::Null]];
     let rows = wide_rows(1_000);
 
-    let mut pushed = Relation::new(schema()).with_chunk_rows(chunk);
-    let mut bulk = Relation::new(schema()).with_chunk_rows(chunk);
+    let mut pushed = Relation::new(schema());
+    let mut bulk = Relation::new(schema());
     for row in &head {
         pushed.push(row.clone()).unwrap();
         bulk.push(row.clone()).unwrap();

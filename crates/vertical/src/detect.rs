@@ -30,7 +30,7 @@
 use dcd_cfd::{Cfd, CodeLayout, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
 use dcd_dist::{VFragment, VerticalPartition, TID_CELLS};
-use dcd_relation::{AttrId, CodesView, Dictionary, Relation, RelationError, NO_CODE};
+use dcd_relation::{AttrId, Dictionary, Relation, RelationError, NO_CODE};
 use std::sync::Arc;
 
 /// Shipment strategy for cross-fragment CFDs.
@@ -155,7 +155,7 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd, mode: ShipMode) -> Vec<bool> {
     // Per pattern, its locally visible constants as (column, code) pairs
     // a row must carry; a constant the dictionary never saw compiles to
     // `NO_CODE`, which no row does.
-    let wanted: Vec<Vec<(CodesView<'_>, u32)>> = cfd
+    let wanted: Vec<Vec<(&[u32], u32)>> = cfd
         .tableau()
         .iter()
         .map(|tp| {
@@ -167,7 +167,7 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd, mode: ShipMode) -> Vec<bool> {
         })
         .collect();
     (0..frag.data.len())
-        .map(|r| wanted.iter().any(|consts| consts.iter().all(|(col, code)| col.at(r) == *code)))
+        .map(|r| wanted.iter().any(|consts| consts.iter().all(|&(col, code)| col[r] == code)))
         .collect()
 }
 

@@ -5,8 +5,8 @@
 //! snapshot, frozen at completion), and writes the phase-level trace as
 //! chrome-trace JSON under `target/` — load it in `chrome://tracing`
 //! or Perfetto. Every timestamp is *simulated* time from `SiteClocks`,
-//! so both artifacts are bit-identical run to run, across pool widths
-//! and chunk sizes.
+//! so both artifacts are bit-identical run to run and across pool
+//! widths.
 //!
 //! ```text
 //! cargo run --example observability

@@ -277,7 +277,7 @@ impl DetectRequest {
     /// rejected with [`RelationError::SchemaMismatch`], a cost model
     /// with a non-finite, negative or zero-rate field with
     /// [`RelationError::InvalidCostModel`].
-    pub fn run(self) -> Result<Detection, RelationError> {
+    pub fn run(&self) -> Result<Detection, RelationError> {
         self.check()?;
         let cfg = self.config;
         match &self.topology {
@@ -524,6 +524,105 @@ mod tests {
         assert_eq!(session.detection().algorithm, dcd_incr::ALGORITHM);
     }
 
+    /// Each CFD's `Vio` and `Vioπ`, by content.
+    fn violations(report: &ViolationReport) -> Vec<impl PartialEq + std::fmt::Debug> {
+        report
+            .per_cfd
+            .iter()
+            .map(|(name, v)| (name.clone(), v.tids.clone(), v.patterns.clone()))
+            .collect()
+    }
+
+    /// Two detections agree field for field: violations by content,
+    /// counts exactly, clocks and costs by bits, metrics and trace
+    /// through their bit-comparing `PartialEq`.
+    fn assert_same_detection(a: &Detection, b: &Detection, label: &str) {
+        assert_eq!(violations(&a.violations), violations(&b.violations), "{label}: violations");
+        let meters = |d: &Detection| {
+            let clocks: Vec<u64> = d.site_clocks.iter().map(|c| c.to_bits()).collect();
+            let counts = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);
+            let control = (d.control_messages, d.control_bytes);
+            (
+                d.algorithm.clone(),
+                counts,
+                control,
+                d.response_time.to_bits(),
+                d.paper_cost.to_bits(),
+                clocks,
+            )
+        };
+        assert_eq!(meters(a), meters(b), "{label}: meters");
+        assert_eq!(a.metrics, b.metrics, "{label}: metrics");
+        assert_eq!(a.trace, b.trace, "{label}: trace");
+    }
+
+    /// `run` borrows the request, so one request runs any number of
+    /// times, and every run answers the same.
+    #[test]
+    fn a_request_runs_twice_to_the_same_detection() {
+        let rel = sample(40);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let other = parse_cfd(rel.schema(), "psi", "([cc] -> [zip])").unwrap();
+        for topology in every_topology(&rel) {
+            let label = format!("{topology:?}");
+            let request = DetectRequest::over(topology)
+                .cfds([cfd.clone(), other.clone()])
+                .algorithm(Algorithm::clust_detect());
+            let first = request.run().unwrap();
+            assert_same_detection(&first, &request.run().unwrap(), &label[..30.min(label.len())]);
+        }
+    }
+
+    /// A batch that one site rejects leaves either session kind as it was
+    /// — fragments, report, clocks, ledger, metrics and trace — and the
+    /// next batch applies as if it had never been sent. The horizontal
+    /// batch carries a valid insert at site 0 beside a delete of an id
+    /// site 1 never held; the vertical one an insert that is well typed in
+    /// the `cc, zip` fragment and ill-typed in the `street` one.
+    #[test]
+    fn a_rejected_batch_leaves_either_session_as_it_was() {
+        use dcd_relation::{RelationDelta, Tuple, TupleId, Value};
+        let rel = sample(20);
+        let sigma = [parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap()];
+        let insert = |tid: u64, street: Value| {
+            let id = Value::Int(tid as i64);
+            Tuple::new(TupleId(tid), vec![id, Value::Int(44), Value::str("z0"), street])
+        };
+        let at_site_0 = |t: Tuple| {
+            DeltaBatch::new(vec![RelationDelta::new(vec![t], vec![]), RelationDelta::default()])
+        };
+        let horizontal = HorizontalPartition::round_robin(&rel, 2).unwrap();
+        let vertical =
+            VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]]).unwrap();
+        let unknown_delete = DeltaBatch::new(vec![
+            RelationDelta::new(vec![insert(100, Value::str("sX"))], vec![]),
+            RelationDelta::new(vec![], vec![TupleId(999)]),
+        ]);
+        let ill_typed_street = at_site_0(insert(100, Value::Int(7)));
+        let cases: [(&str, Topology, DeltaBatch); 2] = [
+            ("horizontal", horizontal.into(), unknown_delete),
+            ("vertical", vertical.into(), ill_typed_street),
+        ];
+        for (label, topology, rejected) in cases {
+            let mut session = DetectRequest::over(topology).cfds(sigma.clone()).session().unwrap();
+            let tuples =
+                |s: &IncrementalSession| s.materialize().unwrap().iter().collect::<Vec<_>>();
+            let (detection, report, rows) =
+                (session.detection(), session.report(), tuples(&session));
+            assert!(session.apply_batch(&rejected).is_err(), "{label}: the batch is refused");
+            assert_same_detection(&detection, &session.detection(), label);
+            assert_eq!(violations(&report), violations(&session.report()), "{label}: report");
+            assert_eq!(rows, tuples(&session), "{label}: fragments");
+
+            session.apply_batch(&at_site_0(insert(101, Value::str("sY")))).unwrap();
+            let whole = session.materialize().unwrap();
+            assert_eq!(whole.len(), rel.len() + 1, "{label}");
+            let want = dcd_cfd::detect_set(&whole, &sigma);
+            assert!(!want.all_tids().is_empty(), "{label}: the insert conflicts");
+            assert_eq!(violations(&session.report()), violations(&want), "{label}: next batch");
+        }
+    }
+
     /// A CFD's attribute lists are positions into *its* schema. Over a
     /// same-arity schema with the columns permuted they used to name
     /// the wrong columns (`Ok`, 0 violations where the right CFD finds
@@ -554,7 +653,7 @@ mod tests {
                 let label = format!("{topology:?}");
                 let label = &label[..30.min(label.len())];
                 let request = DetectRequest::over(topology).cfd(cfd.clone());
-                assert!(rejected(request.clone().run().map(drop)), "run over {label}");
+                assert!(rejected(request.run().map(drop)), "run over {label}");
                 assert!(rejected(request.session().map(drop)), "session over {label}");
             }
             // So is mined-tableau tracking on an open session.

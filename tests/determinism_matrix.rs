@@ -1,18 +1,16 @@
-//! The morsel determinism contract, pinned as a matrix: every detector
-//! × every topology must produce a bit-identical [`Detection`] across
-//! pool widths {1, 2, 8} × chunk sizes {1 row, 7 rows, default}. The
-//! baseline is the width-1 default-chunk run; every other cell of the
-//! matrix must match it field for field, f64s compared by bits. This is the
-//! property clippy's `iter_over_hash_type` and its thread allow-list
-//! guard statically and the morsel pipeline must uphold dynamically:
-//! scheduling (who runs which (site, chunk) morsel, in what order, stolen
-//! or not) must never reach the output.
+//! The pool's determinism contract, pinned as a matrix: every detector
+//! × every topology must produce a bit-identical [`Detection`] at pool
+//! widths {1, 2, 8}. The baseline is the width-1 run; every other cell of
+//! the matrix must match it field for field, f64s compared by bits. This
+//! is the property clippy's `iter_over_hash_type` and its thread
+//! allow-list guard statically and the pool must uphold dynamically:
+//! scheduling (who runs which site's task, in what order) must never
+//! reach the output.
 
 mod common;
 
-use common::chunk_rows;
+use common::grow_dictionaries;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -27,11 +25,10 @@ fn schema() -> Arc<Schema> {
         .unwrap()
 }
 
-/// ~120 rows over tiny domains, laid out in `chunk`-row chunks: plenty
-/// of FD collisions, several chunks at chunk size 7, and skew (site 0 of
-/// the round-robin gets no more than the others, but the `a = i % 3`
+/// ~120 rows over tiny domains: plenty of FD collisions, and skew (site 0
+/// of the round-robin gets no more than the others, but the `a = i % 3`
 /// domain skews groups).
-fn sample(chunk: usize) -> Relation {
+fn sample() -> Relation {
     Relation::from_rows(
         schema(),
         (0..120)
@@ -47,7 +44,6 @@ fn sample(chunk: usize) -> Relation {
             .collect(),
     )
     .unwrap()
-    .with_chunk_rows(chunk_rows(chunk))
 }
 
 fn sigma(s: &Arc<Schema>) -> Vec<Cfd> {
@@ -82,11 +78,11 @@ fn assert_identical(base: &Detection, got: &Detection, label: &str) {
 const ALGORITHMS: [Algorithm; 3] =
     [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::PatDetectRT];
 
-/// One full sweep: rebuild the relation and all four topologies in the
-/// given chunk size, run every detector at the given width, return the
-/// labelled detections in a fixed order.
-fn sweep(chunk: usize, threads: usize) -> Vec<(String, Detection)> {
-    let rel = sample(chunk);
+/// One full sweep: rebuild the relation and all four topologies, run
+/// every detector at the given width, return the labelled detections in
+/// a fixed order.
+fn sweep(threads: usize) -> Vec<(String, Detection)> {
+    let rel = sample();
     let s = rel.schema().clone();
     let sigma = sigma(&s);
     let cfg = RunConfig::default().with_threads(threads);
@@ -125,24 +121,18 @@ fn sweep(chunk: usize, threads: usize) -> Vec<(String, Detection)> {
 
 #[test]
 fn detections_are_bit_identical_across_widths_and_chunk_sizes() {
-    // Baseline: one worker, default chunk size.
-    let baseline = sweep(DEFAULT_CHUNK_ROWS, 1);
+    // Baseline: one worker.
+    let baseline = sweep(1);
     assert!(
         baseline.iter().any(|(_, d)| !d.violations.all_tids().is_empty()),
         "fixture should contain violations"
     );
-    for chunk in [1, 7, DEFAULT_CHUNK_ROWS] {
-        for threads in [1usize, 2, 8] {
-            if chunk == DEFAULT_CHUNK_ROWS && threads == 1 {
-                continue; // the baseline itself
-            }
-            let got = sweep(chunk, threads);
-            assert_eq!(baseline.len(), got.len());
-            for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
-                assert_eq!(label, label2);
-                let cell = format!("{label} @threads={threads}, chunk={chunk}");
-                assert_identical(base, d, &cell);
-            }
+    for threads in [2usize, 8] {
+        let got = sweep(threads);
+        assert_eq!(baseline.len(), got.len());
+        for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
+            assert_eq!(label, label2);
+            assert_identical(base, d, &format!("{label} @threads={threads}"));
         }
     }
 }
@@ -194,13 +184,15 @@ fn recorded(label: &str, d: &Detection) -> String {
 /// fused or filtered, clocks, ledger and `Detection.metrics` must read
 /// what they read before the scans were rewritten
 /// (`tests/golden/constants_detection.txt`, recorded at the parent
-/// commit of that change) — over the default layout and over 3-row
-/// chunks, where a morsel scans fewer rows than most keys' code spaces
-/// and the scans hash where the default indexes slots.
+/// commit of that change) — as built, and again with grown dictionaries,
+/// where the scans hash every key the built relation indexes in slots.
 #[test]
 fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
-    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
-        let rel = sample(chunk);
+    for grown in [false, true] {
+        let rel = sample();
+        if grown {
+            grow_dictionaries(&rel);
+        }
         let sigma = constants_sigma(rel.schema());
         let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
         let mut got = String::new();
@@ -213,6 +205,6 @@ fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
             assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
             got += &recorded(&format!("{alg:?}"), &d);
         }
-        assert_eq!(got, include_str!("golden/constants_detection.txt"), "{chunk} rows per chunk");
+        assert_eq!(got, include_str!("golden/constants_detection.txt"), "grown: {grown}");
     }
 }

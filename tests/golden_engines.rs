@@ -10,15 +10,13 @@
 //! `detect_set` here and in the property suites; which function gathers
 //! the rows is an implementation detail, what a run ships, when every
 //! site finishes and which phases it names is not — and neither is the
-//! chunk layout: the recording is read over relations laid out in the
-//! default size and in 3-row chunks.
+//! table a scan keys its groups in: the recording is read over relations
+//! as built and with grown dictionaries.
 
 mod common;
 
-use common::chunk_rows;
+use common::grow_dictionaries;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -224,19 +222,23 @@ const SEEDS: std::ops::Range<u64> = 0..6;
 
 #[test]
 fn unpinned_engines_read_the_recorded_meters() {
-    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
-        let got = recordings(chunk_rows(chunk));
-        assert_eq!(got, include_str!("golden/unpinned_engines.txt"), "{chunk} rows per chunk");
+    for grown in [false, true] {
+        let got = recordings(grown);
+        assert_eq!(got, include_str!("golden/unpinned_engines.txt"), "grown: {grown}");
     }
 }
 
-/// Every seed's recordings, its relation laid out in `chunk`-row chunks.
-fn recordings(chunk: NonZeroUsize) -> String {
+/// Every seed's recordings, its relation's dictionaries `grown` or as
+/// built.
+fn recordings(grown: bool) -> String {
     let mut got = String::new();
     let (mut local, mut three_way) = (0, 0);
     for seed in SEEDS {
         let mut rng = Rng(seed);
-        let rel = relation(&mut rng).with_chunk_rows(chunk);
+        let rel = relation(&mut rng);
+        if grown {
+            grow_dictionaries(&rel);
+        }
         let sigma = sigma(&mut rng);
         let groups = LAYOUTS[seed as usize % LAYOUTS.len()];
 

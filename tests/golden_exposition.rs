@@ -1,24 +1,23 @@
 //! Golden-file pin of the Prometheus text exposition: one small
 //! deterministic run (the `observability` example's exact setup) must
 //! reproduce `tests/golden/observability_exposition.txt` byte for
-//! byte, over the example's relation as built and laid out in 3-row
-//! chunks. Every line of the golden must parse under the
+//! byte, over the example's relation as built and with grown
+//! dictionaries (every scan hashes). Every line of the golden must parse
+//! under the
 //! exposition-format line grammar: `# HELP`/`# TYPE` headers followed by
 //! `name{labels} value` samples whose family a header declared first.
 
 mod common;
 
-use common::chunk_rows;
+use common::grow_dictionaries;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 
 const GOLDEN: &str = include_str!("golden/observability_exposition.txt");
 
-/// The `observability` example's run, reproduced exactly, its relation
-/// laid out in `chunk`-row chunks.
-fn example_detection(chunk: NonZeroUsize) -> Detection {
+/// The `observability` example's run, reproduced exactly, with its
+/// relation's dictionaries `grown` or as built.
+fn example_detection(grown: bool) -> Detection {
     let schema = Schema::builder("r")
         .attr("id", ValueType::Int)
         .attr("a", ValueType::Int)
@@ -33,8 +32,10 @@ fn example_detection(chunk: NonZeroUsize) -> Detection {
             .map(|i| vals![i, i % 3, i % 5, format!("c{}", if i % 7 == 0 { 9 } else { i % 2 })])
             .collect(),
     )
-    .unwrap()
-    .with_chunk_rows(chunk);
+    .unwrap();
+    if grown {
+        grow_dictionaries(&rel);
+    }
     let sigma = vec![
         parse_cfd(&schema, "phi1", "([a, b] -> [c])").unwrap(),
         parse_cfd(&schema, "phi2", "([a=1, b] -> [c=c1])").unwrap(),
@@ -45,10 +46,10 @@ fn example_detection(chunk: NonZeroUsize) -> Detection {
 
 #[test]
 fn exposition_matches_the_golden_byte_for_byte() {
-    for chunk in [DEFAULT_CHUNK_ROWS, 3] {
-        let exposed = example_detection(chunk_rows(chunk)).metrics.expose();
+    for grown in [false, true] {
+        let exposed = example_detection(grown).metrics.expose();
         let hint = "regenerate with `cargo run --example observability`";
-        assert_eq!(exposed, GOLDEN, "{chunk} rows per chunk; {hint}");
+        assert_eq!(exposed, GOLDEN, "grown: {grown}; {hint}");
     }
 }
 

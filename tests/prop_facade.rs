@@ -6,17 +6,12 @@
 //! and partitions. Every field of the [`Detection`] must match, f64s
 //! compared by bits (the determinism contract, not an epsilon match).
 //! This suite is what keeps the façade honest against the engines
-//! directly. Each case lays its relation out in a drawn chunk size.
+//! directly.
 
-mod common;
-
-use common::{arb_chunk_rows, chunk_rows};
 use distributed_cfd::core::{run_batch, run_clust, run_hybrid, run_replicated, run_seq};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use distributed_cfd::vertical::run_vertical;
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -36,7 +31,7 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
     prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
 }
 
-fn build_relation(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation {
+fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
     Relation::from_rows(
         schema(),
         rows.iter()
@@ -45,7 +40,6 @@ fn build_relation(rows: &[(i64, i64, u8, u8)], chunk: NonZeroUsize) -> Relation 
             .collect(),
     )
     .unwrap()
-    .with_chunk_rows(chunk)
 }
 
 /// A random CFD over the schema: LHS ⊆ {a, b, c}, RHS = d, patterns
@@ -134,9 +128,8 @@ proptest! {
         rhs_const in prop::option::of(0..3u8),
         pats2 in arb_patterns(),
         n_sites in 1..5usize,
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows, chunk);
+        let rel = build_relation(&rows);
         let cfd = build_cfd("p1", &pats, rhs_const);
         let cfd2 = build_cfd("p2", &pats2, None);
         let sigma = vec![cfd.clone(), cfd2];
@@ -178,9 +171,8 @@ proptest! {
         rows in arb_rows(),
         pats in arb_patterns(),
         factor in 1..4usize,
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows, chunk);
+        let rel = build_relation(&rows);
         let cfd = build_cfd("p", &pats, None);
         let base = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let replicated = ReplicatedPartition::chained(base, factor.min(3)).unwrap();
@@ -204,9 +196,8 @@ proptest! {
         rows in arb_rows(),
         pats in arb_patterns(),
         n_cells in 1..4usize,
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows, chunk);
+        let rel = build_relation(&rows);
         let cfd = build_cfd("p", &pats, None);
         let horizontal = HorizontalPartition::round_robin(&rel, n_cells).unwrap();
         let hybrid = HybridPartition::new(&horizontal, &[&["a", "b"], &["c", "d"]]).unwrap();
@@ -238,9 +229,8 @@ proptest! {
         rows in arb_rows(),
         pats in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows, chunk);
+        let rel = build_relation(&rows);
         let cfd = build_cfd("p", &pats, rhs_const);
         let partition =
             VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
@@ -271,9 +261,8 @@ proptest! {
         which in 0..3usize,
         rotate in 1..7usize,
         drop_one in any::<bool>(),
-        chunk in arb_chunk_rows(),
     ) {
-        let rel = build_relation(&rows, chunk);
+        let rel = build_relation(&rows);
         let sigma = [build_cfd("p", &pats, None)];
         let mut partition =
             VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
@@ -293,7 +282,7 @@ proptest! {
         for mode in [ShipMode::Full, ShipMode::Filtered] {
             let request =
                 DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).ship_mode(mode);
-            if let Ok(d) = request.clone().run() {
+            if let Ok(d) = request.run() {
                 prop_assert!(agrees(&d.violations), "run {:?}", mode);
             }
             if let Ok(session) = request.session() {
@@ -311,7 +300,7 @@ proptest! {
 #[test]
 fn invalid_cost_models_are_rejected_at_every_front_door() {
     let rows: Vec<_> = (0..12).map(|i| (i % 2, i % 3, (i % 3) as u8, (i % 2) as u8)).collect();
-    let rel = build_relation(&rows, chunk_rows(DEFAULT_CHUNK_ROWS));
+    let rel = build_relation(&rows);
     let sigma = [build_cfd("p", &[(None, None, None)], None)];
     let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
@@ -337,7 +326,7 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
         let cfg = RunConfig { cost, ..RunConfig::default() };
         for (name, topology) in &topologies {
             let request = DetectRequest::over(topology.clone()).cfds(sigma.clone()).config(cfg);
-            assert!(rejected(request.clone().run().map(drop)), "run over {name}: {field}");
+            assert!(rejected(request.run().map(drop)), "run over {name}: {field}");
             assert!(rejected(request.session().map(drop)), "session over {name}: {field}");
         }
         // The session constructors are public front doors too.
@@ -356,9 +345,8 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
 #[test]
 fn repeated_tuple_ids_are_rejected_at_the_front_door() {
     use distributed_cfd::relation::RelationError;
-    let default = chunk_rows(DEFAULT_CHUNK_ROWS);
-    let clean = build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0)], default);
-    let conflicting = build_relation(&[(0, 0, 0, 0), (0, 0, 0, 1)], default);
+    let clean = build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0)]);
+    let conflicting = build_relation(&[(0, 0, 0, 0), (0, 0, 0, 1)]);
     let fragments: Vec<Fragment> = [clean, conflicting]
         .into_iter()
         .enumerate()

@@ -1,13 +1,12 @@
 //! The observability determinism contract, pinned as a matrix: for
 //! every detector × every topology, the [`Detection`]'s frozen
 //! `metrics` snapshot and its `trace` span set must be bit-identical
-//! across pool widths {1, 8} × chunk sizes {257 rows, 64Ki rows}.
-//! Metrics are accumulated by order-free atomics and spans are
-//! timestamped from `SiteClocks` snapshots, so nothing the scheduler
-//! does (who runs which morsel, in what order, chunked how) may reach
-//! either artifact. The host-scoped pool counter (`dcd_pool_morsels_total`)
-//! lives in `host_registry()` precisely because it *does* vary with
-//! width and chunking; this suite pins everything that does not.
+//! at pool widths {1, 8}. Metrics are accumulated by order-free atomics
+//! and spans are timestamped from `SiteClocks` snapshots, so nothing the
+//! scheduler does (who runs which site's task, in what order) may reach
+//! either artifact. The host-scoped pool counter (`dcd_pool_tasks_total`)
+//! lives in `host_registry()` precisely because it counts every run of
+//! the process; this suite pins everything a run owns.
 //!
 //! It also pins that the trace is *complete*: per site, the spans'
 //! durations add up to the site's final clock, for every batch run of
@@ -16,10 +15,8 @@
 
 mod common;
 
-use common::chunk_rows;
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::DEFAULT_CHUNK_ROWS;
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -34,10 +31,8 @@ fn schema() -> Arc<Schema> {
         .unwrap()
 }
 
-/// ~300 rows over tiny domains, laid out in `chunk`-row chunks: plenty
-/// of FD collisions and, at chunk size 257, two chunks in the relation
-/// the fragments are cut from.
-fn sample(chunk: usize) -> Relation {
+/// ~300 rows over tiny domains: plenty of FD collisions.
+fn sample() -> Relation {
     Relation::from_rows(
         schema(),
         (0..300)
@@ -53,7 +48,6 @@ fn sample(chunk: usize) -> Relation {
             .collect(),
     )
     .unwrap()
-    .with_chunk_rows(chunk_rows(chunk))
 }
 
 fn sigma(s: &Arc<Schema>) -> Vec<Cfd> {
@@ -74,8 +68,7 @@ fn algorithms() -> [Algorithm; 5] {
     ]
 }
 
-/// The four topologies over the sample relation, each fragment in the
-/// sample's chunk size.
+/// The four topologies over the sample relation.
 struct Fixtures {
     sigma: Vec<Cfd>,
     horizontal: HorizontalPartition,
@@ -84,8 +77,8 @@ struct Fixtures {
     replicated: ReplicatedPartition,
 }
 
-fn fixtures(chunk: usize) -> Fixtures {
-    let rel = sample(chunk);
+fn fixtures() -> Fixtures {
+    let rel = sample();
     let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
     Fixtures {
         sigma: sigma(rel.schema()),
@@ -123,11 +116,6 @@ fn run_matrix(f: &Fixtures, threads: usize) -> Vec<(String, Detection)> {
         }
     }
     out
-}
-
-/// One full sweep in a chunk size, at a pool width.
-fn sweep(chunk: usize, threads: usize) -> Vec<(String, Detection)> {
-    run_matrix(&fixtures(chunk), threads)
 }
 
 /// Every run must carry the uniform observability surface: the ledger
@@ -170,8 +158,9 @@ fn assert_surface(label: &str, d: &Detection) {
 
 #[test]
 fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
-    // Baseline: one worker, 257-row chunks.
-    let baseline = sweep(257, 1);
+    // Baseline: one worker.
+    let f = fixtures();
+    let baseline = run_matrix(&f, 1);
     assert!(
         baseline.iter().any(|(_, d)| !d.violations.all_tids().is_empty()),
         "fixture should contain violations"
@@ -179,26 +168,15 @@ fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
     for (label, d) in &baseline {
         assert_surface(label, d);
     }
-    for chunk in [257, DEFAULT_CHUNK_ROWS] {
-        for threads in [1usize, 8] {
-            if chunk == 257 && threads == 1 {
-                continue; // the baseline itself
-            }
-            let got = sweep(chunk, threads);
-            assert_eq!(baseline.len(), got.len());
-            for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
-                assert_eq!(label, label2);
-                let cell = format!("{label} @threads={threads}, chunk={chunk}");
-                // Snapshot and trace types compare f64s through bits.
-                assert_eq!(base.metrics, d.metrics, "{cell}: metrics snapshot diverged");
-                assert_eq!(base.trace, d.trace, "{cell}: trace diverged");
-                assert_eq!(
-                    base.metrics.expose(),
-                    d.metrics.expose(),
-                    "{cell}: exposition text diverged"
-                );
-            }
-        }
+    let got = run_matrix(&f, 8);
+    assert_eq!(baseline.len(), got.len());
+    for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
+        assert_eq!(label, label2);
+        let cell = format!("{label} @threads=8");
+        // Snapshot and trace types compare f64s through bits.
+        assert_eq!(base.metrics, d.metrics, "{cell}: metrics snapshot diverged");
+        assert_eq!(base.trace, d.trace, "{cell}: trace diverged");
+        assert_eq!(base.metrics.expose(), d.metrics.expose(), "{cell}: exposition text diverged");
     }
 }
 
@@ -217,7 +195,7 @@ fn assert_spans_tile_the_clock(label: &str, d: &Detection) {
 
 #[test]
 fn spans_tile_the_clock() {
-    let f = fixtures(DEFAULT_CHUNK_ROWS);
+    let f = fixtures();
     for (label, d) in run_matrix(&f, 1) {
         assert_spans_tile_the_clock(&label, &d);
     }

@@ -9,9 +9,8 @@
 //! pattern constants the relation never saw, empty tableaux and empty
 //! relations.
 //!
-//! Every case lays its rows out in a drawn chunk size, so the columnar
-//! scans and gathers meet seams of their own, and runs twice over the
-//! same rows: as generated, where most narrow keys' code spaces fit the
+//! Every case runs twice over the same rows: as generated, where most
+//! narrow keys' code spaces fit the
 //! rows a scan reads and the slice kernel, σ and the constant check
 //! index slot tables, then after [`grow_dictionaries`], where none fits
 //! and every scan hashes. Both passes must equal the definition, and the
@@ -19,14 +18,13 @@
 
 mod common;
 
-use common::{arb_chunk_rows, grow_dictionaries};
+use common::grow_dictionaries;
 use distributed_cfd::cfd::{detect_simple_strict, oracle, CodeRow, Flagged};
 use distributed_cfd::core::local::{check_constants_range_with, compile_constants};
 use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma};
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::{AttrId, CodeBatch};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 const ARITY: usize = 7;
@@ -80,14 +78,14 @@ fn arb_case() -> impl Strategy<Value = Case> {
 }
 
 impl Case {
-    fn relation(&self, chunk: NonZeroUsize) -> Relation {
+    fn relation(&self) -> Relation {
         let rows = self.rows.iter().map(|&(b, redraw)| {
             let mut row: Vec<Value> =
                 self.bases[b % self.bases.len()].iter().map(|&c| cell(c)).collect();
             row[self.rhs] = cell(redraw);
             row
         });
-        Relation::from_rows(schema(), rows.collect()).unwrap().with_chunk_rows(chunk)
+        Relation::from_rows(schema(), rows.collect()).unwrap()
     }
 
     fn cfd(&self) -> SimpleCfd {
@@ -132,8 +130,8 @@ proptest! {
 
     /// Columnar detection, both readings, equals the definition.
     #[test]
-    fn centralized_detection_equals_the_definition(case in arb_case(), chunk in arb_chunk_rows()) {
-        let (rel, cfd) = (case.relation(chunk), case.cfd());
+    fn centralized_detection_equals_the_definition(case in arb_case()) {
+        let (rel, cfd) = (case.relation(), case.cfd());
         let decoded: Vec<Tuple> = rel.iter().collect();
         let tuples: Vec<&Tuple> = decoded.iter().collect();
         for pass in ["as built", "grown"] {
@@ -161,9 +159,8 @@ proptest! {
     fn coordinator_validation_equals_the_definition(
         case in arb_case(),
         n_sites in 1usize..4,
-        chunk in arb_chunk_rows(),
     ) {
-        let (rel, cfd) = (case.relation(chunk), case.cfd());
+        let (rel, cfd) = (case.relation(), case.cfd());
         let partition = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         let as_built = validate_at_coordinators(&rel, &cfd, &partition, "as built")?;
         grow_dictionaries(&rel);

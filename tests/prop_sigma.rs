@@ -1,12 +1,12 @@
-//! The σ pin: `sigma_partition` / `sigma_partition_range` equal Lemma 6's
-//! σ computed the naive way — per tuple, over decoded values, trying the
+//! The σ pin: `sigma_partition` equals Lemma 6's σ computed the naive
+//! way — per tuple, over decoded values, trying the
 //! applicable patterns in scan order with `PatternValue::matches` and
 //! stopping at the first that matches. The reference imports nothing
 //! from the kernel, `LhsIndex`, `CodeKey` or the dictionaries, so the
 //! admission bitmaps, the pinned-projection memo and the index probe
 //! cannot hide a bug in it too. `blocks` must be equal index for index
-//! and `comparisons` equal exactly, on every range `0..mid` and
-//! `mid..n` of every case.
+//! and `comparisons` equal exactly, on every case and on every prefix
+//! and suffix of it taken as a fragment of its own.
 //!
 //! The generator reaches LHS widths 0..=5 (the empty key, and pinned
 //! projections of every `CodeKey` layout: one word, two words, boxed),
@@ -14,24 +14,19 @@
 //! constants the relation never saw (`NO_CODE`), `Null` cells, and
 //! `applicable` as the whole tableau, a strict subset, or empty.
 //!
-//! Every relation is laid out in small chunks — 7 rows for the fixed
-//! grid, a drawn size for each generated case — so the ranges start and
-//! end on both sides of seams. Every check runs twice over the same
-//! rows: as built, where a range whose pinned code space fits its rows
-//! memoizes σ in a slot array, and after [`grow_dictionaries`] has pushed
-//! the dictionaries past every range, where the memo is a hash map. Both
-//! must equal the definition, so they equal each other.
+//! Every check runs twice over the same rows: as built, where a fragment
+//! whose pinned code space fits its rows memoizes σ in a slot array, and
+//! after [`grow_dictionaries`] has pushed the dictionaries past every
+//! fragment, where the memo is a hash map. Both must equal the
+//! definition, so they equal each other.
 
 mod common;
 
-use common::{arb_chunk_rows, chunk_rows, grow_dictionaries};
-use distributed_cfd::core::sigma::{
-    sigma_partition, sigma_partition_range, sort_for_sigma, SigmaPartition, SortedCfd,
-};
+use common::grow_dictionaries;
+use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma, SigmaPartition, SortedCfd};
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 const ARITY: usize = 6;
@@ -54,19 +49,12 @@ fn cell(c: u8) -> Value {
     }
 }
 
-/// σ by the book, over rows `start..end`.
-fn naive(
-    rel: &Relation,
-    sorted: &SortedCfd,
-    applicable: &[usize],
-    start: usize,
-    end: usize,
-) -> (Vec<Vec<usize>>, usize) {
+/// σ by the book.
+fn naive(rel: &Relation, sorted: &SortedCfd, applicable: &[usize]) -> (Vec<Vec<usize>>, usize) {
     let cfd = &sorted.cfd;
     let mut blocks = vec![Vec::new(); cfd.tableau.len()];
     let mut comparisons = 0;
-    for i in start..end {
-        let t = rel.row(i);
+    for (i, t) in rel.iter().enumerate() {
         for &pi in applicable {
             comparisons += 1;
             let tp = &cfd.tableau[pi];
@@ -89,10 +77,11 @@ fn same(got: &SigmaPartition, want: &(Vec<Vec<usize>>, usize), what: &str) -> Re
     Ok(())
 }
 
-/// The whole fragment and both halves of every split against the
-/// definition, over `rel` as built and again after its dictionaries are
-/// grown (the same rows and codes). Takes `rel` by value: it leaves
-/// grown.
+/// The whole fragment, and both halves of every split as fragments of
+/// their own, against the definition, over `rel` as built and again
+/// after its dictionaries are grown (the same rows and codes). The halves
+/// share `rel`'s dictionaries, so each size meets the slot table or the
+/// hash map as its rows decide. Takes `rel` by value: it leaves grown.
 fn check(rel: Relation, cfd: &SimpleCfd, applicable: &[usize]) -> Result<(), String> {
     let sorted = sort_for_sigma(cfd);
     let n = rel.len();
@@ -100,20 +89,14 @@ fn check(rel: Relation, cfd: &SimpleCfd, applicable: &[usize]) -> Result<(), Str
         if pass == "grown" {
             grow_dictionaries(&rel);
         }
-        let rel = &rel;
-        same(
-            &sigma_partition(rel, &sorted, applicable),
-            &naive(rel, &sorted, applicable, 0, n),
-            &format!("all, {pass}"),
-        )?;
-        for mid in 0..=n {
-            for (start, end) in [(0, mid), (mid, n)] {
-                same(
-                    &sigma_partition_range(rel, &sorted, applicable, start, end),
-                    &naive(rel, &sorted, applicable, start, end),
-                    &format!("{start}..{end}, {pass}"),
-                )?;
-            }
+        let whole = std::iter::once((0, n));
+        for (start, end) in whole.chain((0..=n).flat_map(|mid| [(0, mid), (mid, n)])) {
+            let part = rel.copy_rows(&(start..end).collect::<Vec<_>>());
+            same(
+                &sigma_partition(&part, &sorted, applicable),
+                &naive(&part, &sorted, applicable),
+                &format!("{start}..{end}, {pass}"),
+            )?;
         }
     }
     Ok(())
@@ -134,15 +117,14 @@ fn pat(cells: &[Option<i64>]) -> NormalPattern {
     NormalPattern::new(lhs, PatternValue::Wild)
 }
 
-/// Every combination of three values on the first five attributes, in
-/// 7-row chunks.
+/// Every combination of three values on the first five attributes.
 fn grid() -> Relation {
     let rows = (0..3i64.pow(5)).map(|k| {
         let mut row: Vec<Value> = (0..5).map(|j| Value::Int(k / 3i64.pow(j) % 3)).collect();
         row.push(Value::Int(k));
         row
     });
-    Relation::from_rows(schema(), rows.collect()).unwrap().with_chunk_rows(chunk_rows(7))
+    Relation::from_rows(schema(), rows.collect()).unwrap()
 }
 
 #[test]
@@ -258,14 +240,14 @@ fn arb_case() -> impl Strategy<Value = Case> {
 }
 
 impl Case {
-    fn relation(&self, chunk: NonZeroUsize) -> Relation {
+    fn relation(&self) -> Relation {
         let rows = self.rows.iter().map(|&(b, at, redraw)| {
             let mut row: Vec<Value> =
                 self.bases[b % self.bases.len()].iter().map(|&c| cell(c)).collect();
             row[at] = cell(redraw);
             row
         });
-        Relation::from_rows(schema(), rows.collect()).unwrap().with_chunk_rows(chunk)
+        Relation::from_rows(schema(), rows.collect()).unwrap()
     }
 
     fn cfd(&self) -> SimpleCfd {
@@ -294,8 +276,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn sigma_equals_the_first_match_definition(case in arb_case(), chunk in arb_chunk_rows()) {
-        let (rel, cfd) = (case.relation(chunk), case.cfd());
+    fn sigma_equals_the_first_match_definition(case in arb_case()) {
+        let (rel, cfd) = (case.relation(), case.cfd());
         let applicable = case.applicable(cfd.tableau.len());
         if let Err(msg) = check(rel, &cfd, &applicable) {
             return Err(TestCaseError::fail(format!("{msg}\n{case:?}")));

@@ -62,9 +62,9 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
         }
         for (col, fed) in columns.iter().zip(&feeds) {
             assert_eq!(col.len(), fed.len());
-            assert!(col.codes().iter().all(|code| (code as usize) < snapshot.len()));
+            assert!(col.codes().iter().all(|&code| (code as usize) < snapshot.len()));
             let decoded: Vec<&Value> =
-                col.codes().iter().map(|code| &snapshot[code as usize]).collect();
+                col.codes().iter().map(|&code| &snapshot[code as usize]).collect();
             assert!(decoded.iter().copied().eq(fed), "threads = {threads}");
         }
     }

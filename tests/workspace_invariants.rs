@@ -133,8 +133,7 @@ fn expectations_of(lint: &str, code: &[(String, String)]) -> Vec<String> {
 /// of the four sanctioned call sites or in the one audited module, the
 /// metrics registry's cells (`registry.rs`) — pure meters, and the only
 /// code that may spell `Relaxed`. The run's own meters (clocks, ledger,
-/// round, trace) are plain data owned by `RunCtx`, and a relation's chunk
-/// size is a field it is built with; neither holds an atomic.
+/// round, trace) are plain data owned by `RunCtx` and hold no atomic.
 #[test]
 fn the_sanctioned_clock_and_thread_sites_stay_four() {
     let toml = std::fs::read_to_string(root().join("clippy.toml")).expect("clippy.toml exists");
