@@ -38,8 +38,8 @@
 //! pointer each miss the cache in parallel. Either is handed the
 //! **decoder** from a violating key's codes to the `Vioπ` value
 //! projection. The incremental index, whose groups outlive a call,
-//! keeps its own member lists and asks [`validate_group`] per touched
-//! key.
+//! keeps its own member lists and RHS-code counts and asks [`judge`]
+//! once per key a delta touched.
 //!
 //! Which patterns match a key is answered by [`LhsIndex`], the
 //! σ-style bucketing by LHS wildcard mask (one hash probe per distinct
@@ -48,14 +48,14 @@
 //! built once per (fragment, CFD) and shared rather than re-derived per
 //! call site.
 //!
-//! The validation semantics live in `judge` (private to this module: it
-//! is the semantics, not an entry point) and nowhere else in the
-//! engine (a second spelling that disagreed would fail `prop_oracle`):
-//! variable patterns flag the whole group iff it holds ≥ 2 distinct RHS values;
-//! constant patterns flag individual mismatching members (`t[A] ≭ c`),
-//! plus — under the strict §II-C reading — the whole group on an FD
-//! conflict. [`validate_group`] and both scan loops are that
-//! function plus a way of learning the conflict bit. They are pinned not
+//! The validation semantics live in [`judge`] and [`Judgement::flags`]
+//! and nowhere else in the engine (a second spelling that disagreed
+//! would fail `prop_oracle`): variable patterns flag the whole group iff
+//! it holds ≥ 2 distinct RHS values; constant patterns flag individual
+//! mismatching members (`t[A] ≭ c`), plus — under the strict §II-C
+//! reading — the whole group on an FD conflict. Both scan loops and the
+//! incremental index are that pair plus a way of learning the conflict
+//! bit. They are pinned not
 //! against a second instantiation of this module but against
 //! [`oracle`](crate::oracle), an independent pairwise transcription of
 //! the paper's definition. The queued `dcd_measure` crate hooks here: a
@@ -67,7 +67,7 @@ use dcd_relation::ops::{CodeKey, CodeMemo};
 use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 
 /// Instrument handles for the kernel: how many groups were validated,
-/// the [`GroupVerdict`] mix, and how many [`LhsIndex`] probes ran.
+/// the [`Judgement`] mix, and how many [`LhsIndex`] probes ran.
 /// `Default` yields functional *detached* counters (no registry), so
 /// paths without an observer pay one relaxed add per group and nothing
 /// more; [`KernelCounters::register`] binds the same handles into a
@@ -79,11 +79,13 @@ use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 pub struct KernelCounters {
     /// Groups validated (key matched ≥ 1 pattern).
     pub groups: Counter,
-    /// Groups whose verdict was [`GroupVerdict::Clean`].
+    /// Groups judged [`Judgement::Clean`], or whose one constant every
+    /// member equals.
     pub clean: Counter,
-    /// Groups whose verdict was [`GroupVerdict::AllFlagged`].
+    /// Groups judged [`Judgement::All`].
     pub all_flagged: Counter,
-    /// Groups whose verdict was [`GroupVerdict::Mixed`].
+    /// Groups with a flagged member but not judged [`Judgement::All`]:
+    /// constant patterns flag members one at a time.
     pub mixed: Counter,
     /// [`LhsIndex`] probes (one per distinct group key).
     pub probes: Counter,
@@ -126,11 +128,11 @@ impl KernelCounters {
 pub struct KernelTally {
     /// Index probes performed.
     pub probes: u64,
-    /// Groups concluding [`GroupVerdict::Clean`].
+    /// Groups counted under [`KernelCounters::clean`].
     pub clean: u64,
-    /// Groups concluding [`GroupVerdict::AllFlagged`].
+    /// Groups counted under [`KernelCounters::all_flagged`].
     pub all_flagged: u64,
-    /// Groups concluding [`GroupVerdict::Mixed`].
+    /// Groups counted under [`KernelCounters::mixed`].
     pub mixed: u64,
 }
 
@@ -146,40 +148,11 @@ pub enum RhsSpec {
     Const(u32),
 }
 
-/// What [`validate_group`] concluded about one LHS group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GroupVerdict {
-    /// No matching pattern flagged anything.
-    Clean,
-    /// Every member violates: a variable pattern saw an FD conflict (or
-    /// a constant pattern did, under the strict reading).
-    AllFlagged,
-    /// Exactly the members with `true` flags violate a constant
-    /// pattern. At least one flag is set.
-    Mixed(Vec<bool>),
-}
-
-impl GroupVerdict {
-    /// Whether member `fi` is flagged under this verdict.
-    pub fn member_flagged(&self, fi: usize) -> bool {
-        match self {
-            GroupVerdict::Clean => false,
-            GroupVerdict::AllFlagged => true,
-            GroupVerdict::Mixed(flags) => flags[fi],
-        }
-    }
-
-    /// Whether any member is flagged (i.e. the group key belongs in
-    /// `Vioπ`).
-    pub fn any_flagged(&self) -> bool {
-        !matches!(self, GroupVerdict::Clean)
-    }
-}
-
 /// What the patterns matching a group's key conclude about it, knowing
-/// of its members only whether they hold ≥ 2 distinct RHS values.
+/// of its members only whether they hold ≥ 2 distinct RHS values;
+/// [`Judgement::flags`] then answers for each member on its own RHS code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Judgement {
+pub enum Judgement {
     /// No pattern flags anything.
     Clean,
     /// Every member violates: the FD conflict convicts the whole group.
@@ -201,8 +174,8 @@ enum Judgement {
 /// flags the members with `t[A] ≭ c` one at a time (a `NO_CODE`
 /// constant differs from every member by construction). The scan stops
 /// at the first pattern that convicts the group — later ones cannot add
-/// members.
-fn judge(specs: impl IntoIterator<Item = RhsSpec>, conflict: bool, strict: bool) -> Judgement {
+/// members. With no spec the group is [`Judgement::Clean`].
+pub fn judge(specs: impl IntoIterator<Item = RhsSpec>, conflict: bool, strict: bool) -> Judgement {
     let mut consts = Judgement::Clean;
     for spec in specs {
         match spec {
@@ -221,39 +194,14 @@ fn judge(specs: impl IntoIterator<Item = RhsSpec>, conflict: bool, strict: bool)
     consts
 }
 
-/// Validates one materialized LHS group against the RHS specs of the
-/// patterns its key matches, in tableau order: `judge` over the
-/// group's conflict bit, which a scan for the first member differing
-/// from member 0 supplies, and — for a constant pattern — one pass
-/// marking the mismatching members.
-///
-/// `specs` yields the matching patterns' RHS cells; `rhs_of(fi)` reads
-/// member `fi`'s RHS code. With no matching pattern no member is read.
-pub fn validate_group(
-    specs: impl IntoIterator<Item = RhsSpec>,
-    n_members: usize,
-    mut rhs_of: impl FnMut(usize) -> u32,
-    strict: bool,
-) -> GroupVerdict {
-    let mut specs = specs.into_iter().peekable();
-    if specs.peek().is_none() {
-        return GroupVerdict::Clean;
-    }
-    let conflict = n_members > 1 && {
-        let first = rhs_of(0);
-        (1..n_members).any(|fi| rhs_of(fi) != first)
-    };
-    match judge(specs, conflict, strict) {
-        Judgement::Clean => GroupVerdict::Clean,
-        Judgement::All => GroupVerdict::AllFlagged,
-        Judgement::EachMismatches => GroupVerdict::Mixed(vec![true; n_members]),
-        Judgement::Differing(c) => {
-            let flags: Vec<bool> = (0..n_members).map(|fi| rhs_of(fi) != c).collect();
-            if flags.contains(&true) {
-                GroupVerdict::Mixed(flags)
-            } else {
-                GroupVerdict::Clean
-            }
+impl Judgement {
+    /// Whether a member with RHS code `rhs` is flagged.
+    #[inline]
+    pub fn flags(self, rhs: u32) -> bool {
+        match self {
+            Judgement::Clean => false,
+            Judgement::All | Judgement::EachMismatches => true,
+            Judgement::Differing(c) => rhs != c,
         }
     }
 }
@@ -341,18 +289,6 @@ const NO_GROUP: u32 = u32::MAX;
 
 /// Rows whose RHS codes the boxed-row scan reads ahead of probing them.
 const SCAN_BLOCK: usize = 64;
-
-impl Judgement {
-    /// Whether a member with RHS code `rhs` is flagged.
-    #[inline]
-    fn flags(self, rhs: u32) -> bool {
-        match self {
-            Judgement::Clean => false,
-            Judgement::All | Judgement::EachMismatches => true,
-            Judgement::Differing(c) => rhs != c,
-        }
-    }
-}
 
 /// Judge: one index probe and one verdict per group, in id order. The
 /// violating keys are decoded into `out.patterns`, the tallies folded
@@ -622,34 +558,34 @@ impl LhsIndex {
 mod tests {
     use super::*;
 
+    /// `judge` plus `flags` over a materialized group: the conflict bit
+    /// read off the members, then each member's flag.
+    fn member_flags(specs: &[RhsSpec], rhs: &[u32], strict: bool) -> (Judgement, Vec<bool>) {
+        let conflict = rhs.iter().any(|&r| r != rhs[0]);
+        let judgement = judge(specs.iter().copied(), conflict, strict);
+        (judgement, rhs.iter().map(|&r| judgement.flags(r)).collect())
+    }
+
     #[test]
     fn variable_pattern_flags_whole_group_on_conflict() {
-        let rhs = [1u32, 2, 1];
-        let v = validate_group([RhsSpec::Wild], 3, |i| rhs[i], false);
-        assert_eq!(v, GroupVerdict::AllFlagged);
-        let uniform = [5u32, 5];
-        let v = validate_group([RhsSpec::Wild], 2, |i| uniform[i], false);
-        assert_eq!(v, GroupVerdict::Clean);
+        let wild = [RhsSpec::Wild];
+        assert_eq!(member_flags(&wild, &[1, 2, 1], false), (Judgement::All, vec![true; 3]));
+        assert_eq!(member_flags(&wild, &[5, 5], false), (Judgement::Clean, vec![false; 2]));
     }
 
     #[test]
     fn constant_pattern_flags_mismatching_members_only() {
         let rhs = [7u32, 9, 7];
-        let v = validate_group([RhsSpec::Const(7)], 3, |i| rhs[i], false);
-        assert_eq!(v, GroupVerdict::Mixed(vec![false, true, false]));
-        let v = validate_group([RhsSpec::Const(9)], 3, |i| rhs[i], false);
-        assert_eq!(v, GroupVerdict::Mixed(vec![true, false, true]));
+        assert_eq!(member_flags(&[RhsSpec::Const(7)], &rhs, false).1, [false, true, false]);
+        assert_eq!(member_flags(&[RhsSpec::Const(9)], &rhs, false).1, [true, false, true]);
     }
 
     #[test]
     fn strict_reading_promotes_constant_conflicts() {
-        let rhs = [7u32, 9];
-        let v = validate_group([RhsSpec::Const(7)], 2, |i| rhs[i], true);
-        assert_eq!(v, GroupVerdict::AllFlagged);
+        let seven = [RhsSpec::Const(7)];
+        assert_eq!(member_flags(&seven, &[7, 9], true), (Judgement::All, vec![true; 2]));
         // No conflict: strict changes nothing.
-        let uniform = [9u32, 9];
-        let v = validate_group([RhsSpec::Const(7)], 2, |i| uniform[i], true);
-        assert_eq!(v, GroupVerdict::Mixed(vec![true, true]));
+        assert_eq!(member_flags(&seven, &[9, 9], true), (Judgement::Differing(7), vec![true; 2]));
     }
 
     #[test]
@@ -657,15 +593,13 @@ mod tests {
         // Wild flags the group; the impossible Const(0) after it must
         // not run (it would otherwise flag nothing new anyway, but the
         // early break is part of the pinned scan semantics).
-        let rhs = [1u32, 2];
-        let v = validate_group([RhsSpec::Wild, RhsSpec::Const(0)], 2, |i| rhs[i], false);
-        assert_eq!(v, GroupVerdict::AllFlagged);
+        assert_eq!(judge([RhsSpec::Wild, RhsSpec::Const(0)], true, false), Judgement::All);
     }
 
     #[test]
-    fn a_group_without_specs_reads_no_member() {
-        let v = validate_group([], 3, |_| panic!("no pattern matched: nothing to read"), true);
-        assert_eq!(v, GroupVerdict::Clean);
+    fn a_group_without_specs_is_clean() {
+        assert_eq!(judge([], true, true), Judgement::Clean);
+        assert!(!Judgement::Clean.flags(0));
     }
 
     #[test]
@@ -673,12 +607,12 @@ mod tests {
         // No member can equal both constants — and without a variable
         // pattern (or the strict reading) that is a mixed verdict, not a
         // group conviction, conflict or not.
-        let v = validate_group([RhsSpec::Const(7), RhsSpec::Const(8)], 2, |_| 7, false);
-        assert_eq!(v, GroupVerdict::Mixed(vec![true, true]));
-        let rhs = [7u32, 8];
+        let two = [RhsSpec::Const(7), RhsSpec::Const(8)];
+        assert_eq!(member_flags(&two, &[7, 7], false), (Judgement::EachMismatches, vec![true; 2]));
         let specs = [RhsSpec::Const(7), RhsSpec::Const(8), RhsSpec::Const(7)];
-        assert_eq!(validate_group(specs, 2, |i| rhs[i], false), GroupVerdict::Mixed(vec![true; 2]));
-        assert_eq!(validate_group(specs, 2, |i| rhs[i], true), GroupVerdict::AllFlagged);
+        let each = (Judgement::EachMismatches, vec![true; 2]);
+        assert_eq!(member_flags(&specs, &[7, 8], false), each);
+        assert_eq!(member_flags(&specs, &[7, 8], true), (Judgement::All, vec![true; 2]));
     }
 
     /// The tallies a run folded into `counters`.
@@ -754,10 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_verdicts_equal_validate_group_on_the_materialized_groups() {
+    fn scan_verdicts_equal_judge_on_the_materialized_groups() {
         // Every spec mix over groups with and without conflict, both
         // readings: the summary-driven scan must flag the members and
-        // tally the verdict `validate_group` reaches on the member list.
+        // tally the verdict `judge` reaches on the member list.
         let w = WILDCARD_CODE;
         let tableaux: [&[u32]; 7] = [&[w], &[7], &[7, 7], &[7, 8], &[8, w], &[w, 7], &[9]];
         let groups: [&[u32]; 5] = [&[7], &[7, 7], &[8, 8], &[7, 8], &[8, 7, 9]];
@@ -768,28 +702,26 @@ mod tests {
                 .collect();
             for members in groups {
                 for strict in [false, true] {
-                    let specs = patterns.iter().map(CompiledPattern::rhs_spec);
-                    let want = validate_group(specs, members.len(), |fi| members[fi], strict);
+                    let specs: Vec<RhsSpec> = patterns.iter().map(|p| p.rhs_spec()).collect();
+                    let (judgement, want) = member_flags(&specs, members, strict);
                     let rows: Vec<(u32, u32)> = members.iter().map(|&rhs| (0, rhs)).collect();
                     let counters = KernelCounters::default();
                     let got = scan(&rows, &patterns, None, strict, &counters);
                     let label = format!("{rhs_cells:?} over {members:?}, strict={strict}");
                     let flagged: Vec<TupleId> = (0..members.len())
-                        .filter(|&fi| want.member_flagged(fi))
+                        .filter(|&fi| want[fi])
                         .map(|fi| TupleId(u64::from(members[fi])))
                         .collect();
+                    let any = want.contains(&true);
                     assert_eq!(got.tids, flagged, "{label}");
-                    assert_eq!(got.patterns.len(), usize::from(want.any_flagged()), "{label}");
+                    assert_eq!(got.patterns.len(), usize::from(any), "{label}");
                     let mix = (
                         counters.clean.get() == 1,
                         counters.all_flagged.get() == 1,
                         counters.mixed.get() == 1,
                     );
-                    let want_mix = (
-                        want == GroupVerdict::Clean,
-                        want == GroupVerdict::AllFlagged,
-                        matches!(want, GroupVerdict::Mixed(_)),
-                    );
+                    let all = judgement == Judgement::All;
+                    let want_mix = (!any, all, any && !all);
                     assert_eq!(mix, want_mix, "{label}");
                     assert_eq!(counters.groups.get(), 1, "{label}");
                 }

@@ -25,7 +25,7 @@
 //!   dictionary-sharing fragments (what the distributed batch
 //!   detectors ship),
 //! * [`kernel`] — the single group-validation kernel both of the above
-//!   run: per-group tableau validation ([`validate_group`]) and σ-style
+//!   run: per-group tableau validation ([`judge`]) and σ-style
 //!   LHS pattern bucketing ([`LhsIndex`]) written once over packed code
 //!   keys and `u32` RHS codes,
 //! * [`oracle`] — `Vio`/`Vioπ` transcribed pair by pair from §II-C over
@@ -52,9 +52,7 @@ pub use attrset::AttrSet;
 pub use cfd::{Cfd, Fd, NormalCfd, SimpleCfd};
 pub use codes::{CodeLayout, CodeRow, ResolvedCfd};
 pub use implication::{chase_implies, fd_closure, sigma_implies};
-pub use kernel::{
-    validate_group, Flagged, GroupVerdict, KernelCounters, KernelTally, LhsIndex, RhsSpec,
-};
+pub use kernel::{judge, Flagged, Judgement, KernelCounters, KernelTally, LhsIndex, RhsSpec};
 pub use parse::{parse_cfd, ParseError};
 pub use pattern::{NormalPattern, PatternTuple, PatternValue};
 pub use violation::{

@@ -186,7 +186,7 @@ pub fn detect_simple_strict(rel: &Relation, cfd: &SimpleCfd) -> ViolationSet {
 /// codes. Patterns compile once against `rel`'s dictionaries; the group
 /// keys are packed code keys; only violating group keys are ever
 /// decoded back to values. The validation semantics live in
-/// [`kernel::validate_group`](crate::kernel) — this function only
+/// [`kernel::judge`](crate::kernel::judge) — this function only
 /// supplies the column-sliced grouping, the code-column member accessor
 /// and the dictionary decoder. Pinned against the pairwise
 /// [`oracle`](crate::oracle) by `tests/prop_oracle.rs`.

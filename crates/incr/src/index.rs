@@ -1,11 +1,12 @@
-//! The persistent violation index: per compiled CFD, a map from packed
-//! LHS code key to the key's member multiset and its cached violation
-//! contribution.
+//! The persistent violation index: per compiled CFD, the LHS keys of the
+//! indexed rows, each with its members, a count of their RHS codes and
+//! the judgement its live violation contribution reflects.
 //!
 //! The index reproduces `dcd_cfd::detect_simple`'s group semantics
 //! exactly, but *statefully*: it is built once from the initial
-//! fragments and then updated per delta batch, re-validating only the
-//! keys a delta touched. The maintained [`ViolationSet`] is therefore
+//! fragments and then updated per delta batch, at a cost proportional to
+//! the batch's rows plus the members of the keys whose judgement the
+//! batch changes. The maintained [`ViolationSet`] is therefore
 //! bit-identical (as a set of tuple ids and decoded patterns) to a
 //! from-scratch `detect_simple` run on the materialized relation after
 //! every batch — the invariant the workspace proptests pin.
@@ -15,49 +16,165 @@
 //! * Grouping keys on `t[X]` partition the tuples, so the per-key
 //!   violation contributions are disjoint: retracting a key's old
 //!   contribution and adding its new one never disturbs another key's.
-//! * Key → pattern matching is stable over time. The tableau is
-//!   recompiled at every batch (an insert can intern a constant that
-//!   was [`NO_CODE`](dcd_relation::NO_CODE) before), but a freshly
-//!   interned code appears in no pre-existing row, hence in no
-//!   pre-existing key — only keys created in the same batch can match
-//!   the newly feasible pattern, and those are compiled against the
-//!   fresh tableau. Conversely, a compiled cell that matched a key
-//!   keeps its code forever (dictionaries are append-only), so the
-//!   per-key matched-pattern list computed at key creation never goes
-//!   stale.
+//! * Key → pattern matching is stable over time. The tableau's
+//!   patterns holding a [`NO_CODE`] cell are recompiled at every batch
+//!   (an insert can intern their constant), but a freshly interned code
+//!   appears in no pre-existing row, hence in no pre-existing key — only
+//!   keys created in the same batch can match the newly feasible
+//!   pattern, and those are matched against the fresh tableau.
+//!   Conversely, a compiled cell that matched a key keeps its code
+//!   forever (dictionaries are append-only), so the per-key
+//!   matched-pattern list computed at key creation never goes stale.
 //! * A constant RHS cell that gains a code later changes nothing for
 //!   untouched keys: their members' codes all predate (and therefore
 //!   differ from) the fresh code, so "mismatch" stays true either way.
+//!
+//! ## Why a key's counts and one judgement suffice
+//!
+//! * A key's RHS-code counts are all that [`judge`] and the flagged
+//!   count read: the conflict bit is "≥ 2 distinct codes", and a
+//!   judgement flags no member when `Clean`, every member when `All` or
+//!   `EachMismatches`, and all but the members coded `c` when
+//!   `Differing(c)`. So the decoded key enters or leaves `Vioπ` exactly
+//!   when that number crosses 0, found without reading a member.
+//! * A key's `Vio` contribution is exactly the members its stored
+//!   judgement flags. A delete retracts its tid if that judgement
+//!   flagged it. At the end of the batch the key is judged once. If the
+//!   judgement holds, the old members' flags are still right, and only
+//!   the batch's new members are flagged. If it changed, the surviving
+//!   old flags are retracted and every member is flagged anew. A batch
+//!   therefore reads its own rows plus the old members of the keys whose
+//!   judgement it changed, which is the count [`ViolationIndex::apply`]
+//!   returns.
 
 use dcd_cfd::pattern::CompiledPattern;
-use dcd_cfd::{validate_group, GroupVerdict, LhsIndex, SimpleCfd, ViolationSet};
+use dcd_cfd::{judge, Judgement, LhsIndex, SimpleCfd, ViolationSet};
 use dcd_relation::ops::CodeKey;
-use dcd_relation::{Dictionary, FxHashMap, FxHashSet, TupleId, Value};
+use dcd_relation::{Dictionary, FxHashMap, TupleId, Value, NO_CODE};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-/// Per-key state: the member multiset and the cached contribution to
-/// the live violation set.
+/// How many of a key's members carry each RHS code: inline while the
+/// key holds at most two distinct codes, which is all a clean key or a
+/// two-valued conflict needs, and a map once it has held three.
+#[derive(Debug)]
+enum RhsCounts {
+    /// `(code, count)` cells; a zero count marks an empty cell.
+    Inline([(u32, u32); 2]),
+    Spilled(Box<FxHashMap<u32, u32>>),
+}
+
+impl RhsCounts {
+    const EMPTY: RhsCounts = RhsCounts::Inline([(0, 0); 2]);
+
+    fn add(&mut self, code: u32) {
+        match self {
+            RhsCounts::Inline(cells) => {
+                if let Some(cell) = cells.iter_mut().find(|&&mut (c, n)| n > 0 && c == code) {
+                    cell.1 += 1;
+                } else if let Some(cell) = cells.iter_mut().find(|&&mut (_, n)| n == 0) {
+                    *cell = (code, 1);
+                } else {
+                    let mut map: FxHashMap<u32, u32> = cells.iter().copied().collect();
+                    map.insert(code, 1);
+                    *self = RhsCounts::Spilled(Box::new(map));
+                }
+            }
+            RhsCounts::Spilled(map) => *map.entry(code).or_insert(0) += 1,
+        }
+    }
+
+    /// Removes one member coded `code`, which must be counted.
+    fn remove(&mut self, code: u32) {
+        match self {
+            RhsCounts::Inline(cells) => {
+                if let Some(cell) = cells.iter_mut().find(|&&mut (c, n)| n > 0 && c == code) {
+                    cell.1 -= 1;
+                }
+            }
+            RhsCounts::Spilled(map) => {
+                if let Entry::Occupied(mut count) = map.entry(code) {
+                    *count.get_mut() -= 1;
+                    if *count.get() == 0 {
+                        count.remove();
+                    }
+                }
+            }
+        }
+    }
+
+    fn count(&self, code: u32) -> usize {
+        match self {
+            RhsCounts::Inline(cells) => {
+                cells.iter().find(|&&(c, n)| n > 0 && c == code).map_or(0, |&(_, n)| n as usize)
+            }
+            RhsCounts::Spilled(map) => map.get(&code).map_or(0, |&n| n as usize),
+        }
+    }
+
+    /// Whether the members hold ≥ 2 distinct codes.
+    fn conflict(&self) -> bool {
+        match self {
+            RhsCounts::Inline(cells) => cells.iter().all(|&(_, n)| n > 0),
+            RhsCounts::Spilled(map) => map.len() > 1,
+        }
+    }
+}
+
+/// [`KeyState::fresh`] of a key the current batch has not touched.
+const IDLE: u32 = u32::MAX;
+
+/// Per-key state: the members, their RHS counts, and what the key
+/// contributes to the live violation set.
 #[derive(Debug)]
 struct KeyState {
     /// Tableau indices (in tableau order) of the patterns whose
     /// compiled LHS matches this key. Computed once at key creation;
     /// stable for the key's lifetime (see module docs).
-    matched: Vec<usize>,
-    /// `(tid, rhs code)` per member row, in arrival order.
+    matched: Box<[u32]>,
+    /// `(tid, rhs code)` per member row.
     members: Vec<(TupleId, u32)>,
-    /// Tuple ids currently contributed to the live `Vio` set.
-    flagged: Vec<TupleId>,
-    /// Whether the decoded key is currently in the live `Vioπ` set.
+    counts: RhsCounts,
+    /// The judgement the key's live contribution reflects: its members
+    /// in `Vio` are those this judgement flags.
+    judgement: Judgement,
+    /// While a batch touches the key, `members[fresh..]` arrived in it;
+    /// [`IDLE`] between batches.
+    fresh: u32,
+    /// Whether the decoded key is in the live `Vioπ` set, i.e. whether
+    /// `judgement` flagged some member when the key was last settled.
     in_patterns: bool,
+}
+
+impl KeyState {
+    fn new(matched: &[u32]) -> Self {
+        KeyState {
+            matched: matched.into(),
+            members: Vec::new(),
+            counts: RhsCounts::EMPTY,
+            judgement: Judgement::Clean,
+            fresh: IDLE,
+            in_patterns: false,
+        }
+    }
+
+    /// How many members `judgement` flags.
+    fn flagged(&self) -> usize {
+        match self.judgement {
+            Judgement::Clean => 0,
+            Judgement::All | Judgement::EachMismatches => self.members.len(),
+            Judgement::Differing(c) => self.members.len() - self.counts.count(c),
+        }
+    }
 }
 
 /// The persistent violation index of one `(X → A, Tp)` CFD.
 ///
 /// Holds shared dictionaries (so codes shipped from any fragment over
 /// the same dictionaries are directly comparable), the compiled
-/// tableau (refreshed per batch), the per-key states, a `tid → key`
-/// map for delete routing, and the live [`ViolationSet`] maintained
-/// incrementally.
+/// tableau (its infeasible patterns refreshed per batch), the per-key
+/// states in a slab of slots, a `tid → slot` map for delete routing, and
+/// the live [`ViolationSet`] maintained incrementally.
 #[derive(Debug)]
 pub struct ViolationIndex {
     cfd: SimpleCfd,
@@ -71,8 +188,15 @@ pub struct ViolationIndex {
     /// The kernel's bucketing of `compiled`: answers a new key's matched
     /// list in one probe per wildcard mask.
     lhs_index: LhsIndex,
-    keys: FxHashMap<CodeKey, KeyState>,
-    tid_key: FxHashMap<TupleId, CodeKey>,
+    /// Each indexed key's slot in `slots`.
+    keys: FxHashMap<CodeKey, u32>,
+    slots: Vec<KeyState>,
+    /// The LHS codes of each slot's key, `lhs_pos.len()` cells per slot.
+    slot_keys: Vec<u32>,
+    /// Slots whose key left the index, for the next new key.
+    free: Vec<u32>,
+    /// Invariant: an indexed tid maps to the slot whose members hold it.
+    tid_key: FxHashMap<TupleId, u32>,
     live: ViolationSet,
 }
 
@@ -84,20 +208,26 @@ impl ViolationIndex {
         let rhs_pos = cfd.rhs.index();
         let lhs_dicts: Vec<Arc<Dictionary>> = lhs_pos.iter().map(|&p| dicts[p].clone()).collect();
         let rhs_dict = dicts[rhs_pos].clone();
-        let mut index = ViolationIndex {
+        let compiled: Vec<CompiledPattern> = cfd
+            .tableau
+            .iter()
+            .map(|p| CompiledPattern::compile_with(p, &lhs_dicts, &rhs_dict))
+            .collect();
+        ViolationIndex {
+            lhs_index: LhsIndex::of_compiled(&compiled),
+            compiled,
             cfd,
             lhs_pos,
             rhs_pos,
             lhs_dicts,
             rhs_dict,
-            compiled: Vec::new(),
-            lhs_index: LhsIndex::default(),
             keys: FxHashMap::default(),
+            slots: Vec::new(),
+            slot_keys: Vec::new(),
+            free: Vec::new(),
             tid_key: FxHashMap::default(),
             live: ViolationSet::default(),
-        };
-        index.recompile();
-        index
+        }
     }
 
     /// The CFD this index maintains.
@@ -126,149 +256,173 @@ impl ViolationIndex {
         self.live.clone()
     }
 
-    /// Recompiles the tableau against the (append-only, possibly
-    /// grown) dictionaries — one dictionary lookup per constant — and
-    /// re-buckets it when a constant gained a code.
+    /// Recompiles the patterns holding a [`NO_CODE`] cell against the
+    /// (append-only, possibly grown) dictionaries — a cell compiled to a
+    /// real code keeps it — and re-buckets the tableau when one gained a
+    /// code.
     fn recompile(&mut self) {
-        let compiled: Vec<CompiledPattern> = self
-            .cfd
-            .tableau
-            .iter()
-            .map(|p| CompiledPattern::compile_with(p, &self.lhs_dicts, &self.rhs_dict))
-            .collect();
-        if compiled != self.compiled {
-            self.lhs_index = LhsIndex::of_compiled(&compiled);
-            self.compiled = compiled;
+        let mut grown = false;
+        for (pattern, compiled) in self.cfd.tableau.iter().zip(&mut self.compiled) {
+            if compiled.feasible && compiled.rhs != NO_CODE {
+                continue;
+            }
+            let fresh = CompiledPattern::compile_with(pattern, &self.lhs_dicts, &self.rhs_dict);
+            if fresh != *compiled {
+                *compiled = fresh;
+                grown = true;
+            }
+        }
+        if grown {
+            self.lhs_index = LhsIndex::of_compiled(&self.compiled);
         }
     }
 
     /// Applies one batch — deletes (by tuple id) then inserts
-    /// (full-width code rows) — and re-validates every touched key.
-    /// Returns the number of member rows re-validated, the analytic
-    /// cost driver of coordinator-side maintenance.
+    /// (full-width code rows) — and settles every key it touched.
+    /// Returns the number of members examined, the analytic cost driver
+    /// of coordinator-side maintenance: one per delete or insert that
+    /// lands in an indexed key, plus every surviving old member of a key
+    /// whose judgement the batch changed. A build (every key new, so
+    /// none has an old member) examines exactly the rows it indexes.
     ///
     /// A delete of a tuple the index never stored (it matched no
     /// feasible pattern) is a no-op, mirroring `detect_simple`'s group
     /// membership rule.
     pub fn apply(&mut self, deletes: &[TupleId], inserts: &[(TupleId, Box<[u32]>)]) -> usize {
         self.recompile();
-        let mut dirty: Vec<CodeKey> = Vec::new();
-        let mut dirty_seen: FxHashSet<CodeKey> = FxHashSet::default();
-        let mut probe_buf: Vec<u32> = Vec::new();
-        let mut ranks: Vec<u32> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
+        let mut examined = 0;
 
         for tid in deletes {
-            let Some(key) = self.tid_key.remove(tid) else { continue };
-            let state = self.keys.get_mut(&key).expect("tid_key points at a live key");
-            let at = state
-                .members
-                .iter()
-                .position(|(t, _)| t == tid)
-                .expect("indexed tid is among its key's members");
-            state.members.remove(at);
-            if dirty_seen.insert(key.clone()) {
-                dirty.push(key);
+            let Some(slot) = self.tid_key.remove(tid) else { continue };
+            let state = &mut self.slots[slot as usize];
+            let at = state.members.iter().position(|&(t, _)| t == *tid);
+            let (_, rhs) = state.members.swap_remove(at.expect("the `tid_key` invariant"));
+            state.counts.remove(rhs);
+            if state.judgement.flags(rhs) {
+                self.live.tids.remove(tid);
             }
+            if state.fresh == IDLE {
+                touched.push(slot);
+            }
+            // Deletes precede inserts: no member has arrived yet.
+            state.fresh = state.members.len() as u32;
+            examined += 1;
         }
 
+        let mut lhs: Vec<u32> = Vec::with_capacity(self.lhs_pos.len());
+        let mut probe_buf: Vec<u32> = Vec::new();
+        let mut ranks: Vec<u32> = Vec::new();
         for (tid, codes) in inserts {
-            let lhs: Vec<u32> = self.lhs_pos.iter().map(|&p| codes[p]).collect();
+            lhs.clear();
+            lhs.extend(self.lhs_pos.iter().map(|&p| codes[p]));
             let key = CodeKey::of_codes(&lhs);
-            let rhs = codes[self.rhs_pos];
-            if let Some(state) = self.keys.get_mut(&key) {
-                state.members.push((*tid, rhs));
-            } else {
-                self.lhs_index.matched_into(&lhs, &mut probe_buf, &mut ranks);
-                if ranks.is_empty() {
-                    // The row matches no feasible pattern: it is in no
-                    // detection group and never will be (see module
-                    // docs), so it is not indexed at all.
-                    continue;
+            let slot = match self.keys.get(&key) {
+                Some(&slot) => slot,
+                None => {
+                    self.lhs_index.matched_into(&lhs, &mut probe_buf, &mut ranks);
+                    if ranks.is_empty() {
+                        // The row matches no feasible pattern: it is in no
+                        // detection group and never will be (see module
+                        // docs), so it is not indexed at all.
+                        continue;
+                    }
+                    let slot = self.open_slot(&lhs, &ranks);
+                    self.keys.insert(key, slot);
+                    slot
                 }
-                self.keys.insert(
-                    key.clone(),
-                    KeyState {
-                        matched: ranks.iter().map(|&r| r as usize).collect(),
-                        members: vec![(*tid, rhs)],
-                        flagged: Vec::new(),
-                        in_patterns: false,
-                    },
-                );
+            };
+            let state = &mut self.slots[slot as usize];
+            if state.fresh == IDLE {
+                state.fresh = state.members.len() as u32;
+                touched.push(slot);
             }
-            let stale = self.tid_key.insert(*tid, key.clone());
+            let rhs = codes[self.rhs_pos];
+            state.members.push((*tid, rhs));
+            state.counts.add(rhs);
+            let stale = self.tid_key.insert(*tid, slot);
             debug_assert!(stale.is_none(), "tuple ids must be unique across the stream");
-            if dirty_seen.insert(key.clone()) {
-                dirty.push(key);
-            }
+            examined += 1;
         }
 
-        let mut touched = 0;
-        for key in dirty {
-            touched += self.revalidate(&key);
+        for slot in touched {
+            examined += self.settle(slot);
         }
-        touched
+        examined
     }
 
-    /// Re-validates one key: retracts its old contribution from the
-    /// live set, recomputes the `detect_simple` group logic over its
-    /// current members, and adds the new contribution. Returns the
-    /// number of members examined.
-    fn revalidate(&mut self, key: &CodeKey) -> usize {
-        let Some(mut state) = self.keys.remove(key) else { return 0 };
-        let width = self.cfd.lhs.len();
-        let key_codes = key.codes(width);
-
-        // Retract.
-        for tid in state.flagged.drain(..) {
-            self.live.tids.remove(&tid);
+    /// A slot for a new key with LHS codes `lhs` matching the patterns
+    /// `matched` — a freed one if any.
+    fn open_slot(&mut self, lhs: &[u32], matched: &[u32]) -> u32 {
+        let state = KeyState::new(matched);
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = state;
+                self.slot_keys[slot as usize * lhs.len()..][..lhs.len()].copy_from_slice(lhs);
+                slot
+            }
+            None => {
+                self.slots.push(state);
+                self.slot_keys.extend_from_slice(lhs);
+                u32::try_from(self.slots.len() - 1).expect("fewer keys than u32::MAX")
+            }
         }
-        if state.in_patterns {
-            self.live.patterns.remove(&self.decode_key(&key_codes));
-            state.in_patterns = false;
+    }
+
+    /// Ends the batch for one touched key: judges it once over its new
+    /// counts, flags its new members — or, if the judgement changed,
+    /// retracts the surviving old flags and flags every member — moves
+    /// its decoded key into or out of `Vioπ` if the flagged count crossed
+    /// 0, and frees the slot of a key left without members. Returns the
+    /// old members examined.
+    fn settle(&mut self, slot: u32) -> usize {
+        let state = &mut self.slots[slot as usize];
+        let fresh = std::mem::replace(&mut state.fresh, IDLE) as usize;
+        let specs = state.matched.iter().map(|&pi| self.compiled[pi as usize].rhs_spec());
+        let judgement = judge(specs, state.counts.conflict(), false);
+        let mut examined = 0;
+        if judgement == state.judgement {
+            for &(tid, rhs) in &state.members[fresh..] {
+                if judgement.flags(rhs) {
+                    self.live.tids.insert(tid);
+                }
+            }
+        } else {
+            for &(tid, rhs) in &state.members[..fresh] {
+                if state.judgement.flags(rhs) {
+                    self.live.tids.remove(&tid);
+                }
+            }
+            for &(tid, rhs) in &state.members {
+                if judgement.flags(rhs) {
+                    self.live.tids.insert(tid);
+                }
+            }
+            state.judgement = judgement;
+            examined = fresh;
+        }
+
+        let width = self.lhs_pos.len();
+        let key_codes = &self.slot_keys[slot as usize * width..][..width];
+        let flagging = state.flagged() > 0;
+        if flagging != state.in_patterns {
+            state.in_patterns = flagging;
+            let decoded: Vec<Value> =
+                self.lhs_dicts.iter().zip(key_codes).map(|(d, &c)| d.value(c)).collect();
+            if flagging {
+                self.live.patterns.insert(decoded);
+            } else {
+                self.live.patterns.remove(&decoded);
+            }
         }
         if state.members.is_empty() {
             // Last member gone: the key leaves the index entirely (a
             // later re-appearance recomputes `matched` freshly).
-            return 0;
+            *state = KeyState::new(&[]);
+            self.keys.remove(&CodeKey::of_codes(key_codes));
+            self.free.push(slot);
         }
-
-        // Recompute via the kernel's per-group validator under the
-        // algorithmic (non-strict) reading, feeding it the cached
-        // matched-pattern list; the sink here is the stateful key
-        // entry, not a fresh set.
-        let members = &state.members;
-        let verdict = validate_group(
-            state.matched.iter().map(|&pi| {
-                let pat = &self.compiled[pi];
-                debug_assert!(pat.matches_codes(&key_codes), "matched lists never go stale");
-                pat.rhs_spec()
-            }),
-            members.len(),
-            |fi| members[fi].1,
-            false,
-        );
-        match verdict {
-            GroupVerdict::AllFlagged => {
-                state.flagged = members.iter().map(|&(t, _)| t).collect();
-            }
-            GroupVerdict::Mixed(flags) => {
-                state.flagged =
-                    members.iter().zip(&flags).filter(|(_, &f)| f).map(|(&(t, _), _)| t).collect();
-            }
-            GroupVerdict::Clean => {}
-        }
-        if !state.flagged.is_empty() {
-            self.live.tids.extend(state.flagged.iter().copied());
-            self.live.patterns.insert(self.decode_key(&key_codes));
-            state.in_patterns = true;
-        }
-        let touched = state.members.len();
-        self.keys.insert(key.clone(), state);
-        touched
-    }
-
-    fn decode_key(&self, key_codes: &[u32]) -> Vec<Value> {
-        self.lhs_dicts.iter().zip(key_codes).map(|(d, &c)| d.value(c)).collect()
+        examined
     }
 }
 
@@ -276,7 +430,8 @@ impl ViolationIndex {
 mod tests {
     use super::*;
     use dcd_cfd::{detect_simple, parse_cfd};
-    use dcd_relation::{vals, Relation, RelationDelta, Schema, Tuple, ValueType};
+    use dcd_relation::{vals, DeltaEffect, Relation, RelationDelta, Schema, Tuple, ValueType};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn schema() -> Arc<Schema> {
         Schema::builder("r")
@@ -396,6 +551,33 @@ mod tests {
     }
 
     #[test]
+    fn a_late_interned_rhs_constant_rejudges_an_existing_key() {
+        let s = schema();
+        // No tuple carries street=Main at build time: the constant
+        // compiles to NO_CODE, and every cc=44 member differs from it.
+        let rows = vec![vals![44, "z1", "a"], vals![44, "z1", "a"]];
+        let mut rel = Relation::from_rows(s.clone(), rows).unwrap();
+        let cfd = parse_cfd(&s, "c", "([cc=44, zip] -> [street=Main])").unwrap();
+        let simple = cfd.simplify().pop().unwrap();
+        let mut index = ViolationIndex::new(simple, &dicts_of(&rel));
+        assert_eq!(index.apply(&[], &full_rows(&rel)), 2);
+        assert_eq!(index.key_count(), 1);
+        assert_eq!(index.slots[0].judgement, Judgement::Differing(NO_CODE));
+        assert_matches_full(&index, &rel);
+        assert_eq!(index.current().tids.len(), 2);
+
+        // An insert into the existing key interns Main.
+        let d = RelationDelta::new(vec![Tuple::new(TupleId(7), vals![44, "z1", "Main"])], vec![]);
+        let eff = rel.apply_delta(&d).unwrap();
+        let main = eff.inserted[0].1[2];
+        // The insert, plus the two old members of a re-judged key.
+        assert_eq!(index.apply(&[], &eff.inserted), 1 + 2);
+        assert_eq!(index.slots[0].judgement, Judgement::Differing(main));
+        assert_matches_full(&index, &rel);
+        assert_eq!(index.current().tids.len(), 2, "the Main row is clean");
+    }
+
+    #[test]
     fn constant_rhs_patterns_flag_single_tuples() {
         let s = schema();
         let mut rel = Relation::from_rows(s.clone(), vec![vals![44, "z1", "Main"]]).unwrap();
@@ -428,5 +610,234 @@ mod tests {
         let touched = index.apply(&[TupleId(0)], &[]);
         assert_eq!(touched, 0);
         assert_matches_full(&index, &rel);
+    }
+
+    #[test]
+    fn rhs_counts_spill_past_two_codes_and_keep_counting() {
+        let mut counts = RhsCounts::EMPTY;
+        for code in [4, 4, 9] {
+            counts.add(code);
+        }
+        assert!(counts.conflict());
+        assert_eq!((counts.count(4), counts.count(9), counts.count(0)), (2, 1, 0));
+        counts.remove(9);
+        assert!(!counts.conflict());
+        counts.add(0);
+        counts.add(7);
+        assert!(matches!(counts, RhsCounts::Spilled(_)));
+        for code in [4, 0, 4] {
+            counts.remove(code);
+        }
+        assert!(!counts.conflict(), "one code left: 7");
+        assert_eq!((counts.count(7), counts.count(4)), (1, 0));
+    }
+
+    /// SplitMix64: a random stream derives from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Members examined and judgements changed, as a from-scratch reading
+    /// of the member lists expects them of one batch.
+    #[derive(Debug, Default, PartialEq)]
+    struct Expected {
+        /// Deletes and inserts landing in an indexed key.
+        landed: usize,
+        /// `landed` plus the surviving old members of re-judged keys.
+        examined: usize,
+        changed: usize,
+    }
+
+    /// Each indexed key's members and the judgement as of the last batch
+    /// that touched it, kept without counts, slots or fresh marks: keys
+    /// are matched against the tableau compiled now, and judged over
+    /// their whole member list.
+    #[derive(Default)]
+    struct Naive {
+        keys: BTreeMap<Vec<u32>, NaiveKey>,
+    }
+
+    /// A key's `(tid, rhs code)` members and its last judgement.
+    type NaiveKey = (Vec<(TupleId, u32)>, Judgement);
+
+    impl Naive {
+        fn apply(&mut self, cfd: &SimpleCfd, rel: &Relation, effect: &DeltaEffect) -> Expected {
+            let dicts = dicts_of(rel);
+            let lhs_dicts: Vec<_> = cfd.lhs.iter().map(|a| dicts[a.index()].clone()).collect();
+            let rhs_dict = &dicts[cfd.rhs.index()];
+            let compiled: Vec<CompiledPattern> = cfd
+                .tableau
+                .iter()
+                .map(|p| CompiledPattern::compile_with(p, &lhs_dicts, rhs_dict))
+                .collect();
+            let key_of =
+                |codes: &[u32]| -> Vec<u32> { cfd.lhs.iter().map(|a| codes[a.index()]).collect() };
+            let specs = |key: &[u32]| -> Vec<_> {
+                compiled.iter().filter(|p| p.matches_codes(key)).map(|p| p.rhs_spec()).collect()
+            };
+            let mut expected = Expected::default();
+            // Per touched key: its member ids and judgement before the batch.
+            let mut before: BTreeMap<Vec<u32>, (Vec<TupleId>, Judgement)> = BTreeMap::new();
+            let mut remember = |key: &[u32], (members, judgement): &NaiveKey| {
+                let ids = members.iter().map(|&(t, _)| t).collect();
+                before.entry(key.to_vec()).or_insert((ids, *judgement));
+            };
+            for (tid, codes) in &effect.deleted {
+                let key = key_of(codes);
+                let Some(entry) = self.keys.get_mut(&key) else { continue };
+                remember(&key, entry);
+                entry.0.retain(|&(t, _)| t != *tid);
+                expected.landed += 1;
+            }
+            for (tid, codes) in &effect.inserted {
+                let key = key_of(codes);
+                if specs(&key).is_empty() {
+                    continue;
+                }
+                let entry = self.keys.entry(key.clone()).or_insert((Vec::new(), Judgement::Clean));
+                remember(&key, entry);
+                entry.0.push((*tid, codes[cfd.rhs.index()]));
+                expected.landed += 1;
+            }
+            let deleted: BTreeSet<TupleId> = effect.deleted.iter().map(|&(t, _)| t).collect();
+            expected.examined = expected.landed;
+            for (key, (old_ids, old)) in before {
+                let (members, judgement) = self.keys.get_mut(&key).expect("a touched key");
+                let conflict = members.iter().any(|&(_, rhs)| rhs != members[0].1);
+                *judgement = judge(specs(&key), conflict, false);
+                if *judgement != old {
+                    expected.changed += 1;
+                    expected.examined += old_ids.iter().filter(|t| !deleted.contains(t)).count();
+                }
+                if members.is_empty() {
+                    self.keys.remove(&key);
+                }
+            }
+            expected
+        }
+    }
+
+    /// Applies `delta` to `rel` and the index, then checks the index
+    /// against the pairwise oracle over the materialized rows and the
+    /// count `apply` returned against the naive reading.
+    fn step(
+        index: &mut ViolationIndex,
+        naive: &mut Naive,
+        rel: &mut Relation,
+        delta: RelationDelta,
+    ) -> Expected {
+        let effect = rel.apply_delta(&delta).unwrap();
+        let deletes: Vec<TupleId> = effect.deleted.iter().map(|&(t, _)| t).collect();
+        let examined = index.apply(&deletes, &effect.inserted);
+        let expected = naive.apply(index.cfd(), rel, &effect);
+        let label = format!("after {delta:?}");
+        assert_eq!(examined, expected.examined, "members examined {label}");
+        if expected.changed == 0 {
+            assert_eq!(examined, expected.landed, "no re-judged key: the delta rows {label}");
+        }
+        let tuples: Vec<Tuple> = rel.iter().collect();
+        let want = dcd_cfd::oracle::vio(&tuples.iter().collect::<Vec<_>>(), index.cfd());
+        assert_eq!(index.current().tids, want.tids, "Vio {label}");
+        assert_eq!(index.current().patterns, want.patterns, "Vioπ {label}");
+        assert_eq!(index.key_count(), naive.keys.len(), "{label}");
+        let members: usize = naive.keys.values().map(|(m, _)| m.len()).sum();
+        assert_eq!(index.indexed_rows(), members, "{label}");
+        expected
+    }
+
+    #[test]
+    fn transitions_track_the_oracle() {
+        let s = schema();
+        // Wild and constant RHS patterns; cc=31 and street=Late are on
+        // no tuple until the stream interns them.
+        let tableau = [
+            "([cc=44, zip] -> [street])",
+            "([cc, zip=z1] -> [street=Main])",
+            "([cc=31, zip] -> [street])",
+            "([cc=44, zip=z2] -> [street=Late])",
+        ];
+        let parts: Vec<_> = tableau.iter().map(|p| parse_cfd(&s, "p", p).unwrap()).collect();
+        let cfd = dcd_cfd::Cfd::merge("phi", &parts.iter().collect::<Vec<_>>()).unwrap();
+        let simple = cfd.simplify().pop().unwrap();
+        let ins = |tid: u64, cc: i64, zip: &str, street: &str| {
+            Tuple::new(TupleId(tid), vals![cc, zip, street])
+        };
+        let build = vec![
+            vals![44, "z1", "a"],
+            vals![44, "z1", "a"],
+            vals![44, "z2", "b"],
+            vals![7, "z3", "a"],
+            vals![7, "z1", "Main"],
+            vals![44, "z3", "a"],
+        ];
+        // By construction, in order: (44, z3) turns conflicting and back;
+        // a batch re-judges nothing (and deletes the unindexed tid 3);
+        // (44, z2) is emptied and recreated in one batch, then across two;
+        // tid 0 is deleted and re-inserted in one batch; cc=31 and Late
+        // are interned, Late into the existing (44, z2).
+        let scripted = [
+            RelationDelta::new(vec![ins(10, 44, "z3", "b")], vec![]),
+            RelationDelta::new(vec![], vec![TupleId(10)]),
+            RelationDelta::new(vec![ins(11, 44, "z3", "a")], vec![TupleId(3)]),
+            RelationDelta::new(vec![ins(12, 44, "z2", "c")], vec![TupleId(2)]),
+            RelationDelta::new(vec![], vec![TupleId(12)]),
+            RelationDelta::new(vec![ins(13, 44, "z2", "b")], vec![]),
+            RelationDelta::new(vec![ins(0, 44, "z1", "b")], vec![TupleId(0)]),
+            RelationDelta::new(
+                vec![ins(14, 31, "q", "x"), ins(15, 31, "q", "y"), ins(16, 44, "z2", "Late")],
+                vec![],
+            ),
+        ];
+        // An emptied key keeps its judgement until it leaves the index.
+        let want_changed = [1, 1, 0, 0, 0, 1, 1, 2];
+
+        for seed in 0..6 {
+            let mut rel = Relation::from_rows(s.clone(), build.clone()).unwrap();
+            let mut index = ViolationIndex::new(simple.clone(), &dicts_of(&rel));
+            let mut naive = Naive::default();
+            let built = DeltaEffect { inserted: full_rows(&rel), deleted: Vec::new() };
+            assert_eq!(
+                index.apply(&[], &built.inserted),
+                naive.apply(&simple, &rel, &built).examined
+            );
+            for (delta, changed) in scripted.iter().zip(want_changed) {
+                let expected = step(&mut index, &mut naive, &mut rel, delta.clone());
+                assert_eq!(expected.changed, changed, "the script's transitions");
+            }
+
+            // Then random batches over the same small domains: deletes,
+            // inserts, ids re-inserted in the batch that deletes them,
+            // and now and then a street no pattern names.
+            let mut rng = Rng(seed);
+            let mut next = 100;
+            for batch in 0..30 {
+                let deletes: Vec<TupleId> =
+                    rel.tids().iter().copied().filter(|_| rng.below(4) == 0).collect();
+                let mut inserts: Vec<Tuple> = Vec::new();
+                for _ in 0..rng.below(4) {
+                    let tid = match deletes.get(rng.below(8) as usize) {
+                        Some(&t) if inserts.iter().all(|i| i.tid != t) => t.0,
+                        _ => {
+                            next += 1;
+                            next
+                        }
+                    };
+                    let cc = [44, 7, 31][rng.below(3) as usize];
+                    let zip = ["z1", "z2", "z3"][rng.below(3) as usize];
+                    let fresh = format!("s{batch}");
+                    let street = ["a", "b", "Main", "Late", fresh.as_str()][rng.below(5) as usize];
+                    inserts.push(ins(tid, cc, zip, street));
+                }
+                step(&mut index, &mut naive, &mut rel, RelationDelta::new(inserts, deletes));
+            }
+        }
     }
 }

@@ -18,8 +18,10 @@
 //!    cells) and `2` cells per delete, byte-accurate at 4 bytes/cell;
 //!    receivers wait for senders ([`Transfer`](dcd_core::ctx::Transfer));
 //! 4. **Maintain** — the coordinator updates every index (in parallel
-//!    per CFD on the pool) and re-validates only the touched keys,
-//!    charged `check_time` of the members re-examined, in CFD order.
+//!    per CFD on the pool), charged `check_time` of the members each
+//!    index examined, in CFD order: one per delta row that lands in an
+//!    indexed key, plus the old members of every key whose judgement
+//!    the batch changed ([`ViolationIndex::apply`]).
 //!
 //! Each round yields a [`RoundOutput`] — the same shape the batch
 //! detectors produce — whose report is the *full* current report
@@ -378,8 +380,9 @@ impl IncrementalRun {
         self.rounds
     }
 
-    /// Total members re-validated is not tracked across rounds, but the
-    /// index sizes are visible for diagnostics: distinct keys per CFD.
+    /// Distinct keys per CFD index, for diagnostics. The members examined
+    /// across rounds are the `dcd_incr_keys_revalidated_total` counter of
+    /// [`Self::detection`].
     pub fn index_key_counts(&self) -> Vec<usize> {
         self.indices.iter().map(ViolationIndex::key_count).collect()
     }
@@ -514,10 +517,12 @@ impl<'r, 'd> Located<'r, 'd> {
 
 /// Index build / maintenance at the coordinator, shared by both run
 /// types and both of their rounds: every index applies the delta in
-/// parallel (one task per CFD) and re-validates only the touched keys;
-/// the coordinator is then charged `check_time` of the members
-/// re-examined, sequentially in CFD order, so the f64 sums stay
-/// bit-identical across pool widths.
+/// parallel (one task per CFD); the coordinator is then charged
+/// `check_time` of the members each index examined
+/// ([`ViolationIndex::apply`]: every indexed row at the build, the
+/// landed delta rows plus the old members of re-judged keys per batch),
+/// sequentially in CFD order, so the f64 sums stay bit-identical across
+/// pool widths.
 fn maintain_indices(
     ctx: &mut RunCtx,
     phase: &str,
@@ -527,22 +532,23 @@ fn maintain_indices(
     inserts: &[(TupleId, Box<[u32]>)],
 ) {
     let cfg = *ctx.cfg();
-    let revalidated = ctx.phase(phase, |p| {
+    let examined = ctx.phase(phase, |p| {
         let per_cfd = scoped_map(cfg.threads, indices, |index| index.apply(deletes, inserts));
-        let mut revalidated = 0u64;
-        for touched in per_cfd {
-            revalidated += touched as u64;
-            p.compute(coordinator, cfg.cost.check_time(touched));
+        let mut examined = 0u64;
+        for members in per_cfd {
+            examined += members as u64;
+            p.compute(coordinator, cfg.cost.check_time(members));
         }
-        revalidated
+        examined
     });
     ctx.registry()
         .counter(
             "dcd_incr_keys_revalidated_total",
-            "Index members re-examined during incremental maintenance",
+            "Index members examined during incremental maintenance: landed delta rows \
+             plus the old members of keys whose judgement changed",
             &[],
         )
-        .inc(revalidated);
+        .inc(examined);
 }
 
 /// A stateful incremental run over a *vertical* partition.

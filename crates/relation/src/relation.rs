@@ -289,14 +289,25 @@ impl Relation {
     /// carries. While the tid column is strictly ascending — every
     /// fragment the `dcd-dist` constructors build, and every relation
     /// fed fresh ids — this is a binary search per id,
-    /// `O(|ids| log |D|)`; otherwise (re-used ids, rows copied in
-    /// arbitrary order, reassembled partitions) one scan of the tid
-    /// column probing a map of `ids`, which reports the first row when
-    /// several carry one id. Which one runs is read off the tid column;
-    /// no caller chooses.
+    /// `O(|ids| log |D|)`, and no search at all for an id above the last
+    /// one (a fresh id, the common probe of a delta's inserts);
+    /// otherwise (re-used ids, rows copied in arbitrary order,
+    /// reassembled partitions) one scan of the tid column probing a map
+    /// of `ids`, which reports the first row when several carry one id.
+    /// Which one runs is read off the tid column; no caller chooses.
     pub fn positions_of(&self, ids: &[TupleId]) -> Vec<Option<usize>> {
         if self.ascending {
-            return ids.iter().map(|tid| self.tids.binary_search(tid).ok()).collect();
+            let last = self.tids.last();
+            return ids
+                .iter()
+                .map(|tid| {
+                    if last.is_some_and(|last| tid <= last) {
+                        self.tids.binary_search(tid).ok()
+                    } else {
+                        None
+                    }
+                })
+                .collect();
         }
         let mut first: FxHashMap<TupleId, Option<usize>> =
             ids.iter().map(|&tid| (tid, None)).collect();
@@ -876,6 +887,20 @@ mod tests {
         assert_eq!(asc.positions_of(&ids), vec![Some(8), Some(3), Some(0), Some(8), None]);
         assert_eq!(mixed.positions_of(&ids), vec![Some(2), None, Some(1), Some(2), None]);
         assert!(asc.positions_of(&[]).is_empty());
+        // Ids below, inside, between and above a column's range: 10..20
+        // by twos, ascending, and the same rows in another order.
+        let sparse = Relation::from_tuples(
+            schema(),
+            (10..20).step_by(2).map(|i| Tuple::new(TupleId(i), vals![i as i64, "x"])).collect(),
+        )
+        .unwrap();
+        let unordered = sparse.copy_rows(&[3, 0, 4, 1, 2]);
+        let probe = [3, 10, 13, 16, 18, 19, 20, u64::MAX - 1].map(TupleId);
+        let want = [None, Some(0), None, Some(3), Some(4), None, None, None];
+        assert_eq!(sparse.positions_of(&probe), want);
+        let want = [None, Some(1), None, Some(0), Some(2), None, None, None];
+        assert_eq!(unordered.positions_of(&probe), want);
+        assert_eq!(sparse.empty_like().positions_of(&probe), [None; 8]);
         // Deleting keeps an ascending column ascending; emptying any
         // column makes it ascending again.
         let mut r = mixed;

@@ -11,7 +11,11 @@
 //! the rows is an implementation detail, what a run ships, when every
 //! site finishes and which phases it names is not — and neither is the
 //! table a scan keys its groups in: the recording is read over relations
-//! as built and with grown dictionaries.
+//! as built and with grown dictionaries. The `session batch` blocks'
+//! `response_time`, `paper_cost`, coordinator `site_clock` and `incr:*`
+//! spans from the first `incr:maintain` on were re-recorded when index
+//! maintenance began charging the members it examines instead of every
+//! member of every key a delta touches; nothing else moved.
 
 mod common;
 

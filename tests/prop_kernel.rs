@@ -1,6 +1,6 @@
 //! Kernel and mined-tableau equivalence properties, the PR 8 pinning
-//! suite: (1) `validate_group` — the one group-validation kernel every
-//! detector runs — matches a naive spelling of the paper's per-group
+//! suite: (1) `judge` and `Judgement::flags` — the one group-validation
+//! semantics every detector runs — match a naive spelling of the paper's per-group
 //! semantics on arbitrary spec lists; (2) the kernel's two call shapes
 //! (columnar `detect_simple`, code-native `ResolvedCfd::detect_among`)
 //! agree tuple-for-tuple and pattern-for-pattern with the pairwise
@@ -11,7 +11,7 @@
 //! [`IncrementalSession`] facade.
 
 use distributed_cfd::cfd::{
-    detect_simple_strict, oracle, validate_group, GroupVerdict, KernelCounters, RhsSpec,
+    detect_simple_strict, judge, oracle, Judgement, KernelCounters, RhsSpec,
 };
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
@@ -117,13 +117,14 @@ fn naive_group_flags(specs: &[RhsSpec], rhs: &[u32], strict: bool) -> Vec<bool> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `validate_group` equals the naive per-group semantics for every
-    /// mix of wild/constant RHS specs, member multiset and strictness.
+    /// `judge` over a group's conflict bit, then `Judgement::flags` per
+    /// member, equals the naive per-group semantics for every mix of
+    /// wild/constant RHS specs and member multiset, in both readings —
+    /// what the scan loops and the incremental index each compute.
     #[test]
     fn validate_group_matches_naive_semantics(
         specs in prop::collection::vec(prop::option::of(0..4u32), 1..5),
         rhs in prop::collection::vec(0..4u32, 1..8),
-        strict in any::<bool>(),
     ) {
         let specs: Vec<RhsSpec> = specs
             .iter()
@@ -132,17 +133,19 @@ proptest! {
                 None => RhsSpec::Wild,
             })
             .collect();
-        let verdict = validate_group(specs.iter().copied(), rhs.len(), |fi| rhs[fi], strict);
-        let want = naive_group_flags(&specs, &rhs, strict);
-        for (fi, w) in want.iter().enumerate() {
+        let conflict = rhs.iter().any(|&r| r != rhs[0]);
+        for strict in [false, true] {
+            let judgement = judge(specs.iter().copied(), conflict, strict);
+            let got: Vec<bool> = rhs.iter().map(|&r| judgement.flags(r)).collect();
+            let want = naive_group_flags(&specs, &rhs, strict);
             prop_assert_eq!(
-                verdict.member_flagged(fi), *w,
-                "member {} of {:?} under {:?} (strict={})", fi, rhs, specs, strict
+                &got, &want, "{:?} of {:?} under {:?} (strict={})", judgement, rhs, specs, strict
             );
-        }
-        prop_assert_eq!(verdict.any_flagged(), want.contains(&true));
-        if let GroupVerdict::Mixed(flags) = &verdict {
-            prop_assert!(flags.contains(&true), "Mixed verdicts carry ≥1 flag");
+            prop_assert_eq!(
+                judgement == Judgement::All,
+                conflict && specs.iter().any(|s| strict || *s == RhsSpec::Wild),
+                "only an FD conflict convicts the whole group"
+            );
         }
     }
 }
