@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// and the projected patterns `Vioπ(φ, D)` (distinct `t[X]` of violating
 /// tuples; the paper pads these with nulls to full schema width — see
 /// [`ViolationSet::viopi_relation`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViolationSet {
     /// `Vio(φ, D)`: ids of all violating tuples.
     pub tids: FxHashSet<TupleId>,
@@ -114,7 +114,7 @@ impl From<Flagged> for ViolationSet {
 /// Labels are interned `Arc<str>`s: detection runs absorb per-fragment
 /// results once per CFD per round, and re-allocating a `String` key each
 /// time showed up in the multi-CFD profiles.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViolationReport {
     /// Per-CFD results, labelled by CFD name.
     pub per_cfd: Vec<(Arc<str>, ViolationSet)>,
@@ -229,12 +229,14 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
 /// over any partition of the rows is exactly the whole-relation
 /// [`detect_simple`] — pinned by tests.
 ///
-/// One pass. Each key's verdict — no feasible pattern matches it, one
-/// constant, or two or more (every row flagged) — is decided on the
-/// key's first sight and kept in a [`CodeMemo`]: a slot table when the
-/// LHS code space is no larger than the range, a hash map otherwise.
-/// Every other row of the key reads it. Only a flagged row has its key
-/// decoded.
+/// One pass. Each key's [`Judgement`](kernel::Judgement) —
+/// [`kernel::judge`] over the constants of the feasible patterns matching
+/// it, under the algorithmic reading — is decided on the key's first
+/// sight and kept in a [`CodeMemo`]: a slot table when the LHS code space
+/// is no larger than the range, a hash map otherwise. Every other row of
+/// the key reads it, and is flagged by
+/// [`Judgement::flags`](kernel::Judgement::flags) on its own RHS code.
+/// Only a flagged row has its key decoded.
 pub fn detect_constants_rows_with(
     rel: &Relation,
     cfd: &SimpleCfd,
@@ -255,47 +257,19 @@ pub fn detect_constants_rows_with(
     let lhs = rel.code_views(&cfd.lhs);
     let rhs = rel.column(cfd.rhs).codes();
     let sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
-    let mut verdicts = CodeMemo::new(sizes, end - start);
+    let mut judgements = CodeMemo::new(sizes, end - start);
     for (r, &rhs) in (start..end).zip(&rhs[start..end]) {
-        let verdict = verdicts.get_or_insert_with(&lhs, r, || {
-            KeyVerdict::of(feasible.iter().copied().filter(|p| p.matches_row(&lhs, r)))
+        let judgement = judgements.get_or_insert_with(&lhs, r, || {
+            let matching = feasible.iter().filter(|p| p.matches_row(&lhs, r));
+            kernel::judge(matching.map(|p| p.rhs_spec()), false, false)
         });
-        let flagged = match verdict {
-            KeyVerdict::NoMatch => false,
-            KeyVerdict::One(c) => rhs != c,
-            KeyVerdict::Every => true,
-        };
-        if flagged {
+        if judgement.flags(rhs) {
             let key: Vec<u32> = lhs.iter().map(|col| col[r]).collect();
             out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
             out.tids.insert(rel.tids()[r]);
         }
     }
     out
-}
-
-/// What the constant patterns matching one LHS key say about its rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyVerdict {
-    /// No feasible pattern matches the key: its rows are clean.
-    NoMatch,
-    /// The matching patterns name one constant RHS code (possibly
-    /// `NO_CODE`): a row is flagged iff its RHS differs from it.
-    One(u32),
-    /// They name two or more: no RHS equals all of them, so every row
-    /// is flagged.
-    Every,
-}
-
-impl KeyVerdict {
-    /// The verdict of a key, from the patterns matching it.
-    fn of<'a>(matching: impl Iterator<Item = &'a CompiledPattern>) -> Self {
-        matching.fold(KeyVerdict::NoMatch, |verdict, p| match verdict {
-            KeyVerdict::NoMatch => KeyVerdict::One(p.rhs),
-            KeyVerdict::One(c) if c == p.rhs => verdict,
-            _ => KeyVerdict::Every,
-        })
-    }
 }
 
 /// Detects violations of a general CFD (any number of RHS attributes),

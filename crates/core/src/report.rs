@@ -7,6 +7,10 @@ use std::fmt;
 /// Everything a detection run produces: the violations plus the traffic
 /// and timing the paper's evaluation plots. Assembled by
 /// [`RunCtx::finish`](crate::RunCtx::finish) from the run's meters.
+///
+/// Two detections are `==` iff they are bit-identical — the determinism
+/// contract every engine keeps at every pool width and through every
+/// entry point is `assert_eq!` on whole `Detection`s.
 #[derive(Debug, Clone)]
 pub struct Detection {
     /// Which algorithm produced this result.
@@ -26,8 +30,7 @@ pub struct Detection {
     /// Simulated response time under the per-site clock model (seconds).
     pub response_time: f64,
     /// Final per-site clock values, in site order (`response_time` is
-    /// their maximum). Bit-identical for every pool size — the
-    /// determinism suite compares runs clock by clock.
+    /// their maximum). Bit-identical for every pool size.
     pub site_clocks: Vec<f64>,
     /// Response time under the literal §III-B two-phase formula, summed
     /// over detection rounds (seconds). Always ≥ `response_time`.
@@ -40,6 +43,43 @@ pub struct Detection {
     /// chrome-trace JSON ([`RunTrace::chrome_trace_json`]).
     pub trace: RunTrace,
 }
+
+impl PartialEq for Detection {
+    /// Exact comparison of every field: the floats by their bits (a NaN
+    /// equals itself, `0.0` and `-0.0` differ), everything else by its
+    /// own `==` — `metrics` and `trace` compare their floats by bits too.
+    /// The destructuring is exhaustive, so a field added to `Detection`
+    /// does not compile until it is compared here.
+    fn eq(&self, other: &Self) -> bool {
+        let Detection {
+            algorithm,
+            violations,
+            shipped_tuples,
+            shipped_cells,
+            shipped_bytes,
+            control_messages,
+            control_bytes,
+            response_time,
+            site_clocks,
+            paper_cost,
+            metrics,
+            trace,
+        } = self;
+        let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        *algorithm == other.algorithm
+            && *violations == other.violations
+            && (*shipped_tuples, *shipped_cells, *shipped_bytes)
+                == (other.shipped_tuples, other.shipped_cells, other.shipped_bytes)
+            && (*control_messages, *control_bytes) == (other.control_messages, other.control_bytes)
+            && response_time.to_bits() == other.response_time.to_bits()
+            && bits(site_clocks) == bits(&other.site_clocks)
+            && paper_cost.to_bits() == other.paper_cost.to_bits()
+            && *metrics == other.metrics
+            && *trace == other.trace
+    }
+}
+
+impl Eq for Detection {}
 
 impl Detection {
     /// A compact, serializable summary — one row of a results table,
@@ -144,5 +184,50 @@ mod tests {
         assert_eq!(s.control_bytes, 64);
         let line = s.to_string();
         assert!(line.contains("4 control msgs (64 B)"), "{line}");
+    }
+
+    /// `run_batch` of the CFD `text` over 30 tuples at three sites.
+    fn detection(text: &str) -> Detection {
+        use crate::{run_batch, CoordinatorStrategy, RunConfig};
+        use dcd_dist::HorizontalPartition;
+        use dcd_relation::{vals, Relation, Schema, ValueType};
+        let schema = Schema::builder("r")
+            .attr("cc", ValueType::Int)
+            .attr("zip", ValueType::Str)
+            .attr("street", ValueType::Str)
+            .build()
+            .unwrap();
+        let rows = (0..30).map(|i| vals![i % 2, format!("z{}", i % 5), format!("s{}", i % 3)]);
+        let rel = Relation::from_rows(schema.clone(), rows.collect()).unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let cfd = dcd_cfd::parse_cfd(&schema, "phi", text).unwrap();
+        let strategy = CoordinatorStrategy::MinShipment;
+        run_batch(&partition, &cfd.simplify(), strategy, &RunConfig::default())
+    }
+
+    /// Equality is not vacuous: it sees one ulp, the sign of a zero, one
+    /// ledger cell, the label and the metrics — and a NaN clock equals
+    /// itself, as its bits do.
+    #[test]
+    fn equality_is_bit_identity_on_every_field() {
+        let d = detection("([cc, zip] -> [street])");
+        assert!(!d.violations.all_tids().is_empty() && !d.trace.spans.is_empty());
+        assert_eq!(d, d.clone());
+        let edited = |edit: &dyn Fn(&mut Detection)| {
+            let mut e = d.clone();
+            edit(&mut e);
+            e
+        };
+        let zero = edited(&|e| e.site_clocks[0] = 0.0);
+        assert_ne!(zero, edited(&|e| e.site_clocks[0] = -0.0), "signed zero");
+        let end = d.trace.spans[0].end;
+        assert_ne!(d, edited(&|e| e.trace.spans[0].end = f64::from_bits(end.to_bits() + 1)));
+        assert_ne!(d, edited(&|e| e.shipped_cells += 1), "one more ledger cell");
+        assert_ne!(d, edited(&|e| e.algorithm = "PATDETECTRT".into()), "label");
+        let other = detection("([cc] -> [street])");
+        assert_ne!(d.metrics, other.metrics);
+        assert_ne!(d, edited(&|e| e.metrics = other.metrics.clone()), "metrics of another Σ");
+        let nan = edited(&|e| e.site_clocks[0] = f64::NAN);
+        assert_eq!(nan, nan.clone(), "a NaN clock equals itself");
     }
 }

@@ -97,8 +97,7 @@ impl SiteClocks {
     }
 
     /// A point-in-time copy of every site's clock, in site order (what
-    /// detection reports carry so pool-size determinism can be checked
-    /// clock by clock).
+    /// detection reports carry, and compare by bits).
     pub fn snapshot(&self) -> Vec<f64> {
         self.clocks.clone()
     }

@@ -2,8 +2,8 @@
 //!
 //! Deterministic observability for the detection engine: a
 //! dependency-free metrics registry ([`MetricsRegistry`]) with
-//! Prometheus-style text exposition and JSON snapshots, and phase-level
-//! run traces ([`RunTrace`]) timestamped by the *simulated* site clocks
+//! Prometheus-style text exposition and exactly comparable snapshots,
+//! and phase-level run traces ([`RunTrace`]) timestamped by the *simulated* site clocks
 //! and exportable as chrome-trace JSON.
 //!
 //! Two scopes, one contract:

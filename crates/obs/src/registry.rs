@@ -1,5 +1,6 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms
-//! with Prometheus-style text exposition and a JSON snapshot.
+//! with Prometheus-style text exposition and an exactly comparable
+//! snapshot.
 //!
 //! Determinism contract: every engine-facing instrument is either an
 //! **order-free merge** (counters and histograms are `u64` additions,
@@ -335,7 +336,7 @@ pub enum SampleValue {
 }
 
 /// One sampled family.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FamilySnapshot {
     /// Family name (e.g. `dcd_shipped_tuples_total`).
     pub name: String,
@@ -347,10 +348,10 @@ pub struct FamilySnapshot {
     pub series: Vec<(String, SampleValue)>,
 }
 
-/// A point-in-time registry copy: comparable (`PartialEq`, exact on
-/// gauges via bits), exposable as Prometheus text or JSON. This is the
-/// shape the queued `dcd_serve` crate will scrape verbatim.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A point-in-time registry copy: comparable (`Eq`, exact on gauges via
+/// bits), exposable as Prometheus text. This is the shape the queued
+/// `dcd_serve` crate will scrape verbatim.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Every family, in name order.
     pub families: Vec<FamilySnapshot>,
@@ -438,57 +439,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// The snapshot as a JSON object:
-    /// `{"families":[{"name":..,"kind":..,"help":..,"series":[{"labels":..,"value":..},..]},..]}`.
-    /// Hand-rendered (the registry is dependency-free); gauge values
-    /// appear as their shortest round-trip decimal.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\"families\":[");
-        for (i, fam) in self.families.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"help\":\"{}\",\"series\":[",
-                esc(&fam.name),
-                fam.kind.as_str(),
-                esc(&fam.help)
-            );
-            for (j, (labels, value)) in fam.series.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"labels\":\"{}\",\"value\":", esc(labels));
-                match value {
-                    SampleValue::Counter(c) => {
-                        let _ = write!(out, "{c}");
-                    }
-                    SampleValue::GaugeBits(bits) => {
-                        let _ = write!(out, "{}", fmt_f64(f64::from_bits(*bits)));
-                    }
-                    SampleValue::Histogram { buckets, overflow, sum } => {
-                        let _ = write!(out, "{{\"buckets\":[");
-                        for (k, (bound, count)) in buckets.iter().enumerate() {
-                            if k > 0 {
-                                out.push(',');
-                            }
-                            let _ = write!(out, "[{bound},{count}]");
-                        }
-                        let _ = write!(out, "],\"overflow\":{overflow},\"sum\":{sum}}}");
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// The process-wide **host-scope** registry: metrics whose values
@@ -570,10 +520,6 @@ mod tests {
         assert_eq!(a, b);
         reg.counter("dcd_c_total", "c", &[]).inc(1);
         assert_ne!(a, reg.snapshot());
-        let json = a.to_json();
-        assert!(json.starts_with("{\"families\":["));
-        assert!(json.contains("\"name\":\"dcd_c_total\""));
-        assert!(json.contains("\"value\":2.5"));
     }
 
     #[test]

@@ -34,9 +34,11 @@ impl PartialEq for Span {
     }
 }
 
+impl Eq for Span {}
+
 /// An ordered list of [`Span`]s, exportable as chrome-trace JSON
 /// (`chrome://tracing` / Perfetto's legacy "JSON Array Format").
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunTrace {
     /// Recorded spans, in recording order.
     pub spans: Vec<Span>,

@@ -524,38 +524,6 @@ mod tests {
         assert_eq!(session.detection().algorithm, dcd_incr::ALGORITHM);
     }
 
-    /// Each CFD's `Vio` and `Vioπ`, by content.
-    fn violations(report: &ViolationReport) -> Vec<impl PartialEq + std::fmt::Debug> {
-        report
-            .per_cfd
-            .iter()
-            .map(|(name, v)| (name.clone(), v.tids.clone(), v.patterns.clone()))
-            .collect()
-    }
-
-    /// Two detections agree field for field: violations by content,
-    /// counts exactly, clocks and costs by bits, metrics and trace
-    /// through their bit-comparing `PartialEq`.
-    fn assert_same_detection(a: &Detection, b: &Detection, label: &str) {
-        assert_eq!(violations(&a.violations), violations(&b.violations), "{label}: violations");
-        let meters = |d: &Detection| {
-            let clocks: Vec<u64> = d.site_clocks.iter().map(|c| c.to_bits()).collect();
-            let counts = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);
-            let control = (d.control_messages, d.control_bytes);
-            (
-                d.algorithm.clone(),
-                counts,
-                control,
-                d.response_time.to_bits(),
-                d.paper_cost.to_bits(),
-                clocks,
-            )
-        };
-        assert_eq!(meters(a), meters(b), "{label}: meters");
-        assert_eq!(a.metrics, b.metrics, "{label}: metrics");
-        assert_eq!(a.trace, b.trace, "{label}: trace");
-    }
-
     /// `run` borrows the request, so one request runs any number of
     /// times, and every run answers the same.
     #[test]
@@ -569,7 +537,7 @@ mod tests {
                 .cfds([cfd.clone(), other.clone()])
                 .algorithm(Algorithm::clust_detect());
             let first = request.run().unwrap();
-            assert_same_detection(&first, &request.run().unwrap(), &label[..30.min(label.len())]);
+            assert_eq!(first, request.run().unwrap(), "{}", &label[..30.min(label.len())]);
         }
     }
 
@@ -610,8 +578,8 @@ mod tests {
             let (detection, report, rows) =
                 (session.detection(), session.report(), tuples(&session));
             assert!(session.apply_batch(&rejected).is_err(), "{label}: the batch is refused");
-            assert_same_detection(&detection, &session.detection(), label);
-            assert_eq!(violations(&report), violations(&session.report()), "{label}: report");
+            assert_eq!(detection, session.detection(), "{label}: detection");
+            assert_eq!(report, session.report(), "{label}: report");
             assert_eq!(rows, tuples(&session), "{label}: fragments");
 
             session.apply_batch(&at_site_0(insert(101, Value::str("sY")))).unwrap();
@@ -619,7 +587,7 @@ mod tests {
             assert_eq!(whole.len(), rel.len() + 1, "{label}");
             let want = dcd_cfd::detect_set(&whole, &sigma);
             assert!(!want.all_tids().is_empty(), "{label}: the insert conflicts");
-            assert_eq!(violations(&session.report()), violations(&want), "{label}: next batch");
+            assert_eq!(session.report(), want, "{label}: next batch");
         }
     }
 

@@ -3,6 +3,123 @@
 #![allow(dead_code)]
 
 use distributed_cfd::prelude::*;
+use proptest::prelude::*;
+use std::ops::Range;
+use std::sync::Arc;
+
+/// The `(id, a, b, c, d)` schema the generated suites draw over: a key,
+/// two `Int` and two `Str` attributes.
+pub fn schema() -> Arc<Schema> {
+    Schema::builder("r")
+        .attr("id", ValueType::Int)
+        .attr("a", ValueType::Int)
+        .attr("b", ValueType::Int)
+        .attr("c", ValueType::Str)
+        .attr("d", ValueType::Str)
+        .key(&["id"])
+        .build()
+        .unwrap()
+}
+
+/// One generated tuple's `(a, b, c, d)`.
+pub type Row = (i64, i64, u8, u8);
+
+/// `len` rows over tiny domains, so FD groups collide often.
+pub fn arb_rows(len: Range<usize>) -> impl Strategy<Value = Vec<Row>> {
+    prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), len)
+}
+
+/// The relation over [`schema`] whose `i`-th tuple is
+/// `(i, a, b, "c{c}", "d{d}")`.
+pub fn build_relation(rows: &[Row]) -> Relation {
+    Relation::from_rows(
+        schema(),
+        rows.iter()
+            .enumerate()
+            .map(|(i, &(a, b, c, d))| vals![i, a, b, format!("c{c}"), format!("d{d}")])
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// One tableau row's LHS cells over `(a, b, c)`: a constant, or `None`
+/// for the wildcard.
+pub type Pattern = (Option<i64>, Option<i64>, Option<u8>);
+
+/// 1–3 tableau rows mixing wildcards and small constants.
+pub fn arb_patterns() -> impl Strategy<Value = Vec<Pattern>> {
+    prop::collection::vec(
+        (prop::option::of(0..4i64), prop::option::of(0..4i64), prop::option::of(0..3u8)),
+        1..4,
+    )
+}
+
+/// The CFD `name: [a, b, c] → [d]` over [`schema`], one tableau row per
+/// pattern, every RHS cell the wildcard or the constant `"d{rhs_const}"`.
+pub fn build_cfd(name: &str, patterns: &[Pattern], rhs_const: Option<u8>) -> Cfd {
+    let int = |o: Option<i64>| o.map_or(PatternValue::Wild, PatternValue::constant);
+    let text = |prefix: &str, o: Option<u8>| {
+        o.map_or(PatternValue::Wild, |v| PatternValue::constant(format!("{prefix}{v}")))
+    };
+    let tableau = patterns
+        .iter()
+        .map(|&(a, b, c)| {
+            PatternTuple::new(vec![int(a), int(b), text("c", c)], vec![text("d", rhs_const)])
+        })
+        .collect();
+    Cfd::with_names(name, schema(), &["a", "b", "c"], &["d"], tableau).unwrap()
+}
+
+/// `n` tuples over [`schema`] with plenty of FD collisions, and skew: the
+/// `a = i % 3` domain skews groups, and every seventh `d` is an outlier.
+pub fn sample(n: i64) -> Relation {
+    Relation::from_rows(
+        schema(),
+        (0..n)
+            .map(|i| {
+                vals![
+                    i,
+                    i % 3,
+                    i % 5,
+                    format!("c{}", i % 4),
+                    format!("d{}", if i % 7 == 0 { 9 } else { i % 2 })
+                ]
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// Σ over [`sample`]: an FD, a CFD with an LHS constant and a constant
+/// CFD.
+pub fn sample_sigma(s: &Arc<Schema>) -> Vec<Cfd> {
+    vec![
+        parse_cfd(s, "phi1", "([a, b] -> [d])").unwrap(),
+        parse_cfd(s, "phi2", "([a=1, c] -> [d])").unwrap(),
+        parse_cfd(s, "phi3", "([b=2, c=c1] -> [d=d1])").unwrap(), // constant CFD
+    ]
+}
+
+/// SplitMix64: a seeded generator from which a whole case derives.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    pub fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
 
 /// Interns `rel.len() + 1` values no row holds into every dictionary
 /// `rel` shares, through a relation holding the same `Arc`s: integers

@@ -1,7 +1,7 @@
 //! The pool's determinism contract, pinned as a matrix: every detector
 //! × every topology must produce a bit-identical [`Detection`] at pool
 //! widths {1, 2, 8}. The baseline is the width-1 run; every other cell of
-//! the matrix must match it field for field, f64s compared by bits. This
+//! the matrix must be `==` to it — every field, f64s compared by bits. This
 //! is the property clippy's `iter_over_hash_type` and its thread
 //! allow-list guard statically and the pool must uphold dynamically:
 //! scheduling (who runs which site's task, in what order) must never
@@ -9,71 +9,9 @@
 
 mod common;
 
-use common::grow_dictionaries;
+use common::{grow_dictionaries, sample, sample_sigma};
 use distributed_cfd::prelude::*;
 use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
-
-/// ~120 rows over tiny domains: plenty of FD collisions, and skew (site 0
-/// of the round-robin gets no more than the others, but the `a = i % 3`
-/// domain skews groups).
-fn sample() -> Relation {
-    Relation::from_rows(
-        schema(),
-        (0..120)
-            .map(|i| {
-                vals![
-                    i,
-                    i % 3,
-                    i % 5,
-                    format!("c{}", i % 4),
-                    format!("d{}", if i % 7 == 0 { 9 } else { i % 2 })
-                ]
-            })
-            .collect(),
-    )
-    .unwrap()
-}
-
-fn sigma(s: &Arc<Schema>) -> Vec<Cfd> {
-    vec![
-        parse_cfd(s, "phi1", "([a, b] -> [d])").unwrap(),
-        parse_cfd(s, "phi2", "([a=1, c] -> [d])").unwrap(),
-        parse_cfd(s, "phi3", "([b=2, c=c1] -> [d=d1])").unwrap(), // constant CFD
-    ]
-}
-
-/// Field-by-field bit equality of two [`Detection`]s.
-fn assert_identical(base: &Detection, got: &Detection, label: &str) {
-    assert_eq!(base.algorithm, got.algorithm, "{label} algorithm");
-    assert_eq!(base.violations.per_cfd.len(), got.violations.per_cfd.len(), "{label} per_cfd");
-    for ((na, va), (nb, vb)) in base.violations.per_cfd.iter().zip(&got.violations.per_cfd) {
-        assert_eq!(na, nb, "{label} cfd name");
-        assert_eq!(va.tids, vb.tids, "{label} Vio({na})");
-        assert_eq!(va.patterns, vb.patterns, "{label} Vioπ({na})");
-    }
-    assert_eq!(base.shipped_tuples, got.shipped_tuples, "{label} |M|");
-    assert_eq!(base.shipped_cells, got.shipped_cells, "{label} cells");
-    assert_eq!(base.shipped_bytes, got.shipped_bytes, "{label} bytes");
-    assert_eq!(base.control_messages, got.control_messages, "{label} control");
-    assert_eq!(base.response_time.to_bits(), got.response_time.to_bits(), "{label} time");
-    assert_eq!(base.paper_cost.to_bits(), got.paper_cost.to_bits(), "{label} paper");
-    assert_eq!(base.site_clocks.len(), got.site_clocks.len(), "{label} clocks");
-    for (s, (ca, cb)) in base.site_clocks.iter().zip(&got.site_clocks).enumerate() {
-        assert_eq!(ca.to_bits(), cb.to_bits(), "{label} clock of site {s}");
-    }
-}
 
 const ALGORITHMS: [Algorithm; 3] =
     [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::PatDetectRT];
@@ -82,9 +20,8 @@ const ALGORITHMS: [Algorithm; 3] =
 /// every detector at the given width, return the labelled detections in
 /// a fixed order.
 fn sweep(threads: usize) -> Vec<(String, Detection)> {
-    let rel = sample();
-    let s = rel.schema().clone();
-    let sigma = sigma(&s);
+    let rel = sample(120);
+    let sigma = sample_sigma(rel.schema());
     let cfg = RunConfig::default().with_threads(threads);
     let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
     let vertical =
@@ -132,7 +69,7 @@ fn detections_are_bit_identical_across_widths_and_chunk_sizes() {
         assert_eq!(baseline.len(), got.len());
         for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
             assert_eq!(label, label2);
-            assert_identical(base, d, &format!("{label} @threads={threads}"));
+            assert_eq!(base, d, "{label} @threads={threads}");
         }
     }
 }
@@ -189,7 +126,7 @@ fn recorded(label: &str, d: &Detection) -> String {
 #[test]
 fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
     for grown in [false, true] {
-        let rel = sample();
+        let rel = sample(120);
         if grown {
             grow_dictionaries(&rel);
         }

@@ -9,74 +9,12 @@
 //! suites, everything here goes through the facade only: this is the
 //! fuzz surface a future `cargo fuzz`-style harness would hammer.
 
+mod common;
+
+use common::{arb_patterns, arb_rows, build_cfd, build_relation};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
-
-/// Rows over tiny domains so FD groups collide often.
-fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
-    prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
-}
-
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
-    Relation::from_rows(
-        schema(),
-        rows.iter()
-            .enumerate()
-            .map(|(i, &(a, b, c, d))| vals![i as i64, a, b, format!("c{c}"), format!("d{d}")])
-            .collect(),
-    )
-    .unwrap()
-}
-
-/// A random CFD over LHS ⊆ {a, b, c}, RHS = d, with wildcard/constant
-/// mixes in the tableau.
-fn arb_patterns() -> impl Strategy<Value = Vec<(Option<i64>, Option<i64>, Option<u8>)>> {
-    prop::collection::vec(
-        (prop::option::of(0..4i64), prop::option::of(0..4i64), prop::option::of(0..3u8)),
-        1..4,
-    )
-}
-
-fn build_cfd(
-    name: &str,
-    patterns: &[(Option<i64>, Option<i64>, Option<u8>)],
-    rhs_const: Option<u8>,
-) -> Cfd {
-    let s = schema();
-    let tableau = patterns
-        .iter()
-        .map(|(a, b, c)| {
-            let pv = |o: &Option<i64>| match o {
-                Some(v) => PatternValue::constant(*v),
-                None => PatternValue::Wild,
-            };
-            let pc = |o: &Option<u8>| match o {
-                Some(v) => PatternValue::constant(format!("c{v}")),
-                None => PatternValue::Wild,
-            };
-            let rhs = match rhs_const {
-                Some(v) => PatternValue::constant(format!("d{v}")),
-                None => PatternValue::Wild,
-            };
-            PatternTuple::new(vec![pv(a), pv(b), pc(c)], vec![rhs])
-        })
-        .collect();
-    Cfd::with_names(name, s, &["a", "b", "c"], &["d"], tableau).unwrap()
-}
 
 /// One facade run, fully specified.
 fn request(
@@ -93,30 +31,6 @@ fn request(
         .ship_mode(mode)
         .run()
         .expect("facade run succeeds on generated inputs")
-}
-
-/// Field-by-field bit equality of two [`Detection`]s.
-fn assert_bit_identical(
-    base: &Detection,
-    got: &Detection,
-    label: &str,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&base.algorithm, &got.algorithm, "{} algorithm", label);
-    prop_assert_eq!(base.violations.all_tids(), got.violations.all_tids(), "{} Vio", label);
-    prop_assert_eq!(base.shipped_tuples, got.shipped_tuples, "{} |M|", label);
-    prop_assert_eq!(base.shipped_cells, got.shipped_cells, "{} cells", label);
-    prop_assert_eq!(base.shipped_bytes, got.shipped_bytes, "{} bytes", label);
-    prop_assert_eq!(base.control_messages, got.control_messages, "{} control", label);
-    prop_assert_eq!(base.control_bytes, got.control_bytes, "{} control bytes", label);
-    prop_assert_eq!(base.response_time.to_bits(), got.response_time.to_bits(), "{} time", label);
-    prop_assert_eq!(base.paper_cost.to_bits(), got.paper_cost.to_bits(), "{} paper", label);
-    prop_assert_eq!(base.site_clocks.len(), got.site_clocks.len(), "{}", label);
-    for (s, (ca, cb)) in base.site_clocks.iter().zip(&got.site_clocks).enumerate() {
-        prop_assert_eq!(ca.to_bits(), cb.to_bits(), "{} clock of site {}", label, s);
-    }
-    prop_assert_eq!(&base.metrics, &got.metrics, "{} metrics snapshot", label);
-    prop_assert_eq!(&base.trace, &got.trace, "{} trace", label);
-    Ok(())
 }
 
 /// The registry's shipment mirror must equal the ledger totals the
@@ -163,15 +77,7 @@ fn assert_tracks_centralized(
     label: &str,
 ) -> Result<(), TestCaseError> {
     let rel = session.materialize().expect("reassembly succeeds");
-    let global = oracle_report(&rel, sigma);
-    let report = session.report();
-    prop_assert_eq!(report.all_tids(), global.all_tids(), "{} Vio(Σ)", label);
-    for (name, vs) in &global.per_cfd {
-        let (_, got) =
-            report.per_cfd.iter().find(|(n, _)| n == name).expect("every CFD has an entry");
-        prop_assert_eq!(&got.tids, &vs.tids, "{} Vio({})", label, name);
-        prop_assert_eq!(&got.patterns, &vs.patterns, "{} Vioπ({})", label, name);
-    }
+    prop_assert_eq!(session.report(), oracle_report(&rel, sigma), "{}", label);
     Ok(())
 }
 
@@ -183,7 +89,7 @@ proptest! {
     /// topology reports exactly the oracle's `Vio(Σ)`.
     #[test]
     fn random_requests_round_trip_over_every_topology(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         patterns1 in arb_patterns(),
         patterns2 in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
@@ -232,7 +138,7 @@ proptest! {
             let d1 = request(topology.clone(), &sigma, alg, 1, mode);
             let d8 = request(topology, &sigma, alg, 8, mode);
             let label = format!("{name}/{alg:?}");
-            assert_bit_identical(&d1, &d8, &label)?;
+            prop_assert_eq!(&d1, &d8, "{}", label);
             assert_metrics_mirror_ledger(&d1, &label)?;
             prop_assert_eq!(d1.violations.all_tids(), oracle.all_tids(), "{} Vio(Σ)", label);
         }
@@ -258,7 +164,7 @@ proptest! {
             let d1 = request(topology.clone(), &mined_sigma, alg, 1, mode);
             let d8 = request(topology, &mined_sigma, alg, 8, mode);
             let label = format!("mined/{name}/{alg:?}");
-            assert_bit_identical(&d1, &d8, &label)?;
+            prop_assert_eq!(&d1, &d8, "{}", label);
             assert_metrics_mirror_ledger(&d1, &label)?;
             prop_assert_eq!(
                 d1.violations.all_tids(), mined_oracle.all_tids(), "{} Vio(Σ)", label
@@ -274,7 +180,7 @@ proptest! {
     /// materialized state.
     #[test]
     fn random_delta_streams_round_trip_through_sessions(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         patterns1 in arb_patterns(),
         patterns2 in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
@@ -321,13 +227,13 @@ proptest! {
             let batch = DeltaBatch::from(batch);
             let r1 = h1.apply_batch(&batch).unwrap();
             let r8 = h8.apply_batch(&batch).unwrap();
-            prop_assert_eq!(r1.all_tids(), r8.all_tids(), "widths diverged mid-stream");
+            prop_assert_eq!(r1, r8, "widths diverged mid-stream");
             rep.apply_batch(&batch).unwrap();
             let (v1, v8) = (vert.apply_batch(&batch).unwrap(), vert8.apply_batch(&batch).unwrap());
-            prop_assert_eq!(v1.all_tids(), v8.all_tids(), "vertical widths diverged mid-stream");
+            prop_assert_eq!(v1, v8, "vertical widths diverged mid-stream");
         }
-        assert_bit_identical(&h1.detection(), &h8.detection(), "horizontal session")?;
-        assert_bit_identical(&vert.detection(), &vert8.detection(), "vertical session")?;
+        prop_assert_eq!(h1.detection(), h8.detection(), "horizontal session");
+        prop_assert_eq!(vert.detection(), vert8.detection(), "vertical session");
         for (label, session) in
             [("horizontal", &h1), ("replicated", &rep), ("vertical", &vert)]
         {

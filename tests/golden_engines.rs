@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::grow_dictionaries;
+use common::{grow_dictionaries, Rng};
 use distributed_cfd::prelude::*;
 use std::sync::Arc;
 
@@ -34,27 +34,6 @@ fn schema() -> Arc<Schema> {
         .key(&["id"])
         .build()
         .unwrap()
-}
-
-/// SplitMix64: the whole case derives from its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
 }
 
 /// One row over tiny domains, so groups collide and conflict often.
@@ -176,8 +155,8 @@ fn recorded(label: &str, d: &Detection) -> String {
 }
 
 /// Runs `request` at pool widths 1 and 4, checks the report against
-/// centralized detection on `rel`, and returns the one recording both
-/// widths must produce.
+/// centralized detection on `rel` and that both widths answer the same
+/// `Detection`, and returns it with its recording.
 fn run(label: &str, rel: &Relation, sigma: &[Cfd], request: &DetectRequest) -> (String, Detection) {
     let want = detect_set(rel, sigma);
     let at = |threads: usize| {
@@ -187,11 +166,11 @@ fn run(label: &str, rel: &Relation, sigma: &[Cfd], request: &DetectRequest) -> (
             .run()
             .expect("generated requests are valid");
         assert_eq!(d.violations.all_tids(), want.all_tids(), "{label} @{threads}");
-        (recorded(label, &d), d)
+        d
     };
     let narrow = at(1);
-    assert_eq!(narrow.0, at(4).0, "{label}: pool width reached the meters");
-    narrow
+    assert_eq!(narrow, at(4), "{label}: pool width reached the meters");
+    (recorded(label, &narrow), narrow)
 }
 
 /// A whole-tuple delta: each live id deleted with some chance, a few

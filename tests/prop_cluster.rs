@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::grow_dictionaries;
+use common::{grow_dictionaries, Rng};
 use distributed_cfd::cfd::oracle;
 use distributed_cfd::prelude::*;
 use std::sync::Arc;
@@ -38,27 +38,6 @@ fn schema() -> Arc<Schema> {
         .key(&["id"])
         .build()
         .unwrap()
-}
-
-/// SplitMix64: the whole case derives from its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
 }
 
 /// Rows over tiny domains, so groups collide and conflict often.
@@ -282,11 +261,7 @@ fn detections(
                 }
                 d
             });
-            assert_eq!(
-                recorded_with_spans(&label, &at_one),
-                recorded_with_spans(&label, &at_four),
-                "{label}: pool width reached the meters"
-            );
+            assert_eq!(at_one, at_four, "{label}: pool width reached the meters");
             out.push((label, at_one));
         }
     }
@@ -339,7 +314,9 @@ fn singleton_rounds_equal_the_oracle_and_the_recorded_meters() {
 /// may differ. (An empty-LHS φ has nothing to partition on: its
 /// constants close a round of their own before the single round runs,
 /// so with both kinds of pattern its paper cost is a sum of two maxima
-/// where `run_batch` takes one.)
+/// where `run_batch` takes one.) Those differences are by design, so
+/// this test — alone among the suites — compares the two `Detection`s
+/// field by field instead of with `==`.
 #[test]
 fn a_cluster_of_one_is_the_single_cfd_round() {
     use distributed_cfd::core::{run_batch, run_clust};

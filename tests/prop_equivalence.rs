@@ -82,58 +82,6 @@ fn build_cfd(patterns: &[(Option<i64>, Option<i64>, Option<u8>)], rhs_const: Opt
     Cfd::with_names("prop", s, &["a", "b", "c"], &["d"], tableau).unwrap()
 }
 
-/// Compares two [`Detection`]s field by field, requiring *bit*
-/// equality on every f64 (clocks included) — the pool's determinism
-/// guarantee, not an epsilon match.
-fn assert_detections_identical(
-    base: &Detection,
-    got: &Detection,
-    name: &str,
-    threads: usize,
-) -> Result<(), TestCaseError> {
-    let label = format!("{name} @ {threads} threads");
-    prop_assert_eq!(&base.violations.all_tids(), &got.violations.all_tids(), "{} Vio", &label);
-    prop_assert_eq!(base.violations.per_cfd.len(), got.violations.per_cfd.len(), "{}", &label);
-    for ((na, va), (nb, vb)) in base.violations.per_cfd.iter().zip(&got.violations.per_cfd) {
-        prop_assert_eq!(na, nb, "{}", &label);
-        prop_assert_eq!(&va.tids, &vb.tids, "{} per-CFD Vio", &label);
-        prop_assert_eq!(&va.patterns, &vb.patterns, "{} Vioπ", &label);
-    }
-    prop_assert_eq!(base.shipped_tuples, got.shipped_tuples, "{} |M|", &label);
-    prop_assert_eq!(base.shipped_cells, got.shipped_cells, "{} cells", &label);
-    prop_assert_eq!(base.shipped_bytes, got.shipped_bytes, "{} bytes", &label);
-    prop_assert_eq!(base.control_messages, got.control_messages, "{} control", &label);
-    prop_assert_eq!(
-        base.paper_cost.to_bits(),
-        got.paper_cost.to_bits(),
-        "{} paper_cost {} vs {}",
-        &label,
-        base.paper_cost,
-        got.paper_cost
-    );
-    prop_assert_eq!(
-        base.response_time.to_bits(),
-        got.response_time.to_bits(),
-        "{} response_time {} vs {}",
-        &label,
-        base.response_time,
-        got.response_time
-    );
-    prop_assert_eq!(base.site_clocks.len(), got.site_clocks.len(), "{}", &label);
-    for (s, (ca, cb)) in base.site_clocks.iter().zip(&got.site_clocks).enumerate() {
-        prop_assert_eq!(
-            ca.to_bits(),
-            cb.to_bits(),
-            "{} clock of site {}: {} vs {}",
-            &label,
-            s,
-            ca,
-            cb
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -267,8 +215,7 @@ proptest! {
         for simple in cfd.simplify() {
             let columnar = detect_simple(&rel, &simple);
             let rowwise = dcd_cfd::oracle::vio(&refs, &simple);
-            prop_assert_eq!(&columnar.tids, &rowwise.tids);
-            prop_assert_eq!(&columnar.patterns, &rowwise.patterns);
+            prop_assert_eq!(&columnar, &rowwise);
         }
     }
 
@@ -298,30 +245,24 @@ proptest! {
         for alg in SINGLE_CFD_ALGORITHMS {
             let a = run_on(&part_a, std::slice::from_ref(&cfd), alg, &cfg);
             let b = run_on(&part_b, std::slice::from_ref(&cfd), alg, &cfg);
-            prop_assert_eq!(a.violations.all_tids(), b.violations.all_tids(), "{:?}", alg);
-            for ((na, va), (nb, vb)) in a.violations.per_cfd.iter().zip(&b.violations.per_cfd) {
-                prop_assert_eq!(na, nb);
-                prop_assert_eq!(&va.patterns, &vb.patterns, "{:?} Vioπ", alg);
-            }
+            prop_assert_eq!(&a.violations, &b.violations, "{:?}", alg);
             prop_assert_eq!(a.shipped_tuples, b.shipped_tuples, "{:?} |M|", alg);
             prop_assert_eq!(a.shipped_cells, b.shipped_cells, "{:?} cells", alg);
         }
         for alg in [Algorithm::seq_detect(), Algorithm::clust_detect()] {
             let a = run_on(&part_a, &sigma, alg, &cfg);
             let b = run_on(&part_b, &sigma, alg, &cfg);
-            prop_assert_eq!(a.violations.all_tids(), b.violations.all_tids(), "{:?}", alg);
+            prop_assert_eq!(&a.violations, &b.violations, "{:?}", alg);
             prop_assert_eq!(a.shipped_tuples, b.shipped_tuples, "{:?} |M|", alg);
             prop_assert_eq!(a.shipped_cells, b.shipped_cells, "{:?} cells", alg);
         }
     }
 
     /// The scoped thread pool never changes anything: for pool sizes
-    /// {1, 2, 8}, all five detectors produce identical violation
-    /// reports, ledger totals (tuples / cells / bytes / control
-    /// messages), paper cost, and bit-identical response time and
-    /// per-site clock values — on both round-robin and predicate
-    /// partitions (the latter exercising the partitioning-condition
-    /// exclusion from the statistics exchange).
+    /// {1, 2, 8}, all five detectors produce `==` detections — reports,
+    /// ledger, clocks and costs by bits, metrics and trace — on both
+    /// round-robin and predicate partitions (the latter exercising the
+    /// partitioning-condition exclusion from the statistics exchange).
     #[test]
     fn pool_size_never_changes_results(
         rows in arb_rows(),
@@ -341,21 +282,19 @@ proptest! {
         for partition in [&round_robin, &by_pred] {
             let sequential = RunConfig::default().with_threads(1);
             for alg in SINGLE_CFD_ALGORITHMS {
-                let name = format!("{alg:?}");
                 let base = run_on(partition, std::slice::from_ref(&cfd), alg, &sequential);
                 for threads in [2usize, 8] {
                     let cfg = RunConfig::default().with_threads(threads);
                     let got = run_on(partition, std::slice::from_ref(&cfd), alg, &cfg);
-                    assert_detections_identical(&base, &got, &name, threads)?;
+                    prop_assert_eq!(&base, &got, "{:?} @ {} threads", alg, threads);
                 }
             }
             for alg in [Algorithm::seq_detect(), Algorithm::clust_detect()] {
-                let name = format!("{alg:?}");
                 let base = run_on(partition, &sigma, alg, &sequential);
                 for threads in [2usize, 8] {
                     let cfg = RunConfig::default().with_threads(threads);
                     let got = run_on(partition, &sigma, alg, &cfg);
-                    assert_detections_identical(&base, &got, &name, threads)?;
+                    prop_assert_eq!(&base, &got, "{:?} @ {} threads", alg, threads);
                 }
             }
         }

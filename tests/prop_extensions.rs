@@ -3,21 +3,12 @@
 //! centralized detection on random inputs, and replication never
 //! increases traffic.
 
+mod common;
+
+use common::{arb_rows, build_relation, schema};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
 
 /// Runs one facade request (`PATDETECTS` strategy, like the legacy
 /// entry points these properties were first pinned against).
@@ -28,21 +19,6 @@ fn run_on(topology: impl Into<Topology>, sigma: &[Cfd], cfg: &RunConfig) -> Dete
         .config(*cfg)
         .run()
         .expect("generated requests are valid")
-}
-
-fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
-    prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..50)
-}
-
-fn build(rows: &[(i64, i64, u8, u8)]) -> Relation {
-    Relation::from_rows(
-        schema(),
-        rows.iter()
-            .enumerate()
-            .map(|(i, &(a, b, c, d))| vals![i, a, b, format!("c{c}"), format!("d{d}")])
-            .collect(),
-    )
-    .unwrap()
 }
 
 fn arb_cfd_pick() -> impl Strategy<Value = usize> {
@@ -58,44 +34,18 @@ fn pick_cfd(s: &Arc<Schema>, which: usize) -> Cfd {
     }
 }
 
-/// Bit-level equality of two [`Detection`]s (clocks included) — the
-/// pool determinism guarantee for the §VIII extensions.
-fn assert_identical(
-    base: &Detection,
-    got: &Detection,
-    threads: usize,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&base.violations.all_tids(), &got.violations.all_tids(), "{}", threads);
-    prop_assert_eq!(base.shipped_tuples, got.shipped_tuples, "{} |M|", threads);
-    prop_assert_eq!(base.shipped_cells, got.shipped_cells, "{} cells", threads);
-    prop_assert_eq!(base.shipped_bytes, got.shipped_bytes, "{} bytes", threads);
-    prop_assert_eq!(base.control_messages, got.control_messages, "{} control", threads);
-    prop_assert_eq!(base.paper_cost.to_bits(), got.paper_cost.to_bits(), "{} paper", threads);
-    prop_assert_eq!(
-        base.response_time.to_bits(),
-        got.response_time.to_bits(),
-        "{} response",
-        threads
-    );
-    prop_assert_eq!(base.site_clocks.len(), got.site_clocks.len(), "{}", threads);
-    for (s, (ca, cb)) in base.site_clocks.iter().zip(&got.site_clocks).enumerate() {
-        prop_assert_eq!(ca.to_bits(), cb.to_bits(), "{} threads, clock of site {}", threads, s);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Hybrid detection ≡ centralized on random data / CFD / shape.
     #[test]
     fn hybrid_equals_centralized(
-        rows in arb_rows(),
+        rows in arb_rows(1..50),
         which in arb_cfd_pick(),
         n_cells in 1usize..4,
         split_point in 1usize..4,
     ) {
-        let rel = build(&rows);
+        let rel = build_relation(&rows);
         let s = schema();
         let cfd = pick_cfd(&s, which);
         let global = detect(&rel, &cfd);
@@ -112,11 +62,11 @@ proptest! {
     /// the replication factor.
     #[test]
     fn replication_equals_centralized_and_saves(
-        rows in arb_rows(),
+        rows in arb_rows(1..50),
         which in arb_cfd_pick(),
         n_sites in 2usize..5,
     ) {
-        let rel = build(&rows);
+        let rel = build_relation(&rows);
         let s = schema();
         let cfd = pick_cfd(&s, which);
         let global = detect(&rel, &cfd);
@@ -135,16 +85,16 @@ proptest! {
     /// Pool-size determinism for the §VIII extensions, which the main
     /// determinism suite (over the five horizontal detectors) does not
     /// cover: hybrid detection's parallel per-cell gather and
-    /// replicated detection's pooled phases produce bit-identical
-    /// outputs — ledger totals, paper cost, per-site clocks — for pool
-    /// sizes {1, 2, 8}.
+    /// replicated detection's pooled phases produce `==` detections —
+    /// reports, ledger, clocks and costs by bits, metrics and trace — for
+    /// pool sizes {1, 2, 8}.
     #[test]
     fn pool_size_never_changes_hybrid_or_replicated(
-        rows in arb_rows(),
+        rows in arb_rows(1..50),
         which in arb_cfd_pick(),
         n_cells in 2usize..4,
     ) {
-        let rel = build(&rows);
+        let rel = build_relation(&rows);
         let s = schema();
         let cfd = pick_cfd(&s, which);
         let sigma = std::slice::from_ref(&cfd);
@@ -160,17 +110,17 @@ proptest! {
         for threads in [2usize, 8] {
             let cfg = RunConfig::default().with_threads(threads);
             let h = run_on(hybrid.clone(), sigma, &cfg);
-            assert_identical(&hybrid_base, &h, threads)?;
+            prop_assert_eq!(&hybrid_base, &h, "hybrid @ {} threads", threads);
             let r = run_on(replicated.clone(), sigma, &cfg);
-            assert_identical(&rep_base, &r, threads)?;
+            prop_assert_eq!(&rep_base, &r, "replicated @ {} threads", threads);
         }
     }
 
     /// Hybrid reassembly invariant: the partition always restores the
     /// original relation.
     #[test]
-    fn hybrid_reassembles(rows in arb_rows(), n_cells in 1usize..4) {
-        let rel = build(&rows);
+    fn hybrid_reassembles(rows in arb_rows(1..50), n_cells in 1usize..4) {
+        let rel = build_relation(&rows);
         let horizontal = HorizontalPartition::round_robin(&rel, n_cells).unwrap();
         let hybrid =
             HybridPartition::new(&horizontal, &[&["a", "b"], &["c", "d"]]).unwrap();

@@ -3,102 +3,20 @@
 //! single-CFD detectors, `run_seq`/`run_clust` for the multi-CFD
 //! algorithms, and `run_hybrid`/`run_replicated`/`run_vertical` for the
 //! other topologies — at pool widths 1 and 8, on random relations, CFDs
-//! and partitions. Every field of the [`Detection`] must match, f64s
-//! compared by bits (the determinism contract, not an epsilon match).
-//! This suite is what keeps the façade honest against the engines
-//! directly.
+//! and partitions. The two [`Detection`]s must be `==`: every field,
+//! f64s compared by bits (the determinism contract, not an epsilon
+//! match). This suite is what keeps the façade honest against the
+//! engines directly — and `DetectRequest::session` against the
+//! incremental run it opens, after the build and after every batch.
 
+mod common;
+
+use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema};
 use distributed_cfd::core::{run_batch, run_clust, run_hybrid, run_replicated, run_seq};
+use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use distributed_cfd::vertical::run_vertical;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
-
-/// Rows over tiny domains so FD groups collide often.
-fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
-    prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
-}
-
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
-    Relation::from_rows(
-        schema(),
-        rows.iter()
-            .enumerate()
-            .map(|(i, &(a, b, c, d))| vals![i, a, b, format!("c{c}"), format!("d{d}")])
-            .collect(),
-    )
-    .unwrap()
-}
-
-/// A random CFD over the schema: LHS ⊆ {a, b, c}, RHS = d, patterns
-/// mixing wildcards and small constants; optionally a constant RHS.
-fn arb_patterns() -> impl Strategy<Value = Vec<(Option<i64>, Option<i64>, Option<u8>)>> {
-    prop::collection::vec(
-        (prop::option::of(0..4i64), prop::option::of(0..4i64), prop::option::of(0..3u8)),
-        1..4,
-    )
-}
-
-fn build_cfd(
-    name: &str,
-    patterns: &[(Option<i64>, Option<i64>, Option<u8>)],
-    rhs_const: Option<u8>,
-) -> Cfd {
-    let s = schema();
-    let tableau = patterns
-        .iter()
-        .map(|(a, b, c)| {
-            let pv = |o: &Option<i64>| match o {
-                Some(v) => PatternValue::constant(*v),
-                None => PatternValue::Wild,
-            };
-            let pc = |o: &Option<u8>| match o {
-                Some(v) => PatternValue::constant(format!("c{v}")),
-                None => PatternValue::Wild,
-            };
-            let rhs = match rhs_const {
-                Some(v) => PatternValue::constant(format!("d{v}")),
-                None => PatternValue::Wild,
-            };
-            PatternTuple::new(vec![pv(a), pv(b), pc(c)], vec![rhs])
-        })
-        .collect();
-    Cfd::with_names(name, s, &["a", "b", "c"], &["d"], tableau).unwrap()
-}
-
-/// Field-by-field bit equality of two [`Detection`]s.
-fn assert_identical(base: &Detection, got: &Detection, label: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&base.algorithm, &got.algorithm, "{} algorithm", label);
-    prop_assert_eq!(base.violations.per_cfd.len(), got.violations.per_cfd.len(), "{}", label);
-    for ((na, va), (nb, vb)) in base.violations.per_cfd.iter().zip(&got.violations.per_cfd) {
-        prop_assert_eq!(na, nb, "{}", label);
-        prop_assert_eq!(&va.tids, &vb.tids, "{} Vio", label);
-        prop_assert_eq!(&va.patterns, &vb.patterns, "{} Vioπ", label);
-    }
-    prop_assert_eq!(base.shipped_tuples, got.shipped_tuples, "{} |M|", label);
-    prop_assert_eq!(base.shipped_cells, got.shipped_cells, "{} cells", label);
-    prop_assert_eq!(base.shipped_bytes, got.shipped_bytes, "{} bytes", label);
-    prop_assert_eq!(base.control_messages, got.control_messages, "{} control", label);
-    prop_assert_eq!(base.response_time.to_bits(), got.response_time.to_bits(), "{} time", label);
-    prop_assert_eq!(base.paper_cost.to_bits(), got.paper_cost.to_bits(), "{} paper", label);
-    prop_assert_eq!(base.site_clocks.len(), got.site_clocks.len(), "{}", label);
-    for (s, (ca, cb)) in base.site_clocks.iter().zip(&got.site_clocks).enumerate() {
-        prop_assert_eq!(ca.to_bits(), cb.to_bits(), "{} clock of site {}", label, s);
-    }
-    Ok(())
-}
 
 fn facade(
     topology: impl Into<Topology>,
@@ -116,6 +34,28 @@ fn facade(
         .expect("facade run succeeds on generated inputs")
 }
 
+/// Steps `session` and the engine run beneath it through `stream` side
+/// by side: `run(None)` reads the build, `run(Some(batch))` applies one
+/// batch; either answers the run's `Detection` and report, which must
+/// equal the session's.
+fn assert_session_is_its_run(
+    label: &str,
+    mut session: IncrementalSession,
+    stream: &[DeltaBatch],
+    mut run: impl FnMut(Option<&DeltaBatch>) -> (Detection, ViolationReport),
+) -> Result<(), TestCaseError> {
+    let steps = std::iter::once(None).chain(stream.iter().map(Some));
+    for (step, batch) in steps.enumerate() {
+        if let Some(batch) = batch {
+            session.apply_batch(batch).expect("generated batches apply");
+        }
+        let (detection, report) = run(batch);
+        prop_assert_eq!(session.detection(), detection, "{} after step {}", label, step);
+        prop_assert_eq!(session.report(), report, "{} report after step {}", label, step);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -123,7 +63,7 @@ proptest! {
     /// widths 1 and 8.
     #[test]
     fn facade_matches_engine_horizontal(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         pats in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
         pats2 in arb_patterns(),
@@ -150,25 +90,24 @@ proptest! {
                     cfg,
                     ShipMode::Full,
                 );
-                let label = format!("{} @{threads}", strategy.algorithm_name());
-                assert_identical(&engine, &new, &label)?;
+                prop_assert_eq!(engine, new, "{} @{}", strategy.algorithm_name(), threads);
             }
             // The two multi-CFD detectors (two CFDs).
             let inner = CoordinatorStrategy::MinResponseTime;
             let engine = run_seq(&partition, &sigma, inner, &cfg);
             let new = facade(partition.clone(), &sigma, Algorithm::seq_detect(), cfg, ShipMode::Full);
-            assert_identical(&engine, &new, &format!("SEQDETECT @{threads}"))?;
+            prop_assert_eq!(engine, new, "SEQDETECT @{}", threads);
             let engine = run_clust(&partition, &sigma, inner, &cfg);
             let new =
                 facade(partition.clone(), &sigma, Algorithm::clust_detect(), cfg, ShipMode::Full);
-            assert_identical(&engine, &new, &format!("CLUSTDETECT @{threads}"))?;
+            prop_assert_eq!(engine, new, "CLUSTDETECT @{}", threads);
         }
     }
 
     /// Replicated topology: façade ≡ `run_replicated` at factors 1–3.
     #[test]
     fn facade_matches_engine_replicated(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         pats in arb_patterns(),
         factor in 1..4usize,
     ) {
@@ -186,14 +125,14 @@ proptest! {
                 cfg,
                 ShipMode::Full,
             );
-            assert_identical(&engine, &new, &format!("REPDETECT @{threads}"))?;
+            prop_assert_eq!(engine, new, "REPDETECT @{}", threads);
         }
     }
 
     /// Hybrid topology: façade ≡ `run_hybrid` for every strategy.
     #[test]
     fn facade_matches_engine_hybrid(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         pats in arb_patterns(),
         n_cells in 1..4usize,
     ) {
@@ -217,16 +156,15 @@ proptest! {
                     cfg,
                     ShipMode::Full,
                 );
-                assert_identical(&engine, &new, &format!("HYBRID {strategy:?} @{threads}"))?;
+                prop_assert_eq!(engine, new, "HYBRID {:?} @{}", strategy, threads);
             }
         }
     }
 
-    /// Vertical topology: façade ≡ `run_vertical`, both ship modes,
-    /// every field bit-identical.
+    /// Vertical topology: façade ≡ `run_vertical`, both ship modes.
     #[test]
     fn facade_matches_engine_vertical(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         pats in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
     ) {
@@ -245,8 +183,67 @@ proptest! {
                 cfg,
                 mode,
             );
-            assert_identical(&engine, &new, &format!("VERTICAL {mode:?}"))?;
+            prop_assert_eq!(engine, new, "VERTICAL {:?}", mode);
         }
+    }
+
+    /// A session is the incremental run it opens: over horizontal,
+    /// replicated and vertical topologies, `DetectRequest::session()`
+    /// and `IncrementalRun::new` / `IncrementalRun::new_replicated` /
+    /// `VerticalIncrementalRun::new` on the same partition, Σ and
+    /// `RunConfig` answer the same `Detection` and report after the build
+    /// and after every batch of one generated delta stream.
+    #[test]
+    fn sessions_match_the_incremental_runs_beneath_them(
+        rows in arb_rows(1..40),
+        pats in arb_patterns(),
+        rhs_const in prop::option::of(0..3u8),
+        pats2 in arb_patterns(),
+        n_sites in 1..5usize,
+        factor_seed in 0..100usize,
+        seed in 0u64..1000,
+        wide in any::<bool>(),
+    ) {
+        let rel = build_relation(&rows);
+        let sigma = vec![build_cfd("p1", &pats, rhs_const), build_cfd("p2", &pats2, None)];
+        let cfg = RunConfig::default().with_threads(if wide { 8 } else { 1 });
+        let horizontal = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
+        let replicated =
+            ReplicatedPartition::chained(horizontal.clone(), 1 + factor_seed % n_sites).unwrap();
+        let vertical =
+            VerticalPartition::by_attribute_groups(&rel, &[&["a", "c"], &["b", "d"]]).unwrap();
+        let stream: Vec<DeltaBatch> = update_stream(
+            &horizontal,
+            &UpdateStreamConfig { n_batches: 3, ops_per_batch: 8, seed, ..Default::default() },
+        )
+        .into_iter()
+        .map(DeltaBatch::from)
+        .collect();
+        let session = |topology: Topology| {
+            DetectRequest::over(topology).cfds(sigma.iter().cloned()).config(cfg).session().unwrap()
+        };
+
+        let mut run = IncrementalRun::new(horizontal.clone(), &sigma, cfg).unwrap();
+        assert_session_is_its_run("horizontal", session(horizontal.into()), &stream, |batch| {
+            if let Some(batch) = batch {
+                run.apply_batch(batch).unwrap();
+            }
+            (run.detection(), run.report())
+        })?;
+        let mut run = IncrementalRun::new_replicated(&replicated, &sigma, cfg).unwrap();
+        assert_session_is_its_run("replicated", session(replicated.into()), &stream, |batch| {
+            if let Some(batch) = batch {
+                run.apply_batch(batch).unwrap();
+            }
+            (run.detection(), run.report())
+        })?;
+        let mut run = VerticalIncrementalRun::new(vertical.clone(), &sigma, cfg).unwrap();
+        assert_session_is_its_run("vertical", session(vertical.into()), &stream, |batch| {
+            if let Some(batch) = batch {
+                run.apply_batch(&batch.flatten()).unwrap();
+            }
+            (run.detection(), run.report())
+        })?;
     }
 
     /// Vertical fragments that stopped lining up — one reordered, or
@@ -256,7 +253,7 @@ proptest! {
     /// error; they never answer something else.
     #[test]
     fn misaligned_vertical_fragments_are_answered_or_refused(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         pats in arb_patterns(),
         which in 0..3usize,
         rotate in 1..7usize,
@@ -273,12 +270,7 @@ proptest! {
         frag.data = frag.data.copy_rows(&order[usize::from(drop_one)..]);
         let want = partition.reassemble().map(|whole| detect_set(&whole, &sigma));
 
-        let agrees = |got: &ViolationReport| match &want {
-            Ok(want) => want.per_cfd.iter().zip(&got.per_cfd).all(|((_, w), (_, g))| {
-                w.tids == g.tids && w.patterns == g.patterns
-            }),
-            Err(_) => false,
-        };
+        let agrees = |got: &ViolationReport| want.as_ref().is_ok_and(|want| want == got);
         for mode in [ShipMode::Full, ShipMode::Filtered] {
             let request =
                 DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).ship_mode(mode);

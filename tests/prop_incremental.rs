@@ -2,77 +2,14 @@
 //! a generated delta stream, the incremental report must equal full
 //! re-detection on the materialized state — checked against the
 //! centralized detector and all five distributed detectors — and the
-//! incremental run itself must be bit-identical (reports, ledger
-//! totals, paper cost, per-site clocks) at pool widths 1 and 8.
+//! incremental run's `Detection` must be `==` at pool widths 1 and 8.
 
+mod common;
+
+use common::{arb_patterns, arb_rows, build_cfd, build_relation};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
-
-/// Rows over tiny domains so FD groups collide often.
-fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
-    prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
-}
-
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
-    Relation::from_rows(
-        schema(),
-        rows.iter()
-            .enumerate()
-            .map(|(i, &(a, b, c, d))| vals![i as i64, a, b, format!("c{c}"), format!("d{d}")])
-            .collect(),
-    )
-    .unwrap()
-}
-
-/// A random CFD over LHS ⊆ {a, b, c}, RHS = d, with wildcard/constant
-/// mixes in the tableau.
-fn arb_cfd() -> impl Strategy<Value = Vec<(Option<i64>, Option<i64>, Option<u8>)>> {
-    prop::collection::vec(
-        (prop::option::of(0..4i64), prop::option::of(0..4i64), prop::option::of(0..3u8)),
-        1..4,
-    )
-}
-
-fn build_cfd(
-    name: &str,
-    patterns: &[(Option<i64>, Option<i64>, Option<u8>)],
-    rhs_const: Option<u8>,
-) -> Cfd {
-    let s = schema();
-    let tableau = patterns
-        .iter()
-        .map(|(a, b, c)| {
-            let pv = |o: &Option<i64>| match o {
-                Some(v) => PatternValue::constant(*v),
-                None => PatternValue::Wild,
-            };
-            let pc = |o: &Option<u8>| match o {
-                Some(v) => PatternValue::constant(format!("c{v}")),
-                None => PatternValue::Wild,
-            };
-            let rhs = match rhs_const {
-                Some(v) => PatternValue::constant(format!("d{v}")),
-                None => PatternValue::Wild,
-            };
-            PatternTuple::new(vec![pv(a), pv(b), pc(c)], vec![rhs])
-        })
-        .collect();
-    Cfd::with_names(name, s, &["a", "b", "c"], &["d"], tableau).unwrap()
-}
 
 fn assert_equals_full_redetection(
     run: &IncrementalRun,
@@ -81,14 +18,7 @@ fn assert_equals_full_redetection(
     let report = run.report();
     // Centralized full re-detection on the materialized relation.
     let rel = run.materialize().expect("reassembly succeeds");
-    let global = detect_set(&rel, sigma);
-    prop_assert_eq!(report.all_tids(), global.all_tids(), "centralized Vio(Σ)");
-    for (name, vs) in &global.per_cfd {
-        let (_, got) =
-            report.per_cfd.iter().find(|(n, _)| n == name).expect("every CFD has an entry");
-        prop_assert_eq!(&got.tids, &vs.tids, "Vio({})", name);
-        prop_assert_eq!(&got.patterns, &vs.patterns, "Vioπ({})", name);
-    }
+    prop_assert_eq!(&report, &detect_set(&rel, sigma), "centralized");
     // All five distributed detectors on the materialized partition.
     let cfg = RunConfig::default();
     let run_alg = |alg: Algorithm, sigma: &[Cfd]| {
@@ -107,45 +37,7 @@ fn assert_equals_full_redetection(
         }
     }
     for alg in [Algorithm::seq_detect(), Algorithm::clust_detect()] {
-        let d = run_alg(alg, sigma);
-        prop_assert_eq!(d.violations.all_tids(), report.all_tids(), "{:?}", alg);
-        for (name, vs) in &report.per_cfd {
-            let (_, got) = d
-                .violations
-                .per_cfd
-                .iter()
-                .find(|(n, _)| n == name)
-                .expect("every CFD has an entry");
-            prop_assert_eq!(&got.tids, &vs.tids, "{:?} Vio({})", alg, name);
-            prop_assert_eq!(&got.patterns, &vs.patterns, "{:?} Vioπ({})", alg, name);
-        }
-    }
-    Ok(())
-}
-
-fn assert_runs_bit_identical(a: &IncrementalRun, b: &IncrementalRun) -> Result<(), TestCaseError> {
-    let (da, db) = (a.detection(), b.detection());
-    prop_assert_eq!(da.violations.all_tids(), db.violations.all_tids());
-    prop_assert_eq!(da.shipped_tuples, db.shipped_tuples, "|M|");
-    prop_assert_eq!(da.shipped_cells, db.shipped_cells, "cells");
-    prop_assert_eq!(da.shipped_bytes, db.shipped_bytes, "bytes");
-    prop_assert_eq!(da.control_messages, db.control_messages, "control");
-    prop_assert_eq!(
-        da.paper_cost.to_bits(),
-        db.paper_cost.to_bits(),
-        "paper_cost {} vs {}",
-        da.paper_cost,
-        db.paper_cost
-    );
-    prop_assert_eq!(
-        da.response_time.to_bits(),
-        db.response_time.to_bits(),
-        "response_time {} vs {}",
-        da.response_time,
-        db.response_time
-    );
-    for (s, (ca, cb)) in da.site_clocks.iter().zip(&db.site_clocks).enumerate() {
-        prop_assert_eq!(ca.to_bits(), cb.to_bits(), "clock of site {}: {} vs {}", s, ca, cb);
+        prop_assert_eq!(&run_alg(alg, sigma).violations, &report, "{:?}", alg);
     }
     Ok(())
 }
@@ -160,9 +52,9 @@ proptest! {
     /// maintained state.
     #[test]
     fn incremental_equals_full_after_every_prefix(
-        rows in arb_rows(),
-        patterns1 in arb_cfd(),
-        patterns2 in arb_cfd(),
+        rows in arb_rows(1..40),
+        patterns1 in arb_patterns(),
+        patterns2 in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
         n_sites in 1usize..5,
         ops in 4usize..16,
@@ -192,13 +84,13 @@ proptest! {
             let out1 = run1.apply_batch(&batch).unwrap();
             let out8 = run8.apply_batch(&batch).unwrap();
             prop_assert_eq!(out1.paper_cost.to_bits(), out8.paper_cost.to_bits());
-            assert_runs_bit_identical(&run1, &run8)?;
+            prop_assert_eq!(run1.detection(), run8.detection(), "widths 1 and 8");
             assert_equals_full_redetection(&run1, &sigma)?;
             // A from-scratch index build on the materialized state
             // reproduces the maintained report and index geometry.
             let rebuilt = IncrementalRun::new(
                 run1.partition().clone(), &sigma, RunConfig::default().with_threads(1)).unwrap();
-            prop_assert_eq!(rebuilt.report().all_tids(), run1.report().all_tids());
+            prop_assert_eq!(rebuilt.report(), run1.report());
             prop_assert_eq!(rebuilt.index_key_counts(), run1.index_key_counts());
         }
     }
@@ -207,8 +99,8 @@ proptest! {
     /// runs on the same stream, at every replication factor.
     #[test]
     fn replication_factor_never_changes_reports(
-        rows in arb_rows(),
-        patterns in arb_cfd(),
+        rows in arb_rows(1..40),
+        patterns in arb_patterns(),
         n_sites in 2usize..5,
         factor_seed in 0usize..100,
         seed in 0u64..1000,
@@ -228,7 +120,7 @@ proptest! {
             let batch = DeltaBatch::from(batch);
             let a = plain.apply_batch(&batch).unwrap();
             let b = replicated.apply_batch(&batch).unwrap();
-            prop_assert_eq!(a.report.all_tids(), b.report.all_tids());
+            prop_assert_eq!(a.report, b.report);
         }
         assert_equals_full_redetection(&replicated, &sigma)?;
     }
@@ -237,8 +129,8 @@ proptest! {
     /// reassembled relation after every whole-tuple delta.
     #[test]
     fn vertical_incremental_tracks_centralized(
-        rows in arb_rows(),
-        patterns in arb_cfd(),
+        rows in arb_rows(1..40),
+        patterns in arb_patterns(),
         rhs_const in prop::option::of(0..3u8),
         seed in 0u64..1000,
     ) {
@@ -257,14 +149,7 @@ proptest! {
             let delta = DeltaBatch::from(batch).flatten();
             let out = run.apply_batch(&delta).unwrap();
             let rel_now = run.materialize().expect("reassembly succeeds");
-            let global = detect_set(&rel_now, &sigma);
-            prop_assert_eq!(out.report.all_tids(), global.all_tids());
-            for (name, vs) in &global.per_cfd {
-                let (_, got) =
-                    out.report.per_cfd.iter().find(|(n, _)| n == name).expect("entry");
-                prop_assert_eq!(&got.tids, &vs.tids, "Vio({})", name);
-                prop_assert_eq!(&got.patterns, &vs.patterns, "Vioπ({})", name);
-            }
+            prop_assert_eq!(out.report, detect_set(&rel_now, &sigma));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The observability determinism contract, pinned as a matrix: for
-//! every detector × every topology, the [`Detection`]'s frozen
-//! `metrics` snapshot and its `trace` span set must be bit-identical
+//! every detector × every topology, the whole [`Detection`] — its frozen
+//! `metrics` snapshot and its `trace` span set included — must be `==`
 //! at pool widths {1, 8}. Metrics are accumulated by order-free atomics
 //! and spans are timestamped from `SiteClocks` snapshots, so nothing the
 //! scheduler does (who runs which site's task, in what order) may reach
@@ -15,48 +15,9 @@
 
 mod common;
 
+use common::{sample, sample_sigma, schema};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
-
-/// ~300 rows over tiny domains: plenty of FD collisions.
-fn sample() -> Relation {
-    Relation::from_rows(
-        schema(),
-        (0..300)
-            .map(|i| {
-                vals![
-                    i,
-                    i % 3,
-                    i % 5,
-                    format!("c{}", i % 4),
-                    format!("d{}", if i % 7 == 0 { 9 } else { i % 2 })
-                ]
-            })
-            .collect(),
-    )
-    .unwrap()
-}
-
-fn sigma(s: &Arc<Schema>) -> Vec<Cfd> {
-    vec![
-        parse_cfd(s, "phi1", "([a, b] -> [d])").unwrap(),
-        parse_cfd(s, "phi2", "([a=1, c] -> [d])").unwrap(),
-        parse_cfd(s, "phi3", "([b=2, c=c1] -> [d=d1])").unwrap(),
-    ]
-}
 
 fn algorithms() -> [Algorithm; 5] {
     [
@@ -78,10 +39,10 @@ struct Fixtures {
 }
 
 fn fixtures() -> Fixtures {
-    let rel = sample();
+    let rel = sample(300);
     let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
     Fixtures {
-        sigma: sigma(rel.schema()),
+        sigma: sample_sigma(rel.schema()),
         vertical: VerticalPartition::by_attribute_groups(
             &rel,
             &[&["id", "a", "b"], &["c"], &["d"]],
@@ -172,11 +133,9 @@ fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
     assert_eq!(baseline.len(), got.len());
     for ((label, base), (label2, d)) in baseline.iter().zip(&got) {
         assert_eq!(label, label2);
-        let cell = format!("{label} @threads=8");
-        // Snapshot and trace types compare f64s through bits.
-        assert_eq!(base.metrics, d.metrics, "{cell}: metrics snapshot diverged");
-        assert_eq!(base.trace, d.trace, "{cell}: trace diverged");
-        assert_eq!(base.metrics.expose(), d.metrics.expose(), "{cell}: exposition text diverged");
+        // Snapshot and trace compare f64s through bits, and so does the
+        // rest of the `Detection`.
+        assert_eq!(base, d, "{label} @threads=8");
     }
 }
 

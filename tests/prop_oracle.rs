@@ -119,12 +119,6 @@ impl Case {
     }
 }
 
-fn assert_same(got: &ViolationSet, want: &ViolationSet, what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&got.tids, &want.tids, "{} Vio", what);
-    prop_assert_eq!(&got.patterns, &want.patterns, "{} Vioπ", what);
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -139,12 +133,9 @@ proptest! {
                 grow_dictionaries(&rel);
             }
             let want = oracle::vio(&tuples, &cfd);
-            assert_same(&detect_simple(&rel, &cfd), &want, &format!("algorithmic, {pass}"))?;
-            assert_same(
-                &detect_simple_strict(&rel, &cfd),
-                &oracle::vio_strict(&tuples, &cfd),
-                &format!("strict, {pass}"),
-            )?;
+            prop_assert_eq!(detect_simple(&rel, &cfd), want, "algorithmic, {}", pass);
+            let strict = oracle::vio_strict(&tuples, &cfd);
+            prop_assert_eq!(detect_simple_strict(&rel, &cfd), strict, "strict, {}", pass);
         }
     }
 
@@ -190,13 +181,13 @@ fn validate_at_coordinators(
         .collect();
     let want = oracle::vio(&tuples, cfd);
     let resolved = layout.resolve(cfd);
-    assert_same(&resolved.detect_among(&gathered), &want, &format!("gathered, {pass}"))?;
+    prop_assert_eq!(resolved.detect_among(&gathered), want, "gathered, {}", pass);
     let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
     for f in fragments {
         f.data.gather_into(&attrs, &(0..f.data.len()).collect::<Vec<_>>(), &mut batch);
     }
     let found = resolved.detect_batch(&batch);
-    assert_same(&ViolationSet::from(found.clone()), &want, &format!("batch, {pass}"))?;
+    prop_assert_eq!(ViolationSet::from(found.clone()), want, "batch, {}", pass);
 
     let (variable, constants) = cfd.split_constant();
     let mut checked = ViolationSet::default();
@@ -213,7 +204,7 @@ fn validate_at_coordinators(
         let one = SimpleCfd { tableau: vec![nc.pattern.clone()], ..cfd.clone() };
         by_definition.merge(oracle::vio(&tuples, &one));
     }
-    assert_same(&checked, &by_definition, &format!("constants, {pass}"))?;
+    prop_assert_eq!(checked, by_definition, "constants, {}", pass);
 
     let Some(variable) = variable else { return Ok(found) };
     let sorted = sort_for_sigma(&variable);
@@ -236,9 +227,9 @@ fn validate_at_coordinators(
         let block_refs: Vec<&Tuple> = block_tuples.iter().collect();
         let one = SimpleCfd { tableau: vec![pattern.clone()], ..sorted.cfd.clone() };
         let got = resolved.detect_pattern_among(block_rows.iter(), l);
-        assert_same(&got, &oracle::vio(&block_refs, &one), &format!("block, {pass}"))?;
+        prop_assert_eq!(got, oracle::vio(&block_refs, &one), "block, {}", pass);
         union.merge(got);
     }
-    assert_same(&union, &oracle::vio(&tuples, &variable), &format!("Lemma 6 union, {pass}"))?;
+    prop_assert_eq!(union, oracle::vio(&tuples, &variable), "Lemma 6 union, {}", pass);
     Ok(found)
 }

@@ -3,22 +3,12 @@
 //! refinement optimality relations, and shipment-based vertical
 //! detection equivalence.
 
+mod common;
+
+use common::{arb_rows, build_relation, schema};
 use distributed_cfd::prelude::*;
 use distributed_cfd::vertical::locally_checkable_at;
 use proptest::prelude::*;
-use std::sync::Arc;
-
-fn schema() -> Arc<Schema> {
-    Schema::builder("r")
-        .attr("id", ValueType::Int)
-        .attr("a", ValueType::Int)
-        .attr("b", ValueType::Int)
-        .attr("c", ValueType::Str)
-        .attr("d", ValueType::Str)
-        .key(&["id"])
-        .build()
-        .unwrap()
-}
 
 /// Runs one facade request over a vertical partition.
 fn run_on(partition: &VerticalPartition, sigma: &[Cfd], mode: ShipMode) -> Detection {
@@ -27,21 +17,6 @@ fn run_on(partition: &VerticalPartition, sigma: &[Cfd], mode: ShipMode) -> Detec
         .ship_mode(mode)
         .run()
         .expect("generated requests are valid")
-}
-
-fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, u8, u8)>> {
-    prop::collection::vec((0..4i64, 0..4i64, 0..3u8, 0..3u8), 1..40)
-}
-
-fn build_relation(rows: &[(i64, i64, u8, u8)]) -> Relation {
-    Relation::from_rows(
-        schema(),
-        rows.iter()
-            .enumerate()
-            .map(|(i, &(a, b, c, d))| vals![i, a, b, format!("c{c}"), format!("d{d}")])
-            .collect(),
-    )
-    .unwrap()
 }
 
 /// Random two-fragment vertical split of {a, b, c, d} (id implicit).
@@ -69,7 +44,7 @@ proptest! {
     /// CFD fits a fragment (its Γ-membership witness).
     #[test]
     fn preservation_implies_local_checkability(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         split in arb_split(),
         lhs_pick in 0usize..3,
     ) {
@@ -100,7 +75,7 @@ proptest! {
     /// ship modes, arbitrary splits.
     #[test]
     fn vertical_detection_equals_centralized(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         split in arb_split(),
     ) {
         let rel = build_relation(&rows);
@@ -123,7 +98,7 @@ proptest! {
     /// changes results.
     #[test]
     fn filtered_mode_dominates(
-        rows in arb_rows(),
+        rows in arb_rows(1..40),
         split in arb_split(),
         pin in 0..4i64,
     ) {
