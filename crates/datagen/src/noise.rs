@@ -20,7 +20,7 @@ pub fn inject_errors(rel: &Relation, attr: &str, rate: f64, seed: u64) -> (Relat
     assert!((0.0..=1.0).contains(&rate), "rate must be within [0, 1]");
     let a = rel.schema().require(attr).expect("attribute exists");
     let mut rng = StdRng::seed_from_u64(seed);
-    let fresh = (0..rel.schema().arity()).map(|_| Arc::new(Dictionary::new())).collect();
+    let fresh = rel.schema().attrs().iter().map(|a| Arc::new(Dictionary::new(a.ty))).collect();
     let mut out = Relation::with_dictionaries(rel.schema().clone(), fresh, rel.len())
         .expect("one dictionary per attribute");
     let mut corrupted = 0usize;

@@ -100,9 +100,10 @@ impl Relation {
         Relation::with_capacity(schema, 0)
     }
 
-    /// Creates an empty relation with room for `cap` tuples.
+    /// Creates an empty relation with room for `cap` tuples, with one
+    /// fresh dictionary per attribute, of the attribute's type.
     pub fn with_capacity(schema: Arc<Schema>, cap: usize) -> Self {
-        let dicts = (0..schema.arity()).map(|_| Arc::new(Dictionary::new())).collect();
+        let dicts = schema.attrs().iter().map(|a| Arc::new(Dictionary::new(a.ty))).collect();
         Relation::with_dictionaries(schema, dicts, cap).expect("one dictionary per attribute")
     }
 
@@ -111,7 +112,9 @@ impl Relation {
     /// schema order). This is the fragment constructor: fragments built
     /// over a parent relation's dictionaries keep their codes comparable
     /// with the parent and with each other, so nothing is re-encoded when
-    /// tuples move between them.
+    /// tuples move between them. A dictionary whose
+    /// [`Dictionary::value_type`] differs from its attribute's type is a
+    /// [`RelationError::SchemaMismatch`].
     pub fn with_dictionaries(
         schema: Arc<Schema>,
         dicts: Vec<Arc<Dictionary>>,
@@ -124,6 +127,18 @@ impl Relation {
                     dicts.len(),
                     schema.arity(),
                     schema.name()
+                ),
+            });
+        }
+        let attrs = schema.attrs().iter();
+        if let Some((attr, dict)) = attrs.zip(&dicts).find(|(a, d)| d.value_type() != a.ty) {
+            return Err(RelationError::SchemaMismatch {
+                detail: format!(
+                    "`{}` of `{}` is {} but its dictionary holds {}",
+                    attr.name,
+                    schema.name(),
+                    attr.ty.name(),
+                    dict.value_type().name()
                 ),
             });
         }
@@ -580,19 +595,31 @@ impl Relation {
     }
 
     /// Builds a relation from pre-identified tuples, via the bulk
-    /// [`Relation::extend_tuples`] path.
+    /// [`Relation::extend_tuples`] path. Its fresh dictionaries are
+    /// trimmed to what they hold.
     pub fn from_tuples(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Result<Self, RelationError> {
         let mut rel = Relation::with_capacity(schema, tuples.len());
         rel.extend_tuples(tuples)?;
-        Ok(rel)
+        Ok(rel.trimmed())
     }
 
     /// Builds a relation from literal rows, assigning fresh ids in
-    /// order, via the bulk [`Relation::extend_rows`] path.
+    /// order, via the bulk [`Relation::extend_rows`] path. Its fresh
+    /// dictionaries are trimmed to what they hold.
     pub fn from_rows(schema: Arc<Schema>, rows: Vec<Vec<Value>>) -> Result<Self, RelationError> {
         let mut rel = Relation::with_capacity(schema, rows.len());
         rel.extend_rows(rows)?;
-        Ok(rel)
+        Ok(rel.trimmed())
+    }
+
+    /// Releases the spare capacity of the value tables a load filled:
+    /// the columns were sized exactly up front, a dictionary cannot be,
+    /// since its length is the number of distinct values.
+    fn trimmed(self) -> Self {
+        for col in &self.columns {
+            col.dict().shrink_to_fit();
+        }
+        self
     }
 
     fn validate(&self, values: &[Value]) -> Result<(), RelationError> {
@@ -1023,6 +1050,46 @@ mod tests {
         assert!(proj.extend_from(&parent, &all, &[0]).is_err());
         assert!(foreign.is_empty());
         assert_eq!(proj.len(), 2);
+    }
+
+    #[test]
+    fn a_dictionary_of_another_type_is_refused() {
+        let int = || Arc::new(Dictionary::new(ValueType::Int));
+        let str = || Arc::new(Dictionary::new(ValueType::Str));
+        assert!(Relation::with_dictionaries(schema(), vec![int(), str()], 0).is_ok());
+        let err = Relation::with_dictionaries(schema(), vec![int(), int()], 4).unwrap_err();
+        assert_eq!(
+            err,
+            RelationError::SchemaMismatch {
+                detail: "`b` of `r` is Str but its dictionary holds Int".into()
+            }
+        );
+        assert!(Relation::with_dictionaries(schema(), vec![str(), str()], 0).is_err());
+    }
+
+    #[test]
+    fn a_built_relation_has_no_spare_dictionary_capacity() {
+        // 300 rows: 100 distinct ints plus a null, 38 distinct strings;
+        // neither table length is a power of two.
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|i| match i {
+                7 => vals![Value::Null, "n"],
+                _ => vals![i % 100, format!("s{}", i % 37)],
+            })
+            .collect();
+        let by_rows = Relation::from_rows(schema(), rows).unwrap();
+        let by_tuples = Relation::from_tuples(schema(), by_rows.iter().collect()).unwrap();
+        for rel in [by_rows, by_tuples] {
+            let dicts = rel.dictionaries_of(&[AttrId(0), AttrId(1)]);
+            assert_eq!(dicts.iter().map(|d| d.len()).collect::<Vec<_>>(), [101, 38]);
+            assert!(dicts.iter().all(|d| d.capacity() == d.len()), "spare capacity");
+            // A later insert still appends under the next code.
+            let mut rel = rel;
+            let insert = Tuple::new(TupleId(900), vals![-5, "s0"]);
+            let effect = rel.apply_delta(&crate::RelationDelta::new(vec![insert], vec![])).unwrap();
+            assert_eq!(effect.inserted, vec![(TupleId(900), vec![101, 0].into())]);
+            assert_eq!(rel.dictionary(AttrId(0)).value(101), Value::Int(-5));
+        }
     }
 
     #[test]

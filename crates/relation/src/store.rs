@@ -22,19 +22,27 @@
 //! code slices ([`Column::codes`]) and only touch the dictionary to decode
 //! one value per *group* (or per pattern constant), not per tuple.
 //!
-//! A dictionary holds each distinct value once: `values[code]`, plus an
-//! open-addressing index of `(hash, code)` slots over that vector. A
-//! lookup hashes once and compares values only where the stored hash
-//! agrees; a miss costs the same one hash; growing the index moves slots
-//! by their stored hashes and reads no value. A batch is interned in one
-//! pass ([`Column::extend_values`]): known values under the read lock,
-//! each run of unseen ones under one acquisition of the write lock.
+//! A dictionary is typed by its attribute's [`ValueType`] and holds each
+//! distinct value once, as that type: an Int dictionary is one `Vec<i64>`
+//! (8 bytes a value), a Str dictionary one `Vec<Arc<str>>` (16 bytes
+//! beside the shared payload), indexed by code. `Null`, which any
+//! attribute may hold, is one code kept out of line, with a placeholder
+//! cell at its index so that codes stay dense and first-seen. Over that
+//! table sits an open-addressing index of `(hash, code)` slots. A lookup
+//! hashes once and compares values only where the stored hash agrees; a
+//! miss costs the same one hash; growing the index moves slots by their
+//! stored hashes and reads no value. A batch is interned in one pass
+//! ([`Column::extend_values`]): known values under the read lock, each
+//! run of unseen ones under one acquisition of the write lock.
 //!
 //! A column is one allocation. Every constructor reserves exactly the rows
-//! it will hold, so a built relation carries no spare capacity; only
-//! appends to a built relation grow a column, the way a `Vec` grows.
+//! it will hold, and a relation built from rows trims each dictionary's
+//! value table to its length, so a built relation carries no spare
+//! capacity; only appends to a built relation grow a column or a table,
+//! the way a `Vec` grows.
 
 use crate::fxhash::FxBuildHasher;
+use crate::schema::ValueType;
 use crate::value::Value;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -85,19 +93,85 @@ fn hash32(v: &Value) -> u32 {
     ((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
 }
 
-#[derive(Debug, Default, Clone)]
+/// A dictionary's code → value table, one vector of the attribute's
+/// type. The cell at the `Null` code, if any, is a placeholder.
+#[derive(Debug, Clone)]
+enum Table {
+    Int(Vec<i64>),
+    Str(Vec<Arc<str>>),
+}
+
+impl Table {
+    fn len(&self) -> usize {
+        match self {
+            Table::Int(t) => t.len(),
+            Table::Str(t) => t.len(),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Table::Int(t) => t.capacity(),
+            Table::Str(t) => t.capacity(),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Table::Int(t) => t.shrink_to_fit(),
+            Table::Str(t) => t.shrink_to_fit(),
+        }
+    }
+
+    fn value_type(&self) -> ValueType {
+        match self {
+            Table::Int(_) => ValueType::Int,
+            Table::Str(_) => ValueType::Str,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
 struct DictInner {
-    /// `values[code]` is the canonical value for `code` — the only copy
-    /// the dictionary keeps.
-    values: Vec<Value>,
+    /// `table[code]` is the canonical value for `code` — the only copy
+    /// the dictionary keeps — for every code but `null`.
+    table: Table,
+    /// The code of `Null`, once interned. Its cell in `table` is a
+    /// placeholder that [`DictInner::holds`] never matches.
+    null: Option<u32>,
     /// Inverse index, value → code: an open-addressing table over
-    /// `values`, linear probe. Its length is zero or a power of two and
-    /// at least twice `values.len()`, so a probe always ends at an empty
+    /// `table`, linear probe. Its length is zero or a power of two and
+    /// at least twice `table.len()`, so a probe always ends at an empty
     /// slot.
     slots: Vec<Slot>,
 }
 
 impl DictInner {
+    /// Whether `code` is the code of `v`. A value of the other type is
+    /// held by no code. Strings compare as `Arc`s, so a caller holding
+    /// the canonical payload matches without reading it.
+    #[inline]
+    fn holds(&self, code: u32, v: &Value) -> bool {
+        let at = code as usize;
+        match (&self.table, v) {
+            (_, Value::Null) => self.null == Some(code),
+            (Table::Int(t), Value::Int(i)) => t[at] == *i && self.null != Some(code),
+            (Table::Str(t), Value::Str(s)) => t[at] == *s && self.null != Some(code),
+            _ => false,
+        }
+    }
+
+    /// The canonical value of `code` (O(1) — see [`Value`]).
+    #[inline]
+    fn value(&self, code: u32) -> Value {
+        let at = code as usize;
+        match &self.table {
+            _ if self.null == Some(code) => Value::Null,
+            Table::Int(t) => Value::Int(t[at]),
+            Table::Str(t) => Value::Str(Arc::clone(&t[at])),
+        }
+    }
+
     /// The code of `v` (whose [`hash32`] is `hash`), or the empty slot its
     /// probe ended at — where [`DictInner::insert_at`] puts it, provided
     /// [`DictInner::reserve_one`] ran since the last insert. With no
@@ -111,7 +185,7 @@ impl DictInner {
             if slot.code == WILDCARD_CODE {
                 return Err(at);
             }
-            if slot.hash == hash && self.values[slot.code as usize] == *v {
+            if slot.hash == hash && self.holds(slot.code, v) {
                 return Ok(slot.code);
             }
             at = (at + 1) & mask;
@@ -122,7 +196,7 @@ impl DictInner {
     /// it has to. Growth re-places the slots from their stored hashes:
     /// no value is read, hashed or compared.
     fn reserve_one(&mut self) {
-        if (self.values.len() + 1) * 2 <= self.slots.len() {
+        if (self.table.len() + 1) * 2 <= self.slots.len() {
             return;
         }
         let len = (self.slots.len() * 2).max(8);
@@ -138,46 +212,69 @@ impl DictInner {
     }
 
     /// Assigns the next code to `v`, indexing it at the empty slot `at`
-    /// that [`DictInner::find`] reported.
-    fn insert_at(&mut self, at: usize, v: Value, hash: u32) -> u32 {
-        let code = self.values.len() as u32;
+    /// that [`DictInner::find`] reported. Panics if `v` is a non-null
+    /// value of the other type (see [`Dictionary::intern`]).
+    fn insert_at(&mut self, at: usize, v: &Value, hash: u32) -> u32 {
+        let code = self.table.len() as u32;
         assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
-        self.values.push(v);
+        match (&mut self.table, v) {
+            (Table::Int(t), Value::Int(i)) => t.push(*i),
+            (Table::Str(t), Value::Str(s)) => t.push(Arc::clone(s)),
+            (Table::Int(t), Value::Null) => t.push(0),
+            (Table::Str(t), Value::Null) => t.push(Arc::from("")),
+            (table, v) => {
+                panic!("{v:?} is not a value of this {} dictionary", table.value_type().name())
+            }
+        }
+        if v.is_null() {
+            self.null = Some(code);
+        }
         self.slots[at] = Slot { hash, code };
         code
     }
 }
 
 /// An append-only interning dictionary for one attribute: each distinct
-/// [`Value`] maps to a dense `u32` code in first-seen order.
+/// [`Value`] of the attribute's type, and `Null`, maps to a dense `u32`
+/// code in first-seen order.
 ///
-/// Each distinct value is stored once, in the code → value vector; the
-/// value → code direction is an index of 8-byte `(hash, code)` slots over
-/// that vector. A lookup hashes the value once and compares it only
-/// against slots whose stored hash agrees; a miss costs that same one
-/// hash; growth moves slots and touches no value.
+/// Each distinct value is stored once, in a code → value vector of the
+/// attribute's type (`i64` or `Arc<str>`); the value → code direction is
+/// an index of 8-byte `(hash, code)` slots over that vector. A lookup
+/// hashes the value once and compares it only against slots whose stored
+/// hash agrees; a miss costs that same one hash; growth moves slots and
+/// touches no value.
 ///
 /// Shared via `Arc` between a relation and all of its fragments, so codes
 /// are comparable across them. All methods take `&self`; interning is
 /// synchronized internally.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Dictionary {
     inner: RwLock<DictInner>,
 }
 
 impl Dictionary {
-    /// Creates an empty dictionary.
-    pub fn new() -> Self {
-        Dictionary::default()
+    /// Creates an empty dictionary for values of type `ty` (and `Null`).
+    pub fn new(ty: ValueType) -> Self {
+        let table = match ty {
+            ValueType::Int => Table::Int(Vec::new()),
+            ValueType::Str => Table::Str(Vec::new()),
+        };
+        Dictionary { inner: RwLock::new(DictInner { table, null: None, slots: Vec::new() }) }
     }
 
     fn read(&self) -> RwLockReadGuard<'_, DictInner> {
         self.inner.read().expect("dictionary lock poisoned")
     }
 
+    /// The type of the values this dictionary holds.
+    pub fn value_type(&self) -> ValueType {
+        self.read().table.value_type()
+    }
+
     /// Number of distinct values interned so far.
     pub fn len(&self) -> usize {
-        self.read().values.len()
+        self.read().table.len()
     }
 
     /// Whether no value has been interned yet.
@@ -185,7 +282,30 @@ impl Dictionary {
         self.len() == 0
     }
 
+    /// Values the code → value table holds room for without
+    /// reallocating.
+    pub fn capacity(&self) -> usize {
+        self.read().table.capacity()
+    }
+
+    /// Releases the code → value table's spare capacity. Interning
+    /// afterwards grows it again, the way a `Vec` grows.
+    pub(crate) fn shrink_to_fit(&self) {
+        self.inner.write().expect("dictionary lock poisoned").table.shrink_to_fit();
+    }
+
     /// Interns `v`, returning its code.
+    ///
+    /// # Panics
+    ///
+    /// If `v` is neither `Null` nor of this dictionary's type. That is an
+    /// internal invariant, not an input error: every [`Relation`] path
+    /// validates values against its schema before interning, and
+    /// [`Relation::with_dictionaries`] refuses a dictionary whose type
+    /// differs from its attribute's.
+    ///
+    /// [`Relation`]: crate::Relation
+    /// [`Relation::with_dictionaries`]: crate::Relation::with_dictionaries
     pub fn intern(&self, v: &Value) -> u32 {
         let mut code = NO_CODE;
         self.intern_each(std::iter::once(v), |c| code = c);
@@ -203,7 +323,7 @@ impl Dictionary {
     /// is looked up again under the write lock: another thread may have
     /// interned it between the two locks.
     /// No other lock is taken meanwhile: neither `values` nor `sink` may
-    /// touch this dictionary.
+    /// touch this dictionary. Panics as [`Dictionary::intern`] does.
     pub(crate) fn intern_each<'a>(
         &self,
         values: impl IntoIterator<Item = &'a Value>,
@@ -233,7 +353,7 @@ impl Dictionary {
                         sink(code);
                         break;
                     }
-                    Err(at) => sink(inner.insert_at(at, v.clone(), hash)),
+                    Err(at) => sink(inner.insert_at(at, v, hash)),
                 }
                 let Some(next) = values.next() else { return };
                 (v, hash) = (next, hash32(next));
@@ -243,6 +363,7 @@ impl Dictionary {
 
     /// The code of `v`, if it has been interned ([`NO_CODE`]-free lookup
     /// used when compiling pattern constants and translating join keys).
+    /// A non-null value of the other type has none.
     pub fn code_of(&self, v: &Value) -> Option<u32> {
         self.read().find(v, hash32(v)).ok()
     }
@@ -252,12 +373,13 @@ impl Dictionary {
     /// Panics if `code` was never assigned (codes must come from this
     /// dictionary or a relation sharing it).
     pub fn value(&self, code: u32) -> Value {
-        self.read().values[code as usize].clone()
+        self.read().value(code)
     }
 
     /// A point-in-time copy of the code → value table (test/debug helper).
     pub fn snapshot(&self) -> Vec<Value> {
-        self.read().values.clone()
+        let inner = self.read();
+        (0..inner.table.len() as u32).map(|code| inner.value(code)).collect()
     }
 }
 
@@ -288,9 +410,10 @@ pub struct Column {
 }
 
 impl Column {
-    /// Creates an empty column over a fresh dictionary.
-    pub fn new() -> Self {
-        Column::sharing(Arc::new(Dictionary::new()))
+    /// Creates an empty column over a fresh dictionary for values of
+    /// type `ty`.
+    pub fn new(ty: ValueType) -> Self {
+        Column::sharing(Arc::new(Dictionary::new(ty)))
     }
 
     /// Creates an empty column sharing `dict` (codes stay comparable with
@@ -337,7 +460,8 @@ impl Column {
         self.codes.push(code);
     }
 
-    /// Appends a value, interning it; returns its code.
+    /// Appends a value, interning it; returns its code. Panics as
+    /// [`Dictionary::intern`] does.
     pub fn push(&mut self, v: &Value) -> u32 {
         let code = self.dict.intern(v);
         self.push_raw(code);
@@ -351,7 +475,7 @@ impl Column {
     /// ingest and delta inserts run column by column through this, so a
     /// thread holds one dictionary lock at a time and parallel sites
     /// over shared dictionaries cannot deadlock. `values` must not touch
-    /// this column's dictionary.
+    /// this column's dictionary. Panics as [`Dictionary::intern`] does.
     pub fn extend_values<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
         let dict = Arc::clone(&self.dict);
         dict.intern_each(values, |code| self.push_raw(code));
@@ -388,7 +512,7 @@ impl Column {
     pub(crate) fn decode_range(&self, start: usize, end: usize, mut f: impl FnMut(Value)) {
         let inner = self.dict.read();
         for &code in &self.codes[start..end] {
-            f(inner.values[code as usize].clone());
+            f(inner.value(code));
         }
     }
 }
@@ -410,12 +534,6 @@ pub(crate) fn remove_positions<T: Copy>(v: &mut Vec<T>, removed: &[usize]) {
     v.truncate(v.len() - removed.len());
 }
 
-impl Default for Column {
-    fn default() -> Self {
-        Column::new()
-    }
-}
-
 impl fmt::Display for Column {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Column[{} rows, {} distinct]", self.len(), self.dict.len())
@@ -426,24 +544,37 @@ impl fmt::Display for Column {
 mod tests {
     use super::*;
 
+    const TYPES: [ValueType; 2] = [ValueType::Int, ValueType::Str];
+
+    /// The `k`-th distinct non-null value of type `ty`.
+    fn nth(ty: ValueType, k: usize) -> Value {
+        match ty {
+            ValueType::Int => Value::Int(k as i64 - 1000),
+            ValueType::Str => Value::str(format!("v{k}")),
+        }
+    }
+
     #[test]
     fn intern_is_idempotent_and_dense() {
-        let d = Dictionary::new();
-        let a = d.intern(&Value::str("x"));
-        let b = d.intern(&Value::Int(7));
-        let a2 = d.intern(&Value::str("x"));
-        assert_eq!(a, 0);
-        assert_eq!(b, 1);
-        assert_eq!(a, a2);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.code_of(&Value::Int(7)), Some(1));
-        assert_eq!(d.code_of(&Value::Null), None);
-        assert_eq!(d.value(0), Value::str("x"));
+        for ty in TYPES {
+            let (x, y) = (nth(ty, 0), nth(ty, 7));
+            let d = Dictionary::new(ty);
+            let a = d.intern(&x);
+            let b = d.intern(&y);
+            let a2 = d.intern(&x);
+            assert_eq!(a, 0);
+            assert_eq!(b, 1);
+            assert_eq!(a, a2);
+            assert_eq!(d.len(), 2);
+            assert_eq!(d.code_of(&y), Some(1));
+            assert_eq!(d.code_of(&Value::Null), None);
+            assert_eq!(d.value(0), x);
+        }
     }
 
     #[test]
     fn canonical_value_shares_allocation() {
-        let d = Dictionary::new();
+        let d = Dictionary::new(ValueType::Str);
         let first = d.value(d.intern(&Value::str("hello")));
         let second = d.value(d.intern(&Value::str(String::from("hello"))));
         if let (Value::Str(a), Value::Str(b)) = (&first, &second) {
@@ -455,7 +586,7 @@ mod tests {
 
     #[test]
     fn each_distinct_value_is_held_once() {
-        let d = Dictionary::new();
+        let d = Dictionary::new(ValueType::Str);
         let v = Value::str("only copy");
         d.intern(&v);
         d.intern(&v.clone());
@@ -466,77 +597,109 @@ mod tests {
     }
 
     #[test]
+    fn null_is_one_code_beside_the_typed_values() {
+        for ty in TYPES {
+            // What the placeholder cell at the null code holds.
+            let lookalike = match ty {
+                ValueType::Int => Value::Int(0),
+                ValueType::Str => Value::str(""),
+            };
+            let d = Dictionary::new(ty);
+            let feed = [nth(ty, 1), Value::Null, lookalike.clone(), Value::Null, nth(ty, 1)];
+            let codes: Vec<u32> = feed.iter().map(|v| d.intern(v)).collect();
+            assert_eq!(codes, [0, 1, 2, 1, 0]);
+            assert_eq!(d.snapshot(), [nth(ty, 1), Value::Null, lookalike.clone()]);
+            assert_eq!((d.code_of(&Value::Null), d.code_of(&lookalike)), (Some(1), Some(2)));
+            assert_eq!(d.value_type(), ty);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Str(\"x\") is not a value of this Int dictionary")]
+    fn a_value_of_the_other_type_is_not_interned() {
+        let d = Dictionary::new(ValueType::Int);
+        d.intern(&Value::Int(1));
+        assert_eq!(d.code_of(&Value::str("x")), None, "a lookup answers no");
+        d.intern(&Value::str("x"));
+    }
+
+    #[test]
     fn the_index_survives_its_growths() {
-        let value = |i: usize| match i % 2 {
-            0 => Value::Int(i as i64 - 1000),
-            _ => Value::str(format!("v{i}")),
-        };
-        let d = Dictionary::new();
-        let n = 100_000;
-        let (mut growths, mut table) = (0, 0);
-        for i in 0..n {
-            assert_eq!(d.intern(&value(i)) as usize, i);
-            let slots = d.read().slots.len();
-            assert!(slots.is_power_of_two() && slots >= 2 * (i + 1), "{slots} slots at {i}");
-            growths += usize::from(slots != table);
-            table = slots;
+        for ty in TYPES {
+            let value = |i: usize| nth(ty, i);
+            let d = Dictionary::new(ty);
+            let n = 100_000;
+            let (mut growths, mut table) = (0, 0);
+            for i in 0..n {
+                assert_eq!(d.intern(&value(i)) as usize, i);
+                let slots = d.read().slots.len();
+                assert!(slots.is_power_of_two() && slots >= 2 * (i + 1), "{slots} slots at {i}");
+                growths += usize::from(slots != table);
+                table = slots;
+            }
+            assert!(growths >= 10, "only {growths} growths");
+            assert_eq!(d.len(), n);
+            for i in 0..n {
+                assert_eq!(d.code_of(&value(i)), Some(i as u32));
+                assert_eq!(d.intern(&value(i)) as usize, i, "interning is idempotent");
+            }
+            let other = TYPES.into_iter().find(|&t| t != ty).unwrap();
+            for absent in [Value::Null, value(n), value(2 * n), nth(other, 0)] {
+                assert_eq!(d.code_of(&absent), None);
+            }
+            // A deep clone carries the index and interns on its own.
+            let copy = d.clone();
+            assert_eq!(copy.intern(&Value::Null) as usize, n);
+            assert_eq!(copy.code_of(&value(n - 1)), Some(n as u32 - 1));
+            assert_eq!((d.len(), d.code_of(&Value::Null)), (n, None));
         }
-        assert!(growths >= 10, "only {growths} growths");
-        assert_eq!(d.len(), n);
-        for i in 0..n {
-            assert_eq!(d.code_of(&value(i)), Some(i as u32));
-            assert_eq!(d.intern(&value(i)) as usize, i, "interning is idempotent");
-        }
-        for absent in [Value::Null, Value::Int(-1001), Value::Int(1), Value::str("v0")] {
-            assert_eq!(d.code_of(&absent), None);
-        }
-        // A deep clone carries the index and interns on its own.
-        let copy = d.clone();
-        assert_eq!(copy.intern(&Value::Null) as usize, n);
-        assert_eq!(copy.code_of(&value(n - 1)), Some(n as u32 - 1));
-        assert_eq!((d.len(), d.code_of(&Value::Null)), (n, None));
     }
 
     #[test]
     fn column_round_trips_values() {
-        let mut c = Column::new();
-        c.push(&Value::Int(1));
-        c.push(&Value::str("v"));
-        c.push(&Value::Int(1));
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.codes(), &[0, 1, 0]);
-        assert_eq!(c.decode(1), Value::str("v"));
-        assert_eq!(c.to_string(), "Column[3 rows, 2 distinct]");
+        for ty in TYPES {
+            let mut c = Column::new(ty);
+            c.push(&nth(ty, 1));
+            c.push(&nth(ty, 2));
+            c.push(&nth(ty, 1));
+            assert_eq!(c.len(), 3);
+            assert_eq!(c.codes(), &[0, 1, 0]);
+            assert_eq!(c.decode(1), nth(ty, 2));
+            assert_eq!(c.to_string(), "Column[3 rows, 2 distinct]");
+        }
     }
 
     #[test]
     fn extend_values_agrees_with_push() {
-        let values = [Value::str("x"), Value::Int(3), Value::str("x"), Value::str("y")];
-        let mut plain = Column::new();
-        for v in &values {
-            plain.push(v);
+        for ty in TYPES {
+            let [x, three, y, z] = [0, 3, 1, 2].map(|k| nth(ty, k));
+            let values = [x.clone(), three.clone(), x, y.clone()];
+            let mut plain = Column::new(ty);
+            for v in &values {
+                plain.push(v);
+            }
+            let mut bulk = Column::new(ty);
+            bulk.extend_values(&values);
+            assert_eq!(plain.codes(), bulk.codes());
+            assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
+            // Two columns over one dictionary: the second run starts from
+            // what the first interned, bulk or not.
+            let more = [y, z, three];
+            let mut plain_b = Column::sharing(plain.dict().clone());
+            for v in &more {
+                plain_b.push(v);
+            }
+            let mut bulk_b = Column::sharing(bulk.dict().clone());
+            bulk_b.extend_values(&more);
+            assert_eq!(plain_b.codes(), bulk_b.codes());
+            assert_eq!(bulk_b.codes(), &[2, 3, 1]);
+            assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
         }
-        let mut bulk = Column::new();
-        bulk.extend_values(&values);
-        assert_eq!(plain.codes(), bulk.codes());
-        assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
-        // Two columns over one dictionary: the second run starts from
-        // what the first interned, bulk or not.
-        let more = [Value::str("y"), Value::str("z"), Value::Int(3)];
-        let mut plain_b = Column::sharing(plain.dict().clone());
-        for v in &more {
-            plain_b.push(v);
-        }
-        let mut bulk_b = Column::sharing(bulk.dict().clone());
-        bulk_b.extend_values(&more);
-        assert_eq!(plain_b.codes(), bulk_b.codes());
-        assert_eq!(bulk_b.codes(), &[2, 3, 1]);
-        assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
     }
 
     #[test]
     fn remove_rows_keeps_order_and_dictionary() {
-        let mut c = Column::new();
+        let mut c = Column::new(ValueType::Str);
         for v in ["a", "b", "a", "c", "b"] {
             c.push(&Value::str(v));
         }
@@ -549,7 +712,7 @@ mod tests {
 
     #[test]
     fn sharing_columns_agree_on_codes() {
-        let mut a = Column::new();
+        let mut a = Column::new(ValueType::Str);
         a.push(&Value::str("x"));
         a.push(&Value::str("y"));
         let mut b = Column::sharing(a.dict().clone());
@@ -560,7 +723,7 @@ mod tests {
     #[test]
     fn sentinels_are_disjoint_from_codes() {
         assert_ne!(WILDCARD_CODE, NO_CODE);
-        let d = Dictionary::new();
+        let d = Dictionary::new(ValueType::Int);
         let code = d.intern(&Value::Int(0));
         // NO_CODE < WILDCARD_CODE, so this bounds the code below both.
         assert!(code < NO_CODE);
@@ -588,7 +751,7 @@ mod tests {
             }
             removed.sort_unstable();
             removed.dedup();
-            let mut c = Column::new();
+            let mut c = Column::new(ValueType::Int);
             c.extend_values(&model.iter().map(|&k| Value::Int(i64::from(k))).collect::<Vec<_>>());
             let codes = c.codes().to_vec();
             c.remove_rows(&removed);

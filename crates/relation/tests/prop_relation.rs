@@ -3,8 +3,8 @@
 //! plain row model, and the column-batch gather against the row wire.
 
 use dcd_relation::{
-    vals, Atom, AttrId, CmpOp, CodeBatch, Conjunction, Predicate, Relation, RelationDelta,
-    RelationError, Schema, Tuple, TupleId, Value, ValueType,
+    vals, Atom, AttrId, CmpOp, CodeBatch, Column, Conjunction, Dictionary, Predicate, Relation,
+    RelationDelta, RelationError, Schema, Tuple, TupleId, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -645,4 +645,76 @@ fn a_batch_refused_at_its_last_row_appends_and_interns_nothing() {
     assert_eq!(image_and_dicts(&rel), before);
     assert_eq!(rel.len(), 2);
     assert_eq!(rel.push(vals![1, 2, "kept"]).unwrap(), TupleId(u64::MAX - 599));
+}
+
+/// Cell `k` of a dictionary feed of type `ty`: `None` is `Null`; the
+/// alphabet holds what the placeholder cell at the null code holds
+/// (`0`, `""`), so a real value equal to it is fed too.
+fn typed_value(ty: ValueType, cell: Option<u16>) -> Value {
+    match (ty, cell) {
+        (_, None) => Value::Null,
+        (ValueType::Int, Some(k)) => Value::Int(i64::from(k) - 100),
+        (ValueType::Str, Some(0)) => Value::str(""),
+        (ValueType::Str, Some(k)) => Value::str(format!("s{k}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A typed value table against a `Vec<Value>` searched linearly. Each
+    /// feed (Null plus Int values, or Null plus Str values, from an
+    /// alphabet of 200 so that values repeat) grows the slot table
+    /// several times and is interned twice: value by value through
+    /// `intern`, and slice by slice through `extend_values`. Both agree
+    /// with the model on every code, `len`, `value(code)`, `snapshot`,
+    /// and `code_of` for present and absent values; a deep clone then
+    /// interns on its own.
+    #[test]
+    fn a_typed_dictionary_matches_a_linear_model(
+        cells in prop::collection::vec(prop::option::of(0..200u16), 100..400),
+        chunk in 1..70usize,
+        probes in prop::collection::vec(prop::option::of(0..400u16), 24),
+    ) {
+        for ty in [ValueType::Int, ValueType::Str] {
+            let feed: Vec<Value> = cells.iter().map(|&c| typed_value(ty, c)).collect();
+            let mut model: Vec<Value> = Vec::new();
+            let want: Vec<u32> = feed
+                .iter()
+                .map(|v| match model.iter().position(|m| m == v) {
+                    Some(code) => code as u32,
+                    None => {
+                        model.push(v.clone());
+                        model.len() as u32 - 1
+                    }
+                })
+                .collect();
+            let one = Dictionary::new(ty);
+            let codes: Vec<u32> = feed.iter().map(|v| one.intern(v)).collect();
+            prop_assert_eq!(&codes, &want);
+            let mut col = Column::new(ty);
+            for slice in feed.chunks(chunk) {
+                col.extend_values(slice);
+            }
+            prop_assert_eq!(col.codes(), &want[..]);
+            for dict in [&one, &**col.dict()] {
+                prop_assert_eq!(dict.len(), model.len());
+                prop_assert_eq!(dict.snapshot(), model.clone());
+                for (code, v) in model.iter().enumerate() {
+                    prop_assert_eq!(dict.value(code as u32), v.clone());
+                }
+                for &cell in &probes {
+                    let v = typed_value(ty, cell);
+                    let at = model.iter().position(|m| *m == v).map(|code| code as u32);
+                    prop_assert_eq!(dict.code_of(&v), at, "{:?}", v);
+                }
+            }
+            let copy = one.clone();
+            let fresh = typed_value(ty, Some(5_000));
+            prop_assert_eq!(copy.intern(&fresh) as usize, model.len());
+            prop_assert_eq!(copy.value(model.len() as u32), fresh.clone());
+            prop_assert_eq!(copy.code_of(&feed[0]), Some(0));
+            prop_assert_eq!((one.len(), one.code_of(&fresh)), (model.len(), None));
+        }
+    }
 }

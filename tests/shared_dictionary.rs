@@ -10,39 +10,43 @@
 //! because another writer may have got there between the two locks.
 
 use distributed_cfd::dist::pool::scoped_map;
-use distributed_cfd::relation::{Column, Dictionary, Value};
+use distributed_cfd::relation::{Column, Dictionary, Value, ValueType};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 const TASKS: usize = 4;
 
-fn value(u: usize) -> Value {
-    match u % 7 {
-        0 => Value::Null,
-        1 | 2 => Value::Int(u as i64),
-        _ => Value::str(format!("v{u}")),
+/// Value `u` of the universe a dictionary of type `ty` is fed: one in
+/// seven is `Null`.
+fn value(ty: ValueType, u: usize) -> Value {
+    match (u % 7, ty) {
+        (0, _) => Value::Null,
+        (_, ValueType::Int) => Value::Int(u as i64),
+        (_, ValueType::Str) => Value::str(format!("v{u}")),
     }
 }
 
 /// What task `k` feeds its column: a window of the value universe that
 /// overlaps its neighbours' by two thirds — long runs no one has seen,
 /// broken by values the task (or by then a neighbour) already interned.
-fn feed(k: usize) -> Vec<Value> {
+fn feed(ty: ValueType, k: usize) -> Vec<Value> {
     let start = k * 500;
     (0..3_000)
         .map(|i| match i % 5 {
-            4 => value(start + i / 3),
-            _ => value(start + i / 2),
+            4 => value(ty, start + i / 3),
+            _ => value(ty, start + i / 2),
         })
         .collect()
 }
 
 #[test]
 fn tasks_interning_overlapping_values_share_one_code_space() {
-    let feeds: Vec<Vec<Value>> = (0..TASKS).map(feed).collect();
-    let distinct: HashSet<&Value> = feeds.iter().flatten().collect();
-    for threads in [1, 4] {
-        let dict = Arc::new(Dictionary::new());
+    for (ty, threads) in
+        [ValueType::Int, ValueType::Str].into_iter().flat_map(|ty| [(ty, 1), (ty, 4)])
+    {
+        let feeds: Vec<Vec<Value>> = (0..TASKS).map(|k| feed(ty, k)).collect();
+        let distinct: HashSet<&Value> = feeds.iter().flatten().collect();
+        let dict = Arc::new(Dictionary::new(ty));
         let columns: Vec<Column> = scoped_map(threads, &feeds, |fed| {
             let mut col = Column::sharing(dict.clone());
             // Slice by slice, so that writers meet between calls as well
@@ -55,7 +59,7 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
 
         let snapshot = dict.snapshot();
         assert_eq!(snapshot.len(), dict.len());
-        assert_eq!(snapshot.len(), distinct.len(), "threads = {threads}");
+        assert_eq!(snapshot.len(), distinct.len(), "{ty:?} at {threads} threads");
         assert_eq!(snapshot.iter().collect::<HashSet<_>>().len(), snapshot.len(), "a duplicate");
         for (code, v) in snapshot.iter().enumerate() {
             assert_eq!(dict.code_of(v), Some(code as u32), "{v} at {threads} threads");
@@ -65,7 +69,7 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
             assert!(col.codes().iter().all(|&code| (code as usize) < snapshot.len()));
             let decoded: Vec<&Value> =
                 col.codes().iter().map(|&code| &snapshot[code as usize]).collect();
-            assert!(decoded.iter().copied().eq(fed), "threads = {threads}");
+            assert!(decoded.iter().copied().eq(fed), "{ty:?} at {threads} threads");
         }
     }
 }
