@@ -79,5 +79,5 @@ pub use hybrid::run_hybrid;
 pub use mining::{mine_patterns, MinedTableau, MiningConfig};
 pub use multi::{run_clust, run_seq};
 pub use replicated::run_replicated;
-pub use report::{Detection, DetectionSummary};
+pub use report::Detection;
 pub use runner::{run_batch, CoordinatorStrategy};

@@ -81,62 +81,20 @@ impl PartialEq for Detection {
 
 impl Eq for Detection {}
 
-impl Detection {
-    /// A compact, serializable summary — one row of a results table,
-    /// and (via [`fmt::Display`]) a one-line human-readable report.
-    pub fn summary(&self) -> DetectionSummary {
-        DetectionSummary {
-            algorithm: self.algorithm.clone(),
-            violating_tuples: self.violations.all_tids().len(),
-            violating_patterns: self.violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum(),
-            shipped_tuples: self.shipped_tuples,
-            shipped_cells: self.shipped_cells,
-            shipped_bytes: self.shipped_bytes,
-            control_messages: self.control_messages,
-            control_bytes: self.control_bytes,
-            response_time: self.response_time,
-            paper_cost: self.paper_cost,
-        }
-    }
-}
-
-/// Flat summary of a [`Detection`] (one row of a results table).
-#[derive(Debug, Clone)]
-pub struct DetectionSummary {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Distinct violating tuples across all CFDs.
-    pub violating_tuples: usize,
-    /// Total `Vioπ` patterns across all CFDs.
-    pub violating_patterns: usize,
-    /// Total tuples shipped.
-    pub shipped_tuples: usize,
-    /// Total cells shipped.
-    pub shipped_cells: usize,
-    /// Bytes on the wire (code-shipped paths: 4 bytes per cell).
-    pub shipped_bytes: usize,
-    /// Control messages exchanged (statistics, coordination).
-    pub control_messages: usize,
-    /// Control bytes on the wire.
-    pub control_bytes: usize,
-    /// Simulated response time (seconds).
-    pub response_time: f64,
-    /// §III-B formula cost (seconds).
-    pub paper_cost: f64,
-}
-
-impl fmt::Display for DetectionSummary {
+impl fmt::Display for Detection {
     /// The one-line report the examples print:
     /// `PATDETECTS: 6 violating tuples (2 patterns), shipped 3 tuples
-    /// (15 cells, 60 B), 12 control msgs (192 B), response 0.0041s`.
+    /// (15 cells, 60 B), 12 control msgs (192 B), response 0.0041s` —
+    /// violating tuples are distinct across CFDs, patterns are summed.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let patterns: usize = self.violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
         write!(
             f,
             "{}: {} violating tuples ({} patterns), shipped {} tuples ({} cells, {} B), \
              {} control msgs ({} B), response {:.4}s",
             self.algorithm,
-            self.violating_tuples,
-            self.violating_patterns,
+            self.violations.all_tids().len(),
+            patterns,
             self.shipped_tuples,
             self.shipped_cells,
             self.shipped_bytes,
@@ -154,13 +112,15 @@ mod tests {
     #[test]
     fn summary_counts_distinct_tuples() {
         use dcd_cfd::ViolationSet;
-        use dcd_relation::TupleId;
+        use dcd_relation::{TupleId, Value};
         let mut report = ViolationReport::default();
         let mut a = ViolationSet::default();
         a.tids.insert(TupleId(1));
         a.tids.insert(TupleId(2));
+        a.patterns.insert(vec![Value::Int(1)]);
         let mut b = ViolationSet::default();
         b.tids.insert(TupleId(2));
+        b.patterns.insert(vec![Value::Int(1)]);
         report.absorb("a", a);
         report.absorb("b", b);
         let d = Detection {
@@ -177,13 +137,12 @@ mod tests {
             metrics: MetricsSnapshot::default(),
             trace: RunTrace::default(),
         };
-        let s = d.summary();
-        assert_eq!(s.violating_tuples, 2); // distinct across CFDs
-        assert_eq!(s.shipped_tuples, 10);
-        assert_eq!(s.control_messages, 4);
-        assert_eq!(s.control_bytes, 64);
-        let line = s.to_string();
-        assert!(line.contains("4 control msgs (64 B)"), "{line}");
+        assert_eq!(
+            d.to_string(),
+            "test: 2 violating tuples (2 patterns), shipped 10 tuples (30 cells, 100 B), \
+             4 control msgs (64 B), response 1.5000s",
+            "tuples are distinct across CFDs, patterns are summed over them"
+        );
     }
 
     /// `run_batch` of the CFD `text` over 30 tuples at three sites.

@@ -662,8 +662,9 @@ mod tests {
         assert!(d.control_messages > 0);
         assert!(d.response_time > 0.0);
         assert!(d.paper_cost >= 0.0);
-        let s = d.summary();
-        assert_eq!(s.shipped_tuples, d.shipped_tuples);
+        let line = d.to_string();
+        assert!(line.starts_with("PATDETECTRT: "), "{line}");
+        assert!(line.contains(&format!("shipped {} tuples", d.shipped_tuples)), "{line}");
     }
 
     #[test]

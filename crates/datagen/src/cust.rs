@@ -11,11 +11,10 @@
 //! `cust8` and `cust16` of §VI are `CustConfig` with 800K / 1.6M tuples
 //! (scaled down by default in `dcd-bench`; see `DCD_SCALE`).
 
+use crate::rng::Rng;
 use crate::zipf::Zipf;
 use dcd_cfd::{Cfd, NormalPattern, PatternTuple, PatternValue, SimpleCfd};
 use dcd_relation::{Relation, Schema, Value, ValueType};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Country calling codes used by the generator (UK, NL, US, FR, DE).
@@ -90,27 +89,27 @@ impl CustConfig {
     /// Generates a clean CUST instance (satisfies all [`cust_cfds`]).
     pub fn generate(&self) -> Relation {
         let schema = cust_schema();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seeded(self.seed);
         let country = Zipf::new(COUNTRY_CODES.len(), self.skew);
         let title = Zipf::new(self.n_titles, self.skew);
         let mut rel = Relation::with_capacity(schema, self.n_tuples);
         for i in 0..self.n_tuples {
             let cc = COUNTRY_CODES[country.sample(&mut rng)];
-            let ac = 100 + rng.gen_range(0..self.acs_per_country) as i64;
-            let zip = format!("Z{}-{}", cc, rng.gen_range(0..self.zips_per_country));
+            let ac = 100 + rng.below(self.acs_per_country) as i64;
+            let zip = format!("Z{}-{}", cc, rng.below(self.zips_per_country));
             let title_rank = title.sample(&mut rng);
             rel.push(vec![
                 Value::Int(i as i64),
-                Value::str(format!("Name{}", rng.gen_range(0..100_000))),
+                Value::str(format!("Name{}", rng.range(0, 100_000))),
                 Value::Int(cc),
                 Value::Int(ac),
-                Value::Int(rng.gen_range(1_000_000..9_999_999)),
+                Value::Int(rng.range(1_000_000, 9_999_999)),
                 Value::str(street_of(cc, &zip)),
                 Value::str(city_of(cc, ac)),
                 Value::str(zip),
                 Value::str(format!("Item{title_rank}")),
                 Value::Int(price_of(cc, title_rank)),
-                Value::Int(rng.gen_range(1..10)),
+                Value::Int(rng.range(1, 10)),
             ])
             .expect("generated row matches schema");
         }

@@ -13,11 +13,14 @@
 //!   has something to find,
 //! * [`stream`] — CDC-style update streams (insert/delete mixes with
 //!   Zipf-skewed key reuse, routed per site) feeding the incremental
-//!   detection subsystem,
-//! * [`zipf`] — a small inverse-CDF Zipf sampler.
+//!   detection subsystem.
 //!
-//! All generators are deterministic given a seed. Clean data satisfies
-//! the accompanying CFDs by construction (values derive from lookup
+//! All generators are deterministic given a seed: each draws from one
+//! private xoshiro256++ generator and, for skewed attributes, a private
+//! inverse-CDF Zipf sampler over it. That bit stream is the data — every
+//! Fig. 3 table, benchmark workload and delta stream — so
+//! `tests/seeded_datasets.rs` pins it. Clean data satisfies the
+//! accompanying CFDs by construction (values derive from lookup
 //! functions); noise then breaks a controlled fraction of tuples.
 
 #![forbid(unsafe_code)]
@@ -25,12 +28,12 @@
 
 pub mod cust;
 pub mod noise;
+mod rng;
 pub mod stream;
 pub mod xref;
-pub mod zipf;
+mod zipf;
 
 pub use cust::CustConfig;
 pub use noise::inject_errors;
 pub use stream::{update_stream, UpdateStreamConfig};
 pub use xref::XrefConfig;
-pub use zipf::Zipf;

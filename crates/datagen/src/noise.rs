@@ -7,9 +7,8 @@
 //! group) and constant CFDs (the value no longer matches the pinned
 //! constant).
 
+use crate::rng::Rng;
 use dcd_relation::{Dictionary, Relation, Tuple, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Corrupts `attr` in roughly `rate · |rel|` tuples (seeded, in place on
@@ -19,17 +18,17 @@ use std::sync::Arc;
 pub fn inject_errors(rel: &Relation, attr: &str, rate: f64, seed: u64) -> (Relation, usize) {
     assert!((0.0..=1.0).contains(&rate), "rate must be within [0, 1]");
     let a = rel.schema().require(attr).expect("attribute exists");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seeded(seed);
     let fresh = rel.schema().attrs().iter().map(|a| Arc::new(Dictionary::new(a.ty))).collect();
     let mut out = Relation::with_dictionaries(rel.schema().clone(), fresh, rel.len())
         .expect("one dictionary per attribute");
     let mut corrupted = 0usize;
     for t in rel.iter() {
-        if rng.gen::<f64>() < rate {
+        if rng.unit() < rate {
             let mut values = t.values().to_vec();
             values[a.index()] = match &values[a.index()] {
-                Value::Int(i) => Value::Int(i + 1 + rng.gen_range(0..7)),
-                Value::Str(_) => Value::str(format!("ERR-{}", rng.gen_range(0..1000))),
+                Value::Int(i) => Value::Int(i + 1 + rng.range(0, 7)),
+                Value::Str(_) => Value::str(format!("ERR-{}", rng.range(0, 1000))),
                 Value::Null => Value::str("ERR"),
             };
             corrupted += 1;

@@ -15,11 +15,10 @@
 //! `dcd_incr::DeltaBatch::from(per_site)` — and the stream is fully
 //! deterministic given the seed.
 
+use crate::rng::Rng;
 use crate::zipf::Zipf;
 use dcd_dist::HorizontalPartition;
 use dcd_relation::{RelationDelta, Tuple, TupleId, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of the update-stream generator.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +71,7 @@ pub fn update_stream(
         "ratios must be within [0, 1]"
     );
     let n_sites = partition.n_sites();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = Rng::seeded(cfg.seed);
 
     // Template pool: the initial rows, Zipf-ranked in tuple order —
     // template 0 is the hottest key.
@@ -98,9 +97,9 @@ pub fn update_stream(
         // removal below keeps it that way.
         let mut deletable = live.len();
         for _ in 0..cfg.ops_per_batch {
-            let insert = deletable == 0 || rng.gen::<f64>() < cfg.insert_ratio;
+            let insert = deletable == 0 || rng.unit() < cfg.insert_ratio;
             if !insert {
-                let at = rng.gen_range(0..deletable);
+                let at = rng.below(deletable);
                 // Move the victim to the prefix end; the overall-last
                 // element (possibly fresh) lands on the vacated slot,
                 // which then leaves the deletable range.
@@ -114,13 +113,13 @@ pub fn update_stream(
                 let template = &templates[zipf.sample(&mut rng)];
                 let mut values = template.values().to_vec();
                 if let Some(a) = err_attr {
-                    if rng.gen::<f64>() < cfg.corrupt_rate {
-                        values[a] = Value::str(format!("ERR-{}", rng.gen_range(0..1000)));
+                    if rng.unit() < cfg.corrupt_rate {
+                        values[a] = Value::str(format!("ERR-{}", rng.range(0, 1000)));
                     }
                 }
                 let tid = TupleId(next_tid);
                 next_tid += 1;
-                let site = rng.gen_range(0..n_sites);
+                let site = rng.below(n_sites);
                 per_site[site].inserts.push(Tuple::new(tid, values));
                 live.push((tid, site));
             }

@@ -9,11 +9,10 @@
 //! handful of organisms, and source/release/status values functionally
 //! determined by the dimensions the CFDs constrain.
 
+use crate::rng::Rng;
 use crate::zipf::Zipf;
 use dcd_cfd::{Cfd, NormalPattern, PatternTuple, PatternValue, SimpleCfd};
 use dcd_relation::{Relation, Schema, Value, ValueType};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Organisms of the xref8 dataset (xrefH uses `["human"]`).
@@ -118,15 +117,15 @@ impl XrefConfig {
     /// Generates a clean XREF instance (satisfies [`xref_cfds`]).
     pub fn generate(&self) -> Relation {
         let schema = xref_schema();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seeded(self.seed);
         let dbs = Zipf::new(N_DBS, self.skew);
         let infos = Zipf::new(INFO_TYPES.len(), self.skew);
         let mut rel = Relation::with_capacity(schema, self.n_tuples);
         for i in 0..self.n_tuples {
-            let organism = &self.organisms[rng.gen_range(0..self.organisms.len())];
+            let organism = &self.organisms[rng.below(self.organisms.len())];
             let db = dbs.sample(&mut rng);
-            let object_type = OBJECT_TYPES[rng.gen_range(0..OBJECT_TYPES.len())];
-            let info = if rng.gen::<f64>() < self.db_info_correlation {
+            let object_type = OBJECT_TYPES[rng.below(OBJECT_TYPES.len())];
+            let info = if rng.unit() < self.db_info_correlation {
                 INFO_TYPES[db % INFO_TYPES.len()]
             } else {
                 INFO_TYPES[infos.sample(&mut rng)]
@@ -138,16 +137,16 @@ impl XrefConfig {
                 Value::str(status_of(organism, object_type)),
                 Value::str(format!("DB{db}")),
                 Value::str(release_of(organism, db)),
-                Value::str(format!("ACC{:07}", rng.gen_range(0..5_000_000))),
-                Value::str(format!("LBL{}", rng.gen_range(0..1_000_000))),
-                Value::Int(rng.gen_range(1..9)),
-                Value::str(format!("desc {}", rng.gen_range(0..1000))),
+                Value::str(format!("ACC{:07}", rng.range(0, 5_000_000))),
+                Value::str(format!("LBL{}", rng.range(0, 1_000_000))),
+                Value::Int(rng.range(1, 9)),
+                Value::str(format!("desc {}", rng.range(0, 1000))),
                 Value::str(info),
-                Value::str(format!("it{}", rng.gen_range(0..50))),
-                Value::str(["IEA", "IDA", "ISS", "TAS"][rng.gen_range(0..4)]),
+                Value::str(format!("it{}", rng.range(0, 50))),
+                Value::str(["IEA", "IDA", "ISS", "TAS"][rng.below(4)]),
                 Value::str(source_of(organism, db, object_type, info)),
-                Value::str(format!("chr{}", rng.gen_range(1..30))),
-                Value::str(["protein_coding", "lincRNA", "pseudogene"][rng.gen_range(0..3)]),
+                Value::str(format!("chr{}", rng.range(1, 30))),
+                Value::str(["protein_coding", "lincRNA", "pseudogene"][rng.below(3)]),
             ])
             .expect("generated row matches schema");
         }

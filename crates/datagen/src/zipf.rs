@@ -1,21 +1,20 @@
 //! A small Zipf sampler (inverse-CDF over precomputed weights).
 
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Samples ranks `0 … n-1` with probability proportional to
 /// `1 / (rank+1)^s`. Real-world categorical attributes (database names,
 /// organisms, reference types) are heavily skewed; Zipf sampling gives
 /// the generators that skew, which in turn is what makes the paper's
 /// frequent-pattern mining optimization (Fig. 3(e)) effective.
-#[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cumulative: Vec<f64>,
 }
 
 impl Zipf {
     /// Builds a sampler over `n` ranks with exponent `s ≥ 0`
     /// (`s = 0` is uniform; `s ≈ 1` is classic Zipf).
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "exponent must be non-negative");
         let mut cumulative = Vec::with_capacity(n);
@@ -30,14 +29,9 @@ impl Zipf {
         Zipf { cumulative }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cumulative.len()
-    }
-
     /// Draws one rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+    pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.unit();
         match self.cumulative.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN")) {
             Ok(i) => i,
             Err(i) => i.min(self.cumulative.len() - 1),
@@ -48,13 +42,11 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_when_s_is_zero() {
         let z = Zipf::new(4, 0.0);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seeded(7);
         let mut counts = [0usize; 4];
         for _ in 0..40_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -67,7 +59,7 @@ mod tests {
     #[test]
     fn skewed_when_s_is_one() {
         let z = Zipf::new(10, 1.0);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seeded(7);
         let mut counts = [0usize; 10];
         for _ in 0..50_000 {
             counts[z.sample(&mut rng)] += 1;
@@ -79,7 +71,7 @@ mod tests {
     #[test]
     fn all_ranks_reachable() {
         let z = Zipf::new(5, 1.2);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seeded(3);
         let mut seen = [false; 5];
         for _ in 0..5_000 {
             seen[z.sample(&mut rng)] = true;
@@ -90,8 +82,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let z = Zipf::new(8, 0.9);
-        let a: Vec<usize> = (0..32).map(|_| z.sample(&mut StdRng::seed_from_u64(1))).collect();
-        let b: Vec<usize> = (0..32).map(|_| z.sample(&mut StdRng::seed_from_u64(1))).collect();
+        let a: Vec<usize> = (0..32).map(|_| z.sample(&mut Rng::seeded(1))).collect();
+        let b: Vec<usize> = (0..32).map(|_| z.sample(&mut Rng::seeded(1))).collect();
         assert_eq!(a, b);
     }
 }

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seq = request(Algorithm::seq_detect())?;
     let clust = request(Algorithm::clust_detect())?;
     for d in [&seq, &clust] {
-        println!("{}", d.summary());
+        println!("{d}");
     }
     assert_eq!(seq.violations.all_tids(), clust.violations.all_tids());
     let saved = 100.0 * (1.0 - clust.shipped_tuples as f64 / seq.shipped_tuples as f64);

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .algorithm(alg)
             .config(cfg)
             .run()?;
-        println!("{}", d.summary());
+        println!("{d}");
         // Sanity: every algorithm agrees with the centralized baseline.
         assert_eq!(d.violations.all_tids(), baseline.tids);
     }

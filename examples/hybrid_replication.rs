@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hybrid.n_sites()
     );
     let d = DetectRequest::over(hybrid).cfd(cfd.clone()).algorithm(Algorithm::PatDetectS).run()?;
-    println!("{}", d.summary());
+    println!("{d}");
     println!("(columns gathered per cell as code rows, then σ-blocks shipped across cells)");
     assert_eq!(d.violations.all_tids(), baseline.tids);
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for r in 1..=4 {
         let replicated = ReplicatedPartition::chained(horizontal.clone(), r)?;
         let d = DetectRequest::over(replicated).cfd(cfd.clone()).run()?;
-        println!("factor {r}: {}", d.summary());
+        println!("factor {r}: {d}");
         assert_eq!(d.violations.all_tids(), baseline.tids);
     }
     println!("\nreplication trades storage for traffic: factor n ⇒ zero shipment ✓");

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let detection =
         DetectRequest::over(partition).cfds(sigma).algorithm(Algorithm::PatDetectS).run()?;
-    println!("{}\n", detection.summary());
+    println!("{detection}\n");
 
     // The frozen registry, in Prometheus text exposition format. The
     // dcd_shipped_*/dcd_control_* families mirror the ShipmentLedger

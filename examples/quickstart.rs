@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .algorithm(alg)
             .config(cfg)
             .run()?;
-        println!("  {}", d.summary());
+        println!("  {d}");
         assert_eq!(d.violations.all_tids(), report.all_tids(), "distributed == centralized");
     }
     println!("\nAll algorithms agree with centralized detection.");

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfds(sigma.iter().cloned())
             .ship_mode(mode)
             .run()?;
-        println!("  {:?}: {}", mode, out.summary());
+        println!("  {mode:?}: {out}");
         assert_eq!(out.violations.all_tids(), baseline.all_tids());
     }
     println!("\nvertical detection equals centralized detection ✓");

@@ -53,7 +53,7 @@
 //!     .algorithm(Algorithm::PatDetectS)
 //!     .run()?;
 //! assert_eq!(detection.violations.all_tids().len(), 2);
-//! println!("{}", detection.summary());
+//! println!("{detection}");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -59,7 +59,7 @@
 //! // One-line report, now with control traffic:
 //! // `PATDETECTS: 2 violating tuples (1 patterns), shipped 2 tuples
 //! //  (8 cells, 32 B), 6 control msgs (48 B), response 0.0000s`.
-//! println!("{}", detection.summary());
+//! println!("{detection}");
 //! // Every run also carries its metrics and trace:
 //! println!("{}", detection.metrics.expose()); // Prometheus-style text
 //! let _chrome_json = detection.trace.chrome_trace_json();
@@ -95,8 +95,7 @@ pub mod prelude {
         PatternTuple, PatternValue, SimpleCfd, ViolationReport, ViolationSet,
     };
     pub use dcd_core::{
-        mine_patterns, CoordinatorStrategy, Detection, DetectionSummary, MinedTableau,
-        MiningConfig, RunConfig,
+        mine_patterns, CoordinatorStrategy, Detection, MinedTableau, MiningConfig, RunConfig,
     };
     pub use dcd_dist::{
         CostModel, Fragment, HorizontalPartition, HybridPartition, ReplicatedPartition,

@@ -75,7 +75,7 @@ const LAYERS: [(&str, &[&str]); 10] = [
     ("incr", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
     ("vertical", &["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core"]),
     ("complexity", &["dcd-relation", "dcd-cfd", "dcd-dist"]),
-    ("datagen", &["dcd-relation", "dcd-cfd", "dcd-dist", "rand"]),
+    ("datagen", &["dcd-relation", "dcd-cfd", "dcd-dist"]),
     ("bench", &["dcd-relation", "dcd-cfd", "dcd-dist", "dcd-core", "dcd-datagen"]),
 ];
 
@@ -90,6 +90,17 @@ fn dependencies(manifest: &Path) -> Vec<String> {
         .collect()
 }
 
+/// The workspace members, in the root manifest's order.
+fn members() -> Vec<String> {
+    let text = std::fs::read_to_string(root().join("Cargo.toml")).expect("root manifest");
+    let list = text.split_once("members = [").expect("a members list").1;
+    let list = list.split_once(']').expect("the members list closes").0;
+    list.split(',')
+        .map(|m| m.trim().trim_matches('"').to_string())
+        .filter(|m| !m.is_empty())
+        .collect()
+}
+
 #[test]
 fn the_manifests_implement_the_layering() {
     let crates = root().join("crates");
@@ -100,12 +111,18 @@ fn the_manifests_implement_the_layering() {
             assert!(allowed.contains(&dep.as_str()), "dcd_{dir} may not depend on `{dep}`");
         }
     }
-    // The compat stand-ins sit outside the engine DAG entirely.
-    for dir in ["rand", "proptest"] {
-        for dep in dependencies(&crates.join("compat").join(dir).join("Cargo.toml")) {
-            assert!(!dep.starts_with("dcd-"), "compat/{dir} reaches back into `{dep}`");
+    // The production graph is closed: no manifest, root included, builds
+    // against anything but a `dcd-*` crate. The one compat stand-in
+    // (`proptest`) is a dev-dependency only.
+    let manifests = members().into_iter().map(|m| root().join(m).join("Cargo.toml"));
+    for manifest in manifests.chain([root().join("Cargo.toml")]) {
+        for dep in dependencies(&manifest) {
+            assert!(dep.starts_with("dcd-"), "{} depends on `{dep}`", manifest.display());
         }
     }
+    // The compat stand-in sits outside the engine DAG entirely.
+    let proptest = dependencies(&crates.join("compat/proptest/Cargo.toml"));
+    assert!(proptest.is_empty(), "compat/proptest reaches out to {proptest:?}");
 }
 
 /// The files whose non-comment lines hold an attribute naming `lint`,
@@ -130,12 +147,13 @@ fn expectations_of(lint: &str, code: &[(String, String)]) -> Vec<String> {
 /// audited module" is `clippy.toml`'s `disallowed-methods` and
 /// `disallowed-types`; what this pins is the allow-list: every path is
 /// still listed, and the only way past one is a reasoned `expect` at one
-/// of the four sanctioned call sites or in the one audited module, the
+/// of the three sanctioned call sites (the `experiments` binary's timer
+/// and the pool's two) or in the one audited module, the
 /// metrics registry's cells (`registry.rs`) — pure meters, and the only
 /// code that may spell `Relaxed`. The run's own meters (clocks, ledger,
 /// round, trace) are plain data owned by `RunCtx` and hold no atomic.
 #[test]
-fn the_sanctioned_clock_and_thread_sites_stay_four() {
+fn the_sanctioned_clock_and_thread_sites_stay_three() {
     let toml = std::fs::read_to_string(root().join("clippy.toml")).expect("clippy.toml exists");
     for path in [
         "std::time::Instant::now",
@@ -157,7 +175,6 @@ fn the_sanctioned_clock_and_thread_sites_stay_four() {
         expectations_of("clippy::disallowed_methods", &code),
         [
             "crates/bench/src/bin/experiments.rs",
-            "crates/compat/rand/src/lib.rs",
             "crates/dist/src/pool.rs",
             "crates/dist/src/pool.rs",
         ]
@@ -171,6 +188,15 @@ fn the_sanctioned_clock_and_thread_sites_stay_four() {
     assert_eq!(relaxed, ["crates/obs/src/registry.rs"]);
 }
 
+/// The library crate roots: the facade's and every crate's `src/lib.rs`.
+fn crate_roots(code: &[(String, String)]) -> Vec<&(String, String)> {
+    code.iter()
+        .filter(|(rel, _)| {
+            rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
+        })
+        .collect()
+}
+
 /// No crate holds `unsafe` code, and none can start to: every library
 /// crate root forbids `unsafe_code` (which no inner `allow` can lift),
 /// and no code line spells the keyword or an `allow` of the lint.
@@ -179,13 +205,8 @@ fn the_sanctioned_clock_and_thread_sites_stay_four() {
 #[test]
 fn every_crate_root_forbids_unsafe_code() {
     let code = code();
-    let roots: Vec<&(String, String)> = code
-        .iter()
-        .filter(|(rel, _)| {
-            rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
-        })
-        .collect();
-    assert_eq!(roots.len(), 13, "the facade, the ten `LAYERS` crates, two compat stand-ins");
+    let roots = crate_roots(&code);
+    assert_eq!(roots.len(), 12, "the facade, the ten `LAYERS` crates, the proptest stand-in");
     for (rel, text) in roots {
         assert!(
             text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
@@ -195,5 +216,30 @@ fn every_crate_root_forbids_unsafe_code() {
     for (rel, text) in &code {
         assert!(!text.split(|c| !is_ident(c)).any(|w| w == "unsafe"), "{rel} spells `unsafe`");
         assert!(!text.contains("allow(unsafe_code)"), "{rel} allows `unsafe_code`");
+    }
+}
+
+/// README's "current state" line states the tree's hard counts; each is
+/// recounted here from the manifests and the sources.
+#[test]
+fn the_readme_counts_match_the_tree() {
+    let readme = std::fs::read_to_string(root().join("README.md")).expect("README exists");
+    let line = readme
+        .lines()
+        .find(|l| l.starts_with("**Current state:**"))
+        .expect("README has a current-state line");
+    let code = code();
+    for (count, what) in [
+        (members().len(), "workspace members"),
+        (crate_roots(&code).len(), "library crate roots"),
+        (
+            expectations_of("clippy::disallowed_methods", &code).len(),
+            "sanctioned clock/thread sites",
+        ),
+    ] {
+        assert!(
+            line.contains(&format!(" {count} {what}")),
+            "README should say {count} {what}: {line}"
+        );
     }
 }
