@@ -31,7 +31,7 @@
 //! and `tests/prop_cluster.rs`).
 
 use crate::cfd::SimpleCfd;
-use crate::kernel::{self, ColumnRows, Flagged, KernelCounters, LhsIndex, Tableau};
+use crate::kernel::{self, ColumnRows, Flagged, KernelTally, LhsIndex, Tableau};
 use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
 use dcd_relation::{AttrId, CodeBatch, Dictionary, Relation, TupleId, Value};
@@ -108,14 +108,7 @@ impl CodeLayout {
             .map(|p| CompiledPattern::compile_with(p, &lhs_dicts, &self.dicts[rhs_pos]))
             .collect();
         let index = LhsIndex::of_compiled(&compiled);
-        ResolvedCfd {
-            lhs_pos,
-            rhs_pos,
-            lhs_dicts,
-            compiled,
-            index,
-            counters: KernelCounters::default(),
-        }
+        ResolvedCfd { lhs_pos, rhs_pos, lhs_dicts, compiled, index }
     }
 }
 
@@ -132,19 +125,9 @@ pub struct ResolvedCfd {
     /// The kernel's LHS bucketing, built once at resolution and shared
     /// by every validation call (and by σ, which wraps the same type).
     index: LhsIndex,
-    /// Kernel instrument handles; detached by default, bound to a run's
-    /// registry via [`Self::set_counters`].
-    counters: KernelCounters,
 }
 
 impl ResolvedCfd {
-    /// Binds the kernel counters every subsequent validation call
-    /// reports into (engines pass handles registered in the run's
-    /// `MetricsRegistry`; the default is detached and costs the same).
-    pub fn set_counters(&mut self, counters: KernelCounters) {
-        self.counters = counters;
-    }
-
     fn decode_key(&self, key_codes: &[u32]) -> Vec<Value> {
         self.lhs_dicts.iter().zip(key_codes).map(|(d, &c)| d.value(c)).collect()
     }
@@ -156,7 +139,7 @@ impl ResolvedCfd {
         patterns: &'a [CompiledPattern],
         index: Option<&'a LhsIndex>,
     ) -> Tableau<'a> {
-        Tableau { patterns, index, strict: false, counters: &self.counters }
+        Tableau { patterns, index, strict: false }
     }
 
     /// Copies a wire row's LHS cells into `buf`, in LHS order.
@@ -174,14 +157,18 @@ impl ResolvedCfd {
     ///
     /// `rows` may be owned (`&[CodeRow]`) or borrowed
     /// (`&[&CodeRow]`) — coordinators flattening several gathered
-    /// blocks pass references instead of cloning code buffers.
-    pub fn detect_among<R: std::borrow::Borrow<CodeRow>>(&self, rows: &[R]) -> ViolationSet {
+    /// blocks pass references instead of cloning code buffers. What the
+    /// kernel counted comes back beside the violations.
+    pub fn detect_among<R: std::borrow::Borrow<CodeRow>>(
+        &self,
+        rows: &[R],
+    ) -> (ViolationSet, KernelTally) {
         if self.compiled.is_empty() {
-            return ViolationSet::default();
+            return Default::default();
         }
         // Every row goes to the kernel; its LHS index (built once at
         // resolution) decides per distinct key which patterns apply.
-        kernel::detect_grouped(
+        let (found, tally) = kernel::detect_grouped(
             rows.iter().map(|row| row.borrow()),
             |(_, codes), key| {
                 self.project_lhs(codes, key);
@@ -190,22 +177,23 @@ impl ResolvedCfd {
             |(tid, codes)| (*tid, codes[self.rhs_pos]),
             &self.tableau(&self.compiled, Some(&self.index)),
             |key| self.decode_key(key),
-        )
-        .into()
+        );
+        (found.into(), tally)
     }
 
     /// Detects violations of a single pattern `(X → A, {tp})` among
     /// gathered code rows — what a per-pattern coordinator runs on its
     /// Lemma 6 block. Algorithmic reading. The rows are walked twice.
-    pub fn detect_pattern_among<'a>(
+    /// What the kernel counted comes back beside the violations.
+    pub fn detect_pattern_block<'a>(
         &self,
         rows: impl Iterator<Item = &'a CodeRow> + Clone,
         pattern_idx: usize,
-    ) -> ViolationSet {
+    ) -> (ViolationSet, KernelTally) {
         let pat = &self.compiled[pattern_idx];
         // Rows the pattern does not match stay outside every group, so
         // the kernel validates each key against it without probing.
-        kernel::detect_grouped(
+        let (found, tally) = kernel::detect_grouped(
             rows,
             |(_, codes), key| {
                 self.project_lhs(codes, key);
@@ -214,18 +202,30 @@ impl ResolvedCfd {
             |(tid, codes)| (*tid, codes[self.rhs_pos]),
             &self.tableau(std::slice::from_ref(pat), None),
             |key| self.decode_key(key),
-        )
-        .into()
+        );
+        (found.into(), tally)
+    }
+
+    /// [`Self::detect_pattern_block`] without the tally. It stays only
+    /// because `benchmark/src/layers.rs` spells it; the engine calls the
+    /// form that returns the tally.
+    pub fn detect_pattern_among<'a>(
+        &self,
+        rows: impl Iterator<Item = &'a CodeRow> + Clone,
+        pattern_idx: usize,
+    ) -> ViolationSet {
+        self.detect_pattern_block(rows, pattern_idx).0
     }
 
     /// [`Self::detect_among`] over a column batch in this layout — what a
     /// cluster coordinator runs per member CFD on the one batch the
     /// cluster shipped it. The findings come back as plain vectors: the
     /// coordinators of a round hold disjoint rows, so the caller builds
-    /// each member's set once ([`ViolationSet::from_disjoint`]).
-    pub fn detect_batch(&self, batch: &CodeBatch) -> Flagged {
+    /// each member's set once ([`ViolationSet::from_disjoint`]). What the
+    /// kernel counted comes back beside them.
+    pub fn detect_batch(&self, batch: &CodeBatch) -> (Flagged, KernelTally) {
         if self.compiled.is_empty() {
-            return Flagged::default();
+            return Default::default();
         }
         let rows = ColumnRows {
             lhs: self.lhs_pos.iter().map(|&p| &batch.cols[p][..]).collect(),
@@ -291,7 +291,7 @@ mod tests {
             let decoded: Vec<Tuple> = rel.iter().collect();
             let tuples: Vec<&Tuple> = decoded.iter().collect();
             let want = oracle::vio(&tuples, &cfd);
-            let code_native = layout.resolve(&cfd).detect_among(&rows);
+            let (code_native, _) = layout.resolve(&cfd).detect_among(&rows);
             assert_eq!(code_native.tids, want.tids, "{txt} Vio");
             assert_eq!(code_native.patterns, want.patterns, "{txt} Vioπ");
             // And both agree with the columnar whole-relation path.
@@ -301,7 +301,7 @@ mod tests {
             // in row order, each violating key once.
             let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
             rel.gather_into(&attrs, &(0..rel.len()).collect::<Vec<_>>(), &mut batch);
-            let found = layout.resolve(&cfd).detect_batch(&batch);
+            let (found, _) = layout.resolve(&cfd).detect_batch(&batch);
             assert!(found.tids.is_sorted(), "{txt}: sample ids ascend with the rows");
             assert_eq!(found.patterns.len(), want.patterns.len(), "{txt}: distinct keys");
             let batched = ViolationSet::from(found);
@@ -356,12 +356,12 @@ mod tests {
         let decoded: Vec<Tuple> = rel.iter().collect();
         let tuples: Vec<&Tuple> = decoded.iter().collect();
         let want = oracle::vio(&tuples, &cfd);
-        assert_eq!(layout.resolve(&cfd).detect_among(&rows).tids, want.tids);
+        assert_eq!(layout.resolve(&cfd).detect_among(&rows).0.tids, want.tids);
         // A layout carrying *more* attributes than the CFD needs (the
         // cluster wire ships the union of member attributes).
         let all: Vec<AttrId> = rel.schema().attr_ids().collect();
         let (wide_rows, wide_layout) = wire(&rel, &all);
-        assert_eq!(wide_layout.resolve(&cfd).detect_among(&wide_rows).tids, want.tids);
+        assert_eq!(wide_layout.resolve(&cfd).detect_among(&wide_rows).0.tids, want.tids);
     }
 
     #[test]
@@ -389,7 +389,7 @@ mod tests {
         let mut gathered = a.code_rows(&attrs, &rows_a);
         gathered.extend(b.code_rows(&attrs, &rows_b));
         let layout = CodeLayout::of_relation(&a, &attrs);
-        let got = layout.resolve(&cfd).detect_among(&gathered);
+        let (got, _) = layout.resolve(&cfd).detect_among(&gathered);
         let full = detect_simple(&rel, &cfd);
         assert_eq!(got.tids, full.tids);
         assert_eq!(got.patterns, full.patterns);

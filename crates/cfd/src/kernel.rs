@@ -62,78 +62,63 @@
 //! graded inconsistency measure is one more sink over the same verdicts.
 
 use crate::pattern::CompiledPattern;
-use dcd_obs::{Counter, MetricsRegistry};
+use dcd_obs::MetricsRegistry;
 use dcd_relation::ops::{CodeKey, CodeMemo};
 use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 
-/// Instrument handles for the kernel: how many groups were validated,
-/// the [`Judgement`] mix, and how many [`LhsIndex`] probes ran.
-/// `Default` yields functional *detached* counters (no registry), so
-/// paths without an observer pay one relaxed add per group and nothing
-/// more; [`KernelCounters::register`] binds the same handles into a
-/// run's registry. Counts accumulate at coordinators over gathered
-/// rows — work whose extent is independent of pool width — and counter
-/// merges commute exactly, so registered counts are pinned bit-identical
-/// across pool widths.
-#[derive(Debug, Clone, Default)]
-pub struct KernelCounters {
-    /// Groups validated (key matched ≥ 1 pattern).
-    pub groups: Counter,
+/// What one kernel call counted: how many [`LhsIndex`] probes ran and
+/// the [`Judgement`] mix of the groups validated. Plain integers, kept by
+/// the call and returned beside its findings: a pool task hands its
+/// tally back with its charge, and the run adds it to its registry
+/// ([`Self::record`]) after the join. Counts accumulate at coordinators
+/// over gathered rows — work whose extent is independent of pool width —
+/// and sums commute, so recorded counts are bit-identical across pool
+/// widths.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KernelTally {
+    /// [`LhsIndex`] probes (one per distinct group key).
+    pub probes: u64,
     /// Groups judged [`Judgement::Clean`], or whose one constant every
     /// member equals.
-    pub clean: Counter,
+    pub clean: u64,
     /// Groups judged [`Judgement::All`].
-    pub all_flagged: Counter,
+    pub all_flagged: u64,
     /// Groups with a flagged member but not judged [`Judgement::All`]:
     /// constant patterns flag members one at a time.
-    pub mixed: Counter,
-    /// [`LhsIndex`] probes (one per distinct group key).
-    pub probes: Counter,
-}
-
-impl KernelCounters {
-    /// Counters registered under the kernel metric families
-    /// (`dcd_kernel_groups_total{verdict}`, `dcd_kernel_probes_total`).
-    pub fn register(registry: &MetricsRegistry) -> Self {
-        let groups = "dcd_kernel_groups_total";
-        let help = "LHS groups validated by the detection kernel, by verdict";
-        KernelCounters {
-            groups: registry.counter(groups, help, &[("verdict", "any")]),
-            clean: registry.counter(groups, help, &[("verdict", "clean")]),
-            all_flagged: registry.counter(groups, help, &[("verdict", "all_flagged")]),
-            mixed: registry.counter(groups, help, &[("verdict", "mixed")]),
-            probes: registry.counter(
-                "dcd_kernel_probes_total",
-                "LhsIndex probes (one per distinct group key)",
-                &[],
-            ),
-        }
-    }
-
-    /// Folds one batch of local tallies into the handles (one relaxed
-    /// add per counter, however many groups the batch validated).
-    pub fn absorb(&self, tally: &KernelTally) {
-        self.probes.inc(tally.probes);
-        self.groups.inc(tally.clean + tally.all_flagged + tally.mixed);
-        self.clean.inc(tally.clean);
-        self.all_flagged.inc(tally.all_flagged);
-        self.mixed.inc(tally.mixed);
-    }
-}
-
-/// Plain-integer kernel tallies accumulated inside one
-/// [`detect_grouped`] call and folded into [`KernelCounters`] once at
-/// the end — the hot loop never touches an atomic.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KernelTally {
-    /// Index probes performed.
-    pub probes: u64,
-    /// Groups counted under [`KernelCounters::clean`].
-    pub clean: u64,
-    /// Groups counted under [`KernelCounters::all_flagged`].
-    pub all_flagged: u64,
-    /// Groups counted under [`KernelCounters::mixed`].
     pub mixed: u64,
+}
+
+impl KernelTally {
+    /// Groups validated (key matched ≥ 1 pattern).
+    pub fn groups(&self) -> u64 {
+        self.clean + self.all_flagged + self.mixed
+    }
+
+    /// Adds the tally to the kernel metric families
+    /// (`dcd_kernel_groups_total{verdict}`, `dcd_kernel_probes_total`),
+    /// registering every series — at zero, for an empty tally.
+    pub fn record(&self, registry: &mut MetricsRegistry) {
+        let help = "LHS groups validated by the detection kernel, by verdict";
+        for (verdict, n) in [
+            ("any", self.groups()),
+            ("clean", self.clean),
+            ("all_flagged", self.all_flagged),
+            ("mixed", self.mixed),
+        ] {
+            registry.add("dcd_kernel_groups_total", help, &[("verdict", verdict)], n);
+        }
+        let help = "LhsIndex probes (one per distinct group key)";
+        registry.add("dcd_kernel_probes_total", help, &[], self.probes);
+    }
+}
+
+impl std::ops::AddAssign for KernelTally {
+    fn add_assign(&mut self, other: KernelTally) {
+        self.probes += other.probes;
+        self.clean += other.clean;
+        self.all_flagged += other.all_flagged;
+        self.mixed += other.mixed;
+    }
 }
 
 /// The right-hand side of one tableau pattern, as seen by the kernel:
@@ -207,8 +192,7 @@ impl Judgement {
 }
 
 /// The tableau side of a [`detect_grouped`] run: the compiled patterns,
-/// how to find the ones a key matches, the reading, and where the
-/// tallies go.
+/// how to find the ones a key matches, and the reading.
 #[derive(Debug, Clone, Copy)]
 pub struct Tableau<'a> {
     /// The compiled patterns, in tableau order.
@@ -220,8 +204,6 @@ pub struct Tableau<'a> {
     pub index: Option<&'a LhsIndex>,
     /// The strict §II-C reading of constant patterns.
     pub strict: bool,
-    /// Instrument handles the run's tallies are folded into.
-    pub counters: &'a KernelCounters,
 }
 
 /// What a [`detect_grouped`] run found, as plain vectors: the violating
@@ -291,14 +273,14 @@ const NO_GROUP: u32 = u32::MAX;
 const SCAN_BLOCK: usize = 64;
 
 /// Judge: one index probe and one verdict per group, in id order. The
-/// violating keys are decoded into `out.patterns`, the tallies folded
-/// into the tableau's counters.
+/// violating keys are decoded into `out.patterns`; the verdicts come
+/// back with their tally.
 fn judge_groups(
     groups: &Groups,
     tableau: &Tableau<'_>,
     mut decode: impl FnMut(&[u32]) -> Vec<Value>,
     out: &mut Flagged,
-) -> Vec<Judgement> {
+) -> (Vec<Judgement>, KernelTally) {
     let patterns = tableau.patterns;
     let mut tally = KernelTally::default();
     let mut ranks: Vec<u32> = (0..patterns.len() as u32).collect();
@@ -333,8 +315,7 @@ fn judge_groups(
         }
         judged.push(judgement);
     }
-    tableau.counters.absorb(&tally);
-    judged
+    (judged, tally)
 }
 
 /// The full kernel over rows an iterator yields (gathered wire rows):
@@ -351,13 +332,14 @@ fn judge_groups(
 /// `member` reads a row's tuple id and RHS code; `decode` projects a
 /// violating key's codes for `Vioπ` — decoding is the expensive step,
 /// done only then. Keys are grouped by hashing their packed [`CodeKey`].
+/// What the call counted comes back beside what it found.
 pub fn detect_grouped<R>(
     rows: impl Iterator<Item = R> + Clone,
     mut key_of: impl FnMut(&R, &mut [u32]) -> bool,
     member: impl Fn(&R) -> (TupleId, u32),
     tableau: &Tableau<'_>,
     decode: impl FnMut(&[u32]) -> Vec<Value>,
-) -> Flagged {
+) -> (Flagged, KernelTally) {
     let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
     let mut ids: FxHashMap<CodeKey, u32> = FxHashMap::default();
     let mut groups = Groups::new(width);
@@ -389,7 +371,7 @@ pub fn detect_grouped<R>(
     drop(ids);
 
     let mut out = Flagged::default();
-    let judged = judge_groups(&groups, tableau, decode, &mut out);
+    let (judged, tally) = judge_groups(&groups, tableau, decode, &mut out);
     if !out.patterns.is_empty() {
         for (row, &gid) in rows.zip(&group_of) {
             if gid != NO_GROUP && judged[gid as usize].flags(member(&row).1) {
@@ -397,7 +379,7 @@ pub fn detect_grouped<R>(
             }
         }
     }
-    out
+    (out, tally)
 }
 
 /// One run of rows held column-major: dense code slices for the LHS
@@ -426,7 +408,7 @@ pub fn detect_columns(
     key_sizes: impl IntoIterator<Item = usize>,
     tableau: &Tableau<'_>,
     decode: impl FnMut(&[u32]) -> Vec<Value>,
-) -> Flagged {
+) -> (Flagged, KernelTally) {
     let mut ids = CodeMemo::new(key_sizes, rows.tids.len());
     let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
     let mut groups = Groups::new(width);
@@ -440,7 +422,7 @@ pub fn detect_columns(
     drop(ids);
 
     let mut out = Flagged::default();
-    let judged = judge_groups(&groups, tableau, decode, &mut out);
+    let (judged, tally) = judge_groups(&groups, tableau, decode, &mut out);
     if !out.patterns.is_empty() {
         let members = rows.tids.iter().zip(rows.rhs);
         for ((&tid, &rhs), &gid) in members.zip(&group_of) {
@@ -449,7 +431,7 @@ pub fn detect_columns(
             }
         }
     }
-    out
+    (out, tally)
 }
 
 /// One wildcard mask: the non-wild LHS positions, and the rank lists
@@ -615,11 +597,6 @@ mod tests {
         assert_eq!(member_flags(&specs, &[7, 8], true), (Judgement::All, vec![true; 2]));
     }
 
-    /// The tallies a run folded into `counters`.
-    fn tallies(c: &KernelCounters) -> [u64; 4] {
-        [c.probes.get(), c.clean.get(), c.all_flagged.get(), c.mixed.get()]
-    }
-
     /// Runs the boxed-row loop over `(key code, tid = RHS code)` rows
     /// and, when no row is left out, the slice loop over the same rows
     /// once per group-id table — slots over the keys' span, then a code
@@ -629,9 +606,9 @@ mod tests {
         patterns: &[CompiledPattern],
         index: Option<&LhsIndex>,
         strict: bool,
-        counters: &KernelCounters,
-    ) -> Flagged {
+    ) -> (Flagged, KernelTally) {
         let decode = |codes: &[u32]| vec![Value::Int(i64::from(codes[0]))];
+        let tableau = Tableau { patterns, index, strict };
         let found = detect_grouped(
             rows.iter(),
             |&&(key, _), cells| {
@@ -639,7 +616,7 @@ mod tests {
                 key != NO_GROUP
             },
             |&&(_, rhs)| (TupleId(u64::from(rhs)), rhs),
-            &Tableau { patterns, index, strict, counters },
+            &tableau,
             decode,
         );
         if rows.iter().all(|r| r.0 != NO_GROUP) {
@@ -650,20 +627,15 @@ mod tests {
             let slotted = matches!(CodeMemo::<u32>::new([span], rows.len()), CodeMemo::Slots(..));
             assert!(slotted, "the fixture must fit slots");
             for key_space in [span, usize::MAX] {
-                let columns_counters = KernelCounters::default();
-                let tableau = Tableau { patterns, index, strict, counters: &columns_counters };
                 let read = detect_columns(&columns, [key_space], &tableau, decode);
                 assert_eq!(read, found, "slice loop over {key_space} keys");
-                assert_eq!(tallies(&columns_counters), tallies(counters));
             }
         }
         found
     }
 
     #[test]
-    fn kernel_counters_tally_probes_and_verdict_mix() {
-        let reg = MetricsRegistry::new();
-        let counters = KernelCounters::register(&reg);
+    fn kernel_tallies_count_probes_and_verdict_mix() {
         // Four groups, interleaved: one conflicted (AllFlagged), one
         // clean, one constant-mismatch (Mixed), one matching no pattern
         // (probed, not validated).
@@ -675,16 +647,28 @@ mod tests {
         ];
         let index = LhsIndex::of_compiled(&patterns);
         let rows = [(2, 7), (0, 1), (1, 5), (3, 3), (0, 2), (1, 5), (3, 4), (2, 9)];
-        let out = scan(&rows, &patterns, Some(&index), false, &counters);
+        let (out, tally) = scan(&rows, &patterns, Some(&index), false);
         // Flagged ids in row order, violating keys in first-seen order.
         assert_eq!(out.tids, [1, 2, 9].map(TupleId));
         assert_eq!(out.patterns, [2, 0].map(|k| vec![Value::Int(k)]));
-        assert_eq!(counters.probes.get(), 4);
-        assert_eq!(counters.groups.get(), 3);
-        assert_eq!(counters.all_flagged.get(), 1);
-        assert_eq!(counters.clean.get(), 1);
-        assert_eq!(counters.mixed.get(), 1);
-        assert_eq!(reg.counter_total("dcd_kernel_probes_total"), 4);
+        assert_eq!(tally, KernelTally { probes: 4, clean: 1, all_flagged: 1, mixed: 1 });
+        assert_eq!(tally.groups(), 3);
+        let mut reg = MetricsRegistry::new();
+        tally.record(&mut reg);
+        tally.record(&mut reg);
+        assert_eq!(reg.counter_total("dcd_kernel_probes_total"), 8);
+        let any = reg.value("dcd_kernel_groups_total", "{verdict=\"any\"}");
+        assert_eq!(any, Some(&dcd_obs::SampleValue::Counter(6)));
+    }
+
+    #[test]
+    fn an_empty_tally_registers_every_series_at_zero() {
+        let mut reg = MetricsRegistry::new();
+        KernelTally::default().record(&mut reg);
+        let exposed = reg.expose();
+        let series: Vec<&str> = exposed.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(series.len(), 5, "{exposed}");
+        assert!(series.iter().all(|l| l.ends_with(" 0")), "{exposed}");
     }
 
     #[test]
@@ -705,8 +689,7 @@ mod tests {
                     let specs: Vec<RhsSpec> = patterns.iter().map(|p| p.rhs_spec()).collect();
                     let (judgement, want) = member_flags(&specs, members, strict);
                     let rows: Vec<(u32, u32)> = members.iter().map(|&rhs| (0, rhs)).collect();
-                    let counters = KernelCounters::default();
-                    let got = scan(&rows, &patterns, None, strict, &counters);
+                    let (got, tally) = scan(&rows, &patterns, None, strict);
                     let label = format!("{rhs_cells:?} over {members:?}, strict={strict}");
                     let flagged: Vec<TupleId> = (0..members.len())
                         .filter(|&fi| want[fi])
@@ -715,15 +698,11 @@ mod tests {
                     let any = want.contains(&true);
                     assert_eq!(got.tids, flagged, "{label}");
                     assert_eq!(got.patterns.len(), usize::from(any), "{label}");
-                    let mix = (
-                        counters.clean.get() == 1,
-                        counters.all_flagged.get() == 1,
-                        counters.mixed.get() == 1,
-                    );
+                    let mix = (tally.clean == 1, tally.all_flagged == 1, tally.mixed == 1);
                     let all = judgement == Judgement::All;
                     let want_mix = (!any, all, any && !all);
                     assert_eq!(mix, want_mix, "{label}");
-                    assert_eq!(counters.groups.get(), 1, "{label}");
+                    assert_eq!(tally.groups(), 1, "{label}");
                 }
             }
         }
@@ -733,11 +712,11 @@ mod tests {
     fn rows_without_a_key_stay_outside_every_group() {
         let patterns =
             [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
-        let counters = KernelCounters::default();
         // The middle row is filtered out; without it the group is clean.
         let rows = [(0, 1), (NO_GROUP, 2), (0, 1)];
-        assert_eq!(scan(&rows, &patterns, None, false, &counters), Flagged::default());
-        assert_eq!((counters.probes.get(), counters.clean.get()), (1, 1));
+        let (found, tally) = scan(&rows, &patterns, None, false);
+        assert_eq!(found, Flagged::default());
+        assert_eq!((tally.probes, tally.clean), (1, 1));
     }
 
     #[test]
@@ -750,22 +729,21 @@ mod tests {
             (0..150).map(|i| (i % 5, u64::from(i), u32::from(i == 149))).collect();
         let patterns =
             [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
-        let counters = KernelCounters::default();
-        let found = detect_grouped(
+        let (found, tally) = detect_grouped(
             rows.iter(),
             |&&(key, tid, _), cells| {
                 cells[0] = key;
                 tid % 64 != 0 || tid == 0
             },
             |&&(_, tid, rhs)| (TupleId(tid), rhs),
-            &Tableau { patterns: &patterns, index: None, strict: false, counters: &counters },
+            &Tableau { patterns: &patterns, index: None, strict: false },
             |codes| vec![Value::Int(i64::from(codes[0]))],
         );
         let want: Vec<TupleId> =
             (0..150).filter(|i| i % 5 == 4 && i % 64 != 0).map(TupleId).collect();
         assert_eq!(found.tids, want);
         assert_eq!(found.patterns, [vec![Value::Int(4)]]);
-        assert_eq!((counters.probes.get(), counters.clean.get()), (5, 4));
+        assert_eq!((tally.probes, tally.clean), (5, 4));
     }
 
     #[test]
@@ -779,15 +757,13 @@ mod tests {
             [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
         // Two keys fit five rows in slots; a huge dictionary does not.
         for key_space in [2, usize::MAX] {
-            let counters = KernelCounters::default();
-            let tableau =
-                Tableau { patterns: &patterns, index: None, strict: false, counters: &counters };
-            let found = detect_columns(&rows, [key_space], &tableau, |codes| {
+            let tableau = Tableau { patterns: &patterns, index: None, strict: false };
+            let (found, tally) = detect_columns(&rows, [key_space], &tableau, |codes| {
                 vec![Value::Int(i64::from(codes[0]))]
             });
             assert_eq!(found.tids, [2, 3].map(TupleId));
             assert_eq!(found.patterns, [vec![Value::Int(1)]]);
-            assert_eq!(tallies(&counters), [2, 1, 1, 0]);
+            assert_eq!(tally, KernelTally { probes: 2, clean: 1, all_flagged: 1, mixed: 0 });
         }
     }
 

@@ -52,7 +52,7 @@ pub use attrset::AttrSet;
 pub use cfd::{Cfd, Fd, NormalCfd, SimpleCfd};
 pub use codes::{CodeLayout, CodeRow, ResolvedCfd};
 pub use implication::{chase_implies, fd_closure, sigma_implies};
-pub use kernel::{judge, Flagged, Judgement, KernelCounters, KernelTally, LhsIndex, RhsSpec};
+pub use kernel::{judge, Flagged, Judgement, KernelTally, LhsIndex, RhsSpec};
 pub use parse::{parse_cfd, ParseError};
 pub use pattern::{NormalPattern, PatternTuple, PatternValue};
 pub use violation::{

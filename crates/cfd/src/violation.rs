@@ -28,7 +28,7 @@
 //! identical under both.
 
 use crate::cfd::{Cfd, SimpleCfd};
-use crate::kernel::{self, ColumnRows, Flagged, KernelCounters, LhsIndex, Tableau};
+use crate::kernel::{self, ColumnRows, Flagged, LhsIndex, Tableau};
 use crate::pattern::{compile_tableau, CompiledPattern};
 use dcd_relation::ops::CodeMemo;
 use dcd_relation::{FxHashSet, Relation, TupleId, Value};
@@ -208,15 +208,11 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         rhs: rel.column(cfd.rhs).codes(),
         tids: rel.tids(),
     };
-    let tableau = Tableau {
-        patterns: &compiled,
-        index: Some(&LhsIndex::of_compiled(&compiled)),
-        strict,
-        counters: &KernelCounters::default(),
-    };
+    let index = LhsIndex::of_compiled(&compiled);
+    let tableau = Tableau { patterns: &compiled, index: Some(&index), strict };
     let key_sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
-    kernel::detect_columns(&rows, key_sizes, &tableau, |key| rel.decode_projection(&cfd.lhs, key))
-        .into()
+    let decode = |key: &[u32]| rel.decode_projection(&cfd.lhs, key);
+    kernel::detect_columns(&rows, key_sizes, &tableau, decode).0.into()
 }
 
 /// Single-tuple detection of an all-constant-pattern CFD, restricted to

@@ -1,11 +1,11 @@
-//! The run context: one owner for a run's two §III-B meters and its
-//! trace.
+//! The run context: one owner for a run's two §III-B meters, its
+//! metrics and its trace.
 //!
 //! The paper's cost model has exactly two meters — data shipped
 //! ([`ShipmentLedger`]) and per-site response time ([`SiteClocks`]) —
 //! and every engine must keep them, and the phase trace, in step.
-//! [`RunCtx`] owns all three privately and exposes only operations that
-//! cannot let them drift apart:
+//! [`RunCtx`] owns them and the run's [`MetricsRegistry`] privately and
+//! exposes only operations that cannot let them drift apart:
 //!
 //! * a clock moves only inside [`RunCtx::phase`], whose span is
 //!   recorded when the closure returns — there is no way to move a
@@ -15,9 +15,10 @@
 //!   [`Transfer::commit`] makes the clocks pay for exactly that matrix;
 //! * a [`Detection`] is assembled only by [`RunCtx::finish`] /
 //!   [`RunCtx::snapshot`], from those same meters;
-//! * the meters have one owner: [`Phase`] hands them out by `&mut`, so
-//!   a pool task cannot charge them — it returns its charge, and the
-//!   phase body applies it after the join.
+//! * the meters and the registry have one owner: [`Phase`] hands them
+//!   out by `&mut`, so a pool task cannot charge them — it returns its
+//!   charge and what it counted, and the phase body applies both after
+//!   the join.
 //!
 //! These are type and privacy facts, checked by rustc on every build.
 
@@ -36,7 +37,7 @@ struct Round {
 }
 
 /// Everything a detection run accumulates besides its data: the
-/// observed ledger, the site clocks, the registry and the trace, the
+/// ledger, the site clocks, the registry and the trace, the
 /// current round's §III-B inputs, and the run's report and paper
 /// cost. Built in exactly one place, [`RunCtx::new`]; every engine
 /// entry point and both incremental session types hold one.
@@ -117,16 +118,14 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// A fresh context over `n_sites` sites: empty registry and trace,
-    /// a ledger mirrored into that registry, all clocks at zero.
+    /// A fresh context over `n_sites` sites: empty registry, ledger and
+    /// trace, all clocks at zero.
     pub fn new(n_sites: usize, cfg: RunConfig) -> Self {
-        let registry = MetricsRegistry::new();
-        let ledger = ShipmentLedger::observed(n_sites, &registry);
         RunCtx {
             cfg,
-            registry,
+            registry: MetricsRegistry::new(),
             trace: RunTrace::default(),
-            ledger,
+            ledger: ShipmentLedger::new(n_sites),
             clocks: SiteClocks::new(n_sites),
             round: None,
             report: ViolationReport::default(),
@@ -139,10 +138,12 @@ impl RunCtx {
         &self.cfg
     }
 
-    /// The run's metrics registry (engines register their own counter
-    /// families here; the ledger mirror already lives in it).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// The run's metrics registry, for what an engine counts between
+    /// phases; inside one, [`Phase::metrics`] is the same registry. The
+    /// ledger's families and the run gauges are written only into a
+    /// [`Detection`]'s copy ([`Self::snapshot`]).
+    pub fn metrics(&mut self) -> &mut MetricsRegistry {
+        &mut self.registry
     }
 
     /// The simulated response time so far: the maximum per-site clock.
@@ -207,24 +208,23 @@ impl RunCtx {
 
     /// A [`Detection`] of the run so far over an externally maintained
     /// report (incremental sessions keep theirs in violation indices).
-    /// Sets the run-summary gauges (`dcd_run_violating_tuples`,
-    /// `dcd_run_violating_patterns`, `dcd_run_response_seconds`) before
-    /// the registry is frozen — every engine finishes through here, so
-    /// the families are uniform across detectors.
+    /// Its metrics are a copy of the run's registry plus the ledger's
+    /// per-site-pair families and the run-summary gauges
+    /// (`dcd_run_violating_tuples`, `dcd_run_violating_patterns`,
+    /// `dcd_run_response_seconds`) — every engine finishes through here,
+    /// so the families are uniform across detectors.
     pub fn snapshot(&self, algorithm: &str, violations: ViolationReport) -> Detection {
         let tuples = violations.distinct_tids();
         let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
         let response_time = self.clocks.response_time();
-        let registry = &self.registry;
-        registry
-            .gauge("dcd_run_violating_tuples", "Distinct violating tuples across all CFDs", &[])
-            .set(tuples as f64);
-        registry
-            .gauge("dcd_run_violating_patterns", "Total Vioπ patterns across all CFDs", &[])
-            .set(patterns as f64);
-        registry
-            .gauge("dcd_run_response_seconds", "Simulated response time of the run", &[])
-            .set(response_time);
+        let mut metrics = self.registry.clone();
+        self.ledger.record(&mut metrics);
+        let help = "Distinct violating tuples across all CFDs";
+        metrics.set("dcd_run_violating_tuples", help, &[], tuples as f64);
+        let help = "Total Vioπ patterns across all CFDs";
+        metrics.set("dcd_run_violating_patterns", help, &[], patterns as f64);
+        let help = "Simulated response time of the run";
+        metrics.set("dcd_run_response_seconds", help, &[], response_time);
         Detection {
             algorithm: algorithm.to_string(),
             violations,
@@ -236,7 +236,7 @@ impl RunCtx {
             response_time,
             site_clocks: self.clocks.snapshot(),
             paper_cost: self.paper_cost,
-            metrics: registry.snapshot(),
+            metrics,
             trace: self.trace.clone(),
         }
     }
@@ -292,6 +292,12 @@ impl Phase<'_> {
             msgs += 1;
         }
         self.advance(from, self.ctx.cfg.cost.control_time(msgs));
+    }
+
+    /// The run's metrics registry: where the body adds what its pool
+    /// tasks counted, after the join.
+    pub fn metrics(&mut self) -> &mut MetricsRegistry {
+        self.ctx.metrics()
     }
 
     /// Opens a bulk transfer round; see [`Transfer`].

@@ -117,7 +117,7 @@ pub fn run_hybrid(
             fragments[site.index()] =
                 Fragment { site, predicate: cell.predicate.clone(), data: projection };
         }
-        let synthesized = HorizontalPartition::from_disjoint_fragments(schema.clone(), fragments)?;
+        let synthesized = HorizontalPartition::from_fragments(schema.clone(), fragments)?;
 
         // ---- Phase 2: standard horizontal detection across cells. ----
         run_single_cfd(&synthesized, &cfd, strategy, &mut ctx);

@@ -87,9 +87,6 @@ pub struct MinedTableau {
     /// delta code rows).
     lhs_pos: Vec<usize>,
     sites: Vec<SiteSupport>,
-    /// Per-mask support-count updates, fed to a run registry when bound
-    /// via [`Self::set_counter`]; detached (free) otherwise.
-    mask_updates: dcd_obs::Counter,
 }
 
 impl MinedTableau {
@@ -133,15 +130,7 @@ impl MinedTableau {
             masks,
             lhs_pos: cfd.lhs.iter().map(|a| a.index()).collect(),
             sites,
-            mask_updates: dcd_obs::Counter::detached(),
         }
-    }
-
-    /// Binds the maintenance counter to a run registry: every row a
-    /// delta touches counts one update per mask under
-    /// `dcd_mining_mask_updates_total`.
-    pub fn set_counter(&mut self, counter: dcd_obs::Counter) {
-        self.mask_updates = counter;
     }
 
     /// The original (unrefined) CFD the counts are kept for.
@@ -158,11 +147,10 @@ impl MinedTableau {
     /// Adjusts site `si`'s support counts for one applied delta: each
     /// affected full-width code row contributes ±1 to its projected key
     /// under every mask. Cost is `O(rows × masks)` — independent of the
-    /// fragment size a full re-mine would scan.
-    pub fn apply_site_effect(&mut self, si: usize, eff: &DeltaEffect) {
+    /// fragment size a full re-mine would scan. Returns the updates
+    /// made, one per affected row and mask.
+    pub fn apply_site_effect(&mut self, si: usize, eff: &DeltaEffect) -> u64 {
         let m = self.cfd.lhs.len();
-        let touched = (eff.deleted.len() + eff.inserted.len()) * self.masks.len();
-        self.mask_updates.inc(touched as u64);
         let site = &mut self.sites[si];
         let mut buf: Vec<u32> = Vec::with_capacity(m);
         for (_, codes) in &eff.deleted {
@@ -188,6 +176,7 @@ impl MinedTableau {
                 *map.entry(CodeKey::of_codes(&buf)).or_insert(0) += 1;
             }
         }
+        ((eff.deleted.len() + eff.inserted.len()) * self.masks.len()) as u64
     }
 
     /// Derives the refined tableau from the current counts: thresholds

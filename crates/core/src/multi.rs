@@ -31,7 +31,7 @@ use crate::runner::{
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::ResolvedCfd;
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{Cfd, Flagged, NormalPattern, PatternValue, SimpleCfd};
+use dcd_cfd::{Cfd, Flagged, KernelTally, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{HorizontalPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, CodeBatch, FxHashSet};
@@ -219,17 +219,8 @@ fn run_cluster(
     attrs.sort();
     let layout = shared_layout(partition.fragments(), &attrs);
     // Resolve every member against the union layout once; each
-    // coordinator validates all members from the same compilation,
-    // feeding the run's kernel counters.
-    let counters = dcd_cfd::KernelCounters::register(ctx.registry());
-    let resolved: Vec<ResolvedCfd> = variable_members
-        .iter()
-        .map(|m| {
-            let mut r = layout.resolve(m);
-            r.set_counters(counters.clone());
-            r
-        })
-        .collect();
+    // coordinator validates all members from the same compilation.
+    let resolved: Vec<ResolvedCfd> = variable_members.iter().map(|m| layout.resolve(m)).collect();
     let gathered = ctx.phase(&format!("ship:{label}"), |p| {
         gather_cluster(p, partition, &parts, &assignment, &attrs)
     });
@@ -242,7 +233,7 @@ fn run_cluster(
         let per_site = scoped_map(cfg.threads, 0..n, |c| {
             let batch = &gathered[c];
             if batch.is_empty() {
-                return (None, vec![Flagged::default(); resolved.len()]);
+                return (None, vec![Flagged::default(); resolved.len()], KernelTally::default());
             }
             let site = SiteId(c as u32);
             let secs = if per_block {
@@ -251,15 +242,28 @@ fn run_cluster(
             } else {
                 cfg.cost.check_time(batch.len()) * variable_members.len() as f64
             };
-            (Some(secs), resolved.iter().map(|r| r.detect_batch(batch)).collect::<Vec<Flagged>>())
+            let mut found = Vec::with_capacity(resolved.len());
+            let mut tally = KernelTally::default();
+            for r in &resolved {
+                let (flagged, counted) = r.detect_batch(batch);
+                found.push(flagged);
+                tally += counted;
+            }
+            (Some(secs), found, tally)
         });
-        let charged = per_site.into_iter().enumerate().map(|(c, (secs, found))| {
+        // The kernel families exist from the round on, at zero if no
+        // coordinator validated anything.
+        let mut tally = KernelTally::default();
+        let charged = per_site.into_iter().enumerate().map(|(c, (secs, found, counted))| {
             if let Some(secs) = secs {
                 p.compute(SiteId(c as u32), secs);
             }
+            tally += counted;
             found
         });
-        charged.collect::<Vec<_>>()
+        let validated = charged.collect::<Vec<_>>();
+        tally.record(p.metrics());
+        validated
     });
     // A tuple reaches one coordinator per cluster, so what the
     // coordinators found for a member is disjoint: its set is built once.

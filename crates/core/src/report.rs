@@ -1,7 +1,7 @@
 //! The output of a distributed detection run.
 
 use dcd_cfd::ViolationReport;
-use dcd_obs::{MetricsSnapshot, RunTrace};
+use dcd_obs::{MetricsRegistry, RunTrace};
 use std::fmt;
 
 /// Everything a detection run produces: the violations plus the traffic
@@ -35,10 +35,11 @@ pub struct Detection {
     /// Response time under the literal §III-B two-phase formula, summed
     /// over detection rounds (seconds). Always ≥ `response_time`.
     pub paper_cost: f64,
-    /// The run's metrics registry, frozen at completion. Shipment
-    /// counters mirror the ledger exactly; everything in here is
-    /// bit-identical across pool widths.
-    pub metrics: MetricsSnapshot,
+    /// A copy of the run's metrics registry at completion, with the
+    /// ledger's per-site-pair families (they sum to the shipment fields
+    /// above) and the run-summary gauges. Bit-identical across pool
+    /// widths.
+    pub metrics: MetricsRegistry,
     /// Phase-level spans on the simulated clock, exportable as
     /// chrome-trace JSON ([`RunTrace::chrome_trace_json`]).
     pub trace: RunTrace,
@@ -134,7 +135,7 @@ mod tests {
             response_time: 1.5,
             site_clocks: vec![1.5, 0.5],
             paper_cost: 2.0,
-            metrics: MetricsSnapshot::default(),
+            metrics: MetricsRegistry::new(),
             trace: RunTrace::default(),
         };
         assert_eq!(

@@ -19,7 +19,7 @@ use crate::report::Detection;
 use crate::sigma::{sigma_partition, sort_for_sigma, SigmaPartition, SortedCfd};
 use dcd_cfd::codes::{CodeLayout, CodeRow};
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{NormalCfd, SimpleCfd};
+use dcd_cfd::{KernelTally, NormalCfd, SimpleCfd};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{CostModel, Fragment, HorizontalPartition, SiteId, TID_CELLS};
 use dcd_relation::AttrId;
@@ -183,10 +183,8 @@ fn ship_and_validate(
     let name = &sorted.cfd.name;
     let attrs = sorted.cfd.shipped_attrs();
     // Resolve the tableau once per round; every coordinator job reuses
-    // the compiled patterns — and feeds the run's kernel counters
-    // (register-or-get: rounds of one run accumulate into one family).
-    let mut resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
-    resolved.set_counters(dcd_cfd::KernelCounters::register(ctx.registry()));
+    // the compiled patterns.
+    let resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
     // gathered[c] = (pattern, wire rows) pairs to validate at site c.
     let mut gathered: Vec<Vec<(usize, Vec<CodeRow>)>> = vec![Vec::new(); n];
     ctx.phase(&format!("ship:{name}"), |p| {
@@ -219,23 +217,33 @@ fn ship_and_validate(
                 // One detection query over everything gathered
                 // (flattened by reference — no row buffer is cloned).
                 let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
-                (cfg.cost.check_time(all.len()), resolved.detect_among(&all))
+                let (vs, tally) = resolved.detect_among(&all);
+                (cfg.cost.check_time(all.len()), vs, tally)
             } else {
                 // One detection query per pattern block.
                 let secs = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
                 let mut vs = ViolationSet::default();
+                let mut tally = KernelTally::default();
                 for (l, rs) in jobs {
-                    vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
+                    let (found, counted) = resolved.detect_pattern_block(rs.iter(), *l);
+                    vs.merge(found);
+                    tally += counted;
                 }
-                (secs, vs)
+                (secs, vs, tally)
             })
         });
+        // The kernel families exist from the round on, at zero if no
+        // coordinator validated anything.
+        let mut tally = KernelTally::default();
         let charged = per_site.into_iter().enumerate().filter_map(|(c, out)| {
-            let (secs, vs) = out?;
+            let (secs, vs, counted) = out?;
             p.compute(SiteId(c as u32), secs);
+            tally += counted;
             Some(vs)
         });
-        charged.collect::<Vec<_>>()
+        let validated = charged.collect::<Vec<_>>();
+        tally.record(p.metrics());
+        validated
     });
     for vs in validated {
         ctx.absorb(name, vs);

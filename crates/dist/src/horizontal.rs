@@ -55,19 +55,6 @@ impl HorizontalPartition {
         Ok(partition)
     }
 
-    /// [`Self::from_fragments`] for fragments whose tuple ids are
-    /// distinct by construction — HYBRIDDETECT's cells re-cut one
-    /// partition's rows — so the id check is left to debug builds.
-    #[doc(hidden)]
-    pub fn from_disjoint_fragments(
-        schema: Arc<Schema>,
-        fragments: Vec<Fragment>,
-    ) -> Result<Self, RelationError> {
-        let partition = Self::assemble(schema, fragments)?;
-        debug_assert!(partition.tids_distinct().is_ok(), "repeated tuple id");
-        Ok(partition)
-    }
-
     /// [`Self::from_fragments`] without the tuple-id check: sites,
     /// schema and dictionary sharing only.
     fn assemble(schema: Arc<Schema>, mut fragments: Vec<Fragment>) -> Result<Self, RelationError> {

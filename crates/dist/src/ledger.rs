@@ -15,79 +15,36 @@ pub const TID_CELLS: usize = 2;
 
 /// Records every transfer between sites during a detection run: data
 /// shipments (tuples / cells / bytes) and control messages (the
-/// statistics exchange of §IV-B).
+/// statistics exchange of §IV-B), per ordered site pair.
 ///
-/// Plain totals behind `&mut self`: the run's coordinating thread is
-/// the only one that charges the ledger.
+/// Plain tallies behind `&mut self`: the run's coordinating thread is
+/// the only one that charges the ledger. The totals are the pairs'
+/// sums, and [`Self::record`] writes the pairs into a metrics registry.
 #[derive(Debug)]
 pub struct ShipmentLedger {
     n_sites: usize,
-    tuples: usize,
-    cells: usize,
-    bytes: usize,
-    control_msgs: usize,
-    control_bytes: usize,
-    /// The per-site-pair metric mirror (see [`Self::observed`]).
-    mirror: LedgerMirror,
+    /// Indexed `from · n + to`; one tally per [`FAMILIES`] entry.
+    pairs: Vec<[u64; 5]>,
 }
 
-/// Pre-registered per-site-pair counter handles mirroring the ledger
-/// into a [`MetricsRegistry`](dcd_obs::MetricsRegistry). Handles are
-/// built once at [`ShipmentLedger::observed`] time (registration locks
-/// the registry; the hot `ship`/`control` paths only bump the handles),
-/// indexed `from · n + to`.
-#[derive(Debug)]
-struct LedgerMirror {
-    tuples: Vec<dcd_obs::Counter>,
-    cells: Vec<dcd_obs::Counter>,
-    bytes: Vec<dcd_obs::Counter>,
-    control_msgs: Vec<dcd_obs::Counter>,
-    control_bytes: Vec<dcd_obs::Counter>,
-}
-
-impl LedgerMirror {
-    fn register(n: usize, registry: &dcd_obs::MetricsRegistry) -> Self {
-        let family = |name: &str, help: &str| -> Vec<dcd_obs::Counter> {
-            let mut v = Vec::with_capacity(n * n);
-            for from in 0..n {
-                for to in 0..n {
-                    let (from, to) = (from.to_string(), to.to_string());
-                    v.push(registry.counter(name, help, &[("from", &from), ("to", &to)]));
-                }
-            }
-            v
-        };
-        LedgerMirror {
-            tuples: family("dcd_shipped_tuples_total", "Tuples shipped between sites"),
-            cells: family("dcd_shipped_cells_total", "Attribute cells shipped between sites"),
-            bytes: family("dcd_shipped_bytes_total", "Data bytes on the simulated wire"),
-            control_msgs: family(
-                "dcd_control_messages_total",
-                "Control messages exchanged (statistics, coordination)",
-            ),
-            control_bytes: family("dcd_control_bytes_total", "Control bytes exchanged"),
-        }
-    }
-}
+/// The metric family of each per-pair tally: name and help.
+const FAMILIES: [(&str, &str); 5] = [
+    ("dcd_shipped_tuples_total", "Tuples shipped between sites"),
+    ("dcd_shipped_cells_total", "Attribute cells shipped between sites"),
+    ("dcd_shipped_bytes_total", "Data bytes on the simulated wire"),
+    ("dcd_control_messages_total", "Control messages exchanged (statistics, coordination)"),
+    ("dcd_control_bytes_total", "Control bytes exchanged"),
+];
+const TUPLES: usize = 0;
+const CELLS: usize = 1;
+const BYTES: usize = 2;
+const CONTROL_MSGS: usize = 3;
+const CONTROL_BYTES: usize = 4;
 
 impl ShipmentLedger {
-    /// An empty ledger over `n` sites that mirrors every transfer into
-    /// per-site-pair counters of `registry`
-    /// (`dcd_shipped_{tuples,cells,bytes}_total{from,to}` and
-    /// `dcd_control_{messages,bytes}_total{from,to}`). The mirror rides
-    /// inside the two mutation authorities (`charge_codes`/`control`),
-    /// so registry totals always equal the ledger totals — the
-    /// cross-layer consistency `tests/fuzz_smoke.rs` asserts.
-    pub fn observed(n: usize, registry: &dcd_obs::MetricsRegistry) -> Self {
-        ShipmentLedger {
-            n_sites: n,
-            tuples: 0,
-            cells: 0,
-            bytes: 0,
-            control_msgs: 0,
-            control_bytes: 0,
-            mirror: LedgerMirror::register(n, registry),
-        }
+    /// An empty ledger over `n` sites.
+    pub fn new(n: usize) -> Self {
+        ShipmentLedger { n_sites: n, pairs: vec![[0; 5]; n * n] }
     }
 
     /// Number of sites this ledger covers.
@@ -95,20 +52,21 @@ impl ShipmentLedger {
         self.n_sites
     }
 
+    fn pair(&mut self, to: SiteId, from: SiteId) -> &mut [u64; 5] {
+        debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
+        &mut self.pairs[from.index() * self.n_sites + to.index()]
+    }
+
     /// Records a data shipment of `tuples` tuples (`cells` projected
     /// attribute cells, `bytes` on the wire) from `from` to `to`.
     /// Private: the only wire is the code wire, so the only way in is
     /// [`Self::charge_codes`], which owns the byte math.
     fn ship(&mut self, to: SiteId, from: SiteId, tuples: usize, cells: usize, bytes: usize) {
-        debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
         debug_assert_ne!(to, from, "shipping to self is not a transfer");
-        self.tuples += tuples;
-        self.cells += cells;
-        self.bytes += bytes;
-        let pair = from.index() * self.n_sites + to.index();
-        self.mirror.tuples[pair].inc(tuples as u64);
-        self.mirror.cells[pair].inc(cells as u64);
-        self.mirror.bytes[pair].inc(bytes as u64);
+        let pair = self.pair(to, from);
+        pair[TUPLES] += tuples as u64;
+        pair[CELLS] += cells as u64;
+        pair[BYTES] += bytes as u64;
     }
 
     /// Records a *code-shipped* transfer of `tuples` rows totalling
@@ -125,37 +83,53 @@ impl ShipmentLedger {
     /// Records one control message of `bytes` bytes from `from` to `to`
     /// (statistics exchange, coordination).
     pub fn control(&mut self, to: SiteId, from: SiteId, bytes: usize) {
-        debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
-        self.control_msgs += 1;
-        self.control_bytes += bytes;
-        let pair = from.index() * self.n_sites + to.index();
-        self.mirror.control_msgs[pair].inc(1);
-        self.mirror.control_bytes[pair].inc(bytes as u64);
+        let pair = self.pair(to, from);
+        pair[CONTROL_MSGS] += 1;
+        pair[CONTROL_BYTES] += bytes as u64;
+    }
+
+    fn total(&self, tally: usize) -> usize {
+        self.pairs.iter().map(|pair| pair[tally]).sum::<u64>() as usize
     }
 
     /// Total tuples shipped — the paper's `|M|`.
     pub fn total_tuples(&self) -> usize {
-        self.tuples
+        self.total(TUPLES)
     }
 
     /// Total attribute cells shipped (tuples × projected width).
     pub fn total_cells(&self) -> usize {
-        self.cells
+        self.total(CELLS)
     }
 
     /// Approximate data bytes on the wire.
     pub fn total_bytes(&self) -> usize {
-        self.bytes
+        self.total(BYTES)
     }
 
     /// Number of control messages exchanged.
     pub fn control_messages(&self) -> usize {
-        self.control_msgs
+        self.total(CONTROL_MSGS)
     }
 
     /// Control bytes exchanged.
     pub fn control_bytes(&self) -> usize {
-        self.control_bytes
+        self.total(CONTROL_BYTES)
+    }
+
+    /// Adds every site pair's tallies to `registry`, zeros included, as
+    /// `dcd_shipped_{tuples,cells,bytes}_total{from,to}` and
+    /// `dcd_control_{messages,bytes}_total{from,to}`: each family's
+    /// series sum to the matching total — the cross-layer consistency
+    /// `tests/fuzz_smoke.rs` asserts.
+    pub fn record(&self, registry: &mut dcd_obs::MetricsRegistry) {
+        for (i, pair) in self.pairs.iter().enumerate() {
+            let (from, to) = ((i / self.n_sites).to_string(), (i % self.n_sites).to_string());
+            let labels = [("from", from.as_str()), ("to", to.as_str())];
+            for ((name, help), &n) in FAMILIES.iter().zip(pair) {
+                registry.add(name, help, &labels, n);
+            }
+        }
     }
 }
 
@@ -164,9 +138,16 @@ mod tests {
     use super::*;
     use dcd_obs::{MetricsRegistry, SampleValue};
 
+    /// The ledger's per-pair tallies, recorded into a fresh registry.
+    fn recorded(ledger: &ShipmentLedger) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new();
+        ledger.record(&mut registry);
+        registry
+    }
+
     /// The `{from, to}` series of `name`, 0 when it never moved.
     fn pair(registry: &MetricsRegistry, name: &str, from: usize, to: usize) -> u64 {
-        match registry.snapshot().value(name, &format!("{{from=\"{from}\",to=\"{to}\"}}")) {
+        match registry.value(name, &format!("{{from=\"{from}\",to=\"{to}\"}}")) {
             Some(&SampleValue::Counter(v)) => v,
             other => panic!("{name} {from}->{to}: {other:?}"),
         }
@@ -174,8 +155,7 @@ mod tests {
 
     #[test]
     fn totals_are_additive_over_ship_calls() {
-        let registry = MetricsRegistry::new();
-        let mut ledger = ShipmentLedger::observed(3, &registry);
+        let mut ledger = ShipmentLedger::new(3);
         let shipments = [
             (1usize, 0usize, 4usize, 12usize, 100usize),
             (2, 0, 3, 9, 75),
@@ -194,6 +174,7 @@ mod tests {
         }
         // The per-pair series decompose the same totals, by sender and
         // by receiver.
+        let registry = recorded(&ledger);
         let tuples = |from, to| pair(&registry, "dcd_shipped_tuples_total", from, to);
         assert_eq!(registry.counter_total("dcd_shipped_tuples_total"), t as u64);
         assert_eq!((0..3).map(|to| tuples(0, to)).sum::<u64>(), 7, "sent by site 0");
@@ -202,19 +183,19 @@ mod tests {
 
     #[test]
     fn charge_codes_is_byte_accurate_at_four_bytes_per_cell() {
-        let registry = MetricsRegistry::new();
-        let mut ledger = ShipmentLedger::observed(2, &registry);
+        let mut ledger = ShipmentLedger::new(2);
         ledger.charge_codes(SiteId(1), SiteId(0), 3, 36);
         assert_eq!(ledger.total_tuples(), 3);
         assert_eq!(ledger.total_cells(), 36);
         assert_eq!(ledger.total_bytes(), 36 * CODE_BYTES);
+        let registry = recorded(&ledger);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 3);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 0), 0);
     }
 
     #[test]
     fn control_messages_count_messages_not_bytes() {
-        let mut ledger = ShipmentLedger::observed(2, &MetricsRegistry::new());
+        let mut ledger = ShipmentLedger::new(2);
         ledger.control(SiteId(0), SiteId(1), 16);
         ledger.control(SiteId(1), SiteId(0), 24);
         assert_eq!(ledger.control_messages(), 2);
@@ -223,12 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn the_ledger_mirrors_every_transfer_into_the_registry() {
-        let registry = MetricsRegistry::new();
-        let mut ledger = ShipmentLedger::observed(3, &registry);
+    fn the_ledger_records_every_transfer_into_a_registry() {
+        let mut ledger = ShipmentLedger::new(3);
         ledger.ship(SiteId(1), SiteId(0), 4, 12, 100);
         ledger.charge_codes(SiteId(2), SiteId(1), 3, 9);
         ledger.control(SiteId(0), SiteId(2), 16);
+        let registry = recorded(&ledger);
         assert_eq!(registry.counter_total("dcd_shipped_tuples_total"), 7);
         assert_eq!(registry.counter_total("dcd_shipped_cells_total"), 21);
         assert_eq!(registry.counter_total("dcd_shipped_bytes_total"), ledger.total_bytes() as u64);
@@ -236,5 +217,8 @@ mod tests {
         assert_eq!(registry.counter_total("dcd_control_bytes_total"), 16);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 4);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 2), 3);
+        // Every pair is a series, the ones that never moved included.
+        assert_eq!(pair(&registry, "dcd_control_bytes_total", 1, 1), 0);
+        assert_eq!(registry.expose().lines().filter(|l| !l.starts_with('#')).count(), 5 * 9);
     }
 }

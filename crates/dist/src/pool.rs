@@ -16,14 +16,17 @@
 //!
 //! Clippy rejects a thread started anywhere else (`disallowed-methods` in
 //! the root `clippy.toml`); the one `std::thread::scope` here carries the
-//! `#[expect]`. The pool holds no atomic: the cursor is a `Mutex`, and the
-//! scope's join orders every result before the caller reads it. The task
-//! count is host-side bookkeeping, so it goes to the process-wide host
-//! registry (`dcd_pool_tasks_total`), outside the per-run determinism
-//! pinning.
+//! `#[expect]`. The cursor is a `Mutex`, and the scope's join orders
+//! every result before the caller reads it. The task count is host-side
+//! bookkeeping, so it goes to the process-wide host registry
+//! (`dcd_pool_tasks_total`, added under its lock), outside the per-run
+//! determinism pinning.
 
 use std::panic::resume_unwind;
 use std::sync::{Mutex, PoisonError};
+
+/// The host-scope family counting the tasks every call ran.
+const POOL_TASKS: &str = "dcd_pool_tasks_total";
 
 /// The pool width used when the caller has no explicit configuration:
 /// the machine's available parallelism (1 when that cannot be
@@ -45,9 +48,12 @@ where
 {
     let items: Vec<I> = items.into_iter().collect();
     let n = items.len();
-    dcd_obs::host_registry()
-        .counter("dcd_pool_tasks_total", "Tasks executed by the worker pool", &[])
-        .inc(n as u64);
+    dcd_obs::host_registry().lock().unwrap_or_else(PoisonError::into_inner).add(
+        POOL_TASKS,
+        "Tasks executed by the worker pool",
+        &[],
+        n as u64,
+    );
     if threads <= 1 || n <= 1 {
         return items.into_iter().map(task).collect();
     }
@@ -197,6 +203,28 @@ mod tests {
         let caught = catch_unwind(|| scoped_map(4, 0..8, |i| assert_ne!(i, 5)));
         assert!(caught.is_err());
         assert_eq!(scoped_map(4, 0..11, |i| i * 3), (0..11).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    /// The host count of tasks run so far.
+    fn host_tasks() -> u64 {
+        dcd_obs::host_registry().lock().unwrap().counter_total(POOL_TASKS)
+    }
+
+    #[test]
+    fn two_concurrent_calls_each_add_their_task_count() {
+        // The rendezvous is two tasks on two threads at once, and each
+        // then makes a call of its own: 2 + 9 + 9 tasks. Other tests in
+        // this process run tasks too, so the count is read until a
+        // window holds only these calls.
+        for _ in 0..100 {
+            let before = host_tasks();
+            let met = rendezvous(|| assert_eq!(scoped_map(3, 0..9, |i| i).len(), 9));
+            assert_eq!(met, [true, true]);
+            if host_tasks() - before == 20 {
+                return;
+            }
+        }
+        panic!("the host count never grew by exactly the calls' 20 tasks");
     }
 
     #[test]

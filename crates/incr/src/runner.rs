@@ -56,6 +56,7 @@ use dcd_dist::{
     chained_holds as holds, Fragment, HorizontalPartition, ReplicatedPartition, SiteId,
     VerticalPartition,
 };
+use dcd_obs::MetricsRegistry;
 use dcd_relation::{
     AttrId, DeltaEffect, Dictionary, FxHashSet, PendingDelta, Relation, RelationDelta,
     RelationError, Tuple, TupleId,
@@ -276,7 +277,7 @@ impl IncrementalRun {
         let round_start = ctx.response_time();
         let ops: usize = batch.per_site.iter().map(|d| d.n_ops()).sum();
         ctx.begin_round();
-        deltas_counter(ctx).inc(ops as u64);
+        count_deltas(ctx, ops);
 
         // Phase 1: apply at every site, in parallel.
         let effects = located.apply(ctx);
@@ -329,7 +330,8 @@ impl IncrementalRun {
                     }
                     for miner in miners.iter_mut() {
                         let secs = cost.scan_time(effect.n_rows()) * miner.n_masks() as f64;
-                        miner.apply_site_effect(i, effect);
+                        let updates = miner.apply_site_effect(i, effect);
+                        count_mask_updates(p.metrics(), updates);
                         p.compute(SiteId(i as u32), secs);
                     }
                 }
@@ -400,12 +402,7 @@ impl IncrementalRun {
         config: &MiningConfig,
     ) -> Result<usize, RelationError> {
         cfd.check_schema(self.partition.schema())?;
-        let mut miner = MinedTableau::build(&self.partition, cfd, config);
-        miner.set_counter(self.ctx.registry().counter(
-            "dcd_mining_mask_updates_total",
-            "Per-mask support-count updates applied by incremental mining maintenance",
-            &[],
-        ));
+        let miner = MinedTableau::build(&self.partition, cfd, config);
         // The build precedes any delta round: it moves the clocks but
         // enters no round's §III-B cost.
         let cost = self.ctx.cfg().cost;
@@ -414,6 +411,7 @@ impl IncrementalRun {
             for frag in fragments.iter().filter(|f| !f.data.is_empty()) {
                 p.advance(frag.site, cost.scan_time(frag.data.len()) * miner.n_masks() as f64);
             }
+            count_mask_updates(p.metrics(), 0);
         });
         self.miners.push(miner);
         Ok(self.miners.len() - 1)
@@ -438,27 +436,31 @@ fn current_report(indices: &[ViolationIndex]) -> ViolationReport {
     report
 }
 
-/// The run's delta-operation counter (register-or-get).
-fn deltas_counter(ctx: &RunCtx) -> dcd_obs::Counter {
-    ctx.registry().counter(
-        "dcd_incr_deltas_applied_total",
-        "Delta operations applied across sites",
-        &[],
-    )
+/// Counts one batch's delta operations.
+fn count_deltas(ctx: &mut RunCtx, ops: usize) {
+    let help = "Delta operations applied across sites";
+    ctx.metrics().add("dcd_incr_deltas_applied_total", help, &[], ops as u64);
+}
+
+/// Counts per-mask support-count updates of the tracked miners (`0`
+/// registers the family).
+fn count_mask_updates(metrics: &mut MetricsRegistry, updates: u64) {
+    let help = "Per-mask support-count updates applied by incremental mining maintenance";
+    metrics.add("dcd_mining_mask_updates_total", help, &[], updates);
 }
 
 /// Records one batch's delta lag — simulated seconds from `round_start`
 /// to now — into the run's lag histogram (integer microseconds, so
 /// merges stay order-free).
-fn observe_lag(ctx: &RunCtx, round_start: f64) {
-    ctx.registry()
-        .histogram(
-            "dcd_incr_delta_lag_micros",
-            "Simulated delta lag per batch, in microseconds",
-            &[],
-            &[10, 100, 1_000, 10_000, 100_000, 1_000_000],
-        )
-        .observe(((ctx.response_time() - round_start) * 1e6) as u64);
+fn observe_lag(ctx: &mut RunCtx, round_start: f64) {
+    let lag = ((ctx.response_time() - round_start) * 1e6) as u64;
+    ctx.metrics().observe(
+        "dcd_incr_delta_lag_micros",
+        "Simulated delta lag per batch, in microseconds",
+        &[],
+        &[10, 100, 1_000, 10_000, 100_000, 1_000_000],
+        lag,
+    );
 }
 
 /// Every site's delta of one round, checked against the site's relation
@@ -532,23 +534,21 @@ fn maintain_indices(
     inserts: &[(TupleId, Box<[u32]>)],
 ) {
     let cfg = *ctx.cfg();
-    let examined = ctx.phase(phase, |p| {
+    ctx.phase(phase, |p| {
         let per_cfd = scoped_map(cfg.threads, indices, |index| index.apply(deletes, inserts));
         let mut examined = 0u64;
         for members in per_cfd {
             examined += members as u64;
             p.compute(coordinator, cfg.cost.check_time(members));
         }
-        examined
-    });
-    ctx.registry()
-        .counter(
+        p.metrics().add(
             "dcd_incr_keys_revalidated_total",
             "Index members examined during incremental maintenance: landed delta rows \
              plus the old members of keys whose judgement changed",
             &[],
-        )
-        .inc(examined);
+            examined,
+        );
+    });
 }
 
 /// A stateful incremental run over a *vertical* partition.
@@ -685,7 +685,7 @@ impl VerticalIncrementalRun {
         let coordinator = self.coordinator;
         let round_start = ctx.response_time();
         ctx.begin_round();
-        deltas_counter(ctx).inc(delta.n_ops() as u64);
+        count_deltas(ctx, delta.n_ops());
 
         // Phase 1: every site applies its projection of the delta.
         let effects = located.apply(ctx);

@@ -5,7 +5,7 @@
 //! the root `clippy.toml`). A trace is plain data owned by its run's
 //! `RunCtx`, which records one span per site a phase moved, from the
 //! clocks before and after the phase, on the coordinating thread in
-//! site order — so a trace, like a registry snapshot, is bit-identical
+//! site order — so a trace, like the run's registry, is bit-identical
 //! across pool widths.
 
 use std::fmt::Write as _;

@@ -18,8 +18,9 @@
 //! * [`Predicate`] — selection predicates in disjunctive normal form with a
 //!   sound satisfiability test (used for the paper's "partitioning
 //!   condition" optimization, §IV-A),
-//! * [`ops`] — physical operators: selection, projection, grouping,
-//!   key-based joins and semijoins,
+//! * [`ops`] — the code-level group key ([`ops::CodeKey`]), its flat
+//!   code space and the per-scan group-id table ([`ops::CodeMemo`]), and
+//!   bag projection,
 //! * [`fxhash`] — a fast, non-cryptographic hasher for hot group-by paths.
 //!
 //! The design intentionally avoids query planning: CFD detection on a

@@ -8,8 +8,11 @@
 //! 1. pick as coordinator the fragment holding the most of the CFD's
 //!    attributes (fewest columns move) — the placement rule lives in
 //!    [`VerticalPartition::gather_plan`], shared with `HYBRIDDETECT`;
-//! 2. every other fragment owning needed attributes ships row-aligned
-//!    `(tid, codes)` rows of those attributes — the same code wire the
+//! 2. every other fragment owning needed attributes keeps the rows that
+//!    could match some pattern, judging by the pattern constants on the
+//!    LHS attributes it holds (the semijoin-style reduction), and ships
+//!    them as row-aligned `(tid, codes)` rows of those attributes — the
+//!    same code wire the
 //!    horizontal engines and the incremental delta protocol use,
 //!    charged at 4 bytes/cell through the run's
 //!    [`Transfer`](dcd_core::ctx::Transfer) (the tuple id rides as
@@ -21,28 +24,12 @@
 //!    into one [`CodeBatch`](dcd_relation::CodeBatch) and validates it
 //!    through [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) —
 //!    decoding only violating group keys.
-//!
-//! With [`ShipMode::Filtered`], step 2 first applies the CFD's constant
-//! patterns *locally*: a fragment owning pattern-constant attributes
-//! keeps — and ships — only rows that could match some pattern, the
-//! semijoin-style reduction, often cutting traffic dramatically.
 
-use dcd_cfd::{Cfd, CodeLayout, ViolationSet};
+use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
 use dcd_dist::{VFragment, VerticalPartition, TID_CELLS};
 use dcd_relation::{AttrId, Dictionary, Relation, RelationError, NO_CODE};
 use std::sync::Arc;
-
-/// Shipment strategy for cross-fragment CFDs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShipMode {
-    /// Ship whole projected columns.
-    Full,
-    /// Apply the CFD's pattern constants locally before shipping
-    /// (rows that match no pattern on the locally visible attributes
-    /// cannot participate in a violation).
-    Filtered,
-}
 
 /// Runs `VERTDETECT` over a vertical partition — the engine behind the
 /// `DetectRequest` façade of the `distributed-cfd` root crate, with the
@@ -53,7 +40,6 @@ pub enum ShipMode {
 pub fn run_vertical(
     partition: &VerticalPartition,
     sigma: &[Cfd],
-    mode: ShipMode,
     cfg: &RunConfig,
 ) -> Result<Detection, RelationError> {
     let cost = cfg.cost;
@@ -84,7 +70,7 @@ pub fn run_vertical(
         // ships the ones it keeps. A row survives only if every
         // contributing fragment kept it.
         let keeps: Vec<Vec<bool>> =
-            plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd, mode)).collect();
+            plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd)).collect();
         ctx.phase(&format!("gather:{}", cfd.name()), |p| {
             // A send moves no clock until `commit`, so the scans may be
             // charged first.
@@ -105,23 +91,23 @@ pub fn run_vertical(
             .collect();
         let batch = partition.gather(&plan, &alignment, &survivors);
 
-        // The coordinator validates the batch, feeding the run's kernel
-        // counters.
+        // The coordinator validates the batch.
         let dicts = plan
             .supplies
             .iter()
             .flat_map(|(f, attrs)| attrs.iter().map(|&a| dictionary_of(&fragments[*f], a)))
             .collect();
         let layout = CodeLayout::new(plan.attrs(), dicts);
-        let counters = dcd_cfd::KernelCounters::register(ctx.registry());
         let mut vs = ViolationSet::default();
+        let mut tally = KernelTally::default();
         for simple in cfd.simplify() {
-            let mut resolved = layout.resolve(&simple);
-            resolved.set_counters(counters.clone());
-            vs.merge(resolved.detect_batch(&batch).into());
+            let (found, counted) = layout.resolve(&simple).detect_batch(&batch);
+            vs.merge(found.into());
+            tally += counted;
         }
         ctx.phase(&format!("validate:{}", cfd.name()), |p| {
             p.compute(coord.site, cost.check_time(batch.len()));
+            tally.record(p.metrics());
         });
         ctx.absorb(cfd.name(), vs);
         ctx.end_round();
@@ -135,20 +121,17 @@ fn dictionary_of(frag: &VFragment, a: AttrId) -> Arc<Dictionary> {
     frag.data.dictionary(frag.local_attr(a).expect("planned from this fragment")).clone()
 }
 
-/// Which of `frag`'s rows take part in the gather for `cfd`: all of
-/// them in [`ShipMode::Full`]; in [`ShipMode::Filtered`] those that
+/// Which of `frag`'s rows take part in the gather for `cfd`: those that
 /// could match at least one pattern judging by the pattern constants on
-/// the LHS attributes the fragment holds.
-fn keep_mask(frag: &VFragment, cfd: &Cfd, mode: ShipMode) -> Vec<bool> {
-    let visible: Vec<(usize, AttrId)> = match mode {
-        ShipMode::Full => Vec::new(),
-        ShipMode::Filtered => cfd
-            .lhs()
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, &a)| frag.local_attr(a).map(|local| (pi, local)))
-            .collect(),
-    };
+/// the LHS attributes the fragment holds (rows that match no pattern
+/// cannot take part in a violation).
+fn keep_mask(frag: &VFragment, cfd: &Cfd) -> Vec<bool> {
+    let visible: Vec<(usize, AttrId)> = cfd
+        .lhs()
+        .iter()
+        .enumerate()
+        .filter_map(|(pi, &a)| frag.local_attr(a).map(|local| (pi, local)))
+        .collect();
     if visible.is_empty() {
         return vec![true; frag.data.len()];
     }
@@ -195,12 +178,8 @@ mod tests {
 
     /// Runs the engine and reads how many CFDs were checked without
     /// shipment off the trace: each leaves one `local:<cfd>` span.
-    fn vdetect(
-        p: &VerticalPartition,
-        sigma: &[Cfd],
-        mode: ShipMode,
-    ) -> Result<(Detection, usize), RelationError> {
-        let d = run_vertical(p, sigma, mode, &RunConfig::default())?;
+    fn vdetect(p: &VerticalPartition, sigma: &[Cfd]) -> Result<(Detection, usize), RelationError> {
+        let d = run_vertical(p, sigma, &RunConfig::default())?;
         let locally_checked = d.trace.spans.iter().filter(|s| s.name.starts_with("local:")).count();
         Ok((d, locally_checked))
     }
@@ -247,13 +226,11 @@ mod tests {
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
-        for mode in [ShipMode::Full, ShipMode::Filtered] {
-            let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd), mode).unwrap();
-            let (_, vs) = &out.violations.per_cfd[0];
-            assert_eq!(vs.tids, global.tids, "{mode:?}");
-            assert!(out.shipped_tuples > 0, "{mode:?} must ship");
-            assert_eq!(locally_checked, 0);
-        }
+        let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        let (_, vs) = &out.violations.per_cfd[0];
+        assert_eq!(vs.tids, global.tids);
+        assert!(out.shipped_tuples > 0, "must ship");
+        assert_eq!(locally_checked, 0);
     }
 
     #[test]
@@ -263,8 +240,7 @@ mod tests {
         // zip → street lives entirely in fragment 0.
         let cfd = parse_cfd(rel.schema(), "local", "([zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        let (out, locally_checked) =
-            vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
+        let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
         assert_eq!(out.shipped_tuples, 0);
         assert_eq!(locally_checked, 1);
         let (_, vs) = &out.violations.per_cfd[0];
@@ -272,48 +248,31 @@ mod tests {
     }
 
     #[test]
-    fn filtered_mode_ships_less_with_selective_patterns() {
+    fn selective_patterns_filter_rows_before_shipping() {
         let rel = emp();
         let p = partition(&rel);
-        // CC=31 matches one tuple only; the CC fragment can pre-filter.
+        // CC=31 matches one tuple only; the CC fragment pre-filters.
         let cfd = parse_cfd(rel.schema(), "phi", "([CC=31, zip] -> [street])").unwrap();
-        let (full, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
-        let (filt, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Filtered).unwrap();
-        assert_eq!(
-            full.violations.all_tids(),
-            filt.violations.all_tids(),
-            "filtering must not change results"
-        );
-        assert!(
-            filt.shipped_tuples < full.shipped_tuples,
-            "filtered {} !< full {}",
-            filt.shipped_tuples,
-            full.shipped_tuples
-        );
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        assert_eq!(out.violations.all_tids(), dcd_cfd::detect(&rel, &cfd).tids);
+        assert_eq!(out.shipped_tuples, 1, "only the CC=31 row travels");
     }
 
-    /// Pins the code-wire accounting of the gather. Before the port
-    /// the CC fragment shipped `π_{id, CC}(D1)` as value rows — 5
-    /// tuples × 2 value cells, value-sized bytes, the key column
-    /// riding along to join on. On the code wire the key column stays
-    /// home (the tuple id aligns rows as [`TID_CELLS`] cells), so the
-    /// same gather is `rows × (1 + TID_CELLS)` code cells at
-    /// [`CODE_BYTES`](dcd_dist::CODE_BYTES) each, and filtered mode
-    /// drops the CC≠44 row before it ever travels.
+    /// Pins the code-wire accounting of the gather. The key column
+    /// stays home (the tuple id aligns rows as [`TID_CELLS`] cells), so
+    /// a gather is `rows × (1 + TID_CELLS)` code cells at
+    /// [`CODE_BYTES`](dcd_dist::CODE_BYTES) each, and the CC≠44 row is
+    /// dropped before it ever travels.
     #[test]
     fn code_wire_accounting_is_pinned() {
         use dcd_dist::CODE_BYTES;
         let rel = emp();
         let p = partition(&rel);
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();
-        let (full, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
-        assert_eq!(full.shipped_tuples, 5);
-        assert_eq!(full.shipped_cells, 5 * (1 + TID_CELLS));
-        assert_eq!(full.shipped_bytes, full.shipped_cells * CODE_BYTES);
-        let (filt, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Filtered).unwrap();
-        assert_eq!(filt.shipped_tuples, 4, "CC≠44 row filtered before shipping");
-        assert_eq!(filt.shipped_cells, 4 * (1 + TID_CELLS));
-        assert_eq!(filt.shipped_bytes, filt.shipped_cells * CODE_BYTES);
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        assert_eq!(out.shipped_tuples, 4, "CC≠44 row filtered before shipping");
+        assert_eq!(out.shipped_cells, 4 * (1 + TID_CELLS));
+        assert_eq!(out.shipped_bytes, out.shipped_cells * CODE_BYTES);
     }
 
     #[test]
@@ -324,7 +283,7 @@ mod tests {
         let cfd = parse_cfd(rel.schema(), "phi2", "([CC, title] -> [salary])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
-        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd), ShipMode::Full).unwrap();
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
         let (_, vs) = &out.violations.per_cfd[0];
         assert_eq!(vs.tids, global.tids);
         assert!(out.response_time > 0.0);
@@ -339,7 +298,7 @@ mod tests {
             parse_cfd(rel.schema(), "remote", "([CC, title] -> [salary])").unwrap(),
         ];
         let global = dcd_cfd::detect_set(&rel, &sigma);
-        let (out, locally_checked) = vdetect(&p, &sigma, ShipMode::Filtered).unwrap();
+        let (out, locally_checked) = vdetect(&p, &sigma).unwrap();
         assert_eq!(locally_checked, 1);
         assert_eq!(out.violations.all_tids(), global.all_tids());
     }

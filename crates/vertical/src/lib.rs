@@ -17,8 +17,8 @@
 //! * [`detect`] — violation detection in vertical fragments when
 //!   shipment *is* needed (the paper defers its algorithms to a later
 //!   report and points at semijoin-style reductions; we implement a
-//!   coordinator join with optional constant-based pre-filtering and
-//!   account all traffic through `dcd-dist`).
+//!   coordinator join with constant-based pre-filtering and account all
+//!   traffic through `dcd-dist`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +27,6 @@ pub mod detect;
 pub mod preservation;
 pub mod refine;
 
-pub use detect::{run_vertical, ShipMode};
+pub use detect::run_vertical;
 pub use preservation::{is_preserved, locally_checkable_at, unpreserved};
 pub use refine::{refine_exact, refine_greedy, Augmentation};

@@ -1,8 +1,8 @@
 //! Observability: what one detection run exposes, end to end.
 //!
 //! Runs PATDETECTS over a small horizontal partition, prints the run's
-//! Prometheus-style metric exposition (the `Detection.metrics`
-//! snapshot, frozen at completion), and writes the phase-level trace as
+//! Prometheus-style metric exposition (`Detection.metrics`, the run's
+//! registry as it stood at completion), and writes the phase-level trace as
 //! chrome-trace JSON under `target/` — load it in `chrome://tracing`
 //! or Perfetto. Every timestamp is *simulated* time from `SiteClocks`,
 //! so both artifacts are bit-identical run to run and across pool
@@ -38,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DetectRequest::over(partition).cfds(sigma).algorithm(Algorithm::PatDetectS).run()?;
     println!("{detection}\n");
 
-    // The frozen registry, in Prometheus text exposition format. The
-    // dcd_shipped_*/dcd_control_* families mirror the ShipmentLedger
-    // exactly; dcd_kernel_* count group verdicts inside the validation
-    // kernel; dcd_run_* are the run-summary gauges.
+    // The run's registry, in Prometheus text exposition format. The
+    // dcd_shipped_*/dcd_control_* families are the ShipmentLedger's
+    // per-site-pair tallies; dcd_kernel_* count the validation kernel's
+    // group verdicts; dcd_run_* are the run-summary gauges.
     println!("{}", detection.metrics.expose());
 
     // The phase spans, as chrome-trace JSON on the simulated clock:

@@ -68,7 +68,7 @@ use dcd_dist::{
 };
 use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun};
 use dcd_relation::{Relation, RelationError, Schema};
-use dcd_vertical::{run_vertical, ShipMode};
+use dcd_vertical::run_vertical;
 
 /// Where the data lives: one of the four fragmentation schemes the
 /// workspace detects over. Each variant owns its partition — a request
@@ -184,17 +184,15 @@ impl Default for Algorithm {
 /// Built builder-style; see the [module docs](self) for an example.
 /// With several CFDs and a single-CFD algorithm, the CFDs are
 /// processed as sequential rounds over one shared ledger and clock set
-/// (exactly how `SEQDETECT` pipelines); on vertical topologies the
-/// [`ShipMode`] knob selects full or constant-filtered column
-/// shipment, and on replicated ones the replica-aware `REPDETECT`
-/// coordinator rule applies regardless of the algorithm's strategy.
+/// (exactly how `SEQDETECT` pipelines); on replicated topologies the
+/// replica-aware `REPDETECT` coordinator rule applies regardless of the
+/// algorithm's strategy.
 #[derive(Debug, Clone)]
 pub struct DetectRequest {
     topology: Topology,
     cfds: Vec<Cfd>,
     algorithm: Algorithm,
     config: RunConfig,
-    ship_mode: ShipMode,
 }
 
 impl DetectRequest {
@@ -206,7 +204,6 @@ impl DetectRequest {
             cfds: Vec::new(),
             algorithm: Algorithm::default(),
             config: RunConfig::default(),
-            ship_mode: ShipMode::Filtered,
         }
     }
 
@@ -232,13 +229,6 @@ impl DetectRequest {
     /// width).
     pub fn config(mut self, config: RunConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the vertical column-shipment mode (default:
-    /// [`ShipMode::Filtered`]). Ignored by the other topologies.
-    pub fn ship_mode(mut self, mode: ShipMode) -> Self {
-        self.ship_mode = mode;
         self
     }
 
@@ -269,9 +259,9 @@ impl DetectRequest {
     ///   sequential rounds with `inner` (no cross-CFD clustering);
     /// * **Replicated** — the replica-aware `REPDETECT` coordinator
     ///   rule applies regardless of the algorithm;
-    /// * **Vertical** — placement is fixed by column coverage; the
-    ///   algorithm is ignored and [`ShipMode`] is the knob that
-    ///   matters.
+    /// * **Vertical** — placement is fixed by column coverage and
+    ///   every fragment filters on its pattern constants before it
+    ///   ships; the algorithm is ignored.
     ///
     /// A CFD defined over a schema other than the topology's is
     /// rejected with [`RelationError::SchemaMismatch`], a cost model
@@ -290,7 +280,7 @@ impl DetectRequest {
                     Ok(run_batch(p, &simples, single.strategy(), &cfg))
                 }
             },
-            Topology::Vertical(p) => run_vertical(p, &self.cfds, self.ship_mode, &cfg),
+            Topology::Vertical(p) => run_vertical(p, &self.cfds, &cfg),
             Topology::Hybrid(p) => run_hybrid(p, &self.cfds, self.algorithm.strategy(), &cfg),
             Topology::Replicated(p) => Ok(run_replicated(p, &self.cfds, &cfg)),
         }

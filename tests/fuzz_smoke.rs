@@ -22,13 +22,11 @@ fn request(
     sigma: &[Cfd],
     algorithm: Algorithm,
     threads: usize,
-    mode: ShipMode,
 ) -> Detection {
     DetectRequest::over(topology)
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(RunConfig::default().with_threads(threads))
-        .ship_mode(mode)
         .run()
         .expect("facade run succeeds on generated inputs")
 }
@@ -95,7 +93,6 @@ proptest! {
         rhs_const in prop::option::of(0..3u8),
         n_sites in 1usize..5,
         alg_pick in 0usize..5,
-        mode_pick in 0usize..2,
         factor_seed in 0usize..100,
         theta in 0.05f64..0.6,
     ) {
@@ -112,7 +109,6 @@ proptest! {
             Algorithm::seq_detect(),
             Algorithm::clust_detect(),
         ][alg_pick];
-        let mode = [ShipMode::Full, ShipMode::Filtered][mode_pick];
 
         let horizontal = HorizontalPartition::round_robin(&rel, n_sites).unwrap();
         let topologies: Vec<(&str, Topology)> = vec![
@@ -135,8 +131,8 @@ proptest! {
             ),
         ];
         for (name, topology) in topologies {
-            let d1 = request(topology.clone(), &sigma, alg, 1, mode);
-            let d8 = request(topology, &sigma, alg, 8, mode);
+            let d1 = request(topology.clone(), &sigma, alg, 1);
+            let d8 = request(topology, &sigma, alg, 8);
             let label = format!("{name}/{alg:?}");
             prop_assert_eq!(&d1, &d8, "{}", label);
             assert_metrics_mirror_ledger(&d1, &label)?;
@@ -161,8 +157,8 @@ proptest! {
         for (name, topology) in
             [("horizontal", Topology::from(horizontal)), ("vertical", vertical.into())]
         {
-            let d1 = request(topology.clone(), &mined_sigma, alg, 1, mode);
-            let d8 = request(topology, &mined_sigma, alg, 8, mode);
+            let d1 = request(topology.clone(), &mined_sigma, alg, 1);
+            let d8 = request(topology, &mined_sigma, alg, 8);
             let label = format!("mined/{name}/{alg:?}");
             prop_assert_eq!(&d1, &d8, "{}", label);
             assert_metrics_mirror_ledger(&d1, &label)?;

@@ -225,17 +225,14 @@ fn recordings(grown: bool) -> String {
         let sigma = sigma(&mut rng);
         let groups = LAYOUTS[seed as usize % LAYOUTS.len()];
 
-        // VERTDETECT, both ship modes.
+        // VERTDETECT.
         let vertical = VerticalPartition::by_attribute_groups(&rel, groups).unwrap();
-        for mode in [ShipMode::Full, ShipMode::Filtered] {
-            let request =
-                DetectRequest::over(vertical.clone()).cfds(sigma.iter().cloned()).ship_mode(mode);
-            let (text, d) = run(&format!("seed {seed} vertical {mode:?}"), &rel, &sigma, &request);
-            let sites_of = |name: &str| d.trace.spans.iter().filter(|s| s.name == name).count();
-            local += usize::from(sites_of("local:local") > 0);
-            three_way += usize::from(sites_of("gather:three") == 3);
-            got += &text;
-        }
+        let request = DetectRequest::over(vertical.clone()).cfds(sigma.iter().cloned());
+        let (text, d) = run(&format!("seed {seed} vertical Filtered"), &rel, &sigma, &request);
+        let sites_of = |name: &str| d.trace.spans.iter().filter(|s| s.name == name).count();
+        local += usize::from(sites_of("local:local") > 0);
+        three_way += usize::from(sites_of("gather:three") == 3);
+        got += &text;
 
         // HYBRIDDETECT, one cell and three, every strategy.
         for n_cells in [1, 3] {
@@ -273,7 +270,7 @@ fn recordings(grown: bool) -> String {
             got += &recorded(&format!("seed {seed} session batch {batch}"), &d);
         }
     }
-    assert!(local > 6, "most layouts should check `local` without shipment, got {local}");
-    assert!(three_way > 2, "some gathers should span three fragments, got {three_way}");
+    assert!(local > 3, "most layouts should check `local` without shipment, got {local}");
+    assert!(three_way > 1, "some gathers should span three fragments, got {three_way}");
     got
 }

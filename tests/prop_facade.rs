@@ -23,13 +23,11 @@ fn facade(
     sigma: &[Cfd],
     algorithm: Algorithm,
     cfg: RunConfig,
-    mode: ShipMode,
 ) -> Detection {
     DetectRequest::over(topology)
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(cfg)
-        .ship_mode(mode)
         .run()
         .expect("facade run succeeds on generated inputs")
 }
@@ -87,19 +85,17 @@ proptest! {
                     partition.clone(),
                     std::slice::from_ref(&cfd),
                     alg,
-                    cfg,
-                    ShipMode::Full,
-                );
+                    cfg);
                 prop_assert_eq!(engine, new, "{} @{}", strategy.algorithm_name(), threads);
             }
             // The two multi-CFD detectors (two CFDs).
             let inner = CoordinatorStrategy::MinResponseTime;
             let engine = run_seq(&partition, &sigma, inner, &cfg);
-            let new = facade(partition.clone(), &sigma, Algorithm::seq_detect(), cfg, ShipMode::Full);
+            let new = facade(partition.clone(), &sigma, Algorithm::seq_detect(), cfg);
             prop_assert_eq!(engine, new, "SEQDETECT @{}", threads);
             let engine = run_clust(&partition, &sigma, inner, &cfg);
             let new =
-                facade(partition.clone(), &sigma, Algorithm::clust_detect(), cfg, ShipMode::Full);
+                facade(partition.clone(), &sigma, Algorithm::clust_detect(), cfg);
             prop_assert_eq!(engine, new, "CLUSTDETECT @{}", threads);
         }
     }
@@ -122,9 +118,7 @@ proptest! {
                 replicated.clone(),
                 std::slice::from_ref(&cfd),
                 Algorithm::PatDetectS,
-                cfg,
-                ShipMode::Full,
-            );
+                cfg);
             prop_assert_eq!(engine, new, "REPDETECT @{}", threads);
         }
     }
@@ -153,15 +147,13 @@ proptest! {
                     hybrid.clone(),
                     std::slice::from_ref(&cfd),
                     alg,
-                    cfg,
-                    ShipMode::Full,
-                );
+                    cfg);
                 prop_assert_eq!(engine, new, "HYBRID {:?} @{}", strategy, threads);
             }
         }
     }
 
-    /// Vertical topology: façade ≡ `run_vertical`, both ship modes.
+    /// Vertical topology: façade ≡ `run_vertical`.
     #[test]
     fn facade_matches_engine_vertical(
         rows in arb_rows(1..40),
@@ -172,19 +164,11 @@ proptest! {
         let cfd = build_cfd("p", &pats, rhs_const);
         let partition =
             VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
-        for mode in [ShipMode::Full, ShipMode::Filtered] {
-            let cfg = RunConfig::default();
-            let engine =
-                run_vertical(&partition, std::slice::from_ref(&cfd), mode, &cfg).unwrap();
-            let new = facade(
-                partition.clone(),
-                std::slice::from_ref(&cfd),
-                Algorithm::PatDetectS,
-                cfg,
-                mode,
-            );
-            prop_assert_eq!(engine, new, "VERTICAL {:?}", mode);
-        }
+        let cfg = RunConfig::default();
+        let engine = run_vertical(&partition, std::slice::from_ref(&cfd), &cfg).unwrap();
+        let new =
+            facade(partition.clone(), std::slice::from_ref(&cfd), Algorithm::PatDetectS, cfg);
+        prop_assert_eq!(engine, new, "VERTICAL");
     }
 
     /// A session is the incremental run it opens: over horizontal,
@@ -271,15 +255,12 @@ proptest! {
         let want = partition.reassemble().map(|whole| detect_set(&whole, &sigma));
 
         let agrees = |got: &ViolationReport| want.as_ref().is_ok_and(|want| want == got);
-        for mode in [ShipMode::Full, ShipMode::Filtered] {
-            let request =
-                DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).ship_mode(mode);
-            if let Ok(d) = request.run() {
-                prop_assert!(agrees(&d.violations), "run {:?}", mode);
-            }
-            if let Ok(session) = request.session() {
-                prop_assert!(agrees(&session.report()), "session {:?}", mode);
-            }
+        let request = DetectRequest::over(partition).cfds(sigma.iter().cloned());
+        if let Ok(d) = request.run() {
+            prop_assert!(agrees(&d.violations), "run");
+        }
+        if let Ok(session) = request.session() {
+            prop_assert!(agrees(&session.report()), "session");
         }
     }
 }

@@ -4,7 +4,8 @@
 //! semantics on arbitrary spec lists; (2) the kernel's two call shapes
 //! (columnar `detect_simple`, code-native `ResolvedCfd::detect_among`)
 //! agree tuple-for-tuple and pattern-for-pattern with the pairwise
-//! `dcd_cfd::oracle` on random relations; (3) an incrementally
+//! `dcd_cfd::oracle` on random relations, and every code-native entry
+//! point returns the tally the naive semantics predicts; (3) an incrementally
 //! maintained [`MinedTableau`] equals a full re-mine of the
 //! materialized partition after *every prefix* of a generated delta
 //! stream — both on the raw [`IncrementalRun`] and through the
@@ -13,12 +14,10 @@
 mod common;
 
 use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema};
-use distributed_cfd::cfd::{
-    detect_simple_strict, judge, oracle, Judgement, KernelCounters, RhsSpec,
-};
+use distributed_cfd::cfd::{detect_simple_strict, judge, oracle, Judgement, KernelTally, RhsSpec};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::{AttrId, FxHashSet};
+use distributed_cfd::relation::{AttrId, CodeBatch, FxHashSet};
 use proptest::prelude::*;
 
 /// The paper's per-group semantics, spelled out naively: a variable
@@ -110,7 +109,7 @@ proptest! {
             let indices: Vec<usize> = (0..rel.len()).collect();
             let code_rows = rel.code_rows(&attrs, &indices);
             let layout = CodeLayout::of_relation(&rel, &attrs);
-            let code_native = layout.resolve(&simple).detect_among(&code_rows);
+            let (code_native, _) = layout.resolve(&simple).detect_among(&code_rows);
             prop_assert_eq!(&columnar, &row_wise, "columnar vs row-wise");
             prop_assert_eq!(&columnar, &code_native, "columnar vs codes");
         }
@@ -134,6 +133,19 @@ struct NaiveRun {
     mixed: u64,
 }
 
+impl NaiveRun {
+    /// The tally a kernel run over the same rows should return.
+    fn tally(&self) -> KernelTally {
+        let NaiveRun { probes, clean, all_flagged, mixed, .. } = *self;
+        KernelTally { probes, clean, all_flagged, mixed }
+    }
+}
+
+/// Whether the row `(a, b, c, _)` matches the LHS of one tableau row.
+fn lhs_matches(&(a, b, c, _): &(i64, i64, u8, u8), &(pa, pb, pc, _): &MixedPattern) -> bool {
+    pa.is_none_or(|v| v == a) && pb.is_none_or(|v| v == b) && pc.is_none_or(|v| v == c)
+}
+
 /// Groups rows by `(a, b, c)` values, lists each group's matching
 /// patterns in tableau order and applies [`naive_group_flags`]. A group
 /// is *all flagged* when the FD conflict alone convicts it, *mixed* when
@@ -148,9 +160,7 @@ fn naive_run(rows: &[(i64, i64, u8, u8)], tableau: &[MixedPattern], strict: bool
         run.probes += 1;
         let specs: Vec<RhsSpec> = tableau
             .iter()
-            .filter(|(pa, pb, pc, _)| {
-                pa.is_none_or(|v| v == a) && pb.is_none_or(|v| v == b) && pc.is_none_or(|v| v == c)
-            })
+            .filter(|p| lhs_matches(&(a, b, c, 0), p))
             .map(|&(_, _, _, rhs)| rhs.map_or(RhsSpec::Wild, |d| RhsSpec::Const(u32::from(d))))
             .collect();
         if specs.is_empty() {
@@ -180,11 +190,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The grouping kernel behind `detect_simple`, `detect_simple_strict`
-    /// and `ResolvedCfd::detect_among` against the naive semantics, on
+    /// and the code-native entry points against the naive semantics, on
     /// tableaux that mix variable and constant patterns over the same
     /// groups and under both readings: the flagged tuples, the violating
-    /// keys, and — where a caller can bind counters — the probe count and
-    /// the verdict mix.
+    /// keys, and — for each entry point that returns one — the tally:
+    /// `detect_among` over wire rows, `detect_batch` over the same rows
+    /// as a column batch, and `detect_pattern_block` per pattern over the
+    /// rows it matches.
     #[test]
     fn grouping_kernel_matches_naive_semantics_tallies_included(
         rows in arb_rows(1..40),
@@ -231,21 +243,34 @@ proptest! {
 
         let want = naive_run(&rows, &tableau, false);
         let (tids, keys) = sets_of(&want);
-        let counters = KernelCounters::default();
         let attrs: Vec<AttrId> = simple.shipped_attrs();
-        let wire = rel.code_rows(&attrs, &(0..rel.len()).collect::<Vec<_>>());
-        let mut resolved = CodeLayout::of_relation(&rel, &attrs).resolve(&simple);
-        resolved.set_counters(counters.clone());
-        let got = resolved.detect_among(&wire);
+        let all: Vec<usize> = (0..rel.len()).collect();
+        let wire = rel.code_rows(&attrs, &all);
+        let resolved = CodeLayout::of_relation(&rel, &attrs).resolve(&simple);
+        let (got, tally) = resolved.detect_among(&wire);
         prop_assert_eq!(&got.tids, &tids, "Vio over wire rows");
         prop_assert_eq!(&got.patterns, &keys, "Vioπ over wire rows");
-        prop_assert_eq!(counters.probes.get(), want.probes, "one probe per distinct key");
-        prop_assert_eq!(
-            (counters.clean.get(), counters.all_flagged.get(), counters.mixed.get()),
-            (want.clean, want.all_flagged, want.mixed),
-            "verdict mix (clean, all flagged, mixed)"
-        );
-        prop_assert_eq!(counters.groups.get(), want.clean + want.all_flagged + want.mixed);
+        prop_assert_eq!(tally, want.tally(), "detect_among: probes and verdict mix");
+        prop_assert_eq!(tally.groups(), want.clean + want.all_flagged + want.mixed);
+
+        let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
+        rel.gather_into(&attrs, &all, &mut batch);
+        let (found, tally) = resolved.detect_batch(&batch);
+        prop_assert_eq!(&ViolationSet::from(found), &got, "detect_batch findings");
+        prop_assert_eq!(tally, want.tally(), "detect_batch: probes and verdict mix");
+
+        for (l, pattern) in tableau.iter().enumerate() {
+            let matching: Vec<usize> =
+                (0..rows.len()).filter(|&i| lhs_matches(&rows[i], pattern)).collect();
+            let block: Vec<_> = matching.iter().map(|&i| rows[i]).collect();
+            let want = naive_run(&block, std::slice::from_ref(pattern), false);
+            let (found, tally) = resolved.detect_pattern_block(wire.iter(), l);
+            let tids: FxHashSet<TupleId> =
+                want.rows.iter().map(|&i| rel.tids()[matching[i]]).collect();
+            prop_assert_eq!(&found.tids, &tids, "pattern {} Vio", l);
+            prop_assert_eq!(found.patterns.len(), want.keys.len(), "pattern {} Vioπ", l);
+            prop_assert_eq!(tally, want.tally(), "detect_pattern_block {}: tally", l);
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! The observability determinism contract, pinned as a matrix: for
-//! every detector × every topology, the whole [`Detection`] — its frozen
-//! `metrics` snapshot and its `trace` span set included — must be `==`
-//! at pool widths {1, 8}. Metrics are accumulated by order-free atomics
-//! and spans are timestamped from `SiteClocks` snapshots, so nothing the
+//! every detector × every topology, the whole [`Detection`] — its
+//! `metrics` copy and its `trace` span set included — must be `==` at
+//! pool widths {1, 8}. Metrics are order-free integer sums the
+//! coordinating thread adds after each join, and spans are timestamped
+//! from `SiteClocks` snapshots, so nothing the
 //! scheduler does (who runs which site's task, in what order) may reach
 //! either artifact. The host-scoped pool counter (`dcd_pool_tasks_total`)
 //! lives in `host_registry()` precisely because it counts every run of
@@ -91,8 +92,7 @@ fn assert_surface(label: &str, d: &Detection) {
         "dcd_control_bytes_total",
     ] {
         assert!(
-            d.metrics.value(family, "").is_some()
-                || d.metrics.families.iter().any(|f| f.name == family),
+            d.metrics.value(family, "{from=\"0\",to=\"0\"}").is_some(),
             "{label}: missing ledger-mirror family {family}"
         );
     }

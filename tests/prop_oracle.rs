@@ -181,12 +181,12 @@ fn validate_at_coordinators(
         .collect();
     let want = oracle::vio(&tuples, cfd);
     let resolved = layout.resolve(cfd);
-    prop_assert_eq!(resolved.detect_among(&gathered), want, "gathered, {}", pass);
+    prop_assert_eq!(resolved.detect_among(&gathered).0, want, "gathered, {}", pass);
     let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
     for f in fragments {
         f.data.gather_into(&attrs, &(0..f.data.len()).collect::<Vec<_>>(), &mut batch);
     }
-    let found = resolved.detect_batch(&batch);
+    let (found, _) = resolved.detect_batch(&batch);
     prop_assert_eq!(ViolationSet::from(found.clone()), want, "batch, {}", pass);
 
     let (variable, constants) = cfd.split_constant();

@@ -7,14 +7,14 @@ mod common;
 
 use common::{arb_rows, build_relation, schema};
 use distributed_cfd::prelude::*;
+use distributed_cfd::relation::AttrId;
 use distributed_cfd::vertical::locally_checkable_at;
 use proptest::prelude::*;
 
 /// Runs one facade request over a vertical partition.
-fn run_on(partition: &VerticalPartition, sigma: &[Cfd], mode: ShipMode) -> Detection {
+fn run_on(partition: &VerticalPartition, sigma: &[Cfd]) -> Detection {
     DetectRequest::over(partition.clone())
         .cfds(sigma.iter().cloned())
-        .ship_mode(mode)
         .run()
         .expect("generated requests are valid")
 }
@@ -64,15 +64,15 @@ proptest! {
             // fragment (no other CFDs can help imply it)…
             prop_assert!(locally_checkable_at(&cfd, &groups).is_some());
             // …and vertical detection needs no shipment.
-            let out = run_on(&partition, std::slice::from_ref(&cfd), ShipMode::Full);
+            let out = run_on(&partition, std::slice::from_ref(&cfd));
             prop_assert_eq!(out.shipped_tuples, 0);
             let global = detect(&rel, &cfd);
             prop_assert_eq!(&out.violations.all_tids(), &global.tids);
         }
     }
 
-    /// Vertical detection with shipment ≡ centralized detection, both
-    /// ship modes, arbitrary splits.
+    /// Vertical detection with shipment ≡ centralized detection,
+    /// arbitrary splits.
     #[test]
     fn vertical_detection_equals_centralized(
         rows in arb_rows(1..40),
@@ -88,14 +88,13 @@ proptest! {
             parse_cfd(&s, "f2", "([a=1, c] -> [d])").unwrap(),
         ];
         let global = detect_set(&rel, &sigma);
-        for mode in [ShipMode::Full, ShipMode::Filtered] {
-            let out = run_on(&partition, &sigma, mode);
-            prop_assert_eq!(out.violations.all_tids(), global.all_tids(), "{:?}", mode);
-        }
+        let out = run_on(&partition, &sigma);
+        prop_assert_eq!(out.violations.all_tids(), global.all_tids());
     }
 
-    /// Filtered shipping never ships more than full shipping and never
-    /// changes results.
+    /// Filtered shipping never ships more than shipping every row of
+    /// every contributing fragment but the coordinator — rows ×
+    /// (contributing fragments − 1) — and never changes results.
     #[test]
     fn filtered_mode_dominates(
         rows in arb_rows(1..40),
@@ -108,10 +107,11 @@ proptest! {
         };
         let s = schema();
         let cfd = parse_cfd(&s, "f", &format!("([a={pin}, b] -> [d])")).unwrap();
-        let full = run_on(&partition, std::slice::from_ref(&cfd), ShipMode::Full);
-        let filt = run_on(&partition, std::slice::from_ref(&cfd), ShipMode::Filtered);
-        prop_assert!(filt.shipped_tuples <= full.shipped_tuples);
-        prop_assert_eq!(filt.violations.all_tids(), full.violations.all_tids());
+        let needed: Vec<AttrId> = cfd.attrs().iter().collect();
+        let full = rel.len() * (partition.gather_plan(&needed).supplies.len() - 1);
+        let filt = run_on(&partition, std::slice::from_ref(&cfd));
+        prop_assert!(filt.shipped_tuples <= full, "{} > {}", filt.shipped_tuples, full);
+        prop_assert_eq!(filt.violations.all_tids(), detect(&rel, &cfd).tids);
     }
 
     /// Refinement: greedy is always preserving and never smaller than
