@@ -7,10 +7,9 @@
 //!    the cell's sub-site covering the most of the CFD's attributes
 //!    becomes the *cell coordinator*; the other sub-sites ship the
 //!    dictionary codes of their needed columns — `(tid, codes)` rows at
-//!    4 bytes per cell — which the coordinator pairs through the cell's
-//!    row alignment into the cell's projection of the relation (the
-//!    codes are portable because every fragment shares the parent
-//!    relation's dictionaries).
+//!    4 bytes per cell — which the coordinator pairs row by row into the
+//!    cell's projection of the relation (the codes are portable because
+//!    every fragment shares the parent relation's dictionaries).
 //! 2. **Horizontal detection across cells**: the cell projections form a
 //!    synthesized horizontal partition (located at the cell
 //!    coordinators; all other sites empty), over which the standard
@@ -142,7 +141,7 @@ fn gather_cell(
     let vertical = &partition.cells()[cell_idx].vertical;
     let plan = vertical.gather_plan(needed);
     let rows: Vec<usize> = (0..vertical.fragments()[0].data.len()).collect();
-    let batch = vertical.gather(&plan, &vertical.row_alignment()?, &rows);
+    let batch = vertical.gather(&plan, &rows);
 
     let mut column_of: Vec<Option<&[u32]>> = vec![None; null_codes.len()];
     for (a, col) in plan.attrs().into_iter().zip(&batch.cols) {

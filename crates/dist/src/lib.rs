@@ -47,4 +47,4 @@ pub use hybrid::{HybridCell, HybridPartition};
 pub use ledger::{ShipmentLedger, CODE_BYTES, TID_CELLS};
 pub use replicated::{chained_holds, ReplicatedPartition};
 pub use site::SiteId;
-pub use vertical::{GatherPlan, RowAlignment, VFragment, VerticalPartition};
+pub use vertical::{GatherPlan, VFragment, VerticalPartition};

@@ -1,9 +1,15 @@
 //! Vertical fragmentation: `Di = π_{key ∪ Xi}(D)` (§II-B, §V).
 
+use crate::pool::scoped_map;
 use crate::site::SiteId;
-use dcd_relation::{ops, AttrId, CodeBatch, FxHashMap, Relation, RelationError, Schema, TupleId};
-use std::borrow::Cow;
+use dcd_relation::{
+    ops, AttrId, CodeBatch, DeltaEffect, PendingDelta, Relation, RelationDelta, RelationError,
+    Schema, Tuple, TupleId,
+};
 use std::sync::Arc;
+
+/// `(tid, code row)` pairs, one side of a [`DeltaEffect`].
+type CodeRows = Vec<(TupleId, Box<[u32]>)>;
 
 /// One vertical fragment: a projection of the relation onto the key plus
 /// a group of attributes, placed at one site.
@@ -35,6 +41,11 @@ impl VFragment {
 /// A vertical partition of one relation: each fragment holds the key
 /// plus one attribute group; together (with the key) they cover the
 /// schema, so the relation is losslessly reassemblable by tuple id.
+///
+/// Every fragment holds the same tuples in the same row order — the
+/// constructors project one relation, and [`Self::apply_delta`] is the
+/// only way to change them — so row `r` of one fragment and row `r` of
+/// another are the same tuple.
 #[derive(Debug, Clone)]
 pub struct VerticalPartition {
     schema: Arc<Schema>,
@@ -116,13 +127,51 @@ impl VerticalPartition {
         &self.fragments
     }
 
-    /// Mutable access to the fragments — the incremental-maintenance
-    /// hook. Every fragment must receive the projection of the same
-    /// delta (same deletes, same inserts in the same order), or the
-    /// row alignment that [`Self::reassemble`] and the incremental
-    /// runner rely on is lost.
-    pub fn fragments_mut(&mut self) -> &mut [VFragment] {
-        &mut self.fragments
+    /// Applies one whole-tuple delta to every fragment: each receives
+    /// its projection (same deletes, same inserts in the same order).
+    /// Every projection is checked and located
+    /// ([`Relation::locate_delta`]) before any fragment mutates — in
+    /// parallel on up to `threads` participants — so a delta one
+    /// fragment rejects (an unknown delete id, a live insert id, an
+    /// insert ill-typed in that fragment's attributes) changes none; the
+    /// first error in site order is returned. Returns the full-width
+    /// effect in original-schema order, each cell read from the
+    /// attribute's [`Self::owner_of`] fragment.
+    pub fn apply_delta(
+        &mut self,
+        delta: &RelationDelta,
+        threads: usize,
+    ) -> Result<DeltaEffect, RelationError> {
+        let arity = self.schema.arity();
+        if let Some(t) = delta.inserts.iter().find(|t| t.values().len() != arity) {
+            return Err(RelationError::ArityMismatch { expected: arity, got: t.values().len() });
+        }
+        let owners: Vec<(usize, AttrId)> =
+            self.schema.attr_ids().map(|a| self.owner_of(a)).collect();
+        let projected: Vec<RelationDelta> = self
+            .fragments
+            .iter()
+            .map(|frag| {
+                let inserts =
+                    delta.inserts.iter().map(|t| Tuple::new(t.tid, t.project(&frag.attrs)));
+                RelationDelta::new(inserts.collect(), delta.deletes.clone())
+            })
+            .collect();
+        let tasks = self.fragments.iter_mut().map(|frag| &mut frag.data).zip(&projected);
+        let located = scoped_map(threads, tasks, |(data, delta)| data.locate_delta(delta));
+        let pending: Vec<PendingDelta<'_, '_>> = located.into_iter().collect::<Result<_, _>>()?;
+        let effects = scoped_map(threads, pending, PendingDelta::apply);
+        let full_width = |side: fn(&DeltaEffect) -> &CodeRows| {
+            let tids = side(&effects[0]).iter().map(|&(tid, _)| tid);
+            let cells = |r: usize| -> Box<[u32]> {
+                owners.iter().map(|&(f, a)| side(&effects[f])[r].1[a.index()]).collect()
+            };
+            tids.enumerate().map(|(r, tid)| (tid, cells(r))).collect()
+        };
+        Ok(DeltaEffect {
+            inserted: full_width(|e| &e.inserted),
+            deleted: full_width(|e| &e.deleted),
+        })
     }
 
     /// The attribute groups (key included) — the shape the dependency
@@ -170,65 +219,27 @@ impl VerticalPartition {
         GatherPlan { supplies }
     }
 
-    /// How every fragment's rows line up with fragment 0's. Fragments
-    /// normally hold the same tuples in the same order; one whose tid
-    /// column differs is read through a tid → row map built once, and a
-    /// tuple it lacks is a `SchemaMismatch`. Everything that pairs the
-    /// columns of two fragments goes through this — positions are never
-    /// trusted.
-    pub fn row_alignment(&self) -> Result<RowAlignment, RelationError> {
-        let tids = self.fragments[0].data.tids();
-        let maps = self
-            .fragments
-            .iter()
-            .map(|frag| {
-                if frag.data.tids() == tids {
-                    return Ok(None);
-                }
-                let row_of: FxHashMap<TupleId, usize> =
-                    frag.data.tids().iter().enumerate().map(|(row, &tid)| (tid, row)).collect();
-                tids.iter()
-                    .map(|tid| {
-                        row_of.get(tid).copied().ok_or_else(|| RelationError::SchemaMismatch {
-                            detail: format!("tuple {tid} missing from {}", frag.site),
-                        })
-                    })
-                    .collect::<Result<Vec<usize>, _>>()
-                    .map(Some)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(RowAlignment { maps })
-    }
-
-    /// Executes `plan` for the given rows of fragment 0: their tuple ids
-    /// plus one column per planned attribute ([`GatherPlan::attrs`]
-    /// order), each copied from its supplier's column at the aligned
-    /// rows.
-    pub fn gather(&self, plan: &GatherPlan, alignment: &RowAlignment, rows: &[usize]) -> CodeBatch {
+    /// Executes `plan` for the given rows: their tuple ids plus one
+    /// column per planned attribute ([`GatherPlan::attrs`] order), each
+    /// copied from its supplier's column at those rows.
+    pub fn gather(&self, plan: &GatherPlan, rows: &[usize]) -> CodeBatch {
         let tids = self.fragments[0].data.tids();
         let mut batch =
             CodeBatch { tids: rows.iter().map(|&r| tids[r]).collect(), cols: Vec::new() };
         for (fi, attrs) in &plan.supplies {
             let frag = &self.fragments[*fi];
-            let frag_rows: Cow<'_, [usize]> = match &alignment.maps[*fi] {
-                None => Cow::Borrowed(rows),
-                Some(map) => rows.iter().map(|&r| map[r]).collect(),
-            };
             for &a in attrs {
                 let mut col = Vec::with_capacity(rows.len());
                 let local = frag.local_attr(a).expect("planned from this fragment");
-                frag.data.gather_column(local, &frag_rows, &mut col);
+                frag.data.gather_column(local, rows, &mut col);
                 batch.cols.push(col);
             }
         }
         batch
     }
 
-    /// Reassembles the original relation by tuple id (every fragment
-    /// holds every tuple's projection, so fragment 0 fixes the order;
-    /// see [`Self::row_alignment`]).
+    /// Reassembles the original relation, rows in the fragments' order.
     pub fn reassemble(&self) -> Result<Relation, RelationError> {
-        let alignment = self.row_alignment()?;
         // Every original attribute lives in some fragment (coverage is
         // validated at construction); that fragment supplies both the
         // column's dictionary and its codes, so nothing is re-interned.
@@ -244,7 +255,7 @@ impl VerticalPartition {
         let mut codes = vec![0u32; sources.len()];
         for (i, &tid) in first.tids().iter().enumerate() {
             for (code, &(fi, local)) in codes.iter_mut().zip(&sources) {
-                *code = self.fragments[fi].data.column(local).codes()[alignment.row(fi, i)];
+                *code = self.fragments[fi].data.column(local).codes()[i];
             }
             out.push_code_row(tid, &codes)?;
         }
@@ -271,21 +282,6 @@ impl GatherPlan {
     /// The gathered attributes in column order: supplier by supplier.
     pub fn attrs(&self) -> Vec<AttrId> {
         self.supplies.iter().flat_map(|(_, attrs)| attrs.iter().copied()).collect()
-    }
-}
-
-/// A [`VerticalPartition::row_alignment`]: per fragment, `None` when its
-/// tuple-id column equals fragment 0's, else its row for every row of
-/// fragment 0.
-#[derive(Debug, Clone)]
-pub struct RowAlignment {
-    maps: Vec<Option<Vec<usize>>>,
-}
-
-impl RowAlignment {
-    /// The row of `fragment` holding the tuple at row `r` of fragment 0.
-    pub fn row(&self, fragment: usize, r: usize) -> usize {
-        self.maps[fragment].as_ref().map_or(r, |map| map[r])
     }
 }
 
@@ -374,25 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn reassemble_follows_tids_when_a_fragment_is_reordered() {
-        let r = rel();
-        let mut p = VerticalPartition::by_attribute_groups(&r, &[&["a", "b"], &["c"]]).unwrap();
-        let reversed: Vec<usize> = (0..r.len()).rev().collect();
-        let frag = &mut p.fragments_mut()[1];
-        frag.data = frag.data.copy_rows(&reversed);
-        assert_ne!(p.fragments()[1].data.tids(), p.fragments()[0].data.tids());
-        assert!(p.reassemble().unwrap().iter().eq(r.iter()));
-        // Reordering fragment 0 reorders the result, not its content.
-        let frag = &mut p.fragments_mut()[0];
-        frag.data = frag.data.copy_rows(&reversed);
-        assert!(p.reassemble().unwrap().iter().eq(r.copy_rows(&reversed).iter()));
-    }
-
-    #[test]
-    fn a_gather_plans_each_column_once_and_reads_through_the_alignment() {
+    fn a_gather_plans_each_column_once_and_reads_it_from_its_supplier() {
         let r = rel();
         let ids = |names: &[&str]| r.schema().require_all(names).unwrap();
-        let mut p = VerticalPartition::by_attribute_groups(&r, &[&["c"], &["a", "b"], &["b", "c"]])
+        let p = VerticalPartition::by_attribute_groups(&r, &[&["c"], &["a", "b"], &["b", "c"]])
             .unwrap();
         // Owners are first-covering: the key and `c` at fragment 0.
         assert_eq!(p.owner_of(ids(&["id"])[0]), (0, AttrId(0)));
@@ -406,32 +387,13 @@ mod tests {
         assert_eq!(plan.supplies, [(1, ids(&["a", "b"])), (0, ids(&["c"]))]);
         assert_eq!(plan.attrs(), ids(&["a", "b", "c"]));
 
-        // Reordering the coordinator's rows changes no gathered cell:
-        // rows are fragment 0's, found in fragment 1 by tuple id.
         let rows = [4, 1, 5];
-        let aligned = p.gather(&plan, &p.row_alignment().unwrap(), &rows);
-        let reversed: Vec<usize> = (0..r.len()).rev().collect();
-        let frag = &mut p.fragments_mut()[1];
-        frag.data = frag.data.copy_rows(&reversed);
-        assert_eq!(p.gather(&plan, &p.row_alignment().unwrap(), &rows), aligned);
-        assert_eq!(aligned.tids, [TupleId(4), TupleId(1), TupleId(5)]);
+        let gathered = p.gather(&plan, &rows);
+        assert_eq!(gathered.tids, [TupleId(4), TupleId(1), TupleId(5)]);
         let want = r.code_rows(&ids(&["a", "b", "c"]), &rows);
         for (i, (_, codes)) in want.iter().enumerate() {
-            let got: Vec<u32> = aligned.cols.iter().map(|col| col[i]).collect();
+            let got: Vec<u32> = gathered.cols.iter().map(|col| col[i]).collect();
             assert_eq!(got[..], codes[..], "row {i}");
         }
-    }
-
-    #[test]
-    fn reassemble_reports_a_tuple_missing_from_a_fragment() {
-        let r = rel();
-        let mut p = VerticalPartition::by_attribute_groups(&r, &[&["a", "b"], &["c"]]).unwrap();
-        let frag = &mut p.fragments_mut()[1];
-        frag.data = frag.data.copy_rows(&[0, 1, 2, 4, 5]);
-        let err = p.reassemble().unwrap_err();
-        assert!(
-            matches!(&err, RelationError::SchemaMismatch { detail } if detail.contains("t3")),
-            "{err}"
-        );
     }
 }

@@ -3,12 +3,14 @@
 //! (tuple multiset round-trip), and the §II-B validation invariants hold
 //! by construction — fragments that share dictionaries can be mutated
 //! from the pool's threads at once, and every constructor reserves
-//! exactly the rows it stores.
+//! exactly the rows it stores. A vertical partition keeps its fragments'
+//! rows in line through every delta it accepts, and a delta it rejects
+//! changes no fragment.
 
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{Fragment, HorizontalPartition, HybridPartition, SiteId, VerticalPartition};
 use dcd_relation::{
-    ops, vals, Atom, Predicate, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType,
+    ops, vals, Atom, Predicate, Relation, RelationDelta, Schema, Tuple, TupleId, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -99,6 +101,150 @@ proptest! {
         let p = VerticalPartition::by_attribute_groups(&rel, &[&left, &right]).unwrap();
         let back = p.reassemble().unwrap();
         prop_assert!(back.iter().eq(rel.iter()));
+    }
+}
+
+/// `(id, a, b, c)` with `a` an integer and `b`, `c` strings.
+fn wide_schema() -> Arc<Schema> {
+    Schema::builder("w")
+        .attr("id", ValueType::Int)
+        .attr("a", ValueType::Int)
+        .attr("b", ValueType::Str)
+        .attr("c", ValueType::Str)
+        .key(&["id"])
+        .build()
+        .unwrap()
+}
+
+fn wide_tuple(tid: u64, (a, b, c): (i64, u8, u8)) -> Tuple {
+    Tuple::new(TupleId(tid), vals![tid as i64, a, format!("b{b}"), format!("c{c}")])
+}
+
+/// Each split with the one attribute that fragment 0 lacks and only one
+/// fragment holds: a value of the wrong type there is ill-typed in that
+/// fragment's projection alone.
+const SPLITS: [(&[&[&str]], usize); 3] = [
+    (&[&["a", "b"], &["c"]], 3),
+    (&[&["a"], &["b", "c"], &["a", "b"]], 3),
+    (&[&["c"], &["a"], &["b", "c"]], 1),
+];
+
+/// Every fragment's tuple ids and code columns.
+fn fragment_state(p: &VerticalPartition) -> Vec<(Vec<TupleId>, Vec<Vec<u32>>)> {
+    let codes = |rel: &Relation| rel.columns().iter().map(|c| c.codes().to_vec()).collect();
+    p.fragments().iter().map(|f| (f.data.tids().to_vec(), codes(&f.data))).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random whole-tuple delta streams through
+    /// `VerticalPartition::apply_delta`, step by step beside
+    /// `Relation::apply_delta` on the unfragmented relation (which shares
+    /// the partition's dictionaries, so codes compare directly). Steps of
+    /// kind 0–5 are made to fail: an unknown delete id, an insert id
+    /// repeated within the delta or already live, an insert ill-typed in
+    /// one fragment's attributes only, or one too short or too long. An
+    /// accepted delta leaves every fragment on fragment 0's tuple ids,
+    /// reassembles to the unfragmented relation and returns its code rows;
+    /// a rejected one changes no fragment.
+    #[test]
+    fn vertical_deltas_keep_the_fragments_in_line(
+        rows in prop::collection::vec((0..4i64, 0..3u8, 0..3u8), 0..30),
+        split in 0..3usize,
+        wide in any::<bool>(),
+        steps in prop::collection::vec(
+            (
+                0..10u8,
+                prop::collection::vec((0..4i64, 0..5u8, 0..5u8), 0..4),
+                prop::collection::vec(0..64usize, 0..4),
+            ),
+            1..12,
+        ),
+    ) {
+        let (groups, bad) = SPLITS[split];
+        let threads = if wide { 4 } else { 1 };
+        let values =
+            rows.iter().enumerate().map(|(i, &r)| wide_tuple(i as u64, r).values().to_vec());
+        let mut whole = Relation::from_rows(wide_schema(), values.collect()).unwrap();
+        let mut p = VerticalPartition::by_attribute_groups(&whole, groups).unwrap();
+        let mut next = rows.len() as u64;
+        for (kind, inserts, picks) in steps {
+            let live = whole.tids().to_vec();
+            let mut deletes: Vec<TupleId> = Vec::new();
+            for pick in picks.into_iter().filter(|_| !live.is_empty()) {
+                let tid = live[pick % live.len()];
+                if !deletes.contains(&tid) {
+                    deletes.push(tid);
+                }
+            }
+            let mut inserts: Vec<Tuple> = inserts
+                .into_iter()
+                .map(|r| {
+                    next += 1;
+                    wide_tuple(next, r)
+                })
+                .collect();
+            let fresh = wide_tuple(next + 1, (0, 0, 0));
+            let rejected = match kind {
+                0 => {
+                    deletes.push(TupleId(1_000_000));
+                    true
+                }
+                1 => {
+                    inserts.extend([fresh.clone(), fresh]);
+                    true
+                }
+                2 => match live.iter().find(|tid| !deletes.contains(tid)) {
+                    Some(&tid) => {
+                        inserts.push(wide_tuple(tid.0, (0, 0, 0)));
+                        true
+                    }
+                    None => false,
+                },
+                3 => {
+                    let mut values = fresh.values().to_vec();
+                    values[bad] = match values[bad] {
+                        Value::Int(_) => Value::str("x"),
+                        _ => Value::Int(7),
+                    };
+                    inserts.push(Tuple::new(fresh.tid, values));
+                    true
+                }
+                4 => {
+                    inserts.push(Tuple::new(fresh.tid, fresh.values()[..3].to_vec()));
+                    true
+                }
+                5 => {
+                    let values = fresh.values().iter().cloned().chain([Value::Int(0)]);
+                    inserts.push(Tuple::new(fresh.tid, values.collect()));
+                    true
+                }
+                _ => false,
+            };
+            let delta = RelationDelta::new(inserts, deletes);
+
+            let before = fragment_state(&p);
+            let got = p.apply_delta(&delta, threads);
+            let want = whole.apply_delta(&delta);
+            prop_assert_eq!(got.is_err(), rejected, "kind {}: {:?}", kind, got);
+            prop_assert_eq!(want.is_err(), rejected, "kind {}: {:?}", kind, want);
+            let Ok(effect) = got else {
+                prop_assert_eq!(fragment_state(&p), before, "kind {}: a fragment moved", kind);
+                continue;
+            };
+            let tids = p.fragments()[0].data.tids();
+            for frag in p.fragments() {
+                prop_assert_eq!(frag.data.tids(), tids, "{} out of line", frag.site);
+            }
+            prop_assert!(p.reassemble().unwrap().iter().eq(whole.iter()));
+            // Deleted rows are gone from `whole`; its effect holds their codes.
+            let ids: Vec<TupleId> = effect.inserted.iter().map(|&(tid, _)| tid).collect();
+            let at: Vec<usize> = whole.positions_of(&ids).into_iter().map(Option::unwrap).collect();
+            let attrs: Vec<_> = whole.schema().attr_ids().collect();
+            prop_assert_eq!(&effect.inserted, &whole.code_rows(&attrs, &at));
+            prop_assert_eq!(effect, want.unwrap());
+        }
     }
 }
 

@@ -59,7 +59,7 @@ use dcd_dist::{
 use dcd_obs::MetricsRegistry;
 use dcd_relation::{
     AttrId, DeltaEffect, Dictionary, FxHashSet, PendingDelta, Relation, RelationDelta,
-    RelationError, Tuple, TupleId,
+    RelationError, TupleId,
 };
 use std::sync::Arc;
 
@@ -463,9 +463,10 @@ fn observe_lag(ctx: &mut RunCtx, round_start: f64) {
     );
 }
 
-/// Every site's delta of one round, checked against the site's relation
-/// and located in it before any site mutates, with what applying it will
-/// charge each site. Shared by both run types.
+/// Every site's delta of one horizontal round, checked against the
+/// site's relation and located in it before any site mutates, with what
+/// applying it will charge each site. A vertical round does the same
+/// through [`VerticalPartition::apply_delta`].
 struct Located<'r, 'd> {
     /// Per site, in site order; `None` for an empty delta.
     pending: Vec<Option<PendingDelta<'r, 'd>>>,
@@ -564,10 +565,7 @@ fn maintain_indices(
 #[derive(Debug)]
 pub struct VerticalIncrementalRun {
     partition: VerticalPartition,
-    /// `(owning fragment, local column)` per original attribute — the
-    /// first fragment covering it.
-    placement: Vec<(usize, AttrId)>,
-    /// Attributes owned per fragment.
+    /// Attributes owned per fragment ([`VerticalPartition::owner_of`]).
     owned_count: Vec<usize>,
     indices: Vec<ViolationIndex>,
     coordinator: SiteId,
@@ -586,20 +584,13 @@ impl VerticalIncrementalRun {
     ) -> Result<Self, RelationError> {
         cfg.cost.check()?;
         sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
-        let alignment = partition.row_alignment()?;
         let n = partition.n_sites();
-        let placement: Vec<(usize, AttrId)> =
-            partition.schema().attr_ids().map(|a| partition.owner_of(a)).collect();
         let mut owned_count = vec![0usize; n];
-        for &(f, _) in &placement {
-            owned_count[f] += 1;
+        for a in partition.schema().attr_ids() {
+            owned_count[partition.owner_of(a).0] += 1;
         }
         let coordinator =
             SiteId((0..n).max_by_key(|&f| (owned_count[f], n - f)).expect("n ≥ 1") as u32);
-        let dicts: Vec<Arc<Dictionary>> = placement
-            .iter()
-            .map(|&(f, local)| partition.fragments()[f].data.dictionary(local).clone())
-            .collect();
         let mut ctx = RunCtx::new(n, cfg);
         ctx.begin_round();
         let n_rows = partition.fragments()[0].data.len();
@@ -622,36 +613,18 @@ impl VerticalIncrementalRun {
             wire.commit();
         });
 
-        // Assemble full code rows at the coordinator: each attribute is
-        // read from its owner's column, at the row the partition's
-        // alignment pairs with fragment 0's.
-        let columns: Vec<_> = placement
-            .iter()
-            .map(|&(f, local)| (f, partition.fragments()[f].data.column(local).codes()))
-            .collect();
-        let rows: CodeRows = partition.fragments()[0]
-            .data
-            .tids()
-            .iter()
-            .enumerate()
-            .map(|(r, &tid)| {
-                (tid, columns.iter().map(|(f, col)| col[alignment.row(*f, r)]).collect())
-            })
-            .collect();
+        // Full code rows at the coordinator: each attribute read from
+        // its owner's column, through the owner's dictionary.
+        let whole = partition.reassemble()?;
+        let attrs: Vec<AttrId> = whole.schema().attr_ids().collect();
+        let dicts = whole.dictionaries_of(&attrs);
+        let rows: CodeRows = whole.code_rows(&attrs, &(0..n_rows).collect::<Vec<_>>());
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
         let mut indices: Vec<ViolationIndex> =
             cfds.into_iter().map(|cfd| ViolationIndex::new(cfd, &dicts)).collect();
         maintain_indices(&mut ctx, "incr:build-index", &mut indices, coordinator, &[], &rows);
         ctx.end_round();
-        Ok(VerticalIncrementalRun {
-            partition,
-            placement,
-            owned_count,
-            indices,
-            coordinator,
-            ctx,
-            rounds: 0,
-        })
+        Ok(VerticalIncrementalRun { partition, owned_count, indices, coordinator, ctx, rounds: 0 })
     }
 
     /// Applies one whole-tuple delta (the same feed reaches every
@@ -665,20 +638,17 @@ impl VerticalIncrementalRun {
             self.rounds += 1;
             return Ok(RoundOutput { report: self.report(), paper_cost: 0.0 });
         }
-        let threads = self.ctx.cfg().threads;
-        let (attrs, sites): (Vec<&[AttrId]>, Vec<_>) = self
+        // Every site receives the delta and is charged as a horizontal
+        // site is (`Located::check`): one pass over its fragment as it
+        // was before the delta, plus per-op interning.
+        let cfg = *self.ctx.cfg();
+        let charges: Vec<(SiteId, f64)> = self
             .partition
-            .fragments_mut()
-            .iter_mut()
-            .map(|f| (f.attrs.as_slice(), (f.site, &mut f.data)))
-            .unzip();
-        let projected = scoped_map(threads, &attrs, |attrs| {
-            RelationDelta::new(
-                delta.inserts.iter().map(|t| Tuple::new(t.tid, t.project(attrs))).collect(),
-                delta.deletes.clone(),
-            )
-        });
-        let located = Located::check(self.ctx.cfg(), sites, &projected)?;
+            .fragments()
+            .iter()
+            .map(|f| (f.site, cfg.cost.scan_time(f.data.len() + delta.n_ops())))
+            .collect();
+        let effect = self.partition.apply_delta(delta, cfg.threads)?;
 
         self.rounds += 1;
         let ctx = &mut self.ctx;
@@ -687,8 +657,12 @@ impl VerticalIncrementalRun {
         ctx.begin_round();
         count_deltas(ctx, delta.n_ops());
 
-        // Phase 1: every site applies its projection of the delta.
-        let effects = located.apply(ctx);
+        // Phase 1: every site applied its projection of the delta.
+        ctx.phase("incr:apply", |p| {
+            for (site, secs) in charges {
+                p.compute(site, secs);
+            }
+        });
 
         // Phases 2 + 3: manifests, then owned-column shipment for the
         // inserted rows (delete ids are already part of the feed).
@@ -714,30 +688,14 @@ impl VerticalIncrementalRun {
             wire.commit();
         });
 
-        // Phase 4: assemble full insert rows from the per-site effects
-        // (rows align across fragments — same deletes, same insert
-        // order) and maintain the indices.
-        let inserts: CodeRows = (0..n_inserts)
-            .map(|r| {
-                let (tid, _) = effects[0].inserted[r];
-                let codes: Box<[u32]> = self
-                    .placement
-                    .iter()
-                    .map(|&(f, local)| {
-                        assert_eq!(effects[f].inserted[r].0, tid, "one feed, one insert order");
-                        effects[f].inserted[r].1[local.index()]
-                    })
-                    .collect();
-                (tid, codes)
-            })
-            .collect();
+        // Phase 4: the coordinator maintains the indices.
         maintain_indices(
             ctx,
             "incr:maintain",
             &mut self.indices,
             coordinator,
             &delta.deletes,
-            &inserts,
+            &effect.inserted,
         );
         observe_lag(ctx, round_start);
 

@@ -6,17 +6,12 @@
 //! phase-level run traces ([`RunTrace`]) timestamped by the *simulated*
 //! site clocks and exportable as chrome-trace JSON.
 //!
-//! Two scopes, one contract:
-//!
-//! * **Sim scope** — each run owns a registry and a [`RunTrace`]
-//!   (fields of its `RunCtx`, next to its `ShipmentLedger` and
-//!   `SiteClocks`), written only by its coordinating thread. Everything
-//!   recorded there is an order-free integer merge or a single-writer
-//!   gauge, so a detection's copy is pinned bit-identical across pool
-//!   widths, exactly like the violation reports.
-//! * **Host scope** — [`host_registry`] is process-wide and records
-//!   what the *hardware* did (pool tasks executed); those values count
-//!   every run the process makes and are excluded from pinning.
+//! Each run owns a registry and a [`RunTrace`] (fields of its `RunCtx`,
+//! next to its `ShipmentLedger` and `SiteClocks`), written only by its
+//! coordinating thread. Everything recorded there is an order-free
+//! integer merge or a single-writer gauge, so a detection's copy is
+//! pinned bit-identical across pool widths, exactly like the violation
+//! reports. Nothing is process-wide: there is no registry outside a run.
 //!
 //! This crate is the scrape surface the queued `dcd_serve` service
 //! reads verbatim. It depends on nothing, so every layer of the engine
@@ -30,5 +25,5 @@
 pub mod registry;
 pub mod trace;
 
-pub use registry::{host_registry, MetricsRegistry, SampleValue};
+pub use registry::{MetricsRegistry, SampleValue};
 pub use trace::{RunTrace, Span};

@@ -10,12 +10,9 @@
 //! its charge, and the phase body adds it after the join. A run's
 //! registry is therefore bit-identical across pool widths, the same
 //! pinning contract the violation reports and the shipment ledger obey.
-//! Metrics whose value depends on the host (pool task counts) go to the
-//! process-wide [`host_registry`], which is outside that contract.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// What kind of instrument a family holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,16 +223,6 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-wide **host-scope** registry: metrics whose values
-/// legitimately depend on the host or on scheduling races (pool tasks
-/// executed). Explicitly outside the per-run determinism pinning; a
-/// scrape surface for the process, not for a run. Writers hold the lock
-/// for one update.
-pub fn host_registry() -> &'static Mutex<MetricsRegistry> {
-    static HOST: Mutex<MetricsRegistry> = Mutex::new(MetricsRegistry::new());
-    &HOST
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,13 +297,5 @@ mod tests {
         assert_eq!(copy, reg);
         reg.add("dcd_c_total", "c", &[], 1);
         assert_ne!(copy, reg);
-    }
-
-    #[test]
-    fn host_registry_is_process_wide() {
-        let read = || host_registry().lock().unwrap().counter_total("dcd_host_probe_total");
-        let before = read();
-        host_registry().lock().unwrap().add("dcd_host_probe_total", "probe", &[], 1);
-        assert_eq!(read(), before + 1);
     }
 }

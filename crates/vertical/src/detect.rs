@@ -18,12 +18,12 @@
 //!    [`Transfer`](dcd_core::ctx::Transfer) (the tuple id rides as
 //!    [`TID_CELLS`] cells; key *columns* never travel, the id aligns
 //!    rows);
-//! 3. the coordinator pairs the fragments' rows through the partition's
-//!    [row alignment](VerticalPartition::row_alignment), keeps the rows
-//!    every contributing fragment kept, gathers them column by column
-//!    into one [`CodeBatch`](dcd_relation::CodeBatch) and validates it
-//!    through [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) —
-//!    decoding only violating group keys.
+//! 3. the coordinator keeps the rows every contributing fragment kept
+//!    (row `r` is the same tuple in every fragment of a
+//!    [`VerticalPartition`]), gathers them column by column into one
+//!    [`CodeBatch`](dcd_relation::CodeBatch) and validates it through
+//!    [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) — decoding
+//!    only violating group keys.
 
 use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
@@ -44,7 +44,6 @@ pub fn run_vertical(
 ) -> Result<Detection, RelationError> {
     let cost = cfg.cost;
     let fragments = partition.fragments();
-    let alignment = partition.row_alignment()?;
     let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
 
     for cfd in sigma {
@@ -84,12 +83,9 @@ pub fn run_vertical(
             }
             wire.commit();
         });
-        let survivors: Vec<usize> = (0..fragments[0].data.len())
-            .filter(|&r| {
-                plan.supplies.iter().zip(&keeps).all(|((f, _), keep)| keep[alignment.row(*f, r)])
-            })
-            .collect();
-        let batch = partition.gather(&plan, &alignment, &survivors);
+        let survivors: Vec<usize> =
+            (0..fragments[0].data.len()).filter(|&r| keeps.iter().all(|keep| keep[r])).collect();
+        let batch = partition.gather(&plan, &survivors);
 
         // The coordinator validates the batch.
         let dicts = plan

@@ -102,7 +102,7 @@ pub mod prelude {
         ShipmentLedger, SiteClocks, SiteId, VFragment, VerticalPartition, CODE_BYTES, TID_CELLS,
     };
     pub use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun, ViolationIndex};
-    pub use dcd_obs::{host_registry, MetricsRegistry, RunTrace, SampleValue, Span};
+    pub use dcd_obs::{MetricsRegistry, RunTrace, SampleValue, Span};
     pub use dcd_relation::{
         vals, Atom, CmpOp, Conjunction, DeltaEffect, Predicate, Relation, RelationDelta, Schema,
         Tuple, TupleId, Value, ValueType,

@@ -229,40 +229,6 @@ proptest! {
             (run.detection(), run.report())
         })?;
     }
-
-    /// Vertical fragments that stopped lining up — one reordered, or
-    /// short a tuple, through the public `fragments_mut` — are paired by
-    /// tuple id, never by position: a run and a session each answer what
-    /// `detect_set` answers on `reassemble()`, or refuse with a typed
-    /// error; they never answer something else.
-    #[test]
-    fn misaligned_vertical_fragments_are_answered_or_refused(
-        rows in arb_rows(1..40),
-        pats in arb_patterns(),
-        which in 0..3usize,
-        rotate in 1..7usize,
-        drop_one in any::<bool>(),
-    ) {
-        let rel = build_relation(&rows);
-        let sigma = [build_cfd("p", &pats, None)];
-        let mut partition =
-            VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
-        let mut order: Vec<usize> = (0..rel.len()).collect();
-        order.rotate_left(rotate % rel.len());
-        order.reverse();
-        let frag = &mut partition.fragments_mut()[which];
-        frag.data = frag.data.copy_rows(&order[usize::from(drop_one)..]);
-        let want = partition.reassemble().map(|whole| detect_set(&whole, &sigma));
-
-        let agrees = |got: &ViolationReport| want.as_ref().is_ok_and(|want| want == got);
-        let request = DetectRequest::over(partition).cfds(sigma.iter().cloned());
-        if let Ok(d) = request.run() {
-            prop_assert!(agrees(&d.violations), "run");
-        }
-        if let Ok(session) = request.session() {
-            prop_assert!(agrees(&session.report()), "session");
-        }
-    }
 }
 
 /// A cost model the clocks cannot run on — a negative or NaN

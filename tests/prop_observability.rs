@@ -5,9 +5,8 @@
 //! coordinating thread adds after each join, and spans are timestamped
 //! from `SiteClocks` snapshots, so nothing the
 //! scheduler does (who runs which site's task, in what order) may reach
-//! either artifact. The host-scoped pool counter (`dcd_pool_tasks_total`)
-//! lives in `host_registry()` precisely because it counts every run of
-//! the process; this suite pins everything a run owns.
+//! either artifact. Nothing is recorded outside a run, so this suite
+//! pins every metric the program keeps.
 //!
 //! It also pins that the trace is *complete*: per site, the spans'
 //! durations add up to the site's final clock, for every batch run of

@@ -4,8 +4,9 @@
 //! `dcd_x::` path with no manifest edge and `unsafe` code under a
 //! `#![forbid(unsafe_code)]` root. What neither can say is
 //! *which* files may hold a sanctioned exception, *which* edges the
-//! layering allows and *that* every root forbids `unsafe` — pinned here,
-//! over the manifests and a walk of the sources.
+//! layering allows, *that* every root forbids `unsafe` and *that* no
+//! production source declares process-wide state — pinned here, over the
+//! manifests and a walk of the sources.
 
 use std::path::{Path, PathBuf};
 
@@ -187,6 +188,31 @@ fn the_sanctioned_clock_and_thread_sites_stay_three() {
     assert_eq!(relaxed, [] as [&str; 0]);
 }
 
+/// The production sources (`src/` and every crate's `src/`) that declare
+/// a `static` item or a `thread_local!`, once per declaration. A
+/// `'static` lifetime and a string that says "static" are not
+/// declarations.
+fn process_wide(code: &[(String, String)]) -> Vec<String> {
+    let mut sites = Vec::new();
+    for (rel, text) in code {
+        if rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")) {
+            let statics = text.split_whitespace().filter(|&word| word == "static").count();
+            let n = statics + text.matches("thread_local!").count();
+            sites.extend(std::iter::repeat_n(rel.clone(), n));
+        }
+    }
+    sites
+}
+
+/// Nothing is process-wide: no production source declares a `static`
+/// or a `thread_local!`, so every meter, metric and cache belongs to a
+/// value its owner passes by reference, and no run can see another's.
+/// A constant is a `const`.
+#[test]
+fn no_production_source_holds_process_wide_state() {
+    assert_eq!(process_wide(&code()), [] as [&str; 0]);
+}
+
 /// The library crate roots: the facade's and every crate's `src/lib.rs`.
 fn crate_roots(code: &[(String, String)]) -> Vec<&(String, String)> {
     code.iter()
@@ -235,6 +261,7 @@ fn the_readme_counts_match_the_tree() {
             expectations_of("clippy::disallowed_methods", &code).len(),
             "sanctioned clock/thread sites",
         ),
+        (process_wide(&code).len(), "process-wide statics"),
     ] {
         assert!(
             line.contains(&format!(" {count} {what}")),
