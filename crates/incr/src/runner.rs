@@ -101,6 +101,9 @@ fn shared_dictionaries(fragments: &[Fragment]) -> Result<Vec<Arc<Dictionary>>, R
             }
         }
     }
+    // Every insert interns into every column: index them all now rather
+    // than on the first batch.
+    dicts.iter().for_each(|d| d.ensure_indexed());
     Ok(dicts)
 }
 
@@ -618,6 +621,9 @@ impl VerticalIncrementalRun {
         let whole = partition.reassemble()?;
         let attrs: Vec<AttrId> = whole.schema().attr_ids().collect();
         let dicts = whole.dictionaries_of(&attrs);
+        // As in `shared_dictionaries`: every insert interns into every
+        // column, so the session indexes them all up front.
+        dicts.iter().for_each(|d| d.ensure_indexed());
         let rows: CodeRows = whole.code_rows(&attrs, &(0..n_rows).collect::<Vec<_>>());
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
         let mut indices: Vec<ViolationIndex> =

@@ -270,3 +270,35 @@ fn cross_site_duplicate_insert_ids_are_rejected_before_mutation() {
     let out = run.apply_batch(&moved).unwrap();
     assert_report_matches_full(&out.report, &run.materialize().unwrap(), &sigma);
 }
+
+#[test]
+fn every_session_indexes_every_dictionary_up_front() {
+    // Every insert interns into every column, so a session builds each
+    // dictionary's value → code index at construction, not on its first
+    // batch; a built relation holds none.
+    let groups: [&[&str]; 2] = [
+        &["name", "CC", "AC", "phn", "street"],
+        &["city", "zip", "item_title", "item_price", "item_qty"],
+    ];
+    for constructor in ["new", "new_replicated", "vertical"] {
+        let (generated, sigma) = workload(300);
+        let rows = generated.iter().collect();
+        let rel = dcd_relation::Relation::from_tuples(generated.schema().clone(), rows).unwrap();
+        let dicts: Vec<_> = rel.columns().iter().map(|c| c.dict().clone()).collect();
+        assert!(dicts.iter().all(|d| !d.is_indexed()), "{constructor}: the load left an index");
+        let cfg = RunConfig::default();
+        let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        match constructor {
+            "new" => drop(IncrementalRun::new(horizontal, &sigma, cfg).unwrap()),
+            "new_replicated" => {
+                let rep = ReplicatedPartition::chained(horizontal, 2).unwrap();
+                drop(IncrementalRun::new_replicated(&rep, &sigma, cfg).unwrap());
+            }
+            _ => {
+                let partition = VerticalPartition::by_attribute_groups(&rel, &groups).unwrap();
+                drop(VerticalIncrementalRun::new(partition, &sigma, cfg).unwrap());
+            }
+        }
+        assert!(dicts.iter().all(|d| d.is_indexed()), "{constructor}: a dictionary is unindexed");
+    }
+}

@@ -596,7 +596,7 @@ impl Relation {
 
     /// Builds a relation from pre-identified tuples, via the bulk
     /// [`Relation::extend_tuples`] path. Its fresh dictionaries are
-    /// trimmed to what they hold.
+    /// trimmed to what they hold and unindexed until probed.
     pub fn from_tuples(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Result<Self, RelationError> {
         let mut rel = Relation::with_capacity(schema, tuples.len());
         rel.extend_tuples(tuples)?;
@@ -605,19 +605,22 @@ impl Relation {
 
     /// Builds a relation from literal rows, assigning fresh ids in
     /// order, via the bulk [`Relation::extend_rows`] path. Its fresh
-    /// dictionaries are trimmed to what they hold.
+    /// dictionaries are trimmed to what they hold and unindexed until
+    /// probed.
     pub fn from_rows(schema: Arc<Schema>, rows: Vec<Vec<Value>>) -> Result<Self, RelationError> {
         let mut rel = Relation::with_capacity(schema, rows.len());
         rel.extend_rows(rows)?;
         Ok(rel.trimmed())
     }
 
-    /// Releases the spare capacity of the value tables a load filled:
+    /// Releases the spare capacity of the value tables a load filled —
     /// the columns were sized exactly up front, a dictionary cannot be,
-    /// since its length is the number of distinct values.
+    /// since its length is the number of distinct values — and drops
+    /// their value → code indexes, which detection probes only to
+    /// compile pattern constants.
     fn trimmed(self) -> Self {
         for col in &self.columns {
-            col.dict().shrink_to_fit();
+            col.dict().trim();
         }
         self
     }
@@ -1083,6 +1086,7 @@ mod tests {
             let dicts = rel.dictionaries_of(&[AttrId(0), AttrId(1)]);
             assert_eq!(dicts.iter().map(|d| d.len()).collect::<Vec<_>>(), [101, 38]);
             assert!(dicts.iter().all(|d| d.capacity() == d.len()), "spare capacity");
+            assert!(dicts.iter().all(|d| !d.is_indexed()), "an index outlived the load");
             // A later insert still appends under the next code.
             let mut rel = rel;
             let insert = Tuple::new(TupleId(900), vals![-5, "s0"]);

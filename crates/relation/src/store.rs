@@ -35,18 +35,26 @@
 //! ([`Column::extend_values`]): known values under the read lock, each
 //! run of unseen ones under one acquisition of the write lock.
 //!
+//! The index is derived data, and it exists only while something probes
+//! it. Detection runs on codes and looks values up only to compile
+//! pattern constants, so a relation built from rows drops every
+//! dictionary's index after the load. The first [`Dictionary::code_of`]
+//! or interning miss that finds none rebuilds it in one pass, at the
+//! length growth from empty reaches; `Null` never needs it. Codes and
+//! their order do not depend on whether the index was there.
+//!
 //! A column is one allocation. Every constructor reserves exactly the rows
 //! it will hold, and a relation built from rows trims each dictionary's
 //! value table to its length, so a built relation carries no spare
-//! capacity; only appends to a built relation grow a column or a table,
-//! the way a `Vec` grows.
+//! capacity and no index; appends grow a column or a table the way a
+//! `Vec` grows.
 
 use crate::fxhash::FxBuildHasher;
 use crate::schema::ValueType;
 use crate::value::Value;
 use std::fmt;
 use std::hash::BuildHasher;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Sentinel code meaning "matches any value" in compiled pattern cells.
 /// Never assigned to a real value.
@@ -140,9 +148,9 @@ struct DictInner {
     /// placeholder that [`DictInner::holds`] never matches.
     null: Option<u32>,
     /// Inverse index, value → code: an open-addressing table over
-    /// `table`, linear probe. Its length is zero or a power of two and
-    /// at least twice `table.len()`, so a probe always ends at an empty
-    /// slot.
+    /// `table`, linear probe. Empty while the dictionary holds no index;
+    /// otherwise a power of two at least twice `table.len()`, so a probe
+    /// always ends at an empty slot, and it covers every code.
     slots: Vec<Slot>,
 }
 
@@ -173,9 +181,9 @@ impl DictInner {
     }
 
     /// The code of `v` (whose [`hash32`] is `hash`), or the empty slot its
-    /// probe ended at — where [`DictInner::insert_at`] puts it, provided
-    /// [`DictInner::reserve_one`] ran since the last insert. With no
-    /// table yet the miss names no slot (`Err(0)`).
+    /// probe ended at — where [`DictInner::find_or_insert`] puts it,
+    /// after [`DictInner::reserve_one`]. With no index the miss names no
+    /// slot (`Err(0)`), whether or not `v` is interned.
     #[inline]
     fn find(&self, v: &Value, hash: u32) -> Result<u32, usize> {
         let Some(mask) = self.slots.len().checked_sub(1) else { return Err(0) };
@@ -192,6 +200,16 @@ impl DictInner {
         }
     }
 
+    /// Puts `slot` at the first empty slot of its probe.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = slot.hash as usize & mask;
+        while self.slots[at].code != WILDCARD_CODE {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+
     /// Makes room for one more value at load ≤ ½, doubling the table if
     /// it has to. Growth re-places the slots from their stored hashes:
     /// no value is read, hashed or compared.
@@ -200,21 +218,51 @@ impl DictInner {
             return;
         }
         let len = (self.slots.len() * 2).max(8);
-        let mask = len - 1;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len]);
         for slot in old.into_iter().filter(|s| s.code != WILDCARD_CODE) {
-            let mut at = slot.hash as usize & mask;
-            while self.slots[at].code != WILDCARD_CODE {
-                at = (at + 1) & mask;
-            }
-            self.slots[at] = slot;
+            self.place(slot);
         }
     }
 
-    /// Assigns the next code to `v`, indexing it at the empty slot `at`
-    /// that [`DictInner::find`] reported. Panics if `v` is a non-null
-    /// value of the other type (see [`Dictionary::intern`]).
-    fn insert_at(&mut self, at: usize, v: &Value, hash: u32) -> u32 {
+    /// Builds the index, if there is none, over every code, `Null`'s
+    /// included, at the length growth from empty reaches: the smallest
+    /// power of two at least `max(8, 2 · len)`.
+    fn index_if_absent(&mut self) {
+        if !self.slots.is_empty() {
+            return;
+        }
+        let len = (self.table.len() * 2).max(8).next_power_of_two();
+        self.slots = vec![EMPTY_SLOT; len];
+        for code in 0..self.table.len() as u32 {
+            let hash = hash32(&self.value(code));
+            self.place(Slot { hash, code });
+        }
+    }
+
+    /// Under the write lock: the code of `v` (whose [`hash32`] is
+    /// `hash`) if it is known (`Ok`), else the code it is now assigned
+    /// (`Err`). A value that finds no index builds one first, except
+    /// `Null`: it has its code out of line, or appends without an index,
+    /// since a later build covers it.
+    fn find_or_insert(&mut self, v: &Value, hash: u32) -> Result<u32, u32> {
+        if v.is_null() && self.slots.is_empty() {
+            return self.null.ok_or_else(|| self.push(v));
+        }
+        self.index_if_absent();
+        self.reserve_one();
+        match self.find(v, hash) {
+            Ok(code) => Ok(code),
+            Err(at) => {
+                let code = self.push(v);
+                self.slots[at] = Slot { hash, code };
+                Err(code)
+            }
+        }
+    }
+
+    /// Assigns the next code to `v` in the table alone. Panics if `v` is
+    /// a non-null value of the other type (see [`Dictionary::intern`]).
+    fn push(&mut self, v: &Value) -> u32 {
         let code = self.table.len() as u32;
         assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
         match (&mut self.table, v) {
@@ -229,7 +277,6 @@ impl DictInner {
         if v.is_null() {
             self.null = Some(code);
         }
-        self.slots[at] = Slot { hash, code };
         code
     }
 }
@@ -244,6 +291,13 @@ impl DictInner {
 /// hashes the value once and compares it only against slots whose stored
 /// hash agrees; a miss costs that same one hash; growth moves slots and
 /// touches no value.
+///
+/// The index exists only while something probes it. A relation built
+/// from rows drops it ([`Dictionary::is_indexed`] is then false), and
+/// the first [`Dictionary::code_of`] or interning miss rebuilds it under
+/// the write lock. `Null` is answered from its out-of-line code and never
+/// builds it. A session that will intern every batch builds it up front
+/// ([`Dictionary::ensure_indexed`]).
 ///
 /// Shared via `Arc` between a relation and all of its fragments, so codes
 /// are comparable across them. All methods take `&self`; interning is
@@ -267,6 +321,10 @@ impl Dictionary {
         self.inner.read().expect("dictionary lock poisoned")
     }
 
+    fn write(&self) -> RwLockWriteGuard<'_, DictInner> {
+        self.inner.write().expect("dictionary lock poisoned")
+    }
+
     /// The type of the values this dictionary holds.
     pub fn value_type(&self) -> ValueType {
         self.read().table.value_type()
@@ -288,10 +346,35 @@ impl Dictionary {
         self.read().table.capacity()
     }
 
-    /// Releases the code → value table's spare capacity. Interning
-    /// afterwards grows it again, the way a `Vec` grows.
-    pub(crate) fn shrink_to_fit(&self) {
-        self.inner.write().expect("dictionary lock poisoned").table.shrink_to_fit();
+    /// Whether the value → code index is built. A relation built from
+    /// rows leaves its dictionaries without one until their first lookup
+    /// or interning miss.
+    pub fn is_indexed(&self) -> bool {
+        self.index_slots() > 0
+    }
+
+    /// Slots in the value → code index: zero while there is none, else
+    /// a power of two at least `max(8, 2 · len)` — exactly that when the
+    /// index was built at the current length.
+    pub fn index_slots(&self) -> usize {
+        self.read().slots.len()
+    }
+
+    /// Builds the value → code index now if it is absent, so that no
+    /// later lookup or interning miss pays for it.
+    pub fn ensure_indexed(&self) {
+        if !self.is_indexed() {
+            self.write().index_if_absent();
+        }
+    }
+
+    /// Releases the code → value table's spare capacity and drops the
+    /// index. Interning afterwards grows the table again, the way a
+    /// `Vec` grows; the index comes back with the first probe.
+    pub(crate) fn trim(&self) {
+        let mut inner = self.write();
+        inner.table.shrink_to_fit();
+        inner.slots = Vec::new();
     }
 
     /// Interns `v`, returning its code.
@@ -307,6 +390,9 @@ impl Dictionary {
     /// [`Relation`]: crate::Relation
     /// [`Relation::with_dictionaries`]: crate::Relation::with_dictionaries
     pub fn intern(&self, v: &Value) -> u32 {
+        if let (Value::Null, Some(code)) = (v, self.read().null) {
+            return code;
+        }
         let mut code = NO_CODE;
         self.intern_each(std::iter::once(v), |c| code = c);
         code
@@ -321,7 +407,9 @@ impl Dictionary {
     /// interned under one acquisition, not one per value — and is traded
     /// back at the first known value. The value that caused the upgrade
     /// is looked up again under the write lock: another thread may have
-    /// interned it between the two locks.
+    /// interned it between the two locks. With no index every value
+    /// misses the read loop, and the write lock builds the index before
+    /// it looks again.
     /// No other lock is taken meanwhile: neither `values` nor `sink` may
     /// touch this dictionary. Panics as [`Dictionary::intern`] does.
     pub(crate) fn intern_each<'a>(
@@ -342,10 +430,9 @@ impl Dictionary {
                     }
                 }
             };
-            let mut inner = self.inner.write().expect("dictionary lock poisoned");
+            let mut inner = self.write();
             loop {
-                inner.reserve_one();
-                match inner.find(v, hash) {
+                match inner.find_or_insert(v, hash) {
                     // Raced — somebody interned it between the two
                     // locks — or the run of unseen values has ended.
                     Ok(code) => {
@@ -353,7 +440,7 @@ impl Dictionary {
                         sink(code);
                         break;
                     }
-                    Err(at) => sink(inner.insert_at(at, v, hash)),
+                    Err(code) => sink(code),
                 }
                 let Some(next) = values.next() else { return };
                 (v, hash) = (next, hash32(next));
@@ -363,9 +450,24 @@ impl Dictionary {
 
     /// The code of `v`, if it has been interned ([`NO_CODE`]-free lookup
     /// used when compiling pattern constants and translating join keys).
-    /// A non-null value of the other type has none.
+    /// A non-null value of the other type has none. A miss that finds no
+    /// index builds it and looks again; `Null` needs none.
     pub fn code_of(&self, v: &Value) -> Option<u32> {
-        self.read().find(v, hash32(v)).ok()
+        if v.is_null() {
+            return self.read().null;
+        }
+        let hash = hash32(v);
+        {
+            let inner = self.read();
+            match inner.find(v, hash) {
+                Ok(code) => return Some(code),
+                Err(_) if !inner.slots.is_empty() => return None,
+                Err(_) => {}
+            }
+        }
+        let mut inner = self.write();
+        inner.index_if_absent();
+        inner.find(v, hash).ok()
     }
 
     /// The canonical value of `code` (O(1) clone — see [`Value`]).
@@ -623,6 +725,11 @@ mod tests {
         d.intern(&Value::str("x"));
     }
 
+    /// The index length growth from empty reaches at `len` values.
+    fn grown_len(len: usize) -> usize {
+        (2 * len).max(8).next_power_of_two()
+    }
+
     #[test]
     fn the_index_survives_its_growths() {
         for ty in TYPES {
@@ -631,9 +738,16 @@ mod tests {
             let n = 100_000;
             let (mut growths, mut table) = (0, 0);
             for i in 0..n {
+                // Halfway, the index goes as after a load; the next
+                // intern rebuilds it and growth carries on from there.
+                if i == n / 2 {
+                    d.trim();
+                    assert!(!d.is_indexed());
+                }
                 assert_eq!(d.intern(&value(i)) as usize, i);
                 let slots = d.read().slots.len();
                 assert!(slots.is_power_of_two() && slots >= 2 * (i + 1), "{slots} slots at {i}");
+                assert_eq!(slots, grown_len(i + 1), "at {i}");
                 growths += usize::from(slots != table);
                 table = slots;
             }
@@ -652,6 +766,77 @@ mod tests {
             assert_eq!(copy.intern(&Value::Null) as usize, n);
             assert_eq!(copy.code_of(&value(n - 1)), Some(n as u32 - 1));
             assert_eq!((d.len(), d.code_of(&Value::Null)), (n, None));
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_index_has_the_length_growth_reaches() {
+        for ty in TYPES {
+            for len in 0..=300 {
+                // A null after the first value, when there is room for
+                // one (a first null would leave the index unbuilt).
+                let d = Dictionary::new(ty);
+                for i in 0..len {
+                    d.intern(&if i > 0 && i == len / 2 { Value::Null } else { nth(ty, i) });
+                }
+                let grown = d.index_slots();
+                d.trim();
+                assert_eq!((d.is_indexed(), d.index_slots()), (false, 0));
+                d.ensure_indexed();
+                assert_eq!(d.index_slots(), grown_len(len), "{ty:?} at {len}");
+                if len > 0 {
+                    assert_eq!(d.index_slots(), grown, "{ty:?} at {len}");
+                }
+                // Every code is indexed, the null code included.
+                let inner = d.read();
+                for code in 0..len as u32 {
+                    let v = inner.value(code);
+                    assert_eq!(inner.find(&v, hash32(&v)), Ok(code));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trimmed_dictionary_answers_lookups_as_before() {
+        for ty in TYPES {
+            let other = TYPES.into_iter().find(|&t| t != ty).unwrap();
+            let d = Dictionary::new(ty);
+            for v in [nth(ty, 0), Value::Null, nth(ty, 1), nth(ty, 2)] {
+                d.intern(&v);
+            }
+            let probes = [nth(ty, 1), nth(ty, 9), Value::Null, nth(other, 1)];
+            let before: Vec<Option<u32>> = probes.iter().map(|v| d.code_of(v)).collect();
+            assert_eq!(before, [Some(2), None, Some(1), None]);
+            d.trim();
+            // `Null` is answered from its own code, indexed or not.
+            assert_eq!((d.code_of(&Value::Null), d.intern(&Value::Null)), (Some(1), 1));
+            assert!(!d.is_indexed(), "Null built the index");
+            for (v, want) in probes.iter().zip(&before) {
+                assert_eq!(d.code_of(v), *want, "{v:?}");
+            }
+            assert!(d.is_indexed());
+            assert_eq!(d.index_slots(), grown_len(4));
+            assert_eq!(d.snapshot(), [nth(ty, 0), Value::Null, nth(ty, 1), nth(ty, 2)]);
+        }
+    }
+
+    #[test]
+    fn a_first_null_appends_without_an_index() {
+        for ty in TYPES {
+            let d = Dictionary::new(ty);
+            d.intern(&nth(ty, 0));
+            d.trim();
+            let mut col = Column::sharing(Arc::new(d));
+            col.extend_values(&[Value::Null, Value::Null]);
+            col.push(&Value::Null);
+            let d = col.dict();
+            assert_eq!((col.codes(), d.len(), d.is_indexed()), (&[1, 1, 1][..], 2, false));
+            // The next miss builds an index that covers the null code.
+            assert_eq!(d.intern(&nth(ty, 5)), 2);
+            assert_eq!(d.index_slots(), grown_len(3));
+            let inner = d.read();
+            assert_eq!(inner.find(&Value::Null, hash32(&Value::Null)), Ok(1));
         }
     }
 

@@ -665,8 +665,10 @@ proptest! {
     /// A typed value table against a `Vec<Value>` searched linearly. Each
     /// feed (Null plus Int values, or Null plus Str values, from an
     /// alphabet of 200 so that values repeat) grows the slot table
-    /// several times and is interned twice: value by value through
-    /// `intern`, and slice by slice through `extend_values`. Both agree
+    /// several times and is interned three times: value by value through
+    /// `intern`, slice by slice through `extend_values`, and as a built
+    /// relation of the first `cut` cells — whose dictionary holds no
+    /// index — followed by `extend_values` of the rest. All three agree
     /// with the model on every code, `len`, `value(code)`, `snapshot`,
     /// and `code_of` for present and absent values; a deep clone then
     /// interns on its own.
@@ -675,6 +677,7 @@ proptest! {
         cells in prop::collection::vec(prop::option::of(0..200u16), 100..400),
         chunk in 1..70usize,
         probes in prop::collection::vec(prop::option::of(0..400u16), 24),
+        cut in 0..400usize,
     ) {
         for ty in [ValueType::Int, ValueType::Str] {
             let feed: Vec<Value> = cells.iter().map(|&c| typed_value(ty, c)).collect();
@@ -697,7 +700,19 @@ proptest! {
                 col.extend_values(slice);
             }
             prop_assert_eq!(col.codes(), &want[..]);
-            for dict in [&one, &**col.dict()] {
+            let cut = cut.min(feed.len());
+            let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
+            let head = feed[..cut].iter().map(|v| vec![v.clone()]).collect();
+            let built = Relation::from_rows(schema, head).unwrap();
+            prop_assert!(!built.dictionary(AttrId(0)).is_indexed());
+            let mut rest = Column::sharing(built.dictionary(AttrId(0)).clone());
+            for slice in feed[cut..].chunks(chunk) {
+                rest.extend_values(slice);
+            }
+            let resumed: Vec<u32> =
+                built.column(AttrId(0)).codes().iter().chain(rest.codes()).copied().collect();
+            prop_assert_eq!(&resumed, &want);
+            for dict in [&one, &**col.dict(), &**rest.dict()] {
                 prop_assert_eq!(dict.len(), model.len());
                 prop_assert_eq!(dict.snapshot(), model.clone());
                 for (code, v) in model.iter().enumerate() {

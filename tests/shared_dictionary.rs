@@ -8,9 +8,12 @@
 //! loop: known values under the read lock, a run of unseen ones under
 //! the write lock, the value that caused the upgrade looked up again
 //! because another writer may have got there between the two locks.
+//! A built relation's dictionaries hold no value → code index; the first
+//! lookup or interning miss builds it under the write lock, and that
+//! must hold the same contract when tasks meet there.
 
 use distributed_cfd::dist::pool::scoped_map;
-use distributed_cfd::relation::{Column, Dictionary, Value, ValueType};
+use distributed_cfd::relation::{AttrId, Column, Dictionary, Relation, Schema, Value, ValueType};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -70,6 +73,73 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
             let decoded: Vec<&Value> =
                 col.codes().iter().map(|&code| &snapshot[code as usize]).collect();
             assert!(decoded.iter().copied().eq(fed), "{ty:?} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn first_probes_of_a_built_relation_share_one_code_space() {
+    for (ty, threads) in
+        [ValueType::Int, ValueType::Str].into_iter().flat_map(|ty| [(ty, 1), (ty, 4)])
+    {
+        // A built relation over the first 1 500 values of the universe:
+        // its dictionary is trimmed and holds no index.
+        let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
+        let loaded: Vec<Vec<Value>> = (0..1_500).map(|u| vec![value(ty, u)]).collect();
+        let built = Relation::from_rows(schema, loaded.clone()).unwrap();
+        let dict = built.dictionary(AttrId(0)).clone();
+        assert!(!dict.is_indexed());
+        let mut model: Vec<Value> = Vec::new();
+        for v in loaded.iter().flatten() {
+            if !model.contains(v) {
+                model.push(v.clone());
+            }
+        }
+
+        // Even tasks look values up, odd tasks intern overlapping feeds:
+        // whichever task reaches the dictionary first builds the index.
+        let probes = |k: usize| (k * 300..k * 300 + 3_000).map(|u| value(ty, u));
+        let feeds: Vec<Vec<Value>> = (0..TASKS).map(|k| feed(ty, k)).collect();
+        let outcomes: Vec<(Vec<Option<u32>>, Column)> = scoped_map(threads, 0..TASKS, |k| {
+            let mut col = Column::sharing(dict.clone());
+            if k % 2 == 0 {
+                (probes(k).map(|v| dict.code_of(&v)).collect(), col)
+            } else {
+                for slice in feeds[k].chunks(64) {
+                    col.extend_values(slice);
+                }
+                (Vec::new(), col)
+            }
+        });
+
+        let snapshot = dict.snapshot();
+        let fed: HashSet<&Value> =
+            loaded.iter().flatten().chain((1..TASKS).step_by(2).flat_map(|k| &feeds[k])).collect();
+        assert_eq!(snapshot.len(), fed.len(), "{ty:?} at {threads} threads");
+        assert_eq!(snapshot.iter().collect::<HashSet<_>>().len(), snapshot.len(), "a duplicate");
+        assert_eq!(snapshot[..model.len()], model[..], "the load's codes moved");
+        assert!(dict.is_indexed());
+        let grown = (2 * dict.len()).max(8).next_power_of_two();
+        assert_eq!(dict.index_slots(), grown, "{ty:?} at {threads} threads");
+        for (code, v) in snapshot.iter().enumerate() {
+            assert_eq!(dict.code_of(v), Some(code as u32), "{v} at {threads} threads");
+        }
+        for (k, (answers, col)) in outcomes.iter().enumerate() {
+            if k % 2 == 1 {
+                let decoded = col.codes().iter().map(|&code| &snapshot[code as usize]);
+                assert!(decoded.eq(&feeds[k]), "{ty:?} at {threads} threads");
+                continue;
+            }
+            // A value the load held answers its code; one a writer added
+            // answers it or, if the lookup came first, nothing; any other
+            // value answers nothing.
+            for (v, &got) in probes(k).zip(answers) {
+                let now = snapshot.iter().position(|s| *s == v).map(|code| code as u32);
+                match model.iter().position(|m| *m == v) {
+                    Some(code) => assert_eq!(got, Some(code as u32), "{v}"),
+                    None => assert!(got.is_none() || got == now, "{v}: {got:?}, now {now:?}"),
+                }
+            }
         }
     }
 }
