@@ -46,6 +46,13 @@
 //!   therefore reads its own rows plus the old members of the keys whose
 //!   judgement it changed, which is the count [`ViolationIndex::apply`]
 //!   returns.
+//!
+//! ## Routing a delete
+//!
+//! The index keeps tid → (slot, position); a delete reads one member.
+//! It `swap_remove`s the member at that position and re-points the tail
+//! member that moved into it, so no member list is scanned, and members
+//! change order exactly as a search followed by `swap_remove` would.
 
 use dcd_cfd::pattern::CompiledPattern;
 use dcd_cfd::{judge, Judgement, LhsIndex, SimpleCfd, ViolationSet};
@@ -173,8 +180,10 @@ impl KeyState {
 /// Holds shared dictionaries (so codes shipped from any fragment over
 /// the same dictionaries are directly comparable), the compiled
 /// tableau (its infeasible patterns refreshed per batch), the per-key
-/// states in a slab of slots, a `tid → slot` map for delete routing, and
-/// the live [`ViolationSet`] maintained incrementally.
+/// states in a slab of slots, a tid → (slot, position) map for delete
+/// routing — a delete reads one member, and re-points the one its
+/// `swap_remove` moved — and the live [`ViolationSet`] maintained
+/// incrementally.
 #[derive(Debug)]
 pub struct ViolationIndex {
     cfd: SimpleCfd,
@@ -195,8 +204,9 @@ pub struct ViolationIndex {
     slot_keys: Vec<u32>,
     /// Slots whose key left the index, for the next new key.
     free: Vec<u32>,
-    /// Invariant: an indexed tid maps to the slot whose members hold it.
-    tid_key: FxHashMap<TupleId, u32>,
+    /// Invariant: an indexed tid maps to `(slot, at)`, where
+    /// `slots[slot].members[at]` is its member.
+    tid_key: FxHashMap<TupleId, (u32, u32)>,
     live: ViolationSet,
 }
 
@@ -294,10 +304,13 @@ impl ViolationIndex {
         let mut examined = 0;
 
         for tid in deletes {
-            let Some(slot) = self.tid_key.remove(tid) else { continue };
+            let Some((slot, at)) = self.tid_key.remove(tid) else { continue };
             let state = &mut self.slots[slot as usize];
-            let at = state.members.iter().position(|&(t, _)| t == *tid);
-            let (_, rhs) = state.members.swap_remove(at.expect("the `tid_key` invariant"));
+            let (_, rhs) = state.members.swap_remove(at as usize);
+            // The tail member, if it was not this one, moved into `at`.
+            if let Some(&(moved, _)) = state.members.get(at as usize) {
+                self.tid_key.get_mut(&moved).expect("the `tid_key` invariant").1 = at;
+            }
             state.counts.remove(rhs);
             if state.judgement.flags(rhs) {
                 self.live.tids.remove(tid);
@@ -338,10 +351,16 @@ impl ViolationIndex {
                 touched.push(slot);
             }
             let rhs = codes[self.rhs_pos];
+            let at = u32::try_from(state.members.len()).expect("fewer members than u32::MAX");
             state.members.push((*tid, rhs));
             state.counts.add(rhs);
-            let stale = self.tid_key.insert(*tid, slot);
-            debug_assert!(stale.is_none(), "tuple ids must be unique across the stream");
+            let stale = self.tid_key.insert(*tid, (slot, at));
+            // A second entry for one tid would leave a member no delete
+            // can reach, and a later delete would re-point a stranger.
+            assert!(
+                stale.is_none(),
+                "the `tid_key` invariant: an inserted tuple id is indexed already"
+            );
             examined += 1;
         }
 
@@ -750,7 +769,20 @@ mod tests {
         assert_eq!(index.key_count(), naive.keys.len(), "{label}");
         let members: usize = naive.keys.values().map(|(m, _)| m.len()).sum();
         assert_eq!(index.indexed_rows(), members, "{label}");
+        assert_routing(index, &label);
         expected
+    }
+
+    /// The delete routing invariant: every `tid_key` entry names a member
+    /// carrying its tid, and there is one entry per member.
+    fn assert_routing(index: &ViolationIndex, label: &str) {
+        let members: usize = index.slots.iter().map(|s| s.members.len()).sum();
+        assert_eq!(index.tid_key.len(), members, "one routing entry per member {label}");
+        let stray = index.tid_key.iter().find(|&(tid, &(slot, at))| {
+            let member = index.slots.get(slot as usize).and_then(|s| s.members.get(at as usize));
+            member.is_none_or(|&(t, _)| t != *tid)
+        });
+        assert_eq!(stray, None, "a routing entry names no member carrying its tid {label}");
     }
 
     #[test]
@@ -808,6 +840,7 @@ mod tests {
                 index.apply(&[], &built.inserted),
                 naive.apply(&simple, &rel, &built).examined
             );
+            assert_routing(&index, "after the build");
             for (delta, changed) in scripted.iter().zip(want_changed) {
                 let expected = step(&mut index, &mut naive, &mut rel, delta.clone());
                 assert_eq!(expected.changed, changed, "the script's transitions");
@@ -839,5 +872,129 @@ mod tests {
                 step(&mut index, &mut naive, &mut rel, RelationDelta::new(inserts, deletes));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the `tid_key` invariant: an inserted tuple id is indexed already")]
+    fn an_inserted_tid_that_is_indexed_already_panics() {
+        let s = schema();
+        let rel = Relation::from_rows(s.clone(), vec![vals![44, "z1", "a"]]).unwrap();
+        let cfd = parse_cfd(&s, "phi", "([cc, zip] -> [street])").unwrap();
+        let mut index = ViolationIndex::new(cfd.simplify().pop().unwrap(), &dicts_of(&rel));
+        let rows = full_rows(&rel);
+        index.apply(&[], &rows);
+        index.apply(&[], &rows);
+    }
+
+    /// What the deletes of a random stream did to their keys' member
+    /// lists, counted so the test can show the stream reached each case.
+    #[derive(Debug, Default)]
+    struct Routes {
+        /// The key's only member at the start of the batch.
+        only: usize,
+        /// The last member of a key that held several.
+        emptied: usize,
+        /// The tail member: nothing moves.
+        tail: usize,
+        /// Any other member: the tail moves into its place.
+        moved: usize,
+        /// An indexed tid deleted and inserted again in one batch.
+        reinserted: usize,
+    }
+
+    #[test]
+    fn deletes_find_their_member_by_position_through_random_streams() {
+        let s = schema();
+        // One wildcard pattern: every row is indexed, keyed by cc alone,
+        // so the three common ccs hold many members each.
+        let cfd = parse_cfd(&s, "phi", "([cc] -> [street])").unwrap();
+        let simple = cfd.simplify().pop().unwrap();
+        let mut routes = Routes::default();
+        for seed in 0..4 {
+            let rows: Vec<Vec<Value>> =
+                (0..24).map(|i| vals![i % 3, "z", ["a", "b"][i as usize % 2]]).collect();
+            let mut rel = Relation::from_rows(s.clone(), rows).unwrap();
+            let mut index = ViolationIndex::new(simple.clone(), &dicts_of(&rel));
+            index.apply(&[], &full_rows(&rel));
+            let mut rng = Rng(seed);
+            let mut next = 1000;
+            for batch in 0..60 {
+                let label = format!("seed {seed}, batch {batch}");
+                // Random deletes; now and then every member of one key.
+                let emptied_cc = (rng.below(5) == 0).then(|| rng.below(4) as i64);
+                let live: Vec<Tuple> = rel.iter().collect();
+                let deletes: Vec<TupleId> = live
+                    .iter()
+                    .filter(|t| {
+                        let everyone = emptied_cc.is_some_and(|cc| t.values()[0] == Value::Int(cc));
+                        everyone || rng.below(5) == 0
+                    })
+                    .map(|t| t.tid)
+                    .collect();
+                let mut inserts: Vec<Tuple> = Vec::new();
+                for _ in 0..rng.below(7) {
+                    let tid = match deletes.get(rng.below(6) as usize) {
+                        Some(&t) if inserts.iter().all(|i| i.tid != t) => t,
+                        _ => {
+                            next += 1;
+                            TupleId(next)
+                        }
+                    };
+                    // Mostly the three common keys, sometimes one of its own.
+                    let cc = if rng.below(6) == 0 { 100 + batch } else { rng.below(3) as i64 };
+                    let street = ["a", "b", "c"][rng.below(3) as usize];
+                    inserts.push(Tuple::new(tid, vals![cc, "z", street]));
+                }
+                routes.reinserted += inserts.iter().filter(|i| deletes.contains(&i.tid)).count();
+
+                // The member lists a search for each deleted tid followed
+                // by `swap_remove` leaves, keyed by LHS codes.
+                let width = index.lhs_pos.len();
+                let mut lists: BTreeMap<Vec<u32>, Vec<(TupleId, u32)>> = index
+                    .keys
+                    .values()
+                    .map(|&slot| {
+                        let key = index.slot_keys[slot as usize * width..][..width].to_vec();
+                        (key, index.slots[slot as usize].members.clone())
+                    })
+                    .collect();
+                let start: BTreeMap<Vec<u32>, usize> =
+                    lists.iter().map(|(k, m)| (k.clone(), m.len())).collect();
+                for tid in &deletes {
+                    let (key, members) =
+                        lists.iter_mut().find(|(_, m)| m.iter().any(|&(t, _)| t == *tid)).unwrap();
+                    let at = members.iter().position(|&(t, _)| t == *tid).unwrap();
+                    match (start[key], members.len()) {
+                        (1, _) => routes.only += 1,
+                        (_, 1) => routes.emptied += 1,
+                        (_, len) if at + 1 == len => routes.tail += 1,
+                        _ => routes.moved += 1,
+                    }
+                    members.swap_remove(at);
+                }
+
+                let effect =
+                    rel.apply_delta(&RelationDelta::new(inserts, deletes.clone())).unwrap();
+                for (tid, codes) in &effect.inserted {
+                    let key: Vec<u32> = index.lhs_pos.iter().map(|&p| codes[p]).collect();
+                    lists.entry(key).or_default().push((*tid, codes[index.rhs_pos]));
+                }
+                lists.retain(|_, m| !m.is_empty());
+                index.apply(&deletes, &effect.inserted);
+
+                assert_routing(&index, &label);
+                assert_eq!(index.key_count(), lists.len(), "{label}");
+                for (key, members) in &lists {
+                    let slot = index.keys[&CodeKey::of_codes(key)];
+                    assert_eq!(&index.slots[slot as usize].members, members, "{label}");
+                }
+                let tuples: Vec<Tuple> = rel.iter().collect();
+                let want = dcd_cfd::oracle::vio(&tuples.iter().collect::<Vec<_>>(), index.cfd());
+                assert_eq!(index.current().tids, want.tids, "Vio {label}");
+                assert_eq!(index.current().patterns, want.patterns, "Vioπ {label}");
+            }
+        }
+        let Routes { only, emptied, tail, moved, reinserted } = routes;
+        assert!([only, emptied, tail, moved, reinserted].iter().all(|&n| n > 0), "{routes:?}");
     }
 }

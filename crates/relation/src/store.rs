@@ -33,7 +33,10 @@
 //! miss costs the same one hash; growing the index moves slots by their
 //! stored hashes and reads no value. A batch is interned in one pass
 //! ([`Column::extend_values`]): known values under the read lock, each
-//! run of unseen ones under one acquisition of the write lock.
+//! run of unseen ones under one acquisition of the write lock. The pass
+//! hashes 32 values into a stack buffer before it probes the first of
+//! them, so the cache misses of 32 payloads, and then of 32 slots, are
+//! taken together rather than one after another.
 //!
 //! The index is derived data, and it exists only while something probes
 //! it. Detection runs on codes and looks values up only to compile
@@ -99,6 +102,49 @@ const EMPTY_SLOT: Slot = Slot { hash: 0, code: WILDCARD_CODE };
 fn hash32(v: &Value) -> u32 {
     let h = FxBuildHasher::default().hash_one(v);
     ((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+}
+
+/// How many values [`Dictionary::intern_each`] hashes before it probes
+/// any of them.
+const RUN: usize = 32;
+
+/// The values of an interning pass not yet interned, with their hashes:
+/// up to [`RUN`] of them, hashed in one go before the first is probed.
+/// Hashing a run reads its payloads back to back, and probing it then
+/// reads its slots back to back, so the CPU overlaps those cache misses
+/// instead of taking them one value at a time. The run lives on the
+/// stack: an interning pass allocates nothing of its own.
+struct Run<'a> {
+    cells: [(&'a Value, u32); RUN],
+    len: usize,
+    at: usize,
+}
+
+impl<'a> Run<'a> {
+    fn new() -> Self {
+        Run { cells: [(&Value::Null, 0); RUN], len: 0, at: 0 }
+    }
+
+    /// The next value and its [`hash32`], hashing the next run of
+    /// `values` once this one is spent; `None` when both are.
+    #[inline]
+    fn peek(&mut self, values: &mut impl Iterator<Item = &'a Value>) -> Option<(&'a Value, u32)> {
+        if self.at == self.len {
+            (self.len, self.at) = (0, 0);
+            while self.len < RUN {
+                let Some(v) = values.next() else { break };
+                self.cells[self.len] = (v, hash32(v));
+                self.len += 1;
+            }
+        }
+        (self.at < self.len).then(|| self.cells[self.at])
+    }
+
+    /// Moves past the value [`Run::peek`] returned.
+    #[inline]
+    fn advance(&mut self) {
+        self.at += 1;
+    }
 }
 
 /// A dictionary's code → value table, one vector of the attribute's
@@ -399,8 +445,12 @@ impl Dictionary {
     }
 
     /// Interns `values` in order, handing each code to `sink` — the one
-    /// interning loop. Known values are looked up under the read lock,
-    /// which is held across the run, so a batch of known values costs
+    /// interning loop. Values are hashed 32 at a time into a buffer on
+    /// the stack ([`Run`]) before any of those 32 is probed, so the
+    /// payload reads of the hashes overlap, and so do the slot reads of
+    /// the probes; codes and their order are those of one value at a
+    /// time. Known values are looked up under the read lock, which is
+    /// held across consecutive hits, so a batch of known values costs
     /// one lock acquisition. The first value the dictionary has not seen
     /// trades it for the write lock, which then stays for the whole *run*
     /// of unseen values that follows — a column of distinct values is
@@ -418,20 +468,23 @@ impl Dictionary {
         mut sink: impl FnMut(u32),
     ) {
         let mut values = values.into_iter();
+        let mut run = Run::new();
         loop {
-            let (mut v, mut hash) = {
+            {
                 let inner = self.read();
                 loop {
-                    let Some(v) = values.next() else { return };
-                    let hash = hash32(v);
+                    let Some((v, hash)) = run.peek(&mut values) else { return };
                     match inner.find(v, hash) {
                         Ok(code) => sink(code),
-                        Err(_) => break (v, hash),
+                        Err(_) => break,
                     }
+                    run.advance();
                 }
-            };
+            }
             let mut inner = self.write();
             loop {
+                let Some((v, hash)) = run.peek(&mut values) else { return };
+                run.advance();
                 match inner.find_or_insert(v, hash) {
                     // Raced — somebody interned it between the two
                     // locks — or the run of unseen values has ended.
@@ -442,8 +495,6 @@ impl Dictionary {
                     }
                     Err(code) => sink(code),
                 }
-                let Some(next) = values.next() else { return };
-                (v, hash) = (next, hash32(next));
             }
         }
     }
@@ -837,6 +888,72 @@ mod tests {
             assert_eq!(d.index_slots(), grown_len(3));
             let inner = d.read();
             assert_eq!(inner.find(&Value::Null, hash32(&Value::Null)), Ok(1));
+        }
+    }
+
+    /// Feeds that put hits, misses and `Null` on either side of the
+    /// interning loop's run boundaries: `hit(k)` is interned already,
+    /// `miss(k)` is not.
+    fn boundary_feeds(
+        hit: impl Fn(usize) -> Value,
+        miss: impl Fn(usize) -> Value,
+    ) -> Vec<Vec<Value>> {
+        let mut feeds = Vec::new();
+        for len in [0, 1, 31, 32, 33, 65] {
+            let feed = |pick: &dyn Fn(usize) -> Value| (0..len).map(pick).collect::<Vec<_>>();
+            feeds.push(feed(&hit));
+            feeds.push(feed(&miss));
+            for first in [0, 31, 32, len.saturating_sub(1)].into_iter().filter(|&f| f < len) {
+                // Misses from `first` on, and a lone miss at `first`.
+                feeds.push(feed(&|k| if k < first { hit(k) } else { miss(k) }));
+                feeds.push(feed(&|k| if k == first { miss(k) } else { hit(k) }));
+            }
+            feeds.push(feed(&|k| if k % 2 == 0 { hit(k) } else { miss(k) }));
+            // `Null` inside the run, and misses that repeat within it.
+            feeds.push(feed(&|k| match k % 4 {
+                1 => Value::Null,
+                3 => miss(k % 3),
+                _ => hit(k),
+            }));
+        }
+        feeds
+    }
+
+    #[test]
+    fn an_interning_pass_agrees_with_one_value_at_a_time_across_runs() {
+        for ty in TYPES {
+            for indexed in [true, false] {
+                let base = Dictionary::new(ty);
+                for i in 0..40 {
+                    base.intern(&nth(ty, i));
+                }
+                if !indexed {
+                    base.trim();
+                }
+                let feeds = boundary_feeds(|k| nth(ty, k % 40), |k| nth(ty, 1000 + k));
+                for feed in &feeds {
+                    let label =
+                        format!("{ty:?}, indexed {indexed}, {} values: {feed:?}", feed.len());
+                    let (pass, single) = (base.clone(), base.clone());
+                    let mut codes = Vec::new();
+                    pass.intern_each(feed, |code| codes.push(code));
+                    let want: Vec<u32> = feed.iter().map(|v| single.intern(v)).collect();
+                    assert_eq!(codes, want, "{label}");
+                    assert_eq!(pass.snapshot(), single.snapshot(), "{label}");
+                    assert_eq!(pass.index_slots(), single.index_slots(), "{label}");
+                    // First-seen order, read off a linear model.
+                    let mut model = base.snapshot();
+                    for (v, &code) in feed.iter().zip(&codes) {
+                        let at = model.iter().position(|m| m == v).unwrap_or_else(|| {
+                            model.push(v.clone());
+                            model.len() - 1
+                        });
+                        assert_eq!(code as usize, at, "{label}");
+                    }
+                    assert_eq!(pass.snapshot(), model, "{label}");
+                }
+                assert_eq!(base.len(), 40, "the clones are deep");
+            }
         }
     }
 
