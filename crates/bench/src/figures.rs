@@ -5,9 +5,11 @@
 //! renders them as tables, and `tests/fig3_claims.rs` asserts the
 //! paper's qualitative claim about each subfigure on the exact series.
 
-use crate::workloads::{cust16, cust8, xref8, xref_h};
+use crate::workloads::{cust16, cust8, xref8, xref_h, CustWorkload};
+use dcd_cfd::{Cfd, SimpleCfd};
 use dcd_core::{
-    mine_patterns, run_batch, run_clust, run_seq, CoordinatorStrategy, MiningConfig, RunConfig,
+    mine_patterns, run_batch, run_clust, run_seq, CoordinatorStrategy, Detection, MiningConfig,
+    RunConfig,
 };
 use dcd_dist::HorizontalPartition;
 
@@ -63,13 +65,73 @@ fn cfg() -> RunConfig {
 }
 
 /// One single-CFD run through the engine (the figures sweep strategies
-/// directly; the labels come from the strategy's paper name).
+/// directly; [`SINGLE`] names each after its paper algorithm).
 fn run_single(
     partition: &HorizontalPartition,
-    cfd: &dcd_cfd::SimpleCfd,
+    cfd: &SimpleCfd,
     strategy: CoordinatorStrategy,
-) -> dcd_core::Detection {
+) -> Detection {
     run_batch(partition, std::slice::from_ref(cfd), strategy, &cfg())
+}
+
+/// The y axis of every figure but 3(e) and 3(f).
+const RESPONSE: &str = "response time (s)";
+
+/// The three single-CFD algorithms, one series each (Fig. 3(a)/(b)).
+const SINGLE: [(&str, CoordinatorStrategy); 3] = [
+    ("CTRDETECT", CoordinatorStrategy::Central),
+    ("PATDETECTS", CoordinatorStrategy::MinShipment),
+    ("PATDETECTRT", CoordinatorStrategy::MinResponseTime),
+];
+
+/// CTRDETECT against PATDETECTRT (Fig. 3(c)/(d)).
+const CTR_VS_RT: [(&str, CoordinatorStrategy); 2] = [SINGLE[0], SINGLE[2]];
+
+/// A multi-CFD engine: `run_seq` or `run_clust`.
+type MultiEngine = fn(&HorizontalPartition, &[Cfd], CoordinatorStrategy, &RunConfig) -> Detection;
+
+/// SEQDETECT against CLUSTDETECT, both with PATDETECTRT rounds
+/// (Fig. 3(f)–(i)).
+const MULTI: [(&str, MultiEngine); 2] = [("SEQDETECT", run_seq), ("CLUSTDETECT", run_clust)];
+
+/// Runs every engine at every x of a sweep, in x order: `xs` yields
+/// each x value with the input built for it, and `run` reads one metric
+/// off one engine's run on that input. One series per engine, labelled
+/// and ordered as in `engines`.
+fn sweep<In, E: Copy>(
+    (id, title): (&'static str, &str),
+    (x_label, y_label): (&'static str, &'static str),
+    xs: impl Iterator<Item = (f64, In)>,
+    engines: &[(&str, E)],
+    run: impl Fn(&In, E) -> f64,
+) -> FigureResult {
+    let mut series: Vec<Series> = engines
+        .iter()
+        .map(|&(label, _)| Series { label: label.into(), points: Vec::new() })
+        .collect();
+    for (x, input) in xs {
+        for (s, &(_, engine)) in series.iter_mut().zip(engines) {
+            s.points.push((x, run(&input, engine)));
+        }
+    }
+    FigureResult { id, title: title.into(), x_label, y_label, series }
+}
+
+/// 2..=8 sites, each x its partition of the workload.
+fn sites<'a>(
+    partition: impl Fn(usize) -> HorizontalPartition + 'a,
+) -> impl Iterator<Item = (f64, HorizontalPartition)> + 'a {
+    (2..=8).map(move |n| (n as f64, partition(n)))
+}
+
+/// 10 %..100 % prefixes of `w` over 8 sites, each x its size in K
+/// tuples.
+fn prefixes(w: &CustWorkload) -> impl Iterator<Item = (f64, HorizontalPartition)> + '_ {
+    (1..=10).map(|step| {
+        let prefix = w.prefix(step as f64 / 10.0);
+        let partition = HorizontalPartition::round_robin(&prefix, 8).expect("round robin");
+        ((prefix.len() as f64) / 1000.0, partition)
+    })
 }
 
 /// Exp-1 on CUST (Fig. 3(a)): response time vs number of sites, three
@@ -77,46 +139,20 @@ fn run_single(
 pub fn fig3a(scale: f64) -> FigureResult {
     let w = cust8(scale);
     let cfd = w.main_cfd();
-    single_cfd_site_sweep("fig3a", "Scalability with |S| (cust8)", &cfd, |n| w.partition(n))
+    let title = ("fig3a", "Scalability with |S| (cust8)");
+    sweep(title, ("sites", RESPONSE), sites(|n| w.partition(n)), &SINGLE, |p, s| {
+        run_single(p, &cfd, s).response_time
+    })
 }
 
 /// Exp-1 on XREF (Fig. 3(b)): xref8, |Tp| = 11.
 pub fn fig3b(scale: f64) -> FigureResult {
     let w = xref8(scale);
     let cfd = w.main_cfd();
-    single_cfd_site_sweep("fig3b", "Scalability with |S| (xref8)", &cfd, |n| w.partition(n))
-}
-
-fn single_cfd_site_sweep(
-    id: &'static str,
-    title: &str,
-    cfd: &dcd_cfd::SimpleCfd,
-    partition_for: impl Fn(usize) -> HorizontalPartition,
-) -> FigureResult {
-    let mut ctr = Vec::new();
-    let mut pats = Vec::new();
-    let mut patrt = Vec::new();
-    for n_sites in 2..=8 {
-        let partition = partition_for(n_sites);
-        let x = n_sites as f64;
-        ctr.push((x, run_single(&partition, cfd, CoordinatorStrategy::Central).response_time));
-        pats.push((x, run_single(&partition, cfd, CoordinatorStrategy::MinShipment).response_time));
-        patrt.push((
-            x,
-            run_single(&partition, cfd, CoordinatorStrategy::MinResponseTime).response_time,
-        ));
-    }
-    FigureResult {
-        id,
-        title: title.to_string(),
-        x_label: "sites",
-        y_label: "response time (s)",
-        series: vec![
-            Series { label: "CTRDETECT".into(), points: ctr },
-            Series { label: "PATDETECTS".into(), points: pats },
-            Series { label: "PATDETECTRT".into(), points: patrt },
-        ],
-    }
+    let title = ("fig3b", "Scalability with |S| (xref8)");
+    sweep(title, ("sites", RESPONSE), sites(|n| w.partition(n)), &SINGLE, |p, s| {
+        run_single(p, &cfd, s).response_time
+    })
 }
 
 /// Exp-2 (Fig. 3(c)): response time vs |D| — 10%..100% of cust16 over 8
@@ -124,29 +160,10 @@ fn single_cfd_site_sweep(
 pub fn fig3c(scale: f64) -> FigureResult {
     let w = cust16(scale);
     let cfd = w.main_cfd();
-    let mut ctr = Vec::new();
-    let mut patrt = Vec::new();
-    for step in 1..=10 {
-        let fraction = step as f64 / 10.0;
-        let prefix = w.prefix(fraction);
-        let partition = HorizontalPartition::round_robin(&prefix, 8).expect("round robin");
-        let x = (prefix.len() as f64) / 1000.0;
-        ctr.push((x, run_single(&partition, &cfd, CoordinatorStrategy::Central).response_time));
-        patrt.push((
-            x,
-            run_single(&partition, &cfd, CoordinatorStrategy::MinResponseTime).response_time,
-        ));
-    }
-    FigureResult {
-        id: "fig3c",
-        title: "Scalability with |D| (cust16)".into(),
-        x_label: "K tuples",
-        y_label: "response time (s)",
-        series: vec![
-            Series { label: "CTRDETECT".into(), points: ctr },
-            Series { label: "PATDETECTRT".into(), points: patrt },
-        ],
-    }
+    let title = ("fig3c", "Scalability with |D| (cust16)");
+    sweep(title, ("K tuples", RESPONSE), prefixes(&w), &CTR_VS_RT, |p, s| {
+        run_single(p, &cfd, s).response_time
+    })
 }
 
 /// Exp-3 (Fig. 3(d)): response time vs tableau size — cust8, 8 sites,
@@ -154,27 +171,11 @@ pub fn fig3c(scale: f64) -> FigureResult {
 pub fn fig3d(scale: f64) -> FigureResult {
     let w = cust8(scale);
     let partition = w.partition(8);
-    let mut ctr = Vec::new();
-    let mut patrt = Vec::new();
-    for n_patterns in (55..=255).step_by(50) {
-        let cfd = w.main_cfd_with(n_patterns);
-        let x = n_patterns as f64;
-        ctr.push((x, run_single(&partition, &cfd, CoordinatorStrategy::Central).response_time));
-        patrt.push((
-            x,
-            run_single(&partition, &cfd, CoordinatorStrategy::MinResponseTime).response_time,
-        ));
-    }
-    FigureResult {
-        id: "fig3d",
-        title: "Scalability with |Tp| (cust8)".into(),
-        x_label: "patterns",
-        y_label: "response time (s)",
-        series: vec![
-            Series { label: "CTRDETECT".into(), points: ctr },
-            Series { label: "PATDETECTRT".into(), points: patrt },
-        ],
-    }
+    let tableaux = (55..=255).step_by(50).map(|n| (n as f64, w.main_cfd_with(n)));
+    let title = ("fig3d", "Scalability with |Tp| (cust8)");
+    sweep(title, ("patterns", RESPONSE), tableaux, &CTR_VS_RT, |cfd, s| {
+        run_single(&partition, cfd, s).response_time
+    })
 }
 
 /// Exp-4 (Fig. 3(e)): total shipment vs mining threshold θ — xrefH over
@@ -212,76 +213,30 @@ pub fn fig3e(scale: f64) -> FigureResult {
 pub fn fig3f(scale: f64) -> FigureResult {
     let w = xref8(scale);
     let sigma = w.overlapping_pair();
-    multi_cfd_site_sweep(
-        "fig3f",
-        "Shipment with |S|, multiple CFDs (xref8)",
-        "tuples shipped",
-        &sigma,
-        |n| w.partition(n),
-        |d| d.shipped_tuples as f64,
-    )
+    let title = ("fig3f", "Shipment with |S|, multiple CFDs (xref8)");
+    sweep(title, ("sites", "tuples shipped"), sites(|n| w.partition(n)), &MULTI, |p, run| {
+        run(p, &sigma, CoordinatorStrategy::MinResponseTime, &cfg()).shipped_tuples as f64
+    })
 }
 
 /// Exp-5 (Fig. 3(g)): response time vs sites on xref8.
 pub fn fig3g(scale: f64) -> FigureResult {
     let w = xref8(scale);
     let sigma = w.overlapping_pair();
-    multi_cfd_site_sweep(
-        "fig3g",
-        "Scalability with |S|, multiple CFDs (xref8)",
-        "response time (s)",
-        &sigma,
-        |n| w.partition(n),
-        |d| d.response_time,
-    )
+    let title = ("fig3g", "Scalability with |S|, multiple CFDs (xref8)");
+    sweep(title, ("sites", RESPONSE), sites(|n| w.partition(n)), &MULTI, |p, run| {
+        run(p, &sigma, CoordinatorStrategy::MinResponseTime, &cfg()).response_time
+    })
 }
 
 /// Exp-5 (Fig. 3(h)): response time vs sites on cust8.
 pub fn fig3h(scale: f64) -> FigureResult {
     let w = cust8(scale);
     let sigma = w.overlapping_pair();
-    multi_cfd_site_sweep(
-        "fig3h",
-        "Scalability with |S|, multiple CFDs (cust8)",
-        "response time (s)",
-        &sigma,
-        |n| w.partition(n),
-        |d| d.response_time,
-    )
-}
-
-fn multi_cfd_site_sweep(
-    id: &'static str,
-    title: &str,
-    y_label: &'static str,
-    sigma: &[dcd_cfd::Cfd],
-    partition_for: impl Fn(usize) -> HorizontalPartition,
-    metric: impl Fn(&dcd_core::Detection) -> f64,
-) -> FigureResult {
-    let mut seq = Vec::new();
-    let mut clust = Vec::new();
-    for n_sites in 2..=8 {
-        let partition = partition_for(n_sites);
-        let x = n_sites as f64;
-        seq.push((
-            x,
-            metric(&run_seq(&partition, sigma, CoordinatorStrategy::MinResponseTime, &cfg())),
-        ));
-        clust.push((
-            x,
-            metric(&run_clust(&partition, sigma, CoordinatorStrategy::MinResponseTime, &cfg())),
-        ));
-    }
-    FigureResult {
-        id,
-        title: title.to_string(),
-        x_label: "sites",
-        y_label,
-        series: vec![
-            Series { label: "SEQDETECT".into(), points: seq },
-            Series { label: "CLUSTDETECT".into(), points: clust },
-        ],
-    }
+    let title = ("fig3h", "Scalability with |S|, multiple CFDs (cust8)");
+    sweep(title, ("sites", RESPONSE), sites(|n| w.partition(n)), &MULTI, |p, run| {
+        run(p, &sigma, CoordinatorStrategy::MinResponseTime, &cfg()).response_time
+    })
 }
 
 /// Exp-6 (Fig. 3(i)): response time vs |D| for two CFDs — cust16, 8
@@ -289,33 +244,10 @@ fn multi_cfd_site_sweep(
 pub fn fig3i(scale: f64) -> FigureResult {
     let w = cust16(scale);
     let sigma = w.overlapping_pair();
-    let mut seq = Vec::new();
-    let mut clust = Vec::new();
-    for step in 1..=10 {
-        let fraction = step as f64 / 10.0;
-        let prefix = w.prefix(fraction);
-        let partition = HorizontalPartition::round_robin(&prefix, 8).expect("round robin");
-        let x = (prefix.len() as f64) / 1000.0;
-        seq.push((
-            x,
-            run_seq(&partition, &sigma, CoordinatorStrategy::MinResponseTime, &cfg()).response_time,
-        ));
-        clust.push((
-            x,
-            run_clust(&partition, &sigma, CoordinatorStrategy::MinResponseTime, &cfg())
-                .response_time,
-        ));
-    }
-    FigureResult {
-        id: "fig3i",
-        title: "Scalability with |D|, multiple CFDs (cust16)".into(),
-        x_label: "K tuples",
-        y_label: "response time (s)",
-        series: vec![
-            Series { label: "SEQDETECT".into(), points: seq },
-            Series { label: "CLUSTDETECT".into(), points: clust },
-        ],
-    }
+    let title = ("fig3i", "Scalability with |D|, multiple CFDs (cust16)");
+    sweep(title, ("K tuples", RESPONSE), prefixes(&w), &MULTI, |p, run| {
+        run(p, &sigma, CoordinatorStrategy::MinResponseTime, &cfg()).response_time
+    })
 }
 
 /// A figure generator function, from the dataset scale.

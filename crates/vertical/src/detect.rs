@@ -1,9 +1,11 @@
 //! Violation detection in vertically partitioned data.
 //!
 //! A CFD whose attributes fit one fragment is checked there with zero
-//! shipment. Otherwise data must move (§V; the paper defers detailed
-//! algorithms to a later report and points at semijoin-style reductions
-//! \[25\] — §VII). We implement the natural coordinator strategy:
+//! shipment, through the same filter, gather and validation as any
+//! other (its plan has one supplier, so nothing ships). Otherwise data
+//! must move (§V; the paper defers detailed algorithms to a later
+//! report and points at semijoin-style reductions \[25\] — §VII). We
+//! implement the natural coordinator strategy:
 //!
 //! 1. pick as coordinator the fragment holding the most of the CFD's
 //!    attributes (fewest columns move) — the placement rule lives in
@@ -28,7 +30,7 @@
 use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
 use dcd_dist::{VFragment, VerticalPartition, TID_CELLS};
-use dcd_relation::{AttrId, Dictionary, Relation, RelationError, NO_CODE};
+use dcd_relation::{AttrId, Dictionary, NO_CODE};
 use std::sync::Arc;
 
 /// Runs `VERTDETECT` over a vertical partition — the engine behind the
@@ -36,12 +38,9 @@ use std::sync::Arc;
 /// full [`Detection`] accounting (bytes, per-site clocks, the §III-B
 /// paper cost) every other topology reports. A CFD checked without
 /// shipment leaves a `local:<cfd>` span, a gathered one `gather:<cfd>`
-/// and `validate:<cfd>`.
-pub fn run_vertical(
-    partition: &VerticalPartition,
-    sigma: &[Cfd],
-    cfg: &RunConfig,
-) -> Result<Detection, RelationError> {
+/// and `validate:<cfd>`; both validate the same way, one column batch
+/// at the coordinator.
+pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfig) -> Detection {
     let cost = cfg.cost;
     let fragments = partition.fragments();
     let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
@@ -51,38 +50,33 @@ pub fn run_vertical(
         let needed: Vec<AttrId> = cfd.attrs().iter().collect();
         let plan = partition.gather_plan(&needed);
         let coord = &fragments[plan.coordinator()];
-        // Locally checkable: all attributes in one fragment. §III-B
-        // with zero shipment and one active site reduces to the host's
-        // check time.
-        if plan.supplies.len() == 1 {
-            let vs = dcd_cfd::detect(&coord.data, &rebase_cfd_by_names(cfd, &coord.data)?);
-            ctx.phase(&format!("local:{}", cfd.name()), |p| {
-                p.compute(coord.site, cost.check_time(coord.data.len()));
-            });
-            ctx.absorb(cfd.name(), vs);
-            ctx.end_round();
-            continue;
-        }
-
-        // Gather on the code wire: the coordinator's own columns stay
-        // put; every other contributing fragment scans its rows and
-        // ships the ones it keeps. A row survives only if every
+        // Every contributing fragment scans its rows and keeps the ones
+        // that could match a pattern; a row survives only if every
         // contributing fragment kept it.
         let keeps: Vec<Vec<bool>> =
             plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd)).collect();
-        ctx.phase(&format!("gather:{}", cfd.name()), |p| {
-            // A send moves no clock until `commit`, so the scans may be
-            // charged first.
-            for (f, _) in &plan.supplies[1..] {
-                p.compute(fragments[*f].site, cost.scan_time(fragments[*f].data.len()));
-            }
-            let mut wire = p.transfer();
-            for ((f, attrs), keep) in plan.supplies.iter().zip(&keeps).skip(1) {
-                let (frag, shipped) = (&fragments[*f], keep.iter().filter(|&&k| k).count());
-                wire.send(coord.site, frag.site, shipped, shipped * (attrs.len() + TID_CELLS));
-            }
-            wire.commit();
-        });
+        // Locally checkable: all attributes in one fragment, so nothing
+        // ships. §III-B with zero shipment and one active site reduces
+        // to the host's check time over its whole fragment.
+        let local = plan.supplies.len() == 1;
+        if !local {
+            // Gather on the code wire: the coordinator's own columns stay
+            // put; every other contributing fragment ships the rows it
+            // keeps.
+            ctx.phase(&format!("gather:{}", cfd.name()), |p| {
+                // A send moves no clock until `commit`, so the scans may be
+                // charged first.
+                for (f, _) in &plan.supplies[1..] {
+                    p.compute(fragments[*f].site, cost.scan_time(fragments[*f].data.len()));
+                }
+                let mut wire = p.transfer();
+                for ((f, attrs), keep) in plan.supplies.iter().zip(&keeps).skip(1) {
+                    let (frag, shipped) = (&fragments[*f], keep.iter().filter(|&&k| k).count());
+                    wire.send(coord.site, frag.site, shipped, shipped * (attrs.len() + TID_CELLS));
+                }
+                wire.commit();
+            });
+        }
         let survivors: Vec<usize> =
             (0..fragments[0].data.len()).filter(|&r| keeps.iter().all(|keep| keep[r])).collect();
         let batch = partition.gather(&plan, &survivors);
@@ -101,15 +95,17 @@ pub fn run_vertical(
             vs.merge(found.into());
             tally += counted;
         }
-        ctx.phase(&format!("validate:{}", cfd.name()), |p| {
-            p.compute(coord.site, cost.check_time(batch.len()));
+        let (phase, checked) =
+            if local { ("local", coord.data.len()) } else { ("validate", batch.len()) };
+        ctx.phase(&format!("{phase}:{}", cfd.name()), |p| {
+            p.compute(coord.site, cost.check_time(checked));
             tally.record(p.metrics());
         });
         ctx.absorb(cfd.name(), vs);
         ctx.end_round();
     }
 
-    Ok(ctx.finish("VERTDETECT"))
+    ctx.finish("VERTDETECT")
 }
 
 /// The dictionary `frag` codes original-schema attribute `a` against.
@@ -150,38 +146,20 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd) -> Vec<bool> {
         .collect()
 }
 
-/// Re-expresses a CFD over a fragment's schema by matching attribute
-/// names (ids differ between the original schema and projections).
-fn rebase_cfd_by_names(cfd: &Cfd, local: &Relation) -> Result<Cfd, RelationError> {
-    let orig = cfd.schema();
-    let names = |ids: &[AttrId]| -> Result<Vec<&str>, RelationError> {
-        ids.iter()
-            .map(|&a| {
-                let name = orig.attr_name(a);
-                local.schema().require(name)?;
-                Ok(name)
-            })
-            .collect()
-    };
-    let lhs = names(cfd.lhs())?;
-    let rhs = names(cfd.rhs())?;
-    Cfd::with_names(cfd.name(), local.schema().clone(), &lhs, &rhs, cfd.tableau().to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Runs the engine and reads how many CFDs were checked without
     /// shipment off the trace: each leaves one `local:<cfd>` span.
-    fn vdetect(p: &VerticalPartition, sigma: &[Cfd]) -> Result<(Detection, usize), RelationError> {
-        let d = run_vertical(p, sigma, &RunConfig::default())?;
+    fn vdetect(p: &VerticalPartition, sigma: &[Cfd]) -> (Detection, usize) {
+        let d = run_vertical(p, sigma, &RunConfig::default());
         let locally_checked = d.trace.spans.iter().filter(|s| s.name.starts_with("local:")).count();
-        Ok((d, locally_checked))
+        (d, locally_checked)
     }
 
     use dcd_cfd::parse_cfd;
-    use dcd_relation::{vals, Schema, ValueType};
+    use dcd_relation::{vals, Relation, Schema, ValueType};
 
     fn emp() -> Relation {
         let schema = Schema::builder("emp")
@@ -222,7 +200,7 @@ mod tests {
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
-        let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd));
         let (_, vs) = &out.violations.per_cfd[0];
         assert_eq!(vs.tids, global.tids);
         assert!(out.shipped_tuples > 0, "must ship");
@@ -236,7 +214,7 @@ mod tests {
         // zip → street lives entirely in fragment 0.
         let cfd = parse_cfd(rel.schema(), "local", "([zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd));
         assert_eq!(out.shipped_tuples, 0);
         assert_eq!(locally_checked, 1);
         let (_, vs) = &out.violations.per_cfd[0];
@@ -249,7 +227,7 @@ mod tests {
         let p = partition(&rel);
         // CC=31 matches one tuple only; the CC fragment pre-filters.
         let cfd = parse_cfd(rel.schema(), "phi", "([CC=31, zip] -> [street])").unwrap();
-        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd));
         assert_eq!(out.violations.all_tids(), dcd_cfd::detect(&rel, &cfd).tids);
         assert_eq!(out.shipped_tuples, 1, "only the CC=31 row travels");
     }
@@ -265,7 +243,7 @@ mod tests {
         let rel = emp();
         let p = partition(&rel);
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();
-        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd));
         assert_eq!(out.shipped_tuples, 4, "CC≠44 row filtered before shipping");
         assert_eq!(out.shipped_cells, 4 * (1 + TID_CELLS));
         assert_eq!(out.shipped_bytes, out.shipped_cells * CODE_BYTES);
@@ -279,7 +257,7 @@ mod tests {
         let cfd = parse_cfd(rel.schema(), "phi2", "([CC, title] -> [salary])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
         assert!(!global.tids.is_empty());
-        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd)).unwrap();
+        let (out, _) = vdetect(&p, std::slice::from_ref(&cfd));
         let (_, vs) = &out.violations.per_cfd[0];
         assert_eq!(vs.tids, global.tids);
         assert!(out.response_time > 0.0);
@@ -294,7 +272,7 @@ mod tests {
             parse_cfd(rel.schema(), "remote", "([CC, title] -> [salary])").unwrap(),
         ];
         let global = dcd_cfd::detect_set(&rel, &sigma);
-        let (out, locally_checked) = vdetect(&p, &sigma).unwrap();
+        let (out, locally_checked) = vdetect(&p, &sigma);
         assert_eq!(locally_checked, 1);
         assert_eq!(out.violations.all_tids(), global.all_tids());
     }

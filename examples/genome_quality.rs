@@ -46,6 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfds(sigma.iter().cloned())
             .algorithm(alg)
             .config(cfg)
+            .plan()?
             .run()
     };
     let seq = request(Algorithm::seq_detect())?;

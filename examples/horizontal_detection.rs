@@ -33,6 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfd(cfd.to_cfd())
             .algorithm(alg)
             .config(cfg)
+            .plan()?
             .run()?;
         println!("{d}");
         // Sanity: every algorithm agrees with the centralized baseline.
@@ -48,6 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfd(c.to_cfd())
             .algorithm(Algorithm::PatDetectS)
             .config(cfg)
+            .plan()?
             .run()
     };
     let plain = request(&fd_simple)?;

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Open the session through the façade: one index build, code rows
     // only.
     let mut session =
-        DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).session()?;
+        DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).plan()?.session()?;
     let built = session.detection();
     println!(
         "index build: coordinator {}, {} tuples shipped as {} cells ({} bytes), {} violations\n",
@@ -64,6 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let full = DetectRequest::over(run.partition().clone())
             .cfd(sigma[0].clone())
             .algorithm(Algorithm::PatDetectS)
+            .plan()?
             .run()?;
         println!(
             "{:<7} {:>6} {:>6} {:>12} {:>12} {:>14}",

@@ -88,6 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfds(sigma.iter().cloned())
             .algorithm(alg)
             .config(cfg)
+            .plan()?
             .run()?;
         println!("  {d}");
         assert_eq!(d.violations.all_tids(), report.all_tids(), "distributed == centralized");

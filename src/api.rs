@@ -18,10 +18,11 @@
 //! * [`Algorithm`] names how to detect: the paper's three single-CFD
 //!   algorithms plus `SEQDETECT` and `CLUSTDETECT`;
 //! * [`DetectRequest`] couples the two with the rules Σ and a
-//!   [`RunConfig`]; [`DetectRequest::run`] returns the same
-//!   [`Detection`] every engine produces, and
-//!   [`DetectRequest::session`] opens an [`IncrementalSession`] that
-//!   maintains the result under delta batches instead of re-running.
+//!   [`RunConfig`]; [`DetectRequest::plan`] checks it once and returns
+//!   a [`Plan`], the only thing that runs: [`Plan::run`] returns the
+//!   same [`Detection`] every engine produces, and [`Plan::session`]
+//!   opens an [`IncrementalSession`] that maintains the result under
+//!   delta batches instead of re-running.
 //!
 //! Every engine beneath the façade ships dictionary codes, never value
 //! payloads: batch coordinators gather `(tid, codes)` rows — a cluster
@@ -48,10 +49,11 @@
 //! let cfd = parse_cfd(&schema, "phi", "([cc, zip] -> [street])")?;
 //! let partition = HorizontalPartition::round_robin(&rel, 3)?;
 //!
-//! let detection = DetectRequest::over(partition)
+//! let plan = DetectRequest::over(partition)
 //!     .cfd(cfd)
 //!     .algorithm(Algorithm::PatDetectS)
-//!     .run()?;
+//!     .plan()?;
+//! let detection = plan.run()?;
 //! assert_eq!(detection.violations.all_tids().len(), 2);
 //! println!("{detection}");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -86,16 +88,6 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Number of sites the topology spans.
-    pub fn n_sites(&self) -> usize {
-        match self {
-            Topology::Horizontal(p) => p.n_sites(),
-            Topology::Vertical(p) => p.n_sites(),
-            Topology::Hybrid(p) => p.n_sites(),
-            Topology::Replicated(p) => p.n_sites(),
-        }
-    }
-
     /// The schema of the (unfragmented) relation the topology holds.
     fn schema(&self) -> &Schema {
         match self {
@@ -178,8 +170,8 @@ impl Default for Algorithm {
 }
 
 /// One detection request: a [`Topology`], the rules Σ, an
-/// [`Algorithm`] and a [`RunConfig`] — everything a run needs, behind
-/// one `run()`.
+/// [`Algorithm`] and a [`RunConfig`] — everything a run needs, checked
+/// once by [`Self::plan`].
 ///
 /// Built builder-style; see the [module docs](self) for an example.
 /// With several CFDs and a single-CFD algorithm, the CFDs are
@@ -232,23 +224,59 @@ impl DetectRequest {
         self
     }
 
-    /// The topology the request targets.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The front-door check of [`Self::run`] and [`Self::session`]:
+    /// Checks the request once and returns the [`Plan`] that runs it:
     /// the cost model must be able to drive the clocks
-    /// ([`CostModel::check`](dcd_dist::CostModel::check)) and every CFD
+    /// ([`CostModel::check`](dcd_dist::CostModel::check)), and every CFD
     /// must be defined over the topology's schema ([`Cfd::check_schema`]).
-    fn check(&self) -> Result<(), RelationError> {
+    /// Σ is simplified here too, into the single-RHS CFDs
+    /// `φ = R(X → A, Tp)` the single-CFD algorithms take.
+    ///
+    /// A CFD defined over a schema other than the topology's is
+    /// rejected with [`RelationError::SchemaMismatch`], a cost model
+    /// with a non-finite, negative or zero-rate field with
+    /// [`RelationError::InvalidCostModel`].
+    pub fn plan(self) -> Result<Plan, RelationError> {
         self.config.cost.check()?;
-        self.cfds.iter().try_for_each(|cfd| cfd.check_schema(self.topology.schema()))
+        let schema = self.topology.schema();
+        self.cfds.iter().try_for_each(|cfd| cfd.check_schema(schema))?;
+        let simples = self.cfds.iter().flat_map(Cfd::simplify).collect();
+        let DetectRequest { topology, cfds, algorithm, config } = self;
+        Ok(Plan { topology, cfds, simples, algorithm, config })
     }
+}
 
+/// A checked [`DetectRequest`]: what [`DetectRequest::plan`] returns
+/// once the request passed its checks, and the only thing that runs.
+///
+/// Its fields are private, so no `Plan` exists that skipped the checks:
+///
+/// ```compile_fail,E0451
+/// use distributed_cfd::prelude::*;
+///
+/// # let partition: HorizontalPartition = unimplemented!();
+/// let plan = Plan {
+///     topology: Topology::Horizontal(partition),
+///     cfds: Vec::new(),
+///     simples: Vec::new(),
+///     algorithm: Algorithm::PatDetectS,
+///     config: RunConfig::default(),
+/// };
+/// ```
+#[derive(Debug, Clone)]
+pub struct Plan {
+    topology: Topology,
+    cfds: Vec<Cfd>,
+    /// Σ simplified: the horizontal single-CFD algorithms' input.
+    simples: Vec<SimpleCfd>,
+    algorithm: Algorithm,
+    config: RunConfig,
+}
+
+impl Plan {
     /// Runs the batch detection and returns the [`Detection`] — same
     /// violations, traffic and timing every engine reports, whatever
-    /// the topology.
+    /// the topology. `run` borrows the plan, so one plan runs any
+    /// number of times, and every run answers the same.
     ///
     /// How much of the [`Algorithm`] each topology honours:
     ///
@@ -263,26 +291,22 @@ impl DetectRequest {
     ///   every fragment filters on its pattern constants before it
     ///   ships; the algorithm is ignored.
     ///
-    /// A CFD defined over a schema other than the topology's is
-    /// rejected with [`RelationError::SchemaMismatch`], a cost model
-    /// with a non-finite, negative or zero-rate field with
-    /// [`RelationError::InvalidCostModel`].
+    /// Only a hybrid run can fail here: its per-run gather of each
+    /// cell's columns answers a [`RelationError`].
     pub fn run(&self) -> Result<Detection, RelationError> {
-        self.check()?;
-        let cfg = self.config;
+        let cfg = &self.config;
         match &self.topology {
-            Topology::Horizontal(p) => match self.algorithm {
-                Algorithm::SeqDetect(inner) => Ok(run_seq(p, &self.cfds, inner, &cfg)),
-                Algorithm::ClustDetect(inner) => Ok(run_clust(p, &self.cfds, inner, &cfg)),
+            Topology::Horizontal(p) => Ok(match self.algorithm {
+                Algorithm::SeqDetect(inner) => run_seq(p, &self.cfds, inner, cfg),
+                Algorithm::ClustDetect(inner) => run_clust(p, &self.cfds, inner, cfg),
                 single
                 @ (Algorithm::CtrDetect | Algorithm::PatDetectS | Algorithm::PatDetectRT) => {
-                    let simples: Vec<_> = self.cfds.iter().flat_map(Cfd::simplify).collect();
-                    Ok(run_batch(p, &simples, single.strategy(), &cfg))
+                    run_batch(p, &self.simples, single.strategy(), cfg)
                 }
-            },
-            Topology::Vertical(p) => run_vertical(p, &self.cfds, &cfg),
-            Topology::Hybrid(p) => run_hybrid(p, &self.cfds, self.algorithm.strategy(), &cfg),
-            Topology::Replicated(p) => Ok(run_replicated(p, &self.cfds, &cfg)),
+            }),
+            Topology::Vertical(p) => Ok(run_vertical(p, &self.cfds, cfg)),
+            Topology::Hybrid(p) => run_hybrid(p, &self.cfds, self.algorithm.strategy(), cfg),
+            Topology::Replicated(p) => Ok(run_replicated(p, &self.cfds, cfg)),
         }
     }
 
@@ -292,33 +316,33 @@ impl DetectRequest {
     /// violation report per delta batch at a fraction of a re-run's
     /// cost. Supported over horizontal, replicated and vertical
     /// topologies; a hybrid topology returns an error (its gather
-    /// recomputes per round — re-run the batch request instead).
+    /// recomputes per round — plan a batch request over the changed
+    /// partition instead).
     ///
-    /// The session consumes the request: it owns the partition, which
+    /// The session consumes the plan: it owns the partition, which
     /// mutates as batches apply.
     pub fn session(self) -> Result<IncrementalSession, RelationError> {
-        self.check()?;
-        let cfg = self.config;
+        let (cfds, cfg) = (&self.cfds, self.config);
         match self.topology {
             Topology::Horizontal(p) => {
-                Ok(IncrementalSession::Horizontal(IncrementalRun::new(p, &self.cfds, cfg)?))
+                Ok(IncrementalSession::Horizontal(IncrementalRun::new(p, cfds, cfg)?))
             }
-            Topology::Replicated(p) => Ok(IncrementalSession::Horizontal(
-                IncrementalRun::new_replicated(&p, &self.cfds, cfg)?,
-            )),
+            Topology::Replicated(p) => {
+                Ok(IncrementalSession::Horizontal(IncrementalRun::new_replicated(&p, cfds, cfg)?))
+            }
             Topology::Vertical(p) => {
-                Ok(IncrementalSession::Vertical(VerticalIncrementalRun::new(p, &self.cfds, cfg)?))
+                Ok(IncrementalSession::Vertical(VerticalIncrementalRun::new(p, cfds, cfg)?))
             }
             Topology::Hybrid(_) => Err(RelationError::InvalidPartition {
                 detail: "incremental sessions are not supported over hybrid topologies; \
-                         re-run the batch DetectRequest after applying changes"
+                         plan a batch request over the changed partition instead"
                     .into(),
             }),
         }
     }
 }
 
-/// A stateful detection session opened by [`DetectRequest::session`]:
+/// A stateful detection session opened by [`Plan::session`]:
 /// the topology-appropriate incremental run behind one interface.
 #[derive(Debug)]
 pub enum IncrementalSession {
@@ -468,7 +492,7 @@ mod tests {
         assert!(!global.tids.is_empty());
         for topology in every_topology(&rel) {
             let label = format!("{topology:?}");
-            let d = DetectRequest::over(topology).cfd(cfd.clone()).run().unwrap();
+            let d = DetectRequest::over(topology).cfd(cfd.clone()).plan().unwrap().run().unwrap();
             assert_eq!(d.violations.all_tids(), global.tids, "{}", &label[..30.min(label.len())]);
         }
     }
@@ -488,6 +512,8 @@ mod tests {
             let d = DetectRequest::over(partition.clone())
                 .cfd(cfd.clone())
                 .algorithm(alg)
+                .plan()
+                .unwrap()
                 .run()
                 .unwrap();
             assert_eq!(d.algorithm, label);
@@ -500,8 +526,8 @@ mod tests {
         let rel = sample(20);
         let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
         let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
-        let mut session =
-            DetectRequest::over(partition).cfd(cfd.clone()).session().expect("session opens");
+        let plan = DetectRequest::over(partition).cfd(cfd.clone()).plan().unwrap();
+        let mut session = plan.session().expect("session opens");
         // Insert a fresh conflict at site 0.
         let batch = DeltaBatch::new(vec![
             RelationDelta::new(vec![Tuple::new(TupleId(100), vals![100, 44, "z0", "sX"])], vec![]),
@@ -514,8 +540,8 @@ mod tests {
         assert_eq!(session.detection().algorithm, dcd_incr::ALGORITHM);
     }
 
-    /// `run` borrows the request, so one request runs any number of
-    /// times, and every run answers the same.
+    /// `run` borrows the plan, so one plan runs any number of times,
+    /// and every run answers the same.
     #[test]
     fn a_request_runs_twice_to_the_same_detection() {
         let rel = sample(40);
@@ -523,11 +549,13 @@ mod tests {
         let other = parse_cfd(rel.schema(), "psi", "([cc] -> [zip])").unwrap();
         for topology in every_topology(&rel) {
             let label = format!("{topology:?}");
-            let request = DetectRequest::over(topology)
+            let plan = DetectRequest::over(topology)
                 .cfds([cfd.clone(), other.clone()])
-                .algorithm(Algorithm::clust_detect());
-            let first = request.run().unwrap();
-            assert_eq!(first, request.run().unwrap(), "{}", &label[..30.min(label.len())]);
+                .algorithm(Algorithm::clust_detect())
+                .plan()
+                .unwrap();
+            let first = plan.run().unwrap();
+            assert_eq!(first, plan.run().unwrap(), "{}", &label[..30.min(label.len())]);
         }
     }
 
@@ -562,7 +590,8 @@ mod tests {
             ("vertical", vertical.into(), ill_typed_street),
         ];
         for (label, topology, rejected) in cases {
-            let mut session = DetectRequest::over(topology).cfds(sigma.clone()).session().unwrap();
+            let plan = DetectRequest::over(topology).cfds(sigma.clone()).plan().unwrap();
+            let mut session = plan.session().unwrap();
             let tuples =
                 |s: &IncrementalSession| s.materialize().unwrap().iter().collect::<Vec<_>>();
             let (detection, report, rows) =
@@ -585,7 +614,8 @@ mod tests {
     /// same-arity schema with the columns permuted they used to name
     /// the wrong columns (`Ok`, 0 violations where the right CFD finds
     /// some); over a wider one they used to index out of bounds. Every
-    /// front door now answers `SchemaMismatch`, naming the CFD.
+    /// front door now answers `SchemaMismatch`, naming the CFD: `plan()`
+    /// over every topology, so neither a run nor a session starts.
     #[test]
     fn foreign_schema_cfds_are_rejected_at_every_front_door() {
         let rel = sample(24);
@@ -611,13 +641,13 @@ mod tests {
                 let label = format!("{topology:?}");
                 let label = &label[..30.min(label.len())];
                 let request = DetectRequest::over(topology).cfd(cfd.clone());
-                assert!(rejected(request.run().map(drop)), "run over {label}");
-                assert!(rejected(request.session().map(drop)), "session over {label}");
+                assert!(rejected(request.plan().map(drop)), "plan over {label}");
             }
             // So is mined-tableau tracking on an open session.
             let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
             let own = parse_cfd(rel.schema(), "own", "([cc, zip] -> [street])").unwrap();
-            let mut session = DetectRequest::over(horizontal.clone()).cfd(own).session().unwrap();
+            let plan = DetectRequest::over(horizontal.clone()).cfd(own).plan().unwrap();
+            let mut session = plan.session().unwrap();
             let foreign = &cfd.simplify()[0];
             assert!(rejected(session.track_mining(foreign, &MiningConfig::default()).map(drop)));
             // The session constructors are public front doors too.
@@ -643,21 +673,24 @@ mod tests {
         let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let vertical =
             VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]]).unwrap();
-        let mut session = DetectRequest::over(horizontal).cfd(cfd.clone()).session().unwrap();
+        let plan = DetectRequest::over(horizontal).cfd(cfd.clone()).plan().unwrap();
+        let mut session = plan.session().unwrap();
         assert!(session.mined_cfd(0).is_none());
         let id = session.track_mining(&cfd.simplify()[0], &MiningConfig::default()).unwrap();
         assert!(session.mined_cfd(id).is_some());
         assert!(session.mined_cfd(id + 1).is_none());
-        let vertical = DetectRequest::over(vertical).cfd(cfd).session().unwrap();
+        let vertical = DetectRequest::over(vertical).cfd(cfd).plan().unwrap().session().unwrap();
         assert!(vertical.mined_cfd(0).is_none());
     }
 
+    /// A hybrid request plans, and its plan refuses to open a session.
     #[test]
-    fn hybrid_sessions_are_rejected() {
+    fn hybrid_sessions_are_rejected() -> Result<(), RelationError> {
         let rel = sample(12);
-        let horizontal = HorizontalPartition::round_robin(&rel, 2).unwrap();
-        let hybrid = HybridPartition::new(&horizontal, &[&["cc", "zip"], &["street"]]).unwrap();
-        let err = DetectRequest::over(hybrid).session();
-        assert!(err.is_err());
+        let horizontal = HorizontalPartition::round_robin(&rel, 2)?;
+        let hybrid = HybridPartition::new(&horizontal, &[&["cc", "zip"], &["street"]])?;
+        let err = DetectRequest::over(hybrid).plan()?.session();
+        assert!(matches!(err, Err(RelationError::InvalidPartition { .. })));
+        Ok(())
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! * [`api`] — [`DetectRequest`]: one code-native request object over
 //!   every topology ([`Topology`]) and algorithm ([`Algorithm`]),
-//!   batch (`run()` → [`Detection`](dcd_core::Detection)) or
-//!   incremental (`session()` → [`IncrementalSession`]),
+//!   checked once by `plan()` into a [`Plan`] that runs batch
+//!   (`run()` → [`Detection`](dcd_core::Detection)) or incremental
+//!   (`session()` → [`IncrementalSession`]),
 //! * [`relation`] — the in-memory relational engine substrate,
 //! * [`cfd`] — CFDs: pattern tableaux, centralized detection, implication,
 //! * [`dist`] — fragmentation, the shipment ledger and the cost model,
@@ -54,6 +55,7 @@
 //! let detection = DetectRequest::over(partition)
 //!     .cfd(cfd)
 //!     .algorithm(Algorithm::PatDetectS)
+//!     .plan()? // checks the cost model and every CFD's schema, once
 //!     .run()?;
 //! assert_eq!(detection.violations.all_tids().len(), 2);
 //! // One-line report, now with control traffic:
@@ -76,7 +78,7 @@
 
 pub mod api;
 
-pub use api::{Algorithm, DetectRequest, IncrementalSession, Topology};
+pub use api::{Algorithm, DetectRequest, IncrementalSession, Plan, Topology};
 pub use dcd_cfd as cfd;
 pub use dcd_complexity as complexity;
 pub use dcd_core as core;
@@ -89,7 +91,7 @@ pub use dcd_vertical as vertical;
 
 /// One-stop imports for the common API surface.
 pub mod prelude {
-    pub use crate::api::{Algorithm, DetectRequest, IncrementalSession, Topology};
+    pub use crate::api::{Algorithm, DetectRequest, IncrementalSession, Plan, Topology};
     pub use dcd_cfd::{
         detect, detect_set, detect_simple, parse_cfd, satisfies, Cfd, CodeLayout, NormalPattern,
         PatternTuple, PatternValue, SimpleCfd, ViolationReport, ViolationSet,

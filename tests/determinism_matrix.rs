@@ -34,7 +34,8 @@ fn sweep(threads: usize) -> Vec<(String, Detection)> {
             .cfds(sigma.iter().cloned())
             .algorithm(alg)
             .config(cfg)
-            .run()
+            .plan()
+            .and_then(|plan| plan.run())
             .expect("matrix run succeeds")
     };
 
@@ -137,7 +138,8 @@ fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
             let d = DetectRequest::over(horizontal.clone())
                 .cfds(sigma.iter().cloned())
                 .algorithm(alg)
-                .run()
+                .plan()
+                .and_then(|plan| plan.run())
                 .expect("run succeeds");
             assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
             got += &recorded(&format!("{alg:?}"), &d);

@@ -86,9 +86,14 @@ fn a_detection_indexes_exactly_the_attributes_with_pattern_constants() {
         for k in 0..requests(&cust().1, &sigma).len() {
             let (generated, built) = cust();
             assert!(indexed(&built).is_empty(), "the load left an index");
-            let on_built = requests(&built, &sigma).swap_remove(k).run().unwrap();
+            let on_built =
+                requests(&built, &sigma).swap_remove(k).plan().and_then(|plan| plan.run()).unwrap();
             assert_eq!(indexed(&built), constant_attrs(&sigma), "request {k}");
-            let on_generated = requests(&generated, &sigma).swap_remove(k).run().unwrap();
+            let on_generated = requests(&generated, &sigma)
+                .swap_remove(k)
+                .plan()
+                .and_then(|plan| plan.run())
+                .unwrap();
             assert_eq!(on_built, on_generated, "request {k}");
         }
     }

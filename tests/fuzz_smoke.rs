@@ -3,7 +3,7 @@
 //! `proptest` shim derives its RNG from the test name, so every run
 //! replays the same inputs) drives random [`DetectRequest`]s over
 //! every topology and random delta streams through
-//! [`DetectRequest::session`], round-tripping each result against the
+//! [`Plan::session`], round-tripping each result against the
 //! paper-definition oracle on the (re)materialized relation and pinning
 //! pool widths 1 and 8 bit-identical. Unlike the per-topology property
 //! suites, everything here goes through the facade only: this is the
@@ -27,7 +27,8 @@ fn request(
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(RunConfig::default().with_threads(threads))
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("facade run succeeds on generated inputs")
 }
 
@@ -168,7 +169,7 @@ proptest! {
         }
     }
 
-    /// Random delta streams through `DetectRequest::session` over
+    /// Random delta streams through `Plan::session` over
     /// horizontal, replicated and vertical topologies: after every
     /// batch, the horizontal and the vertical session at pool widths 1
     /// and 8 agree bit for bit, and after the stream drains every
@@ -203,7 +204,8 @@ proptest! {
             DetectRequest::over(topology)
                 .cfds(sigma.iter().cloned())
                 .config(RunConfig::default().with_threads(threads))
-                .session()
+                .plan()
+                .and_then(Plan::session)
                 .expect("generated topologies support sessions")
         };
         let mut h1 = open(horizontal.clone().into(), 1);

@@ -163,7 +163,8 @@ fn run(label: &str, rel: &Relation, sigma: &[Cfd], request: &DetectRequest) -> (
         let d = request
             .clone()
             .config(RunConfig::default().with_threads(threads))
-            .run()
+            .plan()
+            .and_then(|plan| plan.run())
             .expect("generated requests are valid");
         assert_eq!(d.violations.all_tids(), want.all_tids(), "{label} @{threads}");
         d
@@ -257,8 +258,11 @@ fn recordings(grown: bool) -> String {
         }
 
         // The vertical session: the build, then two delta batches.
-        let mut session =
-            DetectRequest::over(vertical).cfds(sigma.iter().cloned()).session().unwrap();
+        let mut session = DetectRequest::over(vertical)
+            .cfds(sigma.iter().cloned())
+            .plan()
+            .and_then(Plan::session)
+            .unwrap();
         got += &recorded(&format!("seed {seed} session build"), &session.detection());
         let mut live: Vec<i64> = (0..rel.len() as i64).collect();
         let mut next_id = 1000;

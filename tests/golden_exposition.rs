@@ -41,7 +41,12 @@ fn example_detection(grown: bool) -> Detection {
         parse_cfd(&schema, "phi2", "([a=1, b] -> [c=c1])").unwrap(),
     ];
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
-    DetectRequest::over(partition).cfds(sigma).algorithm(Algorithm::PatDetectS).run().unwrap()
+    DetectRequest::over(partition)
+        .cfds(sigma)
+        .algorithm(Algorithm::PatDetectS)
+        .plan()
+        .and_then(|plan| plan.run())
+        .unwrap()
 }
 
 #[test]

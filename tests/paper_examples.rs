@@ -16,7 +16,8 @@ fn detect_on(
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(*cfg)
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("paper fixtures are valid requests")
 }
 

@@ -245,7 +245,8 @@ fn detections(
                     .cfds(sigma.iter().cloned())
                     .algorithm(Algorithm::ClustDetect(strategy))
                     .config(RunConfig::default().with_threads(threads))
-                    .run()
+                    .plan()
+                    .and_then(|plan| plan.run())
                     .expect("generated requests are valid");
                 assert_eq!(d.violations.per_cfd.len(), sigma.len(), "{label}: one entry per CFD");
                 for simple in sigma.iter().flat_map(Cfd::simplify) {

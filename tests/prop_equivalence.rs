@@ -41,7 +41,8 @@ fn run_on(
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(*cfg)
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("generated requests are valid")
 }
 

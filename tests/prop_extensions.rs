@@ -17,7 +17,8 @@ fn run_on(topology: impl Into<Topology>, sigma: &[Cfd], cfg: &RunConfig) -> Dete
         .cfds(sigma.iter().cloned())
         .algorithm(Algorithm::PatDetectS)
         .config(*cfg)
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("generated requests are valid")
 }
 

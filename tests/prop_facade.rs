@@ -6,7 +6,7 @@
 //! and partitions. The two [`Detection`]s must be `==`: every field,
 //! f64s compared by bits (the determinism contract, not an epsilon
 //! match). This suite is what keeps the façade honest against the
-//! engines directly — and `DetectRequest::session` against the
+//! engines directly — and `Plan::session` against the
 //! incremental run it opens, after the build and after every batch.
 
 mod common;
@@ -28,7 +28,8 @@ fn facade(
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(cfg)
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("facade run succeeds on generated inputs")
 }
 
@@ -165,14 +166,14 @@ proptest! {
         let partition =
             VerticalPartition::by_attribute_groups(&rel, &[&["a", "b"], &["c"], &["d"]]).unwrap();
         let cfg = RunConfig::default();
-        let engine = run_vertical(&partition, std::slice::from_ref(&cfd), &cfg).unwrap();
+        let engine = run_vertical(&partition, std::slice::from_ref(&cfd), &cfg);
         let new =
             facade(partition.clone(), std::slice::from_ref(&cfd), Algorithm::PatDetectS, cfg);
         prop_assert_eq!(engine, new, "VERTICAL");
     }
 
     /// A session is the incremental run it opens: over horizontal,
-    /// replicated and vertical topologies, `DetectRequest::session()`
+    /// replicated and vertical topologies, `Plan::session()`
     /// and `IncrementalRun::new` / `IncrementalRun::new_replicated` /
     /// `VerticalIncrementalRun::new` on the same partition, Σ and
     /// `RunConfig` answer the same `Detection` and report after the build
@@ -204,7 +205,12 @@ proptest! {
         .map(DeltaBatch::from)
         .collect();
         let session = |topology: Topology| {
-            DetectRequest::over(topology).cfds(sigma.iter().cloned()).config(cfg).session().unwrap()
+            DetectRequest::over(topology)
+                .cfds(sigma.iter().cloned())
+                .config(cfg)
+                .plan()
+                .and_then(Plan::session)
+                .unwrap()
         };
 
         let mut run = IncrementalRun::new(horizontal.clone(), &sigma, cfg).unwrap();
@@ -265,8 +271,7 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
         let cfg = RunConfig { cost, ..RunConfig::default() };
         for (name, topology) in &topologies {
             let request = DetectRequest::over(topology.clone()).cfds(sigma.clone()).config(cfg);
-            assert!(rejected(request.run().map(drop)), "run over {name}: {field}");
-            assert!(rejected(request.session().map(drop)), "session over {name}: {field}");
+            assert!(rejected(request.plan().map(drop)), "plan over {name}: {field}");
         }
         // The session constructors are public front doors too.
         let h = horizontal.clone();

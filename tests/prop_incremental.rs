@@ -26,7 +26,8 @@ fn assert_equals_full_redetection(
             .cfds(sigma.iter().cloned())
             .algorithm(alg)
             .config(cfg)
-            .run()
+            .plan()
+            .and_then(|plan| plan.run())
             .expect("materialized partitions are valid requests")
     };
     for alg in [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::PatDetectRT] {

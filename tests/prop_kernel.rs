@@ -315,7 +315,8 @@ proptest! {
         let mut session = DetectRequest::over(partition)
             .cfd(cfd)
             .config(at(8))
-            .session()
+            .plan()
+            .and_then(Plan::session)
             .expect("horizontal partitions support sessions");
         let sid = session.track_mining(&simple, &config).expect("horizontal sessions mine");
 

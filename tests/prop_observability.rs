@@ -71,7 +71,8 @@ fn run_matrix(f: &Fixtures, threads: usize) -> Vec<(String, Detection)> {
                 .cfds(f.sigma.iter().cloned())
                 .algorithm(alg)
                 .config(cfg)
-                .run()
+                .plan()
+                .and_then(|plan| plan.run())
                 .expect("matrix run succeeds");
             out.push((format!("{name}/{alg:?}"), d));
         }
@@ -169,7 +170,8 @@ fn spans_tile_the_clock() {
             parse_cfd(&s, "alone", "([c] -> [d])").unwrap(),
         ])
         .algorithm(Algorithm::clust_detect())
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("a valid request");
     assert_spans_tile_the_clock("family + singleton", &d);
     let mut shipments: Vec<&str> =

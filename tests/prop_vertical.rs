@@ -15,7 +15,8 @@ use proptest::prelude::*;
 fn run_on(partition: &VerticalPartition, sigma: &[Cfd]) -> Detection {
     DetectRequest::over(partition.clone())
         .cfds(sigma.iter().cloned())
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("generated requests are valid")
 }
 

@@ -18,7 +18,8 @@ fn run_on(
         .cfds(sigma.iter().cloned())
         .algorithm(algorithm)
         .config(*cfg)
-        .run()
+        .plan()
+        .and_then(|plan| plan.run())
         .expect("workload fixtures are valid requests")
 }
 
