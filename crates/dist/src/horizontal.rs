@@ -2,7 +2,7 @@
 
 use crate::site::SiteId;
 use dcd_relation::fxhash::FxBuildHasher;
-use dcd_relation::{AttrId, Predicate, Relation, RelationError, Schema, TupleId};
+use dcd_relation::{AttrId, Dictionary, Predicate, Relation, RelationError, Schema, TupleId};
 use std::collections::HashSet;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -27,88 +27,48 @@ pub struct Fragment {
 /// sites. Fragment `i` lives at site `i`.
 #[derive(Debug, Clone)]
 pub struct HorizontalPartition {
-    schema: Arc<Schema>,
-    fragments: Vec<Fragment>,
+    pub(crate) schema: Arc<Schema>,
+    pub(crate) fragments: Vec<Fragment>,
 }
 
 impl HorizontalPartition {
-    /// Builds a partition from explicit fragments. Fragment `i` must be
-    /// sited at `SiteId(i)` and share the partition schema.
-    ///
-    /// All fragments of a partition code against **one shared
-    /// dictionary set** — that is what lets the detection algorithms
-    /// ship bare dictionary codes between sites. Fragments built by
-    /// this module's constructors already share (checked by `Arc`
-    /// identity, which is free); fragments assembled by hand over
-    /// their own dictionaries are re-encoded onto the first fragment's
-    /// dictionaries here.
-    ///
-    /// Tuple ids must be distinct across the partition: the detectors
-    /// report `Vio` as ids, so an id two fragments share would name
-    /// tuples of both. A repeated id is rejected, naming it.
+    /// Builds a partition from explicit fragments, fragment `i` sited at
+    /// `SiteId(i)`. All fragments code against **one shared dictionary
+    /// set**, which lets the detectors ship bare codes between sites: a
+    /// fragment assembled by hand over its own dictionaries is
+    /// re-encoded onto the first fragment's here. The partition is then
+    /// refused with what [`Self::validate`] refuses.
     pub fn from_fragments(
         schema: Arc<Schema>,
-        fragments: Vec<Fragment>,
+        mut fragments: Vec<Fragment>,
     ) -> Result<Self, RelationError> {
-        let partition = Self::assemble(schema, fragments)?;
-        partition.tids_distinct()?;
+        if let Some((head, tail)) = fragments.split_first_mut() {
+            let dicts = dictionaries(&head.data);
+            for frag in tail {
+                let same_schema = frag.data.schema() == head.data.schema();
+                if same_schema && foreign_dictionary(&frag.data, &dicts).is_some() {
+                    let mut rebuilt = head.data.with_capacity_like(frag.data.len());
+                    rebuilt.extend_tuples(frag.data.iter().collect())?;
+                    frag.data = rebuilt;
+                }
+            }
+        }
+        let partition = HorizontalPartition { schema, fragments };
+        partition.validate()?;
         Ok(partition)
-    }
-
-    /// [`Self::from_fragments`] without the tuple-id check: sites,
-    /// schema and dictionary sharing only.
-    fn assemble(schema: Arc<Schema>, mut fragments: Vec<Fragment>) -> Result<Self, RelationError> {
-        if fragments.is_empty() {
-            return Err(RelationError::InvalidPartition {
-                detail: "a horizontal partition needs at least one fragment".into(),
-            });
-        }
-        for (i, frag) in fragments.iter().enumerate() {
-            if frag.site.index() != i {
-                return Err(RelationError::InvalidPartition {
-                    detail: format!(
-                        "fragment {i} is sited at {} — sites must be sequential",
-                        frag.site
-                    ),
-                });
-            }
-            if frag.data.schema().as_ref() != schema.as_ref() {
-                return Err(RelationError::SchemaMismatch {
-                    detail: format!(
-                        "fragment {i} has schema `{}`, partition has `{}`",
-                        frag.data.schema().name(),
-                        schema.name()
-                    ),
-                });
-            }
-        }
-        let (head, tail) = fragments.split_at_mut(1);
-        for frag in tail {
-            let shared = frag
-                .data
-                .columns()
-                .iter()
-                .zip(head[0].data.columns())
-                .all(|(a, b)| Arc::ptr_eq(a.dict(), b.dict()));
-            if !shared {
-                let mut rebuilt = head[0].data.with_capacity_like(frag.data.len());
-                rebuilt.extend_tuples(frag.data.iter().collect())?;
-                frag.data = rebuilt;
-            }
-        }
-        Ok(HorizontalPartition { schema, fragments })
     }
 
     /// Fragment `i` holds rows `buckets[i]` of `rel` under `predicates[i]`.
     /// Fragments share the parent's dictionaries, so rows move as codes:
     /// comparable across sites, nothing re-encoded. The buckets are
-    /// disjoint rows of one relation, so their ids are distinct without
-    /// a check.
+    /// disjoint rows of one relation, each under the predicate that
+    /// placed it, so the partition holds by construction and nothing
+    /// is checked.
     fn from_buckets(
         rel: &Relation,
         buckets: Vec<Vec<usize>>,
         predicates: Vec<Option<Predicate>>,
-    ) -> Result<Self, RelationError> {
+    ) -> Self {
         let fragments = buckets
             .iter()
             .zip(predicates)
@@ -119,7 +79,7 @@ impl HorizontalPartition {
                 data: rel.copy_rows(rows),
             })
             .collect();
-        Self::assemble(rel.schema().clone(), fragments)
+        HorizontalPartition { schema: rel.schema().clone(), fragments }
     }
 
     /// Distributes tuples over `n` sites round-robin (tuple `i` goes to
@@ -131,7 +91,7 @@ impl HorizontalPartition {
             });
         }
         let buckets = (0..n).map(|site| (site..rel.len()).step_by(n).collect()).collect();
-        Self::from_buckets(rel, buckets, vec![None; n])
+        Ok(Self::from_buckets(rel, buckets, vec![None; n]))
     }
 
     /// Distributes tuples over `n` sites by hashing the value of one
@@ -156,7 +116,7 @@ impl HorizontalPartition {
         for (i, &code) in rel.column(a).codes().iter().enumerate() {
             buckets[site_of_code[code as usize]].push(i);
         }
-        Self::from_buckets(rel, buckets, vec![None; n])
+        Ok(Self::from_buckets(rel, buckets, vec![None; n]))
     }
 
     /// Distributes tuples by selection predicates: tuple → first
@@ -183,7 +143,7 @@ impl HorizontalPartition {
                 }
             }
         }
-        Self::from_buckets(rel, buckets, predicates.into_iter().map(Some).collect())
+        Ok(Self::from_buckets(rel, buckets, predicates.into_iter().map(Some).collect()))
     }
 
     /// The shared schema `R`.
@@ -203,11 +163,11 @@ impl HorizontalPartition {
 
     /// Mutable access to the fragments — the incremental-maintenance
     /// hook: delta batches are applied at the owning site's fragment in
-    /// place. Callers must preserve the partition invariants
-    /// ([`Self::validate`]): sequential sites, the shared schema, and
-    /// pairwise-disjoint tuple ids. The fragments' shared dictionaries
-    /// make every mutation code-compatible across sites by
-    /// construction.
+    /// place. Nothing checks a change made here until the partition is
+    /// accepted again, by `DetectRequest::plan`,
+    /// [`ReplicatedPartition::chained`](crate::ReplicatedPartition::chained)
+    /// or [`HybridPartition::new`](crate::HybridPartition::new): each
+    /// refuses what [`Self::validate`] refuses.
     pub fn fragments_mut(&mut self) -> &mut [Fragment] {
         &mut self.fragments
     }
@@ -222,40 +182,72 @@ impl HorizontalPartition {
         self.fragments.iter().map(|f| f.data.len()).sum()
     }
 
-    /// Checks the §II-B invariants: sequential sites, one shared schema,
-    /// pairwise-disjoint tuple ids, and (when predicates are present)
-    /// every tuple satisfying its own fragment's predicate.
+    /// The one partition check: the §II-B invariants every detector
+    /// relies on, plus the shared dictionary set. Refuses, in this order,
+    /// no fragments or a site out of sequence (`InvalidPartition`); a
+    /// fragment over another schema, or on dictionaries of its own
+    /// ([`Self::shared_dictionaries`]) (`SchemaMismatch`); a tuple id two
+    /// fragments hold, and a tuple outside its fragment's predicate `Fi`
+    /// (`InvalidPartition`, naming the tuple).
+    ///
+    /// [`Self::from_fragments`], `DetectRequest::plan`,
+    /// [`ReplicatedPartition::chained`](crate::ReplicatedPartition::chained)
+    /// and [`HybridPartition::new`](crate::HybridPartition::new) run it; the
+    /// other constructors cut one relation and hold by construction.
     pub fn validate(&self) -> Result<(), RelationError> {
-        self.tids_distinct()?;
+        let invalid = |detail: String| Err(RelationError::InvalidPartition { detail });
+        if self.fragments.is_empty() {
+            return invalid("a horizontal partition needs at least one fragment".into());
+        }
         for (i, frag) in self.fragments.iter().enumerate() {
             if frag.site.index() != i {
-                return Err(RelationError::InvalidPartition {
-                    detail: format!("fragment {i} sited at {}", frag.site),
-                });
+                let site = frag.site;
+                return invalid(format!(
+                    "fragment {i} is sited at {site} — sites must be sequential"
+                ));
             }
-            if let Some(p) = &frag.predicate {
-                if let Some(t) = frag.data.iter().find(|t| !p.eval(t)) {
-                    return Err(RelationError::InvalidPartition {
-                        detail: format!(
-                            "tuple {} violates its fragment predicate at {}",
-                            t.tid, frag.site
-                        ),
-                    });
-                }
+            if frag.data.schema() != &self.schema {
+                let (frag, own) = (frag.data.schema().name(), self.schema.name());
+                let detail = format!("fragment {i} has schema `{frag}`, partition has `{own}`");
+                return Err(RelationError::SchemaMismatch { detail });
+            }
+        }
+        self.shared_dictionaries()?;
+        let mut seen: HashSet<TupleId> = HashSet::with_capacity(self.total_tuples());
+        let mut tids = self.fragments.iter().flat_map(|f| f.data.tids());
+        if let Some(tid) = tids.find(|&&tid| !seen.insert(tid)) {
+            return invalid(format!("tuple {tid} appears twice in the partition"));
+        }
+        for frag in &self.fragments {
+            let p = frag.predicate.as_ref();
+            if let Some(t) = p.and_then(|p| frag.data.iter().find(|t| !p.eval(t))) {
+                return invalid(format!(
+                    "tuple {} violates its fragment predicate at {}",
+                    t.tid, frag.site
+                ));
             }
         }
         Ok(())
     }
 
-    /// Rejects the first tuple id that appears twice in the partition.
-    fn tids_distinct(&self) -> Result<(), RelationError> {
-        let mut seen: HashSet<TupleId> = HashSet::with_capacity(self.total_tuples());
-        match self.fragments.iter().flat_map(|f| f.data.tids()).find(|&&tid| !seen.insert(tid)) {
-            Some(tid) => Err(RelationError::InvalidPartition {
-                detail: format!("tuple {tid} appears twice in the partition"),
-            }),
-            None => Ok(()),
+    /// The partition's dictionary set: fragment 0's, one per attribute,
+    /// which every fragment must code against — the rule that makes a
+    /// code mean one value at every site. A fragment on a dictionary of
+    /// its own is refused with [`RelationError::SchemaMismatch`], naming
+    /// its site and the attribute.
+    pub fn shared_dictionaries(&self) -> Result<Vec<Arc<Dictionary>>, RelationError> {
+        let dicts = dictionaries(&self.fragments[0].data);
+        for frag in &self.fragments[1..] {
+            if let Some(a) = foreign_dictionary(&frag.data, &dicts) {
+                let site = frag.site;
+                let detail = format!(
+                    "fragment at {site} codes attribute {a} on a dictionary of its own; \
+                     build the partition through the dcd-dist constructors"
+                );
+                return Err(RelationError::SchemaMismatch { detail });
+            }
         }
+        Ok(dicts)
     }
 
     /// Reassembles the original relation (fragment order; tuple ids are
@@ -271,6 +263,17 @@ impl HorizontalPartition {
         }
         Ok(out)
     }
+}
+
+/// One dictionary per attribute of `data`, in schema order.
+fn dictionaries(data: &Relation) -> Vec<Arc<Dictionary>> {
+    data.columns().iter().map(|c| c.dict().clone()).collect()
+}
+
+/// The first attribute `data` codes against another dictionary than
+/// `dicts` holds for it (`Arc` identity).
+fn foreign_dictionary(data: &Relation, dicts: &[Arc<Dictionary>]) -> Option<usize> {
+    data.columns().iter().zip(dicts).position(|(c, d)| !Arc::ptr_eq(c.dict(), d))
 }
 
 #[cfg(test)]

@@ -2,11 +2,17 @@
 //! (§II-B; detection over it is §VIII future work, realized in
 //! `dcd-core::hybrid`).
 
-use crate::horizontal::HorizontalPartition;
+use crate::horizontal::{Fragment, HorizontalPartition};
+use crate::pool::scoped_map;
 use crate::site::SiteId;
-use crate::vertical::VerticalPartition;
-use dcd_relation::{AttrId, Predicate, Relation, RelationError, Schema};
+use crate::vertical::{GatherPlan, VerticalPartition};
+use dcd_relation::{AttrId, Dictionary, Predicate, Relation, RelationError, Schema, Value};
 use std::sync::Arc;
+
+/// Why a gathered cell row always fits the relation it lands in.
+const ONE_DICTIONARY_SET: &str =
+    "a hybrid partition's cells code against one dictionary set, which HybridPartition::new \
+     validated";
 
 /// One cell of a hybrid partition: a horizontal fragment's rows, split
 /// vertically into sub-fragments.
@@ -30,10 +36,17 @@ pub struct HybridPartition {
 impl HybridPartition {
     /// Splits every fragment of a horizontal partition vertically by
     /// the same named attribute groups.
+    ///
+    /// Refuses what [`HorizontalPartition::validate`] refuses of
+    /// `horizontal` — so every cell codes against one dictionary set and
+    /// no tuple id repeats, which [`Self::gather`] rests on — an empty
+    /// group list ([`RelationError::InvalidPartition`]), and what
+    /// [`VerticalPartition::by_attribute_groups`] refuses of the groups.
     pub fn new(
         horizontal: &HorizontalPartition,
         groups: &[&[&str]],
     ) -> Result<Self, RelationError> {
+        horizontal.validate()?;
         if groups.is_empty() {
             return Err(RelationError::InvalidPartition {
                 detail: "cannot partition over zero attribute groups".into(),
@@ -81,6 +94,65 @@ impl HybridPartition {
     pub fn site_of(&self, cell: usize, vfrag: usize) -> SiteId {
         debug_assert!(cell < self.cells.len() && vfrag < self.n_vgroups);
         SiteId((cell * self.n_vgroups + vfrag) as u32)
+    }
+
+    /// The horizontal partition `HYBRIDDETECT`'s second phase runs over
+    /// (`dcd-core::hybrid`): each cell's rows projected onto `needed` and
+    /// gathered at the cell's coordinator by its
+    /// [`VerticalPartition::gather_plan`] (returned beside it, for the
+    /// caller to charge), cells in parallel on up to `threads` pool
+    /// participants. A gathered row is full width, padded with the null
+    /// code outside `needed`; every other site holds no rows. A cell
+    /// keeps its predicate for the §IV-A skip, which reads it
+    /// symbolically — the padded rows need not satisfy it, so this is
+    /// not a partition [`HorizontalPartition::validate`] accepts. What it
+    /// rests on, one dictionary set and distinct ids, [`Self::new`]
+    /// checked.
+    pub fn gather(
+        &self,
+        needed: &[AttrId],
+        threads: usize,
+    ) -> (Vec<GatherPlan>, HorizontalPartition) {
+        // Cell 0's owner of an attribute names the dictionary every site
+        // codes it against. Null, the padding, is interned before the pool runs.
+        let cell0 = &self.cells[0].vertical;
+        let dicts: Vec<Arc<Dictionary>> = self
+            .schema
+            .attr_ids()
+            .map(|a| {
+                let (owner, local) = cell0.owner_of(a);
+                cell0.fragments()[owner].data.dictionary(local).clone()
+            })
+            .collect();
+        let nulls: Vec<u32> = dicts.iter().map(|d| d.intern(&Value::Null)).collect();
+        let relation = |rows| {
+            Relation::with_dictionaries(self.schema.clone(), dicts.clone(), rows)
+                .expect(ONE_DICTIONARY_SET)
+        };
+        let empty = relation(0);
+        let mut fragments: Vec<Fragment> = (0..self.n_sites())
+            .map(|i| Fragment { site: SiteId(i as u32), predicate: None, data: empty.clone() })
+            .collect();
+        let gathered = scoped_map(threads, &self.cells, |cell| {
+            let plan = cell.vertical.gather_plan(needed);
+            let rows: Vec<usize> = (0..cell.vertical.fragments()[0].data.len()).collect();
+            let batch = cell.vertical.gather(&plan, &rows);
+            let (attrs, mut row, mut out) = (plan.attrs(), nulls.clone(), relation(rows.len()));
+            for (r, &tid) in batch.tids.iter().enumerate() {
+                for (a, col) in attrs.iter().zip(&batch.cols) {
+                    row[a.index()] = col[r];
+                }
+                out.push_code_row(tid, &row).expect(ONE_DICTIONARY_SET);
+            }
+            (plan, out)
+        });
+        let mut plans = Vec::with_capacity(gathered.len());
+        for ((plan, data), (ci, cell)) in gathered.into_iter().zip(self.cells.iter().enumerate()) {
+            let site = self.site_of(ci, plan.coordinator());
+            fragments[site.index()] = Fragment { site, predicate: cell.predicate.clone(), data };
+            plans.push(plan);
+        }
+        (plans, HorizontalPartition { schema: self.schema.clone(), fragments })
     }
 
     /// Reassembles the original relation: vertical reassembly inside

@@ -28,7 +28,13 @@ pub struct ReplicatedPartition {
 
 impl ReplicatedPartition {
     /// Replicates `base` at the given factor (`1 ≤ factor ≤ n_sites`).
+    ///
+    /// Refuses what [`HorizontalPartition::validate`] refuses of `base`,
+    /// and a factor out of range ([`RelationError::InvalidPartition`]).
+    /// `base` is read-only afterwards, so the replicated partition holds
+    /// for as long as it lives.
     pub fn chained(base: HorizontalPartition, factor: usize) -> Result<Self, RelationError> {
+        base.validate()?;
         let n = base.n_sites();
         if factor == 0 || factor > n {
             return Err(RelationError::InvalidPartition {

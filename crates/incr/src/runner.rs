@@ -53,15 +53,12 @@ use dcd_core::report::Detection;
 use dcd_core::{MinedTableau, MiningConfig, RunConfig, RunCtx};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{
-    chained_holds as holds, Fragment, HorizontalPartition, ReplicatedPartition, SiteId,
-    VerticalPartition,
+    chained_holds as holds, HorizontalPartition, ReplicatedPartition, SiteId, VerticalPartition,
 };
 use dcd_obs::MetricsRegistry;
 use dcd_relation::{
-    AttrId, DeltaEffect, Dictionary, FxHashSet, PendingDelta, Relation, RelationDelta,
-    RelationError, TupleId,
+    AttrId, DeltaEffect, FxHashSet, PendingDelta, Relation, RelationDelta, RelationError, TupleId,
 };
-use std::sync::Arc;
 
 /// Wire cells occupied by one 8-byte tuple id in the code-shipped
 /// protocol (two `u32` cells) — re-exported from the ledger, which all
@@ -81,30 +78,6 @@ pub struct RoundOutput {
     pub report: ViolationReport,
     /// The literal §III-B formula evaluated for this round alone.
     pub paper_cost: f64,
-}
-
-fn shared_dictionaries(fragments: &[Fragment]) -> Result<Vec<Arc<Dictionary>>, RelationError> {
-    let first = &fragments[0].data;
-    let dicts: Vec<Arc<Dictionary>> = first.columns().iter().map(|c| c.dict().clone()).collect();
-    for frag in &fragments[1..] {
-        for (a, col) in frag.data.columns().iter().enumerate() {
-            if !Arc::ptr_eq(col.dict(), &dicts[a]) {
-                return Err(RelationError::SchemaMismatch {
-                    detail: format!(
-                        "fragment at {} does not share the partition dictionaries \
-                         (attribute {a}); the cross-site index needs code-compatible \
-                         fragments — build the partition through the dcd-dist \
-                         constructors",
-                        frag.site
-                    ),
-                });
-            }
-        }
-    }
-    // Every insert interns into every column: index them all now rather
-    // than on the first batch.
-    dicts.iter().for_each(|d| d.ensure_indexed());
-    Ok(dicts)
 }
 
 /// A stateful incremental detection run over a horizontal partition
@@ -165,7 +138,10 @@ impl IncrementalRun {
         cfg.cost.check()?;
         sigma.iter().try_for_each(|cfd| cfd.check_schema(partition.schema()))?;
         let n = partition.n_sites();
-        let dicts = shared_dictionaries(partition.fragments())?;
+        let dicts = partition.shared_dictionaries()?;
+        // Every insert interns into every column: index them all now rather
+        // than on the first batch.
+        dicts.iter().for_each(|d| d.ensure_indexed());
         let arity = partition.schema().arity();
         let attrs: Vec<AttrId> = partition.schema().attr_ids().collect();
         let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
@@ -621,7 +597,7 @@ impl VerticalIncrementalRun {
         let whole = partition.reassemble()?;
         let attrs: Vec<AttrId> = whole.schema().attr_ids().collect();
         let dicts = whole.dictionaries_of(&attrs);
-        // As in `shared_dictionaries`: every insert interns into every
+        // As in `IncrementalRun::build`: every insert interns into every
         // column, so the session indexes them all up front.
         dicts.iter().for_each(|d| d.ensure_indexed());
         let rows: CodeRows = whole.code_rows(&attrs, &(0..n_rows).collect::<Vec<_>>());

@@ -302,3 +302,46 @@ fn every_session_indexes_every_dictionary_up_front() {
         assert!(dicts.iter().all(|d| d.is_indexed()), "{constructor}: a dictionary is unindexed");
     }
 }
+
+/// The cross-site index needs every fragment to code against one
+/// dictionary set, and `IncrementalRun::new` is the one session
+/// constructor that can be handed a partition breaking it: a fragment
+/// swapped through `fragments_mut` for one on its own dictionaries is
+/// refused with `SchemaMismatch`, naming the site. A vertical partition
+/// cannot hold one — every fragment is a projection of one relation and
+/// `apply_delta` is its only write — so `VerticalIncrementalRun::new`
+/// reads the dictionaries its fragments share, one per attribute,
+/// before and after a delta.
+#[test]
+fn a_fragment_on_its_own_dictionaries_is_refused() {
+    use dcd_relation::{Relation, RelationDelta, RelationError};
+    let (rel, sigma) = workload(120);
+    let cfg = RunConfig::default();
+    let mut horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+    let tuples = horizontal.fragments()[2].data.iter().collect();
+    horizontal.fragments_mut()[2].data =
+        Relation::from_tuples(rel.schema().clone(), tuples).unwrap();
+    let err = IncrementalRun::new(horizontal, &sigma, cfg).unwrap_err();
+    let named = matches!(&err, RelationError::SchemaMismatch { detail } if detail.contains("S3"));
+    assert!(named, "{err:?}");
+
+    let groups: [&[&str]; 2] = [
+        &["name", "CC", "AC", "phn", "street"],
+        &["CC", "city", "zip", "item_title", "item_price", "item_qty"],
+    ];
+    let mut vertical = VerticalPartition::by_attribute_groups(&rel, &groups).unwrap();
+    let shared = |p: &VerticalPartition| {
+        p.fragments().iter().all(|f| {
+            f.attrs.iter().enumerate().all(|(local, &a)| {
+                let (owner, at) = p.owner_of(a);
+                let dict = p.fragments()[owner].data.dictionary(at);
+                std::sync::Arc::ptr_eq(f.data.dictionary(dcd_relation::AttrId(local as u16)), dict)
+            })
+        })
+    };
+    assert!(shared(&vertical));
+    let deleted = rel.tids()[..10].to_vec();
+    vertical.apply_delta(&RelationDelta::new(vec![], deleted), 1).unwrap();
+    assert!(shared(&vertical));
+    VerticalIncrementalRun::new(vertical, &sigma, cfg).unwrap();
+}

@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfds(sigma.iter().cloned())
             .algorithm(alg)
             .config(cfg)
-            .plan()?
-            .run()
+            .plan()
+            .map(|plan| plan.run())
     };
     let seq = request(Algorithm::seq_detect())?;
     let clust = request(Algorithm::clust_detect())?;

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .algorithm(alg)
             .config(cfg)
             .plan()?
-            .run()?;
+            .run();
         println!("{d}");
         // Sanity: every algorithm agrees with the centralized baseline.
         assert_eq!(d.violations.all_tids(), baseline.tids);
@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfd(c.to_cfd())
             .algorithm(Algorithm::PatDetectS)
             .config(cfg)
-            .plan()?
-            .run()
+            .plan()
+            .map(|plan| plan.run())
     };
     let plain = request(&fd_simple)?;
     let mined = mine_patterns(&partition, &fd_simple, &MiningConfig::default(), &cfg.cost);

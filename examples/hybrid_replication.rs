@@ -37,11 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hybrid.n_vgroups(),
         hybrid.n_sites()
     );
-    let d = DetectRequest::over(hybrid)
-        .cfd(cfd.clone())
-        .algorithm(Algorithm::PatDetectS)
-        .plan()?
-        .run()?;
+    let d =
+        DetectRequest::over(hybrid).cfd(cfd.clone()).algorithm(Algorithm::PatDetectS).plan()?.run();
     println!("{d}");
     println!("(columns gathered per cell as code rows, then σ-blocks shipped across cells)");
     assert_eq!(d.violations.all_tids(), baseline.tids);
@@ -50,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== Replicated fragments (chained declustering, 4 sites) ==");
     for r in 1..=4 {
         let replicated = ReplicatedPartition::chained(horizontal.clone(), r)?;
-        let d = DetectRequest::over(replicated).cfd(cfd.clone()).plan()?.run()?;
+        let d = DetectRequest::over(replicated).cfd(cfd.clone()).plan()?.run();
         println!("factor {r}: {d}");
         assert_eq!(d.violations.all_tids(), baseline.tids);
     }

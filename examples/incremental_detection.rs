@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cfd(sigma[0].clone())
             .algorithm(Algorithm::PatDetectS)
             .plan()?
-            .run()?;
+            .run();
         println!(
             "{:<7} {:>6} {:>6} {:>12} {:>12} {:>14}",
             i + 1,

@@ -34,11 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let partition = HorizontalPartition::round_robin(&rel, 3)?;
 
-    let detection = DetectRequest::over(partition)
-        .cfds(sigma)
-        .algorithm(Algorithm::PatDetectS)
-        .plan()?
-        .run()?;
+    let detection =
+        DetectRequest::over(partition).cfds(sigma).algorithm(Algorithm::PatDetectS).plan()?.run();
     println!("{detection}\n");
 
     // The run's registry, in Prometheus text exposition format. The

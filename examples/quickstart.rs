@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .algorithm(alg)
             .config(cfg)
             .plan()?
-            .run()?;
+            .run();
         println!("  {d}");
         assert_eq!(d.violations.all_tids(), report.all_tids(), "distributed == centralized");
     }

@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Detection on the unrefined partition: columns must ship. ---
     println!("\n== Detection with column shipment (unrefined partition) ==");
     let baseline = detect_set(&d0, &sigma);
-    let out = DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).plan()?.run()?;
+    let out = DetectRequest::over(partition.clone()).cfds(sigma.iter().cloned()).plan()?.run();
     println!("  {out}");
     assert_eq!(out.violations.all_tids(), baseline.all_tids());
     println!("\nvertical detection equals centralized detection ✓");

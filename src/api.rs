@@ -53,7 +53,7 @@
 //!     .cfd(cfd)
 //!     .algorithm(Algorithm::PatDetectS)
 //!     .plan()?;
-//! let detection = plan.run()?;
+//! let detection = plan.run();
 //! assert_eq!(detection.violations.all_tids().len(), 2);
 //! println!("{detection}");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -226,17 +226,28 @@ impl DetectRequest {
 
     /// Checks the request once and returns the [`Plan`] that runs it:
     /// the cost model must be able to drive the clocks
-    /// ([`CostModel::check`](dcd_dist::CostModel::check)), and every CFD
-    /// must be defined over the topology's schema ([`Cfd::check_schema`]).
-    /// Σ is simplified here too, into the single-RHS CFDs
-    /// `φ = R(X → A, Tp)` the single-CFD algorithms take.
+    /// ([`CostModel::check`](dcd_dist::CostModel::check)), a horizontal
+    /// partition must pass [`HorizontalPartition::validate`], and every
+    /// CFD must be defined over the topology's schema
+    /// ([`Cfd::check_schema`]). Σ is simplified here too, into the
+    /// single-RHS CFDs `φ = R(X → A, Tp)` the single-CFD algorithms take.
     ///
-    /// A CFD defined over a schema other than the topology's is
-    /// rejected with [`RelationError::SchemaMismatch`], a cost model
-    /// with a non-finite, negative or zero-rate field with
-    /// [`RelationError::InvalidCostModel`].
+    /// A horizontal partition is the one topology whose fragments can
+    /// change after construction
+    /// ([`HorizontalPartition::fragments_mut`]); the other three were
+    /// checked where they were built and are read-only since.
+    ///
+    /// A cost model with a non-finite, negative or zero-rate field is
+    /// rejected with [`RelationError::InvalidCostModel`]; a partition
+    /// with a repeated tuple id or a tuple outside its fragment's
+    /// predicate with [`RelationError::InvalidPartition`]; a fragment on
+    /// dictionaries of its own, and a CFD defined over a schema other
+    /// than the topology's, with [`RelationError::SchemaMismatch`].
     pub fn plan(self) -> Result<Plan, RelationError> {
         self.config.cost.check()?;
+        if let Topology::Horizontal(p) = &self.topology {
+            p.validate()?;
+        }
         let schema = self.topology.schema();
         self.cfds.iter().try_for_each(|cfd| cfd.check_schema(schema))?;
         let simples = self.cfds.iter().flat_map(Cfd::simplify).collect();
@@ -290,23 +301,20 @@ impl Plan {
     /// * **Vertical** — placement is fixed by column coverage and
     ///   every fragment filters on its pattern constants before it
     ///   ships; the algorithm is ignored.
-    ///
-    /// Only a hybrid run can fail here: its per-run gather of each
-    /// cell's columns answers a [`RelationError`].
-    pub fn run(&self) -> Result<Detection, RelationError> {
+    pub fn run(&self) -> Detection {
         let cfg = &self.config;
         match &self.topology {
-            Topology::Horizontal(p) => Ok(match self.algorithm {
+            Topology::Horizontal(p) => match self.algorithm {
                 Algorithm::SeqDetect(inner) => run_seq(p, &self.cfds, inner, cfg),
                 Algorithm::ClustDetect(inner) => run_clust(p, &self.cfds, inner, cfg),
                 single
                 @ (Algorithm::CtrDetect | Algorithm::PatDetectS | Algorithm::PatDetectRT) => {
                     run_batch(p, &self.simples, single.strategy(), cfg)
                 }
-            }),
-            Topology::Vertical(p) => Ok(run_vertical(p, &self.cfds, cfg)),
+            },
+            Topology::Vertical(p) => run_vertical(p, &self.cfds, cfg),
             Topology::Hybrid(p) => run_hybrid(p, &self.cfds, self.algorithm.strategy(), cfg),
-            Topology::Replicated(p) => Ok(run_replicated(p, &self.cfds, cfg)),
+            Topology::Replicated(p) => run_replicated(p, &self.cfds, cfg),
         }
     }
 
@@ -492,7 +500,7 @@ mod tests {
         assert!(!global.tids.is_empty());
         for topology in every_topology(&rel) {
             let label = format!("{topology:?}");
-            let d = DetectRequest::over(topology).cfd(cfd.clone()).plan().unwrap().run().unwrap();
+            let d = DetectRequest::over(topology).cfd(cfd.clone()).plan().unwrap().run();
             assert_eq!(d.violations.all_tids(), global.tids, "{}", &label[..30.min(label.len())]);
         }
     }
@@ -514,8 +522,7 @@ mod tests {
                 .algorithm(alg)
                 .plan()
                 .unwrap()
-                .run()
-                .unwrap();
+                .run();
             assert_eq!(d.algorithm, label);
         }
     }
@@ -554,8 +561,8 @@ mod tests {
                 .algorithm(Algorithm::clust_detect())
                 .plan()
                 .unwrap();
-            let first = plan.run().unwrap();
-            assert_eq!(first, plan.run().unwrap(), "{}", &label[..30.min(label.len())]);
+            let first = plan.run();
+            assert_eq!(first, plan.run(), "{}", &label[..30.min(label.len())]);
         }
     }
 

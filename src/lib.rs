@@ -12,7 +12,8 @@
 //! * [`api`] — [`DetectRequest`]: one code-native request object over
 //!   every topology ([`Topology`]) and algorithm ([`Algorithm`]),
 //!   checked once by `plan()` into a [`Plan`] that runs batch
-//!   (`run()` → [`Detection`](dcd_core::Detection)) or incremental
+//!   (`run()` → [`Detection`](dcd_core::Detection), which cannot fail)
+//!   or incremental
 //!   (`session()` → [`IncrementalSession`]),
 //! * [`relation`] — the in-memory relational engine substrate,
 //! * [`cfd`] — CFDs: pattern tableaux, centralized detection, implication,
@@ -55,8 +56,8 @@
 //! let detection = DetectRequest::over(partition)
 //!     .cfd(cfd)
 //!     .algorithm(Algorithm::PatDetectS)
-//!     .plan()? // checks the cost model and every CFD's schema, once
-//!     .run()?;
+//!     .plan()? // checks the cost model, the partition and every CFD, once
+//!     .run();
 //! assert_eq!(detection.violations.all_tids().len(), 2);
 //! // One-line report, now with control traffic:
 //! // `PATDETECTS: 2 violating tuples (1 patterns), shipped 2 tuples

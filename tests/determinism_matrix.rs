@@ -35,7 +35,7 @@ fn sweep(threads: usize) -> Vec<(String, Detection)> {
             .algorithm(alg)
             .config(cfg)
             .plan()
-            .and_then(|plan| plan.run())
+            .map(|plan| plan.run())
             .expect("matrix run succeeds")
     };
 
@@ -139,7 +139,7 @@ fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
                 .cfds(sigma.iter().cloned())
                 .algorithm(alg)
                 .plan()
-                .and_then(|plan| plan.run())
+                .map(|plan| plan.run())
                 .expect("run succeeds");
             assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
             got += &recorded(&format!("{alg:?}"), &d);

@@ -87,13 +87,10 @@ fn a_detection_indexes_exactly_the_attributes_with_pattern_constants() {
             let (generated, built) = cust();
             assert!(indexed(&built).is_empty(), "the load left an index");
             let on_built =
-                requests(&built, &sigma).swap_remove(k).plan().and_then(|plan| plan.run()).unwrap();
+                requests(&built, &sigma).swap_remove(k).plan().map(|plan| plan.run()).unwrap();
             assert_eq!(indexed(&built), constant_attrs(&sigma), "request {k}");
-            let on_generated = requests(&generated, &sigma)
-                .swap_remove(k)
-                .plan()
-                .and_then(|plan| plan.run())
-                .unwrap();
+            let on_generated =
+                requests(&generated, &sigma).swap_remove(k).plan().map(|plan| plan.run()).unwrap();
             assert_eq!(on_built, on_generated, "request {k}");
         }
     }

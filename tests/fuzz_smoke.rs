@@ -28,7 +28,7 @@ fn request(
         .algorithm(algorithm)
         .config(RunConfig::default().with_threads(threads))
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("facade run succeeds on generated inputs")
 }
 

@@ -164,7 +164,7 @@ fn run(label: &str, rel: &Relation, sigma: &[Cfd], request: &DetectRequest) -> (
             .clone()
             .config(RunConfig::default().with_threads(threads))
             .plan()
-            .and_then(|plan| plan.run())
+            .map(|plan| plan.run())
             .expect("generated requests are valid");
         assert_eq!(d.violations.all_tids(), want.all_tids(), "{label} @{threads}");
         d

@@ -45,7 +45,7 @@ fn example_detection(grown: bool) -> Detection {
         .cfds(sigma)
         .algorithm(Algorithm::PatDetectS)
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .unwrap()
 }
 

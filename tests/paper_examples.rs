@@ -17,7 +17,7 @@ fn detect_on(
         .algorithm(algorithm)
         .config(*cfg)
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("paper fixtures are valid requests")
 }
 

@@ -246,7 +246,7 @@ fn detections(
                     .algorithm(Algorithm::ClustDetect(strategy))
                     .config(RunConfig::default().with_threads(threads))
                     .plan()
-                    .and_then(|plan| plan.run())
+                    .map(|plan| plan.run())
                     .expect("generated requests are valid");
                 assert_eq!(d.violations.per_cfd.len(), sigma.len(), "{label}: one entry per CFD");
                 for simple in sigma.iter().flat_map(Cfd::simplify) {

@@ -42,7 +42,7 @@ fn run_on(
         .algorithm(algorithm)
         .config(*cfg)
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("generated requests are valid")
 }
 

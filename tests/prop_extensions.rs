@@ -18,7 +18,7 @@ fn run_on(topology: impl Into<Topology>, sigma: &[Cfd], cfg: &RunConfig) -> Dete
         .algorithm(Algorithm::PatDetectS)
         .config(*cfg)
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("generated requests are valid")
 }
 

@@ -29,7 +29,7 @@ fn facade(
         .algorithm(algorithm)
         .config(cfg)
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("facade run succeeds on generated inputs")
 }
 
@@ -142,8 +142,7 @@ proptest! {
                 (Algorithm::PatDetectS, CoordinatorStrategy::MinShipment),
                 (Algorithm::PatDetectRT, CoordinatorStrategy::MinResponseTime),
             ] {
-                let engine =
-                    run_hybrid(&hybrid, std::slice::from_ref(&cfd), strategy, &cfg).unwrap();
+                let engine = run_hybrid(&hybrid, std::slice::from_ref(&cfd), strategy, &cfg);
                 let new = facade(
                     hybrid.clone(),
                     std::slice::from_ref(&cfd),
@@ -303,5 +302,102 @@ fn repeated_tuple_ids_are_rejected_at_the_front_door() {
     for one in fragments {
         let alone = Fragment { site: SiteId(0), ..one };
         HorizontalPartition::from_fragments(schema(), vec![alone]).unwrap().validate().unwrap();
+    }
+}
+
+/// Σ for the broken partitions below: an FD, and a CFD whose pattern
+/// constant `a = 1` lets a fragment under `a = 0` be skipped (§IV-A).
+fn skip_sigma() -> Vec<Cfd> {
+    vec![
+        parse_cfd(&schema(), "fd", "([a, b] -> [d])").unwrap(),
+        parse_cfd(&schema(), "phi", "([a=1, b] -> [d])").unwrap(),
+    ]
+}
+
+/// Four tuples, `t0`–`t3`, with no violation of [`skip_sigma`].
+fn four_tuples() -> Relation {
+    build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 1), (1, 1, 1, 1)])
+}
+
+/// [`four_tuples`] fragmented by predicate: `a = 0` at site 0, `a = 1`
+/// at site 1.
+fn by_a() -> HorizontalPartition {
+    let rel = four_tuples();
+    let a = rel.schema().require("a").unwrap();
+    let predicates = vec![Predicate::atom(Atom::eq(a, 0)), Predicate::atom(Atom::eq(a, 1))];
+    HorizontalPartition::by_predicates(&rel, predicates).unwrap()
+}
+
+/// A tuple with `a = 1, b = 0` that conflicts with `t1` under both CFDs
+/// of [`skip_sigma`].
+fn conflicting(tid: u64) -> Tuple {
+    Tuple::new(TupleId(tid), vals![tid as i64, 1, 0, "c0", "d9"])
+}
+
+/// A fragment holding a tuple outside its predicate used to be accepted,
+/// and the §IV-A skip then left the tuple out of the CFD whose constant
+/// the predicate contradicts: `phi` answered `∅` where `Vio` is
+/// `{t1, t100}`. `from_fragments` now refuses it, naming the tuple.
+#[test]
+fn from_fragments_refuses_a_tuple_outside_its_predicate() {
+    use distributed_cfd::relation::RelationError;
+    let mut fragments = by_a().fragments().to_vec();
+    fragments[0].data.push_tuple(conflicting(100)).unwrap();
+    let err = HorizontalPartition::from_fragments(schema(), fragments).unwrap_err();
+    let named =
+        matches!(&err, RelationError::InvalidPartition { detail } if detail.contains("t100"));
+    assert!(named, "{err:?}");
+}
+
+/// `fragments_mut` can break what construction checked, and used to go
+/// unnoticed: a fragment re-encoded on its own dictionaries ran to a
+/// wrong report (a debug build panicked in `shared_layout` instead), an
+/// id repeated across sites panicked a session on the index's `tid_key`
+/// assert, and a tuple outside its predicate was skipped by `phi`. Each
+/// is now refused with a typed error wherever a partition is accepted —
+/// `plan()`, so neither `run` nor `session` starts,
+/// `ReplicatedPartition::chained` and `HybridPartition::new` — never
+/// `Ok`, never a panic.
+#[test]
+fn partitions_broken_through_fragments_mut_are_refused_where_they_are_accepted() {
+    use distributed_cfd::relation::RelationError;
+    fn invalid(e: &RelationError) -> bool {
+        matches!(e, RelationError::InvalidPartition { .. })
+    }
+    fn mismatch(e: &RelationError) -> bool {
+        matches!(e, RelationError::SchemaMismatch { .. })
+    }
+    let round_robin = || HorizontalPartition::round_robin(&four_tuples(), 2).unwrap();
+    let mut own_dictionaries = round_robin();
+    let mut tuples: Vec<Tuple> = own_dictionaries.fragments()[1].data.iter().collect();
+    tuples.reverse();
+    own_dictionaries.fragments_mut()[1].data = Relation::from_tuples(schema(), tuples).unwrap();
+    own_dictionaries.fragments_mut()[0].data.push_tuple(conflicting(100)).unwrap();
+    let mut repeated_id = round_robin();
+    let tid = repeated_id.fragments()[1].data.tids()[0];
+    repeated_id.fragments_mut()[0].data.push_tuple(conflicting(tid.0)).unwrap();
+    let mut outside_predicate = by_a();
+    outside_predicate.fragments_mut()[0].data.push_tuple(conflicting(100)).unwrap();
+
+    type Kind = fn(&RelationError) -> bool;
+    let cases: [(&str, HorizontalPartition, Kind); 3] = [
+        ("own dictionaries", own_dictionaries, mismatch),
+        ("repeated id", repeated_id, invalid),
+        ("outside its predicate", outside_predicate, invalid),
+    ];
+    for (label, partition, kind) in cases {
+        let request = || DetectRequest::over(partition.clone()).cfds(skip_sigma());
+        let doors = [
+            ("plan().run()", request().plan().map(|plan| drop(plan.run()))),
+            ("plan().session()", request().plan().and_then(Plan::session).map(drop)),
+            ("chained", ReplicatedPartition::chained(partition.clone(), 1).map(drop)),
+            (
+                "HybridPartition::new",
+                HybridPartition::new(&partition, &[&["a", "b"], &["c", "d"]]).map(drop),
+            ),
+        ];
+        for (door, refused) in doors {
+            assert!(refused.as_ref().is_err_and(kind), "{label} through {door}: {refused:?}");
+        }
     }
 }

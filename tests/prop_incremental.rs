@@ -27,7 +27,7 @@ fn assert_equals_full_redetection(
             .algorithm(alg)
             .config(cfg)
             .plan()
-            .and_then(|plan| plan.run())
+            .map(|plan| plan.run())
             .expect("materialized partitions are valid requests")
     };
     for alg in [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::PatDetectRT] {

@@ -72,7 +72,7 @@ fn run_matrix(f: &Fixtures, threads: usize) -> Vec<(String, Detection)> {
                 .algorithm(alg)
                 .config(cfg)
                 .plan()
-                .and_then(|plan| plan.run())
+                .map(|plan| plan.run())
                 .expect("matrix run succeeds");
             out.push((format!("{name}/{alg:?}"), d));
         }
@@ -171,7 +171,7 @@ fn spans_tile_the_clock() {
         ])
         .algorithm(Algorithm::clust_detect())
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("a valid request");
     assert_spans_tile_the_clock("family + singleton", &d);
     let mut shipments: Vec<&str> =

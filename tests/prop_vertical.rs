@@ -16,7 +16,7 @@ fn run_on(partition: &VerticalPartition, sigma: &[Cfd]) -> Detection {
     DetectRequest::over(partition.clone())
         .cfds(sigma.iter().cloned())
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("generated requests are valid")
 }
 

@@ -19,7 +19,7 @@ fn run_on(
         .algorithm(algorithm)
         .config(*cfg)
         .plan()
-        .and_then(|plan| plan.run())
+        .map(|plan| plan.run())
         .expect("workload fixtures are valid requests")
 }
 

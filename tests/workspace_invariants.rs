@@ -4,9 +4,10 @@
 //! `dcd_x::` path with no manifest edge and `unsafe` code under a
 //! `#![forbid(unsafe_code)]` root. What neither can say is
 //! *which* files may hold a sanctioned exception, *which* edges the
-//! layering allows, *that* every root forbids `unsafe` and *that* no
-//! production source declares process-wide state — pinned here, over the
-//! manifests and a walk of the sources.
+//! layering allows, *that* every root forbids `unsafe`, *that* no
+//! production source declares process-wide state and *which* production
+//! source may mutate a partition's fragments in place — pinned here, over
+//! the manifests and a walk of the sources.
 
 use std::path::{Path, PathBuf};
 
@@ -211,6 +212,32 @@ fn process_wide(code: &[(String, String)]) -> Vec<String> {
 #[test]
 fn no_production_source_holds_process_wide_state() {
     assert_eq!(process_wide(&code()), [] as [&str; 0]);
+}
+
+/// The production sources that call `method`, once per call: `src/` and
+/// every crate's `src/`, each read up to its `#[cfg(test)]` module.
+fn production_calls(method: &str, code: &[(String, String)]) -> Vec<String> {
+    let mut sites = Vec::new();
+    for (rel, text) in code {
+        if rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")) {
+            let production = text.split("#[cfg(test)]").next().unwrap_or_default();
+            let calls = production.matches(&format!(".{method}(")).count();
+            sites.extend(std::iter::repeat_n(rel.clone(), calls));
+        }
+    }
+    sites
+}
+
+/// `HorizontalPartition::fragments_mut` hands out the fragments that
+/// `validate` checked, so a caller can break the partition invariants
+/// after construction; `DetectRequest::plan` checks a horizontal
+/// partition again for that reason. The hole stays where it is: the
+/// incremental run, which applies delta batches in place, is its one
+/// production caller (`benchmark/`, a workspace of its own, mirrors a
+/// session through it too).
+#[test]
+fn fragments_mut_has_one_production_caller() {
+    assert_eq!(production_calls("fragments_mut", &code()), ["crates/incr/src/runner.rs"]);
 }
 
 /// The library crate roots: the facade's and every crate's `src/lib.rs`.
