@@ -213,6 +213,9 @@ pub fn parse_cfd(schema: &Arc<Schema>, name: &str, spec: &str) -> Result<Cfd, Pa
     lx.eat_arrow()?;
     let rhs_items = parse_items(&mut lx)?;
     lx.eat(b')', "`)`")?;
+    if lx.peek().is_some() {
+        return Err(ParseError::Syntax { pos: lx.pos, expected: "end of input" });
+    }
 
     let mut lhs_names = Vec::with_capacity(lhs_items.len());
     let mut lhs_pats = Vec::with_capacity(lhs_items.len());
@@ -323,6 +326,21 @@ mod tests {
         assert!(matches!(err, ParseError::Syntax { pos: 0, .. }));
         let err = parse_cfd(&s, "x", "([CC] [street])").unwrap_err();
         assert!(matches!(err, ParseError::Syntax { .. }));
+    }
+
+    #[test]
+    fn trailing_input_is_a_syntax_error() {
+        let s = Schema::builder("r")
+            .attr("a", ValueType::Int)
+            .attr("b", ValueType::Int)
+            .attr("c", ValueType::Int)
+            .build()
+            .unwrap();
+        for (spec, pos) in [("([a] -> [b]) ([b] -> [c])", 13), ("([a=1] -> [b]))", 14)] {
+            let err = parse_cfd(&s, "x", spec).unwrap_err();
+            assert_eq!(err, ParseError::Syntax { pos, expected: "end of input" }, "{spec}");
+        }
+        assert!(parse_cfd(&s, "x", "([a=1] -> [b])  \n").is_ok(), "trailing whitespace is fine");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Implemented: the [`proptest!`] test macro with `#![proptest_config]`,
 //! the [`strategy::Strategy`] trait over ranges / tuples / arrays /
 //! `Just` / `prop_map` / unions, [`collection::vec`], [`option::of`],
-//! [`any`], and the `prop_assert*` / [`prop_oneof!`] macros.
+//! [`any`] over `bool` and the integers, and the [`prop_assert!`] /
+//! [`prop_assert_eq!`] / [`prop_oneof!`] macros.
 //!
 //! Semantics vs. the real crate: inputs are drawn from a deterministic
 //! per-test RNG (seeded from the test name), there is **no shrinking**,
@@ -43,12 +44,6 @@ pub mod arbitrary {
         )*};
     }
     arb_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-    impl Arbitrary for f64 {
-        fn arbitrary(rng: &mut TestRng) -> f64 {
-            rng.unit_f64()
-        }
-    }
 
     /// The strategy returned by [`any`].
     #[derive(Debug, Clone, Copy)]
@@ -154,9 +149,7 @@ pub mod prelude {
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
     pub use crate::test_runner::{TestCaseError, TestRng};
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// The property-test macro: expands each
@@ -242,36 +235,6 @@ macro_rules! prop_assert_eq {
             "assertion failed: `{:?}` != `{:?}`: {}", l, r, format!($($fmt)+)
         );
     }};
-}
-
-/// `assert_ne!` that reports through the proptest harness.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *l != *r,
-            "assertion failed: `{:?}` == `{:?}`", l, r
-        );
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)+) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *l != *r,
-            "assertion failed: `{:?}` == `{:?}`: {}", l, r, format!($($fmt)+)
-        );
-    }};
-}
-
-/// Skips the current case when its precondition fails. The stub treats a
-/// rejected case as vacuously passing (no global rejection budget).
-#[macro_export]
-macro_rules! prop_assume {
-    ($cond:expr $(, $($fmt:tt)+)?) => {
-        if !$cond {
-            return ::std::result::Result::Ok(());
-        }
-    };
 }
 
 /// Chooses uniformly between several strategies producing the same value

@@ -23,16 +23,6 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Keeps only values satisfying `pred` (resampling up to a bound;
-    /// panics if the predicate is pathologically selective).
-    fn prop_filter<F>(self, whence: &'static str, pred: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter { inner: self, whence, pred }
-    }
-
     /// Type-erases the strategy so heterogeneous strategies with one
     /// value type can be unioned (see [`prop_oneof!`](crate::prop_oneof)).
     fn boxed(self) -> BoxedStrategy<Self::Value>
@@ -75,27 +65,6 @@ impl<S: Strategy, O, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     type Value = O;
     fn sample(&self, rng: &mut TestRng) -> O {
         (self.f)(self.inner.sample(rng))
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-#[derive(Debug, Clone)]
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    pred: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.sample(rng);
-            if (self.pred)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter `{}` rejected 1000 consecutive samples", self.whence);
     }
 }
 

@@ -10,8 +10,8 @@
 //! * a clock moves only inside [`RunCtx::phase`], whose span is
 //!   recorded when the closure returns — there is no way to move a
 //!   clock that the trace does not cover;
-//! * shipment bytes are charged only by [`Transfer::send`], which bumps
-//!   the transfer matrix alongside the ledger, and
+//! * shipment is charged only by [`Transfer::send`], which bumps the
+//!   transfer matrix alongside the ledger, and
 //!   [`Transfer::commit`] makes the clocks pay for exactly that matrix;
 //! * a [`Detection`] is assembled only by [`RunCtx::finish`] /
 //!   [`RunCtx::snapshot`], from those same meters;
@@ -64,7 +64,9 @@ struct Round {
 /// ctx.advance(SiteId(0), 1.0);
 /// ```
 ///
-/// Shipment is charged through a [`Transfer`]:
+/// Shipment is charged through a [`Transfer`], which says what ships —
+/// rows and their attribute width — and leaves the pricing to the
+/// ledger:
 ///
 /// ```
 /// use dcd_core::{ctx::Phase, RunConfig, RunCtx};
@@ -72,24 +74,24 @@ struct Round {
 /// let mut ctx = RunCtx::new(2, RunConfig::default());
 /// ctx.phase("ship", |p: &mut Phase| {
 ///     let mut t = p.transfer();
-///     t.send(SiteId(1), SiteId(0), 3, 12);
+///     t.send(SiteId(1), SiteId(0), 3, 2);
 ///     t.commit();
 /// });
 /// let d = ctx.finish("DEMO");
-/// assert_eq!((d.shipped_tuples, d.shipped_bytes), (3, 48));
+/// // 3 rows of 2 codes plus a 2-cell id each, 4 bytes a cell.
+/// assert_eq!((d.shipped_tuples, d.shipped_cells, d.shipped_bytes), (3, 12, 48));
 /// assert!(d.site_clocks[1] > 0.0, "the receiver waited for the sender");
 /// ```
 ///
 /// Charging the ledger any other way does not compile — the ledger is
-/// private, a [`Phase`] has no ledger-charging method but
-/// [`Phase::control`], and `ShipmentLedger::ship` is private to
-/// `dcd_dist`:
+/// private, and a [`Phase`] has no ledger-charging method but
+/// [`Phase::control`]:
 ///
 /// ```compile_fail
 /// use dcd_core::{ctx::Phase, RunConfig, RunCtx};
 /// use dcd_dist::SiteId;
 /// let mut ctx = RunCtx::new(2, RunConfig::default());
-/// ctx.phase("ship", |p: &mut Phase| p.charge_codes(SiteId(1), SiteId(0), 3, 12));
+/// ctx.phase("ship", |p: &mut Phase| p.ship_rows(SiteId(1), SiteId(0), 3, 2));
 /// ```
 ///
 /// And a pool task cannot charge a clock — the pool takes `Fn + Sync`
@@ -192,9 +194,7 @@ impl RunCtx {
     /// over it, adds that to the run's paper cost, and returns it.
     pub fn end_round(&mut self) -> f64 {
         let round = self.round.take().expect("end_round without begin_round");
-        // The formula reads the matrix by sender only, so the round keeps
-        // its column sums: one row stands for the whole matrix.
-        let cost = self.cfg.cost.paper_cost(&[round.sent], &round.local_secs);
+        let cost = self.cfg.cost.paper_cost(&round.sent, &round.local_secs);
         self.paper_cost += cost;
         cost
     }
@@ -280,15 +280,16 @@ impl Phase<'_> {
         }
     }
 
-    /// Sends one control message of `bytes` bytes from `from` to each
+    /// Sends one control message of `counts` counts (one per CFD, in the
+    /// statistics exchange and a delta manifest) from `from` to each
     /// site of `to`, and charges the sender
     /// [`control_time`](dcd_dist::CostModel::control_time) for them —
     /// control traffic shows up in the ledger and in response time
     /// together.
-    pub fn control(&mut self, from: SiteId, to: impl IntoIterator<Item = SiteId>, bytes: usize) {
+    pub fn control(&mut self, from: SiteId, to: impl IntoIterator<Item = SiteId>, counts: usize) {
         let mut msgs = 0;
         for to in to {
-            self.ctx.ledger.control(to, from, bytes);
+            self.ctx.ledger.control(to, from, counts);
             msgs += 1;
         }
         self.advance(from, self.ctx.cfg.cost.control_time(msgs));
@@ -321,10 +322,11 @@ pub struct Transfer<'a> {
 }
 
 impl Transfer<'_> {
-    /// Ships `rows` `(tid, codes)` rows totalling `cells` `u32` cells
-    /// from `from` to `to`, byte-accurate at 4 bytes per cell.
-    pub fn send(&mut self, to: SiteId, from: SiteId, rows: usize, cells: usize) {
-        self.ctx.ledger.charge_codes(to, from, rows, cells);
+    /// Ships `rows` `(tid, codes)` rows of `width` attribute codes each
+    /// from `from` to `to`; the ledger prices them
+    /// ([`ShipmentLedger::ship_rows`]).
+    pub fn send(&mut self, to: SiteId, from: SiteId, rows: usize, width: usize) {
+        self.ctx.ledger.ship_rows(to, from, rows, width);
         self.matrix[to.index()][from.index()] += rows;
     }
 
@@ -365,13 +367,14 @@ mod tests {
         let mut ctx = RunCtx::new(2, RunConfig::default());
         ctx.phase("work", |p| {
             p.compute(SiteId(0), 0.25);
-            p.control(SiteId(1), [SiteId(0)], 16);
+            p.control(SiteId(1), [SiteId(0)], 2);
             let mut t = p.transfer();
-            t.send(SiteId(0), SiteId(1), 3, 9);
+            t.send(SiteId(0), SiteId(1), 3, 1);
             t.commit();
         });
         let d = ctx.finish("test");
         assert_eq!(d.shipped_tuples, 3);
+        assert_eq!(d.shipped_cells, 9);
         assert_eq!(d.shipped_bytes, 36);
         assert_eq!(d.control_messages, 1);
         assert_eq!(d.control_bytes, 16);
@@ -391,7 +394,7 @@ mod tests {
         });
         ctx.phase("ship", |p| {
             let mut t = p.transfer();
-            t.send(SiteId(0), SiteId(1), 2, 8);
+            t.send(SiteId(0), SiteId(1), 2, 2);
             t.commit();
         });
         assert_eq!(ctx.end_round(), 2.0 + 1.0, "max ship (2 rows at 1/s) + max local");
@@ -420,7 +423,7 @@ mod tests {
         ctx.phase("exchange", |p| {
             // Each sends 2 control packets (0.1 s each), then all meet.
             for &i in &sites {
-                p.control(i, sites.iter().copied().filter(|&j| j != i), 8);
+                p.control(i, sites.iter().copied().filter(|&j| j != i), 1);
             }
             p.barrier(&sites);
         });
@@ -429,6 +432,32 @@ mod tests {
         // packets, so the barrier lands at 4.2 — not 4.0.
         assert_eq!(d.site_clocks, [4.2; 3]);
         assert_eq!(d.control_messages, 6);
+    }
+
+    /// A delta ships as two sends from one site to one receiver —
+    /// inserts at the schema's arity, deletes at width 0 (the id alone).
+    /// The ledger adds them; the clocks see one sender and pay one
+    /// `send_time` over the rows together: 8 rows at 2 a packet are 4
+    /// packets, where two sends paid apart would be 3 + 2.
+    #[test]
+    fn a_delta_ships_inserts_and_deletes_as_one_senders_rows() {
+        let (k, a, d) = (5, 3, 3);
+        let mut cfg = unit_cfg();
+        cfg.cost.packet_tuples = 2.0;
+        let mut ctx = RunCtx::new(2, cfg);
+        ctx.begin_round();
+        ctx.phase("ship", |p| {
+            let mut t = p.transfer();
+            t.send(SiteId(0), SiteId(1), k, a);
+            t.send(SiteId(0), SiteId(1), d, 0);
+            t.commit();
+        });
+        assert_eq!(ctx.end_round(), 4.0, "one sender's k + d rows, one packet a second");
+        let out = ctx.finish("test");
+        assert_eq!(out.shipped_tuples, k + d);
+        assert_eq!(out.shipped_cells, k * (a + 2) + 2 * d);
+        assert_eq!(out.shipped_bytes, 4 * out.shipped_cells);
+        assert_eq!(out.site_clocks, [4.0; 2], "the receiver waited once, for one sender");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::ctx::RunCtx;
 use crate::report::Detection;
 use crate::runner::{run_single_cfd, CoordinatorStrategy};
 use dcd_cfd::Cfd;
-use dcd_dist::{HybridPartition, TID_CELLS};
+use dcd_dist::HybridPartition;
 
 /// Runs `HYBRIDDETECT` over a hybrid partition — the engine behind the
 /// `DetectRequest` façade of the `distributed-cfd` root crate.
@@ -62,7 +62,7 @@ pub fn run_hybrid(
                 let rows = synthesized.fragment(coord).data.len();
                 for (vi, attrs) in &plan.supplies[1..] {
                     let from = partition.site_of(ci, *vi);
-                    wire.send(coord, from, rows, rows * (attrs.len() + TID_CELLS));
+                    wire.send(coord, from, rows, attrs.len());
                 }
             }
             wire.commit();

@@ -33,7 +33,7 @@ use dcd_cfd::codes::ResolvedCfd;
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{Cfd, Flagged, KernelTally, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{HorizontalPartition, SiteId, TID_CELLS};
+use dcd_dist::{HorizontalPartition, SiteId};
 use dcd_relation::{AttrId, CodeBatch, FxHashSet};
 
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
@@ -305,7 +305,7 @@ fn gather_cluster(
                 continue;
             }
             if i != c.index() {
-                wire.send(c, frag.site, block.len(), block.len() * (attrs.len() + TID_CELLS));
+                wire.send(c, frag.site, block.len(), attrs.len());
             }
             frag.data.gather_into(attrs, block, &mut gathered[c.index()]);
         }
@@ -318,6 +318,7 @@ fn gather_cluster(
 mod tests {
     use super::*;
     use dcd_cfd::parse_cfd;
+    use dcd_dist::TID_CELLS;
     use dcd_relation::{vals, Relation, Schema, ValueType};
     use std::sync::Arc;
 

@@ -21,7 +21,7 @@ use dcd_cfd::codes::{CodeLayout, CodeRow};
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{KernelTally, NormalCfd, SimpleCfd};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{CostModel, Fragment, HorizontalPartition, SiteId, TID_CELLS};
+use dcd_dist::{CostModel, Fragment, HorizontalPartition, SiteId};
 use dcd_relation::AttrId;
 
 /// How coordinators are assigned to the pattern tuples of one CFD.
@@ -131,7 +131,7 @@ pub(crate) fn sigma_phase(
 /// by every detection round: sites whose fragmentation predicate
 /// refutes every pattern (`applicable[i]` empty) are excluded from the
 /// exchange, and with fewer than two participants the exchange — its
-/// `8·k`-byte messages, their send time, and the barrier — is skipped
+/// messages of `k` counts, their send time, and the barrier — is skipped
 /// entirely. Each participant pays for its outgoing control packets
 /// before the barrier, and the barrier spans *participants only*: an
 /// excluded site keeps its own clock and pipelines straight into the
@@ -152,7 +152,7 @@ pub(crate) fn exchange_statistics(
     }
     ctx.phase(&format!("exchange:{cfd}"), |p| {
         for &i in &participants {
-            p.control(i, participants.iter().copied().filter(|&j| j != i), 8 * k);
+            p.control(i, participants.iter().copied().filter(|&j| j != i), k);
         }
         p.barrier(&participants);
     });
@@ -162,8 +162,8 @@ pub(crate) fn exchange_statistics(
 /// wire and validates them there — the second half of [`run_round`].
 /// Sites ship `(tid, codes)` rows over the CFD's shipped attributes —
 /// dictionaries are shared across fragments, so codes are
-/// site-portable — at attribute cells plus `TID_CELLS` id cells per
-/// row; a fragment the coordinator already `holds` (itself, or a
+/// site-portable — priced by the ledger at the CFD's width per row;
+/// a fragment the coordinator already `holds` (itself, or a
 /// replica) ships nothing.
 /// No tuple payload crosses the simulated wire. Validation runs at the
 /// coordinators in parallel, on codes: grouping keys are slot indices
@@ -198,7 +198,7 @@ fn ship_and_validate(
                     continue;
                 }
                 if !holds(c, i) {
-                    wire.send(c, frag.site, block.len(), block.len() * (attrs.len() + TID_CELLS));
+                    wire.send(c, frag.site, block.len(), attrs.len());
                 }
                 rows.extend(frag.data.code_rows(&attrs, block));
             }

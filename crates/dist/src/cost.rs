@@ -96,17 +96,11 @@ impl CostModel {
     }
 
     /// The literal §III-B two-phase formula for one round:
-    /// `max_i t_ship(S_i) + max_j t_local(S_j)`, with `matrix[to][from]`
-    /// giving the tuples shipped between sites and `local_secs[j]` the
-    /// local computation charged to site `j` this round.
-    pub fn paper_cost(&self, matrix: &[Vec<usize>], local_secs: &[f64]) -> f64 {
-        let n = local_secs.len();
-        let max_ship = (0..n)
-            .map(|from| {
-                let sent: usize = matrix.iter().map(|row| row[from]).sum();
-                self.send_time(sent)
-            })
-            .fold(0.0, f64::max);
+    /// `max_i t_ship(S_i) + max_j t_local(S_j)`, with `sent[i]` the
+    /// tuples site `i` shipped and `local_secs[j]` the local computation
+    /// charged to site `j` this round.
+    pub fn paper_cost(&self, sent: &[usize], local_secs: &[f64]) -> f64 {
+        let max_ship = sent.iter().map(|&n| self.send_time(n)).fold(0.0, f64::max);
         let max_local = local_secs.iter().copied().fold(0.0, f64::max);
         max_ship + max_local
     }
@@ -132,7 +126,7 @@ mod tests {
         assert_eq!(c.scan_time(0), 0.0);
         assert_eq!(c.check_time(0), 0.0);
         assert_eq!(c.send_time(0), 0.0);
-        assert_eq!(c.paper_cost(&[vec![0]], &[0.0]), 0.0);
+        assert_eq!(c.paper_cost(&[0], &[0.0]), 0.0);
     }
 
     #[test]
@@ -162,10 +156,9 @@ mod tests {
     #[test]
     fn paper_cost_takes_max_sender_plus_max_local() {
         let c = unit();
-        // Site 0 sends 3 (to 1) + 2 (to 2) = 5; site 1 sends 4.
-        let matrix = vec![vec![0, 4, 0], vec![3, 0, 0], vec![2, 0, 0]];
+        // Site 0 sends 5 tuples, site 1 sends 4, site 2 none.
         let local = [1.0, 7.0, 2.0];
-        assert_eq!(c.paper_cost(&matrix, &local), 5.0 + 7.0);
+        assert_eq!(c.paper_cost(&[5, 4, 0], &local), 5.0 + 7.0);
     }
 
     #[test]

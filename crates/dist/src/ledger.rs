@@ -13,9 +13,16 @@ pub const CODE_BYTES: usize = 4;
 /// attribute cells, so shipment accounting stays byte-accurate.
 pub const TID_CELLS: usize = 2;
 
+/// Bytes per count in a control message: a statistics vector or a
+/// delta manifest carries one `u64` per CFD.
+const COUNT_BYTES: usize = 8;
+
 /// Records every transfer between sites during a detection run: data
-/// shipments (tuples / cells / bytes) and control messages (the
-/// statistics exchange of §IV-B), per ordered site pair.
+/// shipments (rows of the code wire) and control messages (the
+/// statistics exchange of §IV-B, delta manifests), per ordered site
+/// pair. It alone prices the wire: callers say how many rows of which
+/// attribute width, or how many counts, and the ledger turns that into
+/// cells and bytes.
 ///
 /// Plain tallies behind `&mut self`: the run's coordinating thread is
 /// the only one that charges the ledger. The totals are the pairs'
@@ -23,11 +30,13 @@ pub const TID_CELLS: usize = 2;
 #[derive(Debug)]
 pub struct ShipmentLedger {
     n_sites: usize,
-    /// Indexed `from · n + to`; one tally per [`FAMILIES`] entry.
-    pairs: Vec<[u64; 5]>,
+    /// Indexed `from · n + to`: rows, cells, messages, counts. Both byte
+    /// tallies are derived from cells and counts.
+    pairs: Vec<[u64; 4]>,
 }
 
-/// The metric family of each per-pair tally: name and help.
+/// The metric family of each per-pair series, name and help, in the
+/// order [`ShipmentLedger::record`] derives them.
 const FAMILIES: [(&str, &str); 5] = [
     ("dcd_shipped_tuples_total", "Tuples shipped between sites"),
     ("dcd_shipped_cells_total", "Attribute cells shipped between sites"),
@@ -35,16 +44,15 @@ const FAMILIES: [(&str, &str); 5] = [
     ("dcd_control_messages_total", "Control messages exchanged (statistics, coordination)"),
     ("dcd_control_bytes_total", "Control bytes exchanged"),
 ];
-const TUPLES: usize = 0;
+const ROWS: usize = 0;
 const CELLS: usize = 1;
-const BYTES: usize = 2;
-const CONTROL_MSGS: usize = 3;
-const CONTROL_BYTES: usize = 4;
+const MESSAGES: usize = 2;
+const COUNTS: usize = 3;
 
 impl ShipmentLedger {
     /// An empty ledger over `n` sites.
     pub fn new(n: usize) -> Self {
-        ShipmentLedger { n_sites: n, pairs: vec![[0; 5]; n * n] }
+        ShipmentLedger { n_sites: n, pairs: vec![[0; 4]; n * n] }
     }
 
     /// Number of sites this ledger covers.
@@ -52,40 +60,31 @@ impl ShipmentLedger {
         self.n_sites
     }
 
-    fn pair(&mut self, to: SiteId, from: SiteId) -> &mut [u64; 5] {
+    fn pair(&mut self, to: SiteId, from: SiteId) -> &mut [u64; 4] {
         debug_assert!(to.index() < self.n_sites && from.index() < self.n_sites);
         &mut self.pairs[from.index() * self.n_sites + to.index()]
     }
 
-    /// Records a data shipment of `tuples` tuples (`cells` projected
-    /// attribute cells, `bytes` on the wire) from `from` to `to`.
-    /// Private: the only wire is the code wire, so the only way in is
-    /// [`Self::charge_codes`], which owns the byte math.
-    fn ship(&mut self, to: SiteId, from: SiteId, tuples: usize, cells: usize, bytes: usize) {
+    /// Records `rows` code-wire rows of `width` attribute codes each
+    /// from `from` to `to`. A `(tid, codes)` row is `width + TID_CELLS`
+    /// `u32` cells at [`CODE_BYTES`] each — the one place the row format
+    /// is priced, and the only way to record a data shipment. A delete
+    /// row carries its id alone: width 0. Engines reach it through
+    /// `dcd_core::ctx::Transfer::send`, which pairs the charge with the
+    /// clocks' transfer matrix.
+    pub fn ship_rows(&mut self, to: SiteId, from: SiteId, rows: usize, width: usize) {
         debug_assert_ne!(to, from, "shipping to self is not a transfer");
         let pair = self.pair(to, from);
-        pair[TUPLES] += tuples as u64;
-        pair[CELLS] += cells as u64;
-        pair[BYTES] += bytes as u64;
+        pair[ROWS] += rows as u64;
+        pair[CELLS] += (rows * (width + TID_CELLS)) as u64;
     }
 
-    /// Records a *code-shipped* transfer of `tuples` rows totalling
-    /// `cells` `u32` cells from `from` to `to`, charged byte-accurately
-    /// at [`CODE_BYTES`] per cell. This is the single place wire bytes
-    /// are computed — callers pass cell counts, never byte math — and,
-    /// `ship` being private, the only way to record a data shipment.
-    /// Engines reach it through `dcd_core::ctx::Transfer::send`, which
-    /// pairs the charge with the clocks' transfer matrix.
-    pub fn charge_codes(&mut self, to: SiteId, from: SiteId, tuples: usize, cells: usize) {
-        self.ship(to, from, tuples, cells, cells * CODE_BYTES);
-    }
-
-    /// Records one control message of `bytes` bytes from `from` to `to`
-    /// (statistics exchange, coordination).
-    pub fn control(&mut self, to: SiteId, from: SiteId, bytes: usize) {
+    /// Records one control message of `counts` 8-byte counts from
+    /// `from` to `to` (statistics exchange, delta manifest).
+    pub fn control(&mut self, to: SiteId, from: SiteId, counts: usize) {
         let pair = self.pair(to, from);
-        pair[CONTROL_MSGS] += 1;
-        pair[CONTROL_BYTES] += bytes as u64;
+        pair[MESSAGES] += 1;
+        pair[COUNTS] += counts as u64;
     }
 
     fn total(&self, tally: usize) -> usize {
@@ -94,27 +93,27 @@ impl ShipmentLedger {
 
     /// Total tuples shipped — the paper's `|M|`.
     pub fn total_tuples(&self) -> usize {
-        self.total(TUPLES)
+        self.total(ROWS)
     }
 
-    /// Total attribute cells shipped (tuples × projected width).
+    /// Total code cells shipped, tuple ids included.
     pub fn total_cells(&self) -> usize {
         self.total(CELLS)
     }
 
-    /// Approximate data bytes on the wire.
+    /// Data bytes on the wire.
     pub fn total_bytes(&self) -> usize {
-        self.total(BYTES)
+        self.total_cells() * CODE_BYTES
     }
 
     /// Number of control messages exchanged.
     pub fn control_messages(&self) -> usize {
-        self.total(CONTROL_MSGS)
+        self.total(MESSAGES)
     }
 
     /// Control bytes exchanged.
     pub fn control_bytes(&self) -> usize {
-        self.total(CONTROL_BYTES)
+        self.total(COUNTS) * COUNT_BYTES
     }
 
     /// Adds every site pair's tallies to `registry`, zeros included, as
@@ -123,10 +122,12 @@ impl ShipmentLedger {
     /// series sum to the matching total — the cross-layer consistency
     /// `tests/fuzz_smoke.rs` asserts.
     pub fn record(&self, registry: &mut dcd_obs::MetricsRegistry) {
-        for (i, pair) in self.pairs.iter().enumerate() {
+        for (i, &[rows, cells, messages, counts]) in self.pairs.iter().enumerate() {
             let (from, to) = ((i / self.n_sites).to_string(), (i % self.n_sites).to_string());
             let labels = [("from", from.as_str()), ("to", to.as_str())];
-            for ((name, help), &n) in FAMILIES.iter().zip(pair) {
+            let series =
+                [rows, cells, cells * CODE_BYTES as u64, messages, counts * COUNT_BYTES as u64];
+            for ((name, help), n) in FAMILIES.iter().zip(series) {
                 registry.add(name, help, &labels, n);
             }
         }
@@ -156,21 +157,16 @@ mod tests {
     #[test]
     fn totals_are_additive_over_ship_calls() {
         let mut ledger = ShipmentLedger::new(3);
-        let shipments = [
-            (1usize, 0usize, 4usize, 12usize, 100usize),
-            (2, 0, 3, 9, 75),
-            (0, 1, 5, 15, 120),
-            (2, 1, 1, 3, 20),
-        ];
-        let (mut t, mut c, mut b) = (0, 0, 0);
-        for &(to, from, tuples, cells, bytes) in &shipments {
-            ledger.ship(SiteId(to as u32), SiteId(from as u32), tuples, cells, bytes);
-            t += tuples;
-            c += cells;
-            b += bytes;
+        // (to, from, rows, width)
+        let shipments = [(1u32, 0u32, 4, 3), (2, 0, 3, 1), (0, 1, 5, 0), (2, 1, 1, 7)];
+        let (mut t, mut c) = (0, 0);
+        for &(to, from, rows, width) in &shipments {
+            ledger.ship_rows(SiteId(to), SiteId(from), rows, width);
+            t += rows;
+            c += rows * (width + TID_CELLS);
             assert_eq!(ledger.total_tuples(), t);
             assert_eq!(ledger.total_cells(), c);
-            assert_eq!(ledger.total_bytes(), b);
+            assert_eq!(ledger.total_bytes(), c * CODE_BYTES);
         }
         // The per-pair series decompose the same totals, by sender and
         // by receiver.
@@ -181,23 +177,30 @@ mod tests {
         assert_eq!((0..3).map(|from| tuples(from, 2)).sum::<u64>(), 4, "received by site 2");
     }
 
+    /// A row is its attribute codes plus the id's two cells, at four
+    /// bytes a cell; a delete row (width 0) is the id alone.
     #[test]
-    fn charge_codes_is_byte_accurate_at_four_bytes_per_cell() {
+    fn ship_rows_prices_a_row_at_its_width_plus_the_id() {
         let mut ledger = ShipmentLedger::new(2);
-        ledger.charge_codes(SiteId(1), SiteId(0), 3, 36);
+        ledger.ship_rows(SiteId(1), SiteId(0), 3, 10);
         assert_eq!(ledger.total_tuples(), 3);
-        assert_eq!(ledger.total_cells(), 36);
-        assert_eq!(ledger.total_bytes(), 36 * CODE_BYTES);
+        assert_eq!(ledger.total_cells(), 3 * 12);
+        assert_eq!(ledger.total_bytes(), 3 * 12 * 4);
+        ledger.ship_rows(SiteId(1), SiteId(0), 2, 0);
+        assert_eq!(ledger.total_tuples(), 5);
+        assert_eq!(ledger.total_cells(), 3 * 12 + 2 * 2);
+        assert_eq!(ledger.total_bytes(), (3 * 12 + 2 * 2) * 4);
         let registry = recorded(&ledger);
-        assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 3);
+        assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 5);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 0), 0);
+        assert_eq!(pair(&registry, "dcd_shipped_bytes_total", 0, 1), 160);
     }
 
     #[test]
     fn control_messages_count_messages_not_bytes() {
         let mut ledger = ShipmentLedger::new(2);
-        ledger.control(SiteId(0), SiteId(1), 16);
-        ledger.control(SiteId(1), SiteId(0), 24);
+        ledger.control(SiteId(0), SiteId(1), 2);
+        ledger.control(SiteId(1), SiteId(0), 3);
         assert_eq!(ledger.control_messages(), 2);
         assert_eq!(ledger.control_bytes(), 40);
         assert_eq!(ledger.total_tuples(), 0, "control traffic is not data shipment");
@@ -206,17 +209,18 @@ mod tests {
     #[test]
     fn the_ledger_records_every_transfer_into_a_registry() {
         let mut ledger = ShipmentLedger::new(3);
-        ledger.ship(SiteId(1), SiteId(0), 4, 12, 100);
-        ledger.charge_codes(SiteId(2), SiteId(1), 3, 9);
-        ledger.control(SiteId(0), SiteId(2), 16);
+        ledger.ship_rows(SiteId(1), SiteId(0), 4, 1);
+        ledger.ship_rows(SiteId(2), SiteId(1), 3, 1);
+        ledger.control(SiteId(0), SiteId(2), 2);
         let registry = recorded(&ledger);
         assert_eq!(registry.counter_total("dcd_shipped_tuples_total"), 7);
         assert_eq!(registry.counter_total("dcd_shipped_cells_total"), 21);
-        assert_eq!(registry.counter_total("dcd_shipped_bytes_total"), ledger.total_bytes() as u64);
+        assert_eq!(registry.counter_total("dcd_shipped_bytes_total"), 84);
         assert_eq!(registry.counter_total("dcd_control_messages_total"), 1);
         assert_eq!(registry.counter_total("dcd_control_bytes_total"), 16);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 0, 1), 4);
         assert_eq!(pair(&registry, "dcd_shipped_tuples_total", 1, 2), 3);
+        assert_eq!(pair(&registry, "dcd_shipped_cells_total", 1, 2), 9);
         // Every pair is a series, the ones that never moved included.
         assert_eq!(pair(&registry, "dcd_control_bytes_total", 1, 1), 0);
         assert_eq!(registry.expose().lines().filter(|l| !l.starts_with('#')).count(), 5 * 9);

@@ -41,4 +41,4 @@ pub mod runner;
 
 pub use delta::DeltaBatch;
 pub use index::ViolationIndex;
-pub use runner::{IncrementalRun, VerticalIncrementalRun, ALGORITHM, TID_CELLS};
+pub use runner::{IncrementalRun, VerticalIncrementalRun, ALGORITHM};

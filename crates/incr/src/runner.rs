@@ -11,11 +11,12 @@
 //!    [`dcd_dist::pool`], charged per site like the batch detectors' scan
 //!    phases;
 //! 2. **Manifest** — each participating site sends the coordinator one
-//!    control message (`8·k` bytes, its per-CFD touch counts), charged
+//!    control message (`k` counts, its per-CFD touch counts), charged
 //!    [`CostModel::control_time`](dcd_dist::CostModel::control_time);
-//! 3. **Ship** — sites ship only `(tid, codes)` delta rows:
-//!    `arity + 2` cells per insert (the id rides as [`TID_CELLS`] code
-//!    cells) and `2` cells per delete, byte-accurate at 4 bytes/cell;
+//! 3. **Ship** — sites ship only `(tid, codes)` delta rows: an insert
+//!    row at the schema's arity, a delete row at width 0 (its id alone),
+//!    priced by
+//!    [`ShipmentLedger::ship_rows`](dcd_dist::ShipmentLedger::ship_rows);
 //!    receivers wait for senders ([`Transfer`](dcd_core::ctx::Transfer));
 //! 4. **Maintain** — the coordinator updates every index (in parallel
 //!    per CFD on the pool), charged `check_time` of the members each
@@ -59,11 +60,6 @@ use dcd_obs::MetricsRegistry;
 use dcd_relation::{
     AttrId, DeltaEffect, FxHashSet, PendingDelta, Relation, RelationDelta, RelationError, TupleId,
 };
-
-/// Wire cells occupied by one 8-byte tuple id in the code-shipped
-/// protocol (two `u32` cells) — re-exported from the ledger, which all
-/// code-shipping protocols (batch and incremental) share.
-pub use dcd_dist::TID_CELLS;
 
 /// The algorithm label incremental detections carry.
 pub const ALGORITHM: &str = "INCRDETECT";
@@ -174,7 +170,7 @@ impl IncrementalRun {
             let mut wire = p.transfer();
             for (i, frag) in partition.fragments().iter().enumerate() {
                 if sizes[i] > 0 && !holds(n, factor, coordinator.index(), i) {
-                    wire.send(coordinator, frag.site, sizes[i], sizes[i] * (arity + TID_CELLS));
+                    wire.send(coordinator, frag.site, sizes[i], arity);
                 }
             }
             wire.commit();
@@ -267,7 +263,7 @@ impl IncrementalRun {
         ctx.phase("incr:manifest", |p| {
             for (i, effect) in effects.iter().enumerate() {
                 if !effect.is_empty() && i != coordinator.index() {
-                    p.control(SiteId(i as u32), [coordinator], 8 * k);
+                    p.control(SiteId(i as u32), [coordinator], k);
                 }
             }
         });
@@ -281,15 +277,13 @@ impl IncrementalRun {
                 if effect.is_empty() {
                     continue;
                 }
-                let rows = effect.n_rows();
-                let cells =
-                    effect.inserted.len() * (arity + TID_CELLS) + effect.deleted.len() * TID_CELLS;
+                // Each receiver gets one copy: a holding coordinator's is
+                // its replica sync.
                 let from = SiteId(i as u32);
-                for h in (0..n).filter(|&h| h != i && holds(n, factor, h, i)) {
-                    wire.send(SiteId(h as u32), from, rows, cells);
-                }
-                if !holds(n, factor, coordinator.index(), i) {
-                    wire.send(coordinator, from, rows, cells);
+                let receives = |h| h != i && (h == coordinator.index() || holds(n, factor, h, i));
+                for to in (0..n).filter(|&h| receives(h)).map(|h| SiteId(h as u32)) {
+                    wire.send(to, from, effect.inserted.len(), arity);
+                    wire.send(to, from, effect.deleted.len(), 0);
                 }
             }
             wire.commit();
@@ -586,7 +580,7 @@ impl VerticalIncrementalRun {
             let mut wire = p.transfer();
             for (f, &owned) in owned_count.iter().enumerate() {
                 if f != coordinator.index() && n_rows > 0 && owned > 0 {
-                    wire.send(coordinator, SiteId(f as u32), n_rows, n_rows * (owned + TID_CELLS));
+                    wire.send(coordinator, SiteId(f as u32), n_rows, owned);
                 }
             }
             wire.commit();
@@ -659,13 +653,13 @@ impl VerticalIncrementalRun {
             .collect();
         ctx.phase("incr:manifest", |p| {
             for &(site, _) in &shippers {
-                p.control(site, [coordinator], 8 * k);
+                p.control(site, [coordinator], k);
             }
         });
         ctx.phase("incr:ship", |p| {
             let mut wire = p.transfer();
             for &(site, owned) in &shippers {
-                wire.send(coordinator, site, n_inserts, n_inserts * (owned + TID_CELLS));
+                wire.send(coordinator, site, n_inserts, owned);
             }
             wire.commit();
         });

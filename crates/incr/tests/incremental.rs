@@ -82,7 +82,7 @@ fn delta_wire_accounting_is_code_sized() {
     let built = run.detection();
     // The build ships every non-coordinator row once, at 4 bytes/cell.
     assert_eq!(built.shipped_bytes, built.shipped_cells * dcd_dist::CODE_BYTES);
-    let per_row = arity + dcd_incr::TID_CELLS;
+    let per_row = arity + dcd_dist::TID_CELLS;
     assert_eq!(built.shipped_cells, built.shipped_tuples * per_row);
 
     let stream = update_stream(

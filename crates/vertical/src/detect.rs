@@ -16,10 +16,11 @@
 //!    them as row-aligned `(tid, codes)` rows of those attributes — the
 //!    same code wire the
 //!    horizontal engines and the incremental delta protocol use,
-//!    charged at 4 bytes/cell through the run's
-//!    [`Transfer`](dcd_core::ctx::Transfer) (the tuple id rides as
-//!    [`TID_CELLS`] cells; key *columns* never travel, the id aligns
-//!    rows);
+//!    sent through the run's [`Transfer`](dcd_core::ctx::Transfer) at
+//!    the shipped attributes' width and priced by
+//!    [`ShipmentLedger::ship_rows`](dcd_dist::ShipmentLedger::ship_rows)
+//!    (the tuple id rides along; key *columns* never travel, the id
+//!    aligns rows);
 //! 3. the coordinator keeps the rows every contributing fragment kept
 //!    (row `r` is the same tuple in every fragment of a
 //!    [`VerticalPartition`]), gathers them column by column into one
@@ -29,7 +30,7 @@
 
 use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
-use dcd_dist::{VFragment, VerticalPartition, TID_CELLS};
+use dcd_dist::{VFragment, VerticalPartition};
 use dcd_relation::{AttrId, Dictionary, NO_CODE};
 use std::sync::Arc;
 
@@ -72,7 +73,7 @@ pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfi
                 let mut wire = p.transfer();
                 for ((f, attrs), keep) in plan.supplies.iter().zip(&keeps).skip(1) {
                     let (frag, shipped) = (&fragments[*f], keep.iter().filter(|&&k| k).count());
-                    wire.send(coord.site, frag.site, shipped, shipped * (attrs.len() + TID_CELLS));
+                    wire.send(coord.site, frag.site, shipped, attrs.len());
                 }
                 wire.commit();
             });
@@ -149,6 +150,7 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_dist::{CODE_BYTES, TID_CELLS};
 
     /// Runs the engine and reads how many CFDs were checked without
     /// shipment off the trace: each leaves one `local:<cfd>` span.
@@ -234,12 +236,10 @@ mod tests {
 
     /// Pins the code-wire accounting of the gather. The key column
     /// stays home (the tuple id aligns rows as [`TID_CELLS`] cells), so
-    /// a gather is `rows × (1 + TID_CELLS)` code cells at
-    /// [`CODE_BYTES`](dcd_dist::CODE_BYTES) each, and the CC≠44 row is
-    /// dropped before it ever travels.
+    /// a gather is `rows × (1 + TID_CELLS)` code cells at [`CODE_BYTES`]
+    /// each, and the CC≠44 row is dropped before it ever travels.
     #[test]
     fn code_wire_accounting_is_pinned() {
-        use dcd_dist::CODE_BYTES;
         let rel = emp();
         let p = partition(&rel);
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();

@@ -5,9 +5,10 @@
 //! `#![forbid(unsafe_code)]` root. What neither can say is
 //! *which* files may hold a sanctioned exception, *which* edges the
 //! layering allows, *that* every root forbids `unsafe`, *that* no
-//! production source declares process-wide state and *which* production
-//! source may mutate a partition's fragments in place — pinned here, over
-//! the manifests and a walk of the sources.
+//! production source declares process-wide state, *which* production
+//! source may mutate a partition's fragments in place and *which* may
+//! price the wire — pinned here, over the manifests and a walk of the
+//! sources.
 
 use std::path::{Path, PathBuf};
 
@@ -214,16 +215,23 @@ fn no_production_source_holds_process_wide_state() {
     assert_eq!(process_wide(&code()), [] as [&str; 0]);
 }
 
-/// The production sources that call `method`, once per call: `src/` and
-/// every crate's `src/`, each read up to its `#[cfg(test)]` module.
+/// The production sources as `(path, code)`: `src/` and every crate's
+/// `src/`, each read up to its `#[cfg(test)]` module.
+fn production(code: &[(String, String)]) -> Vec<(&str, &str)> {
+    code.iter()
+        .filter(|(rel, _)| {
+            rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))
+        })
+        .map(|(rel, text)| (rel.as_str(), text.split("#[cfg(test)]").next().unwrap_or_default()))
+        .collect()
+}
+
+/// The production sources that call `method`, once per call.
 fn production_calls(method: &str, code: &[(String, String)]) -> Vec<String> {
     let mut sites = Vec::new();
-    for (rel, text) in code {
-        if rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")) {
-            let production = text.split("#[cfg(test)]").next().unwrap_or_default();
-            let calls = production.matches(&format!(".{method}(")).count();
-            sites.extend(std::iter::repeat_n(rel.clone(), calls));
-        }
+    for (rel, text) in production(code) {
+        let calls = text.matches(&format!(".{method}(")).count();
+        sites.extend(std::iter::repeat_n(rel.to_string(), calls));
     }
     sites
 }
@@ -238,6 +246,32 @@ fn production_calls(method: &str, code: &[(String, String)]) -> Vec<String> {
 #[test]
 fn fragments_mut_has_one_production_caller() {
     assert_eq!(production_calls("fragments_mut", &code()), ["crates/incr/src/runner.rs"]);
+}
+
+/// The code wire's format — `TID_CELLS` id cells per row, `CODE_BYTES`
+/// per cell — has one owner: `dcd_dist::ledger` prices what an engine
+/// ships (`ShipmentLedger::ship_rows`, `ShipmentLedger::control`), and
+/// engines say only how many rows of which width, or how many counts.
+/// No other production source names either constant, save the
+/// `pub use` re-exports of `dcd_dist` and the facade.
+#[test]
+fn the_wire_format_has_one_owner() {
+    const REEXPORTS: [&str; 2] = ["crates/dist/src/lib.rs", "src/lib.rs"];
+    let code = code();
+    let namers: Vec<&str> = production(&code)
+        .into_iter()
+        .filter(|&(rel, _)| rel != "crates/dist/src/ledger.rs")
+        .filter(|&(rel, text)| {
+            text.split(';')
+                .filter(|stmt| {
+                    !(REEXPORTS.contains(&rel) && stmt.trim_start().starts_with("pub use"))
+                })
+                .flat_map(|stmt| stmt.split(|c| !is_ident(c)))
+                .any(|word| word == "TID_CELLS" || word == "CODE_BYTES")
+        })
+        .map(|(rel, _)| rel)
+        .collect();
+    assert_eq!(namers, [] as [&str; 0]);
 }
 
 /// The library crate roots: the facade's and every crate's `src/lib.rs`.
