@@ -31,11 +31,13 @@
 //! ids in a [`CodeMemo`]: a flat slot table indexed by the key's
 //! mixed-radix code when the LHS dictionaries' code space is no larger
 //! than the rows, else a hash map of packed [`CodeKey`]s, chosen once
-//! per call. [`detect_grouped`] takes rows from an iterator cheap to
-//! clone — gathered boxed wire rows — with how a row yields its **key**
-//! and its **tuple id and RHS code**, and hashes every key; it reads a
-//! block of RHS codes ahead of their probes, so rows held behind a
-//! pointer each miss the cache in parallel. Either is handed the
+//! per call. [`CodeMemo::resolve`] computes a chunk of rows' slot ids a
+//! column at a time, and a counter hands out the ids. [`detect_grouped`]
+//! takes rows from an iterator cheap to clone — gathered boxed wire rows
+//! — with how a row yields its **key** and its **tuple id and RHS
+//! code**, and hashes every key; it reads a block of RHS codes ahead of
+//! their probes, so rows held behind a pointer each miss the cache in
+//! parallel. Either is handed the
 //! **decoder** from a violating key's codes to the `Vioπ` value
 //! projection. The incremental index, whose groups outlive a call,
 //! keeps its own member lists and RHS-code counts and asks [`judge`]
@@ -400,25 +402,31 @@ pub struct ColumnRows<'a> {
 /// as [`detect_grouped`], with every key read straight from the LHS
 /// slices. Group ids live in a [`CodeMemo`] over the LHS dictionaries'
 /// sizes `key_sizes`, read at this call, and the row count: a slot table
-/// when the code space fits the rows, else a hash map. Either hands out
-/// ids in first-seen order, so groups, verdicts, tallies and output order
-/// do not depend on which.
+/// when the code space fits the rows, else a hash map. Its
+/// [`CodeMemo::resolve`] asks for an id at each key's first row, and a
+/// counter hands them out in first-seen order, so groups, verdicts,
+/// tallies and output order do not depend on which table it is.
 pub fn detect_columns(
     rows: &ColumnRows<'_>,
     key_sizes: impl IntoIterator<Item = usize>,
     tableau: &Tableau<'_>,
     decode: impl FnMut(&[u32]) -> Vec<Value>,
 ) -> (Flagged, KernelTally) {
-    let mut ids = CodeMemo::new(key_sizes, rows.tids.len());
+    let n = rows.tids.len();
+    let mut ids = CodeMemo::new(key_sizes, n);
     let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
     let mut groups = Groups::new(width);
-    let mut group_of: Vec<u32> = Vec::with_capacity(rows.tids.len());
-    for (r, &rhs) in rows.rhs.iter().enumerate() {
-        let fresh = groups.next_id();
-        let gid = ids.get_or_insert_with(&rows.lhs, r, || fresh);
-        groups.record(gid, rhs, rows.lhs.iter().map(|col| col[r]));
+    let mut group_of: Vec<u32> = Vec::with_capacity(n);
+    let mut fresh = 0u32;
+    let first_seen = |_| {
+        let gid = fresh;
+        fresh = fresh.checked_add(1).expect("fewer groups than u32::MAX");
+        gid
+    };
+    ids.resolve(&rows.lhs, 0..n, first_seen, |r, gid| {
+        groups.record(gid, rows.rhs[r], rows.lhs.iter().map(|col| col[r]));
         group_of.push(gid);
-    }
+    });
     drop(ids);
 
     let mut out = Flagged::default();
@@ -451,8 +459,6 @@ type MaskBucket = (Vec<usize>, FxHashMap<CodeKey, Vec<u32>>);
 #[derive(Debug, Clone, Default)]
 pub struct LhsIndex {
     buckets: Vec<MaskBucket>,
-    /// Total ranks indexed (the tableau scan length the ranks replace).
-    n_ranks: usize,
 }
 
 impl LhsIndex {
@@ -484,7 +490,6 @@ impl LhsIndex {
             };
             bucket.entry(CodeKey::of_codes(&consts)).or_default().push(rank as u32);
         }
-        index.n_ranks = applicable.len();
         index
     }
 
@@ -523,16 +528,12 @@ impl LhsIndex {
         out.sort_unstable();
     }
 
-    /// The first rank whose pattern matches `key`, plus the number of
-    /// patterns a linear tableau scan would have tried to find it
-    /// (`rank + 1`, or the full scan length on a miss) — exactly the σ
-    /// assignment and comparison count of Lemma 6.
-    pub fn first_matched(&self, key: &[u32], buf: &mut Vec<u32>) -> (Option<usize>, usize) {
+    /// The first rank whose pattern matches `key` — the σ assignment of
+    /// Lemma 6. A linear tableau scan would have tried `rank + 1`
+    /// patterns to find it, or all of them on a miss.
+    pub fn first_matched(&self, key: &[u32], buf: &mut Vec<u32>) -> Option<usize> {
         // Rank lists are ascending: `ranks[0]` is the earliest per mask.
-        match self.probe(key, buf).map(|ranks| ranks[0]).min() {
-            Some(rank) => (Some(rank as usize), rank as usize + 1),
-            None => (None, self.n_ranks),
-        }
+        self.probe(key, buf).map(|ranks| ranks[0] as usize).min()
     }
 }
 
@@ -785,9 +786,9 @@ mod tests {
         assert_eq!(out, vec![0, 2]);
         index.matched_into(&[9, 9], &mut buf, &mut out);
         assert_eq!(out, vec![2]);
-        assert_eq!(index.first_matched(&[9, 2], &mut buf), (Some(1), 2));
-        assert_eq!(index.first_matched(&[9, 9], &mut buf), (Some(2), 3));
-        assert_eq!(LhsIndex::of_compiled(&pats[..2]).first_matched(&[9, 9], &mut buf), (None, 2));
+        assert_eq!(index.first_matched(&[9, 2], &mut buf), Some(1));
+        assert_eq!(index.first_matched(&[9, 9], &mut buf), Some(2));
+        assert_eq!(LhsIndex::of_compiled(&pats[..2]).first_matched(&[9, 9], &mut buf), None);
         assert_eq!(index.pinned_positions(), vec![0, 1]);
         assert_eq!(LhsIndex::of_compiled(&pats[1..3]).pinned_positions(), vec![1]);
         assert!(LhsIndex::of_compiled(&pats[2..3]).pinned_positions().is_empty());

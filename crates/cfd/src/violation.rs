@@ -28,10 +28,10 @@
 //! identical under both.
 
 use crate::cfd::{Cfd, SimpleCfd};
-use crate::kernel::{self, ColumnRows, Flagged, LhsIndex, Tableau};
+use crate::kernel::{self, ColumnRows, Flagged, Judgement, LhsIndex, Tableau};
 use crate::pattern::{compile_tableau, CompiledPattern};
 use dcd_relation::ops::CodeMemo;
-use dcd_relation::{FxHashSet, Relation, TupleId, Value};
+use dcd_relation::{FxHashSet, Relation, TupleId, Value, NO_CODE, WILDCARD_CODE};
 use std::sync::Arc;
 
 /// The violations of one CFD in one relation: the tuple ids `Vio(φ, D)`
@@ -225,14 +225,16 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
 /// over any partition of the rows is exactly the whole-relation
 /// [`detect_simple`] — pinned by tests.
 ///
-/// One pass. Each key's [`Judgement`](kernel::Judgement) —
-/// [`kernel::judge`] over the constants of the feasible patterns matching
-/// it, under the algorithmic reading — is decided on the key's first
-/// sight and kept in a [`CodeMemo`]: a slot table when the LHS code space
-/// is no larger than the range, a hash map otherwise. Every other row of
-/// the key reads it, and is flagged by
-/// [`Judgement::flags`](kernel::Judgement::flags) on its own RHS code.
-/// Only a flagged row has its key decoded.
+/// One [`CodeMemo::resolve`] pass: a slot table when the LHS code space
+/// is no larger than the range, a hash map otherwise. Each key's
+/// [`Judgement`] — [`kernel::judge`] over the constants of the feasible
+/// patterns matching it, under the algorithmic reading — is decided on
+/// the key's first sight and kept as the one code the key's rows are
+/// held to: [`WILDCARD_CODE`] for [`Judgement::Clean`] (no row is
+/// flagged), `c` for [`Judgement::Differing`]`(c)`, and [`NO_CODE`] when
+/// every row is flagged, since no stored code equals it. A row is flagged
+/// iff its key is held and its own RHS code differs. Only a flagged row
+/// has its key decoded.
 pub fn detect_constants_rows_with(
     rel: &Relation,
     cfd: &SimpleCfd,
@@ -253,18 +255,24 @@ pub fn detect_constants_rows_with(
     let lhs = rel.code_views(&cfd.lhs);
     let rhs = rel.column(cfd.rhs).codes();
     let sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
-    let mut judgements = CodeMemo::new(sizes, end - start);
-    for (r, &rhs) in (start..end).zip(&rhs[start..end]) {
-        let judgement = judgements.get_or_insert_with(&lhs, r, || {
-            let matching = feasible.iter().filter(|p| p.matches_row(&lhs, r));
-            kernel::judge(matching.map(|p| p.rhs_spec()), false, false)
-        });
-        if judgement.flags(rhs) {
+    let tids = rel.tids();
+    let mut held = CodeMemo::new(sizes, end - start);
+    let judge = |r: usize| {
+        let matching = feasible.iter().filter(|p| p.matches_row(&lhs, r));
+        match kernel::judge(matching.map(|p| p.rhs_spec()), false, false) {
+            Judgement::Clean => WILDCARD_CODE,
+            Judgement::Differing(c) => c,
+            // No stored code equals `NO_CODE`, so every member differs.
+            Judgement::All | Judgement::EachMismatches => NO_CODE,
+        }
+    };
+    held.resolve(&lhs, start..end, judge, |r, held| {
+        if held != WILDCARD_CODE && rhs[r] != held {
             let key: Vec<u32> = lhs.iter().map(|col| col[r]).collect();
             out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
-            out.tids.insert(rel.tids()[r]);
+            out.tids.insert(tids[r]);
         }
-    }
+    });
     out
 }
 
@@ -569,6 +577,49 @@ pub(crate) mod tests {
             let r = report(sets);
             assert_eq!(r.distinct_tids(), r.all_tids().len(), "{r:?}");
         }
+    }
+
+    /// The constant check over D0, whole (the three `CC` codes fit a
+    /// slot table) and as the union of two-row ranges (hashed), for a
+    /// constant CFD over `[CC] -> [city]` with the given `(CC, city)`
+    /// patterns.
+    fn constant_check(patterns: &[(i64, &str)]) -> Vec<u64> {
+        let s = emp_schema();
+        let rel = d0();
+        let cfds: Vec<Cfd> = patterns
+            .iter()
+            .map(|(cc, city)| parse_cfd(&s, "c", &format!("([CC={cc}] -> [city={city}])")).unwrap())
+            .collect();
+        let simple = Cfd::merge("c", &cfds.iter().collect::<Vec<_>>()).unwrap().simplify().pop();
+        let simple = simple.unwrap();
+        let compiled = compile_tableau(&simple.tableau, &rel, &simple.lhs, simple.rhs);
+        let whole = detect_constants_rows_with(&rel, &simple, &compiled, 0, rel.len());
+        let mut ranges = ViolationSet::default();
+        for start in (0..rel.len()).step_by(2) {
+            ranges.merge(detect_constants_rows_with(&rel, &simple, &compiled, start, start + 2));
+        }
+        assert_eq!(ranges, whole, "{patterns:?}");
+        tids(&whole)
+    }
+
+    /// Each key holds one code, the one its group is held to, and a row
+    /// is flagged iff its RHS differs from it. `CC=44` is rows 0–4 with
+    /// cities EDI, NYC, NYC, EDI, EDI.
+    #[test]
+    fn the_constant_check_holds_each_key_to_one_code() {
+        // One constant: the members that differ from it.
+        assert_eq!(constant_check(&[(44, "EDI")]), [1, 2]);
+        // A constant the dictionary never saw (`NO_CODE`): every member.
+        assert_eq!(constant_check(&[(44, "LON")]), [0, 1, 2, 3, 4]);
+        // Two distinct constants on one key: every member, each on its
+        // own account.
+        assert_eq!(constant_check(&[(44, "EDI"), (44, "NYC")]), [0, 1, 2, 3, 4]);
+        // The same constant twice is one constant.
+        assert_eq!(constant_check(&[(44, "EDI"), (44, "EDI")]), [1, 2]);
+        // A clean key flags nothing, whatever its RHS: in every case
+        // above the `CC=1` and `CC=31` rows (5–9) hold differing cities
+        // and match no pattern. An unseen LHS constant matches no key.
+        assert_eq!(constant_check(&[(7, "EDI")]), Vec::<u64>::new());
     }
 
     #[test]

@@ -200,10 +200,13 @@ impl RunCtx {
     }
 
     /// Finishes a batch run: the [`Detection`] over the report
-    /// accumulated through [`Self::absorb`].
+    /// accumulated through [`Self::absorb`]. The context is spent, so its
+    /// registry and trace move into the `Detection` uncopied.
     pub fn finish(mut self, algorithm: &str) -> Detection {
         let violations = std::mem::take(&mut self.report);
-        self.snapshot(algorithm, violations)
+        let metrics = std::mem::take(&mut self.registry);
+        let trace = std::mem::take(&mut self.trace);
+        self.detection(algorithm, violations, metrics, trace)
     }
 
     /// A [`Detection`] of the run so far over an externally maintained
@@ -211,13 +214,25 @@ impl RunCtx {
     /// Its metrics are a copy of the run's registry plus the ledger's
     /// per-site-pair families and the run-summary gauges
     /// (`dcd_run_violating_tuples`, `dcd_run_violating_patterns`,
-    /// `dcd_run_response_seconds`) — every engine finishes through here,
-    /// so the families are uniform across detectors.
+    /// `dcd_run_response_seconds`) — every engine finishes through here
+    /// or [`Self::finish`], so the families are uniform across detectors.
     pub fn snapshot(&self, algorithm: &str, violations: ViolationReport) -> Detection {
+        self.detection(algorithm, violations, self.registry.clone(), self.trace.clone())
+    }
+
+    /// The [`Detection`] over `violations`, with `metrics` — the run's
+    /// registry — completed by the ledger's families and the run-summary
+    /// gauges, and the run's `trace`.
+    fn detection(
+        &self,
+        algorithm: &str,
+        violations: ViolationReport,
+        mut metrics: MetricsRegistry,
+        trace: RunTrace,
+    ) -> Detection {
         let tuples = violations.distinct_tids();
         let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
         let response_time = self.clocks.response_time();
-        let mut metrics = self.registry.clone();
         self.ledger.record(&mut metrics);
         let help = "Distinct violating tuples across all CFDs";
         metrics.set("dcd_run_violating_tuples", help, &[], tuples as f64);
@@ -237,7 +252,7 @@ impl RunCtx {
             site_clocks: self.clocks.snapshot(),
             paper_cost: self.paper_cost,
             metrics,
-            trace: self.trace.clone(),
+            trace,
         }
     }
 }

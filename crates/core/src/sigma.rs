@@ -10,12 +10,14 @@
 //!
 //! σ(t) in fact depends on less than `t[X]`: only on the positions of
 //! `X` some pattern pins to a constant. The scan memoizes σ per pinned
-//! projection, in one pass over the fragment ([`sigma_partition`]):
-//! a flat slot array when the projection's code space fits the fragment,
-//! else a hash map. Each key is decided once, and the dictionary is asked
-//! first: a key whose code at an always-pinned position is no pattern's
-//! constant matches nothing, without an index probe. The engines' σ phase
-//! runs this scan as one pool task per site.
+//! projection — one `u32`, the pattern or a miss — in one
+//! [`CodeMemo::resolve`] pass over the fragment ([`sigma_partition`]): a
+//! flat slot array, filled a column at a time, when the projection's code
+//! space fits the fragment, else a hash map. Each key is decided once,
+//! and the dictionary is asked first: a key whose code at an
+//! always-pinned position is no pattern's constant matches nothing,
+//! without an index probe. The engines' σ phase runs this scan as one
+//! pool task per site.
 
 use dcd_cfd::kernel::LhsIndex;
 use dcd_cfd::pattern::{compile_tableau, Admission, CompiledPattern};
@@ -82,20 +84,24 @@ impl SigmaPartition {
 /// The tableau is compiled against the fragment's dictionaries once
 /// (one lookup per pattern constant) into a `SigmaIndex`, after which
 /// the scan is a single pass reading the pinned columns only. Each row
-/// looks its `(pattern, tries)` up in a [`CodeMemo`] keyed by its pinned
-/// projection — a slot array when the pinned columns' code space fits the
-/// fragment, a hash map otherwise — and is pushed straight into its
-/// block, so per-block row order is scan order. The memo is filled on a
-/// key's first sight. A key the admission filter rejects is a miss: it
-/// joins no block and is charged the full scan length, exactly what the
-/// tableau scan would have tried before giving up; any other key costs
-/// one index probe. A tableau that pins nothing (an FD, or an empty LHS)
-/// has a constant σ: one probe answers for the whole fragment and nothing
-/// is looked up.
+/// looks its pattern up in a [`CodeMemo`] keyed by its pinned projection
+/// — a slot array when the pinned columns' code space fits the fragment,
+/// a hash map otherwise — and is pushed straight into its block, so
+/// per-block row order is scan order. The memo is filled on a key's
+/// first sight, with one `u32`: the pattern, or a miss. A key the
+/// admission filter rejects is a miss; any other key costs one index
+/// probe. A tableau that pins nothing (an FD, or an empty LHS) has a
+/// constant σ: one probe answers for the whole fragment and nothing is
+/// looked up.
 ///
-/// `comparisons` (one unit per pattern tried per tuple, feeding the
-/// response-time model) and the per-block index order are bit-identical
-/// to the naive per-tuple tableau scan (pinned by `tests/prop_sigma.rs`).
+/// `comparisons` counts one unit per pattern tried per tuple, feeding the
+/// response-time model. It is read off the blocks after the scan: a row
+/// in the block of the pattern of rank `k` among `applicable` was tried
+/// against `k + 1` patterns ([`LhsIndex::first_matched`]), and a miss
+/// against all of them — exactly what the tableau scan would have
+/// tried before giving up. It and the per-block index order are
+/// bit-identical to the naive per-tuple tableau scan (pinned by
+/// `tests/prop_sigma.rs`).
 pub fn sigma_partition(
     fragment: &Relation,
     sorted: &SortedCfd,
@@ -109,39 +115,48 @@ pub fn sigma_partition(
     let mut key_codes: Vec<u32> = vec![0; sorted.cfd.lhs.len()];
     let mut probe_buf: Vec<u32> = Vec::with_capacity(key_codes.len());
     if index.pinned.is_empty() {
-        let (pat, tries) = index.assign(&key_codes, &mut probe_buf);
-        if let Some(pi) = pat {
+        if let Some(pi) = index.assign(&key_codes, &mut probe_buf) {
             blocks[pi].extend(0..rows);
         }
-        return SigmaPartition { blocks, comparisons: tries * rows };
+    } else {
+        let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
+        let sigma_of = |r: usize| {
+            if !index.admission.admits_row(&lhs_cols, r) {
+                return MISS;
+            }
+            for &j in &index.pinned {
+                key_codes[j] = lhs_cols[j][r];
+            }
+            index
+                .assign(&key_codes, &mut probe_buf)
+                .map_or(MISS, |pi| u32::try_from(pi).expect("fewer patterns than u32::MAX"))
+        };
+        let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| lhs_cols[j]).collect();
+        let pinned_sizes =
+            index.pinned.iter().map(|&j| fragment.dictionary(sorted.cfd.lhs[j]).len());
+        let mut memo = CodeMemo::new(pinned_sizes, rows);
+        memo.resolve(&pinned_cols, 0..rows, sigma_of, |r, pat| {
+            if pat != MISS {
+                blocks[pat as usize].push(r);
+            }
+        });
+        // The blocks outlive the scan — a round ships from them — so
+        // they keep no spare room.
+        blocks.iter_mut().for_each(Vec::shrink_to_fit);
     }
-
-    let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
-    let mut sigma_of = |r: usize| {
-        if !index.admission.admits_row(&lhs_cols, r) {
-            return (None, index.applicable.len());
-        }
-        for &j in &index.pinned {
-            key_codes[j] = lhs_cols[j][r];
-        }
-        index.assign(&key_codes, &mut probe_buf)
-    };
-    let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| lhs_cols[j]).collect();
-    let pinned_sizes = index.pinned.iter().map(|&j| fragment.dictionary(sorted.cfd.lhs[j]).len());
-    let mut memo = CodeMemo::new(pinned_sizes, rows);
-    let mut comparisons = 0usize;
-    for r in 0..rows {
-        let (pat, tries) = memo.get_or_insert_with(&pinned_cols, r, || sigma_of(r));
-        comparisons += tries;
-        if let Some(pi) = pat {
-            blocks[pi].push(r);
-        }
+    // A row in the block of `applicable[rank]` was tried against
+    // `rank + 1` patterns, every other row against all of them.
+    let (mut comparisons, mut matched) = (0, 0);
+    for (&pi, tries) in index.applicable.iter().zip(1..) {
+        comparisons += blocks[pi].len() * tries;
+        matched += blocks[pi].len();
     }
-    // The blocks outlive the scan — a round ships from them — so they
-    // keep no spare room.
-    blocks.iter_mut().for_each(Vec::shrink_to_fit);
+    comparisons += (rows - matched) * index.applicable.len();
     SigmaPartition { blocks, comparisons }
 }
+
+/// σ's memo value for a key that matches no applicable pattern.
+const MISS: u32 = u32::MAX;
 
 /// The σ decision structure of one (fragment, CFD): what tableau
 /// compilation and the dictionary lookups leave for the scan to probe.
@@ -150,8 +165,7 @@ pub fn sigma_partition(
 /// * the detection kernel's [`LhsIndex`] — the same
 ///   bucketing-by-wildcard-mask every detector probes. σ of a key is one
 ///   probe per distinct mask, `O(masks)` instead of `O(|Tp|)`, and the
-///   answer (first matching pattern plus the number of patterns the scan
-///   would have tried) is bit-identical to the scan it replaces;
+///   answer (the first matching pattern) is the scan's;
 /// * the *pinned* LHS positions — those some pattern fixes to a
 ///   constant. A probe reads no other key cell, so σ(t) is a function of
 ///   `t`'s projection on them;
@@ -186,12 +200,10 @@ impl SigmaIndex {
     }
 
     /// σ of one LHS code key (only its pinned cells are read): the
-    /// first applicable pattern it matches in scan order, plus the tries
-    /// the scan would have counted. `buf` is scratch space reused across
-    /// calls.
-    fn assign(&self, key: &[u32], buf: &mut Vec<u32>) -> (Option<usize>, usize) {
-        let (rank, tries) = self.index.first_matched(key, buf);
-        (rank.map(|r| self.applicable[r]), tries)
+    /// first applicable pattern it matches in scan order. `buf` is
+    /// scratch space reused across calls.
+    fn assign(&self, key: &[u32], buf: &mut Vec<u32>) -> Option<usize> {
+        self.index.first_matched(key, buf).map(|rank| self.applicable[rank])
     }
 }
 

@@ -120,15 +120,16 @@ impl ShipmentLedger {
     /// `dcd_shipped_{tuples,cells,bytes}_total{from,to}` and
     /// `dcd_control_{messages,bytes}_total{from,to}`: each family's
     /// series sum to the matching total — the cross-layer consistency
-    /// `tests/fuzz_smoke.rs` asserts.
+    /// `tests/fuzz_smoke.rs` asserts. Each pair's label set is rendered
+    /// once and added to all five families.
     pub fn record(&self, registry: &mut dcd_obs::MetricsRegistry) {
         for (i, &[rows, cells, messages, counts]) in self.pairs.iter().enumerate() {
             let (from, to) = ((i / self.n_sites).to_string(), (i % self.n_sites).to_string());
-            let labels = [("from", from.as_str()), ("to", to.as_str())];
+            let labels = dcd_obs::LabelSet::new(&[("from", &from), ("to", &to)]);
             let series =
                 [rows, cells, cells * CODE_BYTES as u64, messages, counts * COUNT_BYTES as u64];
             for ((name, help), n) in FAMILIES.iter().zip(series) {
-                registry.add(name, help, &labels, n);
+                registry.add_with(name, help, &labels, n);
             }
         }
     }

@@ -25,5 +25,5 @@
 pub mod registry;
 pub mod trace;
 
-pub use registry::{MetricsRegistry, SampleValue};
+pub use registry::{LabelSet, MetricsRegistry, SampleValue};
 pub use trace::{RunTrace, Span};

@@ -73,22 +73,29 @@ pub struct MetricsRegistry {
     families: BTreeMap<String, Family>,
 }
 
-/// Renders a label set in caller order: `{a="x",b="y"}`, or `""` when
-/// empty. Call sites use one fixed label order per family, so the
-/// rendering is a stable series key.
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut s = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+/// A label set rendered once in caller order — `{a="x",b="y"}`, or `""`
+/// when empty — the key of its series in every family it is added to.
+/// Call sites use one fixed label order per family, so the rendering is
+/// a stable series key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabelSet(String);
+
+impl LabelSet {
+    /// Renders `labels`.
+    pub fn new(labels: &[(&str, &str)]) -> Self {
+        if labels.is_empty() {
+            return LabelSet(String::new());
         }
-        let _ = write!(s, "{k}=\"{v}\"");
+        let mut s = String::from("{");
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let _ = write!(s, "{k}=\"{v}\"");
+        }
+        s.push('}');
+        LabelSet(s)
     }
-    s.push('}');
-    s
 }
 
 impl MetricsRegistry {
@@ -106,7 +113,7 @@ impl MetricsRegistry {
         name: &str,
         help: &str,
         kind: MetricKind,
-        labels: &[(&str, &str)],
+        labels: &LabelSet,
         fresh: impl FnOnce() -> SampleValue,
     ) -> &mut SampleValue {
         if !self.families.contains_key(name) {
@@ -115,12 +122,18 @@ impl MetricsRegistry {
         }
         let family = self.families.get_mut(name).expect("registered above");
         assert_eq!(family.kind, kind, "metric family {name} re-registered as a different kind");
-        family.series.entry(render_labels(labels)).or_insert_with(fresh)
+        family.series.entry(labels.0.clone()).or_insert_with(fresh)
     }
 
     /// Adds `n` to a counter series, registering it at zero first if
     /// absent (`n = 0` registers without counting).
     pub fn add(&mut self, name: &str, help: &str, labels: &[(&str, &str)], n: u64) {
+        self.add_with(name, help, &LabelSet::new(labels), n);
+    }
+
+    /// [`Self::add`] over a label set already rendered, for a caller that
+    /// adds one label set to several families.
+    pub fn add_with(&mut self, name: &str, help: &str, labels: &LabelSet, n: u64) {
         match self.series(name, help, MetricKind::Counter, labels, || SampleValue::Counter(0)) {
             SampleValue::Counter(c) => *c += n,
             _ => unreachable!("kind checked by series"),
@@ -130,7 +143,7 @@ impl MetricsRegistry {
     /// Sets a gauge series, registering it if absent.
     pub fn set(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
         let fresh = || SampleValue::GaugeBits(0);
-        *self.series(name, help, MetricKind::Gauge, labels, fresh) =
+        *self.series(name, help, MetricKind::Gauge, &LabelSet::new(labels), fresh) =
             SampleValue::GaugeBits(v.to_bits());
     }
 
@@ -152,7 +165,7 @@ impl MetricsRegistry {
             overflow: 0,
             sum: 0,
         };
-        match self.series(name, help, MetricKind::Histogram, labels, fresh) {
+        match self.series(name, help, MetricKind::Histogram, &LabelSet::new(labels), fresh) {
             SampleValue::Histogram { buckets, overflow, sum } => {
                 *sum += v;
                 match buckets.iter_mut().find(|(bound, _)| *bound >= v) {

@@ -8,12 +8,15 @@
 //! packed into a [`CodeKey`] and hashed with the Fx hasher from
 //! [`crate::fxhash`], or — when its columns' dictionaries are small next
 //! to the rows a call scans — turned into one index of a flat slot table
-//! by its [`CodeSpace`]. A [`CodeMemo`] makes that choice for a scan.
+//! by its [`CodeSpace`]. A [`CodeMemo`] makes that choice for a scan,
+//! and [`CodeMemo::resolve`] walks the scan's rows through it: on a slot
+//! table a chunk of rows' slot ids at a time, one pass per key column.
 
 use crate::error::RelationError;
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::schema::AttrId;
+use std::ops::Range;
 
 /// A group key over code columns: at most two codes packed into one
 /// `u64`, three or four into a `u128`, wider keys as boxed code vectors.
@@ -90,49 +93,57 @@ impl CodeKey {
 /// hashing a [`CodeKey`] per row.
 ///
 /// It exists only when the table it sizes is no larger than the rows the
-/// scan reads (`CodeSpace::fit`), so a slot table never outgrows its
-/// input. The sizes must be the dictionaries' lengths read at the call
-/// that scans: dictionaries are append-only, so every code of an existing
-/// row is below them, while a size cached from an earlier call could be
-/// exceeded and alias two keys.
+/// scan reads and no larger than `u32::MAX` slots (`CodeSpace::fit`), so
+/// a slot table never outgrows its input and a slot id is one `u32`. The
+/// sizes must be the dictionaries' lengths read at the call that scans:
+/// dictionaries are append-only, so every code of an existing row is
+/// below them, while a size cached from an earlier call could be exceeded
+/// and alias two keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeSpace {
     /// `(dictionary size, stride)` per key column, in key order.
-    radix: Vec<(usize, usize)>,
+    radix: Vec<(u32, u32)>,
     slots: usize,
 }
 
 impl CodeSpace {
     /// The code space of a key whose columns' dictionaries hold `sizes`
     /// codes, for a scan over `rows` rows: `Some` iff the product of the
-    /// sizes is at most `rows` (a product past `usize` is not). This is
-    /// the one rule that chooses a slot table over a hash table; a key
-    /// over no column is one slot.
+    /// sizes is at most `rows` and at most `u32::MAX` (a product past
+    /// either is not). This is the one rule that chooses a slot table
+    /// over a hash table; a key over no column is one slot.
     fn fit(sizes: impl IntoIterator<Item = usize>, rows: usize) -> Option<CodeSpace> {
-        let mut radix: Vec<(usize, usize)> = sizes.into_iter().map(|size| (size, 0)).collect();
-        let mut slots = 1usize;
+        let sizes = sizes.into_iter().map(|size| u32::try_from(size).ok().map(|size| (size, 0)));
+        let mut radix: Vec<(u32, u32)> = sizes.collect::<Option<_>>()?;
+        let mut slots = 1u32;
         for (size, stride) in radix.iter_mut().rev() {
             *stride = slots;
             slots = slots.checked_mul(*size)?;
         }
+        let slots = slots as usize;
         (slots <= rows).then_some(CodeSpace { radix, slots })
     }
 
-    /// The slot of row `i` over the key's code slices (one per column,
-    /// in key order — as for [`CodeKey::of_row`]).
+    /// Writes the slot of each row `start..start + ids.len()` over the
+    /// key's code slices (one per column, in key order — as for
+    /// [`CodeKey::of_row`]) into `ids`, one pass per column.
     #[inline]
-    fn slot_of_row(&self, cols: &[&[u32]], i: usize) -> usize {
+    fn slots_of(&self, cols: &[&[u32]], start: usize, ids: &mut [u32]) {
         debug_assert_eq!(cols.len(), self.radix.len());
-        cols.iter()
-            .zip(&self.radix)
-            .map(|(col, &(size, stride))| {
-                let code = col[i] as usize;
+        let rows = start..start + ids.len();
+        ids.fill(0);
+        for (col, &(size, stride)) in cols.iter().zip(&self.radix) {
+            for (id, &code) in ids.iter_mut().zip(&col[rows.clone()]) {
                 debug_assert!(code < size, "code {code} outside a dictionary of {size}");
-                code * stride
-            })
-            .sum()
+                *id += code * stride;
+            }
+        }
     }
 }
+
+/// Rows whose slot ids [`CodeMemo::resolve`] computes, a column at a
+/// time, before it reads their cells: 4 KiB of ids on the stack.
+const CHUNK: usize = 1024;
 
 /// A memo from a row's key to a value, filled on the key's first sight:
 /// a scan's group ids, σ's first match, the constant check's verdicts.
@@ -140,7 +151,7 @@ impl CodeSpace {
 /// a flat slot table when the key's code space is no larger than the
 /// rows the scan reads, else a hash map of packed [`CodeKey`]s. Both
 /// answer every lookup alike, so what a scan computes does not depend on
-/// which one it got.
+/// which one it got. [`CodeMemo::resolve`] is the one way to read it.
 #[derive(Debug, Clone)]
 pub enum CodeMemo<V> {
     /// One cell per slot of the key's code space, `None` until the
@@ -164,16 +175,42 @@ impl<V: Copy> CodeMemo<V> {
         }
     }
 
-    /// The value of row `i`'s key over the key's code slices (one per
-    /// column, in key order — as for [`CodeKey::of_row`]), made by `make`
-    /// and kept if the key is new.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, cols: &[&[u32]], i: usize, make: impl FnOnce() -> V) -> V {
+    /// Resolves the keys of `rows` over the key's code slices (one per
+    /// column, in key order — as for [`CodeKey::of_row`]): `make(r)` runs
+    /// once per key not yet in the memo, at that key's first row in row
+    /// order, and its value is kept; `each(r, v)` then sees every row of
+    /// the range, in order, with its key's value. A slot table computes a
+    /// chunk of rows' slot ids a column at a time before it reads their
+    /// cells; a hash map probes one [`CodeKey`] per row.
+    pub fn resolve(
+        &mut self,
+        cols: &[&[u32]],
+        rows: Range<usize>,
+        mut make: impl FnMut(usize) -> V,
+        mut each: impl FnMut(usize, V),
+    ) {
         match self {
             CodeMemo::Slots(space, cells) => {
-                *cells[space.slot_of_row(cols, i)].get_or_insert_with(make)
+                let mut ids = [0u32; CHUNK];
+                for start in rows.clone().step_by(CHUNK) {
+                    let ids = &mut ids[..(rows.end - start).min(CHUNK)];
+                    space.slots_of(cols, start, ids);
+                    for (r, &slot) in (start..).zip(&*ids) {
+                        let cell = &mut cells[slot as usize];
+                        let v = match *cell {
+                            Some(v) => v,
+                            None => *cell.insert(make(r)),
+                        };
+                        each(r, v);
+                    }
+                }
             }
-            CodeMemo::Hashed(map) => *map.entry(CodeKey::of_row(cols, i)).or_insert_with(make),
+            CodeMemo::Hashed(map) => {
+                for r in rows {
+                    let v = *map.entry(CodeKey::of_row(cols, r)).or_insert_with(|| make(r));
+                    each(r, v);
+                }
+            }
         }
     }
 }
@@ -235,21 +272,33 @@ mod tests {
         }
     }
 
+    /// The slot of each row of `cols`, through [`CodeSpace::slots_of`].
+    fn slots(space: &CodeSpace, cols: &[&[u32]], rows: usize) -> Vec<u32> {
+        let mut ids = vec![u32::MAX; rows];
+        space.slots_of(cols, 0, &mut ids);
+        ids
+    }
+
     #[test]
     fn code_space_numbers_its_box_one_to_one() {
         let sizes = [3usize, 1, 4, 2];
         let space = CodeSpace::fit(sizes, 24).unwrap();
         assert_eq!(space.slots, 24);
-        let mut seen = vec![false; space.slots];
+        // Every combination, one row each.
+        let mut codes: [Vec<u32>; 4] = Default::default();
         for a in 0..3 {
             for c in 0..4 {
                 for d in 0..2 {
-                    let codes = [a, 0, c, d];
-                    let cols: Vec<&[u32]> = codes.iter().map(std::slice::from_ref).collect();
-                    let slot = space.slot_of_row(&cols, 0);
-                    assert!(!std::mem::replace(&mut seen[slot], true), "{codes:?} aliases");
+                    for (col, code) in codes.iter_mut().zip([a, 0, c, d]) {
+                        col.push(code);
+                    }
                 }
             }
+        }
+        let cols: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
+        let mut seen = vec![false; space.slots];
+        for (r, slot) in slots(&space, &cols, 24).into_iter().enumerate() {
+            assert!(!std::mem::replace(&mut seen[slot as usize], true), "row {r} aliases");
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -262,10 +311,37 @@ mod tests {
         assert_eq!(CodeSpace::fit([5, 60], 299), None);
         // A product past usize is hashed, however many rows.
         assert_eq!(CodeSpace::fit([usize::MAX, 2], usize::MAX), None);
+        // A slot id is one u32: u32::MAX slots fit, one more is hashed,
+        // however many rows.
+        let most = CodeSpace::fit([3, 5, 17, 257, 65_537], usize::MAX).unwrap();
+        assert_eq!(most.slots, u32::MAX as usize);
+        assert_eq!(CodeSpace::fit([65_536, 65_536], usize::MAX), None);
+        assert_eq!(CodeSpace::fit([2, 1 << 31], usize::MAX), None);
+        assert_eq!(CodeSpace::fit([u32::MAX as usize + 1], usize::MAX), None);
         // A key over no column is one slot.
         let unit = CodeSpace::fit([], 1).unwrap();
-        assert_eq!((unit.slots, unit.slot_of_row(&[], 0)), (1, 0));
+        assert_eq!((unit.slots, slots(&unit, &[], 3)), (1, vec![0; 3]));
         assert_eq!(CodeSpace::fit([], 0), None);
+    }
+
+    /// Every `(row, value)` pair `resolve` hands `each`, and every row
+    /// `make` ran at, over `rows` of `cols`; `make` hands out `0, 1, …`.
+    fn resolved(
+        memo: &mut CodeMemo<usize>,
+        cols: &[&[u32]],
+        rows: Range<usize>,
+    ) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let (mut seen, mut made) = (Vec::new(), Vec::new());
+        memo.resolve(
+            cols,
+            rows,
+            |r| {
+                made.push(r);
+                made.len() - 1
+            },
+            |r, v| seen.push((r, v)),
+        );
+        (seen, made)
     }
 
     #[test]
@@ -277,9 +353,52 @@ mod tests {
         for (rows, slotted) in [(6, true), (5, false)] {
             let mut memo = CodeMemo::new([3, 2], rows);
             assert_eq!(matches!(memo, CodeMemo::Slots(..)), slotted);
-            let got: Vec<usize> =
-                (0..a.len()).map(|i| memo.get_or_insert_with(&cols, i, || i)).collect();
-            assert_eq!(got, [0, 1, 0, 3, 1, 5], "slotted: {slotted}");
+            let (seen, made) = resolved(&mut memo, &cols, 0..a.len());
+            // `make` runs once per distinct key, at its first row.
+            assert_eq!(made, [0, 1, 3, 5], "slotted: {slotted}");
+            let values: Vec<usize> = seen.iter().map(|&(_, v)| v).collect();
+            assert_eq!(values, [0, 1, 0, 2, 1, 3], "slotted: {slotted}");
+            assert!(seen.iter().map(|&(r, _)| r).eq(0..6), "slotted: {slotted}");
+            // A range not starting at 0: every row of it in order, and
+            // keys already in the memo keep their first value.
+            let (seen, made) = resolved(&mut memo, &cols, 2..5);
+            assert!(made.is_empty());
+            assert_eq!(seen, [(2, 0), (3, 2), (4, 1)], "slotted: {slotted}");
+        }
+    }
+
+    #[test]
+    fn both_memo_tables_agree_across_chunk_edges() {
+        // Keys repeat across chunks, and fresh ones appear in the last
+        // partial chunk; ranges start and end inside, on and across
+        // chunk edges.
+        let n = 3 * CHUNK + 7;
+        let key = |r: usize| if r + 5 >= n { 40 + (r % 3) } else { (r * 7) % 37 };
+        let (a, b): (Vec<u32>, Vec<u32>) =
+            (0..n).map(|r| ((key(r) / 8) as u32, (key(r) % 8) as u32)).unzip();
+        let cols: [&[u32]; 2] = [&a, &b];
+        let edges = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 3 * CHUNK, n - 1, n];
+        for &start in &edges {
+            for &end in edges.iter().filter(|&&end| end >= start) {
+                // The model: first-seen numbering over the range.
+                let mut first: Vec<usize> = Vec::new();
+                let want: Vec<(usize, usize)> = (start..end)
+                    .map(|r| match first.iter().position(|&f| key(f) == key(r)) {
+                        Some(v) => (r, v),
+                        None => {
+                            first.push(r);
+                            (r, first.len() - 1)
+                        }
+                    })
+                    .collect();
+                for rows in [n, 1] {
+                    let mut memo = CodeMemo::new([6, 8], rows);
+                    assert_eq!(matches!(memo, CodeMemo::Slots(..)), rows == n);
+                    let (seen, made) = resolved(&mut memo, &cols, start..end);
+                    assert_eq!(made, first, "{start}..{end} over {rows}");
+                    assert_eq!(seen, want, "{start}..{end} over {rows}");
+                }
+            }
         }
     }
 }

@@ -2,6 +2,7 @@
 //! and uses part of it.
 #![allow(dead_code)]
 
+use distributed_cfd::core::sigma::SortedCfd;
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -98,6 +99,31 @@ pub fn sample_sigma(s: &Arc<Schema>) -> Vec<Cfd> {
         parse_cfd(s, "phi2", "([a=1, c] -> [d])").unwrap(),
         parse_cfd(s, "phi3", "([b=2, c=c1] -> [d=d1])").unwrap(), // constant CFD
     ]
+}
+
+/// Lemma 6's σ by the book: per tuple, over decoded values, the
+/// applicable patterns tried in scan order with `PatternValue::matches`
+/// until the first that matches. The blocks, and one comparison per
+/// pattern tried per tuple.
+pub fn naive_sigma(
+    rel: &Relation,
+    sorted: &SortedCfd,
+    applicable: &[usize],
+) -> (Vec<Vec<usize>>, usize) {
+    let cfd = &sorted.cfd;
+    let mut blocks = vec![Vec::new(); cfd.tableau.len()];
+    let mut comparisons = 0;
+    for (i, t) in rel.iter().enumerate() {
+        for &pi in applicable {
+            comparisons += 1;
+            let tp = &cfd.tableau[pi];
+            if cfd.lhs.iter().zip(&tp.lhs).all(|(&a, p)| p.matches(t.get(a))) {
+                blocks[pi].push(i);
+                break;
+            }
+        }
+    }
+    (blocks, comparisons)
 }
 
 /// SplitMix64: a seeded generator from which a whole case derives.

@@ -22,8 +22,8 @@
 
 mod common;
 
-use common::grow_dictionaries;
-use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma, SigmaPartition, SortedCfd};
+use common::{grow_dictionaries, naive_sigma};
+use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma, SigmaPartition};
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
@@ -47,24 +47,6 @@ fn cell(c: u8) -> Value {
         0 => Value::Null,
         c => Value::Int(i64::from(c % 4)),
     }
-}
-
-/// σ by the book.
-fn naive(rel: &Relation, sorted: &SortedCfd, applicable: &[usize]) -> (Vec<Vec<usize>>, usize) {
-    let cfd = &sorted.cfd;
-    let mut blocks = vec![Vec::new(); cfd.tableau.len()];
-    let mut comparisons = 0;
-    for (i, t) in rel.iter().enumerate() {
-        for &pi in applicable {
-            comparisons += 1;
-            let tp = &cfd.tableau[pi];
-            if cfd.lhs.iter().zip(&tp.lhs).all(|(&a, p)| p.matches(t.get(a))) {
-                blocks[pi].push(i);
-                break;
-            }
-        }
-    }
-    (blocks, comparisons)
 }
 
 fn same(got: &SigmaPartition, want: &(Vec<Vec<usize>>, usize), what: &str) -> Result<(), String> {
@@ -94,7 +76,7 @@ fn check(rel: Relation, cfd: &SimpleCfd, applicable: &[usize]) -> Result<(), Str
             let part = rel.copy_rows(&(start..end).collect::<Vec<_>>());
             same(
                 &sigma_partition(&part, &sorted, applicable),
-                &naive(&part, &sorted, applicable),
+                &naive_sigma(&part, &sorted, applicable),
                 &format!("{start}..{end}, {pass}"),
             )?;
         }
