@@ -18,7 +18,8 @@
 use crate::rng::Rng;
 use crate::zipf::Zipf;
 use dcd_dist::HorizontalPartition;
-use dcd_relation::{RelationDelta, Tuple, TupleId, Value};
+use dcd_relation::{Dictionary, FxHashMap, RelationDelta, Tuple, TupleId, Value};
+use std::sync::Arc;
 
 /// Configuration of the update-stream generator.
 #[derive(Debug, Clone, Copy)]
@@ -73,9 +74,7 @@ pub fn update_stream(
     let n_sites = partition.n_sites();
     let mut rng = Rng::seeded(cfg.seed);
 
-    // Template pool: the initial rows, Zipf-ranked in tuple order —
-    // template 0 is the hottest key.
-    let templates: Vec<Tuple> = partition.fragments().iter().flat_map(|f| f.data.iter()).collect();
+    let mut templates = Templates::new(partition);
     // Live set, each with its owning site (deletes must be routed).
     let mut live: Vec<(TupleId, usize)> = partition
         .fragments()
@@ -85,7 +84,7 @@ pub fn update_stream(
         .collect();
     let mut next_tid = live.iter().map(|&(t, _)| t.0 + 1).max().unwrap_or(0);
     let template_zipf =
-        if templates.is_empty() { None } else { Some(Zipf::new(templates.len(), cfg.skew)) };
+        if templates.len() == 0 { None } else { Some(Zipf::new(templates.len(), cfg.skew)) };
     let err_attr = last_str_attr(partition);
 
     let mut stream = Vec::with_capacity(cfg.n_batches);
@@ -110,8 +109,7 @@ pub fn update_stream(
             }
             if insert {
                 let Some(zipf) = &template_zipf else { continue };
-                let template = &templates[zipf.sample(&mut rng)];
-                let mut values = template.values().to_vec();
+                let mut values = templates.values(zipf.sample(&mut rng));
                 if let Some(a) = err_attr {
                     if rng.unit() < cfg.corrupt_rate {
                         values[a] = Value::str(format!("ERR-{}", rng.range(0, 1000)));
@@ -127,6 +125,52 @@ pub fn update_stream(
         stream.push(per_site);
     }
     stream
+}
+
+/// The template pool: the partition's rows, Zipf-ranked in site order and
+/// then row order — template 0 is the hottest key. A template stays codes
+/// until it is drawn, and each distinct code of a dictionary is decoded
+/// once per pool, so the templates drawn share one [`Value`] per distinct
+/// value instead of holding a fresh string per cell.
+struct Templates<'a> {
+    partition: &'a HorizontalPartition,
+    /// `ends[s]`: the rank one past site `s`'s last row.
+    ends: Vec<usize>,
+    /// Decoded values by dictionary (`Arc` identity) and code.
+    decoded: FxHashMap<(*const Dictionary, u32), Value>,
+}
+
+impl<'a> Templates<'a> {
+    fn new(partition: &'a HorizontalPartition) -> Self {
+        let ends = partition
+            .fragments()
+            .iter()
+            .scan(0, |end, f| {
+                *end += f.data.len();
+                Some(*end)
+            })
+            .collect();
+        Templates { partition, ends, decoded: FxHashMap::default() }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// The values of template `rank`, in schema order.
+    fn values(&mut self, rank: usize) -> Vec<Value> {
+        let site = self.ends.partition_point(|&end| end <= rank);
+        let row = rank - site.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        let columns = self.partition.fragments()[site].data.columns();
+        columns
+            .iter()
+            .map(|col| {
+                let code = col.codes()[row];
+                let key = (Arc::as_ptr(col.dict()), code);
+                self.decoded.entry(key).or_insert_with(|| col.dict().value(code)).clone()
+            })
+            .collect()
+    }
 }
 
 /// The schema position of the last string attribute, if any — the
@@ -163,6 +207,28 @@ mod tests {
         }
         let c = update_stream(&p, &UpdateStreamConfig { seed: 1, ..cfg });
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn templates_are_the_rows_with_one_value_per_distinct_value() {
+        for (n_tuples, n_sites) in [(0, 2), (1, 1), (300, 1), (500, 3), (700, 4)] {
+            let p = partition(n_tuples, n_sites);
+            let rows: Vec<Tuple> = p.fragments().iter().flat_map(|f| f.data.iter()).collect();
+            let mut templates = Templates::new(&p);
+            assert_eq!(templates.len(), rows.len());
+            let mut first: std::collections::BTreeMap<Value, Arc<str>> = Default::default();
+            // Twice over, hottest last, so every value is also drawn again.
+            for rank in (0..rows.len()).chain((0..rows.len()).rev()) {
+                let values = templates.values(rank);
+                assert_eq!(values, rows[rank].values(), "template {rank}");
+                for v in values {
+                    if let Value::Str(s) = &v {
+                        let shared = first.entry(v.clone()).or_insert_with(|| s.clone());
+                        assert!(Arc::ptr_eq(shared, s), "{v:?} decoded twice");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

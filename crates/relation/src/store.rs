@@ -24,10 +24,13 @@
 //!
 //! A dictionary is typed by its attribute's [`ValueType`] and holds each
 //! distinct value once, as that type: an Int dictionary is one `Vec<i64>`
-//! (8 bytes a value), a Str dictionary one `Vec<Arc<str>>` (16 bytes
-//! beside the shared payload), indexed by code. `Null`, which any
-//! attribute may hold, is one code kept out of line, with a placeholder
-//! cell at its index so that codes stay dense and first-seen. Over that
+//! (8 bytes a value), a Str dictionary one `String` holding the distinct
+//! strings back to back plus one `Vec<u32>` of their end offsets (a
+//! string's bytes plus 4), indexed by code. Interning copies a first-seen
+//! string into that table and keeps no caller's `Arc`; decoding copies it
+//! out into a fresh one. `Null`, which any attribute may hold, is one
+//! code kept out of line, with a placeholder entry at its index (`0`, or
+//! the empty string) so that codes stay dense and first-seen. Over that
 //! table sits an open-addressing index of `(hash, code)` slots. A lookup
 //! hashes once and compares values only where the stored hash agrees; a
 //! miss costs the same one hash; growing the index moves slots by their
@@ -92,6 +95,40 @@ struct Slot {
 
 const EMPTY_SLOT: Slot = Slot { hash: 0, code: WILDCARD_CODE };
 
+/// A borrowed view of one value: what a probing [`Value`] and a table
+/// entry both produce, so that [`hash32`] and [`DictInner::holds`] see
+/// the two alike. Its variants mirror [`Value`]'s, so it hashes as the
+/// value it views.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key<'a> {
+    Null,
+    Int(i64),
+    Str(&'a str),
+}
+
+impl<'a> From<&'a Value> for Key<'a> {
+    #[inline]
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => Key::Null,
+            Value::Int(i) => Key::Int(*i),
+            Value::Str(s) => Key::Str(s),
+        }
+    }
+}
+
+impl From<Key<'_>> for Value {
+    /// An owned value: a string is copied into a fresh `Arc<str>`.
+    #[inline]
+    fn from(k: Key<'_>) -> Self {
+        match k {
+            Key::Null => Value::Null,
+            Key::Int(i) => Value::Int(i),
+            Key::Str(s) => Value::Str(Arc::from(s)),
+        }
+    }
+}
+
 /// The 32-bit hash the index keys on: the Fx hash, folded and multiplied
 /// once more (by 2⁶⁴/φ), upper half. Fx alone leaves near-equal strings
 /// near each other in every 32-bit window of its output, and linear
@@ -99,8 +136,8 @@ const EMPTY_SLOT: Slot = Slot { hash: 0, code: WILDCARD_CODE };
 /// a 160 000-tuple cust relation a miss walked 12 slots on average
 /// without the second multiply and 0.24 with it.
 #[inline]
-fn hash32(v: &Value) -> u32 {
-    let h = FxBuildHasher::default().hash_one(v);
+fn hash32(k: Key<'_>) -> u32 {
+    let h = FxBuildHasher::default().hash_one(k);
     ((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
 }
 
@@ -133,7 +170,7 @@ impl<'a> Run<'a> {
             (self.len, self.at) = (0, 0);
             while self.len < RUN {
                 let Some(v) = values.next() else { break };
-                self.cells[self.len] = (v, hash32(v));
+                self.cells[self.len] = (v, hash32(Key::from(v)));
                 self.len += 1;
             }
         }
@@ -147,33 +184,72 @@ impl<'a> Run<'a> {
     }
 }
 
-/// A dictionary's code → value table, one vector of the attribute's
-/// type. The cell at the `Null` code, if any, is a placeholder.
+/// A Str dictionary's values: the distinct strings back to back in one
+/// `String`, and the end offset of each, so that entry `i` is
+/// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first). A string costs
+/// its bytes plus one `u32`: no allocation and no pointer of its own.
+#[derive(Debug, Clone, Default)]
+struct Strings {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+impl Strings {
+    #[inline]
+    fn get(&self, at: usize) -> &str {
+        let start = at.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.bytes[start..self.ends[at] as usize]
+    }
+
+    /// Appends a copy of `s`. Panics if the table's bytes would pass
+    /// `u32::MAX`, the furthest an offset reaches.
+    fn push(&mut self, s: &str) {
+        self.ends.push(end_offset(self.bytes.len(), s.len()));
+        self.bytes.push_str(s);
+    }
+}
+
+/// The end offset of a string of `len` bytes appended to a table of
+/// `bytes` bytes. Panics past 4 GiB, beside the code-space assert.
+fn end_offset(bytes: usize, len: usize) -> u32 {
+    bytes
+        .checked_add(len)
+        .and_then(|end| u32::try_from(end).ok())
+        .expect("dictionary exhausted the 4 GiB its string table can address")
+}
+
+/// A dictionary's code → value table, of the attribute's type. The
+/// entry at the `Null` code, if any, is a placeholder (`0`, or the empty
+/// string).
 #[derive(Debug, Clone)]
 enum Table {
     Int(Vec<i64>),
-    Str(Vec<Arc<str>>),
+    Str(Strings),
 }
 
 impl Table {
     fn len(&self) -> usize {
         match self {
             Table::Int(t) => t.len(),
-            Table::Str(t) => t.len(),
+            Table::Str(t) => t.ends.len(),
         }
     }
 
+    /// Entries the table holds room for without reallocating.
     fn capacity(&self) -> usize {
         match self {
             Table::Int(t) => t.capacity(),
-            Table::Str(t) => t.capacity(),
+            Table::Str(t) => t.ends.capacity(),
         }
     }
 
     fn shrink_to_fit(&mut self) {
         match self {
             Table::Int(t) => t.shrink_to_fit(),
-            Table::Str(t) => t.shrink_to_fit(),
+            Table::Str(t) => {
+                t.bytes.shrink_to_fit();
+                t.ends.shrink_to_fit();
+            }
         }
     }
 
@@ -187,10 +263,10 @@ impl Table {
 
 #[derive(Debug, Clone)]
 struct DictInner {
-    /// `table[code]` is the canonical value for `code` — the only copy
-    /// the dictionary keeps — for every code but `null`.
+    /// `table[code]` is the value of `code` — the only copy the
+    /// dictionary keeps — for every code but `null`.
     table: Table,
-    /// The code of `Null`, once interned. Its cell in `table` is a
+    /// The code of `Null`, once interned. Its entry in `table` is a
     /// placeholder that [`DictInner::holds`] never matches.
     null: Option<u32>,
     /// Inverse index, value → code: an open-addressing table over
@@ -201,29 +277,30 @@ struct DictInner {
 }
 
 impl DictInner {
-    /// Whether `code` is the code of `v`. A value of the other type is
-    /// held by no code. Strings compare as `Arc`s, so a caller holding
-    /// the canonical payload matches without reading it.
+    /// The entry of `code`, borrowed from the table: `Null` at the null
+    /// code, whatever its placeholder holds.
     #[inline]
-    fn holds(&self, code: u32, v: &Value) -> bool {
+    fn key(&self, code: u32) -> Key<'_> {
         let at = code as usize;
-        match (&self.table, v) {
-            (_, Value::Null) => self.null == Some(code),
-            (Table::Int(t), Value::Int(i)) => t[at] == *i && self.null != Some(code),
-            (Table::Str(t), Value::Str(s)) => t[at] == *s && self.null != Some(code),
-            _ => false,
+        match &self.table {
+            _ if self.null == Some(code) => Key::Null,
+            Table::Int(t) => Key::Int(t[at]),
+            Table::Str(t) => Key::Str(t.get(at)),
         }
     }
 
-    /// The canonical value of `code` (O(1) — see [`Value`]).
+    /// Whether `code` is the code of `v`. A value of the other type is
+    /// held by no code. A string compares against the table's bytes.
+    #[inline]
+    fn holds(&self, code: u32, v: &Value) -> bool {
+        self.key(code) == Key::from(v)
+    }
+
+    /// The value of `code`; a string is copied out of the table into a
+    /// fresh `Arc<str>`.
     #[inline]
     fn value(&self, code: u32) -> Value {
-        let at = code as usize;
-        match &self.table {
-            _ if self.null == Some(code) => Value::Null,
-            Table::Int(t) => Value::Int(t[at]),
-            Table::Str(t) => Value::Str(Arc::clone(&t[at])),
-        }
+        self.key(code).into()
     }
 
     /// The code of `v` (whose [`hash32`] is `hash`), or the empty slot its
@@ -280,7 +357,7 @@ impl DictInner {
         let len = (self.table.len() * 2).max(8).next_power_of_two();
         self.slots = vec![EMPTY_SLOT; len];
         for code in 0..self.table.len() as u32 {
-            let hash = hash32(&self.value(code));
+            let hash = hash32(self.key(code));
             self.place(Slot { hash, code });
         }
     }
@@ -313,9 +390,9 @@ impl DictInner {
         assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
         match (&mut self.table, v) {
             (Table::Int(t), Value::Int(i)) => t.push(*i),
-            (Table::Str(t), Value::Str(s)) => t.push(Arc::clone(s)),
+            (Table::Str(t), Value::Str(s)) => t.push(s),
             (Table::Int(t), Value::Null) => t.push(0),
-            (Table::Str(t), Value::Null) => t.push(Arc::from("")),
+            (Table::Str(t), Value::Null) => t.push(""),
             (table, v) => {
                 panic!("{v:?} is not a value of this {} dictionary", table.value_type().name())
             }
@@ -331,9 +408,10 @@ impl DictInner {
 /// [`Value`] of the attribute's type, and `Null`, maps to a dense `u32`
 /// code in first-seen order.
 ///
-/// Each distinct value is stored once, in a code → value vector of the
-/// attribute's type (`i64` or `Arc<str>`); the value → code direction is
-/// an index of 8-byte `(hash, code)` slots over that vector. A lookup
+/// Each distinct value is stored once, in a code → value table of the
+/// attribute's type: a `Vec<i64>`, or one byte table of the strings back
+/// to back with a `u32` end offset each. The value → code direction is
+/// an index of 8-byte `(hash, code)` slots over that table. A lookup
 /// hashes the value once and compares it only against slots whose stored
 /// hash agrees; a miss costs that same one hash; growth moves slots and
 /// touches no value.
@@ -358,7 +436,7 @@ impl Dictionary {
     pub fn new(ty: ValueType) -> Self {
         let table = match ty {
             ValueType::Int => Table::Int(Vec::new()),
-            ValueType::Str => Table::Str(Vec::new()),
+            ValueType::Str => Table::Str(Strings::default()),
         };
         Dictionary { inner: RwLock::new(DictInner { table, null: None, slots: Vec::new() }) }
     }
@@ -386,8 +464,8 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Values the code → value table holds room for without
-    /// reallocating.
+    /// Entries the code → value table holds room for without
+    /// reallocating (for strings, end offsets; their bytes grow apart).
     pub fn capacity(&self) -> usize {
         self.read().table.capacity()
     }
@@ -414,9 +492,10 @@ impl Dictionary {
         }
     }
 
-    /// Releases the code → value table's spare capacity and drops the
-    /// index. Interning afterwards grows the table again, the way a
-    /// `Vec` grows; the index comes back with the first probe.
+    /// Releases the code → value table's spare capacity (for strings,
+    /// both the bytes and the offsets) and drops the index. Interning
+    /// afterwards grows the table again, the way a `Vec` grows; the index
+    /// comes back with the first probe.
     pub(crate) fn trim(&self) {
         let mut inner = self.write();
         inner.table.shrink_to_fit();
@@ -507,7 +586,7 @@ impl Dictionary {
         if v.is_null() {
             return self.read().null;
         }
-        let hash = hash32(v);
+        let hash = hash32(Key::from(v));
         {
             let inner = self.read();
             match inner.find(v, hash) {
@@ -521,7 +600,8 @@ impl Dictionary {
         inner.find(v, hash).ok()
     }
 
-    /// The canonical value of `code` (O(1) clone — see [`Value`]).
+    /// The value of `code`. A string is copied out of the table into a
+    /// fresh `Arc<str>`, so cloning what this returns stays O(1).
     ///
     /// Panics if `code` was never assigned (codes must come from this
     /// dictionary or a relation sharing it).
@@ -725,28 +805,74 @@ mod tests {
         }
     }
 
+    /// Strings of every shape the byte table slices: one of 10 000 bytes
+    /// (first, so that the short ones after it grow the table past what
+    /// it holds), empty, one byte, and two-, three- and four-byte UTF-8.
+    fn awkward_strings() -> Vec<Value> {
+        let short = ["", "a", "é", "ünïcødé", "日本語", "🦀x🦀", "a\0b"].map(Value::str);
+        [Value::str("ß".repeat(5_000))].into_iter().chain(short).collect()
+    }
+
     #[test]
-    fn canonical_value_shares_allocation() {
+    fn interning_keeps_no_caller_allocation() {
         let d = Dictionary::new(ValueType::Str);
-        let first = d.value(d.intern(&Value::str("hello")));
-        let second = d.value(d.intern(&Value::str(String::from("hello"))));
-        if let (Value::Str(a), Value::Str(b)) = (&first, &second) {
-            assert!(Arc::ptr_eq(a, b), "decode should return the canonical payload");
-        } else {
-            panic!("expected strings");
+        let v = Value::str("only copy");
+        let code = d.intern(&v);
+        assert_eq!(d.intern(&v.clone()), code);
+        let Value::Str(payload) = &v else { panic!("expected a string") };
+        // The table copied the bytes; the index holds a hash and a code.
+        assert_eq!(Arc::strong_count(payload), 1);
+        let Value::Str(decoded) = d.value(code) else { panic!("expected a string") };
+        assert!(!Arc::ptr_eq(payload, &decoded), "a decode is a fresh copy");
+        assert_eq!((Arc::strong_count(payload), &*decoded), (1, "only copy"));
+    }
+
+    #[test]
+    fn a_decoded_value_equals_the_interned_one() {
+        let mut feed = awkward_strings();
+        feed.insert(3, Value::Null);
+        let d = Dictionary::new(ValueType::Str);
+        for v in feed.iter().chain(&feed) {
+            assert_eq!(&d.value(d.intern(v)), v);
+        }
+        assert_eq!(d.snapshot(), feed);
+        d.trim();
+        for (code, v) in feed.iter().enumerate() {
+            assert_eq!((d.value(code as u32), d.code_of(v)), (v.clone(), Some(code as u32)));
         }
     }
 
     #[test]
-    fn each_distinct_value_is_held_once() {
+    fn a_trimmed_string_table_holds_each_distinct_byte_once() {
+        let distinct = awkward_strings();
         let d = Dictionary::new(ValueType::Str);
-        let v = Value::str("only copy");
-        d.intern(&v);
-        d.intern(&v.clone());
-        let Value::Str(payload) = &v else { panic!("expected a string") };
-        // The caller's handle plus the one in the code → value vector;
-        // the index holds a hash and a code, not the value.
-        assert_eq!(Arc::strong_count(payload), 2);
+        for v in distinct.iter().chain([&Value::Null]).chain(distinct.iter().rev()) {
+            d.intern(v);
+        }
+        d.trim();
+        let want: usize = distinct.iter().filter_map(Value::as_str).map(str::len).sum();
+        let inner = d.read();
+        let Table::Str(t) = &inner.table else { panic!("a Str dictionary") };
+        // `Null`'s placeholder is an empty entry: an offset, no bytes.
+        assert_eq!((t.bytes.len(), t.bytes.capacity()), (want, want));
+        assert_eq!((t.ends.len(), t.ends.capacity()), (distinct.len() + 1, distinct.len() + 1));
+        assert_eq!(d.capacity(), distinct.len() + 1);
+    }
+
+    #[test]
+    fn string_offsets_reach_4_gib_and_no_further() {
+        let max = u32::MAX as usize;
+        assert_eq!(end_offset(max - 5, 5), u32::MAX);
+        assert_eq!(end_offset(0, 0), 0);
+        for (bytes, len) in [(max, 1), (0, max + 1), (usize::MAX, 1)] {
+            let refused = std::panic::catch_unwind(|| end_offset(bytes, len));
+            let message = refused.expect_err("past 4 GiB").downcast::<String>().map(|m| *m);
+            assert_eq!(
+                message.ok().as_deref(),
+                Some("dictionary exhausted the 4 GiB its string table can address"),
+                "{bytes} + {len}"
+            );
+        }
     }
 
     #[test]
@@ -842,7 +968,7 @@ mod tests {
                 let inner = d.read();
                 for code in 0..len as u32 {
                     let v = inner.value(code);
-                    assert_eq!(inner.find(&v, hash32(&v)), Ok(code));
+                    assert_eq!(inner.find(&v, hash32(Key::from(&v))), Ok(code));
                 }
             }
         }
@@ -887,7 +1013,7 @@ mod tests {
             assert_eq!(d.intern(&nth(ty, 5)), 2);
             assert_eq!(d.index_slots(), grown_len(3));
             let inner = d.read();
-            assert_eq!(inner.find(&Value::Null, hash32(&Value::Null)), Ok(1));
+            assert_eq!(inner.find(&Value::Null, hash32(Key::Null)), Ok(1));
         }
     }
 

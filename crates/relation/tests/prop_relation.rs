@@ -733,3 +733,79 @@ proptest! {
         }
     }
 }
+
+/// Cell `k` of a string feed in the shapes a dictionary's byte table
+/// slices: `None` is `Null`; `0` is the empty string, what the
+/// placeholder entry at the null code holds; the rest are two-, three-
+/// and four-byte UTF-8 and strings of 300 bytes and more.
+fn sliced_value(cell: Option<u16>) -> Value {
+    match cell {
+        None => Value::Null,
+        Some(0) => Value::str(""),
+        Some(k) => match k % 4 {
+            0 => Value::str(format!("é{k}")),
+            1 => Value::str(format!("日本{k}語")),
+            2 => Value::str(format!("🦀{k}🦀")),
+            _ => Value::str(format!("ß{k}").repeat(100)),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A string table against a `Vec<Value>` searched linearly, over
+    /// multi-byte UTF-8, long strings, and the empty string beside
+    /// `Null`'s empty placeholder. A relation built from the feed holds
+    /// its dictionary trimmed and unindexed; it is read twice, once with
+    /// the index rebuilt by the first probe and once after
+    /// `ensure_indexed`. Both agree with the model on every code, `value`,
+    /// `snapshot`, `code_of` for present and absent values, the decoded
+    /// rows, and the codes of a later append.
+    #[test]
+    fn a_string_table_matches_a_linear_model_after_trim_and_reindex(
+        cells in prop::collection::vec(prop::option::of(0..120u16), 0..300),
+        probes in prop::collection::vec(prop::option::of(0..240u16), 24),
+        more in prop::collection::vec(prop::option::of(0..240u16), 0..40),
+    ) {
+        let feed: Vec<Value> = cells.iter().map(|&c| sliced_value(c)).collect();
+        let mut model: Vec<Value> = Vec::new();
+        let mut code_in_model = |v: &Value| match model.iter().position(|m| m == v) {
+            Some(code) => code as u32,
+            None => {
+                model.push(v.clone());
+                model.len() as u32 - 1
+            }
+        };
+        let want: Vec<u32> = feed.iter().map(&mut code_in_model).collect();
+        let more: Vec<Value> = more.iter().map(|&c| sliced_value(c)).collect();
+        let want_more: Vec<u32> = more.iter().map(&mut code_in_model).collect();
+        let seen = feed.iter().collect::<std::collections::HashSet<_>>().len();
+        let schema = Schema::builder("s").attr("v", ValueType::Str).key(&[]).build().unwrap();
+        for ensure in [false, true] {
+            let rows = feed.iter().map(|v| vec![v.clone()]).collect();
+            let built = Relation::from_rows(schema.clone(), rows).unwrap();
+            let dict = built.dictionary(AttrId(0));
+            prop_assert_eq!((dict.is_indexed(), dict.len(), dict.capacity()), (false, seen, seen));
+            if ensure {
+                dict.ensure_indexed();
+                prop_assert!(dict.is_indexed());
+            }
+            prop_assert_eq!(built.column(AttrId(0)).codes(), &want[..]);
+            prop_assert_eq!(dict.snapshot(), model[..seen].to_vec());
+            for (code, v) in model[..seen].iter().enumerate() {
+                prop_assert_eq!(dict.value(code as u32), v.clone());
+            }
+            for v in probes.iter().map(|&c| sliced_value(c)) {
+                let at = model[..seen].iter().position(|m| *m == v).map(|code| code as u32);
+                prop_assert_eq!(dict.code_of(&v), at, "{:?}", v);
+            }
+            let decoded: Vec<Value> = built.iter().map(|t| t.values()[0].clone()).collect();
+            prop_assert_eq!(&decoded, &feed);
+            let mut rest = Column::sharing(dict.clone());
+            rest.extend_values(&more);
+            prop_assert_eq!(rest.codes(), &want_more[..]);
+            prop_assert_eq!(dict.snapshot(), model.clone());
+        }
+    }
+}
