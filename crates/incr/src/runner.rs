@@ -136,7 +136,8 @@ impl IncrementalRun {
         let n = partition.n_sites();
         let dicts = partition.shared_dictionaries()?;
         // Every insert interns into every column: index them all now rather
-        // than on the first batch.
+        // than on the first batch (a sorted dictionary searches its table
+        // and builds none).
         dicts.iter().for_each(|d| d.ensure_indexed());
         let arity = partition.schema().arity();
         let attrs: Vec<AttrId> = partition.schema().attr_ids().collect();
@@ -592,7 +593,8 @@ impl VerticalIncrementalRun {
         let attrs: Vec<AttrId> = whole.schema().attr_ids().collect();
         let dicts = whole.dictionaries_of(&attrs);
         // As in `IncrementalRun::build`: every insert interns into every
-        // column, so the session indexes them all up front.
+        // column, so the session indexes them all up front, sorted ones
+        // aside.
         dicts.iter().for_each(|d| d.ensure_indexed());
         let rows: CodeRows = whole.code_rows(&attrs, &(0..n_rows).collect::<Vec<_>>());
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();

@@ -31,23 +31,31 @@
 //! out into a fresh one. `Null`, which any attribute may hold, is one
 //! code kept out of line, with a placeholder entry at its index (`0`, or
 //! the empty string) so that codes stay dense and first-seen. Over that
-//! table sits an open-addressing index of `(hash, code)` slots. A lookup
-//! hashes once and compares values only where the stored hash agrees; a
-//! miss costs the same one hash; growing the index moves slots by their
-//! stored hashes and reads no value. A batch is interned in one pass
-//! ([`Column::extend_values`]): known values under the read lock, each
-//! run of unseen ones under one acquisition of the write lock. The pass
-//! hashes 32 values into a stack buffer before it probes the first of
-//! them, so the cache misses of 32 payloads, and then of 32 slots, are
-//! taken together rather than one after another.
+//! table sits an open-addressing index of `(hash, code)` slots at load
+//! ≤ 7/8. A lookup hashes once and compares values only where the stored
+//! hash agrees; a miss costs the same one hash; growing the index moves
+//! slots by their stored hashes and reads no value. A batch is interned
+//! in one pass ([`Column::extend_values`]): known values under the read
+//! lock, each run of unseen ones under one acquisition of the write
+//! lock. The pass hashes 32 values into a stack buffer before it probes
+//! the first of them, so the cache misses of 32 payloads, and then of 32
+//! slots, are taken together rather than one after another.
 //!
 //! The index is derived data, and it exists only while something probes
 //! it. Detection runs on codes and looks values up only to compile
 //! pattern constants, so a relation built from rows drops every
 //! dictionary's index after the load. The first [`Dictionary::code_of`]
 //! or interning miss that finds none rebuilds it in one pass, at the
-//! length growth from empty reaches; `Null` never needs it. Codes and
-//! their order do not depend on whether the index was there.
+//! length growth from empty reaches; `Null` never needs it.
+//!
+//! A dictionary whose values arrived in ascending order needs no index
+//! at all: while each non-null value it interns exceeds the last one, it
+//! is *sorted*, and a lookup searches the table itself — an Int range
+//! with one interpolation probe and then a binary search, a Str range
+//! with a binary search — either side of `Null`'s placeholder. A value
+//! above the last appends; the first miss below it ends sorted mode for
+//! good and builds the index. Codes and their order depend neither on
+//! whether the index was there nor on the mode.
 //!
 //! A column is one allocation. Every constructor reserves exactly the rows
 //! it will hold, and a relation built from rows trims each dictionary's
@@ -58,6 +66,7 @@
 use crate::fxhash::FxBuildHasher;
 use crate::schema::ValueType;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -98,8 +107,9 @@ const EMPTY_SLOT: Slot = Slot { hash: 0, code: WILDCARD_CODE };
 /// A borrowed view of one value: what a probing [`Value`] and a table
 /// entry both produce, so that [`hash32`] and [`DictInner::holds`] see
 /// the two alike. Its variants mirror [`Value`]'s, so it hashes as the
-/// value it views.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// value it views. Its order is the one a sorted dictionary ascends in:
+/// integers by value, strings by their bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Key<'a> {
     Null,
     Int(i64),
@@ -201,6 +211,21 @@ impl Strings {
         &self.bytes[start..self.ends[at] as usize]
     }
 
+    /// The entry in `range`, whose entries ascend, that is `s`: a binary
+    /// search.
+    fn search(&self, range: std::ops::Range<usize>, s: &str) -> Option<usize> {
+        let (mut lo, mut hi) = (range.start, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.get(mid).cmp(s) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+
     /// Appends a copy of `s`. Panics if the table's bytes would pass
     /// `u32::MAX`, the furthest an offset reaches.
     fn push(&mut self, s: &str) {
@@ -261,6 +286,27 @@ impl Table {
     }
 }
 
+/// Where `x` is in `t`, which ascends strictly: one probe where `x`
+/// would sit if `t`'s values were spread evenly between its two ends,
+/// then a binary search of the side the probe leaves. Dense values hit
+/// in the one probe. The arithmetic is in `i128`, which no pair of `i64`s
+/// overflows.
+fn search_ints(t: &[i64], x: i64) -> Option<usize> {
+    let (&first, &last) = (t.first()?, t.last()?);
+    if x < first || x > last {
+        return None;
+    }
+    let span = (i128::from(last) - i128::from(first)) as u128;
+    let offset = (i128::from(x) - i128::from(first)) as u128;
+    // `offset ≤ span`, so the probe lands inside `t`.
+    let probe = (offset * (t.len() as u128 - 1)).checked_div(span).unwrap_or(0) as usize;
+    match t[probe].cmp(&x) {
+        Ordering::Equal => Some(probe),
+        Ordering::Less => t[probe + 1..].binary_search(&x).ok().map(|at| probe + 1 + at),
+        Ordering::Greater => t[..probe].binary_search(&x).ok(),
+    }
+}
+
 #[derive(Debug, Clone)]
 struct DictInner {
     /// `table[code]` is the value of `code` — the only copy the
@@ -270,10 +316,16 @@ struct DictInner {
     /// placeholder that [`DictInner::holds`] never matches.
     null: Option<u32>,
     /// Inverse index, value → code: an open-addressing table over
-    /// `table`, linear probe. Empty while the dictionary holds no index;
-    /// otherwise a power of two at least twice `table.len()`, so a probe
-    /// always ends at an empty slot, and it covers every code.
+    /// `table`, linear probe. Empty while the dictionary holds no index,
+    /// as it always is while `sorted`; otherwise a power of two at load
+    /// ≤ 7/8, so a probe always ends at an empty slot, and it covers
+    /// every code.
     slots: Vec<Slot>,
+    /// Whether each non-null value was interned above the one before it
+    /// ([`Key`] order). While it is, the entries either side of the null
+    /// code ascend and [`DictInner::search`] finds codes without an
+    /// index. The first miss below the last value clears it for good.
+    sorted: bool,
 }
 
 impl DictInner {
@@ -304,11 +356,15 @@ impl DictInner {
     }
 
     /// The code of `v` (whose [`hash32`] is `hash`), or the empty slot its
-    /// probe ended at — where [`DictInner::find_or_insert`] puts it,
-    /// after [`DictInner::reserve_one`]. With no index the miss names no
-    /// slot (`Err(0)`), whether or not `v` is interned.
+    /// probe ended at — where [`DictInner::find_or_insert`] puts it. A
+    /// sorted dictionary searches its table instead. A miss there, or
+    /// with no index, names no slot (`Err(0)`); with no index, every
+    /// value misses.
     #[inline]
     fn find(&self, v: &Value, hash: u32) -> Result<u32, usize> {
+        if self.sorted {
+            return self.search(Key::from(v)).ok_or(0);
+        }
         let Some(mask) = self.slots.len().checked_sub(1) else { return Err(0) };
         let mut at = hash as usize & mask;
         loop {
@@ -323,6 +379,38 @@ impl DictInner {
         }
     }
 
+    /// The code of `k` in a sorted dictionary, searched in the table:
+    /// the entries below the null code ascend, and so do those above it,
+    /// every one above the last below. A value of the other type has
+    /// none.
+    fn search(&self, k: Key<'_>) -> Option<u32> {
+        if k == Key::Null {
+            return self.null;
+        }
+        let len = self.table.len();
+        let (below, above) = match self.null {
+            Some(null) => (0..null as usize, null as usize + 1..len),
+            None => (0..len, len..len),
+        };
+        let range =
+            if below.end > 0 && k <= self.key(below.end as u32 - 1) { below } else { above };
+        let at = match (&self.table, k) {
+            (Table::Int(t), Key::Int(x)) => range.start + search_ints(&t[range], x)?,
+            (Table::Str(t), Key::Str(s)) => t.search(range, s)?,
+            _ => return None,
+        };
+        Some(at as u32)
+    }
+
+    /// The last non-null entry, if there is one.
+    fn last(&self) -> Option<Key<'_>> {
+        let mut code = (self.table.len() as u32).checked_sub(1)?;
+        if self.null == Some(code) {
+            code = code.checked_sub(1)?;
+        }
+        Some(self.key(code))
+    }
+
     /// Puts `slot` at the first empty slot of its probe.
     fn place(&mut self, slot: Slot) {
         let mask = self.slots.len() - 1;
@@ -333,28 +421,30 @@ impl DictInner {
         self.slots[at] = slot;
     }
 
-    /// Makes room for one more value at load ≤ ½, doubling the table if
-    /// it has to. Growth re-places the slots from their stored hashes:
-    /// no value is read, hashed or compared.
-    fn reserve_one(&mut self) {
-        if (self.table.len() + 1) * 2 <= self.slots.len() {
-            return;
+    /// Makes room for one more value at load ≤ 7/8, doubling the index if
+    /// it has to, and says whether it did. Growth re-places the slots
+    /// from their stored hashes: no value is read, hashed or compared.
+    fn reserve_one(&mut self) -> bool {
+        if (self.table.len() + 1) * 8 <= self.slots.len() * 7 {
+            return false;
         }
         let len = (self.slots.len() * 2).max(8);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len]);
         for slot in old.into_iter().filter(|s| s.code != WILDCARD_CODE) {
             self.place(slot);
         }
+        true
     }
 
-    /// Builds the index, if there is none, over every code, `Null`'s
-    /// included, at the length growth from empty reaches: the smallest
-    /// power of two at least `max(8, 2 · len)`.
+    /// Builds the index, if there is none and the dictionary is not
+    /// sorted, over every code, `Null`'s included, at the length growth
+    /// from empty reaches: the smallest power of two at least
+    /// `max(8, ⌈8 · len / 7⌉)`.
     fn index_if_absent(&mut self) {
-        if !self.slots.is_empty() {
+        if self.sorted || !self.slots.is_empty() {
             return;
         }
-        let len = (self.table.len() * 2).max(8).next_power_of_two();
+        let len = (self.table.len() * 8).div_ceil(7).max(8).next_power_of_two();
         self.slots = vec![EMPTY_SLOT; len];
         for code in 0..self.table.len() as u32 {
             let hash = hash32(self.key(code));
@@ -364,23 +454,40 @@ impl DictInner {
 
     /// Under the write lock: the code of `v` (whose [`hash32`] is
     /// `hash`) if it is known (`Ok`), else the code it is now assigned
-    /// (`Err`). A value that finds no index builds one first, except
+    /// (`Err`). A sorted dictionary appends `v` if it is `Null` or above
+    /// the last value; any other miss ends sorted mode and builds the
+    /// index. A value that finds no index builds one first, except
     /// `Null`: it has its code out of line, or appends without an index,
-    /// since a later build covers it.
+    /// since a later build covers it. The index grows only for a value
+    /// that misses it.
     fn find_or_insert(&mut self, v: &Value, hash: u32) -> Result<u32, u32> {
+        if self.sorted {
+            let k = Key::from(v);
+            if let Some(code) = self.search(k) {
+                return Ok(code);
+            }
+            if k == Key::Null || self.last().is_none_or(|last| k > last) {
+                return Err(self.push(v));
+            }
+            self.sorted = false;
+        }
         if v.is_null() && self.slots.is_empty() {
             return self.null.ok_or_else(|| self.push(v));
         }
         self.index_if_absent();
-        self.reserve_one();
-        match self.find(v, hash) {
-            Ok(code) => Ok(code),
-            Err(at) => {
-                let code = self.push(v);
-                self.slots[at] = Slot { hash, code };
-                Err(code)
-            }
+        let at = match self.find(v, hash) {
+            Ok(code) => return Ok(code),
+            Err(at) => at,
+        };
+        let grew = self.reserve_one();
+        let code = self.push(v);
+        let slot = Slot { hash, code };
+        if grew {
+            self.place(slot);
+        } else {
+            self.slots[at] = slot;
         }
+        Err(code)
     }
 
     /// Assigns the next code to `v` in the table alone. Panics if `v` is
@@ -438,7 +545,8 @@ impl Dictionary {
             ValueType::Int => Table::Int(Vec::new()),
             ValueType::Str => Table::Str(Strings::default()),
         };
-        Dictionary { inner: RwLock::new(DictInner { table, null: None, slots: Vec::new() }) }
+        let inner = DictInner { table, null: None, slots: Vec::new(), sorted: true };
+        Dictionary { inner: RwLock::new(inner) }
     }
 
     fn read(&self) -> RwLockReadGuard<'_, DictInner> {
@@ -470,24 +578,47 @@ impl Dictionary {
         self.read().table.capacity()
     }
 
-    /// Whether the value → code index is built. A relation built from
-    /// rows leaves its dictionaries without one until their first lookup
-    /// or interning miss.
+    /// Whether the dictionary holds a value → code index. A relation
+    /// built from rows leaves its dictionaries without one until their
+    /// first lookup or interning miss; a sorted dictionary never has one.
     pub fn is_indexed(&self) -> bool {
         self.index_slots() > 0
     }
 
+    /// Whether every non-null value was interned above the one before it,
+    /// so that lookups search the table and no index is kept. Once false,
+    /// false for good.
+    pub fn is_sorted(&self) -> bool {
+        self.read().sorted
+    }
+
     /// Slots in the value → code index: zero while there is none, else
-    /// a power of two at least `max(8, 2 · len)` — exactly that when the
-    /// index was built at the current length.
+    /// a power of two at least `max(8, ⌈8 · len / 7⌉)` — exactly that
+    /// when the index was built at the current length.
     pub fn index_slots(&self) -> usize {
         self.read().slots.len()
     }
 
-    /// Builds the value → code index now if it is absent, so that no
-    /// later lookup or interning miss pays for it.
+    /// Bytes the dictionary holds on the heap: its value table's buffers
+    /// and its index, computed from their capacities.
+    pub fn heap_bytes(&self) -> usize {
+        let inner = self.read();
+        let table = match &inner.table {
+            Table::Int(t) => t.capacity() * size_of::<i64>(),
+            Table::Str(t) => t.bytes.capacity() + t.ends.capacity() * size_of::<u32>(),
+        };
+        table + inner.slots.capacity() * size_of::<Slot>()
+    }
+
+    /// Builds the value → code index now if it is absent and the
+    /// dictionary is not sorted, so that no later lookup or interning
+    /// miss pays for it.
     pub fn ensure_indexed(&self) {
-        if !self.is_indexed() {
+        let absent = {
+            let inner = self.read();
+            !inner.sorted && inner.slots.is_empty()
+        };
+        if absent {
             self.write().index_if_absent();
         }
     }
@@ -495,7 +626,8 @@ impl Dictionary {
     /// Releases the code → value table's spare capacity (for strings,
     /// both the bytes and the offsets) and drops the index. Interning
     /// afterwards grows the table again, the way a `Vec` grows; the index
-    /// comes back with the first probe.
+    /// comes back with the first probe, unless the dictionary is sorted,
+    /// which it stays.
     pub(crate) fn trim(&self) {
         let mut inner = self.write();
         inner.table.shrink_to_fit();
@@ -536,7 +668,8 @@ impl Dictionary {
     /// interned under one acquisition, not one per value — and is traded
     /// back at the first known value. The value that caused the upgrade
     /// is looked up again under the write lock: another thread may have
-    /// interned it between the two locks. With no index every value
+    /// interned it between the two locks. A sorted dictionary searches
+    /// its table in both loops. Otherwise, with no index every value
     /// misses the read loop, and the write lock builds the index before
     /// it looks again.
     /// No other lock is taken meanwhile: neither `values` nor `sink` may
@@ -580,8 +713,9 @@ impl Dictionary {
 
     /// The code of `v`, if it has been interned ([`NO_CODE`]-free lookup
     /// used when compiling pattern constants and translating join keys).
-    /// A non-null value of the other type has none. A miss that finds no
-    /// index builds it and looks again; `Null` needs none.
+    /// A non-null value of the other type has none. A sorted dictionary
+    /// searches its table and builds nothing; otherwise a miss that finds
+    /// no index builds it and looks again. `Null` needs none.
     pub fn code_of(&self, v: &Value) -> Option<u32> {
         if v.is_null() {
             return self.read().null;
@@ -591,7 +725,7 @@ impl Dictionary {
             let inner = self.read();
             match inner.find(v, hash) {
                 Ok(code) => return Some(code),
-                Err(_) if !inner.slots.is_empty() => return None,
+                Err(_) if inner.sorted || !inner.slots.is_empty() => return None,
                 Err(_) => {}
             }
         }
@@ -904,13 +1038,19 @@ mod tests {
 
     /// The index length growth from empty reaches at `len` values.
     fn grown_len(len: usize) -> usize {
-        (2 * len).max(8).next_power_of_two()
+        (8 * len).div_ceil(7).max(8).next_power_of_two()
+    }
+
+    /// The `k`-th value of a feed that is not ascending: `nth(ty, k ^ 1)`,
+    /// so the second value is below the first and ends sorted mode.
+    fn unsorted(ty: ValueType, k: usize) -> Value {
+        nth(ty, k ^ 1)
     }
 
     #[test]
     fn the_index_survives_its_growths() {
         for ty in TYPES {
-            let value = |i: usize| nth(ty, i);
+            let value = |i: usize| unsorted(ty, i);
             let d = Dictionary::new(ty);
             let n = 100_000;
             let (mut growths, mut table) = (0, 0);
@@ -923,7 +1063,12 @@ mod tests {
                 }
                 assert_eq!(d.intern(&value(i)) as usize, i);
                 let slots = d.read().slots.len();
-                assert!(slots.is_power_of_two() && slots >= 2 * (i + 1), "{slots} slots at {i}");
+                // One value is sorted; the second, below it, builds the index.
+                assert_eq!((d.is_sorted(), slots == 0), (i == 0, i == 0), "at {i}");
+                if i == 0 {
+                    continue;
+                }
+                assert!(slots.is_power_of_two() && 8 * (i + 1) <= 7 * slots, "{slots} at {i}");
                 assert_eq!(slots, grown_len(i + 1), "at {i}");
                 growths += usize::from(slots != table);
                 table = slots;
@@ -954,16 +1099,17 @@ mod tests {
                 // one (a first null would leave the index unbuilt).
                 let d = Dictionary::new(ty);
                 for i in 0..len {
-                    d.intern(&if i > 0 && i == len / 2 { Value::Null } else { nth(ty, i) });
+                    d.intern(&if i > 0 && i == len / 2 { Value::Null } else { unsorted(ty, i) });
                 }
+                // Below 4 values the null takes the second value's place,
+                // and what is left ascends: no index, before or after.
+                assert_eq!(d.is_sorted(), len < 4, "{ty:?} at {len}");
                 let grown = d.index_slots();
                 d.trim();
                 assert_eq!((d.is_indexed(), d.index_slots()), (false, 0));
                 d.ensure_indexed();
-                assert_eq!(d.index_slots(), grown_len(len), "{ty:?} at {len}");
-                if len > 0 {
-                    assert_eq!(d.index_slots(), grown, "{ty:?} at {len}");
-                }
+                let want = if len < 4 { 0 } else { grown_len(len) };
+                assert_eq!((d.index_slots(), grown), (want, want), "{ty:?} at {len}");
                 // Every code is indexed, the null code included.
                 let inner = d.read();
                 for code in 0..len as u32 {
@@ -979,10 +1125,12 @@ mod tests {
         for ty in TYPES {
             let other = TYPES.into_iter().find(|&t| t != ty).unwrap();
             let d = Dictionary::new(ty);
-            for v in [nth(ty, 0), Value::Null, nth(ty, 1), nth(ty, 2)] {
-                d.intern(&v);
+            let feed = [nth(ty, 1), Value::Null, nth(ty, 0), nth(ty, 2)];
+            for v in &feed {
+                d.intern(v);
             }
-            let probes = [nth(ty, 1), nth(ty, 9), Value::Null, nth(other, 1)];
+            assert!(!d.is_sorted());
+            let probes = [nth(ty, 0), nth(ty, 9), Value::Null, nth(other, 1)];
             let before: Vec<Option<u32>> = probes.iter().map(|v| d.code_of(v)).collect();
             assert_eq!(before, [Some(2), None, Some(1), None]);
             d.trim();
@@ -994,7 +1142,7 @@ mod tests {
             }
             assert!(d.is_indexed());
             assert_eq!(d.index_slots(), grown_len(4));
-            assert_eq!(d.snapshot(), [nth(ty, 0), Value::Null, nth(ty, 1), nth(ty, 2)]);
+            assert_eq!(d.snapshot(), feed);
         }
     }
 
@@ -1002,18 +1150,44 @@ mod tests {
     fn a_first_null_appends_without_an_index() {
         for ty in TYPES {
             let d = Dictionary::new(ty);
+            d.intern(&nth(ty, 1));
             d.intern(&nth(ty, 0));
             d.trim();
+            assert_eq!((d.is_sorted(), d.is_indexed()), (false, false));
             let mut col = Column::sharing(Arc::new(d));
             col.extend_values(&[Value::Null, Value::Null]);
             col.push(&Value::Null);
             let d = col.dict();
-            assert_eq!((col.codes(), d.len(), d.is_indexed()), (&[1, 1, 1][..], 2, false));
+            assert_eq!((col.codes(), d.len(), d.is_indexed()), (&[2, 2, 2][..], 3, false));
             // The next miss builds an index that covers the null code.
-            assert_eq!(d.intern(&nth(ty, 5)), 2);
-            assert_eq!(d.index_slots(), grown_len(3));
+            assert_eq!(d.intern(&nth(ty, 5)), 3);
+            assert_eq!(d.index_slots(), grown_len(4));
             let inner = d.read();
-            assert_eq!(inner.find(&Value::Null, hash32(Key::Null)), Ok(1));
+            assert_eq!(inner.find(&Value::Null, hash32(Key::Null)), Ok(2));
+        }
+    }
+
+    /// An interning pass grows the index only for a value that misses:
+    /// a pass whose write-lock run ends on a known value leaves the index
+    /// as long as one value at a time does, at every length around the
+    /// growth boundaries.
+    #[test]
+    fn a_known_value_after_a_miss_does_not_grow_the_index() {
+        for ty in TYPES {
+            for len in 2..=60 {
+                let base = Dictionary::new(ty);
+                for i in 0..len {
+                    base.intern(&unsorted(ty, i));
+                }
+                assert!(base.is_indexed());
+                let (pass, single) = (base.clone(), base.clone());
+                let feed = [nth(ty, 1000), unsorted(ty, 0)];
+                let mut codes = Vec::new();
+                pass.intern_each(&feed, |code| codes.push(code));
+                let want: Vec<u32> = feed.iter().map(|v| single.intern(v)).collect();
+                assert_eq!((codes, pass.index_slots()), (want, single.index_slots()), "at {len}");
+                assert_eq!(pass.index_slots(), grown_len(len + 1), "{ty:?} at {len}");
+            }
         }
     }
 

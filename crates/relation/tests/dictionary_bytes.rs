@@ -1,0 +1,167 @@
+//! `Dictionary::heap_bytes` against the allocator.
+//!
+//! The accessor computes a dictionary's heap bytes from the capacities
+//! of its value table and its index; this binary installs a counting
+//! allocator and pins that figure to exactly the bytes the dictionary
+//! holds — what building it left live on the heap, and what dropping it
+//! frees — for both types, sorted, indexed and trimmed. The counters are
+//! thread-local, so allocations of other test threads cannot reach them.
+
+use dcd_relation::{AttrId, Dictionary, Relation, Schema, Value, ValueType};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Bytes this thread allocated and has not freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(delta: isize) {
+    // A thread being torn down has no counter left; nothing reads it then.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// [`System`], counting into [`LIVE`].
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract, and returns its result
+// unchanged; the counting beside the call touches a const-initialized
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller guarantees `layout` has a non-zero size.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller guarantees `layout` has a non-zero size.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (hence from `System`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        count(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with this `layout` and that `new_size` is a valid non-zero
+        // size for its alignment.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            count(new_size as isize - layout.size() as isize);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const TYPES: [ValueType; 2] = [ValueType::Int, ValueType::Str];
+
+/// The `k`-th value of a feed of type `ty`: ascending in `k` when
+/// `ascending`, else every pair swapped (the second value below the
+/// first); one in nine is `Null`, and strings run to a few dozen bytes.
+fn value(ty: ValueType, k: usize, ascending: bool) -> Value {
+    let k = if ascending { k } else { k ^ 1 };
+    match ty {
+        _ if k % 9 == 4 => Value::Null,
+        ValueType::Int => Value::Int(k as i64 * 3 - 5_000),
+        ValueType::Str => Value::str(format!("{k:06}{}", "é".repeat(k % 17))),
+    }
+}
+
+/// What `dict` frees when it is dropped: every byte it holds.
+fn freed_by_drop(dict: Dictionary) -> usize {
+    let before = live();
+    drop(dict);
+    (before - live()) as usize
+}
+
+/// A dictionary interned from `feed` on this thread, and the bytes that
+/// left live.
+fn interned(ty: ValueType, feed: &[Value]) -> (Dictionary, usize) {
+    let before = live();
+    let dict = Dictionary::new(ty);
+    for v in feed {
+        dict.intern(v);
+    }
+    let kept = (live() - before) as usize;
+    (dict, kept)
+}
+
+#[test]
+fn heap_bytes_are_what_interning_keeps_and_a_drop_frees() {
+    for ty in TYPES {
+        for (ascending, n) in [true, false].into_iter().flat_map(|a| [(a, 0), (a, 1), (a, 7_000)]) {
+            let feed: Vec<Value> = (0..n).map(|k| value(ty, k, ascending)).collect();
+            let (dict, kept) = interned(ty, &feed);
+            let label = format!("{ty:?}, ascending {ascending}, {n} values");
+            // One value, or ascending ones, keep the dictionary sorted.
+            let sorted = ascending || n < 2;
+            assert_eq!((dict.is_sorted(), dict.is_indexed()), (sorted, !sorted), "{label}");
+            assert_eq!(dict.heap_bytes(), kept, "{label}");
+            let copy = dict.clone();
+            assert_eq!(freed_by_drop(dict), kept, "{label}");
+            // A deep clone holds what it reports too.
+            let copy_bytes = copy.heap_bytes();
+            assert_eq!(freed_by_drop(copy), copy_bytes, "{label}: the clone");
+        }
+    }
+}
+
+#[test]
+fn a_trimmed_dictionary_holds_what_it_reports_before_and_after_its_index() {
+    for ty in TYPES {
+        for ascending in [true, false] {
+            let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
+            let rows = (0..5_000).map(|k| vec![value(ty, k, ascending)]).collect();
+            let built = Relation::from_rows(schema, rows).unwrap();
+            let dict = built.dictionary(AttrId(0)).clone();
+            drop(built);
+            let dict = Arc::into_inner(dict).expect("the relation was the other owner");
+            let label = format!("{ty:?}, ascending {ascending}");
+            assert_eq!((dict.is_sorted(), dict.is_indexed()), (ascending, false), "{label}");
+            // Trimmed: the table holds exactly its entries.
+            let table = match ty {
+                ValueType::Int => 8 * dict.len(),
+                ValueType::Str => {
+                    let bytes: usize =
+                        dict.snapshot().iter().filter_map(Value::as_str).map(str::len).sum();
+                    bytes + 4 * dict.len()
+                }
+            };
+            assert_eq!(dict.heap_bytes(), table, "{label}");
+            assert_eq!(freed_by_drop(dict.clone()), table, "{label}: a clone");
+            // The index `ensure_indexed` builds (none while sorted) and
+            // the appends after it are counted as they are allocated.
+            let before = live();
+            dict.ensure_indexed();
+            for k in 5_000..6_000 {
+                dict.intern(&value(ty, k, ascending));
+            }
+            let grown = (live() - before) as usize;
+            assert_eq!(dict.is_indexed(), !ascending, "{label}");
+            assert_eq!(dict.heap_bytes(), table + grown, "{label}: indexed");
+            let bytes = dict.heap_bytes();
+            assert_eq!(freed_by_drop(dict), bytes, "{label}: indexed");
+        }
+    }
+}

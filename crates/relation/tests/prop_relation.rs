@@ -809,3 +809,186 @@ proptest! {
         }
     }
 }
+
+/// Strictly ascending integers from `start`: each gap is 1 (a dense run)
+/// for kinds 0 and 1, up to 1 000 for kind 2 and up to 2⁶² for kind 3,
+/// stopping where the next would pass `i64::MAX`; `top` ends the run at
+/// `i64::MAX` itself.
+fn ascending_ints(start: i64, gaps: &[(u8, u64)], top: bool) -> Vec<i64> {
+    let mut out = vec![start];
+    for &(kind, r) in gaps {
+        let gap = match kind {
+            0 | 1 => 1,
+            2 => 1 + r % 1_000,
+            _ => 1 + r % (1 << 62),
+        };
+        let Some(next) = out[out.len() - 1].checked_add_unsigned(gap) else { break };
+        out.push(next);
+    }
+    if top && out[out.len() - 1] != i64::MAX {
+        out.push(i64::MAX);
+    }
+    out
+}
+
+/// The value of type `ty` that integer `x` stands for: itself, or its
+/// offset from `i64::MIN` in 20 digits (so strings ascend as the
+/// integers do) with a multi-byte tail.
+fn ascending_value(ty: ValueType, x: i64) -> Value {
+    match ty {
+        ValueType::Int => Value::Int(x),
+        ValueType::Str => {
+            let offset = (i128::from(x) - i128::from(i64::MIN)) as u64;
+            Value::str(format!("{offset:020}é{}", "ß".repeat((offset % 3) as usize)))
+        }
+    }
+}
+
+/// The slot count growth from empty reaches at `len` values.
+fn grown_len(len: usize) -> usize {
+    (8 * len).div_ceil(7).max(8).next_power_of_two()
+}
+
+/// The code of `v` in a linear model of first-seen order, appending it
+/// if it is new.
+fn model_code(model: &mut Vec<Value>, v: &Value) -> u32 {
+    let at = model.iter().position(|m| m == v).unwrap_or_else(|| {
+        model.push(v.clone());
+        model.len() - 1
+    });
+    at as u32
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A sorted dictionary against a `Vec<Value>` searched linearly. The
+    /// feed is ascending — `Int` from `i64::MIN`, from near `i64::MAX`
+    /// or from in between, over dense runs and gaps up to 2⁶², or the
+    /// same as 20-digit strings — with `Null` first, in the middle, last
+    /// or not at all, and repeated hits. It is interned value by value,
+    /// slice by slice, and as a built (trimmed) relation; each stays
+    /// sorted with no index, and answers every code, every absent
+    /// neighbour and the extremes as the model does, also after
+    /// `ensure_indexed`, which builds nothing. A value of the other type
+    /// has no code, and interning one panics. Then one miss below the
+    /// last value: it takes the next code, every earlier code stays, and
+    /// the index built at that length covers every code, the null code
+    /// too; the dictionary is never sorted again.
+    #[test]
+    fn a_sorted_dictionary_matches_a_linear_model(
+        start in 0..4u8,
+        low in any::<u64>(),
+        gaps in prop::collection::vec((0..4u8, any::<u64>()), 0..150),
+        top in any::<bool>(),
+        null_at in 0..4u8,
+        hits in prop::collection::vec((any::<usize>(), any::<usize>()), 0..40),
+        chunk in 1..70usize,
+    ) {
+        let start = match start {
+            0 => i64::MIN,
+            1 => -((low % 1_000_000) as i64),
+            2 => i64::MAX - (low % 100_000) as i64,
+            _ => (low >> 1) as i64,
+        };
+        let ints = ascending_ints(start, &gaps, top);
+        for ty in [ValueType::Int, ValueType::Str] {
+            let distinct: Vec<Value> = ints.iter().map(|&x| ascending_value(ty, x)).collect();
+            let mut feed = Vec::new();
+            for (j, v) in distinct.iter().enumerate() {
+                feed.push(v.clone());
+                for &(at, pick) in &hits {
+                    if at % distinct.len() == j {
+                        feed.push(distinct[pick % (j + 1)].clone());
+                    }
+                }
+            }
+            match null_at {
+                1 => feed.insert(0, Value::Null),
+                2 => {
+                    feed.insert(feed.len() / 2, Value::Null);
+                    feed.push(Value::Null);
+                }
+                3 => feed.push(Value::Null),
+                _ => {}
+            }
+            let mut model: Vec<Value> = Vec::new();
+            let want: Vec<u32> = feed.iter().map(|v| model_code(&mut model, v)).collect();
+
+            let one = Dictionary::new(ty);
+            prop_assert_eq!(feed.iter().map(|v| one.intern(v)).collect::<Vec<_>>(), want.clone());
+            let mut col = Column::new(ty);
+            for slice in feed.chunks(chunk) {
+                col.extend_values(slice);
+            }
+            prop_assert_eq!(col.codes(), &want[..]);
+            let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
+            let rows = feed.iter().map(|v| vec![v.clone()]).collect();
+            let built = Relation::from_rows(schema, rows).unwrap();
+            prop_assert_eq!(built.column(AttrId(0)).codes(), &want[..]);
+            let trimmed = built.dictionary(AttrId(0));
+            prop_assert_eq!(trimmed.capacity(), model.len());
+
+            // Absent probes: each value's neighbours, the extremes, and
+            // for strings the empty one (the null placeholder) and one
+            // above every value.
+            let mut probes: Vec<Value> = [i64::MIN, i64::MAX, 0]
+                .into_iter()
+                .chain(ints.iter().flat_map(|&x| [x.checked_sub(1), x.checked_add(1)]).flatten())
+                .map(|x| ascending_value(ty, x))
+                .collect();
+            if ty == ValueType::Str {
+                probes.extend([Value::str(""), Value::str("~")]);
+            }
+            let other = match ty {
+                ValueType::Int => Value::str("1"),
+                ValueType::Str => Value::Int(1),
+            };
+            for dict in [&one, &**col.dict(), &**trimmed] {
+                prop_assert_eq!(dict.snapshot(), model.clone());
+                for (code, v) in model.iter().enumerate() {
+                    prop_assert_eq!(dict.code_of(v), Some(code as u32), "{:?}", v);
+                }
+                for v in &probes {
+                    let at = model.iter().position(|m| m == v).map(|code| code as u32);
+                    prop_assert_eq!(dict.code_of(v), at, "{:?}", v);
+                }
+                prop_assert_eq!(dict.code_of(&other), None);
+                dict.ensure_indexed();
+                prop_assert_eq!((dict.is_sorted(), dict.is_indexed()), (true, false));
+            }
+            // The panic is checked in one case in eight, to keep the log short.
+            if low.is_multiple_of(8) {
+                let copy = one.clone();
+                let refused = std::panic::catch_unwind(|| copy.intern(&other));
+                let message = refused.expect_err("the other type").downcast::<String>();
+                let want = format!("{other:?} is not a value of this {} dictionary", ty.name());
+                prop_assert_eq!(message.map(|m| *m).ok(), Some(want));
+            }
+
+            // One miss below the last value: a gap's first value, or one
+            // below the first.
+            let last = &distinct[distinct.len() - 1];
+            let Some(miss) = probes.iter().find(|v| !model.contains(v) && *v < last) else {
+                continue;
+            };
+            let len = model.len();
+            let mut after = Column::sharing(trimmed.clone());
+            after.extend_values([miss, miss]);
+            prop_assert_eq!(after.codes(), &[len as u32; 2][..]);
+            let mode = (trimmed.is_sorted(), trimmed.index_slots());
+            prop_assert_eq!(mode, (false, grown_len(len + 1)));
+            prop_assert_eq!(model_code(&mut model, miss) as usize, len);
+            for (code, v) in model.iter().enumerate() {
+                prop_assert_eq!(trimmed.code_of(v), Some(code as u32), "{:?}", v);
+            }
+            // Through the index, `Null` keeps its code (or takes the next).
+            let tail = [Value::Null, ascending_value(ty, i64::MAX)];
+            let tail_codes: Vec<u32> = tail.iter().map(|v| model_code(&mut model, v)).collect();
+            after.extend_values(&tail);
+            prop_assert_eq!(&after.codes()[2..], &tail_codes[..]);
+            prop_assert_eq!(trimmed.snapshot(), model);
+            prop_assert!(!trimmed.is_sorted() && trimmed.is_indexed());
+        }
+    }
+}
