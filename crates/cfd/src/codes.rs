@@ -21,8 +21,12 @@
 //! per buffer and not per row. `CodeRow`s are still what the single-CFD
 //! round ships — `run_batch`, `run_seq`, and `REPDETECT` and
 //! `HYBRIDDETECT`'s second phase through the same round — and what the
-//! incremental wire carries. The detection methods here hand either to
-//! the [`kernel`] — a batch to the same slice loop as the columnar
+//! incremental wire carries. In a horizontal round either shape is
+//! built at its coordinator, inside the validation task: a cluster
+//! coordinator gathers its one batch, a per-pattern coordinator builds
+//! one σ-block's rows at a time and drops them before the next. The
+//! detection methods here hand either to the [`kernel`] — a batch to the
+//! same slice loop as the columnar
 //! [`detect_simple`](crate::detect_simple), together with the LHS
 //! dictionaries' sizes as of the call, which decide whether it groups in
 //! slots or by hashing; wire rows to the boxed-row loop, which hashes.

@@ -30,7 +30,7 @@
 use crate::cfd::{Cfd, SimpleCfd};
 use crate::kernel::{self, ColumnRows, Flagged, Judgement, LhsIndex, Tableau};
 use crate::pattern::{compile_tableau, CompiledPattern};
-use dcd_relation::ops::CodeMemo;
+use dcd_relation::ops::{CodeKey, CodeMemo};
 use dcd_relation::{FxHashSet, Relation, TupleId, Value, NO_CODE, WILDCARD_CODE};
 use std::sync::Arc;
 
@@ -233,8 +233,8 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
 /// held to: [`WILDCARD_CODE`] for [`Judgement::Clean`] (no row is
 /// flagged), `c` for [`Judgement::Differing`]`(c)`, and [`NO_CODE`] when
 /// every row is flagged, since no stored code equals it. A row is flagged
-/// iff its key is held and its own RHS code differs. Only a flagged row
-/// has its key decoded.
+/// iff its key is held and its own RHS code differs. Each distinct
+/// flagged key is decoded once, after the scan.
 pub fn detect_constants_rows_with(
     rel: &Relation,
     cfd: &SimpleCfd,
@@ -266,13 +266,15 @@ pub fn detect_constants_rows_with(
             Judgement::All | Judgement::EachMismatches => NO_CODE,
         }
     };
+    let mut flagged_keys: FxHashSet<CodeKey> = FxHashSet::default();
     held.resolve(&lhs, start..end, judge, |r, held| {
         if held != WILDCARD_CODE && rhs[r] != held {
-            let key: Vec<u32> = lhs.iter().map(|col| col[r]).collect();
-            out.patterns.insert(rel.decode_projection(&cfd.lhs, &key));
+            flagged_keys.insert(CodeKey::of_row(&lhs, r));
             out.tids.insert(tids[r]);
         }
     });
+    let decode = |key: CodeKey| rel.decode_projection(&cfd.lhs, &key.codes(cfd.lhs.len()));
+    out.patterns.extend(flagged_keys.into_iter().map(decode));
     out
 }
 

@@ -21,19 +21,19 @@
 //! single-CFD round per member.
 
 use crate::config::RunConfig;
-use crate::ctx::{Phase, RunCtx};
+use crate::ctx::RunCtx;
 use crate::local::applicable_patterns;
 use crate::report::Detection;
 use crate::runner::{
-    assign_coordinators, constants_phase, exchange_statistics, run_single_cfd, shared_layout,
-    sigma_phase, CoordinatorStrategy,
+    assign_coordinators, constants_phase, exchange_statistics, pattern_rows, patterns_at,
+    run_single_cfd, shared_layout, ship_phase, sigma_phase, CoordinatorStrategy,
 };
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::ResolvedCfd;
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{Cfd, Flagged, KernelTally, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{HorizontalPartition, SiteId};
+use dcd_dist::{Fragment, HorizontalPartition, SiteId};
 use dcd_relation::{AttrId, CodeBatch, FxHashSet};
 
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
@@ -118,6 +118,7 @@ fn run_cluster(
 ) {
     let cfg = *ctx.cfg();
     let n = partition.n_sites();
+    let fragments = partition.fragments();
     let (alone, label) = match members {
         [only] => (true, only.name.as_str()),
         _ => (false, "cluster"),
@@ -135,7 +136,7 @@ fn run_cluster(
     for m in members {
         let (var, constants) = m.split_constant();
         if !constants.is_empty() {
-            constants_phase(ctx, &m.name, partition.fragments(), &constants);
+            constants_phase(ctx, &m.name, fragments, &constants);
         }
         variable_members.extend(var);
     }
@@ -194,15 +195,15 @@ fn run_cluster(
     // partitioning condition doubles as the Phase-2 participation rule,
     // exactly as in `run_single_cfd`.
     let applicable: Vec<Vec<usize>> =
-        partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-    let parts = sigma_phase(ctx, label, partition.fragments(), &sorted, &applicable);
+        fragments.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+    let parts = sigma_phase(ctx, label, fragments, &sorted, &applicable);
 
     // Statistics exchange, among participating sites only.
     exchange_statistics(ctx, label, &applicable, sorted.cfd.tableau.len());
 
     // Coordinators per projected pattern.
     let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-    let frag_sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
+    let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
     let assignment = assign_coordinators(strategy, &lstat, &frag_sizes, &cfg.cost);
 
     // Shipment, on the code-native wire: the union of the members'
@@ -217,35 +218,34 @@ fn run_cluster(
         }
     }
     attrs.sort();
-    let layout = shared_layout(partition.fragments(), &attrs);
+    let layout = shared_layout(fragments, &attrs);
     // Resolve every member against the union layout once; each
     // coordinator validates all members from the same compilation.
     let resolved: Vec<ResolvedCfd> = variable_members.iter().map(|m| layout.resolve(m)).collect();
-    let gathered = ctx.phase(&format!("ship:{label}"), |p| {
-        gather_cluster(p, partition, &parts, &assignment, &attrs)
-    });
+    ship_phase(ctx, label, fragments, &parts, &assignment, attrs.len(), |c, i| c.index() == i);
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to columns of the
-    // cluster's union layout).
+    // cluster's union layout). Each task gathers its own batch and drops
+    // it when it returns.
     let per_block = alone && strategy != CoordinatorStrategy::Central;
     let mut validated = ctx.phase(&format!("validate:{label}"), |p| {
         let per_site = scoped_map(cfg.threads, 0..n, |c| {
-            let batch = &gathered[c];
+            let site = SiteId(c as u32);
+            let batch = gather_cluster(fragments, &parts, &assignment, &attrs, site);
             if batch.is_empty() {
                 return (None, vec![Flagged::default(); resolved.len()], KernelTally::default());
             }
-            let site = SiteId(c as u32);
             let secs = if per_block {
-                let blocks = (0..assignment.len()).filter(|&l| assignment[l] == Some(site));
-                blocks.map(|l| cfg.cost.check_time(lstat.iter().map(|at| at[l]).sum())).sum()
+                let blocks = patterns_at(&assignment, site);
+                blocks.map(|l| cfg.cost.check_time(pattern_rows(&parts, l))).sum()
             } else {
                 cfg.cost.check_time(batch.len()) * variable_members.len() as f64
             };
             let mut found = Vec::with_capacity(resolved.len());
             let mut tally = KernelTally::default();
             for r in &resolved {
-                let (flagged, counted) = r.detect_batch(batch);
+                let (flagged, counted) = r.detect_batch(&batch);
                 found.push(flagged);
                 tally += counted;
             }
@@ -265,6 +265,8 @@ fn run_cluster(
         tally.record(p.metrics());
         validated
     });
+    // The σ-blocks are done with before the member sets are built.
+    drop(parts);
     // A tuple reaches one coordinator per cluster, so what the
     // coordinators found for a member is disjoint: its set is built once.
     for (mi, m) in variable_members.iter().enumerate() {
@@ -274,51 +276,37 @@ fn run_cluster(
     ctx.end_round();
 }
 
-/// The cluster's one shipment: every σ-block goes to its pattern's
-/// coordinator on the code-native wire — `(tid, codes)` rows over
-/// `attrs`, charged at 4 bytes/cell plus the id cells — and lands in
-/// that coordinator's [`CodeBatch`], copied a column at a time from the
-/// fragment's columns. The batches are sized from the blocks they
-/// will receive, so a round allocates `sites × (attrs + 1)` buffers
-/// however many rows ship.
+/// Coordinator `site`'s share of the cluster's shipment, as its pool
+/// task validates it: the σ-blocks of the patterns assigned to it, in
+/// (pattern, fragment) order, copied a column at a time from the
+/// fragments' columns into one [`CodeBatch`] — the rows [`ship_phase`]
+/// priced. The batch is sized from those blocks, so a coordinator
+/// allocates `attrs + 1` buffers however many rows it receives.
 fn gather_cluster(
-    p: &mut Phase<'_>,
-    partition: &HorizontalPartition,
+    fragments: &[Fragment],
     parts: &[SigmaPartition],
     assignment: &[Option<SiteId>],
     attrs: &[AttrId],
-) -> Vec<CodeBatch> {
-    let mut rows_at = vec![0; partition.n_sites()];
-    for (l, coord) in assignment.iter().enumerate() {
-        if let Some(c) = coord {
-            rows_at[c.index()] += parts.iter().map(|part| part.blocks[l].len()).sum::<usize>();
+    site: SiteId,
+) -> CodeBatch {
+    let mine = patterns_at(assignment, site);
+    let rows = mine.clone().map(|l| pattern_rows(parts, l)).sum();
+    let mut batch = CodeBatch::with_capacity(attrs.len(), rows);
+    for l in mine {
+        for (frag, part) in fragments.iter().zip(parts) {
+            let block = &part.blocks[l];
+            if !block.is_empty() {
+                frag.data.gather_into(attrs, block, &mut batch);
+            }
         }
     }
-    let mut gathered: Vec<CodeBatch> =
-        rows_at.iter().map(|&rows| CodeBatch::with_capacity(attrs.len(), rows)).collect();
-    let mut wire = p.transfer();
-    for (l, coord) in assignment.iter().enumerate() {
-        let Some(c) = *coord else { continue };
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            let block = &parts[i].blocks[l];
-            if block.is_empty() {
-                continue;
-            }
-            if i != c.index() {
-                wire.send(c, frag.site, block.len(), attrs.len());
-            }
-            frag.data.gather_into(attrs, block, &mut gathered[c.index()]);
-        }
-    }
-    wire.commit();
-    gathered
+    batch
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcd_cfd::parse_cfd;
-    use dcd_dist::TID_CELLS;
     use dcd_relation::{vals, Relation, Schema, ValueType};
     use std::sync::Arc;
 
@@ -371,42 +359,58 @@ mod tests {
         }
     }
 
-    /// The gather allocates per coordinator, never per row: every buffer
-    /// of every batch is created at the size of what the blocks assigned
-    /// to that coordinator hold, and filled without growing.
+    /// Each coordinator gathers its own batch, never per row: every
+    /// buffer is created at the size of the blocks assigned to that
+    /// coordinator and filled without growing, its rows come in
+    /// (pattern, fragment) order, and the batches of all coordinators
+    /// are what one pass over every block would have gathered.
     #[test]
-    fn a_cluster_round_gathers_into_exactly_sized_batches() {
+    fn each_coordinator_gathers_exactly_its_assigned_blocks() {
         let rel = sample(90);
         let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let frags = partition.fragments();
         let attrs: Vec<AttrId> =
             ["cc", "zip", "city"].map(|a| rel.schema().require(a).unwrap()).into();
-        // Two projected patterns; site 1 holds nothing of the second.
-        let parts: Vec<SigmaPartition> =
-            [[vec![0, 2, 5, 6], vec![1, 3]], [vec![4, 9, 29], vec![]], [vec![], (3..25).collect()]]
-                .into_iter()
-                .map(|blocks| SigmaPartition { blocks: blocks.into(), comparisons: 0 })
-                .collect();
-        let assignment = [Some(SiteId(2)), Some(SiteId(0))];
+        // Three projected patterns; site 1 holds nothing of the second,
+        // and site 0 coordinates two.
+        let parts: Vec<SigmaPartition> = [
+            [vec![0, 2, 5, 6], vec![1, 3], vec![7]],
+            [vec![4, 9, 29], vec![], vec![0, 1]],
+            [vec![], (3..25).collect(), vec![26]],
+        ]
+        .into_iter()
+        .map(|blocks| SigmaPartition { blocks: blocks.into(), comparisons: 0 })
+        .collect();
+        let assignment = [Some(SiteId(2)), Some(SiteId(0)), Some(SiteId(0))];
 
-        let mut ctx = RunCtx::new(3, RunConfig::default());
-        let gathered =
-            ctx.phase("ship", |p| gather_cluster(p, &partition, &parts, &assignment, &attrs));
+        let gathered: Vec<CodeBatch> =
+            (0..3).map(|c| gather_cluster(frags, &parts, &assignment, &attrs, SiteId(c))).collect();
         let rows_at: Vec<usize> = gathered.iter().map(CodeBatch::len).collect();
-        assert_eq!(rows_at, [2 + 22, 0, 4 + 3]);
+        assert_eq!(rows_at, [2 + 22 + 1 + 2 + 1, 0, 4 + 3]);
         assert_sized_once(&gathered, attrs.len());
-        // Pattern-major, then by site: the rows `code_rows` would ship.
-        let frags = partition.fragments();
+
+        // Pattern-major, then by fragment: the rows `code_rows` would ship.
         let mut want = frags[0].data.code_rows(&attrs, &parts[0].blocks[1]);
         want.extend(frags[2].data.code_rows(&attrs, &parts[2].blocks[1]));
+        for (frag, part) in frags.iter().zip(&parts) {
+            want.extend(frag.data.code_rows(&attrs, &part.blocks[2]));
+        }
         assert_eq!(gathered[0].tids, want.iter().map(|(tid, _)| *tid).collect::<Vec<_>>());
         for (j, col) in gathered[0].cols.iter().enumerate() {
             assert_eq!(*col, want.iter().map(|(_, cells)| cells[j]).collect::<Vec<_>>());
         }
-        // Only rows that change site are charged: pattern 1 sends site
-        // 2's 22 rows to site 0, pattern 0 sends 4 + 3 rows to site 2.
-        let d = ctx.finish("gather");
-        assert_eq!(d.shipped_tuples, 22 + 4 + 3);
-        assert_eq!(d.shipped_cells, (22 + 4 + 3) * (attrs.len() + TID_CELLS));
+
+        // One pass over every (pattern, fragment) block, into every
+        // coordinator's batch at once: the same batches.
+        let mut one_shot: Vec<CodeBatch> =
+            (0..3).map(|_| CodeBatch::with_capacity(attrs.len(), 0)).collect();
+        for (l, coord) in assignment.iter().enumerate() {
+            let c = coord.expect("every pattern has a coordinator").index();
+            for (frag, part) in frags.iter().zip(&parts) {
+                frag.data.gather_into(&attrs, &part.blocks[l], &mut one_shot[c]);
+            }
+        }
+        assert_eq!(gathered, one_shot);
     }
 
     #[test]
@@ -493,8 +497,11 @@ mod tests {
         let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
         let assignment = assign_coordinators(inner, &lstat, &[20; 3], &cfg.cost);
         let attrs = b.shipped_attrs();
-        let gathered =
-            ctx.phase("ship:b", |p| gather_cluster(p, &partition, &parts, &assignment, &attrs));
+        let own = |c: SiteId, i: usize| c.index() == i;
+        ship_phase(&mut ctx, "b", partition.fragments(), &parts, &assignment, attrs.len(), own);
+        let gathered: Vec<CodeBatch> = (0..3)
+            .map(|c| gather_cluster(partition.fragments(), &parts, &assignment, &attrs, SiteId(c)))
+            .collect();
         assert_eq!(gathered.iter().map(CodeBatch::len).sum::<usize>(), rel.len());
         assert_sized_once(&gathered, attrs.len());
         let shipped = ctx.finish("gather").shipped_tuples;

@@ -9,8 +9,9 @@
 //! accounting — is identical and lives here.
 //!
 //! The per-site phases (constants, σ) run one pool task per site over the
-//! site's whole fragment, and the coordinators validate one task per site;
-//! every charge is applied after the join, in site order.
+//! site's whole fragment, and the coordinators validate one task per site,
+//! each building the wire rows it validates; every charge is applied
+//! after the join, in site order.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
@@ -158,17 +159,68 @@ pub(crate) fn exchange_statistics(
     });
 }
 
+/// Prices a round's shipment: every pattern's σ-blocks go to its
+/// coordinator, and a non-empty block from a fragment the coordinator
+/// does not already `holds` (itself, or a replica) is charged by the
+/// ledger at `width` cells per row, in (pattern, fragment) order. Only
+/// the price moves here: each coordinator builds the rows it receives
+/// inside its own validation task, from the same blocks in the same
+/// order.
+pub(crate) fn ship_phase(
+    ctx: &mut RunCtx,
+    label: &str,
+    fragments: &[Fragment],
+    parts: &[SigmaPartition],
+    assignment: &[Option<SiteId>],
+    width: usize,
+    holds: impl Fn(SiteId, usize) -> bool,
+) {
+    ctx.phase(&format!("ship:{label}"), |p| {
+        let mut wire = p.transfer();
+        for (l, coord) in assignment.iter().enumerate() {
+            let Some(c) = *coord else { continue };
+            for (i, (frag, part)) in fragments.iter().zip(parts).enumerate() {
+                let rows = part.blocks[l].len();
+                if rows > 0 && !holds(c, i) {
+                    wire.send(c, frag.site, rows, width);
+                }
+            }
+        }
+        wire.commit();
+    });
+}
+
+/// The patterns `assignment` gives coordinator `site`, in tableau order.
+pub(crate) fn patterns_at(
+    assignment: &[Option<SiteId>],
+    site: SiteId,
+) -> impl Iterator<Item = usize> + Clone + '_ {
+    (0..assignment.len()).filter(move |&l| assignment[l] == Some(site))
+}
+
+/// The rows of pattern `l`'s σ-blocks, over every fragment.
+pub(crate) fn pattern_rows(parts: &[SigmaPartition], l: usize) -> usize {
+    parts.iter().map(|part| part.blocks[l].len()).sum()
+}
+
 /// Ships every pattern's σ-blocks to its coordinator on the code-native
 /// wire and validates them there — the second half of [`run_round`].
 /// Sites ship `(tid, codes)` rows over the CFD's shipped attributes —
 /// dictionaries are shared across fragments, so codes are
-/// site-portable — priced by the ledger at the CFD's width per row;
-/// a fragment the coordinator already `holds` (itself, or a
-/// replica) ships nothing.
+/// site-portable — priced by [`ship_phase`]; a fragment the coordinator
+/// already `holds` ships nothing.
 /// No tuple payload crosses the simulated wire. Validation runs at the
 /// coordinators in parallel, on codes: grouping keys are slot indices
 /// or packed `CodeKey`s and the distinct-RHS test compares `u32` codes;
 /// only violating group keys are decoded.
+///
+/// Each coordinator's pool task builds its host copy of the wire itself
+/// (Lemma 6: a σ-block is validated on its own). A per-pattern
+/// coordinator builds one block's rows (`Relation::code_rows` over every
+/// fragment's block, in fragment order), validates them and drops them
+/// before the next block, so a round holds its σ-blocks plus one block
+/// per running task; `CTRDETECT`'s one query keeps its coordinator's
+/// rows together.
 fn ship_and_validate(
     ctx: &mut RunCtx,
     fragments: &[Fragment],
@@ -185,47 +237,40 @@ fn ship_and_validate(
     // Resolve the tableau once per round; every coordinator job reuses
     // the compiled patterns.
     let resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
-    // gathered[c] = (pattern, wire rows) pairs to validate at site c.
-    let mut gathered: Vec<Vec<(usize, Vec<CodeRow>)>> = vec![Vec::new(); n];
-    ctx.phase(&format!("ship:{name}"), |p| {
-        let mut wire = p.transfer();
-        for (l, coord) in assignment.iter().enumerate() {
-            let Some(c) = *coord else { continue };
-            let mut rows: Vec<CodeRow> = Vec::new();
-            for (i, frag) in fragments.iter().enumerate() {
-                let block = &parts[i].blocks[l];
-                if block.is_empty() {
-                    continue;
-                }
-                if !holds(c, i) {
-                    wire.send(c, frag.site, block.len(), attrs.len());
-                }
+    ship_phase(ctx, name, fragments, parts, assignment, attrs.len(), holds);
+
+    // Appends pattern `l`'s wire rows, fragment by fragment.
+    let build = |l: usize, rows: &mut Vec<CodeRow>| {
+        for (frag, part) in fragments.iter().zip(parts) {
+            let block = &part.blocks[l];
+            if !block.is_empty() {
                 rows.extend(frag.data.code_rows(&attrs, block));
             }
-            gathered[c.index()].push((l, rows));
         }
-        wire.commit();
-    });
-
+    };
     let validated = ctx.phase(&format!("validate:{name}"), |p| {
         let per_site = scoped_map(cfg.threads, 0..n, |c| {
-            let jobs = &gathered[c];
-            if jobs.is_empty() {
-                return None;
-            }
+            let mine = patterns_at(assignment, SiteId(c as u32));
+            // A site that coordinates no pattern validates nothing.
+            mine.clone().next()?;
             Some(if central {
-                // One detection query over everything gathered
-                // (flattened by reference — no row buffer is cloned).
-                let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
-                let (vs, tally) = resolved.detect_among(&all);
-                (cfg.cost.check_time(all.len()), vs, tally)
+                // One detection query over everything gathered.
+                let mut rows =
+                    Vec::with_capacity(mine.clone().map(|l| pattern_rows(parts, l)).sum());
+                for l in mine {
+                    build(l, &mut rows);
+                }
+                let (vs, tally) = resolved.detect_among(&rows);
+                (cfg.cost.check_time(rows.len()), vs, tally)
             } else {
-                // One detection query per pattern block.
-                let secs = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
+                // One detection query per pattern block, on its rows alone.
+                let secs = mine.clone().map(|l| cfg.cost.check_time(pattern_rows(parts, l))).sum();
                 let mut vs = ViolationSet::default();
                 let mut tally = KernelTally::default();
-                for (l, rs) in jobs {
-                    let (found, counted) = resolved.detect_pattern_block(rs.iter(), *l);
+                for l in mine {
+                    let mut rows = Vec::with_capacity(pattern_rows(parts, l));
+                    build(l, &mut rows);
+                    let (found, counted) = resolved.detect_pattern_block(rows.iter(), l);
                     vs.merge(found);
                     tally += counted;
                 }
@@ -589,6 +634,63 @@ mod tests {
         // Tuple 1 (44, z2, b) violates street=a.
         let (_, vs) = &d.violations.per_cfd[0];
         assert_eq!(vs.tids.len(), 1);
+    }
+
+    /// Pricing (`ship_phase`) and building (the coordinators' tasks) are
+    /// two loops over the same blocks: whatever the strategy, and
+    /// whether a coordinator holds its own fragment or a replica too, the
+    /// ledger charges exactly the σ-block rows each pattern's
+    /// coordinator does not hold, and the rows built find every
+    /// violation.
+    #[test]
+    fn a_round_prices_exactly_the_blocks_its_coordinators_do_not_hold() {
+        let (rel, n) = (sample(90), 4);
+        let by_cc = |cc: i64| format!("([cc={cc}, zip] -> [street])");
+        let [c44, c31] = [44, 31].map(|cc| parse_cfd(rel.schema(), "phi", &by_cc(cc)).unwrap());
+        let cfd = dcd_cfd::Cfd::merge("phi", &[&c44, &c31]).unwrap();
+        let global = dcd_cfd::detect(&rel, &cfd);
+        let simple = cfd.simplify().pop().unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, n).unwrap();
+        let frags = partition.fragments();
+        let own = |s: SiteId, f: usize| s.index() == f;
+        let replicated = |s: SiteId, f: usize| s.index() == f || (s.index() + 1) % n == f;
+        let cfg = RunConfig::default();
+        for strategy in STRATEGIES {
+            for holds in [&own as &dyn Fn(SiteId, usize) -> bool, &replicated] {
+                let mut ctx = RunCtx::new(n, cfg);
+                run_round(&mut ctx, frags, &simple, strategy, holds);
+                let d = ctx.finish("round");
+                assert_eq!(d.violations.per_cfd[0].1, global, "{strategy:?}");
+
+                // The round's blocks and coordinators, by hand.
+                let sorted = sort_for_sigma(&simple);
+                let applicable: Vec<Vec<usize>> =
+                    frags.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+                let mut scratch = RunCtx::new(n, cfg);
+                let parts = sigma_phase(&mut scratch, "phi", frags, &sorted, &applicable);
+                let k = sorted.cfd.tableau.len();
+                let held: Vec<Vec<usize>> = (0..n)
+                    .map(|s| {
+                        let mine = || (0..n).filter(move |&f| holds(SiteId(s as u32), f));
+                        (0..k).map(|l| mine().map(|f| parts[f].blocks[l].len()).sum()).collect()
+                    })
+                    .collect();
+                let sizes: Vec<usize> = frags.iter().map(|f| f.data.len()).collect();
+                let assignment = assign_coordinators(strategy, &held, &sizes, &cfg.cost);
+                let unheld: usize = (0..k)
+                    .filter_map(|l| assignment[l].map(|c| (l, c)))
+                    .flat_map(|(l, c)| (0..n).filter(move |&f| !holds(c, f)).map(move |f| (l, f)))
+                    .map(|(l, f)| parts[f].blocks[l].len())
+                    .sum();
+                assert!(unheld > 0, "{strategy:?}: something ships");
+                let width = simple.shipped_attrs().len() + dcd_dist::TID_CELLS;
+                assert_eq!(
+                    (d.shipped_tuples, d.shipped_cells),
+                    (unheld, unheld * width),
+                    "{strategy:?}"
+                );
+            }
+        }
     }
 
     // ---- The three §IV-B algorithms end to end, through `run_batch`. ----
