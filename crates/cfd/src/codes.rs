@@ -23,9 +23,11 @@
 //! `HYBRIDDETECT`'s second phase through the same round — and what the
 //! incremental wire carries. In a horizontal round either shape is
 //! built at its coordinator, inside the validation task: a cluster
-//! coordinator gathers its one batch, a per-pattern coordinator builds
-//! one σ-block's rows at a time and drops them before the next. The
-//! detection methods here hand either to the [`kernel`] — a batch to the
+//! coordinator gathers its one batch ([`ResolvedCfd::detect_batch`]); a
+//! single-CFD coordinator, `CTRDETECT`'s included, builds one σ-block's
+//! rows at a time, validates them on their own
+//! ([`ResolvedCfd::detect_pattern_block`]) and drops them before the
+//! next. The detection methods here hand either to the [`kernel`] — a batch to the
 //! same slice loop as the columnar
 //! [`detect_simple`](crate::detect_simple), together with the LHS
 //! dictionaries' sizes as of the call, which decide whether it groups in
@@ -153,38 +155,6 @@ impl ResolvedCfd {
         }
     }
 
-    /// Detects violations of the resolved CFD among gathered code
-    /// rows, under the algorithmic reading — what a coordinator holding
-    /// the whole CFD's σ-blocks runs. Equal to the oracle's `Vio`/`Vioπ`
-    /// over the decoded tuples (pinned by tests and the workspace
-    /// equivalence suites).
-    ///
-    /// `rows` may be owned (`&[CodeRow]`) or borrowed
-    /// (`&[&CodeRow]`) — coordinators flattening several gathered
-    /// blocks pass references instead of cloning code buffers. What the
-    /// kernel counted comes back beside the violations.
-    pub fn detect_among<R: std::borrow::Borrow<CodeRow>>(
-        &self,
-        rows: &[R],
-    ) -> (ViolationSet, KernelTally) {
-        if self.compiled.is_empty() {
-            return Default::default();
-        }
-        // Every row goes to the kernel; its LHS index (built once at
-        // resolution) decides per distinct key which patterns apply.
-        let (found, tally) = kernel::detect_grouped(
-            rows.iter().map(|row| row.borrow()),
-            |(_, codes), key| {
-                self.project_lhs(codes, key);
-                true
-            },
-            |(tid, codes)| (*tid, codes[self.rhs_pos]),
-            &self.tableau(&self.compiled, Some(&self.index)),
-            |key| self.decode_key(key),
-        );
-        (found.into(), tally)
-    }
-
     /// Detects violations of a single pattern `(X → A, {tp})` among
     /// gathered code rows — what a per-pattern coordinator runs on its
     /// Lemma 6 block. Algorithmic reading. The rows are walked twice.
@@ -221,9 +191,12 @@ impl ResolvedCfd {
         self.detect_pattern_block(rows, pattern_idx).0
     }
 
-    /// [`Self::detect_among`] over a column batch in this layout — what a
+    /// Detects violations of the resolved CFD among the rows of a column
+    /// batch in this layout, under the algorithmic reading — what a
     /// cluster coordinator runs per member CFD on the one batch the
-    /// cluster shipped it. The findings come back as plain vectors: the
+    /// cluster shipped it. Equal to the oracle's `Vio`/`Vioπ` over the
+    /// decoded tuples (pinned by tests and the workspace equivalence
+    /// suites). The findings come back as plain vectors: the
     /// coordinators of a round hold disjoint rows, so the caller builds
     /// each member's set once ([`ViolationSet::from_disjoint`]). What the
     /// kernel counted comes back beside them.
@@ -281,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_among_matches_oracle() {
+    fn wire_rows_and_batches_match_oracle() {
         let rel = sample();
         for txt in [
             "([cc, zip] -> [street])",
@@ -295,22 +268,19 @@ mod tests {
             let decoded: Vec<Tuple> = rel.iter().collect();
             let tuples: Vec<&Tuple> = decoded.iter().collect();
             let want = oracle::vio(&tuples, &cfd);
-            let (code_native, _) = layout.resolve(&cfd).detect_among(&rows);
-            assert_eq!(code_native.tids, want.tids, "{txt} Vio");
-            assert_eq!(code_native.patterns, want.patterns, "{txt} Vioπ");
+            let (code_native, _) = layout.resolve(&cfd).detect_pattern_block(rows.iter(), 0);
+            assert_eq!(code_native, want, "{txt} Vio, Vioπ");
             // And both agree with the columnar whole-relation path.
             let full = detect_simple(&rel, &cfd);
-            assert_eq!(code_native.tids, full.tids, "{txt} vs detect_simple");
+            assert_eq!(code_native.tids(), full.tids(), "{txt} vs detect_simple");
             // The same rows as one column batch: the same findings, ids
             // in row order, each violating key once.
             let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
             rel.gather_into(&attrs, &(0..rel.len()).collect::<Vec<_>>(), &mut batch);
             let (found, _) = layout.resolve(&cfd).detect_batch(&batch);
             assert!(found.tids.is_sorted(), "{txt}: sample ids ascend with the rows");
-            assert_eq!(found.patterns.len(), want.patterns.len(), "{txt}: distinct keys");
-            let batched = ViolationSet::from(found);
-            assert_eq!(batched.tids, want.tids, "{txt} batch Vio");
-            assert_eq!(batched.patterns, want.patterns, "{txt} batch Vioπ");
+            assert_eq!(found.patterns.len(), want.pattern_count(), "{txt}: distinct keys");
+            assert_eq!(ViolationSet::from(found), want, "{txt} batch Vio, Vioπ");
         }
     }
 
@@ -329,8 +299,7 @@ mod tests {
             let one = SimpleCfd { tableau: vec![cfd.tableau[l].clone()], ..cfd.clone() };
             let want = oracle::vio(&tuples, &one);
             let code_native = resolved.detect_pattern_among(rows.iter(), l);
-            assert_eq!(code_native.tids, want.tids, "pattern {l} Vio");
-            assert_eq!(code_native.patterns, want.patterns, "pattern {l} Vioπ");
+            assert_eq!(code_native, want, "pattern {l} Vio, Vioπ");
         }
     }
 
@@ -360,12 +329,13 @@ mod tests {
         let decoded: Vec<Tuple> = rel.iter().collect();
         let tuples: Vec<&Tuple> = decoded.iter().collect();
         let want = oracle::vio(&tuples, &cfd);
-        assert_eq!(layout.resolve(&cfd).detect_among(&rows).0.tids, want.tids);
+        assert_eq!(layout.resolve(&cfd).detect_pattern_block(rows.iter(), 0).0.tids(), want.tids());
         // A layout carrying *more* attributes than the CFD needs (the
         // cluster wire ships the union of member attributes).
         let all: Vec<AttrId> = rel.schema().attr_ids().collect();
         let (wide_rows, wide_layout) = wire(&rel, &all);
-        assert_eq!(wide_layout.resolve(&cfd).detect_among(&wide_rows).0.tids, want.tids);
+        let wide = wide_layout.resolve(&cfd).detect_pattern_block(wide_rows.iter(), 0).0;
+        assert_eq!(wide.tids(), want.tids());
     }
 
     #[test]
@@ -393,9 +363,7 @@ mod tests {
         let mut gathered = a.code_rows(&attrs, &rows_a);
         gathered.extend(b.code_rows(&attrs, &rows_b));
         let layout = CodeLayout::of_relation(&a, &attrs);
-        let (got, _) = layout.resolve(&cfd).detect_among(&gathered);
-        let full = detect_simple(&rel, &cfd);
-        assert_eq!(got.tids, full.tids);
-        assert_eq!(got.patterns, full.patterns);
+        let (got, _) = layout.resolve(&cfd).detect_pattern_block(gathered.iter(), 0);
+        assert_eq!(got, detect_simple(&rel, &cfd));
     }
 }

@@ -60,8 +60,8 @@ fn vio_with(tuples: &[&Tuple], cfd: &SimpleCfd, strict: bool) -> ViolationSet {
                 })
         });
         if violates {
-            out.tids.insert(t.tid);
-            out.patterns.insert(t.project(&cfd.lhs));
+            out.insert(t.tid);
+            out.insert_pattern(t.project(&cfd.lhs));
         }
     }
     out
@@ -74,9 +74,7 @@ mod tests {
     use crate::violation::tests::{d0, emp_schema};
 
     fn tids(v: &ViolationSet) -> Vec<u64> {
-        let mut ids: Vec<u64> = v.tids.iter().map(|t| t.0).collect();
-        ids.sort_unstable();
-        ids
+        v.tids().iter().map(|t| t.0).collect()
     }
 
     /// Example 1 of the paper on Fig. 1's D0, under both readings.
@@ -90,7 +88,7 @@ mod tests {
         // cfd1: t2–t5 share (44, EH4 8LE) over three streets.
         let v = vio(&d, &simple("([CC=44, zip] -> [street])"));
         assert_eq!(tids(&v), vec![1, 2, 3, 4]);
-        assert_eq!(v.patterns.len(), 1);
+        assert_eq!(v.pattern_count(), 1);
         // cfd3 (a plain FD) holds.
         assert!(vio(&d, &simple("([CC, title] -> [salary])")).is_empty());
         // cfd4: Example 1 reports t2, t3; the literal definition adds

@@ -26,6 +26,17 @@
 //! algorithms compute and what Example 1 reports. [`detect_simple_strict`]
 //! implements the literal definition. Satisfaction ([`satisfies`]) is
 //! identical under both.
+//!
+//! ## One owner of the sets
+//!
+//! How [`ViolationSet`] stores `Vio` and `Vioπ` is this module's
+//! business: everything else reads them through its methods, which
+//! return ids and patterns in ascending order, so no storage order
+//! leaks out.
+#![expect(
+    deprecated,
+    reason = "the module that owns `ViolationSet`'s storage is the one place that names its fields"
+)]
 
 use crate::cfd::{Cfd, SimpleCfd};
 use crate::kernel::{self, ColumnRows, Flagged, Judgement, LhsIndex, Tableau};
@@ -38,11 +49,18 @@ use std::sync::Arc;
 /// and the projected patterns `Vioπ(φ, D)` (distinct `t[X]` of violating
 /// tuples; the paper pads these with nulls to full schema width — see
 /// [`ViolationSet::viopi_relation`]).
+///
+/// Read and write it through its methods; two sets are `==` when they
+/// hold the same ids and the same patterns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViolationSet {
     /// `Vio(φ, D)`: ids of all violating tuples.
+    #[deprecated(note = "read `Vio` through `ViolationSet`'s methods; the field is public only \
+                         because `benchmark/` still names it")]
     pub tids: FxHashSet<TupleId>,
     /// `Vioπ(φ, D)`: distinct `t[X]` projections of violating tuples.
+    #[deprecated(note = "read `Vioπ` through `ViolationSet`'s methods; the field is public only \
+                         because `benchmark/` still names it")]
     pub patterns: FxHashSet<Vec<Value>>,
 }
 
@@ -50,6 +68,64 @@ impl ViolationSet {
     /// Whether no violations were found.
     pub fn is_empty(&self) -> bool {
         self.tids.is_empty() && self.patterns.is_empty()
+    }
+
+    /// `|Vio(φ, D)|`: the number of violating tuples.
+    pub fn len(&self) -> usize {
+        self.tids.len()
+    }
+
+    /// Whether tuple `tid` is in `Vio(φ, D)`.
+    pub fn contains(&self, tid: TupleId) -> bool {
+        self.tids.contains(&tid)
+    }
+
+    /// `Vio(φ, D)` in ascending id order.
+    pub fn tids(&self) -> Vec<TupleId> {
+        let mut ids: Vec<TupleId> = self.tids.iter().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// `|Vioπ(φ, D)|`: the number of distinct violating `t[X]`.
+    pub fn pattern_count(&self) -> usize {
+        self.patterns.len()
+    }
+
+    /// Whether `key` (a `t[X]` projection) is in `Vioπ(φ, D)`.
+    pub fn contains_pattern(&self, key: &[Value]) -> bool {
+        self.patterns.contains(key)
+    }
+
+    /// `Vioπ(φ, D)` in ascending order.
+    pub fn patterns(&self) -> Vec<Vec<Value>> {
+        let mut keys: Vec<Vec<Value>> = self.patterns.iter().cloned().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Adds `tid` to `Vio`; whether it was absent.
+    #[inline]
+    pub fn insert(&mut self, tid: TupleId) -> bool {
+        self.tids.insert(tid)
+    }
+
+    /// Takes `tid` out of `Vio`; whether it was present.
+    #[inline]
+    pub fn remove(&mut self, tid: TupleId) -> bool {
+        self.tids.remove(&tid)
+    }
+
+    /// Adds `key` to `Vioπ`; whether it was absent.
+    #[inline]
+    pub fn insert_pattern(&mut self, key: Vec<Value>) -> bool {
+        self.patterns.insert(key)
+    }
+
+    /// Takes `key` out of `Vioπ`; whether it was present.
+    #[inline]
+    pub fn remove_pattern(&mut self, key: &[Value]) -> bool {
+        self.patterns.remove(key)
     }
 
     /// Merges another violation set into this one (same CFD, different
@@ -86,12 +162,10 @@ impl ViolationSet {
     pub fn viopi_relation(&self, cfd: &SimpleCfd) -> Relation {
         let schema = cfd.schema.clone();
         let mut rel = Relation::with_capacity(schema.clone(), self.patterns.len());
-        let mut sorted: Vec<&Vec<Value>> = self.patterns.iter().collect();
-        sorted.sort();
-        for key in sorted {
+        for key in self.patterns() {
             let mut row = vec![Value::Null; schema.arity()];
             for (&a, v) in cfd.lhs.iter().zip(key) {
-                row[a.index()] = v.clone();
+                row[a.index()] = v;
             }
             rel.push(row).expect("null-padded row matches schema");
         }
@@ -121,12 +195,12 @@ pub struct ViolationReport {
 }
 
 impl ViolationReport {
-    /// Union of all violating tuple ids: `Vio(Σ, D)`.
-    pub fn all_tids(&self) -> FxHashSet<TupleId> {
-        let mut out = FxHashSet::default();
-        for (_, v) in &self.per_cfd {
-            out.extend(v.tids.iter().copied());
-        }
+    /// Union of all violating tuple ids, `Vio(Σ, D)`, in ascending order.
+    pub fn all_tids(&self) -> Vec<TupleId> {
+        let mut out: Vec<TupleId> =
+            self.per_cfd.iter().flat_map(|(_, v)| v.tids.iter().copied()).collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -270,7 +344,7 @@ pub fn detect_constants_rows_with(
     held.resolve(&lhs, start..end, judge, |r, held| {
         if held != WILDCARD_CODE && rhs[r] != held {
             flagged_keys.insert(CodeKey::of_row(&lhs, r));
-            out.tids.insert(tids[r]);
+            out.insert(tids[r]);
         }
     });
     let decode = |key: CodeKey| rel.decode_projection(&cfd.lhs, &key.codes(cfd.lhs.len()));
@@ -351,9 +425,7 @@ pub(crate) mod tests {
     }
 
     fn tids(v: &ViolationSet) -> Vec<u64> {
-        let mut ids: Vec<u64> = v.tids.iter().map(|t| t.0).collect();
-        ids.sort();
-        ids
+        v.tids().iter().map(|t| t.0).collect()
     }
 
     /// φ1: cfd1 + cfd2 of the paper. Violations: t2–t5 (UK zip EH4 8LE
@@ -368,9 +440,9 @@ pub(crate) mod tests {
         let v = detect(&rel, &phi1);
         // Row ids are 0-based: tuples t2..t5 are rows 1..4; t8,t9 are rows 7,8.
         assert_eq!(tids(&v), vec![1, 2, 3, 4, 7, 8]);
-        assert_eq!(v.patterns.len(), 2);
-        assert!(v.patterns.contains(&vals![44, "EH4 8LE"]));
-        assert!(v.patterns.contains(&vals![31, "1012 WR"]));
+        assert_eq!(v.pattern_count(), 2);
+        assert!(v.contains_pattern(&[Value::from(44), Value::from("EH4 8LE")]));
+        assert!(v.contains_pattern(&[Value::from(31), Value::from("1012 WR")]));
     }
 
     /// φ2 = cfd3 (the FD) is satisfied by D0.
@@ -426,8 +498,7 @@ pub(crate) mod tests {
             parse_cfd(&s, "cfd5", "([CC=1, AC=908] -> [city=MH])").unwrap(),
         ];
         let report = detect_set(&rel, &sigma);
-        let mut all: Vec<u64> = report.all_tids().iter().map(|t| t.0).collect();
-        all.sort();
+        let all: Vec<u64> = report.all_tids().iter().map(|t| t.0).collect();
         // t2..t6 are rows 1..5; t8, t9 are rows 7, 8.
         assert_eq!(all, vec![1, 2, 3, 4, 5, 7, 8]);
     }
@@ -449,8 +520,8 @@ pub(crate) mod tests {
         rel.push(vals![1, "x", "MTS", 44, 131, 1, "st", "NYC", "z", "80k"]).unwrap();
         let cfd4 = parse_cfd(&s, "cfd4", "([CC=44, AC=131] -> [city=EDI])").unwrap();
         let v = detect(&rel, &cfd4);
-        assert_eq!(v.tids.len(), 1);
-        assert_eq!(v.patterns.len(), 1);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v.pattern_count(), 1);
     }
 
     /// K+1 duplicate-key example of §II-C: Vio grows with K but Vioπ
@@ -465,8 +536,8 @@ pub(crate) mod tests {
         }
         let phi2 = parse_cfd(&s, "phi2", "([CC, title] -> [salary])").unwrap();
         let v = detect(&rel, &phi2);
-        assert_eq!(v.tids.len(), 6);
-        assert_eq!(v.patterns.len(), 1);
+        assert_eq!(v.len(), 6);
+        assert_eq!(v.pattern_count(), 1);
     }
 
     #[test]
@@ -518,10 +589,14 @@ pub(crate) mod tests {
     }
 
     fn set_of(tids: impl IntoIterator<Item = u64>, keys: &[i64]) -> ViolationSet {
-        ViolationSet {
-            tids: tids.into_iter().map(TupleId).collect(),
-            patterns: keys.iter().map(|&k| vals![k]).collect(),
+        let mut set = ViolationSet::default();
+        for id in tids {
+            set.insert(TupleId(id));
         }
+        for &k in keys {
+            set.insert_pattern(vals![k]);
+        }
+        set
     }
 
     #[test]
@@ -531,13 +606,12 @@ pub(crate) mod tests {
         let union = set_of(0..40, &[1, 2, 3, 4]);
         for (mut into, from) in [(small.clone(), large.clone()), (large, small)] {
             into.merge(from);
-            assert_eq!(into.tids, union.tids);
-            assert_eq!(into.patterns, union.patterns);
+            assert_eq!(into, union);
         }
         // Into the empty entry every round starts from: the set itself.
         let mut entry = ViolationSet::default();
         entry.merge(union.clone());
-        assert_eq!((entry.tids, entry.patterns), (union.tids, union.patterns));
+        assert_eq!(entry, union);
     }
 
     #[test]
@@ -552,8 +626,38 @@ pub(crate) mod tests {
             part(5..9, &[2, 3]),
         ]);
         let want = set_of(0..9, &[1, 2, 3]);
-        assert_eq!((built.tids, built.patterns), (want.tids, want.patterns));
+        assert_eq!(built, want);
         assert!(ViolationSet::from_disjoint(Vec::new()).is_empty());
+
+        // The same set filled in other orders, through every way in: one
+        // `Flagged` backwards, merges of the parts the other way round,
+        // one insert at a time out of order.
+        let backwards = part(0..9, &[3, 2, 1]);
+        let backwards = Flagged { tids: backwards.tids.into_iter().rev().collect(), ..backwards };
+        let mut merged = ViolationSet::from(part(5..9, &[3, 2]));
+        merged.merge(ViolationSet::from(part(0..5, &[1])));
+        let mut one_by_one = set_of([8, 0, 4, 2, 6, 1, 7, 3, 5], &[2, 3, 1]);
+        assert!(one_by_one.insert(TupleId(9)) && !one_by_one.insert(TupleId(9)));
+        assert!(one_by_one.insert_pattern(vals![4]) && !one_by_one.insert_pattern(vals![4]));
+        assert!(one_by_one.remove(TupleId(9)) && !one_by_one.remove(TupleId(9)));
+        let four = [Value::from(4)];
+        assert!(one_by_one.remove_pattern(&four) && !one_by_one.remove_pattern(&four));
+        let ids: Vec<TupleId> = (0..9).map(TupleId).collect();
+        let keys: Vec<Vec<Value>> = [1, 2, 3].iter().map(|&k| vals![k]).collect();
+        for set in [built, ViolationSet::from(backwards), merged, one_by_one] {
+            assert_eq!(set, want);
+            assert_eq!((set.len(), set.tids()), (ids.len(), ids.clone()));
+            assert_eq!((set.pattern_count(), set.patterns()), (keys.len(), keys.clone()));
+            assert!(ids.iter().all(|&id| set.contains(id)) && !set.contains(TupleId(9)));
+            assert!(keys.iter().all(|k| set.contains_pattern(k)));
+            assert!(!set.contains_pattern(&four));
+        }
+        // Across CFDs: each id once, ascending, whichever set holds it.
+        let report = ViolationReport {
+            per_cfd: vec![("b".into(), set_of(5..9, &[])), ("a".into(), set_of([4, 0, 6], &[]))],
+        };
+        let all: Vec<u64> = report.all_tids().iter().map(|t| t.0).collect();
+        assert_eq!(all, [0, 4, 5, 6, 7, 8]);
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Hitting set: the source problem of Theorem 8.
+//! Hitting set: the source problem of Theorem 8, solved as the set cover
+//! of its transposed instance.
+
+use crate::setcover::SetCoverInstance;
 
 /// An instance of hitting set: elements `{0, …, n_elements-1}` and a
 /// collection of sets; a hitting set contains at least one element of
@@ -27,80 +30,32 @@ impl HittingSetInstance {
         self.sets.iter().all(|s| s.iter().any(|e| chosen.contains(e)))
     }
 
+    /// The same instance as a set cover: the universe is the sets, and
+    /// element `e` becomes the subset of the sets that contain it, so a
+    /// hitting set is a cover, element for subset.
+    fn transposed(&self) -> SetCoverInstance {
+        let mut holders = vec![Vec::new(); self.n_elements];
+        for (si, s) in self.sets.iter().enumerate() {
+            for &e in s {
+                if holders[e].last() != Some(&si) {
+                    holders[e].push(si);
+                }
+            }
+        }
+        SetCoverInstance::new(self.sets.len(), holders)
+    }
+
     /// Greedy hitting set: repeatedly pick the element occurring in the
-    /// most un-hit sets (ties: smallest element).
+    /// most un-hit sets (ties: smallest element) — the greedy cover of
+    /// the transposed instance. `None` if some set is empty.
     pub fn greedy_hitting(&self) -> Option<Vec<usize>> {
-        let mut hit = vec![false; self.sets.len()];
-        let mut chosen = Vec::new();
-        while hit.iter().any(|&h| !h) {
-            let mut counts = vec![0usize; self.n_elements];
-            for (si, s) in self.sets.iter().enumerate() {
-                if !hit[si] {
-                    for &e in s {
-                        counts[e] += 1;
-                    }
-                }
-            }
-            let (best, &cnt) =
-                counts.iter().enumerate().max_by_key(|(i, &c)| (c, self.n_elements - i))?;
-            if cnt == 0 {
-                return None; // an empty set can never be hit
-            }
-            chosen.push(best);
-            for (si, s) in self.sets.iter().enumerate() {
-                if s.contains(&best) {
-                    hit[si] = true;
-                }
-            }
-        }
-        Some(chosen)
+        self.transposed().greedy_cover()
     }
 
-    /// Exact minimum hitting set by branch and bound over elements
-    /// (`n_elements ≤ 63`).
+    /// Exact minimum hitting set: the exact cover of the transposed
+    /// instance (at most 63 sets). `None` if some set is empty.
     pub fn exact_hitting(&self) -> Option<Vec<usize>> {
-        assert!(self.n_elements <= 63, "exact solver is for small instances");
-        if self.sets.iter().any(Vec::is_empty) {
-            return None;
-        }
-        let mut best = self.greedy_hitting();
-        let mut stack = Vec::new();
-        self.dfs(0, &mut vec![false; self.sets.len()], &mut stack, &mut best);
-        best
-    }
-
-    fn dfs(
-        &self,
-        next_set: usize,
-        hit: &mut Vec<bool>,
-        stack: &mut Vec<usize>,
-        best: &mut Option<Vec<usize>>,
-    ) {
-        // Find the first un-hit set.
-        let Some(si) = (next_set..self.sets.len()).find(|&i| !hit[i]) else {
-            if best.as_ref().is_none_or(|b| stack.len() < b.len()) {
-                *best = Some(stack.clone());
-            }
-            return;
-        };
-        if best.as_ref().is_some_and(|b| stack.len() + 1 >= b.len()) {
-            return; // even one more element cannot beat the incumbent
-        }
-        // Branch on each element of that set.
-        let candidates = self.sets[si].clone();
-        for e in candidates {
-            let flipped: Vec<usize> =
-                (0..self.sets.len()).filter(|&i| !hit[i] && self.sets[i].contains(&e)).collect();
-            for &i in &flipped {
-                hit[i] = true;
-            }
-            stack.push(e);
-            self.dfs(si + 1, hit, stack, best);
-            stack.pop();
-            for &i in &flipped {
-                hit[i] = false;
-            }
-        }
+        self.transposed().exact_cover()
     }
 
     /// Size of the minimum hitting set, if one exists.

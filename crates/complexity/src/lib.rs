@@ -7,8 +7,9 @@
 //! (Theorems 1–4) and *hitting set* (Theorem 8). This crate makes those
 //! artifacts runnable:
 //!
-//! * [`setcover`] / [`hitting`] — the source problems, with exact
-//!   (branch-and-bound) and greedy solvers,
+//! * [`setcover`] / [`hitting`] — the source problems; set cover has
+//!   the exact (branch-and-bound) and greedy solvers, and a hitting set
+//!   is solved as the cover of its transposed instance,
 //! * [`reductions`] — the constructions of Theorem 1 (minimum-shipment
 //!   horizontal detection) and Theorem 8 (minimum refinement), built as
 //!   real schemas/partitions/CFD sets so tests can check the

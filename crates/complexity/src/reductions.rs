@@ -211,7 +211,7 @@ impl MhdInstance {
         for cfd in &simples {
             // Global Vioπ.
             let all: Vec<&Tuple> = fragments.iter().flatten().collect();
-            let global = oracle::vio(&all, cfd).patterns;
+            let global = oracle::vio(&all, cfd).patterns();
             // Union of local Vioπ after shipment.
             let mut local = ViolationSet::default();
             for (i, frag) in fragments.iter().enumerate() {
@@ -221,7 +221,7 @@ impl MhdInstance {
                 }
                 local.merge(oracle::vio(&tuples, cfd));
             }
-            if local.patterns != global {
+            if local.patterns() != global {
                 return false;
             }
         }

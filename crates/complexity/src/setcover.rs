@@ -1,4 +1,5 @@
-//! Minimum set cover: the source problem of Theorems 1–4.
+//! Minimum set cover: the source problem of Theorems 1–4, and through
+//! [`HittingSetInstance`](crate::HittingSetInstance) the solver of Theorem 8 too.
 
 /// An instance of minimum set cover: a universe `{0, …, universe-1}` and
 /// a collection of subsets. The decision problem asks for a subcollection

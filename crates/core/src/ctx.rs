@@ -231,7 +231,7 @@ impl RunCtx {
         trace: RunTrace,
     ) -> Detection {
         let tuples = violations.distinct_tids();
-        let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
+        let patterns: usize = violations.per_cfd.iter().map(|(_, v)| v.pattern_count()).sum();
         let response_time = self.clocks.response_time();
         self.ledger.record(&mut metrics);
         let help = "Distinct violating tuples across all CFDs";

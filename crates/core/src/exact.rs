@@ -12,9 +12,9 @@
 //! `D'_i = Di ∪ M(i)`. Since shipped tuples are genuine tuples of `D`,
 //! `⊆` always holds; the search tests `⊇`.
 
-use dcd_cfd::{oracle, SimpleCfd};
+use dcd_cfd::{oracle, SimpleCfd, ViolationSet};
 use dcd_dist::HorizontalPartition;
-use dcd_relation::{FxHashSet, Tuple, Value};
+use dcd_relation::{Tuple, Value};
 
 /// Hard limits for the exhaustive search: `(destinations)^(relevant
 /// tuples)` assignments are enumerated, so both must stay tiny.
@@ -46,8 +46,8 @@ pub fn min_shipment_exhaustive(
 
     // Ground truth Vioπ per CFD over the whole relation.
     let all_tuples: Vec<&Tuple> = fragments.iter().flatten().collect();
-    let global: Vec<FxHashSet<Vec<Value>>> =
-        variable.iter().map(|c| oracle::vio(&all_tuples, c).patterns).collect();
+    let global: Vec<Vec<Vec<Value>>> =
+        variable.iter().map(|c| oracle::vio(&all_tuples, c).patterns()).collect();
 
     // Relevant tuples: those matching some variable pattern.
     let mut relevant: Vec<(usize, &Tuple)> = Vec::new(); // (home site, tuple)
@@ -101,13 +101,13 @@ pub fn min_shipment_exhaustive(
             // Build D'_i and test local checkability.
             let mut ok = true;
             'cfds: for (ci, cfd) in variable.iter().enumerate() {
-                let mut union: FxHashSet<Vec<Value>> = FxHashSet::default();
+                let mut union = ViolationSet::default();
                 for (i, frag) in fragments.iter().enumerate() {
                     let mut local: Vec<&Tuple> = frag.iter().collect();
                     local.extend(shipments.iter().filter(|(d, _)| *d == i).map(|(_, t)| *t));
-                    union.extend(oracle::vio(&local, cfd).patterns);
+                    union.merge(oracle::vio(&local, cfd));
                 }
-                if union != global[ci] {
+                if union.patterns() != global[ci] {
                     ok = false;
                     break 'cfds;
                 }

@@ -150,7 +150,7 @@ mod tests {
             CoordinatorStrategy::MinShipment,
             &RunConfig::default(),
         );
-        assert_eq!(d.violations.all_tids(), global.tids);
+        assert_eq!(d.violations.all_tids(), global.tids());
         // Only the intra-cell column shipment remains; no horizontal
         // shipping with one cell.
         assert_eq!(d.shipped_tuples, rel.len());
@@ -169,7 +169,7 @@ mod tests {
             CoordinatorStrategy::MinShipment,
             &RunConfig::default(),
         );
-        assert_eq!(d.violations.all_tids(), global.tids);
+        assert_eq!(d.violations.all_tids(), global.tids());
         // Shipment comes only from the horizontal phase: at most the
         // matching tuples of the smaller cell.
         assert!(d.shipped_tuples <= rel.len() / 2 + 1);
@@ -188,7 +188,7 @@ mod tests {
         ] {
             let d =
                 run_hybrid(&partition, std::slice::from_ref(&cfd), strategy, &RunConfig::default());
-            assert_eq!(d.violations.all_tids(), global.tids, "{strategy:?}");
+            assert_eq!(d.violations.all_tids(), global.tids(), "{strategy:?}");
         }
     }
 }

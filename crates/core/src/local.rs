@@ -190,8 +190,7 @@ mod tests {
             merged.merge(check_constants_range(f, &constants, 0, f.data.len()));
         }
         let global = dcd_cfd::detect_simple(&r, &simple);
-        assert_eq!(merged.tids, global.tids);
-        assert_eq!(merged.patterns, global.patterns);
+        assert_eq!(merged, global);
     }
 
     /// Constant CFDs that partly share `(X, A)` and partly do not: two
@@ -247,15 +246,13 @@ mod tests {
                 for nc in &constants {
                     let alone = check_constants_range(f, std::slice::from_ref(nc), 0, f.data.len());
                     let def = definition(f, nc);
-                    assert_eq!(alone.tids, def.tids, "{} Vio", nc.origin);
-                    assert_eq!(alone.patterns, def.patterns, "{} Vioπ", nc.origin);
+                    assert_eq!(alone, def, "{} Vio, Vioπ", nc.origin);
                     want.merge(def);
                 }
                 let compiled = compile_constants(f, &constants);
                 let fused = check_constants_range_with(f, &compiled, 0, f.data.len());
-                assert_eq!(fused.tids, want.tids);
-                assert_eq!(fused.patterns, want.patterns);
-                flagged += fused.tids.len();
+                assert_eq!(fused, want);
+                flagged += fused.len();
             }
         }
         assert!(flagged > 0, "fixture should contain violations");
@@ -270,8 +267,7 @@ mod tests {
                 for split in 0..=f.data.len() {
                     let mut merged = check_constants_range(f, &constants, 0, split);
                     merged.merge(check_constants_range(f, &constants, split, f.data.len()));
-                    assert_eq!(merged.tids, whole.tids, "split at {split}");
-                    assert_eq!(merged.patterns, whole.patterns, "split at {split}");
+                    assert_eq!(merged, whole, "split at {split}");
                 }
             }
         }
@@ -299,7 +295,7 @@ mod tests {
                 merged.merge(check_constants_range(f, &constants, 0, f.data.len()));
             }
             let global = dcd_cfd::detect_simple(&r, &simple);
-            assert_eq!(merged.tids, global.tids, "partition changed the result");
+            assert_eq!(merged.tids(), global.tids(), "partition changed the result");
         }
     }
 }

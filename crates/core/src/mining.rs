@@ -391,7 +391,7 @@ mod tests {
         );
         let orig = dcd_cfd::detect_simple(&rel, &simple);
         let refined = dcd_cfd::detect_simple(&rel, &out.cfd);
-        assert_eq!(orig.tids, refined.tids);
+        assert_eq!(orig.tids(), refined.tids());
     }
 
     #[test]
@@ -432,7 +432,7 @@ mod tests {
         }
         let orig = dcd_cfd::detect_simple(&rel, &simple);
         let refined = dcd_cfd::detect_simple(&rel, &out.cfd);
-        assert_eq!(orig.tids, refined.tids);
+        assert_eq!(orig.tids(), refined.tids());
     }
 
     #[test]

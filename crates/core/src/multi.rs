@@ -443,7 +443,7 @@ mod tests {
             for (name, vs) in &global.per_cfd {
                 let (_, got) =
                     d.violations.per_cfd.iter().find(|(n, _)| n == name).expect("cfd present");
-                assert_eq!(&got.tids, &vs.tids, "{} / {}", d.algorithm, name);
+                assert_eq!(&got.tids(), &vs.tids(), "{} / {}", d.algorithm, name);
             }
         }
     }

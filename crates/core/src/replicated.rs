@@ -96,7 +96,7 @@ mod tests {
         for r in 1..=4 {
             let replicated = ReplicatedPartition::chained(base.clone(), r).unwrap();
             let d = run_replicated(&replicated, std::slice::from_ref(&cfd), &cfg);
-            assert_eq!(d.violations.all_tids(), global.tids, "r = {r}");
+            assert_eq!(d.violations.all_tids(), global.tids(), "r = {r}");
             assert!(
                 d.shipped_tuples <= last,
                 "shipment must not grow with replication: r={r}, {} > {last}",
@@ -117,7 +117,7 @@ mod tests {
         let d = run_replicated(&replicated, std::slice::from_ref(&cfd), &RunConfig::default());
         assert_eq!(d.shipped_tuples, 0);
         let global = dcd_cfd::detect(&rel, &cfd);
-        assert_eq!(d.violations.all_tids(), global.tids);
+        assert_eq!(d.violations.all_tids(), global.tids());
     }
 
     #[test]

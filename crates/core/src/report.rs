@@ -88,13 +88,13 @@ impl fmt::Display for Detection {
     /// (15 cells, 60 B), 12 control msgs (192 B), response 0.0041s` —
     /// violating tuples are distinct across CFDs, patterns are summed.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let patterns: usize = self.violations.per_cfd.iter().map(|(_, v)| v.patterns.len()).sum();
+        let patterns: usize = self.violations.per_cfd.iter().map(|(_, v)| v.pattern_count()).sum();
         write!(
             f,
             "{}: {} violating tuples ({} patterns), shipped {} tuples ({} cells, {} B), \
              {} control msgs ({} B), response {:.4}s",
             self.algorithm,
-            self.violations.all_tids().len(),
+            self.violations.distinct_tids(),
             patterns,
             self.shipped_tuples,
             self.shipped_cells,
@@ -116,12 +116,12 @@ mod tests {
         use dcd_relation::{TupleId, Value};
         let mut report = ViolationReport::default();
         let mut a = ViolationSet::default();
-        a.tids.insert(TupleId(1));
-        a.tids.insert(TupleId(2));
-        a.patterns.insert(vec![Value::Int(1)]);
+        a.insert(TupleId(1));
+        a.insert(TupleId(2));
+        a.insert_pattern(vec![Value::Int(1)]);
         let mut b = ViolationSet::default();
-        b.tids.insert(TupleId(2));
-        b.patterns.insert(vec![Value::Int(1)]);
+        b.insert(TupleId(2));
+        b.insert_pattern(vec![Value::Int(1)]);
         report.absorb("a", a);
         report.absorb("b", b);
         let d = Detection {

@@ -215,12 +215,15 @@ pub(crate) fn pattern_rows(parts: &[SigmaPartition], l: usize) -> usize {
 /// only violating group keys are decoded.
 ///
 /// Each coordinator's pool task builds its host copy of the wire itself
-/// (Lemma 6: a σ-block is validated on its own). A per-pattern
-/// coordinator builds one block's rows (`Relation::code_rows` over every
-/// fragment's block, in fragment order), validates them and drops them
-/// before the next block, so a round holds its σ-blocks plus one block
-/// per running task; `CTRDETECT`'s one query keeps its coordinator's
-/// rows together.
+/// (Lemma 6: a σ-block is validated on its own). Whatever the strategy,
+/// a coordinator builds one block's rows (`Relation::code_rows` over
+/// every fragment's block, in fragment order), validates them and drops
+/// them before the next block, so a round holds its σ-blocks plus one
+/// block per running task. A σ-block holds whole LHS groups and the
+/// variable tableau's RHS is `_`, so block by block forms the groups,
+/// verdicts and probes one query over all of them would. Only the
+/// charge follows the strategy: `CTRDETECT` prices its coordinator's one
+/// query over every row it gathered, the others one query per block.
 fn ship_and_validate(
     ctx: &mut RunCtx,
     fragments: &[Fragment],
@@ -239,43 +242,33 @@ fn ship_and_validate(
     let resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
     ship_phase(ctx, name, fragments, parts, assignment, attrs.len(), holds);
 
-    // Appends pattern `l`'s wire rows, fragment by fragment.
-    let build = |l: usize, rows: &mut Vec<CodeRow>| {
-        for (frag, part) in fragments.iter().zip(parts) {
-            let block = &part.blocks[l];
-            if !block.is_empty() {
-                rows.extend(frag.data.code_rows(&attrs, block));
-            }
-        }
-    };
     let validated = ctx.phase(&format!("validate:{name}"), |p| {
         let per_site = scoped_map(cfg.threads, 0..n, |c| {
             let mine = patterns_at(assignment, SiteId(c as u32));
             // A site that coordinates no pattern validates nothing.
             mine.clone().next()?;
-            Some(if central {
-                // One detection query over everything gathered.
-                let mut rows =
-                    Vec::with_capacity(mine.clone().map(|l| pattern_rows(parts, l)).sum());
-                for l in mine {
-                    build(l, &mut rows);
-                }
-                let (vs, tally) = resolved.detect_among(&rows);
-                (cfg.cost.check_time(rows.len()), vs, tally)
+            let block_rows = mine.clone().map(|l| pattern_rows(parts, l));
+            let secs = if central {
+                cfg.cost.check_time(block_rows.sum())
             } else {
-                // One detection query per pattern block, on its rows alone.
-                let secs = mine.clone().map(|l| cfg.cost.check_time(pattern_rows(parts, l))).sum();
-                let mut vs = ViolationSet::default();
-                let mut tally = KernelTally::default();
-                for l in mine {
-                    let mut rows = Vec::with_capacity(pattern_rows(parts, l));
-                    build(l, &mut rows);
-                    let (found, counted) = resolved.detect_pattern_block(rows.iter(), l);
-                    vs.merge(found);
-                    tally += counted;
+                block_rows.map(|rows| cfg.cost.check_time(rows)).sum()
+            };
+            let mut vs = ViolationSet::default();
+            let mut tally = KernelTally::default();
+            for l in mine {
+                // Pattern `l`'s wire rows, fragment by fragment.
+                let mut rows: Vec<CodeRow> = Vec::with_capacity(pattern_rows(parts, l));
+                for (frag, part) in fragments.iter().zip(parts) {
+                    let block = &part.blocks[l];
+                    if !block.is_empty() {
+                        rows.extend(frag.data.code_rows(&attrs, block));
+                    }
                 }
-                (secs, vs, tally)
-            })
+                let (found, counted) = resolved.detect_pattern_block(rows.iter(), l);
+                vs.merge(found);
+                tally += counted;
+            }
+            Some((secs, vs, tally))
         });
         // The kernel families exist from the round on, at zero if no
         // coordinator validated anything.
@@ -586,8 +579,7 @@ mod tests {
         for strategy in STRATEGIES {
             let d = one_round(&partition, &simple, strategy, RunConfig::default());
             let (_, vs) = &d.violations.per_cfd[0];
-            assert_eq!(vs.tids, global.tids, "{strategy:?}");
-            assert_eq!(vs.patterns, global.patterns, "{strategy:?}");
+            assert_eq!(vs, &global, "{strategy:?}");
             assert!(d.paper_cost >= 0.0);
             assert!(d.response_time > 0.0);
         }
@@ -633,7 +625,7 @@ mod tests {
         assert_eq!(d.shipped_tuples, 0);
         // Tuple 1 (44, z2, b) violates street=a.
         let (_, vs) = &d.violations.per_cfd[0];
-        assert_eq!(vs.tids.len(), 1);
+        assert_eq!(vs.len(), 1);
     }
 
     /// Pricing (`ship_phase`) and building (the coordinators' tasks) are
@@ -727,14 +719,14 @@ mod tests {
         let rel = sample(60);
         let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        assert!(!global.tids.is_empty(), "fixture should contain violations");
+        assert!(!global.is_empty(), "fixture should contain violations");
         let partition = HorizontalPartition::round_robin(&rel, 4).unwrap();
         let cfg = RunConfig::default();
         for strategy in STRATEGIES {
             let d = run_batch(&partition, &cfd.simplify(), strategy, &cfg);
             let name = strategy.algorithm_name();
-            assert_eq!(d.violations.all_tids(), global.tids, "{name}");
-            assert_eq!(d.violations.per_cfd[0].1.patterns, global.patterns, "{name}");
+            assert_eq!(d.violations.all_tids(), global.tids(), "{name}");
+            assert_eq!(d.violations.per_cfd[0].1.patterns(), global.patterns(), "{name}");
         }
     }
 
@@ -801,7 +793,7 @@ mod tests {
         for strategy in STRATEGIES {
             let d = run_batch(&partition, &cfd.simplify(), strategy, &RunConfig::default());
             assert_eq!(d.shipped_tuples, 0, "{}", strategy.algorithm_name());
-            assert_eq!(d.violations.all_tids(), global.tids);
+            assert_eq!(d.violations.all_tids(), global.tids());
         }
     }
 }

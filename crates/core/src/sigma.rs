@@ -319,11 +319,9 @@ mod tests {
         }
         let decoded: Vec<dcd_relation::Tuple> = rel.iter().collect();
         let global = dcd_cfd::oracle::vio(&decoded.iter().collect::<Vec<_>>(), &simple);
-        assert_eq!(merged.tids, global.tids);
-        assert_eq!(merged.patterns, global.patterns);
+        assert_eq!(merged, global);
         let columnar = dcd_cfd::detect_simple(&rel, &simple);
-        assert_eq!(columnar.tids, global.tids);
-        assert_eq!(columnar.patterns, global.patterns);
+        assert_eq!(columnar, global);
     }
 
     #[test]

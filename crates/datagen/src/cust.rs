@@ -226,7 +226,7 @@ mod tests {
         assert!(n > 0);
         let cfds = cust_cfds(dirty.schema());
         let v = dcd_cfd::detect(&dirty, &cfds[0]);
-        assert!(!v.tids.is_empty(), "street errors must violate the zip→street CFD");
+        assert!(!v.is_empty(), "street errors must violate the zip→street CFD");
     }
 
     #[test]

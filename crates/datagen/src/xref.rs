@@ -279,7 +279,7 @@ mod tests {
         let (dirty, _) = inject_errors(&rel, "source", 0.03, 11);
         let cfd = xref_main_cfd(rel.schema(), &cfg.organisms).to_cfd();
         let v = dcd_cfd::detect(&dirty, &cfd);
-        assert!(!v.tids.is_empty());
+        assert!(!v.is_empty());
     }
 
     #[test]

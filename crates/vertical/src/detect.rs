@@ -201,10 +201,10 @@ mod tests {
         let p = partition(&rel);
         let cfd = parse_cfd(rel.schema(), "phi1", "([CC=44, zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        assert!(!global.tids.is_empty());
+        assert!(!global.is_empty());
         let (out, locally_checked) = vdetect(&p, std::slice::from_ref(&cfd));
         let (_, vs) = &out.violations.per_cfd[0];
-        assert_eq!(vs.tids, global.tids);
+        assert_eq!(vs.tids(), global.tids());
         assert!(out.shipped_tuples > 0, "must ship");
         assert_eq!(locally_checked, 0);
     }
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(out.shipped_tuples, 0);
         assert_eq!(locally_checked, 1);
         let (_, vs) = &out.violations.per_cfd[0];
-        assert_eq!(vs.tids, global.tids);
+        assert_eq!(vs.tids(), global.tids());
     }
 
     #[test]
@@ -230,7 +230,7 @@ mod tests {
         // CC=31 matches one tuple only; the CC fragment pre-filters.
         let cfd = parse_cfd(rel.schema(), "phi", "([CC=31, zip] -> [street])").unwrap();
         let (out, _) = vdetect(&p, std::slice::from_ref(&cfd));
-        assert_eq!(out.violations.all_tids(), dcd_cfd::detect(&rel, &cfd).tids);
+        assert_eq!(out.violations.all_tids(), dcd_cfd::detect(&rel, &cfd).tids());
         assert_eq!(out.shipped_tuples, 1, "only the CC=31 row travels");
     }
 
@@ -256,10 +256,10 @@ mod tests {
         // CC, title → salary touches all three fragments.
         let cfd = parse_cfd(rel.schema(), "phi2", "([CC, title] -> [salary])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        assert!(!global.tids.is_empty());
+        assert!(!global.is_empty());
         let (out, _) = vdetect(&p, std::slice::from_ref(&cfd));
         let (_, vs) = &out.violations.per_cfd[0];
-        assert_eq!(vs.tids, global.tids);
+        assert_eq!(vs.tids(), global.tids());
         assert!(out.response_time > 0.0);
     }
 

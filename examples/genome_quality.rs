@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-CFD violation patterns (Vioπ): what a data steward would read.
     println!("\nVioπ sizes per rule (distinct offending LHS patterns):");
     for (name, vs) in &clust.violations.per_cfd {
-        println!("  {:<14} {:>6} patterns / {:>6} tuples", name, vs.patterns.len(), vs.tids.len());
+        println!("  {:<14} {:>6} patterns / {:>6} tuples", name, vs.pattern_count(), vs.len());
     }
     Ok(())
 }

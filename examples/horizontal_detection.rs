@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .run();
         println!("{d}");
         // Sanity: every algorithm agrees with the centralized baseline.
-        assert_eq!(d.violations.all_tids(), baseline.tids);
+        assert_eq!(d.violations.all_tids(), baseline.tids());
     }
     println!("\nall distributed results equal the centralized baseline ✓");
 

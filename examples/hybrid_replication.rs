@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "CUST: {} tuples, {} violating tuples under ([CC, zip] -> [street])\n",
         dirty.len(),
-        baseline.tids.len()
+        baseline.len()
     );
 
     // --- Hybrid fragmentation: 4 horizontal cells × 2 vertical groups. ---
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DetectRequest::over(hybrid).cfd(cfd.clone()).algorithm(Algorithm::PatDetectS).plan()?.run();
     println!("{d}");
     println!("(columns gathered per cell as code rows, then σ-blocks shipped across cells)");
-    assert_eq!(d.violations.all_tids(), baseline.tids);
+    assert_eq!(d.violations.all_tids(), baseline.tids());
 
     // --- Replication: chained declustering at increasing factors. ---
     println!("\n== Replicated fragments (chained declustering, 4 sites) ==");
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let replicated = ReplicatedPartition::chained(horizontal.clone(), r)?;
         let d = DetectRequest::over(replicated).cfd(cfd.clone()).plan()?.run();
         println!("factor {r}: {d}");
-        assert_eq!(d.violations.all_tids(), baseline.tids);
+        assert_eq!(d.violations.all_tids(), baseline.tids());
     }
     println!("\nreplication trades storage for traffic: factor n ⇒ zero shipment ✓");
     Ok(())

@@ -86,8 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, vs) in &global.per_cfd {
         let report = session.report();
         let (_, got) = report.per_cfd.iter().find(|(n, _)| n == name).expect("entry");
-        assert_eq!(&got.tids, &vs.tids, "{name}");
-        assert_eq!(&got.patterns, &vs.patterns, "{name}");
+        assert_eq!(got, vs, "{name}");
     }
     println!("\nmaintained report equals full re-detection on the materialized state ✓");
     Ok(())

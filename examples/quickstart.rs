@@ -55,12 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Centralized detection on D0 ==");
     let report = detect_set(&d0, &sigma);
     for (name, vs) in &report.per_cfd {
-        let mut ids: Vec<u64> = vs.tids.iter().map(|t| t.0 + 1).collect();
-        ids.sort();
+        let ids: Vec<u64> = vs.tids().iter().map(|t| t.0 + 1).collect();
         println!("  {name}: violating tuples {ids:?}");
     }
-    let mut all: Vec<u64> = report.all_tids().iter().map(|t| t.0 + 1).collect();
-    all.sort();
+    let all: Vec<u64> = report.all_tids().iter().map(|t| t.0 + 1).collect();
     println!("  Vio(Σ, D0) = t{all:?}  (the paper: t2–t6, t8, t9)\n");
 
     // --- Fragment like Fig. 1(b): by title, three sites. ---

@@ -497,11 +497,11 @@ mod tests {
         let rel = sample(60);
         let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
         let global = dcd_cfd::detect(&rel, &cfd);
-        assert!(!global.tids.is_empty());
+        assert!(!global.is_empty());
         for topology in every_topology(&rel) {
             let label = format!("{topology:?}");
             let d = DetectRequest::over(topology).cfd(cfd.clone()).plan().unwrap().run();
-            assert_eq!(d.violations.all_tids(), global.tids, "{}", &label[..30.min(label.len())]);
+            assert_eq!(d.violations.all_tids(), global.tids(), "{}", &label[..30.min(label.len())]);
         }
     }
 
@@ -543,7 +543,7 @@ mod tests {
         session.apply_batch(&batch).unwrap();
         let rel_now = session.materialize().unwrap();
         let global = dcd_cfd::detect(&rel_now, &cfd);
-        assert_eq!(session.report().all_tids(), global.tids);
+        assert_eq!(session.report().all_tids(), global.tids());
         assert_eq!(session.detection().algorithm, dcd_incr::ALGORITHM);
     }
 

@@ -92,10 +92,10 @@ fn slotted(rel: &Relation, attrs: &[AttrId], rows: usize) -> bool {
 /// findings: the flagged ids in the range and their keys.
 fn restricted(rel: &Relation, whole: &ViolationSet, range: std::ops::Range<usize>) -> ViolationSet {
     let mut out = ViolationSet::default();
-    for r in range.filter(|&r| whole.tids.contains(&rel.tids()[r])) {
+    for r in range.filter(|&r| whole.contains(rel.tids()[r])) {
         let row = rel.row(r);
-        out.tids.insert(rel.tids()[r]);
-        out.patterns.insert(LHS.iter().map(|&a| row.get(a).clone()).collect());
+        out.insert(rel.tids()[r]);
+        out.insert_pattern(LHS.iter().map(|&a| row.get(a).clone()).collect());
     }
     out
 }

@@ -67,7 +67,7 @@ fn mhd_reduction_checked_against_detection_machinery() {
     let all = inst.partition.reassemble().unwrap();
     let bu_fd = &inst.sigma[3];
     let v = detect(&all, bu_fd);
-    assert_eq!(v.patterns.len(), 2 * inst.m);
+    assert_eq!(v.pattern_count(), 2 * inst.m);
 }
 
 #[test]

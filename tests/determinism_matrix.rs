@@ -103,7 +103,7 @@ fn constants_sigma(s: &Arc<Schema>) -> Vec<Cfd> {
 fn recorded(label: &str, d: &Detection) -> String {
     let mut out = format!("== {label}\n");
     for (name, vs) in &d.violations.per_cfd {
-        out += &format!("vio {name} {} {}\n", vs.tids.len(), vs.patterns.len());
+        out += &format!("vio {name} {} {}\n", vs.len(), vs.pattern_count());
     }
     out += &format!(
         "shipped {} {} {} control {}\n",
@@ -141,7 +141,7 @@ fn constants_bearing_sigma_reads_the_recorded_clocks_and_metrics() {
                 .plan()
                 .map(|plan| plan.run())
                 .expect("run succeeds");
-            assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.tids.is_empty()));
+            assert!(d.violations.per_cfd.iter().any(|(n, v)| &**n == "k1" && !v.is_empty()));
             got += &recorded(&format!("{alg:?}"), &d);
         }
         assert_eq!(got, include_str!("golden/constants_detection.txt"), "grown: {grown}");

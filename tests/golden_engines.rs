@@ -127,10 +127,10 @@ fn recorded(label: &str, d: &Detection) -> String {
     for (name, vs) in &d.violations.per_cfd {
         out += &format!(
             "vio {name} {} {:#018x} {} {:#018x}\n",
-            vs.tids.len(),
-            digest(vs.tids.iter().map(|t| format!("{:020}", t.0)).collect()),
-            vs.patterns.len(),
-            digest(vs.patterns.iter().map(|p| format!("{p:?}")).collect()),
+            vs.len(),
+            digest(vs.tids().iter().map(|t| format!("{:020}", t.0)).collect()),
+            vs.pattern_count(),
+            digest(vs.patterns().iter().map(|p| format!("{p:?}")).collect()),
         );
     }
     out += &format!(

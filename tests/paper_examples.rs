@@ -79,8 +79,8 @@ fn fig1b(rel: &Relation) -> HorizontalPartition {
     .unwrap()
 }
 
-fn one_based(tids: &dcd_relation::FxHashSet<TupleId>) -> Vec<u64> {
-    let mut ids: Vec<u64> = tids.iter().map(|t| t.0 + 1).collect();
+fn one_based<'a>(tids: impl IntoIterator<Item = &'a TupleId>) -> Vec<u64> {
+    let mut ids: Vec<u64> = tids.into_iter().map(|t| t.0 + 1).collect();
     ids.sort();
     ids
 }

@@ -171,7 +171,7 @@ fn partition(rng: &mut Rng, rel: &Relation) -> HorizontalPartition {
 fn recorded(label: &str, d: &Detection) -> String {
     let mut out = format!("== {label}\n");
     for (name, vs) in &d.violations.per_cfd {
-        out += &format!("vio {name} {} {}\n", vs.tids.len(), vs.patterns.len());
+        out += &format!("vio {name} {} {}\n", vs.len(), vs.pattern_count());
     }
     out += &format!(
         "shipped {} {} {} control {} {}\n",
@@ -257,8 +257,7 @@ fn detections(
                         .iter()
                         .find(|(name, _)| **name == *simple.name)
                         .expect("an entry per CFD");
-                    assert_eq!(vs.tids, want.tids, "{label} @{threads}: Vio({})", simple.name);
-                    assert_eq!(vs.patterns, want.patterns, "{label} @{threads}: Vioπ");
+                    assert_eq!(vs, &want, "{label} @{threads}: Vio, Vioπ({})", simple.name);
                 }
                 d
             });
@@ -337,8 +336,7 @@ fn a_cluster_of_one_is_the_single_cfd_round() {
                 for ((name, got), (_, want)) in
                     one.violations.per_cfd.iter().zip(&single.violations.per_cfd)
                 {
-                    assert_eq!(got.tids, want.tids, "{label}: Vio({name})");
-                    assert_eq!(got.patterns, want.patterns, "{label}: Vioπ({name})");
+                    assert_eq!(got, want, "{label}: Vio, Vioπ({name})");
                 }
                 let ledger = |d: &Detection| {
                     let shipped = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);

@@ -101,9 +101,9 @@ proptest! {
         let cfg = RunConfig::default();
         for alg in SINGLE_CFD_ALGORITHMS {
             let d = run_on(&partition, std::slice::from_ref(&cfd), alg, &cfg);
-            prop_assert_eq!(&d.violations.all_tids(), &global.tids, "{:?}", alg);
+            prop_assert_eq!(&d.violations.all_tids(), &global.tids(), "{:?}", alg);
             let (_, vs) = d.violations.per_cfd.first().expect("entry exists even when clean");
-            prop_assert_eq!(&vs.patterns, &global.patterns, "{:?} Vioπ", alg);
+            prop_assert_eq!(&vs.patterns(), &global.patterns(), "{:?} Vioπ", alg);
         }
     }
 
@@ -145,7 +145,7 @@ proptest! {
         prop_assert_eq!(&clust.violations.all_tids(), &global.all_tids());
         for (name, vs) in &global.per_cfd {
             let (_, got) = clust.violations.per_cfd.iter().find(|(n, _)| n == name).unwrap();
-            prop_assert_eq!(&got.tids, &vs.tids, "CLUSTDETECT per-CFD {}", name);
+            prop_assert_eq!(&got.tids(), &vs.tids(), "CLUSTDETECT per-CFD {}", name);
         }
     }
 
@@ -193,10 +193,10 @@ proptest! {
         );
         let plain = detect_simple(&rel, &simple);
         let refined = detect_simple(&rel, &outcome.cfd);
-        prop_assert_eq!(&plain.tids, &refined.tids);
+        prop_assert_eq!(&plain.tids(), &refined.tids());
         // And distributed detection on the refined CFD agrees too.
         let d = run_on(&partition, &[outcome.cfd.to_cfd()], Algorithm::PatDetectS, &cfg);
-        prop_assert_eq!(&d.violations.all_tids(), &plain.tids);
+        prop_assert_eq!(&d.violations.all_tids(), &plain.tids());
     }
 
     /// The columnar detector (`detect_simple`, running on dictionary

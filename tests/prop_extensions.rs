@@ -56,7 +56,7 @@ proptest! {
         let horizontal = HorizontalPartition::round_robin(&rel, n_cells).unwrap();
         let hybrid = HybridPartition::new(&horizontal, &[&left, &right]).unwrap();
         let d = run_on(hybrid, std::slice::from_ref(&cfd), &RunConfig::default());
-        prop_assert_eq!(&d.violations.all_tids(), &global.tids);
+        prop_assert_eq!(&d.violations.all_tids(), &global.tids());
     }
 
     /// Replicated detection ≡ centralized, and shipment is antitone in
@@ -76,7 +76,7 @@ proptest! {
         for r in 1..=n_sites {
             let replicated = ReplicatedPartition::chained(base.clone(), r).unwrap();
             let d = run_on(replicated, std::slice::from_ref(&cfd), &RunConfig::default());
-            prop_assert_eq!(&d.violations.all_tids(), &global.tids, "r = {}", r);
+            prop_assert_eq!(&d.violations.all_tids(), &global.tids(), "r = {}", r);
             prop_assert!(d.shipped_tuples <= last, "r = {}", r);
             last = d.shipped_tuples;
         }

@@ -34,7 +34,7 @@ fn assert_equals_full_redetection(
         for cfd in sigma {
             let d = run_alg(alg, std::slice::from_ref(cfd));
             let full = detect(&rel, cfd);
-            prop_assert_eq!(&d.violations.all_tids(), &full.tids, "{:?}", alg);
+            prop_assert_eq!(&d.violations.all_tids(), &full.tids(), "{:?}", alg);
         }
     }
     for alg in [Algorithm::seq_detect(), Algorithm::clust_detect()] {

@@ -2,7 +2,7 @@
 //! suite: (1) `judge` and `Judgement::flags` — the one group-validation
 //! semantics every detector runs — match a naive spelling of the paper's per-group
 //! semantics on arbitrary spec lists; (2) the kernel's two call shapes
-//! (columnar `detect_simple`, code-native `ResolvedCfd::detect_among`)
+//! (columnar `detect_simple`, code-native `ResolvedCfd::detect_batch`)
 //! agree tuple-for-tuple and pattern-for-pattern with the pairwise
 //! `dcd_cfd::oracle` on random relations, and every code-native entry
 //! point returns the tally the naive semantics predicts; (3) an incrementally
@@ -17,7 +17,7 @@ use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema};
 use distributed_cfd::cfd::{detect_simple_strict, judge, oracle, Judgement, KernelTally, RhsSpec};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::{AttrId, CodeBatch, FxHashSet};
+use distributed_cfd::relation::{AttrId, CodeBatch};
 use proptest::prelude::*;
 
 /// The paper's per-group semantics, spelled out naively: a variable
@@ -107,9 +107,10 @@ proptest! {
             let row_wise = oracle::vio(&tuples, &simple);
             let attrs: Vec<AttrId> = simple.shipped_attrs();
             let indices: Vec<usize> = (0..rel.len()).collect();
-            let code_rows = rel.code_rows(&attrs, &indices);
+            let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
+            rel.gather_into(&attrs, &indices, &mut batch);
             let layout = CodeLayout::of_relation(&rel, &attrs);
-            let (code_native, _) = layout.resolve(&simple).detect_among(&code_rows);
+            let code_native = ViolationSet::from(layout.resolve(&simple).detect_batch(&batch).0);
             prop_assert_eq!(&columnar, &row_wise, "columnar vs row-wise");
             prop_assert_eq!(&columnar, &code_native, "columnar vs codes");
         }
@@ -194,9 +195,8 @@ proptest! {
     /// tableaux that mix variable and constant patterns over the same
     /// groups and under both readings: the flagged tuples, the violating
     /// keys, and — for each entry point that returns one — the tally:
-    /// `detect_among` over wire rows, `detect_batch` over the same rows
-    /// as a column batch, and `detect_pattern_block` per pattern over the
-    /// rows it matches.
+    /// `detect_batch` over the rows as a column batch, and
+    /// `detect_pattern_block` per pattern over the wire rows it matches.
     #[test]
     fn grouping_kernel_matches_naive_semantics_tallies_included(
         rows in arb_rows(1..40),
@@ -223,41 +223,38 @@ proptest! {
             .collect();
         let cfd = Cfd::with_names("mixed", schema(), &["a", "b", "c"], &["d"], patterns).unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        let sets_of = |run: &NaiveRun| {
-            let tids: FxHashSet<TupleId> = run.rows.iter().map(|&i| rel.tids()[i]).collect();
-            let keys: FxHashSet<Vec<Value>> =
-                run.keys.iter().map(|&(a, b, c)| vals![a, b, format!("c{c}")]).collect();
-            (tids, keys)
+        let set_of = |run: &NaiveRun| {
+            let mut set = ViolationSet::default();
+            for &i in &run.rows {
+                set.insert(rel.tids()[i]);
+            }
+            for &(a, b, c) in &run.keys {
+                set.insert_pattern(vals![a, b, format!("c{c}")]);
+            }
+            set
         };
 
         for strict in [false, true] {
-            let (tids, keys) = sets_of(&naive_run(&rows, &tableau, strict));
+            let want = set_of(&naive_run(&rows, &tableau, strict));
             let got = if strict {
                 detect_simple_strict(&rel, &simple)
             } else {
                 detect_simple(&rel, &simple)
             };
-            prop_assert_eq!(&got.tids, &tids, "Vio, strict={}", strict);
-            prop_assert_eq!(&got.patterns, &keys, "Vioπ, strict={}", strict);
+            prop_assert_eq!(&got, &want, "Vio, Vioπ, strict={}", strict);
         }
 
         let want = naive_run(&rows, &tableau, false);
-        let (tids, keys) = sets_of(&want);
         let attrs: Vec<AttrId> = simple.shipped_attrs();
         let all: Vec<usize> = (0..rel.len()).collect();
         let wire = rel.code_rows(&attrs, &all);
         let resolved = CodeLayout::of_relation(&rel, &attrs).resolve(&simple);
-        let (got, tally) = resolved.detect_among(&wire);
-        prop_assert_eq!(&got.tids, &tids, "Vio over wire rows");
-        prop_assert_eq!(&got.patterns, &keys, "Vioπ over wire rows");
-        prop_assert_eq!(tally, want.tally(), "detect_among: probes and verdict mix");
-        prop_assert_eq!(tally.groups(), want.clean + want.all_flagged + want.mixed);
-
         let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
         rel.gather_into(&attrs, &all, &mut batch);
         let (found, tally) = resolved.detect_batch(&batch);
-        prop_assert_eq!(&ViolationSet::from(found), &got, "detect_batch findings");
+        prop_assert_eq!(&ViolationSet::from(found), &set_of(&want), "detect_batch findings");
         prop_assert_eq!(tally, want.tally(), "detect_batch: probes and verdict mix");
+        prop_assert_eq!(tally.groups(), want.clean + want.all_flagged + want.mixed);
 
         for (l, pattern) in tableau.iter().enumerate() {
             let matching: Vec<usize> =
@@ -265,10 +262,11 @@ proptest! {
             let block: Vec<_> = matching.iter().map(|&i| rows[i]).collect();
             let want = naive_run(&block, std::slice::from_ref(pattern), false);
             let (found, tally) = resolved.detect_pattern_block(wire.iter(), l);
-            let tids: FxHashSet<TupleId> =
+            let mut tids: Vec<TupleId> =
                 want.rows.iter().map(|&i| rel.tids()[matching[i]]).collect();
-            prop_assert_eq!(&found.tids, &tids, "pattern {} Vio", l);
-            prop_assert_eq!(found.patterns.len(), want.keys.len(), "pattern {} Vioπ", l);
+            tids.sort_unstable();
+            prop_assert_eq!(&found.tids(), &tids, "pattern {} Vio", l);
+            prop_assert_eq!(found.pattern_count(), want.keys.len(), "pattern {} Vioπ", l);
             prop_assert_eq!(tally, want.tally(), "detect_pattern_block {}: tally", l);
         }
     }

@@ -1,7 +1,7 @@
 //! The oracle pin: every way the engine computes `Vio`/`Vioπ` of one CFD
 //! — columnar `detect_simple` under both readings, code-native
-//! `ResolvedCfd::detect_among` over gathered wire rows, and the Lemma 6
-//! union of per-pattern `detect_pattern_among` blocks — equals
+//! `ResolvedCfd::detect_batch` over a gathered column batch, and the
+//! Lemma 6 union of per-pattern `detect_pattern_block` wire-row blocks — equals
 //! `dcd_cfd::oracle`, the pairwise transcription of §II-C that shares no
 //! code with them. The generator reaches what the fixed-width suites do
 //! not: LHS widths 0..=6 (the empty-LHS single group, the one-word,
@@ -140,8 +140,8 @@ proptest! {
     }
 
     /// Coordinator validation over gathered `(tid, codes)` rows equals
-    /// the definition: the whole CFD at one coordinator, as wire rows and
-    /// as one column batch, each σ-block at its own against the
+    /// the definition: the whole CFD at one coordinator as one column
+    /// batch, each σ-block of wire rows at its own against the
     /// one-pattern CFD over that block's tuples, and (Lemma 6) the union
     /// of the variable patterns' blocks against the variable CFD over
     /// everything. The constant patterns, checked locally per fragment
@@ -175,13 +175,8 @@ fn validate_at_coordinators(
     let fragments = partition.fragments();
     let layout = CodeLayout::of_relation(&fragments[0].data, &attrs);
 
-    let gathered: Vec<CodeRow> = fragments
-        .iter()
-        .flat_map(|f| f.data.code_rows(&attrs, &(0..f.data.len()).collect::<Vec<_>>()))
-        .collect();
     let want = oracle::vio(&tuples, cfd);
     let resolved = layout.resolve(cfd);
-    prop_assert_eq!(resolved.detect_among(&gathered).0, want, "gathered, {}", pass);
     let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
     for f in fragments {
         f.data.gather_into(&attrs, &(0..f.data.len()).collect::<Vec<_>>(), &mut batch);
@@ -226,7 +221,7 @@ fn validate_at_coordinators(
             .collect();
         let block_refs: Vec<&Tuple> = block_tuples.iter().collect();
         let one = SimpleCfd { tableau: vec![pattern.clone()], ..sorted.cfd.clone() };
-        let got = resolved.detect_pattern_among(block_rows.iter(), l);
+        let (got, _) = resolved.detect_pattern_block(block_rows.iter(), l);
         prop_assert_eq!(got, oracle::vio(&block_refs, &one), "block, {}", pass);
         union.merge(got);
     }

@@ -68,7 +68,7 @@ proptest! {
             let out = run_on(&partition, std::slice::from_ref(&cfd));
             prop_assert_eq!(out.shipped_tuples, 0);
             let global = detect(&rel, &cfd);
-            prop_assert_eq!(&out.violations.all_tids(), &global.tids);
+            prop_assert_eq!(&out.violations.all_tids(), &global.tids());
         }
     }
 
@@ -112,7 +112,7 @@ proptest! {
         let full = rel.len() * (partition.gather_plan(&needed).supplies.len() - 1);
         let filt = run_on(&partition, std::slice::from_ref(&cfd));
         prop_assert!(filt.shipped_tuples <= full, "{} > {}", filt.shipped_tuples, full);
-        prop_assert_eq!(filt.violations.all_tids(), detect(&rel, &cfd).tids);
+        prop_assert_eq!(filt.violations.all_tids(), detect(&rel, &cfd).tids());
     }
 
     /// Refinement: greedy is always preserving and never smaller than

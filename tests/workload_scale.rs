@@ -36,15 +36,15 @@ fn all_single_cfd_algorithms_agree_on_cust() {
     let cfd = cust_main_cfd(rel.schema(), &config, 255);
     let baseline = detect_simple(&rel, &cfd);
     assert!(
-        baseline.tids.len() > 100,
+        baseline.len() > 100,
         "the 2% error injection must produce plenty of violations, got {}",
-        baseline.tids.len()
+        baseline.len()
     );
     let partition = HorizontalPartition::round_robin(&rel, 8).unwrap();
     let cfg = RunConfig::default();
     for alg in [Algorithm::CtrDetect, Algorithm::PatDetectS, Algorithm::PatDetectRT] {
         let d = run_on(&partition, &[cfd.to_cfd()], alg, &cfg);
-        assert_eq!(d.violations.all_tids(), baseline.tids, "{alg:?}");
+        assert_eq!(d.violations.all_tids(), baseline.tids(), "{alg:?}");
     }
 }
 
@@ -121,7 +121,7 @@ fn overlapping_cust_pair_round_trips_through_both_multis() {
                 .iter()
                 .find(|(n, _)| n.starts_with(name.split(':').next().unwrap()))
                 .unwrap_or_else(|| panic!("{alg:?}: missing CFD {name}"));
-            assert_eq!(&got.tids, &vs.tids, "{:?} / {}", alg, name);
+            assert_eq!(&got.tids(), &vs.tids(), "{:?} / {}", alg, name);
         }
     }
 }
@@ -139,7 +139,7 @@ fn fragmentation_strategy_does_not_change_results() {
     let by_org = HorizontalPartition::by_attribute(&dirty, "organism", 3).unwrap();
     for partition in [&by_rr, &by_type, &by_org] {
         let d = run_on(partition, &[cfd.to_cfd()], Algorithm::PatDetectS, &cfg);
-        assert_eq!(d.violations.all_tids(), baseline.tids);
+        assert_eq!(d.violations.all_tids(), baseline.tids());
     }
 }
 
