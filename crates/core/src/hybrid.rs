@@ -13,10 +13,10 @@
 //!    every fragment shares the parent relation's dictionaries).
 //! 2. **Horizontal detection across cells**: the cell projections form a
 //!    synthesized horizontal partition (located at the cell
-//!    coordinators; all other sites empty), over which the standard
-//!    §IV-B machinery runs unchanged — σ-partitioning, statistics
+//!    coordinators; all other sites empty), over which the CFD runs as a
+//!    cluster of one (`multi::run_cluster`) — σ-partitioning, statistics
 //!    exchange, per-pattern coordinators, code-native shipment and
-//!    validation.
+//!    validation on column batches.
 //!
 //! Both phases charge the same ledger and clocks, so the reported
 //! shipment and response time cover the whole pipeline. No tuple
@@ -25,8 +25,9 @@
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
+use crate::multi::run_cluster;
 use crate::report::Detection;
-use crate::runner::{run_single_cfd, CoordinatorStrategy};
+use crate::runner::{own_fragment, CoordinatorStrategy};
 use dcd_cfd::Cfd;
 use dcd_dist::HybridPartition;
 
@@ -69,8 +70,9 @@ pub fn run_hybrid(
             synthesized
         });
 
-        // ---- Phase 2: standard horizontal detection across cells. ----
-        run_single_cfd(&synthesized, &cfd, strategy, &mut ctx);
+        // ---- Phase 2: horizontal detection across cells, the CFD a
+        // cluster of one over the cell projections. ----
+        run_cluster(&mut ctx, synthesized.fragments(), &[&cfd], strategy, &own_fragment);
     }
     ctx.finish("HYBRIDDETECT")
 }

@@ -16,17 +16,21 @@
 //! lifted to clusters. A CFD whose LHS is related to no other is a
 //! cluster of one, with no algorithm of its own: the same round runs it,
 //! on the same column-batch wire, under the CFD's name and at the
-//! single-CFD round's charges (`run_cluster`). Only a cluster with
-//! nothing to partition on (`Z = ∅`) leaves the round, for one
-//! single-CFD round per member.
+//! single-CFD round's charges (`run_cluster`). A cluster with nothing to
+//! partition on (`Z = ∅`) runs each member as a cluster of one.
+//!
+//! The cluster round is the one round of every horizontal engine but
+//! `run_batch`: `SEQDETECT` runs each CFD as a cluster of one, and so do
+//! `REPDETECT` (over the fragments each site holds a replica of) and
+//! `HYBRIDDETECT` (across its cells).
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
 use crate::local::applicable_patterns;
 use crate::report::Detection;
 use crate::runner::{
-    assign_coordinators, constants_phase, exchange_statistics, pattern_rows, patterns_at,
-    run_single_cfd, shared_layout, ship_phase, sigma_phase, CoordinatorStrategy,
+    assign_coordinators, constants_phase, exchange_statistics, own_fragment, pattern_rows,
+    patterns_at, shared_layout, ship_phase, sigma_phase, CoordinatorStrategy,
 };
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::ResolvedCfd;
@@ -37,8 +41,8 @@ use dcd_dist::{Fragment, HorizontalPartition, SiteId};
 use dcd_relation::{AttrId, CodeBatch, FxHashSet};
 
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
-/// time over one shared [`RunCtx`], each round run with the `inner`
-/// single-CFD strategy (the paper runs either `PATDETECTS` or
+/// time over one shared [`RunCtx`], each a cluster of one run with the
+/// `inner` single-CFD strategy (the paper runs either `PATDETECTS` or
 /// `PATDETECTRT`).
 pub fn run_seq(
     partition: &HorizontalPartition,
@@ -48,7 +52,7 @@ pub fn run_seq(
 ) -> Detection {
     let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
     for simple in sigma.iter().flat_map(Cfd::simplify) {
-        run_single_cfd(partition, &simple, inner, &mut ctx);
+        run_cluster(&mut ctx, partition.fragments(), &[&simple], inner, &own_fragment);
     }
     ctx.finish("SEQDETECT")
 }
@@ -67,7 +71,7 @@ pub fn run_clust(
     let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
     for cluster in cluster_by_lhs(&simples) {
         let members: Vec<&SimpleCfd> = cluster.iter().map(|&i| &simples[i]).collect();
-        run_cluster(partition, &members, inner, &mut ctx);
+        run_cluster(&mut ctx, partition.fragments(), &members, inner, &own_fragment);
     }
     ctx.finish("CLUSTDETECT")
 }
@@ -103,22 +107,26 @@ pub fn cluster_by_lhs(cfds: &[SimpleCfd]) -> Vec<Vec<usize>> {
 /// Runs one cluster — CFDs whose LHSs form a containment family, or one
 /// CFD related to no other: σ-partition on the `Z`-projected tableau, one
 /// shipment per tuple, all member CFDs validated at the coordinators.
+/// `holds(site, f)` says whether `site` already has fragment `f`'s rows —
+/// its own, or a replica: the strategy ranks sites by the σ-block rows
+/// they hold, and a held fragment ships nothing.
 ///
 /// A cluster of one is the single-CFD round of §IV-B on this wire, and
-/// charges and names what [`run_single_cfd`] does: its phases carry the
+/// charges and names what `run_batch`'s round does: its phases carry the
 /// CFD's name instead of `cluster`, its projected tableau is its own
-/// tableau row for row (`Z` is its LHS; a repeated row still counts in
-/// `k`), and a per-pattern coordinator pays one detection query per
-/// σ-block it was assigned instead of one per member over all it holds.
-fn run_cluster(
-    partition: &HorizontalPartition,
+/// tableau row for row (`Z` is its LHS, even an empty one; a repeated row
+/// still counts in `k`), and a per-pattern coordinator pays one detection
+/// query per σ-block it was assigned instead of one per member over all
+/// it holds.
+pub(crate) fn run_cluster(
+    ctx: &mut RunCtx,
+    fragments: &[Fragment],
     members: &[&SimpleCfd],
     strategy: CoordinatorStrategy,
-    ctx: &mut RunCtx,
+    holds: &dyn Fn(SiteId, usize) -> bool,
 ) {
     let cfg = *ctx.cfg();
-    let n = partition.n_sites();
-    let fragments = partition.fragments();
+    let n = fragments.len();
     let (alone, label) = match members {
         [only] => (true, only.name.as_str()),
         _ => (false, "cluster"),
@@ -157,13 +165,14 @@ fn run_cluster(
             .filter(|a| variable_members.iter().all(|m| m.lhs.contains(a)))
             .collect()
     };
-    if z.is_empty() {
-        // Degenerate cluster; fall back to sequential rounds. The
-        // constants above were this round's whole work: close it, or the
-        // fallback's own `begin_round` would drop them from `paper_cost`.
+    if z.is_empty() && !alone {
+        // Nothing to partition the family on: the constants above were
+        // this round's whole work, so it closes (or each member's own
+        // `begin_round` would drop them from `paper_cost`), and every
+        // member runs as a cluster of one.
         ctx.end_round();
         for m in &variable_members {
-            run_single_cfd(partition, m, strategy, ctx);
+            run_cluster(ctx, fragments, &[m], strategy, holds);
         }
         return;
     }
@@ -192,8 +201,7 @@ fn run_cluster(
     let sorted = sort_for_sigma(&zcfd);
 
     // σ-partition per site (one scan for the whole cluster); the
-    // partitioning condition doubles as the Phase-2 participation rule,
-    // exactly as in `run_single_cfd`.
+    // partitioning condition doubles as the Phase-2 participation rule.
     let applicable: Vec<Vec<usize>> =
         fragments.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
     let parts = sigma_phase(ctx, label, fragments, &sorted, &applicable);
@@ -201,10 +209,21 @@ fn run_cluster(
     // Statistics exchange, among participating sites only.
     exchange_statistics(ctx, label, &applicable, sorted.cfd.tableau.len());
 
-    // Coordinators per projected pattern.
-    let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-    let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
-    let assignment = assign_coordinators(strategy, &lstat, &frag_sizes, &cfg.cost);
+    // Coordinators per projected pattern, over the rows of each pattern
+    // every site holds (the statistics are dropped before anything is
+    // gathered).
+    let assignment = {
+        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
+        let k = sorted.cfd.tableau.len();
+        let held: Vec<Vec<usize>> = (0..n)
+            .map(|s| {
+                let mine: Vec<usize> = (0..n).filter(|&f| holds(SiteId(s as u32), f)).collect();
+                (0..k).map(|l| mine.iter().map(|&f| lstat[f][l]).sum()).collect()
+            })
+            .collect();
+        let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
+        assign_coordinators(strategy, &held, &frag_sizes, &cfg.cost)
+    };
 
     // Shipment, on the code-native wire: the union of the members'
     // (X ∪ A) attributes, once per tuple for the whole cluster, shipped
@@ -222,7 +241,7 @@ fn run_cluster(
     // Resolve every member against the union layout once; each
     // coordinator validates all members from the same compilation.
     let resolved: Vec<ResolvedCfd> = variable_members.iter().map(|m| layout.resolve(m)).collect();
-    ship_phase(ctx, label, fragments, &parts, &assignment, attrs.len(), |c, i| c.index() == i);
+    ship_phase(ctx, label, fragments, &parts, &assignment, attrs.len(), holds);
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to columns of the
@@ -338,6 +357,12 @@ mod tests {
         )
         .unwrap()
     }
+
+    const STRATEGIES: [CoordinatorStrategy; 3] = [
+        CoordinatorStrategy::Central,
+        CoordinatorStrategy::MinShipment,
+        CoordinatorStrategy::MinResponseTime,
+    ];
 
     /// Overlapping pair like the paper's Exp-5: LHS(φ2) ⊂ LHS(φ1).
     fn overlapping_sigma(s: &Arc<Schema>) -> Vec<Cfd> {
@@ -492,16 +517,14 @@ mod tests {
         let b = sigma[1].simplify().pop().unwrap();
         let sorted = sort_for_sigma(&b);
         let applicable = vec![vec![0]; partition.n_sites()];
-        let mut ctx = RunCtx::new(partition.n_sites(), cfg);
-        let parts = sigma_phase(&mut ctx, "b", partition.fragments(), &sorted, &applicable);
+        let (frags, mut ctx) = (partition.fragments(), RunCtx::new(partition.n_sites(), cfg));
+        let parts = sigma_phase(&mut ctx, "b", frags, &sorted, &applicable);
         let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
         let assignment = assign_coordinators(inner, &lstat, &[20; 3], &cfg.cost);
         let attrs = b.shipped_attrs();
-        let own = |c: SiteId, i: usize| c.index() == i;
-        ship_phase(&mut ctx, "b", partition.fragments(), &parts, &assignment, attrs.len(), own);
-        let gathered: Vec<CodeBatch> = (0..3)
-            .map(|c| gather_cluster(partition.fragments(), &parts, &assignment, &attrs, SiteId(c)))
-            .collect();
+        ship_phase(&mut ctx, "b", frags, &parts, &assignment, attrs.len(), own_fragment);
+        let gathered: Vec<CodeBatch> =
+            (0..3).map(|c| gather_cluster(frags, &parts, &assignment, &attrs, SiteId(c))).collect();
         assert_eq!(gathered.iter().map(CodeBatch::len).sum::<usize>(), rel.len());
         assert_sized_once(&gathered, attrs.len());
         let shipped = ctx.finish("gather").shipped_tuples;
@@ -509,6 +532,62 @@ mod tests {
             0 < shipped && shipped < rel.len(),
             "every row gathered, a coordinator's own not shipped"
         );
+    }
+
+    /// Pricing (`ship_phase`) and building (the coordinators' tasks) are
+    /// two loops over the same blocks: whatever the strategy, and
+    /// whether a coordinator holds its own fragment or a replica too, the
+    /// ledger charges exactly the σ-block rows each pattern's
+    /// coordinator does not hold, and the rows built find every
+    /// violation.
+    #[test]
+    fn a_round_prices_exactly_the_blocks_its_coordinators_do_not_hold() {
+        let (rel, n) = (sample(90), 4);
+        let by_cc = |cc: i64| format!("([cc={cc}, zip] -> [street])");
+        let [c44, c31] = [44, 31].map(|cc| parse_cfd(rel.schema(), "phi", &by_cc(cc)).unwrap());
+        let cfd = Cfd::merge("phi", &[&c44, &c31]).unwrap();
+        let global = dcd_cfd::detect(&rel, &cfd);
+        let simple = cfd.simplify().pop().unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, n).unwrap();
+        let frags = partition.fragments();
+        let replicated = |s: SiteId, f: usize| s.index() == f || (s.index() + 1) % n == f;
+        let cfg = RunConfig::default();
+        for strategy in STRATEGIES {
+            for holds in [&own_fragment as &dyn Fn(SiteId, usize) -> bool, &replicated] {
+                let mut ctx = RunCtx::new(n, cfg);
+                run_cluster(&mut ctx, frags, &[&simple], strategy, holds);
+                let d = ctx.finish("round");
+                assert_eq!(d.violations.per_cfd[0].1, global, "{strategy:?}");
+
+                // The round's blocks and coordinators, by hand.
+                let sorted = sort_for_sigma(&simple);
+                let applicable: Vec<Vec<usize>> =
+                    frags.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+                let mut scratch = RunCtx::new(n, cfg);
+                let parts = sigma_phase(&mut scratch, "phi", frags, &sorted, &applicable);
+                let k = sorted.cfd.tableau.len();
+                let held: Vec<Vec<usize>> = (0..n)
+                    .map(|s| {
+                        let mine = || (0..n).filter(move |&f| holds(SiteId(s as u32), f));
+                        (0..k).map(|l| mine().map(|f| parts[f].blocks[l].len()).sum()).collect()
+                    })
+                    .collect();
+                let sizes: Vec<usize> = frags.iter().map(|f| f.data.len()).collect();
+                let assignment = assign_coordinators(strategy, &held, &sizes, &cfg.cost);
+                let unheld: usize = (0..k)
+                    .filter_map(|l| assignment[l].map(|c| (l, c)))
+                    .flat_map(|(l, c)| (0..n).filter(move |&f| !holds(c, f)).map(move |f| (l, f)))
+                    .map(|(l, f)| parts[f].blocks[l].len())
+                    .sum();
+                assert!(unheld > 0, "{strategy:?}: something ships");
+                let width = simple.shipped_attrs().len() + dcd_dist::TID_CELLS;
+                assert_eq!(
+                    (d.shipped_tuples, d.shipped_cells),
+                    (unheld, unheld * width),
+                    "{strategy:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -533,8 +612,8 @@ mod tests {
 
     /// `Z = ∅` (an empty-LHS member joins any cluster and shrinks `Z` to
     /// itself): the constants were checked inside the cluster's round,
-    /// and that round must reach `paper_cost` before the fallback opens
-    /// one round per member.
+    /// and that round must reach `paper_cost` before each member opens a
+    /// round of its own as a cluster of one.
     #[test]
     fn a_degenerate_cluster_keeps_its_constants_round_in_paper_cost() {
         use dcd_cfd::{PatternTuple, PatternValue};
@@ -575,7 +654,7 @@ mod tests {
         let constants_round = by_hand.end_round();
         assert!(constants_round > 0.0, "the constants round costs its scans");
         for m in variable.iter().chain([&simples[1]]) {
-            run_single_cfd(&partition, m, inner, &mut by_hand);
+            run_cluster(&mut by_hand, partition.fragments(), &[m], inner, &own_fragment);
         }
         let want = by_hand.finish("by hand");
 

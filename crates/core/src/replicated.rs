@@ -2,8 +2,9 @@
 //!
 //! When fragments are replicated, a pattern's coordinator can be chosen
 //! so that many of the pattern's tuples are *already* at the coordinator
-//! via replicas — those fragments ship nothing. `REPDETECT` is the
-//! `PATDETECTS` round with `MinShipment` taken over held fragments:
+//! via replicas — those fragments ship nothing. `REPDETECT` runs each
+//! CFD as a cluster of one (`multi::run_cluster`, the round of §IV-B on
+//! the column-batch wire), with `MinShipment` taken over held fragments:
 //!
 //! > for pattern `l`, pick the site `s` maximizing
 //! > `Σ { lstat[f][l] : s holds a replica of fragment f }`
@@ -16,8 +17,9 @@
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
+use crate::multi::run_cluster;
 use crate::report::Detection;
-use crate::runner::{run_round, CoordinatorStrategy};
+use crate::runner::CoordinatorStrategy;
 use dcd_cfd::Cfd;
 use dcd_dist::ReplicatedPartition;
 
@@ -30,10 +32,9 @@ pub fn run_replicated(
 ) -> Detection {
     let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
     let fragments = partition.base().fragments();
+    let holds = |site, f| partition.holds(site, f);
     for cfd in sigma.iter().flat_map(Cfd::simplify) {
-        run_round(&mut ctx, fragments, &cfd, CoordinatorStrategy::MinShipment, |site, f| {
-            partition.holds(site, f)
-        });
+        run_cluster(&mut ctx, fragments, &[&cfd], CoordinatorStrategy::MinShipment, &holds);
     }
     ctx.finish("REPDETECT")
 }
@@ -72,6 +73,10 @@ mod tests {
         .unwrap()
     }
 
+    /// At factor 1 every site holds its own fragment only, and the run is
+    /// `PATDETECTS`'s: violations, ledger, clocks, response time and paper
+    /// cost by bit pattern, and spans. Only the label and the kernel's
+    /// query counts may differ.
     #[test]
     fn replication_factor_one_equals_patdetects() {
         let rel = sample(80);
@@ -81,8 +86,18 @@ mod tests {
         let cfg = RunConfig::default();
         let plain = run_batch(&base, &cfd.simplify(), CoordinatorStrategy::MinShipment, &cfg);
         let rep = run_replicated(&replicated, std::slice::from_ref(&cfd), &cfg);
-        assert_eq!(rep.violations.all_tids(), plain.violations.all_tids());
-        assert_eq!(rep.shipped_tuples, plain.shipped_tuples);
+        assert_eq!(rep.violations, plain.violations);
+        let ledger = |d: &Detection| {
+            let shipped = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);
+            (shipped, d.control_messages, d.control_bytes)
+        };
+        assert_eq!(ledger(&rep), ledger(&plain));
+        let bits = |d: &Detection| {
+            let clocks: Vec<u64> = d.site_clocks.iter().map(|c| c.to_bits()).collect();
+            (clocks, d.response_time.to_bits(), d.paper_cost.to_bits())
+        };
+        assert_eq!(bits(&rep), bits(&plain));
+        assert_eq!(rep.trace.spans, plain.trace.spans);
     }
 
     #[test]

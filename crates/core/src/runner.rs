@@ -1,17 +1,22 @@
-//! Shared machinery for the single-CFD detection algorithms of §IV-B.
+//! The phases every horizontal detection round is built from, and the
+//! single-CFD round of §IV-B that [`run_batch`] runs.
 //!
 //! `CTRDETECT`, `PATDETECTS` and `PATDETECTRT` differ *only* in how
 //! coordinators are assigned to pattern tuples (a single global
 //! coordinator vs. per-pattern max-shipper vs. per-pattern greedy
 //! response-time). Everything else — constant-CFD local checks,
 //! partitioning-condition filtering, σ-partitioning, the statistics
-//! exchange, shipment execution, coordinator-side validation and cost
-//! accounting — is identical and lives here.
+//! exchange, shipment pricing and cost accounting — is a phase here,
+//! shared with the cluster round (`multi::run_cluster`), which every
+//! other horizontal engine runs: `SEQDETECT`, `CLUSTDETECT`, `REPDETECT`
+//! and `HYBRIDDETECT`, a single CFD as a cluster of one.
 //!
 //! The per-site phases (constants, σ) run one pool task per site over the
 //! site's whole fragment, and the coordinators validate one task per site,
 //! each building the wire rows it validates; every charge is applied
-//! after the join, in site order.
+//! after the join, in site order. [`run_batch`]'s coordinators build
+//! `CodeRow`s, one σ-block at a time; the cluster round's gather one
+//! column batch each.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
@@ -203,12 +208,17 @@ pub(crate) fn pattern_rows(parts: &[SigmaPartition], l: usize) -> usize {
     parts.iter().map(|part| part.blocks[l].len()).sum()
 }
 
+/// Whether `site` holds fragment `f` without replicas: its own only.
+pub(crate) fn own_fragment(site: SiteId, f: usize) -> bool {
+    site.index() == f
+}
+
 /// Ships every pattern's σ-blocks to its coordinator on the code-native
-/// wire and validates them there — the second half of [`run_round`].
-/// Sites ship `(tid, codes)` rows over the CFD's shipped attributes —
-/// dictionaries are shared across fragments, so codes are
-/// site-portable — priced by [`ship_phase`]; a fragment the coordinator
-/// already `holds` ships nothing.
+/// wire and validates them there — the second half of
+/// [`run_single_cfd`]. Sites ship `(tid, codes)` rows over the CFD's
+/// shipped attributes — dictionaries are shared across fragments, so
+/// codes are site-portable — priced by [`ship_phase`]; a coordinator's
+/// own fragment ships nothing.
 /// No tuple payload crosses the simulated wire. Validation runs at the
 /// coordinators in parallel, on codes: grouping keys are slot indices
 /// or packed `CodeKey`s and the distinct-RHS test compares `u32` codes;
@@ -231,7 +241,6 @@ fn ship_and_validate(
     parts: &[SigmaPartition],
     assignment: &[Option<SiteId>],
     central: bool,
-    holds: impl Fn(SiteId, usize) -> bool,
 ) {
     let cfg = *ctx.cfg();
     let n = fragments.len();
@@ -240,7 +249,7 @@ fn ship_and_validate(
     // Resolve the tableau once per round; every coordinator job reuses
     // the compiled patterns.
     let resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
-    ship_phase(ctx, name, fragments, parts, assignment, attrs.len(), holds);
+    ship_phase(ctx, name, fragments, parts, assignment, attrs.len(), own_fragment);
 
     let validated = ctx.phase(&format!("validate:{name}"), |p| {
         let per_site = scoped_map(cfg.threads, 0..n, |c| {
@@ -288,32 +297,19 @@ fn ship_and_validate(
     }
 }
 
-/// Runs one single-CFD detection round over a horizontal partition,
-/// recording violations, traffic and time in `ctx` (which may carry
-/// state from earlier rounds — that is how `SEQDETECT` pipelines). The
-/// per-fragment phases run one task per site on the `cfg.threads`-wide
-/// pool; results are merged in site order, so every output is
-/// bit-identical to a sequential run.
-pub fn run_single_cfd(
+/// Runs one single-CFD detection round (§IV-B: constants → σ → exchange
+/// → assign → ship → validate) over a horizontal partition, recording
+/// violations, traffic and time in `ctx`, which carries the clocks from
+/// the CFD before. The per-fragment phases run one task per site on the
+/// `cfg.threads`-wide pool; results are merged in site order, so every
+/// output is bit-identical to a sequential run.
+fn run_single_cfd(
     partition: &HorizontalPartition,
     cfd: &SimpleCfd,
     strategy: CoordinatorStrategy,
     ctx: &mut RunCtx,
 ) {
-    run_round(ctx, partition.fragments(), cfd, strategy, |site, f| site.index() == f);
-}
-
-/// The §IV-B round: constants → σ → exchange → assign → ship →
-/// validate. `holds(site, f)` says whether `site` already has fragment
-/// `f`'s rows — its own, or a replica: the strategy ranks sites by the
-/// σ-block rows they hold, and a held fragment ships nothing.
-pub(crate) fn run_round(
-    ctx: &mut RunCtx,
-    fragments: &[Fragment],
-    cfd: &SimpleCfd,
-    strategy: CoordinatorStrategy,
-    holds: impl Fn(SiteId, usize) -> bool,
-) {
+    let fragments = partition.fragments();
     ctx.begin_round();
     // Consumers always get an entry for this CFD, even when clean.
     ctx.absorb(&cfd.name, ViolationSet::default());
@@ -338,29 +334,21 @@ pub(crate) fn run_round(
         // excluded never scanned and owe nobody their (empty) counts; when
         // fewer than two sites hold an applicable pattern there is nothing
         // to exchange and the whole phase — messages and barrier — is
-        // skipped, preserving `SEQDETECT`'s pipelining across such rounds.
-        let k = sorted.cfd.tableau.len();
-        exchange_statistics(ctx, &cfd.name, &applicable, k);
+        // skipped, preserving the pipelining across such rounds.
+        exchange_statistics(ctx, &cfd.name, &applicable, sorted.cfd.tableau.len());
 
         // ---- Phase 3: coordinator assignment, over the rows of each
-        // pattern every site already holds (the statistics are dropped
-        // before anything is gathered). ----
+        // pattern every site holds (the statistics are dropped before
+        // anything is gathered). ----
         let assignment = {
             let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-            let n = fragments.len();
-            let held: Vec<Vec<usize>> = (0..n)
-                .map(|s| {
-                    let mine: Vec<usize> = (0..n).filter(|&f| holds(SiteId(s as u32), f)).collect();
-                    (0..k).map(|l| mine.iter().map(|&f| lstat[f][l]).sum()).collect()
-                })
-                .collect();
             let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
-            assign_coordinators(strategy, &held, &frag_sizes, &ctx.cfg().cost)
+            assign_coordinators(strategy, &lstat, &frag_sizes, &ctx.cfg().cost)
         };
 
         // ---- Phases 4 + 5: shipment and coordinator validation. ----
         let central = strategy == CoordinatorStrategy::Central;
-        ship_and_validate(ctx, fragments, &sorted, &parts, &assignment, central, holds);
+        ship_and_validate(ctx, fragments, &sorted, &parts, &assignment, central);
     }
     ctx.end_round();
 }
@@ -626,63 +614,6 @@ mod tests {
         // Tuple 1 (44, z2, b) violates street=a.
         let (_, vs) = &d.violations.per_cfd[0];
         assert_eq!(vs.len(), 1);
-    }
-
-    /// Pricing (`ship_phase`) and building (the coordinators' tasks) are
-    /// two loops over the same blocks: whatever the strategy, and
-    /// whether a coordinator holds its own fragment or a replica too, the
-    /// ledger charges exactly the σ-block rows each pattern's
-    /// coordinator does not hold, and the rows built find every
-    /// violation.
-    #[test]
-    fn a_round_prices_exactly_the_blocks_its_coordinators_do_not_hold() {
-        let (rel, n) = (sample(90), 4);
-        let by_cc = |cc: i64| format!("([cc={cc}, zip] -> [street])");
-        let [c44, c31] = [44, 31].map(|cc| parse_cfd(rel.schema(), "phi", &by_cc(cc)).unwrap());
-        let cfd = dcd_cfd::Cfd::merge("phi", &[&c44, &c31]).unwrap();
-        let global = dcd_cfd::detect(&rel, &cfd);
-        let simple = cfd.simplify().pop().unwrap();
-        let partition = HorizontalPartition::round_robin(&rel, n).unwrap();
-        let frags = partition.fragments();
-        let own = |s: SiteId, f: usize| s.index() == f;
-        let replicated = |s: SiteId, f: usize| s.index() == f || (s.index() + 1) % n == f;
-        let cfg = RunConfig::default();
-        for strategy in STRATEGIES {
-            for holds in [&own as &dyn Fn(SiteId, usize) -> bool, &replicated] {
-                let mut ctx = RunCtx::new(n, cfg);
-                run_round(&mut ctx, frags, &simple, strategy, holds);
-                let d = ctx.finish("round");
-                assert_eq!(d.violations.per_cfd[0].1, global, "{strategy:?}");
-
-                // The round's blocks and coordinators, by hand.
-                let sorted = sort_for_sigma(&simple);
-                let applicable: Vec<Vec<usize>> =
-                    frags.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-                let mut scratch = RunCtx::new(n, cfg);
-                let parts = sigma_phase(&mut scratch, "phi", frags, &sorted, &applicable);
-                let k = sorted.cfd.tableau.len();
-                let held: Vec<Vec<usize>> = (0..n)
-                    .map(|s| {
-                        let mine = || (0..n).filter(move |&f| holds(SiteId(s as u32), f));
-                        (0..k).map(|l| mine().map(|f| parts[f].blocks[l].len()).sum()).collect()
-                    })
-                    .collect();
-                let sizes: Vec<usize> = frags.iter().map(|f| f.data.len()).collect();
-                let assignment = assign_coordinators(strategy, &held, &sizes, &cfg.cost);
-                let unheld: usize = (0..k)
-                    .filter_map(|l| assignment[l].map(|c| (l, c)))
-                    .flat_map(|(l, c)| (0..n).filter(move |&f| !holds(c, f)).map(move |f| (l, f)))
-                    .map(|(l, f)| parts[f].blocks[l].len())
-                    .sum();
-                assert!(unheld > 0, "{strategy:?}: something ships");
-                let width = simple.shipped_attrs().len() + dcd_dist::TID_CELLS;
-                assert_eq!(
-                    (d.shipped_tuples, d.shipped_cells),
-                    (unheld, unheld * width),
-                    "{strategy:?}"
-                );
-            }
-        }
     }
 
     // ---- The three §IV-B algorithms end to end, through `run_batch`. ----

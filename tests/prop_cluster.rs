@@ -18,7 +18,9 @@
 //! parent commit of the change that sent singletons through the cluster
 //! round: a cluster of one charges and names what the single-CFD round
 //! does, and a third test says so without a golden, Σ = {φ} against
-//! `run_batch`.
+//! `run_batch`. A fourth holds the other engines that run every CFD as a
+//! cluster of one — `SEQDETECT`, and `REPDETECT` at replication factor 1
+//! — to `run_batch` the same way.
 
 mod common;
 
@@ -307,54 +309,77 @@ fn singleton_rounds_equal_the_oracle_and_the_recorded_meters() {
     }
 }
 
-/// Σ = {φ} is a cluster of one, and a cluster of one is the single-CFD
-/// round: `CLUSTDETECT` over it reads what `run_batch` reads — report,
-/// ledger, every clock and the paper cost by bit pattern, the spans by
+/// `got` reads what `want` reads: per-CFD `Vio`/`Vioπ`, ledger, every
+/// clock, response time and paper cost by bit pattern, the spans by
 /// name, site and instant. Only the label and the kernel's query counts
-/// may differ. (An empty-LHS φ has nothing to partition on: its
-/// constants close a round of their own before the single round runs,
-/// so with both kinds of pattern its paper cost is a sum of two maxima
-/// where `run_batch` takes one.) Those differences are by design, so
-/// this test — alone among the suites — compares the two `Detection`s
-/// field by field instead of with `==`.
-#[test]
-fn a_cluster_of_one_is_the_single_cfd_round() {
-    use distributed_cfd::core::{run_batch, run_clust};
-    let cases: [(_, SigmaOf); 2] = [(SEEDS, sigma), (SINGLETON_SEEDS, singleton_sigma)];
-    for (seeds, sigma_of) in cases {
-        for seed in seeds {
+/// may differ — by design, so the runs are compared field by field
+/// instead of with `==`.
+fn assert_same_run(label: &str, got: &Detection, want: &Detection) {
+    assert_eq!(got.violations.per_cfd.len(), want.violations.per_cfd.len(), "{label}");
+    for ((name, got), (_, want)) in got.violations.per_cfd.iter().zip(&want.violations.per_cfd) {
+        assert_eq!(got, want, "{label}: Vio, Vioπ({name})");
+    }
+    let ledger = |d: &Detection| {
+        let shipped = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);
+        (shipped, d.control_messages, d.control_bytes)
+    };
+    assert_eq!(ledger(got), ledger(want), "{label}: ledger");
+    let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.site_clocks), bits(&want.site_clocks), "{label}: clocks");
+    assert_eq!(got.response_time.to_bits(), want.response_time.to_bits(), "{label}");
+    assert_eq!(got.paper_cost.to_bits(), want.paper_cost.to_bits(), "{label}: paper_cost");
+    assert_eq!(got.trace.spans, want.trace.spans, "{label}: spans");
+}
+
+/// Every seed's case of both Σ generators: seed, Σ, partition.
+fn cases() -> impl Iterator<Item = (u64, Vec<Cfd>, HorizontalPartition)> {
+    let generators: [(_, SigmaOf); 2] = [(SEEDS, sigma), (SINGLETON_SEEDS, singleton_sigma)];
+    generators.into_iter().flat_map(|(seeds, sigma_of)| {
+        seeds.map(move |seed| {
             let mut rng = Rng(seed);
             let rel = relation(&mut rng);
             let sigma = sigma_of(&mut rng);
             let partition = partition(&mut rng, &rel);
-            let cfg = RunConfig::default();
-            for (phi, strategy) in sigma.iter().flat_map(|phi| STRATEGIES.map(|s| (phi, s))) {
-                let label = format!("seed {seed} {} {strategy:?}", phi.name());
-                let one = run_clust(&partition, std::slice::from_ref(phi), strategy, &cfg);
-                let single = run_batch(&partition, &phi.simplify(), strategy, &cfg);
-                assert_eq!(one.violations.per_cfd.len(), single.violations.per_cfd.len());
-                for ((name, got), (_, want)) in
-                    one.violations.per_cfd.iter().zip(&single.violations.per_cfd)
-                {
-                    assert_eq!(got, want, "{label}: Vio, Vioπ({name})");
-                }
-                let ledger = |d: &Detection| {
-                    let shipped = (d.shipped_tuples, d.shipped_cells, d.shipped_bytes);
-                    (shipped, d.control_messages, d.control_bytes)
-                };
-                assert_eq!(ledger(&one), ledger(&single), "{label}: ledger");
-                let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&one.site_clocks), bits(&single.site_clocks), "{label}: clocks");
-                assert_eq!(one.response_time.to_bits(), single.response_time.to_bits(), "{label}");
-                assert_eq!(one.trace.spans, single.trace.spans, "{label}: spans");
-                let tableau = phi.tableau();
-                let two_rounds = phi.lhs().is_empty()
-                    && tableau.iter().any(|p| p.rhs[0].is_wild())
-                    && !tableau.iter().all(|p| p.rhs[0].is_wild());
-                if !two_rounds {
-                    assert_eq!(one.paper_cost.to_bits(), single.paper_cost.to_bits(), "{label}");
-                }
-            }
+            (seed, sigma, partition)
+        })
+    })
+}
+
+/// Σ = {φ} is a cluster of one, and a cluster of one is the single-CFD
+/// round: `CLUSTDETECT` over it reads what `run_batch` reads, an
+/// empty-LHS φ included.
+#[test]
+fn a_cluster_of_one_is_the_single_cfd_round() {
+    use distributed_cfd::core::{run_batch, run_clust};
+    let cfg = RunConfig::default();
+    for (seed, sigma, partition) in cases() {
+        for (phi, strategy) in sigma.iter().flat_map(|phi| STRATEGIES.map(|s| (phi, s))) {
+            let label = format!("seed {seed} {} {strategy:?}", phi.name());
+            let one = run_clust(&partition, std::slice::from_ref(phi), strategy, &cfg);
+            let single = run_batch(&partition, &phi.simplify(), strategy, &cfg);
+            assert_same_run(&label, &one, &single);
         }
+    }
+}
+
+/// The engines that run every CFD as a cluster of one read what
+/// `run_batch` reads: `SEQDETECT` over Σ under each strategy, and
+/// `REPDETECT` at replication factor 1 (each site holds its own
+/// fragment only), which is `PATDETECTS`.
+#[test]
+fn seqdetect_and_repdetect_at_factor_one_are_the_single_cfd_rounds() {
+    use distributed_cfd::core::{run_batch, run_replicated, run_seq};
+    let cfg = RunConfig::default();
+    for (seed, sigma, partition) in cases() {
+        let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
+        for strategy in STRATEGIES {
+            let seq = run_seq(&partition, &sigma, strategy, &cfg);
+            let batch = run_batch(&partition, &simples, strategy, &cfg);
+            assert_same_run(&format!("seed {seed} SEQDETECT {strategy:?}"), &seq, &batch);
+        }
+        let replicated = ReplicatedPartition::chained(partition.clone(), 1).unwrap();
+        let rep = run_replicated(&replicated, &sigma, &cfg);
+        let pats = run_batch(&partition, &simples, CoordinatorStrategy::MinShipment, &cfg);
+        assert_same_run(&format!("seed {seed} REPDETECT"), &rep, &pats);
     }
 }
