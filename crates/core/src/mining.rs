@@ -536,10 +536,9 @@ mod tests {
         );
         let victim = partition.fragments()[1].data.tids()[0];
         let d1 = RelationDelta::new(vec![], vec![victim]);
-        let eff0 = partition.fragments_mut()[0].data.apply_delta(&d0).unwrap();
-        let eff1 = partition.fragments_mut()[1].data.apply_delta(&d1).unwrap();
-        mined.apply_site_effect(0, &eff0);
-        mined.apply_site_effect(1, &eff1);
+        let effects = partition.apply_delta(&[d0, d1], 1).unwrap();
+        mined.apply_site_effect(0, &effects[0]);
+        mined.apply_site_effect(1, &effects[1]);
 
         let rebuilt = MinedTableau::build(&partition, &simple, &config);
         assert_eq!(mined.refine().0.tableau, rebuilt.refine().0.tableau);

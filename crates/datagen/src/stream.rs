@@ -242,12 +242,7 @@ mod tests {
         };
         let stream = update_stream(&p, &cfg);
         for batch in &stream {
-            for (site, delta) in batch.iter().enumerate() {
-                p.fragments_mut()[site]
-                    .data
-                    .apply_delta(delta)
-                    .expect("generated deletes are routed to the owning site");
-            }
+            p.apply_delta(batch, 1).expect("generated deletes are routed to the owning site");
         }
         p.validate().expect("ids stay disjoint across sites");
     }

@@ -1,8 +1,12 @@
 //! Horizontal fragmentation: `Di = σ_Fi(D)` (§II-B of the paper).
 
+use crate::pool::scoped_map;
 use crate::site::SiteId;
 use dcd_relation::fxhash::FxBuildHasher;
-use dcd_relation::{AttrId, Dictionary, Predicate, Relation, RelationError, Schema, TupleId};
+use dcd_relation::{
+    AttrId, DeltaEffect, Dictionary, FxHashSet, PendingDelta, Predicate, Relation, RelationDelta,
+    RelationError, Schema, TupleId,
+};
 use std::collections::HashSet;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -161,15 +165,66 @@ impl HorizontalPartition {
         &self.fragments
     }
 
-    /// Mutable access to the fragments — the incremental-maintenance
-    /// hook: delta batches are applied at the owning site's fragment in
-    /// place. Nothing checks a change made here until the partition is
-    /// accepted again, by `DetectRequest::plan`,
+    /// Mutable access to the fragments, unchecked: a session changes
+    /// them through [`Self::apply_delta`] instead. Nothing checks a
+    /// change made here until the partition is accepted again, by
+    /// `DetectRequest::plan`,
     /// [`ReplicatedPartition::chained`](crate::ReplicatedPartition::chained)
     /// or [`HybridPartition::new`](crate::HybridPartition::new): each
     /// refuses what [`Self::validate`] refuses.
     pub fn fragments_mut(&mut self) -> &mut [Fragment] {
         &mut self.fragments
+    }
+
+    /// Applies one delta batch, `deltas[i]` at site `i`, keeping what
+    /// [`Self::validate`] checks: the one way a session changes a
+    /// horizontal partition. Refused with every fragment as it was: a
+    /// batch of another width than the partition, and an insert outside
+    /// its fragment's predicate `Fi` (`InvalidPartition`, naming the
+    /// tuple); an insert id two sites' deltas carry, or one live at some
+    /// site and not deleted by the batch (`DuplicateTuple`); and what
+    /// [`Relation::locate_delta`] refuses at any site. Every site's delta
+    /// is checked and located before any applies, in parallel on up to
+    /// `threads` participants. Returns the per-site effects, in site
+    /// order.
+    pub fn apply_delta(
+        &mut self,
+        deltas: &[RelationDelta],
+        threads: usize,
+    ) -> Result<Vec<DeltaEffect>, RelationError> {
+        let n = self.fragments.len();
+        if deltas.len() != n {
+            let detail = format!("delta batch covers {} sites, partition has {n}", deltas.len());
+            return Err(RelationError::InvalidPartition { detail });
+        }
+        // A site sees only its own fragment, so the ids are checked across
+        // sites here, before anything mutates.
+        let mut ids: FxHashSet<TupleId> = FxHashSet::default();
+        if let Some(t) = deltas.iter().flat_map(|d| &d.inserts).find(|t| !ids.insert(t.tid)) {
+            return Err(RelationError::DuplicateTuple { tid: t.tid.0 });
+        }
+        for tid in deltas.iter().flat_map(|d| &d.deletes) {
+            ids.remove(tid);
+        }
+        let inserted = deltas.iter().flat_map(|d| &d.inserts).map(|t| t.tid);
+        let kept: Vec<TupleId> = inserted.filter(|tid| ids.contains(tid)).collect();
+        for frag in self.fragments.iter().filter(|_| !kept.is_empty()) {
+            if let Some(i) = frag.data.positions_of(&kept).into_iter().flatten().min() {
+                return Err(RelationError::DuplicateTuple { tid: frag.data.tids()[i].0 });
+            }
+        }
+        let (data, predicates): (Vec<_>, Vec<_>) = self
+            .fragments
+            .iter_mut()
+            .map(|f| (&mut f.data, (f.site, f.predicate.as_ref())))
+            .unzip();
+        locate_then_apply(threads, data.into_iter().zip(deltas), |i, delta| {
+            let (site, p) = predicates[i];
+            match p.and_then(|p| delta.inserts.iter().find(|t| !p.eval(t))) {
+                Some(t) => Err(outside_predicate(t.tid, site)),
+                None => Ok(()),
+            }
+        })
     }
 
     /// The fragment at one site.
@@ -193,7 +248,8 @@ impl HorizontalPartition {
     /// [`Self::from_fragments`], `DetectRequest::plan`,
     /// [`ReplicatedPartition::chained`](crate::ReplicatedPartition::chained)
     /// and [`HybridPartition::new`](crate::HybridPartition::new) run it; the
-    /// other constructors cut one relation and hold by construction.
+    /// other constructors cut one relation and hold by construction, and
+    /// [`Self::apply_delta`] refuses a batch that would break it.
     pub fn validate(&self) -> Result<(), RelationError> {
         let invalid = |detail: String| Err(RelationError::InvalidPartition { detail });
         if self.fragments.is_empty() {
@@ -221,10 +277,7 @@ impl HorizontalPartition {
         for frag in &self.fragments {
             let p = frag.predicate.as_ref();
             if let Some(t) = p.and_then(|p| frag.data.iter().find(|t| !p.eval(t))) {
-                return invalid(format!(
-                    "tuple {} violates its fragment predicate at {}",
-                    t.tid, frag.site
-                ));
+                return Err(outside_predicate(t.tid, frag.site));
             }
         }
         Ok(())
@@ -265,6 +318,32 @@ impl HorizontalPartition {
     }
 }
 
+/// Locates each part's delta ([`Relation::locate_delta`]) and puts it
+/// to `admit` with the part's index, then applies them all: the one
+/// write path of both partition kinds. Both steps run in parallel on up
+/// to `threads` participants. The first refusal in part order comes back
+/// before any relation mutates; an empty delta is neither located nor
+/// applied, and its effect is empty.
+pub(crate) fn locate_then_apply<'r, 'd>(
+    threads: usize,
+    parts: impl IntoIterator<Item = (&'r mut Relation, &'d RelationDelta)>,
+    admit: impl Fn(usize, &RelationDelta) -> Result<(), RelationError> + Sync,
+) -> Result<Vec<DeltaEffect>, RelationError> {
+    let located = scoped_map(threads, parts.into_iter().enumerate(), |(i, (data, delta))| {
+        let pending = (!delta.is_empty()).then(|| data.locate_delta(delta)).transpose()?;
+        admit(i, delta).map(|()| pending)
+    });
+    let pending: Vec<Option<PendingDelta<'_, '_>>> =
+        located.into_iter().collect::<Result<_, _>>()?;
+    Ok(scoped_map(threads, pending, |p| p.map_or_else(DeltaEffect::default, PendingDelta::apply)))
+}
+
+/// The refusal of a tuple outside its fragment's predicate `Fi`.
+fn outside_predicate(tid: TupleId, site: SiteId) -> RelationError {
+    let detail = format!("tuple {tid} violates its fragment predicate at {site}");
+    RelationError::InvalidPartition { detail }
+}
+
 /// One dictionary per attribute of `data`, in schema order.
 fn dictionaries(data: &Relation) -> Vec<Arc<Dictionary>> {
     data.columns().iter().map(|c| c.dict().clone()).collect()
@@ -279,7 +358,7 @@ fn foreign_dictionary(data: &Relation, dicts: &[Arc<Dictionary>]) -> Option<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcd_relation::{vals, Atom, Schema, ValueType};
+    use dcd_relation::{vals, Atom, Schema, Tuple, ValueType};
 
     fn schema() -> Arc<Schema> {
         Schema::builder("r")
@@ -413,6 +492,58 @@ mod tests {
                 .unwrap();
         p.fragments.push(fragments[1].clone());
         assert!(p.validate().is_err());
+    }
+
+    /// Each refusal of `apply_delta` leaves every fragment as it was, at
+    /// either pool width; a batch that keeps the invariants — a tuple
+    /// moved from one site to another among them — applies.
+    #[test]
+    fn a_refused_delta_batch_changes_no_fragment() {
+        let r = rel(9);
+        let cc = r.schema().require("cc").unwrap();
+        let predicates = (0..3).map(|v| Predicate::atom(Atom::eq(cc, v))).collect();
+        let mut p = HorizontalPartition::by_predicates(&r, predicates).unwrap();
+        let tuple = |tid: u64, cc: i64| Tuple::new(TupleId(tid), vals![cc, format!("n{tid}")]);
+        let insert_at = |site: usize, t: Tuple| {
+            let mut batch = vec![RelationDelta::default(); 3];
+            batch[site].inserts.push(t);
+            batch
+        };
+        let mut repeated = insert_at(0, tuple(20, 0));
+        repeated[2].inserts.push(tuple(20, 2));
+        let live_at_site_1 = tuple(1, 0);
+        let rows = |p: &HorizontalPartition| {
+            p.fragments().iter().map(|f| f.data.iter().collect::<Vec<_>>()).collect::<Vec<_>>()
+        };
+        let before = rows(&p);
+        let invalid = |detail: &str| RelationError::InvalidPartition { detail: detail.into() };
+        let cases = [
+            (
+                vec![RelationDelta::default(); 2],
+                invalid("delta batch covers 2 sites, partition has 3"),
+            ),
+            (repeated, RelationError::DuplicateTuple { tid: 20 }),
+            (insert_at(0, live_at_site_1.clone()), RelationError::DuplicateTuple { tid: 1 }),
+            (
+                insert_at(0, tuple(20, 1)),
+                invalid("tuple t20 violates its fragment predicate at S1"),
+            ),
+        ];
+        for (batch, want) in cases {
+            for threads in [1, 4] {
+                assert_eq!(p.apply_delta(&batch, threads), Err(want.clone()));
+                assert_eq!(rows(&p), before, "{want:?}");
+            }
+        }
+
+        let mut moved = insert_at(0, live_at_site_1);
+        moved[1].deletes.push(TupleId(1));
+        let effects = p.apply_delta(&moved, 4).unwrap();
+        assert_eq!(effects.iter().map(DeltaEffect::n_rows).collect::<Vec<_>>(), [1, 1, 0]);
+        assert!(effects[2].is_empty());
+        p.validate().unwrap();
+        assert!(p.fragment(SiteId(0)).data.tids().contains(&TupleId(1)));
+        assert!(!p.fragment(SiteId(1)).data.tids().contains(&TupleId(1)));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Vertical fragmentation: `Di = π_{key ∪ Xi}(D)` (§II-B, §V).
 
-use crate::pool::scoped_map;
+use crate::horizontal::locate_then_apply;
 use crate::site::SiteId;
 use dcd_relation::{
-    ops, AttrId, CodeBatch, DeltaEffect, PendingDelta, Relation, RelationDelta, RelationError,
-    Schema, Tuple, TupleId,
+    ops, AttrId, CodeBatch, DeltaEffect, Relation, RelationDelta, RelationError, Schema, Tuple,
+    TupleId,
 };
 use std::sync::Arc;
 
@@ -131,7 +131,9 @@ impl VerticalPartition {
     /// its projection (same deletes, same inserts in the same order).
     /// Every projection is checked and located
     /// ([`Relation::locate_delta`]) before any fragment mutates — in
-    /// parallel on up to `threads` participants — so a delta one
+    /// parallel on up to `threads` participants, as
+    /// [`HorizontalPartition::apply_delta`](crate::HorizontalPartition::apply_delta)
+    /// does — so a delta one
     /// fragment rejects (an unknown delete id, a live insert id, an
     /// insert ill-typed in that fragment's attributes) changes none; the
     /// first error in site order is returned. Returns the full-width
@@ -157,10 +159,8 @@ impl VerticalPartition {
                 RelationDelta::new(inserts.collect(), delta.deletes.clone())
             })
             .collect();
-        let tasks = self.fragments.iter_mut().map(|frag| &mut frag.data).zip(&projected);
-        let located = scoped_map(threads, tasks, |(data, delta)| data.locate_delta(delta));
-        let pending: Vec<PendingDelta<'_, '_>> = located.into_iter().collect::<Result<_, _>>()?;
-        let effects = scoped_map(threads, pending, PendingDelta::apply);
+        let parts = self.fragments.iter_mut().map(|frag| &mut frag.data).zip(&projected);
+        let effects = locate_then_apply(threads, parts, |_, _| Ok(()))?;
         let full_width = |side: fn(&DeltaEffect) -> &CodeRows| {
             let tids = side(&effects[0]).iter().map(|&(tid, _)| tid);
             let cells = |r: usize| -> Box<[u32]> {

@@ -1,13 +1,12 @@
 //! Property tests for the distribution layer's invariants: every way of
 //! building a `HorizontalPartition` reassembles to the original relation
 //! (tuple multiset round-trip), and the §II-B validation invariants hold
-//! by construction — fragments that share dictionaries can be mutated
-//! from the pool's threads at once, and every constructor reserves
+//! by construction — a delta batch applies to fragments that share
+//! dictionaries from the pool's threads at once, and every constructor reserves
 //! exactly the rows it stores. A vertical partition keeps its fragments'
 //! rows in line through every delta it accepts, and a delta it rejects
 //! changes no fragment.
 
-use dcd_dist::pool::scoped_map;
 use dcd_dist::{Fragment, HorizontalPartition, HybridPartition, SiteId, VerticalPartition};
 use dcd_relation::{
     ops, vals, Atom, Predicate, Relation, RelationDelta, Schema, Tuple, TupleId, Value, ValueType,
@@ -249,11 +248,12 @@ proptest! {
 }
 
 /// Eight fragments over one set of dictionaries each apply a delta full
-/// of values no dictionary has seen, all at once on the pool. A thread
-/// holds one dictionary lock at a time, so this terminates; which thread
-/// interned a value first decides its code, never what a row decodes to,
-/// so the fragments end up holding the rows that applying the same deltas
-/// one after another leaves.
+/// of values no dictionary has seen, all at once on the pool
+/// (`HorizontalPartition::apply_delta` at width 8). A thread holds one
+/// dictionary lock at a time, so this terminates; which thread interned a
+/// value first decides its code, never what a row decodes to, so the
+/// fragments end up holding the rows that width 1 — the deltas one after
+/// another — leaves.
 #[test]
 fn fragments_sharing_dictionaries_apply_deltas_in_parallel() {
     let rows: Vec<(i64, u8)> = (0..400).map(|i| (i % 7, (i % 5) as u8)).collect();
@@ -277,12 +277,11 @@ fn fragments_sharing_dictionaries_apply_deltas_in_parallel() {
         .collect();
 
     let mut serial = HorizontalPartition::round_robin(&rel, n).unwrap();
-    for (frag, delta) in serial.fragments_mut().iter_mut().zip(&deltas) {
-        frag.data.apply_delta(delta).unwrap();
-    }
+    serial.apply_delta(&deltas, 1).unwrap();
     let mut parallel = HorizontalPartition::round_robin(&build(&rows), n).unwrap();
-    let sites = parallel.fragments_mut().iter_mut().zip(&deltas);
-    let effects = scoped_map(n, sites, |(f, delta)| f.data.apply_delta(delta).unwrap());
+    let effects = parallel.apply_delta(&deltas, n).unwrap();
+    assert_eq!(effects.len(), n);
+    parallel.validate().unwrap();
     for ((a, b), effect) in serial.fragments().iter().zip(parallel.fragments()).zip(&effects) {
         assert!(a.data.iter().eq(b.data.iter()), "fragment at {}", a.site);
         assert_eq!((effect.inserted.len(), effect.deleted.len()), (150, 20));

@@ -203,19 +203,33 @@ fn fresh_rebuild_agrees_with_maintained_state() {
     }
 }
 
+/// An empty batch is a round in which no site is charged, on either run
+/// type: the metrics count it (its lag histogram gains an observation of
+/// 0); the report, ledger, clocks and trace are as they were.
 #[test]
 fn empty_batches_change_nothing() {
     let (rel, sigma) = workload(300);
+    let cfg = RunConfig::default();
+    let groups: [&[&str]; 2] = [
+        &["name", "CC", "AC", "phn", "street"],
+        &["CC", "city", "zip", "item_title", "item_price", "item_qty"],
+    ];
     let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
-    let mut run = IncrementalRun::new(partition, &sigma, RunConfig::default()).unwrap();
-    let before = run.detection();
+    let mut horizontal = IncrementalRun::new(partition, &sigma, cfg).unwrap();
+    let partition = VerticalPartition::by_attribute_groups(&rel, &groups).unwrap();
+    let mut vertical = VerticalIncrementalRun::new(partition, &sigma, cfg).unwrap();
     let empty = DeltaBatch::new(vec![Default::default(), Default::default()]);
-    let out = run.apply_batch(&empty).unwrap();
-    assert_eq!(out.paper_cost, 0.0);
-    // The session's metrics count the batch; the report, ledger, clocks
-    // and trace are as they were.
-    let after = run.detection();
-    assert_eq!(before, Detection { metrics: before.metrics.clone(), ..after });
+    let before = [horizontal.detection(), vertical.detection()];
+    let outs =
+        [horizontal.apply_batch(&empty).unwrap(), vertical.apply_batch(&empty.flatten()).unwrap()];
+    let after = [horizontal.detection(), vertical.detection()];
+    assert_eq!(horizontal.rounds(), 1);
+    for ((before, out), after) in before.into_iter().zip(outs).zip(after) {
+        assert_eq!(out.paper_cost, 0.0);
+        assert_eq!(out.report, before.violations);
+        assert!(after.metrics.expose().contains("dcd_incr_delta_lag_micros_count 1\n"));
+        assert_eq!(before, Detection { metrics: before.metrics.clone(), ..after });
+    }
 }
 
 #[test]

@@ -362,7 +362,9 @@ impl Relation {
     /// nothing moves the located rows in between, and dropping it leaves
     /// the relation as it was. A caller applying one batch across several
     /// relations locates every part before applying any, and a rejected
-    /// batch then mutates none of them.
+    /// batch then mutates none of them: `dcd-dist`'s
+    /// `HorizontalPartition::apply_delta` and
+    /// `VerticalPartition::apply_delta` do, its two callers.
     ///
     /// Ids are located through [`Relation::positions_of`], once each:
     /// `O(|Δ| log |D|)` while the tid column is ascending, one scan of it

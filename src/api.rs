@@ -233,9 +233,11 @@ impl DetectRequest {
     /// single-RHS CFDs `φ = R(X → A, Tp)` the single-CFD algorithms take.
     ///
     /// A horizontal partition is the one topology whose fragments can
-    /// change after construction
-    /// ([`HorizontalPartition::fragments_mut`]); the other three were
-    /// checked where they were built and are read-only since.
+    /// change unchecked after construction
+    /// ([`HorizontalPartition::fragments_mut`], which no session calls: a
+    /// session's batches go through [`HorizontalPartition::apply_delta`],
+    /// which keeps what `validate` checks); the other three were checked
+    /// where they were built and are read-only since.
     ///
     /// A cost model with a non-finite, negative or zero-rate field is
     /// rejected with [`RelationError::InvalidCostModel`]; a partition
@@ -614,6 +616,73 @@ mod tests {
             let want = dcd_cfd::detect_set(&whole, &sigma);
             assert!(!want.all_tids().is_empty(), "{label}: the insert conflicts");
             assert_eq!(session.report(), want, "{label}: next batch");
+        }
+    }
+
+    /// A session's partition keeps its fragment predicates: an insert at
+    /// a site whose `Fi` it fails is refused, naming the tuple and the
+    /// site, with every fragment and the whole `Detection` as they were,
+    /// through the run and through `Plan::session()`. It used to be
+    /// applied: the partition then failed `validate`, and `run_batch` over
+    /// it answered ∅ where the materialized relation holds `Vio` = {t0, t9}.
+    #[test]
+    fn a_session_insert_outside_its_predicate_is_refused() {
+        use dcd_relation::{Atom, Predicate, RelationDelta, Tuple, TupleId};
+        let rel = sample(9);
+        let cc = rel.schema().require("cc").unwrap();
+        let predicates = [44, 31].map(|v| Predicate::atom(Atom::eq(cc, v))).to_vec();
+        let partition = HorizontalPartition::by_predicates(&rel, predicates).unwrap();
+        let sigma = [parse_cfd(rel.schema(), "phi", "([cc=44, zip] -> [street])").unwrap()];
+        let t9 = Tuple::new(TupleId(9), vals![9, 44, "z0", "X"]);
+        let batch =
+            DeltaBatch::new(vec![RelationDelta::default(), RelationDelta::new(vec![t9], vec![])]);
+        let refused = RelationError::InvalidPartition {
+            detail: "tuple t9 violates its fragment predicate at S2".into(),
+        };
+
+        let mut run = IncrementalRun::new(partition.clone(), &sigma, RunConfig::default()).unwrap();
+        let rows = |run: &IncrementalRun| {
+            run.partition()
+                .fragments()
+                .iter()
+                .map(|f| f.data.iter().collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        let (detection, fragments) = (run.detection(), rows(&run));
+        assert_eq!(run.apply_batch(&batch).unwrap_err(), refused);
+        assert_eq!(run.detection(), detection);
+        assert_eq!(rows(&run), fragments);
+        run.partition().validate().unwrap();
+
+        let plan = DetectRequest::over(partition).cfds(sigma).plan().unwrap();
+        let mut session = plan.session().unwrap();
+        let detection = session.detection();
+        assert_eq!(session.apply_batch(&batch).unwrap_err(), refused);
+        assert_eq!(session.detection(), detection);
+    }
+
+    /// An empty batch is one rule on either session kind: a round in which
+    /// no site is charged. The metrics count it (its lag histogram gains
+    /// an observation); the report, ledger, clocks and trace are as they
+    /// were.
+    #[test]
+    fn an_empty_batch_changes_nothing_on_either_session_kind() {
+        let rel = sample(20);
+        let sigma = [parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap()];
+        let horizontal = HorizontalPartition::round_robin(&rel, 2).unwrap();
+        let vertical =
+            VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]]).unwrap();
+        let topologies: [Topology; 2] = [horizontal.into(), vertical.into()];
+        for topology in topologies {
+            let plan = DetectRequest::over(topology).cfds(sigma.clone()).plan().unwrap();
+            let mut session = plan.session().unwrap();
+            let before = session.detection();
+            let report =
+                session.apply_batch(&DeltaBatch::new(vec![Default::default(); 2])).unwrap();
+            let after = session.detection();
+            assert_eq!(report, before.violations);
+            assert!(after.metrics.expose().contains("dcd_incr_delta_lag_micros_count 1\n"));
+            assert_eq!(before, Detection { metrics: before.metrics.clone(), ..after });
         }
     }
 

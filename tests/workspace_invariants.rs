@@ -239,13 +239,14 @@ fn production_calls(method: &str, code: &[(String, String)]) -> Vec<String> {
 /// `HorizontalPartition::fragments_mut` hands out the fragments that
 /// `validate` checked, so a caller can break the partition invariants
 /// after construction; `DetectRequest::plan` checks a horizontal
-/// partition again for that reason. The hole stays where it is: the
-/// incremental run, which applies delta batches in place, is its one
-/// production caller (`benchmark/`, a workspace of its own, mirrors a
-/// session through it too).
+/// partition again for that reason. No production source calls it: a
+/// session changes its fragments through `HorizontalPartition::apply_delta`,
+/// which keeps those invariants. Only `benchmark/` (a workspace of its
+/// own, mirroring a session) and the tests that break a partition on
+/// purpose still call it.
 #[test]
-fn fragments_mut_has_one_production_caller() {
-    assert_eq!(production_calls("fragments_mut", &code()), ["crates/incr/src/runner.rs"]);
+fn fragments_mut_has_no_production_caller() {
+    assert_eq!(production_calls("fragments_mut", &code()), Vec::<String>::new());
 }
 
 /// The code wire's format — `TID_CELLS` id cells per row, `CODE_BYTES`
