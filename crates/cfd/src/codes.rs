@@ -1,7 +1,7 @@
-//! Code-native coordinator validation over gathered `(tid, codes)` wire
-//! rows, row-wise or as a column batch.
+//! Code-native coordinator validation: over shipped `(tid, codes)` wire
+//! rows, or over σ-blocks read where they lie.
 //!
-//! The batch detectors' coordinators receive σ-blocks gathered from many
+//! The batch detectors' coordinators receive σ-blocks from many
 //! fragments. On the *code-native* wire — the one the incremental delta
 //! protocol of `dcd-incr` uses too — each shipped row is just
 //! `(tid, codes)`: one `u32` dictionary code per projected attribute,
@@ -12,27 +12,23 @@
 //! ([`CompiledPattern::compile_with`]), and decodes only the *violating*
 //! group keys back to values for `Vioπ`.
 //!
-//! A [`CodeLayout`] names what the wire rows carry: which original
-//! attributes, in which order, over which dictionaries. The rows
-//! themselves come in two shapes with one meaning: [`CodeRow`]s, one
-//! heap buffer per row, and a [`CodeBatch`], one dense vector per
-//! attribute — what every `CLUSTDETECT` round gathers, a cluster of one
-//! included, and the vertical and hybrid gathers too, since a batch pays
-//! per buffer and not per row. `CodeRow`s are still what the single-CFD
-//! round ships — `run_batch`, `run_seq`, and `REPDETECT` and
-//! `HYBRIDDETECT`'s second phase through the same round — and what the
-//! incremental wire carries. In a horizontal round either shape is
-//! built at its coordinator, inside the validation task: a cluster
-//! coordinator gathers its one batch ([`ResolvedCfd::detect_batch`]); a
-//! single-CFD coordinator, `CTRDETECT`'s included, builds one σ-block's
-//! rows at a time, validates them on their own
-//! ([`ResolvedCfd::detect_pattern_block`]) and drops them before the
-//! next. The detection methods here hand either to the [`kernel`] — a batch to the
-//! same slice loop as the columnar
-//! [`detect_simple`](crate::detect_simple), together with the LHS
-//! dictionaries' sizes as of the call, which decide whether it groups in
-//! slots or by hashing; wire rows to the boxed-row loop, which hashes.
-//! They are pinned, like it, against the pairwise
+//! A [`CodeLayout`] names what a coordinator reads: which original
+//! attributes, in which order, over which dictionaries. The ledger
+//! prices the shipment; what the host reads comes in two shapes with one
+//! meaning. A cluster coordinator — every `CLUSTDETECT` round, a cluster
+//! of one included — and VERTDETECT's coordinator read their rows where
+//! the fragments hold them ([`ResolvedCfd::detect_blocks`]): each block
+//! is a fragment's columns in layout order plus the block's row list,
+//! and nothing is copied. [`CodeRow`]s, one heap buffer per row, are
+//! still what `run_batch`'s round builds — one σ-block at a time inside
+//! the coordinator's validation task, validated on its own
+//! ([`ResolvedCfd::detect_pattern_block`]) and dropped before the next —
+//! and what the incremental wire carries. The detection methods here
+//! hand either to the [`kernel`]: blocks to the same slice loop as the
+//! columnar [`detect_simple`](crate::detect_simple), together with the
+//! LHS dictionaries' sizes as of the call, which decide whether it
+//! groups in slots or by hashing; wire rows to the boxed-row loop, which
+//! hashes. They are pinned, like it, against the pairwise
 //! [`oracle`](crate::oracle) (the tests below, `tests/prop_oracle.rs`
 //! and `tests/prop_cluster.rs`).
 
@@ -40,16 +36,17 @@ use crate::cfd::SimpleCfd;
 use crate::kernel::{self, ColumnRows, Flagged, KernelTally, LhsIndex, Tableau};
 use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
-use dcd_relation::{AttrId, CodeBatch, Dictionary, Relation, TupleId, Value};
+use dcd_relation::{AttrId, Dictionary, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// One row on the code-native wire: a tuple id plus the dictionary
 /// codes of the shipped attributes, in [`CodeLayout`] order.
 pub type CodeRow = (TupleId, Box<[u32]>);
 
-/// The shape of a batch of [`CodeRow`]s: which original-schema
-/// attributes the cells hold (in cell order) and the shared
-/// dictionaries they are coded against.
+/// The shape of the rows a coordinator reads — [`CodeRow`]s, or
+/// columns where they lie: which original-schema attributes the cells
+/// hold (in cell order) and the shared dictionaries they are coded
+/// against.
 ///
 /// Built once per detection round at the coordinator; validation then
 /// resolves each CFD's attributes to cell positions through it.
@@ -67,9 +64,9 @@ impl CodeLayout {
         CodeLayout { attrs, dicts }
     }
 
-    /// The layout of rows shipped as `rel.code_rows(attrs, ..)`:
-    /// dictionaries are taken from `rel` (and are shared by every
-    /// fragment of the same partition).
+    /// The layout of rows shipped as `rel.code_rows(attrs, ..)`, or read
+    /// in place as `rel.code_views(attrs)`: dictionaries are taken from
+    /// `rel` (and are shared by every fragment of the same partition).
     pub fn of_relation(rel: &Relation, attrs: &[AttrId]) -> Self {
         CodeLayout { attrs: attrs.to_vec(), dicts: rel.dictionaries_of(attrs) }
     }
@@ -77,11 +74,6 @@ impl CodeLayout {
     /// The attributes the rows carry, in cell order.
     pub fn attrs(&self) -> &[AttrId] {
         &self.attrs
-    }
-
-    /// Number of attribute cells per row.
-    pub fn width(&self) -> usize {
-        self.attrs.len()
     }
 
     /// The cell position of an original-schema attribute, if carried.
@@ -138,16 +130,6 @@ impl ResolvedCfd {
         self.lhs_dicts.iter().zip(key_codes).map(|(d, &c)| d.value(c)).collect()
     }
 
-    /// The kernel's view of this CFD under the algorithmic reading;
-    /// `index: None` for rows pre-filtered to one pattern.
-    fn tableau<'a>(
-        &'a self,
-        patterns: &'a [CompiledPattern],
-        index: Option<&'a LhsIndex>,
-    ) -> Tableau<'a> {
-        Tableau { patterns, index, strict: false }
-    }
-
     /// Copies a wire row's LHS cells into `buf`, in LHS order.
     fn project_lhs(&self, codes: &[u32], buf: &mut [u32]) {
         for (b, &p) in buf.iter_mut().zip(&self.lhs_pos) {
@@ -174,7 +156,7 @@ impl ResolvedCfd {
                 pat.feasible && pat.matches_codes(key)
             },
             |(tid, codes)| (*tid, codes[self.rhs_pos]),
-            &self.tableau(std::slice::from_ref(pat), None),
+            &Tableau { patterns: std::slice::from_ref(pat), index: None, strict: false },
             |key| self.decode_key(key),
         );
         (found.into(), tally)
@@ -191,28 +173,41 @@ impl ResolvedCfd {
         self.detect_pattern_block(rows, pattern_idx).0
     }
 
-    /// Detects violations of the resolved CFD among the rows of a column
-    /// batch in this layout, under the algorithmic reading — what a
-    /// cluster coordinator runs per member CFD on the one batch the
-    /// cluster shipped it. Equal to the oracle's `Vio`/`Vioπ` over the
-    /// decoded tuples (pinned by tests and the workspace equivalence
-    /// suites). The findings come back as plain vectors: the
-    /// coordinators of a round hold disjoint rows, so the caller builds
-    /// each member's set once ([`ViolationSet::from_disjoint`]). What the
-    /// kernel counted comes back beside them.
-    pub fn detect_batch(&self, batch: &CodeBatch) -> (Flagged, KernelTally) {
+    /// Detects violations of the resolved CFD among rows where they lie,
+    /// under the algorithmic reading — what a cluster coordinator runs
+    /// per member CFD over the σ-blocks assigned to it, and VERTDETECT's
+    /// coordinator over the rows every supplier kept. Each block is
+    /// `(cols, tids, rows)`: the columns of this layout's attributes in
+    /// cell order, the tuple ids they align with, and the rows to read.
+    /// The blocks are validated together, in the order given, as one
+    /// batch of their rows would be: one group-id table spans them, so a
+    /// group may take members from several blocks. Equal to the oracle's
+    /// `Vio`/`Vioπ` over the decoded tuples (pinned by tests and the
+    /// workspace equivalence suites). The findings come back as plain
+    /// vectors: the coordinators of a round hold disjoint rows, so the
+    /// caller builds each member's set once
+    /// ([`ViolationSet::from_disjoint`]). What the kernel counted comes
+    /// back beside them.
+    pub fn detect_blocks<'a>(
+        &self,
+        blocks: impl IntoIterator<Item = (&'a [&'a [u32]], &'a [TupleId], &'a [usize])>,
+    ) -> (Flagged, KernelTally) {
         if self.compiled.is_empty() {
             return Default::default();
         }
-        let rows = ColumnRows {
-            lhs: self.lhs_pos.iter().map(|&p| &batch.cols[p][..]).collect(),
-            rhs: &batch.cols[self.rhs_pos],
-            tids: &batch.tids,
-        };
+        let segments: Vec<ColumnRows<'a, &[usize]>> = blocks
+            .into_iter()
+            .map(|(cols, tids, rows)| ColumnRows {
+                lhs: self.lhs_pos.iter().map(|&p| cols[p]).collect(),
+                rhs: cols[self.rhs_pos],
+                tids,
+                rows,
+            })
+            .collect();
         // The LHS dictionaries' sizes as of now choose the group-id table.
         let key_sizes = self.lhs_dicts.iter().map(|d| d.len());
-        let tableau = self.tableau(&self.compiled, Some(&self.index));
-        kernel::detect_columns(&rows, key_sizes, &tableau, |key| self.decode_key(key))
+        let tableau = Tableau { patterns: &self.compiled, index: Some(&self.index), strict: false };
+        kernel::detect_columns(&segments, key_sizes, &tableau, |key| self.decode_key(key))
     }
 }
 
@@ -254,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_rows_and_batches_match_oracle() {
+    fn wire_rows_and_blocks_in_place_match_oracle() {
         let rel = sample();
         for txt in [
             "([cc, zip] -> [street])",
@@ -273,14 +268,15 @@ mod tests {
             // And both agree with the columnar whole-relation path.
             let full = detect_simple(&rel, &cfd);
             assert_eq!(code_native.tids(), full.tids(), "{txt} vs detect_simple");
-            // The same rows as one column batch: the same findings, ids
-            // in row order, each violating key once.
-            let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
-            rel.gather_into(&attrs, &(0..rel.len()).collect::<Vec<_>>(), &mut batch);
-            let (found, _) = layout.resolve(&cfd).detect_batch(&batch);
+            // The same rows read in place, as two blocks: the same
+            // findings, ids in row order, each violating key once.
+            let cols = rel.code_views(&attrs);
+            let (head, tail): (Vec<usize>, Vec<usize>) = (0..rel.len()).partition(|&r| r < 3);
+            let blocks = [&head, &tail].map(|rows| (&cols[..], rel.tids(), &rows[..]));
+            let (found, _) = layout.resolve(&cfd).detect_blocks(blocks);
             assert!(found.tids.is_sorted(), "{txt}: sample ids ascend with the rows");
             assert_eq!(found.patterns.len(), want.pattern_count(), "{txt}: distinct keys");
-            assert_eq!(ViolationSet::from(found), want, "{txt} batch Vio, Vioπ");
+            assert_eq!(ViolationSet::from(found), want, "{txt} blocks Vio, Vioπ");
         }
     }
 

@@ -1,8 +1,8 @@
 //! The one group-validation kernel every detector runs.
 //!
 //! All of the paper's detectors — CTRDETECT's coordinator validation,
-//! PATDETECT's per-pattern blocks, SEQDETECT/CLUSTDETECT's gathered
-//! σ-blocks, the centralized "SQL technique", and the incremental
+//! PATDETECT's per-pattern blocks, SEQDETECT/CLUSTDETECT's σ-blocks
+//! read in place, the centralized "SQL technique", and the incremental
 //! violation index — reduce to one primitive: *group tuples by their LHS
 //! key, then validate each group against the tableau patterns its key
 //! matches*. This module is that primitive, written once over one
@@ -26,9 +26,11 @@
 //!    its own RHS differs from the one constant its group is held to.
 //!
 //! There are two loops, one per shape of rows. [`detect_columns`] reads
-//! column-major rows straight from code slices — a relation's columns, or
-//! a [`CodeBatch`](dcd_relation::CodeBatch) — and keeps its
-//! ids in a [`CodeMemo`]: a flat slot table indexed by the key's
+//! column-major rows straight from code slices where they lie — a
+//! relation's columns whole, or a list of segments each with its row
+//! selection: a coordinator's σ-blocks in (pattern, fragment) order, or
+//! the rows a vertical gather kept — and keeps its ids in one
+//! [`CodeMemo`] for all of them: a flat slot table indexed by the key's
 //! mixed-radix code when the LHS dictionaries' code space is no larger
 //! than the rows, else a hash map of packed [`CodeKey`]s, chosen once
 //! per call. [`CodeMemo::resolve`] computes a chunk of rows' slot ids a
@@ -65,7 +67,7 @@
 
 use crate::pattern::CompiledPattern;
 use dcd_obs::MetricsRegistry;
-use dcd_relation::ops::{CodeKey, CodeMemo};
+use dcd_relation::ops::{CodeKey, CodeMemo, RowSource};
 use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 
 /// What one kernel call counted: how many [`LhsIndex`] probes ran and
@@ -73,9 +75,9 @@ use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
 /// the call and returned beside its findings: a pool task hands its
 /// tally back with its charge, and the run adds it to its registry
 /// ([`Self::record`]) after the join. Counts accumulate at coordinators
-/// over gathered rows — work whose extent is independent of pool width —
-/// and sums commute, so recorded counts are bit-identical across pool
-/// widths.
+/// over the rows they validate — work whose extent is independent of
+/// pool width — and sums commute, so recorded counts are bit-identical
+/// across pool widths.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelTally {
     /// [`LhsIndex`] probes (one per distinct group key).
@@ -384,56 +386,65 @@ pub fn detect_grouped<R>(
     (out, tally)
 }
 
-/// One run of rows held column-major: dense code slices for the LHS
-/// attributes and the RHS attribute, and the rows' tuple ids, all of one
-/// length — a relation's columns, or a
-/// [`CodeBatch`](dcd_relation::CodeBatch).
+/// One segment of rows held column-major, read where they lie: dense
+/// code slices for the LHS attributes and the RHS attribute, and the
+/// tuple ids, all of one length — a relation's columns, or the columns a
+/// vertical gather plans — plus which of their rows to read: a `Range`
+/// (every row, for a whole relation) or a selection (`&[usize]`, a
+/// σ-block's rows).
 #[derive(Debug, Clone)]
-pub struct ColumnRows<'a> {
+pub struct ColumnRows<'a, R> {
     /// One slice per LHS attribute, in LHS order.
     pub lhs: Vec<&'a [u32]>,
     /// The RHS codes.
     pub rhs: &'a [u32],
     /// The tuple ids.
     pub tids: &'a [TupleId],
+    /// The rows to read, in order.
+    pub rows: R,
 }
 
-/// The full kernel over column-major rows: the same scan, judge and emit
-/// as [`detect_grouped`], with every key read straight from the LHS
-/// slices. Group ids live in a [`CodeMemo`] over the LHS dictionaries'
-/// sizes `key_sizes`, read at this call, and the row count: a slot table
-/// when the code space fits the rows, else a hash map. Its
-/// [`CodeMemo::resolve`] asks for an id at each key's first row, and a
-/// counter hands them out in first-seen order, so groups, verdicts,
-/// tallies and output order do not depend on which table it is.
-pub fn detect_columns(
-    rows: &ColumnRows<'_>,
+/// The full kernel over column-major segments: the same scan, judge and
+/// emit as [`detect_grouped`], with every key read straight from the LHS
+/// slices, segment after segment as if they were one batch. Group ids
+/// live in one [`CodeMemo`] for every segment, over the LHS
+/// dictionaries' sizes `key_sizes`, read at this call, and the rows read
+/// in all: a slot table when the code space fits them, else a hash map.
+/// Its [`CodeMemo::resolve`] asks for an id at each key's first row, and
+/// a counter hands them out in first-seen order, so groups, verdicts,
+/// tallies and output order do not depend on which table it is, nor on
+/// where one segment ends and the next begins.
+pub fn detect_columns<R: RowSource>(
+    segments: &[ColumnRows<'_, R>],
     key_sizes: impl IntoIterator<Item = usize>,
     tableau: &Tableau<'_>,
     decode: impl FnMut(&[u32]) -> Vec<Value>,
 ) -> (Flagged, KernelTally) {
-    let n = rows.tids.len();
+    let n = segments.iter().map(|seg| seg.rows.rows().len()).sum();
     let mut ids = CodeMemo::new(key_sizes, n);
     let width = tableau.patterns.first().map_or(0, |p| p.lhs.len());
     let mut groups = Groups::new(width);
     let mut group_of: Vec<u32> = Vec::with_capacity(n);
     let mut fresh = 0u32;
-    let first_seen = |_| {
+    let mut first_seen = |_| {
         let gid = fresh;
         fresh = fresh.checked_add(1).expect("fewer groups than u32::MAX");
         gid
     };
-    ids.resolve(&rows.lhs, 0..n, first_seen, |r, gid| {
-        groups.record(gid, rows.rhs[r], rows.lhs.iter().map(|col| col[r]));
-        group_of.push(gid);
-    });
+    for seg in segments {
+        ids.resolve(&seg.lhs, seg.rows.clone(), &mut first_seen, |r, gid| {
+            groups.record(gid, seg.rhs[r], seg.lhs.iter().map(|col| col[r]));
+            group_of.push(gid);
+        });
+    }
     drop(ids);
 
     let mut out = Flagged::default();
     let (judged, tally) = judge_groups(&groups, tableau, decode, &mut out);
     if !out.patterns.is_empty() {
-        let members = rows.tids.iter().zip(rows.rhs);
-        for ((&tid, &rhs), &gid) in members.zip(&group_of) {
+        let read =
+            segments.iter().flat_map(|seg| seg.rows.rows().map(|r| (seg.tids[r], seg.rhs[r])));
+        for ((tid, rhs), &gid) in read.zip(&group_of) {
             if judged[gid as usize].flags(rhs) {
                 out.tids.push(tid);
             }
@@ -599,9 +610,10 @@ mod tests {
     }
 
     /// Runs the boxed-row loop over `(key code, tid = RHS code)` rows
-    /// and, when no row is left out, the slice loop over the same rows
-    /// once per group-id table — slots over the keys' span, then a code
-    /// space too large for slots. All must find and tally the same.
+    /// and, when no row is left out, the slice loop over the same rows —
+    /// whole, and as two selections split mid-way — once per group-id
+    /// table: slots over the keys' span, then a code space too large for
+    /// slots. All must find and tally the same.
     fn scan(
         rows: &[(u32, u32)],
         patterns: &[CompiledPattern],
@@ -623,13 +635,25 @@ mod tests {
         if rows.iter().all(|r| r.0 != NO_GROUP) {
             let (keys, rhs): (Vec<u32>, Vec<u32>) = rows.iter().copied().unzip();
             let tids: Vec<TupleId> = rhs.iter().map(|&c| TupleId(u64::from(c))).collect();
-            let columns = ColumnRows { lhs: vec![&keys], rhs: &rhs, tids: &tids };
+            let (lhs, rhs, tids) = (vec![&keys[..]], &rhs[..], &tids[..]);
+            let whole = [ColumnRows { lhs: lhs.clone(), rhs, tids, rows: 0..rows.len() }];
+            // The same rows as two selections, split mid-way: one batch.
+            let (head, tail): (Vec<usize>, Vec<usize>) =
+                (0..rows.len()).partition(|&r| 2 * r < rows.len());
+            let split = [&head[..], &tail[..]].map(|sel| ColumnRows {
+                lhs: lhs.clone(),
+                rhs,
+                tids,
+                rows: sel,
+            });
             let span = keys.iter().map(|&k| k as usize + 1).max().unwrap_or(0);
             let slotted = matches!(CodeMemo::<u32>::new([span], rows.len()), CodeMemo::Slots(..));
             assert!(slotted, "the fixture must fit slots");
             for key_space in [span, usize::MAX] {
-                let read = detect_columns(&columns, [key_space], &tableau, decode);
+                let read = detect_columns(&whole, [key_space], &tableau, decode);
                 assert_eq!(read, found, "slice loop over {key_space} keys");
+                let read = detect_columns(&split, [key_space], &tableau, decode);
+                assert_eq!(read, found, "slice loop over {key_space} keys, split");
             }
         }
         found
@@ -752,8 +776,12 @@ mod tests {
         // Key 0 holds rows 0, 1, 4 (RHS 5 each: clean); key 1 holds rows
         // 2 and 3 (RHS 6, 7: a conflict).
         let tids: Vec<TupleId> = (0..5).map(TupleId).collect();
-        let rows =
-            ColumnRows { lhs: vec![&[0, 0, 1, 1, 0][..]], rhs: &[5, 5, 6, 7, 5], tids: &tids };
+        let rows = [ColumnRows {
+            lhs: vec![&[0, 0, 1, 1, 0][..]],
+            rhs: &[5, 5, 6, 7, 5],
+            tids: &tids,
+            rows: 0..5,
+        }];
         let patterns =
             [CompiledPattern { lhs: vec![WILDCARD_CODE], rhs: WILDCARD_CODE, feasible: true }];
         // Two keys fit five rows in slots; a huge dictionary does not.

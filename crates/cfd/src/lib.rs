@@ -21,9 +21,9 @@
 //!   "SQL technique" of TODS 2008, implemented as hash aggregation):
 //!   `Vio(φ, D)` and its projected form `Vioπ`,
 //! * [`codes`] — code-native coordinator validation: the same
-//!   detection semantics over `(tid, codes)` wire rows gathered from
-//!   dictionary-sharing fragments (what the distributed batch
-//!   detectors ship),
+//!   detection semantics over what the distributed batch detectors
+//!   ship from dictionary-sharing fragments — `(tid, codes)` wire rows,
+//!   or σ-blocks read where the fragments hold them,
 //! * [`kernel`] — the single group-validation kernel both of the above
 //!   run: per-group tableau validation ([`judge`]) and σ-style
 //!   LHS pattern bucketing ([`LhsIndex`]) written once over packed code

@@ -281,12 +281,13 @@ fn detect_simple_with(rel: &Relation, cfd: &SimpleCfd, strict: bool) -> Violatio
         lhs: rel.code_views(&cfd.lhs),
         rhs: rel.column(cfd.rhs).codes(),
         tids: rel.tids(),
+        rows: 0..rel.len(),
     };
     let index = LhsIndex::of_compiled(&compiled);
     let tableau = Tableau { patterns: &compiled, index: Some(&index), strict };
     let key_sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
     let decode = |key: &[u32]| rel.decode_projection(&cfd.lhs, key);
-    kernel::detect_columns(&rows, key_sizes, &tableau, decode).0.into()
+    kernel::detect_columns(&[rows], key_sizes, &tableau, decode).0.into()
 }
 
 /// Single-tuple detection of an all-constant-pattern CFD, restricted to

@@ -16,7 +16,7 @@
 //!    coordinators; all other sites empty), over which the CFD runs as a
 //!    cluster of one (`multi::run_cluster`) — σ-partitioning, statistics
 //!    exchange, per-pattern coordinators, code-native shipment and
-//!    validation on column batches.
+//!    validation of σ-blocks read where the cell projections hold them.
 //!
 //! Both phases charge the same ledger and clocks, so the reported
 //! shipment and response time cover the whole pipeline. No tuple

@@ -15,7 +15,7 @@
 //! and therefore land at the same coordinator — the Lemma 6 argument
 //! lifted to clusters. A CFD whose LHS is related to no other is a
 //! cluster of one, with no algorithm of its own: the same round runs it,
-//! on the same column-batch wire, under the CFD's name and at the
+//! on the same code wire, under the CFD's name and at the
 //! single-CFD round's charges (`run_cluster`). A cluster with nothing to
 //! partition on (`Z = ∅`) runs each member as a cluster of one.
 //!
@@ -38,7 +38,7 @@ use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{Cfd, Flagged, KernelTally, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{Fragment, HorizontalPartition, SiteId};
-use dcd_relation::{AttrId, CodeBatch, FxHashSet};
+use dcd_relation::{AttrId, FxHashSet, TupleId};
 
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
 /// time over one shared [`RunCtx`], each a cluster of one run with the
@@ -110,6 +110,13 @@ pub fn cluster_by_lhs(cfds: &[SimpleCfd]) -> Vec<Vec<usize>> {
 /// `holds(site, f)` says whether `site` already has fragment `f`'s rows —
 /// its own, or a replica: the strategy ranks sites by the σ-block rows
 /// they hold, and a held fragment ships nothing.
+///
+/// The ledger prices every shipped row (`ship:`); the host copies none.
+/// Each coordinator's `validate:` task lists the σ-blocks assigned to it
+/// in (pattern, fragment) order and validates every member over them
+/// where the fragments hold them ([`ResolvedCfd::detect_blocks`]): one
+/// group-id table per member spans the blocks, so groups, verdicts and
+/// output order are those of one batch of the same rows.
 ///
 /// A cluster of one is the single-CFD round of §IV-B on this wire, and
 /// charges and names what `run_batch`'s round does: its phases carry the
@@ -211,7 +218,7 @@ pub(crate) fn run_cluster(
 
     // Coordinators per projected pattern, over the rows of each pattern
     // every site holds (the statistics are dropped before anything is
-    // gathered).
+    // validated).
     let assignment = {
         let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
         let k = sorted.cfd.tableau.len();
@@ -245,26 +252,28 @@ pub(crate) fn run_cluster(
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to columns of the
-    // cluster's union layout). Each task gathers its own batch and drops
-    // it when it returns.
+    // cluster's union layout). Each task lists the σ-blocks assigned to
+    // it and reads their rows where the fragments hold them.
     let per_block = alone && strategy != CoordinatorStrategy::Central;
+    let views: Vec<Vec<&[u32]>> = fragments.iter().map(|f| f.data.code_views(&attrs)).collect();
     let mut validated = ctx.phase(&format!("validate:{label}"), |p| {
         let per_site = scoped_map(cfg.threads, 0..n, |c| {
             let site = SiteId(c as u32);
-            let batch = gather_cluster(fragments, &parts, &assignment, &attrs, site);
-            if batch.is_empty() {
+            let blocks = assigned_blocks(fragments, &views, &parts, &assignment, site);
+            let rows: usize = blocks.iter().map(|(_, _, rows)| rows.len()).sum();
+            if rows == 0 {
                 return (None, vec![Flagged::default(); resolved.len()], KernelTally::default());
             }
             let secs = if per_block {
                 let blocks = patterns_at(&assignment, site);
                 blocks.map(|l| cfg.cost.check_time(pattern_rows(&parts, l))).sum()
             } else {
-                cfg.cost.check_time(batch.len()) * variable_members.len() as f64
+                cfg.cost.check_time(rows) * variable_members.len() as f64
             };
             let mut found = Vec::with_capacity(resolved.len());
             let mut tally = KernelTally::default();
             for r in &resolved {
-                let (flagged, counted) = r.detect_batch(&batch);
+                let (flagged, counted) = r.detect_blocks(blocks.iter().copied());
                 found.push(flagged);
                 tally += counted;
             }
@@ -295,31 +304,31 @@ pub(crate) fn run_cluster(
     ctx.end_round();
 }
 
+/// A block of rows where a fragment holds it: the fragment's columns in
+/// layout order, its tuple ids and the block's rows.
+type Block<'a> = (&'a [&'a [u32]], &'a [TupleId], &'a [usize]);
+
 /// Coordinator `site`'s share of the cluster's shipment, as its pool
-/// task validates it: the σ-blocks of the patterns assigned to it, in
-/// (pattern, fragment) order, copied a column at a time from the
-/// fragments' columns into one [`CodeBatch`] — the rows [`ship_phase`]
-/// priced. The batch is sized from those blocks, so a coordinator
-/// allocates `attrs + 1` buffers however many rows it receives.
-fn gather_cluster(
-    fragments: &[Fragment],
-    parts: &[SigmaPartition],
+/// task validates it: the non-empty σ-blocks of the patterns assigned to
+/// it, in (pattern, fragment) order — the rows [`ship_phase`] priced —
+/// each over the columns `views` lists for its fragment. Nothing is
+/// copied.
+fn assigned_blocks<'a>(
+    fragments: &'a [Fragment],
+    views: &'a [Vec<&'a [u32]>],
+    parts: &'a [SigmaPartition],
     assignment: &[Option<SiteId>],
-    attrs: &[AttrId],
     site: SiteId,
-) -> CodeBatch {
-    let mine = patterns_at(assignment, site);
-    let rows = mine.clone().map(|l| pattern_rows(parts, l)).sum();
-    let mut batch = CodeBatch::with_capacity(attrs.len(), rows);
-    for l in mine {
-        for (frag, part) in fragments.iter().zip(parts) {
-            let block = &part.blocks[l];
-            if !block.is_empty() {
-                frag.data.gather_into(attrs, block, &mut batch);
-            }
-        }
-    }
-    batch
+) -> Vec<Block<'a>> {
+    let frags = fragments.iter().zip(views).zip(parts);
+    patterns_at(assignment, site)
+        .flat_map(|l| {
+            frags
+                .clone()
+                .map(move |((f, cols), part)| (&cols[..], f.data.tids(), &part.blocks[l][..]))
+        })
+        .filter(|(_, _, rows)| !rows.is_empty())
+        .collect()
 }
 
 #[cfg(test)]
@@ -372,70 +381,71 @@ mod tests {
         ]
     }
 
-    /// Every buffer of every batch holds exactly the rows it was created
-    /// for: `width + 1` allocations per coordinator, none per row.
-    fn assert_sized_once(gathered: &[CodeBatch], width: usize) {
-        for batch in gathered {
-            assert_eq!(batch.cols.len(), width);
-            assert_eq!(batch.tids.capacity(), batch.len(), "sized once, from the blocks");
-            for col in &batch.cols {
-                assert_eq!((col.len(), col.capacity()), (batch.len(), batch.len()));
-            }
-        }
-    }
-
-    /// Each coordinator gathers its own batch, never per row: every
-    /// buffer is created at the size of the blocks assigned to that
-    /// coordinator and filled without growing, its rows come in
-    /// (pattern, fragment) order, and the batches of all coordinators
-    /// are what one pass over every block would have gathered.
+    /// Each coordinator validates exactly the σ-blocks assigned to it, in
+    /// (pattern, fragment) order, read where the fragments hold them —
+    /// an empty fragment and a block that is a whole fragment (what an FD
+    /// cluster's σ gives) included — and finds, bit for bit, what a copy
+    /// of those blocks into one batch finds: the same `Flagged` (ids in
+    /// row order, keys in first-seen order) and the same tallies.
     #[test]
-    fn each_coordinator_gathers_exactly_its_assigned_blocks() {
+    fn each_coordinator_validates_exactly_its_assigned_blocks() {
+        use dcd_relation::{Atom, Predicate};
         let rel = sample(90);
-        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let cc = rel.schema().require("cc").unwrap();
+        let by_cc = [44, 31, 7].map(|v| Predicate::atom(Atom::eq(cc, v as i64)));
+        let partition = HorizontalPartition::by_predicates(&rel, by_cc.into()).unwrap();
         let frags = partition.fragments();
+        assert_eq!(frags.iter().map(|f| f.data.len()).collect::<Vec<_>>(), [30, 60, 0]);
+        let members: Vec<SimpleCfd> =
+            overlapping_sigma(rel.schema()).iter().flat_map(Cfd::simplify).collect();
         let attrs: Vec<AttrId> =
-            ["cc", "zip", "city"].map(|a| rel.schema().require(a).unwrap()).into();
-        // Three projected patterns; site 1 holds nothing of the second,
-        // and site 0 coordinates two.
+            ["cc", "zip", "street", "city"].map(|a| rel.schema().require(a).unwrap()).into();
+        let layout = shared_layout(frags, &attrs);
+        let resolved: Vec<ResolvedCfd> = members.iter().map(|m| layout.resolve(m)).collect();
+        // Three projected patterns. Fragment 0's last block is the whole
+        // fragment, fragment 2 holds nothing; site 2, whose fragment is
+        // empty, coordinates the first pattern and site 0 the other two,
+        // the second's block coming from a later fragment than the third's.
         let parts: Vec<SigmaPartition> = [
-            [vec![0, 2, 5, 6], vec![1, 3], vec![7]],
-            [vec![4, 9, 29], vec![], vec![0, 1]],
-            [vec![], (3..25).collect(), vec![26]],
+            [vec![], vec![], (0..30).collect()],
+            [vec![4, 9, 29], vec![0, 1, 2, 3, 5, 6, 7, 8], (30..60).collect()],
+            [vec![], vec![], vec![]],
         ]
         .into_iter()
         .map(|blocks| SigmaPartition { blocks: blocks.into(), comparisons: 0 })
         .collect();
         let assignment = [Some(SiteId(2)), Some(SiteId(0)), Some(SiteId(0))];
+        let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
 
-        let gathered: Vec<CodeBatch> =
-            (0..3).map(|c| gather_cluster(frags, &parts, &assignment, &attrs, SiteId(c))).collect();
-        let rows_at: Vec<usize> = gathered.iter().map(CodeBatch::len).collect();
-        assert_eq!(rows_at, [2 + 22 + 1 + 2 + 1, 0, 4 + 3]);
-        assert_sized_once(&gathered, attrs.len());
-
-        // Pattern-major, then by fragment: the rows `code_rows` would ship.
-        let mut want = frags[0].data.code_rows(&attrs, &parts[0].blocks[1]);
-        want.extend(frags[2].data.code_rows(&attrs, &parts[2].blocks[1]));
-        for (frag, part) in frags.iter().zip(&parts) {
-            want.extend(frag.data.code_rows(&attrs, &part.blocks[2]));
-        }
-        assert_eq!(gathered[0].tids, want.iter().map(|(tid, _)| *tid).collect::<Vec<_>>());
-        for (j, col) in gathered[0].cols.iter().enumerate() {
-            assert_eq!(*col, want.iter().map(|(_, cells)| cells[j]).collect::<Vec<_>>());
-        }
-
-        // One pass over every (pattern, fragment) block, into every
-        // coordinator's batch at once: the same batches.
-        let mut one_shot: Vec<CodeBatch> =
-            (0..3).map(|_| CodeBatch::with_capacity(attrs.len(), 0)).collect();
-        for (l, coord) in assignment.iter().enumerate() {
-            let c = coord.expect("every pattern has a coordinator").index();
-            for (frag, part) in frags.iter().zip(&parts) {
-                frag.data.gather_into(&attrs, &part.blocks[l], &mut one_shot[c]);
+        let mut flagged_any = false;
+        for (c, want) in [vec![(1, 1), (2, 0), (2, 1)], vec![], vec![(0, 1)]].iter().enumerate() {
+            let blocks = assigned_blocks(frags, &views, &parts, &assignment, SiteId(c as u32));
+            // Pattern-major, then by fragment, each block where it lies.
+            assert_eq!(blocks.len(), want.len(), "site {c}");
+            for (&(cols, tids, rows), &(l, f)) in blocks.iter().zip(want) {
+                assert!(std::ptr::eq(rows, &parts[f].blocks[l][..]), "site {c}: ({l}, {f})");
+                assert!(std::ptr::eq(tids, frags[f].data.tids()) && cols == &views[f][..]);
+            }
+            // The test-side copy: every block's rows, in order, into one
+            // batch — the rows `code_rows` would ship.
+            let wire: Vec<_> = want
+                .iter()
+                .flat_map(|&(l, f)| frags[f].data.code_rows(&attrs, &parts[f].blocks[l]))
+                .collect();
+            let tids: Vec<TupleId> = wire.iter().map(|(tid, _)| *tid).collect();
+            let cols: Vec<Vec<u32>> = (0..attrs.len())
+                .map(|j| wire.iter().map(|(_, cells)| cells[j]).collect())
+                .collect();
+            let cols: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+            let all: Vec<usize> = (0..tids.len()).collect();
+            for r in &resolved {
+                let (found, tally) = r.detect_blocks(blocks.iter().copied());
+                let copied = r.detect_blocks([(&cols[..], &tids[..], &all[..])]);
+                assert_eq!((&found, tally), (&copied.0, copied.1), "site {c}");
+                flagged_any |= !found.tids.is_empty();
             }
         }
-        assert_eq!(gathered, one_shot);
+        assert!(flagged_any, "the fixture must flag something");
     }
 
     #[test]
@@ -493,8 +503,8 @@ mod tests {
 
     /// CFDs related to no other are clusters of one: each runs the
     /// cluster round under its own name — a trace still says which rule
-    /// shipped the bytes — and on the cluster's wire, its σ-blocks
-    /// gathered into per-coordinator batches with no buffer per row.
+    /// shipped the bytes — and on the cluster's wire, every σ-block read
+    /// in place by exactly one coordinator.
     #[test]
     fn a_cfd_related_to_no_other_runs_the_cluster_round_under_its_own_name() {
         let rel = sample(60);
@@ -523,14 +533,16 @@ mod tests {
         let assignment = assign_coordinators(inner, &lstat, &[20; 3], &cfg.cost);
         let attrs = b.shipped_attrs();
         ship_phase(&mut ctx, "b", frags, &parts, &assignment, attrs.len(), own_fragment);
-        let gathered: Vec<CodeBatch> =
-            (0..3).map(|c| gather_cluster(frags, &parts, &assignment, &attrs, SiteId(c))).collect();
-        assert_eq!(gathered.iter().map(CodeBatch::len).sum::<usize>(), rel.len());
-        assert_sized_once(&gathered, attrs.len());
+        let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
+        let read: usize = (0..3)
+            .flat_map(|c| assigned_blocks(frags, &views, &parts, &assignment, SiteId(c)))
+            .map(|(_, _, rows)| rows.len())
+            .sum();
+        assert_eq!(read, rel.len());
         let shipped = ctx.finish("gather").shipped_tuples;
         assert!(
             0 < shipped && shipped < rel.len(),
-            "every row gathered, a coordinator's own not shipped"
+            "every row read, a coordinator's own not shipped"
         );
     }
 

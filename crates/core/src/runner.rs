@@ -13,10 +13,10 @@
 //!
 //! The per-site phases (constants, σ) run one pool task per site over the
 //! site's whole fragment, and the coordinators validate one task per site,
-//! each building the wire rows it validates; every charge is applied
-//! after the join, in site order. [`run_batch`]'s coordinators build
-//! `CodeRow`s, one σ-block at a time; the cluster round's gather one
-//! column batch each.
+//! each over the σ-blocks assigned to it; every charge is applied after
+//! the join, in site order. [`run_batch`]'s coordinators build `CodeRow`s,
+//! one σ-block at a time; the cluster round's read their blocks where
+//! the fragments hold them, and copy no row.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;

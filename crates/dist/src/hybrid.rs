@@ -1,6 +1,8 @@
 //! Hybrid fragmentation: horizontal cells, each split vertically
 //! (§II-B; detection over it is §VIII future work, realized in
-//! `dcd-core::hybrid`).
+//! `dcd-core::hybrid`). A cell's projection for a detection round is
+//! read straight from its sub-fragments' columns
+//! ([`HybridPartition::gather`]); no intermediate copy is built.
 
 use crate::horizontal::{Fragment, HorizontalPartition};
 use crate::pool::scoped_map;
@@ -100,9 +102,12 @@ impl HybridPartition {
     /// (`dcd-core::hybrid`): each cell's rows projected onto `needed` and
     /// gathered at the cell's coordinator by its
     /// [`VerticalPartition::gather_plan`] (returned beside it, for the
-    /// caller to charge), cells in parallel on up to `threads` pool
-    /// participants. A gathered row is full width, padded with the null
-    /// code outside `needed`; every other site holds no rows. A cell
+    /// caller to charge), each row read straight from its suppliers'
+    /// columns ([`VerticalPartition::columns`]), as
+    /// [`VerticalPartition::reassemble`] reads its owners', cells in
+    /// parallel on up to `threads` pool participants. A gathered row is
+    /// full width, padded with the null code outside `needed`; every
+    /// other site holds no rows. A cell
     /// keeps its predicate for the §IV-A skip, which reads it
     /// symbolically — the padded rows need not satisfy it, so this is
     /// not a partition [`HorizontalPartition::validate`] accepts. What it
@@ -135,11 +140,11 @@ impl HybridPartition {
             .collect();
         let gathered = scoped_map(threads, &self.cells, |cell| {
             let plan = cell.vertical.gather_plan(needed);
-            let rows: Vec<usize> = (0..cell.vertical.fragments()[0].data.len()).collect();
-            let batch = cell.vertical.gather(&plan, &rows);
-            let (attrs, mut row, mut out) = (plan.attrs(), nulls.clone(), relation(rows.len()));
-            for (r, &tid) in batch.tids.iter().enumerate() {
-                for (a, col) in attrs.iter().zip(&batch.cols) {
+            let (attrs, cols) = (plan.attrs(), cell.vertical.columns(&plan));
+            let tids = cell.vertical.fragments()[0].data.tids();
+            let (mut row, mut out) = (nulls.clone(), relation(tids.len()));
+            for (r, &tid) in tids.iter().enumerate() {
+                for (a, col) in attrs.iter().zip(&cols) {
                     row[a.index()] = col[r];
                 }
                 out.push_code_row(tid, &row).expect(ONE_DICTIONARY_SET);

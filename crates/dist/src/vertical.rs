@@ -1,10 +1,15 @@
 //! Vertical fragmentation: `Di = π_{key ∪ Xi}(D)` (§II-B, §V).
+//!
+//! Every fragment holds the same tuples in the same row order, so row
+//! `r` is one tuple at every site. A coordinator plans where each needed
+//! column comes from ([`VerticalPartition::gather_plan`]) and reads the
+//! planned columns where their suppliers hold them
+//! ([`VerticalPartition::columns`]), at any rows, without copying them.
 
 use crate::horizontal::locate_then_apply;
 use crate::site::SiteId;
 use dcd_relation::{
-    ops, AttrId, CodeBatch, DeltaEffect, Relation, RelationDelta, RelationError, Schema, Tuple,
-    TupleId,
+    ops, AttrId, DeltaEffect, Relation, RelationDelta, RelationError, Schema, Tuple, TupleId,
 };
 use std::sync::Arc;
 
@@ -219,23 +224,18 @@ impl VerticalPartition {
         GatherPlan { supplies }
     }
 
-    /// Executes `plan` for the given rows: their tuple ids plus one
-    /// column per planned attribute ([`GatherPlan::attrs`] order), each
-    /// copied from its supplier's column at those rows.
-    pub fn gather(&self, plan: &GatherPlan, rows: &[usize]) -> CodeBatch {
-        let tids = self.fragments[0].data.tids();
-        let mut batch =
-            CodeBatch { tids: rows.iter().map(|&r| tids[r]).collect(), cols: Vec::new() };
-        for (fi, attrs) in &plan.supplies {
+    /// The columns `plan` gathers, where their suppliers hold them, in
+    /// [`GatherPlan::attrs`] order. Row `r` of each is the tuple
+    /// `tids()[r]` of every fragment, so a coordinator reads any rows of
+    /// them without copying one.
+    pub fn columns(&self, plan: &GatherPlan) -> Vec<&[u32]> {
+        let supplied = plan.supplies.iter().flat_map(|(fi, attrs)| {
             let frag = &self.fragments[*fi];
-            for &a in attrs {
-                let mut col = Vec::with_capacity(rows.len());
-                let local = frag.local_attr(a).expect("planned from this fragment");
-                frag.data.gather_column(local, rows, &mut col);
-                batch.cols.push(col);
-            }
-        }
-        batch
+            attrs.iter().map(move |&a| {
+                frag.data.column(frag.local_attr(a).expect("planned from this fragment")).codes()
+            })
+        });
+        supplied.collect()
     }
 
     /// Reassembles the original relation, rows in the fragments' order.
@@ -387,13 +387,18 @@ mod tests {
         assert_eq!(plan.supplies, [(1, ids(&["a", "b"])), (0, ids(&["c"]))]);
         assert_eq!(plan.attrs(), ids(&["a", "b", "c"]));
 
+        // Each planned column is its supplier's, read where it lies.
+        let cols = p.columns(&plan);
+        let own = |f: usize, local: u16| p.fragments()[f].data.column(AttrId(local)).codes();
+        let want = [own(1, 1), own(1, 2), own(0, 1)];
+        assert!(cols.iter().zip(want).all(|(got, want)| std::ptr::eq(*got, want)));
         let rows = [4, 1, 5];
-        let gathered = p.gather(&plan, &rows);
-        assert_eq!(gathered.tids, [TupleId(4), TupleId(1), TupleId(5)]);
-        let want = r.code_rows(&ids(&["a", "b", "c"]), &rows);
-        for (i, (_, codes)) in want.iter().enumerate() {
-            let got: Vec<u32> = gathered.cols.iter().map(|col| col[i]).collect();
-            assert_eq!(got[..], codes[..], "row {i}");
-        }
+        let tids = p.fragments()[0].data.tids();
+        let read: Vec<(TupleId, Vec<u32>)> =
+            rows.iter().map(|&r| (tids[r], cols.iter().map(|col| col[r]).collect())).collect();
+        let shipped = r.code_rows(&ids(&["a", "b", "c"]), &rows);
+        let want: Vec<(TupleId, Vec<u32>)> =
+            shipped.into_iter().map(|(tid, codes)| (tid, codes.into_vec())).collect();
+        assert_eq!(read, want);
     }
 }

@@ -108,6 +108,12 @@ impl IncrementalRun {
     /// coordinator (the site holding the most tuples, ties to the
     /// smallest id — the `CTRDETECT` rule), ships every fragment's code
     /// rows there, and builds one violation index per compiled CFD.
+    ///
+    /// Refuses an invalid cost model, a CFD over another schema, and
+    /// whatever [`HorizontalPartition::validate`] refuses of the
+    /// partition — a fragment on dictionaries of its own, a tuple id at
+    /// two sites, a tuple outside its fragment's predicate — since every
+    /// later batch keeps those invariants and rests on them.
     pub fn new(
         partition: HorizontalPartition,
         sigma: &[Cfd],
@@ -137,6 +143,7 @@ impl IncrementalRun {
     ) -> Result<Self, RelationError> {
         let n = partition.n_sites();
         let mut ctx = Coordinator::open(partition.schema(), sigma, n, cfg)?;
+        partition.validate()?;
         let dicts = partition.shared_dictionaries()?;
         // Every insert interns into every column: index them all now rather
         // than on the first batch (a sorted dictionary searches its table

@@ -381,3 +381,54 @@ fn a_fragment_on_its_own_dictionaries_is_refused() {
     assert!(shared(&vertical));
     VerticalIncrementalRun::new(vertical, &sigma, cfg).unwrap();
 }
+
+/// A session checks the whole partition it is handed, as `plan()` does,
+/// and not only its dictionaries: a partition broken through
+/// `fragments_mut` is refused with the error `validate` gives. A tuple
+/// outside its fragment's predicate used to build a session whose report
+/// read {t0, t9} while `run_batch` over its partition read ∅; a tuple id
+/// at two sites used to panic in the index build. `new_replicated`
+/// shares the check, and `ReplicatedPartition::chained` refuses the same
+/// partitions before a session could see them.
+#[test]
+fn a_session_refuses_a_partition_validate_refuses() {
+    use dcd_relation::{vals, Atom, Predicate, Relation, RelationError, Schema, Tuple, ValueType};
+    let schema = Schema::builder("r")
+        .attr("id", ValueType::Int)
+        .attr("cc", ValueType::Int)
+        .attr("zip", ValueType::Str)
+        .attr("street", ValueType::Str)
+        .key(&["id"])
+        .build()
+        .unwrap();
+    let rows = (0..9i64).map(|i| {
+        let cc = if i % 3 == 0 { 44 } else { 31 };
+        vals![i, cc, format!("z{}", i % 5), format!("s{}", i % 4)]
+    });
+    let rel = Relation::from_rows(schema, rows.collect()).unwrap();
+    let sigma = [dcd_cfd::parse_cfd(rel.schema(), "phi", "([cc=44, zip] -> [street])").unwrap()];
+    let cfg = RunConfig::default();
+    let invalid = |detail: &str| RelationError::InvalidPartition { detail: detail.into() };
+
+    // t9 = (9, 44, z0, X) at the cc = 31 site.
+    let cc = rel.schema().require("cc").unwrap();
+    let by_cc = [44, 31].map(|v| Predicate::atom(Atom::eq(cc, v))).to_vec();
+    let mut outside = HorizontalPartition::by_predicates(&rel, by_cc).unwrap();
+    let t9 = Tuple::new(dcd_relation::TupleId(9), vals![9, 44, "z0", "X"]);
+    outside.fragments_mut()[1].data.push_tuple(t9).unwrap();
+    // t0 at both sites of a round-robin partition.
+    let mut repeated = HorizontalPartition::round_robin(&rel, 2).unwrap();
+    let t0 = repeated.fragments()[0].data.row(0);
+    repeated.fragments_mut()[1].data.push_tuple(t0).unwrap();
+
+    for (broken, want) in [
+        (outside, invalid("tuple t9 violates its fragment predicate at S2")),
+        (repeated, invalid("tuple t0 appears twice in the partition")),
+    ] {
+        assert_eq!(broken.validate(), Err(want.clone()));
+        let err = IncrementalRun::new(broken.clone(), &sigma, cfg).map(drop).unwrap_err();
+        assert_eq!(err, want);
+        let err = ReplicatedPartition::chained(broken, 2).map(drop).unwrap_err();
+        assert_eq!(err, want);
+    }
+}

@@ -62,7 +62,7 @@ pub use delta::{DeltaEffect, RelationDelta};
 pub use error::RelationError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use predicate::{Atom, CmpOp, Conjunction, Predicate};
-pub use relation::{CodeBatch, PendingDelta, Relation};
+pub use relation::{PendingDelta, Relation};
 pub use schema::{AttrId, Attribute, Schema, SchemaBuilder, ValueType};
 pub use store::{Column, Dictionary, DEFAULT_CHUNK_ROWS, NO_CODE, WILDCARD_CODE};
 pub use tuple::{Tuple, TupleId};

@@ -11,6 +11,9 @@
 //! by its [`CodeSpace`]. A [`CodeMemo`] makes that choice for a scan,
 //! and [`CodeMemo::resolve`] walks the scan's rows through it: on a slot
 //! table a chunk of rows' slot ids at a time, one pass per key column.
+//! The rows are a [`RowSource`]: a contiguous range, or a selection of
+//! row indices read where they lie (a σ-block, the rows a vertical
+//! gather kept).
 
 use crate::error::RelationError;
 use crate::fxhash::FxHashMap;
@@ -124,16 +127,15 @@ impl CodeSpace {
         (slots <= rows).then_some(CodeSpace { radix, slots })
     }
 
-    /// Writes the slot of each row `start..start + ids.len()` over the
-    /// key's code slices (one per column, in key order — as for
-    /// [`CodeKey::of_row`]) into `ids`, one pass per column.
+    /// Writes the slot of each of `rows` over the key's code slices (one
+    /// per column, in key order — as for [`CodeKey::of_row`]) into
+    /// `ids`, one pass per column.
     #[inline]
-    fn slots_of(&self, cols: &[&[u32]], start: usize, ids: &mut [u32]) {
+    fn slots_of(&self, cols: &[&[u32]], rows: &impl RowSource, ids: &mut [u32]) {
         debug_assert_eq!(cols.len(), self.radix.len());
-        let rows = start..start + ids.len();
         ids.fill(0);
         for (col, &(size, stride)) in cols.iter().zip(&self.radix) {
-            for (id, &code) in ids.iter_mut().zip(&col[rows.clone()]) {
+            for (id, code) in ids.iter_mut().zip(rows.codes(col)) {
                 debug_assert!(code < size, "code {code} outside a dictionary of {size}");
                 *id += code * stride;
             }
@@ -144,6 +146,46 @@ impl CodeSpace {
 /// Rows whose slot ids [`CodeMemo::resolve`] computes, a column at a
 /// time, before it reads their cells: 4 KiB of ids on the stack.
 const CHUNK: usize = 1024;
+
+/// The rows a scan reads, in order: a `Range` of row indices, or a
+/// selection of them (`&[usize]`). [`CodeMemo::resolve`] is generic over
+/// it, so a range keeps its loop over contiguous slices.
+pub trait RowSource: Clone {
+    /// The rows at positions `at` of this source.
+    fn part(&self, at: Range<usize>) -> Self;
+    /// The row indices.
+    fn rows(&self) -> impl ExactSizeIterator<Item = usize>;
+    /// `col`'s code at each row.
+    fn codes<'c>(&'c self, col: &'c [u32]) -> impl Iterator<Item = u32> + 'c;
+}
+
+impl RowSource for Range<usize> {
+    fn part(&self, at: Range<usize>) -> Self {
+        self.start + at.start..self.start + at.end
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = usize> {
+        self.clone()
+    }
+
+    fn codes<'c>(&'c self, col: &'c [u32]) -> impl Iterator<Item = u32> + 'c {
+        col[self.clone()].iter().copied()
+    }
+}
+
+impl RowSource for &[usize] {
+    fn part(&self, at: Range<usize>) -> Self {
+        &self[at]
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = usize> {
+        self.iter().copied()
+    }
+
+    fn codes<'c>(&'c self, col: &'c [u32]) -> impl Iterator<Item = u32> + 'c {
+        self.iter().map(|&r| col[r])
+    }
+}
 
 /// A memo from a row's key to a value, filled on the key's first sight:
 /// a scan's group ids, σ's first match, the constant check's verdicts.
@@ -177,25 +219,27 @@ impl<V: Copy> CodeMemo<V> {
 
     /// Resolves the keys of `rows` over the key's code slices (one per
     /// column, in key order — as for [`CodeKey::of_row`]): `make(r)` runs
-    /// once per key not yet in the memo, at that key's first row in row
-    /// order, and its value is kept; `each(r, v)` then sees every row of
-    /// the range, in order, with its key's value. A slot table computes a
-    /// chunk of rows' slot ids a column at a time before it reads their
-    /// cells; a hash map probes one [`CodeKey`] per row.
+    /// once per key not yet in the memo, at that key's first row in the
+    /// order `rows` reads, and its value is kept; `each(r, v)` then sees
+    /// every row, in that order, with its key's value. A slot table
+    /// computes a chunk of rows' slot ids a column at a time before it
+    /// reads their cells; a hash map probes one [`CodeKey`] per row.
     pub fn resolve(
         &mut self,
         cols: &[&[u32]],
-        rows: Range<usize>,
+        rows: impl RowSource,
         mut make: impl FnMut(usize) -> V,
         mut each: impl FnMut(usize, V),
     ) {
         match self {
             CodeMemo::Slots(space, cells) => {
                 let mut ids = [0u32; CHUNK];
-                for start in rows.clone().step_by(CHUNK) {
-                    let ids = &mut ids[..(rows.end - start).min(CHUNK)];
-                    space.slots_of(cols, start, ids);
-                    for (r, &slot) in (start..).zip(&*ids) {
+                let n = rows.rows().len();
+                for start in (0..n).step_by(CHUNK) {
+                    let chunk = rows.part(start..n.min(start + CHUNK));
+                    let ids = &mut ids[..chunk.rows().len()];
+                    space.slots_of(cols, &chunk, ids);
+                    for (r, &slot) in chunk.rows().zip(&*ids) {
                         let cell = &mut cells[slot as usize];
                         let v = match *cell {
                             Some(v) => v,
@@ -206,7 +250,7 @@ impl<V: Copy> CodeMemo<V> {
                 }
             }
             CodeMemo::Hashed(map) => {
-                for r in rows {
+                for r in rows.rows() {
                     let v = *map.entry(CodeKey::of_row(cols, r)).or_insert_with(|| make(r));
                     each(r, v);
                 }
@@ -275,7 +319,7 @@ mod tests {
     /// The slot of each row of `cols`, through [`CodeSpace::slots_of`].
     fn slots(space: &CodeSpace, cols: &[&[u32]], rows: usize) -> Vec<u32> {
         let mut ids = vec![u32::MAX; rows];
-        space.slots_of(cols, 0, &mut ids);
+        space.slots_of(cols, &(0..rows), &mut ids);
         ids
     }
 
@@ -329,7 +373,7 @@ mod tests {
     fn resolved(
         memo: &mut CodeMemo<usize>,
         cols: &[&[u32]],
-        rows: Range<usize>,
+        rows: impl RowSource,
     ) -> (Vec<(usize, usize)>, Vec<usize>) {
         let (mut seen, mut made) = (Vec::new(), Vec::new());
         memo.resolve(
@@ -342,6 +386,30 @@ mod tests {
             |r, v| seen.push((r, v)),
         );
         (seen, made)
+    }
+
+    /// The model of [`resolved`] on a fresh memo: first-seen numbering
+    /// of `key` over `rows`, in the order read.
+    fn first_seen(
+        key: impl Fn(usize) -> usize,
+        rows: impl Iterator<Item = usize>,
+    ) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let mut first: Vec<usize> = Vec::new();
+        let seen = rows.map(|r| match first.iter().position(|&f| key(f) == key(r)) {
+            Some(v) => (r, v),
+            None => {
+                first.push(r);
+                (r, first.len() - 1)
+            }
+        });
+        (seen.collect(), first)
+    }
+
+    /// Selections of 1023, 1024, 1025 and 3079 rows out of `n`, in no
+    /// order and repeating rows once they outnumber them.
+    fn selections(n: usize) -> impl Iterator<Item = Vec<usize>> {
+        let lens = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
+        lens.into_iter().map(move |len| (0..len).map(|i| (i * 1543 + 11) % n).collect())
     }
 
     #[test]
@@ -364,6 +432,21 @@ mod tests {
             let (seen, made) = resolved(&mut memo, &cols, 2..5);
             assert!(made.is_empty());
             assert_eq!(seen, [(2, 0), (3, 2), (4, 1)], "slotted: {slotted}");
+            // A selection, out of order and repeating a row: the same.
+            let (seen, made) = resolved(&mut memo, &cols, &[5, 1, 5, 0][..]);
+            assert!(made.is_empty());
+            assert_eq!(seen, [(5, 3), (1, 1), (5, 3), (0, 0)], "slotted: {slotted}");
+        }
+        // Long selections over the six rows, on fresh memos: `make` runs
+        // at each key's first row in the order read.
+        let key = |r: usize| (a[r] * 2 + b[r]) as usize;
+        for sel in selections(a.len()) {
+            for (rows, slotted) in [(sel.len(), true), (5, false)] {
+                let mut memo = CodeMemo::new([3, 2], rows);
+                assert_eq!(matches!(memo, CodeMemo::Slots(..)), slotted);
+                let got = resolved(&mut memo, &cols, &sel[..]);
+                assert_eq!(got, first_seen(key, sel.iter().copied()), "{} rows", sel.len());
+            }
         }
     }
 
@@ -371,7 +454,7 @@ mod tests {
     fn both_memo_tables_agree_across_chunk_edges() {
         // Keys repeat across chunks, and fresh ones appear in the last
         // partial chunk; ranges start and end inside, on and across
-        // chunk edges.
+        // chunk edges, and selections cross them in no order.
         let n = 3 * CHUNK + 7;
         let key = |r: usize| if r + 5 >= n { 40 + (r % 3) } else { (r * 7) % 37 };
         let (a, b): (Vec<u32>, Vec<u32>) =
@@ -380,24 +463,22 @@ mod tests {
         let edges = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 3 * CHUNK, n - 1, n];
         for &start in &edges {
             for &end in edges.iter().filter(|&&end| end >= start) {
-                // The model: first-seen numbering over the range.
-                let mut first: Vec<usize> = Vec::new();
-                let want: Vec<(usize, usize)> = (start..end)
-                    .map(|r| match first.iter().position(|&f| key(f) == key(r)) {
-                        Some(v) => (r, v),
-                        None => {
-                            first.push(r);
-                            (r, first.len() - 1)
-                        }
-                    })
-                    .collect();
+                let want = first_seen(key, start..end);
                 for rows in [n, 1] {
                     let mut memo = CodeMemo::new([6, 8], rows);
                     assert_eq!(matches!(memo, CodeMemo::Slots(..)), rows == n);
-                    let (seen, made) = resolved(&mut memo, &cols, start..end);
-                    assert_eq!(made, first, "{start}..{end} over {rows}");
-                    assert_eq!(seen, want, "{start}..{end} over {rows}");
+                    let got = resolved(&mut memo, &cols, start..end);
+                    assert_eq!(got, want, "{start}..{end} over {rows}");
                 }
+            }
+        }
+        for sel in selections(n) {
+            let want = first_seen(key, sel.iter().copied());
+            for rows in [n, 1] {
+                let mut memo = CodeMemo::new([6, 8], rows);
+                assert_eq!(matches!(memo, CodeMemo::Slots(..)), rows == n);
+                let got = resolved(&mut memo, &cols, &sel[..]);
+                assert_eq!(got, want, "a selection of {} over {rows}", sel.len());
             }
         }
     }

@@ -59,41 +59,6 @@ pub struct Relation {
     ascending: bool,
 }
 
-/// A batch of rows on the code-native wire, column-major: the tuple ids
-/// and one dense code vector per shipped attribute, all of one length.
-/// It carries what the same rows carry as `(tid, codes)` pairs
-/// ([`Relation::code_rows`]) in `1 + width` buffers however many rows
-/// there are, and a receiver scans each column as one plain slice.
-/// Filled by [`Relation::gather_into`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CodeBatch {
-    /// Tuple ids, one per row.
-    pub tids: Vec<TupleId>,
-    /// `cols[j][r]`: the code of row `r` under the `j`-th shipped
-    /// attribute.
-    pub cols: Vec<Vec<u32>>,
-}
-
-impl CodeBatch {
-    /// An empty batch of `width` attributes with room for `rows` rows.
-    pub fn with_capacity(width: usize, rows: usize) -> Self {
-        CodeBatch {
-            tids: Vec::with_capacity(rows),
-            cols: (0..width).map(|_| Vec::with_capacity(rows)).collect(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.tids.len()
-    }
-
-    /// Whether the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.tids.is_empty()
-    }
-}
-
 impl Relation {
     /// Creates an empty relation over `schema`, with fresh dictionaries.
     pub fn new(schema: Arc<Schema>) -> Self {
@@ -470,28 +435,6 @@ impl Relation {
     pub fn code_rows(&self, attrs: &[AttrId], rows: &[usize]) -> Vec<(TupleId, Box<[u32]>)> {
         let cols = self.code_views(attrs);
         rows.iter().map(|&i| (self.tids[i], cols.iter().map(|col| col[i]).collect())).collect()
-    }
-
-    /// Appends the given tuple indices, projected onto `attrs`, to a
-    /// [`CodeBatch`] of that width: the same ids and cells as
-    /// [`Relation::code_rows`] in the same order, copied a column at a
-    /// time into the batch's dense vectors. Nothing
-    /// is allocated per row — or at all, when the batch was built with
-    /// room for what it will receive.
-    pub fn gather_into(&self, attrs: &[AttrId], rows: &[usize], batch: &mut CodeBatch) {
-        assert_eq!(attrs.len(), batch.cols.len(), "batch width differs from the projection");
-        batch.tids.extend(rows.iter().map(|&i| self.tids[i]));
-        for (&a, out) in attrs.iter().zip(&mut batch.cols) {
-            self.gather_column(a, rows, out);
-        }
-    }
-
-    /// Appends the codes of one attribute at the given tuple indices to
-    /// `out` — one column of a [`CodeBatch`], for a gather whose columns
-    /// come from several relations (vertical fragments).
-    pub fn gather_column(&self, attr: AttrId, rows: &[usize], out: &mut Vec<u32>) {
-        let codes = self.column(attr).codes();
-        out.extend(rows.iter().map(|&i| codes[i]));
     }
 
     /// Appends a row given as dictionary codes (one per attribute, in

@@ -1,10 +1,11 @@
 //! Property-based tests for the relational substrate: predicate
 //! evaluation vs. satisfiability soundness, the storage layer against a
-//! plain row model, and the column-batch gather against the row wire.
+//! plain row model, and a scan over a row selection against the row wire.
 
+use dcd_relation::ops::CodeMemo;
 use dcd_relation::{
-    vals, Atom, AttrId, CmpOp, CodeBatch, Column, Conjunction, Dictionary, Predicate, Relation,
-    RelationDelta, RelationError, Schema, Tuple, TupleId, Value, ValueType,
+    vals, Atom, AttrId, CmpOp, Column, Conjunction, Dictionary, Predicate, Relation, RelationDelta,
+    RelationError, Schema, Tuple, TupleId, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -183,14 +184,13 @@ proptest! {
         }
     }
 
-    /// [`Relation::gather_into`] lays out what [`Relation::code_rows`]
-    /// ships — the same ids and cells, column-major, in the same order —
-    /// for a σ-block (ascending rows, thinned by a stride) and for rows in
-    /// any order and repeated, over any attribute list, appending to what
-    /// the batch already holds; a batch with room for the block is filled
-    /// in place.
+    /// [`CodeMemo::resolve`] over row selections reads, where they lie,
+    /// the cells [`Relation::code_rows`] ships — for a σ-block (ascending
+    /// rows, thinned by a stride) and then rows in any order and
+    /// repeated, over any attribute list, on one memo of either table:
+    /// every row in the order read, each key numbered at its first row.
     #[test]
-    fn gather_into_equals_code_rows_in_any_row_order(
+    fn a_memo_over_selections_reads_what_code_rows_ships(
         rows in prop::collection::vec(arb_row(), 1..60),
         start in 0..60usize,
         len in 0..60usize,
@@ -204,22 +204,36 @@ proptest! {
             (start..start + len).step_by(stride).filter(|&i| i < rows.len()).collect();
         let unordered: Vec<usize> = picks.into_iter().filter(|&i| i < rows.len()).collect();
 
-        let mut batch = CodeBatch::with_capacity(attrs.len(), block.len());
-        let buffers: Vec<*const u32> = batch.cols.iter().map(|col| col.as_ptr()).collect();
-        rel.gather_into(&attrs, &block, &mut batch);
-        let filled: Vec<*const u32> = batch.cols.iter().map(|col| col.as_ptr()).collect();
-        prop_assert_eq!(buffers, filled, "a batch with room for the block is filled in place");
-        rel.gather_into(&attrs, &unordered, &mut batch);
-
         let mut want = rel.code_rows(&attrs, &block);
         want.extend(rel.code_rows(&attrs, &unordered));
-        prop_assert_eq!(batch.len(), want.len());
-        prop_assert_eq!(&batch.tids, &want.iter().map(|(tid, _)| *tid).collect::<Vec<_>>());
-        for (j, col) in batch.cols.iter().enumerate() {
-            let codes = rel.column(attrs[j]).codes();
-            prop_assert_eq!(col, &want.iter().map(|(_, cells)| cells[j]).collect::<Vec<_>>());
-            let rows_read = block.iter().chain(&unordered).map(|&i| codes[i]);
-            prop_assert_eq!(col, &rows_read.collect::<Vec<_>>());
+        let read: Vec<usize> = block.iter().chain(&unordered).copied().collect();
+        let mut first: Vec<usize> = Vec::new();
+        let numbered: Vec<(usize, usize)> = read
+            .iter()
+            .zip(&want)
+            .enumerate()
+            .map(|(i, (&r, (_, cells)))| match first.iter().position(|&f| want[f].1 == *cells) {
+                Some(v) => (r, v),
+                None => {
+                    first.push(i);
+                    (r, first.len() - 1)
+                }
+            })
+            .collect();
+        let cols = rel.code_views(&attrs);
+        let sizes: Vec<usize> = attrs.iter().map(|&a| rel.dictionary(a).len()).collect();
+        for memo_rows in [read.len(), 0] {
+            let mut memo = CodeMemo::new(sizes.iter().copied(), memo_rows);
+            let (mut seen, mut made) = (Vec::new(), Vec::new());
+            for sel in [&block[..], &unordered[..]] {
+                let make = |r| {
+                    made.push(r);
+                    made.len() - 1
+                };
+                memo.resolve(&cols, sel, make, |r, v| seen.push((r, v)));
+            }
+            prop_assert_eq!(&seen, &numbered, "over {} rows", memo_rows);
+            prop_assert_eq!(made.len(), first.len());
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Violation detection in vertically partitioned data.
 //!
 //! A CFD whose attributes fit one fragment is checked there with zero
-//! shipment, through the same filter, gather and validation as any
-//! other (its plan has one supplier, so nothing ships). Otherwise data
+//! shipment, through the same filter and validation as any other (its
+//! plan has one supplier, so nothing ships). Otherwise data
 //! must move (§V; the paper defers detailed algorithms to a later
 //! report and points at semijoin-style reductions \[25\] — §VII). We
 //! implement the natural coordinator strategy:
@@ -23,10 +23,12 @@
 //!    aligns rows);
 //! 3. the coordinator keeps the rows every contributing fragment kept
 //!    (row `r` is the same tuple in every fragment of a
-//!    [`VerticalPartition`]), gathers them column by column into one
-//!    [`CodeBatch`](dcd_relation::CodeBatch) and validates it through
-//!    [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) — decoding
-//!    only violating group keys.
+//!    [`VerticalPartition`]) and validates them through
+//!    [`CodeLayout`]/[`ResolvedCfd::detect_blocks`](dcd_cfd::ResolvedCfd::detect_blocks)
+//!    as one block: the suppliers' columns where they lie
+//!    ([`VerticalPartition::columns`]), with the kept rows as its
+//!    selection — nothing is copied, and only violating group keys are
+//!    decoded.
 
 use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
@@ -39,8 +41,8 @@ use std::sync::Arc;
 /// full [`Detection`] accounting (bytes, per-site clocks, the §III-B
 /// paper cost) every other topology reports. A CFD checked without
 /// shipment leaves a `local:<cfd>` span, a gathered one `gather:<cfd>`
-/// and `validate:<cfd>`; both validate the same way, one column batch
-/// at the coordinator.
+/// and `validate:<cfd>`; both validate the same way, one block of rows
+/// read in place at the coordinator.
 pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfig) -> Detection {
     let cost = cfg.cost;
     let fragments = partition.fragments();
@@ -80,24 +82,25 @@ pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfi
         }
         let survivors: Vec<usize> =
             (0..fragments[0].data.len()).filter(|&r| keeps.iter().all(|keep| keep[r])).collect();
-        let batch = partition.gather(&plan, &survivors);
 
-        // The coordinator validates the batch.
+        // The coordinator validates the survivors, reading the suppliers'
+        // columns where they lie: one block, row-aligned across them.
         let dicts = plan
             .supplies
             .iter()
             .flat_map(|(f, attrs)| attrs.iter().map(|&a| dictionary_of(&fragments[*f], a)))
             .collect();
         let layout = CodeLayout::new(plan.attrs(), dicts);
+        let block = (&partition.columns(&plan)[..], fragments[0].data.tids(), &survivors[..]);
         let mut vs = ViolationSet::default();
         let mut tally = KernelTally::default();
         for simple in cfd.simplify() {
-            let (found, counted) = layout.resolve(&simple).detect_batch(&batch);
+            let (found, counted) = layout.resolve(&simple).detect_blocks([block]);
             vs.merge(found.into());
             tally += counted;
         }
         let (phase, checked) =
-            if local { ("local", coord.data.len()) } else { ("validate", batch.len()) };
+            if local { ("local", coord.data.len()) } else { ("validate", survivors.len()) };
         ctx.phase(&format!("{phase}:{}", cfd.name()), |p| {
             p.compute(coord.site, cost.check_time(checked));
             tally.record(p.metrics());

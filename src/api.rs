@@ -25,11 +25,10 @@
 //!   delta batches instead of re-running.
 //!
 //! Every engine beneath the façade ships dictionary codes, never value
-//! payloads: batch coordinators gather `(tid, codes)` rows — a cluster
-//! round and the vertical and hybrid column gathers as one column batch
-//! per coordinator — charged at 4 bytes/cell
-//! ([`dcd_dist::CODE_BYTES`]), and incremental sessions ship delta code
-//! rows the same way. The engines remain public for
+//! payloads: the ledger charges every shipped `(tid, codes)` row at 4
+//! bytes/cell ([`dcd_dist::CODE_BYTES`]), and cluster-round and vertical
+//! coordinators read those rows where the fragments hold them;
+//! incremental sessions ship delta code rows the same way. The engines remain public for
 //! direct use, and `tests/prop_facade.rs` pins the façade bit-identical
 //! to them.
 //!

@@ -11,7 +11,11 @@
 //!   `oracle::vio`;
 //! * the constant check over ranges that start and end inside, on and
 //!   across chunk edges equals the whole-fragment check restricted to
-//!   the range, and the whole-fragment check equals `oracle::vio`.
+//!   the range, and the whole-fragment check equals `oracle::vio`;
+//! * a cluster coordinator's validation over σ-blocks read in place
+//!   (`ResolvedCfd::detect_blocks`) equals `oracle::vio` over the
+//!   blocks' tuples, where the blocks cut a chunk edge and where LHS
+//!   groups are split across blocks of different fragments.
 //!
 //! Each runs as built, where the keys' code spaces fit slot tables, and
 //! after [`grow_dictionaries`], where every scan hashes.
@@ -145,5 +149,57 @@ fn scans_agree_with_the_definitions_across_chunk_edges() {
                 }
             }
         }
+    }
+}
+
+/// `cfd` validated over `blocks` of `frags` read in place, against the
+/// oracle over the blocks' tuples in the order read.
+fn blocks_agree(frags: &[Fragment], cfd: &SimpleCfd, blocks: &[(usize, Vec<usize>)], what: &str) {
+    let attrs = cfd.shipped_attrs();
+    let resolved = CodeLayout::of_relation(&frags[0].data, &attrs).resolve(cfd);
+    let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
+    let read = blocks.iter().map(|(f, rows)| (&views[*f][..], frags[*f].data.tids(), &rows[..]));
+    let (found, _) = resolved.detect_blocks(read);
+    let decoded: Vec<Tuple> =
+        blocks.iter().flat_map(|(f, rows)| rows.iter().map(|&r| frags[*f].data.row(r))).collect();
+    let tuples: Vec<&Tuple> = decoded.iter().collect();
+    assert_eq!(ViolationSet::from(found), oracle::vio(&tuples, cfd), "{what}");
+}
+
+#[test]
+fn coordinators_read_their_blocks_in_place_across_chunk_edges() {
+    let cfd = cfd();
+    let rel = relation(3 * CHUNK + 7);
+    let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
+    let frags = partition.fragments();
+    let len = |f: usize| frags[f].data.len();
+    // Blocks whose rows add up across the first chunk edge inside the
+    // second block, and past the third edge inside the last.
+    let cut = vec![
+        (0, (0..CHUNK - 3).collect()),
+        (1, (5..10).collect()),
+        (0, (CHUNK - 3..len(0)).collect()),
+        (1, (10..len(1)).rev().collect()),
+    ];
+    // Round-robin sends consecutive rows to alternating fragments, so
+    // every LHS group is split across these two blocks.
+    let split: Vec<(usize, Vec<usize>)> = (0..2).map(|f| (f, (0..len(f)).collect())).collect();
+    // Apart, each fragment misses the conflicts its groups have with the
+    // other's members.
+    let alone = |f: usize| {
+        let tuples: Vec<Tuple> = frags[f].data.iter().collect();
+        oracle::vio(&tuples.iter().collect::<Vec<_>>(), &cfd)
+    };
+    let mut apart = alone(0);
+    apart.merge(alone(1));
+    let decoded: Vec<Tuple> = rel.iter().collect();
+    assert_ne!(apart, oracle::vio(&decoded.iter().collect::<Vec<_>>(), &cfd), "no group is split");
+    for pass in ["as built", "grown"] {
+        if pass == "grown" {
+            grow_dictionaries(&rel);
+        }
+        assert_eq!(slotted(&frags[0].data, &LHS, rel.len()), pass == "as built", "{pass}");
+        blocks_agree(frags, &cfd, &cut, &format!("blocks across chunk edges, {pass}"));
+        blocks_agree(frags, &cfd, &split, &format!("groups split across fragments, {pass}"));
     }
 }

@@ -2,8 +2,10 @@
 //! and uses part of it.
 #![allow(dead_code)]
 
+use distributed_cfd::cfd::{Flagged, KernelTally, ResolvedCfd};
 use distributed_cfd::core::sigma::SortedCfd;
 use distributed_cfd::prelude::*;
+use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -165,4 +167,19 @@ pub fn grow_dictionaries(rel: &Relation) {
             .collect();
         sibling.push(row).unwrap();
     }
+}
+
+/// `resolved`'s coordinator validation over every fragment of
+/// `partition`, read in place: each whole fragment one block over its
+/// `attrs` columns, fragments in order (`ResolvedCfd::detect_blocks`).
+pub fn validate_in_place(
+    partition: &HorizontalPartition,
+    resolved: &ResolvedCfd,
+    attrs: &[AttrId],
+) -> (Flagged, KernelTally) {
+    let frags = partition.fragments();
+    let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(attrs)).collect();
+    let rows: Vec<Vec<usize>> = frags.iter().map(|f| (0..f.data.len()).collect()).collect();
+    let blocks = frags.iter().zip(&views).zip(&rows);
+    resolved.detect_blocks(blocks.map(|((f, cols), rows)| (&cols[..], f.data.tids(), &rows[..])))
 }

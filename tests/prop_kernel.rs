@@ -2,7 +2,7 @@
 //! suite: (1) `judge` and `Judgement::flags` — the one group-validation
 //! semantics every detector runs — match a naive spelling of the paper's per-group
 //! semantics on arbitrary spec lists; (2) the kernel's two call shapes
-//! (columnar `detect_simple`, code-native `ResolvedCfd::detect_batch`)
+//! (columnar `detect_simple`, code-native `ResolvedCfd::detect_blocks`)
 //! agree tuple-for-tuple and pattern-for-pattern with the pairwise
 //! `dcd_cfd::oracle` on random relations, and every code-native entry
 //! point returns the tally the naive semantics predicts; (3) an incrementally
@@ -13,11 +13,11 @@
 
 mod common;
 
-use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema};
+use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema, validate_in_place};
 use distributed_cfd::cfd::{detect_simple_strict, judge, oracle, Judgement, KernelTally, RhsSpec};
 use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::{AttrId, CodeBatch};
+use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 
 /// The paper's per-group semantics, spelled out naively: a variable
@@ -106,11 +106,10 @@ proptest! {
             let columnar = detect_simple(&rel, &simple);
             let row_wise = oracle::vio(&tuples, &simple);
             let attrs: Vec<AttrId> = simple.shipped_attrs();
-            let indices: Vec<usize> = (0..rel.len()).collect();
-            let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
-            rel.gather_into(&attrs, &indices, &mut batch);
+            let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
             let layout = CodeLayout::of_relation(&rel, &attrs);
-            let code_native = ViolationSet::from(layout.resolve(&simple).detect_batch(&batch).0);
+            let in_place = validate_in_place(&partition, &layout.resolve(&simple), &attrs);
+            let code_native = ViolationSet::from(in_place.0);
             prop_assert_eq!(&columnar, &row_wise, "columnar vs row-wise");
             prop_assert_eq!(&columnar, &code_native, "columnar vs codes");
         }
@@ -195,7 +194,7 @@ proptest! {
     /// tableaux that mix variable and constant patterns over the same
     /// groups and under both readings: the flagged tuples, the violating
     /// keys, and — for each entry point that returns one — the tally:
-    /// `detect_batch` over the rows as a column batch, and
+    /// `detect_blocks` over every fragment's rows read in place, and
     /// `detect_pattern_block` per pattern over the wire rows it matches.
     #[test]
     fn grouping_kernel_matches_naive_semantics_tallies_included(
@@ -249,11 +248,10 @@ proptest! {
         let all: Vec<usize> = (0..rel.len()).collect();
         let wire = rel.code_rows(&attrs, &all);
         let resolved = CodeLayout::of_relation(&rel, &attrs).resolve(&simple);
-        let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
-        rel.gather_into(&attrs, &all, &mut batch);
-        let (found, tally) = resolved.detect_batch(&batch);
-        prop_assert_eq!(&ViolationSet::from(found), &set_of(&want), "detect_batch findings");
-        prop_assert_eq!(tally, want.tally(), "detect_batch: probes and verdict mix");
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let (found, tally) = validate_in_place(&partition, &resolved, &attrs);
+        prop_assert_eq!(&ViolationSet::from(found), &set_of(&want), "detect_blocks findings");
+        prop_assert_eq!(tally, want.tally(), "detect_blocks: probes and verdict mix");
         prop_assert_eq!(tally.groups(), want.clean + want.all_flagged + want.mixed);
 
         for (l, pattern) in tableau.iter().enumerate() {

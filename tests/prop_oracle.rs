@@ -1,6 +1,6 @@
 //! The oracle pin: every way the engine computes `Vio`/`Vioπ` of one CFD
 //! — columnar `detect_simple` under both readings, code-native
-//! `ResolvedCfd::detect_batch` over a gathered column batch, and the
+//! `ResolvedCfd::detect_blocks` over every fragment read in place, and the
 //! Lemma 6 union of per-pattern `detect_pattern_block` wire-row blocks — equals
 //! `dcd_cfd::oracle`, the pairwise transcription of §II-C that shares no
 //! code with them. The generator reaches what the fixed-width suites do
@@ -18,12 +18,12 @@
 
 mod common;
 
-use common::grow_dictionaries;
+use common::{grow_dictionaries, validate_in_place};
 use distributed_cfd::cfd::{detect_simple_strict, oracle, CodeRow, Flagged};
 use distributed_cfd::core::local::{check_constants_range_with, compile_constants};
 use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma};
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::{AttrId, CodeBatch};
+use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -139,9 +139,9 @@ proptest! {
         }
     }
 
-    /// Coordinator validation over gathered `(tid, codes)` rows equals
-    /// the definition: the whole CFD at one coordinator as one column
-    /// batch, each σ-block of wire rows at its own against the
+    /// Coordinator validation equals the definition: the whole CFD at
+    /// one coordinator over every fragment's rows read in place, each
+    /// σ-block of `(tid, codes)` wire rows at its own against the
     /// one-pattern CFD over that block's tuples, and (Lemma 6) the union
     /// of the variable patterns' blocks against the variable CFD over
     /// everything. The constant patterns, checked locally per fragment
@@ -156,13 +156,12 @@ proptest! {
         let as_built = validate_at_coordinators(&rel, &cfd, &partition, "as built")?;
         grow_dictionaries(&rel);
         let grown = validate_at_coordinators(&rel, &cfd, &partition, "grown")?;
-        prop_assert_eq!(as_built, grown, "the batch findings depend on the group-id table");
+        prop_assert_eq!(as_built, grown, "the in-place findings depend on the group-id table");
     }
 }
 
 /// One pass of [`coordinator_validation_equals_the_definition`]; returns
-/// the column batch's findings, ids in row order and keys in first-seen
-/// order.
+/// the in-place findings, ids in row order and keys in first-seen order.
 fn validate_at_coordinators(
     rel: &Relation,
     cfd: &SimpleCfd,
@@ -177,12 +176,8 @@ fn validate_at_coordinators(
 
     let want = oracle::vio(&tuples, cfd);
     let resolved = layout.resolve(cfd);
-    let mut batch = CodeBatch::with_capacity(attrs.len(), rel.len());
-    for f in fragments {
-        f.data.gather_into(&attrs, &(0..f.data.len()).collect::<Vec<_>>(), &mut batch);
-    }
-    let (found, _) = resolved.detect_batch(&batch);
-    prop_assert_eq!(ViolationSet::from(found.clone()), want, "batch, {}", pass);
+    let (found, _) = validate_in_place(partition, &resolved, &attrs);
+    prop_assert_eq!(ViolationSet::from(found.clone()), want, "in place, {}", pass);
 
     let (variable, constants) = cfd.split_constant();
     let mut checked = ViolationSet::default();
