@@ -10,8 +10,8 @@
 //! cargo run --release --example genome_quality
 //! ```
 
-use distributed_cfd::datagen::inject_errors;
-use distributed_cfd::datagen::xref::{xref_main_cfd, xref_second_cfd, XrefConfig};
+use dcd_datagen::inject_errors;
+use dcd_datagen::xref::{xref_main_cfd, xref_second_cfd, XrefConfig};
 use distributed_cfd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -9,8 +9,8 @@
 //! cargo run --release --example horizontal_detection
 //! ```
 
-use distributed_cfd::datagen::cust::{cust_main_cfd, CustConfig};
-use distributed_cfd::datagen::inject_errors;
+use dcd_datagen::cust::{cust_main_cfd, CustConfig};
+use dcd_datagen::inject_errors;
 use distributed_cfd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -5,8 +5,8 @@
 //! cargo run --release --example hybrid_replication
 //! ```
 
-use distributed_cfd::datagen::cust::CustConfig;
-use distributed_cfd::datagen::inject_errors;
+use dcd_datagen::cust::CustConfig;
+use dcd_datagen::inject_errors;
 use distributed_cfd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -10,8 +10,8 @@
 //! cargo run --release --example incremental_detection
 //! ```
 
-use distributed_cfd::datagen::cust::{cust_cfds, CustConfig};
-use distributed_cfd::datagen::{inject_errors, update_stream, UpdateStreamConfig};
+use dcd_datagen::cust::{cust_cfds, CustConfig};
+use dcd_datagen::{inject_errors, update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,9 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let shipped_now = session.detection().shipped_bytes;
         // What a from-scratch PATDETECTS run on the materialized state
         // would ship for the same report (the session owns the live
-        // partition; the horizontal variant exposes it).
-        let IncrementalSession::Horizontal(run) = &session else { unreachable!("horizontal") };
-        let full = DetectRequest::over(run.partition().clone())
+        // partition, and a horizontal session lends it out).
+        let live = session.partition().expect("a horizontal session");
+        let full = DetectRequest::over(live.clone())
             .cfd(sigma[0].clone())
             .algorithm(Algorithm::PatDetectS)
             .plan()?

@@ -11,8 +11,8 @@
 //! cargo run --example vertical_refinement
 //! ```
 
+use dcd_vertical::unpreserved;
 use distributed_cfd::prelude::*;
-use distributed_cfd::vertical::unpreserved;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schema = Schema::builder("emp")

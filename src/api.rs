@@ -4,9 +4,10 @@
 //! Beneath it the engines keep their own signatures — `run_batch`,
 //! `run_seq` / `run_clust`, `run_hybrid`, `run_replicated`,
 //! `run_vertical`, and the two incremental runs — because what they need
-//! differs: a strategy, a ship mode, a mining configuration. A caller
-//! should not have to know which of them its data calls for, so this
-//! module is the single front door, the shape a production service
+//! differs: a coordinator strategy, simplified or whole CFDs, a replica
+//! rule, a partition to own and mutate. A caller should not have to know
+//! which of them its data calls for, so this module is the single front
+//! door, the shape a production service
 //! exposes (measure-style front doors hiding the placement behind one
 //! request object are standard in the inconsistency-measurement
 //! literature — Livshits et al., *Properties of Inconsistency Measures
@@ -28,9 +29,10 @@
 //! payloads: the ledger charges every shipped `(tid, codes)` row at 4
 //! bytes/cell ([`dcd_dist::CODE_BYTES`]), and cluster-round and vertical
 //! coordinators read those rows where the fragments hold them;
-//! incremental sessions ship delta code rows the same way. The engines remain public for
-//! direct use, and `tests/prop_facade.rs` pins the façade bit-identical
-//! to them.
+//! incremental sessions ship delta code rows the same way. The engines
+//! are public in their own `dcd_*` crates, for the workspace's tests and
+//! benchmark, and not re-exported here; `tests/prop_facade.rs` pins the
+//! façade bit-identical to them.
 //!
 //! ```
 //! use distributed_cfd::prelude::*;
@@ -216,8 +218,7 @@ impl DetectRequest {
         self
     }
 
-    /// Sets the run configuration (cost model, compute mode, pool
-    /// width).
+    /// Sets the run configuration (cost model, pool width).
     pub fn config(mut self, config: RunConfig) -> Self {
         self.config = config;
         self
@@ -332,29 +333,36 @@ impl Plan {
     /// mutates as batches apply.
     pub fn session(self) -> Result<IncrementalSession, RelationError> {
         let (cfds, cfg) = (&self.cfds, self.config);
-        match self.topology {
-            Topology::Horizontal(p) => {
-                Ok(IncrementalSession::Horizontal(IncrementalRun::new(p, cfds, cfg)?))
-            }
+        let run = match self.topology {
+            Topology::Horizontal(p) => SessionRun::Horizontal(IncrementalRun::new(p, cfds, cfg)?),
             Topology::Replicated(p) => {
-                Ok(IncrementalSession::Horizontal(IncrementalRun::new_replicated(&p, cfds, cfg)?))
+                SessionRun::Horizontal(IncrementalRun::new_replicated(&p, cfds, cfg)?)
             }
             Topology::Vertical(p) => {
-                Ok(IncrementalSession::Vertical(VerticalIncrementalRun::new(p, cfds, cfg)?))
+                SessionRun::Vertical(VerticalIncrementalRun::new(p, cfds, cfg)?)
             }
-            Topology::Hybrid(_) => Err(RelationError::InvalidPartition {
-                detail: "incremental sessions are not supported over hybrid topologies; \
-                         plan a batch request over the changed partition instead"
-                    .into(),
-            }),
-        }
+            Topology::Hybrid(_) => {
+                return Err(RelationError::InvalidPartition {
+                    detail: "incremental sessions are not supported over hybrid topologies; \
+                             plan a batch request over the changed partition instead"
+                        .into(),
+                })
+            }
+        };
+        Ok(IncrementalSession(run))
     }
 }
 
 /// A stateful detection session opened by [`Plan::session`]:
 /// the topology-appropriate incremental run behind one interface.
+///
+/// Which run it holds is private: every method answers for either kind.
 #[derive(Debug)]
-pub enum IncrementalSession {
+pub struct IncrementalSession(SessionRun);
+
+/// The run behind a session.
+#[derive(Debug)]
+enum SessionRun {
     /// A horizontal (or chained-declustering replicated) delta
     /// protocol run.
     Horizontal(IncrementalRun),
@@ -367,43 +375,53 @@ impl IncrementalSession {
     /// revision. Vertical sessions consume the batch as one site-order
     /// whole-tuple feed ([`DeltaBatch::flatten`]).
     pub fn apply_batch(&mut self, batch: &DeltaBatch) -> Result<ViolationReport, RelationError> {
-        match self {
-            IncrementalSession::Horizontal(run) => Ok(run.apply_batch(batch)?.report),
-            IncrementalSession::Vertical(run) => Ok(run.apply_batch(&batch.flatten())?.report),
+        match &mut self.0 {
+            SessionRun::Horizontal(run) => Ok(run.apply_batch(batch)?.report),
+            SessionRun::Vertical(run) => Ok(run.apply_batch(&batch.flatten())?.report),
         }
     }
 
     /// The current report revision (maintained, not recomputed).
     pub fn report(&self) -> ViolationReport {
-        match self {
-            IncrementalSession::Horizontal(run) => run.report(),
-            IncrementalSession::Vertical(run) => run.report(),
+        match &self.0 {
+            SessionRun::Horizontal(run) => run.report(),
+            SessionRun::Vertical(run) => run.report(),
         }
     }
 
     /// A [`Detection`] snapshot of the whole session so far: the live
     /// report plus the accumulated traffic, clocks and paper cost.
     pub fn detection(&self) -> Detection {
-        match self {
-            IncrementalSession::Horizontal(run) => run.detection(),
-            IncrementalSession::Vertical(run) => run.detection(),
+        match &self.0 {
+            SessionRun::Horizontal(run) => run.detection(),
+            SessionRun::Vertical(run) => run.detection(),
         }
     }
 
     /// The coordinator site holding the violation indices.
     pub fn coordinator(&self) -> SiteId {
-        match self {
-            IncrementalSession::Horizontal(run) => run.coordinator(),
-            IncrementalSession::Vertical(run) => run.coordinator(),
+        match &self.0 {
+            SessionRun::Horizontal(run) => run.coordinator(),
+            SessionRun::Vertical(run) => run.coordinator(),
+        }
+    }
+
+    /// The live horizontal partition, as the applied batches left it: a
+    /// horizontal session's own, a replicated session's base. `None` for
+    /// a vertical session.
+    pub fn partition(&self) -> Option<&HorizontalPartition> {
+        match &self.0 {
+            SessionRun::Horizontal(run) => Some(run.partition()),
+            SessionRun::Vertical(_) => None,
         }
     }
 
     /// Reassembles the materialized relation (for comparison against
     /// centralized detection).
     pub fn materialize(&self) -> Result<Relation, RelationError> {
-        match self {
-            IncrementalSession::Horizontal(run) => run.materialize(),
-            IncrementalSession::Vertical(run) => run.materialize(),
+        match &self.0 {
+            SessionRun::Horizontal(run) => run.materialize(),
+            SessionRun::Vertical(run) => run.materialize(),
         }
     }
 
@@ -422,9 +440,9 @@ impl IncrementalSession {
         cfd: &SimpleCfd,
         config: &MiningConfig,
     ) -> Result<usize, RelationError> {
-        match self {
-            IncrementalSession::Horizontal(run) => run.track_mining(cfd, config),
-            IncrementalSession::Vertical(_) => Err(RelationError::InvalidPartition {
+        match &mut self.0 {
+            SessionRun::Horizontal(run) => run.track_mining(cfd, config),
+            SessionRun::Vertical(_) => Err(RelationError::InvalidPartition {
                 detail: "mined-tableau maintenance needs horizontal fragments; \
                          vertical sessions do not support track_mining"
                     .into(),
@@ -438,9 +456,9 @@ impl IncrementalSession {
     /// [`Self::track_mining`] call returned, so always on a vertical
     /// session.
     pub fn mined_cfd(&self, id: usize) -> Option<(SimpleCfd, usize)> {
-        match self {
-            IncrementalSession::Horizontal(run) => run.mined_cfd(id),
-            IncrementalSession::Vertical(_) => None,
+        match &self.0 {
+            SessionRun::Horizontal(run) => run.mined_cfd(id),
+            SessionRun::Vertical(_) => None,
         }
     }
 }
@@ -683,6 +701,66 @@ mod tests {
             assert!(after.metrics.expose().contains("dcd_incr_delta_lag_micros_count 1\n"));
             assert_eq!(before, Detection { metrics: before.metrics.clone(), ..after });
         }
+    }
+
+    /// A horizontal or replicated session lends out its live partition,
+    /// as its batches left it: it reassembles to what the session
+    /// materializes, and PATDETECTS over a clone of it is `run_batch` over
+    /// the partition of the incremental run beneath the session. A
+    /// vertical session has none.
+    #[test]
+    fn a_session_lends_out_its_live_horizontal_partition() {
+        use dcd_relation::{RelationDelta, Tuple, TupleId};
+        let rel = sample(30);
+        let sigma = [parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap()];
+        let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
+        let cfg = RunConfig::default().with_threads(1);
+        let horizontal = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        // Round r inserts a conflicting tuple at site r % 3 and deletes
+        // that site's first stored tuple of the round.
+        let batches: Vec<DeltaBatch> = (0..4usize)
+            .map(|r| {
+                let stored = horizontal.fragments()[r % 3].data.iter().nth(r / 3).unwrap();
+                let tid = TupleId(100 + r as u64);
+                let insert = Tuple::new(tid, vals![100 + r, 44, "z0", format!("x{r}")]);
+                let mut per_site = vec![RelationDelta::default(); 3];
+                per_site[r % 3] = RelationDelta::new(vec![insert], vec![stored.tid]);
+                DeltaBatch::new(per_site)
+            })
+            .collect();
+        let tuples = |r: Relation| r.iter().collect::<Vec<_>>();
+        let replicated = ReplicatedPartition::chained(horizontal.clone(), 2).unwrap();
+        let runs = [
+            ("horizontal", IncrementalRun::new(horizontal.clone(), &sigma, cfg).unwrap()),
+            ("replicated", IncrementalRun::new_replicated(&replicated, &sigma, cfg).unwrap()),
+        ];
+        let topologies: [Topology; 2] = [horizontal.into(), replicated.into()];
+        for ((label, mut run), topology) in runs.into_iter().zip(topologies) {
+            let plan = DetectRequest::over(topology).cfds(sigma.clone()).config(cfg).plan();
+            let mut session = plan.unwrap().session().unwrap();
+            for batch in &batches {
+                session.apply_batch(batch).unwrap();
+                run.apply_batch(batch).unwrap();
+            }
+            let live = session.partition().expect(label);
+            assert_eq!(live.total_tuples(), rel.len(), "{label}: four inserts, four deletes");
+            assert_eq!(tuples(live.reassemble().unwrap()), tuples(session.materialize().unwrap()));
+            let request = DetectRequest::over(live.clone()).cfds(sigma.clone()).config(cfg);
+            let facade = request.algorithm(Algorithm::PatDetectS).plan().unwrap().run();
+            let engine =
+                run_batch(run.partition(), &simples, CoordinatorStrategy::MinShipment, &cfg);
+            assert!(!facade.violations.all_tids().is_empty(), "{label}: the inserts conflict");
+            assert_eq!(facade, engine, "{label}");
+        }
+
+        let vertical =
+            VerticalPartition::by_attribute_groups(&rel, &[&["cc", "zip"], &["street"]]).unwrap();
+        let plan = DetectRequest::over(vertical).cfds(sigma).config(cfg).plan().unwrap();
+        let mut session = plan.session().unwrap();
+        for batch in &batches {
+            session.apply_batch(batch).unwrap();
+        }
+        assert!(session.partition().is_none());
     }
 
     /// A CFD's attribute lists are positions into *its* schema. Over a

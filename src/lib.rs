@@ -6,8 +6,7 @@
 //! that are fragmented — horizontally or vertically — and distributed
 //! across sites, while minimizing data shipment or response time.
 //!
-//! This crate is a facade re-exporting the workspace, plus the one
-//! public detection API:
+//! This crate is the one public detection API, and nothing else:
 //!
 //! * [`api`] — [`DetectRequest`]: one code-native request object over
 //!   every topology ([`Topology`]) and algorithm ([`Algorithm`]),
@@ -15,18 +14,30 @@
 //!   (`run()` → [`Detection`](dcd_core::Detection), which cannot fail)
 //!   or incremental
 //!   (`session()` → [`IncrementalSession`]),
-//! * [`relation`] — the in-memory relational engine substrate,
-//! * [`cfd`] — CFDs: pattern tableaux, centralized detection, implication,
-//! * [`dist`] — fragmentation, the shipment ledger and the cost model,
-//! * [`core`] — the paper's detection algorithms (`CTRDETECT`,
-//!   `PATDETECTS`, `PATDETECTRT`, `SEQDETECT`, `CLUSTDETECT`, mining),
-//! * [`incr`] — incremental detection: delta streams, the persistent
-//!   violation index and the code-shipped delta protocol,
-//! * [`vertical`] — dependency preservation and minimum refinement,
-//! * [`obs`] — deterministic observability: the per-run metrics
-//!   registry, Prometheus-style exposition, and simulated-clock traces,
-//! * [`complexity`] — executable NP-hardness artifacts,
-//! * [`datagen`] — the CUST / XREF workload generators.
+//! * [`prelude`] — the request's vocabulary: schemas, relations and
+//!   values, the four partitions, CFDs and their reports, the run
+//!   configuration and cost model, the observability types, and
+//!   centralized detection, mining and dependency preservation.
+//!
+//! The engines beneath the façade (`run_batch`, `run_seq`, `run_clust`,
+//! the incremental runs, …) are public in their own `dcd_*` crates, for
+//! the workspace's tests and benchmark; they are not re-exported here, so
+//! every distributed run through this crate passes
+//! [`DetectRequest::plan`]'s checks (the prelude's centralized `detect`
+//! does not check a CFD's schema yet). Neither the engines' functions nor
+//! a session's variants are reachable:
+//!
+//! ```compile_fail,E0432
+//! use distributed_cfd::core::run_batch;
+//! ```
+//!
+//! ```compile_fail,E0599
+//! use distributed_cfd::prelude::*;
+//!
+//! fn is_horizontal(session: &IncrementalSession) -> bool {
+//!     matches!(session, IncrementalSession::Horizontal(_))
+//! }
+//! ```
 //!
 //! ## Quickstart
 //!
@@ -80,35 +91,24 @@
 pub mod api;
 
 pub use api::{Algorithm, DetectRequest, IncrementalSession, Plan, Topology};
-pub use dcd_cfd as cfd;
-pub use dcd_complexity as complexity;
-pub use dcd_core as core;
-pub use dcd_datagen as datagen;
-pub use dcd_dist as dist;
-pub use dcd_incr as incr;
-pub use dcd_obs as obs;
-pub use dcd_relation as relation;
-pub use dcd_vertical as vertical;
 
 /// One-stop imports for the common API surface.
 pub mod prelude {
     pub use crate::api::{Algorithm, DetectRequest, IncrementalSession, Plan, Topology};
     pub use dcd_cfd::{
-        detect, detect_set, detect_simple, parse_cfd, satisfies, Cfd, CodeLayout, NormalPattern,
-        PatternTuple, PatternValue, SimpleCfd, ViolationReport, ViolationSet,
+        detect, detect_set, detect_simple, parse_cfd, satisfies, Cfd, NormalPattern, PatternTuple,
+        PatternValue, SimpleCfd, ViolationReport, ViolationSet,
     };
-    pub use dcd_core::{
-        mine_patterns, CoordinatorStrategy, Detection, MinedTableau, MiningConfig, RunConfig,
-    };
+    pub use dcd_core::{mine_patterns, CoordinatorStrategy, Detection, MiningConfig, RunConfig};
     pub use dcd_dist::{
-        CostModel, Fragment, HorizontalPartition, HybridPartition, ReplicatedPartition,
-        ShipmentLedger, SiteClocks, SiteId, VFragment, VerticalPartition, CODE_BYTES, TID_CELLS,
+        CostModel, Fragment, HorizontalPartition, HybridPartition, ReplicatedPartition, SiteId,
+        VFragment, VerticalPartition, CODE_BYTES, TID_CELLS,
     };
-    pub use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun, ViolationIndex};
+    pub use dcd_incr::DeltaBatch;
     pub use dcd_obs::{MetricsRegistry, RunTrace, SampleValue, Span};
     pub use dcd_relation::{
-        vals, Atom, CmpOp, Conjunction, DeltaEffect, Predicate, Relation, RelationDelta, Schema,
-        Tuple, TupleId, Value, ValueType,
+        vals, Atom, CmpOp, Conjunction, Predicate, Relation, RelationDelta, Schema, Tuple, TupleId,
+        Value, ValueType,
     };
     pub use dcd_vertical::{is_preserved, refine_exact, refine_greedy};
 }

@@ -23,12 +23,12 @@
 mod common;
 
 use common::{grow_dictionaries, naive_sigma};
-use distributed_cfd::cfd::oracle;
-use distributed_cfd::core::local::check_constants_range;
-use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma};
+use dcd_cfd::{oracle, CodeLayout};
+use dcd_core::local::check_constants_range;
+use dcd_core::sigma::{sigma_partition, sort_for_sigma};
+use dcd_relation::ops::CodeMemo;
+use dcd_relation::AttrId;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::ops::CodeMemo;
-use distributed_cfd::relation::AttrId;
 use std::sync::Arc;
 
 /// The rows `CodeMemo::resolve` computes slot ids for at a time

@@ -2,10 +2,10 @@
 //! and uses part of it.
 #![allow(dead_code)]
 
-use distributed_cfd::cfd::{Flagged, KernelTally, ResolvedCfd};
-use distributed_cfd::core::sigma::SortedCfd;
+use dcd_cfd::{Flagged, KernelTally, ResolvedCfd};
+use dcd_core::sigma::SortedCfd;
+use dcd_relation::AttrId;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;

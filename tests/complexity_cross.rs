@@ -4,11 +4,9 @@
 //! Beeri–Honeyman check), and the Theorem 1 instances checked against
 //! the exhaustive minimum-shipment search of `dcd-core`.
 
-use distributed_cfd::complexity::{
-    mhd_reduction, mrp_reduction, HittingSetInstance, SetCoverInstance,
-};
+use dcd_complexity::{mhd_reduction, mrp_reduction, HittingSetInstance, SetCoverInstance};
+use dcd_vertical::is_preserved;
 use distributed_cfd::prelude::*;
-use distributed_cfd::vertical::is_preserved;
 
 #[test]
 fn mrp_reduction_agrees_with_chase_based_preservation() {
@@ -111,8 +109,6 @@ fn exhaustive_min_shipment_on_a_micro_mhd_like_instance() {
     let simple = fd.simplify().pop().unwrap();
     // Both conflicts span sites: at least 2 shipments; exactly 2 suffice
     // (ship each subset tuple to the universe site).
-    let opt =
-        distributed_cfd::core::min_shipment_exhaustive(&partition, std::slice::from_ref(&simple))
-            .unwrap();
+    let opt = dcd_core::min_shipment_exhaustive(&partition, std::slice::from_ref(&simple)).unwrap();
     assert_eq!(opt, 2);
 }

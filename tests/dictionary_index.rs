@@ -7,7 +7,7 @@
 //! padding indexes nothing, and a run reads the same whether or not the
 //! dictionaries were indexed before it.
 
-use distributed_cfd::datagen::cust::{cust_cfds, cust_main_cfd, CustConfig};
+use dcd_datagen::cust::{cust_cfds, cust_main_cfd, CustConfig};
 use distributed_cfd::prelude::*;
 use std::collections::BTreeSet;
 

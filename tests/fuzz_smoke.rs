@@ -12,7 +12,7 @@
 mod common;
 
 use common::{arb_patterns, arb_rows, build_cfd, build_relation};
-use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
+use dcd_datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ fn oracle_report(rel: &Relation, sigma: &[Cfd]) -> ViolationReport {
     let mut report = ViolationReport::default();
     for cfd in sigma {
         for simple in cfd.simplify() {
-            report.absorb(cfd.name(), distributed_cfd::cfd::oracle::vio(&tuples, &simple));
+            report.absorb(cfd.name(), dcd_cfd::oracle::vio(&tuples, &simple));
         }
     }
     report

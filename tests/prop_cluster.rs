@@ -25,7 +25,7 @@
 mod common;
 
 use common::{grow_dictionaries, Rng};
-use distributed_cfd::cfd::oracle;
+use dcd_cfd::oracle;
 use distributed_cfd::prelude::*;
 use std::sync::Arc;
 
@@ -350,7 +350,7 @@ fn cases() -> impl Iterator<Item = (u64, Vec<Cfd>, HorizontalPartition)> {
 /// empty-LHS φ included.
 #[test]
 fn a_cluster_of_one_is_the_single_cfd_round() {
-    use distributed_cfd::core::{run_batch, run_clust};
+    use dcd_core::{run_batch, run_clust};
     let cfg = RunConfig::default();
     for (seed, sigma, partition) in cases() {
         for (phi, strategy) in sigma.iter().flat_map(|phi| STRATEGIES.map(|s| (phi, s))) {
@@ -368,7 +368,7 @@ fn a_cluster_of_one_is_the_single_cfd_round() {
 /// fragment only), which is `PATDETECTS`.
 #[test]
 fn seqdetect_and_repdetect_at_factor_one_are_the_single_cfd_rounds() {
-    use distributed_cfd::core::{run_batch, run_replicated, run_seq};
+    use dcd_core::{run_batch, run_replicated, run_seq};
     let cfg = RunConfig::default();
     for (seed, sigma, partition) in cases() {
         let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();

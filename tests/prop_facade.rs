@@ -12,10 +12,11 @@
 mod common;
 
 use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema};
-use distributed_cfd::core::{run_batch, run_clust, run_hybrid, run_replicated, run_seq};
-use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
+use dcd_core::{run_batch, run_clust, run_hybrid, run_replicated, run_seq};
+use dcd_datagen::{update_stream, UpdateStreamConfig};
+use dcd_incr::{IncrementalRun, VerticalIncrementalRun};
+use dcd_vertical::run_vertical;
 use distributed_cfd::prelude::*;
-use distributed_cfd::vertical::run_vertical;
 use proptest::prelude::*;
 
 fn facade(
@@ -265,7 +266,7 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
         (CostModel { transfer_rate: 0.0, ..base }, "`transfer_rate`"),
         (CostModel { packet_tuples: 0.0, ..base }, "`packet_tuples`"),
     ] {
-        use distributed_cfd::relation::RelationError;
+        use dcd_relation::RelationError;
         let rejected = |r: Result<(), RelationError>| matches!(r, Err(RelationError::InvalidCostModel { detail }) if detail.contains(field));
         let cfg = RunConfig { cost, ..RunConfig::default() };
         for (name, topology) in &topologies {
@@ -287,7 +288,7 @@ fn invalid_cost_models_are_rejected_at_every_front_door() {
 /// partition is refused where it is built, naming the id.
 #[test]
 fn repeated_tuple_ids_are_rejected_at_the_front_door() {
-    use distributed_cfd::relation::RelationError;
+    use dcd_relation::RelationError;
     let clean = build_relation(&[(0, 0, 0, 0), (1, 0, 0, 0)]);
     let conflicting = build_relation(&[(0, 0, 0, 0), (0, 0, 0, 1)]);
     let fragments: Vec<Fragment> = [clean, conflicting]
@@ -340,7 +341,7 @@ fn conflicting(tid: u64) -> Tuple {
 /// `{t1, t100}`. `from_fragments` now refuses it, naming the tuple.
 #[test]
 fn from_fragments_refuses_a_tuple_outside_its_predicate() {
-    use distributed_cfd::relation::RelationError;
+    use dcd_relation::RelationError;
     let mut fragments = by_a().fragments().to_vec();
     fragments[0].data.push_tuple(conflicting(100)).unwrap();
     let err = HorizontalPartition::from_fragments(schema(), fragments).unwrap_err();
@@ -360,7 +361,7 @@ fn from_fragments_refuses_a_tuple_outside_its_predicate() {
 /// `Ok`, never a panic.
 #[test]
 fn partitions_broken_through_fragments_mut_are_refused_where_they_are_accepted() {
-    use distributed_cfd::relation::RelationError;
+    use dcd_relation::RelationError;
     fn invalid(e: &RelationError) -> bool {
         matches!(e, RelationError::InvalidPartition { .. })
     }

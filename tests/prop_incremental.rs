@@ -7,7 +7,8 @@
 mod common;
 
 use common::{arb_patterns, arb_rows, build_cfd, build_relation};
-use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
+use dcd_datagen::{update_stream, UpdateStreamConfig};
+use dcd_incr::{IncrementalRun, VerticalIncrementalRun};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
 

@@ -14,10 +14,12 @@
 mod common;
 
 use common::{arb_patterns, arb_rows, build_cfd, build_relation, schema, validate_in_place};
-use distributed_cfd::cfd::{detect_simple_strict, judge, oracle, Judgement, KernelTally, RhsSpec};
-use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
+use dcd_cfd::{detect_simple_strict, judge, oracle, CodeLayout, Judgement, KernelTally, RhsSpec};
+use dcd_core::MinedTableau;
+use dcd_datagen::{update_stream, UpdateStreamConfig};
+use dcd_incr::IncrementalRun;
+use dcd_relation::AttrId;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 
 /// The paper's per-group semantics, spelled out naively: a variable

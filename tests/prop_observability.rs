@@ -16,7 +16,8 @@
 mod common;
 
 use common::{sample, sample_sigma, schema};
-use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
+use dcd_datagen::{update_stream, UpdateStreamConfig};
+use dcd_incr::{IncrementalRun, VerticalIncrementalRun};
 use distributed_cfd::prelude::*;
 
 fn algorithms() -> [Algorithm; 5] {

@@ -19,11 +19,11 @@
 mod common;
 
 use common::{grow_dictionaries, validate_in_place};
-use distributed_cfd::cfd::{detect_simple_strict, oracle, CodeRow, Flagged};
-use distributed_cfd::core::local::{check_constants_range_with, compile_constants};
-use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma};
+use dcd_cfd::{detect_simple_strict, oracle, CodeLayout, CodeRow, Flagged};
+use dcd_core::local::{check_constants_range_with, compile_constants};
+use dcd_core::sigma::{sigma_partition, sort_for_sigma};
+use dcd_relation::AttrId;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 use std::sync::Arc;
 

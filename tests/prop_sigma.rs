@@ -23,9 +23,9 @@
 mod common;
 
 use common::{grow_dictionaries, naive_sigma};
-use distributed_cfd::core::sigma::{sigma_partition, sort_for_sigma, SigmaPartition};
+use dcd_core::sigma::{sigma_partition, sort_for_sigma, SigmaPartition};
+use dcd_relation::AttrId;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
 use proptest::prelude::*;
 use std::sync::Arc;
 

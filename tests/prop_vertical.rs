@@ -6,9 +6,9 @@
 mod common;
 
 use common::{arb_rows, build_relation, schema};
+use dcd_relation::AttrId;
+use dcd_vertical::locally_checkable_at;
 use distributed_cfd::prelude::*;
-use distributed_cfd::relation::AttrId;
-use distributed_cfd::vertical::locally_checkable_at;
 use proptest::prelude::*;
 
 /// Runs one facade request over a vertical partition.

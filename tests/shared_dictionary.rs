@@ -16,8 +16,8 @@
 //! it ends that mode, so whether it still holds at four writers depends
 //! on how they interleave.
 
-use distributed_cfd::dist::pool::scoped_map;
-use distributed_cfd::relation::{AttrId, Column, Dictionary, Relation, Schema, Value, ValueType};
+use dcd_dist::pool::scoped_map;
+use dcd_relation::{AttrId, Column, Dictionary, Relation, Schema, Value, ValueType};
 use std::collections::HashSet;
 use std::sync::Arc;
 

@@ -2,9 +2,9 @@
 //! with injected errors, run through every algorithm, checking both the
 //! findings and the paper's comparative claims at this scale.
 
-use distributed_cfd::datagen::cust::{cust_main_cfd, cust_overlapping_pair, CustConfig};
-use distributed_cfd::datagen::inject_errors;
-use distributed_cfd::datagen::xref::{xref_main_cfd, xref_second_cfd, XrefConfig};
+use dcd_datagen::cust::{cust_main_cfd, cust_overlapping_pair, CustConfig};
+use dcd_datagen::inject_errors;
+use dcd_datagen::xref::{xref_main_cfd, xref_second_cfd, XrefConfig};
 use distributed_cfd::prelude::*;
 
 /// Runs one facade request over a horizontal partition.

@@ -114,6 +114,14 @@ fn the_manifests_implement_the_layering() {
             assert!(allowed.contains(&dep.as_str()), "dcd_{dir} may not depend on `{dep}`");
         }
     }
+    // The façade builds against exactly the crates `src/` names; the
+    // complexity artifacts and the data generator are its tests' and
+    // examples' only (dev-dependencies).
+    assert_eq!(
+        dependencies(&root().join("Cargo.toml")),
+        ["dcd-relation", "dcd-obs", "dcd-cfd", "dcd-dist", "dcd-core", "dcd-incr", "dcd-vertical"],
+        "the root manifest's [dependencies]"
+    );
     // The production graph is closed: no manifest, root included, builds
     // against anything but a `dcd-*` crate. The one compat stand-in
     // (`proptest`) is a dev-dependency only.
