@@ -49,14 +49,30 @@
 //!
 //! ## Routing a delete
 //!
-//! The index keeps tid → (slot, position); a delete reads one member.
+//! The index finds a tid's `(slot, position)`; a delete reads one member.
 //! It `swap_remove`s the member at that position and re-points the tail
 //! member that moved into it, so no member list is scanned, and members
 //! change order exactly as a search followed by `swap_remove` would.
+//!
+//! ## Two position tables, no second copy
+//!
+//! Both lookups go through a `PositionTable` (the private `table`
+//! module), which stores where an entry lives and nothing else. The tid
+//! table holds an 8-byte `(slot, at)` per indexed row and compares a
+//! probe through the tid of `slots[slot].members[at]`; the key table
+//! holds a 4-byte slot per key and compares through that slot's codes in
+//! `slot_keys`. Each tid and each key is therefore stored once, in the
+//! member list or `slot_keys`. The hash maps they replace held a second
+//! copy: `FxHashMap<TupleId, (u32, u32)>` at 17 B a bucket and
+//! `FxHashMap<CodeKey, u32>` at 49 B, where the tables take 8 B and 4 B
+//! at load ≤ 7/8. On `cust_incr`'s 135 762 indexed rows under 10 197
+//! keys the tid lookup fell from 4.25 MiB to 2 MiB and the key lookup
+//! from 0.77 MiB to 64 KiB, and the index as a whole from ≈ 79 B per
+//! indexed row to ≈ 56 B.
 
+use crate::table::{spread, Position, PositionTable};
 use dcd_cfd::pattern::CompiledPattern;
 use dcd_cfd::{judge, Judgement, LhsIndex, SimpleCfd, ViolationSet};
-use dcd_relation::ops::CodeKey;
 use dcd_relation::{Dictionary, FxHashMap, TupleId, Value, NO_CODE};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -175,15 +191,26 @@ impl KeyState {
     }
 }
 
+/// The tid of the member at `(slot, at)`.
+fn member_tid(slots: &[KeyState], (slot, at): (u32, u32)) -> TupleId {
+    slots[slot as usize].members[at as usize].0
+}
+
+/// The LHS codes of `slot`'s key: `width` cells of `slot_keys`.
+fn key_codes(slot_keys: &[u32], width: usize, slot: u32) -> &[u32] {
+    &slot_keys[slot as usize * width..][..width]
+}
+
 /// The persistent violation index of one `(X → A, Tp)` CFD.
 ///
 /// Holds shared dictionaries (so codes shipped from any fragment over
 /// the same dictionaries are directly comparable), the compiled
 /// tableau (its infeasible patterns refreshed per batch), the per-key
-/// states in a slab of slots, a tid → (slot, position) map for delete
-/// routing — a delete reads one member, and re-points the one its
-/// `swap_remove` moved — and the live [`ViolationSet`] maintained
-/// incrementally.
+/// states in a slab of slots, two `PositionTable`s — keys to slots,
+/// found through `slot_keys`, and tids to `(slot, position)`, found
+/// through the members, for delete routing: a delete reads one member,
+/// and re-points the one its `swap_remove` moved — and the live
+/// [`ViolationSet`] maintained incrementally.
 #[derive(Debug)]
 pub struct ViolationIndex {
     cfd: SimpleCfd,
@@ -197,16 +224,17 @@ pub struct ViolationIndex {
     /// The kernel's bucketing of `compiled`: answers a new key's matched
     /// list in one probe per wildcard mask.
     lhs_index: LhsIndex,
-    /// Each indexed key's slot in `slots`.
-    keys: FxHashMap<CodeKey, u32>,
+    /// Each indexed key's slot in `slots`, found by the key's codes in
+    /// `slot_keys`.
+    keys: PositionTable<u32>,
     slots: Vec<KeyState>,
     /// The LHS codes of each slot's key, `lhs_pos.len()` cells per slot.
     slot_keys: Vec<u32>,
     /// Slots whose key left the index, for the next new key.
     free: Vec<u32>,
-    /// Invariant: an indexed tid maps to `(slot, at)`, where
-    /// `slots[slot].members[at]` is its member.
-    tid_key: FxHashMap<TupleId, (u32, u32)>,
+    /// Invariant: there is one entry per member, `(slot, at)` where
+    /// `slots[slot].members[at]` is the member, found by its tid.
+    tid_key: PositionTable<(u32, u32)>,
     live: ViolationSet,
 }
 
@@ -231,11 +259,11 @@ impl ViolationIndex {
             rhs_pos,
             lhs_dicts,
             rhs_dict,
-            keys: FxHashMap::default(),
+            keys: PositionTable::new(),
             slots: Vec::new(),
             slot_keys: Vec::new(),
             free: Vec::new(),
-            tid_key: FxHashMap::default(),
+            tid_key: PositionTable::new(),
             live: ViolationSet::default(),
         }
     }
@@ -254,6 +282,31 @@ impl ViolationIndex {
     /// pattern; rows matching nothing are never stored).
     pub fn indexed_rows(&self) -> usize {
         self.tid_key.len()
+    }
+
+    /// Bytes the index holds on the heap, computed from capacities: the
+    /// slots (each key's state, member list and matched patterns), the
+    /// key codes, the free list and both position tables. It leaves out
+    /// the live [`ViolationSet`] and a key's RHS counts once they spill
+    /// into a map, whose hash tables are std's to size.
+    pub fn heap_bytes(&self) -> usize {
+        let per_key: usize = self
+            .slots
+            .iter()
+            .map(|s| s.members.capacity() * size_of::<(TupleId, u32)>() + size_of_val(&*s.matched))
+            .sum();
+        self.slots.capacity() * size_of::<KeyState>()
+            + per_key
+            + self.slot_keys.capacity() * size_of::<u32>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.keys.heap_bytes()
+            + self.tid_key.heap_bytes()
+    }
+
+    /// The slot of the key with LHS codes `lhs`, if it is indexed.
+    fn slot_of(&self, lhs: &[u32]) -> Option<u32> {
+        let width = self.lhs_pos.len();
+        self.keys.get(spread(lhs), |slot| key_codes(&self.slot_keys, width, slot) == lhs)
     }
 
     /// The live violation set (maintained, not recomputed).
@@ -304,13 +357,26 @@ impl ViolationIndex {
         let mut examined = 0;
 
         for tid in deletes {
-            let Some((slot, at)) = self.tid_key.remove(tid) else { continue };
+            let slots = &self.slots;
+            let tid_of = |at| member_tid(slots, at);
+            let removed =
+                self.tid_key.remove(spread(tid), |at| tid_of(at) == *tid, |at| spread(&tid_of(at)));
+            let Some((slot, at)) = removed else { continue };
+            let members = &self.slots[slot as usize].members;
+            let tail = members.len() as u32 - 1;
+            if at != tail {
+                // The tail member moves into `at`: re-point its entry.
+                let moved = members[tail as usize].0;
+                let entry = self.tid_key.get_mut(spread(&moved), |e| e == (slot, tail));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: every member has its `tid_key` entry"
+                )]
+                let entry = entry.expect("the `tid_key` invariant");
+                *entry = (slot, at);
+            }
             let state = &mut self.slots[slot as usize];
             let (_, rhs) = state.members.swap_remove(at as usize);
-            // The tail member, if it was not this one, moved into `at`.
-            if let Some(&(moved, _)) = state.members.get(at as usize) {
-                self.tid_key.get_mut(&moved).expect("the `tid_key` invariant").1 = at;
-            }
             state.counts.remove(rhs);
             if state.judgement.flags(rhs) {
                 self.live.remove(*tid);
@@ -323,15 +389,20 @@ impl ViolationIndex {
             examined += 1;
         }
 
-        let mut lhs: Vec<u32> = Vec::with_capacity(self.lhs_pos.len());
+        // Room for every insert up front, so that a build never rehashes;
+        // what the rows matching no pattern left unused is given back
+        // below.
+        let slots = &self.slots;
+        self.tid_key.reserve(inserts.len(), |at| spread(&member_tid(slots, at)));
+        let width = self.lhs_pos.len();
+        let mut lhs: Vec<u32> = Vec::with_capacity(width);
         let mut probe_buf: Vec<u32> = Vec::new();
         let mut ranks: Vec<u32> = Vec::new();
         for (tid, codes) in inserts {
             lhs.clear();
             lhs.extend(self.lhs_pos.iter().map(|&p| codes[p]));
-            let key = CodeKey::of_codes(&lhs);
-            let slot = match self.keys.get(&key) {
-                Some(&slot) => slot,
+            let slot = match self.slot_of(&lhs) {
+                Some(slot) => slot,
                 None => {
                     self.lhs_index.matched_into(&lhs, &mut probe_buf, &mut ranks);
                     if ranks.is_empty() {
@@ -341,28 +412,41 @@ impl ViolationIndex {
                         continue;
                     }
                     let slot = self.open_slot(&lhs, &ranks);
-                    self.keys.insert(key, slot);
+                    let slot_keys = &self.slot_keys;
+                    self.keys.insert(spread(lhs.as_slice()), slot, |slot| {
+                        spread(key_codes(slot_keys, width, slot))
+                    });
                     slot
                 }
             };
-            let state = &mut self.slots[slot as usize];
-            if state.fresh == IDLE {
-                state.fresh = state.members.len() as u32;
-                touched.push(slot);
-            }
-            let rhs = codes[self.rhs_pos];
-            let at = u32::try_from(state.members.len()).expect("fewer members than u32::MAX");
-            state.members.push((*tid, rhs));
-            state.counts.add(rhs);
-            let stale = self.tid_key.insert(*tid, (slot, at));
+            let slots = &self.slots;
+            let tid_of = |at| member_tid(slots, at);
+            let hash = spread(tid);
             // A second entry for one tid would leave a member no delete
             // can reach, and a later delete would re-point a stranger.
             assert!(
-                stale.is_none(),
+                self.tid_key.get(hash, |at| tid_of(at) == *tid).is_none(),
                 "the `tid_key` invariant: an inserted tuple id is indexed already"
             );
+            let at = u32::try_from(slots[slot as usize].members.len());
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: a key holds fewer than 2³² members (64 GiB of them)"
+            )]
+            let at = at.expect("fewer members than u32::MAX");
+            self.tid_key.insert(hash, (slot, at), |at| spread(&tid_of(at)));
+            let state = &mut self.slots[slot as usize];
+            if state.fresh == IDLE {
+                state.fresh = at;
+                touched.push(slot);
+            }
+            let rhs = codes[self.rhs_pos];
+            state.members.push((*tid, rhs));
+            state.counts.add(rhs);
             examined += 1;
         }
+        let slots = &self.slots;
+        self.tid_key.shrink(|at| spread(&member_tid(slots, at)));
 
         for slot in touched {
             examined += self.settle(slot);
@@ -381,9 +465,16 @@ impl ViolationIndex {
                 slot
             }
             None => {
+                // The key table's empty mark is no slot.
+                let slot = u32::try_from(self.slots.len()).ok().filter(|&s| s != u32::EMPTY);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: an index holds fewer than 2³² − 1 keys (320 GiB of slots)"
+                )]
+                let slot = slot.expect("fewer keys than u32::MAX");
                 self.slots.push(state);
                 self.slot_keys.extend_from_slice(lhs);
-                u32::try_from(self.slots.len() - 1).expect("fewer keys than u32::MAX")
+                slot
             }
         }
     }
@@ -422,12 +513,12 @@ impl ViolationIndex {
         }
 
         let width = self.lhs_pos.len();
-        let key_codes = &self.slot_keys[slot as usize * width..][..width];
+        let codes = key_codes(&self.slot_keys, width, slot);
         let flagging = state.flagged() > 0;
         if flagging != state.in_patterns {
             state.in_patterns = flagging;
             let decoded: Vec<Value> =
-                self.lhs_dicts.iter().zip(key_codes).map(|(d, &c)| d.value(c)).collect();
+                self.lhs_dicts.iter().zip(codes).map(|(d, &c)| d.value(c)).collect();
             if flagging {
                 self.live.insert_pattern(decoded);
             } else {
@@ -438,7 +529,12 @@ impl ViolationIndex {
             // Last member gone: the key leaves the index entirely (a
             // later re-appearance recomputes `matched` freshly).
             *state = KeyState::new(&[]);
-            self.keys.remove(&CodeKey::of_codes(key_codes));
+            let slot_keys = &self.slot_keys;
+            self.keys.remove(
+                spread(codes),
+                |s| s == slot,
+                |s| spread(key_codes(slot_keys, width, s)),
+            );
             self.free.push(slot);
         }
         examined
@@ -448,6 +544,7 @@ impl ViolationIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::Rng;
     use dcd_cfd::{detect_simple, parse_cfd};
     use dcd_relation::{vals, DeltaEffect, Relation, RelationDelta, Schema, Tuple, ValueType};
     use std::collections::{BTreeMap, BTreeSet};
@@ -650,19 +747,6 @@ mod tests {
         assert_eq!((counts.count(7), counts.count(4)), (1, 0));
     }
 
-    /// SplitMix64: a random stream derives from its seed.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        }
-    }
-
     /// Members examined and judgements changed, as a from-scratch reading
     /// of the member lists expects them of one batch.
     #[derive(Debug, Default, PartialEq)]
@@ -771,16 +855,31 @@ mod tests {
         expected
     }
 
-    /// The delete routing invariant: every `tid_key` entry names a member
-    /// carrying its tid, and there is one entry per member.
+    /// The delete routing invariant: one `tid_key` entry per member, each
+    /// naming a member that carries its tid, and every member found by its
+    /// tid. Finding each member's own position is one distinct entry per
+    /// member, so with as many entries as members there is no other. The
+    /// key table likewise finds each live key's slot by its codes.
     fn assert_routing(index: &ViolationIndex, label: &str) {
         let members: usize = index.slots.iter().map(|s| s.members.len()).sum();
         assert_eq!(index.tid_key.len(), members, "one routing entry per member {label}");
-        let stray = index.tid_key.iter().find(|&(tid, &(slot, at))| {
-            let member = index.slots.get(slot as usize).and_then(|s| s.members.get(at as usize));
-            member.is_none_or(|&(t, _)| t != *tid)
-        });
-        assert_eq!(stray, None, "a routing entry names no member carrying its tid {label}");
+        for (slot, state) in (0u32..).zip(&index.slots) {
+            for (at, &(tid, _)) in (0u32..).zip(&state.members) {
+                let found = index.tid_key.get(spread(&tid), |e| member_tid(&index.slots, e) == tid);
+                assert_eq!(found, Some((slot, at)), "{tid:?} is found at its member {label}");
+            }
+        }
+        let live: Vec<u32> = (0u32..)
+            .zip(&index.slots)
+            .filter(|(_, s)| !s.members.is_empty())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(index.key_count(), live.len(), "one key entry per live slot {label}");
+        let width = index.lhs_pos.len();
+        for slot in live {
+            let codes = key_codes(&index.slot_keys, width, slot);
+            assert_eq!(index.slot_of(codes), Some(slot), "slot {slot} is found by its key {label}");
+        }
     }
 
     #[test]
@@ -948,12 +1047,11 @@ mod tests {
                 // The member lists a search for each deleted tid followed
                 // by `swap_remove` leaves, keyed by LHS codes.
                 let width = index.lhs_pos.len();
-                let mut lists: BTreeMap<Vec<u32>, Vec<(TupleId, u32)>> = index
-                    .keys
-                    .values()
-                    .map(|&slot| {
-                        let key = index.slot_keys[slot as usize * width..][..width].to_vec();
-                        (key, index.slots[slot as usize].members.clone())
+                let mut lists: BTreeMap<Vec<u32>, Vec<(TupleId, u32)>> = (0u32..)
+                    .zip(&index.slots)
+                    .filter(|(_, s)| !s.members.is_empty())
+                    .map(|(slot, s)| {
+                        (key_codes(&index.slot_keys, width, slot).to_vec(), s.members.clone())
                     })
                     .collect();
                 let start: BTreeMap<Vec<u32>, usize> =
@@ -983,7 +1081,7 @@ mod tests {
                 assert_routing(&index, &label);
                 assert_eq!(index.key_count(), lists.len(), "{label}");
                 for (key, members) in &lists {
-                    let slot = index.keys[&CodeKey::of_codes(key)];
+                    let slot = index.slot_of(key).unwrap();
                     assert_eq!(&index.slots[slot as usize].members, members, "{label}");
                 }
                 let tuples: Vec<Tuple> = rel.iter().collect();
@@ -993,5 +1091,70 @@ mod tests {
         }
         let Routes { only, emptied, tail, moved, reinserted } = routes;
         assert!([only, emptied, tail, moved, reinserted].iter().all(|&n| n > 0), "{routes:?}");
+    }
+
+    #[test]
+    fn a_build_gives_back_the_reserve_its_unmatched_rows_left() {
+        let s = schema();
+        // 2 000 rows, of which the 40 with cc = 3 match the pattern.
+        let rows: Vec<Vec<Value>> = (0..2000).map(|i| vals![i % 50, "z", "a"]).collect();
+        let rel = Relation::from_rows(s.clone(), rows).unwrap();
+        let cfd = parse_cfd(&s, "phi", "([cc=3] -> [street])").unwrap();
+        let mut index = ViolationIndex::new(cfd.simplify().pop().unwrap(), &dicts_of(&rel));
+        index.apply(&[], &full_rows(&rel));
+        assert_eq!(index.indexed_rows(), 40);
+        assert_eq!(index.tid_key.bucket_count(), 64, "sized for 40 entries, not 2 000");
+        assert_routing(&index, "after the build");
+    }
+
+    #[test]
+    fn a_stream_over_a_fixed_size_relation_keeps_its_bytes_and_buckets() {
+        let s = schema();
+        // 2 000 rows under 50 keys, 40 members each, so that the stream
+        // keeps every key and its member list within the 64 members the
+        // build's capacity holds.
+        let cfd = parse_cfd(&s, "phi", "([cc] -> [street])").unwrap();
+        let simple = cfd.simplify().pop().unwrap();
+        let rows: Vec<Vec<Value>> =
+            (0..2000).map(|i| vals![i % 50, "z", ["a", "b"][i as usize % 7 / 6]]).collect();
+        let mut rel = Relation::from_rows(s.clone(), rows).unwrap();
+        let mut index = ViolationIndex::new(simple, &dicts_of(&rel));
+        index.apply(&[], &full_rows(&rel));
+        let built = index.heap_bytes();
+        let buckets = (index.keys.bucket_count(), index.tid_key.bucket_count());
+        assert_eq!(buckets, (64, 4096), "the build's reserve, and growth for 50 keys");
+        let mut rng = Rng(7);
+        let mut next = 10_000;
+        for batch in 0..300 {
+            let label = format!("batch {batch}");
+            // Half deletes, half inserts with fresh ids: |D| stays 2 000.
+            let deletes: Vec<TupleId> =
+                rel.tids().iter().copied().filter(|_| rng.below(100) == 0).collect();
+            let inserts: Vec<Tuple> = deletes
+                .iter()
+                .map(|_| {
+                    next += 1;
+                    let street = ["a", "b", "c"][rng.below(3) as usize];
+                    Tuple::new(TupleId(next), vals![rng.below(50) as i64, "z", street])
+                })
+                .collect();
+            let effect = rel.apply_delta(&RelationDelta::new(inserts, deletes.clone())).unwrap();
+            index.apply(&deletes, &effect.inserted);
+            assert_eq!(index.indexed_rows(), 2000, "{label}");
+            assert!(
+                index.heap_bytes() * 10 <= built * 11,
+                "{} B after {label}, {built} B built",
+                index.heap_bytes()
+            );
+            assert_eq!(
+                (index.keys.bucket_count(), index.tid_key.bucket_count()),
+                buckets,
+                "{label}"
+            );
+        }
+        assert_routing(&index, "after the stream");
+        let tuples: Vec<Tuple> = rel.iter().collect();
+        let want = dcd_cfd::oracle::vio(&tuples.iter().collect::<Vec<_>>(), index.cfd());
+        assert_eq!(index.current(), &want);
     }
 }

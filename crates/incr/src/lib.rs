@@ -16,10 +16,10 @@
 //!   `dcd-relation`): per-site batches of inserts and deletes,
 //!   expressed against the shared dictionaries so every effect is a
 //!   code row;
-//! * the **violation index** ([`ViolationIndex`]): per compiled CFD, a
-//!   map from packed LHS [`CodeKey`](dcd_relation::ops::CodeKey) to the
-//!   key's member multiset and cached violation contribution — built
-//!   once, then only the keys a delta touches are re-validated;
+//! * the **violation index** ([`ViolationIndex`]): per compiled CFD, each
+//!   LHS key's member multiset and cached violation contribution, found
+//!   through two position tables that store each key and tuple id once —
+//!   built once, then only the keys a delta touches are re-validated;
 //! * the **delta protocol** ([`IncrementalRun`],
 //!   [`VerticalIncrementalRun`]): sites ship only `(tid, codes)` delta
 //!   rows (4 bytes per cell, through the run's
@@ -34,10 +34,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A panic is either an internal invariant, named at its site with
+// `#[expect(.., reason = "internal invariant: ..")]`, or input reaches it
+// and it is a typed error instead. Tests are exempt (`clippy.toml`).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod delta;
 pub mod index;
 pub mod runner;
+mod table;
 
 pub use delta::DeltaBatch;
 pub use index::ViolationIndex;

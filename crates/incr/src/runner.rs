@@ -152,7 +152,12 @@ impl IncrementalRun {
         let arity = partition.schema().arity();
         let attrs: Vec<AttrId> = partition.schema().attr_ids().collect();
         let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
-        let coordinator = SiteId((0..n).max_by_key(|&i| (sizes[i], n - i)).expect("n ≥ 1") as u32);
+        let coordinator = (0..n).max_by_key(|&i| (sizes[i], n - i));
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: `validate` refused a partition of no fragment"
+        )]
+        let coordinator = SiteId(coordinator.expect("n ≥ 1") as u32);
 
         // Phase 1: every site scans its fragment once, encoding the
         // (tid, codes) rows it will ship (parallel).
@@ -516,8 +521,12 @@ impl VerticalIncrementalRun {
         for a in partition.schema().attr_ids() {
             owned_count[partition.owner_of(a).0] += 1;
         }
-        let coordinator =
-            SiteId((0..n).max_by_key(|&f| (owned_count[f], n - f)).expect("n ≥ 1") as u32);
+        let coordinator = (0..n).max_by_key(|&f| (owned_count[f], n - f));
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: a vertical partition has an attribute group, hence a site"
+        )]
+        let coordinator = SiteId(coordinator.expect("n ≥ 1") as u32);
         let n_rows = partition.fragments()[0].data.len();
 
         // Per-site encode scan: each fragment passes its rows once.
