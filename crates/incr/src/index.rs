@@ -56,23 +56,26 @@
 //!
 //! ## Two position tables, no second copy
 //!
-//! Both lookups go through a `PositionTable` (the private `table`
-//! module), which stores where an entry lives and nothing else. The tid
+//! Both lookups go through a [`PositionTable`], the workspace's one
+//! open-addressing table (it also holds every dictionary's value → code
+//! index), which stores where an entry lives and nothing else. The tid
 //! table holds an 8-byte `(slot, at)` per indexed row and compares a
 //! probe through the tid of `slots[slot].members[at]`; the key table
 //! holds a 4-byte slot per key and compares through that slot's codes in
 //! `slot_keys`. Each tid and each key is therefore stored once, in the
-//! member list or `slot_keys`. The hash maps they replace held a second
-//! copy: `FxHashMap<TupleId, (u32, u32)>` at 17 B a bucket and
-//! `FxHashMap<CodeKey, u32>` at 49 B, where the tables take 8 B and 4 B
-//! at load ≤ 7/8. On `cust_incr`'s 135 762 indexed rows under 10 197
-//! keys the tid lookup fell from 4.25 MiB to 2 MiB and the key lookup
-//! from 0.77 MiB to 64 KiB, and the index as a whole from ≈ 79 B per
-//! indexed row to ≈ 56 B.
+//! member list or `slot_keys`. An insert into either probes once: a
+//! probe that misses ends at the free bucket the new entry fills, and a
+//! tid probe that hits is the repeated-tid panic. The hash maps they
+//! replace held a second copy: `FxHashMap<TupleId, (u32, u32)>` at 17 B
+//! a bucket and `FxHashMap<CodeKey, u32>` at 49 B, where the tables take
+//! 8 B and 4 B at load ≤ 7/8. On `cust_incr`'s 135 762 indexed rows
+//! under 10 197 keys the tid lookup fell from 4.25 MiB to 2 MiB and the
+//! key lookup from 0.77 MiB to 64 KiB, and the index as a whole from
+//! ≈ 79 B per indexed row to ≈ 56 B.
 
-use crate::table::{spread, Position, PositionTable};
 use dcd_cfd::pattern::CompiledPattern;
 use dcd_cfd::{judge, Judgement, LhsIndex, SimpleCfd, ViolationSet};
+use dcd_relation::table::{spread, Position, PositionTable};
 use dcd_relation::{Dictionary, FxHashMap, TupleId, Value, NO_CODE};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -303,12 +306,6 @@ impl ViolationIndex {
             + self.tid_key.heap_bytes()
     }
 
-    /// The slot of the key with LHS codes `lhs`, if it is indexed.
-    fn slot_of(&self, lhs: &[u32]) -> Option<u32> {
-        let width = self.lhs_pos.len();
-        self.keys.get(spread(lhs), |slot| key_codes(&self.slot_keys, width, slot) == lhs)
-    }
-
     /// The live violation set (maintained, not recomputed).
     pub fn current(&self) -> &ViolationSet {
         &self.live
@@ -401,9 +398,11 @@ impl ViolationIndex {
         for (tid, codes) in inserts {
             lhs.clear();
             lhs.extend(self.lhs_pos.iter().map(|&p| codes[p]));
-            let slot = match self.slot_of(&lhs) {
-                Some(slot) => slot,
-                None => {
+            let hash = spread(lhs.as_slice());
+            let slot_keys = &self.slot_keys;
+            let slot = match self.keys.find(hash, |s| key_codes(slot_keys, width, s) == lhs) {
+                Ok(slot) => slot,
+                Err(free) => {
                     self.lhs_index.matched_into(&lhs, &mut probe_buf, &mut ranks);
                     if ranks.is_empty() {
                         // The row matches no feasible pattern: it is in no
@@ -413,9 +412,7 @@ impl ViolationIndex {
                     }
                     let slot = self.open_slot(&lhs, &ranks);
                     let slot_keys = &self.slot_keys;
-                    self.keys.insert(spread(lhs.as_slice()), slot, |slot| {
-                        spread(key_codes(slot_keys, width, slot))
-                    });
+                    self.keys.fill(free, hash, slot, |s| spread(key_codes(slot_keys, width, s)));
                     slot
                 }
             };
@@ -424,17 +421,20 @@ impl ViolationIndex {
             let hash = spread(tid);
             // A second entry for one tid would leave a member no delete
             // can reach, and a later delete would re-point a stranger.
-            assert!(
-                self.tid_key.get(hash, |at| tid_of(at) == *tid).is_none(),
-                "the `tid_key` invariant: an inserted tuple id is indexed already"
-            );
+            #[expect(
+                clippy::panic,
+                reason = "internal invariant: a session's partition and delta checks refuse a repeated tuple id"
+            )]
+            let Err(free) = self.tid_key.find(hash, |at| tid_of(at) == *tid) else {
+                panic!("the `tid_key` invariant: an inserted tuple id is indexed already")
+            };
             let at = u32::try_from(slots[slot as usize].members.len());
             #[expect(
                 clippy::expect_used,
                 reason = "internal invariant: a key holds fewer than 2³² members (64 GiB of them)"
             )]
             let at = at.expect("fewer members than u32::MAX");
-            self.tid_key.insert(hash, (slot, at), |at| spread(&tid_of(at)));
+            self.tid_key.fill(free, hash, (slot, at), |at| spread(&tid_of(at)));
             let state = &mut self.slots[slot as usize];
             if state.fresh == IDLE {
                 state.fresh = at;
@@ -544,10 +544,30 @@ impl ViolationIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::tests::Rng;
     use dcd_cfd::{detect_simple, parse_cfd};
     use dcd_relation::{vals, DeltaEffect, Relation, RelationDelta, Schema, Tuple, ValueType};
     use std::collections::{BTreeMap, BTreeSet};
+
+    impl ViolationIndex {
+        /// The slot of the key with LHS codes `lhs`, if it is indexed.
+        fn slot_of(&self, lhs: &[u32]) -> Option<u32> {
+            let width = self.lhs_pos.len();
+            self.keys.get(spread(lhs), |slot| key_codes(&self.slot_keys, width, slot) == lhs)
+        }
+    }
+
+    /// SplitMix64: a random stream derives from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
 
     fn schema() -> Arc<Schema> {
         Schema::builder("r")

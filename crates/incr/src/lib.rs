@@ -18,8 +18,9 @@
 //!   code row;
 //! * the **violation index** ([`ViolationIndex`]): per compiled CFD, each
 //!   LHS key's member multiset and cached violation contribution, found
-//!   through two position tables that store each key and tuple id once —
-//!   built once, then only the keys a delta touches are re-validated;
+//!   through two of `dcd_relation`'s position tables, which store each
+//!   key and tuple id once — built once, then only the keys a delta
+//!   touches are re-validated;
 //! * the **delta protocol** ([`IncrementalRun`],
 //!   [`VerticalIncrementalRun`]): sites ship only `(tid, codes)` delta
 //!   rows (4 bytes per cell, through the run's
@@ -42,7 +43,6 @@
 pub mod delta;
 pub mod index;
 pub mod runner;
-mod table;
 
 pub use delta::DeltaBatch;
 pub use index::ViolationIndex;

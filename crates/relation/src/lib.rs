@@ -21,7 +21,10 @@
 //! * [`ops`] — the code-level group key ([`ops::CodeKey`]), its flat
 //!   code space and the per-scan group-id table ([`ops::CodeMemo`]), and
 //!   bag projection,
-//! * [`fxhash`] — a fast, non-cryptographic hasher for hot group-by paths.
+//! * [`fxhash`] — a fast, non-cryptographic hasher for hot group-by paths,
+//! * [`table`] — the one open-addressing table ([`table::PositionTable`]),
+//!   under the dictionaries' value → code index and `dcd_incr`'s
+//!   violation index.
 //!
 //! The design intentionally avoids query planning: CFD detection on a
 //! centralized database compiles to a fixed pair of scans/aggregations
@@ -55,6 +58,7 @@ pub mod predicate;
 pub mod relation;
 pub mod schema;
 pub mod store;
+pub mod table;
 pub mod tuple;
 pub mod value;
 

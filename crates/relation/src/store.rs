@@ -31,15 +31,18 @@
 //! out into a fresh one. `Null`, which any attribute may hold, is one
 //! code kept out of line, with a placeholder entry at its index (`0`, or
 //! the empty string) so that codes stay dense and first-seen. Over that
-//! table sits an open-addressing index of `(hash, code)` slots at load
-//! ≤ 7/8. A lookup hashes once and compares values only where the stored
-//! hash agrees; a miss costs the same one hash; growing the index moves
-//! slots by their stored hashes and reads no value. A batch is interned
-//! in one pass ([`Column::extend_values`]): known values under the read
-//! lock, each run of unseen ones under one acquisition of the write
-//! lock. The pass hashes 32 values into a stack buffer before it probes
-//! the first of them, so the cache misses of 32 payloads, and then of 32
-//! slots, are taken together rather than one after another.
+//! table sits the value → code index, a [`PositionTable`] (the
+//! workspace's one open-addressing table, [`crate::table`]) of 8-byte
+//! `(hash, code)` entries. A lookup hashes once and compares values only
+//! where the stored hash agrees; a miss costs the same one hash and ends
+//! at the free bucket an insert fills, so interning probes once; growing
+//! the index moves entries by their stored hashes and reads no value. A
+//! batch is interned in one pass ([`Column::extend_values`]): known
+//! values under the read lock, each run of unseen ones under one
+//! acquisition of the write lock. The pass hashes 32 values into a stack
+//! buffer before it probes the first of them, so the cache misses of 32
+//! payloads, and then of 32 buckets, are taken together rather than one
+//! after another.
 //!
 //! The index is derived data, and it exists only while something probes
 //! it. Detection runs on codes and looks values up only to compile
@@ -63,12 +66,11 @@
 //! capacity and no index; appends grow a column or a table the way a
 //! `Vec` grows.
 
-use crate::fxhash::FxBuildHasher;
 use crate::schema::ValueType;
+use crate::table::{spread, PositionTable, Vacant};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::BuildHasher;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Sentinel code meaning "matches any value" in compiled pattern cells.
@@ -92,17 +94,6 @@ pub const DEFAULT_CHUNK_ROWS: usize = 64 * 1024;
 /// Does nothing; see [`DEFAULT_CHUNK_ROWS`].
 #[doc(hidden)]
 pub fn set_chunk_rows(_rows: Option<usize>) {}
-
-/// One slot of a dictionary's index: the 32-bit hash of an interned
-/// value beside its code. An empty slot holds [`WILDCARD_CODE`], which
-/// [`CODE_LIMIT`] keeps from ever being assigned.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    hash: u32,
-    code: u32,
-}
-
-const EMPTY_SLOT: Slot = Slot { hash: 0, code: WILDCARD_CODE };
 
 /// A borrowed view of one value: what a probing [`Value`] and a table
 /// entry both produce, so that [`hash32`] and [`DictInner::holds`] see
@@ -139,16 +130,22 @@ impl From<Key<'_>> for Value {
     }
 }
 
-/// The 32-bit hash the index keys on: the Fx hash, folded and multiplied
-/// once more (by 2⁶⁴/φ), upper half. Fx alone leaves near-equal strings
-/// near each other in every 32-bit window of its output, and linear
-/// probing pays for that in long runs: over the 79 751 distinct names of
-/// a 160 000-tuple cust relation a miss walked 12 slots on average
-/// without the second multiply and 0.24 with it.
+/// The 32-bit hash an index entry stores: the upper half of [`spread`].
+/// Fx alone leaves near-equal strings near each other in every 32-bit
+/// window of its output, and linear probing would pay for that in long
+/// runs; over `spread`'s upper bits the `table` unit
+/// `probes_match_linear_probing_theory` holds `Name{i}` for i < 80 000
+/// within 1.25× of Knuth's mean probes per hit and per miss.
 #[inline]
 fn hash32(k: Key<'_>) -> u32 {
-    let h = FxBuildHasher::default().hash_one(k);
-    ((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+    (spread(&k) >> 32) as u32
+}
+
+/// What the index buckets on for a stored hash `h`: `h` as the upper
+/// half, so that the home bucket is `h`'s top bits.
+#[inline]
+fn wide(h: u32) -> u64 {
+    u64::from(h) << 32
 }
 
 /// How many values [`Dictionary::intern_each`] hashes before it probes
@@ -158,7 +155,7 @@ const RUN: usize = 32;
 /// The values of an interning pass not yet interned, with their hashes:
 /// up to [`RUN`] of them, hashed in one go before the first is probed.
 /// Hashing a run reads its payloads back to back, and probing it then
-/// reads its slots back to back, so the CPU overlaps those cache misses
+/// reads its buckets back to back, so the CPU overlaps those cache misses
 /// instead of taking them one value at a time. The run lives on the
 /// stack: an interning pass allocates nothing of its own.
 struct Run<'a> {
@@ -315,12 +312,11 @@ struct DictInner {
     /// The code of `Null`, once interned. Its entry in `table` is a
     /// placeholder that [`DictInner::holds`] never matches.
     null: Option<u32>,
-    /// Inverse index, value → code: an open-addressing table over
-    /// `table`, linear probe. Empty while the dictionary holds no index,
-    /// as it always is while `sorted`; otherwise a power of two at load
-    /// ≤ 7/8, so a probe always ends at an empty slot, and it covers
-    /// every code.
-    slots: Vec<Slot>,
+    /// Inverse index, value → code: a `(hash32, code)` entry per code,
+    /// found through the stored hash and then the code's value. No
+    /// buckets while the dictionary holds no index, as it always is while
+    /// `sorted`; otherwise it covers every code.
+    index: PositionTable<(u32, u32)>,
     /// Whether each non-null value was interned above the one before it
     /// ([`Key`] order). While it is, the entries either side of the null
     /// code ascend and [`DictInner::search`] finds codes without an
@@ -355,28 +351,20 @@ impl DictInner {
         self.key(code).into()
     }
 
-    /// The code of `v` (whose [`hash32`] is `hash`), or the empty slot its
-    /// probe ended at — where [`DictInner::find_or_insert`] puts it. A
-    /// sorted dictionary searches its table instead. A miss there, or
-    /// with no index, names no slot (`Err(0)`); with no index, every
-    /// value misses.
+    /// The code of `v` (whose [`hash32`] is `hash`), or the free bucket
+    /// its probe ended at — where [`DictInner::find_or_insert`] puts it.
+    /// A sorted dictionary searches its table first; it has no index, so
+    /// a miss there, like any miss with no index, ends at the empty
+    /// index's vacancy.
     #[inline]
-    fn find(&self, v: &Value, hash: u32) -> Result<u32, usize> {
+    fn find(&self, v: &Value, hash: u32) -> Result<u32, Vacant> {
         if self.sorted {
-            return self.search(Key::from(v)).ok_or(0);
-        }
-        let Some(mask) = self.slots.len().checked_sub(1) else { return Err(0) };
-        let mut at = hash as usize & mask;
-        loop {
-            let slot = self.slots[at];
-            if slot.code == WILDCARD_CODE {
-                return Err(at);
+            if let Some(code) = self.search(Key::from(v)) {
+                return Ok(code);
             }
-            if slot.hash == hash && self.holds(slot.code, v) {
-                return Ok(slot.code);
-            }
-            at = (at + 1) & mask;
         }
+        let found = self.index.find(wide(hash), |(h, code)| h == hash && self.holds(code, v));
+        found.map(|(_, code)| code)
     }
 
     /// The code of `k` in a sorted dictionary, searched in the table:
@@ -411,44 +399,24 @@ impl DictInner {
         Some(self.key(code))
     }
 
-    /// Puts `slot` at the first empty slot of its probe.
-    fn place(&mut self, slot: Slot) {
-        let mask = self.slots.len() - 1;
-        let mut at = slot.hash as usize & mask;
-        while self.slots[at].code != WILDCARD_CODE {
-            at = (at + 1) & mask;
-        }
-        self.slots[at] = slot;
-    }
-
-    /// Makes room for one more value at load ≤ 7/8, doubling the index if
-    /// it has to, and says whether it did. Growth re-places the slots
-    /// from their stored hashes: no value is read, hashed or compared.
-    fn reserve_one(&mut self) -> bool {
-        if (self.table.len() + 1) * 8 <= self.slots.len() * 7 {
-            return false;
-        }
-        let len = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len]);
-        for slot in old.into_iter().filter(|s| s.code != WILDCARD_CODE) {
-            self.place(slot);
-        }
-        true
+    /// Whether the dictionary holds no index and is not sorted, so that a
+    /// lookup must build one.
+    fn unindexed(&self) -> bool {
+        !self.sorted && self.index.bucket_count() == 0
     }
 
     /// Builds the index, if there is none and the dictionary is not
-    /// sorted, over every code, `Null`'s included, at the length growth
-    /// from empty reaches: the smallest power of two at least
-    /// `max(8, ⌈8 · len / 7⌉)`.
+    /// sorted, over every code, `Null`'s included, at the bucket count
+    /// growth from empty reaches for them.
     fn index_if_absent(&mut self) {
-        if self.sorted || !self.slots.is_empty() {
+        if !self.unindexed() {
             return;
         }
-        let len = (self.table.len() * 8).div_ceil(7).max(8).next_power_of_two();
-        self.slots = vec![EMPTY_SLOT; len];
-        for code in 0..self.table.len() as u32 {
+        let len = self.table.len();
+        self.index.reserve(len, |(h, _)| wide(h));
+        for code in 0..len as u32 {
             let hash = hash32(self.key(code));
-            self.place(Slot { hash, code });
+            self.index.insert(wide(hash), (hash, code), |(h, _)| wide(h));
         }
     }
 
@@ -459,7 +427,7 @@ impl DictInner {
     /// index. A value that finds no index builds one first, except
     /// `Null`: it has its code out of line, or appends without an index,
     /// since a later build covers it. The index grows only for a value
-    /// that misses it.
+    /// that misses it, and its entry goes where the miss's probe ended.
     fn find_or_insert(&mut self, v: &Value, hash: u32) -> Result<u32, u32> {
         if self.sorted {
             let k = Key::from(v);
@@ -471,22 +439,17 @@ impl DictInner {
             }
             self.sorted = false;
         }
-        if v.is_null() && self.slots.is_empty() {
+        if v.is_null() && self.index.bucket_count() == 0 {
             return self.null.ok_or_else(|| self.push(v));
         }
         self.index_if_absent();
-        let at = match self.find(v, hash) {
+        let free = match self.find(v, hash) {
             Ok(code) => return Ok(code),
-            Err(at) => at,
+            Err(free) => free,
         };
-        let grew = self.reserve_one();
         let code = self.push(v);
-        let slot = Slot { hash, code };
-        if grew {
-            self.place(slot);
-        } else {
-            self.slots[at] = slot;
-        }
+        // Growth re-places entries by their stored hashes: no value is read.
+        self.index.fill(free, wide(hash), (hash, code), |(h, _)| wide(h));
         Err(code)
     }
 
@@ -518,10 +481,12 @@ impl DictInner {
 /// Each distinct value is stored once, in a code → value table of the
 /// attribute's type: a `Vec<i64>`, or one byte table of the strings back
 /// to back with a `u32` end offset each. The value → code direction is
-/// an index of 8-byte `(hash, code)` slots over that table. A lookup
-/// hashes the value once and compares it only against slots whose stored
-/// hash agrees; a miss costs that same one hash; growth moves slots and
-/// touches no value.
+/// an index of 8-byte `(hash, code)` entries over that table, in the
+/// workspace's one open-addressing table ([`PositionTable`]). A lookup
+/// hashes the value once and compares it only against entries whose
+/// stored hash agrees; a miss costs that same one hash and one probe,
+/// whose free bucket an insert fills; growth moves entries and touches
+/// no value.
 ///
 /// The index exists only while something probes it. A relation built
 /// from rows drops it ([`Dictionary::is_indexed`] is then false), and
@@ -545,7 +510,7 @@ impl Dictionary {
             ValueType::Int => Table::Int(Vec::new()),
             ValueType::Str => Table::Str(Strings::default()),
         };
-        let inner = DictInner { table, null: None, slots: Vec::new(), sorted: true };
+        let inner = DictInner { table, null: None, index: PositionTable::new(), sorted: true };
         Dictionary { inner: RwLock::new(inner) }
     }
 
@@ -592,11 +557,11 @@ impl Dictionary {
         self.read().sorted
     }
 
-    /// Slots in the value → code index: zero while there is none, else
+    /// Buckets in the value → code index: zero while there is none, else
     /// a power of two at least `max(8, ⌈8 · len / 7⌉)` — exactly that
     /// when the index was built at the current length.
     pub fn index_slots(&self) -> usize {
-        self.read().slots.len()
+        self.read().index.bucket_count()
     }
 
     /// Bytes the dictionary holds on the heap: its value table's buffers
@@ -607,17 +572,14 @@ impl Dictionary {
             Table::Int(t) => t.capacity() * size_of::<i64>(),
             Table::Str(t) => t.bytes.capacity() + t.ends.capacity() * size_of::<u32>(),
         };
-        table + inner.slots.capacity() * size_of::<Slot>()
+        table + inner.index.heap_bytes()
     }
 
     /// Builds the value → code index now if it is absent and the
     /// dictionary is not sorted, so that no later lookup or interning
     /// miss pays for it.
     pub fn ensure_indexed(&self) {
-        let absent = {
-            let inner = self.read();
-            !inner.sorted && inner.slots.is_empty()
-        };
+        let absent = self.read().unindexed();
         if absent {
             self.write().index_if_absent();
         }
@@ -631,7 +593,7 @@ impl Dictionary {
     pub(crate) fn trim(&self) {
         let mut inner = self.write();
         inner.table.shrink_to_fit();
-        inner.slots = Vec::new();
+        inner.index = PositionTable::new();
     }
 
     /// Interns `v`, returning its code.
@@ -658,7 +620,7 @@ impl Dictionary {
     /// Interns `values` in order, handing each code to `sink` — the one
     /// interning loop. Values are hashed 32 at a time into a buffer on
     /// the stack ([`Run`]) before any of those 32 is probed, so the
-    /// payload reads of the hashes overlap, and so do the slot reads of
+    /// payload reads of the hashes overlap, and so do the bucket reads of
     /// the probes; codes and their order are those of one value at a
     /// time. Known values are looked up under the read lock, which is
     /// held across consecutive hits, so a batch of known values costs
@@ -725,7 +687,7 @@ impl Dictionary {
             let inner = self.read();
             match inner.find(v, hash) {
                 Ok(code) => return Some(code),
-                Err(_) if inner.sorted || !inner.slots.is_empty() => return None,
+                Err(_) if !inner.unindexed() => return None,
                 Err(_) => {}
             }
         }
@@ -1062,7 +1024,7 @@ mod tests {
                     assert!(!d.is_indexed());
                 }
                 assert_eq!(d.intern(&value(i)) as usize, i);
-                let slots = d.read().slots.len();
+                let slots = d.read().index.bucket_count();
                 // One value is sorted; the second, below it, builds the index.
                 assert_eq!((d.is_sorted(), slots == 0), (i == 0, i == 0), "at {i}");
                 if i == 0 {

@@ -7,8 +7,9 @@
 //! layering allows, *that* every root forbids `unsafe`, *that* no
 //! production source declares process-wide state, *which* production
 //! source may mutate a partition's fragments in place, *which* may
-//! price the wire and *which* may name `ViolationSet`'s fields — pinned
-//! here, over the manifests and a walk of the sources.
+//! price the wire, *which* may name `ViolationSet`'s fields and *which*
+//! holds the hash table's bucket decisions — pinned here, over the
+//! manifests and a walk of the sources.
 
 use std::path::{Path, PathBuf};
 
@@ -281,6 +282,26 @@ fn the_wire_format_has_one_owner() {
         .map(|(rel, _)| rel)
         .collect();
     assert_eq!(namers, [] as [&str; 0]);
+}
+
+/// The workspace has one open-addressing table, `dcd_relation::table`'s
+/// `PositionTable`, under every dictionary's value → code index and the
+/// violation index's key and tid lookups. Its two design decisions have
+/// one home: the second multiply that moves the Fx hash's entropy into
+/// the bits that pick a bucket, and the 7/8 load check that decides
+/// growth. No other production source spells either.
+#[test]
+fn the_hash_table_has_one_owner() {
+    const TABLE: &str = "crates/relation/src/table.rs";
+    let code = code();
+    let production = production(&code);
+    let holders = |holds: &dyn Fn(&str) -> bool| -> Vec<&str> {
+        production.iter().filter(|&&(_, text)| holds(text)).map(|&(rel, _)| rel).collect()
+    };
+    let multiplies = holders(&|text| text.contains("wrapping_mul(0x9E37_79B9_7F4A_7C15)"));
+    assert_eq!(multiplies, [TABLE], "the sources that spell the bucket hash's multiply");
+    let grows = holders(&|text| text.lines().any(|l| l.contains("* 8 <=") && l.contains("* 7")));
+    assert_eq!(grows, [TABLE], "the sources that hold the 7/8 growth check");
 }
 
 /// `ViolationSet`'s two fields are `#[deprecated]`, so the clippy step
