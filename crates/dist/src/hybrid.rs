@@ -11,11 +11,6 @@ use crate::vertical::{GatherPlan, VerticalPartition};
 use dcd_relation::{AttrId, Dictionary, Predicate, Relation, RelationError, Schema, Value};
 use std::sync::Arc;
 
-/// Why a gathered cell row always fits the relation it lands in.
-const ONE_DICTIONARY_SET: &str =
-    "a hybrid partition's cells code against one dictionary set, which HybridPartition::new \
-     validated";
-
 /// One cell of a hybrid partition: a horizontal fragment's rows, split
 /// vertically into sub-fragments.
 #[derive(Debug, Clone)]
@@ -103,11 +98,12 @@ impl HybridPartition {
     /// gathered at the cell's coordinator by its
     /// [`VerticalPartition::gather_plan`] (returned beside it, for the
     /// caller to charge), each row read straight from its suppliers'
-    /// columns ([`VerticalPartition::columns`]), as
-    /// [`VerticalPartition::reassemble`] reads its owners', cells in
-    /// parallel on up to `threads` pool participants. A gathered row is
-    /// full width, padded with the null code outside `needed`; every
-    /// other site holds no rows. A cell
+    /// columns ([`VerticalPartition::columns`]) by the loop
+    /// [`VerticalPartition::reassemble`] runs, cells in parallel on up to
+    /// `threads` pool participants. A gathered row is full width: a
+    /// column outside `needed` holds Null, on a dictionary of this call's
+    /// own, so the partition's dictionaries are read and never written.
+    /// Every other site holds no rows. A cell
     /// keeps its predicate for the §IV-A skip, which reads it
     /// symbolically — the padded rows need not satisfy it, so this is
     /// not a partition [`HorizontalPartition::validate`] accepts. What it
@@ -118,39 +114,30 @@ impl HybridPartition {
         needed: &[AttrId],
         threads: usize,
     ) -> (Vec<GatherPlan>, HorizontalPartition) {
-        // Cell 0's owner of an attribute names the dictionary every site
-        // codes it against. Null, the padding, is interned before the pool runs.
-        let cell0 = &self.cells[0].vertical;
-        let dicts: Vec<Arc<Dictionary>> = self
-            .schema
-            .attr_ids()
-            .map(|a| {
-                let (owner, local) = cell0.owner_of(a);
-                cell0.fragments()[owner].data.dictionary(local).clone()
-            })
-            .collect();
-        let nulls: Vec<u32> = dicts.iter().map(|d| d.intern(&Value::Null)).collect();
-        let relation = |rows| {
-            Relation::with_dictionaries(self.schema.clone(), dicts.clone(), rows)
-                .expect(ONE_DICTIONARY_SET)
+        // The cells share one dictionary set; a column outside `needed`
+        // pads with Null, on a dictionary of its own.
+        let null = |a: AttrId| {
+            let dict = Dictionary::new(self.schema.attr(a).ty);
+            dict.intern(&Value::Null);
+            Arc::new(dict)
         };
-        let empty = relation(0);
+        let shared = self.schema.attr_ids().zip(self.cells[0].vertical.dictionaries());
+        let dicts: Vec<Arc<Dictionary>> =
+            shared.map(|(a, dict)| if needed.contains(&a) { dict } else { null(a) }).collect();
+        let gathered = scoped_map(threads, &self.cells, |cell| {
+            let plan = cell.vertical.gather_plan(needed);
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant: `new` validated one dictionary set, and a pad \
+                          dictionary has its attribute's type and holds Null at code 0"
+            )]
+            let out = cell.vertical.gather_rows(&plan, dicts.clone()).expect("one dictionary set");
+            (plan, out)
+        });
+        let empty = gathered[0].1.empty_like();
         let mut fragments: Vec<Fragment> = (0..self.n_sites())
             .map(|i| Fragment { site: SiteId(i as u32), predicate: None, data: empty.clone() })
             .collect();
-        let gathered = scoped_map(threads, &self.cells, |cell| {
-            let plan = cell.vertical.gather_plan(needed);
-            let (attrs, cols) = (plan.attrs(), cell.vertical.columns(&plan));
-            let tids = cell.vertical.fragments()[0].data.tids();
-            let (mut row, mut out) = (nulls.clone(), relation(tids.len()));
-            for (r, &tid) in tids.iter().enumerate() {
-                for (a, col) in attrs.iter().zip(&cols) {
-                    row[a.index()] = col[r];
-                }
-                out.push_code_row(tid, &row).expect(ONE_DICTIONARY_SET);
-            }
-            (plan, out)
-        });
         let mut plans = Vec::with_capacity(gathered.len());
         for ((plan, data), (ci, cell)) in gathered.into_iter().zip(self.cells.iter().enumerate()) {
             let site = self.site_of(ci, plan.coordinator());
@@ -231,6 +218,29 @@ mod tests {
         for t in back.iter() {
             let orig = r.iter().find(|o| o.tid == t.tid).unwrap();
             assert_eq!(orig.values(), t.values());
+        }
+    }
+
+    /// A gather reads the partition and writes none of it: a column
+    /// outside `needed` is padded with Null on a dictionary of the
+    /// gather's own, so the source relation's dictionaries keep their
+    /// lengths.
+    #[test]
+    fn a_gather_pads_with_null_and_leaves_the_dictionaries_as_they_were() {
+        let r = rel();
+        let lens = |r: &Relation| r.columns().iter().map(|c| c.dict().len()).collect::<Vec<_>>();
+        let before = lens(&r);
+        let h = HorizontalPartition::round_robin(&r, 3).unwrap();
+        let p = HybridPartition::new(&h, &[&["a"], &["b"]]).unwrap();
+        let a = r.schema().require("a").unwrap();
+        let (plans, gathered) = p.gather(&[a], 2);
+        assert_eq!(lens(&r), before);
+        assert_eq!(plans.len(), 3);
+        let rows: Vec<_> = gathered.fragments().iter().flat_map(|f| f.data.iter()).collect();
+        assert_eq!(rows.len(), r.len());
+        for t in rows {
+            let orig = r.iter().find(|o| o.tid == t.tid).unwrap();
+            assert_eq!(t.values(), [Value::Null, orig.values()[1].clone(), Value::Null]);
         }
     }
 

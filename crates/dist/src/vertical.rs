@@ -1,15 +1,19 @@
 //! Vertical fragmentation: `Di = π_{key ∪ Xi}(D)` (§II-B, §V).
 //!
 //! Every fragment holds the same tuples in the same row order, so row
-//! `r` is one tuple at every site. A coordinator plans where each needed
-//! column comes from ([`VerticalPartition::gather_plan`]) and reads the
-//! planned columns where their suppliers hold them
-//! ([`VerticalPartition::columns`]), at any rows, without copying them.
+//! `r` is one tuple at every site. One rule says which fragment supplies
+//! an attribute, [`VerticalPartition::gather_plan`] (§V): a detection
+//! round plans the columns it needs, and reassembly, delta effects and
+//! the dictionary set ([`VerticalPartition::dictionaries`]) read the plan
+//! of every attribute. A coordinator reads the planned columns where
+//! their suppliers hold them ([`VerticalPartition::columns`]), at any
+//! rows, without copying them.
 
 use crate::horizontal::locate_then_apply;
 use crate::site::SiteId;
 use dcd_relation::{
-    ops, AttrId, DeltaEffect, Relation, RelationDelta, RelationError, Schema, Tuple, TupleId,
+    ops, AttrId, DeltaEffect, Dictionary, Relation, RelationDelta, RelationError, Schema, Tuple,
+    TupleId,
 };
 use std::sync::Arc;
 
@@ -142,8 +146,9 @@ impl VerticalPartition {
     /// fragment rejects (an unknown delete id, a live insert id, an
     /// insert ill-typed in that fragment's attributes) changes none; the
     /// first error in site order is returned. Returns the full-width
-    /// effect in original-schema order, each cell read from the
-    /// attribute's [`Self::owner_of`] fragment.
+    /// effect in original-schema order, each cell read from the effect
+    /// of the fragment the plan of every attribute
+    /// ([`Self::gather_plan`]) takes it from.
     pub fn apply_delta(
         &mut self,
         delta: &RelationDelta,
@@ -153,8 +158,7 @@ impl VerticalPartition {
         if let Some(t) = delta.inserts.iter().find(|t| t.values().len() != arity) {
             return Err(RelationError::ArityMismatch { expected: arity, got: t.values().len() });
         }
-        let owners: Vec<(usize, AttrId)> =
-            self.schema.attr_ids().map(|a| self.owner_of(a)).collect();
+        let suppliers = self.suppliers();
         let projected: Vec<RelationDelta> = self
             .fragments
             .iter()
@@ -169,7 +173,7 @@ impl VerticalPartition {
         let full_width = |side: fn(&DeltaEffect) -> &CodeRows| {
             let tids = side(&effects[0]).iter().map(|&(tid, _)| tid);
             let cells = |r: usize| -> Box<[u32]> {
-                owners.iter().map(|&(f, a)| side(&effects[f])[r].1[a.index()]).collect()
+                suppliers.iter().map(|&(f, at)| side(&effects[f])[r].1[at.index()]).collect()
             };
             tids.enumerate().map(|(r, tid)| (tid, cells(r))).collect()
         };
@@ -185,27 +189,23 @@ impl VerticalPartition {
         self.fragments.iter().map(|f| f.attrs.clone()).collect()
     }
 
-    /// The first fragment covering `attr` and the attribute's position
-    /// in that fragment's own schema — the one answer to "which site
-    /// owns this column" (reassembly, the incremental session's wire,
-    /// the dictionary every site codes the attribute against).
-    pub fn owner_of(&self, attr: AttrId) -> (usize, AttrId) {
-        self.fragments
-            .iter()
-            .enumerate()
-            .find_map(|(fi, frag)| frag.local_attr(attr).map(|local| (fi, local)))
-            .expect("coverage validated at construction")
-    }
-
     /// Where a gather of `needed` gets its columns (§V): the
     /// coordinator is the fragment holding the most of them (ties to
     /// the smallest site), so the fewest columns move; it supplies what
     /// it holds, and the other fragments follow in site order, each
     /// supplying only what nobody before it did — every column moves at
     /// most once.
+    ///
+    /// It is the one answer to "which fragment supplies attribute `a`":
+    /// a key attribute, which every fragment holds, is always the
+    /// coordinator's, so no key column moves.
     pub fn gather_plan(&self, needed: &[AttrId]) -> GatherPlan {
         let n = self.fragments.len();
         let held = |i: usize| needed.iter().filter(|a| self.fragments[i].attrs.contains(a)).count();
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: the constructors refuse a partition of no fragment"
+        )]
         let coordinator = (0..n).max_by_key(|&i| (held(i), n - i)).expect("non-empty partition");
         let mut supplied: Vec<AttrId> = Vec::with_capacity(needed.len());
         let mut supplies = Vec::new();
@@ -229,37 +229,85 @@ impl VerticalPartition {
     /// `tids()[r]` of every fragment, so a coordinator reads any rows of
     /// them without copying one.
     pub fn columns(&self, plan: &GatherPlan) -> Vec<&[u32]> {
-        let supplied = plan.supplies.iter().flat_map(|(fi, attrs)| {
-            let frag = &self.fragments[*fi];
-            attrs.iter().map(move |&a| {
-                frag.data.column(frag.local_attr(a).expect("planned from this fragment")).codes()
-            })
-        });
-        supplied.collect()
+        self.sources(plan)
+            .map(|(_, f, local)| self.fragments[f].data.column(local).codes())
+            .collect()
     }
 
-    /// Reassembles the original relation, rows in the fragments' order.
+    /// The partition's dictionary set, one per attribute in schema
+    /// order — the vertical counterpart of
+    /// [`HorizontalPartition::shared_dictionaries`](crate::HorizontalPartition::shared_dictionaries),
+    /// and the one place a fragment's dictionary of an attribute is
+    /// read. Every fragment is a projection of one relation and
+    /// [`Self::apply_delta`] is its only write, so every fragment codes
+    /// against this set: a code means one value whichever fragment
+    /// supplies it.
+    pub fn dictionaries(&self) -> Vec<Arc<Dictionary>> {
+        let dict = |&(f, local): &(usize, AttrId)| self.fragments[f].data.dictionary(local).clone();
+        self.suppliers().iter().map(dict).collect()
+    }
+
+    /// Reassembles the original relation, rows in the fragments' order:
+    /// the plan of every attribute, read into the schema's columns
+    /// through the partition's dictionary set, so nothing is re-interned.
     pub fn reassemble(&self) -> Result<Relation, RelationError> {
-        // Every original attribute lives in some fragment (coverage is
-        // validated at construction); that fragment supplies both the
-        // column's dictionary and its codes, so nothing is re-interned.
-        let sources: Vec<(usize, AttrId)> =
-            self.schema.attr_ids().map(|a| self.owner_of(a)).collect();
-        let dicts = sources
-            .iter()
-            .map(|&(fi, local)| self.fragments[fi].data.dictionary(local).clone())
-            .collect();
-        let first = &self.fragments[0].data;
-        let schema = self.schema.clone();
-        let mut out = Relation::with_dictionaries(schema, dicts, first.len())?;
-        let mut codes = vec![0u32; sources.len()];
-        for (i, &tid) in first.tids().iter().enumerate() {
-            for (code, &(fi, local)) in codes.iter_mut().zip(&sources) {
-                *code = self.fragments[fi].data.column(local).codes()[i];
+        let all: Vec<AttrId> = self.schema.attr_ids().collect();
+        self.gather_rows(&self.gather_plan(&all), self.dictionaries())
+    }
+
+    /// The rows of the columns `plan` gathers as one relation over the
+    /// full schema on `dicts` (one per attribute, in schema order), rows
+    /// in the fragments' order — [`Self::reassemble`] and
+    /// [`HybridPartition::gather`](crate::HybridPartition::gather) share
+    /// this loop. A cell outside the plan holds code 0 of its
+    /// dictionary.
+    pub(crate) fn gather_rows(
+        &self,
+        plan: &GatherPlan,
+        dicts: Vec<Arc<Dictionary>>,
+    ) -> Result<Relation, RelationError> {
+        let tids = self.fragments[0].data.tids();
+        let mut out = Relation::with_dictionaries(self.schema.clone(), dicts, tids.len())?;
+        let (attrs, cols) = (plan.attrs(), self.columns(plan));
+        let mut row = vec![0u32; self.schema.arity()];
+        for (r, &tid) in tids.iter().enumerate() {
+            for (a, col) in attrs.iter().zip(&cols) {
+                row[a.index()] = col[r];
             }
-            out.push_code_row(tid, &codes)?;
+            out.push_code_row(tid, &row)?;
         }
         Ok(out)
+    }
+
+    /// Where the columns `plan` gathers lie: `(attribute, supplier,
+    /// the attribute's position in the supplier's schema)`, in
+    /// [`GatherPlan::attrs`] order.
+    fn sources<'a>(
+        &'a self,
+        plan: &'a GatherPlan,
+    ) -> impl Iterator<Item = (AttrId, usize, AttrId)> + 'a {
+        plan.supplies.iter().flat_map(move |(f, attrs)| {
+            let frag = &self.fragments[*f];
+            attrs.iter().map(move |&a| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: a plan takes a supplier's attributes from its own"
+                )]
+                let local = frag.local_attr(a).expect("planned from this fragment");
+                (a, *f, local)
+            })
+        })
+    }
+
+    /// Where each attribute lies under the plan of every attribute:
+    /// `(supplier, position there)`, in schema order.
+    fn suppliers(&self) -> Vec<(usize, AttrId)> {
+        let all: Vec<AttrId> = self.schema.attr_ids().collect();
+        let mut at = vec![(0, AttrId(0)); all.len()];
+        for (a, f, local) in self.sources(&self.gather_plan(&all)) {
+            at[a.index()] = (f, local);
+        }
+        at
     }
 }
 
@@ -375,9 +423,11 @@ mod tests {
         let ids = |names: &[&str]| r.schema().require_all(names).unwrap();
         let p = VerticalPartition::by_attribute_groups(&r, &[&["c"], &["a", "b"], &["b", "c"]])
             .unwrap();
-        // Owners are first-covering: the key and `c` at fragment 0.
-        assert_eq!(p.owner_of(ids(&["id"])[0]), (0, AttrId(0)));
-        assert_eq!(p.owner_of(ids(&["b"])[0]), (1, AttrId(2)));
+        // The plan of every attribute takes the key, which every
+        // fragment holds, from its coordinator: no key column moves.
+        let all = ids(&["id", "a", "b", "c"]);
+        let whole = [(1, ids(&["id", "a", "b"])), (0, ids(&["c"]))];
+        assert_eq!(p.gather_plan(&all).supplies, whole);
         // Fragments 1 and 2 both hold two of {a, b, c}: the tie goes to
         // the smaller site, which supplies a and b; c then comes from
         // fragment 0, the first other holder, and fragment 2 — whose b

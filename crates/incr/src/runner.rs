@@ -34,10 +34,10 @@
 //! Replication (chained declustering) reduces coordinator traffic — a
 //! fragment the coordinator holds a replica of ships nothing — but
 //! adds replica-synchronization traffic from each origin site to the
-//! other holders of its fragment. Vertical partitions ship only each
-//! site's *owned* columns
-//! ([`VerticalPartition::owner_of`]), plus the tuple id to align rows
-//! at the coordinator.
+//! other holders of its fragment. Vertical partitions ship the columns
+//! the §V plan of every attribute assigns each supplier
+//! ([`VerticalPartition::gather_plan`]), plus the tuple id to align rows
+//! at the coordinator; no key column travels.
 //!
 //! A batch that any check rejects is refused before its round opens: no
 //! site mutates, no clock moves and no round is counted. An empty batch
@@ -60,7 +60,8 @@ use dcd_core::report::Detection;
 use dcd_core::{MinedTableau, MiningConfig, RunConfig, RunCtx};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{
-    chained_holds as holds, HorizontalPartition, ReplicatedPartition, SiteId, VerticalPartition,
+    chained_holds as holds, GatherPlan, HorizontalPartition, ReplicatedPartition, SiteId,
+    VerticalPartition,
 };
 use dcd_obs::MetricsRegistry;
 use dcd_relation::{
@@ -492,24 +493,26 @@ fn count_mask_updates(metrics: &mut MetricsRegistry, updates: u64) {
 ///
 /// The delta feed carries whole tuples and reaches every site (each
 /// applies its projection locally, CDC fan-out style — ingress is not
-/// inter-site traffic). Sites then ship the codes of the attributes
-/// they *own* ([`VerticalPartition::owner_of`]) plus the row-aligning
-/// tuple id to the coordinator — the fragment owning the most
-/// attributes, so the heaviest column group never travels. Delete
-/// notifications are part of the feed itself, so only insert codes move
-/// between sites.
+/// inter-site traffic). The run gathers every attribute by the one §V
+/// placement rule, [`VerticalPartition::gather_plan`] of the whole
+/// schema: its coordinator is the fragment holding the most attributes,
+/// and every other supplier ships the codes of the columns the plan
+/// assigns it plus the row-aligning tuple id — no key column travels.
+/// Delete notifications are part of the feed itself, so only insert
+/// codes move between sites.
 #[derive(Debug)]
 pub struct VerticalIncrementalRun {
     partition: VerticalPartition,
-    /// Attributes owned per fragment ([`VerticalPartition::owner_of`]).
-    owned_count: Vec<usize>,
+    /// The plan of every attribute; its suppliers after the coordinator
+    /// ship.
+    plan: GatherPlan,
     coord: Coordinator,
 }
 
 impl VerticalIncrementalRun {
-    /// Builds the run: assigns attribute ownership, picks the
-    /// coordinator, ships every non-coordinator fragment's owned
-    /// columns as code rows, and builds the per-CFD indices.
+    /// Builds the run: plans the gather of every attribute, ships each
+    /// non-coordinator supplier's planned columns as code rows, and
+    /// builds the per-CFD indices at the plan's coordinator.
     pub fn new(
         partition: VerticalPartition,
         sigma: &[Cfd],
@@ -517,16 +520,9 @@ impl VerticalIncrementalRun {
     ) -> Result<Self, RelationError> {
         let n = partition.n_sites();
         let mut ctx = Coordinator::open(partition.schema(), sigma, n, cfg)?;
-        let mut owned_count = vec![0usize; n];
-        for a in partition.schema().attr_ids() {
-            owned_count[partition.owner_of(a).0] += 1;
-        }
-        let coordinator = (0..n).max_by_key(|&f| (owned_count[f], n - f));
-        #[expect(
-            clippy::expect_used,
-            reason = "internal invariant: a vertical partition has an attribute group, hence a site"
-        )]
-        let coordinator = SiteId(coordinator.expect("n ≥ 1") as u32);
+        let attrs: Vec<AttrId> = partition.schema().attr_ids().collect();
+        let plan = partition.gather_plan(&attrs);
+        let coordinator = partition.fragments()[plan.coordinator()].site;
         let n_rows = partition.fragments()[0].data.len();
 
         // Per-site encode scan: each fragment passes its rows once.
@@ -536,29 +532,26 @@ impl VerticalIncrementalRun {
             }
         });
 
-        // Owned columns travel to the coordinator.
+        // The planned columns travel to the coordinator.
         ctx.phase("incr:build-ship", |p| {
             let mut wire = p.transfer();
-            for (f, &owned) in owned_count.iter().enumerate() {
-                if f != coordinator.index() && n_rows > 0 && owned > 0 {
-                    wire.send(coordinator, SiteId(f as u32), n_rows, owned);
-                }
+            for (site, width) in shippers(&partition, &plan, n_rows) {
+                wire.send(coordinator, site, n_rows, width);
             }
             wire.commit();
         });
 
-        // Full code rows at the coordinator: each attribute read from
-        // its owner's column, through the owner's dictionary.
+        // Full code rows at the coordinator: the plan's columns, through
+        // the partition's dictionary set.
         let whole = partition.reassemble()?;
-        let attrs: Vec<AttrId> = whole.schema().attr_ids().collect();
-        let dicts = whole.dictionaries_of(&attrs);
+        let dicts = partition.dictionaries();
         // As in `IncrementalRun::build`: every insert interns into every
         // column, so the session indexes them all up front, sorted ones
         // aside.
         dicts.iter().for_each(|d| d.ensure_indexed());
         let rows: CodeRows = whole.code_rows(&attrs, &(0..n_rows).collect::<Vec<_>>());
         let coord = Coordinator::build(ctx, coordinator, sigma, &dicts, &rows);
-        Ok(VerticalIncrementalRun { partition, owned_count, coord })
+        Ok(VerticalIncrementalRun { partition, plan, coord })
     }
 
     /// Applies one whole-tuple delta (the same feed reaches every
@@ -581,18 +574,12 @@ impl VerticalIncrementalRun {
             .collect();
         let effect = self.partition.apply_delta(delta, cfg.threads)?;
 
-        // Manifests, then owned-column shipment for the inserted rows
-        // (delete ids are already part of the feed).
+        // Manifests, then the planned columns of the inserted rows (delete
+        // ids are already part of the feed).
         let (coordinator, k) = (self.coord.site, self.coord.indices.len());
-        let owned_count = &self.owned_count;
-        Ok(self.coord.round(delta.n_ops(), charges, vec![effect], |ctx, effects| {
-            let n_inserts = effects[0].inserted.len();
-            let shippers: Vec<(SiteId, usize)> = owned_count
-                .iter()
-                .enumerate()
-                .filter(|&(f, &owned)| f != coordinator.index() && n_inserts > 0 && owned > 0)
-                .map(|(f, &owned)| (SiteId(f as u32), owned))
-                .collect();
+        let n_inserts = effect.inserted.len();
+        let shippers = shippers(&self.partition, &self.plan, n_inserts);
+        Ok(self.coord.round(delta.n_ops(), charges, vec![effect], |ctx, _| {
             ctx.phase("incr:manifest", |p| {
                 for &(site, _) in &shippers {
                     p.control(site, [coordinator], k);
@@ -600,8 +587,8 @@ impl VerticalIncrementalRun {
             });
             ctx.phase("incr:ship", |p| {
                 let mut wire = p.transfer();
-                for &(site, owned) in &shippers {
-                    wire.send(coordinator, site, n_inserts, owned);
+                for &(site, width) in &shippers {
+                    wire.send(coordinator, site, n_inserts, width);
                 }
                 wire.commit();
             });
@@ -632,4 +619,15 @@ impl VerticalIncrementalRun {
     pub fn coordinator(&self) -> SiteId {
         self.coord.site
     }
+}
+
+/// The sites that ship `rows` rows to the coordinator of the vertical
+/// `plan`, with the width each ships: every supplier after the
+/// coordinator, none when no row moves.
+fn shippers(partition: &VerticalPartition, plan: &GatherPlan, rows: usize) -> Vec<(SiteId, usize)> {
+    if rows == 0 {
+        return Vec::new();
+    }
+    let site = |f: usize| partition.fragments()[f].site;
+    plan.supplies[1..].iter().map(|(f, attrs)| (site(*f), attrs.len())).collect()
 }

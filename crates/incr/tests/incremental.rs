@@ -339,15 +339,78 @@ fn every_session_indexes_every_dictionary_up_front() {
     }
 }
 
+/// The vertical session gathers by the one §V placement rule: its
+/// coordinator, its build shipment and each batch's shippers are those of
+/// `gather_plan` over every attribute, on the five `golden_engines`
+/// layouts. A supplier after the coordinator ships its planned columns
+/// plus the tuple id, so no key column and no column the coordinator
+/// holds travels.
+#[test]
+fn the_vertical_session_ships_what_the_gather_plan_assigns() {
+    use dcd_dist::TID_CELLS;
+    use dcd_relation::{vals, AttrId, Relation, RelationDelta, Schema, Tuple, TupleId, ValueType};
+    let schema = Schema::builder("r")
+        .attr("id", ValueType::Int)
+        .attr("a", ValueType::Int)
+        .attr("b", ValueType::Int)
+        .attr("c", ValueType::Str)
+        .attr("d", ValueType::Str)
+        .attr("e", ValueType::Str)
+        .key(&["id"])
+        .build()
+        .unwrap();
+    let row = |i: i64| {
+        vals![
+            i,
+            i % 3,
+            (i / 3) % 3,
+            format!("c{}", i % 3),
+            format!("d{}", i % 5),
+            format!("e{}", i % 2)
+        ]
+    };
+    let rel = Relation::from_rows(schema.clone(), (0..33).map(row).collect()).unwrap();
+    let sigma = [dcd_cfd::parse_cfd(&schema, "phi", "([a, c] -> [d])").unwrap()];
+    let inserts: Vec<Tuple> = (100..104).map(|i| Tuple::new(TupleId(i as u64), row(i))).collect();
+    let delta = RelationDelta::new(inserts, vec![TupleId(0), TupleId(7)]);
+    let layouts: [&[&[&str]]; 5] = [
+        &[&["a", "c"], &["b", "d"], &["e"]],
+        &[&["e"], &["a", "c", "b"], &["b", "d"]],
+        &[&["b"], &["d", "e"], &["c", "a"]],
+        &[&["a", "b"], &["c", "d"], &["d", "e", "a"]],
+        &[&["a", "c", "e"], &["b", "d"]],
+    ];
+    let all: Vec<AttrId> = schema.attr_ids().collect();
+    for groups in layouts {
+        let partition = VerticalPartition::by_attribute_groups(&rel, groups).unwrap();
+        let plan = partition.gather_plan(&all);
+        let holder = &partition.fragments()[plan.coordinator()];
+        for (_, attrs) in &plan.supplies[1..] {
+            let moved = |a: &AttrId| schema.key().contains(a) || holder.attrs.contains(a);
+            assert!(!attrs.iter().any(moved), "{groups:?}: {attrs:?} ships to {}", holder.site);
+        }
+        let per_row: usize =
+            plan.supplies[1..].iter().map(|(_, attrs)| attrs.len() + TID_CELLS).sum();
+        let cfg = RunConfig::default();
+        let mut run = VerticalIncrementalRun::new(partition.clone(), &sigma, cfg).unwrap();
+        assert_eq!(run.coordinator(), holder.site, "{groups:?}");
+        assert_eq!(run.detection().shipped_cells, rel.len() * per_row, "{groups:?}: the build");
+        run.apply_batch(&delta).unwrap();
+        let cells = (rel.len() + delta.inserts.len()) * per_row;
+        assert_eq!(run.detection().shipped_cells, cells, "{groups:?}: a batch");
+    }
+}
+
 /// The cross-site index needs every fragment to code against one
 /// dictionary set, and `IncrementalRun::new` is the one session
 /// constructor that can be handed a partition breaking it: a fragment
 /// swapped through `fragments_mut` for one on its own dictionaries is
 /// refused with `SchemaMismatch`, naming the site. A vertical partition
 /// cannot hold one — every fragment is a projection of one relation and
-/// `apply_delta` is its only write — so `VerticalIncrementalRun::new`
-/// reads the dictionaries its fragments share, one per attribute,
-/// before and after a delta.
+/// `apply_delta` is its only write — so every fragment codes against the
+/// partition's dictionary set (`VerticalPartition::dictionaries`, one
+/// per attribute, which `VerticalIncrementalRun::new` reads) before and
+/// after a delta.
 #[test]
 fn a_fragment_on_its_own_dictionaries_is_refused() {
     use dcd_relation::{Relation, RelationDelta, RelationError};
@@ -367,10 +430,10 @@ fn a_fragment_on_its_own_dictionaries_is_refused() {
     ];
     let mut vertical = VerticalPartition::by_attribute_groups(&rel, &groups).unwrap();
     let shared = |p: &VerticalPartition| {
+        let dicts = p.dictionaries();
         p.fragments().iter().all(|f| {
             f.attrs.iter().enumerate().all(|(local, &a)| {
-                let (owner, at) = p.owner_of(a);
-                let dict = p.fragments()[owner].data.dictionary(at);
+                let dict = &dicts[a.index()];
                 std::sync::Arc::ptr_eq(f.data.dictionary(dcd_relation::AttrId(local as u16)), dict)
             })
         })

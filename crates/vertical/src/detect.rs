@@ -8,9 +8,10 @@
 //! implement the natural coordinator strategy:
 //!
 //! 1. pick as coordinator the fragment holding the most of the CFD's
-//!    attributes (fewest columns move) — the placement rule lives in
-//!    [`VerticalPartition::gather_plan`], shared with `HYBRIDDETECT`;
-//! 2. every other fragment owning needed attributes keeps the rows that
+//!    attributes (fewest columns move) — the one placement rule lives in
+//!    [`VerticalPartition::gather_plan`], shared with `HYBRIDDETECT` and
+//!    the vertical incremental session;
+//! 2. every other fragment the plan takes columns from keeps the rows that
 //!    could match some pattern, judging by the pattern constants on the
 //!    LHS attributes it holds (the semijoin-style reduction), and ships
 //!    them as row-aligned `(tid, codes)` rows of those attributes — the
@@ -26,9 +27,10 @@
 //!    [`VerticalPartition`]) and validates them through
 //!    [`CodeLayout`]/[`ResolvedCfd::detect_blocks`](dcd_cfd::ResolvedCfd::detect_blocks)
 //!    as one block: the suppliers' columns where they lie
-//!    ([`VerticalPartition::columns`]), with the kept rows as its
-//!    selection — nothing is copied, and only violating group keys are
-//!    decoded.
+//!    ([`VerticalPartition::columns`]), coded against the partition's one
+//!    dictionary set ([`VerticalPartition::dictionaries`]), with the kept
+//!    rows as its selection — nothing is copied, and only violating group
+//!    keys are decoded.
 
 use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
@@ -47,6 +49,7 @@ pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfi
     let cost = cfg.cost;
     let fragments = partition.fragments();
     let mut ctx = RunCtx::new(partition.n_sites(), *cfg);
+    let dicts = partition.dictionaries();
 
     for cfd in sigma {
         ctx.begin_round();
@@ -57,7 +60,7 @@ pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfi
         // that could match a pattern; a row survives only if every
         // contributing fragment kept it.
         let keeps: Vec<Vec<bool>> =
-            plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd)).collect();
+            plan.supplies.iter().map(|(f, _)| keep_mask(&fragments[*f], cfd, &dicts)).collect();
         // Locally checkable: all attributes in one fragment, so nothing
         // ships. §III-B with zero shipment and one active site reduces
         // to the host's check time over its whole fragment.
@@ -85,12 +88,9 @@ pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfi
 
         // The coordinator validates the survivors, reading the suppliers'
         // columns where they lie: one block, row-aligned across them.
-        let dicts = plan
-            .supplies
-            .iter()
-            .flat_map(|(f, attrs)| attrs.iter().map(|&a| dictionary_of(&fragments[*f], a)))
-            .collect();
-        let layout = CodeLayout::new(plan.attrs(), dicts);
+        let attrs = plan.attrs();
+        let planned = attrs.iter().map(|a| dicts[a.index()].clone()).collect();
+        let layout = CodeLayout::new(attrs, planned);
         let block = (&partition.columns(&plan)[..], fragments[0].data.tids(), &survivors[..]);
         let mut vs = ViolationSet::default();
         let mut tally = KernelTally::default();
@@ -112,21 +112,17 @@ pub fn run_vertical(partition: &VerticalPartition, sigma: &[Cfd], cfg: &RunConfi
     ctx.finish("VERTDETECT")
 }
 
-/// The dictionary `frag` codes original-schema attribute `a` against.
-fn dictionary_of(frag: &VFragment, a: AttrId) -> Arc<Dictionary> {
-    frag.data.dictionary(frag.local_attr(a).expect("planned from this fragment")).clone()
-}
-
 /// Which of `frag`'s rows take part in the gather for `cfd`: those that
 /// could match at least one pattern judging by the pattern constants on
 /// the LHS attributes the fragment holds (rows that match no pattern
-/// cannot take part in a violation).
-fn keep_mask(frag: &VFragment, cfd: &Cfd) -> Vec<bool> {
-    let visible: Vec<(usize, AttrId)> = cfd
+/// cannot take part in a violation). Constants compile against the
+/// partition's dictionary set `dicts`.
+fn keep_mask(frag: &VFragment, cfd: &Cfd, dicts: &[Arc<Dictionary>]) -> Vec<bool> {
+    let visible: Vec<(usize, AttrId, AttrId)> = cfd
         .lhs()
         .iter()
         .enumerate()
-        .filter_map(|(pi, &a)| frag.local_attr(a).map(|local| (pi, local)))
+        .filter_map(|(pi, &a)| frag.local_attr(a).map(|local| (pi, a, local)))
         .collect();
     if visible.is_empty() {
         return vec![true; frag.data.len()];
@@ -138,8 +134,8 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd) -> Vec<bool> {
         .tableau()
         .iter()
         .map(|tp| {
-            let consts = visible.iter().filter_map(|&(pi, local)| {
-                let code = frag.data.dictionary(local).code_of(tp.lhs[pi].as_const()?);
+            let consts = visible.iter().filter_map(|&(pi, a, local)| {
+                let code = dicts[a.index()].code_of(tp.lhs[pi].as_const()?);
                 Some((frag.data.column(local).codes(), code.unwrap_or(NO_CODE)))
             });
             consts.collect()

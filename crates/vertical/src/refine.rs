@@ -134,14 +134,16 @@ fn for_each_combination(n: usize, k: usize, f: &mut impl FnMut(&[usize])) {
 /// where fewest are missing — until the partition is preserving.
 /// Always terminates (in the worst case one fragment ends up covering
 /// every CFD). Size is an upper bound on the optimum; tests compare it
-/// against [`refine_exact`] on small instances.
-pub fn refine_greedy(arity: usize, groups: &[Vec<AttrId>], sigma: &[Cfd]) -> Augmentation {
+/// against [`refine_exact`] on small instances. `None`, as
+/// [`refine_exact`] answers, when no augmentation exists: an unpreserved
+/// Σ over no fragment.
+pub fn refine_greedy(arity: usize, groups: &[Vec<AttrId>], sigma: &[Cfd]) -> Option<Augmentation> {
     let mut current = groups.to_vec();
     let mut aug = Augmentation::empty(groups.len());
     loop {
         let bad = crate::preservation::unpreserved(arity, &current, sigma);
         if bad.is_empty() {
-            return aug;
+            return Some(aug);
         }
         // Cheapest repair across all unpreserved pieces.
         let mut best: Option<(usize, usize, Vec<AttrId>)> = None; // (cost, frag, attrs)
@@ -159,7 +161,9 @@ pub fn refine_greedy(arity: usize, groups: &[Vec<AttrId>], sigma: &[Cfd]) -> Aug
                 }
             }
         }
-        let (_, frag, attrs) = best.expect("unpreserved CFD must be missing attributes somewhere");
+        // A fragment covering φ preserves it, so every fragment misses
+        // some of φ's attributes and only an empty partition has no repair.
+        let (_, frag, attrs) = best?;
         for a in attrs {
             current[frag].push(a);
             aug.adds[frag].push(a);
@@ -240,7 +244,7 @@ mod tests {
         let s = emp();
         let groups = example1_groups(&s);
         let sigma = sigma0(&s);
-        let greedy = refine_greedy(s.arity(), &groups, &sigma);
+        let greedy = refine_greedy(s.arity(), &groups, &sigma).unwrap();
         assert!(is_preserved(s.arity(), &greedy.apply(&groups), &sigma));
         assert!(greedy.size() >= 3, "greedy cannot beat the optimum");
         // On this instance the cheapest-repair order actually finds 3.
@@ -254,8 +258,19 @@ mod tests {
         let sigma = sigma0(&s);
         let aug = refine_exact(s.arity(), std::slice::from_ref(&all), &sigma, 2).unwrap();
         assert_eq!(aug.size(), 0);
-        let g = refine_greedy(s.arity(), &[all], &sigma);
+        let g = refine_greedy(s.arity(), &[all], &sigma).unwrap();
         assert_eq!(g.size(), 0);
+    }
+
+    /// Over no fragment nothing can be augmented: both searches answer
+    /// `None`, unless Σ is preserved already.
+    #[test]
+    fn no_fragment_has_no_augmentation() {
+        let s = emp();
+        let sigma = sigma0(&s);
+        assert_eq!(refine_exact(s.arity(), &[], &sigma, 3), None);
+        assert_eq!(refine_greedy(s.arity(), &[], &sigma), None);
+        assert_eq!(refine_greedy(s.arity(), &[], &[]), Some(Augmentation::empty(0)));
     }
 
     #[test]
@@ -293,7 +308,7 @@ mod tests {
         let groups = vec![vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(2)]];
         let exact = refine_exact(s.arity(), &groups, &sigma, 2).unwrap();
         assert_eq!(exact.size(), 2);
-        let greedy = refine_greedy(s.arity(), &groups, &sigma);
+        let greedy = refine_greedy(s.arity(), &groups, &sigma).unwrap();
         assert!(is_preserved(s.arity(), &greedy.apply(&groups), &sigma));
         assert_eq!(greedy.size(), 2);
     }

@@ -83,7 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  add {names:?} to fragment {}", i + 1);
         }
     }
-    let greedy = refine_greedy(schema.arity(), &groups, &sigma);
+    let greedy = refine_greedy(schema.arity(), &groups, &sigma)
+        .expect("a partition with fragments has a repair");
     println!("greedy heuristic found size {}", greedy.size());
     assert!(is_preserved(schema.arity(), &exact.apply(&groups), &sigma));
 

@@ -36,7 +36,7 @@ fn mrp_refinement_algorithms_run_on_reduction_instances() {
     let inst = mrp_reduction(&hs);
     let arity = inst.schema.arity();
     // Greedy terminates and preserves.
-    let greedy = refine_greedy(arity, &inst.groups, &inst.sigma);
+    let greedy = refine_greedy(arity, &inst.groups, &inst.sigma).expect("fragments exist");
     assert!(is_preserved(arity, &greedy.apply(&inst.groups), &inst.sigma));
     // Exact finds something within the hitting-set bound (it may find a
     // smaller implication-based augmentation — the documented gap).

@@ -5,8 +5,8 @@
 //! counters — per-CFD `Vio`/`Vioπ` digests, ledger totals, response
 //! time, paper cost and clocks by bit pattern, and the span list —
 //! equals `tests/golden/unpinned_engines.txt`, recorded at the parent
-//! commit of the change that gave the round, the vertical gather and the
-//! first-covering-owner rule one home each. `Vio` itself is pinned to
+//! commit of the change that gave the round and the vertical gather one
+//! home each. `Vio` itself is pinned to
 //! `detect_set` here and in the property suites; which function gathers
 //! the rows is an implementation detail, what a run ships, when every
 //! site finishes and which phases it names is not — and neither is the
@@ -15,7 +15,15 @@
 //! `response_time`, `paper_cost`, coordinator `site_clock` and `incr:*`
 //! spans from the first `incr:maintain` on were re-recorded when index
 //! maintenance began charging the members it examines instead of every
-//! member of every key a delta touches; nothing else moved.
+//! member of every key a delta touches; nothing else moved. The seed 1,
+//! 2 and 3 `session` blocks were re-recorded when the vertical session
+//! left the first-covering-owner rule for `gather_plan` of every
+//! attribute, the one placement rule: the coordinator is the fragment
+//! holding the most attributes and receives no column it holds, the key
+//! among them, so their `shipped` cells fell; seeds 2 and 3 changed
+//! coordinator, which swaps their `site_clock` and span sites. Their
+//! `vio` lines, `response_time` and `paper_cost`, and every other block,
+//! did not move.
 
 mod common;
 

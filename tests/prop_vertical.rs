@@ -144,7 +144,7 @@ proptest! {
             if sv { left.push(id) } else { right.push(id) }
         }
         let groups = vec![left, right];
-        let greedy = refine_greedy(s.arity(), &groups, &sigma);
+        let greedy = refine_greedy(s.arity(), &groups, &sigma).expect("two fragments");
         prop_assert!(is_preserved(s.arity(), &greedy.apply(&groups), &sigma));
         if let Some(exact) = refine_exact(s.arity(), &groups, &sigma, 4) {
             prop_assert!(exact.size() <= greedy.size(),
