@@ -66,11 +66,6 @@ impl AttrSet {
         self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
-    /// `self ⊆ other`.
-    pub fn is_subset(&self, other: &AttrSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
-    }
-
     /// In-place union; returns `true` if `self` changed.
     pub fn union_with(&mut self, other: &AttrSet) -> bool {
         let mut changed = false;
@@ -168,11 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_union() {
+    fn union_with_reports_a_change() {
         let a = AttrSet::from_ids(10, ids(&[1, 2]));
         let mut b = AttrSet::from_ids(10, ids(&[1, 2, 5]));
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
         assert!(!b.union_with(&a)); // no change
         let c = AttrSet::from_ids(10, ids(&[7]));
         assert!(b.union_with(&c));
@@ -200,7 +193,6 @@ mod tests {
         assert_eq!(f.len(), 70);
         assert!(!f.is_empty());
         assert!(AttrSet::empty(70).is_empty());
-        assert!(AttrSet::empty(70).is_subset(&f));
     }
 
     #[test]

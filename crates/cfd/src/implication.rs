@@ -170,11 +170,6 @@ impl ChaseState {
         self.constant[root].clone()
     }
 
-    /// Whether a contradiction has been derived.
-    pub fn contradictory(&self) -> bool {
-        self.contradiction
-    }
-
     /// Whether the cell term matches a pattern value: wildcards always
     /// match; a constant pattern matches only a cell *bound to* that
     /// constant (an unconstrained variable admits a counterexample, so it
@@ -401,7 +396,6 @@ mod tests {
         let mut st = ChaseState::new(2);
         st.assume_const(0, AttrId(0), &Value::Int(1));
         st.assume_const(0, AttrId(0), &Value::Int(2));
-        assert!(st.contradictory());
         assert_eq!(st.chase(&[]), ChaseOutcome::Contradiction);
     }
 }

@@ -25,7 +25,7 @@
 //! 3. *Emit.* The rows again: a row is flagged if its group is, or if
 //!    its own RHS differs from the one constant its group is held to.
 //!
-//! There are two loops, one per shape of rows. [`detect_columns`] reads
+//! There are two loops, one per shape of rows. `detect_columns` reads
 //! column-major rows straight from code slices where they lie — a
 //! relation's columns whole, or a list of segments each with its row
 //! selection: a coordinator's σ-blocks in (pattern, fragment) order, or
@@ -34,7 +34,7 @@
 //! mixed-radix code when the LHS dictionaries' code space is no larger
 //! than the rows, else a hash map of packed [`CodeKey`]s, chosen once
 //! per call. [`CodeMemo::resolve`] computes a chunk of rows' slot ids a
-//! column at a time, and a counter hands out the ids. [`detect_grouped`]
+//! column at a time, and a counter hands out the ids. `detect_grouped`
 //! takes rows from an iterator cheap to clone — gathered boxed wire rows
 //! — with how a row yields its **key** and its **tuple id and RHS
 //! code**, and hashes every key; it reads a block of RHS codes ahead of
@@ -195,7 +195,7 @@ impl Judgement {
     }
 }
 
-/// The tableau side of a [`detect_grouped`] run: the compiled patterns,
+/// The tableau side of a `detect_grouped` run: the compiled patterns,
 /// how to find the ones a key matches, and the reading.
 #[derive(Debug, Clone, Copy)]
 pub struct Tableau<'a> {
@@ -210,7 +210,7 @@ pub struct Tableau<'a> {
     pub strict: bool,
 }
 
-/// What a [`detect_grouped`] run found, as plain vectors: the violating
+/// What a `detect_grouped` run found, as plain vectors: the violating
 /// tuple ids in row order and the decoded violating keys in first-seen
 /// order. Keys are distinct by construction; ids are as distinct as the
 /// rows' were. Coordinators of one round see disjoint rows, so their
@@ -337,7 +337,7 @@ fn judge_groups(
 /// violating key's codes for `Vioπ` — decoding is the expensive step,
 /// done only then. Keys are grouped by hashing their packed [`CodeKey`].
 /// What the call counted comes back beside what it found.
-pub fn detect_grouped<R>(
+pub(crate) fn detect_grouped<R>(
     rows: impl Iterator<Item = R> + Clone,
     mut key_of: impl FnMut(&R, &mut [u32]) -> bool,
     member: impl Fn(&R) -> (TupleId, u32),
@@ -405,7 +405,7 @@ pub struct ColumnRows<'a, R> {
 }
 
 /// The full kernel over column-major segments: the same scan, judge and
-/// emit as [`detect_grouped`], with every key read straight from the LHS
+/// emit as `detect_grouped`, with every key read straight from the LHS
 /// slices, segment after segment as if they were one batch. Group ids
 /// live in one [`CodeMemo`] for every segment, over the LHS
 /// dictionaries' sizes `key_sizes`, read at this call, and the rows read
@@ -414,7 +414,7 @@ pub struct ColumnRows<'a, R> {
 /// a counter hands them out in first-seen order, so groups, verdicts,
 /// tallies and output order do not depend on which table it is, nor on
 /// where one segment ends and the next begins.
-pub fn detect_columns<R: RowSource>(
+pub(crate) fn detect_columns<R: RowSource>(
     segments: &[ColumnRows<'_, R>],
     key_sizes: impl IntoIterator<Item = usize>,
     tableau: &Tableau<'_>,

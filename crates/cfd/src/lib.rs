@@ -11,11 +11,11 @@
 //!
 //! * [`pattern`] — pattern values, the match operator `≍`, pattern tuples
 //!   and their generality ordering,
-//! * [`cfd`] — the [`Cfd`] type, normalization to `(X → A, tp)` form
+//! * [`Cfd`] — the CFD type, normalization to `(X → A, tp)` form
 //!   ([`NormalCfd`]), the single-RHS [`SimpleCfd`] form the detection
 //!   algorithms consume, and the constant/variable classification of
 //!   §IV-A,
-//! * [`parse`] — a small text DSL mirroring the paper's notation, e.g.
+//! * [`parse_cfd`] — a small text DSL mirroring the paper's notation, e.g.
 //!   `([CC=44, zip] -> [street])`,
 //! * [`violation`] — centralized violation detection (the fixed
 //!   "SQL technique" of TODS 2008, implemented as hash aggregation):
@@ -33,18 +33,18 @@
 //!   detector is pinned against,
 //! * [`implication`] — FD closures and the two-tuple chase deciding
 //!   `Σ |= φ` (complete for infinite-domain attributes),
-//! * [`attrset`] — a compact attribute bitset used throughout.
+//! * [`AttrSet`] — a compact attribute bitset used throughout.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod attrset;
-pub mod cfd;
+mod attrset;
+mod cfd;
 pub mod codes;
 pub mod implication;
 pub mod kernel;
 pub mod oracle;
-pub mod parse;
+mod parse;
 pub mod pattern;
 pub mod violation;
 

@@ -13,8 +13,8 @@
 //! pattern index, no kernel — so that a bug in any of those cannot hide
 //! in the reference too. Every detector, topology and incremental prefix
 //! is pinned against it (`tests/prop_oracle.rs`), and the tiny-instance
-//! companions to the NP-hardness results (`dcd_core::exact`,
-//! `dcd_complexity::reductions`) call it directly. It is the one
+//! companions to the NP-hardness results (`min_shipment_exhaustive`,
+//! `mhd_reduction`) call it directly. It is the one
 //! sanctioned second spelling of the detection semantics.
 //!
 //! Both readings of constant patterns are provided (see

@@ -193,7 +193,12 @@ pub struct CompiledPattern {
 impl CompiledPattern {
     /// Compiles `pattern` against `rel`'s dictionaries. `lhs`/`rhs` name
     /// the CFD's attribute lists in `rel`'s schema.
-    pub fn compile(pattern: &NormalPattern, rel: &Relation, lhs: &[AttrId], rhs: AttrId) -> Self {
+    pub(crate) fn compile(
+        pattern: &NormalPattern,
+        rel: &Relation,
+        lhs: &[AttrId],
+        rhs: AttrId,
+    ) -> Self {
         Self::compile_with(pattern, &rel.dictionaries_of(lhs), rel.dictionary(rhs))
     }
 
@@ -223,7 +228,7 @@ impl CompiledPattern {
     /// `t[X] ≍ tp[X]` for row `i` of the code columns the pattern was
     /// compiled against (`cols[j]` = codes of LHS attribute `j`).
     #[inline]
-    pub fn matches_row(&self, cols: &[&[u32]], i: usize) -> bool {
+    pub(crate) fn matches_row(&self, cols: &[&[u32]], i: usize) -> bool {
         self.lhs.iter().zip(cols).all(|(&pc, col)| pc == WILDCARD_CODE || pc == col[i])
     }
 
@@ -236,7 +241,7 @@ impl CompiledPattern {
 
     /// Whether this compiled pattern's RHS is the wildcard.
     #[inline]
-    pub fn rhs_is_wild(&self) -> bool {
+    pub(crate) fn rhs_is_wild(&self) -> bool {
         self.rhs == WILDCARD_CODE
     }
 

@@ -47,8 +47,7 @@ use std::sync::Arc;
 
 /// The violations of one CFD in one relation: the tuple ids `Vio(φ, D)`
 /// and the projected patterns `Vioπ(φ, D)` (distinct `t[X]` of violating
-/// tuples; the paper pads these with nulls to full schema width — see
-/// [`ViolationSet::viopi_relation`]).
+/// tuples; the paper pads these with nulls to full schema width).
 ///
 /// Read and write it through its methods; two sets are `==` when they
 /// hold the same ids and the same patterns.
@@ -90,11 +89,6 @@ impl ViolationSet {
     /// `|Vioπ(φ, D)|`: the number of distinct violating `t[X]`.
     pub fn pattern_count(&self) -> usize {
         self.patterns.len()
-    }
-
-    /// Whether `key` (a `t[X]` projection) is in `Vioπ(φ, D)`.
-    pub fn contains_pattern(&self, key: &[Value]) -> bool {
-        self.patterns.contains(key)
     }
 
     /// `Vioπ(φ, D)` in ascending order.
@@ -156,21 +150,6 @@ impl ViolationSet {
         }
         out
     }
-
-    /// Materializes `Vioπ` in the paper's relational form: an instance of
-    /// the full schema with `t[X]` filled in and `null` everywhere else.
-    pub fn viopi_relation(&self, cfd: &SimpleCfd) -> Relation {
-        let schema = cfd.schema.clone();
-        let mut rel = Relation::with_capacity(schema.clone(), self.patterns.len());
-        for key in self.patterns() {
-            let mut row = vec![Value::Null; schema.arity()];
-            for (&a, v) in cfd.lhs.iter().zip(key) {
-                row[a.index()] = v;
-            }
-            rel.push(row).expect("null-padded row matches schema");
-        }
-        rel
-    }
 }
 
 impl From<Flagged> for ViolationSet {
@@ -230,12 +209,6 @@ impl ViolationReport {
         } else {
             self.per_cfd.push((Arc::from(name), vs));
         }
-    }
-
-    /// Total number of violating tuples across CFDs (with multiplicity
-    /// per CFD; a tuple violating two CFDs counts twice).
-    pub fn total_violations(&self) -> usize {
-        self.per_cfd.iter().map(|(_, v)| v.tids.len()).sum()
     }
 }
 
@@ -441,9 +414,7 @@ pub(crate) mod tests {
         let v = detect(&rel, &phi1);
         // Row ids are 0-based: tuples t2..t5 are rows 1..4; t8,t9 are rows 7,8.
         assert_eq!(tids(&v), vec![1, 2, 3, 4, 7, 8]);
-        assert_eq!(v.pattern_count(), 2);
-        assert!(v.contains_pattern(&[Value::from(44), Value::from("EH4 8LE")]));
-        assert!(v.contains_pattern(&[Value::from(31), Value::from("1012 WR")]));
+        assert_eq!(v.patterns(), [vals![31, "1012 WR"], vals![44, "EH4 8LE"]]);
     }
 
     /// φ2 = cfd3 (the FD) is satisfied by D0.
@@ -542,22 +513,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn viopi_relation_pads_with_nulls() {
-        let s = emp_schema();
-        let rel = d0();
-        let cfd1 = parse_cfd(&s, "cfd1", "([CC=44, zip] -> [street])").unwrap();
-        let simple = cfd1.simplify().pop().unwrap();
-        let v = detect_simple(&rel, &simple);
-        let pi = v.viopi_relation(&simple);
-        assert_eq!(pi.len(), 1);
-        let t = pi.row(0);
-        let cc = s.require("CC").unwrap();
-        let name = s.require("name").unwrap();
-        assert_eq!(t.get(cc), &Value::Int(44));
-        assert!(t.get(name).is_null());
-    }
-
-    #[test]
     fn detect_pattern_among_matches_detect_simple_per_pattern() {
         let s = emp_schema();
         let rel = d0();
@@ -650,8 +605,6 @@ pub(crate) mod tests {
             assert_eq!((set.len(), set.tids()), (ids.len(), ids.clone()));
             assert_eq!((set.pattern_count(), set.patterns()), (keys.len(), keys.clone()));
             assert!(ids.iter().all(|&id| set.contains(id)) && !set.contains(TupleId(9)));
-            assert!(keys.iter().all(|k| set.contains_pattern(k)));
-            assert!(!set.contains_pattern(&four));
         }
         // Across CFDs: each id once, ascending, whichever set holds it.
         let report = ViolationReport {
@@ -737,7 +690,8 @@ pub(crate) mod tests {
         let cfd4 = parse_cfd(&s, "cfd4", "([CC=44, AC=131] -> [city=EDI])").unwrap();
         let report = detect_set(&rel, &[cfd1, cfd4]);
         assert_eq!(report.per_cfd.len(), 2);
-        assert!(report.total_violations() >= report.all_tids().len());
+        let with_multiplicity: usize = report.per_cfd.iter().map(|(_, v)| v.len()).sum();
+        assert!(with_multiplicity >= report.all_tids().len());
         let mut r2 = ViolationReport::default();
         for (n, v) in report.per_cfd.clone() {
             r2.absorb(&n, v.clone());

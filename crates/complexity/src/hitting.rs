@@ -45,16 +45,9 @@ impl HittingSetInstance {
         SetCoverInstance::new(self.sets.len(), holders)
     }
 
-    /// Greedy hitting set: repeatedly pick the element occurring in the
-    /// most un-hit sets (ties: smallest element) — the greedy cover of
-    /// the transposed instance. `None` if some set is empty.
-    pub fn greedy_hitting(&self) -> Option<Vec<usize>> {
-        self.transposed().greedy_cover()
-    }
-
     /// Exact minimum hitting set: the exact cover of the transposed
     /// instance (at most 63 sets). `None` if some set is empty.
-    pub fn exact_hitting(&self) -> Option<Vec<usize>> {
+    pub(crate) fn exact_hitting(&self) -> Option<Vec<usize>> {
         self.transposed().exact_cover()
     }
 
@@ -83,12 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_is_a_valid_hitting_set() {
+    fn a_path_is_hit_by_every_other_element() {
         let inst = HittingSetInstance::new(5, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4]]);
-        let g = inst.greedy_hitting().unwrap();
-        assert!(inst.is_hitting(&g));
         let e = inst.exact_hitting().unwrap();
-        assert!(e.len() <= g.len());
+        assert!(inst.is_hitting(&e));
         assert_eq!(e.len(), 2); // {1, 3}
     }
 
@@ -96,7 +87,6 @@ mod tests {
     fn empty_set_is_unhittable() {
         let inst = HittingSetInstance::new(3, vec![vec![0], vec![]]);
         assert!(inst.exact_hitting().is_none());
-        assert!(inst.greedy_hitting().is_none());
     }
 
     #[test]

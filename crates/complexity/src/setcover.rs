@@ -25,7 +25,7 @@ impl SetCoverInstance {
     }
 
     /// Whether the chosen subset indices cover the universe.
-    pub fn is_cover(&self, chosen: &[usize]) -> bool {
+    pub(crate) fn is_cover(&self, chosen: &[usize]) -> bool {
         let mut covered = vec![false; self.universe];
         for &i in chosen {
             for &e in &self.subsets[i] {

@@ -287,7 +287,7 @@ impl Phase<'_> {
 
     /// A barrier among `sites` only: each waits for the latest of them.
     /// Sites outside the set keep their own clocks.
-    pub fn barrier(&mut self, sites: &[SiteId]) {
+    pub(crate) fn barrier(&mut self, sites: &[SiteId]) {
         let clocks = &mut self.ctx.clocks;
         let latest = sites.iter().map(|&s| clocks.now(s)).fold(0.0, f64::max);
         for &s in sites {

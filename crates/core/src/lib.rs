@@ -40,34 +40,35 @@
 //!
 //! ## Optimizations
 //!
-//! * [`mining`] — for wildcard-heavy CFDs (e.g. plain FDs), mines closed
-//!   frequent LHS patterns per fragment and refines the tableau so the
-//!   per-pattern algorithms regain their parallelism (§IV-B, "impact of
-//!   the presence of wildcards", evaluated in Fig. 3(e));
-//! * [`exact`] — an exhaustive minimum-shipment search for tiny
-//!   instances, the yardstick the NP-hardness results (§III) say cannot
-//!   scale, used to validate the heuristics in tests.
+//! * [`mine_patterns`] — for wildcard-heavy CFDs (e.g. plain FDs),
+//!   mines closed frequent LHS patterns per fragment and refines the
+//!   tableau so the per-pattern algorithms regain their parallelism
+//!   (§IV-B, "impact of the presence of wildcards", evaluated in
+//!   Fig. 3(e));
+//! * [`min_shipment_exhaustive`] — an exhaustive minimum-shipment search
+//!   for tiny instances, the yardstick the NP-hardness results (§III)
+//!   say cannot scale, used to validate the heuristics in tests.
 //!
 //! ## §VIII future work, realized
 //!
-//! * [`hybrid`] — detection under hybrid (horizontal × vertical)
+//! * [`run_hybrid`] — detection under hybrid (horizontal × vertical)
 //!   fragmentation: per-cell vertical gather followed by the standard
 //!   horizontal machinery;
-//! * [`replicated`] — replica-aware coordinator assignment that reads
-//!   fragments locally wherever a copy exists (degenerates to
+//! * [`run_replicated`] — replica-aware coordinator assignment that
+//!   reads fragments locally wherever a copy exists (degenerates to
 //!   `PATDETECTS` at replication factor 1; ships nothing at factor n).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod config;
+mod config;
 pub mod ctx;
-pub mod exact;
-pub mod hybrid;
+mod exact;
+mod hybrid;
 pub mod local;
-pub mod mining;
+mod mining;
 pub mod multi;
-pub mod replicated;
+mod replicated;
 pub mod report;
 pub mod runner;
 pub mod sigma;

@@ -18,7 +18,7 @@ use dcd_relation::{AttrId, Predicate};
 /// Checks the partitioning condition: `true` iff fragment `frag` may
 /// contain tuples matching `pattern` (i.e. we cannot refute
 /// `Fi ∧ Fφ`). Fragments without a predicate are always applicable.
-pub fn pattern_applicable(frag: &Fragment, lhs: &[AttrId], pattern: &NormalPattern) -> bool {
+pub(crate) fn pattern_applicable(frag: &Fragment, lhs: &[AttrId], pattern: &NormalPattern) -> bool {
     let Some(fi) = &frag.predicate else {
         return true;
     };

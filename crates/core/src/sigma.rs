@@ -66,7 +66,7 @@ pub struct SigmaPartition {
 
 impl SigmaPartition {
     /// `lstat[i, l]` of Fig. 2: block sizes.
-    pub fn lstat(&self) -> Vec<usize> {
+    pub(crate) fn lstat(&self) -> Vec<usize> {
         self.blocks.iter().map(Vec::len).collect()
     }
 

@@ -52,7 +52,7 @@ impl Default for CustConfig {
 }
 
 /// The CUST schema: customer identity, phone, address, ordered item.
-pub fn cust_schema() -> Arc<Schema> {
+pub(crate) fn cust_schema() -> Arc<Schema> {
     Schema::builder("cust")
         .attr("id", ValueType::Int)
         .attr("name", ValueType::Str)
@@ -71,17 +71,17 @@ pub fn cust_schema() -> Arc<Schema> {
 }
 
 /// Clean-value lookup: the street determined by (CC, zip).
-pub fn street_of(cc: i64, zip: &str) -> String {
+pub(crate) fn street_of(cc: i64, zip: &str) -> String {
     format!("{} St {}", zip, cc)
 }
 
 /// Clean-value lookup: the city determined by (CC, AC).
-pub fn city_of(cc: i64, ac: i64) -> String {
+pub(crate) fn city_of(cc: i64, ac: i64) -> String {
     format!("City-{cc}-{ac}")
 }
 
 /// Clean-value lookup: the price determined by (CC, item title).
-pub fn price_of(cc: i64, title_rank: usize) -> i64 {
+pub(crate) fn price_of(cc: i64, title_rank: usize) -> i64 {
     100 + cc * 7 + title_rank as i64 * 13
 }
 

@@ -9,10 +9,10 @@
 //! * [`xref`] — an Ensembl-style genome cross-reference relation with 16
 //!   attributes and Zipf-distributed organisms/databases (`xref8`,
 //!   `xrefH`),
-//! * [`noise`] — controlled error injection so that violation detection
-//!   has something to find,
-//! * [`stream`] — CDC-style update streams (insert/delete mixes with
-//!   Zipf-skewed key reuse, routed per site) feeding the incremental
+//! * [`inject_errors`] — controlled error injection so that violation
+//!   detection has something to find,
+//! * [`update_stream`] — CDC-style update streams (insert/delete mixes
+//!   with Zipf-skewed key reuse, routed per site) feeding the incremental
 //!   detection subsystem.
 //!
 //! All generators are deterministic given a seed: each draws from one
@@ -24,12 +24,12 @@
 //! functions); noise then breaks a controlled fraction of tuples.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod cust;
-pub mod noise;
+mod noise;
 mod rng;
-pub mod stream;
+mod stream;
 pub mod xref;
 mod zipf;
 

@@ -75,7 +75,7 @@ impl XrefConfig {
 }
 
 /// The 16-attribute XREF schema.
-pub fn xref_schema() -> Arc<Schema> {
+pub(crate) fn xref_schema() -> Arc<Schema> {
     Schema::builder("xref")
         .attr("xref_id", ValueType::Int)
         .attr("organism", ValueType::Str)
@@ -99,17 +99,17 @@ pub fn xref_schema() -> Arc<Schema> {
 }
 
 /// Clean-value lookup: source determined by (organism, db, type, info).
-pub fn source_of(organism: &str, db: usize, object_type: &str, info: &str) -> String {
+pub(crate) fn source_of(organism: &str, db: usize, object_type: &str, info: &str) -> String {
     format!("src:{organism}:{db}:{object_type}:{info}")
 }
 
 /// Clean-value lookup: release determined by (organism, db).
-pub fn release_of(organism: &str, db: usize) -> String {
+pub(crate) fn release_of(organism: &str, db: usize) -> String {
     format!("rel-{organism}-{db}")
 }
 
 /// Clean-value lookup: status determined by (organism, object type).
-pub fn status_of(organism: &str, object_type: &str) -> String {
+pub(crate) fn status_of(organism: &str, object_type: &str) -> String {
     format!("st-{organism}-{object_type}")
 }
 

@@ -28,21 +28,21 @@
 //! time plus the maximum local-work time over all sites.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // A panic is either an internal invariant, named at its site with
 // `#[expect(.., reason = "internal invariant: ..")]`, or input reaches it
 // and it is a typed error instead. Tests are exempt (`clippy.toml`).
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-pub mod clocks;
-pub mod cost;
-pub mod horizontal;
-pub mod hybrid;
-pub mod ledger;
+mod clocks;
+mod cost;
+mod horizontal;
+mod hybrid;
+mod ledger;
 pub mod pool;
-pub mod replicated;
-pub mod site;
-pub mod vertical;
+mod replicated;
+mod site;
+mod vertical;
 
 pub use clocks::SiteClocks;
 pub use cost::CostModel;

@@ -35,11 +35,6 @@ pub struct VFragment {
 }
 
 impl VFragment {
-    /// Whether every attribute in `needed` lives in this fragment.
-    pub fn covers(&self, needed: &[AttrId]) -> bool {
-        needed.iter().all(|a| self.attrs.contains(a))
-    }
-
     /// The position of an original-schema attribute inside this
     /// fragment's own schema, if present.
     pub fn local_attr(&self, orig: AttrId) -> Option<AttrId> {
@@ -76,7 +71,10 @@ impl VerticalPartition {
 
     /// Builds a vertical partition from attribute-id groups (key added
     /// to each automatically; see [`Self::by_attribute_groups`]).
-    pub fn from_attr_groups(rel: &Relation, groups: &[Vec<AttrId>]) -> Result<Self, RelationError> {
+    pub(crate) fn from_attr_groups(
+        rel: &Relation,
+        groups: &[Vec<AttrId>],
+    ) -> Result<Self, RelationError> {
         let schema = rel.schema().clone();
         if groups.is_empty() {
             return Err(RelationError::InvalidPartition {
@@ -362,8 +360,8 @@ mod tests {
         let f0 = &p.fragments()[0];
         assert_eq!(f0.data.schema().arity(), 3); // id + a + b
         assert_eq!(f0.data.schema().attr_name(AttrId(0)), "id");
-        assert!(f0.covers(&[r.schema().require("a").unwrap()]));
-        assert!(!f0.covers(&[r.schema().require("c").unwrap()]));
+        // The fragment holds id, a and b of the original schema, in order.
+        assert_eq!(f0.attrs, [AttrId(0), AttrId(1), AttrId(2)]);
         // local_attr maps original ids into the projection.
         let b = r.schema().require("b").unwrap();
         assert_eq!(f0.local_attr(b), Some(AttrId(2)));

@@ -277,7 +277,7 @@ impl ViolationIndex {
     }
 
     /// Number of distinct LHS keys currently indexed.
-    pub fn key_count(&self) -> usize {
+    pub(crate) fn key_count(&self) -> usize {
         self.keys.len()
     }
 

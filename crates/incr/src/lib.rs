@@ -34,15 +34,15 @@
 //! every batch, at every pool width.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // A panic is either an internal invariant, named at its site with
 // `#[expect(.., reason = "internal invariant: ..")]`, or input reaches it
 // and it is a typed error instead. Tests are exempt (`clippy.toml`).
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-pub mod delta;
-pub mod index;
-pub mod runner;
+mod delta;
+mod index;
+mod runner;
 
 pub use delta::DeltaBatch;
 pub use index::ViolationIndex;

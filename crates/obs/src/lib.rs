@@ -20,10 +20,14 @@
 //! run's owner hands them.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+// A panic is either an internal invariant, named at its site with
+// `#[expect(.., reason = "internal invariant: ..")]`, or input reaches it
+// and it is a typed error instead. Tests are exempt (`clippy.toml`).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-pub mod registry;
-pub mod trace;
+mod registry;
+mod trace;
 
 pub use registry::{LabelSet, MetricsRegistry, SampleValue};
 pub use trace::{RunTrace, Span};

@@ -120,6 +120,7 @@ impl MetricsRegistry {
             let family = Family { help: help.to_owned(), kind, series: BTreeMap::new() };
             self.families.insert(name.to_owned(), family);
         }
+        #[expect(clippy::expect_used, reason = "internal invariant: inserted above when absent")]
         let family = self.families.get_mut(name).expect("registered above");
         assert_eq!(family.kind, kind, "metric family {name} re-registered as a different kind");
         family.series.entry(labels.0.clone()).or_insert_with(fresh)
@@ -136,6 +137,11 @@ impl MetricsRegistry {
     pub fn add_with(&mut self, name: &str, help: &str, labels: &LabelSet, n: u64) {
         match self.series(name, help, MetricKind::Counter, labels, || SampleValue::Counter(0)) {
             SampleValue::Counter(c) => *c += n,
+            #[expect(
+                clippy::unreachable,
+                reason = "internal invariant: `series` asserted the family's kind, and a \
+                          counter family's series are all made by `SampleValue::Counter`"
+            )]
             _ => unreachable!("kind checked by series"),
         }
     }
@@ -173,6 +179,11 @@ impl MetricsRegistry {
                     None => *overflow += 1,
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "internal invariant: `series` asserted the family's kind, and a \
+                          histogram family's series are all made by `SampleValue::Histogram`"
+            )]
             _ => unreachable!("kind checked by series"),
         }
     }

@@ -48,19 +48,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod delta;
-pub mod error;
+mod delta;
+mod error;
 pub mod fxhash;
 pub mod ops;
-pub mod predicate;
-pub mod relation;
-pub mod schema;
+mod predicate;
+mod relation;
+mod schema;
 pub mod store;
 pub mod table;
-pub mod tuple;
-pub mod value;
+mod tuple;
+mod value;
 
 pub use delta::{DeltaEffect, RelationDelta};
 pub use error::RelationError;

@@ -59,7 +59,7 @@ impl CmpOp {
     }
 
     /// Symbol for display.
-    pub const fn symbol(self) -> &'static str {
+    pub(crate) const fn symbol(self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
             CmpOp::Ne => "!=",
@@ -139,7 +139,7 @@ impl Conjunction {
     }
 
     /// Conjoins two conjunctions.
-    pub fn conjoin(&self, other: &Conjunction) -> Conjunction {
+    pub(crate) fn conjoin(&self, other: &Conjunction) -> Conjunction {
         let mut atoms = Vec::with_capacity(self.atoms.len() + other.atoms.len());
         atoms.extend_from_slice(&self.atoms);
         atoms.extend_from_slice(&other.atoms);
@@ -263,11 +263,6 @@ impl Predicate {
     /// A single-atom predicate.
     pub fn atom(a: Atom) -> Self {
         Predicate::from_conjunction(Conjunction::of(vec![a]))
-    }
-
-    /// The disjuncts.
-    pub fn disjuncts(&self) -> &[Conjunction] {
-        &self.disjuncts
     }
 
     /// Evaluates the predicate on a tuple.
@@ -404,7 +399,7 @@ mod tests {
         let both = either.and(&cc44);
         assert!(both.eval(&t(vals![44, "MTS"])));
         assert!(!both.eval(&t(vals![31, "MTS"])));
-        assert_eq!(both.disjuncts().len(), 2);
+        assert_eq!(both.to_string(), "(#1 = MTS AND #0 = 44) OR (#1 = VP AND #0 = 44)");
     }
 
     #[test]

@@ -77,9 +77,8 @@ impl Relation {
     /// schema order). This is the fragment constructor: fragments built
     /// over a parent relation's dictionaries keep their codes comparable
     /// with the parent and with each other, so nothing is re-encoded when
-    /// tuples move between them. A dictionary whose
-    /// [`Dictionary::value_type`] differs from its attribute's type is a
-    /// [`RelationError::SchemaMismatch`].
+    /// tuples move between them. A dictionary whose value type differs
+    /// from its attribute's type is a [`RelationError::SchemaMismatch`].
     pub fn with_dictionaries(
         schema: Arc<Schema>,
         dicts: Vec<Arc<Dictionary>>,

@@ -523,7 +523,7 @@ impl Dictionary {
     }
 
     /// The type of the values this dictionary holds.
-    pub fn value_type(&self) -> ValueType {
+    pub(crate) fn value_type(&self) -> ValueType {
         self.read().table.value_type()
     }
 
@@ -729,9 +729,9 @@ impl Clone for Dictionary {
 /// (one pass: the dictionary's read lock across known values, its write
 /// lock across each run of values not seen before; [`Column::push`] is
 /// the one-value case); codes copied from a column over the same
-/// dictionary append as they are. Rows leave through
-/// [`Column::remove_rows`], which closes the gaps in place — one
-/// `copy_within` per run of survivors — and allocates nothing.
+/// dictionary append as they are. Rows leave through `remove_rows`,
+/// which closes the gaps in place — one `copy_within` per run of
+/// survivors — and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Column {
     dict: Arc<Dictionary>,
@@ -827,7 +827,7 @@ impl Column {
     /// dictionaries are append-only, so a removed row's code simply
     /// stops being referenced — codes are never recycled and stay
     /// decodable. Nothing is reallocated.
-    pub fn remove_rows(&mut self, rows: &[usize]) {
+    pub(crate) fn remove_rows(&mut self, rows: &[usize]) {
         remove_positions(&mut self.codes, rows);
     }
 

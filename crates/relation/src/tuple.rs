@@ -63,12 +63,6 @@ impl Tuple {
     pub fn project(&self, attrs: &[AttrId]) -> Vec<Value> {
         attrs.iter().map(|&a| self.values[a.index()].clone()).collect()
     }
-
-    /// Tests `t1[X] = t2[X]` for an attribute list without materializing
-    /// the projections.
-    pub fn eq_on(&self, other: &Tuple, attrs: &[AttrId]) -> bool {
-        attrs.iter().all(|&a| self.values[a.index()] == other.values[a.index()])
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -101,20 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn eq_on_subset() {
-        let a = t(1, vals![44, "EDI", "x"]);
-        let b = t(2, vals![44, "EDI", "y"]);
-        assert!(a.eq_on(&b, &[AttrId(0), AttrId(1)]));
-        assert!(!a.eq_on(&b, &[AttrId(2)]));
-        assert!(a.eq_on(&b, &[])); // vacuous
-    }
-
-    #[test]
     fn tuple_identity_vs_content() {
         let a = t(1, vals![1]);
         let b = t(2, vals![1]);
         assert_ne!(a, b); // same content, different tid
-        assert!(a.eq_on(&b, &[AttrId(0)]));
+        assert_eq!(a.values(), b.values());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn locally_checkable_at(cfd: &Cfd, groups: &[Vec<AttrId>]) -> Option<usize> 
 
 /// `Γ ⊨ φ` via the fragment-restricted chase described in the module
 /// docs.
-pub fn gamma_implies(
+pub(crate) fn gamma_implies(
     arity: usize,
     groups: &[Vec<AttrId>],
     sigma: &[NormalCfd],

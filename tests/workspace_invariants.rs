@@ -7,9 +7,10 @@
 //! layering allows, *that* every root forbids `unsafe`, *that* no
 //! production source declares process-wide state, *which* production
 //! source may mutate a partition's fragments in place, *which* may
-//! price the wire, *which* may name `ViolationSet`'s fields and *which*
-//! holds the hash table's bucket decisions — pinned here, over the
-//! manifests and a walk of the sources.
+//! price the wire, *which* may name `ViolationSet`'s fields, *which*
+//! holds the hash table's bucket decisions and *which* modules an engine
+//! crate exports — pinned here, over the manifests and a walk of the
+//! sources.
 
 use std::path::{Path, PathBuf};
 
@@ -21,6 +22,12 @@ fn root() -> &'static Path {
 /// as sorted root-relative paths (`benchmark/` is a workspace of its own
 /// and times the host on purpose).
 fn sources() -> Vec<String> {
+    rs_files(&["crates", "src", "tests", "examples"])
+}
+
+/// Every `.rs` file under the root-relative `dirs`, as sorted
+/// root-relative paths.
+fn rs_files(dirs: &[&str]) -> Vec<String> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).expect("source directories are readable") {
             let path = entry.expect("directory entries are readable").path();
@@ -34,7 +41,7 @@ fn sources() -> Vec<String> {
         }
     }
     let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
+    for dir in dirs {
         walk(&root().join(dir), &mut files);
     }
     let mut rel: Vec<String> = files
@@ -259,9 +266,9 @@ fn fragments_mut_has_no_production_caller() {
 }
 
 /// The code wire's format — `TID_CELLS` id cells per row, `CODE_BYTES`
-/// per cell — has one owner: `dcd_dist::ledger` prices what an engine
-/// ships (`ShipmentLedger::ship_rows`, `ShipmentLedger::control`), and
-/// engines say only how many rows of which width, or how many counts.
+/// per cell — has one owner: `crates/dist/src/ledger.rs` prices what an
+/// engine ships (`ShipmentLedger::ship_rows`, `ShipmentLedger::control`),
+/// and engines say only how many rows of which width, or how many counts.
 /// No other production source names either constant, save the
 /// `pub use` re-exports of `dcd_dist` and the facade.
 #[test]
@@ -322,6 +329,90 @@ fn the_violation_sets_have_one_owner() {
         .map(|(rel, _)| rel.as_str())
         .collect();
     assert_eq!(excusers, ["crates/cfd/src/violation.rs"]);
+}
+
+/// The modules `line` names by path under `krate` (`dcd_cfd`): the
+/// segment after each `dcd_cfd::`, and the first segment of each
+/// top-level item of a one-line use-tree (`dcd_cfd::{oracle, kernel::X}`
+/// names `oracle` and `kernel`). A comment line names a module only as a
+/// rustdoc link target (``[`dcd_core::ctx::Transfer`]``, `](dcd_x::m)`);
+/// prose does not count.
+fn modules_named(line: &str, krate: &str) -> Vec<String> {
+    let prefix = format!("{krate}::");
+    let comment = line.trim_start().starts_with("//");
+    let mut named = Vec::new();
+    for (at, _) in line.match_indices(&prefix) {
+        let before = &line[..at];
+        if before.chars().next_back().is_some_and(is_ident)
+            || (comment && !["[`", "[", "]("].iter().any(|p| before.ends_with(p)))
+        {
+            continue;
+        }
+        let first = |item: &str| item.trim().chars().take_while(|&c| is_ident(c)).collect();
+        let rest = &line[at + prefix.len()..];
+        let Some(tree) = rest.strip_prefix('{') else {
+            named.push(first(rest));
+            continue;
+        };
+        let (mut depth, mut start) = (0, 0);
+        for (i, c) in tree.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth > 0 => depth -= 1,
+                ',' | '}' if depth == 0 => {
+                    named.push(first(&tree[start..i]));
+                    if c == '}' {
+                        break;
+                    }
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    named
+}
+
+/// One path per item: an engine crate exports a module (`pub mod m`) only
+/// if some file outside its `src/` names `dcd_x::m` — in code or as a
+/// rustdoc link target. Every other module is private, and its items are
+/// reached through the crate root's `pub use`, the one path.
+/// `benchmark/src` counts as outside and is only read. `dcd-bench` is
+/// not an engine crate: its `experiments` binary, inside its `src/`,
+/// names its two modules.
+#[test]
+fn every_public_module_is_named_outside_its_crate() {
+    let tree = "use dcd_cfd::{oracle, kernel::{judge, Tableau}, violation};";
+    assert_eq!(modules_named(tree, "dcd_cfd"), ["oracle", "kernel", "violation"]);
+    assert_eq!(modules_named("//! see [`dcd_core::ctx::Transfer`]", "dcd_core"), ["ctx"]);
+    assert!(modules_named("// `dcd_dist::ledger` prices the wire", "dcd_dist").is_empty());
+    assert!(modules_named("use my_dcd_dist::ledger;", "dcd_dist").is_empty());
+    let files: Vec<(String, String)> =
+        rs_files(&["crates", "src", "tests", "examples", "benchmark/src"])
+            .into_iter()
+            .filter(|rel| rel != "tests/workspace_invariants.rs")
+            .map(|rel| {
+                let text = std::fs::read_to_string(root().join(&rel)).expect("source is readable");
+                (rel, text)
+            })
+            .collect();
+    let mut unnamed = Vec::new();
+    for (dir, _) in LAYERS.iter().filter(|(dir, _)| *dir != "bench") {
+        let (krate, own) = (format!("dcd_{dir}"), format!("crates/{dir}/src/"));
+        let lib = std::fs::read_to_string(root().join(&own).join("lib.rs")).expect("a crate root");
+        let named: Vec<String> = files
+            .iter()
+            .filter(|(rel, _)| !rel.starts_with(&own))
+            .flat_map(|(_, text)| text.lines().flat_map(|line| modules_named(line, &krate)))
+            .collect();
+        for module in lib.lines().filter_map(|l| l.strip_prefix("pub mod ")) {
+            let module = module.trim_end_matches(';');
+            if !named.iter().any(|n| n == module) {
+                unnamed.push(format!("{krate}::{module}"));
+            }
+        }
+    }
+    assert_eq!(unnamed, Vec::<String>::new(), "public modules no file outside their crate names");
 }
 
 /// The library crate roots: the facade's and every crate's `src/lib.rs`.
