@@ -192,7 +192,15 @@ impl RunCtx {
 
     /// Closes the round: evaluates the literal §III-B two-phase formula
     /// over it, adds that to the run's paper cost, and returns it.
+    ///
+    /// # Panics
+    /// When no round is open (an internal invariant: every engine closes
+    /// only the round it opened).
     pub fn end_round(&mut self) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: every engine closes only the round it opened"
+        )]
         let round = self.round.take().expect("end_round without begin_round");
         let cost = self.cfg.cost.paper_cost(&round.sent, &round.local_secs);
         self.paper_cost += cost;

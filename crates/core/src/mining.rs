@@ -63,13 +63,14 @@ fn mask_attrs(mask: u32, m: usize) -> Vec<usize> {
 }
 
 /// Per-site support state: fragment size plus the *unthresholded*
-/// per-mask support counts on packed code keys, over the fragment's own
+/// per-mask support counts on packed code keys (one map per mask, in
+/// [`MinedTableau`]'s mask order), over the fragment's own
 /// dictionaries (kept for decoding emitted patterns; they are shared
 /// with the live relation, so late-interned values stay decodable).
 #[derive(Debug, Clone)]
 struct SiteSupport {
     n: usize,
-    counts: FxHashMap<u32, FxHashMap<CodeKey, usize>>,
+    counts: Vec<FxHashMap<CodeKey, usize>>,
     lhs_dicts: Vec<Arc<Dictionary>>,
 }
 
@@ -104,8 +105,7 @@ impl MinedTableau {
             .iter()
             .map(|frag| {
                 let cols = frag.data.code_views(&cfd.lhs);
-                let mut counts: FxHashMap<u32, FxHashMap<CodeKey, usize>> = FxHashMap::default();
-                for &mask in &masks {
+                let counts = masks.iter().map(|&mask| {
                     let mask_cols: Vec<&[u32]> =
                         mask_attrs(mask, m).iter().map(|&i| cols[i]).collect();
                     let mut map: FxHashMap<CodeKey, usize> = FxHashMap::default();
@@ -114,11 +114,11 @@ impl MinedTableau {
                     for r in 0..frag.data.len() {
                         *map.entry(CodeKey::of_row(&mask_cols, r)).or_insert(0) += 1;
                     }
-                    counts.insert(mask, map);
-                }
+                    map
+                });
                 SiteSupport {
                     n: frag.data.len(),
-                    counts,
+                    counts: counts.collect(),
                     lhs_dicts: frag.data.dictionaries_of(&cfd.lhs),
                 }
             })
@@ -155,11 +155,15 @@ impl MinedTableau {
         let mut buf: Vec<u32> = Vec::with_capacity(m);
         for (_, codes) in &eff.deleted {
             site.n -= 1;
-            for &mask in &self.masks {
+            for (&mask, map) in self.masks.iter().zip(&mut site.counts) {
                 buf.clear();
                 buf.extend(mask_attrs(mask, m).iter().map(|&i| codes[self.lhs_pos[i]]));
-                let map = site.counts.get_mut(&mask).expect("mask counted at build");
                 let key = CodeKey::of_codes(&buf);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: a session deletes only a row its fragment \
+                              holds, counted at build or when it was inserted"
+                )]
                 let cnt = map.get_mut(&key).expect("deleted row was counted");
                 *cnt -= 1;
                 if *cnt == 0 {
@@ -169,10 +173,9 @@ impl MinedTableau {
         }
         for (_, codes) in &eff.inserted {
             site.n += 1;
-            for &mask in &self.masks {
+            for (&mask, map) in self.masks.iter().zip(&mut site.counts) {
                 buf.clear();
                 buf.extend(mask_attrs(mask, m).iter().map(|&i| codes[self.lhs_pos[i]]));
-                let map = site.counts.get_mut(&mask).expect("mask counted at build");
                 *map.entry(CodeKey::of_codes(&buf)).or_insert(0) += 1;
             }
         }
@@ -200,8 +203,8 @@ impl MinedTableau {
             // thresholding before the closedness walk never hides a
             // subset a frequent superset would need to compare against.
             let mut freq: FxHashMap<u32, FxHashMap<CodeKey, usize>> = FxHashMap::default();
-            for &mask in &self.masks {
-                let map: FxHashMap<CodeKey, usize> = site.counts[&mask]
+            for (&mask, counts) in self.masks.iter().zip(&site.counts) {
+                let map: FxHashMap<CodeKey, usize> = counts
                     .iter()
                     .filter(|&(_, &c)| c >= threshold)
                     .map(|(k, &c)| (k.clone(), c))

@@ -22,21 +22,23 @@
 //! The cluster round is the one round of every horizontal engine but
 //! `run_batch`: `SEQDETECT` runs each CFD as a cluster of one, and so do
 //! `REPDETECT` (over the fragments each site holds a replica of) and
-//! `HYBRIDDETECT` (across its cells).
+//! `HYBRIDDETECT` (across its cells). It shares every step with
+//! `run_batch`'s round — σ to assignment (`runner::sigma_to_assignment`,
+//! over the rows each site holds), the `ship:` price and the `validate:`
+//! phase (`runner::validate_phase`) — but its coordinators' task body,
+//! which reads the σ-blocks where the fragments hold them.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
-use crate::local::applicable_patterns;
 use crate::report::Detection;
 use crate::runner::{
-    assign_coordinators, constants_phase, exchange_statistics, own_fragment, pattern_rows,
-    patterns_at, shared_layout, ship_phase, sigma_phase, CoordinatorStrategy,
+    constants_phase, own_fragment, patterns_at, shared_layout, ship_phase, sigma_to_assignment,
+    validate_phase, CoordinatorStrategy,
 };
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::ResolvedCfd;
 use dcd_cfd::violation::ViolationSet;
-use dcd_cfd::{Cfd, Flagged, KernelTally, NormalPattern, PatternValue, SimpleCfd};
-use dcd_dist::pool::scoped_map;
+use dcd_cfd::{Cfd, KernelTally, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::{Fragment, HorizontalPartition, SiteId};
 use dcd_relation::{AttrId, FxHashSet, TupleId};
 
@@ -132,8 +134,6 @@ pub(crate) fn run_cluster(
     strategy: CoordinatorStrategy,
     holds: &dyn Fn(SiteId, usize) -> bool,
 ) {
-    let cfg = *ctx.cfg();
-    let n = fragments.len();
     let (alone, label) = match members {
         [only] => (true, only.name.as_str()),
         _ => (false, "cluster"),
@@ -155,23 +155,19 @@ pub(crate) fn run_cluster(
         }
         variable_members.extend(var);
     }
-    if variable_members.is_empty() {
+    // Common attributes Z = ∩ LHS; by the containment invariant this is
+    // the smallest member LHS. Keep that member's attribute order. With
+    // no variable member, the constants were the round's whole work.
+    let Some(smallest) = variable_members.iter().min_by_key(|m| m.lhs.len()) else {
         ctx.end_round();
         return;
-    }
-
-    // Common attributes Z = ∩ LHS; by the containment invariant this is
-    // the smallest member LHS. Keep that member's attribute order.
-    let z: Vec<AttrId> = {
-        let smallest =
-            variable_members.iter().min_by_key(|m| m.lhs.len()).expect("non-empty member list");
-        smallest
-            .lhs
-            .iter()
-            .copied()
-            .filter(|a| variable_members.iter().all(|m| m.lhs.contains(a)))
-            .collect()
     };
+    let z: Vec<AttrId> = smallest
+        .lhs
+        .iter()
+        .copied()
+        .filter(|a| variable_members.iter().all(|m| m.lhs.contains(a)))
+        .collect();
     if z.is_empty() && !alone {
         // Nothing to partition the family on: the constants above were
         // this round's whole work, so it closes (or each member's own
@@ -189,6 +185,10 @@ pub(crate) fn run_cluster(
     let mut seen: FxHashSet<Vec<PatternValue>> = FxHashSet::default();
     let mut projected: Vec<NormalPattern> = Vec::new();
     for m in &variable_members {
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: `Z` keeps only attributes every member's LHS holds"
+        )]
         let pos: Vec<usize> =
             z.iter().map(|a| m.lhs.iter().position(|b| b == a).expect("Z ⊆ member LHS")).collect();
         for p in &m.tableau {
@@ -207,30 +207,9 @@ pub(crate) fn run_cluster(
     };
     let sorted = sort_for_sigma(&zcfd);
 
-    // σ-partition per site (one scan for the whole cluster); the
-    // partitioning condition doubles as the Phase-2 participation rule.
-    let applicable: Vec<Vec<usize>> =
-        fragments.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-    let parts = sigma_phase(ctx, label, fragments, &sorted, &applicable);
-
-    // Statistics exchange, among participating sites only.
-    exchange_statistics(ctx, label, &applicable, sorted.cfd.tableau.len());
-
-    // Coordinators per projected pattern, over the rows of each pattern
-    // every site holds (the statistics are dropped before anything is
-    // validated).
-    let assignment = {
-        let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-        let k = sorted.cfd.tableau.len();
-        let held: Vec<Vec<usize>> = (0..n)
-            .map(|s| {
-                let mine: Vec<usize> = (0..n).filter(|&f| holds(SiteId(s as u32), f)).collect();
-                (0..k).map(|l| mine.iter().map(|&f| lstat[f][l]).sum()).collect()
-            })
-            .collect();
-        let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
-        assign_coordinators(strategy, &held, &frag_sizes, &cfg.cost)
-    };
+    // σ-partition per site (one scan for the whole cluster), then
+    // coordinators per projected pattern, over the rows each site holds.
+    let (parts, assignment) = sigma_to_assignment(ctx, label, fragments, &sorted, strategy, holds);
 
     // Shipment, on the code-native wire: the union of the members'
     // (X ∪ A) attributes, once per tuple for the whole cluster, shipped
@@ -252,24 +231,14 @@ pub(crate) fn run_cluster(
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to columns of the
-    // cluster's union layout). Each task lists the σ-blocks assigned to
-    // it and reads their rows where the fragments hold them.
+    // cluster's union layout), one detection query per resolved member.
+    // Each task lists the σ-blocks assigned to it and reads their rows
+    // where the fragments hold them.
     let per_block = alone && strategy != CoordinatorStrategy::Central;
     let views: Vec<Vec<&[u32]>> = fragments.iter().map(|f| f.data.code_views(&attrs)).collect();
-    let mut validated = ctx.phase(&format!("validate:{label}"), |p| {
-        let per_site = scoped_map(cfg.threads, 0..n, |c| {
-            let site = SiteId(c as u32);
+    let mut validated =
+        validate_phase(ctx, label, &parts, &assignment, per_block, resolved.len(), |site| {
             let blocks = assigned_blocks(fragments, &views, &parts, &assignment, site);
-            let rows: usize = blocks.iter().map(|(_, _, rows)| rows.len()).sum();
-            if rows == 0 {
-                return (None, vec![Flagged::default(); resolved.len()], KernelTally::default());
-            }
-            let secs = if per_block {
-                let blocks = patterns_at(&assignment, site);
-                blocks.map(|l| cfg.cost.check_time(pattern_rows(&parts, l))).sum()
-            } else {
-                cfg.cost.check_time(rows) * variable_members.len() as f64
-            };
             let mut found = Vec::with_capacity(resolved.len());
             let mut tally = KernelTally::default();
             for r in &resolved {
@@ -277,22 +246,8 @@ pub(crate) fn run_cluster(
                 found.push(flagged);
                 tally += counted;
             }
-            (Some(secs), found, tally)
+            (found, tally)
         });
-        // The kernel families exist from the round on, at zero if no
-        // coordinator validated anything.
-        let mut tally = KernelTally::default();
-        let charged = per_site.into_iter().enumerate().map(|(c, (secs, found, counted))| {
-            if let Some(secs) = secs {
-                p.compute(SiteId(c as u32), secs);
-            }
-            tally += counted;
-            found
-        });
-        let validated = charged.collect::<Vec<_>>();
-        tally.record(p.metrics());
-        validated
-    });
     // The σ-blocks are done with before the member sets are built.
     drop(parts);
     // A tuple reaches one coordinator per cluster, so what the
@@ -334,6 +289,8 @@ fn assigned_blocks<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local::applicable_patterns;
+    use crate::runner::{assign_coordinators, sigma_phase};
     use dcd_cfd::parse_cfd;
     use dcd_relation::{vals, Relation, Schema, ValueType};
     use std::sync::Arc;

@@ -4,19 +4,23 @@
 //! `CTRDETECT`, `PATDETECTS` and `PATDETECTRT` differ *only* in how
 //! coordinators are assigned to pattern tuples (a single global
 //! coordinator vs. per-pattern max-shipper vs. per-pattern greedy
-//! response-time). Everything else — constant-CFD local checks,
-//! partitioning-condition filtering, σ-partitioning, the statistics
-//! exchange, shipment pricing and cost accounting — is a phase here,
-//! shared with the cluster round (`multi::run_cluster`), which every
-//! other horizontal engine runs: `SEQDETECT`, `CLUSTDETECT`, `REPDETECT`
-//! and `HYBRIDDETECT`, a single CFD as a cluster of one.
+//! response-time). Everything else is a phase here, shared with the
+//! cluster round (`multi::run_cluster`), which every other horizontal
+//! engine runs: `SEQDETECT`, `CLUSTDETECT`, `REPDETECT` and
+//! `HYBRIDDETECT`, a single CFD as a cluster of one. Both rounds check
+//! constant CFDs locally (`constants_phase`), go from σ to a
+//! coordinator per pattern in one step (`sigma_to_assignment`: the
+//! partitioning condition, σ-partitioning, the statistics exchange and
+//! the assignment), price the shipment (`ship_phase`) and validate in
+//! one phase (`validate_phase`), which fans the coordinators out, one
+//! task per site, and charges each by one rule.
 //!
 //! The per-site phases (constants, σ) run one pool task per site over the
-//! site's whole fragment, and the coordinators validate one task per site,
-//! each over the σ-blocks assigned to it; every charge is applied after
-//! the join, in site order. [`run_batch`]'s coordinators build `CodeRow`s,
-//! one σ-block at a time; the cluster round's read their blocks where
-//! the fragments hold them, and copy no row.
+//! site's whole fragment; every charge is applied after the join, in site
+//! order. Only a coordinator's task body differs between the rounds:
+//! [`run_batch`]'s builds `CodeRow`s, one σ-block at a time; the cluster
+//! round's reads its blocks where the fragments hold them, and copies no
+//! row.
 
 use crate::config::RunConfig;
 use crate::ctx::RunCtx;
@@ -213,6 +217,86 @@ pub(crate) fn own_fragment(site: SiteId, f: usize) -> bool {
     site.index() == f
 }
 
+/// The σ-to-assignment step of both horizontal rounds: the partitioning
+/// condition per site (`applicable_patterns`), which decides both who
+/// scans in [`sigma_phase`] and who takes part in
+/// [`exchange_statistics`], then coordinator assignment over `held[s][l]`,
+/// the rows of pattern `l` in the fragments site `s` `holds` (under
+/// [`own_fragment`], `lstat[s][l]`). The statistics are dropped before
+/// anything is shipped. Returns the per-site σ-partitions and the
+/// assignment.
+pub(crate) fn sigma_to_assignment(
+    ctx: &mut RunCtx,
+    label: &str,
+    fragments: &[Fragment],
+    sorted: &SortedCfd,
+    strategy: CoordinatorStrategy,
+    holds: &dyn Fn(SiteId, usize) -> bool,
+) -> (Vec<SigmaPartition>, Vec<Option<SiteId>>) {
+    let (n, k) = (fragments.len(), sorted.cfd.tableau.len());
+    let applicable: Vec<Vec<usize>> =
+        fragments.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
+    let parts = sigma_phase(ctx, label, fragments, sorted, &applicable);
+    exchange_statistics(ctx, label, &applicable, k);
+    let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
+    let held: Vec<Vec<usize>> = (0..n)
+        .map(|s| {
+            let mine: Vec<usize> = (0..n).filter(|&f| holds(SiteId(s as u32), f)).collect();
+            (0..k).map(|l| mine.iter().map(|&f| lstat[f][l]).sum()).collect()
+        })
+        .collect();
+    let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
+    let assignment = assign_coordinators(strategy, &held, &frag_sizes, &ctx.cfg().cost);
+    (parts, assignment)
+}
+
+/// The validate phase of both horizontal rounds (`validate:<label>`):
+/// one pool task per site, and a site that coordinates no pattern
+/// validates nothing. A coordinator's `body` validates the σ-blocks
+/// assigned to it and returns what it found with its kernel tally.
+/// After the join, each coordinator is charged in site order by the one
+/// charge rule: with `per_block`, one detection query per σ-block it was
+/// assigned, otherwise one per member over every row it was assigned.
+/// The tallies are summed and recorded — the kernel families exist from
+/// the round on, at zero if no coordinator validated anything. Returns
+/// what the coordinators found, in site order.
+pub(crate) fn validate_phase<T: Send>(
+    ctx: &mut RunCtx,
+    label: &str,
+    parts: &[SigmaPartition],
+    assignment: &[Option<SiteId>],
+    per_block: bool,
+    members: usize,
+    body: impl Fn(SiteId) -> (T, KernelTally) + Sync,
+) -> Vec<T> {
+    let cfg = *ctx.cfg();
+    ctx.phase(&format!("validate:{label}"), |p| {
+        let per_site = scoped_map(cfg.threads, 0..parts.len(), |c| {
+            let site = SiteId(c as u32);
+            let mine = patterns_at(assignment, site);
+            mine.clone().next()?;
+            let block_rows = mine.map(|l| pattern_rows(parts, l));
+            let secs = if per_block {
+                block_rows.map(|rows| cfg.cost.check_time(rows)).sum()
+            } else {
+                cfg.cost.check_time(block_rows.sum()) * members as f64
+            };
+            let (found, tally) = body(site);
+            Some((secs, found, tally))
+        });
+        let mut tally = KernelTally::default();
+        let charged = per_site.into_iter().enumerate().filter_map(|(c, out)| {
+            let (secs, found, counted) = out?;
+            p.compute(SiteId(c as u32), secs);
+            tally += counted;
+            Some(found)
+        });
+        let validated = charged.collect::<Vec<_>>();
+        tally.record(p.metrics());
+        validated
+    })
+}
+
 /// Ships every pattern's σ-blocks to its coordinator on the code-native
 /// wire and validates them there — the second half of
 /// [`run_single_cfd`]. Sites ship `(tid, codes)` rows over the CFD's
@@ -220,9 +304,9 @@ pub(crate) fn own_fragment(site: SiteId, f: usize) -> bool {
 /// codes are site-portable — priced by [`ship_phase`]; a coordinator's
 /// own fragment ships nothing.
 /// No tuple payload crosses the simulated wire. Validation runs at the
-/// coordinators in parallel, on codes: grouping keys are slot indices
-/// or packed `CodeKey`s and the distinct-RHS test compares `u32` codes;
-/// only violating group keys are decoded.
+/// coordinators in parallel ([`validate_phase`]), on codes: grouping keys
+/// are slot indices or packed `CodeKey`s and the distinct-RHS test
+/// compares `u32` codes; only violating group keys are decoded.
 ///
 /// Each coordinator's pool task builds its host copy of the wire itself
 /// (Lemma 6: a σ-block is validated on its own). Whatever the strategy,
@@ -242,55 +326,29 @@ fn ship_and_validate(
     assignment: &[Option<SiteId>],
     central: bool,
 ) {
-    let cfg = *ctx.cfg();
-    let n = fragments.len();
     let name = &sorted.cfd.name;
     let attrs = sorted.cfd.shipped_attrs();
     // Resolve the tableau once per round; every coordinator job reuses
     // the compiled patterns.
     let resolved = shared_layout(fragments, &attrs).resolve(&sorted.cfd);
     ship_phase(ctx, name, fragments, parts, assignment, attrs.len(), own_fragment);
-
-    let validated = ctx.phase(&format!("validate:{name}"), |p| {
-        let per_site = scoped_map(cfg.threads, 0..n, |c| {
-            let mine = patterns_at(assignment, SiteId(c as u32));
-            // A site that coordinates no pattern validates nothing.
-            mine.clone().next()?;
-            let block_rows = mine.clone().map(|l| pattern_rows(parts, l));
-            let secs = if central {
-                cfg.cost.check_time(block_rows.sum())
-            } else {
-                block_rows.map(|rows| cfg.cost.check_time(rows)).sum()
-            };
-            let mut vs = ViolationSet::default();
-            let mut tally = KernelTally::default();
-            for l in mine {
-                // Pattern `l`'s wire rows, fragment by fragment.
-                let mut rows: Vec<CodeRow> = Vec::with_capacity(pattern_rows(parts, l));
-                for (frag, part) in fragments.iter().zip(parts) {
-                    let block = &part.blocks[l];
-                    if !block.is_empty() {
-                        rows.extend(frag.data.code_rows(&attrs, block));
-                    }
-                }
-                let (found, counted) = resolved.detect_pattern_block(rows.iter(), l);
-                vs.merge(found);
-                tally += counted;
-            }
-            Some((secs, vs, tally))
-        });
-        // The kernel families exist from the round on, at zero if no
-        // coordinator validated anything.
+    let validated = validate_phase(ctx, name, parts, assignment, !central, 1, |site| {
+        let mut vs = ViolationSet::default();
         let mut tally = KernelTally::default();
-        let charged = per_site.into_iter().enumerate().filter_map(|(c, out)| {
-            let (secs, vs, counted) = out?;
-            p.compute(SiteId(c as u32), secs);
+        for l in patterns_at(assignment, site) {
+            // Pattern `l`'s wire rows, fragment by fragment.
+            let mut rows: Vec<CodeRow> = Vec::with_capacity(pattern_rows(parts, l));
+            for (frag, part) in fragments.iter().zip(parts) {
+                let block = &part.blocks[l];
+                if !block.is_empty() {
+                    rows.extend(frag.data.code_rows(&attrs, block));
+                }
+            }
+            let (found, counted) = resolved.detect_pattern_block(rows.iter(), l);
+            vs.merge(found);
             tally += counted;
-            Some(vs)
-        });
-        let validated = charged.collect::<Vec<_>>();
-        tally.record(p.metrics());
-        validated
+        }
+        (vs, tally)
     });
     for vs in validated {
         ctx.absorb(name, vs);
@@ -314,39 +372,16 @@ fn run_single_cfd(
     // Consumers always get an entry for this CFD, even when clean.
     ctx.absorb(&cfd.name, ViolationSet::default());
 
-    // ---- Phase 0: constant CFDs, checked locally (Proposition 5). ----
+    // Constant CFDs, checked locally (Proposition 5).
     let (variable, constants) = cfd.split_constant();
     if !constants.is_empty() {
         constants_phase(ctx, &cfd.name, fragments, &constants);
     }
     // A purely constant CFD ships nothing at all.
     if let Some(variable) = variable {
-        // ---- Phase 1: σ-partition + statistics. ----
         let sorted = sort_for_sigma(&variable);
-        // The partitioning condition, per site, up front: it decides both
-        // who scans here and who participates in the Phase-2 exchange.
-        let applicable: Vec<Vec<usize>> =
-            fragments.iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
-        let parts = sigma_phase(ctx, &cfd.name, fragments, &sorted, &applicable);
-
-        // ---- Phase 2: statistics exchange (control traffic + barrier),
-        // among participating sites only. Sites the partitioning condition
-        // excluded never scanned and owe nobody their (empty) counts; when
-        // fewer than two sites hold an applicable pattern there is nothing
-        // to exchange and the whole phase — messages and barrier — is
-        // skipped, preserving the pipelining across such rounds.
-        exchange_statistics(ctx, &cfd.name, &applicable, sorted.cfd.tableau.len());
-
-        // ---- Phase 3: coordinator assignment, over the rows of each
-        // pattern every site holds (the statistics are dropped before
-        // anything is gathered). ----
-        let assignment = {
-            let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
-            let frag_sizes: Vec<usize> = fragments.iter().map(|f| f.data.len()).collect();
-            assign_coordinators(strategy, &lstat, &frag_sizes, &ctx.cfg().cost)
-        };
-
-        // ---- Phases 4 + 5: shipment and coordinator validation. ----
+        let (parts, assignment) =
+            sigma_to_assignment(ctx, &cfd.name, fragments, &sorted, strategy, &own_fragment);
         let central = strategy == CoordinatorStrategy::Central;
         ship_and_validate(ctx, fragments, &sorted, &parts, &assignment, central);
     }
@@ -388,9 +423,10 @@ pub(crate) fn assign_coordinators(
     match strategy {
         CoordinatorStrategy::Central => {
             // argmax_i Σ_l lstat[i][l]; ties → smallest site id.
+            // No coordinator when no site holds a matching row.
             let totals: Vec<usize> = lstat.iter().map(|row| row.iter().sum()).collect();
-            if totals.iter().any(|&t| t > 0) {
-                let coord = (0..n).max_by_key(|&i| (totals[i], n - i)).expect("n > 0");
+            let coord = (0..n).max_by_key(|&i| (totals[i], n - i)).filter(|&c| totals[c] > 0);
+            if let Some(coord) = coord {
                 for (l, slot) in assignment.iter_mut().enumerate() {
                     let any: usize = (0..n).map(|i| lstat[i][l]).sum();
                     if any > 0 {
@@ -401,12 +437,8 @@ pub(crate) fn assign_coordinators(
         }
         CoordinatorStrategy::MinShipment => {
             for (l, slot) in assignment.iter_mut().enumerate() {
-                let total: usize = (0..n).map(|i| lstat[i][l]).sum();
-                if total == 0 {
-                    continue;
-                }
-                let coord = (0..n).max_by_key(|&i| (lstat[i][l], n - i)).expect("n > 0");
-                *slot = Some(SiteId(coord as u32));
+                let coord = (0..n).max_by_key(|&i| (lstat[i][l], n - i));
+                *slot = coord.filter(|&c| lstat[c][l] > 0).map(|c| SiteId(c as u32));
             }
         }
         CoordinatorStrategy::MinResponseTime => {
@@ -438,7 +470,8 @@ pub(crate) fn assign_coordinators(
                         best = Some((c, s));
                     }
                 }
-                let (_, s) = best.expect("n > 0");
+                // `total > 0`, so some site holds a row and `best` is set.
+                let Some((_, s)) = best else { continue };
                 for (i, sent_i) in sent.iter_mut().enumerate() {
                     if i != s {
                         *sent_i += lstat[i][l];

@@ -120,6 +120,11 @@ pub fn sigma_partition(
         }
     } else {
         let lhs_cols = fragment.code_views(&sorted.cfd.lhs);
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: a tableau holds fewer than 2³² − 1 patterns \
+                      (each is a heap row; that many would not fit in memory)"
+        )]
         let sigma_of = |r: usize| {
             if !index.admission.admits_row(&lhs_cols, r) {
                 return MISS;

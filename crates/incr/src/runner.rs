@@ -541,15 +541,26 @@ impl VerticalIncrementalRun {
             wire.commit();
         });
 
-        // Full code rows at the coordinator: the plan's columns, through
-        // the partition's dictionary set.
-        let whole = partition.reassemble()?;
+        // Full code rows at the coordinator, read straight from the
+        // plan's columns into schema order: the plan covers every
+        // attribute once, and every fragment codes against the
+        // partition's dictionary set.
+        let (planned, cols) = (plan.attrs(), partition.columns(&plan));
+        let tids = partition.fragments()[0].data.tids();
+        let rows: CodeRows = (0..n_rows)
+            .map(|r| {
+                let mut codes = vec![0u32; attrs.len()].into_boxed_slice();
+                for (a, col) in planned.iter().zip(&cols) {
+                    codes[a.index()] = col[r];
+                }
+                (tids[r], codes)
+            })
+            .collect();
         let dicts = partition.dictionaries();
         // As in `IncrementalRun::build`: every insert interns into every
         // column, so the session indexes them all up front, sorted ones
         // aside.
         dicts.iter().for_each(|d| d.ensure_indexed());
-        let rows: CodeRows = whole.code_rows(&attrs, &(0..n_rows).collect::<Vec<_>>());
         let coord = Coordinator::build(ctx, coordinator, sigma, &dicts, &rows);
         Ok(VerticalIncrementalRun { partition, plan, coord })
     }

@@ -104,26 +104,34 @@ impl MetricsRegistry {
         MetricsRegistry { families: BTreeMap::new() }
     }
 
-    /// The series `name{labels}`, registered as `fresh` if absent.
+    /// Writes the series `name{labels}`, registered as `fresh` if
+    /// absent. A write to an existing series looks its family and its
+    /// series up once each and copies no name or label.
     ///
     /// # Panics
     /// When `name` is already registered as another kind.
-    fn series(
+    fn write_series(
         &mut self,
         name: &str,
         help: &str,
         kind: MetricKind,
         labels: &LabelSet,
         fresh: impl FnOnce() -> SampleValue,
-    ) -> &mut SampleValue {
-        if !self.families.contains_key(name) {
-            let family = Family { help: help.to_owned(), kind, series: BTreeMap::new() };
-            self.families.insert(name.to_owned(), family);
-        }
-        #[expect(clippy::expect_used, reason = "internal invariant: inserted above when absent")]
-        let family = self.families.get_mut(name).expect("registered above");
+        update: impl FnOnce(&mut SampleValue),
+    ) {
+        let family = match self.families.get_mut(name) {
+            Some(family) => family,
+            None => {
+                let family = Family { help: help.to_owned(), kind, series: BTreeMap::new() };
+                self.families.entry(name.to_owned()).or_insert(family)
+            }
+        };
         assert_eq!(family.kind, kind, "metric family {name} re-registered as a different kind");
-        family.series.entry(labels.0.clone()).or_insert_with(fresh)
+        let series = match family.series.get_mut(&labels.0) {
+            Some(series) => series,
+            None => family.series.entry(labels.0.clone()).or_insert_with(fresh),
+        };
+        update(series);
     }
 
     /// Adds `n` to a counter series, registering it at zero first if
@@ -135,22 +143,25 @@ impl MetricsRegistry {
     /// [`Self::add`] over a label set already rendered, for a caller that
     /// adds one label set to several families.
     pub fn add_with(&mut self, name: &str, help: &str, labels: &LabelSet, n: u64) {
-        match self.series(name, help, MetricKind::Counter, labels, || SampleValue::Counter(0)) {
+        let fresh = || SampleValue::Counter(0);
+        self.write_series(name, help, MetricKind::Counter, labels, fresh, |series| match series {
             SampleValue::Counter(c) => *c += n,
             #[expect(
                 clippy::unreachable,
-                reason = "internal invariant: `series` asserted the family's kind, and a \
+                reason = "internal invariant: `write_series` asserted the family's kind, and a \
                           counter family's series are all made by `SampleValue::Counter`"
             )]
-            _ => unreachable!("kind checked by series"),
-        }
+            _ => unreachable!("kind checked by write_series"),
+        });
     }
 
     /// Sets a gauge series, registering it if absent.
     pub fn set(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
         let fresh = || SampleValue::GaugeBits(0);
-        *self.series(name, help, MetricKind::Gauge, &LabelSet::new(labels), fresh) =
-            SampleValue::GaugeBits(v.to_bits());
+        let labels = LabelSet::new(labels);
+        self.write_series(name, help, MetricKind::Gauge, &labels, fresh, |series| {
+            *series = SampleValue::GaugeBits(v.to_bits());
+        });
     }
 
     /// Records one observation in a histogram series, registering it
@@ -171,7 +182,7 @@ impl MetricsRegistry {
             overflow: 0,
             sum: 0,
         };
-        match self.series(name, help, MetricKind::Histogram, &LabelSet::new(labels), fresh) {
+        let record = |series: &mut SampleValue| match series {
             SampleValue::Histogram { buckets, overflow, sum } => {
                 *sum += v;
                 match buckets.iter_mut().find(|(bound, _)| *bound >= v) {
@@ -181,11 +192,12 @@ impl MetricsRegistry {
             }
             #[expect(
                 clippy::unreachable,
-                reason = "internal invariant: `series` asserted the family's kind, and a \
+                reason = "internal invariant: `write_series` asserted the family's kind, and a \
                           histogram family's series are all made by `SampleValue::Histogram`"
             )]
-            _ => unreachable!("kind checked by series"),
-        }
+            _ => unreachable!("kind checked by write_series"),
+        };
+        self.write_series(name, help, MetricKind::Histogram, &LabelSet::new(labels), fresh, record);
     }
 
     /// Sum of every series of a counter family (0 for an absent family).
