@@ -88,9 +88,17 @@ impl CodeLayout {
     /// per detection round and reuse the [`ResolvedCfd`] across
     /// coordinators and pattern blocks (it is `Sync`).
     ///
-    /// Panics if the layout does not carry all of the CFD's attributes
-    /// — shipping a block that cannot be validated is a protocol bug,
-    /// not a data condition.
+    /// # Panics
+    ///
+    /// If the layout does not carry all of the CFD's attributes —
+    /// shipping a block that cannot be validated is a protocol bug, not
+    /// a data condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal invariant: every caller lays its rows out over attributes that \
+                  hold the CFD's LHS and RHS: its `shipped_attrs`, a cluster's union of \
+                  them, or a vertical gather plan of them"
+    )]
     pub fn resolve(&self, cfd: &SimpleCfd) -> ResolvedCfd {
         let lhs_pos: Vec<usize> = cfd
             .lhs

@@ -246,6 +246,11 @@ impl Groups {
 
     /// The id the next unseen key gets.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "internal invariant: a group per distinct key of the rows scanned, and 2³² \
+                  rows would hold 16 GiB of `u32` group ids in `group_of` alone"
+    )]
     fn next_id(&self) -> u32 {
         u32::try_from(self.summaries.len()).expect("fewer groups than u32::MAX")
     }
@@ -426,6 +431,11 @@ pub(crate) fn detect_columns<R: RowSource>(
     let mut groups = Groups::new(width);
     let mut group_of: Vec<u32> = Vec::with_capacity(n);
     let mut fresh = 0u32;
+    #[expect(
+        clippy::expect_used,
+        reason = "internal invariant: a group per distinct key of the rows scanned, and 2³² \
+                  rows would hold 16 GiB of `u32` group ids in `group_of` alone"
+    )]
     let mut first_seen = |_| {
         let gid = fresh;
         fresh = fresh.checked_add(1).expect("fewer groups than u32::MAX");
@@ -492,14 +502,14 @@ impl LhsIndex {
             let positions: Vec<usize> =
                 (0..pat.lhs.len()).filter(|&j| pat.lhs[j] != WILDCARD_CODE).collect();
             let consts: Vec<u32> = positions.iter().map(|&j| pat.lhs[j]).collect();
-            let bucket = match index.buckets.iter_mut().find(|(p, _)| *p == positions) {
-                Some((_, map)) => map,
+            let at = match index.buckets.iter().position(|(p, _)| *p == positions) {
+                Some(at) => at,
                 None => {
                     index.buckets.push((positions, FxHashMap::default()));
-                    &mut index.buckets.last_mut().expect("just pushed").1
+                    index.buckets.len() - 1
                 }
             };
-            bucket.entry(CodeKey::of_codes(&consts)).or_default().push(rank as u32);
+            index.buckets[at].1.entry(CodeKey::of_codes(&consts)).or_default().push(rank as u32);
         }
         index
     }

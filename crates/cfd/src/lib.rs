@@ -37,6 +37,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+// A panic is either an internal invariant, named at its site with
+// `#[expect(.., reason = "internal invariant: ..")]`, or input reaches it
+// and it is a typed error instead. Tests are exempt (`clippy.toml`).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 mod attrset;
 mod cfd;

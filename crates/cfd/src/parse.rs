@@ -60,13 +60,15 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Lexer<'a> {
+    text: &'a str,
+    /// `text`'s bytes.
     src: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0 }
+    fn new(text: &'a str) -> Self {
+        Lexer { text, src: text.as_bytes(), pos: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -110,7 +112,8 @@ impl<'a> Lexer<'a> {
         if self.pos == start {
             return Err(ParseError::Syntax { pos: start, expected: "identifier or literal" });
         }
-        Ok(std::str::from_utf8(&self.src[start..self.pos]).expect("ascii slice"))
+        // The word's bytes are ASCII, so both its ends are char boundaries.
+        Ok(&self.text[start..self.pos])
     }
 
     /// A literal: single-quoted string or bare word.

@@ -319,8 +319,10 @@ impl ViolationIndex {
     /// Recompiles the patterns holding a [`NO_CODE`] cell against the
     /// (append-only, possibly grown) dictionaries — a cell compiled to a
     /// real code keeps it — and re-buckets the tableau when one gained a
-    /// code.
-    fn recompile(&mut self) {
+    /// code. [`Self::apply`] runs it first; a session also runs it before
+    /// its sites judge a batch's rows ([`Self::matched_into`]), and a
+    /// second call finds nothing left to gain.
+    pub(crate) fn recompile(&mut self) {
         let mut grown = false;
         for (pattern, compiled) in self.cfd.tableau.iter().zip(&mut self.compiled) {
             if compiled.feasible && compiled.rhs != NO_CODE {
@@ -335,6 +337,25 @@ impl ViolationIndex {
         if grown {
             self.lhs_index = LhsIndex::of_compiled(&self.compiled);
         }
+    }
+
+    /// Fills `ranks` with the tableau ranks, ascending, of the patterns
+    /// whose LHS the full-width code row `codes` matches, as the last
+    /// [`Self::recompile`] compiled them (`lhs` and `probe` are scratch).
+    /// After the batch's recompile, an insert lands in a key exactly
+    /// when `ranks` comes back non-empty, and a deleted row was indexed
+    /// exactly then too: a key is opened only for a matching LHS, and a
+    /// code interned since its row arrived appears in no older row.
+    pub(crate) fn matched_into(
+        &self,
+        codes: &[u32],
+        lhs: &mut Vec<u32>,
+        probe: &mut Vec<u32>,
+        ranks: &mut Vec<u32>,
+    ) {
+        lhs.clear();
+        lhs.extend(self.lhs_pos.iter().map(|&p| codes[p]));
+        self.lhs_index.matched_into(lhs, probe, ranks);
     }
 
     /// Applies one batch — deletes (by tuple id) then inserts

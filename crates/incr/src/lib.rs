@@ -23,7 +23,8 @@
 //!   touches are re-validated;
 //! * the **delta protocol** ([`IncrementalRun`],
 //!   [`VerticalIncrementalRun`]): sites ship only `(tid, codes)` delta
-//!   rows (4 bytes per cell, through the run's
+//!   rows (a horizontal site only those matching a pattern of Σ, over
+//!   attr(Σ); 4 bytes per cell, through the run's
 //!   [`Transfer`](dcd_core::ctx::Transfer)) and per-round manifests to
 //!   a fixed coordinator, which maintains the cross-site index — for
 //!   horizontal, chained-declustering replicated, and vertical

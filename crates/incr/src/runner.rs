@@ -14,10 +14,16 @@
 //! 2. **Manifest** — each participating site sends the coordinator one
 //!    control message (`k` counts, its per-CFD touch counts), charged
 //!    [`CostModel::control_time`](dcd_dist::CostModel::control_time);
-//! 3. **Ship** — sites ship only `(tid, codes)` delta rows: an insert
-//!    row at the schema's arity, a delete row at width 0 (its id alone),
-//!    priced by
-//!    [`ShipmentLedger::ship_rows`](dcd_dist::ShipmentLedger::ship_rows);
+//! 3. **Ship** — a site ships the coordinator the `(tid, codes)` delta
+//!    rows that match some pattern's LHS of some CFD of Σ, as §IV's
+//!    round ships only the tuples σ sends to a pattern (a row that
+//!    matches none cannot violate): an insert at the width of attr(Σ),
+//!    the union of every CFD's `X ∪ {A}`, a delete at width 0 (its id
+//!    alone). It judges each row against Σ's tableaux as the batch's
+//!    interning left them, charged `match_coeff` per pattern comparison
+//!    as σ counts them. Replica synchronization ships every row whole.
+//!    The ledger prices each row
+//!    ([`ShipmentLedger::ship_rows`](dcd_dist::ShipmentLedger::ship_rows));
 //!    receivers wait for senders ([`Transfer`](dcd_core::ctx::Transfer));
 //! 4. **Maintain** — the coordinator updates every index (in parallel
 //!    per CFD on the pool), charged `check_time` of the members each
@@ -55,8 +61,10 @@
 
 use crate::delta::DeltaBatch;
 use crate::index::ViolationIndex;
-use dcd_cfd::{Cfd, ViolationReport};
+use dcd_cfd::pattern::generality_order;
+use dcd_cfd::{Cfd, SimpleCfd, ViolationReport};
 use dcd_core::report::Detection;
+use dcd_core::sigma::{sigma_partition, sort_for_sigma, SortedCfd};
 use dcd_core::{MinedTableau, MiningConfig, RunConfig, RunCtx};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{
@@ -72,7 +80,9 @@ use std::sync::Arc;
 /// The algorithm label incremental detections carry.
 pub const ALGORITHM: &str = "INCRDETECT";
 
-/// A site's encoded wire payload: `(tid, full-width code row)` pairs.
+/// `(tid, full-width code row)` pairs: the rows a coordinator's indices
+/// receive. The wire prices only the ones a site ships, at their shipped
+/// width.
 type CodeRows = Vec<(TupleId, Box<[u32]>)>;
 
 /// Result of one delta round.
@@ -87,9 +97,10 @@ pub struct RoundOutput {
 /// A stateful incremental detection run over a horizontal partition
 /// (optionally replicated by chained declustering).
 ///
-/// Construction performs the one-off index build: every site scans and
-/// ships its fragment *as code rows* to the coordinator (already far
-/// cheaper than value shipping), after which [`Self::apply_batch`]
+/// Construction performs the one-off index build: every site scans its
+/// fragment, and ships the coordinator the rows that match some pattern
+/// of Σ, as code rows over attr(Σ) — what a batch round's σ phase would
+/// send it — after which [`Self::apply_batch`]
 /// maintains the violation report per delta batch. All accounting
 /// (ledger, clocks, paper cost) accumulates across the run, exactly
 /// like `SEQDETECT` pipelines rounds.
@@ -101,14 +112,18 @@ pub struct IncrementalRun {
     /// Incrementally-maintained mined tableaux (see
     /// [`Self::track_mining`]); empty unless mining is tracked.
     miners: Vec<MinedTableau>,
+    /// |attr(Σ)|: the code cells of a matching insert row on the wire.
+    width: usize,
     coord: Coordinator,
 }
 
 impl IncrementalRun {
     /// Builds the run over a plain horizontal partition: picks the
-    /// coordinator (the site holding the most tuples, ties to the
-    /// smallest id — the `CTRDETECT` rule), ships every fragment's code
-    /// rows there, and builds one violation index per compiled CFD.
+    /// coordinator — the site holding the most tuples, ties to the
+    /// smallest id; `CTRDETECT` instead picks the most *matching* tuples,
+    /// and the two agree when matches spread as the tuples do — ships it
+    /// every other fragment's matching rows, and builds one violation
+    /// index per compiled CFD.
     ///
     /// Refuses an invalid cost model, a CFD over another schema, and
     /// whatever [`HorizontalPartition::validate`] refuses of the
@@ -125,7 +140,7 @@ impl IncrementalRun {
 
     /// Builds the run over a replicated partition. The coordinator
     /// reads every fragment it holds a replica of locally — only
-    /// non-replicated fragments ship their code rows — and delta
+    /// non-replicated fragments ship their matching rows — and delta
     /// rounds charge replica-synchronization traffic from each origin
     /// site to the other holders of its fragment.
     pub fn new_replicated(
@@ -150,7 +165,6 @@ impl IncrementalRun {
         // than on the first batch (a sorted dictionary searches its table
         // and builds none).
         dicts.iter().for_each(|d| d.ensure_indexed());
-        let arity = partition.schema().arity();
         let attrs: Vec<AttrId> = partition.schema().attr_ids().collect();
         let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
         let coordinator = (0..n).max_by_key(|&i| (sizes[i], n - i));
@@ -159,41 +173,55 @@ impl IncrementalRun {
             reason = "internal invariant: `validate` refused a partition of no fragment"
         )]
         let coordinator = SiteId(coordinator.expect("n ≥ 1") as u32);
+        let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
+        let sorted: Vec<SortedCfd> = simples.iter().map(sort_for_sigma).collect();
+        let width = attr_width(&simples);
+        // A fragment the coordinator holds (its own, or a replica) ships
+        // nothing.
+        let ships = |i: usize| sizes[i] > 0 && !holds(n, factor, coordinator.index(), i);
 
-        // Phase 1: every site scans its fragment once, encoding the
-        // (tid, codes) rows it will ship (parallel).
-        let encoded: Vec<CodeRows> = ctx.phase("incr:build-scan", |p| {
-            let encoded = scoped_map(cfg.threads, 0..n, |i| {
-                let frag = &partition.fragments()[i];
-                frag.data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>())
+        // Phase 1: every site scans its fragment once, encoding its
+        // (tid, codes) rows for the coordinator's indices; a site that
+        // ships also runs σ's scan over it, which finds its matching
+        // rows (parallel).
+        let scanned: Vec<(CodeRows, Judged)> = ctx.phase("incr:build-scan", |p| {
+            let scanned = scoped_map(cfg.threads, 0..n, |i| {
+                let data = &partition.fragments()[i].data;
+                let rows = data.code_rows(&attrs, &(0..sizes[i]).collect::<Vec<_>>());
+                let judged =
+                    if ships(i) { judge_fragment(data, &sorted) } else { Judged::default() };
+                (rows, judged)
             });
-            for (frag, &size) in partition.fragments().iter().zip(&sizes) {
-                if size > 0 {
-                    p.compute(frag.site, cfg.cost.scan_time(size));
+            for (frag, (_, judged)) in partition.fragments().iter().zip(&scanned) {
+                if !frag.data.is_empty() {
+                    let matching = cfg.cost.match_coeff * judged.comparisons as f64;
+                    p.compute(frag.site, cfg.cost.scan_time(frag.data.len()) + matching);
                 }
             }
-            encoded
+            scanned
         });
         let mut rows: CodeRows = Vec::with_capacity(sizes.iter().sum());
-        for site_rows in encoded {
+        let mut judged: Vec<Judged> = Vec::with_capacity(n);
+        for (site_rows, site_judged) in scanned {
             rows.extend(site_rows);
+            judged.push(site_judged);
         }
 
-        // Phase 2: code rows travel to the coordinator — except from
-        // fragments it already holds a replica of.
+        // Phase 2: the matching rows travel to the coordinator over
+        // attr(Σ).
         ctx.phase("incr:build-ship", |p| {
             let mut wire = p.transfer();
-            for (i, frag) in partition.fragments().iter().enumerate() {
-                if sizes[i] > 0 && !holds(n, factor, coordinator.index(), i) {
-                    wire.send(coordinator, frag.site, sizes[i], arity);
+            for (frag, judged) in partition.fragments().iter().zip(&judged) {
+                if judged.inserts > 0 {
+                    wire.send(coordinator, frag.site, judged.inserts, width);
                 }
             }
             wire.commit();
         });
 
-        // Phase 3: index build at the coordinator.
+        // Phase 3: index build at the coordinator, over every row.
         let coord = Coordinator::build(ctx, coordinator, sigma, &dicts, &rows);
-        Ok(IncrementalRun { partition, factor, miners: Vec::new(), coord })
+        Ok(IncrementalRun { partition, factor, miners: Vec::new(), width, coord })
     }
 
     /// Applies one delta batch — one round of the protocol — and
@@ -212,19 +240,42 @@ impl IncrementalRun {
         // (locating the deletes, insert-id uniqueness) plus per-op
         // interning, whatever lookup `locate_delta` ran on this host.
         let cfg = *self.coord.ctx.cfg();
+        let scans: Vec<f64> = self
+            .partition
+            .fragments()
+            .iter()
+            .zip(&batch.per_site)
+            .map(|(f, delta)| cfg.cost.scan_time(f.data.len() + delta.n_ops()))
+            .collect();
+        let effects = self.partition.apply_delta(&batch.per_site, cfg.threads)?;
+
+        let (n, factor, width) = (self.partition.n_sites(), self.factor, self.width);
+        let arity = self.partition.schema().arity();
+        let (coordinator, k) = (self.coord.site, self.coord.indices.len());
+        let ships = |i: usize| !holds(n, factor, coordinator.index(), i);
+
+        // Each site that ships the coordinator judges its effect's rows
+        // against Σ's tableaux once the batch has interned its values —
+        // where every index's `apply` would recompile them — and pays
+        // for the comparisons after its apply pass.
+        self.coord.indices.iter_mut().for_each(ViolationIndex::recompile);
+        let mut judge = Judge::new(&self.coord.indices);
+        let judged: Vec<Judged> = effects
+            .iter()
+            .enumerate()
+            .map(|(i, effect)| if ships(i) { judge.effect(effect) } else { Judged::default() })
+            .collect();
         let charges: Vec<(SiteId, f64)> = self
             .partition
             .fragments()
             .iter()
             .zip(&batch.per_site)
-            .filter(|(_, delta)| !delta.is_empty())
-            .map(|(f, delta)| (f.site, cfg.cost.scan_time(f.data.len() + delta.n_ops())))
+            .zip(scans.iter().zip(&judged))
+            .filter(|((_, delta), _)| !delta.is_empty())
+            .map(|((f, _), (scan, judged))| {
+                (f.site, scan + cfg.cost.match_coeff * judged.comparisons as f64)
+            })
             .collect();
-        let effects = self.partition.apply_delta(&batch.per_site, cfg.threads)?;
-
-        let (n, factor) = (self.partition.n_sites(), self.factor);
-        let arity = self.partition.schema().arity();
-        let (coordinator, k) = (self.coord.site, self.coord.indices.len());
         let miners = &mut self.miners;
         Ok(self.coord.round(batch.n_ops(), charges, effects, |ctx, effects| {
             // Delta manifests: one control message per participating
@@ -237,23 +288,25 @@ impl IncrementalRun {
                 }
             });
 
-            // Ship (tid, codes) delta rows — to the other replica holders
-            // (synchronization) and to the coordinator unless it holds a
-            // replica of the origin fragment.
+            // Ship (tid, codes) delta rows: every row whole to the other
+            // holders of the origin fragment (replica synchronization), and
+            // the matching rows over attr(Σ) to a coordinator that holds
+            // none. A holding coordinator receives its sync copy alone.
             ctx.phase("incr:ship", |p| {
                 let mut wire = p.transfer();
-                for (i, effect) in effects.iter().enumerate() {
+                for ((i, effect), judged) in effects.iter().enumerate().zip(&judged) {
                     if effect.is_empty() {
                         continue;
                     }
-                    // Each receiver gets one copy: a holding coordinator's
-                    // is its replica sync.
                     let from = SiteId(i as u32);
-                    let receives =
-                        |h| h != i && (h == coordinator.index() || holds(n, factor, h, i));
-                    for to in (0..n).filter(|&h| receives(h)).map(|h| SiteId(h as u32)) {
+                    let syncs = |&h: &usize| h != i && holds(n, factor, h, i);
+                    for to in (0..n).filter(syncs).map(|h| SiteId(h as u32)) {
                         wire.send(to, from, effect.inserted.len(), arity);
                         wire.send(to, from, effect.deleted.len(), 0);
+                    }
+                    if ships(i) {
+                        wire.send(coordinator, from, judged.inserts, width);
+                        wire.send(coordinator, from, judged.deletes, 0);
                     }
                 }
                 wire.commit();
@@ -479,6 +532,106 @@ impl Coordinator {
     /// A [`Detection`] snapshot of the whole run so far.
     fn detection(&self) -> Detection {
         self.ctx.snapshot(ALGORITHM, self.report())
+    }
+}
+
+/// |attr(Σ)|: the attributes Σ's simple CFDs ship, `X ∪ {A}` each
+/// ([`SimpleCfd::shipped_attrs`]), united.
+fn attr_width(simples: &[SimpleCfd]) -> usize {
+    let mut attrs: Vec<AttrId> = simples.iter().flat_map(SimpleCfd::shipped_attrs).collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    attrs.len()
+}
+
+/// What a site found among the rows it would ship the coordinator: how
+/// many of its inserts (at the build, its fragment's rows) and deletes
+/// match some pattern of Σ, and the pattern comparisons it made to say.
+#[derive(Debug, Clone, Copy, Default)]
+struct Judged {
+    inserts: usize,
+    deletes: usize,
+    comparisons: usize,
+}
+
+/// A fragment judged at the build: σ's scan of Lemma 6
+/// ([`sigma_partition`]) over every pattern of each of Σ's CFDs — once
+/// per distinct pinned projection, not once per row — and a row matches
+/// when it lands in some CFD's block. `comparisons` sums σ's count
+/// over the CFDs.
+fn judge_fragment(data: &Relation, sorted: &[SortedCfd]) -> Judged {
+    let mut hit = vec![false; data.len()];
+    let mut comparisons = 0;
+    for cfd in sorted {
+        let every: Vec<usize> = (0..cfd.cfd.tableau.len()).collect();
+        let part = sigma_partition(data, cfd, &every);
+        comparisons += part.comparisons;
+        for &r in part.blocks.iter().flatten() {
+            hit[r] = true;
+        }
+    }
+    let inserts = hit.iter().filter(|&&h| h).count();
+    Judged { inserts, deletes: 0, comparisons }
+}
+
+/// A batch's rows judged at their sites, one row at a time, over the
+/// tableaux the coordinator's indices compiled: every site codes
+/// against the partition's one dictionary set, so a site's compiled
+/// tableau is the index's. A row matches when some CFD's
+/// [`ViolationIndex::matched_into`] is non-empty, and it is charged what
+/// σ's scan would try: the σ position of its first match plus one, or
+/// the whole tableau on a miss, summed over the CFDs.
+struct Judge<'a> {
+    /// Per CFD: its index, and each pattern's position in σ's scan order
+    /// (most specific first, [`generality_order`]).
+    cfds: Vec<(&'a ViolationIndex, Vec<u32>)>,
+    lhs: Vec<u32>,
+    probe: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl<'a> Judge<'a> {
+    fn new(indices: &'a [ViolationIndex]) -> Self {
+        let cfds = indices
+            .iter()
+            .map(|index| {
+                let tableau = &index.cfd().tableau;
+                let mut position = vec![0u32; tableau.len()];
+                for (at, pattern) in generality_order(tableau).into_iter().enumerate() {
+                    position[pattern] = at as u32;
+                }
+                (index, position)
+            })
+            .collect();
+        Judge { cfds, lhs: Vec::new(), probe: Vec::new(), ranks: Vec::new() }
+    }
+
+    fn effect(&mut self, effect: &DeltaEffect) -> Judged {
+        let mut judged = Judged::default();
+        for (_, codes) in &effect.inserted {
+            judged.inserts += usize::from(self.row(codes, &mut judged.comparisons));
+        }
+        for (_, codes) in &effect.deleted {
+            judged.deletes += usize::from(self.row(codes, &mut judged.comparisons));
+        }
+        judged
+    }
+
+    /// Whether the full-width row `codes` matches; adds its comparisons.
+    fn row(&mut self, codes: &[u32], comparisons: &mut usize) -> bool {
+        let Judge { cfds, lhs, probe, ranks } = self;
+        let mut hit = false;
+        for (index, position) in cfds.iter() {
+            index.matched_into(codes, lhs, probe, ranks);
+            match ranks.iter().map(|&r| position[r as usize]).min() {
+                Some(first) => {
+                    hit = true;
+                    *comparisons += first as usize + 1;
+                }
+                None => *comparisons += position.len(),
+            }
+        }
+        hit
     }
 }
 

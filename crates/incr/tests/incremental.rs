@@ -3,12 +3,15 @@
 //! every batch, on every topology, and the run's `Detection` must be
 //! `==` across pool widths.
 
-use dcd_cfd::{detect_set, Cfd};
-use dcd_core::{Detection, RunConfig};
+use dcd_cfd::{detect_set, Cfd, PatternTuple, PatternValue};
+use dcd_core::{run_batch, CoordinatorStrategy, Detection, RunConfig};
 use dcd_datagen::cust::{cust_cfds, CustConfig};
 use dcd_datagen::{update_stream, UpdateStreamConfig};
-use dcd_dist::{HorizontalPartition, ReplicatedPartition, VerticalPartition};
+use dcd_dist::{HorizontalPartition, ReplicatedPartition, SiteId, VerticalPartition, TID_CELLS};
 use dcd_incr::{DeltaBatch, IncrementalRun, VerticalIncrementalRun};
+use dcd_relation::{
+    vals, AttrId, Relation, RelationDelta, Schema, Tuple, TupleId, Value, ValueType,
+};
 
 /// `n` cust tuples with 5 % of the streets corrupted, and the cust CFDs.
 fn workload(n: usize) -> (dcd_relation::Relation, Vec<Cfd>) {
@@ -73,31 +76,210 @@ fn pool_width_never_changes_incremental_outputs() {
     assert_eq!(run1.detection(), run8.detection());
 }
 
+/// Whether `t` matches some pattern's LHS in some CFD of `sigma`, read off
+/// the values: the §IV test of which tuples a round ships. It shares no
+/// code with the engine's compiled tableaux.
+fn matches_sigma(sigma: &[Cfd], t: &Tuple) -> bool {
+    sigma.iter().flat_map(Cfd::simplify).any(|cfd| {
+        cfd.tableau.iter().any(|pattern| {
+            cfd.lhs.iter().zip(&pattern.lhs).all(|(&a, cell)| match cell {
+                PatternValue::Wild => true,
+                PatternValue::Const(v) => t.get(a) == v,
+            })
+        })
+    })
+}
+
+/// |attr(Σ)|: the attributes of every CFD's `X ∪ {A}`, counted once.
+fn attr_width(sigma: &[Cfd]) -> usize {
+    let mut attrs: Vec<AttrId> = sigma
+        .iter()
+        .flat_map(Cfd::simplify)
+        .flat_map(|cfd| cfd.lhs.iter().copied().chain([cfd.rhs]).collect::<Vec<_>>())
+        .collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    attrs.len()
+}
+
+/// `(rows, cells)` a site ships the coordinator for `inserts` and
+/// `deletes` under `sigma`: the matching ones only, an insert over attr(Σ)
+/// and a delete as its id alone.
+fn shipped_to_coordinator(sigma: &[Cfd], inserts: &[Tuple], deletes: &[Tuple]) -> (usize, usize) {
+    let count = |rows: &[Tuple]| rows.iter().filter(|t| matches_sigma(sigma, t)).count();
+    let (ins, del) = (count(inserts), count(deletes));
+    (ins + del, ins * (attr_width(sigma) + TID_CELLS) + del * TID_CELLS)
+}
+
+/// A session ships its coordinator what §IV's round would: a row that
+/// matches no pattern's LHS cannot violate and stays at its site, and a
+/// matching one travels over attr(Σ), not at the schema's arity — at the
+/// build and in every batch. The expected rows and cells come from
+/// [`matches_sigma`], a value-level match; the batches insert rows that
+/// match nothing (a country code no pattern names, interned by the batch
+/// itself) and delete rows that did match, besides the other two kinds.
+/// The second batch's new country code is one a pattern names: the batch
+/// interns it, and its rows match from that batch on.
 #[test]
 fn delta_wire_accounting_is_code_sized() {
-    let (rel, sigma) = workload(600);
-    let arity = rel.schema().arity();
+    let (rel, cust) = workload(600);
+    // The FD `[CC, item_title] → [item_price]` matches every tuple; the
+    // other two CFDs leave most of them out. No tuple has CC = 901.
+    let late = dcd_cfd::parse_cfd(rel.schema(), "cust_901", "([CC=901, zip] -> [street])");
+    let sigma = vec![cust[0].clone(), cust[2].clone(), late.unwrap()];
+    assert_eq!(attr_width(&sigma), 5, "CC, AC, street, city, zip");
     let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
     let mut run = IncrementalRun::new(partition.clone(), &sigma, RunConfig::default()).unwrap();
+    let c = run.coordinator().index();
     let built = run.detection();
-    // The build ships every non-coordinator row once, at 4 bytes/cell.
+    let (mut rows, mut cells) = (0, 0);
+    for (i, frag) in partition.fragments().iter().enumerate().filter(|&(i, _)| i != c) {
+        let (r, k) = shipped_to_coordinator(&sigma, &frag.data.iter().collect::<Vec<_>>(), &[]);
+        assert!(0 < r && r < frag.data.len(), "site {i} ships some of its rows, not all");
+        (rows, cells) = (rows + r, cells + k);
+    }
+    assert_eq!((built.shipped_tuples, built.shipped_cells), (rows, cells), "the build");
     assert_eq!(built.shipped_bytes, built.shipped_cells * dcd_dist::CODE_BYTES);
-    let per_row = arity + dcd_dist::TID_CELLS;
-    assert_eq!(built.shipped_cells, built.shipped_tuples * per_row);
 
-    let stream = update_stream(
-        &partition,
-        &UpdateStreamConfig { n_batches: 1, ops_per_batch: 50, ..Default::default() },
+    let mut next_id = 10_000;
+    for round in 0..2 {
+        let before = run.detection();
+        let (mut per_site, mut rows, mut cells) = (Vec::new(), 0, 0);
+        for (i, frag) in run.partition().fragments().iter().enumerate() {
+            let live: Vec<Tuple> = frag.data.iter().collect();
+            let (hits, misses): (Vec<&Tuple>, Vec<&Tuple>) =
+                live.iter().partition(|t| matches_sigma(&sigma, t));
+            let deletes: Vec<Tuple> = [hits[0], hits[1], misses[0]].map(Tuple::clone).to_vec();
+            let mut fresh = |template: &Tuple, cc: Option<i64>| {
+                next_id += 1;
+                let mut values = template.values().to_vec();
+                if let Some(cc) = cc {
+                    values[2] = Value::Int(cc);
+                }
+                Tuple::new(TupleId(next_id), values)
+            };
+            // Two inserts that match nothing, one that matches, and in the
+            // second batch the first matches too.
+            let inserts = vec![
+                fresh(hits[2], Some(900 + round)),
+                fresh(misses[1], None),
+                fresh(hits[3], None),
+            ];
+            let matching = inserts.iter().filter(|t| matches_sigma(&sigma, t)).count();
+            assert_eq!(matching as i64, 1 + round);
+            if i != c {
+                let (r, k) = shipped_to_coordinator(&sigma, &inserts, &deletes);
+                assert_eq!(r, matching + 2, "site {i}: two deletes match");
+                (rows, cells) = (rows + r, cells + k);
+            }
+            let ids = deletes.iter().map(|t| t.tid).collect();
+            per_site.push(RelationDelta::new(inserts, ids));
+        }
+        let out = run.apply_batch(&DeltaBatch::new(per_site)).unwrap();
+        assert_report_matches_full(&out.report, &run.materialize().unwrap(), &sigma);
+        let after = run.detection();
+        let shipped = (
+            after.shipped_tuples - before.shipped_tuples,
+            after.shipped_cells - before.shipped_cells,
+        );
+        assert_eq!(shipped, (rows, cells), "batch {round}");
+        assert_eq!(after.shipped_bytes, after.shipped_cells * dcd_dist::CODE_BYTES);
+    }
+}
+
+/// The first pin of a session's meters to a batch round's: over one
+/// partition and a one-CFD Σ of variable patterns, a session's build
+/// ships exactly the tuples and cells `run_batch` ships under
+/// `CoordinatorStrategy::Central`. The session's coordinator holds the
+/// most tuples, CTRDETECT's the most matching tuples; in this layout
+/// both are site 0, which holds 13 of the 37 tuples and only matching
+/// ones. (A constant pattern would part them: the batch round checks it
+/// at the site, Proposition 5, while the session ships its rows.)
+///
+/// Under chained replication at factor 2, site 0 also holds fragment 2:
+/// the build ships fragment 1's matching rows alone, and in a batch each
+/// fragment's rows travel whole, at the schema's arity, to its other
+/// holder, while the coordinator receives fragment 1's matching rows over
+/// attr(Σ) and, for fragment 2, its sync copy and nothing else.
+#[test]
+fn a_session_build_ships_what_a_central_round_ships() {
+    let schema = Schema::builder("r")
+        .attr("id", ValueType::Int)
+        .attr("a", ValueType::Int)
+        .attr("b", ValueType::Int)
+        .attr("c", ValueType::Str)
+        .attr("d", ValueType::Str)
+        .key(&["id"])
+        .build()
+        .unwrap();
+    // Round robin: tuple i goes to site i mod 3, and every tuple of site
+    // 0 has a = 1.
+    let row = |i: i64| {
+        let a = if i % 3 == 0 { 1 } else { i % 4 };
+        vals![i, a, i % 5, format!("c{}", i % 2), format!("d{}", i % 7)]
+    };
+    let rel = Relation::from_rows(schema.clone(), (0..37).map(row).collect()).unwrap();
+    // (a = 1, _ ‖ _), (a = 3, b = 2 ‖ _) and (a = 9, _ ‖ _); no tuple has a = 9.
+    let (w, c) = (PatternValue::Wild, |v: i64| PatternValue::constant(v));
+    let tableau = [(c(1), w.clone()), (c(3), c(2)), (c(9), w.clone())]
+        .map(|(a, b)| PatternTuple::new(vec![a, b], vec![w.clone()]));
+    let phi = Cfd::with_names("phi", schema.clone(), &["a", "b"], &["c"], tableau.to_vec());
+    let sigma = [phi.unwrap()];
+    let simples = sigma[0].simplify();
+    assert!(simples[0].tableau.iter().all(|p| !p.is_constant()));
+    let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+    let matching: Vec<usize> = partition
+        .fragments()
+        .iter()
+        .map(|f| f.data.iter().filter(|t| matches_sigma(&sigma, t)).count())
+        .collect();
+    let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
+    assert_eq!((sizes, matching.clone()), (vec![13, 12, 12], vec![13, 4, 3]));
+
+    let cfg = RunConfig::default();
+    let run = IncrementalRun::new(partition.clone(), &sigma, cfg).unwrap();
+    assert_eq!(run.coordinator(), SiteId(0));
+    let session = run.detection();
+    let round = run_batch(&partition, &simples, CoordinatorStrategy::Central, &cfg);
+    assert_eq!(
+        (session.shipped_tuples, session.shipped_cells),
+        (round.shipped_tuples, round.shipped_cells)
     );
-    run.apply_batch(&DeltaBatch::from(stream[0].clone())).unwrap();
+    let per_row = 3 + TID_CELLS; // attr(Σ) = {a, b, c}
+    assert_eq!((session.shipped_tuples, session.shipped_cells), (7, 7 * per_row));
+
+    let replicated = ReplicatedPartition::chained(partition.clone(), 2).unwrap();
+    let mut run = IncrementalRun::new_replicated(&replicated, &sigma, cfg).unwrap();
+    assert_eq!(run.coordinator(), SiteId(0));
+    let built = run.detection();
+    assert_eq!((built.shipped_tuples, built.shipped_cells), (matching[1], matching[1] * per_row));
+
+    // Each site inserts one matching and one unmatched tuple and deletes
+    // one matching tuple.
+    let arity = schema.arity();
+    let (mut per_site, mut rows, mut cells) = (Vec::new(), 0, 0);
+    for (i, frag) in partition.fragments().iter().enumerate() {
+        let inserts: Vec<Tuple> = [(1, 100), (2, 101)]
+            .map(|(a, k)| {
+                let tid = k * 10 + i as u64;
+                Tuple::new(TupleId(tid), vals![tid as i64, a, 0, "c9", "d9"])
+            })
+            .to_vec();
+        let gone = frag.data.iter().find(|t| matches_sigma(&sigma, t)).unwrap();
+        // The other holder's whole-row sync copy.
+        (rows, cells) = (rows + 3, cells + 2 * (arity + TID_CELLS) + TID_CELLS);
+        if i == 1 {
+            let (r, k) = shipped_to_coordinator(&sigma, &inserts, std::slice::from_ref(&gone));
+            assert_eq!((r, k), (2, per_row + TID_CELLS));
+            (rows, cells) = (rows + r, cells + k);
+        }
+        per_site.push(RelationDelta::new(inserts, vec![gone.tid]));
+    }
+    run.apply_batch(&DeltaBatch::new(per_site)).unwrap();
     let after = run.detection();
-    assert!(after.shipped_tuples > built.shipped_tuples);
-    assert_eq!(after.shipped_bytes, after.shipped_cells * dcd_dist::CODE_BYTES);
-    // Delta traffic is per-row bounded: inserts cost arity+2 cells,
-    // deletes 2 cells — never more than a full row.
-    let delta_cells = after.shipped_cells - built.shipped_cells;
-    let delta_rows = after.shipped_tuples - built.shipped_tuples;
-    assert!(delta_cells <= delta_rows * per_row);
+    let shipped =
+        (after.shipped_tuples - built.shipped_tuples, after.shipped_cells - built.shipped_cells);
+    assert_eq!(shipped, (rows, cells));
 }
 
 #[test]
