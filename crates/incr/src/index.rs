@@ -54,9 +54,9 @@
 //! member that moved into it, so no member list is scanned, and members
 //! change order exactly as a search followed by `swap_remove` would.
 //!
-//! ## Two position tables, no second copy
+//! ## Position tables, no second copy
 //!
-//! Both lookups go through a [`PositionTable`], the workspace's one
+//! Every lookup goes through a [`PositionTable`], the workspace's one
 //! open-addressing table (it also holds every dictionary's value → code
 //! index), which stores where an entry lives and nothing else. The tid
 //! table holds an 8-byte `(slot, at)` per indexed row and compares a
@@ -68,10 +68,25 @@
 //! tid probe that hits is the repeated-tid panic. The hash maps they
 //! replace held a second copy: `FxHashMap<TupleId, (u32, u32)>` at 17 B
 //! a bucket and `FxHashMap<CodeKey, u32>` at 49 B, where the tables take
-//! 8 B and 4 B at load ≤ 7/8. On `cust_incr`'s 135 762 indexed rows
-//! under 10 197 keys the tid lookup fell from 4.25 MiB to 2 MiB and the
-//! key lookup from 0.77 MiB to 64 KiB, and the index as a whole from
-//! ≈ 79 B per indexed row to ≈ 56 B.
+//! 8 B and 4 B at load ≤ 7/8.
+//!
+//! ## Bytes per row and per key
+//!
+//! A member is a packed 12-byte `(tid, rhs code)`, where the pair pads
+//! to 16, and a key's state is 64 bytes: its member list, RHS counts and
+//! judgement, and a `u32` naming its matched-pattern list. The lists
+//! themselves are held once per distinct list in [`PatternLists`], found
+//! through a third position table that compares through the lists; a
+//! list is fixed by which of the tableau's LHS constants a key carries,
+//! so there are as many as the tableau allows, however long the stream.
+//! No key stores whether it is in `Vioπ`: that is whether its judgement
+//! flags a member, read when a batch first touches it. On `cust_incr`'s
+//! 135 762 indexed rows under 10 197 keys the index holds ≈ 5.3 MiB,
+//! ≈ 41 B per indexed row (≈ 79 B with the hash maps, ≈ 49 B with
+//! 16-byte members, 80-byte states and one boxed list per key): the tid
+//! table 2 MiB, the members ≈ 2.1 MiB, the 16 384 slots 1 MiB, the key
+//! table 64 KiB. Capacities still double as they grow; sizing a build
+//! exactly only moves the growth to the stream's first batch.
 
 use dcd_cfd::pattern::CompiledPattern;
 use dcd_cfd::{judge, Judgement, LhsIndex, SimpleCfd, ViolationSet};
@@ -150,37 +165,49 @@ impl RhsCounts {
 /// [`KeyState::fresh`] of a key the current batch has not touched.
 const IDLE: u32 = u32::MAX;
 
+/// One indexed row: its tuple id and RHS code, 12 bytes where the
+/// `(TupleId, u32)` pair it replaces pads to 16. Packed to 4-byte
+/// alignment, its fields are only ever read by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
+struct Member {
+    tid: TupleId,
+    rhs: u32,
+}
+
 /// Per-key state: the members, their RHS counts, and what the key
 /// contributes to the live violation set.
 #[derive(Debug)]
 struct KeyState {
-    /// Tableau indices (in tableau order) of the patterns whose
-    /// compiled LHS matches this key. Computed once at key creation;
-    /// stable for the key's lifetime (see module docs).
-    matched: Box<[u32]>,
     /// `(tid, rhs code)` per member row.
-    members: Vec<(TupleId, u32)>,
+    members: Vec<Member>,
     counts: RhsCounts,
     /// The judgement the key's live contribution reflects: its members
-    /// in `Vio` are those this judgement flags.
+    /// in `Vio` are those this judgement flags, and its decoded key is in
+    /// `Vioπ` exactly when it flags one.
     judgement: Judgement,
+    /// The list in [`PatternLists`] of the tableau indices (in tableau
+    /// order) of the patterns whose compiled LHS matches this key.
+    /// Computed once at key creation; stable for the key's lifetime (see
+    /// module docs). [`PatternLists::EMPTY`] for a free slot.
+    matched: u32,
     /// While a batch touches the key, `members[fresh..]` arrived in it;
     /// [`IDLE`] between batches.
     fresh: u32,
-    /// Whether the decoded key is in the live `Vioπ` set, i.e. whether
-    /// `judgement` flagged some member when the key was last settled.
-    in_patterns: bool,
 }
 
+// The layout the module docs' byte counts rest on.
+const _: () = assert!(size_of::<Member>() == 12);
+const _: () = assert!(size_of::<KeyState>() <= 64);
+
 impl KeyState {
-    fn new(matched: &[u32]) -> Self {
+    fn new(matched: u32) -> Self {
         KeyState {
-            matched: matched.into(),
             members: Vec::new(),
             counts: RhsCounts::EMPTY,
             judgement: Judgement::Clean,
+            matched,
             fresh: IDLE,
-            in_patterns: false,
         }
     }
 
@@ -194,9 +221,68 @@ impl KeyState {
     }
 }
 
+/// The distinct matched-pattern lists of an index's keys, each held
+/// once and named by a `u32` id; id [`Self::EMPTY`] is the empty list
+/// of a free slot, and the first list interned is id 1. A key's list is
+/// fixed by which of the tableau's LHS constants its codes carry, so
+/// the lists are bounded by the tableau, not by the stream, and none is
+/// ever dropped.
+#[derive(Debug, Default)]
+struct PatternLists {
+    /// The lists' tableau indices, one list after another.
+    ranks: Vec<u32>,
+    /// Where each list ends in `ranks`: list `id` ends at
+    /// `ends[id - 1]` and starts where list `id - 1` ends.
+    ends: Vec<u32>,
+    /// Each list's id, found through its ranks.
+    ids: PositionTable<u32>,
+}
+
+impl PatternLists {
+    const EMPTY: u32 = 0;
+
+    /// The list named `id`.
+    fn get(&self, id: u32) -> &[u32] {
+        list_of(&self.ranks, &self.ends, id)
+    }
+
+    /// The id of the non-empty list `ranks`, interned if it is new.
+    fn intern(&mut self, ranks: &[u32]) -> u32 {
+        let PatternLists { ranks: all, ends, ids } = self;
+        let hash = spread(ranks);
+        match ids.find(hash, |id| list_of(all, ends, id) == ranks) {
+            Ok(id) => id,
+            Err(free) => {
+                all.extend_from_slice(ranks);
+                // The table's empty mark is no list's end.
+                let end = u32::try_from(all.len()).ok().filter(|&end| end != u32::EMPTY);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant: the lists hold fewer than 2³² − 1 tableau indices (16 GiB of them)"
+                )]
+                ends.push(end.expect("fewer list ranks than u32::MAX"));
+                // Every list holds a rank, so no id passes its list's end.
+                let id = ends.len() as u32;
+                ids.fill(free, hash, id, |id| spread(list_of(all, ends, id)));
+                id
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.ranks.capacity() + self.ends.capacity()) * size_of::<u32>() + self.ids.heap_bytes()
+    }
+}
+
+/// List `id` of [`PatternLists`] over its `ranks` and `ends`.
+fn list_of<'a>(ranks: &'a [u32], ends: &[u32], id: u32) -> &'a [u32] {
+    let end = |id: u32| id.checked_sub(1).map_or(0, |i| ends[i as usize] as usize);
+    &ranks[end(id.saturating_sub(1))..end(id)]
+}
+
 /// The tid of the member at `(slot, at)`.
 fn member_tid(slots: &[KeyState], (slot, at): (u32, u32)) -> TupleId {
-    slots[slot as usize].members[at as usize].0
+    slots[slot as usize].members[at as usize].tid
 }
 
 /// The LHS codes of `slot`'s key: `width` cells of `slot_keys`.
@@ -209,11 +295,12 @@ fn key_codes(slot_keys: &[u32], width: usize, slot: u32) -> &[u32] {
 /// Holds shared dictionaries (so codes shipped from any fragment over
 /// the same dictionaries are directly comparable), the compiled
 /// tableau (its infeasible patterns refreshed per batch), the per-key
-/// states in a slab of slots, two `PositionTable`s — keys to slots,
-/// found through `slot_keys`, and tids to `(slot, position)`, found
-/// through the members, for delete routing: a delete reads one member,
-/// and re-points the one its `swap_remove` moved — and the live
-/// [`ViolationSet`] maintained incrementally.
+/// states in a slab of slots, the keys' distinct matched-pattern lists,
+/// two `PositionTable`s — keys to slots, found through `slot_keys`, and
+/// tids to `(slot, position)`, found through the members, for delete
+/// routing: a delete reads one member, and re-points the one its
+/// `swap_remove` moved — and the live [`ViolationSet`] maintained
+/// incrementally.
 #[derive(Debug)]
 pub struct ViolationIndex {
     cfd: SimpleCfd,
@@ -235,6 +322,8 @@ pub struct ViolationIndex {
     slot_keys: Vec<u32>,
     /// Slots whose key left the index, for the next new key.
     free: Vec<u32>,
+    /// The keys' matched-pattern lists, each held once.
+    lists: PatternLists,
     /// Invariant: there is one entry per member, `(slot, at)` where
     /// `slots[slot].members[at]` is the member, found by its tid.
     tid_key: PositionTable<(u32, u32)>,
@@ -266,6 +355,7 @@ impl ViolationIndex {
             slots: Vec::new(),
             slot_keys: Vec::new(),
             free: Vec::new(),
+            lists: PatternLists::default(),
             tid_key: PositionTable::new(),
             live: ViolationSet::default(),
         }
@@ -287,21 +377,20 @@ impl ViolationIndex {
         self.tid_key.len()
     }
 
-    /// Bytes the index holds on the heap, computed from capacities: the
-    /// slots (each key's state, member list and matched patterns), the
-    /// key codes, the free list and both position tables. It leaves out
-    /// the live [`ViolationSet`] and a key's RHS counts once they spill
-    /// into a map, whose hash tables are std's to size.
+    /// Bytes the index holds on the heap for its keys and rows, computed
+    /// from capacities: the slots (each key's state and member list), the
+    /// key codes, the free list, the matched-pattern lists with their
+    /// table, and both position tables. It leaves out what
+    /// [`Self::new`] allocates for the CFD and its compiled tableau, the
+    /// live [`ViolationSet`], and a key's RHS counts once they spill into
+    /// a map, whose hash tables are std's to size.
     pub fn heap_bytes(&self) -> usize {
-        let per_key: usize = self
-            .slots
-            .iter()
-            .map(|s| s.members.capacity() * size_of::<(TupleId, u32)>() + size_of_val(&*s.matched))
-            .sum();
+        let members: usize = self.slots.iter().map(|s| s.members.capacity()).sum();
         self.slots.capacity() * size_of::<KeyState>()
-            + per_key
+            + members * size_of::<Member>()
             + self.slot_keys.capacity() * size_of::<u32>()
             + self.free.capacity() * size_of::<u32>()
+            + self.lists.heap_bytes()
             + self.keys.heap_bytes()
             + self.tid_key.heap_bytes()
     }
@@ -371,7 +460,10 @@ impl ViolationIndex {
     /// membership rule.
     pub fn apply(&mut self, deletes: &[TupleId], inserts: &[(TupleId, Box<[u32]>)]) -> usize {
         self.recompile();
-        let mut touched: Vec<u32> = Vec::new();
+        // Each key the batch touches, with whether its decoded key was in
+        // `Vioπ` before the batch: whether its judgement flagged a member
+        // then, read before any member moves.
+        let mut touched: Vec<(u32, bool)> = Vec::new();
         let mut examined = 0;
 
         for tid in deletes {
@@ -380,11 +472,14 @@ impl ViolationIndex {
             let removed =
                 self.tid_key.remove(spread(tid), |at| tid_of(at) == *tid, |at| spread(&tid_of(at)));
             let Some((slot, at)) = removed else { continue };
-            let members = &self.slots[slot as usize].members;
-            let tail = members.len() as u32 - 1;
+            let state = &self.slots[slot as usize];
+            if state.fresh == IDLE {
+                touched.push((slot, state.flagged() > 0));
+            }
+            let tail = state.members.len() as u32 - 1;
             if at != tail {
                 // The tail member moves into `at`: re-point its entry.
-                let moved = members[tail as usize].0;
+                let moved = state.members[tail as usize].tid;
                 let entry = self.tid_key.get_mut(spread(&moved), |e| e == (slot, tail));
                 #[expect(
                     clippy::expect_used,
@@ -394,13 +489,10 @@ impl ViolationIndex {
                 *entry = (slot, at);
             }
             let state = &mut self.slots[slot as usize];
-            let (_, rhs) = state.members.swap_remove(at as usize);
+            let Member { rhs, .. } = state.members.swap_remove(at as usize);
             state.counts.remove(rhs);
             if state.judgement.flags(rhs) {
                 self.live.remove(*tid);
-            }
-            if state.fresh == IDLE {
-                touched.push(slot);
             }
             // Deletes precede inserts: no member has arrived yet.
             state.fresh = state.members.len() as u32;
@@ -459,18 +551,18 @@ impl ViolationIndex {
             let state = &mut self.slots[slot as usize];
             if state.fresh == IDLE {
                 state.fresh = at;
-                touched.push(slot);
+                touched.push((slot, state.flagged() > 0));
             }
             let rhs = codes[self.rhs_pos];
-            state.members.push((*tid, rhs));
+            state.members.push(Member { tid: *tid, rhs });
             state.counts.add(rhs);
             examined += 1;
         }
         let slots = &self.slots;
         self.tid_key.shrink(|at| spread(&member_tid(slots, at)));
 
-        for slot in touched {
-            examined += self.settle(slot);
+        for (slot, in_patterns) in touched {
+            examined += self.settle(slot, in_patterns);
         }
         examined
     }
@@ -478,7 +570,7 @@ impl ViolationIndex {
     /// A slot for a new key with LHS codes `lhs` matching the patterns
     /// `matched` — a freed one if any.
     fn open_slot(&mut self, lhs: &[u32], matched: &[u32]) -> u32 {
-        let state = KeyState::new(matched);
+        let state = KeyState::new(self.lists.intern(matched));
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = state;
@@ -504,29 +596,31 @@ impl ViolationIndex {
     /// counts, flags its new members — or, if the judgement changed,
     /// retracts the surviving old flags and flags every member — moves
     /// its decoded key into or out of `Vioπ` if the flagged count crossed
-    /// 0, and frees the slot of a key left without members. Returns the
-    /// old members examined.
-    fn settle(&mut self, slot: u32) -> usize {
+    /// 0 (`in_patterns` says whether it was in before the batch), and
+    /// frees the slot of a key left without members. Returns the old
+    /// members examined.
+    fn settle(&mut self, slot: u32, in_patterns: bool) -> usize {
         let state = &mut self.slots[slot as usize];
         let fresh = std::mem::replace(&mut state.fresh, IDLE) as usize;
-        let specs = state.matched.iter().map(|&pi| self.compiled[pi as usize].rhs_spec());
+        let matched = self.lists.get(state.matched);
+        let specs = matched.iter().map(|&pi| self.compiled[pi as usize].rhs_spec());
         let judgement = judge(specs, state.counts.conflict(), false);
         let mut examined = 0;
         if judgement == state.judgement {
-            for &(tid, rhs) in &state.members[fresh..] {
-                if judgement.flags(rhs) {
-                    self.live.insert(tid);
+            for m in &state.members[fresh..] {
+                if judgement.flags(m.rhs) {
+                    self.live.insert(m.tid);
                 }
             }
         } else {
-            for &(tid, rhs) in &state.members[..fresh] {
-                if state.judgement.flags(rhs) {
-                    self.live.remove(tid);
+            for m in &state.members[..fresh] {
+                if state.judgement.flags(m.rhs) {
+                    self.live.remove(m.tid);
                 }
             }
-            for &(tid, rhs) in &state.members {
-                if judgement.flags(rhs) {
-                    self.live.insert(tid);
+            for m in &state.members {
+                if judgement.flags(m.rhs) {
+                    self.live.insert(m.tid);
                 }
             }
             state.judgement = judgement;
@@ -536,8 +630,7 @@ impl ViolationIndex {
         let width = self.lhs_pos.len();
         let codes = key_codes(&self.slot_keys, width, slot);
         let flagging = state.flagged() > 0;
-        if flagging != state.in_patterns {
-            state.in_patterns = flagging;
+        if flagging != in_patterns {
             let decoded: Vec<Value> =
                 self.lhs_dicts.iter().zip(codes).map(|(d, &c)| d.value(c)).collect();
             if flagging {
@@ -549,7 +642,7 @@ impl ViolationIndex {
         if state.members.is_empty() {
             // Last member gone: the key leaves the index entirely (a
             // later re-appearance recomputes `matched` freshly).
-            *state = KeyState::new(&[]);
+            *state = KeyState::new(PatternLists::EMPTY);
             let slot_keys = &self.slot_keys;
             self.keys.remove(
                 spread(codes),
@@ -905,7 +998,8 @@ mod tests {
         let members: usize = index.slots.iter().map(|s| s.members.len()).sum();
         assert_eq!(index.tid_key.len(), members, "one routing entry per member {label}");
         for (slot, state) in (0u32..).zip(&index.slots) {
-            for (at, &(tid, _)) in (0u32..).zip(&state.members) {
+            for (at, m) in (0u32..).zip(&state.members) {
+                let tid = m.tid;
                 let found = index.tid_key.get(spread(&tid), |e| member_tid(&index.slots, e) == tid);
                 assert_eq!(found, Some((slot, at)), "{tid:?} is found at its member {label}");
             }
@@ -1088,7 +1182,7 @@ mod tests {
                 // The member lists a search for each deleted tid followed
                 // by `swap_remove` leaves, keyed by LHS codes.
                 let width = index.lhs_pos.len();
-                let mut lists: BTreeMap<Vec<u32>, Vec<(TupleId, u32)>> = (0u32..)
+                let mut lists: BTreeMap<Vec<u32>, Vec<Member>> = (0u32..)
                     .zip(&index.slots)
                     .filter(|(_, s)| !s.members.is_empty())
                     .map(|(slot, s)| {
@@ -1098,9 +1192,11 @@ mod tests {
                 let start: BTreeMap<Vec<u32>, usize> =
                     lists.iter().map(|(k, m)| (k.clone(), m.len())).collect();
                 for tid in &deletes {
-                    let (key, members) =
-                        lists.iter_mut().find(|(_, m)| m.iter().any(|&(t, _)| t == *tid)).unwrap();
-                    let at = members.iter().position(|&(t, _)| t == *tid).unwrap();
+                    let (key, members) = lists
+                        .iter_mut()
+                        .find(|(_, m)| m.iter().any(|&Member { tid: t, .. }| t == *tid))
+                        .unwrap();
+                    let at = members.iter().position(|&Member { tid: t, .. }| t == *tid).unwrap();
                     match (start[key], members.len()) {
                         (1, _) => routes.only += 1,
                         (_, 1) => routes.emptied += 1,
@@ -1114,7 +1210,10 @@ mod tests {
                     rel.apply_delta(&RelationDelta::new(inserts, deletes.clone())).unwrap();
                 for (tid, codes) in &effect.inserted {
                     let key: Vec<u32> = index.lhs_pos.iter().map(|&p| codes[p]).collect();
-                    lists.entry(key).or_default().push((*tid, codes[index.rhs_pos]));
+                    lists
+                        .entry(key)
+                        .or_default()
+                        .push(Member { tid: *tid, rhs: codes[index.rhs_pos] });
                 }
                 lists.retain(|_, m| !m.is_empty());
                 index.apply(&deletes, &effect.inserted);

@@ -61,7 +61,6 @@
 
 use crate::delta::DeltaBatch;
 use crate::index::ViolationIndex;
-use dcd_cfd::pattern::generality_order;
 use dcd_cfd::{Cfd, SimpleCfd, ViolationReport};
 use dcd_core::report::Detection;
 use dcd_core::sigma::{sigma_partition, sort_for_sigma, SortedCfd};
@@ -114,6 +113,9 @@ pub struct IncrementalRun {
     miners: Vec<MinedTableau>,
     /// |attr(Σ)|: the code cells of a matching insert row on the wire.
     width: usize,
+    /// Per index, each pattern's position in σ's scan order: what a
+    /// site's [`Judge`] charges a batch row.
+    positions: Vec<Vec<u32>>,
     coord: Coordinator,
 }
 
@@ -175,6 +177,7 @@ impl IncrementalRun {
         let coordinator = SiteId(coordinator.expect("n ≥ 1") as u32);
         let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
         let sorted: Vec<SortedCfd> = simples.iter().map(sort_for_sigma).collect();
+        let positions = sorted.iter().map(sigma_positions).collect();
         let width = attr_width(&simples);
         // A fragment the coordinator holds (its own, or a replica) ships
         // nothing.
@@ -221,7 +224,7 @@ impl IncrementalRun {
 
         // Phase 3: index build at the coordinator, over every row.
         let coord = Coordinator::build(ctx, coordinator, sigma, &dicts, &rows);
-        Ok(IncrementalRun { partition, factor, miners: Vec::new(), width, coord })
+        Ok(IncrementalRun { partition, factor, miners: Vec::new(), width, positions, coord })
     }
 
     /// Applies one delta batch — one round of the protocol — and
@@ -259,7 +262,7 @@ impl IncrementalRun {
         // where every index's `apply` would recompile them — and pays
         // for the comparisons after its apply pass.
         self.coord.indices.iter_mut().for_each(ViolationIndex::recompile);
-        let mut judge = Judge::new(&self.coord.indices);
+        let mut judge = Judge::new(&self.coord.indices, &self.positions);
         let judged: Vec<Judged> = effects
             .iter()
             .enumerate()
@@ -554,6 +557,16 @@ struct Judged {
     comparisons: usize,
 }
 
+/// Each pattern's position in σ's scan order (most specific first): the
+/// inverse of [`SortedCfd::original`].
+fn sigma_positions(sorted: &SortedCfd) -> Vec<u32> {
+    let mut position = vec![0u32; sorted.original.len()];
+    for (at, &pattern) in (0u32..).zip(&sorted.original) {
+        position[pattern] = at;
+    }
+    position
+}
+
 /// A fragment judged at the build: σ's scan of Lemma 6
 /// ([`sigma_partition`]) over every pattern of each of Σ's CFDs — once
 /// per distinct pinned projection, not once per row — and a row matches
@@ -582,28 +595,18 @@ fn judge_fragment(data: &Relation, sorted: &[SortedCfd]) -> Judged {
 /// σ's scan would try: the σ position of its first match plus one, or
 /// the whole tableau on a miss, summed over the CFDs.
 struct Judge<'a> {
-    /// Per CFD: its index, and each pattern's position in σ's scan order
-    /// (most specific first, [`generality_order`]).
-    cfds: Vec<(&'a ViolationIndex, Vec<u32>)>,
+    indices: &'a [ViolationIndex],
+    /// Per index, each pattern's position in σ's scan order
+    /// ([`sigma_positions`]).
+    positions: &'a [Vec<u32>],
     lhs: Vec<u32>,
     probe: Vec<u32>,
     ranks: Vec<u32>,
 }
 
 impl<'a> Judge<'a> {
-    fn new(indices: &'a [ViolationIndex]) -> Self {
-        let cfds = indices
-            .iter()
-            .map(|index| {
-                let tableau = &index.cfd().tableau;
-                let mut position = vec![0u32; tableau.len()];
-                for (at, pattern) in generality_order(tableau).into_iter().enumerate() {
-                    position[pattern] = at as u32;
-                }
-                (index, position)
-            })
-            .collect();
-        Judge { cfds, lhs: Vec::new(), probe: Vec::new(), ranks: Vec::new() }
+    fn new(indices: &'a [ViolationIndex], positions: &'a [Vec<u32>]) -> Self {
+        Judge { indices, positions, lhs: Vec::new(), probe: Vec::new(), ranks: Vec::new() }
     }
 
     fn effect(&mut self, effect: &DeltaEffect) -> Judged {
@@ -619,9 +622,9 @@ impl<'a> Judge<'a> {
 
     /// Whether the full-width row `codes` matches; adds its comparisons.
     fn row(&mut self, codes: &[u32], comparisons: &mut usize) -> bool {
-        let Judge { cfds, lhs, probe, ranks } = self;
+        let Judge { indices, positions, lhs, probe, ranks } = self;
         let mut hit = false;
-        for (index, position) in cfds.iter() {
+        for (index, position) in indices.iter().zip(positions.iter()) {
             index.matched_into(codes, lhs, probe, ranks);
             match ranks.iter().map(|&r| position[r as usize]).min() {
                 Some(first) => {

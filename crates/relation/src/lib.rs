@@ -49,6 +49,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+// A panic is either an internal invariant, named at its site with
+// `#[expect(.., reason = "internal invariant: ..")]`, or input reaches it
+// and it is a typed error instead — save where that error would change a
+// public signature, and its `#[expect]` says so. Tests are exempt
+// (`clippy.toml`).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 mod delta;
 mod error;

@@ -180,16 +180,18 @@ impl Conjunction {
                     _ => d.pinned = Some(v.clone()),
                 },
                 (CmpOp::Ne, v) => d.excluded.push(v.clone()),
-                (op, Value::Int(c)) => {
-                    // Normalize to closed integer bounds.
-                    match op {
-                        CmpOp::Lt => d.hi = Some(d.hi.map_or(c - 1, |h| h.min(c - 1))),
-                        CmpOp::Le => d.hi = Some(d.hi.map_or(*c, |h| h.min(*c))),
-                        CmpOp::Gt => d.lo = Some(d.lo.map_or(c + 1, |l| l.max(c + 1))),
-                        CmpOp::Ge => d.lo = Some(d.lo.map_or(*c, |l| l.max(*c))),
-                        _ => unreachable!(),
-                    }
-                }
+                // Integer order atoms narrow closed bounds; `< i64::MIN`
+                // and `> i64::MAX` admit no integer at all.
+                (CmpOp::Lt, &Value::Int(c)) => match c.checked_sub(1) {
+                    Some(c) => d.hi = Some(d.hi.map_or(c, |h| h.min(c))),
+                    None => return false,
+                },
+                (CmpOp::Le, &Value::Int(c)) => d.hi = Some(d.hi.map_or(c, |h| h.min(c))),
+                (CmpOp::Gt, &Value::Int(c)) => match c.checked_add(1) {
+                    Some(c) => d.lo = Some(d.lo.map_or(c, |l| l.max(c))),
+                    None => return false,
+                },
+                (CmpOp::Ge, &Value::Int(c)) => d.lo = Some(d.lo.map_or(c, |l| l.max(c))),
                 (op, v) => d.str_bounds.push((*op, v.clone())),
             }
         }
@@ -378,6 +380,14 @@ mod tests {
         // No pin: we cannot refute, so we must answer satisfiable.
         let c = Conjunction::of(vec![Atom::new(A, CmpOp::Lt, "a"), Atom::new(A, CmpOp::Gt, "z")]);
         assert!(c.is_satisfiable());
+    }
+
+    #[test]
+    fn sat_strict_bounds_past_the_integer_range_are_empty() {
+        let unsat = |op, c: i64| !Conjunction::of(vec![Atom::new(A, op, c)]).is_satisfiable();
+        assert!(unsat(CmpOp::Lt, i64::MIN) && unsat(CmpOp::Gt, i64::MAX));
+        assert!(!unsat(CmpOp::Le, i64::MIN) && !unsat(CmpOp::Ge, i64::MAX));
+        assert!(!unsat(CmpOp::Lt, i64::MAX) && !unsat(CmpOp::Gt, i64::MIN));
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl Relation {
     /// fresh dictionary per attribute, of the attribute's type.
     pub fn with_capacity(schema: Arc<Schema>, cap: usize) -> Self {
         let dicts = schema.attrs().iter().map(|a| Arc::new(Dictionary::new(a.ty))).collect();
-        Relation::with_dictionaries(schema, dicts, cap).expect("one dictionary per attribute")
+        Relation::over(schema, dicts, cap)
     }
 
     /// Creates an empty relation with room for exactly `cap` tuples,
@@ -106,14 +106,14 @@ impl Relation {
                 ),
             });
         }
+        Ok(Relation::over(schema, dicts, cap))
+    }
+
+    /// [`Self::with_dictionaries`] over dictionaries known to fit:
+    /// one per attribute, each of its attribute's type.
+    fn over(schema: Arc<Schema>, dicts: Vec<Arc<Dictionary>>, cap: usize) -> Self {
         let columns = dicts.into_iter().map(|d| Column::with_capacity(d, cap)).collect();
-        Ok(Relation {
-            schema,
-            tids: Vec::with_capacity(cap),
-            columns,
-            next_tid: 0,
-            ascending: true,
-        })
+        Relation { schema, tids: Vec::with_capacity(cap), columns, next_tid: 0, ascending: true }
     }
 
     /// Creates an empty relation with this relation's schema and
@@ -126,8 +126,7 @@ impl Relation {
     /// [`Self::empty_like`] with room for `cap` tuples.
     pub fn with_capacity_like(&self, cap: usize) -> Self {
         let dicts = self.columns.iter().map(|c| c.dict().clone()).collect();
-        Relation::with_dictionaries(self.schema.clone(), dicts, cap)
-            .expect("one dictionary per attribute")
+        Relation::over(self.schema.clone(), dicts, cap)
     }
 
     /// The schema of this relation.
@@ -498,6 +497,13 @@ impl Relation {
                 ),
             });
         }
+        self.append_rows(src, attrs, rows);
+        Ok(())
+    }
+
+    /// [`Self::extend_from`] once its columns are known to share `src`'s
+    /// dictionaries.
+    fn append_rows(&mut self, src: &Relation, attrs: &[AttrId], rows: &[usize]) {
         self.tids.reserve(rows.len());
         for &r in rows {
             self.push_tid(src.tids[r]);
@@ -505,7 +511,6 @@ impl Relation {
         for (&a, col) in attrs.iter().zip(&mut self.columns) {
             col.extend_from_rows(src.column(a), rows);
         }
-        Ok(())
     }
 
     /// The given rows of this relation as a new relation over the same
@@ -514,14 +519,15 @@ impl Relation {
     pub fn copy_rows(&self, rows: &[usize]) -> Relation {
         let attrs: Vec<AttrId> = self.schema.attr_ids().collect();
         let mut out = self.with_capacity_like(rows.len());
-        out.extend_from(self, &attrs, rows).expect("a relation shares its own dictionaries");
+        // A relation shares its own dictionaries.
+        out.append_rows(self, &attrs, rows);
         out
     }
 
     /// Decodes row `i` into an owned tuple. Panics if `i` is out of
     /// bounds.
     pub fn row(&self, i: usize) -> Tuple {
-        self.decode_range(i, i + 1).pop().expect("one row decoded")
+        Tuple::new(self.tids[i], self.columns.iter().map(|c| c.decode(i)).collect())
     }
 
     /// Iterates over the tuples in row order, decoding each into an owned
@@ -537,8 +543,7 @@ impl Relation {
         let mut cells: Vec<Vec<Value>> =
             self.tids[start..end].iter().map(|_| Vec::with_capacity(arity)).collect();
         for col in &self.columns {
-            let mut rows = cells.iter_mut();
-            col.decode_range(start, end, |v| rows.next().expect("one cell per row").push(v));
+            col.decode_range(start, &mut cells);
         }
         self.tids[start..end].iter().zip(cells).map(|(&tid, vs)| Tuple::new(tid, vs)).collect()
     }

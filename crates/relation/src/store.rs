@@ -71,7 +71,7 @@ use crate::table::{spread, PositionTable, Vacant};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Sentinel code meaning "matches any value" in compiled pattern cells.
 /// Never assigned to a real value.
@@ -234,10 +234,13 @@ impl Strings {
 /// The end offset of a string of `len` bytes appended to a table of
 /// `bytes` bytes. Panics past 4 GiB, beside the code-space assert.
 fn end_offset(bytes: usize, len: usize) -> u32 {
-    bytes
-        .checked_add(len)
-        .and_then(|end| u32::try_from(end).ok())
-        .expect("dictionary exhausted the 4 GiB its string table can address")
+    let end = bytes.checked_add(len).and_then(|end| u32::try_from(end).ok());
+    #[expect(
+        clippy::expect_used,
+        reason = "input reaches it (4 GiB of distinct strings in one dictionary), and its typed \
+                  error would change `Dictionary::intern`'s signature: it waits for `DetectError`"
+    )]
+    end.expect("dictionary exhausted the 4 GiB its string table can address")
 }
 
 /// A dictionary's code → value table, of the attribute's type. The
@@ -463,6 +466,12 @@ impl DictInner {
             (Table::Str(t), Value::Str(s)) => t.push(s),
             (Table::Int(t), Value::Null) => t.push(0),
             (Table::Str(t), Value::Null) => t.push(""),
+            #[expect(
+                clippy::panic,
+                reason = "internal invariant: every `Relation` path checks a value against its \
+                          schema before interning it, and `with_dictionaries` refuses a \
+                          dictionary of another type than its attribute"
+            )]
             (table, v) => {
                 panic!("{v:?} is not a value of this {} dictionary", table.value_type().name())
             }
@@ -514,12 +523,15 @@ impl Dictionary {
         Dictionary { inner: RwLock::new(inner) }
     }
 
+    // Every panic under the write lock fires before `DictInner` changes
+    // (the code-space, type and string-table checks precede each push), so
+    // a lock a panicking writer poisoned still guards a whole dictionary.
     fn read(&self) -> RwLockReadGuard<'_, DictInner> {
-        self.inner.read().expect("dictionary lock poisoned")
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn write(&self) -> RwLockWriteGuard<'_, DictInner> {
-        self.inner.write().expect("dictionary lock poisoned")
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The type of the values this dictionary holds.
@@ -836,12 +848,12 @@ impl Column {
         self.dict.value(self.codes[row])
     }
 
-    /// Decodes rows `start..end` in order under one dictionary read
-    /// lock, handing each value to `f` (which must not intern).
-    pub(crate) fn decode_range(&self, start: usize, end: usize, mut f: impl FnMut(Value)) {
+    /// Decodes rows `start..start + rows.len()` under one dictionary read
+    /// lock, pushing each value onto its row.
+    pub(crate) fn decode_range(&self, start: usize, rows: &mut [Vec<Value>]) {
         let inner = self.dict.read();
-        for &code in &self.codes[start..end] {
-            f(inner.value(code));
+        for (&code, row) in self.codes[start..start + rows.len()].iter().zip(rows) {
+            row.push(inner.value(code));
         }
     }
 }

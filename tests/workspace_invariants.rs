@@ -424,17 +424,18 @@ fn crate_roots(code: &[(String, String)]) -> Vec<&(String, String)> {
         .collect()
 }
 
-/// The one source that may spell `unsafe`: a test binary, outside every
+/// The sources that may spell `unsafe`: test binaries, outside every
 /// crate root, whose counting `#[global_allocator]` pins
-/// `Dictionary::heap_bytes` to the bytes the allocator hands out.
-/// `GlobalAlloc` is an unsafe trait, so no allocator can be written
-/// without the keyword.
-const COUNTING_ALLOCATOR: &str = "crates/relation/tests/dictionary_bytes.rs";
+/// `Dictionary::heap_bytes` and `ViolationIndex::heap_bytes` to the bytes
+/// the allocator hands out. `GlobalAlloc` is an unsafe trait, so no
+/// allocator can be written without the keyword.
+const COUNTING_ALLOCATORS: [&str; 2] =
+    ["crates/relation/tests/dictionary_bytes.rs", "crates/incr/tests/index_bytes.rs"];
 
 /// No crate holds `unsafe` code, and none can start to: every library
 /// crate root forbids `unsafe_code` (which no inner `allow` can lift),
 /// and no code line spells the keyword or an `allow` of the lint — save
-/// [`COUNTING_ALLOCATOR`], and there only to implement `GlobalAlloc`
+/// [`COUNTING_ALLOCATORS`], and there only to implement `GlobalAlloc`
 /// by forwarding to `System`. `benchmark/` is a workspace of its own and
 /// keeps its counting allocator.
 #[test]
@@ -450,19 +451,21 @@ fn every_crate_root_forbids_unsafe_code() {
     }
     for (rel, text) in &code {
         let spells = text.split(|c| !is_ident(c)).any(|w| w == "unsafe");
-        assert!(!spells || rel == COUNTING_ALLOCATOR, "{rel} spells `unsafe`");
+        assert!(!spells || COUNTING_ALLOCATORS.contains(&rel.as_str()), "{rel} spells `unsafe`");
         assert!(!text.contains("allow(unsafe_code)"), "{rel} allows `unsafe_code`");
     }
-    // The allocator's uses: the trait impl, its four methods, and the
+    // Each allocator's uses: the trait impl, its four methods, and the
     // four calls into `System` they forward.
-    let (_, allocator) = code.iter().find(|(rel, _)| rel == COUNTING_ALLOCATOR).expect("it exists");
-    let uses: Vec<&str> = allocator.split("unsafe").skip(1).collect();
     let forwarding = |after: &&str| {
         ["impl GlobalAlloc for", "fn ", "{ System."]
             .iter()
             .any(|p| after.trim_start().starts_with(p))
     };
-    assert!(uses.len() == 9 && uses.iter().all(forwarding), "{COUNTING_ALLOCATOR}: {uses:?}");
+    for file in COUNTING_ALLOCATORS {
+        let (_, allocator) = code.iter().find(|(rel, _)| rel == file).expect("it exists");
+        let uses: Vec<&str> = allocator.split("unsafe").skip(1).collect();
+        assert!(uses.len() == 9 && uses.iter().all(forwarding), "{file}: {uses:?}");
+    }
 }
 
 /// README's "current state" line states the tree's hard counts; each is
