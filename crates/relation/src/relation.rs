@@ -151,6 +151,24 @@ impl Relation {
         self.tids.capacity()
     }
 
+    /// Bytes the relation holds on the heap, from capacities: the tid
+    /// column, the column array and each code column, and each distinct
+    /// dictionary once ([`Dictionary::heap_bytes`] plus its `Arc`'s
+    /// allocation). What a drop frees when the relation is its
+    /// dictionaries' last owner; the schema is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let arc = size_of::<Dictionary>() + 2 * size_of::<usize>();
+        let dicts: usize = self
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|&(at, c)| !self.columns[..at].iter().any(|p| Arc::ptr_eq(p.dict(), c.dict())))
+            .map(|(_, c)| arc + c.dict().heap_bytes())
+            .sum();
+        let codes: usize = self.columns.iter().map(|c| c.capacity() * size_of::<u32>()).sum();
+        self.tids.capacity() * size_of::<TupleId>() + size_of_val(&*self.columns) + codes + dicts
+    }
+
     /// Appends a fresh row, assigning it the next tuple id. Values are
     /// validated against the schema (arity and types; `Null` is allowed
     /// for any type).

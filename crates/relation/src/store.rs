@@ -23,26 +23,31 @@
 //! one value per *group* (or per pattern constant), not per tuple.
 //!
 //! A dictionary is typed by its attribute's [`ValueType`] and holds each
-//! distinct value once, as that type: an Int dictionary is one `Vec<i64>`
-//! (8 bytes a value), a Str dictionary one `String` holding the distinct
-//! strings back to back plus one `Vec<u32>` of their end offsets (a
-//! string's bytes plus 4), indexed by code. Interning copies a first-seen
-//! string into that table and keeps no caller's `Arc`; decoding copies it
-//! out into a fresh one. `Null`, which any attribute may hold, is one
-//! code kept out of line, with a placeholder entry at its index (`0`, or
-//! the empty string) so that codes stay dense and first-seen. Over that
-//! table sits the value → code index, a [`PositionTable`] (the
-//! workspace's one open-addressing table, [`crate::table`]) of 8-byte
-//! `(hash, code)` entries. A lookup hashes once and compares values only
-//! where the stored hash agrees; a miss costs the same one hash and ends
-//! at the free bucket an insert fills, so interning probes once; growing
-//! the index moves entries by their stored hashes and reads no value. A
-//! batch is interned in one pass ([`Column::extend_values`]): known
-//! values under the read lock, each run of unseen ones under one
-//! acquisition of the write lock. The pass hashes 32 values into a stack
-//! buffer before it probes the first of them, so the cache misses of 32
-//! payloads, and then of 32 buckets, are taken together rather than one
-//! after another.
+//! distinct value once, as that type, indexed by code. An Int dictionary
+//! is one `Vec<u32>` of offsets from a base its first value fixes (4
+//! bytes a value), until a value lands more than 2³¹ from that first one:
+//! the table then widens to a `Vec<i64>` (8 bytes a value), once and for
+//! good. A Str dictionary is one `String` holding the distinct strings
+//! back to back plus one `Vec<u32>` of their end offsets (a string's
+//! bytes plus 4). Interning copies a first-seen string into that table
+//! and keeps no caller's `Arc`; decoding copies it out into a fresh one.
+//! `Null`, which any attribute may hold, is one code kept out of line,
+//! with a placeholder entry at its index (offset `0`, or the empty
+//! string) so that codes stay dense and first-seen. Beside that table
+//! sits the value → code index, a [`PositionTable`] (the workspace's one
+//! open-addressing table, [`crate::table`]). An Int index holds 4-byte
+//! codes alone: a probe compares each entry it meets through the table,
+//! and growth re-hashes each code from its value, one multiply. A Str
+//! index holds 8-byte `(hash, code)` entries: a probe compares strings
+//! only where the stored hash agrees, and growth moves entries by their
+//! stored hashes and reads no string. Either way a lookup hashes once, and
+//! a miss costs the same one hash and ends at the free bucket an insert
+//! fills, so interning probes once. A batch is interned in one pass
+//! ([`Column::extend_values`]): known values under the read lock, each
+//! run of unseen ones under one acquisition of the write lock. The pass
+//! hashes 32 values into a stack buffer before it probes the first of
+//! them, so the cache misses of 32 payloads, and then of 32 buckets, are
+//! taken together rather than one after another.
 //!
 //! The index is derived data, and it exists only while something probes
 //! it. Detection runs on codes and looks values up only to compile
@@ -54,8 +59,9 @@
 //! A dictionary whose values arrived in ascending order needs no index
 //! at all: while each non-null value it interns exceeds the last one, it
 //! is *sorted*, and a lookup searches the table itself — an Int range
-//! with one interpolation probe and then a binary search, a Str range
-//! with a binary search — either side of `Null`'s placeholder. A value
+//! with one interpolation probe and then a binary search (over the
+//! offsets while the table is narrow), a Str range with a binary search —
+//! either side of `Null`'s placeholder. A value
 //! above the last appends; the first miss below it ends sorted mode for
 //! good and builds the index. Codes and their order depend neither on
 //! whether the index was there nor on the mode.
@@ -96,7 +102,7 @@ pub const DEFAULT_CHUNK_ROWS: usize = 64 * 1024;
 pub fn set_chunk_rows(_rows: Option<usize>) {}
 
 /// A borrowed view of one value: what a probing [`Value`] and a table
-/// entry both produce, so that [`hash32`] and [`DictInner::holds`] see
+/// entry both produce, so that [`hash32`] and [`DictInner::find`] see
 /// the two alike. Its variants mirror [`Value`]'s, so it hashes as the
 /// value it views. Its order is the one a sorted dictionary ascends in:
 /// integers by value, strings by their bytes.
@@ -130,18 +136,21 @@ impl From<Key<'_>> for Value {
     }
 }
 
-/// The 32-bit hash an index entry stores: the upper half of [`spread`].
-/// Fx alone leaves near-equal strings near each other in every 32-bit
-/// window of its output, and linear probing would pay for that in long
-/// runs; over `spread`'s upper bits the `table` unit
-/// `probes_match_linear_probing_theory` holds `Name{i}` for i < 80 000
-/// within 1.25× of Knuth's mean probes per hit and per miss.
+/// The 32-bit hash an index buckets a value on, which a Str entry stores
+/// and an Int entry recomputes from its value: the upper half of
+/// [`spread`]. Fx alone leaves near-equal strings near each other in
+/// every 32-bit window of its output, and linear probing would pay for
+/// that in long runs; over `spread`'s upper bits the `table` units
+/// `probes_match_linear_probing_theory` (`Name{i}` for i < 80 000, in
+/// `(hash, code)` entries) and `code_only_probes_match_linear_probing_theory`
+/// (80 000 random 7-digit integers, in code entries) hold the mean probes
+/// per hit and per miss within 1.25× of Knuth's.
 #[inline]
 fn hash32(k: Key<'_>) -> u32 {
     (spread(&k) >> 32) as u32
 }
 
-/// What the index buckets on for a stored hash `h`: `h` as the upper
+/// What the index buckets on for a [`hash32`] `h`: `h` as the upper
 /// half, so that the home bucket is `h`'s top bits.
 #[inline]
 fn wide(h: u32) -> u64 {
@@ -243,46 +252,204 @@ fn end_offset(bytes: usize, len: usize) -> u32 {
     end.expect("dictionary exhausted the 4 GiB its string table can address")
 }
 
-/// A dictionary's code → value table, of the attribute's type. The
-/// entry at the `Null` code, if any, is a placeholder (`0`, or the empty
-/// string).
+/// An Int dictionary's values. While every value lies in the 32-bit
+/// window `base..=base + u32::MAX`, each is stored as its `u32` offset
+/// from `base`, which the first non-null value fixes half a window below
+/// itself. The first value outside the window widens the table to the
+/// values themselves, in one copy that keeps the capacity, for good —
+/// as the `sorted` flag only ever turns off once.
+#[derive(Debug, Clone)]
+enum Ints {
+    Narrow { base: i64, offsets: Vec<u32> },
+    Wide(Vec<i64>),
+}
+
+impl Ints {
+    fn len(&self) -> usize {
+        match self {
+            Ints::Narrow { offsets, .. } => offsets.len(),
+            Ints::Wide(t) => t.len(),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Ints::Narrow { offsets, .. } => offsets.capacity(),
+            Ints::Wide(t) => t.capacity(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Ints::Narrow { offsets, .. } => offsets.capacity() * size_of::<u32>(),
+            Ints::Wide(t) => t.capacity() * size_of::<i64>(),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Ints::Narrow { offsets, .. } => offsets.shrink_to_fit(),
+            Ints::Wide(t) => t.shrink_to_fit(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, at: usize) -> i64 {
+        match self {
+            // A stored offset names a value that is an `i64`: no overflow.
+            Ints::Narrow { base, offsets } => base + i64::from(offsets[at]),
+            Ints::Wide(t) => t[at],
+        }
+    }
+
+    /// The entry in `range`, whose entries ascend, that is `x`: one
+    /// interpolation probe and a binary search ([`search_ints`]), over
+    /// the offsets while the table is narrow. A value outside the window
+    /// is absent from a narrow table.
+    fn search(&self, range: std::ops::Range<usize>, x: i64) -> Option<usize> {
+        let start = range.start;
+        let at = match self {
+            Ints::Narrow { base, offsets } => search_ints(&offsets[range], offset_from(*base, x)?)?,
+            Ints::Wide(t) => search_ints(&t[range], x)?,
+        };
+        Some(start + at)
+    }
+
+    /// Appends `x`; `first` says it is the first non-null value, which
+    /// fixes a narrow table's base. A value outside the window widens
+    /// the table first.
+    fn push(&mut self, x: i64, first: bool) {
+        if let Ints::Narrow { base, offsets } = self {
+            if first {
+                *base = x.saturating_sub(1 << 31);
+            }
+            if let Some(o) = offset_from(*base, x) {
+                offsets.push(o);
+                return;
+            }
+            let mut wide = Vec::with_capacity(offsets.capacity());
+            wide.extend(offsets.iter().map(|&o| *base + i64::from(o)));
+            *self = Ints::Wide(wide);
+        }
+        if let Ints::Wide(t) = self {
+            t.push(x);
+        }
+    }
+
+    /// Appends `Null`'s placeholder: offset 0, or `0`.
+    fn push_placeholder(&mut self) {
+        match self {
+            Ints::Narrow { offsets, .. } => offsets.push(0),
+            Ints::Wide(t) => t.push(0),
+        }
+    }
+}
+
+/// `x`'s offset from `base`, if `x` lies in the window above it.
+#[inline]
+fn offset_from(base: i64, x: i64) -> Option<u32> {
+    u32::try_from(x.checked_sub(base)?).ok()
+}
+
+/// A dictionary's code → value table, of the attribute's type, with its
+/// value → code index. The entry at the `Null` code, if any, is a
+/// placeholder (offset `0`, or the empty string).
+///
+/// The index holds one entry per code, and none while the dictionary
+/// holds no index, as it always is while sorted. An Int index holds the
+/// codes alone: a probe compares through the table, and growth re-hashes
+/// each code from its value, one multiply. A Str index holds a
+/// `(hash32, code)` entry per code: a probe compares a string's bytes
+/// only where the stored hash agrees, and growth re-places entries by
+/// their stored hashes and reads no string.
 #[derive(Debug, Clone)]
 enum Table {
-    Int(Vec<i64>),
-    Str(Strings),
+    Int { values: Ints, index: PositionTable<u32> },
+    Str { strings: Strings, index: PositionTable<(u32, u32)> },
 }
 
 impl Table {
     fn len(&self) -> usize {
         match self {
-            Table::Int(t) => t.len(),
-            Table::Str(t) => t.ends.len(),
+            Table::Int { values, .. } => values.len(),
+            Table::Str { strings, .. } => strings.ends.len(),
         }
     }
 
     /// Entries the table holds room for without reallocating.
     fn capacity(&self) -> usize {
         match self {
-            Table::Int(t) => t.capacity(),
-            Table::Str(t) => t.ends.capacity(),
+            Table::Int { values, .. } => values.capacity(),
+            Table::Str { strings, .. } => strings.ends.capacity(),
         }
     }
 
-    fn shrink_to_fit(&mut self) {
+    /// Bytes the values and the index hold on the heap, from their
+    /// capacities.
+    fn heap_bytes(&self) -> usize {
         match self {
-            Table::Int(t) => t.shrink_to_fit(),
-            Table::Str(t) => {
-                t.bytes.shrink_to_fit();
-                t.ends.shrink_to_fit();
+            Table::Int { values, index } => values.heap_bytes() + index.heap_bytes(),
+            Table::Str { strings, index } => {
+                strings.bytes.capacity()
+                    + strings.ends.capacity() * size_of::<u32>()
+                    + index.heap_bytes()
             }
+        }
+    }
+
+    /// Releases the values' spare capacity and drops the index.
+    fn trim(&mut self) {
+        match self {
+            Table::Int { values, index } => {
+                values.shrink_to_fit();
+                *index = PositionTable::new();
+            }
+            Table::Str { strings, index } => {
+                strings.bytes.shrink_to_fit();
+                strings.ends.shrink_to_fit();
+                *index = PositionTable::new();
+            }
+        }
+    }
+
+    fn index_buckets(&self) -> usize {
+        match self {
+            Table::Int { index, .. } => index.bucket_count(),
+            Table::Str { index, .. } => index.bucket_count(),
         }
     }
 
     fn value_type(&self) -> ValueType {
         match self {
-            Table::Int(_) => ValueType::Int,
-            Table::Str(_) => ValueType::Str,
+            Table::Int { .. } => ValueType::Int,
+            Table::Str { .. } => ValueType::Str,
         }
+    }
+}
+
+/// The entry of `code` in an Int table: `Null` at the null code.
+#[inline]
+fn int_key(values: &Ints, null: Option<u32>, code: u32) -> Key<'static> {
+    if null == Some(code) {
+        Key::Null
+    } else {
+        Key::Int(values.get(code as usize))
+    }
+}
+
+/// What an Int index buckets `code` on, re-hashed from its value.
+#[inline]
+fn int_home(values: &Ints, null: Option<u32>, code: u32) -> u64 {
+    wide(hash32(int_key(values, null, code)))
+}
+
+/// The entry of `code` in a Str table: `Null` at the null code.
+#[inline]
+fn str_key(strings: &Strings, null: Option<u32>, code: u32) -> Key<'_> {
+    if null == Some(code) {
+        Key::Null
+    } else {
+        Key::Str(strings.get(code as usize))
     }
 }
 
@@ -291,13 +458,13 @@ impl Table {
 /// then a binary search of the side the probe leaves. Dense values hit
 /// in the one probe. The arithmetic is in `i128`, which no pair of `i64`s
 /// overflows.
-fn search_ints(t: &[i64], x: i64) -> Option<usize> {
+fn search_ints<T: Copy + Ord + Into<i128>>(t: &[T], x: T) -> Option<usize> {
     let (&first, &last) = (t.first()?, t.last()?);
     if x < first || x > last {
         return None;
     }
-    let span = (i128::from(last) - i128::from(first)) as u128;
-    let offset = (i128::from(x) - i128::from(first)) as u128;
+    let span = (last.into() - first.into()) as u128;
+    let offset = (x.into() - first.into()) as u128;
     // `offset ≤ span`, so the probe lands inside `t`.
     let probe = (offset * (t.len() as u128 - 1)).checked_div(span).unwrap_or(0) as usize;
     match t[probe].cmp(&x) {
@@ -307,19 +474,18 @@ fn search_ints(t: &[i64], x: i64) -> Option<usize> {
     }
 }
 
+/// A dictionary's state behind its lock: the typed table with its
+/// index, the null code and the sorted flag.
 #[derive(Debug, Clone)]
 struct DictInner {
     /// `table[code]` is the value of `code` — the only copy the
-    /// dictionary keeps — for every code but `null`.
+    /// dictionary keeps — for every code but `null`; beside it, the
+    /// inverse index, value → code, which covers every code when it is
+    /// there.
     table: Table,
     /// The code of `Null`, once interned. Its entry in `table` is a
-    /// placeholder that [`DictInner::holds`] never matches.
+    /// placeholder that no probe matches: its key is `Null`.
     null: Option<u32>,
-    /// Inverse index, value → code: a `(hash32, code)` entry per code,
-    /// found through the stored hash and then the code's value. No
-    /// buckets while the dictionary holds no index, as it always is while
-    /// `sorted`; otherwise it covers every code.
-    index: PositionTable<(u32, u32)>,
     /// Whether each non-null value was interned above the one before it
     /// ([`Key`] order). While it is, the entries either side of the null
     /// code ascend and [`DictInner::search`] finds codes without an
@@ -332,19 +498,10 @@ impl DictInner {
     /// code, whatever its placeholder holds.
     #[inline]
     fn key(&self, code: u32) -> Key<'_> {
-        let at = code as usize;
         match &self.table {
-            _ if self.null == Some(code) => Key::Null,
-            Table::Int(t) => Key::Int(t[at]),
-            Table::Str(t) => Key::Str(t.get(at)),
+            Table::Int { values, .. } => int_key(values, self.null, code),
+            Table::Str { strings, .. } => str_key(strings, self.null, code),
         }
-    }
-
-    /// Whether `code` is the code of `v`. A value of the other type is
-    /// held by no code. A string compares against the table's bytes.
-    #[inline]
-    fn holds(&self, code: u32, v: &Value) -> bool {
-        self.key(code) == Key::from(v)
     }
 
     /// The value of `code`; a string is copied out of the table into a
@@ -358,16 +515,38 @@ impl DictInner {
     /// its probe ended at — where [`DictInner::find_or_insert`] puts it.
     /// A sorted dictionary searches its table first; it has no index, so
     /// a miss there, like any miss with no index, ends at the empty
-    /// index's vacancy.
+    /// index's vacancy. An Int probe compares each entry it meets through
+    /// the table; a Str probe reads a string only behind an equal stored
+    /// hash. A value of the other type is held by no code.
     #[inline]
     fn find(&self, v: &Value, hash: u32) -> Result<u32, Vacant> {
+        let k = Key::from(v);
         if self.sorted {
-            if let Some(code) = self.search(Key::from(v)) {
+            if let Some(code) = self.search(k) {
                 return Ok(code);
             }
         }
-        let found = self.index.find(wide(hash), |(h, code)| h == hash && self.holds(code, v));
-        found.map(|(_, code)| code)
+        match &self.table {
+            Table::Int { values, index } => {
+                let (h, null) = (wide(hash), self.null);
+                match (k, values) {
+                    // A value outside a narrow table's window has no
+                    // offset, and matches no entry.
+                    (Key::Int(x), Ints::Narrow { base, offsets }) => {
+                        let o = offset_from(*base, x);
+                        index
+                            .find(h, |code| Some(offsets[code as usize]) == o && Some(code) != null)
+                    }
+                    (Key::Int(x), Ints::Wide(t)) => {
+                        index.find(h, |code| t[code as usize] == x && Some(code) != null)
+                    }
+                    _ => index.find(h, |code| k == Key::Null && Some(code) == null),
+                }
+            }
+            Table::Str { strings, index } => index
+                .find(wide(hash), |(h, code)| h == hash && str_key(strings, self.null, code) == k)
+                .map(|(_, code)| code),
+        }
     }
 
     /// The code of `k` in a sorted dictionary, searched in the table:
@@ -386,8 +565,8 @@ impl DictInner {
         let range =
             if below.end > 0 && k <= self.key(below.end as u32 - 1) { below } else { above };
         let at = match (&self.table, k) {
-            (Table::Int(t), Key::Int(x)) => range.start + search_ints(&t[range], x)?,
-            (Table::Str(t), Key::Str(s)) => t.search(range, s)?,
+            (Table::Int { values, .. }, Key::Int(x)) => values.search(range, x)?,
+            (Table::Str { strings, .. }, Key::Str(s)) => strings.search(range, s)?,
             _ => return None,
         };
         Some(at as u32)
@@ -405,7 +584,7 @@ impl DictInner {
     /// Whether the dictionary holds no index and is not sorted, so that a
     /// lookup must build one.
     fn unindexed(&self) -> bool {
-        !self.sorted && self.index.bucket_count() == 0
+        !self.sorted && self.table.index_buckets() == 0
     }
 
     /// Builds the index, if there is none and the dictionary is not
@@ -415,11 +594,23 @@ impl DictInner {
         if !self.unindexed() {
             return;
         }
-        let len = self.table.len();
-        self.index.reserve(len, |(h, _)| wide(h));
-        for code in 0..len as u32 {
-            let hash = hash32(self.key(code));
-            self.index.insert(wide(hash), (hash, code), |(h, _)| wide(h));
+        let null = self.null;
+        match &mut self.table {
+            Table::Int { values, index } => {
+                let hash_of = |code| int_home(values, null, code);
+                index.reserve(values.len(), hash_of);
+                for code in 0..values.len() as u32 {
+                    index.insert(hash_of(code), code, hash_of);
+                }
+            }
+            Table::Str { strings, index } => {
+                let len = strings.ends.len();
+                index.reserve(len, |(h, _)| wide(h));
+                for code in 0..len as u32 {
+                    let hash = hash32(str_key(strings, null, code));
+                    index.insert(wide(hash), (hash, code), |(h, _)| wide(h));
+                }
+            }
         }
     }
 
@@ -442,7 +633,7 @@ impl DictInner {
             }
             self.sorted = false;
         }
-        if v.is_null() && self.index.bucket_count() == 0 {
+        if v.is_null() && self.table.index_buckets() == 0 {
             return self.null.ok_or_else(|| self.push(v));
         }
         self.index_if_absent();
@@ -451,8 +642,17 @@ impl DictInner {
             Err(free) => free,
         };
         let code = self.push(v);
-        // Growth re-places entries by their stored hashes: no value is read.
-        self.index.fill(free, wide(hash), (hash, code), |(h, _)| wide(h));
+        let null = self.null;
+        match &mut self.table {
+            // Growth re-hashes each code from its value, the new one's too.
+            Table::Int { values, index } => {
+                index.fill(free, wide(hash), code, |c| int_home(values, null, c));
+            }
+            // Growth re-places entries by their stored hashes: no string is read.
+            Table::Str { index, .. } => {
+                index.fill(free, wide(hash), (hash, code), |(h, _)| wide(h));
+            }
+        }
         Err(code)
     }
 
@@ -461,11 +661,13 @@ impl DictInner {
     fn push(&mut self, v: &Value) -> u32 {
         let code = self.table.len() as u32;
         assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
+        // No non-null value yet: at most `Null`'s placeholder.
+        let first = code == u32::from(self.null.is_some());
         match (&mut self.table, v) {
-            (Table::Int(t), Value::Int(i)) => t.push(*i),
-            (Table::Str(t), Value::Str(s)) => t.push(s),
-            (Table::Int(t), Value::Null) => t.push(0),
-            (Table::Str(t), Value::Null) => t.push(""),
+            (Table::Int { values, .. }, Value::Int(i)) => values.push(*i, first),
+            (Table::Str { strings, .. }, Value::Str(s)) => strings.push(s),
+            (Table::Int { values, .. }, Value::Null) => values.push_placeholder(),
+            (Table::Str { strings, .. }, Value::Null) => strings.push(""),
             #[expect(
                 clippy::panic,
                 reason = "internal invariant: every `Relation` path checks a value against its \
@@ -488,14 +690,15 @@ impl DictInner {
 /// code in first-seen order.
 ///
 /// Each distinct value is stored once, in a code → value table of the
-/// attribute's type: a `Vec<i64>`, or one byte table of the strings back
-/// to back with a `u32` end offset each. The value → code direction is
-/// an index of 8-byte `(hash, code)` entries over that table, in the
-/// workspace's one open-addressing table ([`PositionTable`]). A lookup
-/// hashes the value once and compares it only against entries whose
-/// stored hash agrees; a miss costs that same one hash and one probe,
-/// whose free bucket an insert fills; growth moves entries and touches
-/// no value.
+/// attribute's type: `u32` offsets from a base while every integer lies
+/// in one 32-bit window, a `Vec<i64>` once one does not, or one byte
+/// table of the strings back to back with a `u32` end offset each. The
+/// value → code direction is an index over that table, in the
+/// workspace's one open-addressing table ([`PositionTable`]): 4-byte
+/// codes for integers, compared through the table, and 8-byte
+/// `(hash, code)` entries for strings, compared only where the stored
+/// hash agrees. A lookup hashes the value once; a miss costs that same
+/// one hash and one probe, whose free bucket an insert fills.
 ///
 /// The index exists only while something probes it. A relation built
 /// from rows drops it ([`Dictionary::is_indexed`] is then false), and
@@ -516,10 +719,15 @@ impl Dictionary {
     /// Creates an empty dictionary for values of type `ty` (and `Null`).
     pub fn new(ty: ValueType) -> Self {
         let table = match ty {
-            ValueType::Int => Table::Int(Vec::new()),
-            ValueType::Str => Table::Str(Strings::default()),
+            ValueType::Int => Table::Int {
+                values: Ints::Narrow { base: 0, offsets: Vec::new() },
+                index: PositionTable::new(),
+            },
+            ValueType::Str => {
+                Table::Str { strings: Strings::default(), index: PositionTable::new() }
+            }
         };
-        let inner = DictInner { table, null: None, index: PositionTable::new(), sorted: true };
+        let inner = DictInner { table, null: None, sorted: true };
         Dictionary { inner: RwLock::new(inner) }
     }
 
@@ -573,18 +781,13 @@ impl Dictionary {
     /// a power of two at least `max(8, ⌈8 · len / 7⌉)` — exactly that
     /// when the index was built at the current length.
     pub fn index_slots(&self) -> usize {
-        self.read().index.bucket_count()
+        self.read().table.index_buckets()
     }
 
     /// Bytes the dictionary holds on the heap: its value table's buffers
     /// and its index, computed from their capacities.
     pub fn heap_bytes(&self) -> usize {
-        let inner = self.read();
-        let table = match &inner.table {
-            Table::Int(t) => t.capacity() * size_of::<i64>(),
-            Table::Str(t) => t.bytes.capacity() + t.ends.capacity() * size_of::<u32>(),
-        };
-        table + inner.index.heap_bytes()
+        self.read().table.heap_bytes()
     }
 
     /// Builds the value → code index now if it is absent and the
@@ -603,9 +806,7 @@ impl Dictionary {
     /// comes back with the first probe, unless the dictionary is sorted,
     /// which it stays.
     pub(crate) fn trim(&self) {
-        let mut inner = self.write();
-        inner.table.shrink_to_fit();
-        inner.index = PositionTable::new();
+        self.write().table.trim();
     }
 
     /// Interns `v`, returning its code.
@@ -960,7 +1161,7 @@ mod tests {
         d.trim();
         let want: usize = distinct.iter().filter_map(Value::as_str).map(str::len).sum();
         let inner = d.read();
-        let Table::Str(t) = &inner.table else { panic!("a Str dictionary") };
+        let Table::Str { strings: t, .. } = &inner.table else { panic!("a Str dictionary") };
         // `Null`'s placeholder is an empty entry: an offset, no bytes.
         assert_eq!((t.bytes.len(), t.bytes.capacity()), (want, want));
         assert_eq!((t.ends.len(), t.ends.capacity()), (distinct.len() + 1, distinct.len() + 1));
@@ -1036,7 +1237,7 @@ mod tests {
                     assert!(!d.is_indexed());
                 }
                 assert_eq!(d.intern(&value(i)) as usize, i);
-                let slots = d.read().index.bucket_count();
+                let slots = d.index_slots();
                 // One value is sorted; the second, below it, builds the index.
                 assert_eq!((d.is_sorted(), slots == 0), (i == 0, i == 0), "at {i}");
                 if i == 0 {

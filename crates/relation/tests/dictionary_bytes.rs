@@ -1,11 +1,14 @@
-//! `Dictionary::heap_bytes` against the allocator.
+//! `Dictionary::heap_bytes` and `Relation::heap_bytes` against the
+//! allocator.
 //!
-//! The accessor computes a dictionary's heap bytes from the capacities
-//! of its value table and its index; this binary installs a counting
-//! allocator and pins that figure to exactly the bytes the dictionary
-//! holds — what building it left live on the heap, and what dropping it
-//! frees — for both types, sorted, indexed and trimmed. The counters are
-//! thread-local, so allocations of other test threads cannot reach them.
+//! The accessors compute heap bytes from capacities: a dictionary's value
+//! table and index, a relation's columns and distinct dictionaries. This
+//! binary installs a counting allocator and pins those figures to exactly
+//! the bytes held — what building left live on the heap, and what
+//! dropping frees — for both types, sorted, indexed and trimmed, an Int
+//! table narrow and widened, and a relation as built and after its
+//! dictionaries index and grow. The counters are thread-local, so
+//! allocations of other test threads cannot reach them.
 
 use dcd_relation::{AttrId, Dictionary, Relation, Schema, Value, ValueType};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,9 +142,10 @@ fn a_trimmed_dictionary_holds_what_it_reports_before_and_after_its_index() {
             let dict = Arc::into_inner(dict).expect("the relation was the other owner");
             let label = format!("{ty:?}, ascending {ascending}");
             assert_eq!((dict.is_sorted(), dict.is_indexed()), (ascending, false), "{label}");
-            // Trimmed: the table holds exactly its entries.
+            // Trimmed: the table holds exactly its entries, an Int value
+            // as its 4-byte offset.
             let table = match ty {
-                ValueType::Int => 8 * dict.len(),
+                ValueType::Int => 4 * dict.len(),
                 ValueType::Str => {
                     let bytes: usize =
                         dict.snapshot().iter().filter_map(Value::as_str).map(str::len).sum();
@@ -164,4 +168,94 @@ fn a_trimmed_dictionary_holds_what_it_reports_before_and_after_its_index() {
             assert_eq!(freed_by_drop(dict), bytes, "{label}: indexed");
         }
     }
+}
+
+/// `n` non-ascending Int values (every pair swapped, one in nine `Null`)
+/// within 2³¹ of the first, with `i64::MAX` interned halfway when `widen`:
+/// the table is 4 bytes a value until that value widens it to 8.
+fn int_feed(n: usize, widen: bool) -> Vec<Value> {
+    let mut feed: Vec<Value> = (0..n).map(|k| value(ValueType::Int, k, false)).collect();
+    if widen {
+        feed.insert(n / 2, Value::Int(i64::MAX));
+    }
+    feed
+}
+
+#[test]
+fn an_int_table_holds_4_bytes_a_value_until_it_widens_and_its_index_4_bytes_a_bucket() {
+    let schema = Schema::builder("d").attr("v", ValueType::Int).key(&[]).build().unwrap();
+    for widen in [false, true] {
+        let per_value = if widen { 8 } else { 4 };
+        let feed = int_feed(6_000, widen);
+        let (dict, kept) = interned(ValueType::Int, &feed);
+        assert!(dict.is_indexed() && !dict.is_sorted(), "widen {widen}");
+        let want = per_value * dict.capacity() + 4 * dict.index_slots();
+        assert_eq!((dict.heap_bytes(), kept), (want, want), "widen {widen}");
+        assert_eq!(freed_by_drop(dict), kept, "widen {widen}");
+        // Built from rows: trimmed and unindexed, then indexed again.
+        let rows = feed.iter().map(|v| vec![v.clone()]).collect();
+        let built = Relation::from_rows(schema.clone(), rows).unwrap();
+        let dict = built.dictionary(AttrId(0)).clone();
+        drop(built);
+        let dict = Arc::into_inner(dict).expect("the relation was the other owner");
+        assert_eq!(dict.heap_bytes(), per_value * dict.len(), "widen {widen}: trimmed");
+        let before = live();
+        dict.ensure_indexed();
+        assert_eq!((live() - before) as usize, 4 * dict.index_slots(), "widen {widen}");
+        let want = per_value * dict.len() + 4 * dict.index_slots();
+        assert_eq!(dict.heap_bytes(), want, "widen {widen}: indexed");
+        assert_eq!(freed_by_drop(dict), want, "widen {widen}: indexed");
+    }
+}
+
+/// What `rel` frees when it is dropped: with its schema held elsewhere,
+/// its columns and the dictionaries it alone owns.
+fn freed_by_relation_drop(rel: Relation) -> usize {
+    let before = live();
+    drop(rel);
+    (before - live()) as usize
+}
+
+#[test]
+fn a_relation_holds_what_it_reports_and_a_drop_frees() {
+    let schema = Schema::builder("r")
+        .attr("id", ValueType::Int)
+        .attr("name", ValueType::Str)
+        .attr("phn", ValueType::Int)
+        .key(&[])
+        .build()
+        .unwrap();
+    let row = |k: usize| {
+        let phn = Value::Int(1_000_000 + (k as i64 * 7_919) % 9_000_000);
+        vec![Value::Int(k as i64), value(ValueType::Str, k, false), phn]
+    };
+    for n in [0, 1, 7_000] {
+        let built = Relation::from_rows(schema.clone(), (0..n).map(row).collect()).unwrap();
+        let bytes = built.heap_bytes();
+        assert_eq!(freed_by_relation_drop(built), bytes, "{n} rows as built");
+        // Indexed by lookups and grown by appends, it still frees what it
+        // reports.
+        let mut grown = Relation::from_rows(schema.clone(), (0..n).map(row).collect()).unwrap();
+        for (a, v) in (0..3).zip(row(n + 1)) {
+            grown.dictionary(AttrId(a)).code_of(&v);
+        }
+        grown.extend_rows((n..n + 500).map(row).collect()).unwrap();
+        let bytes = grown.heap_bytes();
+        assert_eq!(freed_by_relation_drop(grown), bytes, "{n} rows grown");
+    }
+    // Two columns over one dictionary count it once.
+    let pair = Schema::builder("p")
+        .attr("a", ValueType::Int)
+        .attr("b", ValueType::Int)
+        .key(&[])
+        .build()
+        .unwrap();
+    let shared = Arc::new(Dictionary::new(ValueType::Int));
+    let mut rel =
+        Relation::with_dictionaries(pair.clone(), vec![shared.clone(), shared], 0).unwrap();
+    rel.extend_rows((0..300).map(|k| vec![Value::Int(k), Value::Int(-k)]).collect()).unwrap();
+    let bytes = rel.heap_bytes();
+    let once = rel.dictionary(AttrId(0)).heap_bytes();
+    assert!(bytes > once && bytes < 2 * once, "{bytes} counts {once} once");
+    assert_eq!(freed_by_relation_drop(rel), bytes);
 }

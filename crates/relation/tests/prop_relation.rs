@@ -673,42 +673,95 @@ fn typed_value(ty: ValueType, cell: Option<u16>) -> Value {
     }
 }
 
+/// Cell `k` of an Int feed whose first value is `first`, over an alphabet
+/// that crosses the 32-bit window `first` fixes, `first − 2³¹ ..= first +
+/// 2³¹ − 1`: cells 0–6 are `i64::MIN`, `i64::MAX`, `first − 2³¹` and one
+/// past it, and `first + 2³¹` with the one below and the one past it,
+/// saturated; the rest lie within 300 of `first`. `None` is `Null`.
+fn crossing_value(first: i64, cell: Option<u16>) -> Value {
+    const HALF: i64 = 1 << 31;
+    let Some(k) = cell else { return Value::Null };
+    Value::Int(match k {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => first.saturating_sub(HALF + 1),
+        3 => first.saturating_sub(HALF),
+        4 => first.saturating_add(HALF - 1),
+        5 => first.saturating_add(HALF),
+        6 => first.saturating_add(HALF + 1),
+        _ => first.saturating_add(i64::from(k) - 100),
+    })
+}
+
+/// A feed's alphabet: the value of each cell.
+type Alphabet<'a> = &'a dyn Fn(Option<u16>) -> Value;
+
+/// Whether an Int table fed `feed` holds its values as `u32` offsets:
+/// every non-null value within 2³¹ below and 2³¹ − 1 above the first.
+fn stays_narrow(feed: &[Value]) -> bool {
+    let ints = || feed.iter().filter_map(|v| if let Value::Int(x) = v { Some(*x) } else { None });
+    let Some(base) = ints().next().map(|first| first.saturating_sub(1 << 31)) else {
+        return true;
+    };
+    ints().all(|x| x.checked_sub(base).is_some_and(|d| u32::try_from(d).is_ok()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A typed value table against a `Vec<Value>` searched linearly. Each
-    /// feed (Null plus Int values, or Null plus Str values, from an
-    /// alphabet of 200 so that values repeat) grows the slot table
-    /// several times and is interned three times: value by value through
-    /// `intern`, slice by slice through `extend_values`, and as a built
-    /// relation of the first `cut` cells — whose dictionary holds no
-    /// index — followed by `extend_values` of the rest. All three agree
-    /// with the model on every code, `len`, `value(code)`, `snapshot`,
-    /// and `code_of` for present and absent values; a deep clone then
-    /// interns on its own.
+    /// feed grows the slot table several times: Null plus Int values, or
+    /// Null plus Str values, from an alphabet of 200 so that values
+    /// repeat; or `lead` nulls, then `first`, then Int values that cross
+    /// the 32-bit window `first` fixes ([`crossing_value`]), so that the
+    /// table widens at a random point, or never. Each feed is interned
+    /// four times: value by value through `intern` (indexed once the
+    /// feed stops ascending), slice by slice through `extend_values`, as a built
+    /// relation of the first `cut` cells — whose dictionary is trimmed and
+    /// holds no index — followed by `extend_values` of the rest, and into
+    /// a deep clone of a dictionary that interned the first `cut` cells.
+    /// All four agree with the model on every code, `len`, `value(code)`,
+    /// `snapshot`, and `code_of` for present and absent values; an Int
+    /// table holds 4 bytes a value unless the feed left the window, 8 if
+    /// it did. A deep clone then interns on its own.
     #[test]
     fn a_typed_dictionary_matches_a_linear_model(
         cells in prop::collection::vec(prop::option::of(0..200u16), 100..400),
         chunk in 1..70usize,
         probes in prop::collection::vec(prop::option::of(0..400u16), 24),
         cut in 0..400usize,
+        anchor in 0..4u8,
+        far in any::<i64>(),
+        lead in 0..3usize,
     ) {
-        for ty in [ValueType::Int, ValueType::Str] {
-            let feed: Vec<Value> = cells.iter().map(|&c| typed_value(ty, c)).collect();
+        let first = match anchor {
+            0 => i64::MIN + 50,
+            1 => i64::MAX - 50,
+            2 => far,
+            _ => 1_234_567,
+        };
+        let alphabets: [(ValueType, Alphabet); 3] = [
+            (ValueType::Int, &|c| typed_value(ValueType::Int, c)),
+            (ValueType::Str, &|c| typed_value(ValueType::Str, c)),
+            (ValueType::Int, &|c| crossing_value(first, c)),
+        ];
+        for (alphabet, (ty, value)) in alphabets.into_iter().enumerate() {
+            let mut feed: Vec<Value> = Vec::new();
+            if alphabet == 2 {
+                feed.extend(std::iter::repeat_n(Value::Null, lead));
+                feed.push(Value::Int(first));
+            }
+            feed.extend(cells.iter().map(|&c| value(c)));
             let mut model: Vec<Value> = Vec::new();
-            let want: Vec<u32> = feed
-                .iter()
-                .map(|v| match model.iter().position(|m| m == v) {
-                    Some(code) => code as u32,
-                    None => {
-                        model.push(v.clone());
-                        model.len() as u32 - 1
-                    }
-                })
-                .collect();
+            let want: Vec<u32> = feed.iter().map(|v| model_code(&mut model, v)).collect();
             let one = Dictionary::new(ty);
             let codes: Vec<u32> = feed.iter().map(|v| one.intern(v)).collect();
             prop_assert_eq!(&codes, &want);
+            if ty == ValueType::Int {
+                let per_value = if stays_narrow(&feed) { 4 } else { 8 };
+                let held = per_value * one.capacity() + 4 * one.index_slots();
+                prop_assert_eq!(one.heap_bytes(), held, "alphabet {}", alphabet);
+            }
             let mut col = Column::new(ty);
             for slice in feed.chunks(chunk) {
                 col.extend_values(slice);
@@ -726,20 +779,31 @@ proptest! {
             let resumed: Vec<u32> =
                 built.column(AttrId(0)).codes().iter().chain(rest.codes()).copied().collect();
             prop_assert_eq!(&resumed, &want);
-            for dict in [&one, &**col.dict(), &**rest.dict()] {
+            let part = Dictionary::new(ty);
+            for v in &feed[..cut] {
+                part.intern(v);
+            }
+            let cloned = part.clone();
+            let tail: Vec<u32> = feed[cut..].iter().map(|v| cloned.intern(v)).collect();
+            prop_assert_eq!(&tail[..], &want[cut..]);
+            prop_assert_eq!(part.snapshot(), model[..part.len()].to_vec());
+            for dict in [&one, &**col.dict(), &**rest.dict(), &cloned] {
                 prop_assert_eq!(dict.len(), model.len());
                 prop_assert_eq!(dict.snapshot(), model.clone());
                 for (code, v) in model.iter().enumerate() {
                     prop_assert_eq!(dict.value(code as u32), v.clone());
                 }
                 for &cell in &probes {
-                    let v = typed_value(ty, cell);
+                    let v = value(cell);
                     let at = model.iter().position(|m| *m == v).map(|code| code as u32);
                     prop_assert_eq!(dict.code_of(&v), at, "{:?}", v);
                 }
             }
             let copy = one.clone();
-            let fresh = typed_value(ty, Some(5_000));
+            // A value the feed never holds: 2⁴⁰ from `first` is past the
+            // crossing alphabet, whose values near `i64::MAX` saturate.
+            let fresh =
+                if alphabet == 2 { Value::Int(first ^ (1 << 40)) } else { value(Some(5_000)) };
             prop_assert_eq!(copy.intern(&fresh) as usize, model.len());
             prop_assert_eq!(copy.value(model.len() as u32), fresh.clone());
             prop_assert_eq!(copy.code_of(&feed[0]), Some(0));

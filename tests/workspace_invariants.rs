@@ -426,9 +426,10 @@ fn crate_roots(code: &[(String, String)]) -> Vec<&(String, String)> {
 
 /// The sources that may spell `unsafe`: test binaries, outside every
 /// crate root, whose counting `#[global_allocator]` pins
-/// `Dictionary::heap_bytes` and `ViolationIndex::heap_bytes` to the bytes
-/// the allocator hands out. `GlobalAlloc` is an unsafe trait, so no
-/// allocator can be written without the keyword.
+/// `Dictionary::heap_bytes`, `Relation::heap_bytes` and
+/// `ViolationIndex::heap_bytes` to the bytes the allocator hands out.
+/// `GlobalAlloc` is an unsafe trait, so no allocator can be written
+/// without the keyword.
 const COUNTING_ALLOCATORS: [&str; 2] =
     ["crates/relation/tests/dictionary_bytes.rs", "crates/incr/tests/index_bytes.rs"];
 
