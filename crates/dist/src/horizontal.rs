@@ -4,8 +4,8 @@ use crate::pool::scoped_map;
 use crate::site::SiteId;
 use dcd_relation::fxhash::FxBuildHasher;
 use dcd_relation::{
-    AttrId, DeltaEffect, Dictionary, FxHashSet, PendingDelta, Predicate, Relation, RelationDelta,
-    RelationError, Schema, TupleId,
+    AttrId, DeltaEffect, Dictionary, EncodedDelta, FxHashSet, PendingDelta, Predicate, Relation,
+    RelationDelta, RelationError, Schema, TupleId,
 };
 use std::collections::HashSet;
 use std::hash::BuildHasher;
@@ -319,11 +319,16 @@ impl HorizontalPartition {
 }
 
 /// Locates each part's delta ([`Relation::locate_delta`]) and puts it
-/// to `admit` with the part's index, then applies them all: the one
-/// write path of both partition kinds. Both steps run in parallel on up
-/// to `threads` participants. The first refusal in part order comes back
-/// before any relation mutates; an empty delta is neither located nor
-/// applied, and its effect is empty.
+/// to `admit` with the part's index, then encodes every part's inserts
+/// ([`PendingDelta::encode`]) and applies them all: the one write path
+/// of both partition kinds. Locating and applying run in parallel on up
+/// to `threads` participants; encoding runs on this thread, part after
+/// part, so every dictionary interns a batch's new values in part order
+/// and row order whatever `threads` is — the codes, and so the columns'
+/// widths, are a function of the batches alone. The first refusal in
+/// part order comes back before any relation's rows mutate (a
+/// dictionary a refused encoding filled keeps what it took); an empty
+/// delta is neither located nor applied, and its effect is empty.
 pub(crate) fn locate_then_apply<'r, 'd>(
     threads: usize,
     parts: impl IntoIterator<Item = (&'r mut Relation, &'d RelationDelta)>,
@@ -335,7 +340,11 @@ pub(crate) fn locate_then_apply<'r, 'd>(
     });
     let pending: Vec<Option<PendingDelta<'_, '_>>> =
         located.into_iter().collect::<Result<_, _>>()?;
-    Ok(scoped_map(threads, pending, |p| p.map_or_else(DeltaEffect::default, PendingDelta::apply)))
+    let encoded: Vec<Option<EncodedDelta<'_, '_>>> = pending
+        .into_iter()
+        .map(|p| p.map(PendingDelta::encode).transpose())
+        .collect::<Result<_, _>>()?;
+    Ok(scoped_map(threads, encoded, |e| e.map_or_else(DeltaEffect::default, EncodedDelta::apply)))
 }
 
 /// The refusal of a tuple outside its fragment's predicate `Fi`.

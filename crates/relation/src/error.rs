@@ -78,6 +78,16 @@ pub enum RelationError {
         /// The offending code.
         code: u32,
     },
+    /// A delta's inserts carried more new values than an attribute's
+    /// dictionary has room for: every code below the two sentinels is
+    /// taken, or a Str dictionary's strings would pass the 4 GiB its
+    /// offsets address. Refused before any row of any site changes.
+    DictionaryExhausted {
+        /// Attribute whose dictionary is full.
+        attr: String,
+        /// What ran out.
+        what: &'static str,
+    },
     /// A simulation cost model had a field that is not finite, a
     /// negative coefficient, or a zero rate it divides by.
     InvalidCostModel {
@@ -117,6 +127,9 @@ impl fmt::Display for RelationError {
             }
             RelationError::UnassignedCode { attr, code } => {
                 write!(f, "code {code} was never assigned by the dictionary of `{attr}`")
+            }
+            RelationError::DictionaryExhausted { attr, what } => {
+                write!(f, "the dictionary of `{attr}` exhausted {what}")
             }
             RelationError::InvalidCostModel { detail } => write!(f, "invalid cost model: {detail}"),
         }

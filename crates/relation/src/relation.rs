@@ -323,11 +323,11 @@ impl Relation {
     /// ships (4 bytes per cell) and what a violation index needs to stay
     /// current.
     ///
-    /// This is [`Relation::locate_delta`] followed by
-    /// [`PendingDelta::apply`]: everything is checked before anything
-    /// mutates, so an error leaves the relation unchanged.
+    /// This is [`Relation::locate_delta`], [`PendingDelta::encode`] and
+    /// [`EncodedDelta::apply`]: everything is checked before a row
+    /// mutates, so an error leaves the relation's rows unchanged.
     pub fn apply_delta(&mut self, delta: &RelationDelta) -> Result<DeltaEffect, RelationError> {
-        Ok(self.locate_delta(delta)?.apply())
+        Ok(self.locate_delta(delta)?.encode()?.apply())
     }
 
     /// The check half of [`Relation::apply_delta`]: validates `delta`
@@ -345,7 +345,10 @@ impl Relation {
     /// relations locates every part before applying any, and a rejected
     /// batch then mutates none of them: `dcd-dist`'s
     /// `HorizontalPartition::apply_delta` and
-    /// `VerticalPartition::apply_delta` do, its two callers.
+    /// `VerticalPartition::apply_delta` do, its two callers. They then
+    /// encode every part on one thread, in part order, and append the
+    /// encoded parts in parallel, so no two threads ever intern and the
+    /// codes do not depend on how many there are.
     ///
     /// Ids are located through [`Relation::positions_of`], once each:
     /// `O(|Δ| log |D|)` while the tid column is ascending, one scan of it
@@ -625,8 +628,9 @@ impl Relation {
 }
 
 /// A delta that [`Relation::locate_delta`] checked against one relation
-/// and located in it. It holds that relation until [`PendingDelta::apply`]
-/// mutates it; dropped instead, it leaves the relation as it was.
+/// and located in it. It holds that relation until
+/// [`PendingDelta::encode`] interns its inserts; dropped instead, it
+/// leaves the relation as it was.
 #[derive(Debug)]
 pub struct PendingDelta<'r, 'd> {
     rel: &'r mut Relation,
@@ -635,13 +639,50 @@ pub struct PendingDelta<'r, 'd> {
     doomed: Vec<usize>,
 }
 
-impl PendingDelta<'_, '_> {
+impl<'r, 'd> PendingDelta<'r, 'd> {
+    /// Interns the inserts' values into the relation's dictionaries — a
+    /// column at a time, each column's values in row order, one
+    /// dictionary pass each — and keeps their codes for
+    /// [`EncodedDelta::apply`]. No row of the relation changes. A column
+    /// whose new values its dictionary has no room for is refused with
+    /// [`RelationError::DictionaryExhausted`]; the values of that column
+    /// interned before the refusal stay in its dictionary, where no row
+    /// refers to them, as a deleted row's values stay.
+    pub fn encode(self) -> Result<EncodedDelta<'r, 'd>, RelationError> {
+        let PendingDelta { rel, delta, doomed } = self;
+        let mut codes = Vec::with_capacity(rel.columns.len() * delta.inserts.len());
+        for (j, col) in rel.columns.iter().enumerate() {
+            let values = delta.inserts.iter().map(|t| &t.values()[j]);
+            col.dict().intern_each(values, |code| codes.push(code)).map_err(|full| {
+                RelationError::DictionaryExhausted {
+                    attr: rel.schema.attr_name(AttrId(j as u16)).to_string(),
+                    what: full.what(),
+                }
+            })?;
+        }
+        Ok(EncodedDelta { rel, delta, doomed, codes })
+    }
+}
+
+/// A located delta whose inserts are interned: what is left to do
+/// appends codes and moves rows, and interns nothing.
+#[derive(Debug)]
+pub struct EncodedDelta<'r, 'd> {
+    rel: &'r mut Relation,
+    delta: &'d RelationDelta,
+    doomed: Vec<usize>,
+    /// The inserts' codes, column-major: column `j`'s are
+    /// `codes[j * n..(j + 1) * n]` for `n` inserts.
+    codes: Vec<u32>,
+}
+
+impl EncodedDelta<'_, '_> {
     /// Applies the delta: the deletes' rows leave every column in place
     /// (one `copy_within` per run of survivors, no allocation), then the
-    /// inserts append, interned column by column. Returns the code rows
+    /// inserts' codes append, a column at a time. Returns the code rows
     /// of every deleted and inserted tuple.
     pub fn apply(self) -> DeltaEffect {
-        let PendingDelta { rel, delta, mut doomed } = self;
+        let EncodedDelta { rel, delta, mut doomed, codes } = self;
         let attrs: Vec<AttrId> = rel.schema.attr_ids().collect();
         let deleted = rel.code_rows(&attrs, &doomed);
         doomed.sort_unstable();
@@ -651,8 +692,16 @@ impl PendingDelta<'_, '_> {
         }
 
         let first_new = rel.tids.len();
-        rel.reserve(delta.inserts.len());
-        rel.append_validated(delta.inserts.iter().map(|t| (t.tid, t.values())));
+        let n = delta.inserts.len();
+        rel.reserve(n);
+        if n > 0 {
+            for (col, column) in rel.columns.iter_mut().zip(codes.chunks(n)) {
+                col.append_codes(column);
+            }
+        }
+        for t in &delta.inserts {
+            rel.push_tid(t.tid);
+        }
         let new_rows: Vec<usize> = (first_new..rel.tids.len()).collect();
         DeltaEffect { inserted: rel.code_rows(&attrs, &new_rows), deleted }
     }

@@ -43,8 +43,8 @@
 //! stored hashes and reads no string. Either way a lookup hashes once, and
 //! a miss costs the same one hash and ends at the free bucket an insert
 //! fills, so interning probes once. A batch is interned in one pass
-//! ([`Column::extend_values`]): known values under the read lock, each
-//! run of unseen ones under one acquisition of the write lock. The pass
+//! ([`Column::extend_values`]) under one acquisition of the write lock,
+//! one probe per value. The pass
 //! hashes 32 values into a stack buffer before it probes the first of
 //! them, so the cache misses of 32 payloads, and then of 32 buckets, are
 //! taken together rather than one after another.
@@ -90,6 +90,36 @@ pub const NO_CODE: u32 = u32::MAX - 1;
 
 /// Codes at or above this bound are reserved for the sentinels above.
 const CODE_LIMIT: u32 = u32::MAX - 2;
+
+/// What a dictionary has run out of when it cannot take one more value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exhausted {
+    /// Every code below [`CODE_LIMIT`] is assigned.
+    Codes,
+    /// A Str table's bytes would pass the 4 GiB its `u32` offsets address.
+    Bytes,
+}
+
+impl Exhausted {
+    /// What ran out, as the refusal and the panic name it.
+    pub(crate) fn what(self) -> &'static str {
+        match self {
+            Exhausted::Codes => "the u32 code space",
+            Exhausted::Bytes => "the 4 GiB its string table can address",
+        }
+    }
+}
+
+/// The code, and the end offset in a string table, of one more value of
+/// `add` bytes in a dictionary of `len` codes whose table holds `bytes`
+/// bytes (an Int value adds none): refused once the code would reach
+/// [`CODE_LIMIT`] or the end pass `u32::MAX`. Interning checks every new
+/// value through this before anything of it is stored.
+fn room(len: usize, bytes: usize, add: usize) -> Result<(u32, u32), Exhausted> {
+    let code = u32::try_from(len).ok().filter(|&code| code < CODE_LIMIT).ok_or(Exhausted::Codes)?;
+    let end = bytes.checked_add(add).and_then(|end| u32::try_from(end).ok());
+    Ok((code, end.ok_or(Exhausted::Bytes)?))
+}
 
 /// Names nothing: columns are not chunked. It stays, with
 /// [`set_chunk_rows`], only because `benchmark/src/main.rs` still spells
@@ -232,24 +262,11 @@ impl Strings {
         None
     }
 
-    /// Appends a copy of `s`. Panics if the table's bytes would pass
-    /// `u32::MAX`, the furthest an offset reaches.
-    fn push(&mut self, s: &str) {
-        self.ends.push(end_offset(self.bytes.len(), s.len()));
+    /// Appends a copy of `s`, whose end offset [`room`] computed.
+    fn push(&mut self, s: &str, end: u32) {
+        self.ends.push(end);
         self.bytes.push_str(s);
     }
-}
-
-/// The end offset of a string of `len` bytes appended to a table of
-/// `bytes` bytes. Panics past 4 GiB, beside the code-space assert.
-fn end_offset(bytes: usize, len: usize) -> u32 {
-    let end = bytes.checked_add(len).and_then(|end| u32::try_from(end).ok());
-    #[expect(
-        clippy::expect_used,
-        reason = "input reaches it (4 GiB of distinct strings in one dictionary), and its typed \
-                  error would change `Dictionary::intern`'s signature: it waits for `DetectError`"
-    )]
-    end.expect("dictionary exhausted the 4 GiB its string table can address")
 }
 
 /// An Int dictionary's values. While every value lies in the 32-bit
@@ -615,33 +632,34 @@ impl DictInner {
     }
 
     /// Under the write lock: the code of `v` (whose [`hash32`] is
-    /// `hash`) if it is known (`Ok`), else the code it is now assigned
-    /// (`Err`). A sorted dictionary appends `v` if it is `Null` or above
-    /// the last value; any other miss ends sorted mode and builds the
-    /// index. A value that finds no index builds one first, except
-    /// `Null`: it has its code out of line, or appends without an index,
-    /// since a later build covers it. The index grows only for a value
-    /// that misses it, and its entry goes where the miss's probe ended.
-    fn find_or_insert(&mut self, v: &Value, hash: u32) -> Result<u32, u32> {
+    /// `hash`), assigned now if it is not known yet. A sorted dictionary
+    /// appends `v` if it is `Null` or above the last value; any other
+    /// miss ends sorted mode and builds the index. A value that finds no
+    /// index builds one first, except `Null`: it has its code out of
+    /// line, or appends without an index, since a later build covers it.
+    /// The index grows only for a value that misses it, and its entry
+    /// goes where the miss's probe ended. A new value the dictionary has
+    /// no [`room`] for is refused, and nothing of it is stored.
+    fn find_or_insert(&mut self, v: &Value, hash: u32) -> Result<u32, Exhausted> {
         if self.sorted {
             let k = Key::from(v);
             if let Some(code) = self.search(k) {
                 return Ok(code);
             }
             if k == Key::Null || self.last().is_none_or(|last| k > last) {
-                return Err(self.push(v));
+                return self.push(v);
             }
             self.sorted = false;
         }
         if v.is_null() && self.table.index_buckets() == 0 {
-            return self.null.ok_or_else(|| self.push(v));
+            return self.null.map_or_else(|| self.push(v), Ok);
         }
         self.index_if_absent();
         let free = match self.find(v, hash) {
             Ok(code) => return Ok(code),
             Err(free) => free,
         };
-        let code = self.push(v);
+        let code = self.push(v)?;
         let null = self.null;
         match &mut self.table {
             // Growth re-hashes each code from its value, the new one's too.
@@ -653,21 +671,26 @@ impl DictInner {
                 index.fill(free, wide(hash), (hash, code), |(h, _)| wide(h));
             }
         }
-        Err(code)
+        Ok(code)
     }
 
-    /// Assigns the next code to `v` in the table alone. Panics if `v` is
-    /// a non-null value of the other type (see [`Dictionary::intern`]).
-    fn push(&mut self, v: &Value) -> u32 {
-        let code = self.table.len() as u32;
-        assert!(code < CODE_LIMIT, "dictionary exhausted the u32 code space");
+    /// Assigns the next code to `v` in the table alone, if there is
+    /// [`room`] for it. Panics if `v` is a non-null value of the other
+    /// type (see [`Dictionary::intern`]).
+    fn push(&mut self, v: &Value) -> Result<u32, Exhausted> {
+        let add = v.as_str().map_or(0, str::len);
+        let bytes = match &self.table {
+            Table::Str { strings, .. } => strings.bytes.len(),
+            Table::Int { .. } => 0,
+        };
+        let (code, end) = room(self.table.len(), bytes, add)?;
         // No non-null value yet: at most `Null`'s placeholder.
         let first = code == u32::from(self.null.is_some());
         match (&mut self.table, v) {
             (Table::Int { values, .. }, Value::Int(i)) => values.push(*i, first),
-            (Table::Str { strings, .. }, Value::Str(s)) => strings.push(s),
+            (Table::Str { strings, .. }, Value::Str(s)) => strings.push(s, end),
             (Table::Int { values, .. }, Value::Null) => values.push_placeholder(),
-            (Table::Str { strings, .. }, Value::Null) => strings.push(""),
+            (Table::Str { strings, .. }, Value::Null) => strings.push("", end),
             #[expect(
                 clippy::panic,
                 reason = "internal invariant: every `Relation` path checks a value against its \
@@ -681,7 +704,7 @@ impl DictInner {
         if v.is_null() {
             self.null = Some(code);
         }
-        code
+        Ok(code)
     }
 }
 
@@ -731,9 +754,10 @@ impl Dictionary {
         Dictionary { inner: RwLock::new(inner) }
     }
 
-    // Every panic under the write lock fires before `DictInner` changes
-    // (the code-space, type and string-table checks precede each push), so
-    // a lock a panicking writer poisoned still guards a whole dictionary.
+    // The one panic under the write lock, a value of the other type,
+    // fires before `DictInner` changes (the room check refuses before
+    // anything is stored, too), so a lock a panicking writer poisoned
+    // still guards a whole dictionary.
     fn read(&self) -> RwLockReadGuard<'_, DictInner> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -817,73 +841,52 @@ impl Dictionary {
     /// internal invariant, not an input error: every [`Relation`] path
     /// validates values against its schema before interning, and
     /// [`Relation::with_dictionaries`] refuses a dictionary whose type
-    /// differs from its attribute's.
+    /// differs from its attribute's. Also if `v` is new and the
+    /// dictionary has no room left for it: every code below the two
+    /// sentinels is taken, or a Str table would pass 4 GiB.
+    /// [`Relation::apply_delta`] refuses that case with
+    /// [`RelationError::DictionaryExhausted`] instead.
     ///
     /// [`Relation`]: crate::Relation
     /// [`Relation::with_dictionaries`]: crate::Relation::with_dictionaries
+    /// [`Relation::apply_delta`]: crate::Relation::apply_delta
+    /// [`RelationError::DictionaryExhausted`]: crate::RelationError::DictionaryExhausted
     pub fn intern(&self, v: &Value) -> u32 {
         if let (Value::Null, Some(code)) = (v, self.read().null) {
             return code;
         }
         let mut code = NO_CODE;
-        self.intern_each(std::iter::once(v), |c| code = c);
+        exhausted_panics(self.intern_each(std::iter::once(v), |c| code = c));
         code
     }
 
     /// Interns `values` in order, handing each code to `sink` — the one
-    /// interning loop. Values are hashed 32 at a time into a buffer on
-    /// the stack ([`Run`]) before any of those 32 is probed, so the
-    /// payload reads of the hashes overlap, and so do the bucket reads of
-    /// the probes; codes and their order are those of one value at a
-    /// time. Known values are looked up under the read lock, which is
-    /// held across consecutive hits, so a batch of known values costs
-    /// one lock acquisition. The first value the dictionary has not seen
-    /// trades it for the write lock, which then stays for the whole *run*
-    /// of unseen values that follows — a column of distinct values is
-    /// interned under one acquisition, not one per value — and is traded
-    /// back at the first known value. The value that caused the upgrade
-    /// is looked up again under the write lock: another thread may have
-    /// interned it between the two locks. A sorted dictionary searches
-    /// its table in both loops. Otherwise, with no index every value
-    /// misses the read loop, and the write lock builds the index before
-    /// it looks again.
-    /// No other lock is taken meanwhile: neither `values` nor `sink` may
-    /// touch this dictionary. Panics as [`Dictionary::intern`] does.
+    /// interning loop: one acquisition of the write lock for the whole
+    /// pass, and one probe per value ([`DictInner::find_or_insert`]),
+    /// which assigns the next code on a miss. Values are hashed 32 at a
+    /// time into a buffer on the stack ([`Run`]) before any of those 32
+    /// is probed, so the payload reads of the hashes overlap, and so do
+    /// the bucket reads of the probes; codes and their order are those of
+    /// one value at a time. Concurrent passes over one dictionary take
+    /// turns at the lock, a whole pass each. A new value the dictionary
+    /// has no [`room`] for ends the pass with [`Exhausted`]: the codes
+    /// before it were handed out, and it and the values after it were
+    /// not interned. No other lock is taken meanwhile: neither `values`
+    /// nor `sink` may touch this dictionary. Panics on a value of the
+    /// other type, as [`Dictionary::intern`] does.
     pub(crate) fn intern_each<'a>(
         &self,
         values: impl IntoIterator<Item = &'a Value>,
         mut sink: impl FnMut(u32),
-    ) {
+    ) -> Result<(), Exhausted> {
         let mut values = values.into_iter();
         let mut run = Run::new();
-        loop {
-            {
-                let inner = self.read();
-                loop {
-                    let Some((v, hash)) = run.peek(&mut values) else { return };
-                    match inner.find(v, hash) {
-                        Ok(code) => sink(code),
-                        Err(_) => break,
-                    }
-                    run.advance();
-                }
-            }
-            let mut inner = self.write();
-            loop {
-                let Some((v, hash)) = run.peek(&mut values) else { return };
-                run.advance();
-                match inner.find_or_insert(v, hash) {
-                    // Raced — somebody interned it between the two
-                    // locks — or the run of unseen values has ended.
-                    Ok(code) => {
-                        drop(inner);
-                        sink(code);
-                        break;
-                    }
-                    Err(code) => sink(code),
-                }
-            }
+        let mut inner = self.write();
+        while let Some((v, hash)) = run.peek(&mut values) {
+            run.advance();
+            sink(inner.find_or_insert(v, hash)?);
         }
+        Ok(())
     }
 
     /// The code of `v`, if it has been interned ([`NO_CODE`]-free lookup
@@ -925,6 +928,22 @@ impl Dictionary {
     }
 }
 
+/// Unwraps an interning pass for the callers that return no error:
+/// [`Dictionary::intern`], [`Column::push`] and [`Column::extend_values`].
+fn exhausted_panics(pass: Result<(), Exhausted>) {
+    if let Err(what) = pass {
+        #[expect(
+            clippy::panic,
+            reason = "input reaches it (2³² distinct values, or 4 GiB of distinct strings, in \
+                      one dictionary) through the infallible `intern`/`extend_values`; \
+                      `Relation::apply_delta` refuses it with `DictionaryExhausted`"
+        )]
+        {
+            panic!("dictionary exhausted {}", what.what());
+        }
+    }
+}
+
 impl Clone for Dictionary {
     /// Deep copy: the clone interns independently from the original.
     /// (Fragments that must share codes clone the `Arc`, not the
@@ -939,9 +958,8 @@ impl Clone for Dictionary {
 ///
 /// A column is written two ways, and both cost what is written rather
 /// than what is stored. Values append through [`Column::extend_values`]
-/// (one pass: the dictionary's read lock across known values, its write
-/// lock across each run of values not seen before; [`Column::push`] is
-/// the one-value case); codes copied from a column over the same
+/// (one pass under the dictionary's write lock, one probe a value;
+/// [`Column::push`] is the one-value case); codes copied from a column over the same
 /// dictionary append as they are. Rows leave through `remove_rows`,
 /// which closes the gaps in place — one `copy_within` per run of
 /// survivors — and allocates nothing.
@@ -1010,17 +1028,23 @@ impl Column {
         code
     }
 
-    /// Appends `values` in order, interning them in one pass: known
-    /// values under the dictionary's read lock, each run of values it
-    /// has not seen under one acquisition of its write lock. Codes and
-    /// dictionary contents are those of [`Column::push`] per value. Bulk
-    /// ingest and delta inserts run column by column through this, so a
-    /// thread holds one dictionary lock at a time and parallel sites
-    /// over shared dictionaries cannot deadlock. `values` must not touch
-    /// this column's dictionary. Panics as [`Dictionary::intern`] does.
+    /// Appends `values` in order, interning them in one pass under the
+    /// dictionary's write lock, one probe a value. Codes and dictionary
+    /// contents are those of [`Column::push`] per value. Bulk ingest runs
+    /// column by column through this, so a thread holds one dictionary
+    /// lock at a time; passes from several threads over one dictionary
+    /// take turns at its lock. `values` must not touch this column's
+    /// dictionary. Panics as [`Dictionary::intern`] does.
     pub fn extend_values<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
         let dict = Arc::clone(&self.dict);
-        dict.intern_each(values, |code| self.push_raw(code));
+        exhausted_panics(dict.intern_each(values, |code| self.push_raw(code)));
+    }
+
+    /// Appends already interned codes. The caller guarantees the
+    /// dictionary assigned them ([`Dictionary::len`] bounds the valid
+    /// ones).
+    pub(crate) fn append_codes(&mut self, codes: &[u32]) {
+        self.codes.extend_from_slice(codes);
     }
 
     /// Appends the codes `src` holds at `rows`, in the given order. The
@@ -1169,19 +1193,34 @@ mod tests {
     }
 
     #[test]
-    fn string_offsets_reach_4_gib_and_no_further() {
-        let max = u32::MAX as usize;
-        assert_eq!(end_offset(max - 5, 5), u32::MAX);
-        assert_eq!(end_offset(0, 0), 0);
-        for (bytes, len) in [(max, 1), (0, max + 1), (usize::MAX, 1)] {
-            let refused = std::panic::catch_unwind(|| end_offset(bytes, len));
-            let message = refused.expect_err("past 4 GiB").downcast::<String>().map(|m| *m);
-            assert_eq!(
-                message.ok().as_deref(),
-                Some("dictionary exhausted the 4 GiB its string table can address"),
-                "{bytes} + {len}"
-            );
+    fn room_runs_out_at_the_code_limit_and_at_4_gib() {
+        let (limit, max) = (CODE_LIMIT as usize, u32::MAX as usize);
+        // The last code below the sentinels, and the last byte an offset
+        // reaches, are granted.
+        assert_eq!(room(limit - 1, 0, 0), Ok((CODE_LIMIT - 1, 0)));
+        assert_eq!(room(0, max - 5, 5), Ok((0, u32::MAX)));
+        assert_eq!(room(7, 10, 3), Ok((7, 13)));
+        // One past either is refused, whichever of the two comes first.
+        for len in [limit, limit + 1, max, usize::MAX] {
+            assert_eq!(room(len, 0, 0), Err(Exhausted::Codes), "{len} codes");
         }
+        for (bytes, add) in [(max, 1), (0, max + 1), (usize::MAX, 1)] {
+            assert_eq!(room(3, bytes, add), Err(Exhausted::Bytes), "{bytes} + {add}");
+        }
+        assert_eq!(room(limit, max, 1), Err(Exhausted::Codes));
+        assert_eq!(Exhausted::Bytes.what(), "the 4 GiB its string table can address");
+        assert_eq!(Exhausted::Codes.what(), "the u32 code space");
+    }
+
+    #[test]
+    fn an_exhausted_pass_panics_where_it_returns_no_error() {
+        let refused = std::panic::catch_unwind(|| exhausted_panics(Err(Exhausted::Bytes)));
+        let message = refused.expect_err("exhausted").downcast::<String>().map(|m| *m);
+        assert_eq!(
+            message.ok().as_deref(),
+            Some("dictionary exhausted the 4 GiB its string table can address")
+        );
+        exhausted_panics(Ok(()));
     }
 
     #[test]
@@ -1358,7 +1397,7 @@ mod tests {
                 let (pass, single) = (base.clone(), base.clone());
                 let feed = [nth(ty, 1000), unsorted(ty, 0)];
                 let mut codes = Vec::new();
-                pass.intern_each(&feed, |code| codes.push(code));
+                pass.intern_each(&feed, |code| codes.push(code)).unwrap();
                 let want: Vec<u32> = feed.iter().map(|v| single.intern(v)).collect();
                 assert_eq!((codes, pass.index_slots()), (want, single.index_slots()), "at {len}");
                 assert_eq!(pass.index_slots(), grown_len(len + 1), "{ty:?} at {len}");
@@ -1411,7 +1450,7 @@ mod tests {
                         format!("{ty:?}, indexed {indexed}, {} values: {feed:?}", feed.len());
                     let (pass, single) = (base.clone(), base.clone());
                     let mut codes = Vec::new();
-                    pass.intern_each(feed, |code| codes.push(code));
+                    pass.intern_each(feed, |code| codes.push(code)).unwrap();
                     let want: Vec<u32> = feed.iter().map(|v| single.intern(v)).collect();
                     assert_eq!(codes, want, "{label}");
                     assert_eq!(pass.snapshot(), single.snapshot(), "{label}");
