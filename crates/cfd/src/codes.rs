@@ -36,7 +36,7 @@ use crate::cfd::SimpleCfd;
 use crate::kernel::{self, ColumnRows, Flagged, KernelTally, LhsIndex, Tableau};
 use crate::pattern::CompiledPattern;
 use crate::violation::ViolationSet;
-use dcd_relation::{AttrId, Dictionary, Relation, TupleId, Value};
+use dcd_relation::{AttrId, Codes, Dictionary, Relation, TupleId, Value};
 use std::sync::Arc;
 
 /// One row on the code-native wire: a tuple id plus the dictionary
@@ -198,7 +198,7 @@ impl ResolvedCfd {
     /// back beside them.
     pub fn detect_blocks<'a>(
         &self,
-        blocks: impl IntoIterator<Item = (&'a [&'a [u32]], &'a [TupleId], &'a [usize])>,
+        blocks: impl IntoIterator<Item = (&'a [Codes<'a>], &'a [TupleId], &'a [usize])>,
     ) -> (Flagged, KernelTally) {
         if self.compiled.is_empty() {
             return Default::default();

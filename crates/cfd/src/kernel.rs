@@ -68,7 +68,7 @@
 use crate::pattern::CompiledPattern;
 use dcd_obs::MetricsRegistry;
 use dcd_relation::ops::{CodeKey, CodeMemo, RowSource};
-use dcd_relation::{FxHashMap, TupleId, Value, WILDCARD_CODE};
+use dcd_relation::{Codes, FxHashMap, TupleId, Value, WILDCARD_CODE};
 
 /// What one kernel call counted: how many [`LhsIndex`] probes ran and
 /// the [`Judgement`] mix of the groups validated. Plain integers, kept by
@@ -392,17 +392,17 @@ pub(crate) fn detect_grouped<R>(
 }
 
 /// One segment of rows held column-major, read where they lie: dense
-/// code slices for the LHS attributes and the RHS attribute, and the
-/// tuple ids, all of one length — a relation's columns, or the columns a
-/// vertical gather plans — plus which of their rows to read: a `Range`
-/// (every row, for a whole relation) or a selection (`&[usize]`, a
-/// σ-block's rows).
+/// code views for the LHS attributes and the RHS attribute, each at its
+/// column's width, and the tuple ids, all of one length — a relation's
+/// columns, or the columns a vertical gather plans — plus which of their
+/// rows to read: a `Range` (every row, for a whole relation) or a
+/// selection (`&[usize]`, a σ-block's rows).
 #[derive(Debug, Clone)]
 pub struct ColumnRows<'a, R> {
-    /// One slice per LHS attribute, in LHS order.
-    pub lhs: Vec<&'a [u32]>,
+    /// One view per LHS attribute, in LHS order.
+    pub lhs: Vec<Codes<'a>>,
     /// The RHS codes.
-    pub rhs: &'a [u32],
+    pub rhs: Codes<'a>,
     /// The tuple ids.
     pub tids: &'a [TupleId],
     /// The rows to read, in order.
@@ -415,10 +415,12 @@ pub struct ColumnRows<'a, R> {
 /// live in one [`CodeMemo`] for every segment, over the LHS
 /// dictionaries' sizes `key_sizes`, read at this call, and the rows read
 /// in all: a slot table when the code space fits them, else a hash map.
-/// Its [`CodeMemo::resolve`] asks for an id at each key's first row, and
-/// a counter hands them out in first-seen order, so groups, verdicts,
-/// tallies and output order do not depend on which table it is, nor on
-/// where one segment ends and the next begins.
+/// Its [`CodeMemo::resolve_beside`] asks for an id at each key's first
+/// row, and a counter hands them out in first-seen order, so groups,
+/// verdicts, tallies and output order do not depend on which table it
+/// is, nor on where one segment ends and the next begins. The RHS is
+/// read beside the key, a chunk of rows and a column at a time; a key's
+/// cells are read one by one only for a group's first row.
 pub(crate) fn detect_columns<R: RowSource>(
     segments: &[ColumnRows<'_, R>],
     key_sizes: impl IntoIterator<Item = usize>,
@@ -442,8 +444,8 @@ pub(crate) fn detect_columns<R: RowSource>(
         gid
     };
     for seg in segments {
-        ids.resolve(&seg.lhs, seg.rows.clone(), &mut first_seen, |r, gid| {
-            groups.record(gid, seg.rhs[r], seg.lhs.iter().map(|col| col[r]));
+        ids.resolve_beside(&seg.lhs, seg.rhs, seg.rows.clone(), &mut first_seen, |r, gid, rhs| {
+            groups.record(gid, rhs, seg.lhs.iter().map(|col| col.get(r)));
             group_of.push(gid);
         });
     }
@@ -452,12 +454,15 @@ pub(crate) fn detect_columns<R: RowSource>(
     let mut out = Flagged::default();
     let (judged, tally) = judge_groups(&groups, tableau, decode, &mut out);
     if !out.patterns.is_empty() {
-        let read =
-            segments.iter().flat_map(|seg| seg.rows.rows().map(|r| (seg.tids[r], seg.rhs[r])));
-        for ((tid, rhs), &gid) in read.zip(&group_of) {
-            if judged[gid as usize].flags(rhs) {
-                out.tids.push(tid);
-            }
+        let mut gids = &group_of[..];
+        for seg in segments {
+            let (here, rest) = gids.split_at(seg.rows.rows().len());
+            seg.rows.for_each_code(seg.rhs, |k, rhs| {
+                if judged[here[k] as usize].flags(rhs) {
+                    out.tids.push(seg.tids[seg.rows.at(k)]);
+                }
+            });
+            gids = rest;
         }
     }
     (out, tally)
@@ -645,7 +650,7 @@ mod tests {
         if rows.iter().all(|r| r.0 != NO_GROUP) {
             let (keys, rhs): (Vec<u32>, Vec<u32>) = rows.iter().copied().unzip();
             let tids: Vec<TupleId> = rhs.iter().map(|&c| TupleId(u64::from(c))).collect();
-            let (lhs, rhs, tids) = (vec![&keys[..]], &rhs[..], &tids[..]);
+            let (lhs, rhs, tids) = (vec![Codes::from(&keys[..])], Codes::from(&rhs[..]), &tids[..]);
             let whole = [ColumnRows { lhs: lhs.clone(), rhs, tids, rows: 0..rows.len() }];
             // The same rows as two selections, split mid-way: one batch.
             let (head, tail): (Vec<usize>, Vec<usize>) =
@@ -787,8 +792,8 @@ mod tests {
         // 2 and 3 (RHS 6, 7: a conflict).
         let tids: Vec<TupleId> = (0..5).map(TupleId).collect();
         let rows = [ColumnRows {
-            lhs: vec![&[0, 0, 1, 1, 0][..]],
-            rhs: &[5, 5, 6, 7, 5],
+            lhs: vec![Codes::U8(&[0, 0, 1, 1, 0])],
+            rhs: Codes::U8(&[5, 5, 6, 7, 5]),
             tids: &tids,
             rows: 0..5,
         }];

@@ -10,7 +10,7 @@
 
 use crate::kernel::RhsSpec;
 use dcd_relation::{
-    Atom, AttrId, Conjunction, Dictionary, Relation, Tuple, Value, NO_CODE, WILDCARD_CODE,
+    Atom, AttrId, Codes, Conjunction, Dictionary, Relation, Tuple, Value, NO_CODE, WILDCARD_CODE,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -225,13 +225,6 @@ impl CompiledPattern {
         CompiledPattern { lhs: lhs_codes, rhs: cell(rhs_dict, &pattern.rhs), feasible }
     }
 
-    /// `t[X] ≍ tp[X]` for row `i` of the code columns the pattern was
-    /// compiled against (`cols[j]` = codes of LHS attribute `j`).
-    #[inline]
-    pub(crate) fn matches_row(&self, cols: &[&[u32]], i: usize) -> bool {
-        self.lhs.iter().zip(cols).all(|(&pc, col)| pc == WILDCARD_CODE || pc == col[i])
-    }
-
     /// `key ≍ tp[X]` for a materialized group key of codes.
     #[inline]
     pub fn matches_codes(&self, key: &[u32]) -> bool {
@@ -304,13 +297,15 @@ impl Admission {
         Admission { filters }
     }
 
-    /// Whether row `i` of the code slices `cols` (`cols[j]` = codes of
+    /// Whether row `i` of the code views `cols` (`cols[j]` = codes of
     /// LHS attribute `j`) passes every position's test. `false` means
-    /// the row matches no pattern; `true` promises nothing.
+    /// the row matches no pattern; `true` promises nothing. It reads
+    /// each cell on its own ([`Codes::get`]): σ asks it once per key, at
+    /// the key's first row.
     #[inline]
-    pub fn admits_row(&self, cols: &[&[u32]], i: usize) -> bool {
+    pub fn admits_row(&self, cols: &[Codes<'_>], i: usize) -> bool {
         self.filters.iter().all(|(j, bits)| {
-            let code = cols[*j][i];
+            let code = cols[*j].get(i);
             bits.get(code as usize / 64).is_some_and(|word| word >> (code % 64) & 1 == 1)
         })
     }
@@ -328,6 +323,11 @@ pub fn generality_order(patterns: &[NormalPattern]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Row `i`'s codes over `cols`, one per LHS attribute.
+    fn key_at(cols: &[Codes<'_>], i: usize) -> Vec<u32> {
+        cols.iter().map(|col| col.get(i)).collect()
+    }
     use dcd_relation::{vals, TupleId};
 
     fn t(vs: Vec<Value>) -> Tuple {
@@ -405,14 +405,15 @@ mod tests {
         };
         let pats = [pat(&[3, w, 70]), pat(&[5, 1, 2]), pat(&[NO_CODE, w, w])];
         let admission = Admission::of_patterns(&pats);
-        let cols: [&[u32]; 3] =
+        let data: [&[u32]; 3] =
             [&[3, 5, 4, 3, 5, NO_CODE, 900], &[9, 1, 1, 9, 9, 1, 1], &[70, 2, 2, 2, 71, 2, 2]];
+        let cols = data.map(Codes::from);
         let admitted: Vec<bool> = (0..7).map(|i| admission.admits_row(&cols, i)).collect();
         // Row 3 (3, 9, 2) matches nothing yet passes: each cell is some
         // pattern's constant. Position 1 is wild in a feasible pattern.
         assert_eq!(admitted, [true, true, false, true, false, false, false]);
         for (i, &admitted) in admitted.iter().enumerate() {
-            let matched = pats.iter().any(|p| p.feasible && p.matches_row(&cols, i));
+            let matched = pats.iter().any(|p| p.feasible && p.matches_codes(&key_at(&cols, i)));
             assert!(admitted || !matched, "row {i} rejected but matched");
         }
         // No feasible pattern: nothing is admitted at any position.
@@ -450,7 +451,7 @@ mod tests {
         let cols = rel.code_views(&lhs);
         for (i, t) in rel.iter().enumerate() {
             assert_eq!(
-                compiled.matches_row(&cols, i),
+                compiled.matches_codes(&key_at(&cols, i)),
                 tuple_matches(&t, &lhs, &pat.lhs),
                 "row {i}"
             );
@@ -463,7 +464,7 @@ mod tests {
         let compiled = CompiledPattern::compile(&missing, &rel, &lhs, rhs);
         assert!(!compiled.feasible);
         for i in 0..rel.len() {
-            assert!(!compiled.matches_row(&cols, i), "NO_CODE must match nothing");
+            assert!(!compiled.matches_codes(&key_at(&cols, i)), "NO_CODE must match nothing");
         }
         // A missing RHS constant stays representable (every tuple differs).
         let rhs_missing =
@@ -471,7 +472,7 @@ mod tests {
         let compiled = CompiledPattern::compile(&rhs_missing, &rel, &lhs, rhs);
         assert!(compiled.feasible);
         assert_eq!(compiled.rhs, dcd_relation::NO_CODE);
-        assert!(rel.column(rhs).codes().iter().all(|&c| c != compiled.rhs));
+        assert!(rel.column(rhs).codes().to_vec().iter().all(|&c| c != compiled.rhs));
     }
 
     #[test]

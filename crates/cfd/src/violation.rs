@@ -305,8 +305,13 @@ pub fn detect_constants_rows_with(
     let sizes = cfd.lhs.iter().map(|&a| rel.dictionary(a).len());
     let tids = rel.tids();
     let mut held = CodeMemo::new(sizes, end - start);
+    // A key's codes are read once, at its first row, and every pattern
+    // is matched against them.
+    let mut key: Vec<u32> = Vec::with_capacity(lhs.len());
     let judge = |r: usize| {
-        let matching = feasible.iter().filter(|p| p.matches_row(&lhs, r));
+        key.clear();
+        key.extend(lhs.iter().map(|col| col.get(r)));
+        let matching = feasible.iter().filter(|p| p.matches_codes(&key));
         match kernel::judge(matching.map(|p| p.rhs_spec()), false, false) {
             Judgement::Clean => WILDCARD_CODE,
             Judgement::Differing(c) => c,
@@ -315,8 +320,8 @@ pub fn detect_constants_rows_with(
         }
     };
     let mut flagged_keys: FxHashSet<CodeKey> = FxHashSet::default();
-    held.resolve(&lhs, start..end, judge, |r, held| {
-        if held != WILDCARD_CODE && rhs[r] != held {
+    held.resolve_beside(&lhs, rhs, start..end, judge, |r, held, rhs| {
+        if held != WILDCARD_CODE && rhs != held {
             flagged_keys.insert(CodeKey::of_row(&lhs, r));
             out.insert(tids[r]);
         }

@@ -22,8 +22,8 @@
 
 use dcd_cfd::{NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::{CostModel, HorizontalPartition};
-use dcd_relation::ops::CodeKey;
-use dcd_relation::{DeltaEffect, Dictionary, FxHashMap, FxHashSet};
+use dcd_relation::ops::{for_each_key, CodeKey};
+use dcd_relation::{Codes, DeltaEffect, Dictionary, FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Mining parameters.
@@ -106,14 +106,14 @@ impl MinedTableau {
             .map(|frag| {
                 let cols = frag.data.code_views(&cfd.lhs);
                 let counts = masks.iter().map(|&mask| {
-                    let mask_cols: Vec<&[u32]> =
+                    let mask_cols: Vec<Codes<'_>> =
                         mask_attrs(mask, m).iter().map(|&i| cols[i]).collect();
                     let mut map: FxHashMap<CodeKey, usize> = FxHashMap::default();
                     // The hot loop: count the packed keys of the mask's
-                    // columns.
-                    for r in 0..frag.data.len() {
-                        *map.entry(CodeKey::of_row(&mask_cols, r)).or_insert(0) += 1;
-                    }
+                    // columns, gathered a chunk of rows at a time.
+                    for_each_key(&mask_cols, 0..frag.data.len(), |_, key| {
+                        *map.entry(CodeKey::of_codes(key)).or_insert(0) += 1;
+                    });
                     map
                 });
                 SiteSupport {

@@ -40,7 +40,7 @@ use dcd_cfd::codes::ResolvedCfd;
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{Cfd, KernelTally, NormalPattern, PatternValue, SimpleCfd};
 use dcd_dist::{Fragment, HorizontalPartition, SiteId};
-use dcd_relation::{AttrId, FxHashSet, TupleId};
+use dcd_relation::{AttrId, Codes, FxHashSet, TupleId};
 
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
 /// time over one shared [`RunCtx`], each a cluster of one run with the
@@ -235,7 +235,7 @@ pub(crate) fn run_cluster(
     // Each task lists the σ-blocks assigned to it and reads their rows
     // where the fragments hold them.
     let per_block = alone && strategy != CoordinatorStrategy::Central;
-    let views: Vec<Vec<&[u32]>> = fragments.iter().map(|f| f.data.code_views(&attrs)).collect();
+    let views: Vec<Vec<Codes<'_>>> = fragments.iter().map(|f| f.data.code_views(&attrs)).collect();
     let mut validated =
         validate_phase(ctx, label, &parts, &assignment, per_block, resolved.len(), |site| {
             let blocks = assigned_blocks(fragments, &views, &parts, &assignment, site);
@@ -261,7 +261,7 @@ pub(crate) fn run_cluster(
 
 /// A block of rows where a fragment holds it: the fragment's columns in
 /// layout order, its tuple ids and the block's rows.
-type Block<'a> = (&'a [&'a [u32]], &'a [TupleId], &'a [usize]);
+type Block<'a> = (&'a [Codes<'a>], &'a [TupleId], &'a [usize]);
 
 /// Coordinator `site`'s share of the cluster's shipment, as its pool
 /// task validates it: the non-empty σ-blocks of the patterns assigned to
@@ -270,7 +270,7 @@ type Block<'a> = (&'a [&'a [u32]], &'a [TupleId], &'a [usize]);
 /// copied.
 fn assigned_blocks<'a>(
     fragments: &'a [Fragment],
-    views: &'a [Vec<&'a [u32]>],
+    views: &'a [Vec<Codes<'a>>],
     parts: &'a [SigmaPartition],
     assignment: &[Option<SiteId>],
     site: SiteId,
@@ -372,7 +372,7 @@ mod tests {
         .map(|blocks| SigmaPartition { blocks: blocks.into(), comparisons: 0 })
         .collect();
         let assignment = [Some(SiteId(2)), Some(SiteId(0)), Some(SiteId(0))];
-        let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
+        let views: Vec<Vec<Codes<'_>>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
 
         let mut flagged_any = false;
         for (c, want) in [vec![(1, 1), (2, 0), (2, 1)], vec![], vec![(0, 1)]].iter().enumerate() {
@@ -393,7 +393,7 @@ mod tests {
             let cols: Vec<Vec<u32>> = (0..attrs.len())
                 .map(|j| wire.iter().map(|(_, cells)| cells[j]).collect())
                 .collect();
-            let cols: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+            let cols: Vec<Codes<'_>> = cols.iter().map(|c| c[..].into()).collect();
             let all: Vec<usize> = (0..tids.len()).collect();
             for r in &resolved {
                 let (found, tally) = r.detect_blocks(blocks.iter().copied());
@@ -490,7 +490,7 @@ mod tests {
         let assignment = assign_coordinators(inner, &lstat, &[20; 3], &cfg.cost);
         let attrs = b.shipped_attrs();
         ship_phase(&mut ctx, "b", frags, &parts, &assignment, attrs.len(), own_fragment);
-        let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
+        let views: Vec<Vec<Codes<'_>>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
         let read: usize = (0..3)
             .flat_map(|c| assigned_blocks(frags, &views, &parts, &assignment, SiteId(c)))
             .map(|(_, _, rows)| rows.len())

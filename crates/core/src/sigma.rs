@@ -23,7 +23,7 @@ use dcd_cfd::kernel::LhsIndex;
 use dcd_cfd::pattern::{compile_tableau, Admission, CompiledPattern};
 use dcd_cfd::{NormalPattern, SimpleCfd};
 use dcd_relation::ops::CodeMemo;
-use dcd_relation::Relation;
+use dcd_relation::{Codes, Relation};
 
 /// A [`SimpleCfd`] with its tableau re-sorted most-specific-first, as
 /// required by σ. Construct via [`sort_for_sigma`].
@@ -130,13 +130,13 @@ pub fn sigma_partition(
                 return MISS;
             }
             for &j in &index.pinned {
-                key_codes[j] = lhs_cols[j][r];
+                key_codes[j] = lhs_cols[j].get(r);
             }
             index
                 .assign(&key_codes, &mut probe_buf)
                 .map_or(MISS, |pi| u32::try_from(pi).expect("fewer patterns than u32::MAX"))
         };
-        let pinned_cols: Vec<&[u32]> = index.pinned.iter().map(|&j| lhs_cols[j]).collect();
+        let pinned_cols: Vec<Codes<'_>> = index.pinned.iter().map(|&j| lhs_cols[j]).collect();
         let pinned_sizes =
             index.pinned.iter().map(|&j| fragment.dictionary(sorted.cfd.lhs[j]).len());
         let mut memo = CodeMemo::new(pinned_sizes, rows);

@@ -165,7 +165,7 @@ impl<'a> Templates<'a> {
         columns
             .iter()
             .map(|col| {
-                let code = col.codes()[row];
+                let code = col.codes().get(row);
                 let key = (Arc::as_ptr(col.dict()), code);
                 self.decoded.entry(key).or_insert_with(|| col.dict().value(code)).clone()
             })

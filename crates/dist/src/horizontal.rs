@@ -117,9 +117,9 @@ impl HorizontalPartition {
             .map(|v| (hasher.hash_one(v) % n as u64) as usize)
             .collect();
         let mut buckets: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, &code) in rel.column(a).codes().iter().enumerate() {
+        rel.column(a).codes().for_each_in(0..rel.len(), |i, code| {
             buckets[site_of_code[code as usize]].push(i);
-        }
+        });
         Ok(Self::from_buckets(rel, buckets, vec![None; n]))
     }
 

@@ -12,8 +12,8 @@
 use crate::horizontal::locate_then_apply;
 use crate::site::SiteId;
 use dcd_relation::{
-    ops, AttrId, DeltaEffect, Dictionary, Relation, RelationDelta, RelationError, Schema, Tuple,
-    TupleId,
+    ops, AttrId, Codes, DeltaEffect, Dictionary, Relation, RelationDelta, RelationError, Schema,
+    Tuple, TupleId,
 };
 use std::sync::Arc;
 
@@ -226,7 +226,7 @@ impl VerticalPartition {
     /// [`GatherPlan::attrs`] order. Row `r` of each is the tuple
     /// `tids()[r]` of every fragment, so a coordinator reads any rows of
     /// them without copying one.
-    pub fn columns(&self, plan: &GatherPlan) -> Vec<&[u32]> {
+    pub fn columns(&self, plan: &GatherPlan) -> Vec<Codes<'_>> {
         self.sources(plan)
             .map(|(_, f, local)| self.fragments[f].data.column(local).codes())
             .collect()
@@ -270,7 +270,7 @@ impl VerticalPartition {
         let mut row = vec![0u32; self.schema.arity()];
         for (r, &tid) in tids.iter().enumerate() {
             for (a, col) in attrs.iter().zip(&cols) {
-                row[a.index()] = col[r];
+                row[a.index()] = col.get(r);
             }
             out.push_code_row(tid, &row)?;
         }
@@ -439,11 +439,17 @@ mod tests {
         let cols = p.columns(&plan);
         let own = |f: usize, local: u16| p.fragments()[f].data.column(AttrId(local)).codes();
         let want = [own(1, 1), own(1, 2), own(0, 1)];
-        assert!(cols.iter().zip(want).all(|(got, want)| std::ptr::eq(*got, want)));
+        let same = |got: Codes<'_>, want: Codes<'_>| match (got, want) {
+            (Codes::U8(g), Codes::U8(w)) => std::ptr::eq(g, w),
+            (Codes::U16(g), Codes::U16(w)) => std::ptr::eq(g, w),
+            (Codes::U32(g), Codes::U32(w)) => std::ptr::eq(g, w),
+            _ => false,
+        };
+        assert!(cols.iter().zip(want).all(|(&got, want)| same(got, want)));
         let rows = [4, 1, 5];
         let tids = p.fragments()[0].data.tids();
         let read: Vec<(TupleId, Vec<u32>)> =
-            rows.iter().map(|&r| (tids[r], cols.iter().map(|col| col[r]).collect())).collect();
+            rows.iter().map(|&r| (tids[r], cols.iter().map(|col| col.get(r)).collect())).collect();
         let shipped = r.code_rows(&ids(&["a", "b", "c"]), &rows);
         let want: Vec<(TupleId, Vec<u32>)> =
             shipped.into_iter().map(|(tid, codes)| (tid, codes.into_vec())).collect();

@@ -290,7 +290,7 @@ fn fragments_sharing_dictionaries_apply_deltas_in_parallel() {
         for (k, (tid, codes)) in effect.inserted.iter().enumerate() {
             assert_eq!(b.data.tids()[first_new + k], *tid);
             for (col, &code) in b.data.columns().iter().zip(codes.iter()) {
-                assert_eq!(col.codes()[first_new + k], code);
+                assert_eq!(col.codes().get(first_new + k), code);
             }
         }
     }

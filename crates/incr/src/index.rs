@@ -699,7 +699,7 @@ mod tests {
     fn full_rows(rel: &Relation) -> Vec<(TupleId, Box<[u32]>)> {
         (0..rel.len())
             .map(|i| {
-                let codes: Box<[u32]> = rel.columns().iter().map(|c| c.codes()[i]).collect();
+                let codes: Box<[u32]> = rel.columns().iter().map(|c| c.codes().get(i)).collect();
                 (rel.tids()[i], codes)
             })
             .collect()

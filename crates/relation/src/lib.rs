@@ -74,7 +74,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use predicate::{Atom, CmpOp, Conjunction, Predicate};
 pub use relation::{EncodedDelta, PendingDelta, Relation};
 pub use schema::{AttrId, Attribute, Schema, SchemaBuilder, ValueType};
-pub use store::{Column, Dictionary, DEFAULT_CHUNK_ROWS, NO_CODE, WILDCARD_CODE};
+pub use store::{Codes, Column, Dictionary, DEFAULT_CHUNK_ROWS, NO_CODE, WILDCARD_CODE};
 pub use tuple::{Tuple, TupleId};
 pub use value::Value;
 

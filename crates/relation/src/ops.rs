@@ -10,15 +10,18 @@
 //! to the rows a call scans — turned into one index of a flat slot table
 //! by its [`CodeSpace`]. A [`CodeMemo`] makes that choice for a scan,
 //! and [`CodeMemo::resolve`] walks the scan's rows through it: on a slot
-//! table a chunk of rows' slot ids at a time, one pass per key column.
-//! The rows are a [`RowSource`]: a contiguous range, or a selection of
-//! row indices read where they lie (a σ-block, the rows a vertical
-//! gather kept).
+//! table a chunk of rows' slot ids at a time, one pass per key column;
+//! on a hash map a chunk of rows' keys at a time ([`for_each_key`]), one
+//! pass per key column. The rows are a [`RowSource`]: a contiguous range,
+//! or a selection of row indices read where they lie (a σ-block, the rows
+//! a vertical gather kept). Each pass matches on its column's width once
+//! ([`Codes`]), so no loop here asks a cell's width.
 
 use crate::error::RelationError;
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::schema::AttrId;
+use crate::store::Codes;
 use std::ops::Range;
 
 /// A group key over code columns: at most two codes packed into one
@@ -36,19 +39,21 @@ pub enum CodeKey {
 }
 
 impl CodeKey {
-    /// The key of row `i` over the given code slices, one per key column
+    /// The key of row `i` over the given code views, one per key column
     /// (delegates to [`CodeKey::of_codes`], which owns the packing
-    /// layout).
+    /// layout). It reads each cell on its own ([`Codes::get`]): for a
+    /// row met once per key or per flagged row; a scan's keys come from
+    /// [`for_each_key`].
     #[inline]
-    pub fn of_row(cols: &[&[u32]], i: usize) -> CodeKey {
+    pub fn of_row(cols: &[Codes<'_>], i: usize) -> CodeKey {
         if cols.len() <= 4 {
             let mut buf = [0u32; 4];
             for (slot, col) in buf.iter_mut().zip(cols) {
-                *slot = col[i];
+                *slot = col.get(i);
             }
             CodeKey::of_codes(&buf[..cols.len()])
         } else {
-            CodeKey::Wide(cols.iter().map(|c| c[i]).collect())
+            CodeKey::Wide(cols.iter().map(|c| c.get(i)).collect())
         }
     }
 
@@ -127,25 +132,31 @@ impl CodeSpace {
         (slots <= rows).then_some(CodeSpace { radix, slots })
     }
 
-    /// Writes the slot of each of `rows` over the key's code slices (one
+    /// Writes the slot of each of `rows` over the key's code views (one
     /// per column, in key order — as for [`CodeKey::of_row`]) into
     /// `ids`, one pass per column.
     #[inline]
-    fn slots_of(&self, cols: &[&[u32]], rows: &impl RowSource, ids: &mut [u32]) {
+    fn slots_of(&self, cols: &[Codes<'_>], rows: &impl RowSource, ids: &mut [u32]) {
         debug_assert_eq!(cols.len(), self.radix.len());
         ids.fill(0);
-        for (col, &(size, stride)) in cols.iter().zip(&self.radix) {
-            for (id, code) in ids.iter_mut().zip(rows.codes(col)) {
+        for (&col, &(size, stride)) in cols.iter().zip(&self.radix) {
+            rows.zip_codes(col, ids.iter_mut(), |id, code| {
                 debug_assert!(code < size, "code {code} outside a dictionary of {size}");
                 *id += code * stride;
-            }
+            });
         }
     }
 }
 
-/// Rows whose slot ids [`CodeMemo::resolve`] computes, a column at a
-/// time, before it reads their cells: 4 KiB of ids on the stack.
+/// Rows whose slot ids or keys a scan computes, a column at a time,
+/// before it reads them: 4 KiB of ids, or of one column's cells, on the
+/// stack.
 const CHUNK: usize = 1024;
+
+/// Columns [`for_each_key`] gathers into a buffer on the stack: a key of
+/// four (the widest a packed [`CodeKey`] holds) and one read beside it.
+/// A wider gather's buffer is on the heap.
+const STACK_KEY: usize = 5;
 
 /// The rows a scan reads, in order: a `Range` of row indices, or a
 /// selection of them (`&[usize]`). [`CodeMemo::resolve`] is generic over
@@ -155,8 +166,18 @@ pub trait RowSource: Clone {
     fn part(&self, at: Range<usize>) -> Self;
     /// The row indices.
     fn rows(&self) -> impl ExactSizeIterator<Item = usize>;
-    /// `col`'s code at each row.
-    fn codes<'c>(&'c self, col: &'c [u32]) -> impl Iterator<Item = u32> + 'c;
+    /// The row at position `k` of this source.
+    fn at(&self, k: usize) -> usize;
+    /// Hands `f` each item of `out` with `col`'s code at the matching
+    /// row, in order: one match on `col`'s width, then a typed loop
+    /// ([`Codes::zip_in`], [`Codes::zip_at`]).
+    fn zip_codes<T>(&self, col: Codes<'_>, out: impl IntoIterator<Item = T>, f: impl FnMut(T, u32));
+    /// Hands `f` each row's position in this source and `col`'s code at
+    /// it, in order.
+    #[inline]
+    fn for_each_code(&self, col: Codes<'_>, f: impl FnMut(usize, u32)) {
+        self.zip_codes(col, 0.., f);
+    }
 }
 
 impl RowSource for Range<usize> {
@@ -168,8 +189,19 @@ impl RowSource for Range<usize> {
         self.clone()
     }
 
-    fn codes<'c>(&'c self, col: &'c [u32]) -> impl Iterator<Item = u32> + 'c {
-        col[self.clone()].iter().copied()
+    #[inline]
+    fn at(&self, k: usize) -> usize {
+        self.start + k
+    }
+
+    #[inline]
+    fn zip_codes<T>(
+        &self,
+        col: Codes<'_>,
+        out: impl IntoIterator<Item = T>,
+        f: impl FnMut(T, u32),
+    ) {
+        col.zip_in(self.clone(), out, f);
     }
 }
 
@@ -182,8 +214,59 @@ impl RowSource for &[usize] {
         self.iter().copied()
     }
 
-    fn codes<'c>(&'c self, col: &'c [u32]) -> impl Iterator<Item = u32> + 'c {
-        self.iter().map(|&r| col[r])
+    #[inline]
+    fn at(&self, k: usize) -> usize {
+        self[k]
+    }
+
+    #[inline]
+    fn zip_codes<T>(
+        &self,
+        col: Codes<'_>,
+        out: impl IntoIterator<Item = T>,
+        f: impl FnMut(T, u32),
+    ) {
+        col.zip_at(self, out, f);
+    }
+}
+
+/// Hands `f` each of `rows` with its key — the codes `cols` hold at it,
+/// in column order — in the order `rows` reads. The keys are gathered a
+/// chunk of rows at a time, a column at a time, into a buffer on the
+/// stack (on the heap past five columns): one match on a column's width
+/// per chunk, never one per cell.
+pub fn for_each_key(cols: &[Codes<'_>], rows: impl RowSource, f: impl FnMut(usize, &[u32])) {
+    gather_keys(cols, None, rows, f);
+}
+
+/// [`for_each_key`], with `beside`'s code, if any, as one more cell
+/// after the key's.
+fn gather_keys(
+    cols: &[Codes<'_>],
+    beside: Option<Codes<'_>>,
+    rows: impl RowSource,
+    mut f: impl FnMut(usize, &[u32]),
+) {
+    let width = cols.len() + usize::from(beside.is_some());
+    // A key over no column is empty: each row still gets its call.
+    let stride = width.max(1);
+    let mut stack = [0u32; STACK_KEY * CHUNK];
+    let mut heap = Vec::new();
+    let keys: &mut [u32] = if width <= STACK_KEY {
+        &mut stack
+    } else {
+        heap.resize(width * CHUNK, 0);
+        &mut heap
+    };
+    let n = rows.rows().len();
+    for start in (0..n).step_by(CHUNK) {
+        let chunk = rows.part(start..n.min(start + CHUNK));
+        for (j, col) in cols.iter().copied().chain(beside).enumerate() {
+            chunk.zip_codes(col, keys.chunks_exact_mut(stride), |key, code| key[j] = code);
+        }
+        for (k, r) in chunk.rows().enumerate() {
+            f(r, &keys[k * stride..][..width]);
+        }
     }
 }
 
@@ -217,46 +300,94 @@ impl<V: Copy> CodeMemo<V> {
         }
     }
 
-    /// Resolves the keys of `rows` over the key's code slices (one per
+    /// Resolves the keys of `rows` over the key's code views (one per
     /// column, in key order — as for [`CodeKey::of_row`]): `make(r)` runs
     /// once per key not yet in the memo, at that key's first row in the
     /// order `rows` reads, and its value is kept; `each(r, v)` then sees
     /// every row, in that order, with its key's value. A slot table
     /// computes a chunk of rows' slot ids a column at a time before it
-    /// reads their cells; a hash map probes one [`CodeKey`] per row.
+    /// reads their cells; a hash map gathers a chunk of rows' keys a
+    /// column at a time ([`for_each_key`]) and probes one [`CodeKey`] per
+    /// row.
     pub fn resolve(
         &mut self,
-        cols: &[&[u32]],
+        cols: &[Codes<'_>],
+        rows: impl RowSource,
+        make: impl FnMut(usize) -> V,
+        mut each: impl FnMut(usize, V),
+    ) {
+        self.resolve_with(cols, None, rows, make, |r, v, _| each(r, v));
+    }
+
+    /// [`CodeMemo::resolve`], reading one more column beside the key —
+    /// `beside`, gathered with the key a chunk at a time — and handing
+    /// `each` its code at the row too: `each(r, v, code)`. The kernel
+    /// reads a row's RHS code this way, and the constant check the code
+    /// its key holds the row to.
+    pub fn resolve_beside(
+        &mut self,
+        cols: &[Codes<'_>],
+        beside: Codes<'_>,
+        rows: impl RowSource,
+        make: impl FnMut(usize) -> V,
+        each: impl FnMut(usize, V, u32),
+    ) {
+        self.resolve_with(cols, Some(beside), rows, make, each);
+    }
+
+    fn resolve_with(
+        &mut self,
+        cols: &[Codes<'_>],
+        beside: Option<Codes<'_>>,
         rows: impl RowSource,
         mut make: impl FnMut(usize) -> V,
-        mut each: impl FnMut(usize, V),
+        mut each: impl FnMut(usize, V, u32),
     ) {
         match self {
             CodeMemo::Slots(space, cells) => {
                 let mut ids = [0u32; CHUNK];
                 let n = rows.rows().len();
+                let mut visit = |r: usize, slot: u32, code: u32| {
+                    let cell = &mut cells[slot as usize];
+                    let v = match *cell {
+                        Some(v) => v,
+                        None => *cell.insert(first_sight(&mut make, r)),
+                    };
+                    each(r, v, code);
+                };
                 for start in (0..n).step_by(CHUNK) {
                     let chunk = rows.part(start..n.min(start + CHUNK));
                     let ids = &mut ids[..chunk.rows().len()];
                     space.slots_of(cols, &chunk, ids);
-                    for (r, &slot) in chunk.rows().zip(&*ids) {
-                        let cell = &mut cells[slot as usize];
-                        let v = match *cell {
-                            Some(v) => v,
-                            None => *cell.insert(make(r)),
-                        };
-                        each(r, v);
+                    let slots = chunk.rows().zip(ids.iter());
+                    match beside {
+                        // The row loop reads the column beside as it goes.
+                        Some(col) => {
+                            chunk.zip_codes(col, slots, |(r, &slot), code| visit(r, slot, code));
+                        }
+                        None => slots.for_each(|(r, &slot)| visit(r, slot, 0)),
                     }
                 }
             }
             CodeMemo::Hashed(map) => {
-                for r in rows.rows() {
-                    let v = *map.entry(CodeKey::of_row(cols, r)).or_insert_with(|| make(r));
-                    each(r, v);
-                }
+                // The column beside rides as the key's last cell.
+                let width = cols.len();
+                gather_keys(cols, beside, rows, |r, cells| {
+                    let key = CodeKey::of_codes(&cells[..width]);
+                    let v = *map.entry(key).or_insert_with(|| first_sight(&mut make, r));
+                    each(r, v, cells.get(width).copied().unwrap_or(0));
+                });
             }
         }
     }
+}
+
+/// `make(r)`, out of line: a scan calls it once per key, not per row,
+/// so it stays out of the row loop and the per-row work inlines there.
+#[cold]
+#[inline(never)]
+fn first_sight<V>(make: &mut impl FnMut(usize) -> V, r: usize) -> V {
+    make(r)
 }
 
 /// `π_X(D)` as a new relation named `name`, preserving tuple ids and
@@ -309,15 +440,15 @@ mod tests {
     fn code_key_round_trips_widths() {
         let cols_data: Vec<Vec<u32>> = vec![vec![7], vec![9], vec![11], vec![13]];
         for width in 0..=4usize {
-            let cols: Vec<&[u32]> = cols_data[..width].iter().map(Vec::as_slice).collect();
+            let cols: Vec<Codes<'_>> = cols_data[..width].iter().map(|c| c[..].into()).collect();
             let key = CodeKey::of_row(&cols, 0);
-            let expect: Vec<u32> = cols.iter().map(|c| c[0]).collect();
+            let expect: Vec<u32> = cols.iter().map(|c| c.get(0)).collect();
             assert_eq!(key.codes(width), expect, "width {width}");
         }
     }
 
     /// The slot of each row of `cols`, through [`CodeSpace::slots_of`].
-    fn slots(space: &CodeSpace, cols: &[&[u32]], rows: usize) -> Vec<u32> {
+    fn slots(space: &CodeSpace, cols: &[Codes<'_>], rows: usize) -> Vec<u32> {
         let mut ids = vec![u32::MAX; rows];
         space.slots_of(cols, &(0..rows), &mut ids);
         ids
@@ -339,7 +470,7 @@ mod tests {
                 }
             }
         }
-        let cols: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
+        let cols: Vec<Codes<'_>> = codes.iter().map(|c| c[..].into()).collect();
         let mut seen = vec![false; space.slots];
         for (r, slot) in slots(&space, &cols, 24).into_iter().enumerate() {
             assert!(!std::mem::replace(&mut seen[slot as usize], true), "row {r} aliases");
@@ -372,7 +503,7 @@ mod tests {
     /// `make` ran at, over `rows` of `cols`; `make` hands out `0, 1, …`.
     fn resolved(
         memo: &mut CodeMemo<usize>,
-        cols: &[&[u32]],
+        cols: &[Codes<'_>],
         rows: impl RowSource,
     ) -> (Vec<(usize, usize)>, Vec<usize>) {
         let (mut seen, mut made) = (Vec::new(), Vec::new());
@@ -416,8 +547,8 @@ mod tests {
     fn both_memo_tables_keep_the_first_value_per_key() {
         // Keys (0, 1), (2, 0), (0, 1), (1, 1), (2, 0), (0, 0) over
         // dictionaries of 3 × 2: six slots fit six rows, not five.
-        let (a, b) = ([0, 2, 0, 1, 2, 0], [1, 0, 1, 1, 0, 0]);
-        let cols: [&[u32]; 2] = [&a, &b];
+        let (a, b): ([u32; 6], [u32; 6]) = ([0, 2, 0, 1, 2, 0], [1, 0, 1, 1, 0, 0]);
+        let cols: [Codes<'_>; 2] = [a[..].into(), b[..].into()];
         for (rows, slotted) in [(6, true), (5, false)] {
             let mut memo = CodeMemo::new([3, 2], rows);
             assert_eq!(matches!(memo, CodeMemo::Slots(..)), slotted);
@@ -459,7 +590,7 @@ mod tests {
         let key = |r: usize| if r + 5 >= n { 40 + (r % 3) } else { (r * 7) % 37 };
         let (a, b): (Vec<u32>, Vec<u32>) =
             (0..n).map(|r| ((key(r) / 8) as u32, (key(r) % 8) as u32)).unzip();
-        let cols: [&[u32]; 2] = [&a, &b];
+        let cols: [Codes<'_>; 2] = [a[..].into(), b[..].into()];
         let edges = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 3 * CHUNK, n - 1, n];
         for &start in &edges {
             for &end in edges.iter().filter(|&&end| end >= start) {

@@ -5,7 +5,7 @@ use crate::delta::{DeltaEffect, RelationDelta};
 use crate::error::RelationError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::{AttrId, Schema, ValueType};
-use crate::store::{remove_positions, Column, Dictionary};
+use crate::store::{remove_positions, Codes, Column, Dictionary};
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use std::fmt;
@@ -13,6 +13,11 @@ use std::sync::Arc;
 
 /// Rows [`Relation::iter`] decodes per dictionary lock acquisition.
 const DECODE_BATCH: usize = 1024;
+
+/// Wire rows [`Relation::code_rows`] builds before it gathers their
+/// cells a column at a time: 256 boxed rows of a cust-width relation are
+/// ≈ 16 KB, inside L1, where a whole σ-block's rows are not.
+const WIRE_BLOCK_ROWS: usize = 256;
 
 /// Rows a bulk load interns per pass over the columns. Each column pass
 /// re-reads the block's rows, so the block has to stay cache-resident
@@ -25,8 +30,9 @@ const INGEST_BLOCK_ROWS: usize = 256;
 /// An instance `D` of a relation schema `R`.
 ///
 /// Storage is dictionary-encoded and columnar, and it is the *only* copy
-/// of the data: one `Vec<TupleId>` plus one [`Column`] of `u32` codes per
-/// attribute, each backed by a shareable [`Dictionary`] (see
+/// of the data: one `Vec<TupleId>` plus one [`Column`] of codes per
+/// attribute — 1, 2 or 4 bytes a code, as narrow as the column's codes
+/// allow — each backed by a shareable [`Dictionary`] (see
 /// [`crate::store`]). Row `i` of the relation is `tids()[i]` together with
 /// the `i`-th code of every column; the tid column and all code columns
 /// always have the same length.
@@ -152,7 +158,8 @@ impl Relation {
     }
 
     /// Bytes the relation holds on the heap, from capacities: the tid
-    /// column, the column array and each code column, and each distinct
+    /// column, the column array and each code column at its width
+    /// ([`Column::heap_bytes`]), and each distinct
     /// dictionary once ([`Dictionary::heap_bytes`] plus its `Arc`'s
     /// allocation). What a drop frees when the relation is its
     /// dictionaries' last owner; the schema is not counted.
@@ -165,7 +172,7 @@ impl Relation {
             .filter(|&(at, c)| !self.columns[..at].iter().any(|p| Arc::ptr_eq(p.dict(), c.dict())))
             .map(|(_, c)| arc + c.dict().heap_bytes())
             .sum();
-        let codes: usize = self.columns.iter().map(|c| c.capacity() * size_of::<u32>()).sum();
+        let codes: usize = self.columns.iter().map(Column::heap_bytes).sum();
         self.tids.capacity() * size_of::<TupleId>() + size_of_val(&*self.columns) + codes + dicts
     }
 
@@ -317,7 +324,7 @@ impl Relation {
 
     /// Applies one delta batch in place — deletes first (order
     /// preserved among survivors), then inserts, interned column by
-    /// column exactly like [`Relation::extend_tuples`]. Returns the
+    /// column in row order, as [`Relation::extend_tuples`] interns. Returns the
     /// [`DeltaEffect`]: the full-width dictionary code rows of every
     /// affected tuple, which is both what the distributed delta protocol
     /// ships (4 bytes per cell) and what a violation index needs to stay
@@ -429,9 +436,10 @@ impl Relation {
         attrs.iter().map(|&a| self.columns[a.index()].dict().clone()).collect()
     }
 
-    /// The code slices of the given attributes, in order — the inputs of
-    /// every code-keyed hot loop (group-by, σ-partitioning, join keys).
-    pub fn code_views(&self, attrs: &[AttrId]) -> Vec<&[u32]> {
+    /// The code views of the given attributes, in order, each at its
+    /// column's width — the inputs of every code-keyed hot loop
+    /// (group-by, σ-partitioning, join keys).
+    pub fn code_views(&self, attrs: &[AttrId]) -> Vec<Codes<'_>> {
         attrs.iter().map(|&a| self.columns[a.index()].codes()).collect()
     }
 
@@ -449,11 +457,25 @@ impl Relation {
     /// The `(tid, codes)` wire rows of the given tuple indices,
     /// projected onto `attrs` (in the given order) — what a site
     /// serializes when shipping a σ-block to a coordinator over the
-    /// code-native wire. One `u32` per cell; decoding happens only at
-    /// the receiver, and only for violating group keys.
+    /// code-native wire. One `u32` per cell, whatever width the columns
+    /// store; decoding happens only at the receiver, and only for
+    /// violating group keys. The rows are built 256 at a
+    /// time, and each block's cells are gathered a column at a time while
+    /// its rows are still in cache.
     pub fn code_rows(&self, attrs: &[AttrId], rows: &[usize]) -> Vec<(TupleId, Box<[u32]>)> {
-        let cols = self.code_views(attrs);
-        rows.iter().map(|&i| (self.tids[i], cols.iter().map(|col| col[i]).collect())).collect()
+        let mut out: Vec<(TupleId, Box<[u32]>)> = Vec::with_capacity(rows.len());
+        for block in rows.chunks(WIRE_BLOCK_ROWS) {
+            let start = out.len();
+            let blank = |&i: &usize| (self.tids[i], vec![0u32; attrs.len()].into_boxed_slice());
+            out.extend(block.iter().map(blank));
+            for (j, &a) in attrs.iter().enumerate() {
+                let cells = &mut out[start..];
+                self.columns[a.index()]
+                    .codes()
+                    .zip_at(block, cells, |(_, row), code| row[j] = code);
+            }
+        }
+        out
     }
 
     /// Appends a row given as dictionary codes (one per attribute, in
@@ -482,7 +504,7 @@ impl Relation {
             }
         }
         for (&code, col) in codes.iter().zip(&mut self.columns) {
-            col.push_raw(code);
+            col.append_codes(&[code]);
         }
         self.push_tid(tid);
         Ok(())
@@ -848,7 +870,7 @@ mod tests {
         .unwrap();
         assert_eq!(r.push(vals![2, "z"]).unwrap(), TupleId(6));
         assert_eq!(r.tids(), &[TupleId(5), TupleId(2), TupleId(6)]);
-        assert_eq!(r.columns()[0].codes(), &[0, 0, 1]);
+        assert_eq!(r.columns()[0].codes().to_vec(), &[0, 0, 1]);
     }
 
     #[test]
@@ -866,8 +888,8 @@ mod tests {
         assert_eq!(effect.deleted, vec![(TupleId(1), vec![1, 1].into())]);
         assert_eq!(effect.inserted, vec![(TupleId(10), vec![1, 2].into())]);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.columns()[0].codes(), &[0, 2, 1]);
-        assert_eq!(r.columns()[1].codes(), &[0, 0, 2]);
+        assert_eq!(r.columns()[0].codes().to_vec(), &[0, 2, 1]);
+        assert_eq!(r.columns()[1].codes().to_vec(), &[0, 0, 2]);
         // Survivor order is preserved; the id counter advanced.
         assert_eq!(r.tids(), &[TupleId(0), TupleId(2), TupleId(10)]);
         assert_eq!(r.push(vals![9, "w"]).unwrap(), TupleId(11));
@@ -1054,7 +1076,7 @@ mod tests {
         }
         assert_eq!(recv.row(0), parent.row(0));
         assert_eq!(recv.row(1), parent.row(2));
-        assert_eq!(recv.columns()[0].codes(), &[0, 0]);
+        assert_eq!(recv.columns()[0].codes().to_vec(), &[0, 0]);
         // The id counter advanced past the received ids.
         assert_eq!(recv.push(vals![5, "q"]).unwrap(), TupleId(3));
         // Arity is validated.
@@ -1096,7 +1118,7 @@ mod tests {
         let mut proj =
             Relation::with_dictionaries(only_b, parent.dictionaries_of(&[b]), 0).unwrap();
         proj.extend_from(&parent, &[b], &[1, 2]).unwrap();
-        assert_eq!(proj.columns()[0].codes(), &[1, 1]);
+        assert_eq!(proj.columns()[0].codes().to_vec(), &[1, 1]);
         assert_eq!(proj.row(0), Tuple::new(TupleId(1), vals!["y"]));
         // Foreign dictionaries (or a wrong column count) are refused
         // and append nothing.

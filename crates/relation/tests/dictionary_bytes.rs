@@ -258,4 +258,20 @@ fn a_relation_holds_what_it_reports_and_a_drop_frees() {
     let once = rel.dictionary(AttrId(0)).heap_bytes();
     assert!(bytes > once && bytes < 2 * once, "{bytes} counts {once} once");
     assert_eq!(freed_by_relation_drop(rel), bytes);
+    // Columns that widened twice — one byte a code, then two, then four —
+    // hold and free their codes at the width they ended at, over the
+    // capacity each widening kept.
+    let mut wide = Relation::new(pair.clone());
+    let mut widths = Vec::new();
+    for end in [200, 60_000, 70_000] {
+        let from = wide.len() as i64;
+        wide.extend_rows((from..end).map(|k| vec![Value::Int(k), Value::Int(k % 7)]).collect())
+            .unwrap();
+        widths.push((wide.column(AttrId(0)).width(), wide.column(AttrId(1)).width()));
+    }
+    assert_eq!(widths, [(1, 1), (2, 1), (4, 1)]);
+    let codes: usize = wide.columns().iter().map(|c| c.capacity() * c.width()).sum();
+    assert_eq!(codes, wide.capacity() * 4 + wide.column(AttrId(1)).capacity());
+    let bytes = wide.heap_bytes();
+    assert_eq!(freed_by_relation_drop(wide), bytes);
 }

@@ -163,7 +163,7 @@ proptest! {
             for i in 0..rel.len() {
                 for j in (i + 1)..rel.len() {
                     prop_assert_eq!(
-                        col.codes()[i] == col.codes()[j],
+                        col.codes().get(i) == col.codes().get(j),
                         ingested[i][ai] == ingested[j][ai],
                         "code/value equality must coincide"
                     );
@@ -433,7 +433,8 @@ fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), Tes
             if !model.rows.is_empty() {
                 let from = from % model.rows.len();
                 let tid = TupleId(model.next + gap);
-                let mut codes: Vec<u32> = rel.columns().iter().map(|c| c.codes()[from]).collect();
+                let mut codes: Vec<u32> =
+                    rel.columns().iter().map(|c| c.codes().get(from)).collect();
                 if *corrupt {
                     let j = from % codes.len();
                     codes[j] = rel.columns()[j].dict().len() as u32;
@@ -766,7 +767,7 @@ proptest! {
             for slice in feed.chunks(chunk) {
                 col.extend_values(slice);
             }
-            prop_assert_eq!(col.codes(), &want[..]);
+            prop_assert_eq!(col.codes().to_vec(), &want[..]);
             let cut = cut.min(feed.len());
             let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
             let head = feed[..cut].iter().map(|v| vec![v.clone()]).collect();
@@ -777,7 +778,7 @@ proptest! {
                 rest.extend_values(slice);
             }
             let resumed: Vec<u32> =
-                built.column(AttrId(0)).codes().iter().chain(rest.codes()).copied().collect();
+                built.column(AttrId(0)).codes().to_vec().into_iter().chain(rest.codes().to_vec()).collect();
             prop_assert_eq!(&resumed, &want);
             let part = Dictionary::new(ty);
             for v in &feed[..cut] {
@@ -869,7 +870,7 @@ proptest! {
                 dict.ensure_indexed();
                 prop_assert!(dict.is_indexed());
             }
-            prop_assert_eq!(built.column(AttrId(0)).codes(), &want[..]);
+            prop_assert_eq!(built.column(AttrId(0)).codes().to_vec(), &want[..]);
             prop_assert_eq!(dict.snapshot(), model[..seen].to_vec());
             for (code, v) in model[..seen].iter().enumerate() {
                 prop_assert_eq!(dict.value(code as u32), v.clone());
@@ -882,7 +883,7 @@ proptest! {
             prop_assert_eq!(&decoded, &feed);
             let mut rest = Column::sharing(dict.clone());
             rest.extend_values(&more);
-            prop_assert_eq!(rest.codes(), &want_more[..]);
+            prop_assert_eq!(rest.codes().to_vec(), &want_more[..]);
             prop_assert_eq!(dict.snapshot(), model.clone());
         }
     }
@@ -999,11 +1000,11 @@ proptest! {
             for slice in feed.chunks(chunk) {
                 col.extend_values(slice);
             }
-            prop_assert_eq!(col.codes(), &want[..]);
+            prop_assert_eq!(col.codes().to_vec(), &want[..]);
             let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
             let rows = feed.iter().map(|v| vec![v.clone()]).collect();
             let built = Relation::from_rows(schema, rows).unwrap();
-            prop_assert_eq!(built.column(AttrId(0)).codes(), &want[..]);
+            prop_assert_eq!(built.column(AttrId(0)).codes().to_vec(), &want[..]);
             let trimmed = built.dictionary(AttrId(0));
             prop_assert_eq!(trimmed.capacity(), model.len());
 
@@ -1053,7 +1054,7 @@ proptest! {
             let len = model.len();
             let mut after = Column::sharing(trimmed.clone());
             after.extend_values([miss, miss]);
-            prop_assert_eq!(after.codes(), &[len as u32; 2][..]);
+            prop_assert_eq!(after.codes().to_vec(), &[len as u32; 2][..]);
             let mode = (trimmed.is_sorted(), trimmed.index_slots());
             prop_assert_eq!(mode, (false, grown_len(len + 1)));
             prop_assert_eq!(model_code(&mut model, miss) as usize, len);
@@ -1064,9 +1065,163 @@ proptest! {
             let tail = [Value::Null, ascending_value(ty, i64::MAX)];
             let tail_codes: Vec<u32> = tail.iter().map(|v| model_code(&mut model, v)).collect();
             after.extend_values(&tail);
-            prop_assert_eq!(&after.codes()[2..], &tail_codes[..]);
+            prop_assert_eq!(&after.codes().to_vec()[2..], &tail_codes[..]);
             prop_assert_eq!(trimmed.snapshot(), model);
             prop_assert!(!trimmed.is_sorted() && trimmed.is_indexed());
+        }
+    }
+}
+
+/// Values a column of [`narrow_schema`] takes in the width model: codes
+/// on either side of the one- and two-byte limits, and values no
+/// dictionary has seen, whose codes come after them.
+const NARROW_CODES: [i64; 10] = [0, 1, 200, 255, 256, 300, 65_535, 65_536, 70_000, 70_001];
+
+fn narrow_schema() -> Arc<Schema> {
+    Schema::builder("narrow").attr("v", ValueType::Int).key(&[]).build().unwrap()
+}
+
+/// What a width-model step does to one of two relations over one
+/// dictionary.
+#[derive(Debug, Clone)]
+enum WidthOp {
+    /// `Column::push` through `Relation::push_tuple`.
+    Push(bool, usize),
+    /// `Column::extend_values` through `Relation::extend_tuples`.
+    Extend(bool, Vec<usize>),
+    /// `remove_rows` through a delta's deletes, picked by position.
+    Remove(bool, Vec<usize>),
+    /// Rows of one relation copied into the other (`extend_from`), picked
+    /// by position; rows whose id the target holds are skipped.
+    Copy(bool, Vec<usize>),
+}
+
+fn arb_width_op() -> impl Strategy<Value = WidthOp> {
+    let side = any::<bool>();
+    let picks = prop::collection::vec(0..64usize, 0..24);
+    prop_oneof![
+        (side, 0..NARROW_CODES.len()).prop_map(|(s, v)| WidthOp::Push(s, v)),
+        (side, prop::collection::vec(0..NARROW_CODES.len(), 0..24))
+            .prop_map(|(s, vs)| WidthOp::Extend(s, vs)),
+        (side, picks.clone()).prop_map(|(s, p)| WidthOp::Remove(s, p)),
+        (side, picks).prop_map(|(s, p)| WidthOp::Copy(s, p)),
+    ]
+}
+
+/// A column's model: its `(tid, code)` rows, and the largest code it has
+/// ever held.
+#[derive(Debug, Default)]
+struct WidthModel {
+    rows: Vec<(TupleId, u32)>,
+    largest: u32,
+}
+
+impl WidthModel {
+    fn hold(&mut self, tid: TupleId, code: u32) {
+        self.rows.push((tid, code));
+        self.largest = self.largest.max(code);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Code columns against a `Vec<u32>` model, over a dictionary whose
+    /// codes reach past both narrow widths: two relations over it are
+    /// pushed to, extended, deleted from and copied into each other, at
+    /// codes 255, 256, 65 535 and 65 536 and fresh ones after them. After
+    /// every step each column holds the model's codes, decodes the
+    /// model's values, and is as wide as the narrowest width that holds
+    /// the largest code it ever held — deleting that code narrows
+    /// nothing — with its bytes counted at that width.
+    #[test]
+    fn narrow_columns_match_a_vec_model(ops in prop::collection::vec(arb_width_op(), 1..24)) {
+        let dict = Arc::new(Dictionary::new(ValueType::Int));
+        // Value v ≤ 65 536 is code v; later values take codes in order.
+        Column::sharing(dict.clone()).extend_values(&(0..=65_536).map(Value::Int).collect::<Vec<_>>());
+        let mut fresh: Vec<i64> = Vec::new();
+        let mut code_of = |v: i64| -> u32 {
+            if v <= 65_536 {
+                return v as u32;
+            }
+            let at = fresh.iter().position(|&f| f == v).unwrap_or_else(|| {
+                fresh.push(v);
+                fresh.len() - 1
+            });
+            65_537 + at as u32
+        };
+        let new = || Relation::with_dictionaries(narrow_schema(), vec![dict.clone()], 0).unwrap();
+        let mut rels = [new(), new()];
+        let mut models = [WidthModel::default(), WidthModel::default()];
+        let mut next_tid = 0u64;
+        for op in &ops {
+            match op {
+                WidthOp::Push(side, v) => {
+                    let (s, v) = (usize::from(*side), NARROW_CODES[*v]);
+                    let tid = TupleId(next_tid);
+                    next_tid += 1;
+                    rels[s].push_tuple(Tuple::new(tid, vec![Value::Int(v)])).unwrap();
+                    models[s].hold(tid, code_of(v));
+                }
+                WidthOp::Extend(side, vs) => {
+                    let s = usize::from(*side);
+                    let mut tuples = Vec::new();
+                    for &v in vs {
+                        let (tid, v) = (TupleId(next_tid), NARROW_CODES[v]);
+                        next_tid += 1;
+                        tuples.push(Tuple::new(tid, vec![Value::Int(v)]));
+                        models[s].hold(tid, code_of(v));
+                    }
+                    rels[s].extend_tuples(tuples).unwrap();
+                }
+                WidthOp::Remove(side, picks) => {
+                    let s = usize::from(*side);
+                    let n = models[s].rows.len();
+                    let mut at: Vec<usize> = picks.iter().filter(|_| n > 0).map(|p| p % n).collect();
+                    at.sort_unstable();
+                    at.dedup();
+                    let tids: Vec<TupleId> = at.iter().map(|&i| models[s].rows[i].0).collect();
+                    rels[s].apply_delta(&RelationDelta::new(vec![], tids.clone())).unwrap();
+                    models[s].rows.retain(|(tid, _)| !tids.contains(tid));
+                }
+                WidthOp::Copy(to_b, picks) => {
+                    let (from, to) = if *to_b { (0, 1) } else { (1, 0) };
+                    let n = models[from].rows.len();
+                    let mut at: Vec<usize> = Vec::new();
+                    for p in picks.iter().filter(|_| n > 0).map(|p| p % n) {
+                        let tid = models[from].rows[p].0;
+                        let held = models[to].rows.iter().any(|&(t, _)| t == tid);
+                        if !held && !at.iter().any(|&q| models[from].rows[q].0 == tid) {
+                            at.push(p);
+                        }
+                    }
+                    let [a, b] = &mut rels;
+                    let (src, dst) = if *to_b { (&*a, b) } else { (&*b, a) };
+                    dst.extend_from(src, &[AttrId(0)], &at).unwrap();
+                    for &p in &at {
+                        let (tid, code) = models[from].rows[p];
+                        models[to].hold(tid, code);
+                    }
+                }
+            }
+            for (rel, model) in rels.iter().zip(&models) {
+                let col = rel.column(AttrId(0));
+                let codes: Vec<u32> = model.rows.iter().map(|&(_, code)| code).collect();
+                prop_assert_eq!(col.codes().to_vec(), codes.clone(), "{:?}", op);
+                let want_width = match model.largest {
+                    0..=255 => 1,
+                    256..=65_535 => 2,
+                    _ => 4,
+                };
+                prop_assert_eq!(col.width(), want_width, "{:?}", op);
+                prop_assert_eq!(col.codes().width(), want_width);
+                prop_assert_eq!(col.heap_bytes(), col.capacity() * want_width);
+                let tids: Vec<TupleId> = model.rows.iter().map(|&(tid, _)| tid).collect();
+                prop_assert_eq!(rel.tids(), &tids[..]);
+                for (i, &code) in codes.iter().enumerate() {
+                    prop_assert_eq!(col.decode(i), dict.value(code));
+                }
+            }
         }
     }
 }

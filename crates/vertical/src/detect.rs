@@ -35,7 +35,7 @@
 use dcd_cfd::{Cfd, CodeLayout, KernelTally, ViolationSet};
 use dcd_core::{Detection, RunConfig, RunCtx};
 use dcd_dist::{VFragment, VerticalPartition};
-use dcd_relation::{AttrId, Dictionary, NO_CODE};
+use dcd_relation::{AttrId, Codes, Dictionary, NO_CODE};
 use std::sync::Arc;
 
 /// Runs `VERTDETECT` over a vertical partition — the engine behind the
@@ -130,7 +130,7 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd, dicts: &[Arc<Dictionary>]) -> Vec<bool
     // Per pattern, its locally visible constants as (column, code) pairs
     // a row must carry; a constant the dictionary never saw compiles to
     // `NO_CODE`, which no row does.
-    let wanted: Vec<Vec<(&[u32], u32)>> = cfd
+    let wanted: Vec<Vec<(Codes<'_>, u32)>> = cfd
         .tableau()
         .iter()
         .map(|tp| {
@@ -141,9 +141,19 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd, dicts: &[Arc<Dictionary>]) -> Vec<bool
             consts.collect()
         })
         .collect();
-    (0..frag.data.len())
-        .map(|r| wanted.iter().any(|consts| consts.iter().all(|&(col, code)| col[r] == code)))
-        .collect()
+    // A row is kept if some pattern's constants all hold at it: each
+    // pattern's test runs a column at a time over every row.
+    let n = frag.data.len();
+    let mut keep = vec![false; n];
+    let mut holds = vec![true; n];
+    for consts in &wanted {
+        holds.fill(true);
+        for &(col, code) in consts {
+            col.for_each_in(0..n, |r, c| holds[r] &= c == code);
+        }
+        keep.iter_mut().zip(&holds).for_each(|(k, &h)| *k |= h);
+    }
+    keep
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use dcd_cfd::{oracle, CodeLayout};
 use dcd_core::local::check_constants_range;
 use dcd_core::sigma::{sigma_partition, sort_for_sigma};
 use dcd_relation::ops::CodeMemo;
-use dcd_relation::AttrId;
+use dcd_relation::{AttrId, Codes};
 use distributed_cfd::prelude::*;
 use std::sync::Arc;
 
@@ -157,7 +157,7 @@ fn scans_agree_with_the_definitions_across_chunk_edges() {
 fn blocks_agree(frags: &[Fragment], cfd: &SimpleCfd, blocks: &[(usize, Vec<usize>)], what: &str) {
     let attrs = cfd.shipped_attrs();
     let resolved = CodeLayout::of_relation(&frags[0].data, &attrs).resolve(cfd);
-    let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
+    let views: Vec<Vec<Codes<'_>>> = frags.iter().map(|f| f.data.code_views(&attrs)).collect();
     let read = blocks.iter().map(|(f, rows)| (&views[*f][..], frags[*f].data.tids(), &rows[..]));
     let (found, _) = resolved.detect_blocks(read);
     let decoded: Vec<Tuple> =

@@ -4,7 +4,7 @@
 
 use dcd_cfd::{Flagged, KernelTally, ResolvedCfd};
 use dcd_core::sigma::SortedCfd;
-use dcd_relation::AttrId;
+use dcd_relation::{AttrId, Codes};
 use distributed_cfd::prelude::*;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -178,7 +178,7 @@ pub fn validate_in_place(
     attrs: &[AttrId],
 ) -> (Flagged, KernelTally) {
     let frags = partition.fragments();
-    let views: Vec<Vec<&[u32]>> = frags.iter().map(|f| f.data.code_views(attrs)).collect();
+    let views: Vec<Vec<Codes<'_>>> = frags.iter().map(|f| f.data.code_views(attrs)).collect();
     let rows: Vec<Vec<usize>> = frags.iter().map(|f| (0..f.data.len()).collect()).collect();
     let blocks = frags.iter().zip(&views).zip(&rows);
     resolved.detect_blocks(blocks.map(|((f, cols), rows)| (&cols[..], f.data.tids(), &rows[..])))

@@ -73,9 +73,9 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
         }
         for (col, fed) in columns.iter().zip(&feeds) {
             assert_eq!(col.len(), fed.len());
-            assert!(col.codes().iter().all(|&code| (code as usize) < snapshot.len()));
+            assert!(col.codes().to_vec().iter().all(|&code| (code as usize) < snapshot.len()));
             let decoded: Vec<&Value> =
-                col.codes().iter().map(|&code| &snapshot[code as usize]).collect();
+                col.codes().to_vec().iter().map(|&code| &snapshot[code as usize]).collect();
             assert!(decoded.iter().copied().eq(fed), "{ty:?} at {threads} threads");
         }
     }
@@ -139,7 +139,7 @@ fn first_probes_of_a_built_relation_share_one_code_space() {
         }
         for (k, (answers, col)) in outcomes.iter().enumerate() {
             if k % 2 == 1 {
-                let decoded = col.codes().iter().map(|&code| &snapshot[code as usize]);
+                let decoded = col.codes().to_vec().into_iter().map(|code| &snapshot[code as usize]);
                 assert!(decoded.eq(&feeds[k]), "{ty:?} at {threads} threads");
                 continue;
             }
