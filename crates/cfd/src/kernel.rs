@@ -457,7 +457,7 @@ pub(crate) fn detect_columns<R: RowSource>(
         let mut gids = &group_of[..];
         for seg in segments {
             let (here, rest) = gids.split_at(seg.rows.rows().len());
-            seg.rows.for_each_code(seg.rhs, |k, rhs| {
+            seg.rows.zip_codes(seg.rhs, 0.., |k, rhs| {
                 if judged[here[k] as usize].flags(rhs) {
                     out.tids.push(seg.tids[seg.rows.at(k)]);
                 }
@@ -650,7 +650,7 @@ mod tests {
         if rows.iter().all(|r| r.0 != NO_GROUP) {
             let (keys, rhs): (Vec<u32>, Vec<u32>) = rows.iter().copied().unzip();
             let tids: Vec<TupleId> = rhs.iter().map(|&c| TupleId(u64::from(c))).collect();
-            let (lhs, rhs, tids) = (vec![Codes::from(&keys[..])], Codes::from(&rhs[..]), &tids[..]);
+            let (lhs, rhs, tids) = (vec![Codes::U32(&keys[..])], Codes::U32(&rhs[..]), &tids[..]);
             let whole = [ColumnRows { lhs: lhs.clone(), rhs, tids, rows: 0..rows.len() }];
             // The same rows as two selections, split mid-way: one batch.
             let (head, tail): (Vec<usize>, Vec<usize>) =

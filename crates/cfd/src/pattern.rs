@@ -407,7 +407,7 @@ mod tests {
         let admission = Admission::of_patterns(&pats);
         let data: [&[u32]; 3] =
             [&[3, 5, 4, 3, 5, NO_CODE, 900], &[9, 1, 1, 9, 9, 1, 1], &[70, 2, 2, 2, 71, 2, 2]];
-        let cols = data.map(Codes::from);
+        let cols = data.map(Codes::U32);
         let admitted: Vec<bool> = (0..7).map(|i| admission.admits_row(&cols, i)).collect();
         // Row 3 (3, 9, 2) matches nothing yet passes: each cell is some
         // pattern's constant. Position 1 is wild in a feasible pattern.

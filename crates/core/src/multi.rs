@@ -393,7 +393,7 @@ mod tests {
             let cols: Vec<Vec<u32>> = (0..attrs.len())
                 .map(|j| wire.iter().map(|(_, cells)| cells[j]).collect())
                 .collect();
-            let cols: Vec<Codes<'_>> = cols.iter().map(|c| c[..].into()).collect();
+            let cols: Vec<Codes<'_>> = cols.iter().map(|c| Codes::U32(c)).collect();
             let all: Vec<usize> = (0..tids.len()).collect();
             for r in &resolved {
                 let (found, tally) = r.detect_blocks(blocks.iter().copied());

@@ -117,7 +117,7 @@ impl HorizontalPartition {
             .map(|v| (hasher.hash_one(v) % n as u64) as usize)
             .collect();
         let mut buckets: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-        rel.column(a).codes().for_each_in(0..rel.len(), |i, code| {
+        rel.column(a).codes().zip_in(0..rel.len(), 0.., |i, code| {
             buckets[site_of_code[code as usize]].push(i);
         });
         Ok(Self::from_buckets(rel, buckets, vec![None; n]))

@@ -703,19 +703,15 @@ impl VerticalIncrementalRun {
         // partition's dictionary set.
         let (planned, cols) = (plan.attrs(), partition.columns(&plan));
         let tids = partition.fragments()[0].data.tids();
-        // 256 rows at a time, each block filled a column at a time while
-        // its rows are in cache, as `Relation::code_rows` does.
-        let mut rows: CodeRows = Vec::with_capacity(n_rows);
-        for start in (0..n_rows).step_by(256) {
-            let block = start..n_rows.min(start + 256);
-            let blank = |&tid: &TupleId| (tid, vec![0u32; attrs.len()].into_boxed_slice());
-            rows.extend(tids[block.clone()].iter().map(blank));
-            for (a, col) in planned.iter().zip(&cols) {
-                col.zip_in(block.clone(), &mut rows[start..], |(_, row), code| {
-                    row[a.index()] = code;
-                });
-            }
-        }
+        let rows: CodeRows = (0..n_rows)
+            .map(|r| {
+                let mut codes = vec![0u32; attrs.len()].into_boxed_slice();
+                for (a, col) in planned.iter().zip(&cols) {
+                    codes[a.index()] = col.get(r);
+                }
+                (tids[r], codes)
+            })
+            .collect();
         let dicts = partition.dictionaries();
         // As in `IncrementalRun::build`: every insert interns into every
         // column, so the session indexes them all up front, sorted ones

@@ -149,14 +149,9 @@ impl CodeSpace {
 }
 
 /// Rows whose slot ids or keys a scan computes, a column at a time,
-/// before it reads them: 4 KiB of ids, or of one column's cells, on the
-/// stack.
+/// before it reads them: 4 KiB of slot ids on the stack, or a key
+/// buffer of at most this many rows.
 const CHUNK: usize = 1024;
-
-/// Columns [`for_each_key`] gathers into a buffer on the stack: a key of
-/// four (the widest a packed [`CodeKey`] holds) and one read beside it.
-/// A wider gather's buffer is on the heap.
-const STACK_KEY: usize = 5;
 
 /// The rows a scan reads, in order: a `Range` of row indices, or a
 /// selection of them (`&[usize]`). [`CodeMemo::resolve`] is generic over
@@ -172,12 +167,6 @@ pub trait RowSource: Clone {
     /// row, in order: one match on `col`'s width, then a typed loop
     /// ([`Codes::zip_in`], [`Codes::zip_at`]).
     fn zip_codes<T>(&self, col: Codes<'_>, out: impl IntoIterator<Item = T>, f: impl FnMut(T, u32));
-    /// Hands `f` each row's position in this source and `col`'s code at
-    /// it, in order.
-    #[inline]
-    fn for_each_code(&self, col: Codes<'_>, f: impl FnMut(usize, u32)) {
-        self.zip_codes(col, 0.., f);
-    }
 }
 
 impl RowSource for Range<usize> {
@@ -232,33 +221,30 @@ impl RowSource for &[usize] {
 
 /// Hands `f` each of `rows` with its key — the codes `cols` hold at it,
 /// in column order — in the order `rows` reads. The keys are gathered a
-/// chunk of rows at a time, a column at a time, into a buffer on the
-/// stack (on the heap past five columns): one match on a column's width
-/// per chunk, never one per cell.
+/// chunk of rows at a time, a column at a time, into one buffer per
+/// call: one match on a column's width per chunk, never one per cell.
 pub fn for_each_key(cols: &[Codes<'_>], rows: impl RowSource, f: impl FnMut(usize, &[u32])) {
-    gather_keys(cols, None, rows, f);
+    gather_keys(cols, None, rows, &mut Vec::new(), f);
 }
 
 /// [`for_each_key`], with `beside`'s code, if any, as one more cell
-/// after the key's.
+/// after the key's, gathered into `keys`, which keeps its capacity for
+/// the caller's next gather.
 fn gather_keys(
     cols: &[Codes<'_>],
     beside: Option<Codes<'_>>,
     rows: impl RowSource,
+    keys: &mut Vec<u32>,
     mut f: impl FnMut(usize, &[u32]),
 ) {
     let width = cols.len() + usize::from(beside.is_some());
     // A key over no column is empty: each row still gets its call.
     let stride = width.max(1);
-    let mut stack = [0u32; STACK_KEY * CHUNK];
-    let mut heap = Vec::new();
-    let keys: &mut [u32] = if width <= STACK_KEY {
-        &mut stack
-    } else {
-        heap.resize(width * CHUNK, 0);
-        &mut heap
-    };
     let n = rows.rows().len();
+    // Sized to the rows there are, up to a chunk: a scan of a small
+    // σ-block zeroes only what it reads.
+    keys.clear();
+    keys.resize(n.min(CHUNK) * stride, 0);
     for start in (0..n).step_by(CHUNK) {
         let chunk = rows.part(start..n.min(start + CHUNK));
         for (j, col) in cols.iter().copied().chain(beside).enumerate() {
@@ -282,8 +268,9 @@ pub enum CodeMemo<V> {
     /// One cell per slot of the key's code space, `None` until the
     /// slot's key is first seen.
     Slots(CodeSpace, Vec<Option<V>>),
-    /// One entry per key seen.
-    Hashed(FxHashMap<CodeKey, V>),
+    /// One entry per key seen, and the buffer a chunk of rows' keys is
+    /// gathered into, kept from one [`CodeMemo::resolve`] to the next.
+    Hashed(FxHashMap<CodeKey, V>, Vec<u32>),
 }
 
 impl<V: Copy> CodeMemo<V> {
@@ -296,7 +283,7 @@ impl<V: Copy> CodeMemo<V> {
                 let cells = vec![None; space.slots];
                 CodeMemo::Slots(space, cells)
             }
-            None => CodeMemo::Hashed(FxHashMap::default()),
+            None => CodeMemo::Hashed(FxHashMap::default(), Vec::new()),
         }
     }
 
@@ -369,10 +356,10 @@ impl<V: Copy> CodeMemo<V> {
                     }
                 }
             }
-            CodeMemo::Hashed(map) => {
+            CodeMemo::Hashed(map, keys) => {
                 // The column beside rides as the key's last cell.
                 let width = cols.len();
-                gather_keys(cols, beside, rows, |r, cells| {
+                gather_keys(cols, beside, rows, keys, |r, cells| {
                     let key = CodeKey::of_codes(&cells[..width]);
                     let v = *map.entry(key).or_insert_with(|| first_sight(&mut make, r));
                     each(r, v, cells.get(width).copied().unwrap_or(0));
@@ -440,7 +427,7 @@ mod tests {
     fn code_key_round_trips_widths() {
         let cols_data: Vec<Vec<u32>> = vec![vec![7], vec![9], vec![11], vec![13]];
         for width in 0..=4usize {
-            let cols: Vec<Codes<'_>> = cols_data[..width].iter().map(|c| c[..].into()).collect();
+            let cols: Vec<Codes<'_>> = cols_data[..width].iter().map(|c| Codes::U32(c)).collect();
             let key = CodeKey::of_row(&cols, 0);
             let expect: Vec<u32> = cols.iter().map(|c| c.get(0)).collect();
             assert_eq!(key.codes(width), expect, "width {width}");
@@ -470,7 +457,7 @@ mod tests {
                 }
             }
         }
-        let cols: Vec<Codes<'_>> = codes.iter().map(|c| c[..].into()).collect();
+        let cols: Vec<Codes<'_>> = codes.iter().map(|c| Codes::U32(c)).collect();
         let mut seen = vec![false; space.slots];
         for (r, slot) in slots(&space, &cols, 24).into_iter().enumerate() {
             assert!(!std::mem::replace(&mut seen[slot as usize], true), "row {r} aliases");
@@ -548,7 +535,7 @@ mod tests {
         // Keys (0, 1), (2, 0), (0, 1), (1, 1), (2, 0), (0, 0) over
         // dictionaries of 3 × 2: six slots fit six rows, not five.
         let (a, b): ([u32; 6], [u32; 6]) = ([0, 2, 0, 1, 2, 0], [1, 0, 1, 1, 0, 0]);
-        let cols: [Codes<'_>; 2] = [a[..].into(), b[..].into()];
+        let cols: [Codes<'_>; 2] = [Codes::U32(&a), Codes::U32(&b)];
         for (rows, slotted) in [(6, true), (5, false)] {
             let mut memo = CodeMemo::new([3, 2], rows);
             assert_eq!(matches!(memo, CodeMemo::Slots(..)), slotted);
@@ -590,7 +577,7 @@ mod tests {
         let key = |r: usize| if r + 5 >= n { 40 + (r % 3) } else { (r * 7) % 37 };
         let (a, b): (Vec<u32>, Vec<u32>) =
             (0..n).map(|r| ((key(r) / 8) as u32, (key(r) % 8) as u32)).unzip();
-        let cols: [Codes<'_>; 2] = [a[..].into(), b[..].into()];
+        let cols: [Codes<'_>; 2] = [Codes::U32(&a), Codes::U32(&b)];
         let edges = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 3 * CHUNK, n - 1, n];
         for &start in &edges {
             for &end in edges.iter().filter(|&&end| end >= start) {

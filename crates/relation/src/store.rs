@@ -1005,12 +1005,6 @@ pub enum Codes<'a> {
     U32(&'a [u32]),
 }
 
-impl<'a> From<&'a [u32]> for Codes<'a> {
-    fn from(s: &'a [u32]) -> Self {
-        Codes::U32(s)
-    }
-}
-
 impl Codes<'_> {
     /// Number of rows.
     pub fn len(self) -> usize {
@@ -1040,13 +1034,6 @@ impl Codes<'_> {
     /// Every code, widened to `u32`.
     pub fn to_vec(self) -> Vec<u32> {
         with_codes!(self, s => s.iter().map(|&c| widen(c)).collect())
-    }
-
-    /// Hands `f` the position within `rows` and the code of each row of
-    /// `rows`, in order. Panics if `rows` is out of bounds.
-    #[inline]
-    pub fn for_each_in(self, rows: Range<usize>, f: impl FnMut(usize, u32)) {
-        self.zip_in(rows, 0.., f);
     }
 
     /// Hands `f` each item of `out` with the code of the matching row of
@@ -1113,7 +1100,9 @@ impl Cell for u32 {
     }
 }
 
-/// A stored code as the `u32` every reader sees.
+/// A stored code as the `u32` every reader sees. A generic function, not
+/// a bare `.into()`, because [`with_codes!`] expands its body for `u32`
+/// too, where `.into()` is a same-type conversion clippy refuses.
 #[inline]
 fn widen<C: Cell>(c: C) -> u32 {
     c.into()
@@ -1163,6 +1152,26 @@ impl CodeVec {
             2 => CodeVec::U16(widened(self.view(), cap)),
             _ => CodeVec::U32(widened(self.view(), cap)),
         };
+    }
+
+    /// Appends `code`, widening first if it needs it.
+    #[inline]
+    fn push(&mut self, code: u32) {
+        match self {
+            CodeVec::U8(v) if code <= u32::from(u8::MAX) => v.push(u8::of(code)),
+            CodeVec::U16(v) if code <= u32::from(u16::MAX) => v.push(u16::of(code)),
+            CodeVec::U32(v) => v.push(code),
+            _ => self.widen_then_push(code),
+        }
+    }
+
+    /// [`CodeVec::push`]'s way out, taken at most twice in a column's
+    /// life.
+    #[cold]
+    #[inline(never)]
+    fn widen_then_push(&mut self, code: u32) {
+        self.widen_for(code);
+        self.push(code);
     }
 
     /// Appends `codes`, widening first if the largest needs it.
@@ -1280,31 +1289,21 @@ impl Column {
     /// [`Dictionary::intern`] does.
     pub fn push(&mut self, v: &Value) -> u32 {
         let code = self.dict.intern(v);
-        self.append_codes(&[code]);
+        self.codes.push(code);
         code
     }
 
     /// Appends `values` in order, interning them in one pass under the
-    /// dictionary's write lock, one probe a value; the codes append 32
-    /// at a time, so the column's width is asked once per run. Codes and
+    /// dictionary's write lock, one probe a value; each code appends as
+    /// it comes, widening the column the first time one needs it. Codes and
     /// dictionary contents are those of [`Column::push`] per value. Bulk
     /// ingest runs column by column through this, so a thread holds one
     /// dictionary lock at a time; passes from several threads over one
     /// dictionary take turns at its lock. `values` must not touch this
     /// column's dictionary. Panics as [`Dictionary::intern`] does.
     pub fn extend_values<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
-        let (mut run, mut n) = ([0u32; RUN], 0);
         let codes = &mut self.codes;
-        let pass = self.dict.intern_each(values, |code| {
-            run[n] = code;
-            n += 1;
-            if n == RUN {
-                codes.append(&run);
-                n = 0;
-            }
-        });
-        codes.append(&run[..n]);
-        exhausted_panics(pass);
+        exhausted_panics(self.dict.intern_each(values, |code| codes.push(code)));
     }
 
     /// Appends the codes `src` holds at `rows`, in the given order,
@@ -1345,7 +1344,7 @@ impl Column {
     /// lock, pushing each value onto its row.
     pub(crate) fn decode_range(&self, start: usize, rows: &mut [Vec<Value>]) {
         let inner = self.dict.read();
-        self.codes().for_each_in(start..start + rows.len(), |k, code| {
+        self.codes().zip_in(start..start + rows.len(), 0.., |k, code| {
             rows[k].push(inner.value(code));
         });
     }

@@ -141,19 +141,9 @@ fn keep_mask(frag: &VFragment, cfd: &Cfd, dicts: &[Arc<Dictionary>]) -> Vec<bool
             consts.collect()
         })
         .collect();
-    // A row is kept if some pattern's constants all hold at it: each
-    // pattern's test runs a column at a time over every row.
-    let n = frag.data.len();
-    let mut keep = vec![false; n];
-    let mut holds = vec![true; n];
-    for consts in &wanted {
-        holds.fill(true);
-        for &(col, code) in consts {
-            col.for_each_in(0..n, |r, c| holds[r] &= c == code);
-        }
-        keep.iter_mut().zip(&holds).for_each(|(k, &h)| *k |= h);
-    }
-    keep
+    (0..frag.data.len())
+        .map(|r| wanted.iter().any(|consts| consts.iter().all(|&(col, code)| col.get(r) == code)))
+        .collect()
 }
 
 #[cfg(test)]
