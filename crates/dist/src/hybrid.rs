@@ -129,7 +129,7 @@ impl HybridPartition {
             #[expect(
                 clippy::expect_used,
                 reason = "internal invariant: `new` validated one dictionary set, and a pad \
-                          dictionary has its attribute's type and holds Null at code 0"
+                          dictionary has its attribute's type and holds Null"
             )]
             let out = cell.vertical.gather_rows(&plan, dicts.clone()).expect("one dictionary set");
             (plan, out)

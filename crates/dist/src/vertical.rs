@@ -253,28 +253,24 @@ impl VerticalPartition {
         self.gather_rows(&self.gather_plan(&all), self.dictionaries())
     }
 
-    /// The rows of the columns `plan` gathers as one relation over the
-    /// full schema on `dicts` (one per attribute, in schema order), rows
-    /// in the fragments' order — [`Self::reassemble`] and
+    /// The columns `plan` gathers as one relation over the full schema
+    /// on `dicts` (one per attribute, in schema order), rows in the
+    /// fragments' order — [`Self::reassemble`] and
     /// [`HybridPartition::gather`](crate::HybridPartition::gather) share
-    /// this loop. A cell outside the plan holds code 0 of its
-    /// dictionary.
+    /// it. Each planned column is copied whole, where its supplier holds
+    /// it, and must share its attribute's dictionary in `dicts`; a
+    /// column outside the plan holds `Null` ([`Relation::from_columns`]).
     pub(crate) fn gather_rows(
         &self,
         plan: &GatherPlan,
         dicts: Vec<Arc<Dictionary>>,
     ) -> Result<Relation, RelationError> {
-        let tids = self.fragments[0].data.tids();
-        let mut out = Relation::with_dictionaries(self.schema.clone(), dicts, tids.len())?;
-        let (attrs, cols) = (plan.attrs(), self.columns(plan));
-        let mut row = vec![0u32; self.schema.arity()];
-        for (r, &tid) in tids.iter().enumerate() {
-            for (a, col) in attrs.iter().zip(&cols) {
-                row[a.index()] = col.get(r);
-            }
-            out.push_code_row(tid, &row)?;
+        let mut columns = vec![None; self.schema.arity()];
+        for (a, f, local) in self.sources(plan) {
+            columns[a.index()] = Some(self.fragments[f].data.column(local));
         }
-        Ok(out)
+        let tids = self.fragments[0].data.tids();
+        Relation::from_columns(self.schema.clone(), dicts, tids, &columns)
     }
 
     /// Where the columns `plan` gathers lie: `(attribute, supplier,

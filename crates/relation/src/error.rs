@@ -70,18 +70,12 @@ pub enum RelationError {
         /// The offending tuple id.
         tid: u64,
     },
-    /// A code row carried a code its attribute's dictionary never
-    /// assigned (the sender did not share this relation's dictionaries).
-    UnassignedCode {
-        /// Attribute whose dictionary lacks the code.
-        attr: String,
-        /// The offending code.
-        code: u32,
-    },
-    /// A delta's inserts carried more new values than an attribute's
-    /// dictionary has room for: every code below the two sentinels is
-    /// taken, or a Str dictionary's strings would pass the 4 GiB its
-    /// offsets address. Refused before any row of any site changes.
+    /// Rows carried more new values than an attribute's dictionary has
+    /// room for: every code below the two sentinels is taken, or a Str
+    /// dictionary's strings would pass the 4 GiB its offsets address. A
+    /// delta is refused before any row of any site changes; a load or a
+    /// push drops the rows it appended. Either way the dictionary keeps
+    /// the values interned before the refusal.
     DictionaryExhausted {
         /// Attribute whose dictionary is full.
         attr: String,
@@ -124,9 +118,6 @@ impl fmt::Display for RelationError {
             }
             RelationError::TupleIdOutOfRange { tid } => {
                 write!(f, "tuple id t{tid} is the largest representable id and cannot be stored")
-            }
-            RelationError::UnassignedCode { attr, code } => {
-                write!(f, "code {code} was never assigned by the dictionary of `{attr}`")
             }
             RelationError::DictionaryExhausted { attr, what } => {
                 write!(f, "the dictionary of `{attr}` exhausted {what}")

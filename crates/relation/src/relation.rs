@@ -19,12 +19,13 @@ const DECODE_BATCH: usize = 1024;
 /// ≈ 16 KB, inside L1, where a whole σ-block's rows are not.
 const WIRE_BLOCK_ROWS: usize = 256;
 
-/// Rows a bulk load interns per pass over the columns. Each column pass
-/// re-reads the block's rows, so the block has to stay cache-resident
-/// across all of them: 256 rows of a 16-attribute relation are ≈ 100 KB
-/// of `Value`s plus their row buffers — inside a private L2, where the
-/// whole input (read once per column) is not — while still amortizing
-/// the per-pass lock acquisitions over hundreds of rows.
+/// Rows a load or a push interns per pass over the columns. Each column
+/// pass re-reads the block's rows, so the block has to stay
+/// cache-resident across all of them: 256 rows of a 16-attribute
+/// relation are ≈ 100 KB of `Value`s plus their row buffers — inside a
+/// private L2, where the whole input (read once per column) is not —
+/// while still amortizing the per-pass lock acquisitions over hundreds
+/// of rows.
 const INGEST_BLOCK_ROWS: usize = 256;
 
 /// An instance `D` of a relation schema `R`.
@@ -37,16 +38,22 @@ const INGEST_BLOCK_ROWS: usize = 256;
 /// the `i`-th code of every column; the tid column and all code columns
 /// always have the same length.
 ///
-/// Values enter as rows ([`Relation::push`], [`Relation::from_rows`],
-/// [`Relation::push_tuple`], [`Relation::apply_delta`]) and are interned on
-/// the way in; nothing value-typed is kept. They leave by *decode on
-/// demand*: [`Relation::iter`] and [`Relation::row`] build owned
-/// [`Tuple`]s from the dictionaries, [`Relation::decode_projection`]
-/// decodes one key. The detection engines never decode rows — they read
-/// [`Relation::tids`] and the code columns — so decode happens at the
-/// edges: reporting, predicates over values, tests. Rows move between
-/// relations that share dictionaries (fragments, selections, reassembly)
-/// as codes, through [`Relation::extend_from`].
+/// Values enter as rows ([`Relation::push`], [`Relation::push_tuple`],
+/// [`Relation::extend_rows`], [`Relation::extend_tuples`],
+/// [`Relation::from_rows`], [`Relation::from_tuples`] and
+/// [`Relation::apply_delta`]'s inserts), and every one of them becomes a
+/// code in one encode step: a column's cells in row order, one
+/// dictionary pass each, a full dictionary refused with
+/// [`RelationError::DictionaryExhausted`]. Nothing value-typed is kept.
+/// Values leave by *decode on demand*: [`Relation::iter`] and
+/// [`Relation::row`] build owned [`Tuple`]s from the dictionaries,
+/// [`Relation::decode_projection`] decodes one key. The detection engines
+/// never decode rows — they read [`Relation::tids`] and the code columns
+/// — so decode happens at the edges: reporting, predicates over values,
+/// tests. Codes move between relations that share dictionaries as they
+/// are: rows (fragments, selections, reassembly) through
+/// [`Relation::extend_from`], whole columns (a vertical gather) through
+/// [`Relation::from_columns`]. Only a relation writes its columns.
 ///
 /// Tuples keep their [`TupleId`]s across fragmentation, projection and
 /// shipment; pushing fresh rows assigns ids from an internal counter.
@@ -178,7 +185,7 @@ impl Relation {
 
     /// Appends a fresh row, assigning it the next tuple id. Values are
     /// validated against the schema (arity and types; `Null` is allowed
-    /// for any type).
+    /// for any type). A one-row [`Relation::extend_rows`].
     pub fn push(&mut self, values: Vec<Value>) -> Result<TupleId, RelationError> {
         let tid = TupleId(self.next_tid);
         self.push_tuple(Tuple::new(tid, values))?;
@@ -189,15 +196,10 @@ impl Relation {
     /// fragments of an already-identified relation over foreign
     /// dictionaries, and by tests). The internal id counter is advanced
     /// past it, which is why `TupleId(u64::MAX)` is refused
-    /// ([`RelationError::TupleIdOutOfRange`]).
+    /// ([`RelationError::TupleIdOutOfRange`]). A one-tuple
+    /// [`Relation::extend_tuples`].
     pub fn push_tuple(&mut self, tuple: Tuple) -> Result<(), RelationError> {
-        check_tid(tuple.tid)?;
-        self.validate(tuple.values())?;
-        for (v, col) in tuple.values().iter().zip(&mut self.columns) {
-            col.push(v);
-        }
-        self.push_tid(tuple.tid);
-        Ok(())
+        self.extend_tuples(vec![tuple])
     }
 
     /// The one place a tuple id is appended; the caller has run
@@ -208,15 +210,18 @@ impl Relation {
         self.tids.push(tid);
     }
 
-    /// Bulk [`Relation::push`]: appends `rows` in order, assigning
-    /// sequential ids. All rows are validated before anything is
-    /// appended or interned, so an error leaves the relation and its
-    /// dictionaries unchanged. The rows are then consumed a fixed block
-    /// at a time — each block interned column by column
-    /// ([`Column::extend_values`]), so a thread holds one dictionary lock
-    /// at a time and every dictionary sees its values in row order — and
-    /// released block by block, so the peak memory of a bulk load is the
-    /// relation plus one block, not the relation plus the input.
+    /// Appends `rows` in order, assigning sequential ids. All rows are
+    /// validated before anything is appended or interned, so a row the
+    /// schema refuses leaves the relation and its dictionaries unchanged.
+    /// The rows are then consumed a fixed block at a time — each block
+    /// run through the encode step column by column, straight into the
+    /// column, so a thread holds one dictionary lock at a time and every
+    /// dictionary sees its values in row order — and released block by
+    /// block, so the peak memory of a bulk load is the relation plus one
+    /// block, not the relation plus the input. A dictionary with no room
+    /// for a new value refuses the call with
+    /// [`RelationError::DictionaryExhausted`]: the rows it appended are
+    /// dropped again, and the dictionaries keep what it interned.
     pub fn extend_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<(), RelationError> {
         let first = self.next_tid;
         // Ids past the last assignable one saturate onto it and are
@@ -224,20 +229,25 @@ impl Relation {
         self.extend_encoding(rows, |i, row| (TupleId(first.saturating_add(i as u64)), &row[..]))
     }
 
-    /// Bulk [`Relation::push_tuple`]: appends pre-identified tuples in
-    /// order through the same block loop as [`Relation::extend_rows`],
-    /// releasing them block by block. All tuples are validated before
-    /// anything is appended; ids are preserved and the internal counter
-    /// advances past the largest one seen.
+    /// Appends pre-identified tuples in order through the same block loop
+    /// as [`Relation::extend_rows`], releasing them block by block and
+    /// refusing as it does. All tuples are validated before anything is
+    /// appended; ids are preserved and the internal counter advances past
+    /// the largest one seen.
     pub fn extend_tuples(&mut self, tuples: Vec<Tuple>) -> Result<(), RelationError> {
         self.extend_encoding(tuples, |_, t| (t.tid, t.values()))
     }
 
-    /// The one bulk value-ingest path: validate everything, then take
-    /// the owned input [`INGEST_BLOCK_ROWS`] rows at a time — each block
-    /// appended column by column ([`Relation::append_validated`]) and
-    /// dropped before the next one is read. `row_of(i, item)` is the id
-    /// and values of the `i`-th item.
+    /// The one value-ingest path: validate everything, then take the
+    /// owned input [`INGEST_BLOCK_ROWS`] rows at a time — each block's
+    /// columns run through [`encode`] with the column as the sink, then
+    /// its ids appended — and drop each block before the next one is
+    /// read. `row_of(i, item)` is the id and values of the `i`-th item.
+    /// With one dictionary per column (every relation the constructors
+    /// here and in `dcd-dist` build) each dictionary sees its values in
+    /// row order, call after call, so the codes do not depend on how the
+    /// rows are cut into calls. A refusal puts back the rows, the id
+    /// counter and the order flag the call found.
     fn extend_encoding<T>(
         &mut self,
         items: Vec<T>,
@@ -248,35 +258,38 @@ impl Relation {
             check_tid(tid)?;
             self.validate(values)?;
         }
-        let total = items.len();
+        let (total, found) = (items.len(), (self.len(), self.next_tid, self.ascending));
         self.reserve(total);
         let mut rest = items.into_iter();
         while rest.len() > 0 {
             let (done, n) = (total - rest.len(), rest.len().min(INGEST_BLOCK_ROWS));
             let block = &rest.as_slice()[..n];
-            self.append_validated(block.iter().enumerate().map(|(k, item)| row_of(done + k, item)));
+            let rows = || block.iter().enumerate().map(|(k, item)| row_of(done + k, item));
+            for j in 0..self.columns.len() {
+                let (dict, sink) = self.columns[j].sink();
+                let cells = rows().map(|(_, values)| &values[j]);
+                if let Err(refused) = encode(&self.schema, j, dict, cells, sink) {
+                    self.roll_back(found);
+                    return Err(refused);
+                }
+            }
+            for (tid, _) in rows() {
+                self.push_tid(tid);
+            }
             rest.by_ref().take(n).for_each(drop);
         }
         Ok(())
     }
 
-    /// Appends rows that passed [`check_tid`] and [`Relation::validate`],
-    /// interning column by column — one pass per dictionary
-    /// ([`Column::extend_values`]), one dictionary lock held at a time.
-    /// With one dictionary per column (every relation the constructors
-    /// here and in `dcd-dist` build) each dictionary sees its values in
-    /// row order, call after call, so the codes are those of row-by-row
-    /// [`Relation::push_tuple`] however the rows are cut into calls.
-    fn append_validated<'a>(
-        &mut self,
-        rows: impl ExactSizeIterator<Item = (TupleId, &'a [Value])> + Clone,
-    ) {
-        for (j, col) in self.columns.iter_mut().enumerate() {
-            col.extend_values(rows.clone().map(|(_, values)| &values[j]));
+    /// Puts back what a refused load found: its length — every row past
+    /// it is dropped, each column keeping its width — its id counter and
+    /// its order flag.
+    fn roll_back(&mut self, (len, next_tid, ascending): (usize, u64, bool)) {
+        self.tids.truncate(len);
+        for col in &mut self.columns {
+            col.truncate(len);
         }
-        for (tid, _) in rows {
-            self.push_tid(tid);
-        }
+        (self.next_tid, self.ascending) = (next_tid, ascending);
     }
 
     /// Reserves room for `extra` more rows, once per batch rather than
@@ -478,36 +491,53 @@ impl Relation {
         out
     }
 
-    /// Appends a row given as dictionary codes (one per attribute, in
-    /// schema order), preserving `tid` — the receiving end of the
-    /// code-shipped wire. The codes must come from this relation's own
-    /// dictionaries (fragments built through the `dcd-dist`
-    /// constructors share them, which is what makes codes
-    /// site-portable). A code its dictionary never assigned is rejected
-    /// with [`RelationError::UnassignedCode`] (and `TupleId(u64::MAX)`
-    /// with [`RelationError::TupleIdOutOfRange`]) before any column is
-    /// touched, so a rejected row leaves the relation unchanged.
-    pub fn push_code_row(&mut self, tid: TupleId, codes: &[u32]) -> Result<(), RelationError> {
-        check_tid(tid)?;
-        if codes.len() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: codes.len(),
-            });
+    /// A relation over `schema` on `dicts` (one per attribute, in schema
+    /// order) whose rows carry `tids`: column `a` is a copy of
+    /// `columns[a]`, whole, or `Null` in every row where that is `None`
+    /// — the receiving end of a vertical gather, which ships columns, not
+    /// rows. No value is decoded, hashed or interned, and each copied row
+    /// is read once. A copied column must hold one row per id and share
+    /// its attribute's dictionary (`Arc` identity, as
+    /// [`Relation::extend_from`] checks — that is what makes a code mean
+    /// the same value on both sides), and a padded attribute's dictionary
+    /// must hold `Null`; anything else is a
+    /// [`RelationError::SchemaMismatch`], as a dictionary of another type
+    /// is ([`Relation::with_dictionaries`]). `TupleId(u64::MAX)` is a
+    /// [`RelationError::TupleIdOutOfRange`].
+    pub fn from_columns(
+        schema: Arc<Schema>,
+        dicts: Vec<Arc<Dictionary>>,
+        tids: &[TupleId],
+        columns: &[Option<&Column>],
+    ) -> Result<Self, RelationError> {
+        let (n, mut out) = (tids.len(), Relation::with_dictionaries(schema, dicts, tids.len())?);
+        for &tid in tids {
+            check_tid(tid)?;
+            out.push_tid(tid);
         }
-        for (i, (&code, col)) in codes.iter().zip(&self.columns).enumerate() {
-            if code as usize >= col.dict().len() {
-                return Err(RelationError::UnassignedCode {
-                    attr: self.schema.attr_name(AttrId(i as u16)).to_string(),
-                    code,
-                });
-            }
+        let mut fits = columns.len() == out.columns.len();
+        for (src, col) in columns.iter().zip(&mut out.columns) {
+            fits &= match src {
+                Some(src) if Arc::ptr_eq(src.dict(), col.dict()) && src.len() == n => {
+                    col.extend_from_rows(src, 0..n);
+                    true
+                }
+                Some(_) => false,
+                None => {
+                    let null = col.dict().code_of(&Value::Null);
+                    null.map(|null| std::iter::repeat_n(null, n).for_each(col.sink().1)).is_some()
+                }
+            };
         }
-        for (&code, col) in codes.iter().zip(&mut self.columns) {
-            col.append_codes(&[code]);
+        if !fits {
+            let detail = format!(
+                "`{}` takes a column per attribute, over its dictionary and {n} rows long, \
+                 or a pad over a dictionary holding Null",
+                out.schema.name()
+            );
+            return Err(RelationError::SchemaMismatch { detail });
         }
-        self.push_tid(tid);
-        Ok(())
+        Ok(out)
     }
 
     /// Appends rows `rows` of `src` by copying their ids and codes — no
@@ -674,16 +704,32 @@ impl<'r, 'd> PendingDelta<'r, 'd> {
         let PendingDelta { rel, delta, doomed } = self;
         let mut codes = Vec::with_capacity(rel.columns.len() * delta.inserts.len());
         for (j, col) in rel.columns.iter().enumerate() {
-            let values = delta.inserts.iter().map(|t| &t.values()[j]);
-            col.dict().intern_each(values, |code| codes.push(code)).map_err(|full| {
-                RelationError::DictionaryExhausted {
-                    attr: rel.schema.attr_name(AttrId(j as u16)).to_string(),
-                    what: full.what(),
-                }
-            })?;
+            let cells = delta.inserts.iter().map(|t| &t.values()[j]);
+            encode(&rel.schema, j, col.dict(), cells, |code| codes.push(code))?;
         }
         Ok(EncodedDelta { rel, delta, doomed, codes })
     }
+}
+
+/// The one encode step, where a value becomes a code: interns `cells`,
+/// attribute `j`'s values in row order, into its dictionary `dict` in
+/// one pass (`Dictionary::intern_each`), handing each code to `sink`.
+/// Every way a value enters a relation runs it: a load or a push with
+/// the column itself as the sink, a delta into a buffer that
+/// [`EncodedDelta::apply`] appends later. A new value `dict` has no
+/// room for is refused with [`RelationError::DictionaryExhausted`]; the
+/// codes before it reached `sink`, and their values stay in `dict`.
+fn encode<'a>(
+    schema: &Schema,
+    j: usize,
+    dict: &Dictionary,
+    cells: impl Iterator<Item = &'a Value>,
+    sink: impl FnMut(u32),
+) -> Result<(), RelationError> {
+    dict.intern_each(cells, sink).map_err(|full| RelationError::DictionaryExhausted {
+        attr: schema.attr_name(AttrId(j as u16)).to_string(),
+        what: full.what(),
+    })
 }
 
 /// A located delta whose inserts are interned: what is left to do
@@ -718,7 +764,7 @@ impl EncodedDelta<'_, '_> {
         rel.reserve(n);
         if n > 0 {
             for (col, column) in rel.columns.iter_mut().zip(codes.chunks(n)) {
-                col.append_codes(column);
+                column.iter().copied().for_each(col.sink().1);
             }
         }
         for t in &delta.inserts {
@@ -832,22 +878,56 @@ mod tests {
         assert!(r2.iter().eq(r.iter()));
     }
 
+    /// One value sequence through every way in — a row at a time by
+    /// `push` and `push_tuple`, `extend_rows` cut at 1, 255, 256 and 257
+    /// rows (either side of a load's block edge), `from_tuples`, and
+    /// `apply_delta` inserts — leaves equal codes, widths and
+    /// dictionaries. Column `a` takes 300 distinct values, so its codes
+    /// cross the one-byte edge; `b` repeats four strings and `Null`.
     #[test]
     fn extend_rows_matches_cell_by_cell_push() {
-        let rows: Vec<Vec<Value>> = (0..30).map(|i| vals![i % 3, format!("s{}", i % 4)]).collect();
+        let rows: Vec<Vec<Value>> = (0..600)
+            .map(|i| match i % 11 {
+                5 => vals![i % 300, Value::Null],
+                _ => vals![i % 300, format!("s{}", i % 4)],
+            })
+            .collect();
+        let tuples = || -> Vec<Tuple> {
+            rows.iter().enumerate().map(|(i, r)| Tuple::new(TupleId(i as u64), r.clone())).collect()
+        };
         let mut pushed = Relation::new(schema());
         for row in rows.clone() {
             pushed.push(row).unwrap();
         }
-        let mut bulk = Relation::new(schema());
-        bulk.extend_rows(rows).unwrap();
-        assert!(bulk.iter().eq(pushed.iter()));
-        for (a, b) in bulk.columns().iter().zip(pushed.columns()) {
-            assert_eq!(a.codes(), b.codes());
-            assert_eq!(a.dict().snapshot(), b.dict().snapshot());
+        let mut ways = vec![("push_tuple", Relation::new(schema()))];
+        for t in tuples() {
+            ways[0].1.push_tuple(t).unwrap();
         }
-        // Fresh pushes continue after the batch.
-        assert_eq!(bulk.push(vals![9, "z"]).unwrap(), TupleId(30));
+        for cut in [1, 255, 256, 257] {
+            let mut bulk = Relation::new(schema());
+            for block in rows.chunks(cut) {
+                bulk.extend_rows(block.to_vec()).unwrap();
+            }
+            ways.push(("extend_rows", bulk));
+        }
+        ways.push(("from_tuples", Relation::from_tuples(schema(), tuples()).unwrap()));
+        let mut delta = Relation::new(schema());
+        let mut head = tuples();
+        let tail = head.split_off(256);
+        for inserts in [head, tail] {
+            delta.apply_delta(&crate::RelationDelta::new(inserts, vec![])).unwrap();
+        }
+        ways.push(("apply_delta", delta));
+        assert_eq!(pushed.columns()[0].width(), 2, "the codes of `a` cross 255");
+        for (way, rel) in &mut ways {
+            assert!(rel.iter().eq(pushed.iter()), "{way}");
+            for (a, b) in rel.columns().iter().zip(pushed.columns()) {
+                assert_eq!((a.codes(), a.width()), (b.codes(), b.width()), "{way}");
+                assert_eq!(a.dict().snapshot(), b.dict().snapshot(), "{way}");
+            }
+            // Fresh pushes continue after the batch.
+            assert_eq!(rel.push(vals![9, "z"]).unwrap(), TupleId(600), "{way}");
+        }
     }
 
     #[test]
@@ -1026,7 +1106,13 @@ mod tests {
         assert_eq!(r.push_tuple(top()).unwrap_err(), refused);
         let batch = vec![Tuple::new(TupleId(7), vals![2, "y"]), top()];
         assert_eq!(r.extend_tuples(batch).unwrap_err(), refused);
-        assert_eq!(r.push_code_row(TupleId(u64::MAX), &[0, 0]).unwrap_err(), refused);
+        let gathered = Relation::from_columns(
+            r.schema().clone(),
+            r.dictionaries_of(&[AttrId(0), AttrId(1)]),
+            &[TupleId(u64::MAX)],
+            &[None, None],
+        );
+        assert_eq!(gathered.unwrap_err(), refused);
         let delta = crate::RelationDelta::new(vec![top()], vec![TupleId(0)]);
         assert_eq!(r.apply_delta(&delta).unwrap_err(), refused);
         // Fresh ids run out one short of the top, without wrapping.
@@ -1060,45 +1146,59 @@ mod tests {
     }
 
     #[test]
-    fn code_rows_and_push_code_row_round_trip() {
+    fn code_rows_ship_the_codes_of_the_rows_asked_for() {
         let parent =
             Relation::from_rows(schema(), vec![vals![1, "x"], vals![2, "y"], vals![1, "y"]])
                 .unwrap();
-        let rows = parent.code_rows(&[AttrId(0), AttrId(1)], &[0, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, TupleId(0));
-        assert_eq!(rows[1].0, TupleId(2));
-        // A receiver sharing the dictionaries rebuilds identical rows
-        // from codes alone.
-        let mut recv = parent.empty_like();
-        for (tid, codes) in &rows {
-            recv.push_code_row(*tid, codes).unwrap();
-        }
-        assert_eq!(recv.row(0), parent.row(0));
-        assert_eq!(recv.row(1), parent.row(2));
-        assert_eq!(recv.columns()[0].codes().to_vec(), &[0, 0]);
-        // The id counter advanced past the received ids.
-        assert_eq!(recv.push(vals![5, "q"]).unwrap(), TupleId(3));
-        // Arity is validated.
-        assert!(recv.push_code_row(TupleId(9), &[0]).is_err());
+        let rows = parent.code_rows(&[AttrId(1), AttrId(0)], &[2, 0]);
+        assert_eq!(rows, vec![(TupleId(2), vec![1, 0].into()), (TupleId(0), vec![0, 0].into())]);
     }
 
     #[test]
-    fn push_code_row_rejects_unassigned_codes_and_stays_unchanged() {
-        let mut r = Relation::from_rows(schema(), vec![vals![1, "x"], vals![2, "y"]]).unwrap();
-        let before: Vec<Tuple> = r.iter().collect();
-        // Column `b` has codes 0 and 1 only; the valid code for `a`
-        // comes first, so a partial append would be visible.
-        let err = r.push_code_row(TupleId(9), &[1, 2]).unwrap_err();
-        assert_eq!(err, RelationError::UnassignedCode { attr: "b".into(), code: 2 });
-        assert!(err.to_string().contains("`b`"));
-        assert!(r.iter().eq(before.iter().cloned()));
-        assert_eq!(r.tids().len(), 2);
-        assert!(r.columns().iter().all(|c| c.len() == 2));
-        // The id counter did not move either.
-        assert_eq!(r.push(vals![3, "z"]).unwrap(), TupleId(2));
-        // Sentinel codes are unassigned by construction.
-        assert!(r.push_code_row(TupleId(9), &[crate::NO_CODE, 0]).is_err());
+    fn from_columns_copies_whole_columns_and_pads_with_null() {
+        // 300 distinct values in `a`, then the rows past code 255 deleted:
+        // the parent's column stays two bytes wide, its codes need one.
+        let rows: Vec<Vec<Value>> = (0..300).map(|i| vals![i, format!("s{}", i % 3)]).collect();
+        let mut parent = Relation::from_rows(schema(), rows).unwrap();
+        let late: Vec<TupleId> = parent.tids()[256..].to_vec();
+        parent.apply_delta(&crate::RelationDelta::new(vec![], late)).unwrap();
+        let (a, b) = (AttrId(0), AttrId(1));
+        let both = [Some(parent.column(a)), Some(parent.column(b))];
+        let dicts = || parent.dictionaries_of(&[a, b]);
+        let copy =
+            Relation::from_columns(parent.schema().clone(), dicts(), parent.tids(), &both).unwrap();
+        assert!(copy.iter().eq(parent.iter()));
+        assert_eq!(copy.column(a).codes().to_vec(), parent.column(a).codes().to_vec());
+        assert_eq!((parent.column(a).width(), copy.column(a).width()), (2, 1));
+        // The id counter goes past the largest id the copy holds.
+        assert_eq!(copy.clone().push(vals![5, "q"]).unwrap(), TupleId(256));
+        // `b` padded with Null, on a dictionary of its own.
+        let pad = Arc::new(Dictionary::new(ValueType::Str));
+        pad.intern(&Value::Null);
+        let padded = Relation::from_columns(
+            parent.schema().clone(),
+            vec![parent.dictionary(a).clone(), pad.clone()],
+            parent.tids(),
+            &[Some(parent.column(a)), None],
+        )
+        .unwrap();
+        assert_eq!(padded.row(7), Tuple::new(TupleId(7), vals![7, Value::Null]));
+        assert_eq!(padded.column(b).codes().to_vec(), vec![0; 256]);
+        // A column over another dictionary, of another length, a pad
+        // without Null, or a column too few are refused.
+        let foreign = Relation::from_rows(schema(), vec![vals![1, "x"]; 256]).unwrap();
+        let short = parent.copy_rows(&[0, 1]);
+        let refusals = [
+            (dicts(), vec![Some(foreign.column(a)), Some(parent.column(b))]),
+            (dicts(), vec![Some(parent.column(a)), Some(short.column(b))]),
+            (dicts(), vec![Some(parent.column(a)), None]),
+            (dicts(), vec![Some(parent.column(a))]),
+        ];
+        for (dicts, columns) in refusals {
+            let refused =
+                Relation::from_columns(parent.schema().clone(), dicts, parent.tids(), &columns);
+            assert!(matches!(refused, Err(RelationError::SchemaMismatch { .. })), "{columns:?}");
+        }
     }
 
     #[test]

@@ -50,10 +50,11 @@
 //! only where the stored hash agrees, and growth moves entries by their
 //! stored hashes and reads no string. Either way a lookup hashes once, and
 //! a miss costs the same one hash and ends at the free bucket an insert
-//! fills, so interning probes once. A batch is interned in one pass
-//! ([`Column::extend_values`]) under one acquisition of the write lock,
-//! one probe per value. The pass hashes 32 values into a stack buffer
-//! before it probes the first of them, so the cache misses of 32
+//! fills, so interning probes once. A column's new cells are interned
+//! in one pass (`Dictionary::intern_each`, which a relation's one encode
+//! step runs for every way a value comes in) under one acquisition of
+//! the write lock, one probe per value. The pass hashes 32 values into a
+//! stack buffer before it probes the first of them, so the cache misses of 32
 //! payloads, and then of 32 buckets, are taken together rather than one
 //! after another.
 //!
@@ -82,6 +83,7 @@
 //! length, so a built relation carries no spare capacity and no index;
 //! appends grow a column or a table the way a `Vec` grows.
 
+use crate::ops::RowSource;
 use crate::schema::ValueType;
 use crate::table::{spread, PositionTable, Vacant};
 use crate::value::Value;
@@ -854,13 +856,12 @@ impl Dictionary {
     /// [`Relation::with_dictionaries`] refuses a dictionary whose type
     /// differs from its attribute's. Also if `v` is new and the
     /// dictionary has no room left for it: every code below the two
-    /// sentinels is taken, or a Str table would pass 4 GiB.
-    /// [`Relation::apply_delta`] refuses that case with
-    /// [`RelationError::DictionaryExhausted`] instead.
+    /// sentinels is taken, or a Str table would pass 4 GiB. This is the
+    /// one way in that panics there: every [`Relation`] path refuses that
+    /// case with [`RelationError::DictionaryExhausted`] instead.
     ///
     /// [`Relation`]: crate::Relation
     /// [`Relation::with_dictionaries`]: crate::Relation::with_dictionaries
-    /// [`Relation::apply_delta`]: crate::Relation::apply_delta
     /// [`RelationError::DictionaryExhausted`]: crate::RelationError::DictionaryExhausted
     pub fn intern(&self, v: &Value) -> u32 {
         if let (Value::Null, Some(code)) = (v, self.read().null) {
@@ -872,8 +873,9 @@ impl Dictionary {
     }
 
     /// Interns `values` in order, handing each code to `sink` — the one
-    /// interning loop: one acquisition of the write lock for the whole
-    /// pass, and one probe per value ([`DictInner::find_or_insert`]),
+    /// interning loop, run by [`Dictionary::intern`] and by a relation's
+    /// one encode step, and by nothing else: one acquisition of the write
+    /// lock for the whole pass, and one probe per value ([`DictInner::find_or_insert`]),
     /// which assigns the next code on a miss. Values are hashed 32 at a
     /// time into a buffer on the stack ([`Run`]) before any of those 32
     /// is probed, so the payload reads of the hashes overlap, and so do
@@ -939,15 +941,15 @@ impl Dictionary {
     }
 }
 
-/// Unwraps an interning pass for the callers that return no error:
-/// [`Dictionary::intern`], [`Column::push`] and [`Column::extend_values`].
+/// Unwraps an interning pass for [`Dictionary::intern`], the one caller
+/// that returns no error.
 fn exhausted_panics(pass: Result<(), Exhausted>) {
     if let Err(what) = pass {
         #[expect(
             clippy::panic,
             reason = "input reaches it (2³² distinct values, or 4 GiB of distinct strings, in \
-                      one dictionary) through the infallible `intern`/`extend_values`; \
-                      `Relation::apply_delta` refuses it with `DictionaryExhausted`"
+                      one dictionary) through the infallible `intern`, a public signature; \
+                      every `Relation` path refuses it with `DictionaryExhausted`"
         )]
         {
             panic!("dictionary exhausted {}", what.what());
@@ -1173,14 +1175,6 @@ impl CodeVec {
         self.widen_for(code);
         self.push(code);
     }
-
-    /// Appends `codes`, widening first if the largest needs it.
-    fn append(&mut self, codes: &[u32]) {
-        if let Some(&max) = codes.iter().max() {
-            self.widen_for(max);
-        }
-        with_vec!(self, v => extend_cells(v, codes.iter().copied()));
-    }
 }
 
 /// Appends `codes` to `v`, each at `v`'s cell type; the caller has
@@ -1205,16 +1199,17 @@ fn widened<D: Cell>(codes: Codes<'_>, cap: usize) -> Vec<D> {
 /// narrows it. [`Column::codes`] lends the codes out as a width-tagged
 /// [`Codes`] view.
 ///
-/// A column is written two ways, and both cost what is written rather
-/// than what is stored. Values append through [`Column::extend_values`]
-/// (one pass under the dictionary's write lock, one probe a value;
-/// [`Column::push`] is the one-value case); codes copied from a column
-/// over the same dictionary append as they are, at whatever width
-/// either side stores them. Rows leave through `remove_rows`, which
-/// closes the gaps in place — one `copy_within` per run of survivors —
-/// and allocates nothing. A relation's delta inserts are interned before
-/// any site appends them (`PendingDelta::encode`), so its pool tasks
-/// append codes and never intern.
+/// Only the [`Relation`](crate::Relation) that holds a column writes
+/// it: no public method here does, and what a relation writes costs
+/// what is written rather than what is stored. Values append through
+/// the relation's one encode step, which interns a column's cells in one
+/// pass under the dictionary's write lock, one probe a value, and hands
+/// each code straight to the column (a delta's inserts are encoded
+/// before any site appends them, so a pool task appends codes and never
+/// interns); codes copied from a column over the same dictionary append
+/// as they are, each source row read once. Rows leave through
+/// `remove_rows`, which closes the gaps in place — one `copy_within` per
+/// run of survivors — and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Column {
     dict: Arc<Dictionary>,
@@ -1222,18 +1217,6 @@ pub struct Column {
 }
 
 impl Column {
-    /// Creates an empty column over a fresh dictionary for values of
-    /// type `ty`.
-    pub fn new(ty: ValueType) -> Self {
-        Column::sharing(Arc::new(Dictionary::new(ty)))
-    }
-
-    /// Creates an empty column sharing `dict` (codes stay comparable with
-    /// every other column over `dict`).
-    pub fn sharing(dict: Arc<Dictionary>) -> Self {
-        Column::with_capacity(dict, 0)
-    }
-
     /// An empty column sharing `dict` with room for exactly `cap` rows,
     /// one byte each until a code needs more.
     pub(crate) fn with_capacity(dict: Arc<Dictionary>, cap: usize) -> Self {
@@ -1277,53 +1260,40 @@ impl Column {
         self.capacity() * self.width()
     }
 
-    /// Appends already interned codes, widening once if the largest
-    /// needs it. The caller guarantees the dictionary assigned them
-    /// ([`Dictionary::len`] bounds the valid ones).
-    #[inline]
-    pub(crate) fn append_codes(&mut self, codes: &[u32]) {
-        self.codes.append(codes);
-    }
-
-    /// Appends a value, interning it; returns its code. Panics as
-    /// [`Dictionary::intern`] does.
-    pub fn push(&mut self, v: &Value) -> u32 {
-        let code = self.dict.intern(v);
-        self.codes.push(code);
-        code
-    }
-
-    /// Appends `values` in order, interning them in one pass under the
-    /// dictionary's write lock, one probe a value; each code appends as
-    /// it comes, widening the column the first time one needs it. Codes and
-    /// dictionary contents are those of [`Column::push`] per value. Bulk
-    /// ingest runs column by column through this, so a thread holds one
-    /// dictionary lock at a time; passes from several threads over one
-    /// dictionary take turns at its lock. `values` must not touch this
-    /// column's dictionary. Panics as [`Dictionary::intern`] does.
-    pub fn extend_values<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
+    /// The column's dictionary, beside a sink that appends a code to the
+    /// column, widening it the first time a code needs it: the two ends
+    /// of an encode step that writes straight into the column. The
+    /// caller guarantees the dictionary assigned every code it sinks.
+    pub(crate) fn sink(&mut self) -> (&Dictionary, impl FnMut(u32) + '_) {
         let codes = &mut self.codes;
-        exhausted_panics(self.dict.intern_each(values, |code| codes.push(code)));
+        (&self.dict, move |code| codes.push(code))
     }
 
     /// Appends the codes `src` holds at `rows`, in the given order,
-    /// widening first if `src` is wider and the largest of them needs
-    /// it. The caller guarantees both columns share one dictionary, so
-    /// the codes mean the same here as there.
-    pub(crate) fn extend_from_rows(&mut self, src: &Column, rows: &[usize]) {
+    /// reading each row once. While `src` is no wider than this column
+    /// every code fits, and they append in one typed pass; otherwise each
+    /// appends through the widening push, so the column widens only for
+    /// a code that needs it. The caller guarantees both columns share one
+    /// dictionary, so the codes mean the same here as there.
+    pub(crate) fn extend_from_rows(&mut self, src: &Column, rows: impl RowSource) {
         let from = src.codes();
         if from.width() > self.width() {
-            let max = with_codes!(from, s => rows.iter().map(|&r| widen(s[r])).max());
-            self.codes.widen_for(max.unwrap_or(0));
+            rows.zip_codes(from, 0.., |_, code| self.codes.push(code));
+            return;
         }
         with_codes!(from, s => with_vec!(&mut self.codes, v => {
-            extend_cells(v, rows.iter().map(|&r| widen(s[r])));
+            extend_cells(v, rows.rows().map(|r| widen(s[r])));
         }));
     }
 
     /// Reserves room for `extra` more rows.
-    pub fn reserve(&mut self, extra: usize) {
+    pub(crate) fn reserve(&mut self, extra: usize) {
         with_vec!(&mut self.codes, v => v.reserve(extra));
+    }
+
+    /// Drops every row from `len` on. The width stays.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        with_vec!(&mut self.codes, v => v.truncate(len));
     }
 
     /// Removes the rows at `rows` (strictly increasing positions),
@@ -1635,11 +1605,10 @@ mod tests {
             d.intern(&nth(ty, 0));
             d.trim();
             assert_eq!((d.is_sorted(), d.is_indexed()), (false, false));
-            let mut col = Column::sharing(Arc::new(d));
-            col.extend_values(&[Value::Null, Value::Null]);
-            col.push(&Value::Null);
-            let d = col.dict();
-            assert_eq!((col.codes().to_vec(), d.len(), d.is_indexed()), (vec![2, 2, 2], 3, false));
+            let mut codes = Vec::new();
+            d.intern_each(&[Value::Null, Value::Null], |code| codes.push(code)).unwrap();
+            codes.push(d.intern(&Value::Null));
+            assert_eq!((codes, d.len(), d.is_indexed()), (vec![2, 2, 2], 3, false));
             // The next miss builds an index that covers the null code.
             assert_eq!(d.intern(&nth(ty, 5)), 3);
             assert_eq!(d.index_slots(), grown_len(4));
@@ -1738,13 +1707,19 @@ mod tests {
         }
     }
 
+    /// A column over a fresh dictionary of type `ty`, fed `values` the
+    /// way a relation's encode step feeds it.
+    fn fed(ty: ValueType, values: &[Value]) -> Column {
+        let mut c = Column::with_capacity(Arc::new(Dictionary::new(ty)), 0);
+        let (dict, sink) = c.sink();
+        dict.intern_each(values, sink).unwrap();
+        c
+    }
+
     #[test]
     fn column_round_trips_values() {
         for ty in TYPES {
-            let mut c = Column::new(ty);
-            c.push(&nth(ty, 1));
-            c.push(&nth(ty, 2));
-            c.push(&nth(ty, 1));
+            let c = fed(ty, &[nth(ty, 1), nth(ty, 2), nth(ty, 1)]);
             assert_eq!(c.len(), 3);
             assert_eq!(c.codes().to_vec(), [0, 1, 0]);
             assert_eq!(c.decode(1), nth(ty, 2));
@@ -1753,54 +1728,13 @@ mod tests {
     }
 
     #[test]
-    fn extend_values_agrees_with_push() {
-        for ty in TYPES {
-            let [x, three, y, z] = [0, 3, 1, 2].map(|k| nth(ty, k));
-            let values = [x.clone(), three.clone(), x, y.clone()];
-            let mut plain = Column::new(ty);
-            for v in &values {
-                plain.push(v);
-            }
-            let mut bulk = Column::new(ty);
-            bulk.extend_values(&values);
-            assert_eq!(plain.codes(), bulk.codes());
-            assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
-            // Two columns over one dictionary: the second run starts from
-            // what the first interned, bulk or not.
-            let more = [y, z, three];
-            let mut plain_b = Column::sharing(plain.dict().clone());
-            for v in &more {
-                plain_b.push(v);
-            }
-            let mut bulk_b = Column::sharing(bulk.dict().clone());
-            bulk_b.extend_values(&more);
-            assert_eq!(plain_b.codes(), bulk_b.codes());
-            assert_eq!(bulk_b.codes().to_vec(), [2, 3, 1]);
-            assert_eq!(bulk.dict().snapshot(), plain.dict().snapshot());
-        }
-    }
-
-    #[test]
     fn remove_rows_keeps_order_and_dictionary() {
-        let mut c = Column::new(ValueType::Str);
-        for v in ["a", "b", "a", "c", "b"] {
-            c.push(&Value::str(v));
-        }
+        let mut c = fed(ValueType::Str, &["a", "b", "a", "c", "b"].map(Value::str));
         c.remove_rows(&[1, 3]);
         assert_eq!(c.codes().to_vec(), [0, 0, 1]);
         // The dictionary keeps every value it ever interned.
         assert_eq!(c.dict().len(), 3);
         assert_eq!(c.decode(2), Value::str("b"));
-    }
-
-    #[test]
-    fn sharing_columns_agree_on_codes() {
-        let mut a = Column::new(ValueType::Str);
-        a.push(&Value::str("x"));
-        a.push(&Value::str("y"));
-        let mut b = Column::sharing(a.dict().clone());
-        b.push(&Value::str("y"));
-        assert_eq!(b.codes().to_vec(), [1], "shared dictionary must reuse the parent's codes");
     }
 
     #[test]
@@ -1834,8 +1768,8 @@ mod tests {
             }
             removed.sort_unstable();
             removed.dedup();
-            let mut c = Column::new(ValueType::Int);
-            c.extend_values(&model.iter().map(|&k| Value::Int(i64::from(k))).collect::<Vec<_>>());
+            let values: Vec<Value> = model.iter().map(|&k| Value::Int(i64::from(k))).collect();
+            let mut c = fed(ValueType::Int, &values);
             let codes = c.codes().to_vec();
             c.remove_rows(&removed);
             let mut want: Vec<u32> = codes
@@ -1845,7 +1779,7 @@ mod tests {
                 .map(|(_, &code)| code)
                 .collect();
             proptest::prop_assert_eq!(c.codes().to_vec(), want.clone());
-            c.append_codes(&[5]);
+            c.sink().1(5);
             want.push(5);
             proptest::prop_assert_eq!(c.codes().to_vec(), want);
         }

@@ -257,13 +257,11 @@ enum StorageOp {
     PushTuple(u64, Row),
     /// `push_tuple` with the one id the counter cannot pass: rejected.
     PushTupleMaxId(Row),
-    /// `push_code_row` with the codes of an existing row under id
-    /// `next + gap`; with `corrupt`, one code is the first its dictionary
-    /// has not assigned, and the row is rejected.
-    PushCodeRow {
-        from: usize,
-        gap: u64,
-        corrupt: bool,
+    /// Replace the relation by `from_columns` over its own columns,
+    /// each copied whole; with `foreign`, column `b` comes from a relation
+    /// over other dictionaries, and the gather is rejected.
+    Gather {
+        foreign: bool,
     },
     /// `apply_delta`: an insert either takes a fresh id or re-uses the id
     /// of one of this delta's deletes. `poison` 0 is a valid delta, 1–6
@@ -289,8 +287,7 @@ fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
         Just(StorageOp::PushShort),
         (0..3u64, arb_row()).prop_map(|(gap, row)| StorageOp::PushTuple(gap, row)),
         arb_row().prop_map(StorageOp::PushTupleMaxId),
-        (0..64usize, 0..3u64, any::<bool>())
-            .prop_map(|(from, gap, corrupt)| StorageOp::PushCodeRow { from, gap, corrupt }),
+        any::<bool>().prop_map(|foreign| StorageOp::Gather { foreign }),
         (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks(), 0..7u8)
             .prop_map(|(inserts, deletes, poison)| StorageOp::Delta { inserts, deletes, poison }),
         (prop::collection::vec((prop::option::of(0..12usize), arb_row()), 0..8), picks())
@@ -429,21 +426,25 @@ fn step(rel: &mut Relation, model: &mut Model, op: &StorageOp) -> Result<(), Tes
             prop_assert_eq!(err, RelationError::TupleIdOutOfRange { tid: u64::MAX });
             rejected = true;
         }
-        StorageOp::PushCodeRow { from, gap, corrupt } => {
-            if !model.rows.is_empty() {
-                let from = from % model.rows.len();
-                let tid = TupleId(model.next + gap);
-                let mut codes: Vec<u32> =
-                    rel.columns().iter().map(|c| c.codes().get(from)).collect();
-                if *corrupt {
-                    let j = from % codes.len();
-                    codes[j] = rel.columns()[j].dict().len() as u32;
-                    let err = rel.push_code_row(tid, &codes).unwrap_err();
-                    prop_assert!(matches!(err, RelationError::UnassignedCode { .. }));
-                    rejected = true;
-                } else {
-                    rel.push_code_row(tid, &codes).unwrap();
-                    let values = model.rows[from].1.clone();
+        StorageOp::Gather { foreign } => {
+            let values = model.rows.iter().map(|(_, values)| values.clone()).collect();
+            let other = Relation::from_rows(schema(), values).unwrap();
+            let mut columns: Vec<Option<&Column>> = rel.columns().iter().map(Some).collect();
+            if *foreign {
+                columns[1] = Some(other.column(AttrId(1)));
+            }
+            let attrs: Vec<AttrId> = rel.schema().attr_ids().collect();
+            let dicts = rel.dictionaries_of(&attrs);
+            let gathered = Relation::from_columns(schema(), dicts, rel.tids(), &columns);
+            if *foreign {
+                prop_assert!(matches!(gathered, Err(RelationError::SchemaMismatch { .. })));
+                rejected = true;
+            } else {
+                let gathered = gathered.unwrap();
+                prop_assert_eq!(image(&gathered), image(rel));
+                *rel = gathered;
+                // The id counter restarts past the largest id held.
+                for (tid, values) in std::mem::take(model).rows {
                     model.insert(tid, values);
                 }
             }
@@ -697,6 +698,26 @@ fn crossing_value(first: i64, cell: Option<u16>) -> Value {
 /// A feed's alphabet: the value of each cell.
 type Alphabet<'a> = &'a dyn Fn(Option<u16>) -> Value;
 
+/// An empty one-attribute relation of type `ty` whose column shares
+/// `dict`: how a dictionary model feeds a dictionary through a relation.
+fn over(ty: ValueType, dict: Arc<Dictionary>) -> Relation {
+    let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
+    Relation::with_dictionaries(schema, vec![dict], 0).unwrap()
+}
+
+/// Appends `values` to the one-attribute `rel`, `chunk` rows per
+/// `extend_rows` call.
+fn feed_rows(rel: &mut Relation, values: &[Value], chunk: usize) {
+    for slice in values.chunks(chunk) {
+        rel.extend_rows(slice.iter().map(|v| vec![v.clone()]).collect()).unwrap();
+    }
+}
+
+/// The codes of the one-attribute `rel`.
+fn codes_of(rel: &Relation) -> Vec<u32> {
+    rel.column(AttrId(0)).codes().to_vec()
+}
+
 /// Whether an Int table fed `feed` holds its values as `u32` offsets:
 /// every non-null value within 2³¹ below and 2³¹ − 1 above the first.
 fn stays_narrow(feed: &[Value]) -> bool {
@@ -717,9 +738,10 @@ proptest! {
     /// the 32-bit window `first` fixes ([`crossing_value`]), so that the
     /// table widens at a random point, or never. Each feed is interned
     /// four times: value by value through `intern` (indexed once the
-    /// feed stops ascending), slice by slice through `extend_values`, as a built
-    /// relation of the first `cut` cells — whose dictionary is trimmed and
-    /// holds no index — followed by `extend_values` of the rest, and into
+    /// feed stops ascending), slice by slice through `extend_rows` of a
+    /// one-attribute relation, as a built relation of the first `cut`
+    /// cells — whose dictionary is trimmed and holds no index — followed
+    /// by `extend_rows` of the rest onto its dictionary, and into
     /// a deep clone of a dictionary that interned the first `cut` cells.
     /// All four agree with the model on every code, `len`, `value(code)`,
     /// `snapshot`, and `code_of` for present and absent values; an Int
@@ -763,22 +785,17 @@ proptest! {
                 let held = per_value * one.capacity() + 4 * one.index_slots();
                 prop_assert_eq!(one.heap_bytes(), held, "alphabet {}", alphabet);
             }
-            let mut col = Column::new(ty);
-            for slice in feed.chunks(chunk) {
-                col.extend_values(slice);
-            }
-            prop_assert_eq!(col.codes().to_vec(), &want[..]);
+            let mut col = over(ty, Arc::new(Dictionary::new(ty)));
+            feed_rows(&mut col, &feed, chunk);
+            prop_assert_eq!(codes_of(&col), &want[..]);
             let cut = cut.min(feed.len());
             let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
             let head = feed[..cut].iter().map(|v| vec![v.clone()]).collect();
             let built = Relation::from_rows(schema, head).unwrap();
             prop_assert!(!built.dictionary(AttrId(0)).is_indexed());
-            let mut rest = Column::sharing(built.dictionary(AttrId(0)).clone());
-            for slice in feed[cut..].chunks(chunk) {
-                rest.extend_values(slice);
-            }
-            let resumed: Vec<u32> =
-                built.column(AttrId(0)).codes().to_vec().into_iter().chain(rest.codes().to_vec()).collect();
+            let mut rest = over(ty, built.dictionary(AttrId(0)).clone());
+            feed_rows(&mut rest, &feed[cut..], chunk);
+            let resumed: Vec<u32> = codes_of(&built).into_iter().chain(codes_of(&rest)).collect();
             prop_assert_eq!(&resumed, &want);
             let part = Dictionary::new(ty);
             for v in &feed[..cut] {
@@ -788,7 +805,8 @@ proptest! {
             let tail: Vec<u32> = feed[cut..].iter().map(|v| cloned.intern(v)).collect();
             prop_assert_eq!(&tail[..], &want[cut..]);
             prop_assert_eq!(part.snapshot(), model[..part.len()].to_vec());
-            for dict in [&one, &**col.dict(), &**rest.dict(), &cloned] {
+            let (col, rest) = (col.dictionary(AttrId(0)), rest.dictionary(AttrId(0)));
+            for dict in [&one, &**col, &**rest, &cloned] {
                 prop_assert_eq!(dict.len(), model.len());
                 prop_assert_eq!(dict.snapshot(), model.clone());
                 for (code, v) in model.iter().enumerate() {
@@ -881,9 +899,9 @@ proptest! {
             }
             let decoded: Vec<Value> = built.iter().map(|t| t.values()[0].clone()).collect();
             prop_assert_eq!(&decoded, &feed);
-            let mut rest = Column::sharing(dict.clone());
-            rest.extend_values(&more);
-            prop_assert_eq!(rest.codes().to_vec(), &want_more[..]);
+            let mut rest = over(ValueType::Str, dict.clone());
+            feed_rows(&mut rest, &more, more.len().max(1));
+            prop_assert_eq!(codes_of(&rest), &want_more[..]);
             prop_assert_eq!(dict.snapshot(), model.clone());
         }
     }
@@ -996,11 +1014,9 @@ proptest! {
 
             let one = Dictionary::new(ty);
             prop_assert_eq!(feed.iter().map(|v| one.intern(v)).collect::<Vec<_>>(), want.clone());
-            let mut col = Column::new(ty);
-            for slice in feed.chunks(chunk) {
-                col.extend_values(slice);
-            }
-            prop_assert_eq!(col.codes().to_vec(), &want[..]);
+            let mut col = over(ty, Arc::new(Dictionary::new(ty)));
+            feed_rows(&mut col, &feed, chunk);
+            prop_assert_eq!(codes_of(&col), &want[..]);
             let schema = Schema::builder("d").attr("v", ty).key(&[]).build().unwrap();
             let rows = feed.iter().map(|v| vec![v.clone()]).collect();
             let built = Relation::from_rows(schema, rows).unwrap();
@@ -1023,7 +1039,7 @@ proptest! {
                 ValueType::Int => Value::str("1"),
                 ValueType::Str => Value::Int(1),
             };
-            for dict in [&one, &**col.dict(), &**trimmed] {
+            for dict in [&one, &**col.dictionary(AttrId(0)), &**trimmed] {
                 prop_assert_eq!(dict.snapshot(), model.clone());
                 for (code, v) in model.iter().enumerate() {
                     prop_assert_eq!(dict.code_of(v), Some(code as u32), "{:?}", v);
@@ -1052,9 +1068,9 @@ proptest! {
                 continue;
             };
             let len = model.len();
-            let mut after = Column::sharing(trimmed.clone());
-            after.extend_values([miss, miss]);
-            prop_assert_eq!(after.codes().to_vec(), &[len as u32; 2][..]);
+            let mut after = over(ty, trimmed.clone());
+            feed_rows(&mut after, &[miss.clone(), miss.clone()], 2);
+            prop_assert_eq!(codes_of(&after), &[len as u32; 2][..]);
             let mode = (trimmed.is_sorted(), trimmed.index_slots());
             prop_assert_eq!(mode, (false, grown_len(len + 1)));
             prop_assert_eq!(model_code(&mut model, miss) as usize, len);
@@ -1064,8 +1080,8 @@ proptest! {
             // Through the index, `Null` keeps its code (or takes the next).
             let tail = [Value::Null, ascending_value(ty, i64::MAX)];
             let tail_codes: Vec<u32> = tail.iter().map(|v| model_code(&mut model, v)).collect();
-            after.extend_values(&tail);
-            prop_assert_eq!(&after.codes().to_vec()[2..], &tail_codes[..]);
+            feed_rows(&mut after, &tail, tail.len());
+            prop_assert_eq!(&codes_of(&after)[2..], &tail_codes[..]);
             prop_assert_eq!(trimmed.snapshot(), model);
             prop_assert!(!trimmed.is_sorted() && trimmed.is_indexed());
         }
@@ -1085,9 +1101,9 @@ fn narrow_schema() -> Arc<Schema> {
 /// dictionary.
 #[derive(Debug, Clone)]
 enum WidthOp {
-    /// `Column::push` through `Relation::push_tuple`.
+    /// One row through `Relation::push_tuple`.
     Push(bool, usize),
-    /// `Column::extend_values` through `Relation::extend_tuples`.
+    /// Rows through `Relation::extend_tuples`.
     Extend(bool, Vec<usize>),
     /// `remove_rows` through a delta's deletes, picked by position.
     Remove(bool, Vec<usize>),
@@ -1138,7 +1154,8 @@ proptest! {
     fn narrow_columns_match_a_vec_model(ops in prop::collection::vec(arb_width_op(), 1..24)) {
         let dict = Arc::new(Dictionary::new(ValueType::Int));
         // Value v ≤ 65 536 is code v; later values take codes in order.
-        Column::sharing(dict.clone()).extend_values(&(0..=65_536).map(Value::Int).collect::<Vec<_>>());
+        let values: Vec<Value> = (0..=65_536).map(Value::Int).collect();
+        feed_rows(&mut over(ValueType::Int, dict.clone()), &values, values.len());
         let mut fresh: Vec<i64> = Vec::new();
         let mut code_of = |v: i64| -> u32 {
             if v <= 65_536 {

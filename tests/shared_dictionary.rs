@@ -1,27 +1,48 @@
 //! One dictionary, several writers.
 //!
-//! Fragments of one relation share their dictionaries, and parallel
-//! sites intern into them at once (`apply_delta` per site, column by
-//! column). What that relies on — codes dense and first-seen, one code
-//! per value whoever interned it, every column still decoding to what it
-//! was fed — is the contract of `Dictionary::intern_each`'s two-lock
-//! loop: known values under the read lock, a run of unseen ones under
-//! the write lock, the value that caused the upgrade looked up again
-//! because another writer may have got there between the two locks.
-//! A built relation's dictionaries hold no value → code index; the first
-//! lookup or interning miss builds it under the write lock, and that
-//! must hold the same contract when tasks meet there. A dictionary whose
-//! values arrived ascending (the Int universe here) is sorted and builds
-//! none: writers append above its last value, and the first miss below
-//! it ends that mode, so whether it still holds at four writers depends
-//! on how they interleave.
+//! Fragments of one relation share their dictionaries, and relations
+//! over one dictionary may be written from several threads at once.
+//! Every write interns through one pass per column,
+//! `Dictionary::intern_each`: one acquisition of the write lock for the
+//! whole pass, one probe a value, so concurrent passes take turns at the
+//! lock, a whole pass each. (A delta batch does not get here: a
+//! partition encodes it on one thread before its sites append codes.)
+//! What the writers rely on — codes dense and first-seen, one code per
+//! value whoever interned it, every column still decoding to what it was
+//! fed — must hold however their passes interleave. Each writer here is
+//! a one-attribute relation over the shared dictionary
+//! (`Relation::with_dictionaries`), fed by `extend_rows`. A built
+//! relation's dictionaries hold no value → code index; the first lookup
+//! or interning miss builds it under the write lock, and that must hold
+//! the same contract when tasks meet there. A dictionary whose values
+//! arrived ascending (the Int universe here) is sorted and builds none:
+//! writers append above its last value, and the first miss below it ends
+//! that mode, so whether it still holds at four writers depends on how
+//! they interleave.
 
 use dcd_dist::pool::scoped_map;
-use dcd_relation::{AttrId, Column, Dictionary, Relation, Schema, Value, ValueType};
+use dcd_relation::{AttrId, Dictionary, Relation, Schema, Value, ValueType};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 const TASKS: usize = 4;
+
+/// A writer: a one-attribute relation of type `ty` over `dict`, fed
+/// `fed` slice by slice, so that writers meet between calls as well as
+/// inside them.
+fn write(ty: ValueType, dict: &Arc<Dictionary>, fed: &[Value]) -> Relation {
+    let schema = Schema::builder("w").attr("v", ty).key(&[]).build().unwrap();
+    let mut w = Relation::with_dictionaries(schema, vec![dict.clone()], 0).unwrap();
+    for slice in fed.chunks(64) {
+        w.extend_rows(slice.iter().map(|v| vec![v.clone()]).collect()).unwrap();
+    }
+    w
+}
+
+/// The codes a writer holds.
+fn codes(w: &Relation) -> Vec<u32> {
+    w.column(AttrId(0)).codes().to_vec()
+}
 
 /// Value `u` of the universe a dictionary of type `ty` is fed: one in
 /// seven is `Null`.
@@ -54,15 +75,7 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
         let feeds: Vec<Vec<Value>> = (0..TASKS).map(|k| feed(ty, k)).collect();
         let distinct: HashSet<&Value> = feeds.iter().flatten().collect();
         let dict = Arc::new(Dictionary::new(ty));
-        let columns: Vec<Column> = scoped_map(threads, &feeds, |fed| {
-            let mut col = Column::sharing(dict.clone());
-            // Slice by slice, so that writers meet between calls as well
-            // as inside them.
-            for slice in fed.chunks(64) {
-                col.extend_values(slice);
-            }
-            col
-        });
+        let writers: Vec<Relation> = scoped_map(threads, &feeds, |fed| write(ty, &dict, fed));
 
         let snapshot = dict.snapshot();
         assert_eq!(snapshot.len(), dict.len());
@@ -71,11 +84,11 @@ fn tasks_interning_overlapping_values_share_one_code_space() {
         for (code, v) in snapshot.iter().enumerate() {
             assert_eq!(dict.code_of(v), Some(code as u32), "{v} at {threads} threads");
         }
-        for (col, fed) in columns.iter().zip(&feeds) {
-            assert_eq!(col.len(), fed.len());
-            assert!(col.codes().to_vec().iter().all(|&code| (code as usize) < snapshot.len()));
+        for (w, fed) in writers.iter().zip(&feeds) {
+            assert_eq!(w.len(), fed.len());
+            assert!(codes(w).iter().all(|&code| (code as usize) < snapshot.len()));
             let decoded: Vec<&Value> =
-                col.codes().to_vec().iter().map(|&code| &snapshot[code as usize]).collect();
+                codes(w).iter().map(|&code| &snapshot[code as usize]).collect();
             assert!(decoded.iter().copied().eq(fed), "{ty:?} at {threads} threads");
         }
     }
@@ -105,15 +118,11 @@ fn first_probes_of_a_built_relation_share_one_code_space() {
         // unless it is sorted.
         let probes = |k: usize| (k * 300..k * 300 + 3_000).map(|u| value(ty, u));
         let feeds: Vec<Vec<Value>> = (0..TASKS).map(|k| feed(ty, k)).collect();
-        let outcomes: Vec<(Vec<Option<u32>>, Column)> = scoped_map(threads, 0..TASKS, |k| {
-            let mut col = Column::sharing(dict.clone());
+        let outcomes: Vec<(Vec<Option<u32>>, Relation)> = scoped_map(threads, 0..TASKS, |k| {
             if k % 2 == 0 {
-                (probes(k).map(|v| dict.code_of(&v)).collect(), col)
+                (probes(k).map(|v| dict.code_of(&v)).collect(), write(ty, &dict, &[]))
             } else {
-                for slice in feeds[k].chunks(64) {
-                    col.extend_values(slice);
-                }
-                (Vec::new(), col)
+                (Vec::new(), write(ty, &dict, &feeds[k]))
             }
         });
 
@@ -137,9 +146,9 @@ fn first_probes_of_a_built_relation_share_one_code_space() {
         for (code, v) in snapshot.iter().enumerate() {
             assert_eq!(dict.code_of(v), Some(code as u32), "{v} at {threads} threads");
         }
-        for (k, (answers, col)) in outcomes.iter().enumerate() {
+        for (k, (answers, w)) in outcomes.iter().enumerate() {
             if k % 2 == 1 {
-                let decoded = col.codes().to_vec().into_iter().map(|code| &snapshot[code as usize]);
+                let decoded = codes(w).into_iter().map(|code| &snapshot[code as usize]);
                 assert!(decoded.eq(&feeds[k]), "{ty:?} at {threads} threads");
                 continue;
             }
